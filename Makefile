@@ -48,17 +48,16 @@ check: fmt vet vet-extra build race audit-replay chaos-smoke slo-smoke snapshot-
 
 # shard-smoke drives the federation stack (DESIGN.md §17) end to end:
 # the consistent-hash property tests, the shard daemon's /v1/shard/*
-# surface, the router's differential / merge-determinism / degradation
-# tests, the fleet runner's exact-cover partition test, then a real
-# router + shards session via lpvs-shard: the N=1 differential against
-# a standalone control (byte-identical canonical decisions, replayable
-# audits) and the kill-one-shard degradation contract.
+# surface, the router's tests over real loopback sockets — the N=1
+# differential against a standalone control (byte-identical canonical
+# decisions, replayable audits), merge determinism and the
+# kill-one-shard degradation contract — and the fleet runner's
+# exact-cover partition test.
 shard-smoke:
 	$(GO) test -count=1 ./internal/shard/
 	$(GO) test -count=1 ./internal/server/ -run 'Shard'
 	$(GO) test -count=1 ./internal/router/
 	$(GO) test -count=1 ./internal/fleet/ -run 'Shard'
-	$(GO) run ./cmd/lpvs-shard smoke
 
 # ingest-smoke drives the binary report codec (DESIGN.md §16) end to
 # end: the wire package's framing tests and fuzz seed corpora, the

@@ -9,40 +9,15 @@
 //	lpvs-shard plan -map map.json -keys 10000 -add d=host:8083
 //	                 preview a reshard: how many keys move when a
 //	                 node joins (or leaves, with -remove id)
-//	lpvs-shard smoke [-corpus 210] [-rounds 3]
-//	                 self-contained federation smoke test: boots a
-//	                 router plus shard daemons in-process on loopback
-//	                 listeners, proves the N=1 differential against a
-//	                 standalone daemon byte for byte (including audit
-//	                 replay), then kills shards one by one and checks
-//	                 the degradation contract (200+Degraded with one
-//	                 shard down, 502 shard_unavailable with all down)
-//
-// smoke exits non-zero on any divergence, so `make shard-smoke` can
-// gate CI on the federation determinism contract the same way
-// `make audit-replay` gates the scheduler's.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
-	"time"
 
-	"lpvs/internal/client"
-	"lpvs/internal/obs/audit"
-	"lpvs/internal/router"
-	"lpvs/internal/server"
 	"lpvs/internal/shard"
-	"lpvs/internal/stats"
-	"lpvs/internal/video"
 )
 
 func main() {
@@ -54,8 +29,6 @@ func main() {
 	switch os.Args[1] {
 	case "plan":
 		err = runPlan(os.Args[2:])
-	case "smoke":
-		err = runSmoke(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -72,8 +45,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  lpvs-shard plan -map map.json [-channels a,b | -keys N] [-add id=addr] [-remove id]
-  lpvs-shard smoke [-corpus N] [-rounds N]`)
+  lpvs-shard plan -map map.json [-channels a,b | -keys N] [-add id=addr] [-remove id]`)
 }
 
 // runPlan prints the ownership distribution of a shard map over a key
@@ -170,332 +142,4 @@ func runPlan(args []string) error {
 		len(moved), len(keyList), 100*float64(len(moved))/float64(len(keyList)),
 		100/float64(max(len(m.Nodes()), len(nm.Nodes()))))
 	return nil
-}
-
-// --- smoke ---------------------------------------------------------
-
-// daemon is one in-process HTTP server the smoke run can kill.
-type daemon struct {
-	srv  *server.Server
-	http *http.Server
-	ln   net.Listener
-	url  string
-}
-
-func (d *daemon) kill() {
-	d.http.Close()
-	d.srv.Close()
-}
-
-// startDaemon serves s.Handler() on a fresh loopback listener.
-func startDaemon(s *server.Server) (*daemon, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	hs := &http.Server{Handler: s.Handler()}
-	go hs.Serve(ln)
-	return &daemon{srv: s, http: hs, ln: ln, url: "http://" + ln.Addr().String()}, nil
-}
-
-// smokeStreams builds the channel set every smoke daemon serves: the
-// same generator seeds everywhere, so any shard (or the standalone
-// control) transforms identical content.
-func smokeStreams() (*video.Video, []*video.Video, error) {
-	def, err := video.Generate(stats.NewRNG(1), video.DefaultGenConfig("ch", video.Gaming, 90))
-	if err != nil {
-		return nil, nil, err
-	}
-	var extras []*video.Video
-	for i, id := range []string{"music", "news"} {
-		v, err := video.Generate(stats.NewRNG(int64(10+i)), video.DefaultGenConfig(id, video.Sports, 90))
-		if err != nil {
-			return nil, nil, err
-		}
-		extras = append(extras, v)
-	}
-	return def, extras, nil
-}
-
-func smokeServer(nodeID, auditDir string) (*server.Server, error) {
-	def, extras, err := smokeStreams()
-	if err != nil {
-		return nil, err
-	}
-	return server.New(server.Config{
-		Stream:        def,
-		ExtraStreams:  extras,
-		ServerStreams: -1,
-		Lambda:        1,
-		ShardMode:     nodeID != "",
-		NodeID:        nodeID,
-		AuditDir:      auditDir,
-	})
-}
-
-// smokeReport builds the i-th corpus instance: deterministic fields so
-// the standalone and federated runs see byte-identical inputs.
-func smokeReport(i int, channel string) server.ReportRequest {
-	disp := "OLED"
-	if i%3 == 0 {
-		disp = "LCD"
-	}
-	return server.ReportRequest{
-		DeviceID:         fmt.Sprintf("dev-%03d", i),
-		ChannelID:        channel,
-		DisplayType:      disp,
-		Width:            1920,
-		Height:           1080,
-		DiagonalInch:     5.5 + 0.1*float64(i%10),
-		Brightness:       0.3 + 0.05*float64(i%10),
-		EnergyFrac:       0.05 + float64(i%90)/100,
-		BatteryCapacityJ: 30_000 + 1_000*float64(i%20),
-		BasePowerW:       0.3 + 0.01*float64(i%7),
-	}
-}
-
-func postJSON(url string, body, out any) (int, error) {
-	var rd *bytes.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return 0, err
-		}
-		rd = bytes.NewReader(buf)
-	} else {
-		rd = bytes.NewReader(nil)
-	}
-	resp, err := http.Post(url, "application/json", rd)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, err
-		}
-	}
-	return resp.StatusCode, nil
-}
-
-func readAudit(dir string) ([]*audit.Record, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, "audit.jsonl"))
-	if err != nil {
-		return nil, err
-	}
-	var recs []*audit.Record
-	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
-		rec, err := audit.Decode(line)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
-}
-
-// runSmoke is the end-to-end federation check: phase 1 proves the
-// N=1 differential (router + one shard == standalone, canonical
-// decision bytes and replayable audit logs), phase 2 proves graceful
-// degradation over two shards (one down: 200 + Degraded; all down:
-// 502 shard_unavailable).
-func runSmoke(args []string) error {
-	fs := flag.NewFlagSet("smoke", flag.ExitOnError)
-	corpus := fs.Int("corpus", 210, "devices per round")
-	rounds := fs.Int("rounds", 3, "tick rounds in the differential phase")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	tmp, err := os.MkdirTemp("", "lpvs-shard-smoke-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	plainDir := filepath.Join(tmp, "standalone")
-	shardDir := filepath.Join(tmp, "shard")
-
-	// Phase 1: N=1 differential against a standalone control.
-	plainSrv, err := smokeServer("", plainDir)
-	if err != nil {
-		return err
-	}
-	plain, err := startDaemon(plainSrv)
-	if err != nil {
-		return err
-	}
-	defer plain.kill()
-
-	shardSrv, err := smokeServer("n1", shardDir)
-	if err != nil {
-		return err
-	}
-	sd, err := startDaemon(shardSrv)
-	if err != nil {
-		return err
-	}
-	defer sd.kill()
-
-	rt1, rt1URL, err := startRouter(map[string]string{"n1": sd.url})
-	if err != nil {
-		return err
-	}
-	defer rt1.Close()
-
-	fmt.Printf("smoke: N=1 differential, corpus %d x %d rounds\n", *corpus, *rounds)
-	for round := 0; round < *rounds; round++ {
-		batch := make([]server.ReportRequest, 0, *corpus)
-		for i := 0; i < *corpus; i++ {
-			r := smokeReport(i, "") // all on the default channel: single VC
-			r.EnergyFrac = 0.05 + float64((i+37*round)%90)/100
-			batch = append(batch, r)
-		}
-		var plainResp, fedResp server.BatchReportResponse
-		if st, err := postJSON(plain.url+"/v1/report", batch, &plainResp); err != nil || st != 200 {
-			return fmt.Errorf("round %d standalone batch: status %d, %v", round, st, err)
-		}
-		if st, err := postJSON(rt1URL+"/v1/report", batch, &fedResp); err != nil || st != 200 {
-			return fmt.Errorf("round %d federated batch: status %d, %v", round, st, err)
-		}
-		if plainResp.Accepted != *corpus || fedResp.Accepted != *corpus {
-			return fmt.Errorf("round %d accepted %d/%d, want %d", round, plainResp.Accepted, fedResp.Accepted, *corpus)
-		}
-		if st, err := postJSON(plain.url+"/v1/tick", nil, nil); err != nil || st != 200 {
-			return fmt.Errorf("round %d standalone tick: status %d, %v", round, st, err)
-		}
-		var tick router.TickResponse
-		if st, err := postJSON(rt1URL+"/v1/tick", nil, &tick); err != nil || st != 200 {
-			return fmt.Errorf("round %d federated tick: status %d, %v", round, st, err)
-		}
-		if tick.ShardErrors != 0 || tick.Reports != *corpus {
-			return fmt.Errorf("round %d merged tick: %d shard errors, %d reports", round, tick.ShardErrors, tick.Reports)
-		}
-	}
-
-	plainRecs, err := readAudit(plainDir)
-	if err != nil {
-		return err
-	}
-	shardRecs, err := readAudit(shardDir)
-	if err != nil {
-		return err
-	}
-	if len(plainRecs) != *rounds || len(shardRecs) != *rounds {
-		return fmt.Errorf("audit records %d/%d, want %d each", len(plainRecs), len(shardRecs), *rounds)
-	}
-	for i := range plainRecs {
-		if plainRecs[i].DecisionCanonical != shardRecs[i].DecisionCanonical {
-			return fmt.Errorf("slot %d: canonical decisions diverge between standalone and federated runs", i)
-		}
-		for _, rec := range []*audit.Record{plainRecs[i], shardRecs[i]} {
-			res, err := rec.Replay()
-			if err != nil {
-				return fmt.Errorf("slot %d replay: %v", i, err)
-			}
-			if !res.Match {
-				return fmt.Errorf("slot %d replay diverged: %s", i, res.Diff())
-			}
-		}
-	}
-	fmt.Printf("smoke: N=1 differential OK (%d slots byte-identical, audit replays clean)\n", *rounds)
-
-	// Phase 2: degradation over two shards.
-	aSrv, err := smokeServer("a", "")
-	if err != nil {
-		return err
-	}
-	a, err := startDaemon(aSrv)
-	if err != nil {
-		return err
-	}
-	defer a.kill()
-	bSrv, err := smokeServer("b", "")
-	if err != nil {
-		return err
-	}
-	b, err := startDaemon(bSrv)
-	if err != nil {
-		return err
-	}
-	defer b.kill()
-	rt2, rt2URL, err := startRouter(map[string]string{"a": a.url, "b": b.url})
-	if err != nil {
-		return err
-	}
-	defer rt2.Close()
-
-	for i := 0; i < 60; i++ {
-		ch := []string{"", "music", "news"}[i%3]
-		if st, err := postJSON(rt2URL+"/v1/report", smokeReport(i, ch), nil); err != nil || st != 200 {
-			return fmt.Errorf("degradation seed report %d: status %d, %v", i, st, err)
-		}
-	}
-	var healthy router.TickResponse
-	if st, err := postJSON(rt2URL+"/v1/tick", nil, &healthy); err != nil || st != 200 {
-		return fmt.Errorf("healthy 2-shard tick: status %d, %v", st, err)
-	}
-	if healthy.ShardErrors != 0 || healthy.Degraded {
-		return fmt.Errorf("healthy 2-shard tick reports errors: %+v", healthy.Shards)
-	}
-
-	b.kill()
-	var degraded router.TickResponse
-	if st, err := postJSON(rt2URL+"/v1/tick", nil, &degraded); err != nil || st != 200 {
-		return fmt.Errorf("one-shard-down tick: status %d, %v (want 200 + Degraded)", st, err)
-	}
-	if degraded.ShardErrors != 1 || !degraded.Degraded {
-		return fmt.Errorf("one-shard-down tick: ShardErrors=%d Degraded=%v, want 1/true", degraded.ShardErrors, degraded.Degraded)
-	}
-	var downNodes []string
-	for _, s := range degraded.Shards {
-		if !s.OK {
-			downNodes = append(downNodes, s.Node)
-		}
-	}
-	sort.Strings(downNodes)
-	if len(downNodes) != 1 || downNodes[0] != "b" {
-		return fmt.Errorf("one-shard-down tick blames %v, want [b]", downNodes)
-	}
-	fmt.Println("smoke: one shard down -> 200, Degraded, ShardErrors=1, surviving channels still scheduled")
-
-	a.kill()
-	st, err := postJSON(rt2URL+"/v1/tick", nil, nil)
-	if err != nil {
-		return fmt.Errorf("all-shards-down tick: %v", err)
-	}
-	if st != http.StatusBadGateway {
-		return fmt.Errorf("all-shards-down tick: status %d, want 502 shard_unavailable", st)
-	}
-	fmt.Println("smoke: all shards down -> 502 shard_unavailable")
-	fmt.Println("smoke: PASS")
-	return nil
-}
-
-// startRouter builds a router over the given (id, url) members on a
-// loopback listener, with fast-failing forwarding clients so the
-// kill-one-shard phase doesn't sit in retry backoff.
-func startRouter(members map[string]string) (*http.Server, string, error) {
-	nodes := make([]shard.Node, 0, len(members))
-	for id, addr := range members {
-		nodes = append(nodes, shard.Node{ID: id, Addr: addr})
-	}
-	m, err := shard.New(nodes, 0)
-	if err != nil {
-		return nil, "", err
-	}
-	rt, err := router.New(router.Config{
-		Map:            m,
-		DefaultChannel: "ch",
-		ClientOptions:  []client.Option{client.WithRetries(1, time.Millisecond)},
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, "", err
-	}
-	hs := &http.Server{Handler: rt.Handler()}
-	go hs.Serve(ln)
-	return hs, "http://" + ln.Addr().String(), nil
 }

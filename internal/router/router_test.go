@@ -342,6 +342,17 @@ func TestRouterKillOneShard(t *testing.T) {
 	}
 	postJSON(t, routerTS.URL+"/v1/report", batch, nil)
 
+	// With both shards up the tick is clean: degradation below is the
+	// kill's doing, not the deployment's.
+	var healthy TickResponse
+	if resp := postJSON(t, routerTS.URL+"/v1/tick", nil, &healthy); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthy two-shard tick status %d", resp.StatusCode)
+	}
+	if healthy.ShardErrors != 0 || healthy.Degraded {
+		t.Fatalf("healthy two-shard tick reports errors: %+v", healthy.Shards)
+	}
+	postJSON(t, routerTS.URL+"/v1/report", batch, nil)
+
 	ts2.Close()
 	deadNode := "n2"
 	var tick TickResponse
@@ -352,13 +363,20 @@ func TestRouterKillOneShard(t *testing.T) {
 	if !tick.Degraded || tick.ShardErrors != 1 {
 		t.Fatalf("degradation not reported: %+v", tick)
 	}
+	var blamed []string
 	for _, sh := range tick.Shards {
+		if !sh.OK {
+			blamed = append(blamed, sh.Node)
+		}
 		if sh.Node == deadNode && sh.OK {
 			t.Fatalf("dead shard reported OK")
 		}
 		if sh.Node == deadNode && sh.Code == "" {
 			t.Fatalf("dead shard row has no error code")
 		}
+	}
+	if len(blamed) != 1 || blamed[0] != deadNode {
+		t.Fatalf("tick blames %v, want exactly [%s]", blamed, deadNode)
 	}
 	// The surviving shard's channels still got decisions.
 	m := rt.Map()

@@ -97,17 +97,17 @@ func (rt *Router) tickShard(c *client.Caller, n shard.Node, m *shard.Map) (*serv
 // response: decisions sorted by (VC ID, node) — channel IDs are
 // globally unique across shards (each channel has exactly one
 // consistent-hash owner), so this is the "decisions in VC-ID order"
-// merge contract — and scheduling stats aggregated the same way a
-// shard aggregates its channel VCs. Pure: same inputs, byte-identical
-// output, regardless of fan-out completion order. nodes, results and
-// errs are parallel slices; a nil result with its error represents a
-// failed shard.
+// merge contract — and scheduling stats folded by the same
+// server.TickStats.Fold a shard folds its channel VCs with. Pure: same
+// inputs, byte-identical output, regardless of fan-out completion
+// order. nodes, results and errs are parallel slices; a nil result
+// with its error represents a failed shard.
 func MergeTicks(slot int, epoch string, nodes []shard.Node, results []*server.ShardTickResponse, errs []error) TickResponse {
 	merged := TickResponse{
 		Slot:   slot,
 		Epoch:  epoch,
 		Shards: make([]ShardTickSummary, len(nodes)),
-		Sched:  server.TickStats{Slot: slot, Phase1Optimal: true},
+		Sched:  server.NewTickStats(slot),
 	}
 	for i, n := range nodes {
 		sum := ShardTickSummary{Node: n.ID}
@@ -142,27 +142,7 @@ func MergeTicks(slot int, epoch string, nodes []shard.Node, results []*server.Sh
 		for _, vc := range res.VCs {
 			merged.VCs = append(merged.VCs, VCDecision{Node: n.ID, ShardVCDecision: vc})
 		}
-
-		st := res.Sched
-		merged.Sched.Reports += st.Reports
-		merged.Sched.Eligible += st.Eligible
-		merged.Sched.Selected += st.Selected
-		merged.Sched.Swaps += st.Swaps
-		merged.Sched.Phase1Optimal = merged.Sched.Phase1Optimal && st.Phase1Optimal
-		merged.Sched.CompactSec += st.CompactSec
-		merged.Sched.Phase1Sec += st.Phase1Sec
-		merged.Sched.Phase2Sec += st.Phase2Sec
-		merged.Sched.CPUSec += st.CPUSec
-		merged.Sched.CacheHits += st.CacheHits
-		merged.Sched.CacheMisses += st.CacheMisses
-		merged.Sched.CacheEvictions += st.CacheEvictions
-		merged.Sched.Phase1Nodes += st.Phase1Nodes
-		merged.Sched.Phase1Warm = merged.Sched.Phase1Warm || st.Phase1Warm
-		merged.Sched.Replayed = merged.Sched.Replayed || st.Replayed
-		if st.Degraded {
-			merged.Sched.Degraded = true
-			merged.Sched.DegradedReason = st.DegradedReason
-		}
+		merged.Sched.Fold(res.Sched)
 	}
 	sort.Slice(merged.VCs, func(a, b int) bool {
 		if merged.VCs[a].VC != merged.VCs[b].VC {

@@ -85,11 +85,11 @@ type channelStat struct {
 	gammaSeen   bool
 }
 
-// fleetTickLocked folds one finished tick into the per-channel and
-// per-stream telemetry. A standalone tick passes its one decision; a
-// shard tick passes one per channel VC. Called with s.mu held,
-// strictly after the decisions are final (observation only).
-func (s *Server) fleetTickLocked(reqs []scheduler.Request, decs []scheduler.Decision) {
+// fleetTickLocked folds one finished tick — its request batch and the
+// decision of each of its VCs — into the per-channel and per-stream
+// telemetry. Called with s.mu held, strictly after the decisions are
+// final (observation only).
+func (s *Server) fleetTickLocked(reqs []scheduler.Request, decided []scheduler.VCDecision) {
 	// Per-tick channel aggregates.
 	type agg struct {
 		devices, admitted, eligible, selected int
@@ -119,13 +119,14 @@ func (s *Server) fleetTickLocked(reqs []scheduler.Request, decs []scheduler.Deci
 			a.admitted++
 		}
 	}
-	for i := range decs {
-		for id, v := range decs[i].Verdicts {
+	for i := range decided {
+		dec := &decided[i].Decision
+		for id, v := range dec.Verdicts {
 			if _, a := chOf(id); a != nil && v.Eligible {
 				a.eligible++
 			}
 		}
-		for id, on := range decs[i].Transform {
+		for id, on := range dec.Transform {
 			if _, a := chOf(id); a != nil && on {
 				a.selected++
 			}

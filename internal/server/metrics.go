@@ -180,7 +180,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.GaugeFunc("lpvs_last_selected", "Devices selected in the last tick.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return float64(s.lastSel)
+		return float64(s.lastTick.Selected)
 	})
 	reg.GaugeFunc("lpvs_gamma_mean",
 		"Mean truncated-posterior gamma estimate across devices.", func() float64 {

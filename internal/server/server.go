@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -232,13 +231,12 @@ type Server struct {
 	// current slice before any dereference (internal/scheduler
 	// incremental.go).
 	reqScratch []scheduler.Request
-	// decScratch carries the single decision of a standalone tick into
-	// the (multi-decision) fleet fold without a per-tick allocation.
-	decScratch [1]scheduler.Decision
-	devices    map[string]*deviceState
-	lastSel    int
-	lastTick   TickStats
-	tickSeen   bool
+	// vcScratch is the tick's VC list, reused the same way (the pool
+	// copies it before ordering).
+	vcScratch []scheduler.VC
+	devices   map[string]*deviceState
+	lastTick  TickStats
+	tickSeen  bool
 	// shardMap is the installed federation map (nil outside shard
 	// deployments); see Config.ShardMap.
 	shardMap *shard.Map
@@ -403,6 +401,12 @@ type route struct {
 	// gated routes pass admission control (heavy mutations); probes stay
 	// ungated so a saturated daemon remains observable.
 	gated bool
+	// shardOnly routes are the node-to-node surface (DESIGN.md §17).
+	// They are registered in every personality so routing behavior (405
+	// + Allow included) is uniform, but outside Config.ShardMode they
+	// answer an envelope 404 — a router pointed at a plain edge daemon
+	// fails loudly instead of silently double-scheduling.
+	shardOnly bool
 }
 
 // Handler returns the HTTP routes. Every route runs the middleware
@@ -425,14 +429,11 @@ func (s *Server) Handler() http.Handler {
 		// keep working while admission control is shedding load.
 		{method: "GET", path: "/v1/history", h: s.handleHistory},
 		{method: "POST", path: "/v1/incident", h: s.handleIncident},
-		// Node-to-node shard surface (DESIGN.md §17). Registered in
-		// every personality — outside shard mode they answer an envelope
-		// 404 — so routing behavior (405 + Allow included) is uniform.
-		{method: "POST", path: "/v1/shard/tick", h: s.handleShardTick, gated: true},
-		{method: "GET", path: "/v1/shard/state", h: s.handleShardState},
-		{method: "POST", path: "/v1/shard/handoff", h: s.handleShardHandoff, gated: true},
-		{method: "GET", path: "/v1/shard/map", h: s.handleShardMapGet},
-		{method: "POST", path: "/v1/shard/map", h: s.handleShardMapPost},
+		{method: "POST", path: "/v1/shard/tick", h: s.handleShardTick, gated: true, shardOnly: true},
+		{method: "GET", path: "/v1/shard/state", h: s.handleShardState, shardOnly: true},
+		{method: "POST", path: "/v1/shard/handoff", h: s.handleShardHandoff, gated: true, shardOnly: true},
+		{method: "GET", path: "/v1/shard/map", h: s.handleShardMapGet, shardOnly: true},
+		{method: "POST", path: "/v1/shard/map", h: s.handleShardMapPost, shardOnly: true},
 		{method: "GET", path: "/metrics", h: s.handleMetrics},
 		{method: "GET", path: "/healthz", h: func(w http.ResponseWriter, _ *http.Request) {
 			w.WriteHeader(http.StatusOK)
@@ -443,6 +444,9 @@ func (s *Server) Handler() http.Handler {
 	allow := map[string][]string{}
 	for _, rt := range routes {
 		var h http.Handler = rt.h
+		if rt.shardOnly && !s.cfg.ShardMode {
+			h = http.HandlerFunc(shardDisabled)
+		}
 		if rt.method == "POST" {
 			h = s.capBody(h)
 		}
@@ -610,136 +614,26 @@ func (s *Server) acceptReportLocked(req ReportRequest) *apiError {
 	return nil
 }
 
+// handleTick runs the standalone scheduling tick: every pending report
+// in one virtual cluster.
 func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	start := time.Now()
-	tickCtx := r.Context()
-	if s.cfg.SchedDeadline > 0 {
-		// Anytime mode: the scheduler reads the deadline (never the
-		// cancellation) and degrades deterministically on expiry.
-		var cancel context.CancelFunc
-		tickCtx, cancel = context.WithTimeout(tickCtx, s.cfg.SchedDeadline)
-		defer cancel()
-	}
-	ctx, sp := s.tracer.Start(tickCtx, "tick")
-	sp.SetInt("slot", s.slot)
-	reqs := s.reqScratch[:0]
-	for _, r := range s.pending {
-		reqs = append(reqs, r)
-	}
-	// Canonicalise the batch: map iteration order is random, and the
-	// scheduler's tie-breaks are only deterministic for a fixed input
-	// order. Sorting by DeviceID makes every tick reproducible.
-	scheduler.SortRequests(reqs)
-	// The VC ID carries the slot number for audit records and spans; the
-	// stable StateKey links consecutive slots into one incremental
-	// scheduling stream (the cross-slot caches would otherwise miss every
-	// tick because the key changes).
-	vcID := fmt.Sprintf("slot-%d", s.slot)
-	pres, err := s.pool.DecideCtx(ctx, []scheduler.VC{
-		{ID: vcID, StateKey: "edge", Requests: reqs},
-	})
+	out, err := s.runTickLocked(r.Context(), oneVC)
 	if err != nil {
-		sp.End()
-		s.log.Error("tick failed", "slot", s.slot, "reports", len(reqs), "err", err)
 		writeError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
-	dec := pres.Decision()
-	sp.SetInt("reports", len(reqs))
-	sp.SetInt("selected", dec.Selected)
-	sp.End()
-	for id, on := range dec.Transform {
-		if st, ok := s.devices[id]; ok {
-			st.transform = on
-			st.slot = s.slot
-		}
-	}
-	for id, v := range dec.Verdicts {
-		if st, ok := s.devices[id]; ok {
-			st.verdict = v
-			st.hasVerdict = true
-		}
-	}
-	if s.audit != nil {
-		rec := audit.NewRecord(s.slot, vcID, s.pool.Scheduler().Config(), reqs, dec)
-		rec.UnixSec = float64(time.Now().UnixNano()) / 1e9
-		rec.TraceID = sp.TraceID()
-		// Encode once and tee the same bytes to the audit log and the
-		// flight recorder's tail ring, so a bundle's embedded records
-		// are byte-exact copies of the logged ones. The tail mirrors
-		// the log — a daemon without -audit-dir captures bundles with
-		// no audit section, and the tick path never pays for encoding
-		// a record nobody persists.
-		line, err := rec.Encode()
-		switch {
-		case err != nil:
-			s.log.Error("audit encode failed", "slot", s.slot, "err", err)
-		default:
-			if s.audit != nil {
-				if err := s.audit.AppendLine(line); err != nil {
-					// Auditing is an observer: a full disk must not take
-					// the scheduling path down with it.
-					s.log.Error("audit append failed", "slot", s.slot, "err", err)
-				}
-			}
-			if s.flight != nil {
-				s.flight.NoteAudit(line)
-			}
-		}
-	}
-	s.lastSel = dec.Selected
-	stats := TickStats{
-		Slot:           s.slot,
-		Reports:        len(reqs),
-		Eligible:       dec.Eligible,
-		Selected:       dec.Selected,
-		Swaps:          dec.Swaps,
-		Phase1Optimal:  dec.OptimalPhase1,
-		CompactSec:     dec.CompactSeconds,
-		Phase1Sec:      dec.Phase1Seconds,
-		Phase2Sec:      dec.Phase2Seconds,
-		CPUSec:         pres.CPUSeconds,
-		DurationSec:    time.Since(start).Seconds(),
-		CacheHits:      dec.PlanCacheHits,
-		CacheMisses:    dec.PlanCacheMisses,
-		CacheEvictions: dec.PlanCacheEvictions,
-		Phase1Nodes:    dec.Phase1Nodes,
-		Phase1Warm:     dec.Phase1Warm,
-		Replayed:       dec.Replayed,
-		Degraded:       dec.Degraded.Any(),
-		DegradedReason: dec.Degraded.Reason(),
-	}
-	if stats.Degraded {
-		s.degraded.Add(1)
-	}
-	s.lastTick = stats
-	s.observeTick(stats)
-	s.decScratch[0] = dec
-	s.fleetTickLocked(reqs, s.decScratch[:])
-	s.log.Info("tick",
-		"slot", stats.Slot, "reports", stats.Reports,
-		"eligible", stats.Eligible, "selected", stats.Selected,
-		"swaps", stats.Swaps, "phase1_optimal", stats.Phase1Optimal,
-		"duration_ms", stats.DurationSec*1000)
-	resp := TickResponse{
-		Slot:     s.slot,
-		Reports:  len(reqs),
-		Eligible: dec.Eligible,
-		Selected: dec.Selected,
-		Swaps:    dec.Swaps,
-		Degraded: stats.Degraded,
-		Sched:    stats,
-	}
-	// Steady-state reuse (DESIGN.md §16): keep the request slice's
-	// backing array for the next tick and clear the pending map in
-	// place — at a stable fleet size the tick allocates neither.
-	s.reqScratch = reqs
-	clear(s.pending)
-	s.slot++
-	writeJSON(w, http.StatusOK, resp)
+	st := out.stats
+	writeJSON(w, http.StatusOK, TickResponse{
+		Slot:     st.Slot,
+		Reports:  st.Reports,
+		Eligible: st.Eligible,
+		Selected: st.Selected,
+		Swaps:    st.Swaps,
+		Degraded: st.Degraded,
+		Sched:    st,
+	})
 }
 
 func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
@@ -933,7 +827,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		Slot:           s.slot,
 		Devices:        len(s.devices),
 		PendingReports: len(s.pending),
-		LastSelected:   s.lastSel,
+		LastSelected:   s.lastTick.Selected,
 		Lambda:         s.cfg.Lambda,
 		StreamChunks:   len(s.cfg.Stream.Chunks),
 		Workers:        s.pool.Workers(),

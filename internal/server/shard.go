@@ -2,15 +2,10 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
-	"time"
 
-	"lpvs/internal/obs/audit"
-	"lpvs/internal/scheduler"
 	"lpvs/internal/shard"
 )
 
@@ -19,15 +14,13 @@ import (
 // (DESIGN.md §17). A shard schedules each channel as its own VC — the
 // unit the consistent-hash map distributes — so a router can fan one
 // logical tick out to shard owners and merge the per-channel decisions
-// in VC-ID order. All endpoints speak the uniform v1 error envelope
-// and answer an envelope 404 unless Config.ShardMode is set, so a
-// router pointed at a plain edge daemon fails loudly instead of
-// silently double-scheduling.
+// in VC-ID order. All endpoints speak the uniform v1 error envelope;
+// the route table (Server.Handler) refuses them outside shard mode.
 
-// errShardDisabled is the uniform refusal outside shard mode.
-func errShardDisabled() *apiError {
-	return &apiError{Status: http.StatusNotFound, Code: CodeNotFound,
-		Message: "shard API disabled (run lpvsd with -mode=shard)"}
+// shardDisabled is the uniform refusal every shardOnly route answers
+// outside shard mode (see route.shardOnly).
+func shardDisabled(w http.ResponseWriter, _ *http.Request) {
+	writeErrorMsg(w, http.StatusNotFound, CodeNotFound, "shard API disabled (run lpvsd with -mode=shard)")
 }
 
 // shortEpoch abbreviates an epoch hash for error prose.
@@ -53,16 +46,11 @@ func (s *Server) verifyShardAddressLocked(node, epoch string) *apiError {
 	return nil
 }
 
-// handleShardTick runs one federated scheduling tick: the pending
-// reports are grouped into one VC per channel (VC ID = channel ID,
-// state key "ch:<channel>" so incremental streams survive handoff) and
-// solved by the pool. The response carries each VC's decision with its
-// canonical bytes, in VC-ID order — the router's merge input.
+// handleShardTick runs one federated scheduling tick: the shared
+// pipeline over one VC per channel (tick.go). The response carries each
+// VC's decision with its canonical bytes, in VC-ID order — the router's
+// merge input.
 func (s *Server) handleShardTick(w http.ResponseWriter, r *http.Request) {
-	if !s.cfg.ShardMode {
-		errShardDisabled().write(w)
-		return
-	}
 	body, aerr := readBody(r)
 	if aerr != nil {
 		aerr.write(w)
@@ -82,158 +70,44 @@ func (s *Server) handleShardTick(w http.ResponseWriter, r *http.Request) {
 		aerr.write(w)
 		return
 	}
-
-	start := time.Now()
-	tickCtx := r.Context()
-	if s.cfg.SchedDeadline > 0 {
-		var cancel context.CancelFunc
-		tickCtx, cancel = context.WithTimeout(tickCtx, s.cfg.SchedDeadline)
-		defer cancel()
-	}
-	ctx, sp := s.tracer.Start(tickCtx, "shard-tick")
-	sp.SetInt("slot", s.slot)
-
-	reqs := s.reqScratch[:0]
-	for _, pr := range s.pending {
-		reqs = append(reqs, pr)
-	}
-	scheduler.SortRequests(reqs)
-	// One VC per channel. Requests arrive device-sorted, so each
-	// channel group inherits the canonical order the scheduler's
-	// tie-breaks need. The stable "ch:" state key survives reshard
-	// handoff — the same channel on a new owner continues (or safely
-	// cold-starts) its incremental stream.
-	byCh := map[string][]scheduler.Request{}
-	for _, pr := range reqs {
-		ch := s.cfg.Stream.ID
-		if st, ok := s.devices[pr.DeviceID]; ok {
-			ch = st.channel
-		}
-		byCh[ch] = append(byCh[ch], pr)
-	}
-	chans := make([]string, 0, len(byCh))
-	for ch := range byCh {
-		chans = append(chans, ch)
-	}
-	sort.Strings(chans)
-	vcs := make([]scheduler.VC, 0, len(chans))
-	for _, ch := range chans {
-		vcs = append(vcs, scheduler.VC{ID: ch, StateKey: "ch:" + ch, Requests: byCh[ch]})
-	}
-
-	pres, err := s.pool.DecideCtx(ctx, vcs)
+	out, err := s.runTickLocked(r.Context(), perChannel)
 	if err != nil {
-		sp.End()
-		s.log.Error("shard tick failed", "slot", s.slot, "reports", len(reqs), "err", err)
 		writeError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
-	sp.SetInt("reports", len(reqs))
-	sp.SetInt("vcs", len(pres.VCs))
-	sp.End()
+	s.shardTicks.Add(1)
+	s.shardVCsDecided.Add(uint64(len(out.decided)))
 
+	st := out.stats
 	resp := ShardTickResponse{
-		Node:    s.cfg.NodeID,
-		Slot:    s.slot,
-		Reports: len(reqs),
-		VCs:     make([]ShardVCDecision, 0, len(pres.VCs)),
+		Node:     s.cfg.NodeID,
+		Slot:     st.Slot,
+		Reports:  st.Reports,
+		Eligible: st.Eligible,
+		Selected: st.Selected,
+		Swaps:    st.Swaps,
+		Degraded: st.Degraded,
+		VCs:      make([]ShardVCDecision, len(out.decided)),
+		Sched:    st,
 	}
 	if s.shardMap != nil {
 		resp.Epoch = s.shardMap.Epoch()
 	}
-	stats := TickStats{Slot: s.slot, Reports: len(reqs), Phase1Optimal: true}
-	decs := make([]scheduler.Decision, 0, len(pres.VCs))
-	for _, vcdec := range pres.VCs {
-		dec := vcdec.Decision
-		decs = append(decs, dec)
-		for id, on := range dec.Transform {
-			if st, ok := s.devices[id]; ok {
-				st.transform = on
-				st.slot = s.slot
-			}
-		}
-		for id, v := range dec.Verdicts {
-			if st, ok := s.devices[id]; ok {
-				st.verdict = v
-				st.hasVerdict = true
-			}
-		}
-		if s.audit != nil {
-			s.auditShardVCLocked(vcdec, byCh[vcdec.VC])
-		}
-		resp.Eligible += dec.Eligible
-		resp.Selected += dec.Selected
-		resp.Swaps += dec.Swaps
-		resp.Degraded = resp.Degraded || dec.Degraded.Any()
-		resp.VCs = append(resp.VCs, ShardVCDecision{
-			VC:        vcdec.VC,
-			Reports:   len(byCh[vcdec.VC]),
+	for i := range out.decided {
+		vc := &out.decided[i]
+		dec := &vc.Decision
+		resp.VCs[i] = ShardVCDecision{
+			VC:        vc.VC,
+			Reports:   len(out.vcs[i].Requests),
 			Eligible:  dec.Eligible,
 			Selected:  dec.Selected,
 			Swaps:     dec.Swaps,
 			Degraded:  dec.Degraded.Any(),
-			WallSec:   vcdec.WallSeconds,
+			WallSec:   vc.WallSeconds,
 			Canonical: dec.Canonical(),
-		})
-		stats.Eligible += dec.Eligible
-		stats.Selected += dec.Selected
-		stats.Swaps += dec.Swaps
-		stats.Phase1Optimal = stats.Phase1Optimal && dec.OptimalPhase1
-		stats.CompactSec += dec.CompactSeconds
-		stats.Phase1Sec += dec.Phase1Seconds
-		stats.Phase2Sec += dec.Phase2Seconds
-		stats.CacheHits += dec.PlanCacheHits
-		stats.CacheMisses += dec.PlanCacheMisses
-		stats.CacheEvictions += dec.PlanCacheEvictions
-		stats.Phase1Nodes += dec.Phase1Nodes
-		stats.Phase1Warm = stats.Phase1Warm || dec.Phase1Warm
-		stats.Replayed = stats.Replayed || dec.Replayed
-		if dec.Degraded.Any() {
-			stats.Degraded = true
-			stats.DegradedReason = dec.Degraded.Reason()
 		}
 	}
-	stats.CPUSec = pres.CPUSeconds
-	stats.DurationSec = time.Since(start).Seconds()
-	if stats.Degraded {
-		s.degraded.Add(1)
-	}
-	s.lastSel = stats.Selected
-	s.lastTick = stats
-	s.observeTick(stats)
-	s.fleetTickLocked(reqs, decs)
-	s.shardTicks.Add(1)
-	s.shardVCsDecided.Add(uint64(len(pres.VCs)))
-	resp.Sched = stats
-	s.log.Info("shard tick",
-		"slot", stats.Slot, "node", s.cfg.NodeID, "vcs", len(pres.VCs),
-		"reports", stats.Reports, "selected", stats.Selected,
-		"duration_ms", stats.DurationSec*1000)
-	s.reqScratch = reqs
-	clear(s.pending)
-	s.slot++
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// auditShardVCLocked appends one channel VC's audit record. The VC
-// field carries "slot-N/<channel>", so a federated log replays exactly
-// like a standalone one — each record re-solves independently.
-func (s *Server) auditShardVCLocked(vcdec scheduler.VCDecision, reqs []scheduler.Request) {
-	rec := audit.NewRecord(s.slot, fmt.Sprintf("slot-%d/%s", s.slot, vcdec.VC),
-		s.pool.Scheduler().Config(), reqs, vcdec.Decision)
-	rec.UnixSec = float64(time.Now().UnixNano()) / 1e9
-	line, err := rec.Encode()
-	if err != nil {
-		s.log.Error("audit encode failed", "slot", s.slot, "vc", vcdec.VC, "err", err)
-		return
-	}
-	if err := s.audit.AppendLine(line); err != nil {
-		s.log.Error("audit append failed", "slot", s.slot, "vc", vcdec.VC, "err", err)
-		return
-	}
-	if s.flight != nil {
-		s.flight.NoteAudit(line)
-	}
 }
 
 // handleShardState exports the shard's incremental stream states —
@@ -242,10 +116,6 @@ func (s *Server) auditShardVCLocked(vcdec scheduler.VCDecision, reqs []scheduler
 // construction: restoring (or losing) a warm seed never changes a
 // decision, only BnB node counts.
 func (s *Server) handleShardState(w http.ResponseWriter, r *http.Request) {
-	if !s.cfg.ShardMode {
-		errShardDisabled().write(w)
-		return
-	}
 	states := s.pool.StreamStates()
 	if keys := r.URL.Query()["key"]; len(keys) > 0 {
 		want := make(map[string]bool, len(keys))
@@ -268,10 +138,6 @@ func (s *Server) handleShardState(w http.ResponseWriter, r *http.Request) {
 // config signature, non-empty seed, key not already live — so the
 // worst case is a safe cold start, never a wrong decision.
 func (s *Server) handleShardHandoff(w http.ResponseWriter, r *http.Request) {
-	if !s.cfg.ShardMode {
-		errShardDisabled().write(w)
-		return
-	}
 	body, aerr := readBody(r)
 	if aerr != nil {
 		aerr.write(w)
@@ -290,10 +156,6 @@ func (s *Server) handleShardHandoff(w http.ResponseWriter, r *http.Request) {
 
 // handleShardMapGet reports the installed shard map and its epoch.
 func (s *Server) handleShardMapGet(w http.ResponseWriter, r *http.Request) {
-	if !s.cfg.ShardMode {
-		errShardDisabled().write(w)
-		return
-	}
 	s.mu.Lock()
 	m := s.shardMap
 	s.mu.Unlock()
@@ -311,10 +173,6 @@ func (s *Server) handleShardMapGet(w http.ResponseWriter, r *http.Request) {
 // mismatch check. A map that does not include this node is accepted —
 // that is exactly what a drain-out looks like.
 func (s *Server) handleShardMapPost(w http.ResponseWriter, r *http.Request) {
-	if !s.cfg.ShardMode {
-		errShardDisabled().write(w)
-		return
-	}
 	body, aerr := readBody(r)
 	if aerr != nil {
 		aerr.write(w)

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -291,11 +292,14 @@ func TestShardMapExchange(t *testing.T) {
 // The N=1 differential at the server layer: a single-channel shard
 // tick must produce byte-identical canonical decision bytes to a
 // standalone /v1/tick over the same reports, and its audit log must
-// replay the same decision.
+// replay the same decision. Both endpoints run one pipeline, so beyond
+// the decision bytes the tick counters, the audited request set and
+// the audit-to-trace link must agree too — "edge is the one-partition
+// shard tick" as a checked statement.
 func TestShardTickMatchesStandaloneCanonical(t *testing.T) {
 	standaloneDir, shardDir := t.TempDir(), t.TempDir()
-	_, plainTS := shardTestServer(t, Config{AuditDir: standaloneDir})
-	_, shardTS := shardTestServer(t, Config{ShardMode: true, NodeID: "n1", AuditDir: shardDir})
+	_, plainTS := shardTestServer(t, Config{AuditDir: standaloneDir, TraceSample: 1})
+	shardSrv, shardTS := shardTestServer(t, Config{ShardMode: true, NodeID: "n1", AuditDir: shardDir, TraceSample: 1})
 
 	for i := 0; i < 8; i++ {
 		rep := validReport("dev-" + string(rune('a'+i)))
@@ -304,7 +308,8 @@ func TestShardTickMatchesStandaloneCanonical(t *testing.T) {
 		postJSON(t, shardTS.URL+"/v1/report", rep, nil)
 	}
 
-	if resp := postJSON(t, plainTS.URL+"/v1/tick", nil, nil); resp.StatusCode != 200 {
+	var plainTick TickResponse
+	if resp := postJSON(t, plainTS.URL+"/v1/tick", nil, &plainTick); resp.StatusCode != 200 {
 		t.Fatalf("standalone tick status %d", resp.StatusCode)
 	}
 	var tick ShardTickResponse
@@ -339,5 +344,92 @@ func TestShardTickMatchesStandaloneCanonical(t *testing.T) {
 	}
 	if sharded.VC != "slot-0/ch" {
 		t.Fatalf("shard audit VC %q, want slot-0/ch", sharded.VC)
+	}
+
+	// Everything in TickStats but the wall-clock timings is a function
+	// of the decision, so the two ticks must report the same counters.
+	untimed := func(st TickStats) TickStats {
+		st.CompactSec, st.Phase1Sec, st.Phase2Sec, st.CPUSec, st.DurationSec = 0, 0, 0, 0, 0
+		return st
+	}
+	if got, want := untimed(tick.Sched), untimed(plainTick.Sched); got != want {
+		t.Fatalf("tick counters differ:\nstandalone: %+v\nshard:      %+v", want, got)
+	}
+	if !reflect.DeepEqual(plain.Requests, sharded.Requests) {
+		t.Fatalf("audited request sets differ:\nstandalone: %+v\nshard:      %+v", plain.Requests, sharded.Requests)
+	}
+
+	// A sampled shard tick links its audit records to the tick's span
+	// tree exactly as a standalone tick does.
+	if plain.TraceID == "" {
+		t.Fatal("standalone audit record has no trace ID")
+	}
+	var tickTrace, tickNode string
+	for _, d := range shardSrv.Tracer().Snapshot() {
+		if d.Name == "tick" {
+			tickTrace, tickNode = d.TraceID, d.StrAttrs["node"]
+		}
+	}
+	if sharded.TraceID == "" || sharded.TraceID != tickTrace {
+		t.Fatalf("shard audit trace ID %q, tick span trace %q", sharded.TraceID, tickTrace)
+	}
+	// The shared span name does not lose which federation member ticked.
+	if tickNode != "n1" {
+		t.Fatalf("shard tick span node %q, want n1", tickNode)
+	}
+}
+
+// The TickStats fold is what makes one partition a special case of
+// many: folding a single element into the identity gives that element
+// back, and every field but DegradedReason is independent of the order
+// the elements arrive in.
+func TestTickStatsFold(t *testing.T) {
+	elems := []TickStats{
+		{Reports: 5, Eligible: 4, Selected: 2, Swaps: 1, Phase1Optimal: true,
+			CompactSec: 0.25, Phase1Sec: 0.5, Phase2Sec: 0.125, CPUSec: 1,
+			CacheHits: 3, CacheMisses: 2, CacheEvictions: 1, Phase1Nodes: 40, Phase1Warm: true},
+		{Reports: 7, Eligible: 7, Selected: 3, Phase1Optimal: false,
+			CompactSec: 0.5, Phase1Sec: 0.25, Phase2Sec: 0.5, CPUSec: 2,
+			CacheMisses: 7, Phase1Nodes: 9, Degraded: true, DegradedReason: "deadline:phase1-greedy"},
+		{Reports: 1, Eligible: 1, Selected: 1, Phase1Optimal: true,
+			CPUSec: 0.5, CacheHits: 1, Replayed: true,
+			Degraded: true, DegradedReason: "deadline:phase2-skipped"},
+	}
+	fold := func(order ...int) TickStats {
+		acc := NewTickStats(9)
+		for _, i := range order {
+			acc.Fold(elems[i])
+		}
+		return acc
+	}
+
+	for i, e := range elems {
+		want := e
+		want.Slot = 9 // Slot and DurationSec are the folding tick's own
+		if got := fold(i); got != want {
+			t.Fatalf("fold of element %d alone:\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+
+	ref := fold(0, 1, 2)
+	if ref.Reports != 13 || ref.Selected != 6 || ref.Phase1Optimal || !ref.Phase1Warm || !ref.Replayed || !ref.Degraded || ref.CPUSec != 3.5 {
+		t.Fatalf("fold of all elements %+v", ref)
+	}
+	for _, order := range [][]int{{0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		got := fold(order...)
+		// The reason is the last degraded element's, by design.
+		wantReason := ""
+		for _, i := range order {
+			if elems[i].Degraded {
+				wantReason = elems[i].DegradedReason
+			}
+		}
+		if got.DegradedReason != wantReason {
+			t.Fatalf("order %v reason %q, want %q", order, got.DegradedReason, wantReason)
+		}
+		got.DegradedReason = ref.DegradedReason
+		if got != ref {
+			t.Fatalf("order %v:\n got %+v\nwant %+v", order, got, ref)
+		}
 	}
 }

@@ -1,0 +1,258 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"time"
+
+	"lpvs/internal/obs/audit"
+	"lpvs/internal/scheduler"
+)
+
+// This file is the daemon's one tick pipeline (DESIGN.md §9, §17):
+// gather the pending reports, sort them, partition them into virtual
+// clusters, schedule, publish the verdicts, audit each cluster, fold
+// the stats, observe, advance the slot. An endpoint chooses only the
+// partition; everything else is shared, so a standalone tick is the
+// one-partition case of a shard tick and the N=1 router differential
+// compares one code path with itself.
+
+// partition says how a tick groups its reports into virtual clusters.
+type partition int
+
+const (
+	// oneVC schedules every pending report as a single cluster — the
+	// paper's formulation (PAPER.md §IV). The VC ID carries the slot
+	// number ("slot-N") for audit records and spans; the stable state
+	// key "edge" links consecutive slots into one incremental stream
+	// (the cross-slot caches would otherwise miss every tick because
+	// the ID changes).
+	oneVC partition = iota
+	// perChannel schedules each channel as its own cluster (VC ID =
+	// channel ID) — the unit the consistent-hash shard map distributes.
+	// The stable "ch:<channel>" state key survives reshard handoff: the
+	// same channel on a new owner continues (or safely cold-starts) its
+	// incremental stream.
+	perChannel
+)
+
+// auditLabel names one cluster's audit record: which cluster of which
+// slot it was. The single cluster's ID already is "slot-N"; a channel's
+// record is "slot-N/<channel>".
+func (p partition) auditLabel(slot int, vcID string) string {
+	if p == oneVC {
+		return vcID
+	}
+	return fmt.Sprintf("slot-%d/%s", slot, vcID)
+}
+
+// partitionLocked groups the device-sorted batch into the tick's VCs,
+// in VC-ID order — the order Pool.DecideCtx answers in, so VCs and
+// decisions pair up by index. Each group inherits the canonical device
+// order the scheduler's tie-breaks need. One partition allocates
+// nothing per tick. Caller holds s.mu.
+func (s *Server) partitionLocked(part partition, reqs []scheduler.Request) []scheduler.VC {
+	vcs := s.vcScratch[:0]
+	if part == oneVC {
+		vcs = append(vcs, scheduler.VC{ID: fmt.Sprintf("slot-%d", s.slot), StateKey: "edge", Requests: reqs})
+	} else {
+		byCh := map[string][]scheduler.Request{}
+		for _, r := range reqs {
+			ch := s.cfg.Stream.ID
+			if st, ok := s.devices[r.DeviceID]; ok {
+				ch = st.channel
+			}
+			byCh[ch] = append(byCh[ch], r)
+		}
+		for ch, group := range byCh {
+			vcs = append(vcs, scheduler.VC{ID: ch, StateKey: "ch:" + ch, Requests: group})
+		}
+		sort.Slice(vcs, func(a, b int) bool { return vcs[a].ID < vcs[b].ID })
+	}
+	s.vcScratch = vcs
+	return vcs
+}
+
+// tickOutcome is what a finished tick hands its endpoint to shape a
+// response from. vcs and decided are parallel, in VC-ID order; vcs
+// aliases server scratch and is valid only while s.mu is held.
+type tickOutcome struct {
+	stats   TickStats
+	vcs     []scheduler.VC
+	decided []scheduler.VCDecision
+}
+
+// runTickLocked runs one scheduling slot over the given partition of
+// the pending reports and advances the slot. On a scheduler error
+// nothing is published and the reports stay pending. Caller holds s.mu.
+func (s *Server) runTickLocked(ctx context.Context, part partition) (tickOutcome, error) {
+	start := time.Now()
+	if s.cfg.SchedDeadline > 0 {
+		// Anytime mode: the scheduler reads the deadline (never the
+		// cancellation) and degrades deterministically on expiry.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.SchedDeadline)
+		defer cancel()
+	}
+	ctx, sp := s.tracer.Start(ctx, "tick")
+	sp.SetInt("slot", s.slot)
+	log := s.log
+	if s.cfg.NodeID != "" {
+		// A federation's spans and tick lines say which member ran them.
+		sp.SetStr("node", s.cfg.NodeID)
+		log = log.With("node", s.cfg.NodeID)
+	}
+	reqs := s.reqScratch[:0]
+	for _, r := range s.pending {
+		reqs = append(reqs, r)
+	}
+	// Canonicalise the batch: map iteration order is random, and the
+	// scheduler's tie-breaks are only deterministic for a fixed input
+	// order. Sorting by DeviceID makes every tick reproducible.
+	scheduler.SortRequests(reqs)
+	// Steady-state reuse (DESIGN.md §16): keep the request slice's
+	// backing array for the next tick — at a stable fleet size the tick
+	// allocates none.
+	s.reqScratch = reqs
+	vcs := s.partitionLocked(part, reqs)
+	pres, err := s.pool.DecideCtx(ctx, vcs)
+	if err != nil {
+		sp.End()
+		log.Error("tick failed", "slot", s.slot, "reports", len(reqs), "err", err)
+		return tickOutcome{}, err
+	}
+	stats := NewTickStats(s.slot)
+	for i := range pres.VCs {
+		stats.Fold(vcTickStats(&pres.VCs[i], len(vcs[i].Requests)))
+	}
+	sp.SetInt("reports", stats.Reports)
+	sp.SetInt("vcs", len(vcs))
+	sp.SetInt("selected", stats.Selected)
+	sp.End()
+
+	for i := range pres.VCs {
+		dec := &pres.VCs[i].Decision
+		for id, on := range dec.Transform {
+			if st, ok := s.devices[id]; ok {
+				st.transform = on
+				st.slot = s.slot
+			}
+		}
+		for id, v := range dec.Verdicts {
+			if st, ok := s.devices[id]; ok {
+				st.verdict = v
+				st.hasVerdict = true
+			}
+		}
+		if s.audit != nil {
+			// Every record re-solves independently, so a per-channel log
+			// replays exactly like a single-VC one.
+			s.auditVCLocked(part.auditLabel(s.slot, vcs[i].ID), vcs[i].Requests, dec, sp.TraceID())
+		}
+	}
+	stats.DurationSec = time.Since(start).Seconds()
+	if stats.Degraded {
+		s.degraded.Add(1)
+	}
+	s.lastTick = stats
+	s.observeTick(stats)
+	s.fleetTickLocked(reqs, pres.VCs)
+	log.Info("tick",
+		"slot", stats.Slot, "vcs", len(vcs), "reports", stats.Reports,
+		"eligible", stats.Eligible, "selected", stats.Selected,
+		"swaps", stats.Swaps, "phase1_optimal", stats.Phase1Optimal,
+		"duration_ms", stats.DurationSec*1000)
+	clear(s.pending)
+	s.slot++
+	return tickOutcome{stats: stats, vcs: vcs, decided: pres.VCs}, nil
+}
+
+// auditVCLocked appends one cluster's replayable audit record. The
+// record is encoded once and the same bytes are teed to the audit log
+// and the flight recorder's tail ring, so a bundle's embedded records
+// are byte-exact copies of the logged ones. The tail mirrors the log —
+// a daemon without -audit-dir captures bundles with no audit section,
+// and the tick path never pays for encoding a record nobody persists.
+// Caller holds s.mu and has checked s.audit.
+func (s *Server) auditVCLocked(label string, reqs []scheduler.Request, dec *scheduler.Decision, traceID string) {
+	rec := audit.NewRecord(s.slot, label, s.pool.Scheduler().Config(), reqs, *dec)
+	rec.UnixSec = float64(time.Now().UnixNano()) / 1e9
+	rec.TraceID = traceID
+	line, err := rec.Encode()
+	if err != nil {
+		s.log.Error("audit encode failed", "slot", s.slot, "vc", label, "err", err)
+		return
+	}
+	if err := s.audit.AppendLine(line); err != nil {
+		// Auditing is an observer: a full disk must not take the
+		// scheduling path down with it.
+		s.log.Error("audit append failed", "slot", s.slot, "vc", label, "err", err)
+	}
+	if s.flight != nil {
+		s.flight.NoteAudit(line)
+	}
+}
+
+// NewTickStats returns the identity of the TickStats fold for a slot:
+// nothing scheduled, and Phase1Optimal true because a conjunction over
+// no clusters holds.
+func NewTickStats(slot int) TickStats {
+	return TickStats{Slot: slot, Phase1Optimal: true}
+}
+
+// vcTickStats is one decided cluster as an element of the fold. CPUSec
+// is the cluster's solve time on its worker, so the fold sums to the
+// pool's CPU-seconds.
+func vcTickStats(vc *scheduler.VCDecision, reports int) TickStats {
+	dec := &vc.Decision
+	return TickStats{
+		Reports:        reports,
+		Eligible:       dec.Eligible,
+		Selected:       dec.Selected,
+		Swaps:          dec.Swaps,
+		Phase1Optimal:  dec.OptimalPhase1,
+		CompactSec:     dec.CompactSeconds,
+		Phase1Sec:      dec.Phase1Seconds,
+		Phase2Sec:      dec.Phase2Seconds,
+		CPUSec:         vc.WallSeconds,
+		CacheHits:      dec.PlanCacheHits,
+		CacheMisses:    dec.PlanCacheMisses,
+		CacheEvictions: dec.PlanCacheEvictions,
+		Phase1Nodes:    dec.Phase1Nodes,
+		Phase1Warm:     dec.Phase1Warm,
+		Replayed:       dec.Replayed,
+		Degraded:       dec.Degraded.Any(),
+		DegradedReason: dec.Degraded.Reason(),
+	}
+}
+
+// Fold accumulates one element — a cluster of a tick, or a shard's
+// tick inside a router tick — into t: counters and stage times sum,
+// Phase1Optimal is a conjunction, Phase1Warm, Replayed and Degraded
+// are disjunctions. All of those are order-independent. DegradedReason
+// is not: it is the reason of the last degraded element folded, which
+// is the last in VC-ID order within a daemon and the last in shard-map
+// node order within a router. Slot and DurationSec belong to the tick
+// doing the folding, not to its elements, and are left alone.
+func (t *TickStats) Fold(e TickStats) {
+	t.Reports += e.Reports
+	t.Eligible += e.Eligible
+	t.Selected += e.Selected
+	t.Swaps += e.Swaps
+	t.Phase1Optimal = t.Phase1Optimal && e.Phase1Optimal
+	t.CompactSec += e.CompactSec
+	t.Phase1Sec += e.Phase1Sec
+	t.Phase2Sec += e.Phase2Sec
+	t.CPUSec += e.CPUSec
+	t.CacheHits += e.CacheHits
+	t.CacheMisses += e.CacheMisses
+	t.CacheEvictions += e.CacheEvictions
+	t.Phase1Nodes += e.Phase1Nodes
+	t.Phase1Warm = t.Phase1Warm || e.Phase1Warm
+	t.Replayed = t.Replayed || e.Replayed
+	if e.Degraded {
+		t.Degraded = true
+		t.DegradedReason = e.DegradedReason
+	}
+}
