@@ -64,12 +64,15 @@ shard-smoke:
 # server's negotiation / batch-cap / pool-aliasing / metrics tests and
 # the JSON-vs-binary decision differential, the client's fallback
 # regression against an old-daemon stub, then one pass of the ingest
-# benchmarks to guard the zero-alloc decode path against bitrot.
+# benchmarks to guard the zero-alloc decode path against bitrot, and the
+# slot path's allocation guards (testing.AllocsPerRun tests, which skip
+# themselves under the `race` target's detector, so they run here).
 ingest-smoke:
 	$(GO) test -count=1 ./internal/wire/
 	$(GO) test -count=1 ./internal/server/ -run 'Wire|Ingest|Batch|Differential|PoolScratch|MixedCodec|JSONDefault'
 	$(GO) test -count=1 ./internal/client/ -run 'Wire|Fallback|BinaryDefault|JSONReports'
 	$(GO) test -count=1 ./internal/server/ -run '^$$' -bench BenchmarkIngest -benchtime 1x -benchmem >/dev/null
+	$(GO) test -count=1 -run 'Allocs' ./internal/scheduler/ ./internal/server/ ./internal/obs/ ./internal/client/
 
 # chaos-smoke drives the resilience stack end to end: the retrying /
 # breaker-guarded client against a real daemon wrapped in the seeded

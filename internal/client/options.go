@@ -165,7 +165,7 @@ func (c *Caller) Base() string { return c.base }
 func (c *Caller) GetJSON(path string, out any) error {
 	return c.withRetry(func() (*http.Response, error) {
 		return c.http.Get(c.base + path)
-	}, "GET "+path, out)
+	}, "GET", path, out)
 }
 
 // PostJSON POSTs body as JSON to base+path and decodes the response.
@@ -176,7 +176,7 @@ func (c *Caller) PostJSON(path string, body, out any) error {
 	}
 	return c.withRetry(func() (*http.Response, error) {
 		return c.http.Post(c.base+path, "application/json", bytes.NewReader(buf))
-	}, "POST "+path, out)
+	}, "POST", path, out)
 }
 
 // PostRaw POSTs a pre-encoded body with an explicit Content-Type
@@ -184,21 +184,22 @@ func (c *Caller) PostJSON(path string, body, out any) error {
 func (c *Caller) PostRaw(path, contentType string, raw []byte, out any) error {
 	return c.withRetry(func() (*http.Response, error) {
 		return c.http.Post(c.base+path, contentType, bytes.NewReader(raw))
-	}, "POST "+path, out)
+	}, "POST", path, out)
 }
 
 // withRetry runs the request, retrying transport failures, 5xx
 // responses and shed (429) requests with exponential backoff when the
 // caller was built with WithRetries. A server Retry-After hint
 // replaces the computed backoff for that attempt; the circuit breaker
-// and retry budget (when configured) gate every attempt.
-func (c *Caller) withRetry(do func() (*http.Response, error), label string, out any) error {
+// and retry budget (when configured) gate every attempt. method and
+// path only label errors, so they are joined on failure, not per call.
+func (c *Caller) withRetry(do func() (*http.Response, error), method, path string, out any) error {
 	delay := c.backoff
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
 			if c.budget != nil && !c.budget.spend() {
-				return fmt.Errorf("client: %s: retry budget exhausted: %w", label, lastErr)
+				return fmt.Errorf("client: %s %s: retry budget exhausted: %w", method, path, lastErr)
 			}
 			time.Sleep(delay)
 			delay *= 2
@@ -213,7 +214,7 @@ func (c *Caller) withRetry(do func() (*http.Response, error), label string, out 
 		}
 		resp, err := do()
 		if err != nil {
-			lastErr = fmt.Errorf("client: %s: %w", label, err)
+			lastErr = fmt.Errorf("client: %s %s: %w", method, path, err)
 			c.recordOutcome(false)
 			continue
 		}

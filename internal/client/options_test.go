@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"lpvs/internal/server"
+	"lpvs/internal/testenv"
 )
 
 // The Caller is the shared transport under both the device Client and
@@ -117,3 +118,86 @@ func TestWithHTTPClientOption(t *testing.T) {
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// stubTransport answers every request without a socket: with err when
+// set, else with an empty response of the given status.
+type stubTransport struct {
+	status int
+	err    error
+}
+
+func (s stubTransport) RoundTrip(*http.Request) (*http.Response, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
+	return &http.Response{StatusCode: s.status, Body: http.NoBody, Header: http.Header{}}, nil
+}
+
+// TestCallerErrorLabels pins the "<METHOD> <path>" label of the two
+// error strings that carry it, for all three verbs of the Caller.
+func TestCallerErrorLabels(t *testing.T) {
+	down, err := NewCaller("http://edge.test",
+		WithHTTPClient(&http.Client{Transport: stubTransport{err: errors.New("boom")}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		call func() error
+		want string
+	}{
+		{func() error { return down.GetJSON("/v1/decision?device=d1", nil) },
+			`client: GET /v1/decision?device=d1: Get "http://edge.test/v1/decision?device=d1": boom`},
+		{func() error { return down.PostJSON("/v1/tick", struct{}{}, nil) },
+			`client: POST /v1/tick: Post "http://edge.test/v1/tick": boom`},
+		{func() error { return down.PostRaw("/v1/report", "application/x-lpvs-report", []byte{1}, nil) },
+			`client: POST /v1/report: Post "http://edge.test/v1/report": boom`},
+	} {
+		if err := tc.call(); err == nil || err.Error() != tc.want {
+			t.Errorf("error %q, want %q", err, tc.want)
+		}
+	}
+
+	shedding, err := NewCaller("http://edge.test",
+		WithHTTPClient(&http.Client{Transport: stubTransport{status: http.StatusServiceUnavailable}}),
+		WithRetries(5, time.Millisecond), WithRetryBudget(1, 0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "client: GET /v1/status: retry budget exhausted: client: edge returned 503 (unknown): status 503"
+	if err := shedding.GetJSON("/v1/status", nil); err == nil || err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
+	}
+}
+
+// TestCallerAllocsNoLabelPerCall guards the success path of the Caller:
+// going through GetJSON costs no allocation beyond the request itself —
+// the error label is only built when an error is.
+func TestCallerAllocsNoLabelPerCall(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	hc := &http.Client{Transport: stubTransport{status: http.StatusOK}}
+	c, err := NewCaller("http://edge.test", WithHTTPClient(hc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path = "/v1/decision?device=d1"
+	bare := testing.AllocsPerRun(100, func() {
+		resp, err := hc.Get(c.Base() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := decode(resp, nil); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	})
+	through := testing.AllocsPerRun(100, func() {
+		if err := c.GetJSON(path, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if through > bare {
+		t.Fatalf("GetJSON allocates %.0f per call, the bare request %.0f", through, bare)
+	}
+}

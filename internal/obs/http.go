@@ -4,6 +4,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -52,31 +53,86 @@ func (w *statusWriter) WriteHeader(code int) {
 // logged under the given route label (use the mux pattern, e.g.
 // "POST /v1/report", so cardinality stays bounded).
 func (m *HTTPMetrics) Instrument(route string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		m.inFlight.Add(1)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		m.inFlight.Add(-1)
+	return &instrumented{m: m, route: route, next: next, byCode: make(map[int]routeSeries)}
+}
 
-		elapsed := time.Since(start).Seconds()
-		m.requests.With(route, strconv.Itoa(sw.code)).Inc()
-		m.latency.With(route).Observe(elapsed)
-		if sw.code >= 400 {
-			m.errors.With(route).Inc()
-		}
+// routeSeries are the series one (route, status code) pair writes to.
+type routeSeries struct {
+	requests *Counter   // lpvs_http_requests_total{route,code}
+	latency  *Histogram // lpvs_http_request_duration_seconds{route}
+	errors   *Counter   // lpvs_http_errors_total{route}; nil below 400
+}
 
-		level := slog.LevelDebug
-		if sw.code >= 500 {
-			level = slog.LevelWarn
-		}
-		m.logger.Log(r.Context(), level, "http request",
-			"route", route,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"code", sw.code,
-			"duration_ms", elapsed*1000,
-			"remote", r.RemoteAddr,
-		)
-	})
+// instrumented is one wrapped route. It keeps the series handles it has
+// resolved, so a served request pays a map read instead of label
+// joins, strconv and registry locks. Resolution stays lazy — per code,
+// on the first request that returns it — because a series must not
+// appear in the exposition before it has a sample.
+type instrumented struct {
+	m     *HTTPMetrics
+	route string
+	next  http.Handler
+
+	mu     sync.RWMutex
+	byCode map[int]routeSeries
+}
+
+// series returns the handles for a status code, resolving them through
+// the registry the first time the route returns that code.
+func (h *instrumented) series(code int) routeSeries {
+	h.mu.RLock()
+	rs, ok := h.byCode[code]
+	h.mu.RUnlock()
+	if ok {
+		return rs
+	}
+	rs = routeSeries{
+		requests: h.m.requests.With(h.route, strconv.Itoa(code)),
+		latency:  h.m.latency.With(h.route),
+	}
+	if code >= 400 {
+		rs.errors = h.m.errors.With(h.route)
+	}
+	// A series the cardinality budget refused is not kept: resolving it
+	// again on every request is what counts each refused write in
+	// DroppedSeries.
+	if rs.requests.s.detached || rs.latency.s.detached || (rs.errors != nil && rs.errors.s.detached) {
+		return rs
+	}
+	h.mu.Lock()
+	h.byCode[code] = rs
+	h.mu.Unlock()
+	return rs
+}
+
+func (h *instrumented) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	m := h.m
+	start := time.Now()
+	m.inFlight.Add(1)
+	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+	h.next.ServeHTTP(sw, r)
+	m.inFlight.Add(-1)
+
+	elapsed := time.Since(start).Seconds()
+	rs := h.series(sw.code)
+	rs.requests.Inc()
+	rs.latency.Observe(elapsed)
+	if rs.errors != nil {
+		rs.errors.Inc()
+	}
+
+	level := slog.LevelDebug
+	if sw.code >= 500 {
+		level = slog.LevelWarn
+	}
+	// LogAttrs with typed attrs: nothing is boxed or formatted unless the
+	// level is enabled.
+	m.logger.LogAttrs(r.Context(), level, "http request",
+		slog.String("route", h.route),
+		slog.String("method", r.Method),
+		slog.String("path", r.URL.Path),
+		slog.Int("code", sw.code),
+		slog.Float64("duration_ms", elapsed*1000),
+		slog.String("remote", r.RemoteAddr),
+	)
 }

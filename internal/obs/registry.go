@@ -92,6 +92,7 @@ type family struct {
 // as float64 bits in atomics so increments never take a lock.
 type series struct {
 	labelVals []string
+	detached  bool          // refused by the cardinality budget: writable, never scraped
 	valBits   atomic.Uint64 // counter/gauge value
 	// Histogram state: per-bucket counts (non-cumulative), total count,
 	// and sum of observations.
@@ -183,6 +184,7 @@ func (f *family) getSeries(labelVals []string) *series {
 		if budget := f.reg.seriesBudget.Load(); budget > 0 && len(f.labels) > 0 &&
 			int64(len(f.series)) >= budget {
 			f.reg.dropped.Add(1)
+			s.detached = true
 			return s
 		}
 		f.series[key] = s

@@ -1,0 +1,190 @@
+package scheduler
+
+import (
+	"bytes"
+	"testing"
+
+	"lpvs/internal/edge"
+	"lpvs/internal/testenv"
+)
+
+// scheduleAllocs is the allocation count of one Schedule call, which
+// must succeed.
+func scheduleAllocs(t *testing.T, s *Scheduler, reqs []Request) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(5, func() {
+		if _, err := s.Schedule(reqs); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestColdScheduleAllocsDoNotScaleWithDevices guards the stateless path
+// (DisableIncremental, ScheduleDegraded, audit replay): plans are built
+// into one slab per call, so doubling the cluster may add a few larger
+// allocations (maps, slices) but nothing per device.
+func TestColdScheduleAllocsDoNotScaleWithDevices(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	server, err := edge.NewServer(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := makeBigCluster(t, 4000, 77)
+	for _, workers := range []int{1, 4} {
+		s := mustScheduler(t, Config{Server: server, Lambda: 1.5, DisableIncremental: true, CompactWorkers: workers})
+		small := scheduleAllocs(t, s, big[:2000])
+		large := scheduleAllocs(t, s, big)
+		t.Logf("workers=%d: %.0f allocs at 2,000, %.0f at 4,000", workers, small, large)
+		if large-small >= 100 {
+			t.Fatalf("workers=%d: cold Schedule allocates %.0f at 2,000 devices and %.0f at 4,000: still scales with devices",
+				workers, small, large)
+		}
+	}
+}
+
+// TestChurnedSlotAllocsNoPerDeviceObjects guards the incremental path's
+// worst case, the one edge-10k-cold runs every slot: every known device
+// reports changed content, so every plan is rebuilt — into the reused
+// slab, and copied into its existing cache entry in place.
+func TestChurnedSlotAllocsNoPerDeviceObjects(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	server, err := edge.NewServer(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	// Two request sets over the same devices, every request different.
+	a := makeBigCluster(t, n, 78)
+	b := append([]Request(nil), a...)
+	for i := range b {
+		b[i].EnergyFrac = 1 - 0.9*a[i].EnergyFrac
+	}
+	s := mustScheduler(t, Config{Server: server, Lambda: 1.5})
+	flip := false
+	next := func() []Request {
+		flip = !flip
+		if flip {
+			return a
+		}
+		return b
+	}
+	if _, err := s.Schedule(next()); err != nil { // slot 1: every device new
+		t.Fatal(err)
+	}
+	var dec Decision
+	allocs := testing.AllocsPerRun(6, func() {
+		var err error
+		if dec, err = s.Schedule(next()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if dec.PlanCacheMisses != n || dec.PlanCacheHits != 0 {
+		t.Fatalf("slot was meant to churn every device: %d hits, %d misses", dec.PlanCacheHits, dec.PlanCacheMisses)
+	}
+	t.Logf("churned slot: %.0f allocs", allocs)
+	if allocs >= n/10 {
+		t.Fatalf("a fully churned slot over %d known devices allocates %.0f objects: per-device allocations are back", n, allocs)
+	}
+}
+
+// TestReusedSlabNeverCorruptsCache drives one stream through an all-miss
+// slot, a half-changed slot, an unchanged slot and a slot with one
+// device changed (so it is served from entries A and B committed rather
+// than replayed whole). Slot B builds its
+// misses into the slab slot A's plans were built in, while its hits are
+// served from cache entries slot A committed; if the cache aliased the
+// slab instead of holding plans by value, B's hits would read B's
+// misses. Every slot must equal the cold serial decision byte for byte.
+func TestReusedSlabNeverCorruptsCache(t *testing.T) {
+	server, err := edge.NewServer(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Server: server, Lambda: 1.5}
+	coldCfg := cfg
+	coldCfg.DisableIncremental = true
+	warm := mustScheduler(t, cfg)
+	cold := mustScheduler(t, coldCfg)
+
+	slotA := makeCluster(t, 48, 4242)
+	SortRequests(slotA)
+	slotB := append([]Request(nil), slotA...)
+	for i := 0; i < len(slotB); i += 2 {
+		slotB[i].EnergyFrac = 1 - 0.9*slotB[i].EnergyFrac
+		slotB[i].Gamma = 0.6 - slotB[i].Gamma
+	}
+	slotC := append([]Request(nil), slotB...)
+	slotD := append([]Request(nil), slotC...)
+	slotD[1].EnergyFrac = 1 - 0.9*slotD[1].EnergyFrac
+
+	for _, slot := range []struct {
+		name         string
+		reqs         []Request
+		hits, misses int
+		replayed     bool
+	}{
+		{"A all-miss", slotA, 0, 48, false},
+		{"B half-changed", slotB, 24, 24, false},
+		{"C unchanged", slotC, 48, 0, true},
+		{"D one changed", slotD, 47, 1, false},
+	} {
+		got, err := warm.Schedule(slot.reqs)
+		if err != nil {
+			t.Fatalf("%s: %v", slot.name, err)
+		}
+		want, err := DecideSerial(cold, []VC{{ID: "vc", Requests: slot.reqs}})
+		if err != nil {
+			t.Fatalf("%s: cold: %v", slot.name, err)
+		}
+		if !bytes.Equal(got.Canonical(), want.VCs[0].Decision.Canonical()) {
+			t.Fatalf("%s: incremental decision diverged from cold DecideSerial:\nwarm:\n%s\ncold:\n%s",
+				slot.name, got.Canonical(), want.VCs[0].Decision.Canonical())
+		}
+		if got.PlanCacheHits != slot.hits || got.PlanCacheMisses != slot.misses || got.Replayed != slot.replayed {
+			t.Fatalf("%s: hits=%d misses=%d replayed=%v, want %d/%d/%v", slot.name,
+				got.PlanCacheHits, got.PlanCacheMisses, got.Replayed, slot.hits, slot.misses, slot.replayed)
+		}
+	}
+}
+
+// TestDuplicateDeviceHitThenMiss covers the one way a by-value cache
+// entry could be overwritten while a plan pointer into it is live: a
+// request set naming a device twice, the first copy a cache hit, the
+// second changed. The hit must keep its own plan.
+func TestDuplicateDeviceHitThenMiss(t *testing.T) {
+	cfg := Config{Lambda: 1.5}
+	coldCfg := cfg
+	coldCfg.DisableIncremental = true
+	warm := mustScheduler(t, cfg)
+	cold := mustScheduler(t, coldCfg)
+
+	base := makeCluster(t, 6, 99)
+	SortRequests(base)
+	if _, err := warm.Schedule(base); err != nil {
+		t.Fatal(err)
+	}
+	dup := base[2]
+	dup.EnergyFrac = 0.02 // changes eligibility, objective and verdict
+	reqs := append(append([]Request(nil), base[:3]...), dup)
+	reqs = append(reqs, base[3:]...)
+
+	got, err := warm.Schedule(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cold.Schedule(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.PlanCacheHits != 6 || got.PlanCacheMisses != 1 {
+		t.Fatalf("hits=%d misses=%d, want 6/1", got.PlanCacheHits, got.PlanCacheMisses)
+	}
+	if !bytes.Equal(got.Canonical(), want.Canonical()) || got.Eligible != want.Eligible {
+		t.Fatalf("duplicate device diverged from cold:\nwarm (eligible %d):\n%s\ncold (eligible %d):\n%s",
+			got.Eligible, got.Canonical(), want.Eligible, want.Canonical())
+	}
+}

@@ -54,10 +54,13 @@ func (c *CacheStats) add(o CacheStats) {
 }
 
 // cachedPlan is one device's cached compacting output, valid while the
-// request's content fingerprint stays byte-identical.
+// request's content fingerprint stays byte-identical. The plan is held
+// by value — copied out of the call's slab on commit — so the reused
+// slab is never pinned or aliased by the cache, and refreshing a known
+// device's entry allocates nothing.
 type cachedPlan struct {
 	key  []byte // request fingerprint at build time
-	p    *plan
+	p    plan
 	seen uint64 // last slot sequence that looked the device up
 }
 
@@ -106,6 +109,7 @@ type slotState struct {
 	nextWindow uint64
 
 	// Per-call scratch (valid only while mu is held).
+	scratch   planScratch
 	encBuf    []byte // request fingerprints, concatenated in input order
 	offs      []int  // encBuf offsets; request i's key is encBuf[offs[i]:offs[i+1]]
 	cacheable []bool
@@ -173,9 +177,10 @@ func (st *slotState) reset(cfgSig []byte) {
 
 // begin starts one scheduling call: it fingerprints every request into
 // the per-call arena and either detects a whole-set replay (rep, true)
-// or resolves plan-cache lookups into plans, returning the miss indices
-// and this call's hit count. Caller holds mu.
-func (st *slotState) begin(reqs []Request, plans []*plan) (rep Decision, replayed bool, misses []int, hits int) {
+// or resolves plan-cache lookups into scratch.plans (sized to the
+// request set), leaving the miss indices in scratch.misses and
+// returning this call's hit count. Caller holds mu.
+func (st *slotState) begin(reqs []Request) (rep Decision, replayed bool, hits int) {
 	n := len(reqs)
 	// The sequence advances before fingerprinting so window interning can
 	// stamp entries as it encodes; eviction sweeps only run in commit,
@@ -223,9 +228,15 @@ func (st *slotState) begin(reqs []Request, plans []*plan) (rep Decision, replaye
 		rep.Phase1Seconds = 0
 		rep.Phase2Seconds = 0
 		st.hits += uint64(n)
-		return rep, true, nil, 0
+		return rep, true, 0
 	}
 
+	sc := &st.scratch
+	if cap(sc.plans) < n {
+		sc.plans = make([]*plan, n)
+	}
+	sc.plans = sc.plans[:n]
+	misses := sc.misses[:0]
 	for i := range reqs {
 		if !st.cacheable[i] {
 			misses = append(misses, i)
@@ -235,34 +246,40 @@ func (st *slotState) begin(reqs []Request, plans []*plan) (rep Decision, replaye
 		if e, ok := st.plans[reqs[i].DeviceID]; ok && bytes.Equal(e.key, key) {
 			e.seen = st.seq
 			e.p.req = &reqs[i] // rebind to this call's request storage
-			plans[i] = e.p
+			sc.plans[i] = &e.p
 			hits++
 			continue
 		}
 		misses = append(misses, i)
 	}
-	return Decision{}, false, misses, hits
+	sc.misses = misses
+	return Decision{}, false, hits
 }
 
-// commit stores the freshly built miss plans, sweeps out entries whose
-// device left or changed, and records the whole-set key for replay.
-// Caller holds mu; plans[i] is non-nil for every miss index.
-func (st *slotState) commit(reqs []Request, plans []*plan, misses []int) (evicted int) {
-	for _, i := range misses {
+// commit copies the freshly built miss plans into the cache, sweeps out
+// entries whose device left or changed, and records the whole-set key
+// for replay. Caller holds mu; scratch.plans[i] is built for every miss
+// index.
+func (st *slotState) commit(reqs []Request) (evicted int) {
+	plans := st.scratch.plans
+	for _, i := range st.scratch.misses {
 		if !st.cacheable[i] {
 			continue
 		}
 		key := st.encBuf[st.offs[i]:st.offs[i+1]]
-		if e, ok := st.plans[reqs[i].DeviceID]; ok {
+		if e, ok := st.plans[reqs[i].DeviceID]; ok && e.seen != st.seq {
 			// Same device, changed content: refresh the entry in place,
 			// reusing the key's capacity.
 			e.key = append(e.key[:0], key...)
-			e.p = plans[i]
+			e.p = *plans[i]
 			e.seen = st.seq
 		} else {
+			// A new device — or a device the request set names twice,
+			// whose entry this call already stamped: it may be serving
+			// the other copy as a hit, so it is replaced, not overwritten.
 			st.plans[reqs[i].DeviceID] = &cachedPlan{
 				key:  append([]byte(nil), key...),
-				p:    plans[i],
+				p:    *plans[i],
 				seen: st.seq,
 			}
 		}

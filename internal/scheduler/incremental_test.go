@@ -13,16 +13,24 @@ import (
 	"lpvs/internal/video"
 )
 
+// planReference is the pre-fusion plan: the compacted scalars plus the
+// per-chunk energy vectors the original separate walks ran over.
+type planReference struct {
+	plan
+	dispFrac []float64 // per-chunk display energy as battery fraction
+	baseFrac []float64 // per-chunk base (non-display) energy fraction
+}
+
 // buildPlanReference is the pre-fusion buildPlan, kept verbatim as the
 // bit-level reference: separate walks for the chunk energies, the
 // eligibility constraint, the two objective evaluations, the saving sum
 // and the end-of-slot projection. The fused production implementation
 // must reproduce every float of it exactly.
-func buildPlanReference(s *Scheduler, r *Request) (*plan, error) {
+func buildPlanReference(s *Scheduler, r *Request) (*planReference, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	p := &plan{req: r}
+	p := &planReference{plan: plan{req: r}}
 	p.dispFrac = make([]float64, len(r.Chunks))
 	p.baseFrac = make([]float64, len(r.Chunks))
 	for k, c := range r.Chunks {
@@ -35,13 +43,13 @@ func buildPlanReference(s *Scheduler, r *Request) (*plan, error) {
 	}
 	p.g = edge.ComputeCost(r.Display.Resolution, r.Chunks, s.cfg.SlotSec)
 	p.h = edge.StorageCost(r.Chunks)
-	p.eligible = s.eligible(p)
+	p.eligible = eligibleReference(p)
 	p.anxModel = s.cfg.Anxiety
 	if r.Anxiety != nil {
 		p.anxModel = r.Anxiety
 	}
-	p.obj0 = s.deviceObjective(p, false)
-	p.obj1 = s.deviceObjective(p, true)
+	p.obj0 = deviceObjectiveReference(s, p, false)
+	p.obj1 = deviceObjectiveReference(s, p, true)
 	for _, e := range p.dispFrac {
 		p.saving += (1 - r.Gamma) * e
 	}
@@ -58,6 +66,46 @@ func buildPlanReference(s *Scheduler, r *Request) (*plan, error) {
 		p.end1 = 0
 	}
 	return p, nil
+}
+
+// eligibleReference evaluates the compacted energy-feasibility
+// constraint (11) for x_n = 1:
+//
+//	K*e(1) - sum_k (K-k)*psi(k) >= gamma * sum_k p(k)
+//
+// with psi the transformed per-chunk energy (display scaled by gamma,
+// base unchanged), everything in battery fractions.
+func eligibleReference(p *planReference) bool {
+	k := len(p.dispFrac)
+	e1 := p.req.EnergyFrac
+	lhs := float64(k) * e1
+	rhs := 0.0
+	for i := 0; i < k; i++ {
+		psi := p.req.Gamma*p.dispFrac[i] + p.baseFrac[i]
+		lhs -= float64(k-i-1) * psi
+		rhs += p.req.Gamma * p.dispFrac[i]
+	}
+	return lhs >= rhs
+}
+
+// deviceObjectiveReference evaluates the compacted objective (13)
+// restricted to one device under a given decision: the per-chunk energy
+// psi plus lambda times the anxiety at the predicted pre-chunk energy.
+func deviceObjectiveReference(s *Scheduler, p *planReference, transformed bool) float64 {
+	e := p.req.EnergyFrac
+	sum := 0.0
+	for i := range p.dispFrac {
+		psi := p.dispFrac[i] + p.baseFrac[i]
+		if transformed {
+			psi = p.req.Gamma*p.dispFrac[i] + p.baseFrac[i]
+		}
+		sum += psi + s.cfg.Lambda*p.anxModel.Anxiety(e)
+		e -= psi
+		if e < 0 {
+			e = 0
+		}
+	}
+	return sum
 }
 
 func bitsEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -82,8 +130,8 @@ func TestBuildPlanFusedBitIdentical(t *testing.T) {
 				}
 				r.Anxiety = m
 			}
-			got, err := s.buildPlan(&r)
-			if err != nil {
+			var got plan
+			if err := s.buildPlan(&r, &got); err != nil {
 				t.Fatal(err)
 			}
 			want, err := buildPlanReference(s, &r)
@@ -103,11 +151,6 @@ func TestBuildPlanFusedBitIdentical(t *testing.T) {
 				if !bitsEq(pr[0], pr[1]) {
 					t.Fatalf("req %d lambda %v: field %d diverged: %x != %x (%v != %v)",
 						i, lambda, j, math.Float64bits(pr[0]), math.Float64bits(pr[1]), pr[0], pr[1])
-				}
-			}
-			for k := range want.dispFrac {
-				if !bitsEq(got.dispFrac[k], want.dispFrac[k]) || !bitsEq(got.baseFrac[k], want.baseFrac[k]) {
-					t.Fatalf("req %d chunk %d: per-chunk energies diverged", i, k)
 				}
 			}
 		}

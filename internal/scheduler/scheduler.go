@@ -381,14 +381,15 @@ func New(cfg Config) (*Scheduler, error) {
 // scheduler is rebuilt from exactly the values this one runs with.
 func (s *Scheduler) Config() Config { return s.cfg }
 
-// plan is the per-device precomputation derived from a request: chunk
-// energies in battery fractions, resource costs, the objective value
-// under both decisions, and the eligibility flag from constraint (11).
+// plan is the per-device precomputation derived from a request: resource
+// costs, the objective value under both decisions, and the eligibility
+// flag from constraint (11) — the handful of scalars information
+// compacting (paper section V) reduces a device to. It holds no
+// per-chunk data and is stored by value: miss plans live in a per-call
+// slab, cached plans inside their cache entry.
 type plan struct {
 	req      *Request
-	dispFrac []float64 // per-chunk display energy as battery fraction
-	baseFrac []float64 // per-chunk base (non-display) energy fraction
-	g, h     float64   // compute and storage costs
+	g, h     float64 // compute and storage costs
 	eligible bool
 	anxModel anxiety.Model // per-user phi (population model by default)
 	obj0     float64       // objective contribution with x_n = 0
@@ -399,36 +400,45 @@ type plan struct {
 	end1     float64       // predicted end-of-slot energy with x_n = 1
 }
 
-// buildPlan runs information gathering + compacting for one request.
-// It reads only the request and the (immutable) scheduler config, so
-// plans for different devices can be built concurrently.
+// planScratch is the working memory of one scheduling call. A slotState
+// owns one and reuses it across slots (guarded by its mu); the stateless
+// cold path uses a fresh one per call, so either way a call makes O(1)
+// plan allocations however many devices it schedules. Nothing in it
+// outlives the call: the plan cache copies plans out of the slab by
+// value, and decisions carry device IDs, never plan pointers.
+type planScratch struct {
+	slab     []plan  // this call's freshly built plans, one per built request
+	plans    []*plan // plans[i] serves reqs[i]: into slab (built) or a cache entry (hit)
+	misses   []int   // ascending request indices the plan cache could not serve
+	eligible []*plan
+	errs     []error // parallel compact: errs[j] is the outcome of slab[j]
+}
+
+// buildPlan runs information gathering + compacting for one request,
+// filling p in place. It reads only the request and the (immutable)
+// scheduler config, so plans for different devices can be built
+// concurrently.
 //
 // The derived quantities — the eligibility inequality (11), the
 // objective contributions (13) under both decisions, the Phase-1
 // saving, and the end-of-slot energy projections — are all walks over
-// the same dispFrac/baseFrac vectors, so they are computed in a single
-// fused pass. Each accumulator keeps the exact per-element expression
-// and accumulation order of the original separate walks, so the fused
-// pass is bit-identical to them (pinned by TestBuildPlanFusedBitIdentical).
-func (s *Scheduler) buildPlan(r *Request) (*plan, error) {
+// the same per-chunk energies, so they are computed in a single fused
+// pass that never materialises the per-chunk vectors. Each accumulator
+// keeps the exact per-element expression and accumulation order of the
+// original separate walks, so the fused pass is bit-identical to them
+// (pinned by TestBuildPlanFusedBitIdentical).
+//
+// Constraint (11), for x_n = 1, with psi the transformed per-chunk
+// energy (display scaled by gamma, base unchanged), everything in
+// battery fractions:
+//
+//	K*e(1) - sum_k (K-k)*psi(k) >= gamma * sum_k p(k)
+func (s *Scheduler) buildPlan(r *Request, p *plan) error {
 	if err := r.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	p := &plan{req: r}
+	*p = plan{req: r}
 	k := len(r.Chunks)
-	frac := make([]float64, 2*k)
-	p.dispFrac = frac[:k:k]
-	p.baseFrac = frac[k:]
-	for k, c := range r.Chunks {
-		watts, err := video.PowerRate(r.Display, c)
-		if err != nil {
-			return nil, fmt.Errorf("scheduler: request %s chunk %d: %w", r.DeviceID, k, err)
-		}
-		p.dispFrac[k] = watts * c.DurationSec / r.BatteryCapacityJ
-		p.baseFrac[k] = r.BasePowerW * c.DurationSec / r.BatteryCapacityJ
-	}
-	p.g = edge.ComputeCost(r.Display.Resolution, r.Chunks, s.cfg.SlotSec)
-	p.h = edge.StorageCost(r.Chunks)
 	p.anxModel = s.cfg.Anxiety
 	if r.Anxiety != nil {
 		p.anxModel = r.Anxiety
@@ -436,15 +446,22 @@ func (s *Scheduler) buildPlan(r *Request) (*plan, error) {
 
 	gamma := r.Gamma
 	lambda := s.cfg.Lambda
-	// Constraint (11) accumulators (see eligible() for the inequality).
+	// Constraint (11) accumulators.
 	lhs := float64(k) * r.EnergyFrac
 	rhs := 0.0
 	// Objective-(13) energy recursions under x_n = 0 and x_n = 1.
 	e0, e1 := r.EnergyFrac, r.EnergyFrac
 	// End-of-slot energy projections.
 	end0, end1 := r.EnergyFrac, r.EnergyFrac
-	for i := 0; i < k; i++ {
-		d, b := p.dispFrac[i], p.baseFrac[i]
+	for i, c := range r.Chunks {
+		watts, err := video.PowerRate(r.Display, c)
+		if err != nil {
+			return fmt.Errorf("scheduler: request %s chunk %d: %w", r.DeviceID, i, err)
+		}
+		// The chunk's display and base (non-display) energy as battery
+		// fractions.
+		d := watts * c.DurationSec / r.BatteryCapacityJ
+		b := r.BasePowerW * c.DurationSec / r.BatteryCapacityJ
 		psi1 := gamma*d + b
 		lhs -= float64(k-i-1) * psi1
 		rhs += gamma * d
@@ -463,6 +480,8 @@ func (s *Scheduler) buildPlan(r *Request) (*plan, error) {
 		end0 -= psi0
 		end1 -= psi1
 	}
+	p.g = edge.ComputeCost(r.Display.Resolution, r.Chunks, s.cfg.SlotSec)
+	p.h = edge.StorageCost(r.Chunks)
 	p.eligible = lhs >= rhs
 	p.anx = p.anxModel.Anxiety(r.EnergyFrac)
 	if end0 < 0 {
@@ -472,30 +491,32 @@ func (s *Scheduler) buildPlan(r *Request) (*plan, error) {
 		end1 = 0
 	}
 	p.end0, p.end1 = end0, end1
-	return p, nil
+	return nil
 }
 
-// buildPlans runs information gathering + compacting for all requests,
-// fanning large clusters out across CompactWorkers goroutines. The
-// parallel path is bit-identical to the serial one: plans[i] is a pure
-// function of reqs[i], and on error the lowest-index failure is
-// reported, matching the serial scan order.
+// buildPlans runs information gathering + compacting for all requests
+// on the stateless path (baseline policies, tests).
 func (s *Scheduler) buildPlans(reqs []Request) ([]*plan, error) {
-	plans := make([]*plan, len(reqs))
-	if err := s.buildPlansInto(reqs, nil, plans); err != nil {
+	sc := planScratch{plans: make([]*plan, len(reqs))}
+	if err := s.buildPlansInto(reqs, nil, &sc); err != nil {
 		return nil, err
 	}
-	return plans, nil
+	return sc.plans, nil
 }
 
 // buildPlansInto builds plans for the requests at the given ascending
-// indices (nil means all of them) into plans. The incremental path uses
-// it to rebuild only plan-cache misses. On error the failure at the
-// lowest index is reported; because cached requests necessarily passed
-// validation when their plan was built (same bytes, same verdict), the
-// lowest failing miss index is also the lowest failing index overall,
-// so the incremental path reports exactly the cold path's error.
-func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, plans []*plan) error {
+// indices (nil means all of them) into sc.slab and points sc.plans at
+// them, fanning large clusters out across CompactWorkers goroutines.
+// The incremental path uses it to rebuild only plan-cache misses. The
+// j-th built request owns slab[j] (and errs[j]), so parallel workers
+// write disjoint elements and the parallel path is bit-identical to the
+// serial one: each plan is a pure function of its request. On error the
+// failure at the lowest index is reported, matching the serial scan
+// order; because cached requests necessarily passed validation when
+// their plan was built (same bytes, same verdict), the lowest failing
+// miss index is also the lowest failing index overall, so the
+// incremental path reports exactly the cold path's error.
+func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, sc *planScratch) error {
 	n := len(reqs)
 	if idxs != nil {
 		n = len(idxs)
@@ -506,6 +527,10 @@ func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, plans []*plan) er
 		}
 		return idxs[j]
 	}
+	if cap(sc.slab) < n {
+		sc.slab = make([]plan, n)
+	}
+	slab, plans := sc.slab[:n], sc.plans
 	chunk := s.cfg.CompactChunk
 	if chunk <= 0 {
 		chunk = DefaultCompactChunk
@@ -513,16 +538,18 @@ func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, plans []*plan) er
 	if s.cfg.CompactWorkers <= 1 || n <= chunk {
 		for j := 0; j < n; j++ {
 			i := at(j)
-			p, err := s.buildPlan(&reqs[i])
-			if err != nil {
+			if err := s.buildPlan(&reqs[i], &slab[j]); err != nil {
 				return err
 			}
-			plans[i] = p
+			plans[i] = &slab[j]
 		}
 		return nil
 	}
 
-	errs := make([]error, n)
+	if cap(sc.errs) < n {
+		sc.errs = make([]error, n)
+	}
+	errs := sc.errs[:n]
 	var next atomic.Int64
 	workers := s.cfg.CompactWorkers
 	if max := (n + chunk - 1) / chunk; workers > max {
@@ -544,7 +571,8 @@ func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, plans []*plan) er
 				}
 				for j := lo; j < hi; j++ {
 					i := at(j)
-					plans[i], errs[j] = s.buildPlan(&reqs[i])
+					errs[j] = s.buildPlan(&reqs[i], &slab[j])
+					plans[i] = &slab[j]
 				}
 			}
 		}()
@@ -556,46 +584,6 @@ func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, plans []*plan) er
 		}
 	}
 	return nil
-}
-
-// eligible evaluates the compacted energy-feasibility constraint (11)
-// for x_n = 1:
-//
-//	K*e(1) - sum_k (K-k)*psi(k) >= gamma * sum_k p(k)
-//
-// with psi the transformed per-chunk energy (display scaled by gamma,
-// base unchanged), everything in battery fractions.
-func (s *Scheduler) eligible(p *plan) bool {
-	k := len(p.dispFrac)
-	e1 := p.req.EnergyFrac
-	lhs := float64(k) * e1
-	rhs := 0.0
-	for i := 0; i < k; i++ {
-		psi := p.req.Gamma*p.dispFrac[i] + p.baseFrac[i]
-		lhs -= float64(k-i-1) * psi
-		rhs += p.req.Gamma * p.dispFrac[i]
-	}
-	return lhs >= rhs
-}
-
-// deviceObjective evaluates the compacted objective (13) restricted to
-// one device under a given decision: the per-chunk energy psi plus
-// lambda times the anxiety at the predicted pre-chunk energy.
-func (s *Scheduler) deviceObjective(p *plan, transformed bool) float64 {
-	e := p.req.EnergyFrac
-	sum := 0.0
-	for i := range p.dispFrac {
-		psi := p.dispFrac[i] + p.baseFrac[i]
-		if transformed {
-			psi = p.req.Gamma*p.dispFrac[i] + p.baseFrac[i]
-		}
-		sum += psi + s.cfg.Lambda*p.anxModel.Anxiety(e)
-		e -= psi
-		if e < 0 {
-			e = 0
-		}
-	}
-	return sum
 }
 
 // Schedule makes the slot decision for one virtual cluster.
@@ -652,9 +640,11 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 		// Replay mode: degradations come from the record, never the clock.
 		hasDeadline = false
 	}
-	var misses []int
+	// The per-call scratch: the stream's own (reused slot to slot, guarded
+	// by its mu) or, on the stateless path, a fresh one.
+	var cold planScratch
+	sc := &cold
 	hits := 0
-	plans := make([]*plan, len(reqs))
 	if st != nil {
 		st.mu.Lock()
 		defer st.mu.Unlock()
@@ -663,22 +653,26 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 		if !bytes.Equal(st.cfgSig, s.cfgSig) {
 			st.reset(s.cfgSig)
 		}
-		rep, replayed, m, h := st.begin(reqs, plans)
+		sc = &st.scratch
+		rep, replayed, h := st.begin(reqs)
 		if replayed {
 			return rep, nil
 		}
-		misses, hits = m, h
+		hits = h
+	} else {
+		cold.plans = make([]*plan, len(reqs))
 	}
+	plans, misses := sc.plans, sc.misses
 
 	_, csp := span.Child(ctx, "compact")
 	compactStart := time.Now()
 	if st == nil {
-		if err := s.buildPlansInto(reqs, nil, plans); err != nil {
+		if err := s.buildPlansInto(reqs, nil, sc); err != nil {
 			csp.End()
 			return Decision{}, err
 		}
 	} else if len(misses) > 0 {
-		if err := s.buildPlansInto(reqs, misses, plans); err != nil {
+		if err := s.buildPlansInto(reqs, misses, sc); err != nil {
 			csp.End()
 			return Decision{}, err
 		}
@@ -691,15 +685,16 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 	if st != nil {
 		dec.PlanCacheHits = hits
 		dec.PlanCacheMisses = len(misses)
-		dec.PlanCacheEvictions = st.commit(reqs, plans, misses)
+		dec.PlanCacheEvictions = st.commit(reqs)
 	}
-	var eligible []*plan
+	eligible := sc.eligible[:0]
 	for _, p := range plans {
 		dec.Transform[p.req.DeviceID] = false
 		if p.eligible {
 			eligible = append(eligible, p)
 		}
 	}
+	sc.eligible = eligible
 	dec.Eligible = len(eligible)
 	if len(eligible) == 0 {
 		if st != nil {
@@ -983,16 +978,18 @@ func (s *Scheduler) totalObjective(plans []*plan, x map[string]bool) float64 {
 // by the scheduler, and a chunk-by-chunk simulation of recursion (5).
 // Information compacting is exact, so both must agree.
 func CompactedVsSimulated(s *Scheduler, r Request, transformed bool) (compacted, simulated float64, err error) {
-	plans, err := s.buildPlans([]Request{r})
-	if err != nil {
+	var p plan
+	if err := s.buildPlan(&r, &p); err != nil {
 		return 0, 0, err
 	}
-	p := plans[0]
-	compacted = s.deviceObjective(p, transformed)
+	compacted = p.obj0
+	if transformed {
+		compacted = p.obj1
+	}
 
 	// Chunk-by-chunk simulation of (3)+(5).
 	e := r.EnergyFrac
-	for k, c := range r.Chunks {
+	for _, c := range r.Chunks {
 		watts, werr := video.PowerRate(r.Display, c)
 		if werr != nil {
 			return 0, 0, werr
@@ -1001,16 +998,11 @@ func CompactedVsSimulated(s *Scheduler, r Request, transformed bool) (compacted,
 		if transformed {
 			psi = (r.Gamma*watts*c.DurationSec + r.BasePowerW*c.DurationSec) / r.BatteryCapacityJ
 		}
-		model := s.cfg.Anxiety
-		if r.Anxiety != nil {
-			model = r.Anxiety
-		}
-		simulated += psi + s.cfg.Lambda*model.Anxiety(e)
+		simulated += psi + s.cfg.Lambda*p.anxModel.Anxiety(e)
 		e -= psi
 		if e < 0 {
 			e = 0
 		}
-		_ = k
 	}
 	return compacted, simulated, nil
 }

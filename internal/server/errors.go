@@ -1,6 +1,9 @@
 package server
 
-import "net/http"
+import (
+	"net/http"
+	"net/url"
+)
 
 // This file defines the v1 error envelope: every non-2xx response body
 // is {"error":{"code","message","retryable"}}. Code is a stable
@@ -98,11 +101,12 @@ func writeErrorMsg(w http.ResponseWriter, status int, code, msg string) {
 	}})
 }
 
-// deviceParam extracts the required ?device= query parameter; a
-// missing one is a 400 (the request is malformed), distinct from the
-// 404 an unknown-but-present ID earns.
-func deviceParam(w http.ResponseWriter, r *http.Request) (string, bool) {
-	id := r.URL.Query().Get("device")
+// deviceParam extracts the required ?device= parameter from the
+// request's parsed query (parsed once by the handler, which may read
+// further parameters from it); a missing one is a 400 (the request is
+// malformed), distinct from the 404 an unknown-but-present ID earns.
+func deviceParam(w http.ResponseWriter, q url.Values) (string, bool) {
+	id := q.Get("device")
 	if id == "" {
 		writeErrorMsg(w, http.StatusBadRequest, CodeBadRequest, "missing device parameter")
 		return "", false

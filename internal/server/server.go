@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -608,9 +609,9 @@ func (s *Server) acceptReportLocked(req ReportRequest) *apiError {
 	st.channel = channel
 	s.pending[req.DeviceID] = sreq
 	s.metrics.reports.Inc()
-	s.log.Debug("report accepted",
-		"device", req.DeviceID, "channel", st.channel,
-		"energy_frac", req.EnergyFrac, "slot", s.slot)
+	s.log.LogAttrs(context.Background(), slog.LevelDebug, "report accepted",
+		slog.String("device", req.DeviceID), slog.String("channel", st.channel),
+		slog.Float64("energy_frac", req.EnergyFrac), slog.Int("slot", s.slot))
 	return nil
 }
 
@@ -637,7 +638,7 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
-	id, ok := deviceParam(w, r)
+	id, ok := deviceParam(w, r.URL.Query())
 	if !ok {
 		return
 	}
@@ -657,11 +658,12 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
-	id, ok := deviceParam(w, r)
+	q := r.URL.Query()
+	id, ok := deviceParam(w, q)
 	if !ok {
 		return
 	}
-	idxStr := r.URL.Query().Get("index")
+	idxStr := q.Get("index")
 	idx, err := strconv.Atoi(idxStr)
 	if err != nil || idx < 0 {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad chunk index %q", idxStr))
@@ -725,7 +727,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePlaylist(w http.ResponseWriter, r *http.Request) {
-	id, ok := deviceParam(w, r)
+	id, ok := deviceParam(w, r.URL.Query())
 	if !ok {
 		return
 	}
@@ -781,9 +783,9 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.observations.Inc()
-	s.log.Debug("observation",
-		"device", req.DeviceID, "reduction", req.Reduction,
-		"gamma", st.estimator.Gamma(), "observations", st.estimator.Observations())
+	s.log.LogAttrs(ctx, slog.LevelDebug, "observation",
+		slog.String("device", req.DeviceID), slog.Float64("reduction", req.Reduction),
+		slog.Float64("gamma", st.estimator.Gamma()), slog.Int("observations", st.estimator.Observations()))
 	writeJSON(w, http.StatusOK, ObserveResponse{
 		Gamma:        st.estimator.Gamma(),
 		Observations: st.estimator.Observations(),
@@ -791,7 +793,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	id, ok := deviceParam(w, r)
+	id, ok := deviceParam(w, r.URL.Query())
 	if !ok {
 		return
 	}
