@@ -72,7 +72,7 @@ ingest-smoke:
 	$(GO) test -count=1 ./internal/server/ -run 'Wire|Ingest|Batch|Differential|PoolScratch|MixedCodec|JSONDefault'
 	$(GO) test -count=1 ./internal/client/ -run 'Wire|Fallback|BinaryDefault|JSONReports'
 	$(GO) test -count=1 ./internal/server/ -run '^$$' -bench BenchmarkIngest -benchtime 1x -benchmem >/dev/null
-	$(GO) test -count=1 -run 'Allocs' ./internal/scheduler/ ./internal/server/ ./internal/obs/ ./internal/client/
+	$(GO) test -count=1 -run 'Allocs' ./internal/scheduler/ ./internal/server/ ./internal/obs/ ./internal/obs/audit/ ./internal/client/
 
 # chaos-smoke drives the resilience stack end to end: the retrying /
 # breaker-guarded client against a real daemon wrapped in the seeded
@@ -125,11 +125,17 @@ flight-smoke:
 
 # audit-replay gates the determinism contract end to end: run a short
 # audited emulator session, then re-run every logged decision through
-# lpvs-audit and fail on any byte-level divergence.
+# lpvs-audit and fail on any byte-level divergence. The same replay and
+# recover run over cmd/lpvs-audit/testdata/v1, the schema-1 log the
+# same session wrote before the record gained its window table: old
+# logs must stay readable for as long as they exist on disk.
 audit-replay:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/lpvs-emu -seed 11 -n 16 -slots 6 -capacity 4 -audit-dir "$$dir" >/dev/null && \
-	$(GO) run ./cmd/lpvs-audit replay "$$dir"
+	$(GO) run ./cmd/lpvs-emu -seed 11 -n 16 -slots 6 -capacity 4 -audit-dir "$$dir/v2" >/dev/null && \
+	for log in "$$dir/v2" cmd/lpvs-audit/testdata/v1; do \
+		$(GO) run ./cmd/lpvs-audit replay "$$log" && \
+		$(GO) run ./cmd/lpvs-audit recover -out "$$dir/recovered.lpvs" "$$log" || exit 1; \
+	done
 
 # bench runs every benchmark with -benchmem and emits an
 # environment-stamped JSON report (cores, GOMAXPROCS, Go version) via

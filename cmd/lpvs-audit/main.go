@@ -111,7 +111,7 @@ func runReplay(args []string) error {
 			continue
 		}
 		if *verbose {
-			fmt.Printf("record %d (slot %d, vc %s): ok, %d devices\n", i, rec.Slot, rec.VC, len(rec.Requests))
+			fmt.Printf("record %d (slot %d, vc %s): ok, %s\n", i, rec.Slot, rec.VC, rec.Layout())
 		}
 	}
 	if diverged > 0 {

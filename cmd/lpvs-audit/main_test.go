@@ -45,6 +45,43 @@ func TestReplayCommand(t *testing.T) {
 	}
 }
 
+// TestOldLogStaysReplayable runs the checked-in schema-1 log — written
+// by the last binary that inlined a chunk window per request — through
+// replay and recover, alone and as the head of a mixed file with fresh
+// schema-2 records appended, the log a daemon upgraded mid-run leaves.
+func TestOldLogStaysReplayable(t *testing.T) {
+	old := filepath.Join("testdata", "v1")
+	recs, err := audit.ReadFile(filepath.Join(old, audit.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs {
+		if rec.Schema != 1 {
+			t.Fatalf("checked-in record %d is schema %d, want the schema-1 reader exercised", i, rec.Schema)
+		}
+	}
+	oldLog, err := os.ReadFile(filepath.Join(old, audit.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newLog, err := os.ReadFile(filepath.Join(writeSessionLog(t), audit.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := t.TempDir()
+	if err := os.WriteFile(filepath.Join(mixed, audit.FileName), append(oldLog, newLog...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{old, mixed} {
+		if err := runReplay([]string{"-v", dir}); err != nil {
+			t.Fatalf("replay %s: %v", dir, err)
+		}
+		if err := runRecover([]string{"-out", filepath.Join(t.TempDir(), "recovered.lpvs"), dir}); err != nil {
+			t.Fatalf("recover %s: %v", dir, err)
+		}
+	}
+}
+
 func TestReplayCommandFlagsDivergence(t *testing.T) {
 	dir := writeSessionLog(t)
 	path := filepath.Join(dir, audit.FileName)

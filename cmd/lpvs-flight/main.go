@@ -216,8 +216,7 @@ func showAudit(b *flight.Bundle, replay bool) error {
 		if err != nil {
 			return fmt.Errorf("audit record %d: %w", i, err)
 		}
-		line := fmt.Sprintf("  record %d: slot %d, vc %s, %d devices",
-			i, rec.Slot, rec.VC, len(rec.Requests))
+		line := fmt.Sprintf("  record %d: slot %d, vc %s, %s", i, rec.Slot, rec.VC, rec.Layout())
 		if !replay {
 			fmt.Println(line)
 			continue

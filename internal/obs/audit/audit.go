@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,16 +40,27 @@ import (
 	"lpvs/internal/video"
 )
 
-// SchemaVersion is bumped on any incompatible record change; the golden
-// file test pins the encoding of version 1.
-const SchemaVersion = 1
+// SchemaVersion is the layout NewRecord writes, bumped on any
+// incompatible record change. Version 2 logs each distinct chunk window
+// once, in a per-record table the requests index into; its encoding is
+// pinned by testdata/record.v2.golden.jsonl.
+const SchemaVersion = 2
+
+// schemaInline is the retired version-1 layout: every request carries
+// its own inline copy of its chunk window and the record has no table.
+// Nothing writes it any more, but version-1 logs exist on disk, so
+// Decode and Verify still accept it (testdata/record.golden.jsonl pins
+// what they must keep reading) and a decoded version-1 record
+// re-encodes as version 1.
+const schemaInline = 1
 
 // FileName is the log file created inside an audit directory.
 const FileName = "audit.jsonl"
 
 // Record is one tick's audit entry.
 type Record struct {
-	// Schema is the record format version (SchemaVersion).
+	// Schema is the record format version: SchemaVersion on everything
+	// NewRecord builds, schemaInline on records decoded from old logs.
 	Schema int `json:"schema"`
 	// Slot and VC identify the tick: the scheduling slot counter and
 	// the virtual-cluster ID it solved.
@@ -68,6 +80,11 @@ type Record struct {
 	ConfigHash string `json:"config_hash"`
 	// Config is the scheduler configuration the decision ran under.
 	Config ConfigRecord `json:"config"`
+	// Windows is the chunk-window table: every distinct stream window the
+	// tick's requests watched, once each, in first-use order. A stream's
+	// viewers all watch the same window, so the table has one entry per
+	// stream however many devices the tick scheduled. Absent in schema 1.
+	Windows [][]ChunkRecord `json:"windows,omitempty"`
 	// Requests is the tick's request set in its exact scheduling order.
 	// Order matters: the scheduler is deterministic for a fixed input
 	// order, so replay feeds the identical permutation.
@@ -261,7 +278,11 @@ type RequestRecord struct {
 	BasePowerW       float64        `json:"base_power_w"`
 	Gamma            float64        `json:"gamma"`
 	Anxiety          *AnxietyRecord `json:"anxiety,omitempty"`
-	Chunks           []ChunkRecord  `json:"chunks"`
+	// Window indexes the record's Windows table. Set on every schema-2
+	// request, nil on schema 1.
+	Window *int `json:"window,omitempty"`
+	// Chunks is a schema-1 request's inline window; nil on schema 2.
+	Chunks []ChunkRecord `json:"chunks,omitempty"`
 }
 
 // ChunkRecord is one chunk's decision-relevant metadata.
@@ -276,8 +297,140 @@ type ChunkRecord struct {
 	MeanB       float64 `json:"mean_b"`
 }
 
-// newRequestRecord captures one scheduler request.
-func newRequestRecord(r *scheduler.Request) RequestRecord {
+// newChunkRecords captures one chunk window.
+func newChunkRecords(chunks []video.Chunk) []ChunkRecord {
+	out := make([]ChunkRecord, len(chunks))
+	for i := range chunks {
+		c := &chunks[i]
+		out[i] = ChunkRecord{
+			Index:       c.Index,
+			DurationSec: c.DurationSec,
+			BitrateKbps: c.BitrateKbps,
+			MeanLuma:    c.Stats.MeanLuma,
+			PeakLuma:    c.Stats.PeakLuma,
+			MeanR:       c.Stats.MeanR,
+			MeanG:       c.Stats.MeanG,
+			MeanB:       c.Stats.MeanB,
+		}
+	}
+	return out
+}
+
+// videoChunks rebuilds a chunk window for replay.
+func videoChunks(recs []ChunkRecord) []video.Chunk {
+	out := make([]video.Chunk, len(recs))
+	for i, c := range recs {
+		out[i] = video.Chunk{
+			Index:       c.Index,
+			DurationSec: c.DurationSec,
+			BitrateKbps: c.BitrateKbps,
+			Stats: display.ContentStats{
+				MeanLuma: c.MeanLuma,
+				PeakLuma: c.PeakLuma,
+				MeanR:    c.MeanR,
+				MeanG:    c.MeanG,
+				MeanB:    c.MeanB,
+			},
+		}
+	}
+	return out
+}
+
+// windowRef identifies a chunk-window slice by backing-array identity,
+// as the scheduler's own window interning does (scheduler.chunkRef).
+type windowRef struct {
+	first *video.Chunk
+	n     int
+}
+
+// windowTable interns the chunk windows of one record. The fast path is
+// slice identity: a stream's viewers share one []video.Chunk, so every
+// viewer after the first is one map lookup. Requests built with private
+// slices (the emulator's) fall back to content equality, found through a
+// content hash, so they still collapse to one entry per distinct window.
+type windowTable struct {
+	windows [][]ChunkRecord
+	byRef   map[windowRef]int
+	byHash  map[uint64]int
+}
+
+// intern returns the table index of a chunk window, adding it on first
+// sight. Allocation is per distinct window, never per request.
+func (t *windowTable) intern(chunks []video.Chunk) int {
+	var ref windowRef
+	if len(chunks) > 0 {
+		ref = windowRef{first: &chunks[0], n: len(chunks)}
+	}
+	if i, ok := t.byRef[ref]; ok {
+		return i
+	}
+	if t.byRef == nil {
+		t.byRef = make(map[windowRef]int)
+		t.byHash = make(map[uint64]int)
+	}
+	h := hashWindow(chunks)
+	i, ok := t.byHash[h]
+	if !ok || !sameWindow(t.windows[i], chunks) {
+		// A hash collision between two distinct windows only costs the
+		// later one its content dedupe: it is logged again, never wrongly
+		// merged.
+		i = len(t.windows)
+		t.windows = append(t.windows, newChunkRecords(chunks))
+		if !ok {
+			t.byHash[h] = i
+		}
+	}
+	t.byRef[ref] = i
+	return i
+}
+
+// hashWindow is FNV-1a over the decision-relevant chunk fields, floats
+// by bit pattern.
+func hashWindow(chunks []video.Chunk) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		for s := 0; s < 64; s += 8 {
+			h = (h ^ (v >> s & 0xff)) * 1099511628211
+		}
+	}
+	mix(uint64(len(chunks)))
+	for i := range chunks {
+		c := &chunks[i]
+		mix(uint64(c.Index))
+		mix(math.Float64bits(c.DurationSec))
+		mix(uint64(c.BitrateKbps))
+		mix(math.Float64bits(c.Stats.MeanLuma))
+		mix(math.Float64bits(c.Stats.PeakLuma))
+		mix(math.Float64bits(c.Stats.MeanR))
+		mix(math.Float64bits(c.Stats.MeanG))
+		mix(math.Float64bits(c.Stats.MeanB))
+	}
+	return h
+}
+
+// sameWindow reports whether a logged window is bit-for-bit the given
+// chunk window (floats by bit pattern, so -0 and NaN payloads never
+// merge with anything but themselves).
+func sameWindow(recs []ChunkRecord, chunks []video.Chunk) bool {
+	if len(recs) != len(chunks) {
+		return false
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i := range chunks {
+		r, c := &recs[i], &chunks[i]
+		if r.Index != c.Index || r.BitrateKbps != c.BitrateKbps ||
+			!same(r.DurationSec, c.DurationSec) ||
+			!same(r.MeanLuma, c.Stats.MeanLuma) || !same(r.PeakLuma, c.Stats.PeakLuma) ||
+			!same(r.MeanR, c.Stats.MeanR) || !same(r.MeanG, c.Stats.MeanG) || !same(r.MeanB, c.Stats.MeanB) {
+			return false
+		}
+	}
+	return true
+}
+
+// newRequestRecord captures one scheduler request; window points at the
+// request's index in the record's window table.
+func newRequestRecord(r *scheduler.Request, window *int) RequestRecord {
 	rec := RequestRecord{
 		Device:           r.DeviceID,
 		DisplayType:      r.Display.Type.String(),
@@ -289,29 +442,18 @@ func newRequestRecord(r *scheduler.Request) RequestRecord {
 		BatteryCapacityJ: r.BatteryCapacityJ,
 		BasePowerW:       r.BasePowerW,
 		Gamma:            r.Gamma,
-		Chunks:           make([]ChunkRecord, len(r.Chunks)),
+		Window:           window,
 	}
 	if r.Anxiety != nil {
 		a := NewAnxietyRecord(r.Anxiety)
 		rec.Anxiety = &a
 	}
-	for i, c := range r.Chunks {
-		rec.Chunks[i] = ChunkRecord{
-			Index:       c.Index,
-			DurationSec: c.DurationSec,
-			BitrateKbps: c.BitrateKbps,
-			MeanLuma:    c.Stats.MeanLuma,
-			PeakLuma:    c.Stats.PeakLuma,
-			MeanR:       c.Stats.MeanR,
-			MeanG:       c.Stats.MeanG,
-			MeanB:       c.Stats.MeanB,
-		}
-	}
 	return rec
 }
 
-// Request rebuilds the scheduler request for replay.
-func (r RequestRecord) Request() (scheduler.Request, error) {
+// request rebuilds the scheduler request for replay around its already
+// resolved chunk window.
+func (r *RequestRecord) request(chunks []video.Chunk) (scheduler.Request, error) {
 	var ty display.Type
 	switch r.DisplayType {
 	case display.LCD.String():
@@ -333,7 +475,7 @@ func (r RequestRecord) Request() (scheduler.Request, error) {
 		BatteryCapacityJ: r.BatteryCapacityJ,
 		BasePowerW:       r.BasePowerW,
 		Gamma:            r.Gamma,
-		Chunks:           make([]video.Chunk, len(r.Chunks)),
+		Chunks:           chunks,
 	}
 	if r.Anxiety != nil {
 		model, err := r.Anxiety.Model()
@@ -342,21 +484,37 @@ func (r RequestRecord) Request() (scheduler.Request, error) {
 		}
 		req.Anxiety = model
 	}
-	for i, c := range r.Chunks {
-		req.Chunks[i] = video.Chunk{
-			Index:       c.Index,
-			DurationSec: c.DurationSec,
-			BitrateKbps: c.BitrateKbps,
-			Stats: display.ContentStats{
-				MeanLuma: c.MeanLuma,
-				PeakLuma: c.PeakLuma,
-				MeanR:    c.MeanR,
-				MeanG:    c.MeanG,
-				MeanB:    c.MeanB,
-			},
+	return req, nil
+}
+
+// SchedulerRequests verifies the record and rebuilds its request set in
+// the logged order. Each window of the table is rebuilt once and shared
+// by every request that indexes it, so the replaying scheduler sees the
+// slice identity the live one saw; a schema-1 request gets a private
+// rebuild of its inline window.
+func (r *Record) SchedulerRequests() ([]scheduler.Request, error) {
+	if err := r.Verify(); err != nil {
+		return nil, err
+	}
+	windows := make([][]video.Chunk, len(r.Windows))
+	for i, w := range r.Windows {
+		windows[i] = videoChunks(w)
+	}
+	reqs := make([]scheduler.Request, len(r.Requests))
+	for i := range r.Requests {
+		rr := &r.Requests[i]
+		var chunks []video.Chunk
+		if rr.Window != nil {
+			chunks = windows[*rr.Window]
+		} else {
+			chunks = videoChunks(rr.Chunks)
+		}
+		var err error
+		if reqs[i], err = rr.request(chunks); err != nil {
+			return nil, err
 		}
 	}
-	return req, nil
+	return reqs, nil
 }
 
 // NewRecord assembles a tick's audit record from the request set (in
@@ -380,9 +538,15 @@ func NewRecord(slot int, vcID string, cfg scheduler.Config, reqs []scheduler.Req
 			Phase2Skipped: dec.Degraded.Phase2Skipped,
 		}
 	}
+	// One backing array holds every request's table index, so the
+	// per-request Window pointers cost the record a single allocation.
+	windowOf := make([]int, len(reqs))
+	var table windowTable
 	for i := range reqs {
-		rec.Requests[i] = newRequestRecord(&reqs[i])
+		windowOf[i] = table.intern(reqs[i].Chunks)
+		rec.Requests[i] = newRequestRecord(&reqs[i], &windowOf[i])
 	}
+	rec.Windows = table.windows
 	ids := make([]string, 0, len(dec.Verdicts))
 	for id := range dec.Verdicts {
 		ids = append(ids, id)
@@ -409,14 +573,49 @@ func (r *Record) Verdict(device string) (VerdictRecord, bool) {
 	return VerdictRecord{}, false
 }
 
-// Verify checks the record's internal consistency: schema version and
-// config hash.
+// Layout describes the record's shape for the CLIs' listings: its
+// schema, device count, and how its chunk windows are stored.
+func (r *Record) Layout() string {
+	if r.Schema == schemaInline {
+		return fmt.Sprintf("schema %d, %d devices, windows inline", r.Schema, len(r.Requests))
+	}
+	return fmt.Sprintf("schema %d, %d devices, %d-entry window table", r.Schema, len(r.Requests), len(r.Windows))
+}
+
+// Verify checks the record's internal consistency: a known schema
+// version, the config hash, and a chunk-window layout that is wholly
+// the one its schema declares. Schema 2 means a table and an in-range
+// index on every request, with no inline chunks; schema 1 means inline
+// chunks only. Any mixture is rejected. A table entry no request
+// indexes is harmless and accepted.
 func (r *Record) Verify() error {
-	if r.Schema != SchemaVersion {
-		return fmt.Errorf("audit: schema %d, want %d", r.Schema, SchemaVersion)
+	if r.Schema != SchemaVersion && r.Schema != schemaInline {
+		return fmt.Errorf("audit: schema %d, want %d or %d", r.Schema, schemaInline, SchemaVersion)
 	}
 	if got := r.Config.Hash(); got != r.ConfigHash {
 		return fmt.Errorf("audit: config hash mismatch: record says %s, config hashes to %s", r.ConfigHash, got)
+	}
+	if r.Schema == schemaInline {
+		if r.Windows != nil {
+			return fmt.Errorf("audit: schema %d record carries a window table", schemaInline)
+		}
+		for i := range r.Requests {
+			if rr := &r.Requests[i]; rr.Window != nil {
+				return fmt.Errorf("audit: request %d (%s): schema %d request carries a window index", i, rr.Device, schemaInline)
+			}
+		}
+		return nil
+	}
+	for i := range r.Requests {
+		rr := &r.Requests[i]
+		switch {
+		case rr.Chunks != nil:
+			return fmt.Errorf("audit: request %d (%s): schema %d request carries inline chunks", i, rr.Device, SchemaVersion)
+		case rr.Window == nil:
+			return fmt.Errorf("audit: request %d (%s): schema %d request has no window index", i, rr.Device, SchemaVersion)
+		case *rr.Window < 0 || *rr.Window >= len(r.Windows):
+			return fmt.Errorf("audit: request %d (%s): window %d outside the record's %d-entry table", i, rr.Device, *rr.Window, len(r.Windows))
+		}
 	}
 	return nil
 }
@@ -445,8 +644,10 @@ func Decode(line []byte) (*Record, error) {
 	return &rec, nil
 }
 
-// maxLine bounds one record line (a 10k-device tick with full chunk
-// windows stays well under this).
+// maxLine bounds one record line. A schema-2 line is about half a
+// kilobyte per device plus its window table; the bound is sized for the
+// schema-1 logs still on disk, where a 10k-device tick inlined its
+// 30-chunk window once per device (~64 MB).
 const maxLine = 256 << 20
 
 // ReadAll decodes every record of a JSONL stream. Blank lines are

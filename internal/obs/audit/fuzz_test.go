@@ -2,12 +2,15 @@ package audit
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
 // FuzzAuditDecode hardens the JSONL decoder against arbitrary input:
-// Decode must never panic, and anything it accepts must re-encode and
-// decode to the same verified record.
+// Decode must never panic, and anything it accepts — in either schema —
+// must re-encode and decode to the same verified record. New seeds go
+// after the first six, whose corpus names the gate pins.
 func FuzzAuditDecode(f *testing.F) {
 	valid, err := func() ([]byte, error) {
 		rec := seedRecord()
@@ -22,6 +25,33 @@ func FuzzAuditDecode(f *testing.F) {
 	f.Add([]byte(`{"schema":1,"config_hash":"x","config":{}}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`{"schema":1,"unknown_field":true}`))
+	// One valid line per schema with requests in it, then each malformed
+	// window layout Verify must refuse.
+	for _, name := range []string{"record.golden.jsonl", "record.v2.golden.jsonl"} {
+		line, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.TrimSpace(line))
+	}
+	for _, mutate := range []func(r *Record){
+		func(r *Record) { r.Requests[0].Window = windowIndex(5) },
+		func(r *Record) { r.Requests[0].Window = windowIndex(-1) },
+		func(r *Record) { r.Requests[0].Window = nil },
+		func(r *Record) { r.Requests[0].Chunks = r.Windows[0] },
+		func(r *Record) { r.Schema = 1 },
+		func(r *Record) { r.Windows = append(r.Windows, nil, []ChunkRecord{}) },
+	} {
+		rec := seedRecord()
+		rec.Windows = [][]ChunkRecord{{{Index: 0, DurationSec: 10, BitrateKbps: 4000, MeanLuma: 0.4, PeakLuma: 0.8}}}
+		rec.Requests = []RequestRecord{{Device: "d", DisplayType: "OLED", Window: windowIndex(0)}}
+		mutate(rec)
+		line, err := rec.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.TrimSpace(line))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		rec, err := Decode(line)
 		if err != nil {
@@ -44,6 +74,8 @@ func FuzzAuditDecode(f *testing.F) {
 		}
 	})
 }
+
+func windowIndex(i int) *int { return &i }
 
 // seedRecord builds a small valid record without testing.T plumbing.
 func seedRecord() *Record {

@@ -40,7 +40,8 @@ func (r *ReplayResult) Diff() string {
 // and reason codes. The scheduler's determinism contract makes any
 // divergence a bug (or a tampered record), never noise.
 func (r *Record) Replay() (*ReplayResult, error) {
-	if err := r.Verify(); err != nil {
+	reqs, err := r.SchedulerRequests()
+	if err != nil {
 		return nil, err
 	}
 	cfg, err := r.Config.SchedulerConfig()
@@ -50,13 +51,6 @@ func (r *Record) Replay() (*ReplayResult, error) {
 	s, err := scheduler.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("audit: replay: rebuild scheduler: %w", err)
-	}
-	reqs := make([]scheduler.Request, len(r.Requests))
-	for i := range r.Requests {
-		reqs[i], err = r.Requests[i].Request()
-		if err != nil {
-			return nil, err
-		}
 	}
 	var dec scheduler.Decision
 	if r.Degraded != nil {

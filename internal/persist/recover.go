@@ -41,19 +41,21 @@ func RecoverFromAudit(recs []*audit.Record) (*Snapshot, error) {
 		if rec.Slot > maxSlot {
 			maxSlot = rec.Slot
 		}
-		for i := range rec.Requests {
-			rr := &rec.Requests[i]
-			req, err := rr.Request()
-			if err != nil {
-				return nil, fmt.Errorf("persist: audit slot %d: %w", rec.Slot, err)
-			}
-			di := devs[rr.Device]
+		// Either schema rebuilds through the record, which resolves each
+		// request's chunk window (table or inline) before handing it back.
+		reqs, err := rec.SchedulerRequests()
+		if err != nil {
+			return nil, fmt.Errorf("persist: audit slot %d: %w", rec.Slot, err)
+		}
+		for i := range reqs {
+			req := &reqs[i]
+			di := devs[req.DeviceID]
 			if di == nil {
 				di = &devInfo{}
-				devs[rr.Device] = di
+				devs[req.DeviceID] = di
 			}
 			di.slot = rec.Slot
-			di.gamma = rr.Gamma
+			di.gamma = req.Gamma
 			di.spec = req.Display
 		}
 		for _, v := range rec.Verdicts {

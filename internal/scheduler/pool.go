@@ -410,8 +410,15 @@ func (d Decision) Canonical() []byte {
 	if d.Degraded.Any() {
 		fmt.Fprintf(&b, "degraded=phase1:%t phase2:%t\n", d.Degraded.Phase1Greedy, d.Degraded.Phase2Skipped)
 	}
+	// Written piecewise: a Fprintf("%s=%t") here boxes one string per
+	// device, which the audit path pays on every tick.
 	for _, id := range ids {
-		fmt.Fprintf(&b, "%s=%t\n", id, d.Transform[id])
+		b.WriteString(id)
+		if d.Transform[id] {
+			b.WriteString("=true\n")
+		} else {
+			b.WriteString("=false\n")
+		}
 	}
 	return b.Bytes()
 }

@@ -38,20 +38,41 @@ type ingestScratch struct {
 	results []BatchReportResult
 }
 
-// getScratch checks a workspace out of the ingest pool, counting gets
-// and misses for the lpvs_ingest_pool_* hit-rate telemetry.
+// ingestFreeCap bounds the ingest free list: enough workspaces for the
+// handful of binary batches a daemon decodes at once. A burst beyond it
+// allocates fresh workspaces and drops them to the GC on return.
+const ingestFreeCap = 8
+
+// getScratch checks a workspace out of the ingest free list (LIFO, so
+// the warmest decoder and intern table go out first), counting gets and
+// misses for the lpvs_ingest_pool_* hit-rate telemetry. A plain bounded
+// list rather than a sync.Pool: a workspace survives garbage
+// collections, so its intern table and record slice are grown once, and
+// a put is always met by the next get — a sync.Pool may drop either,
+// which made the hit-rate telemetry unpinnable under the race detector.
 func (s *Server) getScratch() *ingestScratch {
 	s.ingestPoolGets.Add(1)
-	if sc, ok := s.ingestPool.Get().(*ingestScratch); ok {
-		return sc
+	var sc *ingestScratch
+	s.ingestFreeMu.Lock()
+	if n := len(s.ingestFree); n > 0 {
+		sc, s.ingestFree[n-1] = s.ingestFree[n-1], nil
+		s.ingestFree = s.ingestFree[:n-1]
 	}
-	s.ingestPoolMisses.Add(1)
-	return &ingestScratch{dec: wire.NewDecoder(nil)}
+	s.ingestFreeMu.Unlock()
+	if sc == nil {
+		s.ingestPoolMisses.Add(1)
+		sc = &ingestScratch{dec: wire.NewDecoder(nil)}
+	}
+	return sc
 }
 
 func (s *Server) putScratch(sc *ingestScratch) {
 	sc.dec.Reset(nil)
-	s.ingestPool.Put(sc)
+	s.ingestFreeMu.Lock()
+	if len(s.ingestFree) < ingestFreeCap {
+		s.ingestFree = append(s.ingestFree, sc)
+	}
+	s.ingestFreeMu.Unlock()
 }
 
 // noteIngest records one decoded report payload in the codec-split

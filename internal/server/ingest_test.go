@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -352,9 +351,6 @@ func TestMixedCodecIngestRace(t *testing.T) {
 // split are pinned against the text exposition, and the uint64 status
 // mirrors must agree with the counters.
 func TestIngestMetricsConformance(t *testing.T) {
-	// sync.Pool's fast slot is per-P: on one P the second request's Get
-	// meets the first request's Put, whichever goroutines serve them.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	_, ts := testServer(t, -1)
 	single := validReport("dev-json")
 	postJSON(t, ts.URL+"/v1/report", single, nil)

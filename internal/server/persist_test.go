@@ -251,6 +251,67 @@ func TestCorruptSnapshotFallsBackToAudit(t *testing.T) {
 	}
 }
 
+// TestAuditLadderReadsOldAndMixedLogs takes the audit rung of the
+// recovery ladder over logs the current writer cannot produce: the
+// checked-in schema-1 log (cmd/lpvs-audit/testdata/v1, 16 devices over
+// slots 0-5) on its own, then the mixed log a daemon upgraded mid-run
+// leaves once this binary has appended schema-2 records to it.
+// TestCorruptSnapshotFallsBackToAudit is the schema-2-only case.
+func TestAuditLadderReadsOldAndMixedLogs(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("..", "..", "cmd", "lpvs-audit", "testdata", "v1", audit.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	auditDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(auditDir, audit.FileName), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Each boot gets a fresh, empty snapshot dir: the ladder's first rung
+	// finds no file and demotes to the log.
+	boot := func() (*Server, *httptest.Server) {
+		return persistServer(t, func(c *Config) { c.AuditDir = auditDir; c.SnapshotDir = t.TempDir() })
+	}
+
+	// Boot 1: schema-1 log only.
+	s, ts := boot()
+	var st StatusResponse
+	getJSON(t, ts.URL+"/v1/status", &st)
+	if st.RestorePath != RestoreAudit || st.Devices != 16 || st.Slot != 6 {
+		t.Fatalf("schema-1 log: restore path %q (%s), %d devices at slot %d; want audit, 16 at 6",
+			st.RestorePath, st.RestoreDetail, st.Devices, st.Slot)
+	}
+	// The upgraded daemon keeps appending to the same file.
+	driveSlots(t, ts.URL, 8, 6, 9)
+	ts.Close()
+	s.Close()
+
+	recs := readAudit(t, auditDir)
+	if len(recs) != 9 || recs[5].Schema != 1 || recs[6].Schema != audit.SchemaVersion {
+		t.Fatalf("mixed log holds %d records, schemas %d then %d", len(recs), recs[5].Schema, recs[6].Schema)
+	}
+	if diverged, err := audit.ReplayAll(recs); err != nil || len(diverged) != 0 {
+		t.Fatalf("mixed log replay: diverged %v, err %v", diverged, err)
+	}
+
+	// Boot 2: the mixed log.
+	s2, ts2 := boot()
+	defer s2.Close()
+	defer ts2.Close()
+	getJSON(t, ts2.URL+"/v1/status", &st)
+	if st.RestorePath != RestoreAudit || st.Devices != 16+8 || st.Slot != 9 {
+		t.Fatalf("mixed log: restore path %q (%s), %d devices at slot %d; want audit, 24 at 9",
+			st.RestorePath, st.RestoreDetail, st.Devices, st.Slot)
+	}
+	// A device last seen in a schema-1 record and one last seen in a
+	// schema-2 record both came back with their logged decision state.
+	for _, id := range []string{recs[5].Requests[0].Device, "dev-03"} {
+		if resp, err := http.Get(ts2.URL + "/v1/decision?device=" + id); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("decision for recovered device %s: %v %v", id, resp, err)
+		}
+	}
+}
+
 // TestCorruptSnapshotFallsBackToCold: with no audit log either, boot
 // demotes all the way to a cold start — empty but alive.
 func TestCorruptSnapshotFallsBackToCold(t *testing.T) {

@@ -175,11 +175,12 @@ type Server struct {
 	shed     atomic.Uint64
 	degraded atomic.Uint64
 
-	// Report-ingest state (DESIGN.md §16). The pool recycles decode
+	// Report-ingest state (DESIGN.md §16). The free list recycles decode
 	// scratch (decoder + record slices) across requests; the counters
 	// are atomics because ingest happens outside s.mu while /v1/status
 	// and /metrics read them. Byte/record totals are uint64 end to end.
-	ingestPool        sync.Pool
+	ingestFreeMu      sync.Mutex
+	ingestFree        []*ingestScratch // bounded LIFO, see getScratch
 	ingestPoolGets    atomic.Uint64
 	ingestPoolMisses  atomic.Uint64
 	ingestBytesJSON   atomic.Uint64
