@@ -4,8 +4,9 @@
 
 GO ?= go
 
-# Per-target budget for `make fuzz-smoke`.
-FUZZTIME ?= 10s
+# Per-target budget for `make fuzz-smoke`; raise it (FUZZTIME=1m) for a
+# longer shake before a release or after touching a fuzzed surface.
+FUZZTIME ?= 3s
 
 .PHONY: all build test race vet vet-extra fmt check bench bench-smoke fuzz-smoke audit-replay chaos-smoke slo-smoke snapshot-smoke flight-smoke ingest-smoke shard-smoke
 
@@ -44,7 +45,7 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-check: fmt vet vet-extra build race audit-replay chaos-smoke slo-smoke snapshot-smoke flight-smoke ingest-smoke shard-smoke bench-smoke
+check: fmt vet vet-extra build race audit-replay chaos-smoke slo-smoke snapshot-smoke flight-smoke ingest-smoke shard-smoke bench-smoke fuzz-smoke
 
 # shard-smoke drives the federation stack (DESIGN.md §17) end to end:
 # the consistent-hash property tests, the shard daemon's /v1/shard/*
@@ -148,10 +149,11 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/lpvs-benchjson -benchtime 1x -out /dev/null
 
-# fuzz-smoke runs every Fuzz* target for FUZZTIME each — a quick
-# coverage-guided shake beyond the checked-in seed corpora. Not part of
-# `make check` (fuzzing is wall-clock-bound); run it before releases or
-# after touching a fuzzed surface.
+# fuzz-smoke runs every Fuzz* target for FUZZTIME each — a time-boxed
+# coverage-guided shake beyond the checked-in seed corpora, inside
+# `make check`. An input that fails is written by the toolchain to the
+# package's testdata/fuzz/<Target>/ and from then on runs as a seed of
+# the plain `go test`; check it in with the fix.
 fuzz-smoke:
 	@for pkg in $$($(GO) list ./...); do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \

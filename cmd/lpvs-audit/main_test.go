@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -144,5 +145,47 @@ func TestExplainCommand(t *testing.T) {
 	}
 	if err := runExplain([]string{dir}); err == nil {
 		t.Fatal("missing -device accepted")
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	ferr := f()
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), ferr
+}
+
+// TestReplayCommandExplainsNodeCappedRecord runs the record a build
+// without the cardinality bound logged with optimal=false (its search
+// stopped at max_nodes; see internal/obs/audit/nodecapped_test.go).
+// This build proves that selection, so the bytes differ in the flag:
+// replay still reports the divergence and recover still refuses the
+// log, but the printed diff says what happened.
+func TestReplayCommandExplainsNodeCappedRecord(t *testing.T) {
+	fixture := filepath.Join("..", "..", "internal", "obs", "audit", "testdata", "record.nodecapped.jsonl")
+	out, err := captureStdout(t, func() error { return runReplay([]string{"-v", fixture}) })
+	if err == nil || !strings.Contains(err.Error(), "1 of 1 records diverged") {
+		t.Fatalf("node-capped record: replay returned %v, want a divergence", err)
+	}
+	if !strings.Contains(out, "DIVERGED") ||
+		strings.Count(out, "logged search was node-capped; this build proves the selection\n") != 1 {
+		t.Fatalf("replay output does not explain the divergence:\n%s", out)
+	}
+	err = runRecover([]string{"-out", filepath.Join(t.TempDir(), "recovered.lpvs"), fixture})
+	if err == nil || !strings.Contains(err.Error(), "node-capped") {
+		t.Fatalf("recover from a diverging log returned %v, want a refusal carrying the explanation", err)
 	}
 }

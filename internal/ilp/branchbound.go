@@ -56,12 +56,21 @@ type BBConfig struct {
 	Deadline time.Time
 }
 
-// DefaultMaxNodes bounds the search effort; random LPVS instances
-// typically close the gap within a few thousand nodes.
+// DefaultMaxNodes bounds the search effort. It is a backstop, not a
+// typical cost: instances with distinct weights close the gap within a
+// few thousand nodes, and the tied-weight shapes Phase-1 produces (one
+// storage weight per VC, one compute weight per display resolution) are
+// closed by the cardinality bound, usually at the root. A search that
+// does reach the cap returns its incumbent with Optimal=false.
 const DefaultMaxNodes = 200_000
 
-// boundTol is the bound-pruning slack: a subtree is abandoned when its
-// upper bound does not beat the incumbent by more than this.
+// boundTol is the search's one numeric slack. A subtree is abandoned
+// when its upper bound does not beat the incumbent by more than this,
+// and an item is admitted when it overshoots the remaining capacity by
+// no more than this (the overshoot does not accumulate: remaining never
+// drops below -boundTol). The cardinality bound counts fitting items
+// under the same admission rule, so it never counts fewer items than
+// the search itself could take.
 const boundTol = 1e-9
 
 // deadlineCheckMask throttles the wall-clock polling of the anytime
@@ -75,55 +84,81 @@ const deadlineCheckMask = 0x3FF
 // state that never escapes into a Solution lives here; incumbent X
 // vectors are still allocated per call.
 type bbScratch struct {
-	order     []int
-	pos       []int
+	// Shared by Greedy and BranchBound (grow).
+	order     []int // branching order: decreasing value density
 	density   []float64
-	consOrder [][]int
 	remaining []float64
-	suffix    []float64
-	cur       []bool
-	greedyX   []bool
+
+	// BranchBound only (growSearch). Every index order is sorted once
+	// per call, so a bound evaluation is a linear scan that skips the
+	// items the current branch has already decided (pos[item] < k).
+	pos         []int   // pos[item] = its index in the branching order
+	consOrder   [][]int // per constraint: decreasing value/weight (Dantzig bound)
+	weightOrder [][]int // per constraint: increasing weight (cardinality bound)
+	valueOrder  []int   // decreasing value, ties in branching order (cardinality bound)
+	suffix      []float64
+	cur         []bool
+	greedyX     []bool
 }
 
 var bbScratchPool = sync.Pool{New: func() any { return new(bbScratch) }}
 
-// grow resizes every scratch slice for an n-item, m-constraint problem.
+// grow resizes the slices both solvers use for an n-item, m-constraint
+// problem.
 func (sc *bbScratch) grow(n, m int) {
 	if cap(sc.order) < n {
 		sc.order = make([]int, n)
-		sc.pos = make([]int, n)
 		sc.density = make([]float64, n)
-		sc.cur = make([]bool, n)
-		sc.greedyX = make([]bool, n)
-		sc.suffix = make([]float64, n+1)
 	}
 	sc.order = sc.order[:n]
-	sc.pos = sc.pos[:n]
 	sc.density = sc.density[:n]
-	sc.cur = sc.cur[:n]
-	sc.greedyX = sc.greedyX[:n]
-	sc.suffix = sc.suffix[:n+1]
 	if cap(sc.remaining) < m {
 		sc.remaining = make([]float64, m)
 	}
 	sc.remaining = sc.remaining[:m]
-	for cap(sc.consOrder) < m {
-		sc.consOrder = append(sc.consOrder[:cap(sc.consOrder)], nil)
+}
+
+// growSearch resizes the slices only the branch-and-bound search uses;
+// Greedy never calls it, so it pays for none of the bound orders.
+func (sc *bbScratch) growSearch(n, m int) {
+	if cap(sc.pos) < n {
+		sc.pos = make([]int, n)
+		sc.valueOrder = make([]int, n)
+		sc.cur = make([]bool, n)
+		sc.greedyX = make([]bool, n)
+		sc.suffix = make([]float64, n+1)
 	}
-	sc.consOrder = sc.consOrder[:m]
-	for j := range sc.consOrder {
-		if cap(sc.consOrder[j]) < n {
-			sc.consOrder[j] = make([]int, n)
+	sc.pos = sc.pos[:n]
+	sc.valueOrder = sc.valueOrder[:n]
+	sc.cur = sc.cur[:n]
+	sc.greedyX = sc.greedyX[:n]
+	sc.suffix = sc.suffix[:n+1]
+	sc.consOrder = growOrders(sc.consOrder, n, m)
+	sc.weightOrder = growOrders(sc.weightOrder, n, m)
+}
+
+// growOrders resizes a per-constraint family of index orders to m rows
+// of n entries, reusing whatever capacity the rows already have.
+func growOrders(orders [][]int, n, m int) [][]int {
+	for cap(orders) < m {
+		orders = append(orders[:cap(orders)], nil)
+	}
+	orders = orders[:m]
+	for j := range orders {
+		if cap(orders[j]) < n {
+			orders[j] = make([]int, n)
 		}
-		sc.consOrder[j] = sc.consOrder[j][:n]
+		orders[j] = orders[j][:n]
 	}
+	return orders
 }
 
 // BranchBound solves the 0/1 problem exactly (up to the node limit) by
 // depth-first branch and bound. Items are explored in value-density
-// order; the upper bound at each node is the tightest of the per-
-// constraint fractional (Dantzig) knapsack bounds, each of which is a
-// valid relaxation of the multi-constraint problem. The greedy solution
+// order; the upper bound at each node is the tightest of the suffix
+// sum, the per-constraint fractional (Dantzig) knapsack bounds and the
+// cardinality bound (see cardinalityBound), each of which is a valid
+// relaxation of the multi-constraint problem. The greedy solution
 // primes the incumbent so pruning is effective immediately; a caller-
 // supplied WarmStart seed can prime it higher (see BBConfig).
 //
@@ -145,34 +180,16 @@ func BranchBound(p *Problem, cfg BBConfig) (Solution, error) {
 	sc := bbScratchPool.Get().(*bbScratch)
 	defer bbScratchPool.Put(sc)
 	sc.grow(n, len(p.Constraints))
+	sc.growSearch(n, len(p.Constraints))
 
 	// Density order: value per unit of normalised weight across
 	// constraints. Items that fit nowhere sort last.
 	order := sc.order
 	densityOrderInto(p, order, sc.density)
-	pos := sc.pos // pos[item] = its index in the branching order
 	for k, item := range order {
-		pos[item] = k
+		sc.pos[item] = k
 	}
-
-	// Per-constraint orders sorted by value/weight once, so each bound
-	// evaluation is a linear scan instead of a sort.
-	consOrder := sc.consOrder
-	for j, c := range p.Constraints {
-		idx := consOrder[j]
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			ia, ib := idx[a], idx[b]
-			wa, wb := c.Weights[ia], c.Weights[ib]
-			// Zero-weight items are free under this constraint: first.
-			if wa == 0 || wb == 0 {
-				return wa == 0 && wb != 0
-			}
-			return p.Values[ia]*wb > p.Values[ib]*wa
-		})
-	}
+	sc.sortBoundOrders(p)
 
 	// Greedy incumbent, computed over the shared density order with the
 	// exact admission rule of Greedy().
@@ -182,7 +199,6 @@ func BranchBound(p *Problem, cfg BBConfig) (Solution, error) {
 	remaining := sc.remaining
 	cur := sc.cur
 	bestX := make([]bool, n)
-	st := &bbState{p: p}
 
 	// suffix[k] = total value of items order[k:] — a cheap extra bound
 	// component.
@@ -229,17 +245,20 @@ func BranchBound(p *Problem, cfg BBConfig) (Solution, error) {
 			if k == n {
 				return
 			}
-			// Bound: fractional knapsack on each constraint over the
-			// remaining items; the integer optimum of the subtree cannot
-			// exceed any of them.
+			// Bound: the integer optimum of the subtree cannot exceed the
+			// fractional knapsack optimum of any one constraint over the
+			// remaining items, nor the best values of as many items as
+			// can still fit. The cardinality term is evaluated only when
+			// the cheaper ones fail to prune; the node is cut exactly when
+			// the minimum of all three is within boundTol of the incumbent.
 			ub := value + suffix[k]
 			for j := range p.Constraints {
-				b := value + st.fractionalBound(consOrder[j], pos, k, j, remaining[j])
+				b := value + sc.fractionalBound(p, j, k)
 				if b < ub {
 					ub = b
 				}
 			}
-			if ub <= best+boundTol {
+			if ub <= best+boundTol || value+sc.cardinalityBound(p, k) <= best+boundTol {
 				return
 			}
 
@@ -340,38 +359,116 @@ func warmSeedValue(p *Problem, seed []bool, order []int, greedyValue float64) (f
 	return value, true
 }
 
+// sortBoundOrders fills the index orders the bounds scan; order must
+// already hold the branching order.
+func (sc *bbScratch) sortBoundOrders(p *Problem) {
+	for j, c := range p.Constraints {
+		idx := sc.consOrder[j]
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(a, b int) bool {
+			ia, ib := idx[a], idx[b]
+			wa, wb := c.Weights[ia], c.Weights[ib]
+			// Zero-weight items are free under this constraint: first.
+			if wa == 0 || wb == 0 {
+				return wa == 0 && wb != 0
+			}
+			return p.Values[ia]*wb > p.Values[ib]*wa
+		})
+		byWeight := sc.weightOrder[j]
+		for i := range byWeight {
+			byWeight[i] = i
+		}
+		sort.SliceStable(byWeight, func(a, b int) bool { return c.Weights[byWeight[a]] < c.Weights[byWeight[b]] })
+	}
+	// Stable over the branching order, so equal values keep it.
+	byValue := sc.valueOrder
+	copy(byValue, sc.order)
+	sort.SliceStable(byValue, func(a, b int) bool { return p.Values[byValue[a]] > p.Values[byValue[b]] })
+}
+
 // fractionalBound computes the Dantzig bound for constraint j over the
 // still-undecided items (branching position >= k): fill greedily in the
 // constraint's pre-sorted density order, taking the last item
 // fractionally. Items with zero weight in the constraint are free under
 // it and contribute fully. The result is the LP optimum of the single-
 // constraint relaxation, hence a valid upper bound for the subtree.
-func (bb *bbState) fractionalBound(consOrder []int, pos []int, k, j int, capacity float64) float64 {
-	c := bb.p.Constraints[j]
+func (sc *bbScratch) fractionalBound(p *Problem, j, k int) float64 {
+	c := p.Constraints[j]
 	bound := 0.0
-	remaining := capacity
-	for _, idx := range consOrder {
-		if pos[idx] < k {
+	remaining := sc.remaining[j]
+	for _, idx := range sc.consOrder[j] {
+		if sc.pos[idx] < k {
 			continue // already decided on this branch
 		}
 		w := c.Weights[idx]
 		if w == 0 {
-			bound += bb.p.Values[idx]
+			bound += p.Values[idx]
 			continue
 		}
 		if w <= remaining {
-			bound += bb.p.Values[idx]
+			bound += p.Values[idx]
 			remaining -= w
 		} else {
-			bound += bb.p.Values[idx] * remaining / w
+			bound += p.Values[idx] * remaining / w
 			break
 		}
 	}
 	return bound
 }
 
-// bbState carries the problem through bound evaluations.
-type bbState struct{ p *Problem }
+// cardinalityBound bounds the subtree below branching position k by
+// how many more items can be taken at all. Under constraint j no
+// selection of undecided items outnumbers the lightest-first fill of
+// the remaining capacity — any other selection of that size weighs at
+// least as much — and the fill uses the search's own admission rule
+// (overshoot up to boundTol allowed, zero-weight items free), so it
+// counts every item the search could admit. With m the smallest such
+// count over the constraints, the subtree adds at most the m largest
+// undecided values.
+//
+// The Dantzig bound cannot see this when weights tie: it spends the
+// capacity left after the last whole item on a fraction of the next
+// one, so with equal weights it sits frac*value above a selection that
+// is already optimal and the search enumerates ties until the node
+// cap. Phase-1 rows are exactly that shape — the storage row has one
+// weight per VC, the compute row one per display resolution.
+func (sc *bbScratch) cardinalityBound(p *Problem, k int) float64 {
+	m := len(sc.order) - k
+	for j, c := range p.Constraints {
+		remaining := sc.remaining[j]
+		fit := 0
+		for _, idx := range sc.weightOrder[j] {
+			if fit == m {
+				break // this constraint cannot lower the count further
+			}
+			if sc.pos[idx] < k {
+				continue
+			}
+			if w := c.Weights[idx]; w > 0 {
+				if w > remaining+boundTol {
+					break
+				}
+				remaining -= w
+			}
+			fit++
+		}
+		m = fit
+	}
+	bound := 0.0
+	for _, idx := range sc.valueOrder {
+		if m == 0 {
+			break
+		}
+		if sc.pos[idx] < k {
+			continue
+		}
+		bound += p.Values[idx]
+		m--
+	}
+	return bound
+}
 
 // densityOrderInto sorts item indices by decreasing value density into
 // order, where an item's weight is its maximum capacity-normalised
@@ -401,14 +498,6 @@ func densityOrderInto(p *Problem, order []int, density []float64) {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return density[order[a]] > density[order[b]] })
-}
-
-// densityOrder is the allocating form of densityOrderInto.
-func densityOrder(p *Problem) []int {
-	n := p.N()
-	order := make([]int, n)
-	densityOrderInto(p, order, make([]float64, n))
-	return order
 }
 
 // greedyInto runs the greedy admission scan over a precomputed density

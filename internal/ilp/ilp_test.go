@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -133,27 +134,63 @@ func TestBranchBoundMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 5 + rng.Intn(12)
 		m := 1 + rng.Intn(3)
-		p := randomProblem(rng, n, m)
-		got, err := BranchBound(p, BBConfig{})
-		if err != nil {
-			t.Fatal(err)
+		checkAgainstBruteForce(t, fmt.Sprintf("trial %d", trial), randomProblem(rng, n, m))
+	}
+	// Tied and class-structured weights, the shapes the cardinality
+	// bound prunes on: one to four weight levels in the first row, one
+	// in the second, and every third instance with the first capacity an
+	// exact multiple of its (single) weight or with free items mixed in.
+	for trial := 0; trial < 120; trial++ {
+		n := 2 + rng.Intn(13) // 2..14
+		classes := 1 + trial%4
+		p := phase1Shaped(rng, n, resolutionWeights[:classes])
+		p.Constraints[0].Capacity = rng.Uniform(0.5, 2.25*float64(n))
+		p.Constraints[1].Capacity = windowWeight * float64(1+rng.Intn(n))
+		switch trial % 3 {
+		case 1:
+			if classes == 1 {
+				p.Constraints[0].Capacity = p.Constraints[0].Weights[0] * float64(1+rng.Intn(n))
+			}
+		case 2:
+			p.Constraints[rng.Intn(2)].Weights[rng.Intn(n)] = 0
 		}
-		want, err := BruteForce(p)
-		if err != nil {
-			t.Fatal(err)
+		checkAgainstBruteForce(t, fmt.Sprintf("%d-class trial %d", classes, trial), p)
+	}
+	// Weights of 0.1 against a capacity of k/10: taking k items leaves a
+	// remainder a few ulps below zero or the k-th item a few ulps short
+	// of fitting, which the search admits (boundTol). A cardinality count
+	// without the same slack says k-1 and cuts the optimum off.
+	for trial := 0; trial < 60; trial++ {
+		p := randomProblem(rng, 3+rng.Intn(12), 2)
+		for i := range p.Constraints[0].Weights {
+			p.Constraints[0].Weights[i] = 0.1
 		}
-		if !got.Optimal {
-			t.Fatalf("trial %d: not proven optimal", trial)
-		}
-		if math.Abs(got.Value-want.Value) > 1e-6 {
-			t.Fatalf("trial %d: BB value %v, brute force %v", trial, got.Value, want.Value)
-		}
-		if !p.Feasible(got.X) {
-			t.Fatalf("trial %d: infeasible BB solution", trial)
-		}
-		if math.Abs(p.Value(got.X)-got.Value) > 1e-9 {
-			t.Fatalf("trial %d: reported value inconsistent with assignment", trial)
-		}
+		p.Constraints[0].Capacity = float64(1+rng.Intn(p.N())) / 10
+		checkAgainstBruteForce(t, fmt.Sprintf("tenths trial %d", trial), p)
+	}
+}
+
+func checkAgainstBruteForce(t *testing.T, name string, p *Problem) {
+	t.Helper()
+	got, err := BranchBound(p, BBConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := BruteForce(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Optimal {
+		t.Fatalf("%s: not proven optimal", name)
+	}
+	if math.Abs(got.Value-want.Value) > 1e-6 {
+		t.Fatalf("%s: BB value %v, brute force %v", name, got.Value, want.Value)
+	}
+	if !p.Feasible(got.X) {
+		t.Fatalf("%s: infeasible BB solution", name)
+	}
+	if math.Abs(p.Value(got.X)-got.Value) > 1e-9 {
+		t.Fatalf("%s: reported value inconsistent with assignment", name)
 	}
 }
 

@@ -13,6 +13,21 @@
 // Phase-1 of the paper's two-phase heuristic ("which devices get video
 // transforming") is exactly this shape: maximising total energy saving
 // under the edge server's compute and storage capacities.
+//
+// BranchBound prunes a subtree when an upper bound on it is within
+// boundTol of the incumbent. The bound is the minimum of three valid
+// relaxations: the sum of the undecided values, each constraint's
+// Dantzig bound (its own LP optimum), and the cardinality bound — the
+// largest values of as many undecided items as fit any constraint when
+// taken lightest first. The last one is what closes Phase-1 problems,
+// whose rows hold one weight per stream window or display resolution:
+// with tied weights the Dantzig bound never rounds capacity/weight down
+// to a whole item and cannot separate an optimal selection from its
+// ties. The search admits an item that overshoots the remaining
+// capacity by at most boundTol (absorbing rounding when a selection
+// fills a capacity exactly); the cardinality count applies the same
+// slack, so it never counts fewer items than the search can take and
+// the bound stays valid for exactly the solutions the search explores.
 package ilp
 
 import (

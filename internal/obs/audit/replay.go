@@ -31,14 +31,48 @@ func (r *ReplayResult) Diff() string {
 	for _, d := range r.ReasonDiffs {
 		out += "reason diverged: " + d + "\n"
 	}
+	if r.provenSinceLogged() {
+		out += "logged search was node-capped; this build proves the selection\n"
+	}
 	return out
+}
+
+// provenSinceLogged recognises the one divergence a sound scheduler
+// change can cause: the logging build's Phase-1 search stopped at its
+// node limit (optimal=false), this build's search of the same problem
+// finishes, and nothing else moved — same counters, a Phase-1 value no
+// lower, every line after the header (the transform vector) and every
+// reason code identical. The record still does not Match: where a
+// truncated search stops depends on the build's bound as well as on the
+// record, so its bytes are not owed across builds, and callers that
+// gate on Match (audit recovery) stay on the safe side. This only
+// explains the mismatch to whoever reads the diff.
+func (r *ReplayResult) provenSinceLogged() bool {
+	if len(r.ReasonDiffs) != 0 {
+		return false
+	}
+	want, wantRest, ok := scheduler.ParseCanonicalHeader(r.Want)
+	if !ok {
+		return false
+	}
+	got, gotRest, ok := scheduler.ParseCanonicalHeader(r.Got)
+	if !ok || gotRest != wantRest {
+		return false
+	}
+	if want.OptimalPhase1 || !got.OptimalPhase1 || got.Phase1Value < want.Phase1Value {
+		return false
+	}
+	got.OptimalPhase1, got.Phase1Value = want.OptimalPhase1, want.Phase1Value
+	return got == want
 }
 
 // Replay re-runs the record's decision from scratch: rebuild the
 // scheduler from the logged configuration, rebuild the request set in
 // its logged order, schedule, and byte-compare the canonical encodings
 // and reason codes. The scheduler's determinism contract makes any
-// divergence a bug (or a tampered record), never noise.
+// divergence a bug (or a tampered record), never noise — except for a
+// record whose Phase-1 search the logging build had to truncate, which
+// Diff explains (see provenSinceLogged).
 func (r *Record) Replay() (*ReplayResult, error) {
 	reqs, err := r.SchedulerRequests()
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -421,6 +422,30 @@ func (d Decision) Canonical() []byte {
 		}
 	}
 	return b.Bytes()
+}
+
+// CanonicalHeader is the first line of Decision.Canonical read back:
+// the counters and objective values, without the transform vector.
+type CanonicalHeader struct {
+	Selected, Eligible, Swaps int
+	OptimalPhase1             bool
+	Phase1Value, Objective    float64
+}
+
+// ParseCanonicalHeader splits a Decision.Canonical encoding into its
+// header and everything after the header line (the degradation marker,
+// if any, and the transform vector). It lives beside Canonical so the
+// line's format is known in one place; %.17g round-trips, so the floats
+// come back bit for bit. ok is false when the first line is not a
+// canonical header.
+func ParseCanonicalHeader(canonical string) (h CanonicalHeader, rest string, ok bool) {
+	line, rest, found := strings.Cut(canonical, "\n")
+	if !found {
+		return h, "", false
+	}
+	n, err := fmt.Sscanf(line, "selected=%d eligible=%d swaps=%d optimal=%t phase1=%g objective=%g",
+		&h.Selected, &h.Eligible, &h.Swaps, &h.OptimalPhase1, &h.Phase1Value, &h.Objective)
+	return h, rest, err == nil && n == 6
 }
 
 // Canonical concatenates every VC decision's canonical form in VC-ID

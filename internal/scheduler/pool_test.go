@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -133,7 +134,11 @@ func TestPoolVsSerialDifferential(t *testing.T) {
 // TestPhase1MatchesBruteForce checks the exact Phase-1 engine against a
 // full 0/1 enumeration on randomized small instances (≤ 14 devices):
 // branch and bound must find the proven optimum of the two-constraint
-// knapsack (14).
+// knapsack (14). The first family draws devices with private streams
+// (distinct storage weights, one compute weight); the second is one
+// channel's audience — a shared stream, so one storage weight, and one
+// to three display resolutions, so as many compute weights — which is
+// where the search's cardinality bound does the pruning.
 func TestPhase1MatchesBruteForce(t *testing.T) {
 	base := makeCluster(t, 64, 998)
 	rng := stats.NewRNG(17)
@@ -148,48 +153,109 @@ func TestPhase1MatchesBruteForce(t *testing.T) {
 			r.Gamma = rng.Uniform(0.15, 0.6)
 			reqs[i] = r
 		}
-		server, err := edge.NewServer(1 + rng.Intn(4))
-		if err != nil {
-			t.Fatal(err)
+		if phase1MatchesBruteForce(t, fmt.Sprintf("instance %d", inst), reqs, 1+rng.Intn(4)) {
+			checked++
 		}
-		s := mustScheduler(t, Config{Server: server, Lambda: 1})
-		plans, err := s.buildPlans(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var eligible []*plan
-		for _, p := range plans {
-			if p.eligible {
-				eligible = append(eligible, p)
-			}
-		}
-		if len(eligible) == 0 {
-			continue
-		}
-		values := make([]float64, len(eligible))
-		for i, p := range eligible {
-			values[i] = p.saving
-		}
-		prob := problemWithCapacity(s, eligible, values)
-		bb, err := ilp.BranchBound(prob, ilp.BBConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bf, err := ilp.BruteForce(prob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bb.Optimal {
-			t.Fatalf("instance %d: branch and bound hit its node limit on %d items", inst, len(eligible))
-		}
-		if math.Abs(bb.Value-bf.Value) > 1e-9 {
-			t.Fatalf("instance %d: branch-and-bound value %v != brute-force optimum %v (%d eligible)",
-				inst, bb.Value, bf.Value, len(eligible))
-		}
-		checked++
 	}
 	if checked < 40 {
 		t.Fatalf("only %d instances had eligible devices", checked)
+	}
+	resolutions := []display.Resolution{display.Res1080p, display.Res720p, display.Res1440p}
+	checked = 0
+	for inst := 0; inst < 60; inst++ {
+		reqs := makeVCSet(t, 1, 2+rng.Intn(13), int64(3000+inst))[0].Requests
+		classes := 1 + inst%3
+		for i := range reqs {
+			reqs[i].Display.Resolution = resolutions[rng.Intn(classes)]
+		}
+		if phase1MatchesBruteForce(t, fmt.Sprintf("%d-resolution VC %d", classes, inst), reqs, 1+rng.Intn(12)) {
+			checked++
+		}
+	}
+	if checked < 40 {
+		t.Fatalf("only %d shared-stream instances had eligible devices", checked)
+	}
+}
+
+// phase1MatchesBruteForce states the Phase-1 problem of reqs on a server
+// of the given size and solves it both ways; it reports false when no
+// device is eligible and there is nothing to compare.
+func phase1MatchesBruteForce(t *testing.T, name string, reqs []Request, streams int) bool {
+	t.Helper()
+	server, err := edge.NewServer(streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustScheduler(t, Config{Server: server, Lambda: 1})
+	plans, err := s.buildPlans(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eligible []*plan
+	for _, p := range plans {
+		if p.eligible {
+			eligible = append(eligible, p)
+		}
+	}
+	if len(eligible) == 0 {
+		return false
+	}
+	values := make([]float64, len(eligible))
+	for i, p := range eligible {
+		values[i] = p.saving
+	}
+	prob := problemWithCapacity(s, eligible, values)
+	bb, err := ilp.BranchBound(prob, ilp.BBConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bf, err := ilp.BruteForce(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bb.Optimal {
+		t.Fatalf("%s: branch and bound hit its node limit on %d items", name, len(eligible))
+	}
+	if math.Abs(bb.Value-bf.Value) > 1e-9 {
+		t.Fatalf("%s: branch-and-bound value %v != brute-force optimum %v (%d eligible)",
+			name, bb.Value, bf.Value, len(eligible))
+	}
+	return true
+}
+
+// TestParseCanonicalHeaderRoundTrip: the header Canonical writes parses
+// back to the decision's own fields, floats bit for bit, with the rest
+// of the encoding handed over untouched — for plain and degraded
+// decisions alike.
+func TestParseCanonicalHeaderRoundTrip(t *testing.T) {
+	base := makeCluster(t, 64, 995)
+	rng := stats.NewRNG(5)
+	for inst := 0; inst < 20; inst++ {
+		vcs, cfg := randomInstance(rng, base)
+		s := mustScheduler(t, cfg)
+		for _, vc := range vcs {
+			dec, err := s.Schedule(vc.Requests)
+			if inst%4 == 3 {
+				dec, err = s.ScheduleDegraded(vc.Requests, Degradation{Phase1Greedy: true, Phase2Skipped: true})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			canonical := string(dec.Canonical())
+			h, rest, ok := ParseCanonicalHeader(canonical)
+			want := CanonicalHeader{dec.Selected, dec.Eligible, dec.Swaps, dec.OptimalPhase1, dec.Phase1Value, dec.Objective}
+			if !ok || h != want {
+				t.Fatalf("instance %d: parsed %+v (ok=%t), decision has %+v\n%s", inst, h, ok, want, canonical)
+			}
+			if !strings.HasSuffix(canonical, "\n"+rest) || strings.Count(canonical, "\n") != strings.Count(rest, "\n")+1 {
+				t.Fatalf("instance %d: rest is not the encoding minus its header line:\n%s", inst, canonical)
+			}
+		}
+	}
+	for _, bad := range []string{"", "selected=1", "garbage\n", "selected=1 eligible=2 swaps=0 optimal=maybe phase1=0 objective=0\n"} {
+		if _, _, ok := ParseCanonicalHeader(bad); ok {
+			t.Errorf("%q parsed as a canonical header", bad)
+		}
 	}
 }
 

@@ -312,6 +312,37 @@ func TestAuditLadderReadsOldAndMixedLogs(t *testing.T) {
 	}
 }
 
+// TestAuditLadderRefusesNodeCappedLastRecord: the audit rung trusts a
+// log only if its last record replays byte-identically. A record whose
+// Phase-1 search the logging build truncated at max_nodes (the fixture
+// in internal/obs/audit/testdata, written before the search had its
+// cardinality bound) replays here with optimal=true, so the rung
+// refuses it and boot demotes to a cold start — the safe direction —
+// with the reason spelled out in the restore detail.
+func TestAuditLadderRefusesNodeCappedLastRecord(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("..", "obs", "audit", "testdata", "record.nodecapped.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	auditDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(auditDir, audit.FileName), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := persistServer(t, func(c *Config) { c.AuditDir = auditDir; c.SnapshotDir = t.TempDir() })
+	defer s.Close()
+	defer ts.Close()
+	var st StatusResponse
+	getJSON(t, ts.URL+"/v1/status", &st)
+	if st.RestorePath != RestoreCold || st.Devices != 0 {
+		t.Fatalf("restore path %q with %d devices (%s), want a cold start", st.RestorePath, st.Devices, st.RestoreDetail)
+	}
+	for _, want := range []string{"refusing audit recovery", "logged search was node-capped; this build proves the selection"} {
+		if !strings.Contains(st.RestoreDetail, want) {
+			t.Fatalf("restore detail %q does not contain %q", st.RestoreDetail, want)
+		}
+	}
+}
+
 // TestCorruptSnapshotFallsBackToCold: with no audit log either, boot
 // demotes all the way to a cold start — empty but alive.
 func TestCorruptSnapshotFallsBackToCold(t *testing.T) {
