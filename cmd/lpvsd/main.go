@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -45,7 +46,9 @@ import (
 	"time"
 
 	"lpvs/internal/obs"
+	"lpvs/internal/obs/history"
 	"lpvs/internal/obs/runtimecollector"
+	"lpvs/internal/obs/slo"
 	"lpvs/internal/router"
 	"lpvs/internal/server"
 	"lpvs/internal/shard"
@@ -111,20 +114,50 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *mode == "router" {
-		runRouter(logger, routerOpts{
-			addr:         *addr,
-			mapFile:      *shardMapFile,
-			defaultChan:  *defaultChan,
-			slotSec:      *slotSec,
-			manualTick:   *manualTick,
-			enablePprof:  *enablePprof,
-			sloInterval:  *sloInterval,
-			runtimeEvery: *runtimeEvery,
-		})
-		return
+	opts := serveOpts{
+		addr:         *addr,
+		slotSec:      *slotSec,
+		pprof:        *enablePprof,
+		sloInterval:  *sloInterval,
+		runtimeEvery: *runtimeEvery,
 	}
-	if *mode != "edge" && *mode != "shard" {
+	if !*manualTick {
+		// A shard's slots are advanced by its router's fan-out when one
+		// is deployed; the local ticker targets the shard endpoint so a
+		// router-less shard (tests, development) still advances.
+		opts.tickPath = "/v1/tick"
+		if *mode == "shard" {
+			opts.tickPath = "/v1/shard/tick"
+		}
+	}
+
+	switch *mode {
+	case "edge", "shard":
+	case "router":
+		// No streams, no scheduler — just the federation front door over
+		// the shard map.
+		if *shardMapFile == "" {
+			fatal(errors.New("-mode=router requires -shard-map"))
+		}
+		m, err := shard.ParseFile(*shardMapFile)
+		if err != nil {
+			fatal(err)
+		}
+		rt, err := router.New(router.Config{
+			Map:            m,
+			DefaultChannel: *defaultChan,
+			Logger:         logger,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		logger.Info("lpvsd router listening", "addr", *addr, "version", version,
+			"epoch", m.Epoch(), "nodes", len(m.Nodes()), "default_channel", *defaultChan)
+		if err := serve(logger, rt, opts); err != nil {
+			fatal(err)
+		}
+		return
+	default:
 		fatal(fmt.Errorf("unknown -mode %q (edge, shard, router)", *mode))
 	}
 
@@ -191,10 +224,64 @@ func main() {
 		fatal(err)
 	}
 	defer srv.Close()
-	obs.RegisterBuildInfo(srv.Registry(), "lpvsd", version)
+	opts.history = srv.History()
+	if *snapshotDir != "" {
+		opts.snapshot = srv.SaveSnapshot
+		opts.snapshotEvery = *snapshotEvery
+	}
+	logger.Info("lpvsd listening",
+		"addr", *addr, "version", version, "capacity", *capacity,
+		"lambda", *lambda, "slot_sec", *slotSec, "workers", *workers,
+		"pprof", *enablePprof, "audit_dir", *auditDir,
+		"snapshot_dir", *snapshotDir, "flight_dir", *flightDir,
+		"history_window", *historyWindow,
+		"trace_sample", *traceSample,
+		"sched_deadline", *schedDeadline, "max_inflight", *maxInflight,
+		"max_batch_records", *maxBatch)
+	if err := serve(logger, srv, opts); err != nil {
+		fatal(err)
+	}
+}
 
-	handler := srv.Handler()
-	if *enablePprof {
+// personality is what serve needs of a process personality; the edge
+// daemon (*server.Server, shard mode included) and the router
+// (*router.Router) both provide it.
+type personality interface {
+	Handler() http.Handler
+	Registry() *obs.Registry
+	SLO() *slo.Engine
+	SetReady(bool)
+}
+
+// serveOpts is the part of the command line the process loop consumes.
+type serveOpts struct {
+	addr string
+	// tickPath is the slot-advance endpoint the background ticker posts
+	// every slotSec seconds; empty disables the ticker (-manual-tick).
+	tickPath string
+	slotSec  float64
+	pprof    bool
+
+	sloInterval  time.Duration
+	runtimeEvery time.Duration // 0 = no runtime self-telemetry
+
+	// Edge-daemon extras, nil on a router: the metric-history sampler
+	// (DESIGN.md §15) and durable-state snapshots (§14), written every
+	// snapshotEvery (0 = never) and once more after the drain.
+	history       *history.Store
+	snapshot      func() error
+	snapshotEvery time.Duration
+}
+
+// serve is the one process loop of every personality: it mounts pprof,
+// starts the background loops and the slot ticker, serves p's handler
+// until SIGINT/SIGTERM, then drains in order — readiness off, in-flight
+// requests, background loops, final snapshot.
+func serve(logger *slog.Logger, p personality, o serveOpts) error {
+	obs.RegisterBuildInfo(p.Registry(), "lpvsd", version)
+
+	handler := p.Handler()
+	if o.pprof {
 		// Mount pprof explicitly instead of importing it for its
 		// DefaultServeMux side effect, so profiling is opt-in.
 		mux := http.NewServeMux()
@@ -219,32 +306,27 @@ func main() {
 	bgCtx, bgStop := context.WithCancel(context.Background())
 	defer bgStop()
 	var bg sync.WaitGroup
-	if *runtimeEvery > 0 {
+	background := func(run func()) {
 		bg.Add(1)
 		go func() {
 			defer bg.Done()
-			runtimecollector.New(srv.Registry()).Run(bgCtx, *runtimeEvery)
+			run()
 		}()
 	}
-	bg.Add(1)
-	go func() {
-		defer bg.Done()
-		srv.SLO().Run(bgCtx.Done(), *sloInterval)
-	}()
-	if h := srv.History(); h != nil {
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			h.Run(bgCtx.Done())
-		}()
+	if o.runtimeEvery > 0 {
+		background(func() { runtimecollector.New(p.Registry()).Run(bgCtx, o.runtimeEvery) })
+	}
+	background(func() { p.SLO().Run(bgCtx.Done(), o.sloInterval) })
+	if o.history != nil {
+		background(func() { o.history.Run(bgCtx.Done()) })
 	}
 
 	// Periodic durable-state snapshots (DESIGN.md §14). The final
 	// snapshot is taken by the shutdown goroutine after drain, so a
 	// clean restart warm-boots from the freshest possible state.
-	if *snapshotDir != "" && *snapshotEvery > 0 {
+	if o.snapshot != nil && o.snapshotEvery > 0 {
 		go func() {
-			ticker := time.NewTicker(*snapshotEvery)
+			ticker := time.NewTicker(o.snapshotEvery)
 			defer ticker.Stop()
 			for {
 				select {
@@ -252,22 +334,19 @@ func main() {
 					return
 				case <-ticker.C:
 				}
-				if err := srv.SaveSnapshot(); err != nil {
+				if err := o.snapshot(); err != nil {
 					logger.Warn("snapshot", "err", err)
 				}
 			}
 		}()
 	}
 
-	if !*manualTick {
-		// A shard's slots are advanced by its router's fan-out when one
-		// is deployed; the local ticker targets the shard endpoint so a
-		// router-less shard (tests, development) still advances.
-		tickPath := "/v1/tick"
-		if *mode == "shard" {
-			tickPath = "/v1/shard/tick"
+	if o.tickPath != "" {
+		url, err := tickURL(o.addr, o.tickPath)
+		if err != nil {
+			return err
 		}
-		go runTicker(ctx, logger, "http://localhost"+normalizeAddr(*addr)+tickPath, *slotSec)
+		go runTicker(ctx, logger, url, o.slotSec)
 	}
 
 	// Server-side timeouts (DESIGN.md §12): a client that stalls its
@@ -275,7 +354,7 @@ func main() {
 	// a connection forever. WriteTimeout leaves room for the slowest
 	// gated tick; IdleTimeout reaps abandoned keep-alives.
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
@@ -283,7 +362,7 @@ func main() {
 		IdleTimeout:       120 * time.Second,
 	}
 	// ListenAndServe returns ErrServerClosed as soon as Shutdown
-	// begins, so main must wait for this goroutine — otherwise the
+	// begins, so serve must wait for this goroutine — otherwise the
 	// process exits racing the drain and the final snapshot.
 	shutdownDone := make(chan struct{})
 	go func() {
@@ -292,7 +371,7 @@ func main() {
 		logger.Info("shutting down")
 		// Flip readiness first so load balancers drain this instance
 		// while in-flight requests finish; /healthz stays 200 throughout.
-		srv.SetReady(false)
+		p.SetReady(false)
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
@@ -305,26 +384,32 @@ func main() {
 		bg.Wait()
 		// Snapshot after drain so the on-disk state reflects every
 		// admitted report.
-		if *snapshotDir != "" {
-			if err := srv.SaveSnapshot(); err != nil {
+		if o.snapshot != nil {
+			if err := o.snapshot(); err != nil {
 				logger.Error("final snapshot", "err", err)
 			}
 		}
 	}()
 
-	logger.Info("lpvsd listening",
-		"addr", *addr, "version", version, "capacity", *capacity,
-		"lambda", *lambda, "slot_sec", *slotSec, "workers", *workers,
-		"pprof", *enablePprof, "audit_dir", *auditDir,
-		"snapshot_dir", *snapshotDir, "flight_dir", *flightDir,
-		"history_window", *historyWindow,
-		"trace_sample", *traceSample,
-		"sched_deadline", *schedDeadline, "max_inflight", *maxInflight,
-		"max_batch_records", *maxBatch)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
+		return err
 	}
 	<-shutdownDone
+	return nil
+}
+
+// tickURL is where the background ticker reaches a daemon listening on
+// addr: the listener's own host, or loopback when addr leaves the host
+// empty or unspecified (":8080", "0.0.0.0:8080", "[::]:8080").
+func tickURL(addr, path string) (string, error) {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return "", fmt.Errorf("-addr %q: %w", addr, err)
+	}
+	if ip := net.ParseIP(host); host == "" || (ip != nil && ip.IsUnspecified()) {
+		host = "localhost"
+	}
+	return "http://" + net.JoinHostPort(host, port) + path, nil
 }
 
 // runTicker posts the slot-advance endpoint every slot period until
@@ -348,105 +433,6 @@ func runTicker(ctx context.Context, logger *slog.Logger, url string, slotSec flo
 	}
 }
 
-type routerOpts struct {
-	addr         string
-	mapFile      string
-	defaultChan  string
-	slotSec      float64
-	manualTick   bool
-	enablePprof  bool
-	sloInterval  time.Duration
-	runtimeEvery time.Duration
-}
-
-// runRouter is the -mode=router personality: no streams, no
-// scheduler — just the federation front door over the shard map.
-func runRouter(logger *slog.Logger, o routerOpts) {
-	fatal := func(err error) {
-		logger.Error("fatal", "err", err)
-		os.Exit(1)
-	}
-	if o.mapFile == "" {
-		fatal(errors.New("-mode=router requires -shard-map"))
-	}
-	m, err := shard.ParseFile(o.mapFile)
-	if err != nil {
-		fatal(err)
-	}
-	rt, err := router.New(router.Config{
-		Map:            m,
-		DefaultChannel: o.defaultChan,
-		Logger:         logger,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	obs.RegisterBuildInfo(rt.Registry(), "lpvsd", version)
-
-	handler := rt.Handler()
-	if o.enablePprof {
-		mux := http.NewServeMux()
-		mux.Handle("/", handler)
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		handler = mux
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	bgCtx, bgStop := context.WithCancel(context.Background())
-	defer bgStop()
-	var bg sync.WaitGroup
-	if o.runtimeEvery > 0 {
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			runtimecollector.New(rt.Registry()).Run(bgCtx, o.runtimeEvery)
-		}()
-	}
-	bg.Add(1)
-	go func() {
-		defer bg.Done()
-		rt.SLO().Run(bgCtx.Done(), o.sloInterval)
-	}()
-	if !o.manualTick {
-		go runTicker(ctx, logger, "http://localhost"+normalizeAddr(o.addr)+"/v1/tick", o.slotSec)
-	}
-
-	httpSrv := &http.Server{
-		Addr:              o.addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	shutdownDone := make(chan struct{})
-	go func() {
-		defer close(shutdownDone)
-		<-ctx.Done()
-		logger.Info("shutting down")
-		rt.SetReady(false)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Error("shutdown", "err", err)
-		}
-		bgStop()
-		bg.Wait()
-	}()
-
-	logger.Info("lpvsd router listening", "addr", o.addr, "version", version,
-		"epoch", m.Epoch(), "nodes", len(m.Nodes()), "default_channel", o.defaultChan)
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
-	}
-	<-shutdownDone
-}
-
 func parseGenre(name string) (video.Genre, error) {
 	for _, g := range video.AllGenres() {
 		if g.String() == name {
@@ -456,6 +442,9 @@ func parseGenre(name string) (video.Genre, error) {
 	return 0, fmt.Errorf("unknown genre %q", name)
 }
 
+// normalizeAddr returns addr unchanged. Nothing in the daemon calls it
+// any more (tickURL derives the ticker's target); it stays because
+// TestNormalizeAddr pins its behaviour.
 func normalizeAddr(addr string) string {
 	if addr != "" && addr[0] == ':' {
 		return addr

@@ -90,23 +90,14 @@ func (c *Client) ReportRequest() server.ReportRequest {
 
 // Report sends the device's slot report, binary-framed unless the
 // client has negotiated down to JSON (see WithJSONReports and
-// wireFallback).
+// sendWire).
 func (c *Client) Report() (server.ReportResponse, error) {
 	var resp server.ReportResponse
 	req := c.ReportRequest()
-	if !c.jsonOnly {
-		buf, err := wire.AppendSingle(c.wireBuf[:0], &req)
-		if err == nil {
-			c.wireBuf = buf
-			err = c.call.PostRaw("/v1/report", wire.ContentType, buf, &resp)
-			if !wireFallback(err) {
-				return resp, err
-			}
-			c.jsonOnly = true
-		}
-		// Unencodable report or a daemon without the codec: JSON below.
+	sent, err := c.sendWire(func(dst []byte) ([]byte, error) { return wire.AppendSingle(dst, &req) }, &resp)
+	if !sent {
+		err = c.call.PostJSON("/v1/report", req, &resp)
 	}
-	err := c.call.PostJSON("/v1/report", req, &resp)
 	return resp, err
 }
 
@@ -119,19 +110,34 @@ func (c *Client) Report() (server.ReportResponse, error) {
 // codec).
 func (c *Client) ReportBatch(reqs []server.ReportRequest) (server.BatchReportResponse, error) {
 	var resp server.BatchReportResponse
-	if !c.jsonOnly {
-		buf, err := wire.AppendBatch(c.wireBuf[:0], reqs)
-		if err == nil {
-			c.wireBuf = buf
-			err = c.call.PostRaw("/v1/report", wire.ContentType, buf, &resp)
-			if !wireFallback(err) {
-				return resp, err
-			}
-			c.jsonOnly = true
-		}
+	sent, err := c.sendWire(func(dst []byte) ([]byte, error) { return wire.AppendBatch(dst, reqs) }, &resp)
+	if !sent {
+		err = c.call.PostJSON("/v1/report", reqs, &resp)
 	}
-	err := c.call.PostJSON("/v1/report", reqs, &resp)
 	return resp, err
+}
+
+// sendWire posts one report message in the binary framing that frame
+// appends to the reused buffer. It reports false when the message must
+// go out as JSON instead: the client is JSON-only, the codec cannot
+// frame the message (no downgrade), or the daemon turned out not to
+// speak the codec (wireFallback) — which flips the client to JSON for
+// good.
+func (c *Client) sendWire(frame func(dst []byte) ([]byte, error), out any) (sent bool, err error) {
+	if c.jsonOnly {
+		return false, nil
+	}
+	buf, err := frame(c.wireBuf[:0])
+	if err != nil {
+		return false, nil
+	}
+	c.wireBuf = buf
+	err = c.call.PostRaw("/v1/report", wire.ContentType, buf, out)
+	if wireFallback(err) {
+		c.jsonOnly = true
+		return false, nil
+	}
+	return true, err
 }
 
 // wireFallback reports whether a binary report's failure means the

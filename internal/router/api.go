@@ -7,6 +7,14 @@
 // the router forwards reports to the consistent-hash owner of the
 // device's channel and proxies per-device reads, so a fleet can grow
 // from one process to N without a client change.
+//
+// The sameness is structural (DESIGN.md §18): the router's HTTP surface
+// is a route table behind the daemon's own route shell (server.Shell),
+// and its /v1/report handler decodes through the daemon's reader and
+// error classifier (server.DecodeReport over wire.ReadReport) and
+// shapes batch answers with the daemon's server.NewBatchReportResponse.
+// TestEnvelopeConformance holds the two to equal status, Allow and body
+// bytes on malformed, oversized and misrouted requests.
 package router
 
 import (

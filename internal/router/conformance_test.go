@@ -1,0 +1,186 @@
+package router
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"lpvs/internal/server"
+	"lpvs/internal/shard"
+	"lpvs/internal/wire"
+)
+
+// TestEnvelopeConformance is the front-door contract: a device cannot
+// tell a router from a standalone daemon. Every row is sent to a shard
+// daemon and to an N=1 router in front of it, and the two answers must
+// agree on status, Allow header and body bytes — for an error the whole
+// envelope (code, message, retryable), for a 200 the whole document.
+// want pins the status and envelope code as well, so the pair cannot
+// agree on a wrong answer.
+func TestEnvelopeConformance(t *testing.T) {
+	const maxBody = 1 << 20
+	_, shardTS := newShard(t, "n1", server.Config{MaxBodyBytes: maxBody})
+	m, err := shard.New([]shard.Node{{ID: "n1", Addr: shardTS.URL}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(Config{Map: m, DefaultChannel: "ch", MaxBodyBytes: maxBody})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routerTS := httptest.NewServer(rt.Handler())
+	defer routerTS.Close()
+
+	marshal := func(v any) []byte {
+		buf, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	good := report(1, "")
+	single, err := wire.AppendSingle(nil, &good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skewed := bytes.Clone(single)
+	skewed[4] = 9
+	overCap := binary.LittleEndian.AppendUint32([]byte{'L', 'P', 'W', 'R', wire.Version, wire.KindBatch},
+		server.DefaultMaxBatchRecords+1)
+	plasma := report(2, "")
+	plasma.DisplayType = "PLASMA"
+	// The binary codec cannot frame an unknown display type, so its
+	// rejected row is an unknown channel.
+	stray := report(3, "no-such-channel")
+	wireBatch, err := wire.AppendBatch(nil, []server.ReportRequest{report(4, ""), stray, report(5, "music")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := make([]server.ReportRequest, maxBody/64)
+	for i := range big {
+		big[i] = report(i, "")
+	}
+	bigWire, err := wire.AppendBatch(nil, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bigWire) <= maxBody {
+		t.Fatalf("oversized binary body is only %d bytes", len(bigWire))
+	}
+	spaces := bytes.Repeat([]byte(" "), maxBody+1)
+
+	type probe struct {
+		name, method, path, contentType string
+		body                            []byte
+		wantStatus                      int
+		wantCode                        string // envelope code; empty for a 200
+	}
+	const (
+		jsonCT = "application/json"
+		bad    = server.CodeBadRequest
+	)
+	jsonBatchProbe := probe{"unknown display type, JSON batch", "POST", "/v1/report", jsonCT,
+		marshal([]server.ReportRequest{report(6, ""), plasma, report(7, "news")}), 200, ""}
+	binBatchProbe := probe{"unknown channel, binary batch", "POST", "/v1/report", wire.ContentType, wireBatch, 200, ""}
+	probes := []probe{
+		{"binary version skew", "POST", "/v1/report", wire.ContentType, skewed, 415, server.CodeUnsupportedMedia},
+		{"binary bad magic", "POST", "/v1/report", wire.ContentType, append([]byte("XXXX"), single[4:]...), 400, bad},
+		{"binary truncated record", "POST", "/v1/report", wire.ContentType, single[:len(single)-2], 400, bad},
+		{"binary trailing bytes", "POST", "/v1/report", wire.ContentType, append(bytes.Clone(single), 0), 400, bad},
+		{"binary empty body", "POST", "/v1/report", wire.ContentType, nil, 400, bad},
+		{"binary header declares cap+1 records", "POST", "/v1/report", wire.ContentType, overCap, 413, server.CodeBatchTooLarge},
+		{"binary body over the byte cap", "POST", "/v1/report", wire.ContentType, bigWire, 413, server.CodePayloadTooLarge},
+		{"JSON batch of cap+1 records", "POST", "/v1/report", jsonCT,
+			[]byte("[" + strings.Repeat("{},", server.DefaultMaxBatchRecords) + "{}]"), 413, server.CodeBatchTooLarge},
+		{"JSON syntax error, single", "POST", "/v1/report", jsonCT, []byte(`{"device_id":`), 400, bad},
+		{"JSON syntax error, array", "POST", "/v1/report", jsonCT, []byte(`[{"device_id":`), 400, bad},
+		{"JSON empty body", "POST", "/v1/report", jsonCT, nil, 400, bad},
+		{"JSON body over the byte cap", "POST", "/v1/report", jsonCT, spaces, 413, server.CodePayloadTooLarge},
+		{"unknown display type, single", "POST", "/v1/report", jsonCT, marshal(plasma), 400, bad},
+		jsonBatchProbe,
+		binBatchProbe,
+		{"accepted report, JSON single", "POST", "/v1/report", jsonCT, marshal(good), 200, ""},
+		{"accepted report, binary single", "POST", "/v1/report", wire.ContentType, single, 200, ""},
+		{"observe body over the byte cap", "POST", "/v1/observe", jsonCT, spaces, 413, server.CodePayloadTooLarge},
+		{"observe syntax error", "POST", "/v1/observe", jsonCT, []byte(`{"device_id":`), 400, bad},
+		{"observe empty body", "POST", "/v1/observe", jsonCT, nil, 400, bad},
+		{"observe without a device", "POST", "/v1/observe", jsonCT, []byte(`{"reduction":0.2}`), 404, server.CodeUnknownDevice},
+		{"decision without a device", "GET", "/v1/decision", "", nil, 400, bad},
+		{"decision of an unknown device", "GET", "/v1/decision?device=ghost", "", nil, 404, server.CodeUnknownDevice},
+		{"unknown path", "GET", "/v1/nope", "", nil, 404, server.CodeNotFound},
+	}
+	for _, path := range []string{
+		"/v1/report", "/v1/tick", "/v1/decision", "/v1/chunk", "/v1/playlist", "/v1/explain",
+		"/v1/observe", "/v1/status", "/v1/fleet", "/v1/slo", "/v1/shard/map",
+		"/metrics", "/healthz", "/readyz",
+	} {
+		probes = append(probes, probe{"wrong method on " + path, "DELETE", path, "", nil, 405, server.CodeMethodNotAllowed})
+	}
+
+	type answer struct {
+		status int
+		allow  string
+		body   string
+	}
+	exchange := func(base string, p probe) answer {
+		req, err := http.NewRequest(p.method, base+p.path, bytes.NewReader(p.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.contentType != "" {
+			req.Header.Set("Content-Type", p.contentType)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		return answer{resp.StatusCode, resp.Header.Get("Allow"), string(body)}
+	}
+	for _, p := range probes {
+		daemon, router := exchange(shardTS.URL, p), exchange(routerTS.URL, p)
+		if daemon != router {
+			t.Errorf("%s:\n daemon %+v\n router %+v", p.name, daemon, router)
+			continue
+		}
+		var env server.ErrorResponse
+		if p.wantCode != "" {
+			if err := json.Unmarshal([]byte(daemon.body), &env); err != nil {
+				t.Errorf("%s: body %q is not a v1 envelope: %v", p.name, daemon.body, err)
+			}
+		}
+		if daemon.status != p.wantStatus || env.Error.Code != p.wantCode {
+			t.Errorf("%s: both answered %d %q (%s), want %d %q",
+				p.name, daemon.status, env.Error.Code, daemon.body, p.wantStatus, p.wantCode)
+		}
+		if (daemon.status == http.StatusMethodNotAllowed) != (daemon.allow != "") {
+			t.Errorf("%s: status %d with Allow %q", p.name, daemon.status, daemon.allow)
+		}
+	}
+
+	// The batch rows above keep the caller's codec convention: a JSON
+	// batch answers one positional row per record, a binary batch its
+	// rejections only, each under the record's original index.
+	var jsonBatch, binBatch server.BatchReportResponse
+	if err := json.Unmarshal([]byte(exchange(routerTS.URL, jsonBatchProbe).body), &jsonBatch); err != nil {
+		t.Fatal(err)
+	}
+	if len(jsonBatch.Results) != 3 || jsonBatch.Results[1].Error == nil || jsonBatch.Results[1].DeviceID != plasma.DeviceID {
+		t.Errorf("JSON batch rows %+v, want 3 positional with row 1 rejected", jsonBatch.Results)
+	}
+	if err := json.Unmarshal([]byte(exchange(routerTS.URL, binBatchProbe).body), &binBatch); err != nil {
+		t.Fatal(err)
+	}
+	if len(binBatch.Results) != 1 || binBatch.Results[0].Index != 1 || binBatch.Results[0].Error.Code != server.CodeUnknownChannel {
+		t.Errorf("binary batch rows %+v, want the one rejection under index 1", binBatch.Results)
+	}
+}

@@ -1,10 +1,8 @@
 package router
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -14,279 +12,133 @@ import (
 	"lpvs/internal/wire"
 )
 
-// This file is the router's device-facing data plane. Reports are
-// partitioned by the consistent-hash owner of each record's channel
-// and forwarded concurrently (both JSON and the binary wire codec,
-// re-framed per shard); per-device reads are proxied to the owner
+// This file is the router's device-facing data plane. A report message
+// of either codec and arity is partitioned by the consistent-hash owner
+// of each record's channel and forwarded concurrently, re-framed per
+// owner the way it arrived; per-device reads are proxied to the owner
 // learned from the device's last report, falling back to probing the
 // shards in node-ID order. Responses — including error envelopes —
 // pass through verbatim, so a device cannot tell a router from a
 // standalone daemon.
 
-// channelOf resolves a report's channel for ownership hashing; an
-// empty ChannelID means the fleet's default stream.
-func (rt *Router) channelOf(req *server.ReportRequest) string {
-	if req.ChannelID != "" {
-		return req.ChannelID
-	}
-	return rt.cfg.DefaultChannel
-}
-
-// ownerCaller resolves the forwarding client owning a channel under
-// the installed map.
-func (rt *Router) ownerCaller(ch string) (string, *client.Caller) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	n := rt.m.Owner(ch)
-	return n.ID, rt.callers[n.ID]
-}
-
-// noteDevice records a forwarded device's channel: the routing hint
-// the per-device read proxy uses to skip probing.
-func (rt *Router) noteDevice(id, ch string) {
-	rt.mu.Lock()
-	rt.devices[id] = ch
-	rt.mu.Unlock()
-}
-
-func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get("Content-Type") == wire.ContentType {
-		rt.handleReportWire(w, r)
-		return
-	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			server.WriteEnvelopeError(w, http.StatusRequestEntityTooLarge, server.CodePayloadTooLarge,
-				"request body too large")
-			return
-		}
-		server.WriteEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, "read: "+err.Error())
-		return
-	}
-	if trimmed := bytes.TrimLeft(body, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
-		var reqs []server.ReportRequest
-		if err := json.Unmarshal(trimmed, &reqs); err != nil {
-			server.WriteEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, "decode: "+err.Error())
-			return
-		}
-		rt.forwardBatch(w, reqs, false)
-		return
-	}
-	var req server.ReportRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		server.WriteEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, "decode: "+err.Error())
-		return
-	}
-	rt.forwardSingle(w, req, false)
-}
-
-// handleReportWire forwards a binary report message: records are
-// decoded streaming, partitioned by owner, and re-framed per shard in
-// the same binary codec, so federation preserves the zero-copy
-// ingest path end to end.
-func (rt *Router) handleReportWire(w http.ResponseWriter, r *http.Request) {
-	dec := wire.NewDecoder(r.Body)
-	kind, count, err := dec.Begin()
-	if err != nil {
-		server.WriteEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, "binary report: "+err.Error())
-		return
-	}
-	if count > server.DefaultMaxBatchRecords {
-		server.WriteEnvelopeError(w, http.StatusRequestEntityTooLarge, server.CodeBatchTooLarge,
-			"batch exceeds the router's record cap")
-		return
-	}
-	reqs := make([]server.ReportRequest, count)
-	for i := range reqs {
-		if err := dec.Next(&reqs[i]); err != nil {
-			rt.writeWireError(w, err)
-			return
-		}
-	}
-	if err := dec.Finish(); err != nil {
-		rt.writeWireError(w, err)
-		return
-	}
-	if kind == wire.KindSingle {
-		rt.forwardSingle(w, reqs[0], true)
-		return
-	}
-	rt.forwardBatch(w, reqs, true)
-}
-
-func (rt *Router) writeWireError(w http.ResponseWriter, err error) {
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.Is(err, wire.ErrVersion):
-		server.WriteEnvelopeError(w, http.StatusUnsupportedMediaType, server.CodeUnsupportedMedia,
-			"binary report: "+err.Error())
-	case errors.As(err, &tooBig):
-		server.WriteEnvelopeError(w, http.StatusRequestEntityTooLarge, server.CodePayloadTooLarge,
-			"request body too large")
-	default:
-		server.WriteEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest,
-			"binary report: "+err.Error())
-	}
-}
-
-// forwardSingle forwards one report to its channel's owner,
-// preserving the caller's codec.
-func (rt *Router) forwardSingle(w http.ResponseWriter, req server.ReportRequest, binary bool) {
-	ch := rt.channelOf(&req)
-	nodeID, c := rt.ownerCaller(ch)
-	if c == nil {
-		server.WriteEnvelopeError(w, http.StatusBadGateway, server.CodeShardUnavailable,
-			"no forwarding client for node "+nodeID)
-		return
-	}
-	rt.forwards.Add(1)
-	var resp server.ReportResponse
-	var err error
-	if binary {
-		var buf []byte
-		if buf, err = wire.AppendSingle(nil, &req); err == nil {
-			err = c.PostRaw("/v1/report", wire.ContentType, buf, &resp)
-		}
-	} else {
-		err = c.PostJSON("/v1/report", req, &resp)
-	}
-	if err != nil {
-		rt.forwardErrors.Add(1)
-		writeUpstream(w, err)
-		return
-	}
-	rt.noteDevice(req.DeviceID, ch)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// shardBatch is one shard's slice of a partitioned batch: the records
-// routed to it plus each record's index in the original batch, so
-// per-record errors merge back under their caller-visible index.
+// shardBatch is one owner's share of a report message: the records
+// routed to it, each record's index in the original message — so
+// per-record errors merge back under their caller-visible index — and
+// the owner's answer.
 type shardBatch struct {
 	node string
 	c    *client.Caller
 	reqs []server.ReportRequest
 	idx  []int
+
+	single server.ReportResponse      // the answer to a single report
+	batch  server.BatchReportResponse // the answer to a batch
+	err    error
 }
 
-// forwardBatch partitions a batch by channel owner, forwards each
-// slice concurrently (re-framed in the caller's codec), and merges
-// the shard responses preserving original record indices. Records
-// whose shard failed are reported rejected with shard_unavailable —
-// the batch contract stays "every record accounted for" even when
-// part of the fleet is down.
-func (rt *Router) forwardBatch(w http.ResponseWriter, reqs []server.ReportRequest, binary bool) {
+// partition splits reports by the consistent-hash owner of each
+// record's channel, in node-ID order, noting every device's channel as
+// the read proxy's routing hint. It also returns the router's slot.
+func (rt *Router) partition(reports []server.ReportRequest) ([]*shardBatch, int) {
 	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	byNode := map[string]*shardBatch{}
-	for i := range reqs {
-		ch := rt.channelOf(&reqs[i])
+	var batches []*shardBatch
+	for i := range reports {
+		ch := reports[i].ChannelID
+		if ch == "" {
+			ch = rt.cfg.DefaultChannel
+		}
 		n := rt.m.Owner(ch)
 		sb := byNode[n.ID]
 		if sb == nil {
 			sb = &shardBatch{node: n.ID, c: rt.callers[n.ID]}
 			byNode[n.ID] = sb
+			batches = append(batches, sb)
 		}
-		sb.reqs = append(sb.reqs, reqs[i])
+		sb.reqs = append(sb.reqs, reports[i])
 		sb.idx = append(sb.idx, i)
-		rt.devices[reqs[i].DeviceID] = ch
-	}
-	slot := rt.slot
-	rt.mu.Unlock()
-
-	batches := make([]*shardBatch, 0, len(byNode))
-	for _, sb := range byNode {
-		batches = append(batches, sb)
+		rt.devices[reports[i].DeviceID] = ch
 	}
 	sort.Slice(batches, func(a, b int) bool { return batches[a].node < batches[b].node })
+	return batches, rt.slot
+}
 
-	resps := make([]*server.BatchReportResponse, len(batches))
-	errs := make([]error, len(batches))
+// handleReport forwards a report message of either codec and arity:
+// decode (the daemon's reader, cap and error envelopes), partition by
+// owner, forward each share concurrently re-framed in the caller's
+// codec and arity, then answer what a standalone daemon would have. A
+// single report has one owner, whose answer — error envelope included —
+// is relayed. A batch merges the owners' per-record outcomes under the
+// original indices; records whose shard failed are reported rejected
+// with shard_unavailable, so the batch contract stays "every record
+// accounted for" even when part of the fleet is down.
+func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
+	msg, ok := server.DecodeReport(w, r, server.DefaultMaxBatchRecords, wire.NewScratch)
+	if !ok {
+		return
+	}
+	batches, slot := rt.partition(msg.Reports)
 	var wg sync.WaitGroup
-	for i, sb := range batches {
+	for _, sb := range batches {
 		wg.Add(1)
-		go func(i int, sb *shardBatch) {
+		go func(sb *shardBatch) {
 			defer wg.Done()
 			rt.forwards.Add(uint64(len(sb.reqs)))
 			if sb.c == nil {
-				errs[i] = errors.New("no forwarding client for node " + sb.node)
+				sb.err = errors.New("no forwarding client for node " + sb.node)
 				return
 			}
-			var resp server.BatchReportResponse
-			var err error
-			if binary {
-				var buf []byte
-				if buf, err = wire.AppendBatch(nil, sb.reqs); err == nil {
-					err = sb.c.PostRaw("/v1/report", wire.ContentType, buf, &resp)
-				}
-			} else {
-				err = sb.c.PostJSON("/v1/report", sb.reqs, &resp)
+			var out any = &sb.single
+			if msg.Batch {
+				out = &sb.batch
 			}
-			if err != nil {
-				errs[i] = err
-				return
+			body, contentType, err := msg.Encode(sb.reqs)
+			if err == nil {
+				err = sb.c.PostRaw("/v1/report", contentType, body, out)
 			}
-			resps[i] = &resp
-		}(i, sb)
+			sb.err = err
+		}(sb)
 	}
 	wg.Wait()
 
-	// Merge preserving the caller's codec convention: the JSON batch
-	// response is a full positional Results array (one row per record,
-	// original order), the binary one is rejected-only rows addressed
-	// by Index — exactly what a standalone daemon would have answered.
-	merged := server.BatchReportResponse{Slot: slot}
-	if !binary {
-		merged.Results = make([]server.BatchReportResult, len(reqs))
-	}
-	place := func(sb *shardBatch, shardIdx int, res server.BatchReportResult) {
-		global := sb.idx[shardIdx]
-		if binary {
-			res.Index = global
-			merged.Results = append(merged.Results, res)
-			return
+	if !msg.Batch {
+		if sb := batches[0]; sb.err != nil {
+			rt.forwardErrors.Add(1)
+			writeUpstream(w, sb.err)
+		} else {
+			server.WriteJSON(w, http.StatusOK, sb.single)
 		}
-		res.Index = 0 // positional, like the standalone JSON batch
-		merged.Results[global] = res
+		return
 	}
-	for i, sb := range batches {
-		if resps[i] == nil {
+	var rejected []server.BatchReportResult
+	for _, sb := range batches {
+		if sb.err != nil {
 			rt.forwardErrors.Add(uint64(len(sb.reqs)))
-			merged.Rejected += len(sb.reqs)
-			msg := "shard unavailable"
-			if errs[i] != nil {
-				msg = errs[i].Error()
-			}
 			for j := range sb.reqs {
-				place(sb, j, server.BatchReportResult{
+				rejected = append(rejected, server.BatchReportResult{
+					Index:    sb.idx[j],
 					DeviceID: sb.reqs[j].DeviceID,
-					Error: &server.ErrorBody{
-						Code: server.CodeShardUnavailable, Message: msg, Retryable: true,
-					},
+					Error:    &server.ErrorBody{Code: server.CodeShardUnavailable, Message: sb.err.Error(), Retryable: true},
 				})
 			}
 			continue
 		}
-		merged.Accepted += resps[i].Accepted
-		merged.Rejected += resps[i].Rejected
-		if !binary && len(resps[i].Results) == len(sb.reqs) {
-			for j, res := range resps[i].Results {
-				place(sb, j, res)
+		// A shard answers a JSON batch with one positional row per record
+		// and a binary one with its rejections only, addressed by Index.
+		for j, row := range sb.batch.Results {
+			if row.Error == nil {
+				continue
 			}
-			continue
-		}
-		for _, res := range resps[i].Results {
-			shardIdx := res.Index
-			place(sb, shardIdx, res)
+			if msg.Binary {
+				j = row.Index
+			}
+			row.Index = sb.idx[j]
+			rejected = append(rejected, row)
 		}
 	}
-	if binary {
-		sort.Slice(merged.Results, func(a, b int) bool {
-			return merged.Results[a].Index < merged.Results[b].Index
-		})
-	}
-	writeJSON(w, http.StatusOK, merged)
+	sort.Slice(rejected, func(a, b int) bool { return rejected[a].Index < rejected[b].Index })
+	server.WriteJSON(w, http.StatusOK, server.NewBatchReportResponse(slot, &msg, rejected))
 }
 
 // candidates builds the probe order for a per-device read: the owner
@@ -339,12 +191,7 @@ func (rt *Router) proxyDeviceGet(w http.ResponseWriter, r *http.Request) {
 // shard with the same probe strategy as the read proxy.
 func (rt *Router) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req server.ObserveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		server.WriteEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, "decode: "+err.Error())
-		return
-	}
-	if req.DeviceID == "" {
-		server.WriteEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, "missing device_id")
+	if !server.DecodeJSON(w, r, &req) {
 		return
 	}
 	rt.proxies.Add(1)

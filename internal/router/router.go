@@ -1,7 +1,6 @@
 package router
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -195,82 +194,31 @@ func (rt *Router) snapshot() (*shard.Map, []shard.Node, []*client.Caller) {
 	return rt.m, nodes, callers
 }
 
-type route struct {
-	method string
-	path   string
-	h      http.HandlerFunc
-}
-
-// Handler builds the router's HTTP surface: the public v1 device API
+// Handler builds the router's HTTP surface — the public v1 device API
 // (forwarded), the federation control plane, and the obs endpoints —
-// with the same 405+Allow and envelope-404 routing contract as the
-// edge daemon.
+// behind the edge daemon's route shell, so middleware order, 405+Allow
+// and the envelope 404/413/500 are the daemon's by construction.
 func (rt *Router) Handler() http.Handler {
-	routes := []route{
-		{method: "POST", path: "/v1/report", h: rt.handleReport},
-		{method: "POST", path: "/v1/tick", h: rt.handleTick},
-		{method: "GET", path: "/v1/decision", h: rt.proxyDeviceGet},
-		{method: "GET", path: "/v1/chunk", h: rt.proxyDeviceGet},
-		{method: "GET", path: "/v1/playlist", h: rt.proxyDeviceGet},
-		{method: "GET", path: "/v1/explain", h: rt.proxyDeviceGet},
-		{method: "POST", path: "/v1/observe", h: rt.handleObserve},
-		{method: "GET", path: "/v1/status", h: rt.handleStatus},
-		{method: "GET", path: "/v1/fleet", h: rt.handleFleet},
-		{method: "GET", path: "/v1/slo", h: rt.handleSLO},
-		{method: "GET", path: "/v1/shard/map", h: rt.handleMapGet},
-		{method: "POST", path: "/v1/shard/map", h: rt.handleMapPost},
-		{method: "GET", path: "/metrics", h: rt.handleMetrics},
-		{method: "GET", path: "/healthz", h: func(w http.ResponseWriter, _ *http.Request) {
+	sh := server.Shell{Metrics: rt.httpM, Log: rt.log, MaxBodyBytes: rt.cfg.MaxBodyBytes}
+	return sh.Handler([]server.Route{
+		{Method: "POST", Path: "/v1/report", Handler: rt.handleReport},
+		{Method: "POST", Path: "/v1/tick", Handler: rt.handleTick},
+		{Method: "GET", Path: "/v1/decision", Handler: rt.proxyDeviceGet},
+		{Method: "GET", Path: "/v1/chunk", Handler: rt.proxyDeviceGet},
+		{Method: "GET", Path: "/v1/playlist", Handler: rt.proxyDeviceGet},
+		{Method: "GET", Path: "/v1/explain", Handler: rt.proxyDeviceGet},
+		{Method: "POST", Path: "/v1/observe", Handler: rt.handleObserve},
+		{Method: "GET", Path: "/v1/status", Handler: rt.handleStatus},
+		{Method: "GET", Path: "/v1/fleet", Handler: rt.handleFleet},
+		{Method: "GET", Path: "/v1/slo", Handler: rt.handleSLO},
+		{Method: "GET", Path: "/v1/shard/map", Handler: rt.handleMapGet},
+		{Method: "POST", Path: "/v1/shard/map", Handler: rt.handleMapPost},
+		{Method: "GET", Path: "/metrics", Handler: rt.handleMetrics},
+		{Method: "GET", Path: "/healthz", Handler: func(w http.ResponseWriter, _ *http.Request) {
 			w.WriteHeader(http.StatusOK)
 		}},
-		{method: "GET", path: "/readyz", h: rt.handleReadyz},
-	}
-	mux := http.NewServeMux()
-	allow := map[string][]string{}
-	for _, r := range routes {
-		var h http.Handler = r.h
-		if r.method == "POST" && rt.cfg.MaxBodyBytes > 0 {
-			max := rt.cfg.MaxBodyBytes
-			inner := h
-			h = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-				req.Body = http.MaxBytesReader(w, req.Body, max)
-				inner.ServeHTTP(w, req)
-			})
-		}
-		pattern := r.method + " " + r.path
-		mux.Handle(pattern, rt.httpM.Instrument(pattern, h))
-		allow[r.path] = append(allow[r.path], r.method)
-	}
-	for path, methods := range allow {
-		sort.Strings(methods)
-		ms := methods
-		mux.Handle(path, rt.httpM.Instrument(path, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Allow", joinComma(ms))
-			server.WriteEnvelopeError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed,
-				fmt.Sprintf("method %s not allowed (allow: %s)", r.Method, joinComma(ms)))
-		})))
-	}
-	mux.Handle("/", rt.httpM.Instrument("fallback", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		server.WriteEnvelopeError(w, http.StatusNotFound, server.CodeNotFound, "no such route: "+r.URL.Path)
-	})))
-	return mux
-}
-
-func joinComma(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ", "
-		}
-		out += s
-	}
-	return out
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+		{Method: "GET", Path: "/readyz", Handler: rt.handleReadyz},
+	})
 }
 
 // writeUpstream renders an upstream call failure: a shard's envelope
@@ -288,10 +236,10 @@ func writeUpstream(w http.ResponseWriter, err error) {
 
 func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !rt.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, server.ReadyResponse{Ready: false, Reason: "draining"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, server.ReadyResponse{Ready: false, Reason: "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, server.ReadyResponse{Ready: true})
+	server.WriteJSON(w, http.StatusOK, server.ReadyResponse{Ready: true})
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -299,7 +247,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleSLO(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, server.SLOResponse{
+	server.WriteJSON(w, http.StatusOK, server.SLOResponse{
 		EvalUnixSec: float64(time.Now().UnixNano()) / 1e9,
 		Objectives:  rt.slo.Evaluate(),
 	})
@@ -334,7 +282,7 @@ func (rt *Router) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	slot := rt.slot
 	known := len(rt.devices)
 	rt.mu.Unlock()
-	writeJSON(w, http.StatusOK, StatusResponse{
+	server.WriteJSON(w, http.StatusOK, StatusResponse{
 		Mode:             "router",
 		Slot:             slot,
 		Epoch:            m.Epoch(),
@@ -393,12 +341,12 @@ func (rt *Router) handleFleet(w http.ResponseWriter, _ *http.Request) {
 	sort.Slice(merged.Channels, func(a, b int) bool {
 		return merged.Channels[a].Channel < merged.Channels[b].Channel
 	})
-	writeJSON(w, http.StatusOK, merged)
+	server.WriteJSON(w, http.StatusOK, merged)
 }
 
 func (rt *Router) handleMapGet(w http.ResponseWriter, _ *http.Request) {
 	m := rt.Map()
-	writeJSON(w, http.StatusOK, server.ShardMapResponse{
+	server.WriteJSON(w, http.StatusOK, server.ShardMapResponse{
 		Epoch:    m.Epoch(),
 		Replicas: m.Replicas(),
 		Nodes:    m.Nodes(),
@@ -415,8 +363,7 @@ func (rt *Router) handleMapGet(w http.ResponseWriter, _ *http.Request) {
 // config-signature guard makes any handoff skip decision-safe.
 func (rt *Router) handleMapPost(w http.ResponseWriter, r *http.Request) {
 	var spec shard.Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		server.WriteEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, "decode: "+err.Error())
+	if !server.DecodeJSON(w, r, &spec) {
 		return
 	}
 	next, err := shard.FromSpec(spec)
@@ -475,7 +422,7 @@ func (rt *Router) handleMapPost(w http.ResponseWriter, r *http.Request) {
 
 	rt.log.Info("reshard installed", "epoch", next.Epoch(),
 		"nodes", len(next.Nodes()), "moved", len(moved), "handoff_states", handed)
-	writeJSON(w, http.StatusOK, ReshardResponse{
+	server.WriteJSON(w, http.StatusOK, ReshardResponse{
 		Epoch:         next.Epoch(),
 		Replicas:      next.Replicas(),
 		Nodes:         next.Nodes(),

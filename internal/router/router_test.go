@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -438,11 +439,15 @@ func TestRouterStatusHonest(t *testing.T) {
 // results keep caller-visible indices, and per-device reads proxy to
 // the right shard afterwards.
 func TestRouterReportPartitionAndProxy(t *testing.T) {
-	s1, ts1 := newShard(t, "n1", server.Config{})
-	s2, ts2 := newShard(t, "n2", server.Config{})
-	rt, routerTS := newRouter(t, map[string]string{"n1": ts1.URL, "n2": ts2.URL})
-	_ = s1
-	_ = s2
+	// Under these node IDs the hash ring splits the test channels ("ch"
+	// to n2, "music" and "news" to n3), so every batch below really is
+	// partitioned.
+	_, ts1 := newShard(t, "n2", server.Config{})
+	_, ts2 := newShard(t, "n3", server.Config{})
+	rt, routerTS := newRouter(t, map[string]string{"n2": ts1.URL, "n3": ts2.URL})
+	if rt.Map().Owner("ch").ID == rt.Map().Owner("music").ID {
+		t.Fatal("test channels share one owner; pick node IDs that split them")
+	}
 
 	// Single JSON report.
 	single := report(500, "music")
@@ -451,7 +456,7 @@ func TestRouterReportPartitionAndProxy(t *testing.T) {
 		t.Fatalf("single forward failed: %d %+v", resp.StatusCode, rep)
 	}
 	owner := rt.Map().Owner("music").ID
-	ownerTS := map[string]*httptest.Server{"n1": ts1, "n2": ts2}[owner]
+	ownerTS := map[string]*httptest.Server{"n2": ts1, "n3": ts2}[owner]
 	var ownSt server.StatusResponse
 	getJSON(t, ownerTS.URL+"/v1/status", &ownSt)
 	if ownSt.Devices != 1 {
@@ -498,6 +503,36 @@ func TestRouterReportPartitionAndProxy(t *testing.T) {
 		t.Fatalf("wire batch accepted %d (err %v)", wbr.Accepted, err)
 	}
 
+	// Binary single report: it reaches the owner, and the router answers
+	// the daemon's ReportResponse bytes.
+	wsingle := report(600, "music")
+	wbuf, err := wire.AppendSingle(nil, &wsingle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	postRaw := func(name, url string) string {
+		resp, err := http.Post(url+"/v1/report", wire.ContentType, bytes.NewReader(wbuf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != 200 {
+			t.Fatalf("binary single via %s: status %d: %s", name, resp.StatusCode, body)
+		}
+		return string(body)
+	}
+	getJSON(t, ownerTS.URL+"/v1/status", &ownSt)
+	before := ownSt.Devices
+	viaRouter := postRaw("router", routerTS.URL)
+	getJSON(t, ownerTS.URL+"/v1/status", &ownSt)
+	if ownSt.Devices != before+1 {
+		t.Fatalf("owner %s went from %d to %d devices on the binary single forward", owner, before, ownSt.Devices)
+	}
+	if direct := postRaw("owner", ownerTS.URL); viaRouter != direct {
+		t.Fatalf("binary single: router answered %q, the owner itself %q", viaRouter, direct)
+	}
+
 	// Tick, then proxy per-device reads and an observation.
 	var tick TickResponse
 	if resp := postJSON(t, routerTS.URL+"/v1/tick", nil, &tick); resp.StatusCode != 200 {
@@ -530,6 +565,51 @@ func TestRouterReportPartitionAndProxy(t *testing.T) {
 	}
 	if env := decodeEnvelope(t, resp2); env.Code != server.CodeUnknownDevice {
 		t.Fatalf("ghost code %q", env.Code)
+	}
+
+	// With music's owner down, a single report for it is a retryable 502
+	// shard_unavailable, and a mixed-owner binary batch still accounts
+	// for every record: the dead shard's under their original indices.
+	ownerTS.Close()
+	resp3 := postJSON(t, routerTS.URL+"/v1/report", report(501, "music"), nil)
+	if resp3.StatusCode != http.StatusBadGateway {
+		t.Fatalf("single report to a dead owner: status %d, want 502", resp3.StatusCode)
+	}
+	if env := decodeEnvelope(t, resp3); env.Code != server.CodeShardUnavailable || !env.Retryable {
+		t.Fatalf("single report to a dead owner: envelope %+v", env)
+	}
+	mixed := make([]server.ReportRequest, 0, 9)
+	var wantDead []int
+	for i := 0; i < 9; i++ {
+		ch := []string{"ch", "music", "news"}[i%3]
+		if rt.Map().Owner(ch).ID == owner {
+			wantDead = append(wantDead, i)
+		}
+		mixed = append(mixed, report(200+i, ch))
+	}
+	mbuf, err := wire.AppendBatch(nil, mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp4, err := http.Post(routerTS.URL+"/v1/report", wire.ContentType, bytes.NewReader(mbuf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp4.Body.Close()
+	var mbr server.BatchReportResponse
+	if err := json.NewDecoder(resp4.Body).Decode(&mbr); err != nil || resp4.StatusCode != 200 {
+		t.Fatalf("mixed batch: status %d (err %v)", resp4.StatusCode, err)
+	}
+	if mbr.Accepted != len(mixed)-len(wantDead) || mbr.Rejected != len(wantDead) || len(mbr.Results) != len(wantDead) {
+		t.Fatalf("mixed batch: accepted %d rejected %d rows %d, want %d records of the dead shard rejected",
+			mbr.Accepted, mbr.Rejected, len(mbr.Results), len(wantDead))
+	}
+	for k, res := range mbr.Results {
+		i := wantDead[k]
+		if res.Index != i || res.DeviceID != mixed[i].DeviceID || res.Error == nil ||
+			res.Error.Code != server.CodeShardUnavailable || !res.Error.Retryable {
+			t.Fatalf("mixed batch row %d: %+v, want record %d rejected shard_unavailable", k, res, i)
+		}
 	}
 }
 

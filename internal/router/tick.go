@@ -61,7 +61,7 @@ func (rt *Router) handleTick(w http.ResponseWriter, _ *http.Request) {
 		"shard_errors", merged.ShardErrors, "vcs", len(merged.VCs),
 		"reports", merged.Reports, "selected", merged.Selected,
 		"duration_ms", merged.Sched.DurationSec*1000)
-	writeJSON(w, http.StatusOK, merged)
+	server.WriteJSON(w, http.StatusOK, merged)
 }
 
 // tickShard runs one shard's leg of the fan-out. On a 409

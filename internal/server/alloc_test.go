@@ -10,6 +10,7 @@ import (
 
 	"lpvs/internal/obs"
 	"lpvs/internal/testenv"
+	"lpvs/internal/wire"
 )
 
 // TestAcceptReportAllocsKnownDevice guards the per-report cost of
@@ -112,4 +113,73 @@ func TestDebugLogObservation(t *testing.T) {
 	wantEntry(t, entry, map[string]any{
 		"device": "dev-1", "reduction": 0.3, "observations": float64(1),
 	})
+}
+
+// TestHandleReportAllocsJSONSingle guards the per-request cost of the
+// per-device workload (2,000 single JSON reports per slot): one report
+// of a known device through handleReport — body read, decode, staging,
+// response — allocates no more than it did before both codecs and both
+// arities shared one handler: 28 at commit f3f6c9a, measured with this
+// test, the httptest request and recorder included.
+func TestHandleReportAllocsJSONSingle(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s, err := New(Config{Stream: testStream(t), ServerStreams: -1, Lambda: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(validReport("dev-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(body)
+	post := func() {
+		rd.Reset(body)
+		rec := httptest.NewRecorder()
+		s.handleReport(rec, httptest.NewRequest("POST", "/v1/report", rd))
+		if rec.Code != 200 {
+			t.Fatalf("report: HTTP %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	post()
+	const parent = 28
+	if allocs := testing.AllocsPerRun(100, post); allocs > parent {
+		t.Fatalf("a JSON single report allocates %.1f, want at most %d", allocs, parent)
+	}
+}
+
+// TestHandleReportAllocsBinaryBatchPerRecord guards the batch workload
+// (one 10k-record binary body per slot): with the pooled scratch and
+// its intern table warm, a batch's allocation count does not depend on
+// how many records it carries.
+func TestHandleReportAllocsBinaryBatchPerRecord(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s, err := New(Config{Stream: testStream(t), ServerStreams: -1, Lambda: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := ingestReports(512)
+	perBatch := func(n int) float64 {
+		body := encodeBatch(t, reqs[:n])
+		rd := bytes.NewReader(body)
+		post := func() {
+			rd.Reset(body)
+			req := httptest.NewRequest("POST", "/v1/report", rd)
+			req.Header.Set("Content-Type", wire.ContentType)
+			rec := httptest.NewRecorder()
+			s.handleReport(rec, req)
+			if rec.Code != 200 {
+				t.Fatalf("report: HTTP %d: %s", rec.Code, rec.Body.String())
+			}
+		}
+		post()
+		return testing.AllocsPerRun(20, post)
+	}
+	large := perBatch(512) // first, so the scratch is grown before either count
+	if small := perBatch(8); large != small {
+		t.Fatalf("a warm binary batch allocates %.1f at 512 records and %.1f at 8, want equal (nothing per record)", large, small)
+	}
 }

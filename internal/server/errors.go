@@ -86,15 +86,9 @@ func WriteEnvelopeError(w http.ResponseWriter, status int, code, msg string) {
 	writeErrorMsg(w, status, code, msg)
 }
 
-// Retryable is the v1 envelope's retryability classification: overload
-// (429) and server faults (5xx) are worth retrying, other client
-// errors never are. Exported for servers composing envelope bodies
-// (the router's per-item batch results).
-func Retryable(status int) bool { return retryable(status) }
-
 // writeErrorMsg is writeError with a pre-rendered message.
 func writeErrorMsg(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: ErrorBody{
+	WriteJSON(w, status, ErrorResponse{Error: ErrorBody{
 		Code:      code,
 		Message:   msg,
 		Retryable: retryable(status),

@@ -248,17 +248,17 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, ReadyResponse{Ready: false, Reason: "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, ReadyResponse{Ready: false, Reason: "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, ReadyResponse{Ready: true})
+	WriteJSON(w, http.StatusOK, ReadyResponse{Ready: true})
 }
 
 func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
 	// Evaluate on demand (not just Snapshot): a polling dashboard then
 	// sharpens the burn windows beyond the background sampling interval.
 	states := s.slo.Evaluate()
-	writeJSON(w, http.StatusOK, SLOResponse{
+	WriteJSON(w, http.StatusOK, SLOResponse{
 		EvalUnixSec: float64(time.Now().UnixNano()) / 1e9,
 		Objectives:  states,
 	})
@@ -308,7 +308,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	sortChannels(resp.Channels)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // sortChannels orders fleet rows by channel ID for a stable wire form.

@@ -2,9 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -125,7 +122,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		Samples:     s.history.Samples(),
 		Series:      s.history.Query(prefixes, since),
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleIncident serves POST /v1/incident: a manual flight-recorder
@@ -137,15 +134,9 @@ func (s *Server) handleIncident(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reason := "operator capture"
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeErrorMsg(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
-			return
-		}
-		writeErrorMsg(w, http.StatusBadRequest, CodeBadRequest, "read body: "+err.Error())
+	body, aerr := readBody(r)
+	if aerr != nil {
+		aerr.write(w)
 		return
 	}
 	if len(body) > 0 {
@@ -170,5 +161,5 @@ func (s *Server) handleIncident(w http.ResponseWriter, r *http.Request) {
 		Bundles: b.BundlesWritten(),
 	}
 	_, resp.WrittenUnixSec = b.LastBundle()
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

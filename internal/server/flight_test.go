@@ -321,7 +321,7 @@ func TestForensicsDecisionNeutral(t *testing.T) {
 // bundle whose reason names the path.
 func TestPanicTriggerCapturesBundle(t *testing.T) {
 	s, _ := flightServer(t, nil)
-	h := s.recoverPanics(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	h := s.shell().recoverPanics(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("boom")
 	}))
 	rec := httptest.NewRecorder()

@@ -1,29 +1,25 @@
 package server
 
 import (
-	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
 	"lpvs/internal/wire"
 )
 
-// This file is the binary report-ingest path (DESIGN.md §16). POST
-// /v1/report negotiates the codec on Content-Type: the binary framing
-// of internal/wire streams record by record off the request body —
-// never buffered whole — into pooled decode scratch, so the
-// steady-state cost per report is the scheduler hand-off, not the
-// parser. JSON stays the compatible default on every other
-// Content-Type.
+// This file is the report-ingest path (DESIGN.md §16): POST /v1/report
+// in both codecs. wire.ReadReport owns the negotiation and the decode;
+// a binary body streams record by record — never buffered whole — into
+// pooled scratch, so the steady-state cost per report is the scheduler
+// hand-off, not the parser.
 //
-// Pooling lifecycle and aliasing rules: an ingestScratch (decoder +
-// record slice + result slice) is checked out per request and returned
-// when the handler exits. The decoded ReportRequests live in the
-// scratch slice and are handed to acceptReportLocked *by value* —
-// every field the server retains (scheduler.Request, deviceState) is a
-// copy, and interned ID strings are immutable — so reusing the slice
-// on the next checkout can never mutate state already handed to the
+// Pooling lifecycle and aliasing rules: an ingestScratch (wire.Scratch
+// + result slice) is checked out per binary request and returned when
+// the handler exits. The decoded ReportRequests live in the scratch
+// and are handed to acceptReportLocked *by value* — every field the
+// server retains (scheduler.Request, deviceState) is a copy, and
+// interned ID strings are immutable — so reusing the scratch on the
+// next checkout can never mutate state already handed to the
 // scheduler. The aliasing regression test pins this.
 
 // DefaultMaxBatchRecords caps records per batch report. The body byte
@@ -33,8 +29,7 @@ const DefaultMaxBatchRecords = 100_000
 
 // ingestScratch is one pooled decode workspace.
 type ingestScratch struct {
-	dec     *wire.Decoder
-	reqs    []ReportRequest
+	wire    *wire.Scratch
 	results []BatchReportResult
 }
 
@@ -61,13 +56,12 @@ func (s *Server) getScratch() *ingestScratch {
 	s.ingestFreeMu.Unlock()
 	if sc == nil {
 		s.ingestPoolMisses.Add(1)
-		sc = &ingestScratch{dec: wire.NewDecoder(nil)}
+		sc = &ingestScratch{wire: wire.NewScratch()}
 	}
 	return sc
 }
 
 func (s *Server) putScratch(sc *ingestScratch) {
-	sc.dec.Reset(nil)
 	s.ingestFreeMu.Lock()
 	if len(s.ingestFree) < ingestFreeCap {
 		s.ingestFree = append(s.ingestFree, sc)
@@ -75,20 +69,18 @@ func (s *Server) putScratch(sc *ingestScratch) {
 	s.ingestFreeMu.Unlock()
 }
 
-// noteIngest records one decoded report payload in the codec-split
+// noteIngest records one decoded report message in the codec-split
 // counters (metric families and the uint64 status mirrors).
-func (s *Server) noteIngest(codec string, bytes int64, records int, decodeSec float64) {
-	switch codec {
-	case "binary":
-		s.ingestBytesWire.Add(uint64(bytes))
-		s.ingestRecordsWire.Add(uint64(records))
-	default:
-		s.ingestBytesJSON.Add(uint64(bytes))
-		s.ingestRecordsJSON.Add(uint64(records))
+func (s *Server) noteIngest(msg *wire.Message, decodeSec float64) {
+	codec, bytes, records := "json", &s.ingestBytesJSON, &s.ingestRecordsJSON
+	if msg.Binary {
+		codec, bytes, records = "binary", &s.ingestBytesWire, &s.ingestRecordsWire
 	}
+	bytes.Add(uint64(msg.Bytes))
+	records.Add(uint64(len(msg.Reports)))
 	m := s.metrics
-	m.ingestBytes.With(codec).Add(float64(bytes))
-	m.ingestRecords.With(codec).Add(float64(records))
+	m.ingestBytes.With(codec).Add(float64(msg.Bytes))
+	m.ingestRecords.With(codec).Add(float64(len(msg.Reports)))
 	m.ingestDecode.With(codec).Observe(decodeSec)
 }
 
@@ -101,94 +93,80 @@ func (s *Server) maxBatchRecords() int {
 	return s.maxBatch
 }
 
-func errBatchTooLarge(count, cap int) *apiError {
-	return &apiError{Status: http.StatusRequestEntityTooLarge, Code: CodeBatchTooLarge,
-		Message: fmt.Sprintf("batch of %d records exceeds the %d-record cap", count, cap)}
-}
-
-// wireDecodeError classifies a binary decode failure: version skew is
-// a 415 (the client's cue to fall back to JSON), framing corruption a
-// 400, and a tripped body cap the same 413 the JSON path returns.
-func wireDecodeError(err error) *apiError {
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.Is(err, wire.ErrVersion):
-		return &apiError{Status: http.StatusUnsupportedMediaType, Code: CodeUnsupportedMedia,
-			Message: "binary report: " + err.Error()}
-	case errors.As(err, &tooBig):
-		return &apiError{Status: http.StatusRequestEntityTooLarge, Code: CodePayloadTooLarge,
-			Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
-	default:
-		return errBadRequest("binary report: " + err.Error())
-	}
-}
-
-// handleReportWire ingests a binary report message. Records are
-// decoded streaming off the body into pooled scratch, then staged
-// under one lock acquisition; the lock is never held while reading
-// from the network. Responses stay JSON in both codecs.
-func (s *Server) handleReportWire(w http.ResponseWriter, r *http.Request) {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-
+// handleReport accepts one device report or a batch — a fleet's
+// round-trips per slot cut from N to 1 — in either codec. The body is
+// decoded off the network first, then every record is staged under one
+// lock acquisition: valid reports are accepted even when siblings
+// fail. A single report answers its own outcome; a batch answers 200
+// with per-item outcomes (NewBatchReportResponse). Responses are JSON
+// in both codecs.
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	sc.dec.Reset(r.Body)
-	kind, count, err := sc.dec.Begin()
-	if err != nil {
-		wireDecodeError(err).write(w)
+	var sc *ingestScratch
+	msg, ok := DecodeReport(w, r, s.maxBatchRecords(), func() *wire.Scratch {
+		sc = s.getScratch()
+		return sc.wire
+	})
+	var rejected []BatchReportResult
+	if sc != nil {
+		defer s.putScratch(sc)
+		rejected = sc.results[:0]
+	}
+	if !ok {
 		return
 	}
-	if maxBatch := s.maxBatchRecords(); count > maxBatch {
-		// Refused before a single record is read: the count is declared
-		// in the header, so an oversized batch costs 10 bytes to reject.
-		errBatchTooLarge(count, maxBatch).write(w)
-		return
-	}
-	if cap(sc.reqs) < count {
-		sc.reqs = make([]ReportRequest, count)
-	}
-	reqs := sc.reqs[:count]
-	for i := range reqs {
-		if err := sc.dec.Next(&reqs[i]); err != nil {
-			wireDecodeError(err).write(w)
-			return
-		}
-	}
-	if err := sc.dec.Finish(); err != nil {
-		wireDecodeError(err).write(w)
-		return
-	}
-	s.noteIngest("binary", sc.dec.BytesRead(), count, time.Since(start).Seconds())
+	s.noteIngest(&msg, time.Since(start).Seconds())
 
-	if kind == wire.KindSingle {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if aerr := s.acceptReportLocked(reqs[0]); aerr != nil {
-			aerr.write(w)
-			return
-		}
-		writeJSON(w, http.StatusOK, ReportResponse{Slot: s.slot, Accepted: true})
-		return
-	}
-
-	sc.results = sc.results[:0]
+	var aerr *apiError // the last record's outcome: a single report's answer
 	s.mu.Lock()
-	resp := BatchReportResponse{Slot: s.slot}
-	for i := range reqs {
-		if aerr := s.acceptReportLocked(reqs[i]); aerr != nil {
-			resp.Rejected++
-			sc.results = append(sc.results, BatchReportResult{
+	slot := s.slot
+	for i := range msg.Reports {
+		if aerr = s.acceptReportLocked(msg.Reports[i]); aerr != nil && msg.Batch {
+			rejected = append(rejected, BatchReportResult{
 				Index:    i,
-				DeviceID: reqs[i].DeviceID,
+				DeviceID: msg.Reports[i].DeviceID,
 				Error:    &ErrorBody{Code: aerr.Code, Message: aerr.Message, Retryable: retryable(aerr.Status)},
 			})
-		} else {
-			resp.Accepted++
 		}
 	}
 	s.mu.Unlock()
-	// Rejected-only results: an all-accepted 10k-device batch answers
-	// with three integers instead of 10k echo objects.
-	resp.Results = sc.results
-	writeJSON(w, http.StatusOK, resp)
+	switch {
+	case msg.Batch:
+		if sc != nil {
+			sc.results = rejected
+		}
+		WriteJSON(w, http.StatusOK, NewBatchReportResponse(slot, &msg, rejected))
+	case aerr != nil:
+		aerr.write(w)
+	default:
+		WriteJSON(w, http.StatusOK, ReportResponse{Slot: slot, Accepted: true})
+	}
+}
+
+// NewBatchReportResponse shapes a batch's outcome for the codec it
+// arrived in. rejected lists the refused records in ascending Index
+// order, each in the rejected-only form: Index, DeviceID, Error. A
+// binary batch answers exactly those rows — an all-accepted 10k-device
+// batch answers with three integers instead of 10k echo objects — and a
+// JSON batch one positional row per record.
+func NewBatchReportResponse(slot int, msg *wire.Message, rejected []BatchReportResult) BatchReportResponse {
+	resp := BatchReportResponse{
+		Slot:     slot,
+		Accepted: len(msg.Reports) - len(rejected),
+		Rejected: len(rejected),
+		Results:  rejected,
+	}
+	if msg.Binary {
+		return resp
+	}
+	resp.Results = make([]BatchReportResult, len(msg.Reports))
+	for i := range msg.Reports {
+		resp.Results[i] = BatchReportResult{DeviceID: msg.Reports[i].DeviceID, Accepted: true}
+	}
+	for _, row := range rejected {
+		i := row.Index
+		row.Index = 0 // positional rows carry no index
+		resp.Results[i] = row
+	}
+	return resp
 }

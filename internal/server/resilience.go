@@ -3,18 +3,14 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"runtime/debug"
-	"sort"
-	"strings"
 )
 
-// This file implements the daemon's overload-resilience middleware
-// (DESIGN.md §12): bounded admission on the heavy mutation routes, 429
-// + Retry-After load shedding when the bound is hit, panic recovery so
-// one bad request cannot take the process down, request-body caps, and
-// envelope-formatted 405s with an Allow header. Read-only probes
-// (/healthz, /metrics, /v1/status) are deliberately ungated so
-// operators can still see a saturated daemon.
+// This file implements the daemon's admission control (DESIGN.md §12):
+// bounded admission on the heavy mutation routes and 429 + Retry-After
+// load shedding when the bound is hit. Read-only probes (/healthz,
+// /metrics, /v1/status) are deliberately ungated so operators can
+// still see a saturated daemon. Panic recovery, body caps and the
+// envelope 405s are the route shell's (shell.go).
 
 // Admission defaults; Config overrides both.
 const (
@@ -56,30 +52,6 @@ func (g *gate) release() { <-g.sem }
 // inflight reports currently admitted requests (for the gauge).
 func (g *gate) inflight() int { return len(g.sem) }
 
-// recoverPanics converts a handler panic into an envelope 500 instead
-// of killing the connection (and, under http.Server, spamming a stack
-// trace per request). The stack is logged once, server-side.
-func (s *Server) recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.metrics.panics.Inc()
-				s.log.Error("handler panic",
-					"path", r.URL.Path, "panic", fmt.Sprint(rec),
-					"stack", string(debug.Stack()))
-				if s.flight != nil {
-					s.flight.OnPanic(fmt.Sprintf("%s: %v", r.URL.Path, rec))
-				}
-				// The handler may have written already; this is then a
-				// no-op, and the client sees a truncated body — the best
-				// available outcome.
-				writeErrorMsg(w, http.StatusInternalServerError, CodeInternal, "internal error")
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
 // admit gates a heavy route: over the in-flight bound the request is
 // shed with 429 + Retry-After rather than queued. Admissions and sheds
 // feed the shed-requests SLO; sheds are also counted per route (bounded
@@ -102,27 +74,4 @@ func (s *Server) admit(next http.Handler, routePath string) http.Handler {
 		s.admitted.Add(1)
 		next.ServeHTTP(w, r)
 	})
-}
-
-// capBody bounds the request body; an overflowing read inside the
-// handler surfaces as *http.MaxBytesError, which decode paths map to
-// 413 payload_too_large.
-func (s *Server) capBody(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-		next.ServeHTTP(w, r)
-	})
-}
-
-// methodNotAllowed writes the envelope 405 with the Allow header —
-// registered on the bare path so any method without its own pattern
-// lands here instead of the mux's plain-text default.
-func methodNotAllowed(allow []string) http.HandlerFunc {
-	sort.Strings(allow)
-	allowHeader := strings.Join(allow, ", ")
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", allowHeader)
-		writeErrorMsg(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
-			fmt.Sprintf("method %s not allowed; allowed: %s", r.Method, allowHeader))
-	}
 }

@@ -302,7 +302,7 @@ func TestPanicRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := s.recoverPanics(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	h := s.shell().recoverPanics(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("boom")
 	}))
 	rec := httptest.NewRecorder()

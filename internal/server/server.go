@@ -1,12 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -28,7 +25,6 @@ import (
 	"lpvs/internal/shard"
 	"lpvs/internal/transform"
 	"lpvs/internal/video"
-	"lpvs/internal/wire"
 )
 
 // Config parameterises the edge daemon.
@@ -394,81 +390,67 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// route is one v1 endpoint: its method, path, handler and resilience
-// treatment.
-type route struct {
-	method string
-	path   string
-	h      http.HandlerFunc
-	// gated routes pass admission control (heavy mutations); probes stay
-	// ungated so a saturated daemon remains observable.
-	gated bool
-	// shardOnly routes are the node-to-node surface (DESIGN.md §17).
-	// They are registered in every personality so routing behavior (405
-	// + Allow included) is uniform, but outside Config.ShardMode they
-	// answer an envelope 404 — a router pointed at a plain edge daemon
-	// fails loudly instead of silently double-scheduling.
-	shardOnly bool
-}
-
-// Handler returns the HTTP routes. Every route runs the middleware
-// chain observability → panic recovery → (admission gate) → (body
-// cap) → handler; wrong-method requests get an envelope 405 with the
-// Allow header, and unknown paths an envelope 404.
+// Handler returns the daemon's HTTP routes behind the v1 route shell
+// (shell.go).
 func (s *Server) Handler() http.Handler {
-	routes := []route{
-		{method: "POST", path: "/v1/report", h: s.handleReport, gated: true},
-		{method: "POST", path: "/v1/tick", h: s.handleTick, gated: true},
-		{method: "GET", path: "/v1/decision", h: s.handleDecision},
-		{method: "GET", path: "/v1/chunk", h: s.handleChunk},
-		{method: "GET", path: "/v1/playlist", h: s.handlePlaylist},
-		{method: "POST", path: "/v1/observe", h: s.handleObserve, gated: true},
-		{method: "GET", path: "/v1/explain", h: s.handleExplain},
-		{method: "GET", path: "/v1/status", h: s.handleStatus},
-		{method: "GET", path: "/v1/fleet", h: s.handleFleet},
-		{method: "GET", path: "/v1/slo", h: s.handleSLO},
+	// The node-to-node surface (DESIGN.md §17) is registered in every
+	// personality so routing behavior (405 + Allow included) is uniform,
+	// but outside Config.ShardMode it answers an envelope 404 — a router
+	// pointed at a plain edge daemon fails loudly instead of silently
+	// double-scheduling.
+	shardOnly := func(h http.HandlerFunc) http.HandlerFunc {
+		if !s.cfg.ShardMode {
+			return shardDisabled
+		}
+		return h
+	}
+	return s.shell().Handler([]Route{
+		{Method: "POST", Path: "/v1/report", Handler: s.handleReport, Gated: true},
+		{Method: "POST", Path: "/v1/tick", Handler: s.handleTick, Gated: true},
+		{Method: "GET", Path: "/v1/decision", Handler: s.handleDecision},
+		{Method: "GET", Path: "/v1/chunk", Handler: s.handleChunk},
+		{Method: "GET", Path: "/v1/playlist", Handler: s.handlePlaylist},
+		{Method: "POST", Path: "/v1/observe", Handler: s.handleObserve, Gated: true},
+		{Method: "GET", Path: "/v1/explain", Handler: s.handleExplain},
+		{Method: "GET", Path: "/v1/status", Handler: s.handleStatus},
+		{Method: "GET", Path: "/v1/fleet", Handler: s.handleFleet},
+		{Method: "GET", Path: "/v1/slo", Handler: s.handleSLO},
 		// History and incident capture stay ungated: forensics must
 		// keep working while admission control is shedding load.
-		{method: "GET", path: "/v1/history", h: s.handleHistory},
-		{method: "POST", path: "/v1/incident", h: s.handleIncident},
-		{method: "POST", path: "/v1/shard/tick", h: s.handleShardTick, gated: true, shardOnly: true},
-		{method: "GET", path: "/v1/shard/state", h: s.handleShardState, shardOnly: true},
-		{method: "POST", path: "/v1/shard/handoff", h: s.handleShardHandoff, gated: true, shardOnly: true},
-		{method: "GET", path: "/v1/shard/map", h: s.handleShardMapGet, shardOnly: true},
-		{method: "POST", path: "/v1/shard/map", h: s.handleShardMapPost, shardOnly: true},
-		{method: "GET", path: "/metrics", h: s.handleMetrics},
-		{method: "GET", path: "/healthz", h: func(w http.ResponseWriter, _ *http.Request) {
+		{Method: "GET", Path: "/v1/history", Handler: s.handleHistory},
+		{Method: "POST", Path: "/v1/incident", Handler: s.handleIncident},
+		{Method: "POST", Path: "/v1/shard/tick", Handler: shardOnly(s.handleShardTick), Gated: true},
+		{Method: "GET", Path: "/v1/shard/state", Handler: shardOnly(s.handleShardState)},
+		{Method: "POST", Path: "/v1/shard/handoff", Handler: shardOnly(s.handleShardHandoff), Gated: true},
+		{Method: "GET", Path: "/v1/shard/map", Handler: shardOnly(s.handleShardMapGet)},
+		{Method: "POST", Path: "/v1/shard/map", Handler: shardOnly(s.handleShardMapPost)},
+		{Method: "GET", Path: "/metrics", Handler: s.handleMetrics},
+		{Method: "GET", Path: "/healthz", Handler: func(w http.ResponseWriter, _ *http.Request) {
 			w.WriteHeader(http.StatusOK)
 		}},
-		{method: "GET", path: "/readyz", h: s.handleReadyz},
+		{Method: "GET", Path: "/readyz", Handler: s.handleReadyz},
+	})
+}
+
+// shell is the daemon's route shell: its HTTP metrics, logger and body
+// cap, the admission gate when enabled, and the panic counter and
+// flight-recorder trigger behind OnPanic.
+func (s *Server) shell() Shell {
+	sh := Shell{
+		Metrics:      s.metrics.http,
+		Log:          s.log,
+		MaxBodyBytes: s.maxBody,
+		OnPanic: func(path string, rec any) {
+			s.metrics.panics.Inc()
+			if s.flight != nil {
+				s.flight.OnPanic(fmt.Sprintf("%s: %v", path, rec))
+			}
+		},
 	}
-	mux := http.NewServeMux()
-	allow := map[string][]string{}
-	for _, rt := range routes {
-		var h http.Handler = rt.h
-		if rt.shardOnly && !s.cfg.ShardMode {
-			h = http.HandlerFunc(shardDisabled)
-		}
-		if rt.method == "POST" {
-			h = s.capBody(h)
-		}
-		if rt.gated && s.gate != nil {
-			h = s.admit(h, rt.path)
-		}
-		pattern := rt.method + " " + rt.path
-		mux.Handle(pattern, s.metrics.http.Instrument(pattern, s.recoverPanics(h)))
-		allow[rt.path] = append(allow[rt.path], rt.method)
+	if s.gate != nil {
+		sh.Admit = s.admit
 	}
-	// Bare-path fallbacks: a registered path with an unregistered method
-	// is 405 + Allow, not the mux's plain-text default.
-	for path, methods := range allow {
-		pattern := path
-		mux.Handle(pattern, s.metrics.http.Instrument(pattern, methodNotAllowed(methods)))
-	}
-	mux.Handle("/", s.metrics.http.Instrument("fallback", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeErrorMsg(w, http.StatusNotFound, CodeNotFound, "no such route: "+r.URL.Path)
-	})))
-	return mux
+	return sh
 }
 
 // slotWindow returns a stream's chunk window of the given slot, wrapping
@@ -485,91 +467,6 @@ func (s *Server) slotWindow(channel string, slot int) []video.Chunk {
 	}
 	start := (slot % total) * s.chunksPer
 	return stream.Chunks[start : start+s.chunksPer]
-}
-
-// readBody drains a capped request body, classifying overflow as 413.
-func readBody(r *http.Request) ([]byte, *apiError) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, &apiError{Status: http.StatusRequestEntityTooLarge, Code: CodePayloadTooLarge,
-				Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
-		}
-		return nil, errBadRequest("read body: " + err.Error())
-	}
-	return body, nil
-}
-
-// handleReport accepts one device report, or — when the body is a JSON
-// array — a batch, cutting a fleet's round-trips per slot from N to 1.
-// A batch is applied item by item: valid reports are accepted even
-// when siblings fail, and the per-item outcomes are returned. A
-// Content-Type of application/x-lpvs-report selects the binary codec
-// (DESIGN.md §16) instead; every other Content-Type means JSON, the
-// compatible default.
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get("Content-Type") == wire.ContentType {
-		s.handleReportWire(w, r)
-		return
-	}
-	start := time.Now()
-	body, aerr := readBody(r)
-	if aerr != nil {
-		aerr.write(w)
-		return
-	}
-	if trimmed := bytes.TrimLeft(body, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
-		s.handleReportBatch(w, trimmed, start)
-		return
-	}
-	var req ReportRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErrorMsg(w, http.StatusBadRequest, CodeBadRequest, "decode: "+err.Error())
-		return
-	}
-	s.noteIngest("json", int64(len(body)), 1, time.Since(start).Seconds())
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if aerr := s.acceptReportLocked(req); aerr != nil {
-		aerr.write(w)
-		return
-	}
-	writeJSON(w, http.StatusOK, ReportResponse{Slot: s.slot, Accepted: true})
-}
-
-// handleReportBatch applies a JSON array of reports under one lock
-// acquisition and returns per-item outcomes (200 even on partial
-// failure — the Results say which items need fixing).
-func (s *Server) handleReportBatch(w http.ResponseWriter, body []byte, start time.Time) {
-	var reqs []ReportRequest
-	if err := json.Unmarshal(body, &reqs); err != nil {
-		writeErrorMsg(w, http.StatusBadRequest, CodeBadRequest, "decode batch: "+err.Error())
-		return
-	}
-	if maxBatch := s.maxBatchRecords(); len(reqs) > maxBatch {
-		errBatchTooLarge(len(reqs), maxBatch).write(w)
-		return
-	}
-	s.noteIngest("json", int64(len(body)), len(reqs), time.Since(start).Seconds())
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	resp := BatchReportResponse{
-		Slot:    s.slot,
-		Results: make([]BatchReportResult, len(reqs)),
-	}
-	for i, req := range reqs {
-		res := BatchReportResult{DeviceID: req.DeviceID, Accepted: true}
-		if aerr := s.acceptReportLocked(req); aerr != nil {
-			res.Accepted = false
-			res.Error = &ErrorBody{Code: aerr.Code, Message: aerr.Message, Retryable: retryable(aerr.Status)}
-			resp.Rejected++
-		} else {
-			resp.Accepted++
-		}
-		resp.Results[i] = res
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // acceptReportLocked validates and stages one report for the next
@@ -627,7 +524,7 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := out.stats
-	writeJSON(w, http.StatusOK, TickResponse{
+	WriteJSON(w, http.StatusOK, TickResponse{
 		Slot:     st.Slot,
 		Reports:  st.Reports,
 		Eligible: st.Eligible,
@@ -650,7 +547,7 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeUnknownDevice, fmt.Errorf("unknown device %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, DecisionResponse{
+	WriteJSON(w, http.StatusOK, DecisionResponse{
 		DeviceID:  id,
 		Slot:      st.slot,
 		Transform: st.transform,
@@ -724,7 +621,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		resp.MeanG = res.Stats.MeanG
 		resp.MeanB = res.Stats.MeanB
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handlePlaylist(w http.ResponseWriter, r *http.Request) {
@@ -750,18 +647,12 @@ func (s *Server) handlePlaylist(w http.ResponseWriter, r *http.Request) {
 	for i, c := range window {
 		resp.Durations[i] = c.DurationSec
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	body, aerr := readBody(r)
-	if aerr != nil {
-		aerr.write(w)
-		return
-	}
 	var req ObserveRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErrorMsg(w, http.StatusBadRequest, CodeBadRequest, "decode: "+err.Error())
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	s.mu.Lock()
@@ -787,7 +678,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	s.log.LogAttrs(ctx, slog.LevelDebug, "observation",
 		slog.String("device", req.DeviceID), slog.Float64("reduction", req.Reduction),
 		slog.Float64("gamma", st.estimator.Gamma()), slog.Int("observations", st.estimator.Observations()))
-	writeJSON(w, http.StatusOK, ObserveResponse{
+	WriteJSON(w, http.StatusOK, ObserveResponse{
 		Gamma:        st.estimator.Gamma(),
 		Observations: st.estimator.Observations(),
 	})
@@ -809,7 +700,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeNotScheduled, fmt.Errorf("device %q has not been scheduled yet", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, ExplainResponse{
+	WriteJSON(w, http.StatusOK, ExplainResponse{
 		DeviceID:      id,
 		Slot:          st.slot,
 		Selected:      st.verdict.Selected,
@@ -900,10 +791,13 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	resp.ShardTicks = s.shardTicks.Load()
 	resp.ShardVCsDecided = s.shardVCsDecided.Load()
 	resp.ShardHandoffRestored = s.handoffRestored.Load()
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as a JSON response body with the given status —
+// exported so every v1 personality (the router in internal/router)
+// frames bodies exactly as the edge daemon does.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	// Encoding failures after the header is written can only be logged;

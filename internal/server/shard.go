@@ -17,8 +17,8 @@ import (
 // in VC-ID order. All endpoints speak the uniform v1 error envelope;
 // the route table (Server.Handler) refuses them outside shard mode.
 
-// shardDisabled is the uniform refusal every shardOnly route answers
-// outside shard mode (see route.shardOnly).
+// shardDisabled is the uniform refusal every /v1/shard/* route answers
+// outside shard mode (see Server.Handler).
 func shardDisabled(w http.ResponseWriter, _ *http.Request) {
 	writeErrorMsg(w, http.StatusNotFound, CodeNotFound, "shard API disabled (run lpvsd with -mode=shard)")
 }
@@ -107,7 +107,7 @@ func (s *Server) handleShardTick(w http.ResponseWriter, r *http.Request) {
 			Canonical: dec.Canonical(),
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleShardState exports the shard's incremental stream states —
@@ -130,7 +130,7 @@ func (s *Server) handleShardState(w http.ResponseWriter, r *http.Request) {
 		}
 		states = kept
 	}
-	writeJSON(w, http.StatusOK, ShardStateResponse{Node: s.cfg.NodeID, States: states})
+	WriteJSON(w, http.StatusOK, ShardStateResponse{Node: s.cfg.NodeID, States: states})
 }
 
 // handleShardHandoff imports stream states exported by another shard
@@ -138,20 +138,14 @@ func (s *Server) handleShardState(w http.ResponseWriter, r *http.Request) {
 // config signature, non-empty seed, key not already live — so the
 // worst case is a safe cold start, never a wrong decision.
 func (s *Server) handleShardHandoff(w http.ResponseWriter, r *http.Request) {
-	body, aerr := readBody(r)
-	if aerr != nil {
-		aerr.write(w)
-		return
-	}
 	var req ShardHandoffRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErrorMsg(w, http.StatusBadRequest, CodeBadRequest, "decode: "+err.Error())
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	restored := s.pool.RestoreStreamStates(req.States)
 	s.handoffRestored.Add(uint64(restored))
 	s.log.Info("shard handoff", "offered", len(req.States), "restored", restored)
-	writeJSON(w, http.StatusOK, ShardHandoffResponse{Restored: restored})
+	WriteJSON(w, http.StatusOK, ShardHandoffResponse{Restored: restored})
 }
 
 // handleShardMapGet reports the installed shard map and its epoch.
@@ -163,7 +157,7 @@ func (s *Server) handleShardMapGet(w http.ResponseWriter, r *http.Request) {
 		writeErrorMsg(w, http.StatusNotFound, CodeNotFound, "no shard map installed")
 		return
 	}
-	writeJSON(w, http.StatusOK, ShardMapResponse{
+	WriteJSON(w, http.StatusOK, ShardMapResponse{
 		Epoch: m.Epoch(), Replicas: m.Replicas(), Nodes: m.Nodes(),
 	})
 }
@@ -173,14 +167,8 @@ func (s *Server) handleShardMapGet(w http.ResponseWriter, r *http.Request) {
 // mismatch check. A map that does not include this node is accepted —
 // that is exactly what a drain-out looks like.
 func (s *Server) handleShardMapPost(w http.ResponseWriter, r *http.Request) {
-	body, aerr := readBody(r)
-	if aerr != nil {
-		aerr.write(w)
-		return
-	}
 	var sp shard.Spec
-	if err := json.Unmarshal(body, &sp); err != nil {
-		writeErrorMsg(w, http.StatusBadRequest, CodeBadRequest, "decode: "+err.Error())
+	if !DecodeJSON(w, r, &sp) {
 		return
 	}
 	m, err := shard.FromSpec(sp)
@@ -192,7 +180,7 @@ func (s *Server) handleShardMapPost(w http.ResponseWriter, r *http.Request) {
 	s.shardMap = m
 	s.mu.Unlock()
 	s.log.Info("shard map installed", "epoch", shortEpoch(m.Epoch()), "nodes", len(m.Nodes()))
-	writeJSON(w, http.StatusOK, ShardMapResponse{
+	WriteJSON(w, http.StatusOK, ShardMapResponse{
 		Epoch: m.Epoch(), Replicas: m.Replicas(), Nodes: m.Nodes(),
 	})
 }

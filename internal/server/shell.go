@@ -1,0 +1,118 @@
+package server
+
+import (
+	"fmt"
+	"log/slog"
+	"net/http"
+	"runtime/debug"
+	"sort"
+	"strings"
+
+	"lpvs/internal/obs"
+)
+
+// This file is the v1 route shell: everything about an HTTP
+// personality that is not its handlers. The edge daemon and the router
+// (internal/router) each hand it a route table; middleware order,
+// envelope texts and routing fallbacks are therefore identical between
+// them by construction.
+
+// Route is one v1 endpoint.
+type Route struct {
+	Method  string
+	Path    string
+	Handler http.HandlerFunc
+	// Gated routes pass the shell's admission control (heavy mutations);
+	// probes stay ungated so a saturated process remains observable.
+	Gated bool
+}
+
+// Shell wraps a route table into a personality's http.Handler.
+type Shell struct {
+	// Metrics instruments every route, the 405 fallbacks included.
+	Metrics *obs.HTTPMetrics
+	// Log receives the stack of a recovered handler panic.
+	Log *slog.Logger
+	// MaxBodyBytes caps every POST body (zero or negative: uncapped); a
+	// read past it fails with *http.MaxBytesError, which the decode
+	// helpers (readBody, DecodeReport) answer with 413.
+	MaxBodyBytes int64
+	// Admit wraps the Gated routes; nil leaves them ungated.
+	Admit func(next http.Handler, path string) http.Handler
+	// OnPanic, when set, is told of each recovered panic.
+	OnPanic func(path string, rec any)
+}
+
+// Handler builds the mux. Every route runs observability → panic
+// recovery → (admission gate) → (body cap) → handler; a registered path
+// under an unregistered method answers an envelope 405 with the Allow
+// header, and an unknown path an envelope 404.
+func (sh Shell) Handler(routes []Route) http.Handler {
+	mux := http.NewServeMux()
+	allow := map[string][]string{}
+	for _, rt := range routes {
+		var h http.Handler = rt.Handler
+		if rt.Method == "POST" && sh.MaxBodyBytes > 0 {
+			h = sh.capBody(h)
+		}
+		if rt.Gated && sh.Admit != nil {
+			h = sh.Admit(h, rt.Path)
+		}
+		pattern := rt.Method + " " + rt.Path
+		mux.Handle(pattern, sh.Metrics.Instrument(pattern, sh.recoverPanics(h)))
+		allow[rt.Path] = append(allow[rt.Path], rt.Method)
+	}
+	// Bare-path fallbacks: a registered path with an unregistered method
+	// is 405 + Allow, not the mux's plain-text default.
+	for path, methods := range allow {
+		mux.Handle(path, sh.Metrics.Instrument(path, methodNotAllowed(methods)))
+	}
+	mux.Handle("/", sh.Metrics.Instrument("fallback", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeErrorMsg(w, http.StatusNotFound, CodeNotFound, "no such route: "+r.URL.Path)
+	})))
+	return mux
+}
+
+// recoverPanics converts a handler panic into an envelope 500 instead
+// of killing the connection (and, under http.Server, spamming a stack
+// trace per request). The stack is logged once, server-side.
+func (sh Shell) recoverPanics(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				sh.Log.Error("handler panic",
+					"path", r.URL.Path, "panic", fmt.Sprint(rec),
+					"stack", string(debug.Stack()))
+				if sh.OnPanic != nil {
+					sh.OnPanic(r.URL.Path, rec)
+				}
+				// The handler may have written already; this is then a
+				// no-op, and the client sees a truncated body — the best
+				// available outcome.
+				writeErrorMsg(w, http.StatusInternalServerError, CodeInternal, "internal error")
+			}
+		}()
+		next.ServeHTTP(w, r)
+	})
+}
+
+// capBody bounds the request body; see Shell.MaxBodyBytes.
+func (sh Shell) capBody(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, sh.MaxBodyBytes)
+		next.ServeHTTP(w, r)
+	})
+}
+
+// methodNotAllowed writes the envelope 405 with the Allow header —
+// registered on the bare path so any method without its own pattern
+// lands here instead of the mux's plain-text default.
+func methodNotAllowed(allow []string) http.HandlerFunc {
+	sort.Strings(allow)
+	allowHeader := strings.Join(allow, ", ")
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Allow", allowHeader)
+		writeErrorMsg(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+			fmt.Sprintf("method %s not allowed; allowed: %s", r.Method, allowHeader))
+	}
+}

@@ -22,7 +22,8 @@ const maxInternEntries = 1 << 17
 // storage. The decoder holds a fixed record scratch buffer and a
 // string intern table, so a Reset-reused decoder's steady state
 // allocates nothing per record. It is not safe for concurrent use;
-// pool decoders instead (internal/server keeps a sync.Pool).
+// pool them instead (a Scratch carries one; internal/server keeps a
+// free list of those).
 //
 // Errors are sticky: after the first failure every call returns it.
 // Framing failures wrap the package sentinels; transport read errors
@@ -247,23 +248,9 @@ func (d *Decoder) Finish() error {
 	}
 }
 
-// DecodeBatch decodes a fully buffered message (tests, tools; the
-// server streams instead). It accepts both kinds and returns the
-// decoded reports.
+// DecodeBatch decodes a fully buffered message of either kind (tests,
+// tools; servers stream through ReadReport instead).
 func DecodeBatch(data []byte) ([]ReportRequest, error) {
-	d := NewDecoder(bytes.NewReader(data))
-	_, count, err := d.Begin()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ReportRequest, count)
-	for i := range out {
-		if err := d.Next(&out[i]); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	msg, err := NewScratch().read(bytes.NewReader(data), MaxCount)
+	return msg.Reports, err
 }

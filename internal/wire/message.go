@@ -1,0 +1,131 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+)
+
+// Message is one decoded POST /v1/report body. Binary (the codec) and
+// Batch (the arity: a JSON array or a KindBatch frame, even of one
+// record) are the caller's choices, and whatever answers or forwards
+// the message keeps both: they select the response shape and the
+// framing of a re-encoded copy (Encode).
+type Message struct {
+	Binary, Batch bool
+	// Reports holds exactly one record unless Batch. On the binary path
+	// it aliases the Scratch ReadReport drew and stays valid until that
+	// scratch is read into again.
+	Reports []ReportRequest
+	// Bytes is the body size consumed.
+	Bytes int64
+}
+
+// BatchTooLargeError refuses a batch that declares (binary header) or
+// carries (JSON array) more records than the reader's cap.
+type BatchTooLargeError struct{ Count, Cap int }
+
+func (e *BatchTooLargeError) Error() string {
+	return fmt.Sprintf("batch of %d records exceeds the %d-record cap", e.Count, e.Cap)
+}
+
+// Scratch is the reusable workspace of a binary read: the streaming
+// Decoder (record buffer and intern table) and the record slice the
+// returned Message aliases. Reusing one across requests makes a
+// steady fleet's decode allocation-free; it is not safe for concurrent
+// use.
+type Scratch struct {
+	dec  *Decoder
+	reqs []ReportRequest
+}
+
+// NewScratch returns an empty workspace.
+func NewScratch() *Scratch { return &Scratch{dec: NewDecoder(nil)} }
+
+// ReadReport is the one reader of a POST /v1/report body. The exact
+// Content-Type ContentType selects the binary framing, streamed record
+// by record off body into the workspace scratch supplies (called only
+// on that path, so JSON traffic never touches a caller's pool); every
+// other Content-Type means JSON, the compatible default, where a
+// leading '[' marks a batch. A batch over maxRecords fails with a
+// *BatchTooLargeError — on the binary path from the 10-byte header,
+// before any record is read. Every other failure is prefixed with the
+// step that failed ("binary report: ", "read body: ", "decode: ",
+// "decode batch: ") and wraps its cause, so errors.Is finds the
+// package sentinels and errors.As a transport error such as
+// *http.MaxBytesError.
+func ReadReport(contentType string, body io.Reader, maxRecords int, scratch func() *Scratch) (Message, error) {
+	if contentType == ContentType {
+		msg, err := scratch().read(body, maxRecords)
+		if err != nil {
+			return Message{}, fmt.Errorf("binary report: %w", err)
+		}
+		return msg, nil
+	}
+	data, err := io.ReadAll(body)
+	if err != nil {
+		return Message{}, fmt.Errorf("read body: %w", err)
+	}
+	if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
+		var reqs []ReportRequest
+		if err := json.Unmarshal(trimmed, &reqs); err != nil {
+			return Message{}, fmt.Errorf("decode batch: %w", err)
+		}
+		if len(reqs) > maxRecords {
+			return Message{}, &BatchTooLargeError{Count: len(reqs), Cap: maxRecords}
+		}
+		return Message{Batch: true, Reports: reqs, Bytes: int64(len(data))}, nil
+	}
+	reqs := make([]ReportRequest, 1)
+	if err := json.Unmarshal(data, &reqs[0]); err != nil {
+		return Message{}, fmt.Errorf("decode: %w", err)
+	}
+	return Message{Reports: reqs, Bytes: int64(len(data))}, nil
+}
+
+// read decodes one binary message from body into the workspace.
+func (sc *Scratch) read(body io.Reader, maxRecords int) (Message, error) {
+	d := sc.dec
+	d.Reset(body)
+	defer d.Reset(nil) // keep the buffers and intern table, drop the body
+	kind, count, err := d.Begin()
+	if err != nil {
+		return Message{}, err
+	}
+	if count > maxRecords {
+		return Message{}, &BatchTooLargeError{Count: count, Cap: maxRecords}
+	}
+	if cap(sc.reqs) < count {
+		sc.reqs = make([]ReportRequest, count)
+	}
+	reqs := sc.reqs[:count]
+	for i := range reqs {
+		if err := d.Next(&reqs[i]); err != nil {
+			return Message{}, err
+		}
+	}
+	if err := d.Finish(); err != nil {
+		return Message{}, err
+	}
+	return Message{Binary: true, Batch: kind == KindBatch, Reports: reqs, Bytes: d.BytesRead()}, nil
+}
+
+// Encode frames reports in m's codec and arity — how a router forwards
+// its share of m — and returns the body with the Content-Type to send
+// it under. Without Batch it frames reports[0] alone.
+func (m *Message) Encode(reports []ReportRequest) (body []byte, contentType string, err error) {
+	switch {
+	case m.Binary && m.Batch:
+		body, err = AppendBatch(nil, reports)
+		return body, ContentType, err
+	case m.Binary:
+		body, err = AppendSingle(nil, &reports[0])
+		return body, ContentType, err
+	case m.Batch:
+		body, err = json.Marshal(reports)
+	default:
+		body, err = json.Marshal(&reports[0])
+	}
+	return body, "application/json", err
+}

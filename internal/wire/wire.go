@@ -1,10 +1,16 @@
-// Package wire implements the LPVS binary report codec (DESIGN.md
-// §16): a versioned, length-prefixed wire format for device slot
-// reports, negotiated on POST /v1/report via
-// Content-Type: application/x-lpvs-report. JSON remains the compatible
-// default; the binary format exists because at large fleets the JSON
-// decode of the report hot path dominates the per-request cost, ahead
-// of scheduling itself.
+// Package wire owns the device slot report — the paper's "information
+// gathering" message, the payload of POST /v1/report — in both of its
+// encodings, and the one reader that turns a request body in either
+// into reports (ReadReport; DESIGN.md §18). The edge daemon and the
+// router both ingest through it, so codec negotiation, the JSON
+// single/batch sniff, the record cap and every decode error are
+// decided here once.
+//
+// JSON is the compatible default encoding (ReportRequest's tags). The
+// binary codec (DESIGN.md §16) is a versioned, length-prefixed format
+// negotiated via Content-Type: application/x-lpvs-report; it exists
+// because at large fleets the JSON decode of the report hot path
+// dominates the per-request cost, ahead of scheduling itself.
 //
 // Framing (all integers little-endian):
 //
@@ -75,10 +81,10 @@ const (
 	headerBytes = len(magic) + 2
 )
 
-// Sentinel decode failures, matchable with errors.Is. Every decode
-// error of this package wraps exactly one of them (transport read
-// failures pass through unwrapped so callers can classify them, e.g.
-// http.MaxBytesError as a 413).
+// Sentinel decode failures, matchable with errors.Is. Every framing
+// error of this package wraps exactly one of them; transport read
+// failures stay matchable with errors.As, so callers can classify them
+// (e.g. *http.MaxBytesError as a 413).
 var (
 	ErrTruncated = errors.New("wire: truncated report")
 	ErrBadMagic  = errors.New("wire: bad report magic")
