@@ -54,11 +54,12 @@ check: fmt vet vet-extra build race audit-replay slo-smoke snapshot-smoke flight
 # ingest-smoke guards what the race run cannot see of the report path
 # (DESIGN.md §16): one pass of the ingest benchmarks, so the zero-alloc
 # decode path cannot bitrot, and the slot path's allocation guards —
-# testing.AllocsPerRun tests, which skip themselves under the `race`
-# target's detector.
+# testing.AllocsPerRun tests and the socket-level TestRoundTripAllocs
+# (DESIGN.md §18), which skip themselves under the `race` target's
+# detector.
 ingest-smoke:
 	$(GO) test -count=1 ./internal/server/ -run '^$$' -bench BenchmarkIngest -benchtime 1x -benchmem >/dev/null
-	$(GO) test -count=1 -run 'Allocs' ./internal/scheduler/ ./internal/server/ ./internal/obs/ ./internal/obs/audit/ ./internal/client/
+	$(GO) test -count=1 -run 'Allocs' ./internal/scheduler/ ./internal/server/ ./internal/obs/ ./internal/obs/audit/ ./internal/client/ ./internal/router/
 
 # slo-smoke: one emulator run whose report must carry the SLO verdict
 # lines (DESIGN.md §13).

@@ -4,6 +4,12 @@
 // power reductions back to the edge. Its transport layer — the Caller
 // in options.go — is shared with the router's shard-forwarding client,
 // so both surfaces are configured through one Options API.
+//
+// The Caller is on the hot path of every slot (DESIGN.md §18): it
+// builds each request on the base URL it parsed once, issues it through
+// http.Client.Do, and reads a 200 body whole into a pooled buffer
+// (internal/bufpool) — to json.Unmarshal it, which wants exactly one
+// JSON value, or, for the router, to relay its bytes untouched.
 package client
 
 import (

@@ -7,8 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strings"
 	"time"
 
+	"lpvs/internal/bufpool"
 	"lpvs/internal/server"
 )
 
@@ -116,7 +118,11 @@ func WithJSONReports() Option {
 // response surfaces as a typed *APIError carrying the v1 envelope.
 type Caller struct {
 	base string
-	http *http.Client
+	// baseURL is base parsed once, for newRequest to build on; nil when
+	// base is not a plain scheme://host[/prefix], and every request then
+	// goes through http.NewRequest.
+	baseURL *url.URL
+	http    *http.Client
 
 	retries int
 	backoff time.Duration
@@ -145,6 +151,14 @@ func newCaller(baseURL string, o Options) *Caller {
 		retries: o.Retries,
 		backoff: o.Backoff,
 	}
+	// http.NewRequest rather than url.Parse: it also normalises an empty
+	// port, so the URL is the one a request to base would carry.
+	if req, err := http.NewRequest("GET", baseURL, nil); err == nil {
+		if u := req.URL; u.Opaque == "" && u.RawPath == "" && u.RawQuery == "" && !u.ForceQuery &&
+			u.Fragment == "" && !strings.HasSuffix(baseURL, "#") {
+			c.baseURL = u
+		}
+	}
 	if c.http == nil {
 		c.http = http.DefaultClient
 	}
@@ -160,12 +174,20 @@ func newCaller(baseURL string, o Options) *Caller {
 // Base returns the caller's base URL.
 func (c *Caller) Base() string { return c.base }
 
+// request describes one call; withRetry builds a fresh *http.Request
+// from it for every attempt.
+type request struct {
+	method, path string
+	// contentType and body belong to a POST. A POST always carries a
+	// body, possibly empty.
+	contentType string
+	body        []byte
+}
+
 // GetJSON GETs base+path and decodes the 200 body into out (non-200s
 // become *APIError).
 func (c *Caller) GetJSON(path string, out any) error {
-	return c.withRetry(func() (*http.Response, error) {
-		return c.http.Get(c.base + path)
-	}, "GET", path, out)
+	return c.withRetry(request{method: "GET", path: path}, out)
 }
 
 // PostJSON POSTs body as JSON to base+path and decodes the response.
@@ -174,32 +196,99 @@ func (c *Caller) PostJSON(path string, body, out any) error {
 	if err != nil {
 		return fmt.Errorf("client: marshal: %w", err)
 	}
-	return c.withRetry(func() (*http.Response, error) {
-		return c.http.Post(c.base+path, "application/json", bytes.NewReader(buf))
-	}, "POST", path, out)
+	return c.PostRaw(path, "application/json", buf, out)
 }
 
 // PostRaw POSTs a pre-encoded body with an explicit Content-Type
 // (the binary report codec path) and decodes the JSON response.
 func (c *Caller) PostRaw(path, contentType string, raw []byte, out any) error {
-	return c.withRetry(func() (*http.Response, error) {
-		return c.http.Post(c.base+path, contentType, bytes.NewReader(raw))
-	}, "POST", path, out)
+	return c.withRetry(request{method: "POST", path: path, contentType: contentType, body: raw}, out)
+}
+
+// plainPath reports whether url.Parse(base + path) would do no more to
+// path than split it at the first '?': it starts a new segment, its
+// path half holds only bytes URL.EscapedPath writes as they are, and
+// nothing in it needs unescaping, starts a fragment or is refused as a
+// control byte.
+func plainPath(path string) bool {
+	if !strings.HasPrefix(path, "/") {
+		return false
+	}
+	inQuery := false
+	for i := 0; i < len(path); i++ {
+		switch b := path[i]; {
+		case b <= ' ', b >= 0x7f, b == '%', b == '#':
+			return false
+		case inQuery:
+		case b == '?':
+			inQuery = true
+		case 'a' <= b && b <= 'z', 'A' <= b && b <= 'Z', '0' <= b && b <= '9':
+		case strings.IndexByte("-_.~$&+,/:;=@", b) < 0:
+			return false
+		}
+	}
+	return true
+}
+
+// newRequest builds the request http.NewRequest(method, base+path,
+// bytes.NewReader(body)) would — same URL, Host, ContentLength and
+// GetBody, so the Transport can still replay a POST onto a fresh
+// connection when a kept-alive one turns out dead — without parsing
+// base again: for a plainPath the URL is a copy of baseURL with the
+// path's two halves appended. Any other path takes http.NewRequest.
+func (c *Caller) newRequest(rq request) (*http.Request, error) {
+	var req *http.Request
+	if c.baseURL != nil && plainPath(rq.path) {
+		u := *c.baseURL
+		path, query, forced := strings.Cut(rq.path, "?")
+		u.Path += path
+		u.RawQuery = query
+		u.ForceQuery = forced && query == ""
+		req = &http.Request{
+			Method:     rq.method,
+			URL:        &u,
+			Proto:      "HTTP/1.1",
+			ProtoMajor: 1,
+			ProtoMinor: 1,
+			Header:     make(http.Header),
+			Host:       u.Host,
+		}
+	} else {
+		var err error
+		if req, err = http.NewRequest(rq.method, c.base+rq.path, nil); err != nil {
+			return nil, err
+		}
+	}
+	if rq.method != "POST" {
+		return req, nil
+	}
+	req.Header.Set("Content-Type", rq.contentType)
+	if len(rq.body) == 0 {
+		req.Body = http.NoBody
+		req.GetBody = func() (io.ReadCloser, error) { return http.NoBody, nil }
+		return req, nil
+	}
+	body := rq.body
+	req.ContentLength = int64(len(body))
+	req.Body = io.NopCloser(bytes.NewReader(body))
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	return req, nil
 }
 
 // withRetry runs the request, retrying transport failures, 5xx
 // responses and shed (429) requests with exponential backoff when the
 // caller was built with WithRetries. A server Retry-After hint
 // replaces the computed backoff for that attempt; the circuit breaker
-// and retry budget (when configured) gate every attempt. method and
-// path only label errors, so they are joined on failure, not per call.
-func (c *Caller) withRetry(do func() (*http.Response, error), method, path string, out any) error {
+// and retry budget (when configured) gate every attempt. The request's
+// method and path label errors; they are joined on failure, not per
+// call.
+func (c *Caller) withRetry(rq request, out any) error {
 	delay := c.backoff
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
 			if c.budget != nil && !c.budget.spend() {
-				return fmt.Errorf("client: %s %s: retry budget exhausted: %w", method, path, lastErr)
+				return fmt.Errorf("client: %s %s: retry budget exhausted: %w", rq.method, rq.path, lastErr)
 			}
 			time.Sleep(delay)
 			delay *= 2
@@ -212,9 +301,15 @@ func (c *Caller) withRetry(do func() (*http.Response, error), method, path strin
 				return err
 			}
 		}
-		resp, err := do()
+		var resp *http.Response
+		req, err := c.newRequest(rq)
+		if err == nil {
+			// Through Do, as http.Client.Get and Post go: the client's
+			// Timeout, redirect policy and Transport apply unchanged.
+			resp, err = c.http.Do(req)
+		}
 		if err != nil {
-			lastErr = fmt.Errorf("client: %s %s: %w", method, path, err)
+			lastErr = fmt.Errorf("client: %s %s: %w", rq.method, rq.path, err)
 			c.recordOutcome(false)
 			continue
 		}
@@ -251,9 +346,14 @@ func (c *Caller) recordOutcome(success bool) {
 	}
 }
 
-// decode parses a response: 200 bodies into out, everything else into
+// decode parses a response: a 200 body into out, everything else into
 // a typed *APIError carrying the v1 envelope's code and retryability
-// (code "unknown" when the body was not an envelope).
+// (code "unknown" when the body was not an envelope). The 200 body is
+// read whole into a pooled buffer first. An out that is an io.Writer
+// is not decoded into: it receives the body's bytes as they arrived,
+// in one Write — how the router relays a shard's answer. Otherwise the
+// body must be exactly one JSON value; the daemon and the router send
+// one value and a newline.
 func decode(resp *http.Response, out any) error {
 	if resp.StatusCode != http.StatusOK {
 		apiErr := &APIError{
@@ -276,7 +376,18 @@ func decode(resp *http.Response, out any) error {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	buf := bufpool.Get()
+	defer bufpool.Put(buf)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return fmt.Errorf("client: read body: %w", err)
+	}
+	if w, ok := out.(io.Writer); ok {
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			return fmt.Errorf("client: relay body: %w", err)
+		}
+		return nil
+	}
+	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
 		return fmt.Errorf("client: decode: %w", err)
 	}
 	return nil

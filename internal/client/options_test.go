@@ -1,9 +1,13 @@
 package client
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -199,5 +203,138 @@ func TestCallerAllocsNoLabelPerCall(t *testing.T) {
 	})
 	if through > bare {
 		t.Fatalf("GetJSON allocates %.0f per call, the bare request %.0f", through, bare)
+	}
+}
+
+// TestCallerRequestMatchesNewRequest pins the request the Caller builds
+// on its pre-parsed base URL to the one http.Client.Get and Post built
+// from base+path: same URL on the wire, Host, ContentLength, headers,
+// and a GetBody that replays the body — what lets the Transport re-send
+// a POST when a kept-alive connection turns out dead. Rows the fast
+// path refuses (an escape, a fragment, a byte EscapedPath would rewrite,
+// a base that is more than scheme://host/prefix) must agree as well.
+func TestCallerRequestMatchesNewRequest(t *testing.T) {
+	if !plainPath("/v1/chunk?device=d1&index=3") || plainPath("/v1/a!b") {
+		t.Fatal("plainPath sends the hot paths through http.NewRequest, or nothing: the table below compares nothing")
+	}
+	read := func(rc io.ReadCloser) string {
+		if rc == nil {
+			return "<nil>"
+		}
+		b, err := io.ReadAll(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, base := range []string{
+		"http://edge.test:8080", "http://edge.test/prefix", "http://edge.test/prefix/",
+		"http://edge.test:", "http://user:pw@edge.test", "http://[::1]:8080",
+		"http://edge.test?x=1", "http://edge.test?", "http://edge.test#", "http://edge.test/a%20b",
+	} {
+		c, err := NewCaller(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{
+			"/v1/status", "/v1/decision?device=d1", "/v1/chunk?device=d1&index=3", "/v1/status?",
+			"/v1/decision?device=a%20b", "/v1/decision?device=a b&x=[1]", "/v1/x#frag",
+			"/v1/a!b", "/v1/a b", "/v1/a%2Fb", "/v1/\x01", "v1/status", "",
+		} {
+			for _, rq := range []request{
+				{method: "GET", path: path},
+				{method: "POST", path: path, contentType: "application/json", body: []byte(`{"a":1}`)},
+				{method: "POST", path: path, contentType: "application/x-lpvs-report"},
+			} {
+				want, wantErr := http.NewRequest(rq.method, base+path, nil)
+				if rq.method == "POST" {
+					want, wantErr = http.NewRequest(rq.method, base+path, bytes.NewReader(rq.body))
+				}
+				got, err := c.newRequest(rq)
+				if (err != nil) != (wantErr != nil) {
+					t.Errorf("%s %s%s: error %v, http.NewRequest's %v", rq.method, base, path, err, wantErr)
+					continue
+				}
+				if err != nil {
+					continue
+				}
+				if rq.method == "POST" {
+					want.Header.Set("Content-Type", rq.contentType)
+				}
+				if got.Method != want.Method || got.URL.String() != want.URL.String() ||
+					got.URL.RequestURI() != want.URL.RequestURI() || got.Host != want.Host ||
+					got.ContentLength != want.ContentLength || !reflect.DeepEqual(got.Header, want.Header) ||
+					got.Proto != want.Proto || got.ProtoMajor != want.ProtoMajor || got.ProtoMinor != want.ProtoMinor {
+					t.Errorf("%s %s%s: built\n %s %q host %q length %d %v, http.NewRequest\n %s %q host %q length %d %v",
+						rq.method, base, path,
+						got.Method, got.URL, got.Host, got.ContentLength, got.Header,
+						want.Method, want.URL, want.Host, want.ContentLength, want.Header)
+				}
+				if (got.Body == http.NoBody) != (want.Body == http.NoBody) || read(got.Body) != read(want.Body) {
+					t.Errorf("%s %s%s: body differs from http.NewRequest's", rq.method, base, path)
+				}
+				if (got.GetBody == nil) != (want.GetBody == nil) {
+					t.Errorf("%s %s%s: GetBody set %v, http.NewRequest's %v", rq.method, base, path, got.GetBody != nil, want.GetBody != nil)
+					continue
+				}
+				if got.GetBody == nil {
+					continue
+				}
+				for replay := 0; replay < 2; replay++ { // after Body was drained, and again
+					rc, err := got.GetBody()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if b := read(rc); b != string(rq.body) || (rc == http.NoBody) != (len(rq.body) == 0) {
+						t.Errorf("%s %s%s: GetBody replays %q, want %q", rq.method, base, path, b, rq.body)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCaller200Body pins what the Caller does with a 200 body. It must
+// be one JSON value, trailing whitespace allowed: the json.Decoder the
+// Caller used to read with ignored whatever followed the first value,
+// json.Unmarshal over the whole body does not, and since the daemon and
+// the router send exactly one value and a newline the strict reading is
+// the one kept. An io.Writer out receives the bytes undecoded.
+func TestCaller200Body(t *testing.T) {
+	var body string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, body)
+	}))
+	defer ts.Close()
+	c, err := NewCaller(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{"{\"ok\":true}\n", true},
+		{"{\"ok\":true}", true},
+		{" {\"ok\":true} \r\n\t", true},
+		{"{\"ok\":true}\n{\"ok\":false}\n", false},
+		{"{\"ok\":true}]", false},
+		{"", false},
+	} {
+		body = tc.body
+		var out struct {
+			OK bool `json:"ok"`
+		}
+		err := c.GetJSON("/x", &out)
+		if (err == nil) != tc.ok || (tc.ok && !out.OK) {
+			t.Errorf("body %q: decoded %+v with error %v, want ok=%v", tc.body, out, err, tc.ok)
+		}
+		if err != nil && !strings.HasPrefix(err.Error(), "client: decode: ") {
+			t.Errorf("body %q: error %q, want a decode error", tc.body, err)
+		}
+		var raw bytes.Buffer
+		if err := c.PostRaw("/x", "application/json", nil, &raw); err != nil || raw.String() != tc.body {
+			t.Errorf("body %q: relayed %q with error %v", tc.body, raw.String(), err)
+		}
 	}
 }

@@ -44,6 +44,11 @@ type statusWriter struct {
 	code int
 }
 
+// statusWriters recycles them: one per request is the middleware's only
+// allocation. A handler must not use its ResponseWriter after it
+// returns (net/http's own rule), which is what makes the reuse safe.
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
+
 func (w *statusWriter) WriteHeader(code int) {
 	w.code = code
 	w.ResponseWriter.WriteHeader(code)
@@ -109,12 +114,16 @@ func (h *instrumented) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	m := h.m
 	start := time.Now()
 	m.inFlight.Add(1)
-	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+	sw := statusWriters.Get().(*statusWriter)
+	sw.ResponseWriter, sw.code = w, http.StatusOK
 	h.next.ServeHTTP(sw, r)
 	m.inFlight.Add(-1)
+	code := sw.code
+	sw.ResponseWriter = nil
+	statusWriters.Put(sw)
 
 	elapsed := time.Since(start).Seconds()
-	rs := h.series(sw.code)
+	rs := h.series(code)
 	rs.requests.Inc()
 	rs.latency.Observe(elapsed)
 	if rs.errors != nil {
@@ -122,7 +131,7 @@ func (h *instrumented) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	level := slog.LevelDebug
-	if sw.code >= 500 {
+	if code >= 500 {
 		level = slog.LevelWarn
 	}
 	// LogAttrs with typed attrs: nothing is boxed or formatted unless the
@@ -131,7 +140,7 @@ func (h *instrumented) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		slog.String("route", h.route),
 		slog.String("method", r.Method),
 		slog.String("path", r.URL.Path),
-		slog.Int("code", sw.code),
+		slog.Int("code", code),
 		slog.Float64("duration_ms", elapsed*1000),
 		slog.String("remote", r.RemoteAddr),
 	)

@@ -13,8 +13,11 @@
 // and its /v1/report handler decodes through the daemon's reader and
 // error classifier (server.DecodeReport over wire.ReadReport) and
 // shapes batch answers with the daemon's server.NewBatchReportResponse.
-// TestEnvelopeConformance holds the two to equal status, Allow and body
-// bytes on malformed, oversized and misrouted requests.
+// A per-device read or observation is relayed: the owning shard's 200
+// body goes to the device byte for byte, never decoded on the way
+// (forward.go). TestEnvelopeConformance holds the two to equal status,
+// Allow, Content-Type and body bytes on malformed, oversized and
+// misrouted requests and on the 200 answers of the relayed routes.
 package router
 
 import (

@@ -18,10 +18,11 @@ import (
 // TestEnvelopeConformance is the front-door contract: a device cannot
 // tell a router from a standalone daemon. Every row is sent to a shard
 // daemon and to an N=1 router in front of it, and the two answers must
-// agree on status, Allow header and body bytes — for an error the whole
-// envelope (code, message, retryable), for a 200 the whole document.
-// want pins the status and envelope code as well, so the pair cannot
-// agree on a wrong answer.
+// agree on status, Allow and Content-Type headers and body bytes — for
+// an error the whole envelope (code, message, retryable), for a 200 the
+// whole document down to its trailing newline. want pins the status
+// and envelope code as well, so the pair cannot agree on a wrong
+// answer.
 func TestEnvelopeConformance(t *testing.T) {
 	const maxBody = 1 << 20
 	_, shardTS := newShard(t, "n1", server.Config{MaxBodyBytes: maxBody})
@@ -35,6 +36,15 @@ func TestEnvelopeConformance(t *testing.T) {
 	}
 	routerTS := httptest.NewServer(rt.Handler())
 	defer routerTS.Close()
+	// The scheduled fleet the 200 rows read: reported through the router,
+	// so it knows their owner, and ticked once, so each has a verdict.
+	fleet := []server.ReportRequest{report(1, ""), report(8, ""), report(9, "")}
+	if resp := postJSON(t, routerTS.URL+"/v1/report", fleet, nil); resp.StatusCode != 200 {
+		t.Fatalf("fleet report status %d", resp.StatusCode)
+	}
+	if resp := postJSON(t, routerTS.URL+"/v1/tick", nil, nil); resp.StatusCode != 200 {
+		t.Fatalf("tick status %d", resp.StatusCode)
+	}
 
 	marshal := func(v any) []byte {
 		buf, err := json.Marshal(v)
@@ -113,6 +123,17 @@ func TestEnvelopeConformance(t *testing.T) {
 		{"decision without a device", "GET", "/v1/decision", "", nil, 400, bad},
 		{"decision of an unknown device", "GET", "/v1/decision?device=ghost", "", nil, 404, server.CodeUnknownDevice},
 		{"unknown path", "GET", "/v1/nope", "", nil, 404, server.CodeNotFound},
+		{"decision", "GET", "/v1/decision?device=dev-001", "", nil, 200, ""},
+		{"chunk", "GET", "/v1/chunk?device=dev-001&index=2", "", nil, 200, ""},
+		{"playlist", "GET", "/v1/playlist?device=dev-001", "", nil, 200, ""},
+		{"explain", "GET", "/v1/explain?device=dev-001", "", nil, 200, ""},
+		{"observe", "POST", "/v1/observe", jsonCT, marshal(server.ObserveRequest{DeviceID: "dev-008", Reduction: 0.25}), 200, ""},
+	}
+	// An observation's answer counts the device's observations, so asking
+	// twice does not answer twice alike: the router's side of that row
+	// observes a twin device. The answer does not name the device.
+	routerBody := map[string][]byte{
+		"observe": marshal(server.ObserveRequest{DeviceID: "dev-009", Reduction: 0.25}),
 	}
 	for _, path := range []string{
 		"/v1/report", "/v1/tick", "/v1/decision", "/v1/chunk", "/v1/playlist", "/v1/explain",
@@ -123,11 +144,14 @@ func TestEnvelopeConformance(t *testing.T) {
 	}
 
 	type answer struct {
-		status int
-		allow  string
-		body   string
+		status             int
+		allow, contentType string
+		body               string
 	}
 	exchange := func(base string, p probe) answer {
+		if twin, ok := routerBody[p.name]; ok && base == routerTS.URL {
+			p.body = twin
+		}
 		req, err := http.NewRequest(p.method, base+p.path, bytes.NewReader(p.body))
 		if err != nil {
 			t.Fatal(err)
@@ -144,7 +168,7 @@ func TestEnvelopeConformance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
-		return answer{resp.StatusCode, resp.Header.Get("Allow"), string(body)}
+		return answer{resp.StatusCode, resp.Header.Get("Allow"), resp.Header.Get("Content-Type"), string(body)}
 	}
 	for _, p := range probes {
 		daemon, router := exchange(shardTS.URL, p), exchange(routerTS.URL, p)

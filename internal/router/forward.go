@@ -15,11 +15,11 @@ import (
 // This file is the router's device-facing data plane. A report message
 // of either codec and arity is partitioned by the consistent-hash owner
 // of each record's channel and forwarded concurrently, re-framed per
-// owner the way it arrived; per-device reads are proxied to the owner
+// owner the way it arrived; per-device reads are relayed to the owner
 // learned from the device's last report, falling back to probing the
-// shards in node-ID order. Responses — including error envelopes —
-// pass through verbatim, so a device cannot tell a router from a
-// standalone daemon.
+// shards in node-ID order. Responses pass through verbatim — a 200
+// body byte for byte, an error as the same envelope — so a device
+// cannot tell a router from a standalone daemon.
 
 // shardBatch is one owner's share of a report message: the records
 // routed to it, each record's index in the original message — so
@@ -141,91 +141,99 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, server.NewBatchReportResponse(slot, &msg, rejected))
 }
 
-// candidates builds the probe order for a per-device read: the owner
-// of the device's last-reported channel first, then every node in ID
-// order. Deterministic, so repeated lookups behave identically on
-// every router replica.
-func (rt *Router) candidates(deviceID string) []*client.Caller {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var out []*client.Caller
-	seen := map[string]bool{}
-	if ch, ok := rt.devices[deviceID]; ok {
-		n := rt.m.Owner(ch)
-		if c := rt.callers[n.ID]; c != nil {
-			out = append(out, c)
-			seen[n.ID] = true
-		}
-	}
-	for _, n := range rt.m.Nodes() {
-		if !seen[n.ID] {
-			if c := rt.callers[n.ID]; c != nil {
-				out = append(out, c)
-			}
-		}
-	}
-	return out
-}
-
-// proxyDeviceGet forwards a per-device GET (decision, chunk,
-// playlist, explain) to the device's shard, probing in candidate
-// order when the routing table has no hint. Probing continues only on
-// unknown_device — any other failure is the device's real answer.
+// proxyDeviceGet relays a per-device GET (decision, chunk, playlist,
+// explain) to the device's shard.
 func (rt *Router) proxyDeviceGet(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("device")
-	if id == "" {
-		server.WriteEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, "missing device parameter")
+	id, ok := server.DeviceParam(w, r)
+	if !ok {
 		return
 	}
 	path := r.URL.Path
 	if r.URL.RawQuery != "" {
 		path += "?" + r.URL.RawQuery
 	}
-	rt.proxies.Add(1)
-	rt.forEachCandidate(w, id, func(c *client.Caller, out *json.RawMessage) error {
-		return c.GetJSON(path, out)
-	})
+	rt.relay(w, id, path, nil)
 }
 
-// handleObserve forwards a reduction observation to the device's
-// shard with the same probe strategy as the read proxy.
+// handleObserve relays a reduction observation to the device's shard.
 func (rt *Router) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req server.ObserveRequest
 	if !server.DecodeJSON(w, r, &req) {
 		return
 	}
-	rt.proxies.Add(1)
-	rt.forEachCandidate(w, req.DeviceID, func(c *client.Caller, out *json.RawMessage) error {
-		return c.PostJSON("/v1/observe", req, out)
-	})
+	body, err := json.Marshal(req)
+	if err != nil {
+		server.WriteEnvelopeError(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
+		return
+	}
+	rt.relay(w, req.DeviceID, "/v1/observe", body)
 }
 
-// forEachCandidate runs one proxied call against the device's
-// candidate shards until one answers with anything other than
-// unknown_device, then relays that answer verbatim.
-func (rt *Router) forEachCandidate(w http.ResponseWriter, deviceID string, call func(*client.Caller, *json.RawMessage) error) {
-	var lastErr error
-	for _, c := range rt.candidates(deviceID) {
-		var raw json.RawMessage
-		err := call(c, &raw)
-		if err == nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(raw)
+// relayWriter is the out of a relayed call: the Caller writes it the
+// shard's 200 body, which goes to the device as it arrived.
+type relayWriter struct{ w http.ResponseWriter }
+
+func (rw relayWriter) Write(body []byte) (int, error) {
+	server.WriteBody(rw.w, http.StatusOK, body)
+	return len(body), nil
+}
+
+// relay runs one per-device call — a GET of path, or a POST of body to
+// it when body is non-nil — against the owner of the device's
+// last-reported channel, and answers the shard's body or envelope
+// verbatim. Only when that shard does not know the device (or the
+// routing table has no hint) does it walk the remaining nodes in ID
+// order — deterministic, so every router replica probes alike — and
+// only unknown_device moves it on: any other failure is the device's
+// real answer.
+func (rt *Router) relay(w http.ResponseWriter, deviceID, path string, body []byte) {
+	rt.proxies.Add(1)
+	var owner *client.Caller
+	rt.mu.Lock()
+	if ch, ok := rt.devices[deviceID]; ok {
+		owner = rt.callers[rt.m.Owner(ch).ID]
+	}
+	rt.mu.Unlock()
+	var answered bool
+	var unknown error
+	if owner != nil {
+		if answered, unknown = relayTo(owner, w, path, body); answered {
 			return
 		}
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) && apiErr.Code == server.CodeUnknownDevice {
-			lastErr = err
+	}
+	_, _, callers := rt.snapshot()
+	for _, c := range callers {
+		if c == nil || c == owner {
 			continue
 		}
-		writeUpstream(w, err)
+		if answered, unknown = relayTo(c, w, path, body); answered {
+			return
+		}
+	}
+	if unknown != nil {
+		writeUpstream(w, unknown)
 		return
 	}
-	if lastErr != nil {
-		writeUpstream(w, lastErr)
-		return
+	server.WriteEnvelopeError(w, http.StatusNotFound, server.CodeUnknownDevice, "unknown device "+deviceID)
+}
+
+// relayTo issues the call against one shard and answers w with the
+// shard's 200 body or its failure — unless the shard does not know the
+// device: then w is untouched and the shard's unknown_device returned.
+func relayTo(c *client.Caller, w http.ResponseWriter, path string, body []byte) (answered bool, unknown error) {
+	var err error
+	if body == nil {
+		err = c.GetJSON(path, relayWriter{w})
+	} else {
+		err = c.PostRaw(path, "application/json", body, relayWriter{w})
 	}
-	server.WriteEnvelopeError(w, http.StatusNotFound, server.CodeUnknownDevice,
-		"unknown device "+deviceID)
+	if err == nil {
+		return true, nil
+	}
+	var apiErr *client.APIError
+	if errors.As(err, &apiErr) && apiErr.Code == server.CodeUnknownDevice {
+		return false, err
+	}
+	writeUpstream(w, err)
+	return true, nil
 }

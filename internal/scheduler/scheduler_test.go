@@ -2,6 +2,8 @@ package scheduler
 
 import (
 	"math"
+	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -76,6 +78,29 @@ func TestNewValidation(t *testing.T) {
 	s := mustScheduler(t, Config{})
 	if s.cfg.SlotSec != DefaultSlotSeconds || s.cfg.Anxiety == nil {
 		t.Fatal("defaults not applied")
+	}
+}
+
+// TestSortRequestsMatchesStableSort pins SortRequests' precondition at
+// work: over distinct DeviceIDs — a shuffled batch the size of the
+// largest benchmarked fleet — the unstable sort yields the sequence
+// sort.SliceStable, which it replaced, does.
+func TestSortRequestsMatchesStableSort(t *testing.T) {
+	const n = 10_000
+	reqs := make([]Request, n)
+	for i, j := range stats.NewRNG(3).Perm(n) {
+		// Unpadded numbers, so IDs of different lengths share prefixes;
+		// EnergyFrac marks the element the ID arrived with.
+		reqs[i] = Request{DeviceID: "dev-" + strconv.Itoa(j), EnergyFrac: float64(j)}
+	}
+	want := append([]Request(nil), reqs...)
+	sort.SliceStable(want, func(a, b int) bool { return want[a].DeviceID < want[b].DeviceID })
+	SortRequests(reqs)
+	for i := range reqs {
+		if reqs[i].DeviceID != want[i].DeviceID || reqs[i].EnergyFrac != want[i].EnergyFrac {
+			t.Fatalf("position %d holds %s (%v), the stable sort puts %s (%v) there",
+				i, reqs[i].DeviceID, reqs[i].EnergyFrac, want[i].DeviceID, want[i].EnergyFrac)
+		}
 	}
 }
 

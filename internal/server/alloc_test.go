@@ -118,9 +118,11 @@ func TestDebugLogObservation(t *testing.T) {
 // TestHandleReportAllocsJSONSingle guards the per-request cost of the
 // per-device workload (2,000 single JSON reports per slot): one report
 // of a known device through handleReport — body read, decode, staging,
-// response — allocates no more than it did before both codecs and both
-// arities shared one handler: 28 at commit f3f6c9a, measured with this
-// test, the httptest request and recorder included.
+// response — allocates no more than the 25 this test measures, the
+// httptest request and recorder's own 9 included. It was 28 while the
+// body was drained with io.ReadAll and the acknowledgement went through
+// a json.Encoder; TestRoundTripAllocs in internal/router counts the
+// same request at the socket, middleware and client included.
 func TestHandleReportAllocsJSONSingle(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -143,9 +145,9 @@ func TestHandleReportAllocsJSONSingle(t *testing.T) {
 		}
 	}
 	post()
-	const parent = 28
-	if allocs := testing.AllocsPerRun(100, post); allocs > parent {
-		t.Fatalf("a JSON single report allocates %.1f, want at most %d", allocs, parent)
+	const bound = 25
+	if allocs := testing.AllocsPerRun(100, post); allocs > bound {
+		t.Fatalf("a JSON single report allocates %.1f, want at most %d", allocs, bound)
 	}
 }
 

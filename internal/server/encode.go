@@ -1,0 +1,180 @@
+package server
+
+import (
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/url"
+	"strconv"
+	"strings"
+
+	"lpvs/internal/bufpool"
+)
+
+// This file is the response path (DESIGN.md §18). WriteJSON is the one
+// JSON writer of every route. The three bodies that are nearly all of
+// a slot's traffic — a decision, a chunk, a single report's
+// acknowledgement — are instead appended into a pooled buffer by their
+// own appendJSON method, byte for byte what WriteJSON would have sent
+// (FuzzAppendJSON holds the two together), and fall back to WriteJSON
+// for any value they do not cover.
+
+// jsonContentType is the Content-Type value of every JSON body,
+// assigned to the header map as is. cap == len, so a middleware that
+// appends to the header copies the slice instead of writing into it.
+var jsonContentType = []string{"application/json"}
+
+// WriteJSON writes v as a JSON response body with the given status —
+// exported so every v1 personality (the router in internal/router)
+// frames bodies exactly as the edge daemon does.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(code)
+	// Encoding failures after the header is written can only be logged;
+	// with in-memory values they cannot happen.
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteBody writes an already-encoded JSON document, trailing newline
+// included, under the headers WriteJSON sets: the append-encoded
+// bodies below and the router's relay of a shard's answer.
+func WriteBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(code)
+	_, _ = w.Write(body)
+}
+
+// writeAppended answers 200 with v's appendJSON encoding, or through
+// WriteJSON when v has a field the appenders do not cover.
+func writeAppended[T interface {
+	appendJSON(dst []byte) ([]byte, bool)
+}](w http.ResponseWriter, v T) {
+	buf := bufpool.Get()
+	defer bufpool.Put(buf)
+	body, ok := v.appendJSON(buf.AvailableBuffer())
+	if !ok {
+		WriteJSON(w, http.StatusOK, v)
+		return
+	}
+	buf.Write(body) // in place unless body outgrew the buffer, which then grows for next time
+	WriteBody(w, http.StatusOK, buf.Bytes())
+}
+
+func (r DecisionResponse) appendJSON(dst []byte) ([]byte, bool) {
+	ok := true
+	dst = append(dst, `{"device_id":`...)
+	dst = appendString(dst, r.DeviceID, &ok)
+	dst = append(dst, `,"slot":`...)
+	dst = strconv.AppendInt(dst, int64(r.Slot), 10)
+	dst = append(dst, `,"transform":`...)
+	dst = strconv.AppendBool(dst, r.Transform)
+	dst = append(dst, `,"gamma":`...)
+	dst = appendFloat(dst, r.Gamma, &ok)
+	return append(dst, "}\n"...), ok
+}
+
+func (r ChunkResponse) appendJSON(dst []byte) ([]byte, bool) {
+	ok := true
+	dst = append(dst, `{"index":`...)
+	dst = strconv.AppendInt(dst, int64(r.Index), 10)
+	dst = append(dst, `,"duration_sec":`...)
+	dst = appendFloat(dst, r.DurationSec, &ok)
+	dst = append(dst, `,"bitrate_kbps":`...)
+	dst = strconv.AppendInt(dst, int64(r.BitrateKbps), 10)
+	dst = append(dst, `,"transformed":`...)
+	dst = strconv.AppendBool(dst, r.Transformed)
+	dst = append(dst, `,"mean_luma":`...)
+	dst = appendFloat(dst, r.MeanLuma, &ok)
+	dst = append(dst, `,"peak_luma":`...)
+	dst = appendFloat(dst, r.PeakLuma, &ok)
+	dst = append(dst, `,"mean_r":`...)
+	dst = appendFloat(dst, r.MeanR, &ok)
+	dst = append(dst, `,"mean_g":`...)
+	dst = appendFloat(dst, r.MeanG, &ok)
+	dst = append(dst, `,"mean_b":`...)
+	dst = appendFloat(dst, r.MeanB, &ok)
+	dst = append(dst, `,"brightness_scale":`...)
+	dst = appendFloat(dst, r.BrightnessScale, &ok)
+	dst = append(dst, `,"plain_power_w":`...)
+	dst = appendFloat(dst, r.PlainPowerW, &ok)
+	return append(dst, "}\n"...), ok
+}
+
+func (r ReportResponse) appendJSON(dst []byte) ([]byte, bool) {
+	dst = append(dst, `{"slot":`...)
+	dst = strconv.AppendInt(dst, int64(r.Slot), 10)
+	dst = append(dst, `,"accepted":`...)
+	dst = strconv.AppendBool(dst, r.Accepted)
+	return append(dst, "}\n"...), true
+}
+
+// appendFloat appends f as encoding/json writes a float64: the ES6
+// number-to-string form. NaN and the infinities have no JSON form;
+// they clear *ok, and the caller's fallback fails as json.Encoder does.
+func appendFloat(dst []byte, f float64, ok *bool) []byte {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		*ok = false
+		return dst
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 is written e-9.
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
+}
+
+// appendString appends s quoted when it is printable ASCII free of the
+// bytes encoding/json escapes (the quote, the backslash and, as every
+// json.Encoder does by default, <, > and &). Any other string clears
+// *ok: escaping stays encoding/json's job.
+func appendString(dst []byte, s string, ok *bool) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < ' ', c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			*ok = false
+			return dst
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// queryValue is url.ParseQuery(raw)[key][0] — "" when key is absent —
+// without building the url.Values. A query that needs unescaping (%,
+// +) or that ParseQuery refuses in part (;) goes through ParseQuery
+// itself, error ignored as r.URL.Query() ignores it.
+func queryValue(raw, key string) string {
+	if strings.ContainsAny(raw, "%+;") {
+		vs, _ := url.ParseQuery(raw)
+		return vs.Get(key)
+	}
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if k, v, _ := strings.Cut(pair, "="); k == key {
+			return v
+		}
+	}
+	return ""
+}
+
+// DeviceParam extracts the required ?device= parameter. A missing one
+// is answered 400 (the request is malformed), distinct from the 404 an
+// unknown-but-present ID earns, and reported false.
+func DeviceParam(w http.ResponseWriter, r *http.Request) (string, bool) {
+	id := queryValue(r.URL.RawQuery, "device")
+	if id == "" {
+		writeErrorMsg(w, http.StatusBadRequest, CodeBadRequest, "missing device parameter")
+		return "", false
+	}
+	return id, true
+}

@@ -1,9 +1,6 @@
 package server
 
-import (
-	"net/http"
-	"net/url"
-)
+import "net/http"
 
 // This file defines the v1 error envelope: every non-2xx response body
 // is {"error":{"code","message","retryable"}}. Code is a stable
@@ -93,19 +90,6 @@ func writeErrorMsg(w http.ResponseWriter, status int, code, msg string) {
 		Message:   msg,
 		Retryable: retryable(status),
 	}})
-}
-
-// deviceParam extracts the required ?device= parameter from the
-// request's parsed query (parsed once by the handler, which may read
-// further parameters from it); a missing one is a 400 (the request is
-// malformed), distinct from the 404 an unknown-but-present ID earns.
-func deviceParam(w http.ResponseWriter, q url.Values) (string, bool) {
-	id := q.Get("device")
-	if id == "" {
-		writeErrorMsg(w, http.StatusBadRequest, CodeBadRequest, "missing device parameter")
-		return "", false
-	}
-	return id, true
 }
 
 // apiError carries a status and code alongside the message, so deep

@@ -139,7 +139,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	case aerr != nil:
 		aerr.write(w)
 	default:
-		WriteJSON(w, http.StatusOK, ReportResponse{Slot: slot, Accepted: true})
+		writeAppended(w, ReportResponse{Slot: slot, Accepted: true})
 	}
 }
 

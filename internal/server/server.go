@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -536,7 +535,7 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
-	id, ok := deviceParam(w, r.URL.Query())
+	id, ok := DeviceParam(w, r)
 	if !ok {
 		return
 	}
@@ -547,7 +546,7 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeUnknownDevice, fmt.Errorf("unknown device %q", id))
 		return
 	}
-	WriteJSON(w, http.StatusOK, DecisionResponse{
+	writeAppended(w, DecisionResponse{
 		DeviceID:  id,
 		Slot:      st.slot,
 		Transform: st.transform,
@@ -556,12 +555,11 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	id, ok := deviceParam(w, q)
+	id, ok := DeviceParam(w, r)
 	if !ok {
 		return
 	}
-	idxStr := q.Get("index")
+	idxStr := queryValue(r.URL.RawQuery, "index")
 	idx, err := strconv.Atoi(idxStr)
 	if err != nil || idx < 0 {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad chunk index %q", idxStr))
@@ -621,11 +619,11 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		resp.MeanG = res.Stats.MeanG
 		resp.MeanB = res.Stats.MeanB
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeAppended(w, resp)
 }
 
 func (s *Server) handlePlaylist(w http.ResponseWriter, r *http.Request) {
-	id, ok := deviceParam(w, r.URL.Query())
+	id, ok := DeviceParam(w, r)
 	if !ok {
 		return
 	}
@@ -685,7 +683,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	id, ok := deviceParam(w, r.URL.Query())
+	id, ok := DeviceParam(w, r)
 	if !ok {
 		return
 	}
@@ -792,15 +790,4 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	resp.ShardVCsDecided = s.shardVCsDecided.Load()
 	resp.ShardHandoffRestored = s.handoffRestored.Load()
 	WriteJSON(w, http.StatusOK, resp)
-}
-
-// WriteJSON writes v as a JSON response body with the given status —
-// exported so every v1 personality (the router in internal/router)
-// frames bodies exactly as the edge daemon does.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	// Encoding failures after the header is written can only be logged;
-	// with in-memory values they cannot happen.
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"lpvs/internal/bufpool"
 )
 
 // Message is one decoded POST /v1/report body. Binary (the codec) and
@@ -63,10 +65,14 @@ func ReadReport(contentType string, body io.Reader, maxRecords int, scratch func
 		}
 		return msg, nil
 	}
-	data, err := io.ReadAll(body)
-	if err != nil {
+	// json.Unmarshal copies every string it decodes, so nothing of the
+	// pooled buffer outlives this call.
+	buf := bufpool.Get()
+	defer bufpool.Put(buf)
+	if _, err := buf.ReadFrom(body); err != nil {
 		return Message{}, fmt.Errorf("read body: %w", err)
 	}
+	data := buf.Bytes()
 	if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
 		var reqs []ReportRequest
 		if err := json.Unmarshal(trimmed, &reqs); err != nil {
