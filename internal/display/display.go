@@ -164,22 +164,49 @@ func resolutionScale(r Resolution) float64 {
 // constant. OLED: power is proportional to the emitted light, i.e. the
 // weighted per-channel content means times the brightness setting.
 func PlaybackPower(s Spec, c ContentStats) (float64, error) {
-	if err := s.Validate(); err != nil {
+	p, err := s.Panel()
+	if err != nil {
 		return 0, err
 	}
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
-	scale := areaScale(s.DiagonalInch) * resolutionScale(s.Resolution)
-	switch s.Type {
-	case LCD:
-		return scale * (lcdBacklightMaxW*s.Brightness + lcdPanelBaseW), nil
-	case OLED:
-		emission := oledWeightR*c.MeanR + oledWeightG*c.MeanG + oledWeightB*c.MeanB
-		return scale * (oledFullWhiteW*s.Brightness*emission + oledDriverW), nil
-	default:
-		return 0, fmt.Errorf("display: unknown type %v", s.Type)
+	return p.Power(c), nil
+}
+
+// Panel is a Spec that passed Validate, reduced to what the power model
+// reads per chunk. It is the checked-once entry for callers that price
+// many chunks on one display (the scheduler's compacting loop prices
+// every chunk of a window for every device): the spec is validated and
+// its area x resolution scale computed once, and Power validates
+// nothing. PlaybackPower is Panel + Power with the content checked, so
+// both entries evaluate one expression and agree bit for bit.
+type Panel struct {
+	typ        Type
+	scale      float64
+	brightness float64
+}
+
+// Panel validates the spec and reduces it to its power-model factors.
+func (s Spec) Panel() (Panel, error) {
+	if err := s.Validate(); err != nil {
+		return Panel{}, err
 	}
+	return Panel{
+		typ:        s.Type,
+		scale:      areaScale(s.DiagonalInch) * resolutionScale(s.Resolution),
+		brightness: s.Brightness,
+	}, nil
+}
+
+// Power is PlaybackPower without the checks: the caller holds a Panel
+// (so the spec is valid) and has validated c itself.
+func (p Panel) Power(c ContentStats) float64 {
+	if p.typ == LCD {
+		return p.scale * (lcdBacklightMaxW*p.brightness + lcdPanelBaseW)
+	}
+	emission := oledWeightR*c.MeanR + oledWeightG*c.MeanG + oledWeightB*c.MeanB
+	return p.scale * (oledFullWhiteW*p.brightness*emission + oledDriverW)
 }
 
 // MustPlaybackPower is PlaybackPower for specs and stats already known

@@ -697,7 +697,7 @@ func (e *Emulator) Run() (*RunResult, error) {
 		reqs, reqIdx := e.gatherRequests(windows)
 		gsp.SetInt("requests", len(reqs))
 		gsp.End()
-		decision := scheduler.Decision{Transform: map[string]bool{}}
+		var decision scheduler.Decision
 		schedSec, schedCPUSec := 0.0, 0.0
 		if len(reqs) > 0 {
 			schedCtx, ssp := span.Child(slotCtx, "schedule")
@@ -731,6 +731,15 @@ func (e *Emulator) Run() (*RunResult, error) {
 				}
 				schedSec = time.Since(start).Seconds()
 				schedCPUSec = schedSec
+			}
+			if len(decision.X) != len(reqs) {
+				// The slot reads the decision by position; a policy from
+				// outside the repo may have filled only the ID-keyed maps.
+				cancel()
+				ssp.End()
+				slotSp.End()
+				return nil, fmt.Errorf("emu: slot %d: policy decided %d of %d requests by position (Decision.X)",
+					slot, len(decision.X), len(reqs))
 			}
 			cancel()
 			ssp.SetInt("selected", decision.Selected)
@@ -882,7 +891,7 @@ func (e *Emulator) predictEnergies(reqs []scheduler.Request, dec scheduler.Decis
 	out := make([]float64, len(reqs))
 	for k := range reqs {
 		r := &reqs[k]
-		selected := dec.Transform[r.DeviceID]
+		selected := dec.X[k]
 		energy := r.EnergyFrac
 		for _, c := range r.Chunks {
 			watts, err := video.PowerRate(r.Display, c)
@@ -1022,8 +1031,8 @@ func (e *Emulator) playSlot(ctx context.Context, windows [][]video.Chunk, dec sc
 	// different content windows.
 	e.frameCache = nil
 	selected := make(map[int]bool, len(reqIdx))
-	for _, i := range reqIdx {
-		if dec.Transform[e.devices[i].ID] {
+	for k, i := range reqIdx {
+		if dec.X[k] {
 			selected[i] = true
 			res.EverServed[i] = true
 		}

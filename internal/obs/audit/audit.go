@@ -519,8 +519,9 @@ func (r *Record) SchedulerRequests() ([]scheduler.Request, error) {
 
 // NewRecord assembles a tick's audit record from the request set (in
 // scheduling order), the configuration the scheduler ran under, and
-// the finished decision. Wall-clock fields (UnixSec, TraceID, Spans,
-// Seed) are left for the caller to stamp.
+// the decision made for that request set, whose positional view it
+// reads: dec.PerDevice[i] is reqs[i]'s verdict. Wall-clock fields
+// (UnixSec, TraceID, Spans, Seed) are left for the caller to stamp.
 func NewRecord(slot int, vcID string, cfg scheduler.Config, reqs []scheduler.Request, dec scheduler.Decision) *Record {
 	rec := &Record{
 		Schema:            SchemaVersion,
@@ -529,7 +530,7 @@ func NewRecord(slot int, vcID string, cfg scheduler.Config, reqs []scheduler.Req
 		Config:            NewConfigRecord(cfg),
 		Requests:          make([]RequestRecord, len(reqs)),
 		DecisionCanonical: string(dec.Canonical()),
-		Verdicts:          make([]VerdictRecord, 0, len(dec.Verdicts)),
+		Verdicts:          make([]VerdictRecord, len(dec.PerDevice)),
 	}
 	rec.ConfigHash = rec.Config.Hash()
 	if dec.Degraded.Any() {
@@ -547,13 +548,15 @@ func NewRecord(slot int, vcID string, cfg scheduler.Config, reqs []scheduler.Req
 		rec.Requests[i] = newRequestRecord(&reqs[i], &windowOf[i])
 	}
 	rec.Windows = table.windows
-	ids := make([]string, 0, len(dec.Verdicts))
-	for id := range dec.Verdicts {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		rec.Verdicts = append(rec.Verdicts, VerdictRecord{Device: id, Verdict: dec.Verdicts[id]})
+	// Verdicts go out in device-ID order, which is the batch's own order
+	// whenever the batch is sorted (the daemon's always is).
+	order := dec.IDOrder()
+	for k := range rec.Verdicts {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
+		rec.Verdicts[k] = VerdictRecord{Device: reqs[i].DeviceID, Verdict: dec.PerDevice[i]}
 	}
 	rec.Spans = []StageSpan{
 		{Name: "compact", DurSec: dec.CompactSeconds},

@@ -102,17 +102,32 @@ func (r *Record) Replay() (*ReplayResult, error) {
 		Want: r.DecisionCanonical,
 		Got:  string(dec.Canonical()),
 	}
+	// The logged verdicts and the replayed batch are both walked in
+	// device-ID order, so each logged device is found by advancing, not
+	// by lookup. A logged device the replay has no position for —
+	// unknown, or out of order in a hand-edited record — is a diff.
+	order := dec.IDOrder()
+	at := func(k int) int {
+		if order != nil {
+			return order[k]
+		}
+		return k
+	}
+	k := 0
 	for _, v := range r.Verdicts {
-		got, ok := dec.Verdicts[v.Device]
-		if !ok {
+		for k < len(reqs) && reqs[at(k)].DeviceID < v.Device {
+			k++
+		}
+		if k == len(reqs) || reqs[at(k)].DeviceID != v.Device {
 			res.ReasonDiffs = append(res.ReasonDiffs,
 				fmt.Sprintf("%s: missing from replayed verdicts", v.Device))
 			continue
 		}
-		if got.Reason != v.Reason {
+		if got := dec.PerDevice[at(k)]; got.Reason != v.Reason {
 			res.ReasonDiffs = append(res.ReasonDiffs,
 				fmt.Sprintf("%s: replayed %s != logged %s", v.Device, got.Reason, v.Reason))
 		}
+		k++
 	}
 	res.Match = res.Got == res.Want && len(res.ReasonDiffs) == 0
 	return res, nil

@@ -2,7 +2,9 @@ package scheduler
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"lpvs/internal/edge"
 	"lpvs/internal/testenv"
@@ -21,8 +23,10 @@ func scheduleAllocs(t *testing.T, s *Scheduler, reqs []Request) float64 {
 
 // TestColdScheduleAllocsDoNotScaleWithDevices guards the stateless path
 // (DisableIncremental, ScheduleDegraded, audit replay): plans are built
-// into one slab per call, so doubling the cluster may add a few larger
-// allocations (maps, slices) but nothing per device.
+// into one slab per call and the outcome into two slices, so doubling
+// the cluster adds only the bucket arrays of the two ID-keyed maps
+// Schedule builds at the boundary (16 more allocations from 2,000 to
+// 4,000 devices), nothing per device.
 func TestColdScheduleAllocsDoNotScaleWithDevices(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -37,7 +41,7 @@ func TestColdScheduleAllocsDoNotScaleWithDevices(t *testing.T) {
 		small := scheduleAllocs(t, s, big[:2000])
 		large := scheduleAllocs(t, s, big)
 		t.Logf("workers=%d: %.0f allocs at 2,000, %.0f at 4,000", workers, small, large)
-		if large-small >= 100 {
+		if large-small >= 40 || large >= 100 {
 			t.Fatalf("workers=%d: cold Schedule allocates %.0f at 2,000 devices and %.0f at 4,000: still scales with devices",
 				workers, small, large)
 		}
@@ -47,7 +51,9 @@ func TestColdScheduleAllocsDoNotScaleWithDevices(t *testing.T) {
 // TestChurnedSlotAllocsNoPerDeviceObjects guards the incremental path's
 // worst case, the one edge-10k-cold runs every slot: every known device
 // reports changed content, so every plan is rebuilt — into the reused
-// slab, and copied into its existing cache entry in place.
+// slab, and copied into its existing cache entry in place. What is left
+// is the decision's two slices and the boundary's two maps: 26
+// allocations.
 func TestChurnedSlotAllocsNoPerDeviceObjects(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -86,8 +92,69 @@ func TestChurnedSlotAllocsNoPerDeviceObjects(t *testing.T) {
 		t.Fatalf("slot was meant to churn every device: %d hits, %d misses", dec.PlanCacheHits, dec.PlanCacheMisses)
 	}
 	t.Logf("churned slot: %.0f allocs", allocs)
-	if allocs >= n/10 {
+	if allocs >= 40 {
 		t.Fatalf("a fully churned slot over %d known devices allocates %.0f objects: per-device allocations are back", n, allocs)
+	}
+}
+
+// TestPoolDecideAllocsBytesPerDevice guards the daemon's path in bytes:
+// a warm stream's fully churned Pool.Decide call allocates its result —
+// one []bool and one []Verdict element per device — and nothing else
+// that grows with the cluster: no ID-keyed map, no per-call Phase-1 or
+// Phase-2 slice (planScratch owns them). The slope between 2,000 and
+// 8,000 devices is therefore the size of those two elements, plus the
+// allocator's rounding of two large objects.
+func TestPoolDecideAllocsBytesPerDevice(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	server, err := edge.NewServer(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := makeBigCluster(t, 8000, 79)
+	SortRequests(big)
+	bytesPerCall := func(n int) float64 {
+		a := big[:n]
+		b := append([]Request(nil), a...)
+		for i := range b {
+			b[i].EnergyFrac = 1 - 0.9*a[i].EnergyFrac
+		}
+		pool, err := NewPool(Config{Server: server, Lambda: 1.5}, PoolConfig{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		decide := func(reqs []Request) {
+			res, err := pool.Decide([]VC{{ID: "vc", Requests: reqs}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := res.VCs[0].Decision; d.PlanCacheHits != 0 || len(d.X) != n || d.Transform != nil {
+				t.Fatalf("call was meant to churn every device on the map-free path: %d hits, %d positions, maps %v",
+					d.PlanCacheHits, len(d.X), d.Transform != nil)
+			}
+		}
+		decide(a) // every device new: grows the scratch and the cache
+		decide(b)
+		best := 0.0
+		var m0, m1 runtime.MemStats
+		for run := 0; run < 4; run++ {
+			runtime.ReadMemStats(&m0)
+			decide(a)
+			decide(b)
+			runtime.ReadMemStats(&m1)
+			if got := float64(m1.TotalAlloc-m0.TotalAlloc) / 2; run == 0 || got < best {
+				best = got
+			}
+		}
+		return best
+	}
+	small, large := bytesPerCall(2000), bytesPerCall(8000)
+	slope := (large - small) / 6000
+	element := float64(unsafe.Sizeof(Verdict{}) + unsafe.Sizeof(false))
+	t.Logf("%.0f B at 2,000 devices, %.0f B at 8,000: %.1f B per device (one result element is %.0f B)", small, large, slope, element)
+	if slope > element+4 {
+		t.Fatalf("a warm Pool.Decide call grows by %.1f B per device, want at most the %.0f B of its result", slope, element)
 	}
 }
 

@@ -126,23 +126,35 @@ func TestPoolScalingWorkloadEquivalence(t *testing.T) {
 }
 
 // BenchmarkPhase2Swap isolates the Phase-2 cost by comparing lambda=0
-// (no swaps) with a heavily swapped configuration.
+// (no swaps) with a heavily swapped configuration, at the exact-Phase-1
+// size and at the size of the daemon's 10k-device tick (one shared
+// window, greedy Phase-1). Incremental mode is off: with it on, every
+// iteration after the first is a whole-decision replay and no phase
+// runs.
 func BenchmarkPhase2Swap(b *testing.B) {
-	server, err := edge.NewServer(20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reqs := benchCluster(b, 200)
-	for _, lambda := range []float64{0, 10} {
-		b.Run(fmt.Sprintf("lambda=%v", lambda), func(b *testing.B) {
-			s := mustScheduler(b, Config{Server: server, Lambda: lambda})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Schedule(reqs); err != nil {
-					b.Fatal(err)
+	for _, bc := range []struct {
+		streams int
+		reqs    []Request
+	}{
+		{20, benchCluster(b, 200)},
+		{100, makeBigCluster(b, 10_000, 42)},
+	} {
+		server, err := edge.NewServer(bc.streams)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, lambda := range []float64{0, 10} {
+			b.Run(fmt.Sprintf("n=%d/lambda=%v", len(bc.reqs), lambda), func(b *testing.B) {
+				s := mustScheduler(b, Config{Server: server, Lambda: lambda, DisableIncremental: true})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := s.Schedule(bc.reqs); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

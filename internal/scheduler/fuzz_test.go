@@ -77,11 +77,28 @@ func FuzzPoolDecide(f *testing.F) {
 			t.Fatalf("pool and serial decisions diverged:\npool:\n%s\nserial:\n%s",
 				res.Canonical(), serial.Canonical())
 		}
-		for _, vcd := range res.VCs {
+		for v, vcd := range res.VCs {
 			var reqs []Request
 			for _, in := range vcs {
 				if in.ID == vcd.VC {
 					reqs = in.Requests
+				}
+			}
+			// The pool path builds no maps; its positional view must say
+			// what the serial reference's maps say, device by device.
+			ref := serial.VCs[v].Decision
+			if vcd.Decision.Transform != nil || vcd.Decision.Verdicts != nil {
+				t.Fatalf("vc %s: the pool path built the ID-keyed maps", vcd.VC)
+			}
+			if len(vcd.Decision.X) != len(reqs) || len(vcd.Decision.PerDevice) != len(reqs) {
+				t.Fatalf("vc %s: positional view covers %d/%d of %d requests",
+					vcd.VC, len(vcd.Decision.X), len(vcd.Decision.PerDevice), len(reqs))
+			}
+			for i := range reqs {
+				id := reqs[i].DeviceID
+				if vcd.Decision.X[i] != ref.Transform[id] || vcd.Decision.PerDevice[i] != ref.Verdicts[id] {
+					t.Fatalf("vc %s device %s: pool position %d says %v %+v, serial maps say %v %+v", vcd.VC, id, i,
+						vcd.Decision.X[i], vcd.Decision.PerDevice[i], ref.Transform[id], ref.Verdicts[id])
 				}
 			}
 			plans, err := pool.Scheduler().buildPlans(reqs)
@@ -89,8 +106,8 @@ func FuzzPoolDecide(f *testing.F) {
 				t.Fatal(err)
 			}
 			usedG, usedH := 0.0, 0.0
-			for _, p := range plans {
-				if !vcd.Decision.Transform[p.req.DeviceID] {
+			for i, p := range plans {
+				if !vcd.Decision.X[i] {
 					continue
 				}
 				if !p.eligible {

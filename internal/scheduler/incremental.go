@@ -74,6 +74,14 @@ type chunkRef struct {
 	n   int
 }
 
+// refOf identifies a chunk window by slice identity.
+func refOf(chunks []video.Chunk) chunkRef {
+	if len(chunks) == 0 {
+		return chunkRef{}
+	}
+	return chunkRef{ptr: &chunks[0], n: len(chunks)}
+}
+
 // internedWindow binds one distinct chunk-window encoding to a stable
 // ID. IDs are allocated monotonically and never reused, so a request
 // fingerprint embedding an ID can only compare equal while the
@@ -217,6 +225,7 @@ func (st *slotState) begin(reqs []Request) (rep Decision, replayed bool, hits in
 	// on the next non-replay call.
 	if st.allCache && st.prevDec != nil && n == st.prevN && len(st.encBuf) == len(st.prevKey) && bytes.Equal(st.encBuf, st.prevKey) {
 		rep = copyDecision(st.prevDec)
+		rep.batch = reqs
 		rep.Replayed = true
 		rep.Phase1Cached = true
 		rep.Phase1Nodes = 0
@@ -232,10 +241,7 @@ func (st *slotState) begin(reqs []Request) (rep Decision, replayed bool, hits in
 	}
 
 	sc := &st.scratch
-	if cap(sc.plans) < n {
-		sc.plans = make([]*plan, n)
-	}
-	sc.plans = sc.plans[:n]
+	sc.plans = grown(sc.plans, n)
 	misses := sc.misses[:0]
 	for i := range reqs {
 		if !st.cacheable[i] {
@@ -313,13 +319,14 @@ func (st *slotState) commit(reqs []Request) (evicted int) {
 }
 
 // finish records the call's outcome: lifetime counters, the decision
-// for whole-set replay, and the Phase-1 picks as the next warm seed.
-// A degraded decision is never stored for replay: replaying it into a
-// later, unpressured slot would leak deadline-shaped bytes into a tick
-// the cold path would have solved in full. The warm seed is still
+// for whole-set replay, and the Phase-1 picks (indexed like
+// scratch.eligible; nil when nothing was eligible) as the next warm
+// seed. A degraded decision is never stored for replay: replaying it
+// into a later, unpressured slot would leak deadline-shaped bytes into a
+// tick the cold path would have solved in full. The warm seed is still
 // taken — warm starts are decision-neutral by construction, so a
 // degraded seed cannot change later decisions. Caller holds mu.
-func (st *slotState) finish(dec *Decision, phase1Picks []*plan) {
+func (st *slotState) finish(dec *Decision, phase1Picks []bool) {
 	st.hits += uint64(dec.PlanCacheHits)
 	st.misses += uint64(dec.PlanCacheMisses)
 	if dec.Degraded.Any() {
@@ -333,13 +340,19 @@ func (st *slotState) finish(dec *Decision, phase1Picks []*plan) {
 			st.prevDec = &Decision{}
 		}
 		copyDecisionInto(st.prevDec, dec)
+		// The replay key pins the batch's IDs in order, so the stored
+		// outcome needs none of its own — and must not pin the caller's
+		// request storage.
+		st.prevDec.batch = nil
 	}
 	if st.prevSelected == nil {
-		st.prevSelected = make(map[string]bool, len(phase1Picks))
+		st.prevSelected = make(map[string]bool, dec.Selected)
 	}
 	clear(st.prevSelected)
-	for _, p := range phase1Picks {
-		st.prevSelected[p.req.DeviceID] = true
+	for k, on := range phase1Picks {
+		if on {
+			st.prevSelected[st.scratch.eligible[k].p.req.DeviceID] = true
+		}
 	}
 }
 
@@ -349,14 +362,14 @@ func (st *slotState) finish(dec *Decision, phase1Picks []*plan) {
 // the previous call's, in which case prevSol can be reused verbatim —
 // the solver is a deterministic function of the problem. Caller holds
 // mu.
-func (st *slotState) probLookup(eligible []*plan, values []float64) bool {
+func (st *slotState) probLookup(eligible []placed, values []float64) bool {
 	b := st.probBuf[:0]
 	b = appendUint64(b, uint64(len(eligible)))
-	for i, p := range eligible {
-		b = appendString(b, p.req.DeviceID)
-		b = appendFloat64(b, values[i])
-		b = appendFloat64(b, p.g)
-		b = appendFloat64(b, p.h)
+	for k, e := range eligible {
+		b = appendString(b, e.p.req.DeviceID)
+		b = appendFloat64(b, values[k])
+		b = appendFloat64(b, e.p.g)
+		b = appendFloat64(b, e.p.h)
 	}
 	st.probBuf = b
 	return st.probValid && bytes.Equal(b, st.prevProbKey)
@@ -375,15 +388,15 @@ func (st *slotState) probStore(sol ilp.Solution) {
 // depend on the seed's quality: internal/ilp adopts a warm result only
 // when it strictly improves on the seed without hitting the node limit,
 // falling back to the cold search otherwise.
-func (st *slotState) warmSeed(eligible []*plan) []bool {
+func (st *slotState) warmSeed(eligible []placed) []bool {
 	if len(st.prevSelected) == 0 {
 		return nil
 	}
 	seed := make([]bool, len(eligible))
 	any := false
-	for i, p := range eligible {
-		if st.prevSelected[p.req.DeviceID] {
-			seed[i] = true
+	for k, e := range eligible {
+		if st.prevSelected[e.p.req.DeviceID] {
+			seed[k] = true
 			any = true
 		}
 	}
@@ -401,37 +414,21 @@ func (st *slotState) stats() CacheStats {
 }
 
 // copyDecision deep-copies a decision so cached state and caller-held
-// results never alias each other's maps.
+// results never alias each other's slices.
 func copyDecision(d *Decision) Decision {
 	var out Decision
 	copyDecisionInto(&out, d)
 	return out
 }
 
-// copyDecisionInto deep-copies src into dst, reusing dst's existing
-// maps when present — finish runs it every non-replayed slot, so the
-// reuse keeps steady-state operation free of two map rebuilds per call.
+// copyDecisionInto deep-copies src into dst, reusing the capacity of
+// dst's positional slices — finish runs it every non-replayed slot, so
+// the steady state copies two slices and allocates nothing.
 func copyDecisionInto(dst, src *Decision) {
-	tr, vd := dst.Transform, dst.Verdicts
+	x, per := dst.X[:0], dst.PerDevice[:0]
 	*dst = *src
-	if tr == nil {
-		tr = make(map[string]bool, len(src.Transform))
-	} else {
-		clear(tr)
-	}
-	for k, v := range src.Transform {
-		tr[k] = v
-	}
-	dst.Transform = tr
-	if vd == nil {
-		vd = make(map[string]Verdict, len(src.Verdicts))
-	} else {
-		clear(vd)
-	}
-	for k, v := range src.Verdicts {
-		vd[k] = v
-	}
-	dst.Verdicts = vd
+	dst.X = append(x, src.X...)
+	dst.PerDevice = append(per, src.PerDevice...)
 }
 
 // --- content fingerprints -------------------------------------------
@@ -509,10 +506,7 @@ func (st *slotState) appendRequestKey(b []byte, r *Request) (out []byte, ok bool
 // virtual cluster whose requests share one chunk slice encodes it once
 // per slot instead of once per device.
 func (st *slotState) windowID(chunks []video.Chunk) uint64 {
-	var ref chunkRef
-	if len(chunks) > 0 {
-		ref = chunkRef{ptr: &chunks[0], n: len(chunks)}
-	}
+	ref := refOf(chunks)
 	if id, ok := st.winMemo[ref]; ok {
 		return id
 	}

@@ -14,7 +14,8 @@ import (
 type Policy interface {
 	// Name identifies the policy in experiment output.
 	Name() string
-	// Schedule decides x_n for every request.
+	// Schedule decides x_n for every request: Decision.X[i] for reqs[i]
+	// (the emulator reads the decision by position).
 	Schedule(reqs []Request) (Decision, error)
 }
 
@@ -31,28 +32,25 @@ func (NoTransform) Name() string { return "no-transform" }
 // Schedule implements Policy.
 func (NoTransform) Schedule(reqs []Request) (Decision, error) {
 	d := Decision{
-		Transform: make(map[string]bool, len(reqs)),
-		Verdicts:  make(map[string]Verdict, len(reqs)),
+		batch:     reqs,
+		X:         make([]bool, len(reqs)),
+		PerDevice: make([]Verdict, len(reqs)),
 	}
 	for i := range reqs {
 		if err := reqs[i].Validate(); err != nil {
 			return Decision{}, err
 		}
-		d.Transform[reqs[i].DeviceID] = false
-		d.Verdicts[reqs[i].DeviceID] = Verdict{Reason: ReasonNoTransform, Gamma: reqs[i].Gamma}
+		d.PerDevice[i] = Verdict{Reason: ReasonNoTransform, Gamma: reqs[i].Gamma}
 	}
-	return d, nil
+	return withMaps(d, nil)
 }
 
 // capacityFilter greedily admits plans in the given order until the edge
 // capacities are exhausted, honouring eligibility. Verdicts carry the
 // same ineligible/capacity reason codes as the LPVS path, with
 // ReasonAdmitted marking greedy admission.
-func (s *Scheduler) capacityFilter(plans []*plan, order []int) Decision {
-	d := Decision{Transform: make(map[string]bool, len(plans))}
-	for _, p := range plans {
-		d.Transform[p.req.DeviceID] = false
-	}
+func (s *Scheduler) capacityFilter(reqs []Request, plans []*plan, order []int) Decision {
+	d := Decision{batch: reqs, X: make([]bool, len(plans))}
 	usedG, usedH := 0.0, 0.0
 	for _, idx := range order {
 		p := plans[idx]
@@ -65,18 +63,23 @@ func (s *Scheduler) capacityFilter(plans []*plan, order []int) Decision {
 		}
 		usedG += p.g
 		usedH += p.h
-		d.Transform[p.req.DeviceID] = true
+		d.X[idx] = true
 		d.Selected++
 	}
-	d.Objective = s.totalObjective(plans, d.Transform)
-	d.Verdicts = s.verdicts(plans, d.Transform, nil, nil)
-	for id, v := range d.Verdicts {
-		if v.Selected {
-			v.Reason = ReasonAdmitted
-			d.Verdicts[id] = v
+	d.Objective = totalObjective(plans, d.X)
+	d.PerDevice = verdicts(plans, d.X, nil, nil)
+	markSelected(d.PerDevice, ReasonAdmitted)
+	return d
+}
+
+// markSelected gives every selected device the baseline policy's own
+// reason code in place of the LPVS path's phase1-energy.
+func markSelected(per []Verdict, reason Reason) {
+	for i := range per {
+		if per[i].Selected {
+			per[i].Reason = reason
 		}
 	}
-	return d
 }
 
 // RandomPolicy admits a uniformly random subset of the eligible devices
@@ -103,14 +106,14 @@ func (p *RandomPolicy) Name() string { return "random" }
 // Schedule implements Policy.
 func (p *RandomPolicy) Schedule(reqs []Request) (Decision, error) {
 	if len(reqs) == 0 {
-		return Decision{Transform: map[string]bool{}}, nil
+		return withMaps(Decision{}, nil)
 	}
 	plans, err := p.inner.buildPlans(reqs)
 	if err != nil {
 		return Decision{}, err
 	}
 	order := p.rng.Perm(len(plans))
-	return p.inner.capacityFilter(plans, order), nil
+	return withMaps(p.inner.capacityFilter(reqs, plans, order), nil)
 }
 
 // GreedyBatteryPolicy admits the lowest-battery (most anxious) devices
@@ -135,7 +138,7 @@ func (p *GreedyBatteryPolicy) Name() string { return "greedy-battery" }
 // Schedule implements Policy.
 func (p *GreedyBatteryPolicy) Schedule(reqs []Request) (Decision, error) {
 	if len(reqs) == 0 {
-		return Decision{Transform: map[string]bool{}}, nil
+		return withMaps(Decision{}, nil)
 	}
 	plans, err := p.inner.buildPlans(reqs)
 	if err != nil {
@@ -154,7 +157,7 @@ func (p *GreedyBatteryPolicy) Schedule(reqs []Request) (Decision, error) {
 		}
 		return ra.DeviceID < rb.DeviceID
 	})
-	return p.inner.capacityFilter(plans, order), nil
+	return withMaps(p.inner.capacityFilter(reqs, plans, order), nil)
 }
 
 // JointKnapsackPolicy is this reproduction's extension: because the
@@ -182,85 +185,56 @@ func (p *JointKnapsackPolicy) Name() string { return "joint-knapsack" }
 // Schedule implements Policy.
 func (p *JointKnapsackPolicy) Schedule(reqs []Request) (Decision, error) {
 	if len(reqs) == 0 {
-		return Decision{Transform: map[string]bool{}}, nil
+		return withMaps(Decision{}, nil)
 	}
 	s := p.inner
 	plans, err := s.buildPlans(reqs)
 	if err != nil {
 		return Decision{}, err
 	}
-	d := Decision{Transform: make(map[string]bool, len(plans))}
-	var eligible []*plan
-	for _, pl := range plans {
-		d.Transform[pl.req.DeviceID] = false
+	d := Decision{batch: reqs, X: make([]bool, len(plans))}
+	var sc planScratch
+	for i, pl := range plans {
 		if pl.eligible {
-			eligible = append(eligible, pl)
+			sc.eligible = append(sc.eligible, placed{p: pl, i: i})
 		}
 	}
-	d.Eligible = len(eligible)
-	if len(eligible) == 0 {
-		d.Objective = s.totalObjective(plans, d.Transform)
-		d.Verdicts = s.verdicts(plans, d.Transform, nil, nil)
-		return d, nil
-	}
-	sel, val, optimal := s.jointKnapsack(eligible)
-	d.Phase1Value = val
-	d.OptimalPhase1 = optimal
-	for _, pl := range sel {
-		d.Transform[pl.req.DeviceID] = true
-		d.Selected++
-	}
-	d.Objective = s.totalObjective(plans, d.Transform)
-	d.Verdicts = s.verdicts(plans, d.Transform, nil, nil)
-	for id, v := range d.Verdicts {
-		if v.Selected {
-			v.Reason = ReasonJoint
-			d.Verdicts[id] = v
+	d.Eligible = len(sc.eligible)
+	if d.Eligible > 0 {
+		sol := s.jointKnapsack(&sc)
+		d.Phase1Value = sol.Value
+		d.OptimalPhase1 = sol.Optimal
+		for k, on := range sol.X {
+			if on {
+				d.X[sc.eligible[k].i] = true
+				d.Selected++
+			}
 		}
 	}
-	return d, nil
+	d.Objective = totalObjective(plans, d.X)
+	d.PerDevice = verdicts(plans, d.X, nil, nil)
+	markSelected(d.PerDevice, ReasonJoint)
+	return withMaps(d, nil)
 }
 
-// jointKnapsack maximises the total objective decrease obj0-obj1 under
-// the capacity rows.
-func (s *Scheduler) jointKnapsack(eligible []*plan) (chosen []*plan, value float64, optimal bool) {
-	values := make([]float64, len(eligible))
-	for i, pl := range eligible {
-		benefit := pl.obj0 - pl.obj1
+// jointKnapsack maximises the total objective decrease obj0-obj1 over
+// sc.eligible under the capacity rows.
+func (s *Scheduler) jointKnapsack(sc *planScratch) ilp.Solution {
+	sc.values = grown(sc.values, len(sc.eligible))
+	for k, e := range sc.eligible {
+		benefit := e.p.obj0 - e.p.obj1
 		if benefit < 0 {
 			benefit = 0 // transforming never hurts, but guard the solver precondition
 		}
-		values[i] = benefit
+		sc.values[k] = benefit
 	}
-	prob := problemWithCapacity(s, eligible, values)
-	var sol ilp.Solution
-	if len(eligible) <= s.cfg.ExactThreshold {
-		var err error
-		sol, err = ilp.BranchBound(prob, ilp.BBConfig{MaxNodes: s.cfg.MaxNodes})
-		if err != nil {
-			panic(fmt.Sprintf("scheduler: joint solver: %v", err))
-		}
-	} else {
-		sol = ilp.Greedy(prob)
+	prob := s.knapsack(sc)
+	if len(sc.eligible) > s.cfg.ExactThreshold {
+		return ilp.Greedy(prob)
 	}
-	for i, on := range sol.X {
-		if on {
-			chosen = append(chosen, eligible[i])
-		}
+	sol, err := ilp.BranchBound(prob, ilp.BBConfig{MaxNodes: s.cfg.MaxNodes})
+	if err != nil {
+		panic(fmt.Sprintf("scheduler: joint solver: %v", err))
 	}
-	return chosen, sol.Value, sol.Optimal
-}
-
-func problemWithCapacity(s *Scheduler, eligible []*plan, values []float64) *ilp.Problem {
-	prob := &ilp.Problem{Values: values}
-	if s.cfg.Server != nil {
-		gRow := ilp.Constraint{Weights: make([]float64, len(eligible)), Capacity: s.cfg.Server.ComputeCapacity}
-		hRow := ilp.Constraint{Weights: make([]float64, len(eligible)), Capacity: s.cfg.Server.StorageCapacityMB}
-		for i, pl := range eligible {
-			gRow.Weights[i] = pl.g
-			hRow.Weights[i] = pl.h
-		}
-		prob.Constraints = []ilp.Constraint{gRow, hRow}
-	}
-	return prob
+	return sol
 }

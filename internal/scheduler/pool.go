@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -395,14 +396,15 @@ func orderVCs(vcs []VC) ([]VC, error) {
 // transform vector sorted by device ID. Wall-clock timing fields are
 // deliberately excluded — they differ run to run — so two decisions
 // from different engines (pool vs serial, different worker counts) can
-// be compared byte for byte.
+// be compared byte for byte. It reads the positional view, so it is
+// valid as long as the batch the decision was made for.
 func (d Decision) Canonical() []byte {
-	ids := make([]string, 0, len(d.Transform))
-	for id := range d.Transform {
-		ids = append(ids, id)
+	size := 192 // the header and degradation lines
+	for i := range d.X {
+		size += len(d.batch[i].DeviceID) + len("=false\n")
 	}
-	sort.Strings(ids)
 	var b bytes.Buffer
+	b.Grow(size)
 	fmt.Fprintf(&b, "selected=%d eligible=%d swaps=%d optimal=%t phase1=%.17g objective=%.17g\n",
 		d.Selected, d.Eligible, d.Swaps, d.OptimalPhase1, d.Phase1Value, d.Objective)
 	// Appended only for degraded decisions so the historical encoding —
@@ -413,15 +415,43 @@ func (d Decision) Canonical() []byte {
 	}
 	// Written piecewise: a Fprintf("%s=%t") here boxes one string per
 	// device, which the audit path pays on every tick.
-	for _, id := range ids {
-		b.WriteString(id)
-		if d.Transform[id] {
+	order := d.IDOrder()
+	for k := range d.X {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
+		b.WriteString(d.batch[i].DeviceID)
+		if d.X[i] {
 			b.WriteString("=true\n")
 		} else {
 			b.WriteString("=false\n")
 		}
 	}
 	return b.Bytes()
+}
+
+// IDOrder returns the batch positions in ascending device-ID order —
+// the order Canonical and the audit record list devices in — or nil
+// when the batch already is in that order, as the daemon's always is
+// (SortRequests), so the common case is one pass and no allocation.
+// Positions sharing an ID keep their batch order.
+func (d Decision) IDOrder() []int {
+	sorted := true
+	for i := 1; i < len(d.batch) && sorted; i++ {
+		sorted = d.batch[i-1].DeviceID <= d.batch[i].DeviceID
+	}
+	if sorted {
+		return nil
+	}
+	order := make([]int, len(d.batch))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return strings.Compare(d.batch[a].DeviceID, d.batch[b].DeviceID)
+	})
+	return order
 }
 
 // CanonicalHeader is the first line of Decision.Canonical read back:

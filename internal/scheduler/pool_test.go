@@ -191,20 +191,18 @@ func phase1MatchesBruteForce(t *testing.T, name string, reqs []Request, streams 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var eligible []*plan
-	for _, p := range plans {
+	var sc planScratch
+	for i, p := range plans {
 		if p.eligible {
-			eligible = append(eligible, p)
+			sc.eligible = append(sc.eligible, placed{p: p, i: i})
+			sc.values = append(sc.values, p.saving)
 		}
 	}
+	eligible := sc.eligible
 	if len(eligible) == 0 {
 		return false
 	}
-	values := make([]float64, len(eligible))
-	for i, p := range eligible {
-		values[i] = p.saving
-	}
-	prob := problemWithCapacity(s, eligible, values)
+	prob := s.knapsack(&sc)
 	bb, err := ilp.BranchBound(prob, ilp.BBConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -289,8 +287,8 @@ func TestPoolCapacityAndEligibilityProperty(t *testing.T) {
 				return false
 			}
 			usedG, usedH := 0.0, 0.0
-			for _, p := range plans {
-				if !vc.Decision.Transform[p.req.DeviceID] {
+			for k, p := range plans {
+				if !vc.Decision.X[k] {
 					continue
 				}
 				if !p.eligible {

@@ -29,7 +29,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -223,13 +222,35 @@ func (d Degradation) Reason() string {
 }
 
 // Decision is the scheduling outcome for one slot.
+//
+// The outcome is positional: X[i] and PerDevice[i] belong to the i-th
+// request of the batch the decision was made for, and every consumer on
+// the daemon's tick path (publish, audit, fleet telemetry, Canonical)
+// reads positions. The decision owns both slices; the device IDs stay
+// in the batch, which the decision aliases, so Canonical and IDOrder
+// are valid only as long as the caller keeps that batch intact (the
+// daemon reuses its request slice tick to tick, and is done with a
+// decision before the next tick starts).
 type Decision struct {
-	// Transform maps device ID to x_n.
+	// Transform maps device ID to x_n and Verdicts device ID to the
+	// per-device explanation: X and PerDevice keyed by ID, for callers
+	// that hold IDs rather than positions. They are built only at the
+	// library boundary — Schedule, ScheduleCtx, ScheduleDegraded,
+	// DecideSerial and the baseline policies; Pool.Decide leaves them
+	// nil, because building two maps per tick costs more than the rest
+	// of the tick's bookkeeping together. A device ID the batch names
+	// twice keeps its last position's entry.
 	Transform map[string]bool
-	// Verdicts maps device ID to the per-device explanation. Excluded
-	// from Canonical() (which predates it); the audit log encodes
-	// verdicts separately and deterministically.
-	Verdicts map[string]Verdict
+	Verdicts  map[string]Verdict
+	// X[i] is x_n of the batch's i-th request; PerDevice[i] is that
+	// device's verdict (PerDevice[i].Selected == X[i]). Verdicts are
+	// excluded from Canonical(), which predates them; the audit log
+	// encodes them separately and deterministically.
+	X         []bool
+	PerDevice []Verdict
+	// batch is the request batch the decision was made for — where the
+	// positional view's device IDs live.
+	batch []Request
 	// Selected is the number of devices receiving transforming.
 	Selected int
 	// Eligible counts devices passing the energy-feasibility check (11).
@@ -408,24 +429,88 @@ type plan struct {
 	end1     float64       // predicted end-of-slot energy with x_n = 1
 }
 
-// planScratch is the working memory of one scheduling call. A slotState
-// owns one and reuses it across slots (guarded by its mu); the stateless
-// cold path uses a fresh one per call, so either way a call makes O(1)
-// plan allocations however many devices it schedules. Nothing in it
-// outlives the call: the plan cache copies plans out of the slab by
-// value, and decisions carry device IDs, never plan pointers.
-type planScratch struct {
-	slab     []plan  // this call's freshly built plans, one per built request
-	plans    []*plan // plans[i] serves reqs[i]: into slab (built) or a cache entry (hit)
-	misses   []int   // ascending request indices the plan cache could not serve
-	eligible []*plan
-	errs     []error // parallel compact: errs[j] is the outcome of slab[j]
+// placed is an eligible device's plan with its position in the request
+// batch — where its x_n, verdict and swap flags live.
+type placed struct {
+	p *plan
+	i int
 }
 
-// buildPlan runs information gathering + compacting for one request,
-// filling p in place. It reads only the request and the (immutable)
-// scheduler config, so plans for different devices can be built
-// concurrently.
+// planScratch is the working memory of one scheduling call: everything
+// a call needs that is sized by the batch and dead when it returns. A
+// slotState owns one and reuses it across slots (guarded by its mu); the
+// stateless cold path uses a fresh one per call, so either way a call
+// makes O(1) allocations however many devices it schedules. Nothing in
+// it outlives the call: the plan cache copies plans out of the slab by
+// value, the solvers copy nothing out of the knapsack rows, and a
+// Decision carries its own X and PerDevice.
+type planScratch struct {
+	slab     []plan   // this call's freshly built plans, one per built request
+	plans    []*plan  // plans[i] serves reqs[i]: into slab (built) or a cache entry (hit)
+	misses   []int    // ascending request indices the plan cache could not serve
+	eligible []placed // the plans passing constraint (11), in batch order
+	errs     []error  // parallel compact: errs[j] is the outcome of slab[j]
+
+	// Chunk windows validated this call, by slice identity, each with
+	// its fault if it has one (see checkWindows).
+	windows    map[chunkRef]windowFault
+	badWindows bool
+
+	// Phase-1: the knapsack over eligible (values, the two capacity rows
+	// and the Problem that points at them).
+	values, gRow, hRow []float64
+	cons               [2]ilp.Constraint
+	prob               ilp.Problem
+
+	// Phase-2: the two swap populations, their positional swapped flags,
+	// and the swap events indexed like the batch.
+	in, out         []placed
+	candIn, curOut  []bool
+	swapIn, swapOut []bool
+}
+
+// grown returns s with length n, reallocating only when its capacity is
+// short. The contents are unspecified.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// windowFault is a chunk window's first invalid chunk; err is nil for a
+// valid window.
+type windowFault struct {
+	chunk int
+	err   error
+}
+
+// buildPlan validates one request and compacts it into p — the entry for
+// callers holding a single request. buildPlansInto does the same per
+// batch with each distinct chunk window validated once.
+func (s *Scheduler) buildPlan(r *Request, p *plan) error {
+	if err := r.Validate(); err != nil {
+		return err
+	}
+	if i, err := video.ValidateChunks(r.Chunks); err != nil {
+		return chunkError(r, windowFault{chunk: i, err: err})
+	}
+	return s.compact(r, p)
+}
+
+// chunkError is the error of a request whose window holds an invalid
+// chunk.
+func chunkError(r *Request, f windowFault) error {
+	return fmt.Errorf("scheduler: request %s chunk %d: %w", r.DeviceID, f.chunk, f.err)
+}
+
+// compact runs information gathering + compacting for one request whose
+// fields and chunk window the caller has validated, filling p in place.
+// It reads only the request and the (immutable) scheduler config, so
+// plans for different devices can be built concurrently. Nothing is
+// validated per chunk: the display is reduced to a display.Panel once
+// and each chunk is priced with Panel.Power, the same expression
+// video.PowerRate evaluates after its checks.
 //
 // The derived quantities — the eligibility inequality (11), the
 // objective contributions (13) under both decisions, the Phase-1
@@ -441,9 +526,10 @@ type planScratch struct {
 // battery fractions:
 //
 //	K*e(1) - sum_k (K-k)*psi(k) >= gamma * sum_k p(k)
-func (s *Scheduler) buildPlan(r *Request, p *plan) error {
-	if err := r.Validate(); err != nil {
-		return err
+func (s *Scheduler) compact(r *Request, p *plan) error {
+	panel, err := r.Display.Panel()
+	if err != nil {
+		return fmt.Errorf("scheduler: request %s: %w", r.DeviceID, err)
 	}
 	*p = plan{req: r}
 	k := len(r.Chunks)
@@ -461,11 +547,9 @@ func (s *Scheduler) buildPlan(r *Request, p *plan) error {
 	e0, e1 := r.EnergyFrac, r.EnergyFrac
 	// End-of-slot energy projections.
 	end0, end1 := r.EnergyFrac, r.EnergyFrac
-	for i, c := range r.Chunks {
-		watts, err := video.PowerRate(r.Display, c)
-		if err != nil {
-			return fmt.Errorf("scheduler: request %s chunk %d: %w", r.DeviceID, i, err)
-		}
+	for i := range r.Chunks {
+		c := &r.Chunks[i]
+		watts := panel.Power(c.Stats)
 		// The chunk's display and base (non-display) energy as battery
 		// fractions.
 		d := watts * c.DurationSec / r.BatteryCapacityJ
@@ -502,6 +586,49 @@ func (s *Scheduler) buildPlan(r *Request, p *plan) error {
 	return nil
 }
 
+// checkWindows validates the chunk windows of the n requests about to
+// be built (the j-th is reqs[at(j)]) — each distinct window once per
+// call, by slice identity as slotState.winMemo keys it: a stream's
+// viewers share one chunk slice, so a 10,000-viewer tick checks 30
+// chunks, not 300,000. It runs before any fan-out, so the workers only
+// read the result.
+func (sc *planScratch) checkWindows(reqs []Request, n int, at func(int) int) {
+	if sc.windows == nil {
+		sc.windows = make(map[chunkRef]windowFault)
+	}
+	clear(sc.windows)
+	sc.badWindows = false
+	var last chunkRef
+	for j := 0; j < n; j++ {
+		chunks := reqs[at(j)].Chunks
+		ref := refOf(chunks)
+		if ref == last && j > 0 {
+			continue
+		}
+		last = ref
+		if _, seen := sc.windows[ref]; seen {
+			continue
+		}
+		c, err := video.ValidateChunks(chunks)
+		sc.windows[ref] = windowFault{chunk: c, err: err}
+		sc.badWindows = sc.badWindows || err != nil
+	}
+}
+
+// buildChecked is buildPlan for a request of a batch checkWindows has
+// been over.
+func (s *Scheduler) buildChecked(r *Request, p *plan, sc *planScratch) error {
+	if err := r.Validate(); err != nil {
+		return err
+	}
+	if sc.badWindows {
+		if f := sc.windows[refOf(r.Chunks)]; f.err != nil {
+			return chunkError(r, f)
+		}
+	}
+	return s.compact(r, p)
+}
+
 // buildPlans runs information gathering + compacting for all requests
 // on the stateless path (baseline policies, tests).
 func (s *Scheduler) buildPlans(reqs []Request) ([]*plan, error) {
@@ -535,10 +662,9 @@ func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, sc *planScratch) 
 		}
 		return idxs[j]
 	}
-	if cap(sc.slab) < n {
-		sc.slab = make([]plan, n)
-	}
-	slab, plans := sc.slab[:n], sc.plans
+	sc.checkWindows(reqs, n, at)
+	sc.slab = grown(sc.slab, n)
+	slab, plans := sc.slab, sc.plans
 	chunk := s.cfg.CompactChunk
 	if chunk <= 0 {
 		chunk = DefaultCompactChunk
@@ -546,7 +672,7 @@ func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, sc *planScratch) 
 	if s.cfg.CompactWorkers <= 1 || n <= chunk {
 		for j := 0; j < n; j++ {
 			i := at(j)
-			if err := s.buildPlan(&reqs[i], &slab[j]); err != nil {
+			if err := s.buildChecked(&reqs[i], &slab[j], sc); err != nil {
 				return err
 			}
 			plans[i] = &slab[j]
@@ -554,10 +680,8 @@ func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, sc *planScratch) 
 		return nil
 	}
 
-	if cap(sc.errs) < n {
-		sc.errs = make([]error, n)
-	}
-	errs := sc.errs[:n]
+	sc.errs = grown(sc.errs, n)
+	errs := sc.errs
 	var next atomic.Int64
 	workers := s.cfg.CompactWorkers
 	if max := (n + chunk - 1) / chunk; workers > max {
@@ -579,7 +703,7 @@ func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, sc *planScratch) 
 				}
 				for j := lo; j < hi; j++ {
 					i := at(j)
-					errs[j] = s.buildPlan(&reqs[i], &slab[j])
+					errs[j] = s.buildChecked(&reqs[i], &slab[j], sc)
 					plans[i] = &slab[j]
 				}
 			}
@@ -620,7 +744,7 @@ func (s *Scheduler) Schedule(reqs []Request) (Decision, error) {
 // Context *cancellation* is deliberately ignored: a half-honoured
 // cancel would produce timing-dependent decisions.
 func (s *Scheduler) ScheduleCtx(ctx context.Context, reqs []Request) (Decision, error) {
-	return s.scheduleWith(ctx, reqs, s.state, nil)
+	return withMaps(s.scheduleWith(ctx, reqs, s.state, nil))
 }
 
 // ScheduleDegraded re-runs the stateless cold path with the given
@@ -630,7 +754,26 @@ func (s *Scheduler) ScheduleCtx(ctx context.Context, reqs []Request) (Decision, 
 // bytes deterministically — the degraded paths themselves are pure
 // functions of (config, requests, degradation).
 func (s *Scheduler) ScheduleDegraded(reqs []Request, deg Degradation) (Decision, error) {
-	return s.scheduleWith(context.Background(), reqs, nil, &deg)
+	return withMaps(s.scheduleWith(context.Background(), reqs, nil, &deg))
+}
+
+// withMaps is the one place Decision.Transform and Decision.Verdicts
+// are built: the library boundary wraps its positional result in it.
+// The maps exist because callers outside the daemon's tick (the
+// harness's reference check, the examples, tests) hold device IDs, not
+// batch positions.
+func withMaps(d Decision, err error) (Decision, error) {
+	if err != nil {
+		return d, err
+	}
+	d.Transform = make(map[string]bool, len(d.X))
+	d.Verdicts = make(map[string]Verdict, len(d.X))
+	for i := range d.X {
+		id := d.batch[i].DeviceID
+		d.Transform[id] = d.X[i]
+		d.Verdicts[id] = d.PerDevice[i]
+	}
+	return d, nil
 }
 
 // scheduleWith is the scheduling engine behind Schedule/ScheduleCtx,
@@ -639,9 +782,10 @@ func (s *Scheduler) ScheduleDegraded(reqs []Request, deg Degradation) (Decision,
 // workers never contend on one mutex), or nil for the stateless cold
 // path — and by an optional forced Degradation (audit replay of a
 // degraded tick; implies st == nil and disables live deadline checks).
+// The decision it returns is positional only.
 func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotState, forced *Degradation) (Decision, error) {
 	if len(reqs) == 0 {
-		return Decision{Transform: map[string]bool{}, Verdicts: map[string]Verdict{}}, nil
+		return Decision{}, nil
 	}
 	deadline, hasDeadline := ctx.Deadline()
 	if forced != nil {
@@ -689,17 +833,16 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 	csp.SetInt("devices", len(reqs))
 	csp.End()
 
-	dec := Decision{Transform: make(map[string]bool, len(reqs)), CompactSeconds: compactSec}
+	dec := Decision{batch: reqs, X: make([]bool, len(reqs)), CompactSeconds: compactSec}
 	if st != nil {
 		dec.PlanCacheHits = hits
 		dec.PlanCacheMisses = len(misses)
 		dec.PlanCacheEvictions = st.commit(reqs)
 	}
-	eligible := sc.eligible[:0]
-	for _, p := range plans {
-		dec.Transform[p.req.DeviceID] = false
+	eligible := grown(sc.eligible, len(plans))[:0]
+	for i, p := range plans {
 		if p.eligible {
-			eligible = append(eligible, p)
+			eligible = append(eligible, placed{p: p, i: i})
 		}
 	}
 	sc.eligible = eligible
@@ -708,8 +851,8 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 		if st != nil {
 			st.probValid = false
 		}
-		dec.Objective = s.totalObjective(plans, dec.Transform)
-		dec.Verdicts = s.verdicts(plans, dec.Transform, nil, nil)
+		dec.Objective = totalObjective(plans, dec.X)
+		dec.PerDevice = verdicts(plans, dec.X, nil, nil)
 		if st != nil {
 			st.finish(&dec, nil)
 		}
@@ -723,7 +866,7 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 		p1deadline = deadline
 	}
 	forceGreedy := forced != nil && forced.Phase1Greedy
-	selected, phase1Val, optimal, p1 := s.phase1(eligible, st, hits, len(misses), p1deadline, forceGreedy)
+	picks, phase1Val, optimal, p1 := s.phase1(sc, st, hits, len(misses), p1deadline, forceGreedy)
 	dec.Phase1Seconds = time.Since(phase1Start).Seconds()
 	dec.Phase1Value = phase1Val
 	dec.OptimalPhase1 = optimal
@@ -731,14 +874,17 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 	dec.Phase1Warm = p1.warm
 	dec.Phase1Cached = p1.cached
 	dec.Degraded.Phase1Greedy = p1.degraded
-	for _, p := range selected {
-		dec.Transform[p.req.DeviceID] = true
+	for k, on := range picks {
+		if on {
+			dec.X[eligible[k].i] = true
+			dec.Selected++
+		}
 	}
 	p1sp.SetInt("eligible", len(eligible))
-	p1sp.SetInt("selected", len(selected))
+	p1sp.SetInt("selected", dec.Selected)
 	p1sp.End()
 
-	var swapIn, swapOut map[string]bool
+	var swapIn, swapOut []bool
 	if !s.cfg.DisableSwap && s.cfg.Lambda > 0 {
 		// Anytime mode: a spent deadline skips the swap pass outright —
 		// running a partial number of passes would be timing-dependent,
@@ -750,39 +896,35 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 			dec.Degraded.Phase2Skipped = true
 		default:
 			_, p2sp := span.Child(ctx, "phase2")
-			swapIn = make(map[string]bool)
-			swapOut = make(map[string]bool)
 			phase2Start := time.Now()
-			dec.Swaps = s.phase2(eligible, dec.Transform, swapIn, swapOut)
+			dec.Swaps = s.phase2(sc, dec.X)
+			swapIn, swapOut = sc.swapIn, sc.swapOut
 			dec.Phase2Seconds = time.Since(phase2Start).Seconds()
 			p2sp.SetInt("swaps", dec.Swaps)
 			p2sp.End()
 		}
 	}
 
-	for _, on := range dec.Transform {
-		if on {
-			dec.Selected++
-		}
-	}
-	dec.Objective = s.totalObjective(plans, dec.Transform)
-	dec.Verdicts = s.verdicts(plans, dec.Transform, swapIn, swapOut)
+	// A swap moves one device in and one out, so Phase-2 leaves the
+	// Phase-1 count standing.
+	dec.Objective = totalObjective(plans, dec.X)
+	dec.PerDevice = verdicts(plans, dec.X, swapIn, swapOut)
 	if st != nil {
-		st.finish(&dec, selected)
+		st.finish(&dec, picks)
 	}
 	return dec, nil
 }
 
-// verdicts derives the per-device explanation of a finished decision:
-// the binding reason code plus the anxiety trajectory the decision
-// implies. swapIn/swapOut are the Phase-2 swap events (nil when
-// Phase-2 did not run).
-func (s *Scheduler) verdicts(plans []*plan, x map[string]bool, swapIn, swapOut map[string]bool) map[string]Verdict {
-	out := make(map[string]Verdict, len(plans))
-	for _, p := range plans {
-		id := p.req.DeviceID
-		v := Verdict{
-			Selected:      x[id],
+// verdicts derives the per-device explanation of a finished decision,
+// indexed like plans and x: the binding reason code plus the anxiety
+// trajectory the decision implies. swapIn/swapOut are the Phase-2 swap
+// events by batch position (nil when Phase-2 did not run).
+func verdicts(plans []*plan, x, swapIn, swapOut []bool) []Verdict {
+	out := make([]Verdict, len(plans))
+	for i, p := range plans {
+		v := &out[i]
+		*v = Verdict{
+			Selected:      x[i],
 			Eligible:      p.eligible,
 			AnxietyBefore: p.anx,
 			Gamma:         p.req.Gamma,
@@ -791,11 +933,11 @@ func (s *Scheduler) verdicts(plans []*plan, x map[string]bool, swapIn, swapOut m
 		switch {
 		case !p.eligible:
 			v.Reason = ReasonIneligible
-		case v.Selected && swapIn[id]:
+		case v.Selected && swapIn != nil && swapIn[i]:
 			v.Reason = ReasonSwappedIn
 		case v.Selected:
 			v.Reason = ReasonPhase1
-		case swapOut[id]:
+		case swapOut != nil && swapOut[i]:
 			v.Reason = ReasonSwappedOut
 		default:
 			v.Reason = ReasonCapacity
@@ -805,7 +947,6 @@ func (s *Scheduler) verdicts(plans []*plan, x map[string]bool, swapIn, swapOut m
 			end = p.end1
 		}
 		v.AnxietyAfter = p.anxModel.Anxiety(end)
-		out[id] = v
 	}
 	return out
 }
@@ -820,11 +961,12 @@ type phase1Info struct {
 }
 
 // phase1 solves the energy-only selection (14) as a 0/1 knapsack over
-// the eligible devices. st (nil on the cold path; locked by the caller
-// otherwise) supplies the incremental shortcuts: reuse of the previous
-// slot's solution when the knapsack problem is byte-identical, and a
-// warm-start seed otherwise. hits/misses are the call's plan-cache
-// counts, gating the warm-start attempt.
+// sc.eligible and returns the picks indexed like it. st (nil on the
+// cold path; locked by the caller otherwise) supplies the incremental
+// shortcuts: reuse of the previous slot's solution when the knapsack
+// problem is byte-identical, and a warm-start seed otherwise.
+// hits/misses are the call's plan-cache counts, gating the warm-start
+// attempt.
 //
 // A non-zero deadline puts the branch-and-bound in anytime mode: on
 // expiry the always-feasible greedy solution is adopted and the result
@@ -832,18 +974,19 @@ type phase1Info struct {
 // unconditionally (audit replay of a degraded decision). Degraded
 // solutions never enter the problem cache — a later unpressured slot
 // with the same problem must re-solve exactly.
-func (s *Scheduler) phase1(eligible []*plan, st *slotState, hits, misses int, deadline time.Time, forceGreedy bool) (chosen []*plan, value float64, optimal bool, info phase1Info) {
-	values := make([]float64, len(eligible))
-	for i, p := range eligible {
-		values[i] = p.saving
+func (s *Scheduler) phase1(sc *planScratch, st *slotState, hits, misses int, deadline time.Time, forceGreedy bool) (picks []bool, value float64, optimal bool, info phase1Info) {
+	eligible := sc.eligible
+	sc.values = grown(sc.values, len(eligible))
+	for k, e := range eligible {
+		sc.values[k] = e.p.saving
 	}
 
 	var sol ilp.Solution
-	if !forceGreedy && st != nil && st.probLookup(eligible, values) {
+	if !forceGreedy && st != nil && st.probLookup(eligible, sc.values) {
 		sol = st.prevSol
 		info.cached = true
 	} else {
-		prob := problemWithCapacity(s, eligible, values)
+		prob := s.knapsack(sc)
 		switch {
 		case forceGreedy:
 			sol = ilp.Greedy(prob)
@@ -876,55 +1019,90 @@ func (s *Scheduler) phase1(eligible []*plan, st *slotState, hits, misses int, de
 		info.warm = sol.WarmUsed
 		info.degraded = sol.Degraded
 	}
-	for i, on := range sol.X {
-		if on {
-			chosen = append(chosen, eligible[i])
-		}
-	}
-	return chosen, sol.Value, sol.Optimal, info
+	return sol.X, sol.Value, sol.Optimal, info
 }
 
-// phase2 implements the anxiety-driven swapping: unselected devices
-// ranked by anxiety degree are swapped in for selected ones whenever the
-// joint objective (13) decreases and the capacities still hold. Returns
-// the number of accepted swaps and records each accepted swap's two
-// sides in swapIn / swapOut (a device appears in at most one: original
-// outsiders can only swap in, original insiders only out).
-func (s *Scheduler) phase2(eligible []*plan, x map[string]bool, swapIn, swapOut map[string]bool) int {
-	var in, out []*plan
+// knapsack frames sc.values over sc.eligible as a 0/1 knapsack under
+// the server's compute (6) and storage (7) rows. The Problem and its
+// rows live in the scratch and are valid until the next call.
+func (s *Scheduler) knapsack(sc *planScratch) *ilp.Problem {
+	sc.prob = ilp.Problem{Values: sc.values}
+	if s.cfg.Server != nil {
+		sc.gRow = grown(sc.gRow, len(sc.eligible))
+		sc.hRow = grown(sc.hRow, len(sc.eligible))
+		for k, e := range sc.eligible {
+			sc.gRow[k] = e.p.g
+			sc.hRow[k] = e.p.h
+		}
+		sc.cons = [2]ilp.Constraint{
+			{Weights: sc.gRow, Capacity: s.cfg.Server.ComputeCapacity},
+			{Weights: sc.hRow, Capacity: s.cfg.Server.StorageCapacityMB},
+		}
+		sc.prob.Constraints = sc.cons[:]
+	}
+	return &sc.prob
+}
+
+// lessAnxiousFirst orders Phase-2's insiders, moreAnxiousFirst its
+// outsiders. Anxiety ties break on DeviceID (ascending in both) so the
+// swap order never depends on the caller's request ordering (e.g. a
+// map-fed request batch); anxieties that do not compare (NaN from a
+// custom model) are left in place.
+func lessAnxiousFirst(a, b placed) int {
+	switch {
+	case a.p.anx < b.p.anx:
+		return -1
+	case a.p.anx > b.p.anx:
+		return 1
+	case a.p.anx != b.p.anx:
+		return 0
+	}
+	return strings.Compare(a.p.req.DeviceID, b.p.req.DeviceID)
+}
+
+func moreAnxiousFirst(a, b placed) int {
+	if a.p.anx == b.p.anx {
+		return strings.Compare(a.p.req.DeviceID, b.p.req.DeviceID)
+	}
+	return lessAnxiousFirst(b, a)
+}
+
+// phase2 implements the anxiety-driven swapping over sc.eligible:
+// unselected devices ranked by anxiety degree are swapped in for
+// selected ones whenever the joint objective (13) decreases and the
+// capacities still hold. It updates x in place, returns the number of
+// accepted swaps and leaves each accepted swap's two sides in
+// sc.swapIn / sc.swapOut, indexed like x (a device appears in at most
+// one: original outsiders can only swap in, original insiders only out).
+func (s *Scheduler) phase2(sc *planScratch, x []bool) int {
+	in, out := grown(sc.in, len(sc.eligible))[:0], grown(sc.out, len(sc.eligible))[:0]
 	usedG, usedH := 0.0, 0.0
-	for _, p := range eligible {
-		if x[p.req.DeviceID] {
-			in = append(in, p)
-			usedG += p.g
-			usedH += p.h
+	for _, e := range sc.eligible {
+		if x[e.i] {
+			in = append(in, e)
+			usedG += e.p.g
+			usedH += e.p.h
 		} else {
-			out = append(out, p)
+			out = append(out, e)
 		}
 	}
+	sc.in, sc.out = in, out
 	// Most anxious outsiders first; least anxious insiders first.
-	// Anxiety ties break on DeviceID so the swap order never depends on
-	// the caller's request ordering (e.g. a map-fed request batch).
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].anx != out[b].anx {
-			return out[a].anx > out[b].anx
-		}
-		return out[a].req.DeviceID < out[b].req.DeviceID
-	})
-	sort.SliceStable(in, func(a, b int) bool {
-		if in[a].anx != in[b].anx {
-			return in[a].anx < in[b].anx
-		}
-		return in[a].req.DeviceID < in[b].req.DeviceID
-	})
+	slices.SortStableFunc(out, moreAnxiousFirst)
+	slices.SortStableFunc(in, lessAnxiousFirst)
 
-	// Positional selection flags mirror x for the two swap-eligible
-	// populations, so the O(|out| x |in|) probe loop below never pays a
-	// string-map lookup per probe: an outsider can only swap in once and
-	// an insider only out once, and x is updated alongside the flags on
-	// every accepted swap, so the mirror is exact.
-	candIn := make([]bool, len(out)) // out[i] swapped in
-	curOut := make([]bool, len(in))  // in[j] swapped out
+	// An outsider can only swap in once and an insider only out once, so
+	// two flags per population, indexed like out and in, let the
+	// O(|out| x |in|) probe loop skip the settled ones without touching x.
+	candIn := grown(sc.candIn, len(out)) // out[i] swapped in
+	curOut := grown(sc.curOut, len(in))  // in[j] swapped out
+	swapIn := grown(sc.swapIn, len(x))
+	swapOut := grown(sc.swapOut, len(x))
+	sc.candIn, sc.curOut, sc.swapIn, sc.swapOut = candIn, curOut, swapIn, swapOut
+	clear(candIn)
+	clear(curOut)
+	clear(swapIn)
+	clear(swapOut)
 
 	swaps := 0
 	for pass := 0; pass < s.cfg.MaxSwapPasses; pass++ {
@@ -938,23 +1116,21 @@ func (s *Scheduler) phase2(eligible []*plan, x map[string]bool, swapIn, swapOut 
 					continue // swapped out already
 				}
 				// Objective delta of swapping cand in, cur out.
-				delta := (cand.obj1 - cand.obj0) + (cur.obj0 - cur.obj1)
+				delta := (cand.p.obj1 - cand.p.obj0) + (cur.p.obj0 - cur.p.obj1)
 				if delta >= -1e-12 {
 					continue
 				}
 				if s.cfg.Server != nil {
-					ng := usedG - cur.g + cand.g
-					nh := usedH - cur.h + cand.h
+					ng := usedG - cur.p.g + cand.p.g
+					nh := usedH - cur.p.h + cand.p.h
 					if !s.cfg.Server.Fits(ng, nh) {
 						continue
 					}
-					usedG, usedH = usedG-cur.g+cand.g, usedH-cur.h+cand.h
+					usedG, usedH = usedG-cur.p.g+cand.p.g, usedH-cur.p.h+cand.p.h
 				}
 				candIn[ci], curOut[cj] = true, true
-				x[cand.req.DeviceID] = true
-				x[cur.req.DeviceID] = false
-				swapIn[cand.req.DeviceID] = true
-				swapOut[cur.req.DeviceID] = true
+				x[cand.i], x[cur.i] = true, false
+				swapIn[cand.i], swapOut[cur.i] = true, true
 				swaps++
 				improved = true
 				break
@@ -968,11 +1144,11 @@ func (s *Scheduler) phase2(eligible []*plan, x map[string]bool, swapIn, swapOut 
 }
 
 // totalObjective sums the compacted objective (13) over all devices
-// under the decision x.
-func (s *Scheduler) totalObjective(plans []*plan, x map[string]bool) float64 {
+// under the decision x (indexed like plans).
+func totalObjective(plans []*plan, x []bool) float64 {
 	sum := 0.0
-	for _, p := range plans {
-		if x[p.req.DeviceID] {
+	for i, p := range plans {
+		if x[i] {
 			sum += p.obj1
 		} else {
 			sum += p.obj0

@@ -510,9 +510,9 @@ func TestSchedulingNeverWorsensObjective(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lp.Objective > s.totalObjective(plans, base.Transform)+1e-9 {
+		if lp.Objective > totalObjective(plans, base.X)+1e-9 {
 			t.Fatalf("seed %d: scheduled objective %v above do-nothing %v",
-				seed, lp.Objective, s.totalObjective(plans, base.Transform))
+				seed, lp.Objective, totalObjective(plans, base.X))
 		}
 	}
 }
@@ -554,7 +554,7 @@ func TestObjectiveMatchesSelectionProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return math.Abs(dec.Objective-s.totalObjective(plans, dec.Transform)) < 1e-9
+		return math.Abs(dec.Objective-totalObjective(plans, dec.X)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"lpvs/internal/obs"
+	"lpvs/internal/scheduler"
 	"lpvs/internal/testenv"
 	"lpvs/internal/wire"
 )
@@ -183,5 +186,42 @@ func TestHandleReportAllocsBinaryBatchPerRecord(t *testing.T) {
 	large := perBatch(512) // first, so the scratch is grown before either count
 	if small := perBatch(8); large != small {
 		t.Fatalf("a warm binary batch allocates %.1f at 512 records and %.1f at 8, want equal (nothing per record)", large, small)
+	}
+}
+
+// TestTickAllocsBytesPerDevice guards the cold slot BenchmarkTick runs,
+// in bytes: ingest of the binary batch plus runTickLocked — gather,
+// sort, schedule, publish, fleet fold — allocate per device only what
+// the scheduler's result holds for it, one []bool and one []Verdict
+// element. The slope between 2,000 and 8,000 devices is therefore the
+// size of those two elements, plus the allocator's rounding of two
+// large objects.
+func TestTickAllocsBytesPerDevice(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	bytesPerSlot := func(nDev int) float64 {
+		slot := coldTickServer(t, nDev)
+		for warm := 0; warm < 4; warm++ { // learn the devices, see all three windows
+			slot()
+		}
+		best := 0.0
+		var m0, m1 runtime.MemStats
+		for run := 0; run < 4; run++ {
+			runtime.ReadMemStats(&m0)
+			slot()
+			runtime.ReadMemStats(&m1)
+			if got := float64(m1.TotalAlloc - m0.TotalAlloc); run == 0 || got < best {
+				best = got
+			}
+		}
+		return best
+	}
+	small, large := bytesPerSlot(2000), bytesPerSlot(8000)
+	slope := (large - small) / 6000
+	element := float64(unsafe.Sizeof(scheduler.Verdict{}) + unsafe.Sizeof(false))
+	t.Logf("%.0f B at 2,000 devices, %.0f B at 8,000: %.1f B per device (one result element is %.0f B)", small, large, slope, element)
+	if slope > element+4 {
+		t.Fatalf("a cold slot grows by %.1f B per device, want at most the %.0f B of the scheduler's result", slope, element)
 	}
 }

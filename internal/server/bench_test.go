@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -188,5 +189,77 @@ func BenchmarkFleetTick(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// coldTickServer builds the daemon BenchmarkTick and the tick allocation
+// guard drive — nDev devices spread over two 90-chunk channels, capacity
+// for 100 streams, the shape of the harness's edge-10k-cold workload —
+// and returns the function that runs one slot on it: a binary report
+// batch from every device, then runTickLocked. The streams hold three
+// slot windows, so every slot reports a new window, the plan cache
+// misses every device and the tick takes the cold path end to end.
+func coldTickServer(tb testing.TB, nDev int) func() {
+	tb.Helper()
+	music, err := video.Generate(stats.NewRNG(2), video.DefaultGenConfig("music", video.Music, 90))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := New(Config{
+		Stream:        testStream(tb),
+		ExtraStreams:  []*video.Video{music},
+		ServerStreams: 100,
+		Lambda:        1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reqs := ingestReports(nDev)
+	for i := range reqs {
+		if i%2 == 1 {
+			reqs[i].ChannelID = "music"
+		}
+	}
+	body, err := wire.AppendBatch(nil, reqs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rd := bytes.NewReader(body)
+	slot := func() {
+		rd.Reset(body)
+		req := httptest.NewRequest("POST", "/v1/report", rd)
+		req.Header.Set("Content-Type", wire.ContentType)
+		rec := httptest.NewRecorder()
+		s.handleReport(rec, req)
+		if rec.Code != 200 {
+			tb.Fatalf("report: HTTP %d: %s", rec.Code, rec.Body.String())
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		out, err := s.runTickLocked(context.Background(), oneVC)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if out.stats.Reports != nDev || out.stats.CacheHits != 0 {
+			tb.Fatalf("slot scheduled %d reports with %d plan-cache hits, want %d and a cold cache",
+				out.stats.Reports, out.stats.CacheHits, nDev)
+		}
+	}
+	return slot
+}
+
+// BenchmarkTick is one cold 10k-device slot — ingest of a binary batch,
+// then the tick under s.mu — with nothing of the harness around it, so
+// the tick can be profiled from the package:
+//
+//	go test ./internal/server/ -run '^$' -bench '^BenchmarkTick$' -benchmem \
+//		-cpuprofile cpu.out -memprofile mem.out
+func BenchmarkTick(b *testing.B) {
+	slot := coldTickServer(b, 10_000)
+	slot() // grow the scratch, learn the devices
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot()
 	}
 }

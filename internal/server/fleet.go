@@ -85,54 +85,49 @@ type channelStat struct {
 	gammaSeen   bool
 }
 
-// fleetTickLocked folds one finished tick — its request batch and the
-// decision of each of its VCs — into the per-channel and per-stream
-// telemetry. Called with s.mu held, strictly after the decisions are
-// final (observation only).
-func (s *Server) fleetTickLocked(reqs []scheduler.Request, decided []scheduler.VCDecision) {
-	// Per-tick channel aggregates.
-	type agg struct {
-		devices, admitted, eligible, selected int
-		gammaSum                              float64
-	}
-	byCh := map[string]*agg{}
-	chOf := func(id string) (string, *agg) {
-		st, ok := s.devices[id]
-		if !ok {
-			return "", nil
-		}
-		a := byCh[st.channel]
-		if a == nil {
-			a = &agg{}
-			byCh[st.channel] = a
-		}
-		return st.channel, a
-	}
-	for id, st := range s.devices {
-		if _, a := chOf(id); a != nil {
-			a.devices++
-			a.gammaSum += st.estimator.Gamma()
-		}
-	}
-	for _, r := range reqs {
-		if _, a := chOf(r.DeviceID); a != nil {
-			a.admitted++
-		}
-	}
-	for i := range decided {
-		dec := &decided[i].Decision
-		for id, v := range dec.Verdicts {
-			if _, a := chOf(id); a != nil && v.Eligible {
-				a.eligible++
-			}
-		}
-		for id, on := range dec.Transform {
-			if _, a := chOf(id); a != nil && on {
-				a.selected++
-			}
-		}
-	}
+// fleetFold accumulates one tick's per-channel aggregates: the publish
+// loop admits each scheduled device with its verdict, the device walk
+// adds every known device with its gamma estimate.
+type fleetFold map[string]*fleetAgg
 
+// fleetAgg is one channel's share of a tick.
+type fleetAgg struct {
+	devices, admitted, eligible, selected int
+	gammaSum                              float64
+}
+
+func (f fleetFold) of(ch string) *fleetAgg {
+	a := f[ch]
+	if a == nil {
+		a = &fleetAgg{}
+		f[ch] = a
+	}
+	return a
+}
+
+// admit counts a device the tick scheduled.
+func (f fleetFold) admit(ch string, v *scheduler.Verdict) {
+	a := f.of(ch)
+	a.admitted++
+	if v.Eligible {
+		a.eligible++
+	}
+	if v.Selected {
+		a.selected++
+	}
+}
+
+// device counts a device the daemon knows, scheduled or not.
+func (f fleetFold) device(ch string, gamma float64) {
+	a := f.of(ch)
+	a.devices++
+	a.gammaSum += gamma
+}
+
+// fleetTickLocked folds one finished tick's per-channel aggregates into
+// the per-channel and per-stream telemetry. Called with s.mu held,
+// strictly after the decisions are final (observation only).
+func (s *Server) fleetTickLocked(byCh fleetFold) {
 	// Fold into the persistent per-channel stats; channels that lost all
 	// their devices stay listed with zeroed live gauges (their lifetime
 	// counters remain meaningful).

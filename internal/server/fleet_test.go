@@ -144,6 +144,128 @@ func TestFleetEndpointMatchesRegistry(t *testing.T) {
 	}
 }
 
+// TestFleetFoldMatchesDeviceTable: the tick folds its per-channel
+// aggregates from the publish loop and one walk over the devices. The
+// gauges a scrape then shows must be what the device table itself says
+// — per channel: devices, admitted, selected, gamma mean and the drift
+// between the last two ticks — including a device that was not in the
+// tick and a channel a device moved away from, and the scrape must hold
+// the families it always has.
+func TestFleetFoldMatchesDeviceTable(t *testing.T) {
+	s, ts := fleetServer(t, 64)
+	report := func(id, ch string, energy float64) {
+		t.Helper()
+		r := reportOn(id, ch)
+		r.EnergyFrac = energy
+		if resp := postJSON(t, ts.URL+"/v1/report", r, nil); resp.StatusCode != 200 {
+			t.Fatalf("report %s: %d", id, resp.StatusCode)
+		}
+	}
+	tick := func() {
+		t.Helper()
+		if resp := postJSON(t, ts.URL+"/v1/tick", struct{}{}, nil); resp.StatusCode != 200 {
+			t.Fatalf("tick: %d", resp.StatusCode)
+		}
+	}
+	// Slot 0: seven devices over both channels, one of them (c3) too
+	// drained to be eligible.
+	for i, ch := range []string{"", "music", "", "music", "", "music", ""} {
+		energy := 0.2 + 0.1*float64(i)
+		if i == 3 {
+			energy = 0.0001
+		}
+		report(fmt.Sprintf("c%d", i), ch, energy)
+	}
+	tick()
+	// The estimators learn, so slot 1's gamma means move.
+	for i, red := range []float64{0.21, 0.34, 0.27, 0.4, 0.3} {
+		obs := ObserveRequest{DeviceID: fmt.Sprintf("c%d", i), Reduction: red}
+		if resp := postJSON(t, ts.URL+"/v1/observe", obs, nil); resp.StatusCode != 200 {
+			t.Fatalf("observe: %d", resp.StatusCode)
+		}
+	}
+	meanBefore := map[string]float64{}
+	s.mu.Lock()
+	for ch, cs := range s.fleet {
+		meanBefore[ch] = cs.gammaMean
+	}
+	s.mu.Unlock()
+	// Slot 1: c6 stays silent (known, not admitted), c5 moves to the
+	// default channel, c1 and c3 stay on music.
+	for i, ch := range []string{"", "music", "", "music", "", ""} {
+		report(fmt.Sprintf("c%d", i), ch, 0.3+0.1*float64(i))
+	}
+	tick()
+
+	type row struct {
+		devices, admitted, eligible, selected int
+		gammaSum                              float64
+	}
+	want := map[string]*row{"ch": {}, "music": {}}
+	s.mu.Lock()
+	for _, st := range s.devices {
+		r := want[st.channel]
+		r.devices++
+		r.gammaSum += st.estimator.Gamma()
+		if st.slot != s.slot-1 {
+			continue // not in the last tick
+		}
+		r.admitted++
+		if st.verdict.Eligible {
+			r.eligible++
+		}
+		if st.transform {
+			r.selected++
+		}
+	}
+	s.mu.Unlock()
+	if want["ch"].devices != 5 || want["music"].devices != 2 || want["ch"].admitted != 4 {
+		t.Fatalf("scenario drifted: %+v %+v", want["ch"], want["music"])
+	}
+
+	text := scrape(t, ts.URL)
+	var fleet FleetResponse
+	if resp := getJSON(t, ts.URL+"/v1/fleet", &fleet); resp.StatusCode != 200 {
+		t.Fatalf("fleet: %d", resp.StatusCode)
+	}
+	near := func(a, b float64) bool { return abs(a-b) <= 1e-12 }
+	for _, c := range fleet.Channels {
+		r := want[c.Channel]
+		mean := r.gammaSum / float64(r.devices)
+		if c.Devices != r.devices || c.Admitted != r.admitted || c.Eligible != r.eligible || c.Selected != r.selected ||
+			!near(c.GammaMean, mean) || !near(c.GammaDrift, abs(mean-meanBefore[c.Channel])) {
+			t.Errorf("/v1/fleet %s = %+v, device table says %+v mean %v drift %v",
+				c.Channel, c, *r, mean, abs(mean-meanBefore[c.Channel]))
+		}
+		label := fmt.Sprintf("{vc=%q}", c.Channel)
+		for series, wantV := range map[string]float64{
+			"lpvs_vc_devices":          float64(r.devices),
+			"lpvs_vc_admitted_devices": float64(r.admitted),
+			"lpvs_vc_selected_devices": float64(r.selected),
+			"lpvs_vc_gamma_mean":       mean,
+			"lpvs_vc_gamma_drift":      abs(mean - meanBefore[c.Channel]),
+		} {
+			if got := metricValue(t, text, series+label); !near(got, wantV) {
+				t.Errorf("%s%s = %v, device table says %v", series, label, got, wantV)
+			}
+		}
+	}
+	// The cluster-wide Bayesian gauges come from the same walk.
+	total := want["ch"].gammaSum + want["music"].gammaSum
+	if got := metricValue(t, text, "lpvs_gamma_mean"); !near(got, total/7) {
+		t.Errorf("lpvs_gamma_mean = %v, device table says %v", got, total/7)
+	}
+	if got := metricValue(t, text, "lpvs_gamma_mean_drift"); got <= 0 {
+		t.Errorf("lpvs_gamma_mean_drift = %v after five observations, want > 0", got)
+	}
+	// 76 families on this configuration (94 on a default lpvsd, which
+	// adds build info, the runtime collector and the history store).
+	const families = 76
+	if got := strings.Count(text, "\n# TYPE "); got+1 != families {
+		t.Errorf("scrape holds %d metric families, want %d", got+1, families)
+	}
+}
+
 func TestSLOEndpointMatchesRegistry(t *testing.T) {
 	_, ts := fleetServer(t, 64)
 	if resp := postJSON(t, ts.URL+"/v1/report", validReport("d0"), nil); resp.StatusCode != 200 {

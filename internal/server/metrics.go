@@ -186,7 +186,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Mean truncated-posterior gamma estimate across devices.", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			mean, _ := s.gammaStatsLocked()
+			mean, _ := s.gammaStatsLocked(nil)
 			return mean
 		})
 	reg.GaugeFunc("lpvs_gamma_uncertainty_mean",
@@ -277,25 +277,31 @@ func newServerMetrics(s *Server) *serverMetrics {
 	return m
 }
 
-// gammaStatsLocked aggregates the Bayesian telemetry across devices.
-// Callers hold s.mu.
-func (s *Server) gammaStatsLocked() (gammaMean, sigmaMean float64) {
+// gammaStatsLocked aggregates the Bayesian telemetry across devices. A
+// tick passes its fleet fold, which takes each device's estimate for
+// the per-channel means from the same walk (evaluating the truncated
+// posterior is the cost of the walk); a scrape passes nil. Callers hold
+// s.mu.
+func (s *Server) gammaStatsLocked(fold fleetFold) (gammaMean, sigmaMean float64) {
 	n := len(s.devices)
 	if n == 0 {
 		return 0, 0
 	}
 	for _, st := range s.devices {
-		snap := st.estimator.Snapshot()
-		gammaMean += snap.Gamma
-		sigmaMean += snap.Sigma
+		gamma := st.estimator.Gamma()
+		gammaMean += gamma
+		sigmaMean += st.estimator.Sigma()
+		if fold != nil {
+			fold.device(st.channel, gamma)
+		}
 	}
 	return gammaMean / float64(n), sigmaMean / float64(n)
 }
 
 // observeTick records one tick's scheduler breakdown and refreshes the
-// Bayesian drift gauges. Called with s.mu held (the gauges themselves
-// are lock-free).
-func (s *Server) observeTick(stats TickStats) {
+// Bayesian drift gauges from the tick's gammaStatsLocked walk. Called
+// with s.mu held (the gauges themselves are lock-free).
+func (s *Server) observeTick(stats TickStats, gammaMean, sigmaMean float64) {
 	m := s.metrics
 	m.ticks.Inc()
 	m.tickDur.Observe(stats.DurationSec)
@@ -333,7 +339,6 @@ func (s *Server) observeTick(stats TickStats) {
 		s.tickSlow.Add(1)
 	}
 
-	gammaMean, sigmaMean := s.gammaStatsLocked()
 	if s.tickSeen {
 		m.gammaDrift.Set(abs(gammaMean - s.prevGammaMean))
 		m.gammaSigmaDrift.Set(abs(sigmaMean - s.prevSigmaMean))

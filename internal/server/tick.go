@@ -76,7 +76,9 @@ func (s *Server) partitionLocked(part partition, reqs []scheduler.Request) []sch
 
 // tickOutcome is what a finished tick hands its endpoint to shape a
 // response from. vcs and decided are parallel, in VC-ID order; vcs
-// aliases server scratch and is valid only while s.mu is held.
+// aliases server scratch and is valid only while s.mu is held — and so
+// is decided[i].Decision.Canonical(), which reads its device IDs from
+// vcs[i].Requests.
 type tickOutcome struct {
 	stats   TickStats
 	vcs     []scheduler.VC
@@ -131,24 +133,27 @@ func (s *Server) runTickLocked(ctx context.Context, part partition) (tickOutcome
 	sp.SetInt("selected", stats.Selected)
 	sp.End()
 
+	// Publish: decisions are positional (dec.X[k] and dec.PerDevice[k]
+	// belong to vcs[i].Requests[k]), so one pass over the batch with one
+	// device lookup each sets the transform bit and the verdict and feeds
+	// the per-channel fleet fold.
+	fold := fleetFold{}
 	for i := range pres.VCs {
 		dec := &pres.VCs[i].Decision
-		for id, on := range dec.Transform {
-			if st, ok := s.devices[id]; ok {
-				st.transform = on
-				st.slot = s.slot
+		batch := vcs[i].Requests
+		for k := range batch {
+			st, ok := s.devices[batch[k].DeviceID]
+			if !ok {
+				continue
 			}
-		}
-		for id, v := range dec.Verdicts {
-			if st, ok := s.devices[id]; ok {
-				st.verdict = v
-				st.hasVerdict = true
-			}
+			st.transform, st.slot = dec.X[k], s.slot
+			st.verdict, st.hasVerdict = dec.PerDevice[k], true
+			fold.admit(st.channel, &st.verdict)
 		}
 		if s.audit != nil {
 			// Every record re-solves independently, so a per-channel log
 			// replays exactly like a single-VC one.
-			s.auditVCLocked(part.auditLabel(s.slot, vcs[i].ID), vcs[i].Requests, dec, sp.TraceID())
+			s.auditVCLocked(part.auditLabel(s.slot, vcs[i].ID), batch, dec, sp.TraceID())
 		}
 	}
 	stats.DurationSec = time.Since(start).Seconds()
@@ -156,8 +161,11 @@ func (s *Server) runTickLocked(ctx context.Context, part partition) (tickOutcome
 		s.degraded.Add(1)
 	}
 	s.lastTick = stats
-	s.observeTick(stats)
-	s.fleetTickLocked(reqs, pres.VCs)
+	// One walk over the devices feeds the cluster-wide Bayesian gauges
+	// and the per-channel gamma means.
+	gammaMean, sigmaMean := s.gammaStatsLocked(fold)
+	s.observeTick(stats, gammaMean, sigmaMean)
+	s.fleetTickLocked(fold)
 	log.Info("tick",
 		"slot", stats.Slot, "vcs", len(vcs), "reports", stats.Reports,
 		"eligible", stats.Eligible, "selected", stats.Selected,

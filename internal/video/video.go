@@ -238,6 +238,20 @@ func PowerRate(spec display.Spec, c Chunk) (float64, error) {
 	return display.PlaybackPower(spec, c.Stats)
 }
 
+// ValidateChunks validates every chunk of a window, reporting the index
+// of the first invalid one. It is the checked-once entry beside
+// PowerRate for callers that price one window on many displays: check
+// the window here once, then use display.Panel.Power per chunk, which
+// is PowerRate without the per-call validation.
+func ValidateChunks(chunks []Chunk) (int, error) {
+	for i := range chunks {
+		if err := chunks[i].Validate(); err != nil {
+			return i, err
+		}
+	}
+	return -1, nil
+}
+
 // PowerRates estimates the power rate of every chunk in the video on the
 // given display.
 func PowerRates(spec display.Spec, v *Video) ([]float64, error) {
