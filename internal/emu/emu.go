@@ -595,6 +595,9 @@ func (e *Emulator) Run() (*RunResult, error) {
 			res.LowBatteryStart[i] = d.LowBattery()
 		}
 	}
+	// One builder for the run: every slot's record and line reuse its
+	// storage, the path the daemon's tick takes.
+	var auditRec audit.Builder
 	var auditLog *audit.Log
 	if e.cfg.AuditDir != "" {
 		var err error
@@ -750,23 +753,22 @@ func (e *Emulator) Run() (*RunResult, error) {
 			// there is nothing to tee and the slot never pays for
 			// encoding a record nobody persists.
 			if auditLog != nil && lpvsSched != nil {
-				rec := audit.NewRecord(slot, "vc", lpvsSched.Config(), reqs, decision)
+				rec := auditRec.Build(slot, "vc", lpvsSched.Config(), reqs, decision)
 				rec.Seed = e.cfg.Seed
 				rec.UnixSec = float64(time.Now().UnixNano()) / 1e9
 				rec.TraceID = slotSp.TraceID()
 				// Encode once; the audit log and the flight recorder's
 				// tail ring get the same bytes, so bundles replay
-				// byte-identically against the log.
-				line, err := rec.Encode()
+				// byte-identically against the log. Both take them
+				// before the next slot's Build reuses the line.
+				line, err := auditRec.Encode()
 				if err != nil {
 					slotSp.End()
 					return nil, fmt.Errorf("emu: slot %d: audit: %w", slot, err)
 				}
-				if auditLog != nil {
-					if err := auditLog.AppendLine(line); err != nil {
-						slotSp.End()
-						return nil, fmt.Errorf("emu: slot %d: audit: %w", slot, err)
-					}
+				if err := auditLog.AppendLine(line); err != nil {
+					slotSp.End()
+					return nil, fmt.Errorf("emu: slot %d: audit: %w", slot, err)
 				}
 				if flightRec != nil {
 					flightRec.NoteAudit(line)

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"lpvs/internal/scheduler"
@@ -12,7 +13,7 @@ import (
 // sharedWindowInstance builds n requests spread over two shared
 // 30-chunk windows — the shape of a daemon tick, where a stream's
 // viewers all hold the same chunk slice — and their decision.
-func sharedWindowInstance(t *testing.T, n int) (scheduler.Config, []scheduler.Request, scheduler.Decision) {
+func sharedWindowInstance(t testing.TB, n int) (scheduler.Config, []scheduler.Request, scheduler.Decision) {
 	t.Helper()
 	base := fixedRequest("", false, 0, 0).Chunks
 	windows := make([][]video.Chunk, 2)
@@ -63,6 +64,81 @@ func TestNewRecordAllocsDoNotScaleWithRequests(t *testing.T) {
 	if large-small >= 4 || large >= 40 {
 		t.Fatalf("NewRecord allocates %.0f at 1,000 requests and %.0f at 2,000: still scales with requests", small, large)
 	}
+}
+
+// TestBuilderSteadyStateAllocs guards what a logging tick pays per
+// record once its Builder is warm: Build + Encode allocate the same
+// number of objects at 1,000 requests and at 2,000 — nothing per
+// request — and at 2,000 under 100 KiB: the canonical decision (a
+// buffer and its string copy, ~38 KB each), the two window-table
+// entries and the config hash. A fresh NewRecord + Encode of the same
+// tick is 1.5 MB.
+func TestBuilderSteadyStateAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	measure := func(n int) (allocs, bytes float64) {
+		cfg, reqs, dec := sharedWindowInstance(t, n)
+		var b Builder
+		cycle := func() {
+			rec := b.Build(1, "vc", cfg, reqs, dec)
+			rec.UnixSec = 1754400000.5
+			if line, err := b.Encode(); err != nil || len(line) < 400*n {
+				t.Fatalf("%d-byte line, err %v", len(line), err)
+			}
+		}
+		cycle()
+		allocs = testing.AllocsPerRun(10, cycle)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		cycle()
+		runtime.ReadMemStats(&m1)
+		return allocs, float64(m1.TotalAlloc - m0.TotalAlloc)
+	}
+	smallAllocs, _ := measure(1000)
+	largeAllocs, largeBytes := measure(2000)
+	t.Logf("warm Build+Encode: %.0f allocs at 1,000 requests, %.0f at 2,000 (%.0f B)", smallAllocs, largeAllocs, largeBytes)
+	if smallAllocs != largeAllocs {
+		t.Fatalf("a warm Build+Encode allocates %.0f at 1,000 requests and %.0f at 2,000, want equal (nothing per request)", smallAllocs, largeAllocs)
+	}
+	if largeBytes > 100<<10 {
+		t.Fatalf("a warm Build+Encode of 2,000 requests allocates %.0f B, want at most 100 KiB", largeBytes)
+	}
+}
+
+// BenchmarkAuditEncode times one 2,000-request record from decision to
+// encoded line: cold is NewRecord + Encode, what a one-off caller (and
+// the load generator's audit.encode_ms probe) pays; warm is the
+// daemon's path, a Builder that has seen the tick's shape before.
+func BenchmarkAuditEncode(b *testing.B) {
+	cfg, reqs, dec := sharedWindowInstance(b, 2000)
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			line, err := NewRecord(1, "vc", cfg, reqs, dec).Encode()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(line)))
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		var builder Builder
+		builder.Build(1, "vc", cfg, reqs, dec)
+		if _, err := builder.Encode(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			builder.Build(1, "vc", cfg, reqs, dec)
+			line, err := builder.Encode()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(line)))
+		}
+	})
 }
 
 // TestEncodedLineSizeSharedWindows bounds the line itself: 2,000

@@ -30,6 +30,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -354,6 +355,14 @@ type windowTable struct {
 	byHash  map[uint64]int
 }
 
+// reset empties the table, keeping its maps and its entry list's
+// backing array.
+func (t *windowTable) reset() {
+	clear(t.byRef)
+	clear(t.byHash)
+	t.windows = t.windows[:0]
+}
+
 // intern returns the table index of a chunk window, adding it on first
 // sight. Allocation is per distinct window, never per request.
 func (t *windowTable) intern(chunks []video.Chunk) int {
@@ -517,37 +526,75 @@ func (r *Record) SchedulerRequests() ([]scheduler.Request, error) {
 	return reqs, nil
 }
 
-// NewRecord assembles a tick's audit record from the request set (in
+// Builder builds and encodes audit records in storage it owns and
+// reuses: the request and verdict slices, the per-request window
+// indexes, the window table and the encoded line stay at their
+// high-water mark from one Build to the next, so a caller that logs
+// every tick (the daemon, the emulator) allocates per record only what
+// the record does not share with the last one — the canonical decision
+// string, the config hash and one table entry per distinct window.
+//
+// The price is a lifetime rule: the *Record Build returns and the line
+// Encode returns alias that storage and are valid only until the next
+// Build. Copy what must outlive it (Writer.AppendLine and the flight
+// recorder's NoteAudit both take their bytes before returning). A
+// Builder is not safe for concurrent use; the zero value is ready.
+type Builder struct {
+	rec      Record
+	degraded DegradedRecord
+	spans    [3]StageSpan
+	// windowOf holds every request's table index in one backing array;
+	// the per-request Window pointers point into it.
+	windowOf []int
+	table    windowTable
+	line     []byte
+}
+
+// grown returns s resized to n elements, reallocating only when its
+// capacity is short. Never nil: an empty request set encodes as [],
+// not null.
+func grown[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Build assembles a tick's audit record from the request set (in
 // scheduling order), the configuration the scheduler ran under, and
 // the decision made for that request set, whose positional view it
 // reads: dec.PerDevice[i] is reqs[i]'s verdict. Wall-clock fields
-// (UnixSec, TraceID, Spans, Seed) are left for the caller to stamp.
-func NewRecord(slot int, vcID string, cfg scheduler.Config, reqs []scheduler.Request, dec scheduler.Decision) *Record {
-	rec := &Record{
+// (UnixSec, TraceID, Spans, Seed) are left for the caller to stamp on
+// the returned record, which is valid until the next Build.
+func (b *Builder) Build(slot int, vcID string, cfg scheduler.Config, reqs []scheduler.Request, dec scheduler.Decision) *Record {
+	rec := &b.rec
+	*rec = Record{
 		Schema:            SchemaVersion,
 		Slot:              slot,
 		VC:                vcID,
 		Config:            NewConfigRecord(cfg),
-		Requests:          make([]RequestRecord, len(reqs)),
+		Requests:          grown(rec.Requests, len(reqs)),
 		DecisionCanonical: string(dec.Canonical()),
-		Verdicts:          make([]VerdictRecord, len(dec.PerDevice)),
+		Verdicts:          grown(rec.Verdicts, len(dec.PerDevice)),
 	}
 	rec.ConfigHash = rec.Config.Hash()
 	if dec.Degraded.Any() {
-		rec.Degraded = &DegradedRecord{
+		b.degraded = DegradedRecord{
 			Phase1Greedy:  dec.Degraded.Phase1Greedy,
 			Phase2Skipped: dec.Degraded.Phase2Skipped,
 		}
+		rec.Degraded = &b.degraded
 	}
-	// One backing array holds every request's table index, so the
-	// per-request Window pointers cost the record a single allocation.
-	windowOf := make([]int, len(reqs))
-	var table windowTable
+	// The table starts empty every time: its fast path keys on slice
+	// identity, and a window of the previous batch may have been freed
+	// and its address handed to a different one since.
+	b.table.reset()
+	b.windowOf = grown(b.windowOf, len(reqs))
 	for i := range reqs {
-		windowOf[i] = table.intern(reqs[i].Chunks)
-		rec.Requests[i] = newRequestRecord(&reqs[i], &windowOf[i])
+		b.windowOf[i] = b.table.intern(reqs[i].Chunks)
+		rec.Requests[i] = newRequestRecord(&reqs[i], &b.windowOf[i])
 	}
-	rec.Windows = table.windows
+	rec.Windows = b.table.windows
 	// Verdicts go out in device-ID order, which is the batch's own order
 	// whenever the batch is sorted (the daemon's always is).
 	order := dec.IDOrder()
@@ -558,12 +605,33 @@ func NewRecord(slot int, vcID string, cfg scheduler.Config, reqs []scheduler.Req
 		}
 		rec.Verdicts[k] = VerdictRecord{Device: reqs[i].DeviceID, Verdict: dec.PerDevice[i]}
 	}
-	rec.Spans = []StageSpan{
+	b.spans = [3]StageSpan{
 		{Name: "compact", DurSec: dec.CompactSeconds},
 		{Name: "phase1", DurSec: dec.Phase1Seconds},
 		{Name: "phase2", DurSec: dec.Phase2Seconds},
 	}
+	rec.Spans = b.spans[:]
 	return rec
+}
+
+// Encode renders the record of the last Build — with whatever the
+// caller stamped on it since — as one JSONL line (with trailing
+// newline) in the builder's reused buffer. The line is valid until the
+// next Build or Encode.
+func (b *Builder) Encode() ([]byte, error) {
+	b.line = slices.Grow(b.line[:0], b.rec.sizeHint())
+	line, err := b.rec.AppendJSON(b.line)
+	if err != nil {
+		return nil, err
+	}
+	b.line = line
+	return line, nil
+}
+
+// NewRecord is Build on a Builder of its own: a record that shares
+// storage with nothing and stays valid for as long as it is held.
+func NewRecord(slot int, vcID string, cfg scheduler.Config, reqs []scheduler.Request, dec scheduler.Decision) *Record {
+	return new(Builder).Build(slot, vcID, cfg, reqs, dec)
 }
 
 // Verdict returns the verdict for a device (found=false when the device
@@ -623,14 +691,14 @@ func (r *Record) Verify() error {
 	return nil
 }
 
-// Encode renders the record as one JSONL line (with trailing newline).
+// Encode renders the record as one JSONL line (with trailing newline)
+// in a slice of its own, sized once for the whole line.
 func (r *Record) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(r); err != nil {
+	line, err := r.AppendJSON(make([]byte, 0, r.sizeHint()))
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return line, nil
 }
 
 // Decode parses one JSONL line into a verified record.

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,8 +10,10 @@ import (
 
 // FuzzAuditDecode hardens the JSONL decoder against arbitrary input:
 // Decode must never panic, and anything it accepts — in either schema —
-// must re-encode and decode to the same verified record. New seeds go
-// after the first six, whose corpus names the gate pins.
+// must re-encode, to the bytes json.Encoder writes for it (the append
+// encoder's differential, see referenceEncode), and decode to the same
+// verified record. New seeds go after the first six, whose corpus names
+// the gate pins.
 func FuzzAuditDecode(f *testing.F) {
 	valid, err := func() ([]byte, error) {
 		rec := seedRecord()
@@ -52,14 +55,31 @@ func FuzzAuditDecode(f *testing.F) {
 		}
 		f.Add(bytes.TrimSpace(line))
 	}
+	// What the append encoder has to get right beyond plain fields:
+	// escapes in every string position, exponent-form and negative-zero
+	// floats, a nil window among the table's entries.
+	tricky := seedRecord()
+	tricky.VC, tricky.TraceID = "a\"b\\c<d>&\n\x01\x7f\xff\xe2\x80\xa8\xc3\xa9", "\t"
+	tricky.UnixSec, tricky.Seed = 1e-7, -3
+	tricky.Windows = [][]ChunkRecord{nil, {{DurationSec: 1e21, MeanLuma: 5e-324, PeakLuma: math.Copysign(0, -1)}}}
+	tricky.Requests = []RequestRecord{{Device: "<d>", DisplayType: "LCD", Window: windowIndex(1), Gamma: -9.99e20}}
+	tricky.Degraded = &DegradedRecord{}
+	trickyLine, err := tricky.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := Decode(bytes.TrimSpace(trickyLine)); err != nil {
+		f.Fatalf("the escape-and-exponent seed is not a record Decode accepts: %v", err)
+	}
+	f.Add(bytes.TrimSpace(trickyLine))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		rec, err := Decode(line)
 		if err != nil {
 			return
 		}
-		out, err := rec.Encode()
-		if err != nil {
-			t.Fatalf("accepted record failed to re-encode: %v", err)
+		out := checkEncode(t, "accepted record", rec)
+		if out == nil {
+			t.Fatal("accepted record failed to re-encode")
 		}
 		again, err := Decode(bytes.TrimSpace(out))
 		if err != nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"lpvs/internal/obs"
 	"lpvs/internal/scheduler"
 	"lpvs/internal/testenv"
+	"lpvs/internal/video"
 	"lpvs/internal/wire"
 )
 
@@ -200,28 +202,94 @@ func TestTickAllocsBytesPerDevice(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	bytesPerSlot := func(nDev int) float64 {
-		slot := coldTickServer(t, nDev)
-		for warm := 0; warm < 4; warm++ { // learn the devices, see all three windows
-			slot()
-		}
-		best := 0.0
-		var m0, m1 runtime.MemStats
-		for run := 0; run < 4; run++ {
-			runtime.ReadMemStats(&m0)
-			slot()
-			runtime.ReadMemStats(&m1)
-			if got := float64(m1.TotalAlloc - m0.TotalAlloc); run == 0 || got < best {
-				best = got
-			}
-		}
-		return best
-	}
-	small, large := bytesPerSlot(2000), bytesPerSlot(8000)
+	small, large := warmSlotBytes(coldTickServer(t, 2000)), warmSlotBytes(coldTickServer(t, 8000))
 	slope := (large - small) / 6000
 	element := float64(unsafe.Sizeof(scheduler.Verdict{}) + unsafe.Sizeof(false))
 	t.Logf("%.0f B at 2,000 devices, %.0f B at 8,000: %.1f B per device (one result element is %.0f B)", small, large, slope, element)
 	if slope > element+4 {
 		t.Fatalf("a cold slot grows by %.1f B per device, want at most the %.0f B of the scheduler's result", slope, element)
+	}
+}
+
+// warmSlotBytes runs a tickServer slot until the daemon has learned the
+// devices, seen all three windows and grown its scratch, and returns
+// the fewest bytes one further slot allocated.
+func warmSlotBytes(slot func()) float64 {
+	for warm := 0; warm < 4; warm++ {
+		slot()
+	}
+	best := 0.0
+	var m0, m1 runtime.MemStats
+	for run := 0; run < 4; run++ {
+		runtime.ReadMemStats(&m0)
+		slot()
+		runtime.ReadMemStats(&m1)
+		if got := float64(m1.TotalAlloc - m0.TotalAlloc); run == 0 || got < best {
+			best = got
+		}
+	}
+	return best
+}
+
+// TestAuditedTickAllocsBytesPerDevice is the same slot with the audit
+// log on. The record and its line live in the server's audit.Builder,
+// so auditing adds per device only the canonical decision's line for it
+// (the ID, "=false\n"), once in Canonical's buffer and once in the
+// record's string: about 90 B per device with the scheduler's result,
+// where a record and a line built afresh every tick cost about 800.
+func TestAuditedTickAllocsBytesPerDevice(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	bytesPerSlot := func(nDev int) float64 {
+		_, slot := tickServer(t, nDev, oneVC, Config{
+			ExtraStreams: []*video.Video{musicStream(t)},
+			AuditDir:     t.TempDir(),
+		})
+		return warmSlotBytes(slot)
+	}
+	small, large := bytesPerSlot(2000), bytesPerSlot(8000)
+	slope := (large - small) / 6000
+	t.Logf("%.0f B at 2,000 devices, %.0f B at 8,000: %.1f B per device", small, large, slope)
+	if slope > 100 {
+		t.Fatalf("an audited slot grows by %.1f B per device, want at most 100", slope)
+	}
+}
+
+// TestShardTickPartitionAllocs guards the per-channel partition of a
+// shard tick: the groups are refilled in the server's scratch, so once
+// two ticks have grown it, partitioning 1,600 devices into 8 channels
+// allocates the eight state-key strings and sort.Slice's swapper —
+// under a kilobyte, where eight groups grown by append were 360 B per
+// device.
+func TestShardTickPartitionAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	extra := make([]*video.Video, 7)
+	for i := range extra {
+		extra[i] = extraStream(t, fmt.Sprintf("ch-%d", i))
+	}
+	s, slot := tickServer(t, 1600, perChannel, Config{ExtraStreams: extra})
+	slot()
+	slot()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	batch := s.reqScratch // the last tick's batch, device-sorted
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	vcs := s.partitionLocked(perChannel, batch)
+	runtime.ReadMemStats(&m1)
+	n := 0
+	for _, vc := range vcs {
+		n += len(vc.Requests)
+	}
+	if len(vcs) != 8 || n != 1600 {
+		t.Fatalf("partition made %d VCs of %d requests, want 8 of 1,600", len(vcs), n)
+	}
+	got := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("warm per-channel partition: %d B", got)
+	if got > 1024 {
+		t.Fatalf("a warm per-channel partition of 1,600 devices allocates %d B, want at most 1 KiB (nothing per request)", got)
 	}
 }

@@ -201,23 +201,35 @@ func BenchmarkFleetTick(b *testing.B) {
 // misses every device and the tick takes the cold path end to end.
 func coldTickServer(tb testing.TB, nDev int) func() {
 	tb.Helper()
-	music, err := video.Generate(stats.NewRNG(2), video.DefaultGenConfig("music", video.Music, 90))
+	_, slot := tickServer(tb, nDev, oneVC, Config{ExtraStreams: []*video.Video{musicStream(tb)}})
+	return slot
+}
+
+// musicStream is coldTickServer's second channel.
+func musicStream(tb testing.TB) *video.Video {
+	tb.Helper()
+	v, err := video.Generate(stats.NewRNG(2), video.DefaultGenConfig("music", video.Music, 90))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s, err := New(Config{
-		Stream:        testStream(tb),
-		ExtraStreams:  []*video.Video{music},
-		ServerStreams: 100,
-		Lambda:        1,
-	})
+	return v
+}
+
+// tickServer is coldTickServer with the knobs its variants turn: the
+// tick's partition and whatever of cfg is set (extra channels, the
+// devices dealt round-robin over all of them; an audit directory).
+func tickServer(tb testing.TB, nDev int, part partition, cfg Config) (*Server, func()) {
+	tb.Helper()
+	cfg.Stream, cfg.ServerStreams, cfg.Lambda = testStream(tb), 100, 1
+	s, err := New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	tb.Cleanup(func() { s.Close() })
 	reqs := ingestReports(nDev)
 	for i := range reqs {
-		if i%2 == 1 {
-			reqs[i].ChannelID = "music"
+		if ch := i % (1 + len(cfg.ExtraStreams)); ch > 0 {
+			reqs[i].ChannelID = cfg.ExtraStreams[ch-1].ID
 		}
 	}
 	body, err := wire.AppendBatch(nil, reqs)
@@ -236,7 +248,7 @@ func coldTickServer(tb testing.TB, nDev int) func() {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		out, err := s.runTickLocked(context.Background(), oneVC)
+		out, err := s.runTickLocked(context.Background(), part)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -245,7 +257,7 @@ func coldTickServer(tb testing.TB, nDev int) func() {
 				out.stats.Reports, out.stats.CacheHits, nDev)
 		}
 	}
-	return slot
+	return s, slot
 }
 
 // BenchmarkTick is one cold 10k-device slot — ingest of a binary batch,

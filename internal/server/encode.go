@@ -2,12 +2,12 @@ package server
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
 
+	"lpvs/internal/appendjson"
 	"lpvs/internal/bufpool"
 )
 
@@ -16,8 +16,9 @@ import (
 // a slot's traffic — a decision, a chunk, a single report's
 // acknowledgement — are instead appended into a pooled buffer by their
 // own appendJSON method, byte for byte what WriteJSON would have sent
-// (FuzzAppendJSON holds the two together), and fall back to WriteJSON
-// for any value they do not cover.
+// (FuzzAppendJSON holds the two together; the value writers are
+// internal/appendjson's), and fall back to WriteJSON only for a float
+// with no JSON form, to fail as it fails.
 
 // jsonContentType is the Content-Type value of every JSON body,
 // assigned to the header map as is. cap == len, so a middleware that
@@ -45,7 +46,7 @@ func WriteBody(w http.ResponseWriter, code int, body []byte) {
 }
 
 // writeAppended answers 200 with v's appendJSON encoding, or through
-// WriteJSON when v has a field the appenders do not cover.
+// WriteJSON when v holds a NaN or an infinity.
 func writeAppended[T interface {
 	appendJSON(dst []byte) ([]byte, bool)
 }](w http.ResponseWriter, v T) {
@@ -63,13 +64,13 @@ func writeAppended[T interface {
 func (r DecisionResponse) appendJSON(dst []byte) ([]byte, bool) {
 	ok := true
 	dst = append(dst, `{"device_id":`...)
-	dst = appendString(dst, r.DeviceID, &ok)
+	dst = appendjson.String(dst, r.DeviceID)
 	dst = append(dst, `,"slot":`...)
 	dst = strconv.AppendInt(dst, int64(r.Slot), 10)
 	dst = append(dst, `,"transform":`...)
 	dst = strconv.AppendBool(dst, r.Transform)
 	dst = append(dst, `,"gamma":`...)
-	dst = appendFloat(dst, r.Gamma, &ok)
+	dst = appendjson.Float(dst, r.Gamma, &ok)
 	return append(dst, "}\n"...), ok
 }
 
@@ -78,25 +79,25 @@ func (r ChunkResponse) appendJSON(dst []byte) ([]byte, bool) {
 	dst = append(dst, `{"index":`...)
 	dst = strconv.AppendInt(dst, int64(r.Index), 10)
 	dst = append(dst, `,"duration_sec":`...)
-	dst = appendFloat(dst, r.DurationSec, &ok)
+	dst = appendjson.Float(dst, r.DurationSec, &ok)
 	dst = append(dst, `,"bitrate_kbps":`...)
 	dst = strconv.AppendInt(dst, int64(r.BitrateKbps), 10)
 	dst = append(dst, `,"transformed":`...)
 	dst = strconv.AppendBool(dst, r.Transformed)
 	dst = append(dst, `,"mean_luma":`...)
-	dst = appendFloat(dst, r.MeanLuma, &ok)
+	dst = appendjson.Float(dst, r.MeanLuma, &ok)
 	dst = append(dst, `,"peak_luma":`...)
-	dst = appendFloat(dst, r.PeakLuma, &ok)
+	dst = appendjson.Float(dst, r.PeakLuma, &ok)
 	dst = append(dst, `,"mean_r":`...)
-	dst = appendFloat(dst, r.MeanR, &ok)
+	dst = appendjson.Float(dst, r.MeanR, &ok)
 	dst = append(dst, `,"mean_g":`...)
-	dst = appendFloat(dst, r.MeanG, &ok)
+	dst = appendjson.Float(dst, r.MeanG, &ok)
 	dst = append(dst, `,"mean_b":`...)
-	dst = appendFloat(dst, r.MeanB, &ok)
+	dst = appendjson.Float(dst, r.MeanB, &ok)
 	dst = append(dst, `,"brightness_scale":`...)
-	dst = appendFloat(dst, r.BrightnessScale, &ok)
+	dst = appendjson.Float(dst, r.BrightnessScale, &ok)
 	dst = append(dst, `,"plain_power_w":`...)
-	dst = appendFloat(dst, r.PlainPowerW, &ok)
+	dst = appendjson.Float(dst, r.PlainPowerW, &ok)
 	return append(dst, "}\n"...), ok
 }
 
@@ -106,46 +107,6 @@ func (r ReportResponse) appendJSON(dst []byte) ([]byte, bool) {
 	dst = append(dst, `,"accepted":`...)
 	dst = strconv.AppendBool(dst, r.Accepted)
 	return append(dst, "}\n"...), true
-}
-
-// appendFloat appends f as encoding/json writes a float64: the ES6
-// number-to-string form. NaN and the infinities have no JSON form;
-// they clear *ok, and the caller's fallback fails as json.Encoder does.
-func appendFloat(dst []byte, f float64, ok *bool) []byte {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		*ok = false
-		return dst
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 is written e-9.
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
-}
-
-// appendString appends s quoted when it is printable ASCII free of the
-// bytes encoding/json escapes (the quote, the backslash and, as every
-// json.Encoder does by default, <, > and &). Any other string clears
-// *ok: escaping stays encoding/json's job.
-func appendString(dst []byte, s string, ok *bool) []byte {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < ' ', c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			*ok = false
-			return dst
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }
 
 // queryValue is url.ParseQuery(raw)[key][0] — "" when key is absent —

@@ -1,12 +1,18 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"lpvs/internal/obs"
 	"lpvs/internal/obs/audit"
 	"lpvs/internal/obs/span"
 )
@@ -223,5 +229,58 @@ func TestTickSpanTreeMatchesCallGraph(t *testing.T) {
 	oroots := span.Tree(spans, obsTrace)
 	if len(oroots) != 1 || len(oroots[0].Children) != 1 || oroots[0].Children[0].Name != "bayes-update" {
 		t.Fatalf("observe trace shape wrong: %+v", oroots)
+	}
+}
+
+// TestAuditEncodeFailureIsLoggedNotWritten: a record the encoder
+// refuses — a NaN where JSON has no form for it — is logged as "audit
+// encode failed" and skipped; the log gains no line from it, and the
+// reused builder encodes the next tick's record as if nothing happened.
+func TestAuditEncodeFailureIsLoggedNotWritten(t *testing.T) {
+	var logBuf bytes.Buffer
+	logger, err := obs.NewLogger(&logBuf, "info", "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, err := New(Config{Stream: testStream(t), ServerStreams: 3, Lambda: 1, AuditDir: dir, Logger: logger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	reportAndTick(t, ts, 3)
+
+	// No report can carry a NaN past validation, so run a real tick and
+	// hand its audit step the decision again with one verdict poisoned.
+	for i := 0; i < 3; i++ {
+		postJSON(t, ts.URL+"/v1/report", validReport(fmt.Sprintf("exp-%02d", i)), nil)
+	}
+	s.mu.Lock()
+	out, err := s.runTickLocked(context.Background(), oneVC)
+	if err != nil {
+		s.mu.Unlock()
+		t.Fatal(err)
+	}
+	dec := out.decided[0].Decision
+	dec.PerDevice = slices.Clone(dec.PerDevice)
+	dec.PerDevice[0].AnxietyAfter = math.NaN()
+	s.auditVCLocked("slot-poisoned", out.vcs[0].Requests, &dec, "")
+	s.mu.Unlock()
+	if !strings.Contains(logBuf.String(), `"msg":"audit encode failed"`) || !strings.Contains(logBuf.String(), `"vc":"slot-poisoned"`) {
+		t.Fatalf("no audit-encode-failed line for the poisoned record in:\n%s", logBuf.String())
+	}
+
+	reportAndTick(t, ts, 3)
+	recs, err := audit.ReadFile(filepath.Join(dir, audit.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || recs[0].VC != "slot-0" || recs[1].VC != "slot-1" || recs[2].VC != "slot-2" {
+		t.Fatalf("log holds %d records, want the three real ticks and nothing of the poisoned one", len(recs))
+	}
+	if diverged, err := audit.ReplayAll(recs); err != nil || len(diverged) != 0 {
+		t.Fatalf("records %v diverged on replay (err %v)", diverged, err)
 	}
 }

@@ -229,8 +229,13 @@ type Server struct {
 	// incremental.go).
 	reqScratch []scheduler.Request
 	// vcScratch is the tick's VC list, reused the same way (the pool
-	// copies it before ordering).
+	// copies it before ordering); chScratch holds a shard tick's
+	// per-channel groups, each truncated and refilled every tick, and
+	// auditRec the storage of the audit record and its encoded line
+	// (audit.Builder: valid until the next cluster is audited).
 	vcScratch []scheduler.VC
+	chScratch map[string][]scheduler.Request
+	auditRec  audit.Builder
 	devices   map[string]*deviceState
 	lastTick  TickStats
 	tickSeen  bool

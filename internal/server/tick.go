@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"lpvs/internal/obs/audit"
 	"lpvs/internal/scheduler"
 )
 
@@ -50,22 +49,36 @@ func (p partition) auditLabel(slot int, vcID string) string {
 // partitionLocked groups the device-sorted batch into the tick's VCs,
 // in VC-ID order — the order Pool.DecideCtx answers in, so VCs and
 // decisions pair up by index. Each group inherits the canonical device
-// order the scheduler's tie-breaks need. One partition allocates
-// nothing per tick. Caller holds s.mu.
+// order the scheduler's tie-breaks need. Either partition works in
+// server-owned scratch (the VC list, and per channel the group's
+// backing array), so at a stable fleet it allocates nothing per
+// request; the groups live as long as tickOutcome.vcs. Caller holds
+// s.mu.
 func (s *Server) partitionLocked(part partition, reqs []scheduler.Request) []scheduler.VC {
 	vcs := s.vcScratch[:0]
 	if part == oneVC {
 		vcs = append(vcs, scheduler.VC{ID: fmt.Sprintf("slot-%d", s.slot), StateKey: "edge", Requests: reqs})
 	} else {
-		byCh := map[string][]scheduler.Request{}
+		if s.chScratch == nil {
+			s.chScratch = map[string][]scheduler.Request{}
+		}
+		for ch, group := range s.chScratch {
+			s.chScratch[ch] = group[:0]
+		}
 		for _, r := range reqs {
 			ch := s.cfg.Stream.ID
 			if st, ok := s.devices[r.DeviceID]; ok {
 				ch = st.channel
 			}
-			byCh[ch] = append(byCh[ch], r)
+			s.chScratch[ch] = append(s.chScratch[ch], r)
 		}
-		for ch, group := range byCh {
+		for ch, group := range s.chScratch {
+			if len(group) == 0 {
+				// Nobody reported on it this tick: a channel that emptied
+				// for good must not pin its last batch's array.
+				delete(s.chScratch, ch)
+				continue
+			}
 			vcs = append(vcs, scheduler.VC{ID: ch, StateKey: "ch:" + ch, Requests: group})
 		}
 		sort.Slice(vcs, func(a, b int) bool { return vcs[a].ID < vcs[b].ID })
@@ -182,12 +195,15 @@ func (s *Server) runTickLocked(ctx context.Context, part partition) (tickOutcome
 // are byte-exact copies of the logged ones. The tail mirrors the log —
 // a daemon without -audit-dir captures bundles with no audit section,
 // and the tick path never pays for encoding a record nobody persists.
-// Caller holds s.mu and has checked s.audit.
+// Record and line live in s.auditRec's reused storage and are gone at
+// the next cluster's Build: both sinks take their bytes before they
+// return (the file write is synchronous, NoteAudit copies). Caller
+// holds s.mu and has checked s.audit.
 func (s *Server) auditVCLocked(label string, reqs []scheduler.Request, dec *scheduler.Decision, traceID string) {
-	rec := audit.NewRecord(s.slot, label, s.pool.Scheduler().Config(), reqs, *dec)
+	rec := s.auditRec.Build(s.slot, label, s.pool.Scheduler().Config(), reqs, *dec)
 	rec.UnixSec = float64(time.Now().UnixNano()) / 1e9
 	rec.TraceID = traceID
-	line, err := rec.Encode()
+	line, err := s.auditRec.Encode()
 	if err != nil {
 		s.log.Error("audit encode failed", "slot", s.slot, "vc", label, "err", err)
 		return
