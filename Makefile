@@ -12,7 +12,7 @@ GO ?= go
 # longer shake before a release or after touching a fuzzed surface.
 FUZZTIME ?= 3s
 
-.PHONY: all build test race vet vet-extra fmt check bench bench-smoke fuzz-smoke audit-replay slo-smoke snapshot-smoke flight-smoke ingest-smoke
+.PHONY: all build test race vet vet-extra fmt check bench bench-smoke fuzz-smoke audit-replay slo-smoke snapshot-smoke flight-smoke ingest-smoke loc
 
 all: build
 
@@ -128,3 +128,16 @@ fuzz-smoke:
 			$(GO) test $$pkg -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) || exit 1; \
 		done; \
 	done
+
+# loc is the ruler for deletion PRs (ROADMAP item 8): Go lines outside
+# _test.go that are neither blank nor a // comment, per top-level
+# directory ("." is the root package) and in total. Quote it before and
+# after in CHANGES.md.
+loc:
+	@total=0; \
+	for d in . $$(find . -mindepth 2 -name '*.go' | cut -d/ -f2 | sort -u); do \
+		depth=""; [ "$$d" = . ] && depth="-maxdepth 1"; \
+		n=$$(find ./$$d $$depth -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'); \
+		printf '%-10s %7d\n' "$$d" "$$n"; total=$$((total + n)); \
+	done; \
+	printf '%-10s %7d\n' total "$$total"

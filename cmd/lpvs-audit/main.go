@@ -99,20 +99,17 @@ func runReplay(args []string) error {
 	if len(recs) == 0 {
 		return fmt.Errorf("replay: %s holds no records", path)
 	}
-	diverged := 0
-	for i, rec := range recs {
-		res, err := rec.Replay()
-		if err != nil {
-			return fmt.Errorf("record %d (slot %d, vc %s): %w", i, rec.Slot, rec.VC, err)
-		}
+	diverged, err := audit.ReplayAll(recs, func(i int, res *audit.ReplayResult) error {
+		rec := recs[i]
 		if !res.Match {
-			diverged++
 			fmt.Printf("record %d (slot %d, vc %s): DIVERGED\n%s", i, rec.Slot, rec.VC, res.Diff())
-			continue
-		}
-		if *verbose {
+		} else if *verbose {
 			fmt.Printf("record %d (slot %d, vc %s): ok, %s\n", i, rec.Slot, rec.VC, rec.Layout())
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if diverged > 0 {
 		return fmt.Errorf("replay: %d of %d records diverged", diverged, len(recs))
@@ -146,15 +143,15 @@ func runRecover(args []string) error {
 		return fmt.Errorf("recover: %s holds no records", path)
 	}
 	if !*noVerify {
-		for i, rec := range recs {
-			res, err := rec.Replay()
-			if err != nil {
-				return fmt.Errorf("record %d (slot %d, vc %s): %w", i, rec.Slot, rec.VC, err)
-			}
+		_, err := audit.ReplayAll(recs, func(i int, res *audit.ReplayResult) error {
 			if !res.Match {
 				return fmt.Errorf("record %d (slot %d, vc %s) diverged on replay; refusing to recover from a tampered log\n%s",
-					i, rec.Slot, rec.VC, res.Diff())
+					i, recs[i].Slot, recs[i].VC, res.Diff())
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	snap, err := persist.RecoverFromAudit(recs)

@@ -43,7 +43,6 @@ func main() {
 		progress = flag.Bool("progress", false, "stream per-slot structured logs to stderr while running")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "scheduling pool fan-out for the lpvs policy (1 = serial)")
 		auditDir = flag.String("audit-dir", "", "append per-slot decision audit records to DIR/audit.jsonl (lpvs policy only; replayable with lpvs-audit)")
-		incr     = flag.Bool("incremental", true, "reuse cross-slot scheduling caches (decisions are identical either way)")
 		deadline = flag.Duration("sched-deadline", 0, "per-slot scheduling wall-clock budget; expired slots degrade to the anytime shortcuts (lpvs policy only; 0 = unbounded)")
 		stopN    = flag.Int("stop-after", 0, "run only the first N slots and checkpoint (requires -checkpoint; lpvs policy only)")
 		ckptPath = flag.String("checkpoint", "", "write the partial run's checkpoint to this file (requires -stop-after)")
@@ -69,7 +68,6 @@ func main() {
 		PersonalizedAnxiety: *personal,
 		Workers:             *workers,
 		AuditDir:            *auditDir,
-		DisableIncremental:  !*incr,
 		SchedDeadline:       *deadline,
 		SLOSlotLatency:      *sloLat,
 		FlightDir:           *flightD,

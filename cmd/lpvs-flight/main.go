@@ -210,30 +210,36 @@ func runShow(args []string) error {
 // Replays go through the same deterministic path as `lpvs-audit
 // replay`: decode the byte-exact line, re-run the scheduler, compare.
 func showAudit(b *flight.Bundle, replay bool) error {
-	diverged := 0
+	recs := make([]*audit.Record, len(b.AuditRecords))
 	for i, raw := range b.AuditRecords {
 		rec, err := audit.Decode(append([]byte(nil), raw...))
 		if err != nil {
 			return fmt.Errorf("audit record %d: %w", i, err)
 		}
-		line := fmt.Sprintf("  record %d: slot %d, vc %s, %s", i, rec.Slot, rec.VC, rec.Layout())
-		if !replay {
-			fmt.Println(line)
-			continue
+		recs[i] = rec
+	}
+	line := func(i int) string {
+		return fmt.Sprintf("  record %d: slot %d, vc %s, %s", i, recs[i].Slot, recs[i].VC, recs[i].Layout())
+	}
+	if !replay {
+		for i := range recs {
+			fmt.Println(line(i))
 		}
-		res, err := rec.Replay()
-		if err != nil {
-			return fmt.Errorf("audit record %d (slot %d): %w", i, rec.Slot, err)
-		}
+		return nil
+	}
+	diverged, err := audit.ReplayAll(recs, func(i int, res *audit.ReplayResult) error {
 		if res.Match {
-			fmt.Printf("%s: replay ok (byte-identical)\n", line)
+			fmt.Printf("%s: replay ok (byte-identical)\n", line(i))
 		} else {
-			diverged++
-			fmt.Printf("%s: REPLAY DIVERGED\n%s", line, res.Diff())
+			fmt.Printf("%s: REPLAY DIVERGED\n%s", line(i), res.Diff())
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("audit %w", err)
 	}
 	if diverged > 0 {
-		return fmt.Errorf("show: %d of %d audit records diverged on replay", diverged, len(b.AuditRecords))
+		return fmt.Errorf("show: %d of %d audit records diverged on replay", diverged, len(recs))
 	}
 	return nil
 }

@@ -74,7 +74,6 @@ func main() {
 		logFormat     = flag.String("log-format", "text", "log format: text, json")
 		enablePprof   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		auditDir      = flag.String("audit-dir", "", "append per-tick decision audit records to DIR/audit.jsonl (replayable with lpvs-audit)")
-		incremental   = flag.Bool("incremental", true, "reuse cross-slot scheduling caches (decisions are identical either way)")
 		traceSample   = flag.Float64("trace-sample", 0, "span-tracing sampling probability in [0, 1] (0 = off)")
 		traceSeed     = flag.Int64("trace-seed", 0, "seed for trace/span IDs (0 = default)")
 		schedDeadline = flag.Duration("sched-deadline", 0, "per-tick scheduling wall-clock budget; on expiry the tick degrades to the anytime shortcuts (0 = unbounded)")
@@ -194,31 +193,30 @@ func main() {
 		}
 	}
 	srv, err := server.New(server.Config{
-		Stream:             stream,
-		ExtraStreams:       extras,
-		ShardMode:          *mode == "shard",
-		NodeID:             *nodeID,
-		ShardMap:           smap,
-		ServerStreams:      *capacity,
-		Lambda:             *lambda,
-		SlotSec:            *slotSec,
-		Workers:            *workers,
-		Logger:             logger,
-		AuditDir:           *auditDir,
-		TraceSample:        *traceSample,
-		TraceSeed:          *traceSeed,
-		DisableIncremental: !*incremental,
-		SchedDeadline:      *schedDeadline,
-		MaxInflight:        *maxInflight,
-		MaxBatchRecords:    *maxBatch,
-		VCLabelBudget:      *vcBudget,
-		SLOTickLatency:     *sloLatency,
-		SnapshotDir:        *snapshotDir,
-		SnapshotInterval:   *snapshotEvery,
-		HistoryWindow:      *historyWindow,
-		HistoryInterval:    *historyEvery,
-		FlightDir:          *flightDir,
-		FlightTriggers:     *flightTrig,
+		Stream:           stream,
+		ExtraStreams:     extras,
+		ShardMode:        *mode == "shard",
+		NodeID:           *nodeID,
+		ShardMap:         smap,
+		ServerStreams:    *capacity,
+		Lambda:           *lambda,
+		SlotSec:          *slotSec,
+		Workers:          *workers,
+		Logger:           logger,
+		AuditDir:         *auditDir,
+		TraceSample:      *traceSample,
+		TraceSeed:        *traceSeed,
+		SchedDeadline:    *schedDeadline,
+		MaxInflight:      *maxInflight,
+		MaxBatchRecords:  *maxBatch,
+		VCLabelBudget:    *vcBudget,
+		SLOTickLatency:   *sloLatency,
+		SnapshotDir:      *snapshotDir,
+		SnapshotInterval: *snapshotEvery,
+		HistoryWindow:    *historyWindow,
+		HistoryInterval:  *historyEvery,
+		FlightDir:        *flightDir,
+		FlightTriggers:   *flightTrig,
 	})
 	if err != nil {
 		fatal(err)

@@ -40,9 +40,6 @@ func NewFleet(clients ...*Client) (*Fleet, error) {
 	return &Fleet{clients: clients}, nil
 }
 
-// Clients returns the fleet members.
-func (f *Fleet) Clients() []*Client { return f.clients }
-
 // Report batches the slot reports of every member whose device is
 // currently watching (idle or dead devices have nothing to request)
 // into one round-trip. Per-item rejections do not error the call —

@@ -142,8 +142,8 @@ func (e *Emulator) Restore(ck *persist.EmuCheckpoint) error {
 // field that shapes the generated streams, the per-slot decision
 // problems, or the playback physics. Excluded on purpose: Device (the
 // fleet travels inside the checkpoint, making resume independent of
-// the unhashable survey sampler func), Workers and DisableIncremental
-// (proven decision-neutral), SchedDeadline (degraded slots are
+// the unhashable survey sampler func), Workers (proven
+// decision-neutral), SchedDeadline (degraded slots are
 // wall-clock-dependent on any machine), StopAfter (the whole point of
 // a checkpoint is that it differs), and the observation-only knobs
 // (Progress, AuditDir, SLOSlotLatency, Tracer).

@@ -102,25 +102,6 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeIncrementalOff covers the serial cold path too.
-func TestCheckpointResumeIncrementalOff(t *testing.T) {
-	cfg := baseConfig()
-	cfg.DisableIncremental = true
-	cfg.Workers = 1
-	e, err := New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := runInterrupted(t, cfg, 4)
-	if !reflect.DeepEqual(normalizeResult(got), normalizeResult(want)) {
-		t.Fatal("resume diverged with incremental disabled")
-	}
-}
-
 // TestRestoreRejectsConfigMismatch: a checkpoint from a different
 // workload must be refused, not silently diverge.
 func TestRestoreRejectsConfigMismatch(t *testing.T) {

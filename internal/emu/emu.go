@@ -81,14 +81,10 @@ type Config struct {
 	LRUCacheMB, PrefetchMBPerSlot float64
 	// DisableSwap turns off Phase-2 in the LPVS scheduler (ablation).
 	DisableSwap bool
-	// DisableIncremental turns off the scheduler's cross-slot incremental
-	// caches (DESIGN.md §11), forcing every slot down the cold path.
-	// Decisions are byte-identical either way.
-	DisableIncremental bool
 	// SchedDeadline bounds each slot's scheduling wall time; on expiry
 	// the LPVS scheduler degrades to its anytime shortcuts (DESIGN.md
 	// §12) and the slot is flagged in SlotStat. Zero means unbounded.
-	// Only applies to the LPVS scheduler (serial or pooled).
+	// Only applies to the LPVS engine (a nil policy in New).
 	SchedDeadline time.Duration
 	// FixedGamma, when positive, disables Bayesian learning and plans
 	// with this constant reduction ratio (ablation).
@@ -114,13 +110,12 @@ type Config struct {
 	PersonalizedAnxiety bool
 	// ExactThreshold forwards to the scheduler; zero means its default.
 	ExactThreshold int
-	// Workers drives slots through the sharded scheduler.Pool with this
-	// fan-out: the per-device information-compacting step inside the
-	// slot parallelises across that many goroutines, and SlotStat gains
-	// the wall-vs-CPU split. Zero or one keeps the serial policy path.
-	// Only applies to the LPVS scheduler (a nil policy in New); explicit
+	// Workers is the width of the scheduler.Pool the LPVS engine runs
+	// slots through: the per-device information-compacting step inside
+	// the slot parallelises across that many goroutines. Zero means one.
+	// Only applies to the LPVS engine (a nil policy in New); explicit
 	// baseline policies always run serially. Decisions are bit-identical
-	// either way — see the scheduler package's differential tests.
+	// at any width — see the scheduler package's differential tests.
 	Workers int
 	// Progress, when non-nil, receives each slot's aggregate snapshot as
 	// soon as the slot finishes — live telemetry for long campaigns. The
@@ -128,8 +123,8 @@ type Config struct {
 	Progress func(policy string, st SlotStat)
 	// AuditDir, when non-empty, appends one decision audit record per
 	// scheduled slot to AuditDir/audit.jsonl (internal/obs/audit).
-	// Records are only written when the deciding policy is the LPVS
-	// scheduler (serial or pooled); baselines are not auditable.
+	// Records are only written when the LPVS engine decides; baselines
+	// are not auditable.
 	AuditDir string
 	// StopAfter, when positive, ends the run after that many total
 	// slots — before stream finalisation — so the caller can
@@ -248,9 +243,9 @@ type RunResult struct {
 	// FinalState per device.
 	FinalState []device.State
 	// SchedSeconds is the cumulative scheduler wall time; SchedCPUSeconds
-	// is the matching CPU-sum across pool workers. They coincide on the
-	// serial path; under a multi-worker pool the wall figure is what the
-	// paper's Fig. 10 overhead metric should report.
+	// is the matching CPU-sum across pool workers (the policy's own wall
+	// time under a baseline). Under a multi-worker pool the wall figure is
+	// what the paper's Fig. 10 overhead metric should report.
 	SchedSeconds    float64
 	SchedCPUSeconds float64
 	// QualityLossSum / QualityLossSamples track the perceptual
@@ -300,8 +295,8 @@ type SlotStat struct {
 	MeanGamma float64
 	// SchedSec is the slot's scheduling wall time, with the compacting /
 	// Phase-1 / Phase-2 breakdown alongside; SchedCPUSec is the CPU-sum
-	// across pool workers (equal to SchedSec on the serial path); PlaySec
-	// is the playback (battery-drain) emulation time.
+	// across pool workers (equal to SchedSec under a baseline policy);
+	// PlaySec is the playback (battery-drain) emulation time.
 	SchedSec    float64
 	SchedCPUSec float64
 	CompactSec  float64
@@ -310,7 +305,7 @@ type SlotStat struct {
 	PlaySec     float64
 	// CacheHits/CacheMisses report the slot's incremental plan-cache
 	// traffic; Replayed marks slots whose whole decision was served from
-	// the previous slot (DESIGN.md §11). All zero with incremental off.
+	// the previous slot (DESIGN.md §11). All zero under a baseline policy.
 	CacheHits   int
 	CacheMisses int
 	Replayed    bool
@@ -381,12 +376,15 @@ func (r *RunResult) MeanTPVMin(filter func(i int) bool) float64 {
 	return sum / float64(n)
 }
 
-// Emulator drives one virtual cluster under one policy.
+// Emulator drives one virtual cluster under one policy. A slot's
+// decision comes from exactly one of two places: the engine the daemon
+// ticks through (pool, with its cross-slot stream) or an explicit
+// baseline Policy.
 type Emulator struct {
 	cfg    Config
 	policy scheduler.Policy
-	// pool, when non-nil, drives each slot through the sharded engine
-	// instead of calling the policy directly (Config.Workers > 1).
+	// pool is the LPVS engine, built when New is given no policy; policy
+	// is then its Scheduler, kept for the name.
 	pool *scheduler.Pool
 
 	devices    []*device.Device
@@ -418,9 +416,10 @@ type frameKey struct {
 	oled          bool
 }
 
-// New builds an emulator. If policy is nil, the LPVS scheduler is
-// constructed from the config (the common case); pass an explicit policy
-// to run baselines.
+// New builds an emulator. If policy is nil, the LPVS engine — a
+// scheduler.Pool of Config.Workers, as the daemon runs — is constructed
+// from the config (the common case); pass an explicit policy to run
+// baselines.
 func New(cfg Config, policy scheduler.Policy) (*Emulator, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
@@ -428,22 +427,15 @@ func New(cfg Config, policy scheduler.Policy) (*Emulator, error) {
 	}
 	var pool *scheduler.Pool
 	if policy == nil {
-		if cfg.Workers > 1 {
-			scfg, err := SchedulerConfig(cfg)
-			if err != nil {
-				return nil, err
-			}
-			pool, err = scheduler.NewPool(scfg, scheduler.PoolConfig{Workers: cfg.Workers})
-			if err != nil {
-				return nil, err
-			}
-			policy = pool.Scheduler()
-		} else {
-			policy, err = BuildLPVSPolicy(cfg)
-			if err != nil {
-				return nil, err
-			}
+		scfg, err := SchedulerConfig(cfg)
+		if err != nil {
+			return nil, err
 		}
+		pool, err = scheduler.NewPool(scfg, scheduler.PoolConfig{Workers: max(cfg.Workers, 1)})
+		if err != nil {
+			return nil, err
+		}
+		policy = pool.Scheduler()
 	}
 	rng := stats.NewRNG(cfg.Seed)
 	deviceRNG := rng.Fork()
@@ -515,33 +507,9 @@ func New(cfg Config, policy scheduler.Policy) (*Emulator, error) {
 	}, nil
 }
 
-// BuildLPVSPolicy constructs the LPVS scheduler matching an emulator
-// config.
-func BuildLPVSPolicy(cfg Config) (scheduler.Policy, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	var server *edge.Server
-	if cfg.ServerStreams >= 0 {
-		server, err = edge.NewServer(cfg.ServerStreams)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return scheduler.New(scheduler.Config{
-		SlotSec:            cfg.SlotSec,
-		Lambda:             cfg.Lambda,
-		Anxiety:            cfg.Anxiety,
-		Server:             server,
-		DisableSwap:        cfg.DisableSwap,
-		ExactThreshold:     cfg.ExactThreshold,
-		DisableIncremental: cfg.DisableIncremental,
-	})
-}
-
-// SchedulerConfig exposes the scheduler configuration derived from an
-// emulator config, for callers composing baseline policies.
+// SchedulerConfig is the one mapping from an emulator config to the
+// scheduler's: the engine is built from it, and so are callers' baseline
+// policies and bare schedulers.
 func SchedulerConfig(cfg Config) (scheduler.Config, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
@@ -555,13 +523,12 @@ func SchedulerConfig(cfg Config) (scheduler.Config, error) {
 		}
 	}
 	return scheduler.Config{
-		SlotSec:            cfg.SlotSec,
-		Lambda:             cfg.Lambda,
-		Anxiety:            cfg.Anxiety,
-		Server:             server,
-		DisableSwap:        cfg.DisableSwap,
-		ExactThreshold:     cfg.ExactThreshold,
-		DisableIncremental: cfg.DisableIncremental,
+		SlotSec:        cfg.SlotSec,
+		Lambda:         cfg.Lambda,
+		Anxiety:        cfg.Anxiety,
+		Server:         server,
+		DisableSwap:    cfg.DisableSwap,
+		ExactThreshold: cfg.ExactThreshold,
 	}, nil
 }
 
@@ -607,11 +574,6 @@ func (e *Emulator) Run() (*RunResult, error) {
 		}
 		defer auditLog.Close()
 	}
-	// The LPVS scheduler (serial or behind the pool) is the only policy
-	// whose decisions carry the full config/verdict surface the audit
-	// log replays.
-	lpvsSched, _ := e.policy.(*scheduler.Scheduler)
-
 	// SLO evaluation on a synthetic clock: one reading per slot, the
 	// clock advancing SlotSec each time. Pure observation over already-
 	// final slot stats — it cannot influence a decision.
@@ -704,56 +666,24 @@ func (e *Emulator) Run() (*RunResult, error) {
 		schedSec, schedCPUSec := 0.0, 0.0
 		if len(reqs) > 0 {
 			schedCtx, ssp := span.Child(slotCtx, "schedule")
-			cancel := context.CancelFunc(func() {})
-			if e.cfg.SchedDeadline > 0 && (e.pool != nil || lpvsSched != nil) {
-				schedCtx, cancel = context.WithTimeout(schedCtx, e.cfg.SchedDeadline)
-			}
-			if e.pool != nil {
-				pres, err := e.pool.DecideCtx(schedCtx, []scheduler.VC{{ID: "vc", Requests: reqs}})
-				if err != nil {
-					cancel()
-					ssp.End()
-					slotSp.End()
-					return nil, fmt.Errorf("emu: slot %d: %w", slot, err)
-				}
-				decision = pres.Decision()
-				schedSec, schedCPUSec = pres.WallSeconds, pres.CPUSeconds
-			} else {
-				start := time.Now()
-				var err error
-				if lpvsSched != nil {
-					decision, err = lpvsSched.ScheduleCtx(schedCtx, reqs)
-				} else {
-					decision, err = e.policy.Schedule(reqs)
-				}
-				if err != nil {
-					cancel()
-					ssp.End()
-					slotSp.End()
-					return nil, fmt.Errorf("emu: slot %d: %w", slot, err)
-				}
-				schedSec = time.Since(start).Seconds()
-				schedCPUSec = schedSec
-			}
-			if len(decision.X) != len(reqs) {
-				// The slot reads the decision by position; a policy from
-				// outside the repo may have filled only the ID-keyed maps.
-				cancel()
+			var err error
+			decision, schedSec, schedCPUSec, err = e.decide(schedCtx, reqs)
+			if err != nil {
 				ssp.End()
 				slotSp.End()
-				return nil, fmt.Errorf("emu: slot %d: policy decided %d of %d requests by position (Decision.X)",
-					slot, len(decision.X), len(reqs))
+				return nil, fmt.Errorf("emu: slot %d: %w", slot, err)
 			}
-			cancel()
 			ssp.SetInt("selected", decision.Selected)
 			ssp.End()
 			res.SchedSeconds += schedSec
 			res.SchedCPUSeconds += schedCPUSec
 			// The flight tail mirrors the audit log: without -audit-dir
 			// there is nothing to tee and the slot never pays for
-			// encoding a record nobody persists.
-			if auditLog != nil && lpvsSched != nil {
-				rec := auditRec.Build(slot, "vc", lpvsSched.Config(), reqs, decision)
+			// encoding a record nobody persists. Only the engine's
+			// decisions carry the full config/verdict surface the audit
+			// log replays.
+			if auditLog != nil && e.pool != nil {
+				rec := auditRec.Build(slot, "vc", e.pool.Scheduler().Config(), reqs, decision)
 				rec.Seed = e.cfg.Seed
 				rec.UnixSec = float64(time.Now().UnixNano()) / 1e9
 				rec.TraceID = slotSp.TraceID()
@@ -881,6 +811,33 @@ func (e *Emulator) Run() (*RunResult, error) {
 		res.TPVMin[i] = d.WatchedSec / 60
 	}
 	return res, nil
+}
+
+// decide obtains one slot's decision, from the engine (under
+// Config.SchedDeadline, when set) or from the baseline policy, with the
+// scheduling wall time and the CPU-sum across pool workers.
+func (e *Emulator) decide(ctx context.Context, reqs []scheduler.Request) (dec scheduler.Decision, wallSec, cpuSec float64, err error) {
+	if e.pool == nil {
+		start := time.Now()
+		dec, err = e.policy.Schedule(reqs)
+		wallSec = time.Since(start).Seconds()
+		if err == nil && len(dec.X) != len(reqs) {
+			// The slot reads the decision by position; a policy from
+			// outside the repo may have filled only the ID-keyed maps.
+			err = fmt.Errorf("policy decided %d of %d requests by position (Decision.X)", len(dec.X), len(reqs))
+		}
+		return dec, wallSec, wallSec, err
+	}
+	if e.cfg.SchedDeadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, e.cfg.SchedDeadline)
+		defer cancel()
+	}
+	pres, err := e.pool.DecideCtx(ctx, []scheduler.VC{{ID: "vc", Requests: reqs}})
+	if err != nil {
+		return scheduler.Decision{}, 0, 0, err
+	}
+	return pres.Decision(), pres.WallSeconds, pres.CPUSeconds, nil
 }
 
 // predictEnergies evaluates the scheduler's own energy model per

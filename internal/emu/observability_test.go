@@ -47,17 +47,17 @@ func TestEmulatorAuditLogReplays(t *testing.T) {
 			t.Fatalf("record %d: %d verdicts for %d devices", i, len(rec.Verdicts), cfg.GroupSize)
 		}
 	}
-	diverged, err := audit.ReplayAll(recs)
+	diverged, err := audit.ReplayAll(recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diverged) != 0 {
-		t.Fatalf("records %v diverged on replay", diverged)
+	if diverged != 0 {
+		t.Fatalf("%d records diverged on replay", diverged)
 	}
 }
 
-// TestEmulatorPooledAuditLogReplays covers the Workers>1 path, where
-// decisions come from the sharded pool but must still replay serially.
+// TestEmulatorPooledAuditLogReplays covers a wide pool (Workers=4):
+// compaction fans out, and the decisions must still replay serially.
 func TestEmulatorPooledAuditLogReplays(t *testing.T) {
 	dir := t.TempDir()
 	cfg := baseConfig()
@@ -79,12 +79,12 @@ func TestEmulatorPooledAuditLogReplays(t *testing.T) {
 	if len(recs) != cfg.Slots {
 		t.Fatalf("got %d records, want %d", len(recs), cfg.Slots)
 	}
-	diverged, err := audit.ReplayAll(recs)
+	diverged, err := audit.ReplayAll(recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diverged) != 0 {
-		t.Fatalf("pooled records %v diverged on replay", diverged)
+	if diverged != 0 {
+		t.Fatalf("%d pooled records diverged on replay", diverged)
 	}
 }
 
@@ -152,11 +152,15 @@ func TestEmulatorSpanTreeMatchesSlotPipeline(t *testing.T) {
 			t.Fatalf("slot span missing %q child (have %v)", want, names(roots[0].Children))
 		}
 	}
-	// Serial path (Workers=1): the scheduler stages hang directly off
-	// the schedule span; the pool path interposes a "vc" span per shard.
-	stages := names(byName["schedule"].Children)
+	// The engine is a pool at any width, so the stages hang off the
+	// schedule span's one "vc" child, as they do under a daemon's tick.
+	vcs := byName["schedule"].Children
+	if len(vcs) != 1 || vcs[0].Name != "vc" {
+		t.Fatalf("schedule children = %v, want [vc]", names(vcs))
+	}
+	stages := names(vcs[0].Children)
 	if len(stages) != 3 || stages[0] != "compact" || stages[1] != "phase1" || stages[2] != "phase2" {
-		t.Fatalf("schedule stages = %v, want [compact phase1 phase2]", stages)
+		t.Fatalf("vc stages = %v, want [compact phase1 phase2]", stages)
 	}
 }
 
@@ -168,13 +172,15 @@ func names(nodes []*span.Node) []string {
 	return out
 }
 
-// TestIncrementalAuditLogMatchesCold runs the identical session with
-// the cross-slot incremental caches on and off and asserts the audit
-// logs carry byte-identical decisions slot for slot, then replays the
-// incremental log — the emulator-level end of the DESIGN.md §11
-// "byte-identical decisions" contract.
+// TestIncrementalAuditLogMatchesCold runs the identical session through
+// a one-worker and a four-worker engine and asserts the audit logs carry
+// byte-identical decisions slot for slot — Workers is a width, not a
+// path — then replays the log: Record.Replay is a cold Schedule, so a
+// match is the emulator-level end of the DESIGN.md §11 contract that a
+// warm stream decides what a cold solve decides. The session must have
+// used its stream for that to mean anything.
 func TestIncrementalAuditLogMatchesCold(t *testing.T) {
-	run := func(disable bool) []*audit.Record {
+	run := func(workers int) ([]*audit.Record, *RunResult) {
 		t.Helper()
 		dir := t.TempDir()
 		cfg := baseConfig()
@@ -182,37 +188,45 @@ func TestIncrementalAuditLogMatchesCold(t *testing.T) {
 		cfg.Slots = 6
 		cfg.ServerStreams = 4
 		cfg.AuditDir = dir
-		cfg.DisableIncremental = disable
+		cfg.Workers = workers
 		e, err := New(cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Run(); err != nil {
+		res, err := e.Run()
+		if err != nil {
 			t.Fatal(err)
 		}
 		recs, err := audit.ReadFile(filepath.Join(dir, audit.FileName))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return recs
+		return recs, res
 	}
-	warm := run(false)
-	cold := run(true)
-	if len(warm) != len(cold) {
-		t.Fatalf("incremental logged %d records, cold %d", len(warm), len(cold))
+	narrow, res := run(1)
+	wide, _ := run(4)
+	if len(narrow) != len(wide) {
+		t.Fatalf("one worker logged %d records, four %d", len(narrow), len(wide))
 	}
-	for i := range warm {
-		if warm[i].DecisionCanonical != cold[i].DecisionCanonical {
-			t.Fatalf("slot %d decisions diverged:\nincremental: %s\ncold: %s",
-				i, warm[i].DecisionCanonical, cold[i].DecisionCanonical)
+	for i := range narrow {
+		if narrow[i].DecisionCanonical != wide[i].DecisionCanonical {
+			t.Fatalf("slot %d decisions diverged:\none worker: %s\nfour: %s",
+				i, narrow[i].DecisionCanonical, wide[i].DecisionCanonical)
 		}
 	}
-	diverged, err := audit.ReplayAll(warm)
+	lookups := 0
+	for _, st := range res.Timeline {
+		lookups += st.CacheHits + st.CacheMisses
+	}
+	if lookups == 0 {
+		t.Fatal("the session never consulted its incremental stream")
+	}
+	diverged, err := audit.ReplayAll(narrow, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diverged) != 0 {
-		t.Fatalf("incremental records %v diverged on replay", diverged)
+	if diverged != 0 {
+		t.Fatalf("%d incremental records diverged from their cold replay", diverged)
 	}
 }
 

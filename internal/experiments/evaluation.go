@@ -264,9 +264,9 @@ func (r Fig9Result) Render() string {
 type Fig10Row struct {
 	GroupSize int
 	Seconds   float64
-	// Work counts what the cold solve did: plans built by the compacting
-	// step, Phase-1 branch-and-bound nodes and accepted Phase-2 swaps.
-	// Unlike Seconds it is a pure function of the seed and group size.
+	// Work counts what a cold solve does: one plan compacted per device,
+	// Phase-1 branch-and-bound nodes and accepted Phase-2 swaps. Unlike
+	// Seconds it is a pure function of the seed and group size.
 	Work int
 }
 
@@ -297,36 +297,41 @@ func Fig10(cfg EvalConfig, sizes []int) (Fig10Result, error) {
 		if err != nil {
 			return Fig10Result{}, err
 		}
-		policy, err := emu.BuildLPVSPolicy(emu.Config{
+		scfg, err := emu.SchedulerConfig(emu.Config{
 			Seed: cfg.Seed, GroupSize: n, Slots: 1, Lambda: 1,
 			ServerStreams: 100, Genre: cfg.Genre,
 		})
 		if err != nil {
 			return Fig10Result{}, err
 		}
-		// Best of five trials: wall-clock noise from a loaded machine
-		// only ever inflates a measurement, so the minimum is the
-		// cleanest estimate of the true cost.
-		sec, work := 0.0, 0
+		sched, err := scheduler.New(scfg)
+		if err != nil {
+			return Fig10Result{}, err
+		}
+		// Best of five cold solves: wall-clock noise from a loaded
+		// machine only ever inflates a measurement, so the minimum is
+		// the cleanest estimate of the true cost.
+		row := Fig10Row{GroupSize: n}
 		for trial := 0; trial < 5; trial++ {
 			start := time.Now()
-			dec, err := policy.Schedule(reqs)
+			dec, err := sched.Schedule(reqs)
 			if err != nil {
 				return Fig10Result{}, err
 			}
-			if t := time.Since(start).Seconds(); trial == 0 || t < sec {
-				sec = t
+			if t := time.Since(start).Seconds(); trial == 0 || t < row.Seconds {
+				row.Seconds = t
 			}
-			if trial == 0 {
-				// Only the first trial solves cold; the rest are served
-				// from the incremental layer and build nothing.
-				work = dec.PlanCacheMisses + dec.Phase1Nodes + dec.Swaps
+			if dec.Replayed {
+				// The figure is the cost of scheduling; a decision served
+				// from a cache would put the cache's cost in its place.
+				return Fig10Result{}, fmt.Errorf("experiments: fig10: N=%d trial %d was replayed, not solved", n, trial)
 			}
+			row.Work = len(reqs) + dec.Phase1Nodes + dec.Swaps
 		}
-		res.Rows = append(res.Rows, Fig10Row{GroupSize: n, Seconds: sec, Work: work})
+		res.Rows = append(res.Rows, row)
 		xs = append(xs, float64(n))
-		ys = append(ys, sec)
-		ws = append(ws, float64(work))
+		ys = append(ys, row.Seconds)
+		ws = append(ws, float64(row.Work))
 	}
 	res.Fit = stats.FitLine(xs, ys)
 	res.WorkFit = stats.FitLine(xs, ws)
@@ -345,7 +350,7 @@ func (r Fig10Result) Render() string {
 	}
 	fmt.Fprintf(&b, "linear fit: y = %.3gx %+.3g (R^2 = %.4f; paper: y = 0.055x - 0.324, R^2 = 0.999)\n",
 		r.Fit.Slope, r.Fit.Intercept, r.Fit.R2)
-	fmt.Fprintf(&b, "work fit:   %.3g units per device (R^2 = %.4f; plans built + Phase-1 nodes + Phase-2 swaps)\n",
+	fmt.Fprintf(&b, "work fit:   %.3g units per device (R^2 = %.4f; devices compacted + Phase-1 nodes + Phase-2 swaps)\n",
 		r.WorkFit.Slope, r.WorkFit.R2)
 	fmt.Fprintf(&b, "extrapolated capacity within one 5-min slot: %d devices (paper: >5000)\n",
 		r.MaxDevicesPerSlot)

@@ -173,12 +173,14 @@ func TestFig9PaperShape(t *testing.T) {
 func TestFig10LinearScaling(t *testing.T) {
 	cfg := evalCfg()
 	sizes := []int{500, 1000, 2000, 3000}
+	// Fig10 fails if any of a row's five trials comes back Replayed: the
+	// figure is five cold solves, never a cache.
 	r, err := Fig10(cfg, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, row := range r.Rows {
-		// Every device is compacted exactly once on the cold solve, and
+		// Every device is compacted exactly once by a cold solve, and
 		// the greedy Phase-1 above the exact threshold expands no nodes,
 		// so work per device stays within a small constant of one.
 		if row.GroupSize != sizes[i] || row.Work < row.GroupSize || row.Work > 2*row.GroupSize {

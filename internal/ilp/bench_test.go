@@ -55,17 +55,3 @@ func BenchmarkGreedy(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkSimplexRelaxation(b *testing.B) {
-	for _, n := range []int{10, 30, 60} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			p := benchProblem(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Relax01(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

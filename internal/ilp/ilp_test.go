@@ -50,85 +50,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestSimplexTextbook(t *testing.T) {
-	// max 3x + 5y s.t. x <= 4; 2y <= 12; 3x + 2y <= 18 -> (2, 6), 36.
-	res, err := Simplex(
-		[]float64{3, 5},
-		[][]float64{{1, 0}, {0, 2}, {3, 2}},
-		[]float64{4, 12, 18},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Value-36) > 1e-9 {
-		t.Fatalf("value = %v, want 36", res.Value)
-	}
-	if math.Abs(res.X[0]-2) > 1e-9 || math.Abs(res.X[1]-6) > 1e-9 {
-		t.Fatalf("x = %v, want (2, 6)", res.X)
-	}
-}
-
-func TestSimplexUnbounded(t *testing.T) {
-	// max x with no binding constraint on x.
-	_, err := Simplex([]float64{1, 0}, [][]float64{{0, 1}}, []float64{5})
-	if err != ErrUnbounded {
-		t.Fatalf("err = %v, want ErrUnbounded", err)
-	}
-}
-
-func TestSimplexDegenerate(t *testing.T) {
-	// Degenerate vertex: Bland's rule must still terminate.
-	res, err := Simplex(
-		[]float64{1, 1},
-		[][]float64{{1, 0}, {1, 0}, {0, 1}},
-		[]float64{1, 1, 1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Value-2) > 1e-9 {
-		t.Fatalf("value = %v, want 2", res.Value)
-	}
-}
-
-func TestSimplexInputErrors(t *testing.T) {
-	if _, err := Simplex(nil, nil, nil); err == nil {
-		t.Fatal("empty accepted")
-	}
-	if _, err := Simplex([]float64{1}, [][]float64{{1}}, []float64{-1}); err == nil {
-		t.Fatal("negative rhs accepted")
-	}
-	if _, err := Simplex([]float64{1}, [][]float64{{1, 2}}, []float64{1}); err == nil {
-		t.Fatal("ragged row accepted")
-	}
-	if _, err := Simplex([]float64{1}, [][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Fatal("rhs length mismatch accepted")
-	}
-}
-
-func TestRelax01UpperBoundsInteger(t *testing.T) {
-	rng := stats.NewRNG(3)
-	for trial := 0; trial < 25; trial++ {
-		p := randomProblem(rng, 10, 2)
-		lp, err := Relax01(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, err := BruteForce(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lp.Value < exact.Value-1e-6 {
-			t.Fatalf("trial %d: LP bound %v below integer optimum %v", trial, lp.Value, exact.Value)
-		}
-		for i, x := range lp.X {
-			if x < -1e-9 || x > 1+1e-9 {
-				t.Fatalf("trial %d: relaxed x[%d]=%v outside [0,1]", trial, i, x)
-			}
-		}
-	}
-}
-
 func TestBranchBoundMatchesBruteForce(t *testing.T) {
 	rng := stats.NewRNG(7)
 	for trial := 0; trial < 40; trial++ {

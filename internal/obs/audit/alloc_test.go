@@ -106,6 +106,39 @@ func TestBuilderSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestReplayAllocsBytes guards the cold replay: a 2,000-request record
+// replays through a Scheduler that keeps nothing, so what it allocates
+// is the rebuilt requests, one cold solve with its two ID-keyed maps and
+// the canonical string. A scheduler that grew a plan cache, request
+// fingerprints and a replay copy to throw away made this 3.9 MB.
+func TestReplayAllocsBytes(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	cfg, reqs, dec := sharedWindowInstance(t, 2000)
+	rec := NewRecord(1, "vc", cfg, reqs, dec)
+	replay := func() {
+		if res, err := rec.Replay(); err != nil || !res.Match {
+			t.Fatalf("replay: %+v, err %v", res, err)
+		}
+	}
+	replay()
+	best := 0.0
+	var m0, m1 runtime.MemStats
+	for run := 0; run < 3; run++ {
+		runtime.ReadMemStats(&m0)
+		replay()
+		runtime.ReadMemStats(&m1)
+		if got := float64(m1.TotalAlloc - m0.TotalAlloc); run == 0 || got < best {
+			best = got
+		}
+	}
+	t.Logf("Record.Replay of 2,000 requests: %.0f B", best)
+	if best >= 1.5e6 {
+		t.Fatalf("Record.Replay of 2,000 requests allocates %.0f B, want under 1.5 MB: the cold replay is paying for a cache", best)
+	}
+}
+
 // BenchmarkAuditEncode times one 2,000-request record from decision to
 // encoded line: cold is NewRecord + Encode, what a one-off caller (and
 // the load generator's audit.encode_ms probe) pays; warm is the

@@ -770,15 +770,6 @@ type Writer struct {
 // NewWriter wraps a stream.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-// Append writes one record.
-func (w *Writer) Append(rec *Record) error {
-	line, err := rec.Encode()
-	if err != nil {
-		return err
-	}
-	return w.AppendLine(line)
-}
-
 // AppendLine writes one already-encoded record line (as produced by
 // Record.Encode, trailing newline included). Callers that also feed
 // the flight recorder's audit tail encode once and hand the same

@@ -408,6 +408,15 @@ func (customModel) Anxiety(float64) float64 { return 0.5 }
 // TestLogOpenAppendRead also covers the mixed log a daemon upgraded
 // mid-log leaves behind: a schema-1 line written by the old binary,
 // then schema-2 records appended to the same file.
+func mustEncode(t *testing.T, rec *Record) []byte {
+	t.Helper()
+	line, err := rec.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line
+}
+
 func TestLogOpenAppendRead(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "nested", "audit")
 	log, err := Open(dir)
@@ -418,7 +427,7 @@ func TestLogOpenAppendRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := goldenRecord(t)
-	if err := log.Append(rec); err != nil {
+	if err := log.AppendLine(mustEncode(t, rec)); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {
@@ -432,7 +441,7 @@ func TestLogOpenAppendRead(t *testing.T) {
 	rec2 := goldenRecord(t)
 	rec2.Slot = 8
 	rec2.ConfigHash = rec2.Config.Hash()
-	if err := log.Append(rec2); err != nil {
+	if err := log.AppendLine(mustEncode(t, rec2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {
@@ -451,12 +460,12 @@ func TestLogOpenAppendRead(t *testing.T) {
 	if recs[0].DecisionCanonical != recs[1].DecisionCanonical {
 		t.Fatal("the two layouts of the fixed instance disagree on its decision")
 	}
-	diverged, err := ReplayAll(recs)
+	diverged, err := ReplayAll(recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diverged) != 0 {
-		t.Fatalf("records %v diverged", diverged)
+	if diverged != 0 {
+		t.Fatalf("%d records diverged", diverged)
 	}
 }
 
@@ -502,10 +511,11 @@ func TestReplayMatchesWarmDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := scheduler.New(scheduler.Config{SlotSec: 30, Lambda: 1, Server: server})
+	pool, err := scheduler.NewPool(scheduler.Config{SlotSec: 30, Lambda: 1, Server: server}, scheduler.PoolConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := pool.Scheduler()
 	reqs := []scheduler.Request{
 		fixedRequest("dev-a", false, 0.30, 0.30),
 		fixedRequest("dev-b", true, 0.15, 0.25),
@@ -518,10 +528,11 @@ func TestReplayMatchesWarmDecisions(t *testing.T) {
 			// plan cache.
 			reqs[1].EnergyFrac = 0.22
 		}
-		dec, err := s.Schedule(reqs)
+		res, err := pool.Decide([]scheduler.VC{{ID: "vc", Requests: reqs}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		dec := res.Decision()
 		switch slot {
 		case 1, 3:
 			if !dec.Replayed {
@@ -535,11 +546,11 @@ func TestReplayMatchesWarmDecisions(t *testing.T) {
 		}
 		recs = append(recs, NewRecord(slot, "vc", s.Config(), reqs, dec))
 	}
-	diverged, err := ReplayAll(recs)
+	diverged, err := ReplayAll(recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diverged) != 0 {
-		t.Fatalf("warm records %v diverged on cold replay", diverged)
+	if diverged != 0 {
+		t.Fatalf("%d warm records diverged on cold replay", diverged)
 	}
 }

@@ -213,8 +213,8 @@ func TestEncodeRefusesNaN(t *testing.T) {
 	if line, err := rec.AppendJSON([]byte("kept")); err == nil || string(line) != "kept" {
 		t.Fatalf("AppendJSON of a NaN energy returned %q, err %v; want dst back and an error", line, err)
 	}
-	if err := NewWriter(&bytes.Buffer{}).Append(rec); err == nil {
-		t.Fatal("Writer.Append accepted a NaN energy")
+	if line, err := rec.Encode(); err == nil {
+		t.Fatalf("Record.Encode accepted a NaN energy: %d bytes", len(line))
 	}
 	checkEncode(t, "NaN energy", rec)
 }

@@ -92,7 +92,7 @@ func TestReplayExplainsNodeCappedRecord(t *testing.T) {
 	if diff := res.Diff(); strings.Count(diff, nodeCappedHint+"\n") != 1 {
 		t.Fatalf("diff does not carry the hint exactly once:\n%s", diff)
 	}
-	if diverged, err := ReplayAll([]*Record{rec}); err != nil || len(diverged) != 1 {
+	if diverged, err := ReplayAll([]*Record{rec}, nil); err != nil || diverged != 1 {
 		t.Fatalf("ReplayAll: diverged %v, err %v; want the record flagged", diverged, err)
 	}
 

@@ -133,16 +133,25 @@ func (r *Record) Replay() (*ReplayResult, error) {
 	return res, nil
 }
 
-// ReplayAll replays a record list, returning the indices (0-based) of
-// diverging records and the first error encountered.
-func ReplayAll(recs []*Record) (diverged []int, err error) {
+// ReplayAll replays recs in order and hands every outcome to visit (nil:
+// none) — the loop behind `lpvs-audit replay`, `lpvs-audit recover`'s
+// verify pass and `lpvs-flight show`. It returns how many records
+// diverged, and stops at the first record that cannot be replayed at
+// all (the error names it) or whose visit returns an error.
+func ReplayAll(recs []*Record, visit func(i int, res *ReplayResult) error) (int, error) {
+	diverged := 0
 	for i, rec := range recs {
-		res, rerr := rec.Replay()
-		if rerr != nil {
-			return diverged, fmt.Errorf("record %d (slot %d, vc %s): %w", i, rec.Slot, rec.VC, rerr)
+		res, err := rec.Replay()
+		if err != nil {
+			return diverged, fmt.Errorf("record %d (slot %d, vc %s): %w", i, rec.Slot, rec.VC, err)
 		}
 		if !res.Match {
-			diverged = append(diverged, i)
+			diverged++
+		}
+		if visit != nil {
+			if err := visit(i, res); err != nil {
+				return diverged, err
+			}
 		}
 	}
 	return diverged, nil

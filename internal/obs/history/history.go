@@ -137,7 +137,6 @@ type Store struct {
 	rings   map[string]*ring
 	samples uint64
 	dropped uint64 // refused point-writes (budget overflow)
-	lastMS  int64
 }
 
 type ring struct {
@@ -234,14 +233,6 @@ func (s *Store) Dropped() uint64 {
 	return s.dropped
 }
 
-// LastSampleUnixMS reports the timestamp of the newest sample pass (0
-// before the first).
-func (s *Store) LastSampleUnixMS() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastMS
-}
-
 // memoryBytes estimates retained ring memory under the budget model.
 func (s *Store) memoryBytes() int {
 	s.mu.Lock()
@@ -277,7 +268,6 @@ func (s *Store) Sample() {
 	defer s.mu.Unlock()
 	ms := now.UnixMilli()
 	s.samples++
-	s.lastMS = ms
 	for _, f := range fams {
 		for _, se := range f.Series {
 			labels := labelMap(f.Labels, se.LabelValues)

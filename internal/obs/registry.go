@@ -65,10 +65,6 @@ func (r *Registry) SetSeriesBudget(n int) {
 	r.seriesBudget.Store(int64(n))
 }
 
-// SeriesBudget reports the per-family cardinality budget (0 =
-// unlimited).
-func (r *Registry) SeriesBudget() int { return int(r.seriesBudget.Load()) }
-
 // DroppedSeries reports how many metric writes were refused a new
 // series by the cardinality budget. Expose it as
 // lpvs_series_dropped_total so overflow is visible, not silent.

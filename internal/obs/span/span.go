@@ -168,12 +168,6 @@ func Child(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, ctxKey{}, sp), sp
 }
 
-// FromContext returns the context's active span (nil when none).
-func FromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(ctxKey{}).(*Span)
-	return sp
-}
-
 // TraceID returns the span's trace ID ("" on a nil span).
 func (s *Span) TraceID() string {
 	if s == nil {

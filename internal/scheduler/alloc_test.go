@@ -21,8 +21,8 @@ func scheduleAllocs(t *testing.T, s *Scheduler, reqs []Request) float64 {
 	})
 }
 
-// TestColdScheduleAllocsDoNotScaleWithDevices guards the stateless path
-// (DisableIncremental, ScheduleDegraded, audit replay): plans are built
+// TestColdScheduleAllocsDoNotScaleWithDevices guards the cold solve
+// (Schedule, ScheduleDegraded, audit replay): plans are built
 // into one slab per call and the outcome into two slices, so doubling
 // the cluster adds only the bucket arrays of the two ID-keyed maps
 // Schedule builds at the boundary (16 more allocations from 2,000 to
@@ -37,7 +37,7 @@ func TestColdScheduleAllocsDoNotScaleWithDevices(t *testing.T) {
 	}
 	big := makeBigCluster(t, 4000, 77)
 	for _, workers := range []int{1, 4} {
-		s := mustScheduler(t, Config{Server: server, Lambda: 1.5, DisableIncremental: true, CompactWorkers: workers})
+		s := mustScheduler(t, Config{Server: server, Lambda: 1.5, CompactWorkers: workers})
 		small := scheduleAllocs(t, s, big[:2000])
 		large := scheduleAllocs(t, s, big)
 		t.Logf("workers=%d: %.0f allocs at 2,000, %.0f at 4,000", workers, small, large)
@@ -52,8 +52,7 @@ func TestColdScheduleAllocsDoNotScaleWithDevices(t *testing.T) {
 // worst case, the one edge-10k-cold runs every slot: every known device
 // reports changed content, so every plan is rebuilt — into the reused
 // slab, and copied into its existing cache entry in place. What is left
-// is the decision's two slices and the boundary's two maps: 26
-// allocations.
+// is the decision's two slices and the pool's per-tick bookkeeping.
 func TestChurnedSlotAllocsNoPerDeviceObjects(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -69,7 +68,7 @@ func TestChurnedSlotAllocsNoPerDeviceObjects(t *testing.T) {
 	for i := range b {
 		b[i].EnergyFrac = 1 - 0.9*a[i].EnergyFrac
 	}
-	s := mustScheduler(t, Config{Server: server, Lambda: 1.5})
+	s := mustWarmStream(t, Config{Server: server, Lambda: 1.5})
 	flip := false
 	next := func() []Request {
 		flip = !flip
@@ -172,10 +171,8 @@ func TestReusedSlabNeverCorruptsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Server: server, Lambda: 1.5}
-	coldCfg := cfg
-	coldCfg.DisableIncremental = true
-	warm := mustScheduler(t, cfg)
-	cold := mustScheduler(t, coldCfg)
+	warm := mustWarmStream(t, cfg)
+	cold := mustScheduler(t, cfg)
 
 	slotA := makeCluster(t, 48, 4242)
 	SortRequests(slotA)
@@ -224,10 +221,8 @@ func TestReusedSlabNeverCorruptsCache(t *testing.T) {
 // second changed. The hit must keep its own plan.
 func TestDuplicateDeviceHitThenMiss(t *testing.T) {
 	cfg := Config{Lambda: 1.5}
-	coldCfg := cfg
-	coldCfg.DisableIncremental = true
-	warm := mustScheduler(t, cfg)
-	cold := mustScheduler(t, coldCfg)
+	warm := mustWarmStream(t, cfg)
+	cold := mustScheduler(t, cfg)
 
 	base := makeCluster(t, 6, 99)
 	SortRequests(base)

@@ -128,9 +128,7 @@ func TestPoolScalingWorkloadEquivalence(t *testing.T) {
 // BenchmarkPhase2Swap isolates the Phase-2 cost by comparing lambda=0
 // (no swaps) with a heavily swapped configuration, at the exact-Phase-1
 // size and at the size of the daemon's 10k-device tick (one shared
-// window, greedy Phase-1). Incremental mode is off: with it on, every
-// iteration after the first is a whole-decision replay and no phase
-// runs.
+// window, greedy Phase-1).
 func BenchmarkPhase2Swap(b *testing.B) {
 	for _, bc := range []struct {
 		streams int
@@ -145,7 +143,7 @@ func BenchmarkPhase2Swap(b *testing.B) {
 		}
 		for _, lambda := range []float64{0, 10} {
 			b.Run(fmt.Sprintf("n=%d/lambda=%v", len(bc.reqs), lambda), func(b *testing.B) {
-				s := mustScheduler(b, Config{Server: server, Lambda: lambda, DisableIncremental: true})
+				s := mustScheduler(b, Config{Server: server, Lambda: lambda})
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -203,7 +201,7 @@ func BenchmarkScheduleTracing(b *testing.B) {
 }
 
 // BenchmarkIncrementalSlots measures the steady-state cross-slot cost
-// of the incremental engine (DESIGN.md §11) against the cold path at
+// of the incremental engine (DESIGN.md §11) against a cold pool at
 // several churn rates: each iteration is one slot whose batch differs
 // from the previous slot's in churn% of the devices. Workers=1 so the
 // figure isolates the incremental machinery from pool parallelism (the
@@ -317,7 +315,7 @@ func BenchmarkScheduleDeadline(b *testing.B) {
 		{"100us", 100 * time.Microsecond},
 	} {
 		b.Run("deadline="+bc.name, func(b *testing.B) {
-			s := mustScheduler(b, Config{Server: server, Lambda: 1, DisableIncremental: true})
+			s := mustScheduler(b, Config{Server: server, Lambda: 1})
 			degraded := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -22,7 +22,6 @@ func TestAuditRoundTripDegradedRecords(t *testing.T) {
 	rng := stats.NewRNG(20260808)
 
 	var buf bytes.Buffer
-	w := audit.NewWriter(&buf)
 	var want []string
 	degraded := 0
 	for inst := 0; inst < 40; inst++ {
@@ -45,9 +44,11 @@ func TestAuditRoundTripDegradedRecords(t *testing.T) {
 			if (rec.Degraded != nil) != dec.Degraded.Any() {
 				t.Fatalf("instance %d vc %s: record degradation mismatch", inst, vc.ID)
 			}
-			if err := w.Append(rec); err != nil {
+			line, err := rec.Encode()
+			if err != nil {
 				t.Fatal(err)
 			}
+			buf.Write(line)
 			want = append(want, string(dec.Canonical()))
 		}
 	}

@@ -14,14 +14,14 @@ import (
 // This file implements the cross-slot incremental layer (DESIGN.md §11).
 // Consecutive scheduling slots share most of their input — the paper's
 // Twitch trace shows viewers persisting across many 5-minute slots — so
-// the scheduler keeps per-stream state that makes slot t+1 cost
+// a Pool keeps per-stream state that makes slot t+1 cost
 // proportional to churn: a plan cache keyed by a content fingerprint of
 // each Request, a whole-decision replay for bit-unchanged slots, a
 // Phase-1 problem cache, and a Phase-1 warm start seeded from the
 // previous slot's knapsack solution. Every shortcut is either keyed on
 // byte equality of the exact inputs the cold path would consume or
 // (for the warm start) proven decision-neutral inside internal/ilp, so
-// decisions remain byte-identical to the stateless cold path — the
+// decisions remain byte-identical to a cold Schedule — the
 // invariant the differential corpus, the churn suite and audit replay
 // enforce.
 
@@ -93,11 +93,10 @@ type internedWindow struct {
 	seen uint64 // last slot sequence that referenced the window
 }
 
-// slotState is the cross-slot memory of one scheduling stream: one per
-// Scheduler for the plain Schedule path, one per virtual cluster inside
-// a Pool. All fields are guarded by mu; a scheduling call holds the
-// lock end to end, so streams serialise internally while distinct
-// streams (pool VCs) stay concurrent.
+// slotState is the cross-slot memory of one scheduling stream. Only a
+// Pool holds them, one per VC state key. All fields are guarded by mu; a
+// scheduling call holds the lock end to end, so a stream serialises
+// internally while distinct streams (pool VCs) stay concurrent.
 type slotState struct {
 	mu sync.Mutex
 
@@ -142,10 +141,11 @@ type slotState struct {
 	hits, misses, evictions uint64
 }
 
-// newState builds an empty slot state bound to the scheduler's config.
-// Returns nil when incremental scheduling is off or the config is not
-// fingerprintable (a custom anxiety model), in which case callers fall
-// back to the stateless cold path.
+// newState builds an empty slot state bound to the scheduler's config,
+// for Pool.stateFor — the one place a stream comes into being. Returns
+// nil when incremental scheduling is off or the config is not
+// fingerprintable (a custom anxiety model), in which case the pool
+// solves cold.
 func (s *Scheduler) newState() *slotState {
 	if s.cfg.DisableIncremental || s.cfgSig == nil {
 		return nil
@@ -155,17 +155,6 @@ func (s *Scheduler) newState() *slotState {
 		plans:   make(map[string]*cachedPlan),
 		windows: make(map[string]*internedWindow),
 	}
-}
-
-// CacheStats reports the lifetime incremental-cache counters of the
-// scheduler's own scheduling stream (all zero when incremental mode is
-// off). Pool callers want Pool.CacheStats, which aggregates the
-// per-virtual-cluster streams.
-func (s *Scheduler) CacheStats() CacheStats {
-	if s.state == nil {
-		return CacheStats{}
-	}
-	return s.state.stats()
 }
 
 // reset drops every cache; used when the config fingerprint changes.

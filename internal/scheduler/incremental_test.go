@@ -193,9 +193,9 @@ func advanceChurn(rng *stats.RNG, cur, base []Request, churn float64, next *int)
 
 // TestChurnSequenceDifferential is the cross-slot extension of the
 // 210-instance corpus: multi-slot sessions with randomized
-// join/leave/drain churn, replayed through a warm incremental
-// scheduler, a pooled engine, and a cold (DisableIncremental)
-// reference, byte-compared via Decision.Canonical every slot.
+// join/leave/drain churn, replayed through a warm one-worker stream, a
+// four-worker pooled engine, and the cold reference (Schedule on a bare
+// Scheduler), byte-compared via Decision.Canonical every slot.
 func TestChurnSequenceDifferential(t *testing.T) {
 	server, err := edge.NewServer(8)
 	if err != nil {
@@ -206,10 +206,8 @@ func TestChurnSequenceDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("churn=%v", churn), func(t *testing.T) {
 			rng := stats.NewRNG(int64(churn*1000) + 5)
 			cfg := Config{Server: server, Lambda: 1.5}
-			coldCfg := cfg
-			coldCfg.DisableIncremental = true
-			warm := mustScheduler(t, cfg)
-			cold := mustScheduler(t, coldCfg)
+			warm := mustWarmStream(t, cfg)
+			cold := mustScheduler(t, cfg)
 			pool, err := NewPool(cfg, PoolConfig{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
@@ -267,10 +265,8 @@ func TestWholeDecisionReplayAndCounters(t *testing.T) {
 	reqs := makeCluster(t, 30, 77)
 	SortRequests(reqs)
 	cfg := Config{Server: server, Lambda: 2}
-	warm := mustScheduler(t, cfg)
-	coldCfg := cfg
-	coldCfg.DisableIncremental = true
-	cold := mustScheduler(t, coldCfg)
+	warm := mustWarmStream(t, cfg)
+	cold := mustScheduler(t, cfg)
 
 	d1, err := warm.Schedule(reqs)
 	if err != nil {
@@ -297,7 +293,8 @@ func TestWholeDecisionReplayAndCounters(t *testing.T) {
 		}
 	}
 	// The replayed decision must not alias cached state.
-	d2.Transform[reqs[0].DeviceID] = !d2.Transform[reqs[0].DeviceID]
+	d2.X[0] = !d2.X[0]
+	d2.PerDevice[0].Reason = "forged"
 	d2b, err := warm.Schedule(reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +332,7 @@ func TestWholeDecisionReplayAndCounters(t *testing.T) {
 		t.Fatalf("leave slot: hits=%d evictions=%d", d4.PlanCacheHits, d4.PlanCacheEvictions)
 	}
 
-	cs := warm.CacheStats()
+	cs := warm.pool.CacheStats()
 	// d2 and d2b replayed the full set, d3 hit all but one, d4 hit 20.
 	wantHits := uint64(2*len(reqs) + len(reqs) - 1 + 20)
 	if cs.Hits != wantHits || cs.Misses != uint64(len(reqs)+1) || cs.Evictions != 10 {
@@ -353,19 +350,19 @@ func TestWholeDecisionReplayAndCounters(t *testing.T) {
 func TestConfigGuardResetsState(t *testing.T) {
 	reqs := makeCluster(t, 20, 88)
 	SortRequests(reqs)
-	a := mustScheduler(t, Config{Lambda: 1})
+	a := mustWarmStream(t, Config{Lambda: 1})
 	if _, err := a.Schedule(reqs); err != nil {
 		t.Fatal(err)
 	}
 	b := mustScheduler(t, Config{Lambda: 3})
-	dec, err := b.scheduleWith(context.Background(), reqs, a.state, nil)
+	dec, err := b.scheduleWith(context.Background(), reqs, a.state(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.PlanCacheHits != 0 || dec.Replayed {
 		t.Fatalf("stale caches survived a config change: %+v", dec)
 	}
-	cold, err := mustScheduler(t, Config{Lambda: 3, DisableIncremental: true}).Schedule(reqs)
+	cold, err := b.Schedule(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,8 +387,8 @@ func (weirdModel) Anxiety(e float64) float64 {
 
 // TestUncacheableRequests covers the fingerprinting escape hatches: a
 // request with an unknown anxiety model is never cached (but the rest
-// of the cluster still is), and a scheduler configured with an unknown
-// model runs fully cold.
+// of the cluster still is), and a pool configured with an unknown model
+// keeps no stream and runs fully cold.
 func TestUncacheableRequests(t *testing.T) {
 	reqs := makeCluster(t, 16, 91)
 	rm, err := anxiety.NewRescaled(anxiety.NewCanonical(), 0.35)
@@ -401,8 +398,8 @@ func TestUncacheableRequests(t *testing.T) {
 	reqs[2].Anxiety = weirdModel{}
 	reqs[5].Anxiety = rm
 	SortRequests(reqs)
-	warm := mustScheduler(t, Config{Lambda: 2})
-	cold := mustScheduler(t, Config{Lambda: 2, DisableIncremental: true})
+	warm := mustWarmStream(t, Config{Lambda: 2})
+	cold := mustScheduler(t, Config{Lambda: 2})
 	for slot := 0; slot < 3; slot++ {
 		wd, err := warm.Schedule(reqs)
 		if err != nil {
@@ -424,8 +421,8 @@ func TestUncacheableRequests(t *testing.T) {
 		}
 	}
 
-	s := mustScheduler(t, Config{Lambda: 1, Anxiety: weirdModel{}})
-	if s.state != nil {
+	s := mustWarmStream(t, Config{Lambda: 1, Anxiety: weirdModel{}})
+	if s.state() != nil {
 		t.Fatal("unfingerprintable config must disable incremental state")
 	}
 	if _, err := s.Schedule(reqs); err != nil {
@@ -436,7 +433,7 @@ func TestUncacheableRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d.Replayed || d.PlanCacheHits != 0 {
-		t.Fatalf("cold scheduler reported cache activity: %+v", d)
+		t.Fatalf("cold pool reported cache activity: %+v", d)
 	}
 }
 
@@ -451,8 +448,7 @@ func TestPoolStateKeyContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := mustScheduler(t, Config{Lambda: 1, DisableIncremental: true})
-	want, err := cold.Schedule(reqs)
+	want, err := mustScheduler(t, Config{Lambda: 1}).Schedule(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,10 +486,41 @@ func TestPoolStateKeyContinuity(t *testing.T) {
 	}
 }
 
+// TestColdPoolKeepsNoStream pins Config.DisableIncremental, the one
+// switch left and read by Pool only: the pool creates no stream, so an
+// unchanged slot is solved again, nothing is counted and nothing is
+// exported — the cold engine BenchmarkIncrementalSlots prices the
+// streams against.
+func TestColdPoolKeepsNoStream(t *testing.T) {
+	reqs := makeCluster(t, 24, 55)
+	SortRequests(reqs)
+	cfg := Config{Lambda: 1, DisableIncremental: true}
+	cold := mustWarmStream(t, cfg)
+	want, err := mustScheduler(t, cfg).Schedule(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick := 0; tick < 3; tick++ {
+		d, err := cold.Schedule(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(d.Canonical(), want.Canonical()) {
+			t.Fatalf("tick %d diverged from Schedule", tick)
+		}
+		if d.Replayed || d.PlanCacheHits != 0 || d.PlanCacheMisses != 0 || d.Phase1Nodes != want.Phase1Nodes {
+			t.Fatalf("tick %d: a cold pool used cross-slot state: %+v", tick, d)
+		}
+	}
+	if cold.state() != nil || len(cold.pool.StreamStates()) != 0 || cold.pool.CacheStats() != (CacheStats{}) {
+		t.Fatalf("cold pool holds a stream: states %v, stats %+v", cold.pool.StreamStates(), cold.pool.CacheStats())
+	}
+}
+
 // FuzzIncrementalSchedule fuzzes multi-slot churn sessions: whatever
-// the churn rate, session length and capacity, the warm incremental
-// scheduler and the pooled engine must match the cold reference byte
-// for byte on every slot.
+// the churn rate, session length and capacity, the warm one-worker
+// stream and the three-worker pooled engine must match the cold
+// reference byte for byte on every slot.
 func FuzzIncrementalSchedule(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(4), uint8(1))
 	f.Add(int64(9), uint8(30), uint8(6), uint8(0))
@@ -513,10 +540,8 @@ func FuzzIncrementalSchedule(f *testing.F) {
 			}
 			cfg.Server = server
 		}
-		coldCfg := cfg
-		coldCfg.DisableIncremental = true
-		warm := mustScheduler(t, cfg)
-		cold := mustScheduler(t, coldCfg)
+		warm := mustWarmStream(t, cfg)
+		cold := mustScheduler(t, cfg)
 		pool, err := NewPool(cfg, PoolConfig{Workers: 3})
 		if err != nil {
 			t.Fatal(err)

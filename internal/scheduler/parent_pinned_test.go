@@ -51,7 +51,6 @@ func TestCorpusParentPinned(t *testing.T) {
 	canonical := make(map[string][]byte)
 	var keys []string
 	decide := func(inst string, vcs []VC, cfg Config) {
-		cfg.DisableIncremental = true
 		res, err := DecideSerial(mustScheduler(t, cfg), vcs)
 		if err != nil {
 			t.Fatalf("instance %s: %v", inst, err)

@@ -78,17 +78,14 @@ func (p *Pool) RestoreStreamStates(states []StreamState) int {
 		if len(ss.ConfigSig) == 0 || len(p.sched.cfgSig) == 0 || !bytes.Equal(ss.ConfigSig, p.sched.cfgSig) {
 			continue
 		}
-		st := p.sched.newState()
+		st, created := p.stateFor(ss.Key)
 		if st == nil {
 			return restored
 		}
-		st.seedWarm(ss.WarmSelected)
-		p.mu.Lock()
-		if _, exists := p.states[ss.Key]; !exists {
-			p.states[ss.Key] = st
+		if created {
+			st.seedWarm(ss.WarmSelected)
 			restored++
 		}
-		p.mu.Unlock()
 	}
 	return restored
 }

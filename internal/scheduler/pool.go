@@ -23,8 +23,8 @@ import (
 // fixed worker set and merges the results deterministically: output
 // order is by VC ID, every per-VC decision is a pure function of that
 // VC's requests, and no map iteration feeds scheduling order anywhere
-// on the path. DecideSerial is the reference implementation the
-// differential tests compare against byte for byte.
+// on the path. DecideSerial is the cold reference the differential
+// tests compare against byte for byte.
 
 // VC is one virtual cluster's slot input: the audience of one edge
 // scheduling domain (a Twitch channel's viewers in the paper).
@@ -97,12 +97,13 @@ type PoolConfig struct {
 }
 
 // Pool schedules many virtual clusters per tick across a bounded worker
-// set. It is safe for concurrent use: every Decide call allocates its
-// own job state, the ILP solvers are reentrant (see internal/ilp), and
-// the only cross-tick state is the per-VC incremental cache, each
-// stream behind its own lock so workers solving different VCs never
-// contend. With Config.DisableIncremental the pool is fully stateless
-// across ticks, as before.
+// set, and is the only owner of cross-slot scheduling state: its
+// Scheduler is a value, the per-VC incremental streams live here. It is
+// safe for concurrent use: every Decide call allocates its own job
+// state, the ILP solvers are reentrant (see internal/ilp), and each
+// stream sits behind its own lock so workers solving different VCs
+// never contend. With Config.DisableIncremental the pool keeps no
+// stream and every tick is a cold solve.
 type Pool struct {
 	sched   *Scheduler
 	workers int
@@ -183,21 +184,21 @@ func NewPool(cfg Config, pc PoolConfig) (*Pool, error) {
 	}, nil
 }
 
-// stateFor returns the incremental stream for a VC, creating it on
-// first sight; nil when incremental mode is off.
-func (p *Pool) stateFor(vc *VC) *slotState {
+// stateFor returns the incremental stream under a state key, creating
+// it on first sight (created reports that it did); nil when the pool
+// keeps none — DisableIncremental, or a config newState cannot
+// fingerprint.
+func (p *Pool) stateFor(key string) (st *slotState, created bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	key := vc.stateKey()
 	st, ok := p.states[key]
 	if !ok {
-		st = p.sched.newState() // nil when incremental is off
-		if st == nil {
-			return nil
+		if st = p.sched.newState(); st == nil {
+			return nil, false
 		}
 		p.states[key] = st
 	}
-	return st
+	return st, !ok
 }
 
 // CacheStats aggregates the incremental-cache counters across every
@@ -290,9 +291,10 @@ func (p *Pool) DecideCtx(ctx context.Context, vcs []VC) (*PoolResult, error) {
 }
 
 // DecideSerial is the reference engine: the plain one-goroutine loop
-// over the same ID-ordered VC list the pool uses. Kept as a first-class
-// API (not a test helper) so the differential harness always compares
-// against the exact code path production would fall back to.
+// of cold Schedule calls over the same ID-ordered VC list the pool
+// uses. Kept as a first-class API (not a test helper) so the
+// differential harness always compares against the exact code path
+// production would fall back to.
 func DecideSerial(s *Scheduler, vcs []VC) (*PoolResult, error) {
 	ordered, err := orderVCs(vcs)
 	if err != nil {
@@ -319,7 +321,8 @@ func (p *Pool) solveVC(ctx context.Context, vc VC, worker int) (VCDecision, erro
 	sp.SetStr("vc", vc.ID)
 	sp.SetInt("worker", worker)
 	start := time.Now()
-	dec, err := p.sched.scheduleWith(vcCtx, vc.Requests, p.stateFor(&vc), nil)
+	st, _ := p.stateFor(vc.stateKey())
+	dec, err := p.sched.scheduleWith(vcCtx, vc.Requests, st, nil)
 	sp.End()
 	if err != nil {
 		return VCDecision{}, err

@@ -91,8 +91,8 @@ func randomInstance(rng *stats.RNG, base []Request) ([]VC, Config) {
 // 210 randomized instances (sizes, capacities, lambdas), the pooled
 // engine's merged output must be byte-identical to the serial reference
 // loop — same selections, same counters, same objective bits. The
-// serial reference runs with DisableIncremental, so the corpus also
-// pins incremental-vs-cold equivalence; each instance is decided twice
+// serial reference is cold, so the corpus also pins
+// incremental-vs-cold equivalence; each instance is decided twice
 // through the pool so the second tick exercises the warm caches
 // (whole-decision replay on an unchanged instance).
 func TestPoolVsSerialDifferential(t *testing.T) {
@@ -105,9 +105,7 @@ func TestPoolVsSerialDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldCfg := cfg
-		coldCfg.DisableIncremental = true
-		serial := mustScheduler(t, coldCfg)
+		serial := mustScheduler(t, cfg)
 		pr, err := pool.Decide(vcs)
 		if err != nil {
 			t.Fatalf("instance %d: pool: %v", inst, err)

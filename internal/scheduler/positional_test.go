@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -110,7 +111,6 @@ func TestDecisionViewsAgree(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{Server: server, Lambda: 1.5},
-		{Server: server, Lambda: 1.5, DisableIncremental: true},
 		{Lambda: 0},
 	} {
 		s := mustScheduler(t, cfg)
@@ -121,7 +121,7 @@ func TestDecisionViewsAgree(t *testing.T) {
 		}{
 			{"sorted", sorted, false},
 			{"shuffled", shuffled, true},
-			{"sorted again (replayed or re-solved)", sorted, false},
+			{"sorted again", sorted, false},
 		} {
 			d, err := s.Schedule(batch.reqs)
 			if err != nil {
@@ -173,20 +173,27 @@ func TestDuplicateDeviceBatchPrintsEveryPosition(t *testing.T) {
 	dup.EnergyFrac = 0.001 // too drained to be eligible
 	reqs := []Request{base[0], base[1], dup, base[2], base[3]}
 
-	for _, incremental := range []bool{false, true} {
-		s := mustScheduler(t, Config{Lambda: 1.5, DisableIncremental: !incremental})
-		if _, err := s.Schedule(base); err != nil { // warms the cache when there is one
-			t.Fatal(err)
-		}
-		d, err := s.Schedule(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if incremental && d.PlanCacheHits != 4 {
-			t.Fatalf("warm path served %d of the 4 known requests from its cache", d.PlanCacheHits)
-		}
-		duplicateBatchPinned(t, reqs, dup.DeviceID, d)
+	cfg := Config{Lambda: 1.5}
+	d, err := mustScheduler(t, cfg).Schedule(reqs)
+	if err != nil {
+		t.Fatal(err)
 	}
+	duplicateBatchPinned(t, reqs, dup.DeviceID, d)
+
+	warm := mustWarmStream(t, cfg)
+	if _, err := warm.Schedule(base); err != nil { // warms the cache
+		t.Fatal(err)
+	}
+	// A stream's result is positional only; the library boundary's maps
+	// are built over it the way Schedule builds them.
+	d, err = withMaps(warm.Schedule(reqs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.PlanCacheHits != 4 {
+		t.Fatalf("warm path served %d of the 4 known requests from its cache", d.PlanCacheHits)
+	}
+	duplicateBatchPinned(t, reqs, dup.DeviceID, d)
 }
 
 func duplicateBatchPinned(t *testing.T, reqs []Request, dupID string, d Decision) {
@@ -370,33 +377,44 @@ func TestBuildPlansChunkErrors(t *testing.T) {
 			r[1].Chunks, r[2].Gamma = bad, 1.5
 		}), "scheduler: request big-00001 chunk 3: video: chunk 3 has non-positive bitrate"},
 	} {
-		for _, cfg := range []Config{
-			{Lambda: 1, DisableIncremental: true},
-			{Lambda: 1, DisableIncremental: true, CompactWorkers: 3, CompactChunk: 2},
-			{Lambda: 1},
+		for _, arm := range []struct {
+			name     string
+			schedule func([]Request) error
+		}{
+			{"cold, serial compact", func(reqs []Request) error {
+				_, err := mustScheduler(t, Config{Lambda: 1}).Schedule(reqs)
+				return err
+			}},
+			{"cold, parallel compact", func(reqs []Request) error {
+				_, err := mustScheduler(t, Config{Lambda: 1, CompactWorkers: 3, CompactChunk: 2}).Schedule(reqs)
+				return err
+			}},
+			{"warm stream", func(reqs []Request) error {
+				// The pool names the VC around the scheduler's error.
+				_, err := mustWarmStream(t, Config{Lambda: 1}).Schedule(reqs)
+				return errors.Unwrap(err)
+			}},
 		} {
-			_, err := mustScheduler(t, cfg).Schedule(tc.reqs)
 			got := ""
-			if err != nil {
+			if err := arm.schedule(tc.reqs); err != nil {
 				got = err.Error()
 			}
 			if got != tc.want {
-				t.Fatalf("%s (workers %d, incremental %v): error %q, want %q",
-					tc.name, cfg.CompactWorkers, !cfg.DisableIncremental, got, tc.want)
+				t.Fatalf("%s (%s): error %q, want %q", tc.name, arm.name, got, tc.want)
 			}
-			// The single-request entry reports the same text.
-			if tc.want != "" {
-				s := mustScheduler(t, cfg)
-				var first error
-				for i := range tc.reqs {
-					var p plan
-					if first = s.buildPlan(&tc.reqs[i], &p); first != nil {
-						break
-					}
+		}
+		// The single-request entry reports the same text.
+		if tc.want != "" {
+			s := mustScheduler(t, Config{Lambda: 1})
+			var first error
+			for i := range tc.reqs {
+				var p plan
+				if first = s.buildPlan(&tc.reqs[i], &p); first != nil {
+					break
 				}
-				if first == nil || first.Error() != tc.want {
-					t.Fatalf("%s: buildPlan reports %v, want %q", tc.name, first, tc.want)
-				}
+			}
+			if first == nil || first.Error() != tc.want {
+				t.Fatalf("%s: buildPlan reports %v, want %q", tc.name, first, tc.want)
 			}
 		}
 	}

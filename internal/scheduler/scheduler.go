@@ -334,12 +334,12 @@ type Config struct {
 	// at a time; clusters at or below one chunk are compacted serially.
 	// Zero means DefaultCompactChunk.
 	CompactChunk int
-	// DisableIncremental turns off the cross-slot incremental layer —
-	// plan cache, whole-decision replay, Phase-1 problem cache and warm
-	// start (DESIGN.md §11) — restoring the fully stateless path. The
-	// switch is decision-neutral: incremental scheduling is byte-
-	// identical to cold by construction; it exists for ablation,
-	// benchmarking and as an escape hatch.
+	// DisableIncremental is read by Pool only; a bare Scheduler keeps no
+	// state either way. Set, the pool creates no cross-slot stream — plan
+	// cache, whole-decision replay, Phase-1 problem cache and warm start
+	// (DESIGN.md §11) — and solves every slot cold. Decisions are byte-
+	// identical either way; the cold pool is what the differential tests
+	// and BenchmarkIncrementalSlots compare the streams against.
 	DisableIncremental bool
 }
 
@@ -352,17 +352,15 @@ const DefaultCompactChunk = 64
 // devices.
 const DefaultExactThreshold = 220
 
-// Scheduler is the LPVS request scheduler. Decisions are a pure
-// function of (configuration, request batch): the incremental layer
-// (DESIGN.md §11) caches work across slots but never changes decision
-// bytes, and gamma learning lives with the caller. Safe for concurrent
-// use; unless DisableIncremental is set, concurrent Schedule calls
-// serialise on the scheduler's slot state (a Pool gives each virtual
-// cluster its own state, so pool workers never contend).
+// Scheduler is the LPVS request scheduler: a configuration and the
+// algorithm, nothing else. Every Schedule call solves its batch cold, as
+// a pure function of (configuration, request batch), and no field is
+// written after New, so any number of goroutines may share one. What
+// carries over from slot to slot — the incremental layer of DESIGN.md
+// §11 — lives in a Pool's streams, and gamma learning with the caller.
 type Scheduler struct {
 	cfg    Config
-	cfgSig []byte     // decision-relevant config fingerprint (nil: not fingerprintable)
-	state  *slotState // cross-slot caches for the plain Schedule path (nil: cold)
+	cfgSig []byte // decision-relevant config fingerprint (nil: not fingerprintable)
 }
 
 // New validates the configuration and builds a scheduler.
@@ -400,9 +398,7 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.CompactChunk < 0 {
 		return nil, fmt.Errorf("scheduler: negative compact chunk")
 	}
-	s := &Scheduler{cfg: cfg, cfgSig: configSig(cfg)}
-	s.state = s.newState()
-	return s, nil
+	return &Scheduler{cfg: cfg, cfgSig: configSig(cfg)}, nil
 }
 
 // Config returns the scheduler's effective configuration — the caller's
@@ -438,8 +434,8 @@ type placed struct {
 
 // planScratch is the working memory of one scheduling call: everything
 // a call needs that is sized by the batch and dead when it returns. A
-// slotState owns one and reuses it across slots (guarded by its mu); the
-// stateless cold path uses a fresh one per call, so either way a call
+// slotState owns one and reuses it across slots (guarded by its mu); a
+// cold solve uses a fresh one per call, so either way a call
 // makes O(1) allocations however many devices it schedules. Nothing in
 // it outlives the call: the plan cache copies plans out of the slab by
 // value, the solvers copy nothing out of the knapsack rows, and a
@@ -718,7 +714,8 @@ func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, sc *planScratch) 
 	return nil
 }
 
-// Schedule makes the slot decision for one virtual cluster.
+// Schedule makes the slot decision for one virtual cluster, cold: two
+// calls with the same batch do the same work and return the same bytes.
 func (s *Scheduler) Schedule(reqs []Request) (Decision, error) {
 	return s.ScheduleCtx(context.Background(), reqs)
 }
@@ -729,9 +726,7 @@ func (s *Scheduler) Schedule(reqs []Request) (Decision, error) {
 // stage — information compacting, the Phase-1 knapsack, Phase-2
 // swapping — opens a child span whose duration matches the Decision's
 // timing fields. With no active span the only cost is three context
-// lookups; decisions are identical either way. A fully replayed slot
-// (identical request set, see DESIGN.md §11) opens no stage spans: no
-// stage ran.
+// lookups; decisions are identical either way.
 //
 // Deadline: when ctx carries a deadline, the call runs in anytime mode
 // (DESIGN.md §12): the Phase-1 branch-and-bound is wall-clock-bounded
@@ -744,15 +739,15 @@ func (s *Scheduler) Schedule(reqs []Request) (Decision, error) {
 // Context *cancellation* is deliberately ignored: a half-honoured
 // cancel would produce timing-dependent decisions.
 func (s *Scheduler) ScheduleCtx(ctx context.Context, reqs []Request) (Decision, error) {
-	return withMaps(s.scheduleWith(ctx, reqs, s.state, nil))
+	return withMaps(s.scheduleWith(ctx, reqs, nil, nil))
 }
 
-// ScheduleDegraded re-runs the stateless cold path with the given
-// degradations forced, regardless of wall clock. It exists for audit
-// replay: a record of a deadline-degraded tick carries its Degradation,
-// and replaying under the same forced shortcuts reproduces the logged
-// bytes deterministically — the degraded paths themselves are pure
-// functions of (config, requests, degradation).
+// ScheduleDegraded is Schedule with the given degradations forced,
+// regardless of wall clock. It exists for audit replay: a record of a
+// deadline-degraded tick carries its Degradation, and replaying under
+// the same forced shortcuts reproduces the logged bytes
+// deterministically — the degraded paths themselves are pure functions
+// of (config, requests, degradation).
 func (s *Scheduler) ScheduleDegraded(reqs []Request, deg Degradation) (Decision, error) {
 	return withMaps(s.scheduleWith(context.Background(), reqs, nil, &deg))
 }
@@ -776,13 +771,13 @@ func withMaps(d Decision, err error) (Decision, error) {
 	return d, nil
 }
 
-// scheduleWith is the scheduling engine behind Schedule/ScheduleCtx,
-// parameterised by the cross-slot state to use — the scheduler's own
-// for the public entry points, a per-VC state for pool workers (so
-// workers never contend on one mutex), or nil for the stateless cold
-// path — and by an optional forced Degradation (audit replay of a
-// degraded tick; implies st == nil and disables live deadline checks).
-// The decision it returns is positional only.
+// scheduleWith is the scheduling engine, parameterised by the cross-slot
+// state to use — a Pool stream's, or nil for the cold solve every public
+// Scheduler method makes — and by an optional forced Degradation (audit
+// replay of a degraded tick; implies st == nil and disables live
+// deadline checks). A replayed slot (identical request set, DESIGN.md
+// §11) opens no stage spans: no stage ran. The decision it returns is
+// positional only.
 func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotState, forced *Degradation) (Decision, error) {
 	if len(reqs) == 0 {
 		return Decision{}, nil
@@ -793,7 +788,7 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 		hasDeadline = false
 	}
 	// The per-call scratch: the stream's own (reused slot to slot, guarded
-	// by its mu) or, on the stateless path, a fresh one.
+	// by its mu) or, on a cold solve, a fresh one.
 	var cold planScratch
 	sc := &cold
 	hits := 0

@@ -1,9 +1,13 @@
 package scheduler
 
 import (
+	"bytes"
+	"context"
 	"math"
+	"reflect"
 	"sort"
 	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -60,6 +64,40 @@ func mustScheduler(tb testing.TB, cfg Config) *Scheduler {
 		tb.Fatal(err)
 	}
 	return s
+}
+
+// warmStream is the warm arm of the incremental differentials: one
+// cross-slot stream driven the way the daemon drives its own — a
+// one-worker Pool, one VC, a fixed StateKey. The cold arm is Schedule on
+// a bare Scheduler.
+type warmStream struct{ pool *Pool }
+
+const warmStreamKey = "stream"
+
+func mustWarmStream(tb testing.TB, cfg Config) *warmStream {
+	tb.Helper()
+	pool, err := NewPool(cfg, PoolConfig{Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &warmStream{pool: pool}
+}
+
+// Schedule decides the stream's next slot. The decision is positional:
+// a pool result carries no ID-keyed maps.
+func (w *warmStream) Schedule(reqs []Request) (Decision, error) {
+	pr, err := w.pool.Decide([]VC{{ID: "vc", StateKey: warmStreamKey, Requests: reqs}})
+	if err != nil {
+		return Decision{}, err
+	}
+	return pr.Decision(), nil
+}
+
+// state is the stream's slotState (nil before the first slot of a pool
+// that keeps none).
+func (w *warmStream) state() *slotState {
+	st, _ := w.pool.stateFor(warmStreamKey)
+	return st
 }
 
 func TestNewValidation(t *testing.T) {
@@ -346,6 +384,69 @@ func TestScheduleDeterministic(t *testing.T) {
 			t.Fatalf("decision for %s differs across runs", id)
 		}
 	}
+}
+
+// TestScheduleIsPure pins the Scheduler's contract: configuration plus
+// algorithm, always cold. The same batch twice does the same work and
+// returns the same bytes — nothing is replayed, cached or warm-started —
+// the type has no field a call could write, and goroutines sharing one
+// Scheduler need no lock (the race run checks that).
+func TestScheduleIsPure(t *testing.T) {
+	server, err := edge.NewServer(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustScheduler(t, Config{Server: server, Lambda: 1.5})
+	reqs := makeCluster(t, 60, 31)
+	SortRequests(reqs)
+	first, err := s.Schedule(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.ScheduleCtx(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := first.Canonical()
+	if !bytes.Equal(second.Canonical(), want) {
+		t.Fatalf("same batch, different bytes:\nfirst:\n%s\nsecond:\n%s", want, second.Canonical())
+	}
+	for name, d := range map[string]Decision{"first": first, "second": second} {
+		if d.Replayed || d.Phase1Cached || d.Phase1Warm || d.PlanCacheHits != 0 || d.PlanCacheMisses != 0 {
+			t.Fatalf("%s call used cross-slot state: %+v", name, d)
+		}
+	}
+	if first.Phase1Nodes == 0 || second.Phase1Nodes != first.Phase1Nodes {
+		t.Fatalf("second call searched %d Phase-1 nodes, the first %d: not the same cold solve",
+			second.Phase1Nodes, first.Phase1Nodes)
+	}
+
+	typ := reflect.TypeOf(*s)
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type {
+		case reflect.TypeOf((*slotState)(nil)), reflect.TypeOf(slotState{}), reflect.TypeOf(sync.Mutex{}):
+			t.Fatalf("Scheduler.%s is a %v: cross-slot state belongs to Pool", f.Name, f.Type)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 3; k++ {
+				d, err := s.Schedule(reqs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(d.Canonical(), want) || d.Replayed || d.Phase1Nodes != first.Phase1Nodes {
+					t.Errorf("concurrent call diverged: replayed=%v nodes=%d", d.Replayed, d.Phase1Nodes)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestNoTransformPolicy(t *testing.T) {

@@ -191,10 +191,8 @@ type StatusResponse struct {
 	// LastTick is the scheduler breakdown of the most recent tick; nil
 	// until the first tick has run.
 	LastTick *TickStats `json:"last_tick,omitempty"`
-	// Incremental reports whether cross-slot incremental scheduling is
-	// on; the PlanCache* counters aggregate its plan-cache traffic since
-	// daemon start (all zero when off).
-	Incremental        bool    `json:"incremental"`
+	// The PlanCache* counters aggregate the incremental streams'
+	// plan-cache traffic since daemon start (DESIGN.md §11).
 	PlanCacheHits      uint64  `json:"plan_cache_hits"`
 	PlanCacheMisses    uint64  `json:"plan_cache_misses"`
 	PlanCacheEvictions uint64  `json:"plan_cache_evictions"`

@@ -233,12 +233,12 @@ func TestJSONBinaryDifferential(t *testing.T) {
 		}
 	}
 	for name, recs := range map[string][]*audit.Record{"json": recsJSON, "wire": recsWire} {
-		diverged, err := audit.ReplayAll(recs)
+		diverged, err := audit.ReplayAll(recs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(diverged) != 0 {
-			t.Fatalf("%s records %v diverged on replay", name, diverged)
+		if diverged != 0 {
+			t.Fatalf("%s: %d records diverged on replay", name, diverged)
 		}
 	}
 }

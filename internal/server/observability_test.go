@@ -163,12 +163,12 @@ func TestTickAuditLogReplays(t *testing.T) {
 			t.Fatalf("record %d: %d verdicts for %d requests", i, len(rec.Verdicts), len(rec.Requests))
 		}
 	}
-	diverged, err := audit.ReplayAll(recs)
+	diverged, err := audit.ReplayAll(recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diverged) != 0 {
-		t.Fatalf("records %v diverged on replay", diverged)
+	if diverged != 0 {
+		t.Fatalf("%d records diverged on replay", diverged)
 	}
 }
 
@@ -280,7 +280,7 @@ func TestAuditEncodeFailureIsLoggedNotWritten(t *testing.T) {
 	if len(recs) != 3 || recs[0].VC != "slot-0" || recs[1].VC != "slot-1" || recs[2].VC != "slot-2" {
 		t.Fatalf("log holds %d records, want the three real ticks and nothing of the poisoned one", len(recs))
 	}
-	if diverged, err := audit.ReplayAll(recs); err != nil || len(diverged) != 0 {
-		t.Fatalf("records %v diverged on replay (err %v)", diverged, err)
+	if diverged, err := audit.ReplayAll(recs, nil); err != nil || diverged != 0 {
+		t.Fatalf("%d records diverged on replay (err %v)", diverged, err)
 	}
 }

@@ -81,8 +81,11 @@ func readAudit(tb testing.TB, dir string) []*audit.Record {
 // TestKillAndRestartDifferential is the daemon's durable-state
 // contract (DESIGN.md §14): a daemon killed after a snapshot and
 // warm-restarted must go on making decisions byte-identical to one
-// that never died — across the serial, pooled and incremental
-// scheduling paths.
+// that never died — at pool width one and four — and both make the
+// decisions a cold Schedule makes: the restarted daemon's stream starts
+// from the snapshot's warm seed only, the reference's has eight slots
+// behind it, and audit replay re-solves every record with no stream at
+// all.
 func TestKillAndRestartDifferential(t *testing.T) {
 	const (
 		nDev   = 18
@@ -90,9 +93,8 @@ func TestKillAndRestartDifferential(t *testing.T) {
 		killAt = 4
 	)
 	cases := map[string]func(*Config){
-		"serial":         func(c *Config) { c.Workers = 1 },
-		"pooled":         func(c *Config) { c.Workers = 4 },
-		"no-incremental": func(c *Config) { c.Workers = 1; c.DisableIncremental = true },
+		"serial": func(c *Config) { c.Workers = 1 },
+		"pooled": func(c *Config) { c.Workers = 4 },
 	}
 	for name, variant := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -148,6 +150,9 @@ func TestKillAndRestartDifferential(t *testing.T) {
 				if a.DecisionCanonical != b.DecisionCanonical {
 					t.Fatalf("slot %d: killed-and-restarted decision diverged from uninterrupted run", a.Slot)
 				}
+			}
+			if diverged, err := audit.ReplayAll(recsB, nil); err != nil || diverged != 0 {
+				t.Fatalf("%d of the restarted daemon's records diverged from their cold replay (err %v)", diverged, err)
 			}
 		})
 	}
@@ -290,7 +295,7 @@ func TestAuditLadderReadsOldAndMixedLogs(t *testing.T) {
 	if len(recs) != 9 || recs[5].Schema != 1 || recs[6].Schema != audit.SchemaVersion {
 		t.Fatalf("mixed log holds %d records, schemas %d then %d", len(recs), recs[5].Schema, recs[6].Schema)
 	}
-	if diverged, err := audit.ReplayAll(recs); err != nil || len(diverged) != 0 {
+	if diverged, err := audit.ReplayAll(recs, nil); err != nil || diverged != 0 {
 		t.Fatalf("mixed log replay: diverged %v, err %v", diverged, err)
 	}
 

@@ -58,11 +58,6 @@ type Config struct {
 	// TraceSeed seeds the trace/span ID stream (0 = default seed), making
 	// traced runs reproducible.
 	TraceSeed int64
-	// DisableIncremental turns off the cross-slot incremental scheduling
-	// caches (DESIGN.md §11), forcing every tick down the cold path.
-	// Decisions are byte-identical either way; this switch exists for
-	// benchmarking and as an operational escape hatch.
-	DisableIncremental bool
 	// SchedDeadline bounds one tick's scheduling wall time (DESIGN.md
 	// §12): on expiry the scheduler degrades to its always-feasible
 	// anytime shortcuts and the decision is flagged Degraded. Zero means
@@ -293,10 +288,9 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	pool, err := scheduler.NewPool(scheduler.Config{
-		SlotSec:            cfg.SlotSec,
-		Lambda:             cfg.Lambda,
-		Server:             edgeSrv,
-		DisableIncremental: cfg.DisableIncremental,
+		SlotSec: cfg.SlotSec,
+		Lambda:  cfg.Lambda,
+		Server:  edgeSrv,
 	}, scheduler.PoolConfig{Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
@@ -743,7 +737,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		last := s.lastTick
 		resp.LastTick = &last
 	}
-	resp.Incremental = !s.cfg.DisableIncremental
 	cs := s.pool.CacheStats()
 	resp.PlanCacheHits = cs.Hits
 	resp.PlanCacheMisses = cs.Misses

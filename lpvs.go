@@ -52,12 +52,17 @@ type (
 	PoolResult = scheduler.PoolResult
 )
 
-// NewScheduler builds the LPVS scheduler.
+// NewScheduler builds the LPVS scheduler: a configuration and the
+// algorithm. Every Schedule call is a cold solve, so it is the one to
+// use for a single decision, a replay or a reference — not for a slot
+// loop, which pays the full cost every slot.
 func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) { return scheduler.New(cfg) }
 
 // NewSchedulerPool builds the sharded engine fanning virtual clusters
 // across a bounded worker set; decisions are bit-identical to a serial
-// per-VC loop at any width.
+// per-VC loop at any width. It is the one to use per slot: the pool owns
+// the cross-slot streams (keyed by VirtualCluster.StateKey) that make a
+// slot cost what changed since the previous one.
 func NewSchedulerPool(cfg SchedulerConfig, pc PoolConfig) (*SchedulerPool, error) {
 	return scheduler.NewPool(cfg, pc)
 }
