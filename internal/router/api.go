@@ -18,6 +18,15 @@
 // (forward.go). TestEnvelopeConformance holds the two to equal status,
 // Allow, Content-Type and body bytes on malformed, oversized and
 // misrouted requests and on the 200 answers of the relayed routes.
+//
+// A report forward — decode, partition by owner, re-frame, POST, merge
+// — works in one reused workspace (forwardSpace) drawn from the daemon's
+// own free-list type (server.FreeList), so a warm router allocates
+// nothing per forwarded record. The workspace goes back when the
+// handler returns: after every POST has finished with its body and
+// after the response, which reads the merged rows, is written.
+// TestForwardFramesIdentical holds every frame a shard receives to the
+// package encoders' bytes and every answer to a standalone daemon's.
 package router
 
 import (

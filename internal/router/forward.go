@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"lpvs/internal/client"
@@ -23,44 +24,84 @@ import (
 
 // shardBatch is one owner's share of a report message: the records
 // routed to it, each record's index in the original message — so
-// per-record errors merge back under their caller-visible index — and
-// the owner's answer.
+// per-record errors merge back under their caller-visible index — the
+// re-framed body, and the owner's answer.
 type shardBatch struct {
 	node string
 	c    *client.Caller
 	reqs []server.ReportRequest
 	idx  []int
+	body []byte
 
 	single server.ReportResponse      // the answer to a single report
 	batch  server.BatchReportResponse // the answer to a batch
 	err    error
 }
 
+// forwardSpace is the workspace of one report forward, held from decode
+// to the written response and then returned to rt.forwardFree
+// (DESIGN.md §18): the binary decode scratch, whose intern table
+// converges on the fleet's IDs as a daemon's does; the per-owner
+// batches, whose reqs, idx and body keep their capacity; and the merged
+// rejection rows. Everything in it is overwritten by the next request
+// that draws it, so nothing that outlives the handler may point into it
+// — the response is written, and so copied, before it goes back.
+type forwardSpace struct {
+	wire     *wire.Scratch
+	batches  []*shardBatch // every batch this workspace has used; a forward takes a prefix
+	rejected []server.BatchReportResult
+}
+
+// batch re-arms the k-th batch for node, keeping only its capacity: an
+// answer decoded over a previous request's would inherit its rows.
+func (ws *forwardSpace) batch(k int, node string, c *client.Caller) *shardBatch {
+	if k == len(ws.batches) {
+		ws.batches = append(ws.batches, new(shardBatch))
+	}
+	sb := ws.batches[k]
+	*sb = shardBatch{node: node, c: c, reqs: sb.reqs[:0], idx: sb.idx[:0], body: sb.body[:0]}
+	return sb
+}
+
 // partition splits reports by the consistent-hash owner of each
-// record's channel, in node-ID order, noting every device's channel as
-// the read proxy's routing hint. It also returns the router's slot.
-func (rt *Router) partition(reports []server.ReportRequest) ([]*shardBatch, int) {
+// record's channel into ws's batches, in node-ID order, noting every
+// device's channel as the read proxy's routing hint. The owner is
+// resolved once per run of records naming one channel — a batch
+// arrives grouped by channel far more often than not — which is also
+// what keeps the rt.mu hold, and so the proxied reads waiting behind
+// it, short. It also returns the router's slot.
+func (rt *Router) partition(ws *forwardSpace, reports []server.ReportRequest) ([]*shardBatch, int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	byNode := map[string]*shardBatch{}
-	var batches []*shardBatch
+	used := 0
+	var sb *shardBatch // the owner of the current run's channel
+	var run string
 	for i := range reports {
 		ch := reports[i].ChannelID
 		if ch == "" {
 			ch = rt.cfg.DefaultChannel
 		}
-		n := rt.m.Owner(ch)
-		sb := byNode[n.ID]
-		if sb == nil {
-			sb = &shardBatch{node: n.ID, c: rt.callers[n.ID]}
-			byNode[n.ID] = sb
-			batches = append(batches, sb)
+		if sb == nil || ch != run {
+			run = ch
+			node := rt.m.Owner(ch).ID
+			sb = nil
+			for _, b := range ws.batches[:used] {
+				if b.node == node {
+					sb = b
+					break
+				}
+			}
+			if sb == nil {
+				sb = ws.batch(used, node, rt.callers[node])
+				used++
+			}
 		}
 		sb.reqs = append(sb.reqs, reports[i])
 		sb.idx = append(sb.idx, i)
 		rt.devices[reports[i].DeviceID] = ch
 	}
-	sort.Slice(batches, func(a, b int) bool { return batches[a].node < batches[b].node })
+	batches := ws.batches[:used]
+	slices.SortFunc(batches, func(a, b *shardBatch) int { return strings.Compare(a.node, b.node) })
 	return batches, rt.slot
 }
 
@@ -73,12 +114,21 @@ func (rt *Router) partition(reports []server.ReportRequest) ([]*shardBatch, int)
 // original indices; records whose shard failed are reported rejected
 // with shard_unavailable, so the batch contract stays "every record
 // accounted for" even when part of the fleet is down.
+//
+// The whole path works in one forwardSpace. It goes back only when the
+// handler returns: after wg.Wait(), so no forward still reads a body,
+// and after the response is written, which reads the merged rows.
 func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
-	msg, ok := server.DecodeReport(w, r, server.DefaultMaxBatchRecords, wire.NewScratch)
+	ws := rt.forwardFree.Get()
+	if ws == nil {
+		ws = &forwardSpace{wire: wire.NewScratch()}
+	}
+	defer rt.forwardFree.Put(ws)
+	msg, ok := server.DecodeReport(w, r, server.DefaultMaxBatchRecords, func() *wire.Scratch { return ws.wire })
 	if !ok {
 		return
 	}
-	batches, slot := rt.partition(msg.Reports)
+	batches, slot := rt.partition(ws, msg.Reports)
 	var wg sync.WaitGroup
 	for _, sb := range batches {
 		wg.Add(1)
@@ -93,11 +143,17 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 			if msg.Batch {
 				out = &sb.batch
 			}
-			body, contentType, err := msg.Encode(sb.reqs)
-			if err == nil {
-				err = sb.c.PostRaw("/v1/report", contentType, body, out)
+			var contentType string
+			sb.body, contentType, sb.err = msg.AppendFrame(sb.body, sb.reqs)
+			if sb.err == nil {
+				sb.err = sb.c.PostRaw("/v1/report", contentType, sb.body, out)
 			}
-			sb.err = err
+			if sb.err != nil {
+				// net/http may still be reading the body of a request that
+				// failed (RoundTripper: it closes the body "even after
+				// RoundTrip returns"), so this one is not written into again.
+				sb.body = nil
+			}
 		}(sb)
 	}
 	wg.Wait()
@@ -111,7 +167,7 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	var rejected []server.BatchReportResult
+	rejected := ws.rejected[:0]
 	for _, sb := range batches {
 		if sb.err != nil {
 			rt.forwardErrors.Add(uint64(len(sb.reqs)))
@@ -137,7 +193,11 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 			rejected = append(rejected, row)
 		}
 	}
-	sort.Slice(rejected, func(a, b int) bool { return rejected[a].Index < rejected[b].Index })
+	slices.SortFunc(rejected, func(a, b server.BatchReportResult) int { return a.Index - b.Index })
+	ws.rejected = rejected
+	if len(rejected) == 0 {
+		rejected = nil // a binary batch without rejections answers "results":null
+	}
 	server.WriteJSON(w, http.StatusOK, server.NewBatchReportResponse(slot, &msg, rejected))
 }
 

@@ -69,6 +69,10 @@ type Router struct {
 	mShardErrors  *obs.CounterVec
 	mShardTickDur *obs.HistogramVec
 
+	// forwardFree recycles report-forward workspaces (see forwardSpace)
+	// through the daemon's free-list type, cap included.
+	forwardFree server.FreeList[forwardSpace]
+
 	mu      sync.Mutex
 	m       *shard.Map
 	callers map[string]*client.Caller // node ID -> forwarding client

@@ -173,11 +173,12 @@ func (st *slotState) reset(cfgSig []byte) {
 }
 
 // begin starts one scheduling call: it fingerprints every request into
-// the per-call arena and either detects a whole-set replay (rep, true)
-// or resolves plan-cache lookups into scratch.plans (sized to the
-// request set), leaving the miss indices in scratch.misses and
-// returning this call's hit count. Caller holds mu.
-func (st *slotState) begin(reqs []Request) (rep Decision, replayed bool, hits int) {
+// the per-call arena and either detects a whole-set replay — rep is
+// then the previous decision, copied into rep's own storage — or
+// resolves plan-cache lookups into scratch.plans (sized to the request
+// set), leaving the miss indices in scratch.misses and returning this
+// call's hit count. Caller holds mu.
+func (st *slotState) begin(reqs []Request, rep *Decision) (replayed bool, hits int) {
 	n := len(reqs)
 	// The sequence advances before fingerprinting so window interning can
 	// stamp entries as it encodes; eviction sweeps only run in commit,
@@ -213,7 +214,7 @@ func (st *slotState) begin(reqs []Request) (rep Decision, replayed bool, hits in
 	// eviction runs: cached entries keep their stamps and are re-stamped
 	// on the next non-replay call.
 	if st.allCache && st.prevDec != nil && n == st.prevN && len(st.encBuf) == len(st.prevKey) && bytes.Equal(st.encBuf, st.prevKey) {
-		rep = copyDecision(st.prevDec)
+		copyDecisionInto(rep, st.prevDec)
 		rep.batch = reqs
 		rep.Replayed = true
 		rep.Phase1Cached = true
@@ -226,7 +227,7 @@ func (st *slotState) begin(reqs []Request) (rep Decision, replayed bool, hits in
 		rep.Phase1Seconds = 0
 		rep.Phase2Seconds = 0
 		st.hits += uint64(n)
-		return rep, true, 0
+		return true, 0
 	}
 
 	sc := &st.scratch
@@ -248,7 +249,7 @@ func (st *slotState) begin(reqs []Request) (rep Decision, replayed bool, hits in
 		misses = append(misses, i)
 	}
 	sc.misses = misses
-	return Decision{}, false, hits
+	return false, hits
 }
 
 // commit copies the freshly built miss plans into the cache, sweeps out
@@ -402,17 +403,11 @@ func (st *slotState) stats() CacheStats {
 	return CacheStats{Hits: st.hits, Misses: st.misses, Evictions: st.evictions}
 }
 
-// copyDecision deep-copies a decision so cached state and caller-held
-// results never alias each other's slices.
-func copyDecision(d *Decision) Decision {
-	var out Decision
-	copyDecisionInto(&out, d)
-	return out
-}
-
 // copyDecisionInto deep-copies src into dst, reusing the capacity of
-// dst's positional slices — finish runs it every non-replayed slot, so
-// the steady state copies two slices and allocates nothing.
+// dst's positional slices, so cached state and caller-held results
+// never alias each other's. finish runs it every non-replayed slot and
+// begin every replayed one: with a kept destination the steady state
+// copies two slices and allocates nothing.
 func copyDecisionInto(dst, src *Decision) {
 	x, per := dst.X[:0], dst.PerDevice[:0]
 	*dst = *src

@@ -355,8 +355,8 @@ func TestConfigGuardResetsState(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := mustScheduler(t, Config{Lambda: 3})
-	dec, err := b.scheduleWith(context.Background(), reqs, a.state(), nil)
-	if err != nil {
+	var dec Decision
+	if err := b.scheduleWith(context.Background(), reqs, a.state(), nil, &dec); err != nil {
 		t.Fatal(err)
 	}
 	if dec.PlanCacheHits != 0 || dec.Replayed {

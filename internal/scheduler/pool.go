@@ -66,7 +66,9 @@ type VCDecision struct {
 	Worker int
 }
 
-// PoolResult is the merged outcome of one pool tick.
+// PoolResult is the merged outcome of one pool tick. Whoever holds it
+// owns it, slices included: the pool keeps no reference, and a result
+// changes only when its holder hands it to DecideInto again.
 type PoolResult struct {
 	// VCs holds every cluster's decision, sorted by VC ID.
 	VCs []VCDecision
@@ -229,24 +231,45 @@ func (p *Pool) Workers() int { return p.workers }
 // Decisions are byte-identical to DecideSerial on the same input: each
 // VC is solved independently by the same deterministic Schedule, and
 // the merge orders by VC ID regardless of which worker finished first.
+// The result is the caller's for good: no later call touches it.
 func (p *Pool) Decide(vcs []VC) (*PoolResult, error) {
 	return p.DecideCtx(context.Background(), vcs)
 }
 
-// DecideCtx is Decide with span tracing: when ctx carries an active
-// span, each VC's solve opens a "vc" child (with the compact / phase1
-// / phase2 stage spans nested under it). Workers create children of
-// the same parent concurrently — the tracer is built for that — and
-// decisions are identical with tracing on or off.
+// DecideCtx is Decide with span tracing and deadline awareness (see
+// DecideInto, which it runs over a fresh result).
 func (p *Pool) DecideCtx(ctx context.Context, vcs []VC) (*PoolResult, error) {
-	ordered, err := orderVCs(vcs)
-	if err != nil {
+	res := new(PoolResult)
+	if err := p.DecideInto(ctx, vcs, res); err != nil {
 		return nil, err
 	}
+	return res, nil
+}
+
+// DecideInto is the pool's one engine: it decides the slot into res, a
+// result the caller keeps from tick to tick. Whatever res held is
+// overwritten — its VCs slice and every decision's X and PerDevice are
+// reused where their capacity allows, with lengths set exactly — so a
+// caller that is done with one tick's result before it asks for the
+// next (the daemon) allocates nothing per device. res owns all of its
+// memory: nothing in it aliases a stream's scratch or replay copy, and
+// it stays valid until the caller passes it in again. It must not be
+// shared between concurrent calls. On error res is unspecified.
+//
+// When ctx carries an active span, each VC's solve opens a "vc" child
+// (with the compact / phase1 / phase2 stage spans nested under it).
+// Workers create children of the same parent concurrently — the tracer
+// is built for that — and decisions are identical with tracing on or
+// off.
+func (p *Pool) DecideInto(ctx context.Context, vcs []VC, res *PoolResult) error {
+	ordered, err := orderVCs(vcs)
+	if err != nil {
+		return err
+	}
 	start := time.Now()
-	res := &PoolResult{VCs: make([]VCDecision, len(ordered)), Workers: p.workers}
+	*res = PoolResult{VCs: grown(res.VCs, len(ordered)), Workers: p.workers}
 	if len(ordered) == 0 {
-		return res, nil
+		return nil
 	}
 
 	workers := p.workers
@@ -256,7 +279,7 @@ func (p *Pool) DecideCtx(ctx context.Context, vcs []VC) (*PoolResult, error) {
 	errs := make([]error, len(ordered))
 	if workers == 1 {
 		for i := range ordered {
-			res.VCs[i], errs[i] = p.solveVC(ctx, ordered[i], 0)
+			errs[i] = p.solveVC(ctx, &ordered[i], 0, &res.VCs[i])
 		}
 	} else {
 		var next atomic.Int64
@@ -270,7 +293,7 @@ func (p *Pool) DecideCtx(ctx context.Context, vcs []VC) (*PoolResult, error) {
 					if i >= len(ordered) {
 						return
 					}
-					res.VCs[i], errs[i] = p.solveVC(ctx, ordered[i], w)
+					errs[i] = p.solveVC(ctx, &ordered[i], w, &res.VCs[i])
 				}
 			}(w)
 		}
@@ -280,14 +303,14 @@ func (p *Pool) DecideCtx(ctx context.Context, vcs []VC) (*PoolResult, error) {
 	// matching what the serial loop would have reported.
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("scheduler: vc %s: %w", ordered[i].ID, err)
+			return fmt.Errorf("scheduler: vc %s: %w", ordered[i].ID, err)
 		}
 	}
 	for i := range res.VCs {
 		res.CPUSeconds += res.VCs[i].WallSeconds
 	}
 	res.WallSeconds = time.Since(start).Seconds()
-	return res, nil
+	return nil
 }
 
 // DecideSerial is the reference engine: the plain one-goroutine loop
@@ -316,30 +339,27 @@ func DecideSerial(s *Scheduler, vcs []VC) (*PoolResult, error) {
 	return res, nil
 }
 
-func (p *Pool) solveVC(ctx context.Context, vc VC, worker int) (VCDecision, error) {
+// solveVC decides one cluster into out, reusing out.Decision's storage.
+func (p *Pool) solveVC(ctx context.Context, vc *VC, worker int, out *VCDecision) error {
 	vcCtx, sp := span.Child(ctx, "vc")
 	sp.SetStr("vc", vc.ID)
 	sp.SetInt("worker", worker)
 	start := time.Now()
 	st, _ := p.stateFor(vc.stateKey())
-	dec, err := p.sched.scheduleWith(vcCtx, vc.Requests, st, nil)
+	err := p.sched.scheduleWith(vcCtx, vc.Requests, st, nil, &out.Decision)
 	sp.End()
 	if err != nil {
-		return VCDecision{}, err
+		return err
 	}
-	wall := time.Since(start).Seconds()
-	p.recordVC(&vc, dec, wall)
-	return VCDecision{
-		VC:          vc.ID,
-		Decision:    dec,
-		WallSeconds: wall,
-		Worker:      worker,
-	}, nil
+	out.VC, out.Worker = vc.ID, worker
+	out.WallSeconds = time.Since(start).Seconds()
+	p.recordVC(vc, &out.Decision, out.WallSeconds)
+	return nil
 }
 
 // recordVC folds one solved tick into the stream's health accumulator.
 // Observation only — it runs after the decision is final.
-func (p *Pool) recordVC(vc *VC, dec Decision, wall float64) {
+func (p *Pool) recordVC(vc *VC, dec *Decision, wall float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	key := vc.stateKey()

@@ -2,12 +2,15 @@ package scheduler
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lpvs/internal/edge"
 	"lpvs/internal/stats"
@@ -271,6 +274,88 @@ func TestPoolDecisionOutlivesNextDecide(t *testing.T) {
 	}
 	if !bytes.Equal(kept.Canonical(), canonical) {
 		t.Fatal("a kept result's canonical bytes changed under later Decide calls")
+	}
+}
+
+// TestDecideIntoReusedResultMatchesFresh is the decide-into
+// differential: ONE PoolResult is decided into across the whole
+// 210-instance pool-vs-serial corpus — instances of one to four VCs of
+// one to twenty devices, so the kept result grows, shrinks and changes
+// its VC count from call to call — and per instance through a cold
+// tick, a replayed one, a cut-down batch degraded by an already-expired
+// deadline, the same batch solved in full, and the first batch again.
+// After every call it must equal what a twin pool answers into a fresh
+// result: canonical bytes, X, PerDevice and the flags, with every
+// length exact — a shorter batch leaves no stale tail.
+func TestDecideIntoReusedResultMatchesFresh(t *testing.T) {
+	base := makeCluster(t, 64, 999)
+	rng := stats.NewRNG(20260805) // TestPoolVsSerialDifferential's corpus
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Minute))
+	defer cancel()
+	var kept PoolResult
+	replays, degraded := 0, 0
+	for inst := 0; inst < 210; inst++ {
+		vcs, cfg := randomInstance(rng, base)
+		into, err := NewPool(cfg, PoolConfig{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewPool(cfg, PoolConfig{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := []VC{vcs[len(vcs)-1]}
+		cut[0].Requests = cut[0].Requests[:(len(cut[0].Requests)+1)/2]
+		for _, step := range []struct {
+			name string
+			ctx  context.Context
+			vcs  []VC
+		}{
+			{"cold", context.Background(), vcs},
+			{"replayed", context.Background(), vcs},
+			{"cut down and degraded", expired, cut},
+			{"cut down", context.Background(), cut},
+			{"grown back", context.Background(), vcs},
+		} {
+			if err := into.DecideInto(step.ctx, step.vcs, &kept); err != nil {
+				t.Fatalf("instance %d %s: into: %v", inst, step.name, err)
+			}
+			want, err := fresh.DecideCtx(step.ctx, step.vcs)
+			if err != nil {
+				t.Fatalf("instance %d %s: fresh: %v", inst, step.name, err)
+			}
+			if !bytes.Equal(kept.Canonical(), want.Canonical()) {
+				t.Fatalf("instance %d %s: reused result diverged from a fresh one:\nreused:\n%s\nfresh:\n%s",
+					inst, step.name, kept.Canonical(), want.Canonical())
+			}
+			if len(kept.VCs) != len(step.vcs) || kept.Workers != want.Workers {
+				t.Fatalf("instance %d %s: %d VCs at %d workers, want %d at %d",
+					inst, step.name, len(kept.VCs), kept.Workers, len(step.vcs), want.Workers)
+			}
+			ordered, _ := orderVCs(step.vcs)
+			for i := range kept.VCs {
+				got, ref := &kept.VCs[i].Decision, &want.VCs[i].Decision
+				if kept.VCs[i].VC != ordered[i].ID || len(got.X) != len(ordered[i].Requests) ||
+					!slices.Equal(got.X, ref.X) || !slices.Equal(got.PerDevice, ref.PerDevice) {
+					t.Fatalf("instance %d %s vc %s: positional view differs from a fresh result's:\n%v %+v\n%v %+v",
+						inst, step.name, ordered[i].ID, got.X, got.PerDevice, ref.X, ref.PerDevice)
+				}
+				if got.Replayed != ref.Replayed || got.Degraded != ref.Degraded ||
+					got.Transform != nil || got.Verdicts != nil {
+					t.Fatalf("instance %d %s vc %s: replayed=%v degraded=%+v maps=%v, fresh has %v %+v",
+						inst, step.name, ordered[i].ID, got.Replayed, got.Degraded, got.Transform != nil, ref.Replayed, ref.Degraded)
+				}
+				if got.Replayed {
+					replays++
+				}
+				if got.Degraded.Any() {
+					degraded++
+				}
+			}
+		}
+	}
+	if replays < 210 || degraded < 100 {
+		t.Fatalf("%d replayed and %d degraded decisions: the corpus was meant to run both paths into the kept result", replays, degraded)
 	}
 }
 

@@ -22,6 +22,16 @@
 // Energies inside the scheduler are normalised to battery fractions so
 // that the energy and anxiety terms of the objective are commensurate
 // and lambda stays an O(1) policy knob.
+//
+// A Scheduler solves one cluster cold, as a pure function; a Pool
+// (pool.go) solves many per tick and owns what carries over between
+// slots. A result belongs to whoever holds it. Pool.Decide and
+// DecideCtx hand out a fresh PoolResult that no later call touches;
+// Pool.DecideInto — the one engine under both — decides into a result
+// its caller keeps, overwriting it and reusing its slices, which is how
+// the daemon's tick allocates nothing per device. Either way a
+// Decision's X and PerDevice are its own: nothing is ever lent from a
+// stream's scratch or its replay copy.
 package scheduler
 
 import (
@@ -739,7 +749,7 @@ func (s *Scheduler) Schedule(reqs []Request) (Decision, error) {
 // Context *cancellation* is deliberately ignored: a half-honoured
 // cancel would produce timing-dependent decisions.
 func (s *Scheduler) ScheduleCtx(ctx context.Context, reqs []Request) (Decision, error) {
-	return withMaps(s.scheduleWith(ctx, reqs, nil, nil))
+	return s.scheduleCold(ctx, reqs, nil)
 }
 
 // ScheduleDegraded is Schedule with the given degradations forced,
@@ -749,7 +759,17 @@ func (s *Scheduler) ScheduleCtx(ctx context.Context, reqs []Request) (Decision, 
 // deterministically — the degraded paths themselves are pure functions
 // of (config, requests, degradation).
 func (s *Scheduler) ScheduleDegraded(reqs []Request, deg Degradation) (Decision, error) {
-	return withMaps(s.scheduleWith(context.Background(), reqs, nil, &deg))
+	return s.scheduleCold(context.Background(), reqs, &deg)
+}
+
+// scheduleCold is the library boundary's solve: stateless, into a
+// decision of its own, with the ID-keyed maps.
+func (s *Scheduler) scheduleCold(ctx context.Context, reqs []Request, forced *Degradation) (Decision, error) {
+	var dec Decision
+	if err := s.scheduleWith(ctx, reqs, nil, forced, &dec); err != nil {
+		return Decision{}, err
+	}
+	return withMaps(dec, nil)
 }
 
 // withMaps is the one place Decision.Transform and Decision.Verdicts
@@ -776,11 +796,17 @@ func withMaps(d Decision, err error) (Decision, error) {
 // Scheduler method makes — and by an optional forced Degradation (audit
 // replay of a degraded tick; implies st == nil and disables live
 // deadline checks). A replayed slot (identical request set, DESIGN.md
-// §11) opens no stage spans: no stage ran. The decision it returns is
-// positional only.
-func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotState, forced *Degradation) (Decision, error) {
+// §11) opens no stage spans: no stage ran.
+//
+// The decision is written into dec, positional only, and owns its X and
+// PerDevice: what capacity dec brought for them is reused — every
+// element up to len(reqs) overwritten, the length set exactly — and
+// anything else dec held is gone. Nothing in it aliases the stream's
+// scratch or replay copy. On error dec is unspecified.
+func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotState, forced *Degradation, dec *Decision) error {
 	if len(reqs) == 0 {
-		return Decision{}, nil
+		*dec = Decision{}
+		return nil
 	}
 	deadline, hasDeadline := ctx.Deadline()
 	if forced != nil {
@@ -801,9 +827,9 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 			st.reset(s.cfgSig)
 		}
 		sc = &st.scratch
-		rep, replayed, h := st.begin(reqs)
+		replayed, h := st.begin(reqs, dec)
 		if replayed {
-			return rep, nil
+			return nil
 		}
 		hits = h
 	} else {
@@ -816,19 +842,21 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 	if st == nil {
 		if err := s.buildPlansInto(reqs, nil, sc); err != nil {
 			csp.End()
-			return Decision{}, err
+			return err
 		}
 	} else if len(misses) > 0 {
 		if err := s.buildPlansInto(reqs, misses, sc); err != nil {
 			csp.End()
-			return Decision{}, err
+			return err
 		}
 	}
 	compactSec := time.Since(compactStart).Seconds()
 	csp.SetInt("devices", len(reqs))
 	csp.End()
 
-	dec := Decision{batch: reqs, X: make([]bool, len(reqs)), CompactSeconds: compactSec}
+	x, per := grown(dec.X, len(reqs)), dec.PerDevice
+	clear(x)
+	*dec = Decision{batch: reqs, X: x, CompactSeconds: compactSec}
 	if st != nil {
 		dec.PlanCacheHits = hits
 		dec.PlanCacheMisses = len(misses)
@@ -847,11 +875,11 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 			st.probValid = false
 		}
 		dec.Objective = totalObjective(plans, dec.X)
-		dec.PerDevice = verdicts(plans, dec.X, nil, nil)
+		dec.PerDevice = verdicts(per, plans, dec.X, nil, nil)
 		if st != nil {
-			st.finish(&dec, nil)
+			st.finish(dec, nil)
 		}
-		return dec, nil
+		return nil
 	}
 
 	_, p1sp := span.Child(ctx, "phase1")
@@ -903,19 +931,20 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 	// A swap moves one device in and one out, so Phase-2 leaves the
 	// Phase-1 count standing.
 	dec.Objective = totalObjective(plans, dec.X)
-	dec.PerDevice = verdicts(plans, dec.X, swapIn, swapOut)
+	dec.PerDevice = verdicts(per, plans, dec.X, swapIn, swapOut)
 	if st != nil {
-		st.finish(&dec, picks)
+		st.finish(dec, picks)
 	}
-	return dec, nil
+	return nil
 }
 
 // verdicts derives the per-device explanation of a finished decision,
 // indexed like plans and x: the binding reason code plus the anxiety
 // trajectory the decision implies. swapIn/swapOut are the Phase-2 swap
-// events by batch position (nil when Phase-2 did not run).
-func verdicts(plans []*plan, x, swapIn, swapOut []bool) []Verdict {
-	out := make([]Verdict, len(plans))
+// events by batch position (nil when Phase-2 did not run). The result
+// is dst's storage when that is large enough, every element rewritten.
+func verdicts(dst []Verdict, plans []*plan, x, swapIn, swapOut []bool) []Verdict {
+	out := grown(dst, len(plans))
 	for i, p := range plans {
 		v := &out[i]
 		*v = Verdict{

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"sync"
 	"time"
 
 	"lpvs/internal/wire"
@@ -33,40 +34,59 @@ type ingestScratch struct {
 	results []BatchReportResult
 }
 
-// ingestFreeCap bounds the ingest free list: enough workspaces for the
-// handful of binary batches a daemon decodes at once. A burst beyond it
-// allocates fresh workspaces and drops them to the GC on return.
+// ingestFreeCap bounds a FreeList: enough workspaces for the handful of
+// binary batches a process decodes at once. A burst beyond it allocates
+// fresh workspaces and drops them to the GC on return.
 const ingestFreeCap = 8
 
-// getScratch checks a workspace out of the ingest free list (LIFO, so
-// the warmest decoder and intern table go out first), counting gets and
-// misses for the lpvs_ingest_pool_* hit-rate telemetry. A plain bounded
+// FreeList is the bounded LIFO of reusable request workspaces behind
+// /v1/report: the daemon's decode scratch and the router's forward
+// workspace (internal/router) are both kept in one. A plain bounded
 // list rather than a sync.Pool: a workspace survives garbage
-// collections, so its intern table and record slice are grown once, and
-// a put is always met by the next get — a sync.Pool may drop either,
-// which made the hit-rate telemetry unpinnable under the race detector.
+// collections, so its intern table and slices are grown once, and a Put
+// is always met by the next Get — a sync.Pool may drop either, which
+// made the daemon's hit-rate telemetry unpinnable under the race
+// detector. The zero value is an empty list, safe for concurrent use.
+type FreeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// Get checks out the workspace put back last — the warmest — or
+// returns nil when the list is empty and the caller must build one.
+func (f *FreeList[T]) Get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.free)
+	if n == 0 {
+		return nil
+	}
+	v := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
+	return v
+}
+
+// Put returns a workspace; one over the cap is left to the collector.
+func (f *FreeList[T]) Put(v *T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.free) < ingestFreeCap {
+		f.free = append(f.free, v)
+	}
+}
+
+// getScratch checks a decode workspace out of the ingest free list,
+// counting gets and misses for the lpvs_ingest_pool_* hit-rate
+// telemetry.
 func (s *Server) getScratch() *ingestScratch {
 	s.ingestPoolGets.Add(1)
-	var sc *ingestScratch
-	s.ingestFreeMu.Lock()
-	if n := len(s.ingestFree); n > 0 {
-		sc, s.ingestFree[n-1] = s.ingestFree[n-1], nil
-		s.ingestFree = s.ingestFree[:n-1]
-	}
-	s.ingestFreeMu.Unlock()
+	sc := s.ingestFree.Get()
 	if sc == nil {
 		s.ingestPoolMisses.Add(1)
 		sc = &ingestScratch{wire: wire.NewScratch()}
 	}
 	return sc
-}
-
-func (s *Server) putScratch(sc *ingestScratch) {
-	s.ingestFreeMu.Lock()
-	if len(s.ingestFree) < ingestFreeCap {
-		s.ingestFree = append(s.ingestFree, sc)
-	}
-	s.ingestFreeMu.Unlock()
 }
 
 // noteIngest records one decoded report message in the codec-split
@@ -109,7 +129,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	})
 	var rejected []BatchReportResult
 	if sc != nil {
-		defer s.putScratch(sc)
+		defer s.ingestFree.Put(sc)
 		rejected = sc.results[:0]
 	}
 	if !ok {

@@ -169,8 +169,7 @@ type Server struct {
 	// scratch (decoder + record slices) across requests; the counters
 	// are atomics because ingest happens outside s.mu while /v1/status
 	// and /metrics read them. Byte/record totals are uint64 end to end.
-	ingestFreeMu      sync.Mutex
-	ingestFree        []*ingestScratch // bounded LIFO, see getScratch
+	ingestFree        FreeList[ingestScratch]
 	ingestPoolGets    atomic.Uint64
 	ingestPoolMisses  atomic.Uint64
 	ingestBytesJSON   atomic.Uint64
@@ -225,12 +224,16 @@ type Server struct {
 	reqScratch []scheduler.Request
 	// vcScratch is the tick's VC list, reused the same way (the pool
 	// copies it before ordering); chScratch holds a shard tick's
-	// per-channel groups, each truncated and refilled every tick, and
+	// per-channel groups, each truncated and refilled every tick,
 	// auditRec the storage of the audit record and its encoded line
-	// (audit.Builder: valid until the next cluster is audited).
+	// (audit.Builder: valid until the next cluster is audited), and
+	// tickRes the scheduler's result, decided into again by the next
+	// tick (scheduler.Pool.DecideInto): valid from one tick's decide
+	// until the next one's.
 	vcScratch []scheduler.VC
 	chScratch map[string][]scheduler.Request
 	auditRec  audit.Builder
+	tickRes   scheduler.PoolResult
 	devices   map[string]*deviceState
 	lastTick  TickStats
 	tickSeen  bool

@@ -88,10 +88,11 @@ func (s *Server) partitionLocked(part partition, reqs []scheduler.Request) []sch
 }
 
 // tickOutcome is what a finished tick hands its endpoint to shape a
-// response from. vcs and decided are parallel, in VC-ID order; vcs
-// aliases server scratch and is valid only while s.mu is held — and so
-// is decided[i].Decision.Canonical(), which reads its device IDs from
-// vcs[i].Requests.
+// response from. vcs and decided are parallel, in VC-ID order. Both
+// alias server storage the next tick refills — vcs the request scratch,
+// decided the kept scheduler result (s.tickRes) — so they are valid
+// only while s.mu is held, and so is decided[i].Decision.Canonical(),
+// which reads its device IDs from vcs[i].Requests.
 type tickOutcome struct {
 	stats   TickStats
 	vcs     []scheduler.VC
@@ -131,8 +132,11 @@ func (s *Server) runTickLocked(ctx context.Context, part partition) (tickOutcome
 	// allocates none.
 	s.reqScratch = reqs
 	vcs := s.partitionLocked(part, reqs)
-	pres, err := s.pool.DecideCtx(ctx, vcs)
-	if err != nil {
+	// Decided into the one result the server keeps (DESIGN.md §9): the
+	// previous tick's is dead — everything read from it was copied into
+	// device state, the audit line and the response under this lock.
+	pres := &s.tickRes
+	if err := s.pool.DecideInto(ctx, vcs, pres); err != nil {
 		sp.End()
 		log.Error("tick failed", "slot", s.slot, "reports", len(reqs), "err", err)
 		return tickOutcome{}, err

@@ -13,7 +13,7 @@ import (
 // Batch (the arity: a JSON array or a KindBatch frame, even of one
 // record) are the caller's choices, and whatever answers or forwards
 // the message keeps both: they select the response shape and the
-// framing of a re-encoded copy (Encode).
+// framing of a re-encoded copy (AppendFrame).
 type Message struct {
 	Binary, Batch bool
 	// Reports holds exactly one record unless Batch. On the binary path
@@ -117,21 +117,25 @@ func (sc *Scratch) read(body io.Reader, maxRecords int) (Message, error) {
 	return Message{Binary: true, Batch: kind == KindBatch, Reports: reqs, Bytes: d.BytesRead()}, nil
 }
 
-// Encode frames reports in m's codec and arity — how a router forwards
-// its share of m — and returns the body with the Content-Type to send
-// it under. Without Batch it frames reports[0] alone.
-func (m *Message) Encode(reports []ReportRequest) (body []byte, contentType string, err error) {
+// AppendFrame frames reports in m's codec and arity — how a router
+// forwards its share of m — appending to dst (pass a reused buffer: the
+// binary framings then allocate nothing), and returns the body with the
+// Content-Type to send it under. Without Batch it frames reports[0]
+// alone. The JSON framings are encoding/json's bytes, marshalled and
+// then copied behind dst. On error dst comes back unextended.
+func (m *Message) AppendFrame(dst []byte, reports []ReportRequest) (body []byte, contentType string, err error) {
+	var js []byte
 	switch {
 	case m.Binary && m.Batch:
-		body, err = AppendBatch(nil, reports)
+		body, err = AppendBatch(dst, reports)
 		return body, ContentType, err
 	case m.Binary:
-		body, err = AppendSingle(nil, &reports[0])
+		body, err = AppendSingle(dst, &reports[0])
 		return body, ContentType, err
 	case m.Batch:
-		body, err = json.Marshal(reports)
+		js, err = json.Marshal(reports)
 	default:
-		body, err = json.Marshal(&reports[0])
+		js, err = json.Marshal(&reports[0])
 	}
-	return body, "application/json", err
+	return append(dst, js...), "application/json", err
 }
