@@ -59,7 +59,7 @@ check: fmt vet vet-extra build race audit-replay slo-smoke snapshot-smoke flight
 # detector.
 ingest-smoke:
 	$(GO) test -count=1 ./internal/server/ -run '^$$' -bench BenchmarkIngest -benchtime 1x -benchmem >/dev/null
-	$(GO) test -count=1 -run 'Allocs' ./internal/scheduler/ ./internal/server/ ./internal/obs/ ./internal/obs/audit/ ./internal/client/ ./internal/router/
+	$(GO) test -count=1 -run 'Allocs' ./internal/scheduler/ ./internal/server/ ./internal/obs/ ./internal/obs/span/ ./internal/obs/audit/ ./internal/client/ ./internal/router/
 
 # slo-smoke: one emulator run whose report must carry the SLO verdict
 # lines (DESIGN.md §13).

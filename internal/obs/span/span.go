@@ -17,7 +17,9 @@
 //     wall-clock timestamps differ between runs.
 //   - Boundedness. Finished spans land in a fixed-capacity ring
 //     buffer; a long-running daemon keeps the most recent spans and
-//     never grows without bound.
+//     never grows without bound. The ring is made when the first span
+//     is committed, so a tracer that never samples holds no span
+//     memory at all (the default ring is 1.5 MB).
 //
 // Spans propagate through context.Context: the component that owns the
 // Tracer starts a root span with Tracer.Start, and downstream code —
@@ -61,13 +63,14 @@ const DefaultCapacity = 16384
 // Tracer creates spans and collects the finished ones. Safe for
 // concurrent use. A nil *Tracer is valid and never samples.
 type Tracer struct {
-	sample float64
+	sample   float64
+	capacity int // ring size, fixed at construction
 
 	mu    sync.Mutex
-	rng   *rand.Rand
-	ring  []Data
-	next  int  // ring write cursor
-	wrap  bool // ring has wrapped at least once
+	rng   *rand.Rand // nil when sample <= 0: nothing ever draws from it
+	ring  []Data     // nil until the first span is committed (End)
+	next  int        // ring write cursor
+	wrap  bool       // ring has wrapped at least once
 	drops uint64
 }
 
@@ -80,11 +83,14 @@ func NewTracer(cfg Config) *Tracer {
 	if seed == 0 {
 		seed = 1
 	}
-	return &Tracer{
-		sample: cfg.Sample,
-		rng:    rand.New(rand.NewSource(seed)),
-		ring:   make([]Data, 0, cfg.Capacity),
+	t := &Tracer{sample: cfg.Sample, capacity: cfg.Capacity}
+	if cfg.Sample > 0 {
+		// Only a sampled Start and the children below it draw IDs, and
+		// only their End writes the ring: a disabled tracer is this
+		// struct and nothing else.
+		t.rng = rand.New(rand.NewSource(seed))
 	}
+	return t
 }
 
 // Data is one finished span as exported: IDs, nesting, timing and
@@ -201,8 +207,9 @@ func (s *Span) SetStr(key, v string) {
 	s.data.StrAttrs[key] = v
 }
 
-// End finishes the span and commits it to the tracer's ring buffer.
-// Ending twice is a no-op.
+// End finishes the span and commits it to the tracer's ring buffer,
+// making the ring if this is the first span the tracer commits. Ending
+// twice is a no-op.
 func (s *Span) End() {
 	if s == nil || s.ended {
 		return
@@ -211,14 +218,17 @@ func (s *Span) End() {
 	s.data.DurationSec = time.Since(s.start).Seconds()
 	t := s.tracer
 	t.mu.Lock()
-	if len(t.ring) < cap(t.ring) {
+	if t.ring == nil {
+		t.ring = make([]Data, 0, t.capacity)
+	}
+	if len(t.ring) < t.capacity {
 		t.ring = append(t.ring, s.data)
 	} else {
 		t.ring[t.next] = s.data
 		t.wrap = true
 		t.drops++
 	}
-	t.next = (t.next + 1) % cap(t.ring)
+	t.next = (t.next + 1) % t.capacity
 	t.mu.Unlock()
 }
 

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"lpvs/internal/testenv"
 )
 
 func TestDisabledTracerIsInert(t *testing.T) {
@@ -174,6 +177,88 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 	}
 	if tr.Dropped() != 6 {
 		t.Fatalf("dropped = %d, want 6", tr.Dropped())
+	}
+}
+
+// TestIdleTracerAllocs guards what -trace-sample 0 costs a daemon:
+// nothing. A tracer that never samples is its struct — no ID stream, no
+// ring (the default one is 16,384 x 96 B) — and its Start/End pairs
+// allocate nothing at all.
+func TestIdleTracerAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	ctx := context.Background()
+	// TotalAlloc is process-wide, so the fewest bytes of a few attempts
+	// is the tracer's own: what the runtime and the test binary allocate
+	// in the background only ever adds.
+	var tr *Tracer
+	best := uint64(0)
+	for attempt := 0; attempt < 5; attempt++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		tr = NewTracer(Config{})
+		for i := 0; i < 1000; i++ {
+			_, sp := tr.Start(ctx, "tick")
+			sp.SetInt("slot", i)
+			sp.End()
+		}
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; attempt == 0 || got < best {
+			best = got
+		}
+	}
+	if best > 1024 {
+		t.Fatalf("an idle tracer and 1,000 unsampled spans allocated %d B, want at most 1 KiB", best)
+	}
+	if snap := tr.Snapshot(); len(snap) != 0 || tr.Dropped() != 0 {
+		t.Fatalf("a tracer that never sampled holds %d spans and dropped %d, want none", len(snap), tr.Dropped())
+	}
+}
+
+// TestRingMadeAtFirstSpanWrapsAlike pins the ring's behaviour across the
+// change that made it lazily: after every commit a capacity-3 tracer
+// holds what the eagerly allocated ring held — the newest three spans,
+// oldest first, and a drop per span beyond three — whether the first
+// span arrives at once or after a long stretch of being read while
+// empty.
+func TestRingMadeAtFirstSpanWrapsAlike(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		idle int // Snapshot/Dropped reads before the first span
+	}{
+		{"fresh", 0},
+		{"long-idle", 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := NewTracer(Config{Sample: 1, Capacity: 3})
+			for i := 0; i < tc.idle; i++ {
+				if snap := tr.Snapshot(); len(snap) != 0 || tr.Dropped() != 0 {
+					t.Fatalf("idle read %d: %d spans, %d dropped, want none", i, len(snap), tr.Dropped())
+				}
+			}
+			for i := 0; i < 10; i++ {
+				_, sp := tr.Start(context.Background(), "s")
+				sp.SetInt("i", i)
+				sp.End()
+				held := min(i+1, 3)
+				snap := tr.Snapshot()
+				if len(snap) != held {
+					t.Fatalf("after span %d the ring holds %d, want %d", i, len(snap), held)
+				}
+				for k, d := range snap {
+					if want := float64(i + 1 - held + k); d.Attrs["i"] != want {
+						t.Fatalf("after span %d slot %d holds span %v, want %v (oldest first)", i, k, d.Attrs["i"], want)
+					}
+				}
+				if snap[held-1].TraceID != sp.TraceID() {
+					t.Fatalf("after span %d the newest span is missing", i)
+				}
+				if want := uint64(i + 1 - held); tr.Dropped() != want {
+					t.Fatalf("after span %d dropped = %d, want %d", i, tr.Dropped(), want)
+				}
+			}
+		})
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -106,14 +107,16 @@ func (r *Request) Validate() error {
 	return nil
 }
 
-// SortRequests puts a request batch in canonical (DeviceID) order.
-// Schedule's tie-breaks are deterministic for a given input order, so
-// callers that accumulate requests in an order-free structure (the edge
-// daemon's pending map) must canonicalise before scheduling to get
-// run-to-run reproducible decisions.
+// SortRequests puts a request batch in canonical (DeviceID) order, in
+// place. Schedule's tie-breaks are deterministic for a given input
+// order, so callers that accumulate requests in an order that means
+// nothing (the edge daemon's pending batch: arrival order) must
+// canonicalise before scheduling to get run-to-run reproducible
+// decisions. A batch already in order costs one pass of about n
+// comparisons: pdqsort checks before it moves anything.
 //
-// The DeviceIDs must be distinct — they are in the daemon's batch, the
-// values of a map keyed by them — because the sort is not stable: a
+// The DeviceIDs must be distinct — they are in the daemon's batch, which
+// holds one report per device — because the sort is not stable: a
 // stable one buys nothing without equal keys and costs 2.5x under the
 // daemon's mutex (sort.SliceStable swaps 128-byte Requests through
 // reflection). Requests sharing an ID may come out in either order.
@@ -469,9 +472,11 @@ type planScratch struct {
 	prob               ilp.Problem
 
 	// Phase-2: the two swap populations, their positional swapped flags,
-	// and the swap events indexed like the batch.
+	// what swapping each insider out adds to the objective, and the swap
+	// events indexed like the batch.
 	in, out         []placed
 	candIn, curOut  []bool
+	gain            []float64
 	swapIn, swapOut []bool
 }
 
@@ -1128,6 +1133,17 @@ func (s *Scheduler) phase2(sc *planScratch, x []bool) int {
 	clear(swapIn)
 	clear(swapOut)
 
+	// The objective delta of swapping cand in and cur out is the sum of
+	// two terms, one per side. The insiders' term is computed once, and
+	// its minimum over the insiders still in lets a candidate that cannot
+	// win against any of them skip the probe.
+	gain := grown(sc.gain, len(in))
+	sc.gain = gain
+	for cj, cur := range in {
+		gain[cj] = cur.p.obj0 - cur.p.obj1
+	}
+	floor, prune := minLiveGain(gain, curOut)
+
 	swaps := 0
 	for pass := 0; pass < s.cfg.MaxSwapPasses; pass++ {
 		improved := false
@@ -1135,13 +1151,18 @@ func (s *Scheduler) phase2(sc *planScratch, x []bool) int {
 			if candIn[ci] {
 				continue // swapped in on an earlier pass
 			}
+			cost := cand.p.obj1 - cand.p.obj0
+			// Float addition is monotone in each operand: if the smallest
+			// gain leaves the delta at or above the threshold, every
+			// insider's does. (A NaN cost compares false and probes.)
+			if prune && cost+floor >= -1e-12 {
+				continue
+			}
 			for cj, cur := range in {
 				if curOut[cj] {
 					continue // swapped out already
 				}
-				// Objective delta of swapping cand in, cur out.
-				delta := (cand.p.obj1 - cand.p.obj0) + (cur.p.obj0 - cur.p.obj1)
-				if delta >= -1e-12 {
+				if delta := cost + gain[cj]; delta >= -1e-12 {
 					continue
 				}
 				if s.cfg.Server != nil {
@@ -1157,6 +1178,7 @@ func (s *Scheduler) phase2(sc *planScratch, x []bool) int {
 				swapIn[cand.i], swapOut[cur.i] = true, true
 				swaps++
 				improved = true
+				floor, prune = minLiveGain(gain, curOut)
 				break
 			}
 		}
@@ -1165,6 +1187,24 @@ func (s *Scheduler) phase2(sc *planScratch, x []bool) int {
 		}
 	}
 	return swaps
+}
+
+// minLiveGain returns the smallest gain among the insiders not yet
+// swapped out (+Inf when none is left). ok is false when one of them is
+// NaN: a NaN delta is not ">= -1e-12", so it takes the probe's other
+// branch, and no bound over the rest can speak for it.
+func minLiveGain(gain []float64, swappedOut []bool) (floor float64, ok bool) {
+	floor = math.Inf(1)
+	for cj, g := range gain {
+		if swappedOut[cj] {
+			continue
+		}
+		if math.IsNaN(g) {
+			return 0, false
+		}
+		floor = min(floor, g)
+	}
+	return floor, true
 }
 
 // totalObjective sums the compacted objective (13) over all devices

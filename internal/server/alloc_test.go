@@ -200,7 +200,7 @@ func TestTickAllocsBytesPerDevice(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	small, large := warmSlotBytes(coldTickServer(t, 2000)), warmSlotBytes(coldTickServer(t, 8000))
+	small, large := warmSlotBytes(coldTickServer(t, 2000, arrivalSorted)), warmSlotBytes(coldTickServer(t, 8000, arrivalSorted))
 	slope := (large - small) / 6000
 	t.Logf("%.0f B at 2,000 devices, %.0f B at 8,000: %.1f B per device", small, large, slope)
 	if slope > 4 {
@@ -243,7 +243,7 @@ func TestAuditedTickAllocsBytesPerDevice(t *testing.T) {
 		_, slot := tickServer(t, nDev, oneVC, Config{
 			ExtraStreams: []*video.Video{musicStream(t)},
 			AuditDir:     t.TempDir(),
-		})
+		}, arrivalSorted)
 		return warmSlotBytes(slot)
 	}
 	small, large := bytesPerSlot(2000), bytesPerSlot(8000)
@@ -268,12 +268,12 @@ func TestShardTickPartitionAllocs(t *testing.T) {
 	for i := range extra {
 		extra[i] = extraStream(t, fmt.Sprintf("ch-%d", i))
 	}
-	s, slot := tickServer(t, 1600, perChannel, Config{ExtraStreams: extra})
+	s, slot := tickServer(t, 1600, perChannel, Config{ExtraStreams: extra}, arrivalSorted)
 	slot()
 	slot()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	batch := s.reqScratch // the last tick's batch, device-sorted
+	batch := s.scheduled // the last tick's batch, device-sorted
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	vcs := s.partitionLocked(perChannel, batch)

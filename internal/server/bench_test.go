@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"lpvs/internal/scheduler"
@@ -17,7 +18,7 @@ import (
 // benchTickServer builds a two-channel daemon with nDev staged device
 // reports and returns the server plus a snapshot of the pending batch,
 // so iterations can refill the (tick-consumed) queue off the timer.
-func benchTickServer(b *testing.B, budget, nDev int) (*Server, map[string]scheduler.Request) {
+func benchTickServer(b *testing.B, budget, nDev int) (*Server, []scheduler.Request) {
 	b.Helper()
 	extra, err := video.Generate(stats.NewRNG(2), video.DefaultGenConfig("music", video.Music, 60))
 	if err != nil {
@@ -45,12 +46,30 @@ func benchTickServer(b *testing.B, budget, nDev int) (*Server, map[string]schedu
 			b.Fatalf("stage report %d: %v", i, apiErr.Message)
 		}
 	}
-	saved := make(map[string]scheduler.Request, len(s.pending))
-	for k, v := range s.pending {
-		saved[k] = v
-	}
+	saved := slices.Clone(s.pending)
 	s.mu.Unlock()
 	return s, saved
+}
+
+// restage makes a saved batch the pending reports again.
+func restage(s *Server, saved []scheduler.Request) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pending = append(s.pending[:0], saved...)
+	s.indexPendingLocked()
+}
+
+// pendingReport returns the report a device has staged for the next
+// tick, if any.
+func pendingReport(s *Server, id string) (scheduler.Request, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, r := range s.pending {
+		if r.DeviceID == id {
+			return r, true
+		}
+	}
+	return scheduler.Request{}, false
 }
 
 func deviceID(i int) string {
@@ -176,11 +195,7 @@ func BenchmarkFleetTick(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s.mu.Lock()
-				for k, v := range saved {
-					s.pending[k] = v
-				}
-				s.mu.Unlock()
+				restage(s, saved)
 				b.StartTimer()
 				rec := httptest.NewRecorder()
 				s.handleTick(rec, httptest.NewRequest("POST", "/v1/tick", nil))
@@ -199,11 +214,21 @@ func BenchmarkFleetTick(b *testing.B) {
 // batch from every device, then runTickLocked. The streams hold three
 // slot windows, so every slot reports a new window, the plan cache
 // misses every device and the tick takes the cold path end to end.
-func coldTickServer(tb testing.TB, nDev int) func() {
+func coldTickServer(tb testing.TB, nDev int, arrival arrivalOrder) func() {
 	tb.Helper()
-	_, slot := tickServer(tb, nDev, oneVC, Config{ExtraStreams: []*video.Video{musicStream(tb)}})
+	_, slot := tickServer(tb, nDev, oneVC, Config{ExtraStreams: []*video.Video{musicStream(tb)}}, arrival)
 	return slot
 }
+
+// arrivalOrder is the order a tickServer's batch names its devices in:
+// by DeviceID, as every harness workload reports (the tick's sort finds
+// nothing to move), or shuffled, so the sort does its full work.
+type arrivalOrder bool
+
+const (
+	arrivalSorted   arrivalOrder = false
+	arrivalShuffled arrivalOrder = true
+)
 
 // musicStream is coldTickServer's second channel.
 func musicStream(tb testing.TB) *video.Video {
@@ -216,9 +241,10 @@ func musicStream(tb testing.TB) *video.Video {
 }
 
 // tickServer is coldTickServer with the knobs its variants turn: the
-// tick's partition and whatever of cfg is set (extra channels, the
-// devices dealt round-robin over all of them; an audit directory).
-func tickServer(tb testing.TB, nDev int, part partition, cfg Config) (*Server, func()) {
+// tick's partition, whatever of cfg is set (extra channels, the devices
+// dealt round-robin over all of them; an audit directory) and the order
+// the batch names the devices in.
+func tickServer(tb testing.TB, nDev int, part partition, cfg Config, arrival arrivalOrder) (*Server, func()) {
 	tb.Helper()
 	cfg.Stream, cfg.ServerStreams, cfg.Lambda = testStream(tb), 100, 1
 	s, err := New(cfg)
@@ -231,6 +257,9 @@ func tickServer(tb testing.TB, nDev int, part partition, cfg Config) (*Server, f
 		if ch := i % (1 + len(cfg.ExtraStreams)); ch > 0 {
 			reqs[i].ChannelID = cfg.ExtraStreams[ch-1].ID
 		}
+	}
+	if arrival == arrivalShuffled {
+		reqs = shuffled(reqs, int64(nDev))
 	}
 	body, err := wire.AppendBatch(nil, reqs)
 	if err != nil {
@@ -266,12 +295,25 @@ func tickServer(tb testing.TB, nDev int, part partition, cfg Config) (*Server, f
 //
 //	go test ./internal/server/ -run '^$' -bench '^BenchmarkTick$' -benchmem \
 //		-cpuprofile cpu.out -memprofile mem.out
+//
+// arrival=sorted is the batch every harness workload sends; under
+// arrival=shuffled the tick's in-place sort has all of its work to do.
 func BenchmarkTick(b *testing.B) {
-	slot := coldTickServer(b, 10_000)
-	slot() // grow the scratch, learn the devices
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		slot()
+	for _, bc := range []struct {
+		name    string
+		arrival arrivalOrder
+	}{
+		{"arrival=sorted", arrivalSorted},
+		{"arrival=shuffled", arrivalShuffled},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			slot := coldTickServer(b, 10_000, bc.arrival)
+			slot() // grow the scratch, learn the devices
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				slot()
+			}
+		})
 	}
 }

@@ -269,15 +269,15 @@ func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
 		Channels:      make([]ChannelSummary, 0, len(s.fleet)),
 		Streams:       s.pool.VCStats(),
 	}
-	// Device and pending-report counts come from the live maps so the
+	// Device and pending-report counts come from the live tables so the
 	// fleet view is current between ticks; the rest is per-last-tick.
 	devices := map[string]int{}
 	for _, st := range s.devices {
 		devices[st.channel]++
 	}
 	pending := map[string]int{}
-	for id := range s.pending {
-		if st, ok := s.devices[id]; ok {
+	for i := range s.pending {
+		if st, ok := s.devices[s.pending[i].DeviceID]; ok {
 			pending[st.channel]++
 		}
 	}

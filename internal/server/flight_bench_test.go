@@ -3,6 +3,7 @@ package server
 import (
 	"net/http/httptest"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // benchForensicsServer is benchTickServer with an optional forensics
 // stack: history store sampling the live registry and an armed flight
 // recorder teeing every tick's audit record into its tail ring.
-func benchForensicsServer(b *testing.B, nDev int, mutate func(*Config)) (*Server, map[string]scheduler.Request) {
+func benchForensicsServer(b *testing.B, nDev int, mutate func(*Config)) (*Server, []scheduler.Request) {
 	b.Helper()
 	extra, err := video.Generate(stats.NewRNG(2), video.DefaultGenConfig("music", video.Music, 60))
 	if err != nil {
@@ -45,10 +46,7 @@ func benchForensicsServer(b *testing.B, nDev int, mutate func(*Config)) (*Server
 			b.Fatalf("stage report %d: %v", i, apiErr.Message)
 		}
 	}
-	saved := make(map[string]scheduler.Request, len(s.pending))
-	for k, v := range s.pending {
-		saved[k] = v
-	}
+	saved := slices.Clone(s.pending)
 	s.mu.Unlock()
 	return s, saved
 }
@@ -78,11 +76,7 @@ func BenchmarkFlightTick(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s.mu.Lock()
-				for k, v := range saved {
-					s.pending[k] = v
-				}
-				s.mu.Unlock()
+				restage(s, saved)
 				b.StartTimer()
 				rec := httptest.NewRecorder()
 				s.handleTick(rec, httptest.NewRequest("POST", "/v1/tick", nil))

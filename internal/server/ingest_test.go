@@ -57,10 +57,7 @@ func TestWireReportSingle(t *testing.T) {
 	if !resp.Accepted {
 		t.Fatalf("report not accepted: %+v", resp)
 	}
-	s.mu.Lock()
-	_, staged := s.pending["dev-wire"]
-	s.mu.Unlock()
-	if !staged {
+	if _, staged := pendingReport(s, "dev-wire"); !staged {
 		t.Fatal("binary report not staged for the next tick")
 	}
 }
@@ -246,7 +243,8 @@ func TestJSONBinaryDifferential(t *testing.T) {
 // TestPoolScratchAliasing proves a decoded report is never mutated
 // after hand-off to the scheduler: a second request that reuses the
 // pooled decode scratch must not disturb the first one's staged values
-// or its audit trail.
+// or its audit trail, and the batch a tick scheduled is not written by
+// the ingest of the slot after it.
 func TestPoolScratchAliasing(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Config{Stream: testStream(t), ServerStreams: -1, Lambda: 1, AuditDir: dir})
@@ -273,9 +271,7 @@ func TestPoolScratchAliasing(t *testing.T) {
 	if resp := postWire(t, ts.URL, encodeBatch(t, []ReportRequest{second}), nil); resp.StatusCode != 200 {
 		t.Fatalf("second batch status %d", resp.StatusCode)
 	}
-	s.mu.Lock()
-	kept, ok := s.pending["dev-keep"]
-	s.mu.Unlock()
+	kept, ok := pendingReport(s, "dev-keep")
 	if !ok {
 		t.Fatal("dev-keep lost its staged report")
 	}
@@ -294,6 +290,19 @@ func TestPoolScratchAliasing(t *testing.T) {
 		if rr.Device == "dev-keep" && rr.EnergyFrac != 0.17 {
 			t.Fatalf("audited EnergyFrac %v for dev-keep", rr.EnergyFrac)
 		}
+	}
+	// The next slot's reports — same devices, same scratch — are staged
+	// in the other batch: the one the tick scheduled, which the kept
+	// decision reads its device IDs from, stays as it was
+	// (TestScheduledBatchSurvivesIngest runs this over several slots).
+	first.EnergyFrac, second.EnergyFrac = 0.66, 0.44
+	if resp := postWire(t, ts.URL, encodeBatch(t, []ReportRequest{second, first}), nil); resp.StatusCode != 200 {
+		t.Fatalf("next slot's batch status %d", resp.StatusCode)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.scheduled) != 2 || s.scheduled[1].DeviceID != "dev-keep" || s.scheduled[1].EnergyFrac != 0.17 {
+		t.Fatalf("the scheduled batch changed under the next slot's ingest: %+v", s.scheduled)
 	}
 }
 

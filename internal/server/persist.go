@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -84,9 +85,9 @@ func (s *Server) snapshotLocked() *persist.Snapshot {
 			Estimator: st.estimator.Snapshot(),
 		})
 	}
-	for _, req := range s.pending {
-		snap.Pending = append(snap.Pending, req)
-	}
+	// A copy: the snapshot is encoded after s.mu is released (Encode
+	// sorts its own copy, so arrival order never reaches the file).
+	snap.Pending = slices.Clone(s.pending)
 	// Pool state has its own lock; taking it under s.mu is safe because
 	// the pool never calls back into the server.
 	snap.Streams = s.pool.StreamStates()
@@ -210,19 +211,20 @@ func (s *Server) applySnapshot(snap *persist.Snapshot) error {
 			// the next tick produces a full verdict.
 		}
 	}
-	pending := make(map[string]scheduler.Request, len(snap.Pending))
+	pending := make([]scheduler.Request, 0, len(snap.Pending))
 	for i := range snap.Pending {
 		req := snap.Pending[i]
 		if err := req.Validate(); err != nil {
 			return fmt.Errorf("server: snapshot pending report: %w", err)
 		}
-		if _, ok := devices[req.DeviceID]; !ok {
+		st, ok := devices[req.DeviceID]
+		if !ok {
 			return fmt.Errorf("server: snapshot pending report for unknown device %q", req.DeviceID)
 		}
-		if _, dup := pending[req.DeviceID]; dup {
+		var dup bool
+		if pending, dup = stage(pending, st, req); dup {
 			return fmt.Errorf("server: snapshot pending report %q duplicated", req.DeviceID)
 		}
-		pending[req.DeviceID] = req
 	}
 	s.slot = snap.Slot
 	s.devices = devices

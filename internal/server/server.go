@@ -134,6 +134,11 @@ type deviceState struct {
 	estimator *bayes.GammaEstimator
 	spec      display.Spec
 	transform bool
+	// pendingAt is where the device's report sits in Server.pending —
+	// a hint, stale once a tick has taken the batch, so stage checks it
+	// against the table. An int32 because that fits the padding after
+	// transform: the struct stays in its 144-byte size class.
+	pendingAt int32
 	slot      int
 	channel   string // stream the device watches
 	// verdict is the device's explanation from its last scheduled tick;
@@ -212,17 +217,20 @@ type Server struct {
 	history *history.Store
 	flight  *flight.Recorder
 
-	mu      sync.Mutex
-	slot    int
-	pending map[string]scheduler.Request
-	// reqScratch is the tick's request batch, reused across ticks so
-	// the steady state allocates no per-tick slice. Safe to overwrite
-	// each tick: the audit log copies requests into its own records and
-	// the incremental scheduler rebinds its cached plan pointers to the
-	// current slice before any dereference (internal/scheduler
-	// incremental.go).
-	reqScratch []scheduler.Request
-	// vcScratch is the tick's VC list, reused the same way (the pool
+	mu   sync.Mutex
+	slot int
+	// pending is the next tick's batch: the slot's reports in arrival
+	// order, one per device (a re-report overwrites its own entry, see
+	// stage). The tick sorts it in place and schedules it as it is;
+	// scheduled is the batch the last tick decided — what s.tickRes and
+	// the tick's outcome alias. The two trade places at the end of a
+	// successful tick, so a batch is not written again until the next
+	// tick has been decided and nothing reads the old one any more
+	// (DESIGN.md §16), and at a stable fleet a slot allocates no
+	// request storage.
+	pending   []scheduler.Request
+	scheduled []scheduler.Request
+	// vcScratch is the tick's VC list, reused across ticks (the pool
 	// copies it before ordering); chScratch holds a shard tick's
 	// per-channel groups, each truncated and refilled every tick,
 	// auditRec the storage of the audit record and its encoded line
@@ -315,7 +323,6 @@ func New(cfg Config) (*Server, error) {
 		log:       logger,
 		tracer:    span.NewTracer(span.Config{Sample: cfg.TraceSample, Seed: cfg.TraceSeed}),
 		started:   time.Now(),
-		pending:   make(map[string]scheduler.Request),
 		devices:   make(map[string]*deviceState),
 		fleet:     make(map[string]*channelStat),
 		prevVC:    make(map[string]scheduler.VCStat),
@@ -506,12 +513,27 @@ func (s *Server) acceptReportLocked(req ReportRequest) *apiError {
 	s.devices[req.DeviceID] = st
 	st.spec = spec
 	st.channel = channel
-	s.pending[req.DeviceID] = sreq
+	s.pending, _ = stage(s.pending, st, sreq)
 	s.metrics.reports.Inc()
 	s.log.LogAttrs(context.Background(), slog.LevelDebug, "report accepted",
 		slog.String("device", req.DeviceID), slog.String("channel", st.channel),
 		slog.Float64("energy_frac", req.EnergyFrac), slog.Int("slot", s.slot))
 	return nil
+}
+
+// stage puts a device's report into a pending batch and returns the
+// batch: over the device's own entry when it already has one there —
+// replaced is then true, and "last report wins" holds — at the end
+// otherwise. st.pendingAt is only trusted when the entry it names
+// carries the device's ID, which is what lets a tick hand the batch to
+// the scheduler without visiting every device to reset it.
+func stage(pending []scheduler.Request, st *deviceState, req scheduler.Request) (_ []scheduler.Request, replaced bool) {
+	if at := int(st.pendingAt); at < len(pending) && pending[at].DeviceID == req.DeviceID {
+		pending[at] = req
+		return pending, true
+	}
+	st.pendingAt = int32(len(pending))
+	return append(pending, req), false
 }
 
 // handleTick runs the standalone scheduling tick: every pending report

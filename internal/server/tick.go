@@ -10,12 +10,12 @@ import (
 )
 
 // This file is the daemon's one tick pipeline (DESIGN.md §9, §17):
-// gather the pending reports, sort them, partition them into virtual
-// clusters, schedule, publish the verdicts, audit each cluster, fold
-// the stats, observe, advance the slot. An endpoint chooses only the
-// partition; everything else is shared, so a standalone tick is the
-// one-partition case of a shard tick and the N=1 router differential
-// compares one code path with itself.
+// sort the pending batch in place, partition it into virtual clusters,
+// schedule, publish the verdicts, audit each cluster, fold the stats,
+// observe, trade the batch for the one before it, advance the slot. An
+// endpoint chooses only the partition; everything else is shared, so a
+// standalone tick is the one-partition case of a shard tick and the N=1
+// router differential compares one code path with itself.
 
 // partition says how a tick groups its reports into virtual clusters.
 type partition int
@@ -89,10 +89,11 @@ func (s *Server) partitionLocked(part partition, reqs []scheduler.Request) []sch
 
 // tickOutcome is what a finished tick hands its endpoint to shape a
 // response from. vcs and decided are parallel, in VC-ID order. Both
-// alias server storage the next tick refills — vcs the request scratch,
-// decided the kept scheduler result (s.tickRes) — so they are valid
-// only while s.mu is held, and so is decided[i].Decision.Canonical(),
-// which reads its device IDs from vcs[i].Requests.
+// alias server storage a later tick refills — vcs the scheduled batch
+// and the per-channel groups, decided the kept scheduler result
+// (s.tickRes) — so they are valid only while s.mu is held, and so is
+// decided[i].Decision.Canonical(), which reads its device IDs from
+// vcs[i].Requests.
 type tickOutcome struct {
 	stats   TickStats
 	vcs     []scheduler.VC
@@ -101,7 +102,8 @@ type tickOutcome struct {
 
 // runTickLocked runs one scheduling slot over the given partition of
 // the pending reports and advances the slot. On a scheduler error
-// nothing is published and the reports stay pending. Caller holds s.mu.
+// nothing is published and the reports stay pending (sorted: a re-report
+// still overwrites its own entry). Caller holds s.mu.
 func (s *Server) runTickLocked(ctx context.Context, part partition) (tickOutcome, error) {
 	start := time.Now()
 	if s.cfg.SchedDeadline > 0 {
@@ -119,18 +121,13 @@ func (s *Server) runTickLocked(ctx context.Context, part partition) (tickOutcome
 		sp.SetStr("node", s.cfg.NodeID)
 		log = log.With("node", s.cfg.NodeID)
 	}
-	reqs := s.reqScratch[:0]
-	for _, r := range s.pending {
-		reqs = append(reqs, r)
-	}
-	// Canonicalise the batch: map iteration order is random, and the
-	// scheduler's tie-breaks are only deterministic for a fixed input
-	// order. Sorting by DeviceID makes every tick reproducible.
+	// The batch is the pending table itself. Canonicalise it: reports
+	// sit in arrival order, and the scheduler's tie-breaks are only
+	// deterministic for a fixed input order. Sorting by DeviceID makes
+	// every tick reproducible; a fleet that reports in ID order pays one
+	// pass that finds nothing to move.
+	reqs := s.pending
 	scheduler.SortRequests(reqs)
-	// Steady-state reuse (DESIGN.md §16): keep the request slice's
-	// backing array for the next tick — at a stable fleet size the tick
-	// allocates none.
-	s.reqScratch = reqs
 	vcs := s.partitionLocked(part, reqs)
 	// Decided into the one result the server keeps (DESIGN.md §9): the
 	// previous tick's is dead — everything read from it was copied into
@@ -138,6 +135,7 @@ func (s *Server) runTickLocked(ctx context.Context, part partition) (tickOutcome
 	pres := &s.tickRes
 	if err := s.pool.DecideInto(ctx, vcs, pres); err != nil {
 		sp.End()
+		s.indexPendingLocked() // the sort moved the reports it leaves pending
 		log.Error("tick failed", "slot", s.slot, "reports", len(reqs), "err", err)
 		return tickOutcome{}, err
 	}
@@ -188,9 +186,30 @@ func (s *Server) runTickLocked(ctx context.Context, part partition) (tickOutcome
 		"eligible", stats.Eligible, "selected", stats.Selected,
 		"swaps", stats.Swaps, "phase1_optimal", stats.Phase1Optimal,
 		"duration_ms", stats.DurationSec*1000)
-	clear(s.pending)
+	// The batches trade places (DESIGN.md §16): this one stays as it is
+	// until the next tick has been decided — s.tickRes and the outcome
+	// alias it — and the one before it, which nothing reads any more,
+	// takes the next slot's reports. A fleet that sent n reports sends
+	// about n again: a batch too short for them is made to size here,
+	// once, rather than by append during ingest, whose 1.25x steps
+	// allocate five times what they end up holding.
+	next := s.scheduled[:0]
+	if cap(next) < len(reqs) {
+		next = make([]scheduler.Request, 0, len(reqs))
+	}
+	s.pending, s.scheduled = next, reqs
 	s.slot++
 	return tickOutcome{stats: stats, vcs: vcs, decided: pres.VCs}, nil
+}
+
+// indexPendingLocked re-establishes every pending report's position in
+// its device's state after the batch was reordered or replaced. Caller
+// holds s.mu; every pending report's device is known (acceptReportLocked
+// and applySnapshot both see to it).
+func (s *Server) indexPendingLocked() {
+	for i := range s.pending {
+		s.devices[s.pending[i].DeviceID].pendingAt = int32(i)
+	}
 }
 
 // auditVCLocked appends one cluster's replayable audit record. The
