@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -206,5 +207,62 @@ func TestEnvelopeConformance(t *testing.T) {
 	}
 	if len(binBatch.Results) != 1 || binBatch.Results[0].Index != 1 || binBatch.Results[0].Error.Code != server.CodeUnknownChannel {
 		t.Errorf("binary batch rows %+v, want the one rejection under index 1", binBatch.Results)
+	}
+}
+
+// TestCleanBatchAfterRejections sends a binary batch with a rejected
+// record and then an all-accepted one to a shard daemon, and the same
+// two through an N=1 router in front of it. Each answer must be the same
+// bytes from both: the daemon decodes into a pooled workspace that the
+// first batch left holding a rejection row, and its clean answer must
+// still say "results":null, as a fresh workspace and the router do.
+func TestCleanBatchAfterRejections(t *testing.T) {
+	_, shardTS := newShard(t, "n1", server.Config{})
+	m, err := shard.New([]shard.Node{{ID: "n1", Addr: shardTS.URL}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(Config{Map: m, DefaultChannel: "ch"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routerTS := httptest.NewServer(rt.Handler())
+	defer routerTS.Close()
+	encode := func(reqs ...server.ReportRequest) []byte {
+		buf, err := wire.AppendBatch(nil, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	rejecting := encode(report(1, ""), report(2, "no-such-channel"), report(3, ""))
+	clean := encode(report(4, ""), report(5, ""))
+	answers := func(base string) (string, string) {
+		t.Helper()
+		var out [2]string
+		for k, body := range [][]byte{rejecting, clean} {
+			resp, err := http.Post(base+"/v1/report", wire.ContentType, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[k] = fmt.Sprintf("%d %s", resp.StatusCode, b)
+		}
+		return out[0], out[1]
+	}
+	daemonRejecting, daemonClean := answers(shardTS.URL)
+	routerRejecting, routerClean := answers(routerTS.URL)
+	if daemonRejecting != routerRejecting {
+		t.Errorf("rejecting batch:\n daemon %s\n router %s", daemonRejecting, routerRejecting)
+	}
+	if daemonClean != routerClean {
+		t.Errorf("clean batch after a rejecting one:\n daemon %s\n router %s", daemonClean, routerClean)
+	}
+	if !strings.Contains(daemonClean, `"results":null`) {
+		t.Errorf("clean batch answered %s, want \"results\":null", daemonClean)
 	}
 }

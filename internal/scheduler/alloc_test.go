@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -50,9 +51,9 @@ func TestColdScheduleAllocsDoNotScaleWithDevices(t *testing.T) {
 
 // TestChurnedSlotAllocsNoPerDeviceObjects guards the incremental path's
 // worst case, the one edge-10k-cold runs every slot: every known device
-// reports changed content, so every plan is rebuilt — into the reused
-// slab, and copied into its existing cache entry in place. What is left
-// is the decision's two slices and the pool's per-tick bookkeeping.
+// reports changed content, so every plan is rebuilt — in its existing
+// cache entry, key refreshed in place. What is left is the decision's
+// two slices and the pool's per-tick bookkeeping.
 func TestChurnedSlotAllocsNoPerDeviceObjects(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -157,14 +158,62 @@ func TestPoolDecideAllocsBytesPerDevice(t *testing.T) {
 	}
 }
 
+// TestStreamResidentBytes bounds what a scheduling stream keeps between
+// slots: a 10k-device stream after all-miss ticks, with the caller's
+// kept PoolResult, measured as live heap after a collection. What is
+// left is the plan cache — one entry per device, holding its
+// fingerprint and plan — the previous decision kept for replay, the
+// kept result and the batch-sized scratch: about 4.0 MB, 400 B per
+// device.
+func TestStreamResidentBytes(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	server, err := edge.NewServer(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10_000
+	a := makeBigCluster(t, n, 80)
+	SortRequests(a)
+	b := append([]Request(nil), a...)
+	for i := range b {
+		b[i].EnergyFrac = 1 - 0.9*a[i].EnergyFrac
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	pool, err := NewPool(Config{Server: server, Lambda: 1.5}, PoolConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := new(PoolResult)
+	for _, reqs := range [][]Request{a, b, a, b} {
+		if err := pool.DecideInto(context.Background(), []VC{{ID: "vc", StateKey: "edge", Requests: reqs}}, res); err != nil {
+			t.Fatal(err)
+		}
+		if d := res.Decision(); d.PlanCacheHits != 0 || d.PlanCacheMisses != n {
+			t.Fatalf("tick was meant to miss every device: %d hits, %d misses", d.PlanCacheHits, d.PlanCacheMisses)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(pool)
+	runtime.KeepAlive(res)
+	retained := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
+	t.Logf("%d devices: %d B retained, %d B per device", n, retained, retained/n)
+	if retained > 4_500_000 {
+		t.Fatalf("a %d-device stream retains %d B (%d B per device)", n, retained, retained/n)
+	}
+}
+
 // TestReusedSlabNeverCorruptsCache drives one stream through an all-miss
 // slot, a half-changed slot, an unchanged slot and a slot with one
 // device changed (so it is served from entries A and B committed rather
-// than replayed whole). Slot B builds its
-// misses into the slab slot A's plans were built in, while its hits are
-// served from cache entries slot A committed; if the cache aliased the
-// slab instead of holding plans by value, B's hits would read B's
-// misses. Every slot must equal the cold serial decision byte for byte.
+// than replayed whole). Slot B rebuilds its misses in their own cache
+// entries while its hits are served from the entries slot A built; a
+// miss compacted into any plan but its own would make a hit read it.
+// Every slot must equal the cold serial decision byte for byte.
 func TestReusedSlabNeverCorruptsCache(t *testing.T) {
 	server, err := edge.NewServer(6)
 	if err != nil {

@@ -53,15 +53,17 @@ func (c *CacheStats) add(o CacheStats) {
 	c.Evictions += o.Evictions
 }
 
-// cachedPlan is one device's cached compacting output, valid while the
-// request's content fingerprint stays byte-identical. The plan is held
-// by value — copied out of the call's slab on commit — so the reused
-// slab is never pinned or aliased by the cache, and refreshing a known
-// device's entry allocates nothing.
+// cachedPlan is one device's plan-cache entry: the plan built from the
+// device's last request, valid while the request's content fingerprint
+// stays byte-identical. A miss is compacted straight into the entry's
+// plan, and a refresh reuses the key's capacity, so a known device
+// whose content changed costs no allocation and the stream holds the
+// device once.
 type cachedPlan struct {
-	key  []byte // request fingerprint at build time
+	key  []byte // fingerprint of the request p was built from (the device ID is the map key)
 	p    plan
-	seen uint64 // last slot sequence that looked the device up
+	seen uint64 // last call that looked the device up
+	pos  int    // batch position in that call; -1 when it named the device twice
 }
 
 // chunkRef identifies a chunk-window slice by backing-array identity for
@@ -116,24 +118,21 @@ type slotState struct {
 	nextWindow uint64
 
 	// Per-call scratch (valid only while mu is held).
-	scratch   planScratch
-	encBuf    []byte // request fingerprints, concatenated in input order
-	offs      []int  // encBuf offsets; request i's key is encBuf[offs[i]:offs[i+1]]
-	cacheable []bool
-	allCache  bool
-	probBuf   []byte              // Phase-1 problem fingerprint scratch
-	winBuf    []byte              // chunk-window encoding scratch
-	winMemo   map[chunkRef]uint64 // per-call slice-identity -> window ID
+	scratch  planScratch
+	ents     []*cachedPlan       // ents[i]: reqs[i]'s entry as the call found it (nil: none, or uncacheable)
+	spill    []int               // requests built into the slab: uncacheable, or a device's other copy
+	keyBuf   []byte              // one request's fingerprint, or one Phase-1 problem row
+	winBuf   []byte              // chunk-window encoding scratch
+	winMemo  map[chunkRef]uint64 // per-call slice-identity -> window ID
+	allCache bool
 
-	// Whole-decision replay: when the full ordered request set is
-	// byte-identical to the previous successful call's, the previous
-	// decision is returned without recomputing anything.
+	// Whole-decision replay: the previous call's outcome, kept while it
+	// was all-cacheable and undegraded. Its batch is the entries' pos.
 	prevN   int
-	prevKey []byte
 	prevDec *Decision
 
 	// Phase-1 caches.
-	prevProbKey  []byte
+	probKey      []byte // the problem prevSol solves
 	prevSol      ilp.Solution
 	probValid    bool
 	prevSelected map[string]bool // previous Phase-1 knapsack picks (warm seed)
@@ -165,55 +164,108 @@ func (st *slotState) reset(cfgSig []byte) {
 	st.plans = make(map[string]*cachedPlan)
 	st.windows = make(map[string]*internedWindow)
 	st.prevN = 0
-	st.prevKey = nil
 	st.prevDec = nil
-	st.prevProbKey = nil
 	st.probValid = false
 	st.prevSelected = nil
 }
 
-// begin starts one scheduling call: it fingerprints every request into
-// the per-call arena and either detects a whole-set replay — rep is
-// then the previous decision, copied into rep's own storage — or
-// resolves plan-cache lookups into scratch.plans (sized to the request
-// set), leaving the miss indices in scratch.misses and returning this
-// call's hit count. Caller holds mu.
+// begin starts one scheduling call over a validated batch. It points
+// scratch.plans[i] at the plan that serves reqs[i] — a cached entry's
+// own on a hit and on a cacheable miss, which the caller compacts there,
+// or a slab slot for an uncacheable request and for a device's other
+// copy when the batch names it twice — and leaves the requests to build
+// in scratch.misses, returning the call's hit count. When the call
+// repeats the previous one, rep is that decision, copied into rep's own
+// storage, and nothing is to build. Caller holds mu.
 func (st *slotState) begin(reqs []Request, rep *Decision) (replayed bool, hits int) {
 	n := len(reqs)
-	// The sequence advances before fingerprinting so window interning can
-	// stamp entries as it encodes; eviction sweeps only run in commit,
-	// within the same call as the stamps, so advancing on a replayed call
-	// (which skips commit) is harmless.
+	// The sequence advances before any lookup so the passes below and
+	// window interning can stamp entries; eviction sweeps only run in
+	// sweep, within the same call as the stamps, so advancing on a
+	// replayed call (which skips the sweep) is harmless.
 	st.seq++
 	if st.winMemo == nil {
 		st.winMemo = make(map[chunkRef]uint64)
 	}
 	clear(st.winMemo)
-	st.encBuf = st.encBuf[:0]
-	if cap(st.offs) < n+1 {
-		st.offs = make([]int, 0, n+1)
-		st.cacheable = make([]bool, 0, n+1)
-	}
-	st.offs = st.offs[:0]
-	st.cacheable = st.cacheable[:0]
-	st.allCache = true
+
+	// First pass: find every cacheable request's entry before any is
+	// written, marking those the batch names twice, whose pre-call key
+	// each copy must be compared with. The call repeats the previous one
+	// when every request finds the entry the previous call left at its
+	// own position — and, below, hits it.
+	replay := st.prevDec != nil && n == st.prevN
+	st.ents = grown(st.ents, n)
 	for i := range reqs {
-		st.offs = append(st.offs, len(st.encBuf))
+		var e *cachedPlan
 		var ok bool
-		st.encBuf, ok = st.appendRequestKey(st.encBuf, &reqs[i])
-		st.cacheable = append(st.cacheable, ok)
-		if !ok {
-			st.allCache = false
+		if st.keyBuf, ok = appendAnxietyKey(st.keyBuf[:0], reqs[i].Anxiety); ok {
+			e = st.plans[reqs[i].DeviceID]
+		}
+		st.ents[i] = e
+		switch {
+		case e == nil:
+			replay = false
+		case e.seen == st.seq:
+			e.pos, replay = -1, false
+		default:
+			replay = replay && e.pos == i
+			e.seen, e.pos = st.seq, i
 		}
 	}
-	st.offs = append(st.offs, len(st.encBuf))
 
-	// Whole-decision replay: identical ordered request set, previous
-	// call succeeded. The decision is a deterministic function of
-	// (config, requests), so the previous one is returned as is. No
-	// eviction runs: cached entries keep their stamps and are re-stamped
-	// on the next non-replay call.
-	if st.allCache && st.prevDec != nil && n == st.prevN && len(st.encBuf) == len(st.prevKey) && bytes.Equal(st.encBuf, st.prevKey) {
+	// Second pass: fingerprint each request into keyBuf and compare it
+	// with its entry's key. A miss on an entry only this request uses is
+	// rebuilt in place; a new device gets its entry now.
+	sc := &st.scratch
+	sc.plans = grown(sc.plans, n)
+	misses, spill := sc.misses[:0], st.spill[:0]
+	st.allCache = true
+	for i := range reqs {
+		r := &reqs[i]
+		key, ok := st.appendRequestKey(st.keyBuf[:0], r)
+		st.keyBuf = key
+		e := st.ents[i]
+		switch {
+		case !ok:
+			st.allCache = false
+			spill = append(spill, i)
+		case e == nil:
+			if e = st.plans[r.DeviceID]; e != nil {
+				// A device new to the stream, named again: every copy misses.
+				e.pos = -1
+				spill = append(spill, i)
+			} else {
+				e = &cachedPlan{key: bytes.Clone(key), seen: st.seq, pos: i}
+				st.plans[r.DeviceID] = e
+				sc.plans[i] = &e.p
+			}
+		case bytes.Equal(e.key, key):
+			e.p.req = r // rebind to this call's request storage
+			sc.plans[i] = &e.p
+			hits++
+			continue
+		case e.pos < 0:
+			spill = append(spill, i)
+		default:
+			e.key = append(e.key[:0], key...)
+			sc.plans[i] = &e.p
+		}
+		misses = append(misses, i)
+		replay = false
+	}
+	sc.slab = grown(sc.slab, len(spill))
+	for k, i := range spill {
+		sc.plans[i] = &sc.slab[k]
+	}
+	sc.misses, st.spill = misses, spill
+
+	// Whole-decision replay: the same ordered request set as the previous
+	// call, which was all-cacheable and undegraded. The decision is a
+	// deterministic function of (config, requests), so the previous one
+	// is returned as is. No eviction runs: cached entries keep their
+	// stamps and are re-stamped on the next non-replay call.
+	if replay {
 		copyDecisionInto(rep, st.prevDec)
 		rep.batch = reqs
 		rep.Replayed = true
@@ -229,57 +281,13 @@ func (st *slotState) begin(reqs []Request, rep *Decision) (replayed bool, hits i
 		st.hits += uint64(n)
 		return true, 0
 	}
-
-	sc := &st.scratch
-	sc.plans = grown(sc.plans, n)
-	misses := sc.misses[:0]
-	for i := range reqs {
-		if !st.cacheable[i] {
-			misses = append(misses, i)
-			continue
-		}
-		key := st.encBuf[st.offs[i]:st.offs[i+1]]
-		if e, ok := st.plans[reqs[i].DeviceID]; ok && bytes.Equal(e.key, key) {
-			e.seen = st.seq
-			e.p.req = &reqs[i] // rebind to this call's request storage
-			sc.plans[i] = &e.p
-			hits++
-			continue
-		}
-		misses = append(misses, i)
-	}
-	sc.misses = misses
 	return false, hits
 }
 
-// commit copies the freshly built miss plans into the cache, sweeps out
-// entries whose device left or changed, and records the whole-set key
-// for replay. Caller holds mu; scratch.plans[i] is built for every miss
-// index.
-func (st *slotState) commit(reqs []Request) (evicted int) {
-	plans := st.scratch.plans
-	for _, i := range st.scratch.misses {
-		if !st.cacheable[i] {
-			continue
-		}
-		key := st.encBuf[st.offs[i]:st.offs[i+1]]
-		if e, ok := st.plans[reqs[i].DeviceID]; ok && e.seen != st.seq {
-			// Same device, changed content: refresh the entry in place,
-			// reusing the key's capacity.
-			e.key = append(e.key[:0], key...)
-			e.p = *plans[i]
-			e.seen = st.seq
-		} else {
-			// A new device — or a device the request set names twice,
-			// whose entry this call already stamped: it may be serving
-			// the other copy as a hit, so it is replaced, not overwritten.
-			st.plans[reqs[i].DeviceID] = &cachedPlan{
-				key:  append([]byte(nil), key...),
-				p:    *plans[i],
-				seen: st.seq,
-			}
-		}
-	}
+// sweep drops the entries of devices this call did not name and the
+// windows no request referenced, returning the evicted entry count.
+// Caller holds mu.
+func (st *slotState) sweep() (evicted int) {
 	for id, e := range st.plans {
 		if e.seen != st.seq {
 			delete(st.plans, id)
@@ -287,53 +295,44 @@ func (st *slotState) commit(reqs []Request) (evicted int) {
 		}
 	}
 	st.evictions += uint64(evicted)
-	// Sweep interned windows no request referenced this call. Plans whose
-	// fingerprints embed a swept window ID can never hit again (the ID is
-	// never reissued) and are themselves swept or replaced by the same
-	// churn that retired the window. Internal dedup, not surfaced in
-	// Evictions.
+	// Plans whose fingerprints embed a swept window ID can never hit again
+	// (the ID is never reissued) and are themselves swept or replaced by
+	// the same churn that retired the window. Internal dedup, not
+	// surfaced in Evictions.
 	for k, e := range st.windows {
 		if e.seen != st.seq {
 			delete(st.windows, k)
 		}
 	}
-	if st.allCache {
-		st.prevN = len(reqs)
-		st.prevKey = append(st.prevKey[:0], st.encBuf...)
-	} else {
-		st.prevN = 0
-		st.prevKey = st.prevKey[:0]
-		st.prevDec = nil
-	}
 	return evicted
 }
 
-// finish records the call's outcome: lifetime counters, the decision
-// for whole-set replay, and the Phase-1 picks (indexed like
-// scratch.eligible; nil when nothing was eligible) as the next warm
-// seed. A degraded decision is never stored for replay: replaying it
-// into a later, unpressured slot would leak deadline-shaped bytes into a
-// tick the cold path would have solved in full. The warm seed is still
-// taken — warm starts are decision-neutral by construction, so a
-// degraded seed cannot change later decisions. Caller holds mu.
-func (st *slotState) finish(dec *Decision, phase1Picks []bool) {
+// finish records the call's outcome once nothing reads its plans again:
+// lifetime counters, the decision for whole-set replay, the Phase-1
+// picks (indexed like scratch.eligible; nil when nothing was eligible)
+// as the next warm seed, and the slab-built copies of a device named
+// twice into its entry — the last copy wins, as if the copies had been
+// cached in batch order. A degraded decision is never stored for replay:
+// replaying it into a later, unpressured slot would leak deadline-shaped
+// bytes into a tick the cold path would have solved in full. The warm
+// seed is still taken — warm starts are decision-neutral by
+// construction, so a degraded seed cannot change later decisions.
+// Caller holds mu.
+func (st *slotState) finish(reqs []Request, dec *Decision, phase1Picks []bool) {
 	st.hits += uint64(dec.PlanCacheHits)
 	st.misses += uint64(dec.PlanCacheMisses)
-	if dec.Degraded.Any() {
-		// commit already recorded the whole-set key; drop it so the next
-		// identical slot re-solves instead of replaying degraded bytes.
-		st.prevN = 0
-		st.prevKey = st.prevKey[:0]
-		st.prevDec = nil
-	} else if st.allCache {
+	if dec.Degraded.Any() || !st.allCache {
+		st.prevN, st.prevDec = 0, nil
+	} else {
 		if st.prevDec == nil {
 			st.prevDec = &Decision{}
 		}
 		copyDecisionInto(st.prevDec, dec)
-		// The replay key pins the batch's IDs in order, so the stored
-		// outcome needs none of its own — and must not pin the caller's
-		// request storage.
+		// The entries' positions pin the batch's IDs in order, so the
+		// stored outcome needs none of its own — and must not pin the
+		// caller's request storage.
 		st.prevDec.batch = nil
+		st.prevN = len(reqs)
 	}
 	if st.prevSelected == nil {
 		st.prevSelected = make(map[string]bool, dec.Selected)
@@ -344,33 +343,58 @@ func (st *slotState) finish(dec *Decision, phase1Picks []bool) {
 			st.prevSelected[st.scratch.eligible[k].p.req.DeviceID] = true
 		}
 	}
-}
-
-// probLookup fingerprints the Phase-1 problem (eligible IDs, knapsack
-// values, per-device resource weights; capacities are fixed by the
-// config the state is bound to) and reports whether it is byte-equal to
-// the previous call's, in which case prevSol can be reused verbatim —
-// the solver is a deterministic function of the problem. Caller holds
-// mu.
-func (st *slotState) probLookup(eligible []placed, values []float64) bool {
-	b := st.probBuf[:0]
-	b = appendUint64(b, uint64(len(eligible)))
-	for k, e := range eligible {
-		b = appendString(b, e.p.req.DeviceID)
-		b = appendFloat64(b, values[k])
-		b = appendFloat64(b, e.p.g)
-		b = appendFloat64(b, e.p.h)
+	for _, i := range st.spill {
+		key, ok := st.appendRequestKey(st.keyBuf[:0], &reqs[i])
+		st.keyBuf = key
+		if !ok {
+			continue
+		}
+		e := st.plans[reqs[i].DeviceID]
+		e.key = append(e.key[:0], key...)
+		e.p = *st.scratch.plans[i]
 	}
-	st.probBuf = b
-	return st.probValid && bytes.Equal(b, st.prevProbKey)
 }
 
-// probStore records the solved Phase-1 problem (fingerprinted by the
-// preceding probLookup) and its solution. Caller holds mu.
-func (st *slotState) probStore(sol ilp.Solution) {
-	st.prevProbKey = append(st.prevProbKey[:0], st.probBuf...)
-	st.prevSol = sol
-	st.probValid = true
+// probLookup reports whether the Phase-1 problem (eligible IDs, knapsack
+// values, per-device resource weights; capacities are fixed by the
+// config the state is bound to) is byte-equal to the one prevSol
+// solves, in which case prevSol can be reused verbatim — the solver is a
+// deterministic function of the problem. The comparison runs row by row
+// against probKey and writes nothing, so a problem solved degraded —
+// never stored — leaves the last stored one in force. Caller holds mu.
+func (st *slotState) probLookup(eligible []placed, values []float64) bool {
+	if !st.probValid {
+		return false
+	}
+	rest := st.probKey
+	for k, e := range eligible {
+		st.keyBuf = appendProbRow(st.keyBuf[:0], e, values[k])
+		if !bytes.HasPrefix(rest, st.keyBuf) {
+			return false
+		}
+		rest = rest[len(st.keyBuf):]
+	}
+	return len(rest) == 0
+}
+
+// probStore records a solved Phase-1 problem and its solution. Caller
+// holds mu.
+func (st *slotState) probStore(eligible []placed, values []float64, sol ilp.Solution) {
+	b := st.probKey[:0]
+	for k, e := range eligible {
+		b = appendProbRow(b, e, values[k])
+	}
+	st.probKey, st.prevSol, st.probValid = b, sol, true
+}
+
+// appendProbRow appends one Phase-1 problem row. Rows are
+// self-delimiting (the ID is length-prefixed), so equal concatenations
+// are equal problems.
+func appendProbRow(b []byte, e placed, value float64) []byte {
+	b = appendString(b, e.p.req.DeviceID)
+	b = appendFloat64(b, value)
+	b = appendFloat64(b, e.p.g)
+	return appendFloat64(b, e.p.h)
 }
 
 // warmSeed projects the previous slot's Phase-1 picks onto the current
@@ -453,15 +477,15 @@ func configSig(cfg Config) []byte {
 }
 
 // appendRequestKey appends the content fingerprint of a request: every
-// field the compacting step reads (device identity, display spec,
-// energy state, gamma, anxiety model, and the full chunk window —
-// represented by its interned window ID; see windowID for why ID
-// equality implies byte equality of the window encoding). Two requests
-// with equal fingerprints produce bit-identical plans. ok is false for
+// field the compacting step reads (display spec, energy state, gamma,
+// anxiety model, and the full chunk window — represented by its
+// interned window ID; see windowID for why ID equality implies byte
+// equality of the window encoding) but the device ID, which keys the
+// entry the fingerprint is kept in. Two requests of one device with
+// equal fingerprints produce bit-identical plans. ok is false for
 // requests carrying an anxiety model the encoding cannot capture; such
 // requests are never cached.
 func (st *slotState) appendRequestKey(b []byte, r *Request) (out []byte, ok bool) {
-	b = appendString(b, r.DeviceID)
 	b = appendUint64(b, uint64(r.Display.Type))
 	b = appendUint64(b, uint64(r.Display.Resolution.Width))
 	b = appendUint64(b, uint64(r.Display.Resolution.Height))

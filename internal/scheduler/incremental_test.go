@@ -5,6 +5,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"lpvs/internal/anxiety"
@@ -44,16 +47,12 @@ func buildPlanReference(s *Scheduler, r *Request) (*planReference, error) {
 	p.g = edge.ComputeCost(r.Display.Resolution, r.Chunks, s.cfg.SlotSec)
 	p.h = edge.StorageCost(r.Chunks)
 	p.eligible = eligibleReference(p)
-	p.anxModel = s.cfg.Anxiety
-	if r.Anxiety != nil {
-		p.anxModel = r.Anxiety
-	}
 	p.obj0 = deviceObjectiveReference(s, p, false)
 	p.obj1 = deviceObjectiveReference(s, p, true)
 	for _, e := range p.dispFrac {
 		p.saving += (1 - r.Gamma) * e
 	}
-	p.anx = p.anxModel.Anxiety(r.EnergyFrac)
+	p.anx = s.model(r).Anxiety(r.EnergyFrac)
 	p.end0, p.end1 = r.EnergyFrac, r.EnergyFrac
 	for i := range p.dispFrac {
 		p.end0 -= p.dispFrac[i] + p.baseFrac[i]
@@ -99,7 +98,7 @@ func deviceObjectiveReference(s *Scheduler, p *planReference, transformed bool) 
 		if transformed {
 			psi = p.req.Gamma*p.dispFrac[i] + p.baseFrac[i]
 		}
-		sum += psi + s.cfg.Lambda*p.anxModel.Anxiety(e)
+		sum += psi + s.cfg.Lambda*s.model(p.req).Anxiety(e)
 		e -= psi
 		if e < 0 {
 			e = 0
@@ -520,7 +519,13 @@ func TestColdPoolKeepsNoStream(t *testing.T) {
 // FuzzIncrementalSchedule fuzzes multi-slot churn sessions: whatever
 // the churn rate, session length and capacity, the warm one-worker
 // stream and the three-worker pooled engine must match the cold
-// reference byte for byte on every slot.
+// reference byte for byte on every slot. Some slots come in reverse
+// order, some name a device twice (the copy changed or not, anywhere in
+// the batch), and some are first sent with one request broken, which
+// every engine must refuse with the cold path's error before the slot is
+// sent again as it should be — so plans built in their cache entries,
+// failed batches and the slab-built copies of a duplicated device all
+// meet the cold solve.
 func FuzzIncrementalSchedule(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(4), uint8(1))
 	f.Add(int64(9), uint8(30), uint8(6), uint8(0))
@@ -542,9 +547,18 @@ func FuzzIncrementalSchedule(f *testing.F) {
 		}
 		warm := mustWarmStream(t, cfg)
 		cold := mustScheduler(t, cfg)
-		pool, err := NewPool(cfg, PoolConfig{Workers: 3})
+		wideCfg := cfg
+		wideCfg.CompactChunk = 2 // compact the misses in parallel
+		pool, err := NewPool(wideCfg, PoolConfig{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
+		}
+		decide := func(reqs []Request) (Decision, error) {
+			pr, err := pool.Decide([]VC{{ID: "vc", Requests: reqs}})
+			if err != nil {
+				return Decision{}, err
+			}
+			return pr.Decision(), nil
 		}
 		cur := make([]Request, 10)
 		for i := range cur {
@@ -560,6 +574,40 @@ func FuzzIncrementalSchedule(f *testing.F) {
 			}
 			reqs := append([]Request(nil), cur...)
 			SortRequests(reqs)
+			if rng.Bool(0.2) {
+				slices.Reverse(reqs)
+			}
+			if rng.Bool(0.3) {
+				twin := reqs[rng.Intn(len(reqs))]
+				if rng.Bool(0.5) {
+					twin.EnergyFrac = rng.Uniform(0.01, 1)
+				}
+				at := rng.Intn(len(reqs) + 1)
+				reqs = append(reqs[:at], append([]Request{twin}, reqs[at:]...)...)
+			}
+			if rng.Bool(0.3) {
+				broken := append([]Request(nil), reqs...)
+				k := rng.Intn(len(broken))
+				switch rng.Intn(3) {
+				case 0:
+					broken[k].Gamma = 0
+				case 1:
+					broken[k].EnergyFrac = 2
+				default:
+					chunks := append([]video.Chunk(nil), broken[k].Chunks...)
+					chunks[rng.Intn(len(chunks))].DurationSec = 0
+					broken[k].Chunks = chunks
+				}
+				_, cerr := cold.Schedule(broken)
+				_, werr := warm.Schedule(broken)
+				_, perr := decide(broken)
+				if cerr == nil || werr == nil || perr == nil {
+					t.Fatalf("slot %d: a broken batch was accepted: cold %v, warm %v, pool %v", slot, cerr, werr, perr)
+				}
+				if !strings.HasSuffix(werr.Error(), cerr.Error()) || perr.Error() != werr.Error() {
+					t.Fatalf("slot %d: errors differ:\ncold %v\nwarm %v\npool %v", slot, cerr, werr, perr)
+				}
+			}
 			wd, err := warm.Schedule(reqs)
 			if err != nil {
 				t.Fatalf("slot %d: warm: %v", slot, err)
@@ -568,15 +616,15 @@ func FuzzIncrementalSchedule(f *testing.F) {
 			if err != nil {
 				t.Fatalf("slot %d: cold: %v", slot, err)
 			}
-			if !bytes.Equal(wd.Canonical(), cd.Canonical()) {
+			if !bytes.Equal(wd.Canonical(), cd.Canonical()) || !reflect.DeepEqual(wd.PerDevice, cd.PerDevice) {
 				t.Fatalf("slot %d: warm diverged:\nwarm:\n%s\ncold:\n%s",
 					slot, wd.Canonical(), cd.Canonical())
 			}
-			pr, err := pool.Decide([]VC{{ID: "vc", Requests: reqs}})
+			pd, err := decide(reqs)
 			if err != nil {
 				t.Fatalf("slot %d: pool: %v", slot, err)
 			}
-			if !bytes.Equal(pr.VCs[0].Decision.Canonical(), cd.Canonical()) {
+			if !bytes.Equal(pd.Canonical(), cd.Canonical()) || !reflect.DeepEqual(pd.PerDevice, wd.PerDevice) {
 				t.Fatalf("slot %d: pooled warm diverged from cold", slot)
 			}
 		}

@@ -67,7 +67,7 @@ func (s *Scheduler) capacityFilter(reqs []Request, plans []*plan, order []int) D
 		d.Selected++
 	}
 	d.Objective = totalObjective(plans, d.X)
-	d.PerDevice = verdicts(nil, plans, d.X, nil, nil)
+	d.PerDevice = s.verdicts(nil, plans, d.X, nil, nil)
 	markSelected(d.PerDevice, ReasonAdmitted)
 	return d
 }
@@ -212,7 +212,7 @@ func (p *JointKnapsackPolicy) Schedule(reqs []Request) (Decision, error) {
 		}
 	}
 	d.Objective = totalObjective(plans, d.X)
-	d.PerDevice = verdicts(nil, plans, d.X, nil, nil)
+	d.PerDevice = s.verdicts(nil, plans, d.X, nil, nil)
 	markSelected(d.PerDevice, ReasonJoint)
 	return withMaps(d, nil)
 }

@@ -423,19 +423,18 @@ func (s *Scheduler) Config() Config { return s.cfg }
 // costs, the objective value under both decisions, and the eligibility
 // flag from constraint (11) — the handful of scalars information
 // compacting (paper section V) reduces a device to. It holds no
-// per-chunk data and is stored by value: miss plans live in a per-call
-// slab, cached plans inside their cache entry.
+// per-chunk data and is stored by value: a stream's plans inside their
+// cache entries, everything else in a per-call slab.
 type plan struct {
 	req      *Request
 	g, h     float64 // compute and storage costs
 	eligible bool
-	anxModel anxiety.Model // per-user phi (population model by default)
-	obj0     float64       // objective contribution with x_n = 0
-	obj1     float64       // objective contribution with x_n = 1
-	saving   float64       // display energy saved by transforming (fractions)
-	anx      float64       // anxiety degree at slot start (for Phase-2 rank)
-	end0     float64       // predicted end-of-slot energy with x_n = 0
-	end1     float64       // predicted end-of-slot energy with x_n = 1
+	obj0     float64 // objective contribution with x_n = 0
+	obj1     float64 // objective contribution with x_n = 1
+	saving   float64 // display energy saved by transforming (fractions)
+	anx      float64 // anxiety degree at slot start (for Phase-2 rank)
+	end0     float64 // predicted end-of-slot energy with x_n = 0
+	end1     float64 // predicted end-of-slot energy with x_n = 1
 }
 
 // placed is an eligible device's plan with its position in the request
@@ -450,20 +449,17 @@ type placed struct {
 // slotState owns one and reuses it across slots (guarded by its mu); a
 // cold solve uses a fresh one per call, so either way a call
 // makes O(1) allocations however many devices it schedules. Nothing in
-// it outlives the call: the plan cache copies plans out of the slab by
-// value, the solvers copy nothing out of the knapsack rows, and a
-// Decision carries its own X and PerDevice.
+// it outlives the call: no cache entry points into the slab, the
+// solvers copy nothing out of the knapsack rows, and a Decision carries
+// its own X and PerDevice.
 type planScratch struct {
-	slab     []plan   // this call's freshly built plans, one per built request
-	plans    []*plan  // plans[i] serves reqs[i]: into slab (built) or a cache entry (hit)
+	slab     []plan   // plans no cache entry holds: every plan of a cold solve
+	plans    []*plan  // plans[i] serves reqs[i]: a slab slot or a cache entry's plan
 	misses   []int    // ascending request indices the plan cache could not serve
 	eligible []placed // the plans passing constraint (11), in batch order
-	errs     []error  // parallel compact: errs[j] is the outcome of slab[j]
 
-	// Chunk windows validated this call, by slice identity, each with
-	// its fault if it has one (see checkWindows).
-	windows    map[chunkRef]windowFault
-	badWindows bool
+	// Chunk windows validated this call, by slice identity (see validate).
+	windows map[chunkRef]bool
 
 	// Phase-1: the knapsack over eligible (values, the two capacity rows
 	// and the Problem that points at them).
@@ -489,30 +485,32 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// windowFault is a chunk window's first invalid chunk; err is nil for a
-// valid window.
-type windowFault struct {
-	chunk int
-	err   error
-}
-
 // buildPlan validates one request and compacts it into p — the entry for
-// callers holding a single request. buildPlansInto does the same per
-// batch with each distinct chunk window validated once.
+// callers holding a single request. A batch is validated whole first
+// (planScratch.validate) and then compacted (buildPlansInto).
 func (s *Scheduler) buildPlan(r *Request, p *plan) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
 	if i, err := video.ValidateChunks(r.Chunks); err != nil {
-		return chunkError(r, windowFault{chunk: i, err: err})
+		return chunkError(r, i, err)
 	}
-	return s.compact(r, p)
+	s.compact(r, p)
+	return nil
 }
 
 // chunkError is the error of a request whose window holds an invalid
 // chunk.
-func chunkError(r *Request, f windowFault) error {
-	return fmt.Errorf("scheduler: request %s chunk %d: %w", r.DeviceID, f.chunk, f.err)
+func chunkError(r *Request, chunk int, err error) error {
+	return fmt.Errorf("scheduler: request %s chunk %d: %w", r.DeviceID, chunk, err)
+}
+
+// model is the request's phi: its own, or the population model.
+func (s *Scheduler) model(r *Request) anxiety.Model {
+	if r.Anxiety != nil {
+		return r.Anxiety
+	}
+	return s.cfg.Anxiety
 }
 
 // compact runs information gathering + compacting for one request whose
@@ -537,17 +535,15 @@ func chunkError(r *Request, f windowFault) error {
 // battery fractions:
 //
 //	K*e(1) - sum_k (K-k)*psi(k) >= gamma * sum_k p(k)
-func (s *Scheduler) compact(r *Request, p *plan) error {
+func (s *Scheduler) compact(r *Request, p *plan) {
 	panel, err := r.Display.Panel()
 	if err != nil {
-		return fmt.Errorf("scheduler: request %s: %w", r.DeviceID, err)
+		// Request.Validate checks the display spec first.
+		panic(fmt.Sprintf("scheduler: compacting an unvalidated request: %v", err))
 	}
 	*p = plan{req: r}
 	k := len(r.Chunks)
-	p.anxModel = s.cfg.Anxiety
-	if r.Anxiety != nil {
-		p.anxModel = r.Anxiety
-	}
+	phi := s.model(r)
 
 	gamma := r.Gamma
 	lambda := s.cfg.Lambda
@@ -569,12 +565,12 @@ func (s *Scheduler) compact(r *Request, p *plan) error {
 		lhs -= float64(k-i-1) * psi1
 		rhs += gamma * d
 		psi0 := d + b
-		p.obj0 += psi0 + lambda*p.anxModel.Anxiety(e0)
+		p.obj0 += psi0 + lambda*phi.Anxiety(e0)
 		e0 -= psi0
 		if e0 < 0 {
 			e0 = 0
 		}
-		p.obj1 += psi1 + lambda*p.anxModel.Anxiety(e1)
+		p.obj1 += psi1 + lambda*phi.Anxiety(e1)
 		e1 -= psi1
 		if e1 < 0 {
 			e1 = 0
@@ -586,7 +582,7 @@ func (s *Scheduler) compact(r *Request, p *plan) error {
 	p.g = edge.ComputeCost(r.Display.Resolution, r.Chunks, s.cfg.SlotSec)
 	p.h = edge.StorageCost(r.Chunks)
 	p.eligible = lhs >= rhs
-	p.anx = p.anxModel.Anxiety(r.EnergyFrac)
+	p.anx = phi.Anxiety(r.EnergyFrac)
 	if end0 < 0 {
 		end0 = 0
 	}
@@ -594,105 +590,92 @@ func (s *Scheduler) compact(r *Request, p *plan) error {
 		end1 = 0
 	}
 	p.end0, p.end1 = end0, end1
+}
+
+// validate checks a batch before anything is built or cached — each
+// request's fields, then its chunk window — and returns the first
+// failure in batch order, the error a serial build would stop at. A
+// distinct window is checked once per call, by slice identity as
+// slotState.winMemo keys it: a stream's viewers share one chunk slice,
+// so a 10,000-viewer tick checks 30 chunks, not 300,000. A stream's
+// cached requests are checked too — a handful of comparisons each — so
+// a batch that fails leaves the stream exactly as it was.
+func (sc *planScratch) validate(reqs []Request) error {
+	if sc.windows == nil {
+		sc.windows = make(map[chunkRef]bool)
+	}
+	clear(sc.windows)
+	var last chunkRef
+	for i := range reqs {
+		r := &reqs[i]
+		if err := r.Validate(); err != nil {
+			return err
+		}
+		ref := refOf(r.Chunks)
+		if ref != last && !sc.windows[ref] {
+			if c, err := video.ValidateChunks(r.Chunks); err != nil {
+				return chunkError(r, c, err)
+			}
+			sc.windows[ref] = true
+		}
+		last = ref
+	}
 	return nil
 }
 
-// checkWindows validates the chunk windows of the n requests about to
-// be built (the j-th is reqs[at(j)]) — each distinct window once per
-// call, by slice identity as slotState.winMemo keys it: a stream's
-// viewers share one chunk slice, so a 10,000-viewer tick checks 30
-// chunks, not 300,000. It runs before any fan-out, so the workers only
-// read the result.
-func (sc *planScratch) checkWindows(reqs []Request, n int, at func(int) int) {
-	if sc.windows == nil {
-		sc.windows = make(map[chunkRef]windowFault)
+// slabPlans points plans at a fresh slab of n, one slot per request: the
+// layout of a solve without a stream.
+func (sc *planScratch) slabPlans(n int) {
+	sc.slab = make([]plan, n)
+	sc.plans = make([]*plan, n)
+	for i := range sc.plans {
+		sc.plans[i] = &sc.slab[i]
 	}
-	clear(sc.windows)
-	sc.badWindows = false
-	var last chunkRef
-	for j := 0; j < n; j++ {
-		chunks := reqs[at(j)].Chunks
-		ref := refOf(chunks)
-		if ref == last && j > 0 {
-			continue
-		}
-		last = ref
-		if _, seen := sc.windows[ref]; seen {
-			continue
-		}
-		c, err := video.ValidateChunks(chunks)
-		sc.windows[ref] = windowFault{chunk: c, err: err}
-		sc.badWindows = sc.badWindows || err != nil
-	}
-}
-
-// buildChecked is buildPlan for a request of a batch checkWindows has
-// been over.
-func (s *Scheduler) buildChecked(r *Request, p *plan, sc *planScratch) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	if sc.badWindows {
-		if f := sc.windows[refOf(r.Chunks)]; f.err != nil {
-			return chunkError(r, f)
-		}
-	}
-	return s.compact(r, p)
 }
 
 // buildPlans runs information gathering + compacting for all requests
 // on the stateless path (baseline policies, tests).
 func (s *Scheduler) buildPlans(reqs []Request) ([]*plan, error) {
-	sc := planScratch{plans: make([]*plan, len(reqs))}
-	if err := s.buildPlansInto(reqs, nil, &sc); err != nil {
+	var sc planScratch
+	if err := sc.validate(reqs); err != nil {
 		return nil, err
 	}
+	sc.slabPlans(len(reqs))
+	s.buildPlansInto(reqs, nil, &sc)
 	return sc.plans, nil
 }
 
-// buildPlansInto builds plans for the requests at the given ascending
-// indices (nil means all of them) into sc.slab and points sc.plans at
-// them, fanning large clusters out across CompactWorkers goroutines.
-// The incremental path uses it to rebuild only plan-cache misses. The
-// j-th built request owns slab[j] (and errs[j]), so parallel workers
-// write disjoint elements and the parallel path is bit-identical to the
-// serial one: each plan is a pure function of its request. On error the
-// failure at the lowest index is reported, matching the serial scan
-// order; because cached requests necessarily passed validation when
-// their plan was built (same bytes, same verdict), the lowest failing
-// miss index is also the lowest failing index overall, so the
-// incremental path reports exactly the cold path's error.
-func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, sc *planScratch) error {
+// buildPlansInto compacts the requests of a validated batch at the given
+// ascending indices (nil means all of them), each into the plan
+// sc.plans[i] points at, fanning large clusters out across
+// CompactWorkers goroutines. The incremental path uses it to rebuild
+// only plan-cache misses, in their cache entries. No two requests share
+// a target, so parallel workers write disjoint plans and the parallel
+// path is bit-identical to the serial one: each plan is a pure function
+// of its request.
+func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, sc *planScratch) {
 	n := len(reqs)
 	if idxs != nil {
 		n = len(idxs)
 	}
-	at := func(j int) int {
-		if idxs == nil {
-			return j
+	build := func(j int) {
+		i := j
+		if idxs != nil {
+			i = idxs[j]
 		}
-		return idxs[j]
+		s.compact(&reqs[i], sc.plans[i])
 	}
-	sc.checkWindows(reqs, n, at)
-	sc.slab = grown(sc.slab, n)
-	slab, plans := sc.slab, sc.plans
 	chunk := s.cfg.CompactChunk
 	if chunk <= 0 {
 		chunk = DefaultCompactChunk
 	}
 	if s.cfg.CompactWorkers <= 1 || n <= chunk {
 		for j := 0; j < n; j++ {
-			i := at(j)
-			if err := s.buildChecked(&reqs[i], &slab[j], sc); err != nil {
-				return err
-			}
-			plans[i] = &slab[j]
+			build(j)
 		}
-		return nil
+		return
 	}
 
-	sc.errs = grown(sc.errs, n)
-	errs := sc.errs
 	var next atomic.Int64
 	workers := s.cfg.CompactWorkers
 	if max := (n + chunk - 1) / chunk; workers > max {
@@ -708,25 +691,13 @@ func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, sc *planScratch) 
 				if lo >= n {
 					return
 				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for j := lo; j < hi; j++ {
-					i := at(j)
-					errs[j] = s.buildChecked(&reqs[i], &slab[j], sc)
-					plans[i] = &slab[j]
+				for j := lo; j < min(lo+chunk, n); j++ {
+					build(j)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Schedule makes the slot decision for one virtual cluster, cold: two
@@ -822,7 +793,6 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 	// by its mu) or, on a cold solve, a fresh one.
 	var cold planScratch
 	sc := &cold
-	hits := 0
 	if st != nil {
 		st.mu.Lock()
 		defer st.mu.Unlock()
@@ -832,28 +802,28 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 			st.reset(s.cfgSig)
 		}
 		sc = &st.scratch
+	}
+	if err := sc.validate(reqs); err != nil {
+		return err
+	}
+	hits := 0
+	if st != nil {
 		replayed, h := st.begin(reqs, dec)
 		if replayed {
 			return nil
 		}
 		hits = h
 	} else {
-		cold.plans = make([]*plan, len(reqs))
+		cold.slabPlans(len(reqs))
 	}
 	plans, misses := sc.plans, sc.misses
 
 	_, csp := span.Child(ctx, "compact")
 	compactStart := time.Now()
 	if st == nil {
-		if err := s.buildPlansInto(reqs, nil, sc); err != nil {
-			csp.End()
-			return err
-		}
+		s.buildPlansInto(reqs, nil, sc)
 	} else if len(misses) > 0 {
-		if err := s.buildPlansInto(reqs, misses, sc); err != nil {
-			csp.End()
-			return err
-		}
+		s.buildPlansInto(reqs, misses, sc)
 	}
 	compactSec := time.Since(compactStart).Seconds()
 	csp.SetInt("devices", len(reqs))
@@ -865,7 +835,7 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 	if st != nil {
 		dec.PlanCacheHits = hits
 		dec.PlanCacheMisses = len(misses)
-		dec.PlanCacheEvictions = st.commit(reqs)
+		dec.PlanCacheEvictions = st.sweep()
 	}
 	eligible := grown(sc.eligible, len(plans))[:0]
 	for i, p := range plans {
@@ -880,9 +850,9 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 			st.probValid = false
 		}
 		dec.Objective = totalObjective(plans, dec.X)
-		dec.PerDevice = verdicts(per, plans, dec.X, nil, nil)
+		dec.PerDevice = s.verdicts(per, plans, dec.X, nil, nil)
 		if st != nil {
-			st.finish(dec, nil)
+			st.finish(reqs, dec, nil)
 		}
 		return nil
 	}
@@ -936,9 +906,9 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 	// A swap moves one device in and one out, so Phase-2 leaves the
 	// Phase-1 count standing.
 	dec.Objective = totalObjective(plans, dec.X)
-	dec.PerDevice = verdicts(per, plans, dec.X, swapIn, swapOut)
+	dec.PerDevice = s.verdicts(per, plans, dec.X, swapIn, swapOut)
 	if st != nil {
-		st.finish(dec, picks)
+		st.finish(reqs, dec, picks)
 	}
 	return nil
 }
@@ -948,7 +918,7 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 // trajectory the decision implies. swapIn/swapOut are the Phase-2 swap
 // events by batch position (nil when Phase-2 did not run). The result
 // is dst's storage when that is large enough, every element rewritten.
-func verdicts(dst []Verdict, plans []*plan, x, swapIn, swapOut []bool) []Verdict {
+func (s *Scheduler) verdicts(dst []Verdict, plans []*plan, x, swapIn, swapOut []bool) []Verdict {
 	out := grown(dst, len(plans))
 	for i, p := range plans {
 		v := &out[i]
@@ -975,7 +945,7 @@ func verdicts(dst []Verdict, plans []*plan, x, swapIn, swapOut []bool) []Verdict
 		if v.Selected {
 			end = p.end1
 		}
-		v.AnxietyAfter = p.anxModel.Anxiety(end)
+		v.AnxietyAfter = s.model(p.req).Anxiety(end)
 	}
 	return out
 }
@@ -1042,7 +1012,7 @@ func (s *Scheduler) phase1(sc *planScratch, st *slotState, hits, misses int, dea
 			sol = ilp.Greedy(prob)
 		}
 		if st != nil && !sol.Degraded {
-			st.probStore(sol)
+			st.probStore(eligible, sc.values, sol)
 		}
 		info.nodes = sol.Nodes
 		info.warm = sol.WarmUsed
@@ -1246,7 +1216,7 @@ func CompactedVsSimulated(s *Scheduler, r Request, transformed bool) (compacted,
 		if transformed {
 			psi = (r.Gamma*watts*c.DurationSec + r.BasePowerW*c.DurationSec) / r.BatteryCapacityJ
 		}
-		simulated += psi + s.cfg.Lambda*p.anxModel.Anxiety(e)
+		simulated += psi + s.cfg.Lambda*s.model(&r).Anxiety(e)
 		e -= psi
 		if e < 0 {
 			e = 0

@@ -155,6 +155,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		if sc != nil {
 			sc.results = rejected
 		}
+		if len(rejected) == 0 {
+			// A reused scratch's empty rows would answer "results":[]
+			// where a fresh one — and a router — answer null.
+			rejected = nil
+		}
 		WriteJSON(w, http.StatusOK, NewBatchReportResponse(slot, &msg, rejected))
 	case aerr != nil:
 		aerr.write(w)
