@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	lpvsd -addr :8080 -capacity 100 -lambda 1 -genre Gaming
+//	lpvsd -addr :8080 -capacity 100 -lambda 1 -slot 300
 //	lpvsd -log-level debug -log-format json
 //	lpvsd -pprof            # mounts net/http/pprof under /debug/pprof/
 //
@@ -20,7 +20,9 @@
 //
 // A background ticker advances the scheduling slot every -slot seconds
 // (use -manual-tick to drive slots via POST /v1/tick instead, as the
-// tests and the streaming-service example do).
+// tests and the streaming-service example do). Every -history-interval
+// one sampling pass refreshes the runtime gauges, evaluates the SLOs
+// and, on an edge or shard daemon, records the metric history.
 //
 // Observability: Prometheus metrics are exposed on /metrics, structured
 // logs (log/slog) go to stderr, and -pprof adds the standard profiling
@@ -34,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -41,7 +44,6 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -66,49 +68,79 @@ var version = "dev"
 // device in different VCs.
 const defaultChannel = "live"
 
+// contentSeed seeds the generated content of the default stream; extra
+// channel i gets contentSeed+i+1, so daemons started with the same
+// -channels serve the same chunks.
+const contentSeed = 1
+
+// options is lpvsd's command line.
+type options struct {
+	addr, mode, nodeID, shardMapFile, channels         string
+	logLevel, logFormat                                string
+	auditDir, snapshotDir, flightDir                   string
+	capacity, workers, maxInflight, maxBatch, vcBudget int
+	lambda, slotSec, traceSample                       float64
+	schedDeadline, sloLatency                          time.Duration
+	snapshotEvery, historyWindow, historyEvery         time.Duration
+	manualTick, pprof, showVersion                     bool
+}
+
+// registerFlags defines every lpvsd flag on fs; the returned options
+// hold their values once fs is parsed.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.capacity, "capacity", 100, "edge capacity in 720p transform streams (-1 = unbounded)")
+	fs.Float64Var(&o.lambda, "lambda", 1, "energy/anxiety balance")
+	fs.Float64Var(&o.slotSec, "slot", 300, "scheduling slot length in seconds (edge and shard: at least one 10 s chunk)")
+	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "scheduling pool fan-out (1 = serial)")
+	fs.BoolVar(&o.manualTick, "manual-tick", false, "disable the automatic slot ticker")
+	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, error")
+	fs.StringVar(&o.logFormat, "log-format", "text", "log format: text, json")
+	fs.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
+	fs.StringVar(&o.auditDir, "audit-dir", "", "append per-tick decision audit records to DIR/audit.jsonl (replayable with lpvsctl audit replay)")
+	fs.Float64Var(&o.traceSample, "trace-sample", 0, "span-tracing sampling probability in [0, 1] (0 = off)")
+	fs.DurationVar(&o.schedDeadline, "sched-deadline", 0, "per-tick scheduling wall-clock budget; on expiry the tick degrades to the anytime shortcuts (0 = unbounded)")
+	fs.IntVar(&o.maxInflight, "max-inflight", server.DefaultMaxInflight, "admitted heavy requests before 429 load shedding (negative = no gate)")
+	fs.IntVar(&o.maxBatch, "max-batch-records", server.DefaultMaxBatchRecords, "records accepted per batch report before 413 (negative = unbounded)")
+	fs.IntVar(&o.vcBudget, "vc-label-budget", 64, "per-family cap on per-VC labeled metric series (0 = no per-VC series, negative = uncapped)")
+	fs.DurationVar(&o.sloLatency, "slo-tick-latency", server.DefaultSLOTickLatency, "tick wall-time budget behind the tick-latency SLO")
+	fs.StringVar(&o.snapshotDir, "snapshot-dir", "", "persist durable state to DIR/snapshot.lpvs and restore from it on boot (see DESIGN.md §14)")
+	fs.DurationVar(&o.snapshotEvery, "snapshot-interval", time.Minute, "background snapshot cadence when -snapshot-dir is set (0 = only on shutdown)")
+	fs.DurationVar(&o.historyWindow, "history-window", 15*time.Minute, "in-process metric history retention behind GET /v1/history (0 = off; see DESIGN.md §15)")
+	fs.DurationVar(&o.historyEvery, "history-interval", history.DefaultInterval, "background sampling cadence: runtime gauges, SLO burn rates and metric history")
+	fs.StringVar(&o.flightDir, "flight-dir", "", "arm the flight recorder: write incident bundles to DIR (inspect with lpvsctl flight)")
+	fs.StringVar(&o.mode, "mode", "edge", "process personality: edge (standalone), shard (federation member), router (federation front door)")
+	fs.StringVar(&o.nodeID, "node-id", "", "this shard's node ID in the shard map (mode=shard)")
+	fs.StringVar(&o.shardMapFile, "shard-map", "", "shard map spec file, JSON {replicas, nodes:[{id,addr}]} (required for mode=router; optional epoch guard for mode=shard)")
+	fs.StringVar(&o.channels, "channels", "", "comma-separated extra channel IDs served alongside the default 'live' stream")
+	fs.BoolVar(&o.showVersion, "version", false, "print the build version and exit")
+	return o
+}
+
+// checkSlot validates -slot before anything is built from it: the slot
+// ticker needs a positive period that fits a time.Duration, and an edge
+// or shard daemon's slot must hold at least one chunk of its streams.
+func checkSlot(mode string, slotSec float64) error {
+	if ns := slotSec * float64(time.Second); !(ns >= 1 && ns < math.MaxInt64) {
+		return fmt.Errorf("-slot %v: want a positive number of seconds", slotSec)
+	}
+	if mode != "router" && slotSec < video.DefaultChunkSeconds {
+		return fmt.Errorf("-slot %v: a slot must hold at least one %v s chunk", slotSec, video.DefaultChunkSeconds)
+	}
+	return nil
+}
+
 func main() {
-	var (
-		addr          = flag.String("addr", ":8080", "listen address")
-		capacity      = flag.Int("capacity", 100, "edge capacity in 720p transform streams (-1 = unbounded)")
-		lambda        = flag.Float64("lambda", 1, "energy/anxiety balance")
-		slotSec       = flag.Float64("slot", 300, "scheduling slot length in seconds")
-		workers       = flag.Int("workers", runtime.GOMAXPROCS(0), "scheduling pool fan-out (1 = serial)")
-		genreName     = flag.String("genre", "Gaming", "stream genre (Gaming, Esports, IRL, Music, Sports)")
-		seed          = flag.Int64("seed", 1, "content generation seed")
-		manualTick    = flag.Bool("manual-tick", false, "disable the automatic slot ticker")
-		logLevel      = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFormat     = flag.String("log-format", "text", "log format: text, json")
-		enablePprof   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		auditDir      = flag.String("audit-dir", "", "append per-tick decision audit records to DIR/audit.jsonl (replayable with lpvsctl audit replay)")
-		traceSample   = flag.Float64("trace-sample", 0, "span-tracing sampling probability in [0, 1] (0 = off)")
-		traceSeed     = flag.Int64("trace-seed", 0, "seed for trace/span IDs (0 = default)")
-		schedDeadline = flag.Duration("sched-deadline", 0, "per-tick scheduling wall-clock budget; on expiry the tick degrades to the anytime shortcuts (0 = unbounded)")
-		maxInflight   = flag.Int("max-inflight", server.DefaultMaxInflight, "admitted heavy requests before 429 load shedding (negative = no gate)")
-		maxBatch      = flag.Int("max-batch-records", server.DefaultMaxBatchRecords, "records accepted per batch report before 413 (negative = unbounded)")
-		vcBudget      = flag.Int("vc-label-budget", 64, "per-family cap on per-VC labeled metric series (0 = no per-VC series, negative = uncapped)")
-		sloLatency    = flag.Duration("slo-tick-latency", server.DefaultSLOTickLatency, "tick wall-time budget behind the tick-latency SLO")
-		sloInterval   = flag.Duration("slo-interval", 5*time.Second, "background SLO burn-rate evaluation interval")
-		runtimeEvery  = flag.Duration("runtime-metrics-interval", 10*time.Second, "runtime self-telemetry sampling interval (0 = off)")
-		snapshotDir   = flag.String("snapshot-dir", "", "persist durable state to DIR/snapshot.lpvs and restore from it on boot (see DESIGN.md §14)")
-		snapshotEvery = flag.Duration("snapshot-interval", time.Minute, "background snapshot cadence when -snapshot-dir is set (0 = only on shutdown)")
-		historyWindow = flag.Duration("history-window", 15*time.Minute, "in-process metric history retention behind GET /v1/history (0 = off; see DESIGN.md §15)")
-		historyEvery  = flag.Duration("history-interval", 5*time.Second, "metric history sampling cadence")
-		flightDir     = flag.String("flight-dir", "", "arm the flight recorder: write incident bundles to DIR (inspect with lpvsctl flight)")
-		flightTrig    = flag.String("flight-triggers", "all", "flight-recorder triggers: comma list of slo,panic,shed,manual, or all/none")
-		mode          = flag.String("mode", "edge", "process personality: edge (standalone), shard (federation member), router (federation front door)")
-		nodeID        = flag.String("node-id", "", "this shard's node ID in the shard map (mode=shard)")
-		shardMapFile  = flag.String("shard-map", "", "shard map spec file, JSON {replicas, nodes:[{id,addr}]} (required for mode=router; optional epoch guard for mode=shard)")
-		channels      = flag.String("channels", "", "comma-separated extra channel IDs served alongside the default 'live' stream")
-		showVersion   = flag.Bool("version", false, "print the build version and exit")
-	)
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *showVersion {
+	if o.showVersion {
 		fmt.Printf("lpvsd %s\n", version)
 		return
 	}
 
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
+	logger, err := obs.NewLogger(os.Stderr, o.logLevel, o.logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -117,33 +149,39 @@ func main() {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)
 	}
+	if err := checkSlot(o.mode, o.slotSec); err != nil {
+		fatal(err)
+	}
 
 	opts := serveOpts{
-		addr:         *addr,
-		slotSec:      *slotSec,
-		pprof:        *enablePprof,
-		sloInterval:  *sloInterval,
-		runtimeEvery: *runtimeEvery,
+		addr:        o.addr,
+		slotSec:     o.slotSec,
+		pprof:       o.pprof,
+		sampleEvery: o.historyEvery,
 	}
-	if !*manualTick {
+	if opts.sampleEvery <= 0 {
+		// What history.New makes of it too.
+		opts.sampleEvery = history.DefaultInterval
+	}
+	if !o.manualTick {
 		// A shard's slots are advanced by its router's fan-out when one
 		// is deployed; the local ticker targets the shard endpoint so a
 		// router-less shard (tests, development) still advances.
 		opts.tickPath = "/v1/tick"
-		if *mode == "shard" {
+		if o.mode == "shard" {
 			opts.tickPath = "/v1/shard/tick"
 		}
 	}
 
-	switch *mode {
+	switch o.mode {
 	case "edge", "shard":
 	case "router":
 		// No streams, no scheduler — just the federation front door over
 		// the shard map.
-		if *shardMapFile == "" {
+		if o.shardMapFile == "" {
 			fatal(errors.New("-mode=router requires -shard-map"))
 		}
-		m, err := shard.ParseFile(*shardMapFile)
+		m, err := shard.ParseFile(o.shardMapFile)
 		if err != nil {
 			fatal(err)
 		}
@@ -155,22 +193,18 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		logger.Info("lpvsd router listening", "addr", *addr, "version", version,
+		logger.Info("lpvsd router listening", "addr", o.addr, "version", version,
 			"epoch", m.Epoch(), "nodes", len(m.Nodes()), "default_channel", defaultChannel)
 		if err := serve(logger, rt, opts); err != nil {
 			fatal(err)
 		}
 		return
 	default:
-		fatal(fmt.Errorf("unknown -mode %q (edge, shard, router)", *mode))
+		fatal(fmt.Errorf("unknown -mode %q (edge, shard, router)", o.mode))
 	}
 
-	genre, err := parseGenre(*genreName)
-	if err != nil {
-		fatal(err)
-	}
-	chunks := int(*slotSec/video.DefaultChunkSeconds) * 12 // two hours of content, wrapped
-	stream, err := video.Generate(stats.NewRNG(*seed), video.DefaultGenConfig(defaultChannel, genre, chunks))
+	chunks := int(o.slotSec/video.DefaultChunkSeconds) * 12 // two hours of content, wrapped
+	stream, err := video.Generate(stats.NewRNG(contentSeed), video.DefaultGenConfig(defaultChannel, video.Gaming, chunks))
 	if err != nil {
 		fatal(err)
 	}
@@ -178,13 +212,13 @@ func main() {
 	// own derived seed so content differs across channels but stays
 	// reproducible across daemons started with the same flags.
 	var extras []*video.Video
-	if *channels != "" {
-		for i, id := range strings.Split(*channels, ",") {
+	if o.channels != "" {
+		for i, id := range strings.Split(o.channels, ",") {
 			id = strings.TrimSpace(id)
 			if id == "" {
 				continue
 			}
-			v, err := video.Generate(stats.NewRNG(*seed+int64(i)+1), video.DefaultGenConfig(id, genre, chunks))
+			v, err := video.Generate(stats.NewRNG(contentSeed+int64(i)+1), video.DefaultGenConfig(id, video.Gaming, chunks))
 			if err != nil {
 				fatal(err)
 			}
@@ -192,55 +226,53 @@ func main() {
 		}
 	}
 	var smap *shard.Map
-	if *shardMapFile != "" {
-		if smap, err = shard.ParseFile(*shardMapFile); err != nil {
+	if o.shardMapFile != "" {
+		if smap, err = shard.ParseFile(o.shardMapFile); err != nil {
 			fatal(err)
 		}
 	}
 	srv, err := server.New(server.Config{
 		Stream:           stream,
 		ExtraStreams:     extras,
-		ShardMode:        *mode == "shard",
-		NodeID:           *nodeID,
+		ShardMode:        o.mode == "shard",
+		NodeID:           o.nodeID,
 		ShardMap:         smap,
-		ServerStreams:    *capacity,
-		Lambda:           *lambda,
-		SlotSec:          *slotSec,
-		Workers:          *workers,
+		ServerStreams:    o.capacity,
+		Lambda:           o.lambda,
+		SlotSec:          o.slotSec,
+		Workers:          o.workers,
 		Logger:           logger,
-		AuditDir:         *auditDir,
-		TraceSample:      *traceSample,
-		TraceSeed:        *traceSeed,
-		SchedDeadline:    *schedDeadline,
-		MaxInflight:      *maxInflight,
-		MaxBatchRecords:  *maxBatch,
-		VCLabelBudget:    *vcBudget,
-		SLOTickLatency:   *sloLatency,
-		SnapshotDir:      *snapshotDir,
-		SnapshotInterval: *snapshotEvery,
-		HistoryWindow:    *historyWindow,
-		HistoryInterval:  *historyEvery,
-		FlightDir:        *flightDir,
-		FlightTriggers:   *flightTrig,
+		AuditDir:         o.auditDir,
+		TraceSample:      o.traceSample,
+		SchedDeadline:    o.schedDeadline,
+		MaxInflight:      o.maxInflight,
+		MaxBatchRecords:  o.maxBatch,
+		VCLabelBudget:    o.vcBudget,
+		SLOTickLatency:   o.sloLatency,
+		SnapshotDir:      o.snapshotDir,
+		SnapshotInterval: o.snapshotEvery,
+		HistoryWindow:    o.historyWindow,
+		HistoryInterval:  o.historyEvery,
+		FlightDir:        o.flightDir,
 	})
 	if err != nil {
 		fatal(err)
 	}
 	defer srv.Close()
 	opts.history = srv.History()
-	if *snapshotDir != "" {
+	if o.snapshotDir != "" {
 		opts.snapshot = srv.SaveSnapshot
-		opts.snapshotEvery = *snapshotEvery
+		opts.snapshotEvery = o.snapshotEvery
 	}
 	logger.Info("lpvsd listening",
-		"addr", *addr, "version", version, "capacity", *capacity,
-		"lambda", *lambda, "slot_sec", *slotSec, "workers", *workers,
-		"pprof", *enablePprof, "audit_dir", *auditDir,
-		"snapshot_dir", *snapshotDir, "flight_dir", *flightDir,
-		"history_window", *historyWindow,
-		"trace_sample", *traceSample,
-		"sched_deadline", *schedDeadline, "max_inflight", *maxInflight,
-		"max_batch_records", *maxBatch)
+		"addr", o.addr, "version", version, "capacity", o.capacity,
+		"lambda", o.lambda, "slot_sec", o.slotSec, "workers", o.workers,
+		"pprof", o.pprof, "audit_dir", o.auditDir,
+		"snapshot_dir", o.snapshotDir, "flight_dir", o.flightDir,
+		"history_window", o.historyWindow,
+		"trace_sample", o.traceSample,
+		"sched_deadline", o.schedDeadline, "max_inflight", o.maxInflight,
+		"max_batch_records", o.maxBatch)
 	if err := serve(logger, srv, opts); err != nil {
 		fatal(err)
 	}
@@ -264,22 +296,22 @@ type serveOpts struct {
 	tickPath string
 	slotSec  float64
 	pprof    bool
+	// sampleEvery is the period of the sampling loop (-history-interval).
+	sampleEvery time.Duration
 
-	sloInterval  time.Duration
-	runtimeEvery time.Duration // 0 = no runtime self-telemetry
-
-	// Edge-daemon extras, nil on a router: the metric-history sampler
-	// (DESIGN.md §15) and durable-state snapshots (§14), written every
-	// snapshotEvery (0 = never) and once more after the drain.
+	// Edge-daemon extras, nil on a router: the metric history the
+	// sampling loop records (DESIGN.md §15) and durable-state snapshots
+	// (§14), written every snapshotEvery (0 = never) and once more
+	// after the drain.
 	history       *history.Store
 	snapshot      func() error
 	snapshotEvery time.Duration
 }
 
 // serve is the one process loop of every personality: it mounts pprof,
-// starts the background loops and the slot ticker, serves p's handler
+// starts the sampling loop and the slot ticker, serves p's handler
 // until SIGINT/SIGTERM, then drains in order — readiness off, in-flight
-// requests, background loops, final snapshot.
+// requests, sampling loop, final snapshot.
 func serve(logger *slog.Logger, p personality, o serveOpts) error {
 	obs.RegisterBuildInfo(p.Registry(), "lpvsd", version)
 
@@ -300,29 +332,20 @@ func serve(logger *slog.Logger, p personality, o serveOpts) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Fleet-health background loops (DESIGN.md §13): runtime
-	// self-telemetry into /metrics, the SLO burn-rate evaluator, and the
-	// metric-history sampler (§15). They run on their own context, not
-	// the signal context, so the shutdown goroutine can stop them and
-	// WAIT for them before the final snapshot — the snapshot and final
-	// flight bundle must never race background writers.
-	bgCtx, bgStop := context.WithCancel(context.Background())
-	defer bgStop()
-	var bg sync.WaitGroup
-	background := func(run func()) {
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			run()
-		}()
+	// The sampling loop (DESIGN.md §13) stops on its own channel, not
+	// the signal context, so the shutdown goroutine can stop it and WAIT
+	// for it before the final snapshot — the snapshot and final flight
+	// bundle must never race a sampling pass.
+	smp := sampler{
+		runtime: runtimecollector.New(p.Registry()),
+		slo:     p.SLO(),
+		history: o.history,
 	}
-	if o.runtimeEvery > 0 {
-		background(func() { runtimecollector.New(p.Registry()).Run(bgCtx, o.runtimeEvery) })
-	}
-	background(func() { p.SLO().Run(bgCtx.Done(), o.sloInterval) })
-	if o.history != nil {
-		background(func() { o.history.Run(bgCtx.Done()) })
-	}
+	sampleStop, sampleDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampleDone)
+		obs.Every(sampleStop, o.sampleEvery, smp.pass)
+	}()
 
 	// Periodic durable-state snapshots (DESIGN.md §14). The final
 	// snapshot is taken by the shutdown goroutine after drain, so a
@@ -380,11 +403,10 @@ func serve(logger *slog.Logger, p personality, o serveOpts) error {
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 			logger.Error("shutdown", "err", err)
 		}
-		// Stop the SLO evaluator, runtime collector, and history
-		// sampler — and wait for them — before the final snapshot, so
-		// nothing mutates state while it is being written.
-		bgStop()
-		bg.Wait()
+		// Stop the sampling loop — and wait for it — before the final
+		// snapshot, so nothing mutates state while it is being written.
+		close(sampleStop)
+		<-sampleDone
 		// Snapshot after drain so the on-disk state reflects every
 		// admitted report.
 		if o.snapshot != nil {
@@ -436,11 +458,20 @@ func runTicker(ctx context.Context, logger *slog.Logger, url string, slotSec flo
 	}
 }
 
-func parseGenre(name string) (video.Genre, error) {
-	for _, g := range video.AllGenres() {
-		if g.String() == name {
-			return g, nil
-		}
+// sampler is the daemon's one background sampling pass (DESIGN.md §13):
+// the runtime gauges, then the SLO burn rates, then — on an edge or
+// shard daemon — the metric history, so every history point holds the
+// runtime gauges and SLO states of its own pass.
+type sampler struct {
+	runtime *runtimecollector.Collector
+	slo     *slo.Engine
+	history *history.Store // nil on a router or with -history-window 0
+}
+
+func (s sampler) pass() {
+	s.runtime.Sample()
+	s.slo.Evaluate()
+	if s.history != nil {
+		s.history.Sample()
 	}
-	return 0, fmt.Errorf("unknown genre %q", name)
 }

@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"lpvs/internal/emu"
-	"lpvs/internal/shard"
 	"lpvs/internal/stats"
 	"lpvs/internal/trace"
 	"lpvs/internal/video"
@@ -45,16 +44,6 @@ type Config struct {
 	Seed int64
 	// GiveUpSampler forwards to the device generator.
 	GiveUpSampler func(*stats.RNG) float64
-	// ShardMap, together with ShardNode, partitions a trace-driven run
-	// across processes the same way the router partitions live channels
-	// (DESIGN.md §17): this process emulates only the channels whose
-	// consistent-hash key "ch:<channel>" the map assigns to ShardNode.
-	// Channel selection, seeding, and MaxChannels are computed over the
-	// full trace first, so the per-node results under one map are a
-	// disjoint exact cover of the unsharded run.
-	ShardMap *shard.Map
-	// ShardNode is this process's node ID in ShardMap.
-	ShardNode string
 }
 
 func (c Config) normalized() (Config, error) {
@@ -84,12 +73,6 @@ func (c Config) normalized() (Config, error) {
 	}
 	if c.Workers < 1 {
 		return c, fmt.Errorf("fleet: Workers %d", c.Workers)
-	}
-	if (c.ShardMap == nil) != (c.ShardNode == "") {
-		return c, fmt.Errorf("fleet: ShardMap and ShardNode must be set together")
-	}
-	if c.ShardMap != nil && !c.ShardMap.Contains(c.ShardNode) {
-		return c, fmt.Errorf("fleet: ShardNode %q not in shard map", c.ShardNode)
 	}
 	return c, nil
 }
@@ -121,9 +104,6 @@ type Result struct {
 	CohortSize                             int
 	// Skipped counts channels below the audience threshold.
 	Skipped int
-	// SkippedRemote counts selected channels this process did not
-	// emulate because ShardMap assigns them to another node.
-	SkippedRemote int
 }
 
 // Run emulates (up to MaxChannels of) the trace's channels as
@@ -157,22 +137,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("fleet: no channel reaches %d viewers", cfg.MinGroupSize)
-	}
-	if cfg.ShardMap != nil {
-		// Filter after global selection and seeding, so a channel's
-		// cluster result is identical whether it runs sharded or not.
-		owned := jobs[:0:0]
-		for _, j := range jobs {
-			if cfg.ShardMap.Owner("ch:"+j.channel.ID).ID == cfg.ShardNode {
-				owned = append(owned, j)
-			} else {
-				res.SkippedRemote++
-			}
-		}
-		jobs = owned
-		if len(jobs) == 0 {
-			return res, nil
-		}
 	}
 
 	results := make([]ClusterResult, len(jobs))

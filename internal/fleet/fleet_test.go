@@ -3,7 +3,6 @@ package fleet
 import (
 	"testing"
 
-	"lpvs/internal/shard"
 	"lpvs/internal/trace"
 )
 
@@ -180,88 +179,5 @@ func TestRunCapsGroupSize(t *testing.T) {
 		if c.GroupSize > 60 {
 			t.Fatalf("group size %d above the cap", c.GroupSize)
 		}
-	}
-}
-
-// A sharded run must be an exact cover of the unsharded run: every
-// cluster lands on exactly one node (per the consistent-hash map), no
-// cluster is lost or duplicated, and each per-cluster result is
-// byte-identical to its unsharded counterpart — the fleet-evaluation
-// analogue of the router's N=1 differential.
-func TestRunShardPartitionExactCover(t *testing.T) {
-	tr := smallTrace(t)
-	base := Config{
-		Trace:         tr,
-		MaxSlots:      3,
-		Lambda:        1,
-		ServerStreams: -1,
-		Seed:          7,
-	}
-	whole, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := shard.New([]shard.Node{
-		{ID: "a", Addr: "http://a"},
-		{ID: "b", Addr: "http://b"},
-		{ID: "c", Addr: "http://c"},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]string{} // channel -> node
-	var parts []ClusterResult
-	for _, n := range m.Nodes() {
-		cfg := base
-		cfg.ShardMap, cfg.ShardNode = m, n.ID
-		part, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if part.SkippedRemote != len(whole.Clusters)-len(part.Clusters) {
-			t.Fatalf("node %s: SkippedRemote %d, clusters %d/%d", n.ID,
-				part.SkippedRemote, len(part.Clusters), len(whole.Clusters))
-		}
-		for _, c := range part.Clusters {
-			if owner := m.Owner("ch:" + c.ChannelID).ID; owner != n.ID {
-				t.Fatalf("channel %s ran on %s but is owned by %s", c.ChannelID, n.ID, owner)
-			}
-			if prev, dup := seen[c.ChannelID]; dup {
-				t.Fatalf("channel %s ran on both %s and %s", c.ChannelID, prev, n.ID)
-			}
-			seen[c.ChannelID] = n.ID
-			parts = append(parts, c)
-		}
-	}
-	if len(parts) != len(whole.Clusters) {
-		t.Fatalf("sharded union has %d clusters, unsharded %d", len(parts), len(whole.Clusters))
-	}
-	byID := map[string]ClusterResult{}
-	for _, c := range whole.Clusters {
-		byID[c.ChannelID] = c
-	}
-	for _, c := range parts {
-		if c != byID[c.ChannelID] {
-			t.Fatalf("channel %s diverges sharded vs unsharded:\n sharded  %+v\n unsharded %+v",
-				c.ChannelID, c, byID[c.ChannelID])
-		}
-	}
-}
-
-func TestRunShardValidation(t *testing.T) {
-	tr := smallTrace(t)
-	m, err := shard.New([]shard.Node{{ID: "a", Addr: "http://a"}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(Config{Trace: tr, ShardNode: "a"}); err == nil {
-		t.Fatal("ShardNode without ShardMap accepted")
-	}
-	if _, err := Run(Config{Trace: tr, ShardMap: m}); err == nil {
-		t.Fatal("ShardMap without ShardNode accepted")
-	}
-	if _, err := Run(Config{Trace: tr, ShardMap: m, ShardNode: "ghost"}); err == nil {
-		t.Fatal("unknown ShardNode accepted")
 	}
 }

@@ -9,14 +9,14 @@
 //
 //   - slo-alarm:  an SLO objective transitions into alarm
 //   - panic:      a request handler panicked and was recovered
-//   - shed-burst: admission control shed ShedBurst requests within
-//     ShedWindow
+//   - shed-burst: admission control shed DefaultShedBurst requests
+//     within DefaultShedWindow
 //   - manual:     POST /v1/incident, or lpvs-emu/test code asking
 //     directly
 //
 // Automatic triggers share a cooldown so an alarm flapping every
 // evaluation cannot fill the disk; suppressed captures are counted.
-// Bundles rotate: only the newest MaxBundles files are kept.
+// Bundles rotate: only the newest DefaultMaxBundles files are kept.
 //
 // The recorder is strictly an observer. It is fed copies of data the
 // daemon already produced (encoded audit lines, gathered history,
@@ -64,11 +64,16 @@ const (
 	TriggerManual = "manual"
 )
 
-// Defaults for Config fields left zero.
+// The recorder's fixed bounds, and the default Cooldown.
 const (
-	DefaultAuditTail  = 64
+	// DefaultAuditTail is how many recent audit lines a bundle carries.
+	DefaultAuditTail = 64
+	// DefaultMaxBundles is how many bundle files Dir retains; the
+	// oldest are deleted.
 	DefaultMaxBundles = 16
 	DefaultCooldown   = 30 * time.Second
+	// DefaultShedBurst sheds within DefaultShedWindow trip the
+	// shed-burst trigger.
 	DefaultShedBurst  = 32
 	DefaultShedWindow = 10 * time.Second
 )
@@ -84,57 +89,6 @@ type Triggers struct {
 // AllTriggers enables everything.
 func AllTriggers() Triggers {
 	return Triggers{SLOAlarm: true, Panic: true, ShedBurst: true, Manual: true}
-}
-
-// ParseTriggers reads a comma-separated trigger list ("slo", "panic",
-// "shed", "manual"), or "all" / "none".
-func ParseTriggers(s string) (Triggers, error) {
-	var t Triggers
-	switch strings.TrimSpace(s) {
-	case "", "all":
-		return AllTriggers(), nil
-	case "none":
-		return t, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(part) {
-		case "slo":
-			t.SLOAlarm = true
-		case "panic":
-			t.Panic = true
-		case "shed":
-			t.ShedBurst = true
-		case "manual":
-			t.Manual = true
-		default:
-			return t, fmt.Errorf("flight: unknown trigger %q (want slo, panic, shed, manual, all, none)", part)
-		}
-	}
-	return t, nil
-}
-
-// String renders the canonical comma-separated form.
-func (t Triggers) String() string {
-	if t == AllTriggers() {
-		return "all"
-	}
-	var parts []string
-	if t.SLOAlarm {
-		parts = append(parts, "slo")
-	}
-	if t.Panic {
-		parts = append(parts, "panic")
-	}
-	if t.ShedBurst {
-		parts = append(parts, "shed")
-	}
-	if t.Manual {
-		parts = append(parts, "manual")
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
 }
 
 // Bundle is the forensic payload carried inside the persist container.
@@ -227,7 +181,7 @@ type Config struct {
 	// Dir receives the bundle files (created if missing).
 	Dir string
 	// Triggers selects the capture events (zero value = nothing; use
-	// AllTriggers or ParseTriggers).
+	// AllTriggers for everything).
 	Triggers Triggers
 
 	// History, Tracer, and SLOStates supply the bundle sections; each
@@ -243,20 +197,10 @@ type Config struct {
 	Version    string
 	ConfigHash string
 
-	// AuditTail bounds the ring of recent audit lines (default 64;
-	// negative = keep none).
-	AuditTail int
-	// MaxBundles bounds how many bundle files Dir retains (default 16;
-	// oldest are deleted).
-	MaxBundles int
 	// Cooldown suppresses automatic captures (slo/panic/shed) that
 	// follow a previous automatic capture too closely (default 30s;
 	// negative = none). Manual captures are never suppressed.
 	Cooldown time.Duration
-	// ShedBurst sheds within ShedWindow trip the shed-burst trigger
-	// (defaults 32 within 10s).
-	ShedBurst  int
-	ShedWindow time.Duration
 
 	// Profiles includes goroutine + heap profiles in bundles (the
 	// daemon wants them; the emulator leaves them off to keep scenario
@@ -276,7 +220,7 @@ type Recorder struct {
 	cfg Config
 
 	mu        sync.Mutex
-	auditTail [][]byte // ring of encoded audit lines (no trailing \n)
+	auditTail [DefaultAuditTail][]byte // ring of encoded audit lines (no trailing \n)
 	tailStart int
 	tailN     int
 	lastAuto  time.Time
@@ -301,23 +245,8 @@ func New(cfg Config) (*Recorder, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("flight: %w", err)
 	}
-	if cfg.AuditTail == 0 {
-		cfg.AuditTail = DefaultAuditTail
-	}
-	if cfg.AuditTail < 0 {
-		cfg.AuditTail = 0
-	}
-	if cfg.MaxBundles <= 0 {
-		cfg.MaxBundles = DefaultMaxBundles
-	}
 	if cfg.Cooldown == 0 {
 		cfg.Cooldown = DefaultCooldown
-	}
-	if cfg.ShedBurst <= 0 {
-		cfg.ShedBurst = DefaultShedBurst
-	}
-	if cfg.ShedWindow <= 0 {
-		cfg.ShedWindow = DefaultShedWindow
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -325,25 +254,15 @@ func New(cfg Config) (*Recorder, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	return &Recorder{
-		cfg:       cfg,
-		auditTail: make([][]byte, cfg.AuditTail),
-		written:   make(map[string]uint64),
-	}, nil
+	return &Recorder{cfg: cfg, written: make(map[string]uint64)}, nil
 }
 
 // Dir reports where bundles are written.
 func (r *Recorder) Dir() string { return r.cfg.Dir }
 
-// Triggers reports the armed trigger set.
-func (r *Recorder) Triggers() Triggers { return r.cfg.Triggers }
-
 // NoteAudit retains a copy of one encoded audit line (with or without
 // the trailing newline) in the bounded tail ring.
 func (r *Recorder) NoteAudit(line []byte) {
-	if len(r.auditTail) == 0 {
-		return
-	}
 	cp := bytes.TrimRight(append([]byte(nil), line...), "\n")
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -378,15 +297,15 @@ func (r *Recorder) OnPanic(detail string) {
 	r.capture(TriggerPanic, "recovered panic: "+detail, true)
 }
 
-// OnShed records one shed request; a burst of ShedBurst sheds inside
-// ShedWindow captures a bundle.
+// OnShed records one shed request; a burst of DefaultShedBurst sheds
+// inside DefaultShedWindow captures a bundle.
 func (r *Recorder) OnShed() {
 	if !r.cfg.Triggers.ShedBurst {
 		return
 	}
 	now := r.cfg.Now()
 	r.mu.Lock()
-	cutoff := now.Add(-r.cfg.ShedWindow)
+	cutoff := now.Add(-DefaultShedWindow)
 	keep := r.shedTimes[:0]
 	for _, t := range r.shedTimes {
 		if t.After(cutoff) {
@@ -394,14 +313,14 @@ func (r *Recorder) OnShed() {
 		}
 	}
 	r.shedTimes = append(keep, now)
-	burst := len(r.shedTimes) >= r.cfg.ShedBurst
+	burst := len(r.shedTimes) >= DefaultShedBurst
 	if burst {
 		r.shedTimes = r.shedTimes[:0]
 	}
 	r.mu.Unlock()
 	if burst {
 		r.capture(TriggerShed,
-			fmt.Sprintf("admission control shed %d requests within %s", r.cfg.ShedBurst, r.cfg.ShedWindow), true)
+			fmt.Sprintf("admission control shed %d requests within %s", DefaultShedBurst, DefaultShedWindow), true)
 	}
 }
 
@@ -409,7 +328,7 @@ func (r *Recorder) OnShed() {
 // returns its path. It fails if the manual trigger is not armed.
 func (r *Recorder) Capture(reason string) (string, error) {
 	if !r.cfg.Triggers.Manual {
-		return "", fmt.Errorf("flight: manual trigger not armed (-flight-triggers)")
+		return "", fmt.Errorf("flight: manual trigger not armed")
 	}
 	return r.capture(TriggerManual, reason, false)
 }
@@ -504,13 +423,13 @@ func (r *Recorder) noteError(err error) {
 	r.cfg.Logger.Error("flight capture failed", "err", err)
 }
 
-// rotate deletes the oldest bundles beyond MaxBundles.
+// rotate deletes the oldest bundles beyond DefaultMaxBundles.
 func (r *Recorder) rotate() {
 	paths, err := ListBundles(r.cfg.Dir)
-	if err != nil || len(paths) <= r.cfg.MaxBundles {
+	if err != nil || len(paths) <= DefaultMaxBundles {
 		return
 	}
-	for _, p := range paths[:len(paths)-r.cfg.MaxBundles] {
+	for _, p := range paths[:len(paths)-DefaultMaxBundles] {
 		if err := os.Remove(p); err != nil {
 			r.cfg.Logger.Warn("flight rotate", "err", err)
 		}

@@ -53,37 +53,6 @@ func newTestRecorder(t *testing.T, mut func(*Config)) (*Recorder, *testClock) {
 	return r, clk
 }
 
-func TestParseTriggers(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Triggers
-		err  bool
-	}{
-		{"all", AllTriggers(), false},
-		{"", AllTriggers(), false},
-		{"none", Triggers{}, false},
-		{"slo", Triggers{SLOAlarm: true}, false},
-		{"slo,manual", Triggers{SLOAlarm: true, Manual: true}, false},
-		{"panic, shed", Triggers{Panic: true, ShedBurst: true}, false},
-		{"bogus", Triggers{}, true},
-	}
-	for _, c := range cases {
-		got, err := ParseTriggers(c.in)
-		if c.err != (err != nil) {
-			t.Fatalf("ParseTriggers(%q) err = %v", c.in, err)
-		}
-		if !c.err && got != c.want {
-			t.Fatalf("ParseTriggers(%q) = %+v, want %+v", c.in, got, c.want)
-		}
-	}
-	if s := (Triggers{SLOAlarm: true, Manual: true}).String(); s != "slo,manual" {
-		t.Fatalf("String = %q", s)
-	}
-	if s := AllTriggers().String(); s != "all" {
-		t.Fatalf("String(all) = %q", s)
-	}
-}
-
 func TestBundleRoundTrip(t *testing.T) {
 	b := &Bundle{
 		Schema:         BundleVersion,
@@ -214,13 +183,10 @@ func TestSLOTransitionTriggerAndCooldown(t *testing.T) {
 }
 
 func TestShedBurstTrigger(t *testing.T) {
-	r, clk := newTestRecorder(t, func(c *Config) {
-		c.ShedBurst = 3
-		c.ShedWindow = 10 * time.Second
-		c.Cooldown = -1
-	})
-	r.OnShed()
-	r.OnShed()
+	r, clk := newTestRecorder(t, func(c *Config) { c.Cooldown = -1 })
+	for i := 1; i < DefaultShedBurst; i++ {
+		r.OnShed()
+	}
 	if got := r.BundlesWritten(); got != 0 {
 		t.Fatalf("bundles = %d before burst", got)
 	}
@@ -229,8 +195,8 @@ func TestShedBurstTrigger(t *testing.T) {
 		t.Fatalf("bundles = %d after burst", got)
 	}
 	// Sheds spread beyond the window never trip.
-	for i := 0; i < 5; i++ {
-		clk.advance(time.Minute)
+	for i := 0; i < 2*DefaultShedBurst; i++ {
+		clk.advance(DefaultShedWindow)
 		r.OnShed()
 	}
 	if got := r.BundlesWritten(); got != 1 {
@@ -239,8 +205,9 @@ func TestShedBurstTrigger(t *testing.T) {
 }
 
 func TestAuditTailRingBounded(t *testing.T) {
-	r, _ := newTestRecorder(t, func(c *Config) { c.AuditTail = 3 })
-	for i := 0; i < 10; i++ {
+	r, _ := newTestRecorder(t, nil)
+	const lines = DefaultAuditTail + 7
+	for i := 0; i < lines; i++ {
 		r.NoteAudit([]byte(fmt.Sprintf(`{"i":%d}`, i)))
 	}
 	path, err := r.Capture("tail")
@@ -251,19 +218,20 @@ func TestAuditTailRingBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.AuditRecords) != 3 {
-		t.Fatalf("tail = %d records, want 3", len(b.AuditRecords))
+	if len(b.AuditRecords) != DefaultAuditTail {
+		t.Fatalf("tail = %d records, want %d", len(b.AuditRecords), DefaultAuditTail)
 	}
-	// The newest three survive, oldest first.
-	if string(b.AuditRecords[0]) != `{"i":7}` || string(b.AuditRecords[2]) != `{"i":9}` {
-		t.Fatalf("tail contents = %v", b.AuditRecords)
+	// The newest DefaultAuditTail survive, oldest first.
+	first, last := fmt.Sprintf(`{"i":%d}`, lines-DefaultAuditTail), fmt.Sprintf(`{"i":%d}`, lines-1)
+	if string(b.AuditRecords[0]) != first || string(b.AuditRecords[DefaultAuditTail-1]) != last {
+		t.Fatalf("tail runs %s..%s, want %s..%s", b.AuditRecords[0], b.AuditRecords[DefaultAuditTail-1], first, last)
 	}
 }
 
 func TestBundleRotation(t *testing.T) {
-	r, clk := newTestRecorder(t, func(c *Config) { c.MaxBundles = 2 })
+	r, clk := newTestRecorder(t, nil)
 	var last string
-	for i := 0; i < 5; i++ {
+	for i := 0; i < DefaultMaxBundles+3; i++ {
 		clk.advance(time.Second)
 		p, err := r.Capture("n")
 		if err != nil {
@@ -275,8 +243,8 @@ func TestBundleRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 2 {
-		t.Fatalf("retained %d bundles, want 2", len(paths))
+	if len(paths) != DefaultMaxBundles {
+		t.Fatalf("retained %d bundles, want %d", len(paths), DefaultMaxBundles)
 	}
 	if paths[len(paths)-1] != last {
 		t.Fatalf("newest bundle rotated away: %v vs %s", paths, last)
@@ -325,13 +293,14 @@ func TestCaptureErrorCounted(t *testing.T) {
 }
 
 func TestConcurrentTriggers(t *testing.T) {
-	r, _ := newTestRecorder(t, func(c *Config) { c.Cooldown = -1; c.ShedBurst = 2; c.ShedWindow = time.Hour })
+	r, _ := newTestRecorder(t, func(c *Config) { c.Cooldown = -1 })
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			for j := 0; j < 10; j++ {
+			// The two shed goroutines together shed one burst.
+			for j := 0; j < DefaultShedBurst/2; j++ {
 				switch i % 4 {
 				case 0:
 					r.NoteAudit([]byte(`{"schema":1}`))

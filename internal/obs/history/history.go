@@ -1,6 +1,6 @@
 // Package history is the time dimension of the LPVS metrics registry:
 // a fixed-window, fixed-budget in-memory ring store that samples an
-// obs.Registry on a ticker and answers range queries over the recent
+// obs.Registry once per sampling pass and answers range queries over the recent
 // past. It exists so an operator (or the flight recorder) can ask
 // "what happened in the last fifteen minutes" after the instantaneous
 // state that caused an incident is already gone.
@@ -11,12 +11,11 @@
 //     that goes backwards is treated as a process restart and the
 //     sample is recorded as the full new value, never negative.
 //   - gauges    → raw points.
-//   - histograms → derived quantile gauges (one series per configured
-//     quantile, estimated from the cumulative buckets) plus a _count
-//     delta series, so tail latency is reconstructable without
-//     storing every bucket.
+//   - histograms → derived quantile gauges (_p50 and _p99, estimated
+//     from the cumulative buckets) plus a _count delta series, so tail
+//     latency is reconstructable without storing every bucket.
 //
-// Memory is bounded by an explicit byte budget: each retained series
+// Memory is bounded by a fixed byte budget: each retained series
 // owns one fixed ring of Window/Interval points, the store admits
 // series first-come-first-served until the budget is exhausted, and
 // refused writes are counted (lpvs_history_dropped_total) rather than
@@ -37,10 +36,13 @@ import (
 	"lpvs/internal/obs"
 )
 
-// Defaults for Config fields left zero.
+// Defaults for Config fields left zero, and the store's fixed byte
+// budget.
 const (
 	DefaultWindow   = 15 * time.Minute
 	DefaultInterval = 5 * time.Second
+	// DefaultMaxBytes bounds the memory of all rings together. Series
+	// beyond the budget are refused and counted, never stored.
 	DefaultMaxBytes = 4 << 20 // 4 MiB of rings
 
 	// pointBytes is the in-ring cost of one sample (unix-ms int64 +
@@ -50,6 +52,9 @@ const (
 	pointBytes          = 16
 	seriesOverheadBytes = 128
 )
+
+// quantiles are the derived gauges kept per histogram family.
+var quantiles = [...]float64{0.5, 0.99}
 
 // Kind says how a series' points must be read.
 type Kind string
@@ -115,12 +120,6 @@ type Config struct {
 	// Interval is the expected sampling cadence; with Window it sizes
 	// each ring (Window/Interval + 1 points).
 	Interval time.Duration
-	// MaxBytes bounds the memory of all rings together. Series beyond
-	// the budget are refused and counted, never stored.
-	MaxBytes int
-	// Quantiles are the derived gauges kept per histogram family
-	// (default 0.5 and 0.99).
-	Quantiles []float64
 	// Now supplies the sample clock (default time.Now).
 	Now func() time.Time
 }
@@ -131,7 +130,7 @@ type Store struct {
 	reg      *obs.Registry
 	cfg      Config
 	capacity int // points per ring
-	maxSer   int // series budget derived from MaxBytes
+	maxSer   int // series budget derived from DefaultMaxBytes
 
 	mu      sync.Mutex
 	rings   map[string]*ring
@@ -173,21 +172,15 @@ func (rg *ring) points(sinceMS int64) []Point {
 	return out
 }
 
-// New builds a Store over reg. It does not start sampling; call Run
-// on a goroutine or Sample directly (the emulator drives Sample from
-// its synthetic slot clock).
+// New builds a Store over reg. It does not sample by itself: the
+// daemon's sampling loop calls Sample every Interval, and the emulator
+// drives Sample from its synthetic slot clock.
 func New(reg *obs.Registry, cfg Config) *Store {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
-	}
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = DefaultMaxBytes
-	}
-	if len(cfg.Quantiles) == 0 {
-		cfg.Quantiles = []float64{0.5, 0.99}
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -196,7 +189,7 @@ func New(reg *obs.Registry, cfg Config) *Store {
 	if capacity < 2 {
 		capacity = 2
 	}
-	maxSer := cfg.MaxBytes / (capacity*pointBytes + seriesOverheadBytes)
+	maxSer := DefaultMaxBytes / (capacity*pointBytes + seriesOverheadBytes)
 	if maxSer < 1 {
 		maxSer = 1
 	}
@@ -240,22 +233,6 @@ func (s *Store) memoryBytes() int {
 	return len(s.rings) * (s.capacity*pointBytes + seriesOverheadBytes)
 }
 
-// Run samples immediately, then on every Interval tick until done is
-// closed.
-func (s *Store) Run(done <-chan struct{}) {
-	s.Sample()
-	ticker := time.NewTicker(s.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		case <-ticker.C:
-			s.Sample()
-		}
-	}
-}
-
 // Sample gathers the registry once and folds every family into the
 // rings. The gather happens before s.mu is taken so registry
 // scrape-time funcs (including this store's own self-metrics) never
@@ -277,7 +254,7 @@ func (s *Store) Sample() {
 			case obs.TypeGauge:
 				s.record(f.Name, labels, KindPoint, ms, se.Value)
 			case obs.TypeHistogram:
-				for _, q := range s.cfg.Quantiles {
+				for _, q := range quantiles {
 					name := fmt.Sprintf("%s_p%g", f.Name, q*100)
 					v := quantile(f.Buckets, se.BucketCounts, se.Count, q)
 					s.recordPoint(name, labels, KindPoint, ms, v)

@@ -168,12 +168,11 @@ func TestMemoryBudgetDropAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	vec := reg.GaugeVec("v", "V.", "id")
 	clk := newFakeClock()
-	// Tiny budget: 1 series only.
-	capacity := int(time.Minute/time.Second) + 1
+	// A window whose one ring fills the whole byte budget: 1 series only.
+	capacity := (DefaultMaxBytes - seriesOverheadBytes) / pointBytes
 	s := newStore(reg, clk, Config{
-		Window:   time.Minute,
+		Window:   time.Duration(capacity-1) * time.Second,
 		Interval: time.Second,
-		MaxBytes: capacity*pointBytes + seriesOverheadBytes,
 	})
 	if s.MaxSeries() != 1 {
 		t.Fatalf("MaxSeries = %d, want 1", s.MaxSeries())
@@ -289,6 +288,8 @@ func TestConcurrentSampleQueryScrape(t *testing.T) {
 	wg.Wait()
 }
 
+// TestRunSamplesOnTicker: the daemon's sampling loop, ticking at the
+// store's Interval, accumulates samples until stopped.
 func TestRunSamplesOnTicker(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Gauge("y", "Y.").Set(1)
@@ -297,13 +298,13 @@ func TestRunSamplesOnTicker(t *testing.T) {
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		s.Run(done)
+		obs.Every(done, s.cfg.Interval, s.Sample)
 	}()
 	deadline := time.After(2 * time.Second)
 	for s.Samples() < 3 {
 		select {
 		case <-deadline:
-			t.Fatal("Run never accumulated samples")
+			t.Fatal("the loop never accumulated samples")
 		case <-time.After(time.Millisecond):
 		}
 	}

@@ -1,6 +1,6 @@
 // Package runtimecollector samples the Go runtime's own health —
 // heap size, GC activity and pause time, goroutine count, scheduler
-// latency — into an obs.Registry on a fixed interval, so the daemon's
+// latency — into an obs.Registry once per sampling pass, so the daemon's
 // /metrics exposition answers "is the process itself degrading?"
 // alongside the scheduling telemetry.
 //
@@ -12,7 +12,6 @@
 package runtimecollector
 
 import (
-	"context"
 	"math"
 	"runtime"
 	runtimemetrics "runtime/metrics"
@@ -34,7 +33,7 @@ const (
 	sampleGoroutines   = "/sched/goroutines:goroutines"
 )
 
-// Collector periodically folds runtime self-telemetry into a registry.
+// Collector folds runtime self-telemetry into a registry.
 // Construct with New; the zero value is not usable.
 type Collector struct {
 	samples []runtimemetrics.Sample
@@ -54,8 +53,8 @@ type Collector struct {
 }
 
 // New registers the lpvs_go_* metric families on reg and returns a
-// collector ready to Sample. It does not start a goroutine; call Run
-// (or Sample directly from a test or a scrape hook).
+// collector ready to Sample. It does not start a goroutine: the
+// daemon's sampling loop calls Sample, as a test may.
 func New(reg *obs.Registry) *Collector {
 	c := &Collector{
 		samples: []runtimemetrics.Sample{
@@ -98,7 +97,7 @@ func New(reg *obs.Registry) *Collector {
 
 // Sample reads runtime/metrics once and refreshes every gauge. Safe for
 // concurrent use with scrapes (gauges are lock-free); callers should
-// not run overlapping Samples, which Run guarantees.
+// not run overlapping Samples, which one sampling loop guarantees.
 func (c *Collector) Sample() {
 	runtimemetrics.Read(c.samples)
 	for i := range c.samples {
@@ -132,25 +131,6 @@ func (c *Collector) Sample() {
 	}
 	c.gomaxprocs.Set(float64(runtime.GOMAXPROCS(0)))
 	c.lastSample.Set(float64(time.Now().UnixNano()) / 1e9)
-}
-
-// Run samples immediately and then on every interval tick until ctx is
-// cancelled. It is the collector's only goroutine owner; call it once.
-func (c *Collector) Run(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	c.Sample()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			c.Sample()
-		}
-	}
 }
 
 // sampleFloat converts a runtime/metrics scalar sample to float64;

@@ -1,7 +1,6 @@
 package runtimecollector
 
 import (
-	"context"
 	runtimemetrics "runtime/metrics"
 	"strings"
 	"sync"
@@ -47,24 +46,26 @@ func TestSamplePopulatesGauges(t *testing.T) {
 	}
 }
 
+// TestRunSamplesOnTicker: the daemon's sampling loop, driving Sample,
+// sets the sample stamp and returns once stopped.
 func TestRunSamplesOnTicker(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New(reg)
-	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.Run(ctx, time.Millisecond)
+		obs.Every(done, time.Millisecond, c.Sample)
 	}()
 	deadline := time.Now().Add(2 * time.Second)
 	for c.lastSample.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	cancel()
+	close(done)
 	wg.Wait()
 	if c.lastSample.Value() == 0 {
-		t.Fatal("Run never sampled")
+		t.Fatal("the loop never sampled")
 	}
 }
 
@@ -99,48 +100,40 @@ func TestHistSumMidpoints(t *testing.T) {
 	}
 }
 
-// TestConcurrentStartStopAndScrape hammers the collector from three
-// directions at once — rapid Run start/cancel cycles, direct Sample
-// calls, and full registry scrapes — so the race detector can prove
-// the shutdown-ordering contract behind lpvsd's background loops
-// (DESIGN.md §15): sampling and scraping never race, even across
-// collector restarts.
+// TestConcurrentStartStopAndScrape hammers the collector from two
+// directions at once — a sampler started and stopped again and again,
+// calling Sample as lpvsd's sampling loop does, and full registry
+// scrapes — so the race detector can prove the shutdown-ordering
+// contract behind that loop (DESIGN.md §13): sampling and scraping
+// never race, even across sampler restarts.
 func TestConcurrentStartStopAndScrape(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New(reg)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Rapid start/cancel cycles of the background loop.
+	// Rapid start/stop cycles of one sampling goroutine.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(done)
 		for i := 0; i < 20; i++ {
-			ctx, cancel := context.WithCancel(context.Background())
-			var runWG sync.WaitGroup
-			runWG.Add(1)
+			stop := make(chan struct{})
+			stopped := make(chan struct{})
 			go func() {
-				defer runWG.Done()
-				c.Run(ctx, time.Microsecond)
+				defer close(stopped)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						c.Sample()
+					}
+				}
 			}()
 			time.Sleep(time.Millisecond)
-			cancel()
-			runWG.Wait()
-		}
-		close(done)
-	}()
-
-	// Direct sampling, as the shutdown path does for the final frame.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				c.Sample()
-			}
+			close(stop)
+			<-stopped
 		}
 	}()
 

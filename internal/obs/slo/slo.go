@@ -54,6 +54,11 @@ type Objective struct {
 	Source Source
 }
 
+// Burn is the burn-rate threshold both windows must exceed before an
+// objective alarms: at 10 the budget would be gone in a tenth of the
+// period.
+const Burn = 10
+
 // Config parameterises an Engine. The zero value gives the defaults
 // noted per field.
 type Config struct {
@@ -61,10 +66,6 @@ type Config struct {
 	// 1m and 5m — sized for an edge daemon whose ticks arrive every few
 	// seconds in tests and every slot in production.
 	FastWindow, SlowWindow time.Duration
-	// Burn is the burn-rate threshold both windows must exceed before
-	// the objective alarms; default 10 (the budget would be gone in a
-	// tenth of the period).
-	Burn float64
 	// Now injects the clock; nil means time.Now. Synthetic clocks make
 	// evaluation fully deterministic (the emulator's slot clock).
 	Now func() time.Time
@@ -89,7 +90,7 @@ type WindowState struct {
 	BadRatio float64 `json:"bad_ratio"`
 	// BurnRate is BadRatio normalised by the error budget.
 	BurnRate float64 `json:"burn_rate"`
-	// Breaching reports BurnRate >= the engine threshold.
+	// Breaching reports BurnRate >= Burn.
 	Breaching bool `json:"breaching"`
 }
 
@@ -108,7 +109,7 @@ type State struct {
 	BudgetRemaining float64 `json:"budget_remaining"`
 	// Windows holds the fast and slow window evaluations.
 	Windows []WindowState `json:"windows"`
-	// BurnThreshold echoes the engine's alarm threshold.
+	// BurnThreshold echoes the alarm threshold, Burn.
 	BurnThreshold float64 `json:"burn_threshold"`
 	// Alarming reports that both windows breach the threshold;
 	// AlarmSinceUnix is when the current alarm started (0 when clear).
@@ -157,12 +158,6 @@ func NewEngine(cfg Config, objs ...Objective) (*Engine, error) {
 	}
 	if cfg.FastWindow > cfg.SlowWindow {
 		return nil, fmt.Errorf("slo: fast window %v longer than slow window %v", cfg.FastWindow, cfg.SlowWindow)
-	}
-	if cfg.Burn == 0 {
-		cfg.Burn = 10
-	}
-	if cfg.Burn < 1 {
-		return nil, fmt.Errorf("slo: burn threshold %v < 1", cfg.Burn)
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -214,29 +209,11 @@ func (e *Engine) Register(reg *obs.Registry) {
 	}
 }
 
-// Run evaluates on a fixed interval until ctx is cancelled — the live
-// daemon's sampling loop. Evaluate may also be called directly (the
-// /v1/slo handler does, so polling dashboards sharpen the windows).
-func (e *Engine) Run(done <-chan struct{}, interval time.Duration) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	e.Evaluate()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		case <-ticker.C:
-			e.Evaluate()
-		}
-	}
-}
-
 // Evaluate samples every objective's counters once and recomputes the
 // burn state, firing transition callbacks and refreshing registered
-// gauges. Returns the fresh states in objective order.
+// gauges. Returns the fresh states in objective order. The live
+// daemon's sampling loop calls it each pass, and the /v1/slo handler
+// calls it too, so polling dashboards sharpen the windows.
 //
 // OnTransition callbacks fire after the engine lock is released, so a
 // callback may safely call back into the engine (the flight recorder
@@ -294,7 +271,7 @@ func (e *Engine) evaluateLocked(os *objectiveState, now time.Time, fired *[]Stat
 		Target:        os.obj.Target,
 		TotalEvents:   total,
 		BadEvents:     bad,
-		BurnThreshold: e.cfg.Burn,
+		BurnThreshold: Burn,
 	}
 	if total > 0 {
 		st.BadRatio = bad / total
@@ -306,7 +283,7 @@ func (e *Engine) evaluateLocked(os *objectiveState, now time.Time, fired *[]Stat
 		name string
 		dur  time.Duration
 	}{{"fast", e.cfg.FastWindow}, {"slow", e.cfg.SlowWindow}} {
-		ws := windowState(os.ring, now, w.name, w.dur, budget, e.cfg.Burn)
+		ws := windowState(os.ring, now, w.name, w.dur, budget)
 		st.Windows = append(st.Windows, ws)
 		if !ws.Breaching {
 			breachingAll = false
@@ -366,14 +343,14 @@ func (e *Engine) noteTransition(os *objectiveState, st State, alarming bool) Sta
 	e.cfg.Logger.Warn("slo alarm transition",
 		"slo", os.obj.Name, "state", direction,
 		"burn_fast", fast, "burn_slow", slow,
-		"threshold", e.cfg.Burn, "budget_remaining", st.BudgetRemaining)
+		"threshold", Burn, "budget_remaining", st.BudgetRemaining)
 	return st
 }
 
 // windowState computes one window's burn from the sample ring: the
 // delta between the newest sample and the newest sample at or before
 // the window start (falling back to the oldest retained sample).
-func windowState(ring []sample, now time.Time, name string, dur time.Duration, budget, threshold float64) WindowState {
+func windowState(ring []sample, now time.Time, name string, dur time.Duration, budget float64) WindowState {
 	ws := WindowState{Name: name, Seconds: dur.Seconds()}
 	if len(ring) == 0 {
 		return ws
@@ -399,6 +376,6 @@ func windowState(ring []sample, now time.Time, name string, dur time.Duration, b
 		ws.BadRatio = ws.Bad / ws.Events
 	}
 	ws.BurnRate = ws.BadRatio / budget
-	ws.Breaching = ws.BurnRate >= threshold
+	ws.Breaching = ws.BurnRate >= Burn
 	return ws
 }

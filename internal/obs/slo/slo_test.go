@@ -40,7 +40,6 @@ func TestBurnRateAlarmsAndClears(t *testing.T) {
 	e := newEngine(t, Config{
 		FastWindow: time.Minute,
 		SlowWindow: 5 * time.Minute,
-		Burn:       10,
 		Now:        clock.now,
 		OnTransition: func(st State) {
 			dir := "clear"
@@ -224,7 +223,6 @@ func TestValidation(t *testing.T) {
 		{"no source", Config{}, []Objective{{Name: "a", Target: 0.9}}},
 		{"dup name", Config{}, []Objective{{Name: "a", Target: 0.9, Source: src}, {Name: "a", Target: 0.9, Source: src}}},
 		{"windows inverted", Config{FastWindow: time.Hour, SlowWindow: time.Minute}, []Objective{{Name: "a", Target: 0.9, Source: src}}},
-		{"burn below 1", Config{Burn: 0.5}, []Objective{{Name: "a", Target: 0.9, Source: src}}},
 	}
 	for _, c := range cases {
 		if _, err := NewEngine(c.cfg, c.objs...); err == nil {

@@ -221,14 +221,12 @@ type StatusResponse struct {
 	SnapshotLastBytes   int64   `json:"snapshot_last_bytes"`
 	// Forensics (DESIGN.md §15). HistoryWindowSec is the metric-history
 	// retention window (0 = history off); FlightDir the incident-bundle
-	// directory ("" = recorder off); FlightTriggers the armed trigger
-	// set; FlightBundles / FlightLastUnixSec mirror the lpvs_flight_*
-	// metrics.
+	// directory ("" = recorder off); FlightBundles / FlightLastUnixSec
+	// mirror the lpvs_flight_* metrics.
 	HistoryWindowSec   float64 `json:"history_window_sec,omitempty"`
 	HistoryIntervalSec float64 `json:"history_interval_sec,omitempty"`
 	HistorySamples     uint64  `json:"history_samples,omitempty"`
 	FlightDir          string  `json:"flight_dir,omitempty"`
-	FlightTriggers     string  `json:"flight_triggers,omitempty"`
 	FlightBundles      uint64  `json:"flight_bundles,omitempty"`
 	FlightLastUnixSec  float64 `json:"flight_last_unix_sec,omitempty"`
 	// Report-ingest counters (DESIGN.md §16), split by codec. Byte and

@@ -19,17 +19,13 @@ import (
 // is live at capture time; the SLO-transition hook itself is wired in
 // newSLOEngine.
 func (s *Server) newFlightRecorder() error {
-	triggers, err := flight.ParseTriggers(s.cfg.FlightTriggers)
-	if err != nil {
-		return err
-	}
 	version := ""
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		version = bi.Main.Version
 	}
 	rec, err := flight.New(flight.Config{
 		Dir:        s.cfg.FlightDir,
-		Triggers:   triggers,
+		Triggers:   flight.AllTriggers(),
 		History:    s.history,
 		Tracer:     s.tracer,
 		SLOStates:  func() []slo.State { return s.slo.Snapshot() },

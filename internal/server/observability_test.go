@@ -27,7 +27,6 @@ func obsServer(tb testing.TB, streams int) (*Server, *httptest.Server, string) {
 		Lambda:        1,
 		AuditDir:      dir,
 		TraceSample:   1,
-		TraceSeed:     11,
 	})
 	if err != nil {
 		tb.Fatal(err)

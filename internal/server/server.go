@@ -26,6 +26,10 @@ import (
 	"lpvs/internal/video"
 )
 
+// tolerance is the distortion budget every served transform is granted
+// (the emulator's default too).
+const tolerance = 0.7
+
 // Config parameterises the edge daemon.
 type Config struct {
 	// Stream is the default live stream this edge site serves. Required.
@@ -37,10 +41,10 @@ type Config struct {
 	ServerStreams int
 	// Lambda is the scheduler's energy/anxiety balance.
 	Lambda float64
-	// SlotSec and ChunkSec shape the timeline; zero means defaults.
-	SlotSec, ChunkSec float64
-	// Tolerance is the transform distortion budget; zero means 0.7.
-	Tolerance float64
+	// SlotSec is the slot length; zero means
+	// scheduler.DefaultSlotSeconds. A slot holds
+	// SlotSec/video.DefaultChunkSeconds chunks, at least one.
+	SlotSec float64
 	// Workers is the scheduling pool fan-out (VC sharding plus parallel
 	// information compacting inside the tick). Zero means
 	// runtime.GOMAXPROCS(0); one forces the serial path. Decisions are
@@ -55,9 +59,6 @@ type Config struct {
 	// TraceSample is the span-tracing sampling probability: 0 disables
 	// tracing (the zero-overhead path), 1 traces every tick.
 	TraceSample float64
-	// TraceSeed seeds the trace/span ID stream (0 = default seed), making
-	// traced runs reproducible.
-	TraceSeed int64
 	// SchedDeadline bounds one tick's scheduling wall time (DESIGN.md
 	// §12): on expiry the scheduler degrades to its always-feasible
 	// anytime shortcuts and the decision is flagged Degraded. Zero means
@@ -110,9 +111,6 @@ type Config struct {
 	// bursts, and POST /v1/incident each freeze a forensic bundle into
 	// FlightDir, inspectable with `lpvsctl flight`.
 	FlightDir string
-	// FlightTriggers selects the armed triggers as a comma-separated
-	// list ("slo,panic,shed,manual", "all", "none"); empty means all.
-	FlightTriggers string
 	// ShardMode enables the node-to-node /v1/shard/* surface (DESIGN.md
 	// §17): federated per-channel ticks, incremental-state handoff, and
 	// shard-map epoch exchange. Off by default; the endpoints then
@@ -281,15 +279,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SlotSec == 0 {
 		cfg.SlotSec = scheduler.DefaultSlotSeconds
 	}
-	if cfg.ChunkSec == 0 {
-		cfg.ChunkSec = video.DefaultChunkSeconds
-	}
-	if cfg.Tolerance == 0 {
-		cfg.Tolerance = 0.7
-	}
-	if cfg.Tolerance < 0 || cfg.Tolerance > 1 {
-		return nil, fmt.Errorf("server: tolerance %v outside [0, 1]", cfg.Tolerance)
-	}
 	var edgeSrv *edge.Server
 	var err error
 	if cfg.ServerStreams >= 0 {
@@ -306,7 +295,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	chunksPer := int(cfg.SlotSec / cfg.ChunkSec)
+	chunksPer := int(cfg.SlotSec / video.DefaultChunkSeconds)
 	if chunksPer < 1 {
 		return nil, fmt.Errorf("server: slot shorter than a chunk")
 	}
@@ -321,7 +310,7 @@ func New(cfg Config) (*Server, error) {
 		chunksPer: chunksPer,
 		streams:   streams,
 		log:       logger,
-		tracer:    span.NewTracer(span.Config{Sample: cfg.TraceSample, Seed: cfg.TraceSeed}),
+		tracer:    span.NewTracer(span.Config{Sample: cfg.TraceSample}),
 		started:   time.Now(),
 		devices:   make(map[string]*deviceState),
 		fleet:     make(map[string]*channelStat),
@@ -620,7 +609,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	if st.transform {
 		strat := transform.Default(st.spec.Type)
-		res, err := strat.Apply(st.spec, chunk.Stats, s.cfg.Tolerance)
+		res, err := strat.Apply(st.spec, chunk.Stats, tolerance)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, CodeInternal, err)
 			return
@@ -787,7 +776,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	}
 	if s.flight != nil {
 		resp.FlightDir = s.flight.Dir()
-		resp.FlightTriggers = s.flight.Triggers().String()
 		resp.FlightBundles = s.flight.BundlesWritten()
 		_, resp.FlightLastUnixSec = s.flight.LastBundle()
 	}

@@ -89,10 +89,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("nil stream accepted")
 	}
-	if _, err := New(Config{Stream: testStream(t), Tolerance: 2}); err == nil {
-		t.Fatal("bad tolerance accepted")
-	}
-	if _, err := New(Config{Stream: testStream(t), SlotSec: 5, ChunkSec: 10}); err == nil {
+	if _, err := New(Config{Stream: testStream(t), SlotSec: 5}); err == nil {
 		t.Fatal("slot shorter than chunk accepted")
 	}
 }
