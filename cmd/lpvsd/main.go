@@ -11,7 +11,7 @@
 // Federation (DESIGN.md §17): -mode selects the process personality.
 // The default, edge, is the standalone daemon. A shard is an edge
 // daemon that additionally serves the node-to-node /v1/shard/* API
-// (per-channel federated ticks, state handoff, shard-map exchange);
+// (per-channel federated ticks and shard-map exchange);
 // a router owns a consistent-hash shard map and fronts the fleet:
 //
 //	lpvsd -mode shard  -addr :8081 -node-id a -channels music,news

@@ -14,13 +14,8 @@ type Solution struct {
 	// Optimal reports whether the solver proved optimality (branch-and-
 	// bound without hitting its node limit).
 	Optimal bool
-	// Nodes counts branch-and-bound nodes explored (0 for greedy). When a
-	// warm-started search is discarded and re-run cold, Nodes is the total
-	// across both searches — the true cost of the call.
+	// Nodes counts branch-and-bound nodes explored (0 for greedy).
 	Nodes int
-	// WarmUsed reports that a WarmStart seed survived the acceptance
-	// rules and the returned solution came from the warm-seeded search.
-	WarmUsed bool
 	// Degraded reports that the Deadline expired before the search could
 	// finish and the always-feasible greedy solution was returned instead
 	// of the (timing-dependent, hence non-deterministic) search incumbent.
@@ -34,18 +29,6 @@ type BBConfig struct {
 	// MaxNodes caps the search; when exceeded the best incumbent is
 	// returned with Optimal=false. Zero means the default.
 	MaxNodes int
-	// WarmStart optionally seeds the search with a known assignment —
-	// typically the previous scheduling slot's solution projected onto
-	// the current item set. The seed is adopted as the initial incumbent
-	// only when it is feasible and its value strictly exceeds the greedy
-	// incumbent's, and the warm-seeded result is kept only when the
-	// search strictly improved beyond the seed (by more than the bound
-	// tolerance) without hitting the node limit; in every other case the
-	// solver falls back to a cold-start search, so warm and cold callers
-	// receive identical solutions (see DESIGN.md §11 for the soundness
-	// argument). Length must equal the problem size or the seed is
-	// ignored.
-	WarmStart []bool
 	// Deadline, when non-zero, bounds the search wall clock (the anytime
 	// mode): if it expires mid-search the solver abandons the tree and
 	// returns the deterministic greedy solution with Solution.Degraded
@@ -159,8 +142,7 @@ func growOrders(orders [][]int, n, m int) [][]int {
 // sum, the per-constraint fractional (Dantzig) knapsack bounds and the
 // cardinality bound (see cardinalityBound), each of which is a valid
 // relaxation of the multi-constraint problem. The greedy solution
-// primes the incumbent so pruning is effective immediately; a caller-
-// supplied WarmStart seed can prime it higher (see BBConfig).
+// primes the incumbent so pruning is effective immediately.
 //
 // BranchBound is reentrant: it only reads the Problem, and all search
 // state is per call (recycled through an internal sync.Pool, never
@@ -210,153 +192,93 @@ func BranchBound(p *Problem, cfg BBConfig) (Solution, error) {
 
 	hasDeadline := !cfg.Deadline.IsZero()
 
-	// search runs one full DFS from the given incumbent and reports the
-	// final incumbent value, the node count, and whether the node limit
-	// was hit or the deadline expired. bestX holds the final incumbent
-	// assignment (meaningless when expired: the caller discards it for
-	// the greedy solution).
-	search := func(seedX []bool, seedValue float64) (best float64, nodes int, hitLimit, expired bool) {
-		copy(bestX, seedX)
-		best = seedValue
-		for j, c := range p.Constraints {
-			remaining[j] = c.Capacity
-		}
-		for i := range cur {
-			cur[i] = false
-		}
-		var dfs func(k int, value float64)
-		dfs = func(k int, value float64) {
-			if hitLimit || expired {
-				return
-			}
-			nodes++
-			if nodes > maxNodes {
-				hitLimit = true
-				return
-			}
-			if hasDeadline && nodes&deadlineCheckMask == 0 && time.Now().After(cfg.Deadline) {
-				expired = true
-				return
-			}
-			if value > best {
-				best = value
-				copy(bestX, cur)
-			}
-			if k == n {
-				return
-			}
-			// Bound: the integer optimum of the subtree cannot exceed the
-			// fractional knapsack optimum of any one constraint over the
-			// remaining items, nor the best values of as many items as
-			// can still fit. The cardinality term is evaluated only when
-			// the cheaper ones fail to prune; the node is cut exactly when
-			// the minimum of all three is within boundTol of the incumbent.
-			ub := value + suffix[k]
-			for j := range p.Constraints {
-				b := value + sc.fractionalBound(p, j, k)
-				if b < ub {
-					ub = b
-				}
-			}
-			if ub <= best+boundTol || value+sc.cardinalityBound(p, k) <= best+boundTol {
-				return
-			}
-
-			item := order[k]
-			// Branch 1: take the item if it fits.
-			fits := true
-			for j, c := range p.Constraints {
-				if c.Weights[item] > remaining[j]+boundTol {
-					fits = false
-					break
-				}
-			}
-			if fits {
-				for j, c := range p.Constraints {
-					remaining[j] -= c.Weights[item]
-				}
-				cur[item] = true
-				dfs(k+1, value+p.Values[item])
-				cur[item] = false
-				for j, c := range p.Constraints {
-					remaining[j] += c.Weights[item]
-				}
-			}
-			// Branch 2: skip the item.
-			dfs(k+1, value)
-		}
-		dfs(0, 0)
-		return best, nodes, hitLimit, expired
-	}
-
-	// degrade abandons the search outcome for the deterministic greedy
-	// solution — the anytime fallback. bestX is recycled as the result
-	// buffer (it never escaped: every return below copies or overwrites).
-	degrade := func(totalNodes int) (Solution, error) {
+	// degrade abandons the search for the deterministic greedy solution —
+	// the anytime fallback. bestX is recycled as the result buffer.
+	degrade := func(nodes int) (Solution, error) {
 		copy(bestX, greedyX)
-		return Solution{X: bestX, Value: greedyValue, Optimal: false, Nodes: totalNodes, Degraded: true}, nil
+		return Solution{X: bestX, Value: greedyValue, Optimal: false, Nodes: nodes, Degraded: true}, nil
 	}
-
-	totalNodes := 0
 	if hasDeadline && !time.Now().Before(cfg.Deadline) {
 		return degrade(0)
 	}
-	if warmValue, ok := warmSeedValue(p, cfg.WarmStart, order, greedyValue); ok {
-		best, nodes, hit, expired := search(cfg.WarmStart, warmValue)
-		totalNodes += nodes
-		if expired {
-			return degrade(totalNodes)
-		}
-		// The warm result is kept only when the search strictly improved
-		// beyond the seed without exhausting the node budget. A seed that
-		// survives as the incumbent may be one of several assignments
-		// tying the optimum, and the cold search's deterministic
-		// tie-break must rule; a truncated search must return exactly
-		// what the cold truncated search would. Both cases fall through
-		// to the cold run below.
-		if !hit && best > warmValue+boundTol {
-			return Solution{X: bestX, Value: best, Optimal: true, Nodes: totalNodes, WarmUsed: true}, nil
-		}
-	}
-	best, nodes, hit, expired := search(greedyX, greedyValue)
-	totalNodes += nodes
-	if expired {
-		return degrade(totalNodes)
-	}
-	return Solution{X: bestX, Value: best, Optimal: !hit, Nodes: totalNodes}, nil
-}
 
-// warmSeedValue vets a warm-start seed: it must match the problem size,
-// fit every constraint (with the search's own tolerance), and beat the
-// greedy incumbent strictly. The returned value is accumulated over the
-// branching order — the exact float sequence the DFS would produce on
-// the seed's path — so incumbent comparisons inside the search are
-// bit-consistent.
-func warmSeedValue(p *Problem, seed []bool, order []int, greedyValue float64) (float64, bool) {
-	if len(seed) != p.N() {
-		return 0, false
+	// One depth-first search from the greedy incumbent. bestX holds the
+	// incumbent assignment (meaningless once expired: degrade replaces
+	// it).
+	copy(bestX, greedyX)
+	best := greedyValue
+	for j, c := range p.Constraints {
+		remaining[j] = c.Capacity
 	}
-	for _, c := range p.Constraints {
-		used := 0.0
-		for i, on := range seed {
-			if on {
-				used += c.Weights[i]
+	clear(cur)
+	nodes := 0
+	hitLimit, expired := false, false
+	var dfs func(k int, value float64)
+	dfs = func(k int, value float64) {
+		if hitLimit || expired {
+			return
+		}
+		nodes++
+		if nodes > maxNodes {
+			hitLimit = true
+			return
+		}
+		if hasDeadline && nodes&deadlineCheckMask == 0 && time.Now().After(cfg.Deadline) {
+			expired = true
+			return
+		}
+		if value > best {
+			best = value
+			copy(bestX, cur)
+		}
+		if k == n {
+			return
+		}
+		// Bound: the integer optimum of the subtree cannot exceed the
+		// fractional knapsack optimum of any one constraint over the
+		// remaining items, nor the best values of as many items as
+		// can still fit. The cardinality term is evaluated only when
+		// the cheaper ones fail to prune; the node is cut exactly when
+		// the minimum of all three is within boundTol of the incumbent.
+		ub := value + suffix[k]
+		for j := range p.Constraints {
+			b := value + sc.fractionalBound(p, j, k)
+			if b < ub {
+				ub = b
 			}
 		}
-		if used > c.Capacity+boundTol {
-			return 0, false
+		if ub <= best+boundTol || value+sc.cardinalityBound(p, k) <= best+boundTol {
+			return
 		}
-	}
-	value := 0.0
-	for _, item := range order {
-		if seed[item] {
-			value += p.Values[item]
+
+		item := order[k]
+		// Branch 1: take the item if it fits.
+		fits := true
+		for j, c := range p.Constraints {
+			if c.Weights[item] > remaining[j]+boundTol {
+				fits = false
+				break
+			}
 		}
+		if fits {
+			for j, c := range p.Constraints {
+				remaining[j] -= c.Weights[item]
+			}
+			cur[item] = true
+			dfs(k+1, value+p.Values[item])
+			cur[item] = false
+			for j, c := range p.Constraints {
+				remaining[j] += c.Weights[item]
+			}
+		}
+		// Branch 2: skip the item.
+		dfs(k+1, value)
 	}
-	if value <= greedyValue {
-		return 0, false
+	dfs(0, 0)
+	if expired {
+		return degrade(nodes)
 	}
-	return value, true
+	return Solution{X: bestX, Value: best, Optimal: !hitLimit, Nodes: nodes}, nil
 }
 
 // sortBoundOrders fills the index orders the bounds scan; order must
@@ -535,7 +457,7 @@ func greedyInto(p *Problem, order []int, remaining []float64, x []bool) float64 
 
 // Greedy builds a feasible solution in O(n log n): scan items in density
 // order, taking each one that fits. It is the paper-agnostic baseline
-// for the ablation study and the warm start for branch and bound.
+// for the ablation study and the first incumbent of branch and bound.
 // Like BranchBound it is reentrant: read-only on the Problem, all
 // mutable state per call.
 func Greedy(p *Problem) Solution {

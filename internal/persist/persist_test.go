@@ -116,10 +116,6 @@ func snapshotTable() map[string]*Snapshot {
 			testRequest(1, anxiety.NewCanonical()),
 			testRequest(2, rescaled),
 		}},
-		"streams": {Slot: 7, Streams: []scheduler.StreamState{
-			{Key: "live", ConfigSig: []byte{1, 2, 3}, WarmSelected: []string{"a", "b"}},
-			{Key: "alt", ConfigSig: []byte{9}, WarmSelected: []string{"z"}},
-		}},
 	}
 }
 
@@ -146,13 +142,32 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if back.Slot != snap.Slot {
 				t.Fatalf("slot %d != %d", back.Slot, snap.Slot)
 			}
-			if len(back.Devices) != len(snap.Devices) ||
-				len(back.Pending) != len(snap.Pending) ||
-				len(back.Streams) != len(snap.Streams) {
+			if len(back.Devices) != len(snap.Devices) || len(back.Pending) != len(snap.Pending) {
 				t.Fatal("collection sizes changed in round trip")
 			}
 		})
 	}
+	// A file whose stream section holds entries decodes to the same
+	// snapshot as one whose section is empty, and re-encodes to the
+	// empty form.
+	t.Run("streams", func(t *testing.T) {
+		snap := snapshotTable()["pending"]
+		want, err := snap.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeSnapshot(streamFile(t, snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := back.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("a file with stream entries decoded to a different snapshot")
+		}
+	})
 }
 
 // TestSnapshotEncodeCanonical asserts encoding sorts map-order inputs:
@@ -165,20 +180,12 @@ func TestSnapshotEncodeCanonical(t *testing.T) {
 			{ID: "b", Display: testSpec(0), Estimator: testEstimator(0)},
 			{ID: "a", Display: testSpec(1), Estimator: testEstimator(1)},
 		},
-		Streams: []scheduler.StreamState{
-			{Key: "z", ConfigSig: []byte{1}, WarmSelected: []string{"q", "p"}},
-			{Key: "a", ConfigSig: []byte{1}, WarmSelected: []string{"x"}},
-		},
 	}
 	b := &Snapshot{
 		Slot: 5,
 		Devices: []DeviceState{
 			{ID: "a", Display: testSpec(1), Estimator: testEstimator(1)},
 			{ID: "b", Display: testSpec(0), Estimator: testEstimator(0)},
-		},
-		Streams: []scheduler.StreamState{
-			{Key: "a", ConfigSig: []byte{1}, WarmSelected: []string{"x"}},
-			{Key: "z", ConfigSig: []byte{1}, WarmSelected: []string{"p", "q"}},
 		},
 	}
 	da, err := a.Encode()
@@ -192,6 +199,31 @@ func TestSnapshotEncodeCanonical(t *testing.T) {
 	if !bytes.Equal(da, db) {
 		t.Fatal("encoding is order-sensitive; it must be canonical")
 	}
+}
+
+// streamFile encodes snap the way snapshots written before the
+// scheduler's warm start was removed were: with entries in the stream
+// section (key, config signature, Phase-1 picks).
+func streamFile(tb testing.TB, snap *Snapshot) []byte {
+	tb.Helper()
+	data, err := snap.Encode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payload, err := DecodeContainer(data, StateKind, StateVersion)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := Enc{b: append([]byte(nil), payload[:len(payload)-8]...)} // up to the stream count
+	e.Uint64(2)
+	for _, key := range []string{"alt", "live"} {
+		e.String(key)
+		e.Bytes([]byte{1, 2, 3})
+		e.Uint64(2)
+		e.String("a")
+		e.String("b")
+	}
+	return EncodeContainer(StateKind, StateVersion, e.Data())
 }
 
 type customAnxiety struct{}
@@ -446,7 +478,10 @@ func TestWriteFileAtomicCrashSafety(t *testing.T) {
 }
 
 // FuzzSnapshotDecode: no input may panic the decoder, and anything
-// that decodes must re-encode byte-identically (canonical form).
+// that decodes must re-encode byte-identically (canonical form) — up to
+// a stream section with entries, which decoding drops. The corpus under
+// testdata/fuzz holds such a file: the daemon snapshot
+// internal/server/testdata/snapshot_parent.golden.
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, snap := range snapshotTable() {
 		data, err := snap.Encode()
@@ -456,6 +491,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 	}
+	streams := streamFile(f, snapshotTable()["pending"])
+	f.Add(streams)
+	f.Add(streams[:len(streams)/2])
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -467,7 +505,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded snapshot refused to re-encode: %v", err)
 		}
-		if !bytes.Equal(out, data) {
+		if bytes.Equal(out, data) {
+			return
+		}
+		// Only a dropped stream section may differ: the payloads agree
+		// up to the re-encoded one's empty stream count.
+		in, _ := DecodeContainer(data, StateKind, StateVersion)
+		re, _ := DecodeContainer(out, StateKind, StateVersion)
+		head := len(re) - 8
+		if len(in) <= len(re) || !bytes.Equal(in[:head], re[:head]) {
 			t.Fatalf("decode→encode not byte-identical: %d vs %d bytes", len(out), len(data))
 		}
 	})

@@ -17,9 +17,8 @@ import (
 // construction: each device's estimator is rebuilt as a posterior
 // concentrated (sigma = DefaultObsSigma) at the last gamma the
 // scheduler planned with, which preserves the learned point estimate
-// while discarding the exact uncertainty. Pending reports and
-// incremental warm seeds are not in the log and come back empty; both
-// regenerate within one slot. Callers decide how much of the log to
+// while discarding the exact uncertainty. Pending reports are not in
+// the log and come back empty; they regenerate within one slot. Callers decide how much of the log to
 // verify first (audit.Record.Replay) — this function only transforms
 // records it is handed.
 func RecoverFromAudit(recs []*audit.Record) (*Snapshot, error) {

@@ -60,8 +60,8 @@ func TestRecoverFromAudit(t *testing.T) {
 	if len(snap.Devices) == 0 {
 		t.Fatal("no devices recovered")
 	}
-	if len(snap.Pending) != 0 || len(snap.Streams) != 0 {
-		t.Fatal("audit recovery must not invent pending reports or warm seeds")
+	if len(snap.Pending) != 0 {
+		t.Fatal("audit recovery must not invent pending reports")
 	}
 	lastGamma := make(map[string]float64)
 	for _, rec := range recs {

@@ -44,11 +44,18 @@ type DeviceState struct {
 
 // Snapshot is the daemon's durable state (DESIGN.md §14): everything a
 // warm-restarted lpvsd needs to keep making byte-identical decisions —
-// the slot counter, every device's posterior and verdict, the staged
-// report set for the upcoming tick, and the incremental scheduler's
-// warm seeds. Chunk keyframes are not captured (mirroring the audit
-// schema): the scheduler decides from aggregate content statistics, so
-// dropping them is decision-neutral.
+// the slot counter, every device's posterior and verdict, and the
+// staged report set for the upcoming tick. Chunk keyframes are
+// not captured (mirroring the audit schema): the scheduler decides from
+// aggregate content statistics, so dropping them is decision-neutral.
+// Scheduler caches are not captured either; a restored daemon's first
+// tick solves cold and decides the same bytes.
+//
+// The layout ends with a stream section that is always empty on
+// encode. Snapshots written before the scheduler's cross-slot warm
+// start was removed carry entries there (key, config signature, the
+// previous slot's Phase-1 picks); the decoder checks their framing and
+// drops them, so those files still restore.
 type Snapshot struct {
 	// Slot is the next scheduling slot counter.
 	Slot int
@@ -57,10 +64,6 @@ type Snapshot struct {
 	// Pending holds the reports staged for the next tick, sorted by
 	// device ID on encode.
 	Pending []scheduler.Request
-	// Streams holds the incremental scheduler's per-stream warm seeds,
-	// sorted by key on encode. Restoring them is optional and guarded
-	// by the scheduler config signature (scheduler.StreamState).
-	Streams []scheduler.StreamState
 }
 
 // Encode frames the snapshot as a checksummed container. Collections
@@ -71,8 +74,6 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	sort.Slice(devices, func(i, j int) bool { return devices[i].ID < devices[j].ID })
 	pending := append([]scheduler.Request(nil), s.Pending...)
 	sort.Slice(pending, func(i, j int) bool { return pending[i].DeviceID < pending[j].DeviceID })
-	streams := append([]scheduler.StreamState(nil), s.Streams...)
-	sort.Slice(streams, func(i, j int) bool { return streams[i].Key < streams[j].Key })
 
 	var e Enc
 	e.Int64(int64(s.Slot))
@@ -92,18 +93,7 @@ func (s *Snapshot) Encode() ([]byte, error) {
 			return nil, err
 		}
 	}
-	e.Uint64(uint64(len(streams)))
-	for i := range streams {
-		st := &streams[i]
-		e.String(st.Key)
-		e.Bytes(st.ConfigSig)
-		warm := append([]string(nil), st.WarmSelected...)
-		sort.Strings(warm)
-		e.Uint64(uint64(len(warm)))
-		for _, id := range warm {
-			e.String(id)
-		}
-	}
+	e.Uint64(0) // the stream section: always empty
 	return EncodeContainer(StateKind, StateVersion, e.Data()), nil
 }
 
@@ -137,18 +127,11 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			s.Pending[i] = decRequest(d)
 		}
 	}
-	if n := d.Count(8); n > 0 {
-		s.Streams = make([]scheduler.StreamState, n)
-		for i := range s.Streams {
-			st := &s.Streams[i]
-			st.Key = d.String()
-			st.ConfigSig = d.Bytes()
-			if m := d.Count(8); m > 0 {
-				st.WarmSelected = make([]string, m)
-				for j := range st.WarmSelected {
-					st.WarmSelected[j] = d.String()
-				}
-			}
+	for n := d.Count(8); n > 0; n-- { // an older file's stream entries
+		_ = d.String() // key
+		_ = d.Bytes()  // config signature
+		for m := d.Count(8); m > 0; m-- {
+			_ = d.String() // a Phase-1 pick
 		}
 	}
 	if err := d.Err(); err != nil {

@@ -106,20 +106,15 @@ type StatusResponse struct {
 	ForwardErrors    uint64        `json:"forward_errors"`
 	ProxiedRequests  uint64        `json:"proxied_requests"`
 	Reshards         uint64        `json:"reshards"`
-	HandoffStates    uint64        `json:"handoff_states"`
 	Shards           []ShardStatus `json:"shards"`
 }
 
 // ReshardResponse is the POST /v1/shard/map body: the installed
-// map's identity plus what the reshard moved. Moved lists the
-// channels whose owner changed; HandoffStates counts incremental
-// stream states warm-handed to new owners (a channel whose old owner
-// was unreachable cold-starts instead — safe behind the scheduler's
-// config-signature guard).
+// map's identity plus what the reshard moved: the channels whose owner
+// changed.
 type ReshardResponse struct {
-	Epoch         string       `json:"epoch"`
-	Replicas      int          `json:"replicas"`
-	Nodes         []shard.Node `json:"nodes"`
-	Moved         []string     `json:"moved,omitempty"`
-	HandoffStates int          `json:"handoff_states"`
+	Epoch    string       `json:"epoch"`
+	Replicas int          `json:"replicas"`
+	Nodes    []shard.Node `json:"nodes"`
+	Moved    []string     `json:"moved,omitempty"`
 }

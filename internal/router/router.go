@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -62,7 +61,6 @@ type Router struct {
 	forwardErrors   atomic.Uint64
 	proxies         atomic.Uint64
 	reshards        atomic.Uint64
-	handoffStates   atomic.Uint64
 
 	// Per-node labeled series.
 	mShardTicks   *obs.CounterVec
@@ -156,8 +154,6 @@ func (rt *Router) registerMetrics() {
 		"Per-device reads proxied to shards.", func() float64 { return float64(rt.proxies.Load()) })
 	rt.reg.CounterFunc("lpvs_router_reshards_total",
 		"Shard-map installs accepted.", func() float64 { return float64(rt.reshards.Load()) })
-	rt.reg.CounterFunc("lpvs_router_handoff_states_total",
-		"Incremental stream states warm-handed during reshards.", func() float64 { return float64(rt.handoffStates.Load()) })
 	rt.mShardTicks = rt.reg.CounterVec("lpvs_shard_ticks_total",
 		"Shard tick calls, by node.", "node")
 	rt.mShardErrors = rt.reg.CounterVec("lpvs_shard_tick_errors_total",
@@ -211,7 +207,12 @@ func (rt *Router) Handler() http.Handler {
 		Registry:     rt.reg,
 		SLO:          rt.slo,
 	}
-	return sh.Handler([]server.Route{
+	return sh.Handler(rt.routes())
+}
+
+// routes is the router's route table.
+func (rt *Router) routes() []server.Route {
+	return []server.Route{
 		{Method: "POST", Path: "/v1/report", Handler: rt.handleReport},
 		{Method: "POST", Path: "/v1/tick", Handler: rt.handleTick},
 		{Method: "GET", Path: "/v1/decision", Handler: rt.proxyDeviceGet},
@@ -223,7 +224,7 @@ func (rt *Router) Handler() http.Handler {
 		{Method: "GET", Path: "/v1/fleet", Handler: rt.handleFleet},
 		{Method: "GET", Path: "/v1/shard/map", Handler: rt.handleMapGet},
 		{Method: "POST", Path: "/v1/shard/map", Handler: rt.handleMapPost},
-	})
+	}
 }
 
 // writeUpstream renders an upstream call failure: a shard's envelope
@@ -282,7 +283,6 @@ func (rt *Router) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		ForwardErrors:    rt.forwardErrors.Load(),
 		ProxiedRequests:  rt.proxies.Load(),
 		Reshards:         rt.reshards.Load(),
-		HandoffStates:    rt.handoffStates.Load(),
 		Shards:           shards,
 	})
 }
@@ -340,13 +340,11 @@ func (rt *Router) handleMapGet(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMapPost installs a new shard map: it computes which channels
-// change owner, warm-hands their incremental scheduling state from
-// old owner to new owner, installs the map, and pushes it to every
-// member shard. The whole reshard runs under mu — ticks quiesce for
-// its duration, which is what makes the handoff race-free (no shard
-// can solve a moved channel mid-copy). A channel whose old owner is
-// unreachable simply cold-starts on the new owner; the scheduler's
-// config-signature guard makes any handoff skip decision-safe.
+// change owner, installs the map, and pushes it to every member shard.
+// The whole reshard runs under mu, so no tick fans out under a
+// half-installed map. No device state moves: a moved channel's devices
+// start again from the gamma prior on the new owner, and its first
+// tick there is a cold solve of the reports it receives.
 func (rt *Router) handleMapPost(w http.ResponseWriter, r *http.Request) {
 	var spec shard.Spec
 	if !server.DecodeJSON(w, r, &spec) {
@@ -380,21 +378,9 @@ func (rt *Router) handleMapPost(w http.ResponseWriter, r *http.Request) {
 	}
 
 	moved := rt.movedChannelsLocked(next)
-	handed := 0
-	for _, ch := range moved {
-		oldOwner := rt.m.Owner(ch)
-		newOwner := next.Owner(ch)
-		oldC, newC := rt.callers[oldOwner.ID], nextCallers[newOwner.ID]
-		if oldC == nil || newC == nil {
-			continue
-		}
-		handed += rt.handoffChannel(ch, oldC, newC)
-	}
-
 	rt.m = next
 	rt.callers = nextCallers
 	rt.reshards.Add(1)
-	rt.handoffStates.Add(uint64(handed))
 
 	// Push the new map to every member so their epoch guards accept
 	// the next tick without a mismatch round-trip. Push failures are
@@ -407,13 +393,12 @@ func (rt *Router) handleMapPost(w http.ResponseWriter, r *http.Request) {
 	}
 
 	rt.log.Info("reshard installed", "epoch", next.Epoch(),
-		"nodes", len(next.Nodes()), "moved", len(moved), "handoff_states", handed)
+		"nodes", len(next.Nodes()), "moved", len(moved))
 	server.WriteJSON(w, http.StatusOK, ReshardResponse{
-		Epoch:         next.Epoch(),
-		Replicas:      next.Replicas(),
-		Nodes:         next.Nodes(),
-		Moved:         moved,
-		HandoffStates: handed,
+		Epoch:    next.Epoch(),
+		Replicas: next.Replicas(),
+		Nodes:    next.Nodes(),
+		Moved:    moved,
 	})
 }
 
@@ -433,26 +418,4 @@ func (rt *Router) movedChannelsLocked(next *shard.Map) []string {
 	}
 	sort.Strings(chans)
 	return shard.Moved(rt.m, next, chans)
-}
-
-// handoffChannel copies one channel's incremental scheduling state
-// from its old owner to its new one, returning how many states were
-// restored (0 on any failure — the channel then cold-starts, which
-// is always decision-safe).
-func (rt *Router) handoffChannel(ch string, oldC, newC *client.Caller) int {
-	q := url.Values{"key": []string{"ch:" + ch}}
-	var st server.ShardStateResponse
-	if err := oldC.GetJSON("/v1/shard/state?"+q.Encode(), &st); err != nil {
-		rt.log.Warn("handoff export failed; channel cold-starts", "channel", ch, "err", err)
-		return 0
-	}
-	if len(st.States) == 0 {
-		return 0
-	}
-	var ho server.ShardHandoffResponse
-	if err := newC.PostJSON("/v1/shard/handoff", server.ShardHandoffRequest{States: st.States}, &ho); err != nil {
-		rt.log.Warn("handoff import failed; channel cold-starts", "channel", ch, "err", err)
-		return 0
-	}
-	return ho.Restored
 }

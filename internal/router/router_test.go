@@ -11,11 +11,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"lpvs/internal/bayes"
 	"lpvs/internal/client"
 	"lpvs/internal/obs/audit"
+	"lpvs/internal/scheduler"
 	"lpvs/internal/server"
 	"lpvs/internal/shard"
 	"lpvs/internal/stats"
@@ -157,6 +160,24 @@ func report(i int, channel string) server.ReportRequest {
 	}
 }
 
+// readAuditLog decodes every record of the audit log in dir.
+func readAuditLog(tb testing.TB, dir string) []*audit.Record {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "audit.jsonl"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var recs []*audit.Record
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		rec, err := audit.Decode(line)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
 // The headline acceptance test: a router fronting a single shard is
 // byte-identical to a standalone daemon over a 210-instance corpus —
 // same canonical decision bytes per slot, and both audit logs replay
@@ -211,22 +232,7 @@ func TestRouterN1DifferentialAgainstStandalone(t *testing.T) {
 		}
 	}
 
-	readLog := func(dir string) []*audit.Record {
-		raw, err := os.ReadFile(filepath.Join(dir, "audit.jsonl"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var recs []*audit.Record
-		for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
-			rec, err := audit.Decode(line)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs = append(recs, rec)
-		}
-		return recs
-	}
-	plainRecs, shardRecs := readLog(standaloneDir), readLog(shardDir)
+	plainRecs, shardRecs := readAuditLog(t, standaloneDir), readAuditLog(t, shardDir)
 	if len(plainRecs) != rounds || len(shardRecs) != rounds {
 		t.Fatalf("audit records %d/%d, want %d each", len(plainRecs), len(shardRecs), rounds)
 	}
@@ -614,22 +620,33 @@ func TestRouterReportPartitionAndProxy(t *testing.T) {
 }
 
 // Installing a new map on the router moves exactly the consistent-hash
-// delta, warm-hands moved channels' scheduling state, and pushes the
-// map to every member so ticks keep flowing under the new epoch.
-func TestRouterReshardHandoff(t *testing.T) {
-	_, ts1 := newShard(t, "n1", server.Config{})
-	_, ts2 := newShard(t, "n2", server.Config{})
+// delta and pushes the map to every member so ticks keep flowing under
+// the new epoch. No device state moves with a channel: its first tick
+// on the new owner is a cold solve of the reports it received, from
+// the gamma prior, byte-equal to scheduler.DecideSerial.
+func TestRouterReshard(t *testing.T) {
+	dir1, dir2 := t.TempDir(), t.TempDir()
+	_, ts1 := newShard(t, "n1", server.Config{AuditDir: dir1})
+	_, ts2 := newShard(t, "n2", server.Config{AuditDir: dir2})
 	rt, routerTS := newRouter(t, map[string]string{"n1": ts1.URL})
+	channels := []string{"", "music", "news"}
 
-	// Warm incremental state for all three channels on n1.
+	// Two slots of every channel on n1, each followed by observations
+	// that move the devices' gamma off the prior there.
 	for round := 0; round < 2; round++ {
 		batch := make([]server.ReportRequest, 0, 12)
 		for i := 0; i < 12; i++ {
-			batch = append(batch, report(i, []string{"", "music", "news"}[i%3]))
+			batch = append(batch, report(i, channels[i%3]))
 		}
 		postJSON(t, routerTS.URL+"/v1/report", batch, nil)
 		if resp := postJSON(t, routerTS.URL+"/v1/tick", nil, nil); resp.StatusCode != 200 {
 			t.Fatalf("warmup tick %d failed", round)
+		}
+		for i := 0; i < 12; i++ {
+			obs := server.ObserveRequest{DeviceID: report(i, "").DeviceID, Reduction: 0.3 + 0.01*float64(i)}
+			if resp := postJSON(t, routerTS.URL+"/v1/observe", obs, nil); resp.StatusCode != 200 {
+				t.Fatalf("warmup observe %d: status %d", i, resp.StatusCode)
+			}
 		}
 	}
 
@@ -641,6 +658,9 @@ func TestRouterReshardHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantMoved := shard.Moved(old, next, []string{"ch", "music", "news"})
+	if len(wantMoved) == 0 {
+		t.Fatal("the new map moves no channel; the test needs one that does")
+	}
 
 	var rr ReshardResponse
 	if resp := postJSON(t, routerTS.URL+"/v1/shard/map", next.Spec(), &rr); resp.StatusCode != 200 {
@@ -652,9 +672,6 @@ func TestRouterReshardHandoff(t *testing.T) {
 	sort.Strings(rr.Moved)
 	if !reflect.DeepEqual(rr.Moved, wantMoved) {
 		t.Fatalf("moved %v, want %v", rr.Moved, wantMoved)
-	}
-	if len(wantMoved) > 0 && rr.HandoffStates != len(wantMoved) {
-		t.Fatalf("handed %d states for %d moved channels", rr.HandoffStates, len(wantMoved))
 	}
 
 	// Both members now hold the new epoch.
@@ -672,7 +689,7 @@ func TestRouterReshardHandoff(t *testing.T) {
 	// their new owners.
 	batch := make([]server.ReportRequest, 0, 12)
 	for i := 0; i < 12; i++ {
-		batch = append(batch, report(i, []string{"", "music", "news"}[i%3]))
+		batch = append(batch, report(i, channels[i%3]))
 	}
 	postJSON(t, routerTS.URL+"/v1/report", batch, nil)
 	var tick TickResponse
@@ -682,9 +699,52 @@ func TestRouterReshardHandoff(t *testing.T) {
 	if tick.ShardErrors != 0 || len(tick.VCs) != 3 {
 		t.Fatalf("post-reshard tick %+v", tick.Shards)
 	}
+	canonical := map[string][]byte{}
 	for _, vc := range tick.VCs {
 		if vc.Node != next.Owner(vc.VC).ID {
 			t.Fatalf("channel %q solved by %q after reshard, owner %q", vc.VC, vc.Node, next.Owner(vc.VC).ID)
+		}
+		canonical[vc.VC] = vc.Canonical
+	}
+
+	// Each moved channel's tick, from the new owner's audit record of
+	// it: every device at the prior, and the decision a cold serial
+	// solve of those reports makes.
+	dirs := map[string]string{"n1": dir1, "n2": dir2}
+	prior := bayes.NewGammaEstimator().Gamma()
+	for _, ch := range wantMoved {
+		var rec *audit.Record
+		for _, r := range readAuditLog(t, dirs[next.Owner(ch).ID]) {
+			if strings.HasSuffix(r.VC, "/"+ch) {
+				rec = r
+			}
+		}
+		if rec == nil {
+			t.Fatalf("new owner %s logged no tick of channel %q", next.Owner(ch).ID, ch)
+		}
+		reqs, err := rec.SchedulerRequests()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range reqs {
+			if req.Gamma != prior {
+				t.Fatalf("channel %q device %s: gamma %v on its new owner, want the prior %v", ch, req.DeviceID, req.Gamma, prior)
+			}
+		}
+		cfg, err := rec.Config.SchedulerConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := scheduler.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := scheduler.DecideSerial(sched, []scheduler.VC{{ID: ch, Requests: reqs}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cold.VCs[0].Decision.Canonical(); !bytes.Equal(canonical[ch], want) {
+			t.Fatalf("channel %q: first tick on its new owner differs from a cold serial solve:\n got %s\nwant %s", ch, canonical[ch], want)
 		}
 	}
 }

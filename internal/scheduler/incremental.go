@@ -16,14 +16,11 @@ import (
 // Twitch trace shows viewers persisting across many 5-minute slots — so
 // a Pool keeps per-stream state that makes slot t+1 cost
 // proportional to churn: a plan cache keyed by a content fingerprint of
-// each Request, a whole-decision replay for bit-unchanged slots, a
-// Phase-1 problem cache, and a Phase-1 warm start seeded from the
-// previous slot's knapsack solution. Every shortcut is either keyed on
-// byte equality of the exact inputs the cold path would consume or
-// (for the warm start) proven decision-neutral inside internal/ilp, so
-// decisions remain byte-identical to a cold Schedule — the
-// invariant the differential corpus, the churn suite and audit replay
-// enforce.
+// each Request, a whole-decision replay for bit-unchanged slots, and a
+// Phase-1 problem cache. Every shortcut is keyed on byte equality of
+// the exact inputs the cold path would consume, so decisions remain
+// byte-identical to a cold Schedule — the invariant the differential
+// corpus, the churn suite and audit replay enforce.
 
 // CacheStats reports the lifetime effectiveness of one scheduling
 // stream's incremental caches.
@@ -132,10 +129,9 @@ type slotState struct {
 	prevDec *Decision
 
 	// Phase-1 caches.
-	probKey      []byte // the problem prevSol solves
-	prevSol      ilp.Solution
-	probValid    bool
-	prevSelected map[string]bool // previous Phase-1 knapsack picks (warm seed)
+	probKey   []byte // the problem prevSol solves
+	prevSol   ilp.Solution
+	probValid bool
 
 	hits, misses, evictions uint64
 }
@@ -166,7 +162,6 @@ func (st *slotState) reset(cfgSig []byte) {
 	st.prevN = 0
 	st.prevDec = nil
 	st.probValid = false
-	st.prevSelected = nil
 }
 
 // begin starts one scheduling call over a validated batch. It points
@@ -271,7 +266,6 @@ func (st *slotState) begin(reqs []Request, rep *Decision) (replayed bool, hits i
 		rep.Replayed = true
 		rep.Phase1Cached = true
 		rep.Phase1Nodes = 0
-		rep.Phase1Warm = false
 		rep.PlanCacheHits = n
 		rep.PlanCacheMisses = 0
 		rep.PlanCacheEvictions = 0
@@ -308,17 +302,13 @@ func (st *slotState) sweep() (evicted int) {
 }
 
 // finish records the call's outcome once nothing reads its plans again:
-// lifetime counters, the decision for whole-set replay, the Phase-1
-// picks (indexed like scratch.eligible; nil when nothing was eligible)
-// as the next warm seed, and the slab-built copies of a device named
-// twice into its entry — the last copy wins, as if the copies had been
-// cached in batch order. A degraded decision is never stored for replay:
-// replaying it into a later, unpressured slot would leak deadline-shaped
-// bytes into a tick the cold path would have solved in full. The warm
-// seed is still taken — warm starts are decision-neutral by
-// construction, so a degraded seed cannot change later decisions.
-// Caller holds mu.
-func (st *slotState) finish(reqs []Request, dec *Decision, phase1Picks []bool) {
+// lifetime counters, the decision for whole-set replay, and the
+// slab-built copies of a device named twice into its entry — the last
+// copy wins, as if the copies had been cached in batch order. A degraded
+// decision is never stored for replay: replaying it into a later,
+// unpressured slot would leak deadline-shaped bytes into a tick the cold
+// path would have solved in full. Caller holds mu.
+func (st *slotState) finish(reqs []Request, dec *Decision) {
 	st.hits += uint64(dec.PlanCacheHits)
 	st.misses += uint64(dec.PlanCacheMisses)
 	if dec.Degraded.Any() || !st.allCache {
@@ -333,15 +323,6 @@ func (st *slotState) finish(reqs []Request, dec *Decision, phase1Picks []bool) {
 		// caller's request storage.
 		st.prevDec.batch = nil
 		st.prevN = len(reqs)
-	}
-	if st.prevSelected == nil {
-		st.prevSelected = make(map[string]bool, dec.Selected)
-	}
-	clear(st.prevSelected)
-	for k, on := range phase1Picks {
-		if on {
-			st.prevSelected[st.scratch.eligible[k].p.req.DeviceID] = true
-		}
 	}
 	for _, i := range st.spill {
 		key, ok := st.appendRequestKey(st.keyBuf[:0], &reqs[i])
@@ -395,29 +376,6 @@ func appendProbRow(b []byte, e placed, value float64) []byte {
 	b = appendFloat64(b, value)
 	b = appendFloat64(b, e.p.g)
 	return appendFloat64(b, e.p.h)
-}
-
-// warmSeed projects the previous slot's Phase-1 picks onto the current
-// eligible set, or nil when there is no usable seed. Soundness does not
-// depend on the seed's quality: internal/ilp adopts a warm result only
-// when it strictly improves on the seed without hitting the node limit,
-// falling back to the cold search otherwise.
-func (st *slotState) warmSeed(eligible []placed) []bool {
-	if len(st.prevSelected) == 0 {
-		return nil
-	}
-	seed := make([]bool, len(eligible))
-	any := false
-	for k, e := range eligible {
-		if st.prevSelected[e.p.req.DeviceID] {
-			seed[k] = true
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return seed
 }
 
 // stats snapshots the lifetime counters.

@@ -511,8 +511,8 @@ func TestColdPoolKeepsNoStream(t *testing.T) {
 			t.Fatalf("tick %d: a cold pool used cross-slot state: %+v", tick, d)
 		}
 	}
-	if cold.state() != nil || len(cold.pool.StreamStates()) != 0 || cold.pool.CacheStats() != (CacheStats{}) {
-		t.Fatalf("cold pool holds a stream: states %v, stats %+v", cold.pool.StreamStates(), cold.pool.CacheStats())
+	if cold.state() != nil || len(cold.pool.states) != 0 || cold.pool.CacheStats() != (CacheStats{}) {
+		t.Fatalf("cold pool holds a stream: %d states, stats %+v", len(cold.pool.states), cold.pool.CacheStats())
 	}
 }
 

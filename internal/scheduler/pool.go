@@ -187,20 +187,19 @@ func NewPool(cfg Config, pc PoolConfig) (*Pool, error) {
 }
 
 // stateFor returns the incremental stream under a state key, creating
-// it on first sight (created reports that it did); nil when the pool
-// keeps none — DisableIncremental, or a config newState cannot
-// fingerprint.
-func (p *Pool) stateFor(key string) (st *slotState, created bool) {
+// it on first sight; nil when the pool keeps none — DisableIncremental,
+// or a config newState cannot fingerprint.
+func (p *Pool) stateFor(key string) *slotState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st, ok := p.states[key]
 	if !ok {
 		if st = p.sched.newState(); st == nil {
-			return nil, false
+			return nil
 		}
 		p.states[key] = st
 	}
-	return st, !ok
+	return st
 }
 
 // CacheStats aggregates the incremental-cache counters across every
@@ -345,7 +344,7 @@ func (p *Pool) solveVC(ctx context.Context, vc *VC, worker int, out *VCDecision)
 	sp.SetStr("vc", vc.ID)
 	sp.SetInt("worker", worker)
 	start := time.Now()
-	st, _ := p.stateFor(vc.stateKey())
+	st := p.stateFor(vc.stateKey())
 	err := p.sched.scheduleWith(vcCtx, vc.Requests, st, nil, &out.Decision)
 	sp.End()
 	if err != nil {

@@ -94,7 +94,11 @@ func randomInstance(rng *stats.RNG, base []Request) ([]VC, Config) {
 // serial reference is cold, so the corpus also pins
 // incremental-vs-cold equivalence; each instance is decided twice
 // through the pool so the second tick exercises the warm caches
-// (whole-decision replay on an unchanged instance).
+// (whole-decision replay on an unchanged instance), then once more with
+// one device per VC dimmed, which changes its saving and so the Phase-1
+// problem. Wherever the pool ran Phase-1 (not Phase1Cached) it must
+// also have searched exactly the serial reference's nodes: a stream's
+// solve is the cold one.
 func TestPoolVsSerialDifferential(t *testing.T) {
 	base := makeCluster(t, 64, 999)
 	rng := stats.NewRNG(20260805)
@@ -125,6 +129,79 @@ func TestPoolVsSerialDifferential(t *testing.T) {
 		if !bytes.Equal(warm.Canonical(), sr.Canonical()) {
 			t.Fatalf("instance %d: warm pool tick diverged from cold serial:\nwarm:\n%s\nserial:\n%s",
 				inst, warm.Canonical(), sr.Canonical())
+		}
+		sameSearch(t, inst, "first", pr, sr)
+		sameSearch(t, inst, "warm", warm, sr)
+
+		dimmed := make([]VC, len(vcs))
+		for v, vc := range vcs {
+			reqs := append([]Request(nil), vc.Requests...)
+			reqs[0].Display.Brightness *= 0.8
+			dimmed[v] = VC{ID: vc.ID, Requests: reqs}
+		}
+		dr, err := pool.Decide(dimmed)
+		if err != nil {
+			t.Fatalf("instance %d: dimmed pool tick: %v", inst, err)
+		}
+		dsr, err := DecideSerial(serial, dimmed)
+		if err != nil {
+			t.Fatalf("instance %d: dimmed serial: %v", inst, err)
+		}
+		if !bytes.Equal(dr.Canonical(), dsr.Canonical()) {
+			t.Fatalf("instance %d: dimmed pool tick diverged from cold serial:\npool:\n%s\nserial:\n%s",
+				inst, dr.Canonical(), dsr.Canonical())
+		}
+		sameSearch(t, inst, "dimmed", dr, dsr)
+	}
+
+	// Greedy is optimal on every random instance above, so none of them
+	// ever had a Phase-1 search worth seeding from the previous slot.
+	// Mixed-resolution VCs under a 12-stream server, churned between
+	// ticks, are where a seeded search used to run first.
+	server, err := edge.NewServer(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Server: server, Lambda: 1.5}
+	for set := 0; set < 4; set++ {
+		vcs := makeVCSet(t, 3, 40, 2606+int64(set))
+		pool, err := NewPool(cfg, PoolConfig{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tick := 0; tick < 4; tick++ {
+			for v, vc := range vcs {
+				reqs := append([]Request(nil), vc.Requests...)
+				vcs[v].Requests = reqs
+				k := (5 + 7*tick) % len(reqs)
+				reqs[k].Gamma = 0.65 - reqs[k].Gamma
+				reqs[(k+18)%len(reqs)].EnergyFrac = 1 - 0.9*reqs[(k+18)%len(reqs)].EnergyFrac
+			}
+			pr, err := pool.Decide(vcs)
+			if err != nil {
+				t.Fatalf("set %d tick %d: pool: %v", set, tick, err)
+			}
+			sr, err := DecideSerial(mustScheduler(t, cfg), vcs)
+			if err != nil {
+				t.Fatalf("set %d tick %d: serial: %v", set, tick, err)
+			}
+			if !bytes.Equal(pr.Canonical(), sr.Canonical()) {
+				t.Fatalf("set %d tick %d: churned pool tick diverged from cold serial", set, tick)
+			}
+			sameSearch(t, 1000+set, fmt.Sprintf("churn %d", tick), pr, sr)
+		}
+	}
+}
+
+// sameSearch fails when a VC the pool solved afresh searched a
+// different number of Phase-1 nodes than the serial reference did.
+func sameSearch(t *testing.T, inst int, tick string, pool, serial *PoolResult) {
+	t.Helper()
+	for i := range pool.VCs {
+		p, s := pool.VCs[i].Decision, serial.VCs[i].Decision
+		if !p.Phase1Cached && p.Phase1Nodes != s.Phase1Nodes {
+			t.Fatalf("instance %d, %s tick, %s: pool searched %d Phase-1 nodes, serial %d",
+				inst, tick, pool.VCs[i].VC, p.Phase1Nodes, s.Phase1Nodes)
 		}
 	}
 }

@@ -293,15 +293,12 @@ type Decision struct {
 	PlanCacheHits      int
 	PlanCacheMisses    int
 	PlanCacheEvictions int
-	// Phase1Nodes is the total branch-and-bound node count behind this
+	// Phase1Nodes is the branch-and-bound node count behind this
 	// decision (0 for the greedy fallback and for cached Phase-1
-	// solves). When a warm-started search was discarded it includes the
-	// cold re-run.
+	// solves).
 	Phase1Nodes int
-	// Phase1Warm reports that the adopted Phase-1 solution came from a
-	// warm-seeded search; Phase1Cached that Phase-1 was skipped because
-	// the knapsack problem was byte-identical to the previous slot's.
-	Phase1Warm   bool
+	// Phase1Cached reports that Phase-1 was skipped because the knapsack
+	// problem was byte-identical to the previous slot's.
 	Phase1Cached bool
 	// Replayed reports that the whole decision was served from the
 	// previous slot (the full ordered request set was byte-identical).
@@ -349,8 +346,8 @@ type Config struct {
 	CompactChunk int
 	// DisableIncremental is read by Pool only; a bare Scheduler keeps no
 	// state either way. Set, the pool creates no cross-slot stream — plan
-	// cache, whole-decision replay, Phase-1 problem cache and warm start
-	// (DESIGN.md §11) — and solves every slot cold. Decisions are byte-
+	// cache, whole-decision replay and Phase-1 problem cache (DESIGN.md
+	// §11) — and solves every slot cold. Decisions are byte-
 	// identical either way; the cold pool is what the differential tests
 	// and BenchmarkIncrementalSlots compare the streams against.
 	DisableIncremental bool
@@ -852,7 +849,7 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 		dec.Objective = totalObjective(plans, dec.X)
 		dec.PerDevice = s.verdicts(per, plans, dec.X, nil, nil)
 		if st != nil {
-			st.finish(reqs, dec, nil)
+			st.finish(reqs, dec)
 		}
 		return nil
 	}
@@ -864,12 +861,11 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 		p1deadline = deadline
 	}
 	forceGreedy := forced != nil && forced.Phase1Greedy
-	picks, phase1Val, optimal, p1 := s.phase1(sc, st, hits, len(misses), p1deadline, forceGreedy)
+	picks, phase1Val, optimal, p1 := s.phase1(sc, st, p1deadline, forceGreedy)
 	dec.Phase1Seconds = time.Since(phase1Start).Seconds()
 	dec.Phase1Value = phase1Val
 	dec.OptimalPhase1 = optimal
 	dec.Phase1Nodes = p1.nodes
-	dec.Phase1Warm = p1.warm
 	dec.Phase1Cached = p1.cached
 	dec.Degraded.Phase1Greedy = p1.degraded
 	for k, on := range picks {
@@ -908,7 +904,7 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 	dec.Objective = totalObjective(plans, dec.X)
 	dec.PerDevice = s.verdicts(per, plans, dec.X, swapIn, swapOut)
 	if st != nil {
-		st.finish(reqs, dec, picks)
+		st.finish(reqs, dec)
 	}
 	return nil
 }
@@ -954,7 +950,6 @@ func (s *Scheduler) verdicts(dst []Verdict, plans []*plan, x, swapIn, swapOut []
 // only (none of it feeds the decision bytes).
 type phase1Info struct {
 	nodes    int  // branch-and-bound nodes (0: greedy or cached)
-	warm     bool // the adopted solution came from a warm-seeded search
 	cached   bool // problem byte-identical to previous slot; solve skipped
 	degraded bool // deadline expired: greedy returned instead of the search result
 }
@@ -962,10 +957,8 @@ type phase1Info struct {
 // phase1 solves the energy-only selection (14) as a 0/1 knapsack over
 // sc.eligible and returns the picks indexed like it. st (nil on the
 // cold path; locked by the caller otherwise) supplies the incremental
-// shortcuts: reuse of the previous slot's solution when the knapsack
-// problem is byte-identical, and a warm-start seed otherwise.
-// hits/misses are the call's plan-cache counts, gating the warm-start
-// attempt.
+// shortcut: reuse of the previous slot's solution when the knapsack
+// problem is byte-identical.
 //
 // A non-zero deadline puts the branch-and-bound in anytime mode: on
 // expiry the always-feasible greedy solution is adopted and the result
@@ -973,7 +966,7 @@ type phase1Info struct {
 // unconditionally (audit replay of a degraded decision). Degraded
 // solutions never enter the problem cache — a later unpressured slot
 // with the same problem must re-solve exactly.
-func (s *Scheduler) phase1(sc *planScratch, st *slotState, hits, misses int, deadline time.Time, forceGreedy bool) (picks []bool, value float64, optimal bool, info phase1Info) {
+func (s *Scheduler) phase1(sc *planScratch, st *slotState, deadline time.Time, forceGreedy bool) (picks []bool, value float64, optimal bool, info phase1Info) {
 	eligible := sc.eligible
 	sc.values = grown(sc.values, len(eligible))
 	for k, e := range eligible {
@@ -991,18 +984,8 @@ func (s *Scheduler) phase1(sc *planScratch, st *slotState, hits, misses int, dea
 			sol = ilp.Greedy(prob)
 			sol.Degraded = true
 		case len(eligible) <= s.cfg.ExactThreshold:
-			bb := ilp.BBConfig{MaxNodes: s.cfg.MaxNodes, Deadline: deadline}
-			// A warm start pays only when the slot is mostly cached (the
-			// projected seed is then likely still near-optimal); at high
-			// churn the mandatory cold fallback for non-improving seeds
-			// would roughly double the solve, so the attempt is gated on
-			// the plan-cache hit rate. The gate is decision-neutral:
-			// warm and cold searches return identical solutions.
-			if st != nil && hits > 0 && hits >= misses {
-				bb.WarmStart = st.warmSeed(eligible)
-			}
 			var err error
-			sol, err = ilp.BranchBound(prob, bb)
+			sol, err = ilp.BranchBound(prob, ilp.BBConfig{MaxNodes: s.cfg.MaxNodes, Deadline: deadline})
 			if err != nil {
 				// The problem was validated during plan building; a solver
 				// error here indicates a programming bug.
@@ -1015,7 +998,6 @@ func (s *Scheduler) phase1(sc *planScratch, st *slotState, hits, misses int, dea
 			st.probStore(eligible, sc.values, sol)
 		}
 		info.nodes = sol.Nodes
-		info.warm = sol.WarmUsed
 		info.degraded = sol.Degraded
 	}
 	return sol.X, sol.Value, sol.Optimal, info

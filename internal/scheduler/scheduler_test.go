@@ -96,7 +96,7 @@ func (w *warmStream) Schedule(reqs []Request) (Decision, error) {
 // state is the stream's slotState (nil before the first slot of a pool
 // that keeps none).
 func (w *warmStream) state() *slotState {
-	st, _ := w.pool.stateFor(warmStreamKey)
+	st := w.pool.stateFor(warmStreamKey)
 	return st
 }
 
@@ -412,7 +412,7 @@ func TestScheduleIsPure(t *testing.T) {
 		t.Fatalf("same batch, different bytes:\nfirst:\n%s\nsecond:\n%s", want, second.Canonical())
 	}
 	for name, d := range map[string]Decision{"first": first, "second": second} {
-		if d.Replayed || d.Phase1Cached || d.Phase1Warm || d.PlanCacheHits != 0 || d.PlanCacheMisses != 0 {
+		if d.Replayed || d.Phase1Cached || d.PlanCacheHits != 0 || d.PlanCacheMisses != 0 {
 			t.Fatalf("%s call used cross-slot state: %+v", name, d)
 		}
 	}

@@ -20,7 +20,9 @@ import (
 // built every miss into a per-call slab. Each line is one tick of
 // streamTicks: its plan-cache hits, misses and evictions, the replay
 // and Phase-1 shortcuts taken, and the SHA-256 of the decision's
-// canonical bytes (or the error a failing tick returned).
+// canonical bytes (or the error a failing tick returned). The recorded
+// build also wrote a phase1_warm column, false on every row; it is
+// dropped before comparing.
 // RECORD_PARENT_GOLDEN=1 rewrites it from the build under test — only
 // meaningful from a checkout of the commit being pinned, with this file
 // copied in.
@@ -32,6 +34,15 @@ const streamCountersGolden = "stream_counters_parent.golden"
 // replays such a batch and solves it from its plan cache instead. The
 // decision bytes must still match.
 var dupReplayRows = map[string]bool{"06-duplicate-again": true}
+
+// oneSearchRows are the ticks whose Phase-1 solve the recorded build
+// ran twice: a search seeded with the previous slot's picks that did
+// not improve on its seed, then the cold search (268 nodes in all).
+// Phase-1 is now that cold search alone, so these rows must read its
+// 155 nodes, and nothing else about them may move.
+var oneSearchRows = map[string]bool{
+	"02-churn-5pct": true, "11-invalid-fixed": true, "13-reordered": true, "14-order-restored": true,
+}
 
 // streamTick is one step of the pinned sequence.
 type streamTick struct {
@@ -113,7 +124,7 @@ func streamRows(t *testing.T, pool *Pool, ticks []streamTick) []string {
 		var dec Decision
 		var err error
 		if tk.cfg != nil {
-			st, _ := pool.stateFor(warmStreamKey)
+			st := pool.stateFor(warmStreamKey)
 			err = mustScheduler(t, *tk.cfg).scheduleWith(ctx, tk.reqs, st, nil, &dec)
 		} else {
 			var res *PoolResult
@@ -129,9 +140,9 @@ func streamRows(t *testing.T, pool *Pool, ticks []streamTick) []string {
 		if tk.expired && !dec.Degraded.Any() {
 			t.Fatalf("%s: an expired deadline left the decision undegraded", tk.name)
 		}
-		rows = append(rows, fmt.Sprintf("%s hits=%d misses=%d evictions=%d replayed=%t phase1_cached=%t phase1_nodes=%d phase1_warm=%t canonical=%s",
+		rows = append(rows, fmt.Sprintf("%s hits=%d misses=%d evictions=%d replayed=%t phase1_cached=%t phase1_nodes=%d canonical=%s",
 			tk.name, dec.PlanCacheHits, dec.PlanCacheMisses, dec.PlanCacheEvictions, dec.Replayed,
-			dec.Phase1Cached, dec.Phase1Nodes, dec.Phase1Warm, canonicalSum(dec.Canonical())))
+			dec.Phase1Cached, dec.Phase1Nodes, canonicalSum(dec.Canonical())))
 	}
 	return rows
 }
@@ -174,7 +185,20 @@ func TestStreamCountersParentPinned(t *testing.T) {
 	var want []string
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		want = append(want, sc.Text())
+		row := sc.Text()
+		if strings.Contains(row, " canonical=") {
+			if !strings.Contains(row, " phase1_warm=false ") {
+				t.Fatalf("golden row without phase1_warm=false: %s", row)
+			}
+			row = strings.Replace(row, " phase1_warm=false", "", 1)
+			if name, _, _ := strings.Cut(row, " "); oneSearchRows[name] {
+				if !strings.Contains(row, " phase1_nodes=268 ") {
+					t.Fatalf("%s: golden row does not read 268 nodes: %s", name, row)
+				}
+				row = strings.Replace(row, " phase1_nodes=268 ", " phase1_nodes=155 ", 1)
+			}
+		}
+		want = append(want, row)
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)

@@ -66,14 +66,12 @@ type TickStats struct {
 	DurationSec float64 `json:"duration_sec"`
 	// Incremental-scheduling breakdown (DESIGN.md §11): how many device
 	// plans the cross-slot cache supplied vs rebuilt this tick, how many
-	// stale entries were evicted, the Phase-1 search size, whether the
-	// warm-started search was adopted, and whether the whole decision was
-	// replayed verbatim from the previous slot.
+	// stale entries were evicted, the Phase-1 search size, and whether
+	// the whole decision was replayed verbatim from the previous slot.
 	CacheHits      int  `json:"cache_hits"`
 	CacheMisses    int  `json:"cache_misses"`
 	CacheEvictions int  `json:"cache_evictions"`
 	Phase1Nodes    int  `json:"phase1_nodes"`
-	Phase1Warm     bool `json:"phase1_warm"`
 	Replayed       bool `json:"replayed"`
 	// Degraded reports that the scheduling deadline expired and the tick
 	// fell back to the anytime shortcuts (DESIGN.md §12);
@@ -245,15 +243,14 @@ type StatusResponse struct {
 	// Shard-federation fields (DESIGN.md §17), all describing THIS
 	// process only: ShardMode/ShardNodeID identify the personality,
 	// ShardEpoch the installed map version, and the counters its
-	// federated tick/handoff traffic. A router's /v1/status reports its
+	// federated tick traffic. A router's /v1/status reports its
 	// per-shard view in a separate `shards` sub-object instead of
 	// folding downstream state into these flat fields.
-	ShardMode            bool   `json:"shard_mode,omitempty"`
-	ShardNodeID          string `json:"shard_node_id,omitempty"`
-	ShardEpoch           string `json:"shard_epoch,omitempty"`
-	ShardTicks           uint64 `json:"shard_ticks,omitempty"`
-	ShardVCsDecided      uint64 `json:"shard_vcs_decided,omitempty"`
-	ShardHandoffRestored uint64 `json:"shard_handoff_restored,omitempty"`
+	ShardMode       bool   `json:"shard_mode,omitempty"`
+	ShardNodeID     string `json:"shard_node_id,omitempty"`
+	ShardEpoch      string `json:"shard_epoch,omitempty"`
+	ShardTicks      uint64 `json:"shard_ticks,omitempty"`
+	ShardVCsDecided uint64 `json:"shard_vcs_decided,omitempty"`
 }
 
 // HistoryResponse is the GET /v1/history range-query result: the
@@ -379,27 +376,6 @@ type ShardTickResponse struct {
 	Degraded bool              `json:"degraded"`
 	VCs      []ShardVCDecision `json:"vcs"`
 	Sched    TickStats         `json:"sched"`
-}
-
-// ShardStateResponse is the GET /v1/shard/state body: the shard's
-// exportable incremental stream states (scheduler warm seeds, config-
-// signature-guarded), for warm handoff when a reshard moves channels.
-type ShardStateResponse struct {
-	Node   string                  `json:"node,omitempty"`
-	States []scheduler.StreamState `json:"states"`
-}
-
-// ShardHandoffRequest imports stream states exported by another shard.
-type ShardHandoffRequest struct {
-	States []scheduler.StreamState `json:"states"`
-}
-
-// ShardHandoffResponse reports how many states were adopted; the rest
-// were skipped (config mismatch, already-live key, empty seed) — always
-// safe, the moved channel just cold-starts behind the fingerprint
-// guard.
-type ShardHandoffResponse struct {
-	Restored int `json:"restored"`
 }
 
 // ShardMapResponse is the shard-map epoch exchange body (GET and POST

@@ -38,7 +38,6 @@ type serverMetrics struct {
 	cacheHits      *obs.Counter
 	cacheMisses    *obs.Counter
 	cacheEvictions *obs.Counter
-	warmNodes      *obs.Gauge
 	coldNodes      *obs.Gauge
 	replays        *obs.Counter
 
@@ -111,10 +110,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Device plans rebuilt because the report fingerprint changed."),
 		cacheEvictions: reg.Counter("lpvs_plan_cache_evictions_total",
 			"Cached device plans dropped for devices absent from a tick."),
-		warmNodes: reg.Gauge("lpvs_phase1_warmstart_nodes",
-			"Branch-and-bound nodes of the last warm-started Phase-1 solve."),
 		coldNodes: reg.Gauge("lpvs_phase1_cold_nodes",
-			"Branch-and-bound nodes of the last cold Phase-1 solve."),
+			"Branch-and-bound nodes of the last tick's Phase-1 solve."),
 		replays: reg.Counter("lpvs_sched_replays_total",
 			"Ticks whose whole decision was replayed from the previous slot."),
 
@@ -239,10 +236,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Channel VCs decided across federated shard ticks.", func() float64 {
 			return float64(s.shardVCsDecided.Load())
 		})
-	reg.CounterFunc("lpvs_shard_handoff_restored_total",
-		"Incremental stream states adopted from reshard handoffs.", func() float64 {
-			return float64(s.handoffRestored.Load())
-		})
 	// Durable-state telemetry (DESIGN.md §14): all atomic-backed, so
 	// scrapes never contend with the background snapshot loop.
 	reg.CounterFunc("lpvs_snapshot_writes_total",
@@ -320,11 +313,7 @@ func (s *Server) observeTick(stats TickStats, gammaMean, sigmaMean float64) {
 	m.cacheHits.Add(float64(stats.CacheHits))
 	m.cacheMisses.Add(float64(stats.CacheMisses))
 	m.cacheEvictions.Add(float64(stats.CacheEvictions))
-	if stats.Phase1Warm {
-		m.warmNodes.Set(float64(stats.Phase1Nodes))
-	} else {
-		m.coldNodes.Set(float64(stats.Phase1Nodes))
-	}
+	m.coldNodes.Set(float64(stats.Phase1Nodes))
 	if stats.Replayed {
 		m.replays.Inc()
 	}

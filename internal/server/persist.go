@@ -88,9 +88,6 @@ func (s *Server) snapshotLocked() *persist.Snapshot {
 	// A copy: the snapshot is encoded after s.mu is released (Encode
 	// sorts its own copy, so arrival order never reaches the file).
 	snap.Pending = slices.Clone(s.pending)
-	// Pool state has its own lock; taking it under s.mu is safe because
-	// the pool never calls back into the server.
-	snap.Streams = s.pool.StreamStates()
 	return snap
 }
 
@@ -229,8 +226,5 @@ func (s *Server) applySnapshot(snap *persist.Snapshot) error {
 	s.slot = snap.Slot
 	s.devices = devices
 	s.pending = pending
-	// Warm seeds are optional and decision-neutral; a config-signature
-	// mismatch inside RestoreStreamStates just cold-starts the stream.
-	s.pool.RestoreStreamStates(snap.Streams)
 	return nil
 }

@@ -112,9 +112,9 @@ type Config struct {
 	// FlightDir, inspectable with `lpvsctl flight`.
 	FlightDir string
 	// ShardMode enables the node-to-node /v1/shard/* surface (DESIGN.md
-	// §17): federated per-channel ticks, incremental-state handoff, and
-	// shard-map epoch exchange. Off by default; the endpoints then
-	// answer an envelope 404, so a mis-pointed router fails loudly.
+	// §17): federated per-channel ticks and shard-map epoch exchange.
+	// Off by default; the endpoints then answer an envelope 404, so a
+	// mis-pointed router fails loudly.
 	ShardMode bool
 	// NodeID is this process's identity in a shard federation. Shard
 	// ticks addressed to a different node are refused with 409
@@ -206,7 +206,6 @@ type Server struct {
 	// mirrored in /metrics.
 	shardTicks      atomic.Uint64
 	shardVCsDecided atomic.Uint64
-	handoffRestored atomic.Uint64
 
 	// Forensics (DESIGN.md §15): the metric-history ring behind
 	// /v1/history and the black-box flight recorder. Both are nil when
@@ -390,6 +389,11 @@ func (s *Server) Close() error {
 // Handler returns the daemon's HTTP routes behind the v1 route shell
 // (shell.go).
 func (s *Server) Handler() http.Handler {
+	return s.shell().Handler(s.routes())
+}
+
+// routes is the daemon's route table.
+func (s *Server) routes() []Route {
 	// The node-to-node surface (DESIGN.md §17) is registered in every
 	// personality so routing behavior (405 + Allow included) is uniform,
 	// but outside Config.ShardMode it answers an envelope 404 — a router
@@ -401,7 +405,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		return h
 	}
-	return s.shell().Handler([]Route{
+	return []Route{
 		{Method: "POST", Path: "/v1/report", Handler: s.handleReport, Gated: true},
 		{Method: "POST", Path: "/v1/tick", Handler: s.handleTick, Gated: true},
 		{Method: "GET", Path: "/v1/decision", Handler: s.handleDecision},
@@ -416,11 +420,9 @@ func (s *Server) Handler() http.Handler {
 		{Method: "GET", Path: "/v1/history", Handler: s.handleHistory},
 		{Method: "POST", Path: "/v1/incident", Handler: s.handleIncident},
 		{Method: "POST", Path: "/v1/shard/tick", Handler: shardOnly(s.handleShardTick), Gated: true},
-		{Method: "GET", Path: "/v1/shard/state", Handler: shardOnly(s.handleShardState)},
-		{Method: "POST", Path: "/v1/shard/handoff", Handler: shardOnly(s.handleShardHandoff), Gated: true},
 		{Method: "GET", Path: "/v1/shard/map", Handler: shardOnly(s.handleShardMapGet)},
 		{Method: "POST", Path: "/v1/shard/map", Handler: shardOnly(s.handleShardMapPost)},
-	})
+	}
 }
 
 // shell is the daemon's route shell: its HTTP metrics, logger and body
@@ -796,6 +798,5 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	}
 	resp.ShardTicks = s.shardTicks.Load()
 	resp.ShardVCsDecided = s.shardVCsDecided.Load()
-	resp.ShardHandoffRestored = s.handoffRestored.Load()
 	WriteJSON(w, http.StatusOK, resp)
 }

@@ -110,44 +110,6 @@ func (s *Server) handleShardTick(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// handleShardState exports the shard's incremental stream states —
-// the warm BnB seeds behind "ch:<channel>" keys — optionally filtered
-// by ?key= (repeatable). The export is decision-neutral by
-// construction: restoring (or losing) a warm seed never changes a
-// decision, only BnB node counts.
-func (s *Server) handleShardState(w http.ResponseWriter, r *http.Request) {
-	states := s.pool.StreamStates()
-	if keys := r.URL.Query()["key"]; len(keys) > 0 {
-		want := make(map[string]bool, len(keys))
-		for _, k := range keys {
-			want[k] = true
-		}
-		kept := states[:0]
-		for _, st := range states {
-			if want[st.Key] {
-				kept = append(kept, st)
-			}
-		}
-		states = kept
-	}
-	WriteJSON(w, http.StatusOK, ShardStateResponse{Node: s.cfg.NodeID, States: states})
-}
-
-// handleShardHandoff imports stream states exported by another shard
-// (warm handoff on reshard). Restoration is guarded three ways —
-// config signature, non-empty seed, key not already live — so the
-// worst case is a safe cold start, never a wrong decision.
-func (s *Server) handleShardHandoff(w http.ResponseWriter, r *http.Request) {
-	var req ShardHandoffRequest
-	if !DecodeJSON(w, r, &req) {
-		return
-	}
-	restored := s.pool.RestoreStreamStates(req.States)
-	s.handoffRestored.Add(uint64(restored))
-	s.log.Info("shard handoff", "offered", len(req.States), "restored", restored)
-	WriteJSON(w, http.StatusOK, ShardHandoffResponse{Restored: restored})
-}
-
 // handleShardMapGet reports the installed shard map and its epoch.
 func (s *Server) handleShardMapGet(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()

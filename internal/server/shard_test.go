@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -65,8 +66,6 @@ func TestShardAPIDisabledOutsideShardMode(t *testing.T) {
 	_, ts := testServer(t, -1)
 	checks := []struct{ method, path string }{
 		{"POST", "/v1/shard/tick"},
-		{"GET", "/v1/shard/state"},
-		{"POST", "/v1/shard/handoff"},
 		{"GET", "/v1/shard/map"},
 		{"POST", "/v1/shard/map"},
 	}
@@ -207,45 +206,39 @@ func TestShardTickAddressAndEpochChecks(t *testing.T) {
 	}
 }
 
-// State export + handoff round-trip: a new owner warm-starts from the
-// old owner's exported stream state.
-func TestShardStateHandoffRoundTrip(t *testing.T) {
-	_, oldTS := shardTestServer(t, Config{ShardMode: true, NodeID: "old"})
-	_, newTS := shardTestServer(t, Config{ShardMode: true, NodeID: "new"})
-
-	for i := 0; i < 3; i++ {
-		postJSON(t, oldTS.URL+"/v1/report", validReport("dev-"+string(rune('a'+i))), nil)
-		if resp := postJSON(t, oldTS.URL+"/v1/shard/tick", nil, nil); resp.StatusCode != 200 {
-			t.Fatalf("tick %d status %d", i, resp.StatusCode)
+// A shard has no state-export or handoff endpoint: both paths answer
+// exactly what any unknown path does, an envelope 404 naming the path.
+func TestShardStateHandoffGone(t *testing.T) {
+	_, ts := shardTestServer(t, Config{ShardMode: true, NodeID: "n1"})
+	answer := func(method, path string) (int, string, string) {
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
 		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("Content-Type"), strings.ReplaceAll(string(body), path, "PATH")
 	}
-
-	var state ShardStateResponse
-	if resp := getJSON(t, oldTS.URL+"/v1/shard/state?key=ch:ch", &state); resp.StatusCode != 200 {
-		t.Fatalf("state status %d", resp.StatusCode)
+	wantCode, wantType, wantBody := answer("GET", "/v1/shard/unknown")
+	if wantCode != http.StatusNotFound {
+		t.Fatalf("unknown path status %d", wantCode)
 	}
-	if state.Node != "old" || len(state.States) != 1 || state.States[0].Key != "ch:ch" {
-		t.Fatalf("state response %+v", state)
-	}
-
-	// Filtering by an unknown key returns an empty set, not an error.
-	var none ShardStateResponse
-	getJSON(t, oldTS.URL+"/v1/shard/state?key=ch:nope", &none)
-	if len(none.States) != 0 {
-		t.Fatalf("unknown key exported %d states", len(none.States))
-	}
-
-	var ho ShardHandoffResponse
-	if resp := postJSON(t, newTS.URL+"/v1/shard/handoff", ShardHandoffRequest{States: state.States}, &ho); resp.StatusCode != 200 {
-		t.Fatalf("handoff status %d", resp.StatusCode)
-	}
-	if ho.Restored != 1 {
-		t.Fatalf("restored %d states, want 1", ho.Restored)
-	}
-	var st StatusResponse
-	getJSON(t, newTS.URL+"/v1/status", &st)
-	if st.ShardHandoffRestored != 1 {
-		t.Fatalf("status handoff counter %d", st.ShardHandoffRestored)
+	for _, c := range []struct{ method, path string }{
+		{"GET", "/v1/shard/state"},
+		{"POST", "/v1/shard/handoff"},
+	} {
+		code, typ, body := answer(c.method, c.path)
+		if code != wantCode || typ != wantType || body != wantBody {
+			t.Fatalf("%s %s: %d %q %s, want the unknown-path answer %d %q %s",
+				c.method, c.path, code, typ, body, wantCode, wantType, wantBody)
+		}
 	}
 }
 
@@ -387,7 +380,7 @@ func TestTickStatsFold(t *testing.T) {
 	elems := []TickStats{
 		{Reports: 5, Eligible: 4, Selected: 2, Swaps: 1, Phase1Optimal: true,
 			CompactSec: 0.25, Phase1Sec: 0.5, Phase2Sec: 0.125, CPUSec: 1,
-			CacheHits: 3, CacheMisses: 2, CacheEvictions: 1, Phase1Nodes: 40, Phase1Warm: true},
+			CacheHits: 3, CacheMisses: 2, CacheEvictions: 1, Phase1Nodes: 40},
 		{Reports: 7, Eligible: 7, Selected: 3, Phase1Optimal: false,
 			CompactSec: 0.5, Phase1Sec: 0.25, Phase2Sec: 0.5, CPUSec: 2,
 			CacheMisses: 7, Phase1Nodes: 9, Degraded: true, DegradedReason: "deadline:phase1-greedy"},
@@ -412,7 +405,7 @@ func TestTickStatsFold(t *testing.T) {
 	}
 
 	ref := fold(0, 1, 2)
-	if ref.Reports != 13 || ref.Selected != 6 || ref.Phase1Optimal || !ref.Phase1Warm || !ref.Replayed || !ref.Degraded || ref.CPUSec != 3.5 {
+	if ref.Reports != 13 || ref.Selected != 6 || ref.Phase1Optimal || !ref.Replayed || !ref.Degraded || ref.CPUSec != 3.5 {
 		t.Fatalf("fold of all elements %+v", ref)
 	}
 	for _, order := range [][]int{{0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {

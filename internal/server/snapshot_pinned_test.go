@@ -6,12 +6,16 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"lpvs/internal/persist"
 )
 
 // snapshotGolden holds the snapshot file commit d1bb175 — the last build
 // that kept pending reports in a map keyed by device ID — wrote for the
 // scenario below: three decided slots, then a fourth slot's reports
-// staged out of DeviceID order with three devices reporting twice.
+// staged out of DeviceID order with three devices reporting twice. That
+// build also wrote the "edge" stream's Phase-1 warm seed into the
+// file's stream section, which snapshots now leave empty.
 // RECORD_PARENT_GOLDEN=1 rewrites it from the build under test — only
 // meaningful from a checkout of the commit being pinned, with this file
 // copied in (it uses nothing that commit's test files do not have).
@@ -19,9 +23,11 @@ const snapshotGolden = "snapshot_parent.golden"
 
 // TestSnapshotBytesParentPinned: how the daemon holds its pending
 // reports is not visible in what it persists. The snapshot's bytes
-// equal the parent's for the same scenario — persist sorts its copy, so
-// arrival order never reaches the file — and the tick a daemon restored
-// from it runs equals the tick of the daemon that never stopped.
+// equal the parent's for the same scenario once the parent's stream
+// section is emptied (the golden decoded and re-encoded) — persist
+// sorts its copy, so arrival order never reaches the file — and the
+// tick a daemon restored from it runs equals the tick of the daemon
+// that never stopped.
 func TestSnapshotBytesParentPinned(t *testing.T) {
 	const (
 		nDev   = 12
@@ -60,7 +66,11 @@ func TestSnapshotBytesParentPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(golden)
+	parent, err := persist.LoadSnapshot(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := parent.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,5 +98,37 @@ func TestSnapshotBytesParentPinned(t *testing.T) {
 	}
 	if recsA[warmup].DecisionCanonical != recsB[0].DecisionCanonical {
 		t.Fatal("the restored daemon's tick diverged from the uninterrupted daemon's")
+	}
+}
+
+// TestParentSnapshotRestores: the parent's file itself, warm seed
+// included, restores a daemon by the snapshot path with every device
+// and every pending report it holds.
+func TestParentSnapshotRestores(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", snapshotGolden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := persist.DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(snapDir, persist.SnapshotFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := persistServer(t, func(c *Config) { c.SnapshotDir = snapDir })
+	defer s.Close()
+	defer ts.Close()
+	var st StatusResponse
+	getJSON(t, ts.URL+"/v1/status", &st)
+	if st.RestorePath != RestoreSnapshot || st.Slot != parent.Slot ||
+		st.Devices != len(parent.Devices) || st.PendingReports != len(parent.Pending) {
+		t.Fatalf("restored %q (%s): slot %d, %d devices, %d pending; the file holds slot %d, %d devices, %d pending",
+			st.RestorePath, st.RestoreDetail, st.Slot, st.Devices, st.PendingReports,
+			parent.Slot, len(parent.Devices), len(parent.Pending))
+	}
+	if len(parent.Devices) == 0 || len(parent.Pending) == 0 {
+		t.Fatal("the parent snapshot holds no devices or no pending reports")
 	}
 }

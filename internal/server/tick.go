@@ -30,9 +30,9 @@ const (
 	oneVC partition = iota
 	// perChannel schedules each channel as its own cluster (VC ID =
 	// channel ID) — the unit the consistent-hash shard map distributes.
-	// The stable "ch:<channel>" state key survives reshard handoff: the
-	// same channel on a new owner continues (or safely cold-starts) its
-	// incremental stream.
+	// The stable "ch:<channel>" state key links a channel's consecutive
+	// ticks on one owner; after a reshard the new owner starts the
+	// channel's stream cold.
 	perChannel
 )
 
@@ -267,7 +267,6 @@ func vcTickStats(vc *scheduler.VCDecision, reports int) TickStats {
 		CacheMisses:    dec.PlanCacheMisses,
 		CacheEvictions: dec.PlanCacheEvictions,
 		Phase1Nodes:    dec.Phase1Nodes,
-		Phase1Warm:     dec.Phase1Warm,
 		Replayed:       dec.Replayed,
 		Degraded:       dec.Degraded.Any(),
 		DegradedReason: dec.Degraded.Reason(),
@@ -276,8 +275,8 @@ func vcTickStats(vc *scheduler.VCDecision, reports int) TickStats {
 
 // Fold accumulates one element — a cluster of a tick, or a shard's
 // tick inside a router tick — into t: counters and stage times sum,
-// Phase1Optimal is a conjunction, Phase1Warm, Replayed and Degraded
-// are disjunctions. All of those are order-independent. DegradedReason
+// Phase1Optimal is a conjunction, Replayed and Degraded are
+// disjunctions. All of those are order-independent. DegradedReason
 // is not: it is the reason of the last degraded element folded, which
 // is the last in VC-ID order within a daemon and the last in shard-map
 // node order within a router. Slot and DurationSec belong to the tick
@@ -296,7 +295,6 @@ func (t *TickStats) Fold(e TickStats) {
 	t.CacheMisses += e.CacheMisses
 	t.CacheEvictions += e.CacheEvictions
 	t.Phase1Nodes += e.Phase1Nodes
-	t.Phase1Warm = t.Phase1Warm || e.Phase1Warm
 	t.Replayed = t.Replayed || e.Replayed
 	if e.Degraded {
 		t.Degraded = true

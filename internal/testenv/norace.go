@@ -1,8 +1,9 @@
 //go:build !race
 
-// Package testenv tells tests about the build they run in. Allocation
-// guards (testing.AllocsPerRun) skip under the race detector, whose
-// instrumentation allocates on its own.
+// Package testenv holds what tests in several packages share: whether
+// the build runs under the race detector (allocation guards,
+// testing.AllocsPerRun, skip there, since its instrumentation allocates
+// on its own) and golden-file comparison.
 package testenv
 
 // RaceEnabled reports whether the binary was built with -race.

@@ -321,7 +321,7 @@ func NewShardMap(nodes []ShardNode, replicas int) (*ShardMap, error) {
 func ParseShardMapFile(path string) (*ShardMap, error) { return shard.ParseFile(path) }
 
 // NewRouter builds the federation router over an installed shard map.
-// Serve its Handler; DESIGN.md §17 describes the merge and handoff
+// Serve its Handler; DESIGN.md §17 describes the merge and reshard
 // contracts, and `lpvsd -mode=router` is the packaged form.
 func NewRouter(cfg RouterConfig) (*Router, error) { return router.New(cfg) }
 
