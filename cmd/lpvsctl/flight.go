@@ -170,7 +170,7 @@ func flightShow(args []string, stdout, stderr io.Writer) error {
 }
 
 // showAudit prints and optionally replays the bundle's audit tail.
-// Replays go through the same deterministic path as `audit replay`:
+// Each record is replayed the way `audit replay` does it:
 // decode the byte-exact line, re-run the scheduler, compare.
 func showAudit(w io.Writer, b *flight.Bundle, replay bool) error {
 	recs := make([]*audit.Record, len(b.AuditRecords))

@@ -248,10 +248,12 @@ func render(out io.Writer, f *frame, rates map[string]float64, restarted bool) {
 			c.Eligible, c.Selected, c.TransformedChunks, c.GammaMean, c.GammaDrift)
 	}
 
-	fmt.Fprintf(out, "\nSTREAM         TICKS  REPLAY  DEGR  HIT-RATE  LAST-MS  LAST-REQ\n")
+	// The header is printed at the rows' own widths, so each name sits
+	// over its column.
+	fmt.Fprintf(out, "\n%-12s %6s %5s %9s %8s %9s\n", "STREAM", "TICKS", "DEGR", "HIT-RATE", "LAST-MS", "LAST-REQ")
 	for _, s := range f.fleet.Streams {
-		fmt.Fprintf(out, "%-12s %6d  %6d %5d %8.0f%% %8.2f %9d\n",
-			clip(s.Key, 12), s.Ticks, s.Replays, s.DegradedTicks,
+		fmt.Fprintf(out, "%-12s %6d %5d %8.0f%% %8.2f %9d\n",
+			clip(s.Key, 12), s.Ticks, s.DegradedTicks,
 			100*s.CacheHitRate(), 1000*s.LastWallSeconds, s.LastRequests)
 	}
 	if f.fleet.VCLabelBudget == 0 {

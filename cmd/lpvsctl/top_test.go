@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,8 @@ import (
 
 	"lpvs/internal/obs/history"
 	"lpvs/internal/obs/runtimecollector"
+	"lpvs/internal/obs/slo"
+	"lpvs/internal/scheduler"
 	"lpvs/internal/server"
 	"lpvs/internal/stats"
 	"lpvs/internal/video"
@@ -80,6 +83,64 @@ func TestRenderOneFrameAgainstLiveDaemon(t *testing.T) {
 	if strings.Contains(text, "\x1b[2J") {
 		t.Error("-once frame must not emit ANSI clear sequences")
 	}
+}
+
+// TestRenderFramePinned pins one frame of fixed values byte for byte,
+// and checks that in both tables every column name ends where its
+// values end (the names after the first are right-aligned).
+func TestRenderFramePinned(t *testing.T) {
+	f := &frame{at: time.Date(2026, 1, 2, 15, 4, 5, 0, time.UTC)}
+	f.status = server.StatusResponse{
+		UptimeMS: 90_000, Slot: 7, Workers: 2, Devices: 3, PendingReports: 1,
+		LastSelected: 2, DegradedTicks: 1, PlanCacheHitRate: 0.75,
+	}
+	f.slo.Objectives = []slo.State{{Name: "tick-latency", BudgetRemaining: 1,
+		Windows: []slo.WindowState{{BurnRate: 0.5}, {BurnRate: 0.25}}}}
+	f.fleet = server.FleetResponse{
+		VCLabelBudget: 64,
+		Channels: []server.ChannelSummary{{Channel: "live", Devices: 3, PendingReports: 1,
+			Admitted: 3, Eligible: 2, Selected: 2, TransformedChunks: 60, GammaMean: 0.31, GammaDrift: 0.002}},
+		Streams: []scheduler.VCStat{{Key: "edge", Ticks: 7, DegradedTicks: 1, CacheHits: 18, CacheMisses: 6,
+			LastWallSeconds: 0.00125, LastRequests: 3}},
+	}
+	var out bytes.Buffer
+	render(&out, f, nil, false)
+	want := `lpvsctl top  15:04:05  up 1m30s  slot 7  workers 2
+devices 3  pending 1  selected 2  degraded 1  shed 0  cache-hit 75%
+
+SLO                 STATE  BURN-FAST  BURN-SLOW  BUDGET-LEFT
+tick-latency        ok          0.50       0.25         100%
+
+CHANNEL        DEV  PEND  ADM  ELIG  SEL  TCHUNKS  GAMMA  DRIFT
+live             3     1    3     2    2       60  0.310  0.002
+
+STREAM        TICKS  DEGR  HIT-RATE  LAST-MS  LAST-REQ
+edge              7     1       75%     1.25         3
+`
+	if out.String() != want {
+		t.Fatalf("frame moved:\n--- got\n%s--- want\n%s", out.String(), want)
+	}
+	lines := strings.Split(want, "\n")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "CHANNEL") && !strings.HasPrefix(line, "STREAM") {
+			continue
+		}
+		head, row := fieldEnds(line), fieldEnds(lines[i+1])
+		if len(head) != len(row) || !slices.Equal(head[1:], row[1:]) {
+			t.Errorf("columns do not line up:\n%s\n%s", line, lines[i+1])
+		}
+	}
+}
+
+// fieldEnds returns the index just past each space-separated field.
+func fieldEnds(line string) []int {
+	var ends []int
+	for i := range line {
+		if line[i] != ' ' && (i+1 == len(line) || line[i+1] == ' ') {
+			ends = append(ends, i+1)
+		}
+	}
+	return ends
 }
 
 // TestOnceFailsFastOnDeadDaemon keeps the error path honest: -once

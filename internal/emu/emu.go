@@ -304,11 +304,9 @@ type SlotStat struct {
 	Phase2Sec   float64
 	PlaySec     float64
 	// CacheHits/CacheMisses report the slot's incremental plan-cache
-	// traffic; Replayed marks slots whose whole decision was served from
-	// the previous slot (DESIGN.md §11). All zero under a baseline policy.
+	// traffic (DESIGN.md §11). Both zero under a baseline policy.
 	CacheHits   int
 	CacheMisses int
-	Replayed    bool
 	// Degraded marks a slot whose decision hit the scheduling deadline
 	// and took the anytime shortcuts; DegradedReason says which
 	// (DESIGN.md §12).
@@ -739,7 +737,6 @@ func (e *Emulator) Run() (*RunResult, error) {
 			PlaySec:        playSec,
 			CacheHits:      decision.PlanCacheHits,
 			CacheMisses:    decision.PlanCacheMisses,
-			Replayed:       decision.Replayed,
 			Degraded:       decision.Degraded.Any(),
 			DegradedReason: decision.Degraded.Reason(),
 		}

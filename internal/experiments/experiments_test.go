@@ -173,8 +173,6 @@ func TestFig9PaperShape(t *testing.T) {
 func TestFig10LinearScaling(t *testing.T) {
 	cfg := evalCfg()
 	sizes := []int{500, 1000, 2000, 3000}
-	// Fig10 fails if any of a row's five trials comes back Replayed: the
-	// figure is five cold solves, never a cache.
 	r, err := Fig10(cfg, sizes)
 	if err != nil {
 		t.Fatal(err)

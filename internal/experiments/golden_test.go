@@ -62,3 +62,93 @@ func TestFig9Golden(t *testing.T) {
 	got := fmt.Sprintf("cohort=%d baseline_min=%s treated_min=%s gain=%s\n", r.CohortSize, g(r.BaselineMin), g(r.TreatedMin), g(r.Gain))
 	checkGolden(t, "fig9", got)
 }
+
+// The rest run at the seed `lpvs-bench -exp <id>` defaults to.
+var goldenSeed = DefaultEvalConfig().Seed
+
+func TestTable1Golden(t *testing.T) {
+	r, err := Table1(goldenSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%s %q lo=%s hi=%s avg=%s\n", row.Strategy.Target, row.Strategy.Name,
+			g(row.MeasuredLo), g(row.MeasuredHi), g(row.MeasuredAvg))
+	}
+	fmt.Fprintf(&b, "avg_lo=%s avg_hi=%s\n", g(r.AvgLo), g(r.AvgHi))
+	checkGolden(t, "table1", b.String())
+}
+
+func TestValidationGolden(t *testing.T) {
+	r, err := Validation(goldenSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%q mae=%s\n", row.Scenario, g(row.MAE))
+	}
+	checkGolden(t, "validation", b.String())
+}
+
+func TestAutoDimGolden(t *testing.T) {
+	r, err := AutoDim(goldenSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%q saving=%s anxiety=%s quality_loss=%s tpv_gain=%s\n", row.Variant,
+			g(row.EnergySaving), g(row.AnxietyReduction), g(row.QualityLoss), g(row.TPVGain))
+	}
+	checkGolden(t, "autodim", b.String())
+}
+
+func TestTraceWideGolden(t *testing.T) {
+	r, err := TraceWide(goldenSeed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("channels=%d skipped=%d devices=%d saving=%s anxiety=%s\ncohort=%d baseline_min=%s treated_min=%s gain=%s\n",
+		r.Channels, r.Skipped, r.Devices, g(r.EnergySaving), g(r.AnxietyReduction),
+		r.CohortSize, g(r.TPVBaselineMin), g(r.TPVTreatedMin), g(r.TPVGain))
+	checkGolden(t, "trace-wide", got)
+}
+
+func TestBehaviorGolden(t *testing.T) {
+	r, err := Behavior(goldenSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("users=%d events=%d threshold_mae=%s curve_max_delta=%s\n",
+		r.Users, r.Events, g(r.ThresholdMAE), g(r.CurveMaxDelta))
+	checkGolden(t, "behavior", got)
+}
+
+// TestAblationGoldens pins each ablation's rows without the sched-time
+// column, which is wall clock.
+func TestAblationGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		id  string
+		run func(int64) (AblationResult, error)
+	}{
+		{"ablation-swap", AblationSwap},
+		{"ablation-bayes", AblationBayes},
+		{"ablation-solver", AblationSolver},
+		{"ablation-slot", AblationSlotLength},
+		{"ablation-engine", AblationEngine},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			r, err := tc.run(goldenSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			for _, row := range r.Rows {
+				fmt.Fprintf(&b, "%q saving=%s anxiety=%s\n", row.Variant, g(row.EnergySaving), g(row.AnxietyReduction))
+			}
+			checkGolden(t, tc.id, b.String())
+		})
+	}
+}

@@ -502,8 +502,8 @@ func TestUnknownDisplayTypeFailsReplay(t *testing.T) {
 
 // TestReplayMatchesWarmDecisions covers the incremental-scheduling
 // compatibility contract (DESIGN.md §11): records written from warm
-// decisions — plan-cache hits, whole-decision replays, warm-started
-// Phase-1 — must replay byte for byte through the fresh (cold)
+// decisions — plan-cache hits and memoised Phase-1 solutions — must
+// replay byte for byte through the fresh (cold)
 // scheduler Replay rebuilds. Divergence here would mean the warm path
 // broke the determinism invariant.
 func TestReplayMatchesWarmDecisions(t *testing.T) {
@@ -535,13 +535,14 @@ func TestReplayMatchesWarmDecisions(t *testing.T) {
 		dec := res.Decision()
 		switch slot {
 		case 1, 3:
-			if !dec.Replayed {
-				t.Fatalf("slot %d: identical batch not replayed", slot)
+			if dec.PlanCacheHits != len(reqs) || dec.PlanCacheMisses != 0 || !dec.Phase1Cached {
+				t.Fatalf("slot %d: identical batch not all-hit: hits=%d misses=%d phase1_cached=%t",
+					slot, dec.PlanCacheHits, dec.PlanCacheMisses, dec.Phase1Cached)
 			}
 		case 2:
-			if dec.Replayed || dec.PlanCacheHits != len(reqs)-1 {
-				t.Fatalf("slot 2: replayed=%t hits=%d, want warm with %d hits",
-					dec.Replayed, dec.PlanCacheHits, len(reqs)-1)
+			if dec.PlanCacheHits != len(reqs)-1 || dec.PlanCacheMisses != 1 {
+				t.Fatalf("slot 2: hits=%d misses=%d, want %d/1",
+					dec.PlanCacheHits, dec.PlanCacheMisses, len(reqs)-1)
 			}
 		}
 		recs = append(recs, NewRecord(slot, "vc", s.Config(), reqs, dec))

@@ -3,6 +3,7 @@ package scheduler
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -162,9 +163,8 @@ func TestPoolDecideAllocsBytesPerDevice(t *testing.T) {
 // slots: a 10k-device stream after all-miss ticks, with the caller's
 // kept PoolResult, measured as live heap after a collection. What is
 // left is the plan cache — one entry per device, holding its
-// fingerprint and plan — the previous decision kept for replay, the
-// kept result and the batch-sized scratch: about 4.0 MB, 400 B per
-// device.
+// fingerprint and plan — the kept result and the batch-sized scratch:
+// about 3.2 MB, 320 B per device.
 func TestStreamResidentBytes(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("heap sizes are not meaningful under -race")
@@ -202,18 +202,18 @@ func TestStreamResidentBytes(t *testing.T) {
 	runtime.KeepAlive(res)
 	retained := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
 	t.Logf("%d devices: %d B retained, %d B per device", n, retained, retained/n)
-	if retained > 4_500_000 {
+	if retained > 3_700_000 {
 		t.Fatalf("a %d-device stream retains %d B (%d B per device)", n, retained, retained/n)
 	}
 }
 
 // TestReusedSlabNeverCorruptsCache drives one stream through an all-miss
-// slot, a half-changed slot, an unchanged slot and a slot with one
-// device changed (so it is served from entries A and B committed rather
-// than replayed whole). Slot B rebuilds its misses in their own cache
-// entries while its hits are served from the entries slot A built; a
-// miss compacted into any plan but its own would make a hit read it.
-// Every slot must equal the cold serial decision byte for byte.
+// slot, a half-changed slot, an unchanged slot (all hits, Phase-1
+// memoised) and a slot with one device changed. Slot B rebuilds its
+// misses in their own cache entries while its hits are served from the
+// entries slot A built; a miss compacted into any plan but its own would
+// make a hit read it. Every slot must equal the cold serial decision
+// byte for byte.
 func TestReusedSlabNeverCorruptsCache(t *testing.T) {
 	server, err := edge.NewServer(6)
 	if err != nil {
@@ -238,12 +238,11 @@ func TestReusedSlabNeverCorruptsCache(t *testing.T) {
 		name         string
 		reqs         []Request
 		hits, misses int
-		replayed     bool
 	}{
-		{"A all-miss", slotA, 0, 48, false},
-		{"B half-changed", slotB, 24, 24, false},
-		{"C unchanged", slotC, 48, 0, true},
-		{"D one changed", slotD, 47, 1, false},
+		{"A all-miss", slotA, 0, 48},
+		{"B half-changed", slotB, 24, 24},
+		{"C unchanged", slotC, 48, 0},
+		{"D one changed", slotD, 47, 1},
 	} {
 		got, err := warm.Schedule(slot.reqs)
 		if err != nil {
@@ -257,45 +256,67 @@ func TestReusedSlabNeverCorruptsCache(t *testing.T) {
 			t.Fatalf("%s: incremental decision diverged from cold DecideSerial:\nwarm:\n%s\ncold:\n%s",
 				slot.name, got.Canonical(), want.VCs[0].Decision.Canonical())
 		}
-		if got.PlanCacheHits != slot.hits || got.PlanCacheMisses != slot.misses || got.Replayed != slot.replayed {
-			t.Fatalf("%s: hits=%d misses=%d replayed=%v, want %d/%d/%v", slot.name,
-				got.PlanCacheHits, got.PlanCacheMisses, got.Replayed, slot.hits, slot.misses, slot.replayed)
+		if got.PlanCacheHits != slot.hits || got.PlanCacheMisses != slot.misses {
+			t.Fatalf("%s: hits=%d misses=%d, want %d/%d", slot.name,
+				got.PlanCacheHits, got.PlanCacheMisses, slot.hits, slot.misses)
+		}
+		if slot.misses == 0 && !got.Phase1Cached {
+			t.Fatalf("%s: an unchanged slot solved Phase-1 again", slot.name)
 		}
 	}
 }
 
 // TestDuplicateDeviceHitThenMiss covers the one way a by-value cache
 // entry could be overwritten while a plan pointer into it is live: a
-// request set naming a device twice, the first copy a cache hit, the
-// second changed. The hit must keep its own plan.
+// request set naming a device twice, one copy as cached and the other
+// changed, in either order. Each copy must keep its own plan, and the
+// stream keeps the first copy — the second is built in the slab and
+// never cached — so a next slot naming the device once, as that first
+// copy, hits every plan.
 func TestDuplicateDeviceHitThenMiss(t *testing.T) {
 	cfg := Config{Lambda: 1.5}
-	warm := mustWarmStream(t, cfg)
-	cold := mustScheduler(t, cfg)
-
 	base := makeCluster(t, 6, 99)
 	SortRequests(base)
-	if _, err := warm.Schedule(base); err != nil {
-		t.Fatal(err)
-	}
 	dup := base[2]
 	dup.EnergyFrac = 0.02 // changes eligibility, objective and verdict
-	reqs := append(append([]Request(nil), base[:3]...), dup)
-	reqs = append(reqs, base[3:]...)
-
-	got, err := warm.Schedule(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := cold.Schedule(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.PlanCacheHits != 6 || got.PlanCacheMisses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 6/1", got.PlanCacheHits, got.PlanCacheMisses)
-	}
-	if !bytes.Equal(got.Canonical(), want.Canonical()) || got.Eligible != want.Eligible {
-		t.Fatalf("duplicate device diverged from cold:\nwarm (eligible %d):\n%s\ncold (eligible %d):\n%s",
-			got.Eligible, got.Canonical(), want.Eligible, want.Canonical())
+	for _, tc := range []struct {
+		name          string
+		first, second Request
+		hits, misses  int
+	}{
+		{"hit-then-changed", base[2], dup, 6, 1},
+		{"changed-copy-first", dup, base[2], 5, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			warm := mustWarmStream(t, cfg)
+			cold := mustScheduler(t, cfg)
+			if _, err := warm.Schedule(base); err != nil {
+				t.Fatal(err)
+			}
+			reqs := append(append([]Request(nil), base[:2]...), tc.first, tc.second)
+			reqs = append(reqs, base[3:]...)
+			kept := append([]Request(nil), base...)
+			kept[2] = tc.first
+			for k, want := range []struct {
+				reqs         []Request
+				hits, misses int
+			}{{reqs, tc.hits, tc.misses}, {kept, len(kept), 0}} {
+				got, err := warm.Schedule(want.reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cd, err := cold.Schedule(want.reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.PlanCacheHits != want.hits || got.PlanCacheMisses != want.misses {
+					t.Fatalf("slot %d: hits=%d misses=%d, want %d/%d", k, got.PlanCacheHits, got.PlanCacheMisses, want.hits, want.misses)
+				}
+				if !bytes.Equal(got.Canonical(), cd.Canonical()) || !reflect.DeepEqual(got.PerDevice, cd.PerDevice) {
+					t.Fatalf("slot %d diverged from cold:\nwarm (eligible %d):\n%s\ncold (eligible %d):\n%s",
+						k, got.Eligible, got.Canonical(), cd.Eligible, cd.Canonical())
+				}
+			}
+		})
 	}
 }

@@ -192,7 +192,7 @@ func advanceChurn(rng *stats.RNG, cur, base []Request, churn float64, next *int)
 
 // TestChurnSequenceDifferential is the cross-slot extension of the
 // 210-instance corpus: multi-slot sessions with randomized
-// join/leave/drain churn, replayed through a warm one-worker stream, a
+// join/leave/drain churn, driven through a warm one-worker stream, a
 // four-worker pooled engine, and the cold reference (Schedule on a bare
 // Scheduler), byte-compared via Decision.Canonical every slot.
 func TestChurnSequenceDifferential(t *testing.T) {
@@ -242,8 +242,9 @@ func TestChurnSequenceDifferential(t *testing.T) {
 				if wd.PlanCacheHits > 0 {
 					sawHit = true
 				}
-				if churn == 0 && slot > 0 && !wd.Replayed {
-					t.Fatalf("slot %d: identical request set not replayed", slot)
+				if churn == 0 && slot > 0 && !allHit(wd, len(reqs)) {
+					t.Fatalf("slot %d: identical request set not served from the caches: hits=%d misses=%d phase1_cached=%t",
+						slot, wd.PlanCacheHits, wd.PlanCacheMisses, wd.Phase1Cached)
 				}
 			}
 			if churn < 1 && !sawHit {
@@ -253,10 +254,16 @@ func TestChurnSequenceDifferential(t *testing.T) {
 	}
 }
 
-// TestWholeDecisionReplayAndCounters pins the per-call cache counters
-// through a join/leave/drain sequence and checks the replay fast path
-// returns decisions byte-identical to cold.
-func TestWholeDecisionReplayAndCounters(t *testing.T) {
+// allHit reports whether a stream decided an n-request slot entirely
+// from its caches: every plan a hit and the Phase-1 problem memoised.
+func allHit(d Decision, n int) bool {
+	return d.PlanCacheHits == n && d.PlanCacheMisses == 0 && d.Phase1Cached
+}
+
+// TestUnchangedSlotHitsAndCounters pins the per-call cache counters
+// through a join/leave/drain sequence and checks that an unchanged slot
+// is decided from the caches alone, byte-identical to cold.
+func TestUnchangedSlotHitsAndCounters(t *testing.T) {
 	server, err := edge.NewServer(5)
 	if err != nil {
 		t.Fatal(err)
@@ -271,47 +278,47 @@ func TestWholeDecisionReplayAndCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.Replayed || d1.PlanCacheHits != 0 || d1.PlanCacheMisses != len(reqs) {
+	if d1.Phase1Cached || d1.PlanCacheHits != 0 || d1.PlanCacheMisses != len(reqs) {
 		t.Fatalf("cold-start slot: %+v", d1)
 	}
 	d2, err := warm.Schedule(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d2.Replayed || d2.PlanCacheHits != len(reqs) || d2.PlanCacheMisses != 0 {
-		t.Fatalf("identical slot not replayed: hits=%d misses=%d replayed=%v",
-			d2.PlanCacheHits, d2.PlanCacheMisses, d2.Replayed)
+	if !allHit(d2, len(reqs)) {
+		t.Fatalf("identical slot not all-hit: hits=%d misses=%d phase1_cached=%t",
+			d2.PlanCacheHits, d2.PlanCacheMisses, d2.Phase1Cached)
 	}
 	cd, err := cold.Schedule(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, d := range map[string]Decision{"first": d1, "replayed": d2} {
+	for name, d := range map[string]Decision{"first": d1, "all-hit": d2} {
 		if !bytes.Equal(d.Canonical(), cd.Canonical()) {
 			t.Fatalf("%s decision diverged from cold", name)
 		}
 	}
-	// The replayed decision must not alias cached state.
+	// A returned decision must not alias cached state.
 	d2.X[0] = !d2.X[0]
 	d2.PerDevice[0].Reason = "forged"
 	d2b, err := warm.Schedule(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(d2b.Canonical(), cd.Canonical()) {
-		t.Fatal("mutating a returned decision corrupted the replay cache")
+	if !allHit(d2b, len(reqs)) || !bytes.Equal(d2b.Canonical(), cd.Canonical()) ||
+		!reflect.DeepEqual(d2b.PerDevice, cd.PerDevice) {
+		t.Fatal("mutating a returned decision corrupted the stream's caches")
 	}
 
-	// One drained battery: exactly one miss, no replay.
+	// One drained battery: exactly one miss.
 	churned := append([]Request(nil), reqs...)
 	churned[3].EnergyFrac *= 0.5
 	d3, err := warm.Schedule(churned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d3.Replayed || d3.PlanCacheHits != len(reqs)-1 || d3.PlanCacheMisses != 1 {
-		t.Fatalf("one-device churn: hits=%d misses=%d replayed=%v",
-			d3.PlanCacheHits, d3.PlanCacheMisses, d3.Replayed)
+	if d3.PlanCacheHits != len(reqs)-1 || d3.PlanCacheMisses != 1 {
+		t.Fatalf("one-device churn: hits=%d misses=%d", d3.PlanCacheHits, d3.PlanCacheMisses)
 	}
 	cd3, err := cold.Schedule(churned)
 	if err != nil {
@@ -332,7 +339,7 @@ func TestWholeDecisionReplayAndCounters(t *testing.T) {
 	}
 
 	cs := warm.pool.CacheStats()
-	// d2 and d2b replayed the full set, d3 hit all but one, d4 hit 20.
+	// d2 and d2b hit the full set, d3 all but one, d4 20.
 	wantHits := uint64(2*len(reqs) + len(reqs) - 1 + 20)
 	if cs.Hits != wantHits || cs.Misses != uint64(len(reqs)+1) || cs.Evictions != 10 {
 		t.Fatalf("lifetime stats: %+v (want hits=%d)", cs, wantHits)
@@ -358,7 +365,7 @@ func TestConfigGuardResetsState(t *testing.T) {
 	if err := b.scheduleWith(context.Background(), reqs, a.state(), nil, &dec); err != nil {
 		t.Fatal(err)
 	}
-	if dec.PlanCacheHits != 0 || dec.Replayed {
+	if dec.PlanCacheHits != 0 || dec.Phase1Cached {
 		t.Fatalf("stale caches survived a config change: %+v", dec)
 	}
 	cold, err := b.Schedule(reqs)
@@ -411,9 +418,6 @@ func TestUncacheableRequests(t *testing.T) {
 		if !bytes.Equal(wd.Canonical(), cd.Canonical()) {
 			t.Fatalf("slot %d: diverged from cold", slot)
 		}
-		if wd.Replayed {
-			t.Fatalf("slot %d: set with uncacheable request must never replay", slot)
-		}
 		if slot > 0 && (wd.PlanCacheHits != len(reqs)-1 || wd.PlanCacheMisses != 1) {
 			t.Fatalf("slot %d: hits=%d misses=%d; want %d/1",
 				slot, wd.PlanCacheHits, wd.PlanCacheMisses, len(reqs)-1)
@@ -431,7 +435,7 @@ func TestUncacheableRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Replayed || d.PlanCacheHits != 0 {
+	if d.Phase1Cached || d.PlanCacheHits != 0 {
 		t.Fatalf("cold pool reported cache activity: %+v", d)
 	}
 }
@@ -461,8 +465,9 @@ func TestPoolStateKeyContinuity(t *testing.T) {
 		if !bytes.Equal(dec.Canonical(), want.Canonical()) {
 			t.Fatalf("tick %d diverged", tick)
 		}
-		if tick > 0 && !dec.Replayed {
-			t.Fatalf("tick %d: StateKey continuity broken (no replay)", tick)
+		if tick > 0 && !allHit(dec, len(reqs)) {
+			t.Fatalf("tick %d: StateKey continuity broken: hits=%d misses=%d phase1_cached=%t",
+				tick, dec.PlanCacheHits, dec.PlanCacheMisses, dec.Phase1Cached)
 		}
 	}
 	cs := pool.CacheStats()
@@ -479,7 +484,7 @@ func TestPoolStateKeyContinuity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pr.VCs[0].Decision.Replayed {
+		if d := pr.VCs[0].Decision; d.PlanCacheHits != 0 || d.Phase1Cached {
 			t.Fatalf("tick %d: distinct IDs without StateKey must not share state", tick)
 		}
 	}
@@ -507,7 +512,7 @@ func TestColdPoolKeepsNoStream(t *testing.T) {
 		if !bytes.Equal(d.Canonical(), want.Canonical()) {
 			t.Fatalf("tick %d diverged from Schedule", tick)
 		}
-		if d.Replayed || d.PlanCacheHits != 0 || d.PlanCacheMisses != 0 || d.Phase1Nodes != want.Phase1Nodes {
+		if d.Phase1Cached || d.PlanCacheHits != 0 || d.PlanCacheMisses != 0 || d.Phase1Nodes != want.Phase1Nodes {
 			t.Fatalf("tick %d: a cold pool used cross-slot state: %+v", tick, d)
 		}
 	}

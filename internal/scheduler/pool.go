@@ -129,11 +129,9 @@ type VCStat struct {
 	// Key is the stream's state key (VC.StateKey, or the VC ID when
 	// unset).
 	Key string `json:"key"`
-	// Ticks counts solved ticks; Replays those served verbatim from the
-	// previous slot; DegradedTicks those that hit the scheduling
-	// deadline.
+	// Ticks counts solved ticks; DegradedTicks those that hit the
+	// scheduling deadline.
 	Ticks         uint64 `json:"ticks"`
-	Replays       uint64 `json:"replays"`
 	DegradedTicks uint64 `json:"degraded_ticks"`
 	// CacheHits/CacheMisses/CacheEvictions sum the incremental
 	// plan-cache traffic of this stream's decisions.
@@ -202,19 +200,36 @@ func (p *Pool) stateFor(key string) *slotState {
 	return st
 }
 
-// CacheStats aggregates the incremental-cache counters across every
-// per-VC scheduling stream the pool has seen (all zero when
-// incremental mode is off).
+// CacheStats reports the lifetime plan-cache traffic of a pool's
+// scheduling streams.
+type CacheStats struct {
+	// Hits and Misses count per-request plan-cache outcomes.
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	// Evictions counts cached plans dropped because their device left
+	// the stream.
+	Evictions uint64 `json:"evictions"`
+}
+
+// HitRate is Hits/(Hits+Misses), or 0 before any lookup.
+func (c CacheStats) HitRate() float64 {
+	total := c.Hits + c.Misses
+	if total == 0 {
+		return 0
+	}
+	return float64(c.Hits) / float64(total)
+}
+
+// CacheStats sums the plan-cache counters of every stream's VCStat (all
+// zero when incremental mode is off).
 func (p *Pool) CacheStats() CacheStats {
 	p.mu.Lock()
-	states := make([]*slotState, 0, len(p.states))
-	for _, st := range p.states {
-		states = append(states, st)
-	}
-	p.mu.Unlock()
+	defer p.mu.Unlock()
 	var out CacheStats
-	for _, st := range states {
-		out.add(st.stats())
+	for _, st := range p.vcstats {
+		out.Hits += st.CacheHits
+		out.Misses += st.CacheMisses
+		out.Evictions += st.CacheEvictions
 	}
 	return out
 }
@@ -251,7 +266,7 @@ func (p *Pool) DecideCtx(ctx context.Context, vcs []VC) (*PoolResult, error) {
 // reused where their capacity allows, with lengths set exactly — so a
 // caller that is done with one tick's result before it asks for the
 // next (the daemon) allocates nothing per device. res owns all of its
-// memory: nothing in it aliases a stream's scratch or replay copy, and
+// memory: nothing in it aliases a stream's scratch, and
 // it stays valid until the caller passes it in again. It must not be
 // shared between concurrent calls. On error res is unspecified.
 //
@@ -368,9 +383,6 @@ func (p *Pool) recordVC(vc *VC, dec *Decision, wall float64) {
 		p.vcstats[key] = st
 	}
 	st.Ticks++
-	if dec.Replayed {
-		st.Replays++
-	}
 	if dec.Degraded.Any() {
 		st.DegradedTicks++
 	}

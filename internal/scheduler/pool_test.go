@@ -93,8 +93,8 @@ func randomInstance(rng *stats.RNG, base []Request) ([]VC, Config) {
 // loop — same selections, same counters, same objective bits. The
 // serial reference is cold, so the corpus also pins
 // incremental-vs-cold equivalence; each instance is decided twice
-// through the pool so the second tick exercises the warm caches
-// (whole-decision replay on an unchanged instance), then once more with
+// through the pool so the second tick exercises the warm caches (every
+// plan a hit, Phase-1 memoised, on an unchanged instance), then once more with
 // one device per VC dimmed, which changes its saving and so the Phase-1
 // problem. Wherever the pool ran Phase-1 (not Phase1Cached) it must
 // also have searched exactly the serial reference's nodes: a stream's
@@ -622,9 +622,9 @@ func TestPoolVCStats(t *testing.T) {
 		if st.LastRequests != 25 {
 			t.Fatalf("stream %s requests = %d", st.Key, st.LastRequests)
 		}
-		// Unchanged inputs: every tick after the first replays.
-		if st.Replays != ticks-1 {
-			t.Fatalf("stream %s replays = %d, want %d", st.Key, st.Replays, ticks-1)
+		// Unchanged inputs: every tick after the first hits every plan.
+		if st.CacheHits != (ticks-1)*25 || st.CacheMisses != 25 {
+			t.Fatalf("stream %s cache hits/misses = %d/%d, want %d/25", st.Key, st.CacheHits, st.CacheMisses, (ticks-1)*25)
 		}
 		hits += st.CacheHits
 		misses += st.CacheMisses

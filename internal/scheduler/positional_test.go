@@ -222,7 +222,7 @@ func duplicateBatchPinned(t *testing.T, reqs []Request, dupID string, d Decision
 
 // TestPoolDecisionOutlivesNextDecide pins the lifetime of a pool
 // result. The decision owns its X and PerDevice — the stream's scratch
-// and replay copy are never handed out — so a result is unchanged by
+// is never handed out — so a result is unchanged by
 // any number of later Decide calls on the same stream, concurrent ones
 // included (run under -race), as long as its batch is left alone, which
 // is where Canonical reads device IDs.
@@ -246,7 +246,7 @@ func TestPoolDecisionOutlivesNextDecide(t *testing.T) {
 	per := append([]Verdict(nil), kept.PerDevice...)
 	canonical := kept.Canonical()
 
-	// Same stream, later slots: unchanged (a replay), churned, and a
+	// Same stream, later slots: unchanged (all hits), churned, and a
 	// different population, some of them concurrently.
 	churned := append([]Request(nil), first...)
 	for i := range churned {
@@ -282,18 +282,19 @@ func TestPoolDecisionOutlivesNextDecide(t *testing.T) {
 // 210-instance pool-vs-serial corpus — instances of one to four VCs of
 // one to twenty devices, so the kept result grows, shrinks and changes
 // its VC count from call to call — and per instance through a cold
-// tick, a replayed one, a cut-down batch degraded by an already-expired
-// deadline, the same batch solved in full, and the first batch again.
-// After every call it must equal what a twin pool answers into a fresh
-// result: canonical bytes, X, PerDevice and the flags, with every
-// length exact — a shorter batch leaves no stale tail.
+// tick, an unchanged one decided from the caches alone, a cut-down batch
+// degraded by an already-expired deadline, the same batch solved in
+// full, and the first batch again. After every call it must equal what a
+// twin pool answers into a fresh result: canonical bytes, X, PerDevice,
+// the flags and the cache counters, with every length exact — a shorter
+// batch leaves no stale tail.
 func TestDecideIntoReusedResultMatchesFresh(t *testing.T) {
 	base := makeCluster(t, 64, 999)
 	rng := stats.NewRNG(20260805) // TestPoolVsSerialDifferential's corpus
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Minute))
 	defer cancel()
 	var kept PoolResult
-	replays, degraded := 0, 0
+	allHits, degraded := 0, 0
 	for inst := 0; inst < 210; inst++ {
 		vcs, cfg := randomInstance(rng, base)
 		into, err := NewPool(cfg, PoolConfig{Workers: 4})
@@ -312,7 +313,7 @@ func TestDecideIntoReusedResultMatchesFresh(t *testing.T) {
 			vcs  []VC
 		}{
 			{"cold", context.Background(), vcs},
-			{"replayed", context.Background(), vcs},
+			{"unchanged", context.Background(), vcs},
 			{"cut down and degraded", expired, cut},
 			{"cut down", context.Background(), cut},
 			{"grown back", context.Background(), vcs},
@@ -340,13 +341,21 @@ func TestDecideIntoReusedResultMatchesFresh(t *testing.T) {
 					t.Fatalf("instance %d %s vc %s: positional view differs from a fresh result's:\n%v %+v\n%v %+v",
 						inst, step.name, ordered[i].ID, got.X, got.PerDevice, ref.X, ref.PerDevice)
 				}
-				if got.Replayed != ref.Replayed || got.Degraded != ref.Degraded ||
+				if got.Phase1Cached != ref.Phase1Cached || got.Degraded != ref.Degraded ||
+					got.PlanCacheHits != ref.PlanCacheHits || got.PlanCacheMisses != ref.PlanCacheMisses ||
 					got.Transform != nil || got.Verdicts != nil {
-					t.Fatalf("instance %d %s vc %s: replayed=%v degraded=%+v maps=%v, fresh has %v %+v",
-						inst, step.name, ordered[i].ID, got.Replayed, got.Degraded, got.Transform != nil, ref.Replayed, ref.Degraded)
+					t.Fatalf("instance %d %s vc %s: phase1_cached=%v degraded=%+v hits=%d misses=%d maps=%v, fresh has %v %+v %d %d",
+						inst, step.name, ordered[i].ID, got.Phase1Cached, got.Degraded, got.PlanCacheHits, got.PlanCacheMisses,
+						got.Transform != nil, ref.Phase1Cached, ref.Degraded, ref.PlanCacheHits, ref.PlanCacheMisses)
 				}
-				if got.Replayed {
-					replays++
+				if step.name == "unchanged" {
+					// Phase-1 is memoised whenever the cold tick ran it.
+					if got.PlanCacheHits != len(ordered[i].Requests) || got.PlanCacheMisses != 0 ||
+						got.Phase1Cached != (got.Eligible > 0) {
+						t.Fatalf("instance %d vc %s: unchanged tick not all-hit: hits=%d misses=%d phase1_cached=%v eligible=%d",
+							inst, ordered[i].ID, got.PlanCacheHits, got.PlanCacheMisses, got.Phase1Cached, got.Eligible)
+					}
+					allHits++
 				}
 				if got.Degraded.Any() {
 					degraded++
@@ -354,8 +363,8 @@ func TestDecideIntoReusedResultMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	if replays < 210 || degraded < 100 {
-		t.Fatalf("%d replayed and %d degraded decisions: the corpus was meant to run both paths into the kept result", replays, degraded)
+	if allHits < 210 || degraded < 100 {
+		t.Fatalf("%d all-hit and %d degraded decisions: the corpus was meant to run both paths into the kept result", allHits, degraded)
 	}
 }
 

@@ -31,7 +31,7 @@
 // its caller keeps, overwriting it and reusing its slices, which is how
 // the daemon's tick allocates nothing per device. Either way a
 // Decision's X and PerDevice are its own: nothing is ever lent from a
-// stream's scratch or its replay copy.
+// stream's scratch.
 package scheduler
 
 import (
@@ -300,9 +300,6 @@ type Decision struct {
 	// Phase1Cached reports that Phase-1 was skipped because the knapsack
 	// problem was byte-identical to the previous slot's.
 	Phase1Cached bool
-	// Replayed reports that the whole decision was served from the
-	// previous slot (the full ordered request set was byte-identical).
-	Replayed bool
 	// Degraded records the anytime-mode shortcuts this decision was
 	// produced under (zero value: none). Unlike the fields above it IS
 	// part of Canonical() — a degraded decision has different bytes by
@@ -346,10 +343,10 @@ type Config struct {
 	CompactChunk int
 	// DisableIncremental is read by Pool only; a bare Scheduler keeps no
 	// state either way. Set, the pool creates no cross-slot stream — plan
-	// cache, whole-decision replay and Phase-1 problem cache (DESIGN.md
-	// §11) — and solves every slot cold. Decisions are byte-
-	// identical either way; the cold pool is what the differential tests
-	// and BenchmarkIncrementalSlots compare the streams against.
+	// cache, window intern table and Phase-1 problem memo (DESIGN.md
+	// §11) — and solves every slot cold. Decisions are byte-identical
+	// either way; the cold pool is what the differential tests and
+	// BenchmarkIncrementalSlots compare the streams against.
 	DisableIncremental bool
 }
 
@@ -455,8 +452,10 @@ type planScratch struct {
 	misses   []int    // ascending request indices the plan cache could not serve
 	eligible []placed // the plans passing constraint (11), in batch order
 
-	// Chunk windows validated this call, by slice identity (see validate).
-	windows map[chunkRef]bool
+	// The per-call window memo, by slice identity: every window validate
+	// checked, with its interned ID once a stream's windowID has set one
+	// (0 until then; IDs start at 1).
+	windows map[chunkRef]uint64
 
 	// Phase-1: the knapsack over eligible (values, the two capacity rows
 	// and the Problem that points at them).
@@ -592,14 +591,15 @@ func (s *Scheduler) compact(r *Request, p *plan) {
 // validate checks a batch before anything is built or cached — each
 // request's fields, then its chunk window — and returns the first
 // failure in batch order, the error a serial build would stop at. A
-// distinct window is checked once per call, by slice identity as
-// slotState.winMemo keys it: a stream's viewers share one chunk slice,
-// so a 10,000-viewer tick checks 30 chunks, not 300,000. A stream's
-// cached requests are checked too — a handful of comparisons each — so
-// a batch that fails leaves the stream exactly as it was.
+// distinct window is checked once per call, by slice identity, and
+// entered in sc.windows, the memo a stream's windowID then interns into:
+// a stream's viewers share one chunk slice, so a 10,000-viewer tick
+// checks 30 chunks, not 300,000. A stream's cached requests are checked
+// too — a handful of comparisons each — so a batch that fails leaves the
+// stream exactly as it was.
 func (sc *planScratch) validate(reqs []Request) error {
 	if sc.windows == nil {
-		sc.windows = make(map[chunkRef]bool)
+		sc.windows = make(map[chunkRef]uint64)
 	}
 	clear(sc.windows)
 	var last chunkRef
@@ -609,11 +609,11 @@ func (sc *planScratch) validate(reqs []Request) error {
 			return err
 		}
 		ref := refOf(r.Chunks)
-		if ref != last && !sc.windows[ref] {
+		if _, seen := sc.windows[ref]; ref != last && !seen {
 			if c, err := video.ValidateChunks(r.Chunks); err != nil {
 				return chunkError(r, c, err)
 			}
-			sc.windows[ref] = true
+			sc.windows[ref] = 0
 		}
 		last = ref
 	}
@@ -768,14 +768,13 @@ func withMaps(d Decision, err error) (Decision, error) {
 // state to use — a Pool stream's, or nil for the cold solve every public
 // Scheduler method makes — and by an optional forced Degradation (audit
 // replay of a degraded tick; implies st == nil and disables live
-// deadline checks). A replayed slot (identical request set, DESIGN.md
-// §11) opens no stage spans: no stage ran.
+// deadline checks).
 //
 // The decision is written into dec, positional only, and owns its X and
 // PerDevice: what capacity dec brought for them is reused — every
 // element up to len(reqs) overwritten, the length set exactly — and
 // anything else dec held is gone. Nothing in it aliases the stream's
-// scratch or replay copy. On error dec is unspecified.
+// scratch. On error dec is unspecified.
 func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotState, forced *Degradation, dec *Decision) error {
 	if len(reqs) == 0 {
 		*dec = Decision{}
@@ -805,11 +804,7 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 	}
 	hits := 0
 	if st != nil {
-		replayed, h := st.begin(reqs, dec)
-		if replayed {
-			return nil
-		}
-		hits = h
+		hits = st.begin(reqs)
 	} else {
 		cold.slabPlans(len(reqs))
 	}
@@ -848,9 +843,6 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 		}
 		dec.Objective = totalObjective(plans, dec.X)
 		dec.PerDevice = s.verdicts(per, plans, dec.X, nil, nil)
-		if st != nil {
-			st.finish(reqs, dec)
-		}
 		return nil
 	}
 
@@ -903,9 +895,6 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 	// Phase-1 count standing.
 	dec.Objective = totalObjective(plans, dec.X)
 	dec.PerDevice = s.verdicts(per, plans, dec.X, swapIn, swapOut)
-	if st != nil {
-		st.finish(reqs, dec)
-	}
 	return nil
 }
 

@@ -388,7 +388,7 @@ func TestScheduleDeterministic(t *testing.T) {
 
 // TestScheduleIsPure pins the Scheduler's contract: configuration plus
 // algorithm, always cold. The same batch twice does the same work and
-// returns the same bytes — nothing is replayed, cached or warm-started —
+// returns the same bytes — nothing is cached or warm-started —
 // the type has no field a call could write, and goroutines sharing one
 // Scheduler need no lock (the race run checks that).
 func TestScheduleIsPure(t *testing.T) {
@@ -412,7 +412,7 @@ func TestScheduleIsPure(t *testing.T) {
 		t.Fatalf("same batch, different bytes:\nfirst:\n%s\nsecond:\n%s", want, second.Canonical())
 	}
 	for name, d := range map[string]Decision{"first": first, "second": second} {
-		if d.Replayed || d.Phase1Cached || d.PlanCacheHits != 0 || d.PlanCacheMisses != 0 {
+		if d.Phase1Cached || d.PlanCacheHits != 0 || d.PlanCacheMisses != 0 {
 			t.Fatalf("%s call used cross-slot state: %+v", name, d)
 		}
 	}
@@ -440,8 +440,8 @@ func TestScheduleIsPure(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if !bytes.Equal(d.Canonical(), want) || d.Replayed || d.Phase1Nodes != first.Phase1Nodes {
-					t.Errorf("concurrent call diverged: replayed=%v nodes=%d", d.Replayed, d.Phase1Nodes)
+				if !bytes.Equal(d.Canonical(), want) || d.Phase1Cached || d.Phase1Nodes != first.Phase1Nodes {
+					t.Errorf("concurrent call diverged: phase1_cached=%v nodes=%d", d.Phase1Cached, d.Phase1Nodes)
 				}
 			}
 		}()

@@ -18,22 +18,32 @@ import (
 // by tick, at commit 62a2d8f — the last build whose stream kept every
 // request's fingerprint twice (a per-call arena and a replay key) and
 // built every miss into a per-call slab. Each line is one tick of
-// streamTicks: its plan-cache hits, misses and evictions, the replay
-// and Phase-1 shortcuts taken, and the SHA-256 of the decision's
-// canonical bytes (or the error a failing tick returned). The recorded
-// build also wrote a phase1_warm column, false on every row; it is
-// dropped before comparing.
+// streamTicks: its plan-cache hits, misses and evictions, the Phase-1
+// shortcut taken, and the SHA-256 of the decision's canonical bytes (or
+// the error a failing tick returned). The recorded build also wrote a
+// replayed column and a phase1_warm column, false on every row; both are
+// dropped before comparing. Its replayed rows (03, 04, 12) were all-hit
+// with Phase-1 cached, which is what a stream reports for them now.
 // RECORD_PARENT_GOLDEN=1 rewrites it from the build under test — only
 // meaningful from a checkout of the commit being pinned, with this file
 // copied in.
 const streamCountersGolden = "stream_counters_parent.golden"
 
-// dupReplayRows are the only ticks allowed to differ from the golden,
-// and only in their counters: a batch naming a device twice, sent again
-// unchanged. The recorded build replayed it whole; a stream now never
-// replays such a batch and solves it from its plan cache instead. The
-// decision bytes must still match.
-var dupReplayRows = map[string]bool{"06-duplicate-again": true}
+// listedRows are the only ticks allowed to differ from the golden, and
+// only in their plan-cache counters, each rewritten from the first
+// string to the second; the decision bytes must still match.
+//   - 06-duplicate-again, a batch naming a device twice sent again
+//     unchanged: the recorded build replayed it whole, counting every
+//     position a hit. A stream now solves it from its plan cache, and the
+//     device's second copy is built in the slab.
+//   - 08-duplicate-changed-first, a device named twice with its changed
+//     copy first: the recorded build kept the last copy, so the unchanged
+//     second copy hit. A stream now keeps the first copy, which misses,
+//     and builds the second in the slab.
+var listedRows = map[string][2]string{
+	"06-duplicate-again":         {" hits=41 misses=0 ", " hits=40 misses=1 "},
+	"08-duplicate-changed-first": {" hits=40 misses=1 ", " hits=39 misses=2 "},
+}
 
 // oneSearchRows are the ticks whose Phase-1 solve the recorded build
 // ran twice: a search seeded with the previous slot's picks that did
@@ -76,7 +86,7 @@ func streamTicks(t *testing.T, cfg Config) []streamTick {
 	twice := append(append(append([]Request(nil), churned[:12]...), dup), churned[12:]...)
 	resolved := with(churned, func(r []Request) { r[11].EnergyFrac *= 0.8 })
 	// Device 11 twice again, the changed copy first; then that copy alone,
-	// which hits only if the stream kept the last copy it missed.
+	// which hits because a stream keeps a device's first copy.
 	first := resolved[11]
 	first.EnergyFrac = 0.03
 	firstTwice := append(append(append([]Request(nil), resolved[:11]...), first), resolved[11:]...)
@@ -140,8 +150,8 @@ func streamRows(t *testing.T, pool *Pool, ticks []streamTick) []string {
 		if tk.expired && !dec.Degraded.Any() {
 			t.Fatalf("%s: an expired deadline left the decision undegraded", tk.name)
 		}
-		rows = append(rows, fmt.Sprintf("%s hits=%d misses=%d evictions=%d replayed=%t phase1_cached=%t phase1_nodes=%d canonical=%s",
-			tk.name, dec.PlanCacheHits, dec.PlanCacheMisses, dec.PlanCacheEvictions, dec.Replayed,
+		rows = append(rows, fmt.Sprintf("%s hits=%d misses=%d evictions=%d phase1_cached=%t phase1_nodes=%d canonical=%s",
+			tk.name, dec.PlanCacheHits, dec.PlanCacheMisses, dec.PlanCacheEvictions,
 			dec.Phase1Cached, dec.Phase1Nodes, canonicalSum(dec.Canonical())))
 	}
 	return rows
@@ -187,11 +197,20 @@ func TestStreamCountersParentPinned(t *testing.T) {
 	for sc.Scan() {
 		row := sc.Text()
 		if strings.Contains(row, " canonical=") {
-			if !strings.Contains(row, " phase1_warm=false ") {
-				t.Fatalf("golden row without phase1_warm=false: %s", row)
+			for _, col := range []string{" replayed=true ", " replayed=false ", " phase1_warm=false "} {
+				row = strings.Replace(row, col, " ", 1)
 			}
-			row = strings.Replace(row, " phase1_warm=false", "", 1)
-			if name, _, _ := strings.Cut(row, " "); oneSearchRows[name] {
+			if strings.Contains(row, " replayed=") || strings.Contains(row, " phase1_warm=") {
+				t.Fatalf("golden row with an unexpected column value: %s", row)
+			}
+			name, _, _ := strings.Cut(row, " ")
+			if diff, ok := listedRows[name]; ok {
+				if !strings.Contains(row, diff[0]) {
+					t.Fatalf("%s: golden row does not read%s: %s", name, diff[0], row)
+				}
+				row = strings.Replace(row, diff[0], diff[1], 1)
+			}
+			if oneSearchRows[name] {
 				if !strings.Contains(row, " phase1_nodes=268 ") {
 					t.Fatalf("%s: golden row does not read 268 nodes: %s", name, row)
 				}
@@ -207,16 +226,8 @@ func TestStreamCountersParentPinned(t *testing.T) {
 		t.Fatalf("golden has %d ticks, the sequence %d", len(want), len(got))
 	}
 	for i := range want {
-		if got[i] == want[i] {
-			continue
+		if got[i] != want[i] {
+			t.Errorf("tick diverged from the parent:\n got  %s\n want %s", got[i], want[i])
 		}
-		name, _, _ := strings.Cut(want[i], " ")
-		_, wantSum, _ := strings.Cut(want[i], " canonical=")
-		_, gotSum, _ := strings.Cut(got[i], " canonical=")
-		if dupReplayRows[name] && wantSum != "" && gotSum == wantSum {
-			t.Logf("%s: listed difference, decision unchanged:\n got  %s\n want %s", name, got[i], want[i])
-			continue
-		}
-		t.Errorf("tick diverged from the parent:\n got  %s\n want %s", got[i], want[i])
 	}
 }

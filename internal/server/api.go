@@ -66,13 +66,15 @@ type TickStats struct {
 	DurationSec float64 `json:"duration_sec"`
 	// Incremental-scheduling breakdown (DESIGN.md §11): how many device
 	// plans the cross-slot cache supplied vs rebuilt this tick, how many
-	// stale entries were evicted, the Phase-1 search size, and whether
-	// the whole decision was replayed verbatim from the previous slot.
-	CacheHits      int  `json:"cache_hits"`
-	CacheMisses    int  `json:"cache_misses"`
-	CacheEvictions int  `json:"cache_evictions"`
-	Phase1Nodes    int  `json:"phase1_nodes"`
-	Replayed       bool `json:"replayed"`
+	// stale entries were evicted, and the Phase-1 search size.
+	CacheHits      int `json:"cache_hits"`
+	CacheMisses    int `json:"cache_misses"`
+	CacheEvictions int `json:"cache_evictions"`
+	Phase1Nodes    int `json:"phase1_nodes"`
+	// Replayed is always false: no tick is replayed whole. The field
+	// stays only because the benchmark harness (bench/lpvs-loadgen,
+	// result.go) reads it; it goes once that reader does.
+	Replayed bool `json:"replayed"`
 	// Degraded reports that the scheduling deadline expired and the tick
 	// fell back to the anytime shortcuts (DESIGN.md §12);
 	// DegradedReason says which ("deadline:phase1-greedy",

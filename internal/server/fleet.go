@@ -28,7 +28,6 @@ type vcMetrics struct {
 	// Per scheduling stream (pool state key).
 	tickDur      *obs.HistogramVec
 	ticks        *obs.CounterVec
-	replays      *obs.CounterVec
 	degraded     *obs.CounterVec
 	cacheHitRate *obs.GaugeVec
 
@@ -48,8 +47,6 @@ func newVCMetrics(reg *obs.Registry) *vcMetrics {
 			"Scheduling wall time per tick, by scheduling stream.", obs.DefBuckets(), "vc"),
 		ticks: reg.CounterVec("lpvs_vc_ticks_total",
 			"Scheduling ticks solved, by scheduling stream.", "vc"),
-		replays: reg.CounterVec("lpvs_vc_replays_total",
-			"Ticks replayed verbatim from the previous slot, by scheduling stream.", "vc"),
 		degraded: reg.CounterVec("lpvs_vc_degraded_ticks_total",
 			"Deadline-degraded ticks, by scheduling stream.", "vc"),
 		cacheHitRate: reg.GaugeVec("lpvs_vc_plan_cache_hit_rate",
@@ -177,7 +174,6 @@ func (s *Server) fleetTickLocked(byCh fleetFold) {
 	for _, vs := range s.pool.VCStats() {
 		prev := s.prevVC[vs.Key]
 		vm.ticks.With(vs.Key).Add(float64(vs.Ticks - prev.Ticks))
-		vm.replays.With(vs.Key).Add(float64(vs.Replays - prev.Replays))
 		vm.degraded.With(vs.Key).Add(float64(vs.DegradedTicks - prev.DegradedTicks))
 		vm.cacheHitRate.With(vs.Key).Set(vs.CacheHitRate())
 		if vs.Ticks > prev.Ticks {

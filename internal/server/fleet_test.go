@@ -258,9 +258,9 @@ func TestFleetFoldMatchesDeviceTable(t *testing.T) {
 	if got := metricValue(t, text, "lpvs_gamma_mean_drift"); got <= 0 {
 		t.Errorf("lpvs_gamma_mean_drift = %v after five observations, want > 0", got)
 	}
-	// 74 families on this configuration (92 on a default lpvsd, which
+	// 72 families on this configuration (90 on a default lpvsd, which
 	// adds build info, the runtime collector and the history store).
-	const families = 74
+	const families = 72
 	if got := strings.Count(text, "\n# TYPE "); got+1 != families {
 		t.Errorf("scrape holds %d metric families, want %d", got+1, families)
 	}

@@ -39,7 +39,6 @@ type serverMetrics struct {
 	cacheMisses    *obs.Counter
 	cacheEvictions *obs.Counter
 	coldNodes      *obs.Gauge
-	replays        *obs.Counter
 
 	// Resilience telemetry (DESIGN.md §12).
 	degraded  *obs.Counter
@@ -112,8 +111,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Cached device plans dropped for devices absent from a tick."),
 		coldNodes: reg.Gauge("lpvs_phase1_cold_nodes",
 			"Branch-and-bound nodes of the last tick's Phase-1 solve."),
-		replays: reg.Counter("lpvs_sched_replays_total",
-			"Ticks whose whole decision was replayed from the previous slot."),
 
 		degraded: reg.Counter("lpvs_sched_degraded_total",
 			"Ticks whose scheduling deadline expired, degrading to the anytime shortcuts."),
@@ -314,9 +311,6 @@ func (s *Server) observeTick(stats TickStats, gammaMean, sigmaMean float64) {
 	m.cacheMisses.Add(float64(stats.CacheMisses))
 	m.cacheEvictions.Add(float64(stats.CacheEvictions))
 	m.coldNodes.Set(float64(stats.Phase1Nodes))
-	if stats.Replayed {
-		m.replays.Inc()
-	}
 	if stats.Degraded {
 		m.degraded.Inc()
 	}

@@ -385,7 +385,7 @@ func TestTickStatsFold(t *testing.T) {
 			CompactSec: 0.5, Phase1Sec: 0.25, Phase2Sec: 0.5, CPUSec: 2,
 			CacheMisses: 7, Phase1Nodes: 9, Degraded: true, DegradedReason: "deadline:phase1-greedy"},
 		{Reports: 1, Eligible: 1, Selected: 1, Phase1Optimal: true,
-			CPUSec: 0.5, CacheHits: 1, Replayed: true,
+			CPUSec: 0.5, CacheHits: 1,
 			Degraded: true, DegradedReason: "deadline:phase2-skipped"},
 	}
 	fold := func(order ...int) TickStats {
@@ -405,7 +405,7 @@ func TestTickStatsFold(t *testing.T) {
 	}
 
 	ref := fold(0, 1, 2)
-	if ref.Reports != 13 || ref.Selected != 6 || ref.Phase1Optimal || !ref.Replayed || !ref.Degraded || ref.CPUSec != 3.5 {
+	if ref.Reports != 13 || ref.Selected != 6 || ref.Phase1Optimal || !ref.Degraded || ref.CPUSec != 3.5 {
 		t.Fatalf("fold of all elements %+v", ref)
 	}
 	for _, order := range [][]int{{0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {

@@ -267,7 +267,6 @@ func vcTickStats(vc *scheduler.VCDecision, reports int) TickStats {
 		CacheMisses:    dec.PlanCacheMisses,
 		CacheEvictions: dec.PlanCacheEvictions,
 		Phase1Nodes:    dec.Phase1Nodes,
-		Replayed:       dec.Replayed,
 		Degraded:       dec.Degraded.Any(),
 		DegradedReason: dec.Degraded.Reason(),
 	}
@@ -275,12 +274,12 @@ func vcTickStats(vc *scheduler.VCDecision, reports int) TickStats {
 
 // Fold accumulates one element — a cluster of a tick, or a shard's
 // tick inside a router tick — into t: counters and stage times sum,
-// Phase1Optimal is a conjunction, Replayed and Degraded are
-// disjunctions. All of those are order-independent. DegradedReason
-// is not: it is the reason of the last degraded element folded, which
-// is the last in VC-ID order within a daemon and the last in shard-map
-// node order within a router. Slot and DurationSec belong to the tick
-// doing the folding, not to its elements, and are left alone.
+// Phase1Optimal is a conjunction, Degraded is a disjunction. All of
+// those are order-independent. DegradedReason is not: it is the reason
+// of the last degraded element folded, which is the last in VC-ID order
+// within a daemon and the last in shard-map node order within a router.
+// Slot and DurationSec belong to the tick doing the folding, not to its
+// elements, and are left alone.
 func (t *TickStats) Fold(e TickStats) {
 	t.Reports += e.Reports
 	t.Eligible += e.Eligible
@@ -295,7 +294,6 @@ func (t *TickStats) Fold(e TickStats) {
 	t.CacheMisses += e.CacheMisses
 	t.CacheEvictions += e.CacheEvictions
 	t.Phase1Nodes += e.Phase1Nodes
-	t.Replayed = t.Replayed || e.Replayed
 	if e.Degraded {
 		t.Degraded = true
 		t.DegradedReason = e.DegradedReason
