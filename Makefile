@@ -12,7 +12,7 @@ GO ?= go
 # longer shake before a release or after touching a fuzzed surface.
 FUZZTIME ?= 3s
 
-.PHONY: all build test race vet vet-extra fmt check bench bench-smoke fuzz-smoke cli-smoke ingest-smoke loc
+.PHONY: all build test race vet vet-extra fmt check bench-smoke fuzz-smoke cli-smoke ingest-smoke mutants loc
 
 all: build
 
@@ -49,18 +49,19 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-check: fmt vet vet-extra build race cli-smoke ingest-smoke bench-smoke fuzz-smoke
+check: fmt vet vet-extra build race cli-smoke ingest-smoke bench-smoke fuzz-smoke mutants
 
 # ingest-smoke guards what the race run cannot see of the report path
 # (DESIGN.md §16): one pass of the ingest benchmarks, so the zero-alloc
 # decode path cannot bitrot, and the slot path's allocation and memory
 # guards — testing.AllocsPerRun tests, the socket-level
-# TestRoundTripAllocs (DESIGN.md §18) and a stream's resident bytes
-# (TestStreamResidentBytes, DESIGN.md §11), which skip themselves under
-# the `race` target's detector.
+# TestRoundTripAllocs (DESIGN.md §18) and what a pool retains between
+# slots (TestStreamResidentBytes, TestPoolScratchBoundedAcrossVCIDs,
+# DESIGN.md §9), which skip themselves under the `race` target's
+# detector.
 ingest-smoke:
 	$(GO) test -count=1 ./internal/server/ -run '^$$' -bench BenchmarkIngest -benchtime 1x -benchmem >/dev/null
-	$(GO) test -count=1 -run 'Allocs|ResidentBytes' ./internal/scheduler/ ./internal/server/ ./internal/obs/ ./internal/obs/span/ ./internal/obs/audit/ ./internal/client/ ./internal/router/
+	$(GO) test -count=1 -run 'Allocs|ResidentBytes|ScratchBounded' ./internal/scheduler/ ./internal/server/ ./internal/obs/ ./internal/obs/span/ ./internal/obs/audit/ ./internal/client/ ./internal/router/
 
 # cli-smoke drives the operator CLIs end to end — lpvs-emu and lpvsctl,
 # built once each — over two real emulator sessions:
@@ -96,16 +97,11 @@ cli-smoke:
 	"$$ctl" flight show "$$dir/flight" >/dev/null; \
 	"$$ctl" audit replay "$$dir/b"
 
-# bench runs every benchmark with -benchmem and emits an
-# environment-stamped JSON report (cores, GOMAXPROCS, Go version) via
-# cmd/lpvs-benchjson — the format the recorded BENCH_*.json files use.
-bench:
-	$(GO) run ./cmd/lpvs-benchjson
-
 # bench-smoke compiles and runs every benchmark exactly once — a fast
-# bitrot guard wired into `make check`.
+# bitrot guard wired into `make check`. The end-to-end benchmark is
+# bench/run.sh (see bench/README.md).
 bench-smoke:
-	$(GO) run ./cmd/lpvs-benchjson -benchtime 1x -out /dev/null
+	$(GO) test -count=1 -run '^$$' -bench . -benchtime 1x ./... >/dev/null
 
 # fuzz-smoke runs every Fuzz* target for FUZZTIME each — a time-boxed
 # coverage-guided shake beyond the checked-in seed corpora, inside
@@ -119,6 +115,33 @@ fuzz-smoke:
 			$(GO) test $$pkg -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) || exit 1; \
 		done; \
 	done
+
+# mutants checks that the tests can see the faults they exist to
+# catch. Each testdata/mutants/*.patch is a one-file unified diff whose
+# header names the package to test ("package: ") and a -run regex
+# ("run: "). The patched file is built in a temporary directory and
+# swapped in with `go test -overlay`, so the tree is never touched. A
+# mutant must be killed (the tests fail); a control-*.patch changes
+# nothing a test can see and must survive, which proves a kill is the
+# tests' doing. The target fails when a mutant survives, a control is
+# killed, or a patch no longer applies.
+mutants:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; bad=0; \
+	for p in testdata/mutants/*.patch; do \
+		name="$$(basename "$$p" .patch)"; \
+		pkg="$$(sed -n 's/^package: //p' "$$p")"; run="$$(sed -n 's/^run: //p' "$$p")"; \
+		file="$$(sed -n 's|^+++ b/||p' "$$p" | cut -f1)"; \
+		if ! patch -s -F0 -r "$$tmp/$$name.rej" -o "$$tmp/$$name.go" "$$file" <"$$p" >/dev/null 2>&1; then \
+			echo "NO-APPLY $$name ($$file)"; bad=1; continue; \
+		fi; \
+		printf '{"Replace":{"%s":"%s"}}\n' "$$PWD/$$file" "$$tmp/$$name.go" >"$$tmp/$$name.json"; \
+		if $(GO) test -count=1 -overlay "$$tmp/$$name.json" -run "$$run" "$$pkg" >/dev/null 2>&1; then \
+			verdict=survived; else verdict=killed; fi; \
+		case "$$name" in control-*) want=survived;; *) want=killed;; esac; \
+		if [ "$$verdict" = "$$want" ]; then echo "ok   $$name $$verdict"; \
+		else echo "FAIL $$name $$verdict, want $$want"; bad=1; fi; \
+	done; \
+	exit $$bad
 
 # loc is the ruler for deletion PRs (ROADMAP item 8): Go lines outside
 # _test.go that are neither blank nor a // comment, per top-level

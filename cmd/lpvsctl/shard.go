@@ -25,7 +25,7 @@ import (
 func shardPlan(args []string, stdout, stderr io.Writer) error {
 	fs := newFlags("shard plan", stderr)
 	mapFile := fs.String("map", "", "shard map JSON file (required)")
-	channels := fs.String("channels", "", "comma-separated channel IDs to place (keys are ch:<id>)")
+	channels := fs.String("channels", "", "comma-separated channel IDs to place (a channel's key is its ID)")
 	keys := fs.Int("keys", 0, "place N synthetic keys instead of named channels")
 	add := fs.String("add", "", "preview adding a node, as id=addr")
 	remove := fs.String("remove", "", "preview removing a node by ID")
@@ -47,7 +47,7 @@ func shardPlan(args []string, stdout, stderr io.Writer) error {
 	if *channels != "" {
 		for _, ch := range strings.Split(*channels, ",") {
 			if ch = strings.TrimSpace(ch); ch != "" {
-				keyList = append(keyList, "ch:"+ch)
+				keyList = append(keyList, ch)
 			}
 		}
 	} else {
@@ -56,7 +56,7 @@ func shardPlan(args []string, stdout, stderr io.Writer) error {
 			n = 1000
 		}
 		for i := 0; i < n; i++ {
-			keyList = append(keyList, fmt.Sprintf("ch:synthetic-%05d", i))
+			keyList = append(keyList, fmt.Sprintf("synthetic-%05d", i))
 		}
 	}
 
@@ -75,7 +75,7 @@ func shardPlan(args []string, stdout, stderr io.Writer) error {
 	if *channels != "" {
 		fmt.Fprintln(stdout)
 		for _, k := range keyList {
-			fmt.Fprintf(stdout, "  %-24s -> %s\n", strings.TrimPrefix(k, "ch:"), m.Owner(k).ID)
+			fmt.Fprintf(stdout, "  %-24s -> %s\n", k, m.Owner(k).ID)
 		}
 	}
 

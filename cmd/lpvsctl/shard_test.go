@@ -45,7 +45,7 @@ func TestPlanChannelCounts(t *testing.T) {
 	}
 	want := map[string]int{}
 	for _, ch := range channels {
-		want[m.Owner("ch:"+ch).ID]++
+		want[m.Owner(ch).ID]++
 	}
 	rows := nodeRow.FindAllStringSubmatch(out.String(), -1)
 	if len(rows) != len(m.Nodes()) {
@@ -63,7 +63,7 @@ func TestPlanChannelCounts(t *testing.T) {
 		t.Errorf("per-node counts sum to %d, want %d channels:\n%s", sum, len(channels), out.String())
 	}
 	for _, ch := range channels {
-		if !regexp.MustCompile(`(?m)^  ` + ch + `\s+-> ` + m.Owner("ch:"+ch).ID + `$`).MatchString(out.String()) {
+		if !regexp.MustCompile(`(?m)^  ` + ch + `\s+-> ` + m.Owner(ch).ID + `$`).MatchString(out.String()) {
 			t.Errorf("no owner line for %s:\n%s", ch, out.String())
 		}
 	}

@@ -207,9 +207,8 @@ func render(out io.Writer, f *frame, rates map[string]float64, restarted bool) {
 	uptime := time.Duration(st.UptimeMS) * time.Millisecond
 	fmt.Fprintf(out, "lpvsctl top  %s  up %s  slot %d  workers %d\n",
 		f.at.Format("15:04:05"), uptime.Round(time.Second), st.Slot, st.Workers)
-	fmt.Fprintf(out, "devices %d  pending %d  selected %d  degraded %d  shed %d  cache-hit %.0f%%\n",
-		st.Devices, st.PendingReports, st.LastSelected,
-		st.DegradedTicks, st.ShedRequests, 100*st.PlanCacheHitRate)
+	fmt.Fprintf(out, "devices %d  pending %d  selected %d  degraded %d  shed %d\n",
+		st.Devices, st.PendingReports, st.LastSelected, st.DegradedTicks, st.ShedRequests)
 	switch {
 	case restarted:
 		fmt.Fprintf(out, "rates: daemon restarted, rebasing\n")
@@ -250,11 +249,10 @@ func render(out io.Writer, f *frame, rates map[string]float64, restarted bool) {
 
 	// The header is printed at the rows' own widths, so each name sits
 	// over its column.
-	fmt.Fprintf(out, "\n%-12s %6s %5s %9s %8s %9s\n", "STREAM", "TICKS", "DEGR", "HIT-RATE", "LAST-MS", "LAST-REQ")
+	fmt.Fprintf(out, "\n%-12s %6s %5s %8s %9s\n", "STREAM", "TICKS", "DEGR", "LAST-MS", "LAST-REQ")
 	for _, s := range f.fleet.Streams {
-		fmt.Fprintf(out, "%-12s %6d %5d %8.0f%% %8.2f %9d\n",
-			clip(s.Key, 12), s.Ticks, s.DegradedTicks,
-			100*s.CacheHitRate(), 1000*s.LastWallSeconds, s.LastRequests)
+		fmt.Fprintf(out, "%-12s %6d %5d %8.2f %9d\n",
+			clip(s.Key, 12), s.Ticks, s.DegradedTicks, 1000*s.LastWallSeconds, s.LastRequests)
 	}
 	if f.fleet.VCLabelBudget == 0 {
 		fmt.Fprintf(out, "\nper-VC metric series off (-vc-label-budget 0)\n")

@@ -92,7 +92,7 @@ func TestRenderFramePinned(t *testing.T) {
 	f := &frame{at: time.Date(2026, 1, 2, 15, 4, 5, 0, time.UTC)}
 	f.status = server.StatusResponse{
 		UptimeMS: 90_000, Slot: 7, Workers: 2, Devices: 3, PendingReports: 1,
-		LastSelected: 2, DegradedTicks: 1, PlanCacheHitRate: 0.75,
+		LastSelected: 2, DegradedTicks: 1,
 	}
 	f.slo.Objectives = []slo.State{{Name: "tick-latency", BudgetRemaining: 1,
 		Windows: []slo.WindowState{{BurnRate: 0.5}, {BurnRate: 0.25}}}}
@@ -100,13 +100,13 @@ func TestRenderFramePinned(t *testing.T) {
 		VCLabelBudget: 64,
 		Channels: []server.ChannelSummary{{Channel: "live", Devices: 3, PendingReports: 1,
 			Admitted: 3, Eligible: 2, Selected: 2, TransformedChunks: 60, GammaMean: 0.31, GammaDrift: 0.002}},
-		Streams: []scheduler.VCStat{{Key: "edge", Ticks: 7, DegradedTicks: 1, CacheHits: 18, CacheMisses: 6,
+		Streams: []scheduler.VCStat{{Key: "edge", Ticks: 7, DegradedTicks: 1,
 			LastWallSeconds: 0.00125, LastRequests: 3}},
 	}
 	var out bytes.Buffer
 	render(&out, f, nil, false)
 	want := `lpvsctl top  15:04:05  up 1m30s  slot 7  workers 2
-devices 3  pending 1  selected 2  degraded 1  shed 0  cache-hit 75%
+devices 3  pending 1  selected 2  degraded 1  shed 0
 
 SLO                 STATE  BURN-FAST  BURN-SLOW  BUDGET-LEFT
 tick-latency        ok          0.50       0.25         100%
@@ -114,8 +114,8 @@ tick-latency        ok          0.50       0.25         100%
 CHANNEL        DEV  PEND  ADM  ELIG  SEL  TCHUNKS  GAMMA  DRIFT
 live             3     1    3     2    2       60  0.310  0.002
 
-STREAM        TICKS  DEGR  HIT-RATE  LAST-MS  LAST-REQ
-edge              7     1       75%     1.25         3
+STREAM        TICKS  DEGR  LAST-MS  LAST-REQ
+edge              7     1     1.25         3
 `
 	if out.String() != want {
 		t.Fatalf("frame moved:\n--- got\n%s--- want\n%s", out.String(), want)

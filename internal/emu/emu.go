@@ -303,10 +303,6 @@ type SlotStat struct {
 	Phase1Sec   float64
 	Phase2Sec   float64
 	PlaySec     float64
-	// CacheHits/CacheMisses report the slot's incremental plan-cache
-	// traffic (DESIGN.md §11). Both zero under a baseline policy.
-	CacheHits   int
-	CacheMisses int
 	// Degraded marks a slot whose decision hit the scheduling deadline
 	// and took the anytime shortcuts; DegradedReason says which
 	// (DESIGN.md §12).
@@ -735,8 +731,6 @@ func (e *Emulator) Run() (*RunResult, error) {
 			Phase1Sec:      decision.Phase1Seconds,
 			Phase2Sec:      decision.Phase2Seconds,
 			PlaySec:        playSec,
-			CacheHits:      decision.PlanCacheHits,
-			CacheMisses:    decision.PlanCacheMisses,
 			Degraded:       decision.Degraded.Any(),
 			DegradedReason: decision.Degraded.Reason(),
 		}

@@ -338,7 +338,7 @@ func videoChunks(recs []ChunkRecord) []video.Chunk {
 }
 
 // windowRef identifies a chunk-window slice by backing-array identity,
-// as the scheduler's own window interning does (scheduler.chunkRef).
+// as the scheduler's window validation does (scheduler.chunkRef).
 type windowRef struct {
 	first *video.Chunk
 	n     int

@@ -500,12 +500,12 @@ func TestUnknownDisplayTypeFailsReplay(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesWarmDecisions covers the incremental-scheduling
-// compatibility contract (DESIGN.md §11): records written from warm
-// decisions — plan-cache hits and memoised Phase-1 solutions — must
-// replay byte for byte through the fresh (cold)
-// scheduler Replay rebuilds. Divergence here would mean the warm path
-// broke the determinism invariant.
+// TestReplayMatchesWarmDecisions covers the scratch-reuse compatibility
+// contract: records written from a pool's decisions — each slot solved
+// in the scratch the slot before it left, unchanged slots and a one-
+// device change among them — must replay byte for byte through the
+// fresh scheduler Replay rebuilds. Divergence here would mean reused
+// scratch leaked from one slot into the next.
 func TestReplayMatchesWarmDecisions(t *testing.T) {
 	server, err := edge.NewServer(1)
 	if err != nil {
@@ -524,8 +524,7 @@ func TestReplayMatchesWarmDecisions(t *testing.T) {
 	var recs []*Record
 	for slot := 0; slot < 4; slot++ {
 		if slot == 2 {
-			// Partial churn: dev-b's battery moved, the others hit the
-			// plan cache.
+			// Partial churn: dev-b's battery moved.
 			reqs[1].EnergyFrac = 0.22
 		}
 		res, err := pool.Decide([]scheduler.VC{{ID: "vc", Requests: reqs}})
@@ -533,18 +532,6 @@ func TestReplayMatchesWarmDecisions(t *testing.T) {
 			t.Fatal(err)
 		}
 		dec := res.Decision()
-		switch slot {
-		case 1, 3:
-			if dec.PlanCacheHits != len(reqs) || dec.PlanCacheMisses != 0 || !dec.Phase1Cached {
-				t.Fatalf("slot %d: identical batch not all-hit: hits=%d misses=%d phase1_cached=%t",
-					slot, dec.PlanCacheHits, dec.PlanCacheMisses, dec.Phase1Cached)
-			}
-		case 2:
-			if dec.PlanCacheHits != len(reqs)-1 || dec.PlanCacheMisses != 1 {
-				t.Fatalf("slot 2: hits=%d misses=%d, want %d/1",
-					dec.PlanCacheHits, dec.PlanCacheMisses, len(reqs)-1)
-			}
-		}
 		recs = append(recs, NewRecord(slot, "vc", s.Config(), reqs, dec))
 	}
 	diverged, err := ReplayAll(recs, nil)
@@ -552,6 +539,6 @@ func TestReplayMatchesWarmDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if diverged != 0 {
-		t.Fatalf("%d warm records diverged on cold replay", diverged)
+		t.Fatalf("%d pool records diverged on cold replay", diverged)
 	}
 }

@@ -11,7 +11,8 @@
 //     never takes a lock, never draws randomness, and returns nil
 //     spans; every (*Span) method is nil-safe, so instrumented code
 //     needs no branches. The scheduler hot path is guarded by a
-//     benchmark against the BENCH_scheduler.json baseline.
+//     benchmark; its untraced-vs-sampling-off figures are quoted in
+//     CHANGES.md (PR 3).
 //   - Determinism. Trace and span IDs come from a seedable RNG, so a
 //     traced run is reproducible end to end given the seed; only the
 //     wall-clock timestamps differ between runs.

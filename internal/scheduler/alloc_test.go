@@ -3,6 +3,7 @@ package scheduler
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -50,11 +51,11 @@ func TestColdScheduleAllocsDoNotScaleWithDevices(t *testing.T) {
 	}
 }
 
-// TestChurnedSlotAllocsNoPerDeviceObjects guards the incremental path's
-// worst case, the one edge-10k-cold runs every slot: every known device
-// reports changed content, so every plan is rebuilt — in its existing
-// cache entry, key refreshed in place. What is left is the decision's
-// two slices and the pool's per-tick bookkeeping.
+// TestChurnedSlotAllocsNoPerDeviceObjects guards a pool's steady state,
+// the one edge-10k-cold runs every slot: every known device reports
+// changed content, and every plan is rebuilt into the slab the slot
+// before it grew. What is left is the decision's two slices and the
+// pool's per-tick bookkeeping.
 func TestChurnedSlotAllocsNoPerDeviceObjects(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -70,7 +71,7 @@ func TestChurnedSlotAllocsNoPerDeviceObjects(t *testing.T) {
 	for i := range b {
 		b[i].EnergyFrac = 1 - 0.9*a[i].EnergyFrac
 	}
-	s := mustWarmStream(t, Config{Server: server, Lambda: 1.5})
+	s := mustSlotStream(t, Config{Server: server, Lambda: 1.5})
 	flip := false
 	next := func() []Request {
 		flip = !flip
@@ -82,16 +83,11 @@ func TestChurnedSlotAllocsNoPerDeviceObjects(t *testing.T) {
 	if _, err := s.Schedule(next()); err != nil { // slot 1: every device new
 		t.Fatal(err)
 	}
-	var dec Decision
 	allocs := testing.AllocsPerRun(6, func() {
-		var err error
-		if dec, err = s.Schedule(next()); err != nil {
+		if _, err := s.Schedule(next()); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if dec.PlanCacheMisses != n || dec.PlanCacheHits != 0 {
-		t.Fatalf("slot was meant to churn every device: %d hits, %d misses", dec.PlanCacheHits, dec.PlanCacheMisses)
-	}
 	t.Logf("churned slot: %.0f allocs", allocs)
 	if allocs >= 40 {
 		t.Fatalf("a fully churned slot over %d known devices allocates %.0f objects: per-device allocations are back", n, allocs)
@@ -99,7 +95,7 @@ func TestChurnedSlotAllocsNoPerDeviceObjects(t *testing.T) {
 }
 
 // TestPoolDecideAllocsBytesPerDevice guards the daemon's path in bytes:
-// a warm stream's fully churned Pool.Decide call allocates its result —
+// a pool's fully churned Decide call allocates its result —
 // one []bool and one []Verdict element per device — and nothing else
 // that grows with the cluster: no ID-keyed map, no per-call Phase-1 or
 // Phase-2 slice (planScratch owns them). The slope between 2,000 and
@@ -130,12 +126,11 @@ func TestPoolDecideAllocsBytesPerDevice(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := res.VCs[0].Decision; d.PlanCacheHits != 0 || len(d.X) != n || d.Transform != nil {
-				t.Fatalf("call was meant to churn every device on the map-free path: %d hits, %d positions, maps %v",
-					d.PlanCacheHits, len(d.X), d.Transform != nil)
+			if d := res.VCs[0].Decision; len(d.X) != n || d.Transform != nil {
+				t.Fatalf("call was meant to take the map-free path: %d positions, maps %v", len(d.X), d.Transform != nil)
 			}
 		}
-		decide(a) // every device new: grows the scratch and the cache
+		decide(a) // grows the scratch
 		decide(b)
 		best := 0.0
 		var m0, m1 runtime.MemStats
@@ -155,16 +150,24 @@ func TestPoolDecideAllocsBytesPerDevice(t *testing.T) {
 	element := float64(unsafe.Sizeof(Verdict{}) + unsafe.Sizeof(false))
 	t.Logf("%.0f B at 2,000 devices, %.0f B at 8,000: %.1f B per device (one result element is %.0f B)", small, large, slope, element)
 	if slope > element+4 {
-		t.Fatalf("a warm Pool.Decide call grows by %.1f B per device, want at most the %.0f B of its result", slope, element)
+		t.Fatalf("a steady-state Pool.Decide call grows by %.1f B per device, want at most the %.0f B of its result", slope, element)
 	}
 }
 
-// TestStreamResidentBytes bounds what a scheduling stream keeps between
-// slots: a 10k-device stream after all-miss ticks, with the caller's
-// kept PoolResult, measured as live heap after a collection. What is
-// left is the plan cache — one entry per device, holding its
-// fingerprint and plan — the kept result and the batch-sized scratch:
-// about 3.2 MB, 320 B per device.
+// retainedBytes is the live heap after a collection, for the
+// resident-memory bounds.
+func retainedBytes() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestStreamResidentBytes bounds what a pool keeps between slots of a
+// 10k-device VC, with the caller's kept PoolResult, measured as live
+// heap after a collection: the one worker scratch a single VC reuses —
+// the plan slab and the batch-sized Phase-1/Phase-2 rows — and the kept
+// result: about 1.0 MB, 100 B per device.
 func TestStreamResidentBytes(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("heap sizes are not meaningful under -race")
@@ -180,47 +183,81 @@ func TestStreamResidentBytes(t *testing.T) {
 	for i := range b {
 		b[i].EnergyFrac = 1 - 0.9*a[i].EnergyFrac
 	}
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
+	before := retainedBytes()
 	pool, err := NewPool(Config{Server: server, Lambda: 1.5}, PoolConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := new(PoolResult)
 	for _, reqs := range [][]Request{a, b, a, b} {
-		if err := pool.DecideInto(context.Background(), []VC{{ID: "vc", StateKey: "edge", Requests: reqs}}, res); err != nil {
+		if err := pool.DecideInto(context.Background(), []VC{{ID: "edge", Requests: reqs}}, res); err != nil {
 			t.Fatal(err)
 		}
-		if d := res.Decision(); d.PlanCacheHits != 0 || d.PlanCacheMisses != n {
-			t.Fatalf("tick was meant to miss every device: %d hits, %d misses", d.PlanCacheHits, d.PlanCacheMisses)
-		}
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&m1)
+	retained := retainedBytes() - before
 	runtime.KeepAlive(pool)
 	runtime.KeepAlive(res)
-	retained := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
 	t.Logf("%d devices: %d B retained, %d B per device", n, retained, retained/n)
-	if retained > 3_700_000 {
-		t.Fatalf("a %d-device stream retains %d B (%d B per device)", n, retained, retained/n)
+	if retained > 1_500_000 {
+		t.Fatalf("a pool deciding a %d-device VC retains %d B (%d B per device)", n, retained, retained/n)
 	}
 }
 
-// TestReusedSlabNeverCorruptsCache drives one stream through an all-miss
-// slot, a half-changed slot, an unchanged slot (all hits, Phase-1
-// memoised) and a slot with one device changed. Slot B rebuilds its
-// misses in their own cache entries while its hits are served from the
-// entries slot A built; a miss compacted into any plan but its own would
-// make a hit read it. Every slot must equal the cold serial decision
-// byte for byte.
+// TestPoolScratchBoundedAcrossVCIDs decides 64 ticks of one 2,000-device
+// VC whose ID changes every tick, as a caller naming its VC after the
+// slot would: what the pool retains must stop growing once each of its
+// workers has a scratch, because scratch belongs to workers, not to VC
+// IDs. A pool that kept one scratch per ID would retain 64 of them.
+func TestPoolScratchBoundedAcrossVCIDs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	server, err := edge.NewServer(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := makeBigCluster(t, 2000, 81)
+	SortRequests(reqs)
+	const workers = 2
+	before := retainedBytes()
+	pool, err := NewPool(Config{Server: server, Lambda: 1.5}, PoolConfig{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := new(PoolResult)
+	var settled int64
+	for tick := 0; tick < 64; tick++ {
+		vcs := []VC{{ID: fmt.Sprintf("slot-%d", tick), Requests: reqs}}
+		if err := pool.DecideInto(context.Background(), vcs, res); err != nil {
+			t.Fatal(err)
+		}
+		if tick == workers-1 {
+			settled = retainedBytes() - before
+		}
+	}
+	retained := retainedBytes() - before
+	runtime.KeepAlive(pool)
+	runtime.KeepAlive(res)
+	t.Logf("after %d ticks %d B retained, after 64 ticks %d B", workers, settled, retained)
+	if retained-settled > settled/4 {
+		t.Fatalf("64 VC IDs grew what the pool retains from %d B to %d B: scratch is kept per VC ID", settled, retained)
+	}
+}
+
+// TestReusedSlabNeverCorruptsCache drives one slot stream through a
+// first slot, a half-changed slot, an unchanged slot and a slot with
+// one device changed, each solved in the slab and rows the slot before
+// it left: a plan, eligibility entry or swap flag that survived from
+// the previous slot instead of being rebuilt would show. Every slot
+// must equal the cold serial decision byte for byte, Phase-1 search
+// included.
 func TestReusedSlabNeverCorruptsCache(t *testing.T) {
 	server, err := edge.NewServer(6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Server: server, Lambda: 1.5}
-	warm := mustWarmStream(t, cfg)
+	stream := mustSlotStream(t, cfg)
 	cold := mustScheduler(t, cfg)
 
 	slotA := makeCluster(t, 48, 4242)
@@ -235,16 +272,15 @@ func TestReusedSlabNeverCorruptsCache(t *testing.T) {
 	slotD[1].EnergyFrac = 1 - 0.9*slotD[1].EnergyFrac
 
 	for _, slot := range []struct {
-		name         string
-		reqs         []Request
-		hits, misses int
+		name string
+		reqs []Request
 	}{
-		{"A all-miss", slotA, 0, 48},
-		{"B half-changed", slotB, 24, 24},
-		{"C unchanged", slotC, 48, 0},
-		{"D one changed", slotD, 47, 1},
+		{"A first", slotA},
+		{"B half-changed", slotB},
+		{"C unchanged", slotC},
+		{"D one changed", slotD},
 	} {
-		got, err := warm.Schedule(slot.reqs)
+		got, err := stream.Schedule(slot.reqs)
 		if err != nil {
 			t.Fatalf("%s: %v", slot.name, err)
 		}
@@ -252,27 +288,22 @@ func TestReusedSlabNeverCorruptsCache(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: cold: %v", slot.name, err)
 		}
-		if !bytes.Equal(got.Canonical(), want.VCs[0].Decision.Canonical()) {
-			t.Fatalf("%s: incremental decision diverged from cold DecideSerial:\nwarm:\n%s\ncold:\n%s",
-				slot.name, got.Canonical(), want.VCs[0].Decision.Canonical())
+		ref := want.VCs[0].Decision
+		if !bytes.Equal(got.Canonical(), ref.Canonical()) || !reflect.DeepEqual(got.PerDevice, ref.PerDevice) {
+			t.Fatalf("%s: stream decision diverged from cold DecideSerial:\nstream:\n%s\ncold:\n%s",
+				slot.name, got.Canonical(), ref.Canonical())
 		}
-		if got.PlanCacheHits != slot.hits || got.PlanCacheMisses != slot.misses {
-			t.Fatalf("%s: hits=%d misses=%d, want %d/%d", slot.name,
-				got.PlanCacheHits, got.PlanCacheMisses, slot.hits, slot.misses)
-		}
-		if slot.misses == 0 && !got.Phase1Cached {
-			t.Fatalf("%s: an unchanged slot solved Phase-1 again", slot.name)
+		if got.Phase1Nodes != ref.Phase1Nodes {
+			t.Fatalf("%s: stream searched %d Phase-1 nodes, cold %d", slot.name, got.Phase1Nodes, ref.Phase1Nodes)
 		}
 	}
 }
 
-// TestDuplicateDeviceHitThenMiss covers the one way a by-value cache
-// entry could be overwritten while a plan pointer into it is live: a
-// request set naming a device twice, one copy as cached and the other
-// changed, in either order. Each copy must keep its own plan, and the
-// stream keeps the first copy — the second is built in the slab and
-// never cached — so a next slot naming the device once, as that first
-// copy, hits every plan.
+// TestDuplicateDeviceHitThenMiss covers a request set naming a device
+// twice, one copy as the slot before sent it and the other changed, in
+// either order, then a slot naming the device once as that first copy.
+// Each position must keep its own plan, on a stream reusing its slab,
+// and every slot must equal the cold decision.
 func TestDuplicateDeviceHitThenMiss(t *testing.T) {
 	cfg := Config{Lambda: 1.5}
 	base := makeCluster(t, 6, 99)
@@ -282,38 +313,31 @@ func TestDuplicateDeviceHitThenMiss(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		first, second Request
-		hits, misses  int
 	}{
-		{"hit-then-changed", base[2], dup, 6, 1},
-		{"changed-copy-first", dup, base[2], 5, 2},
+		{"hit-then-changed", base[2], dup},
+		{"changed-copy-first", dup, base[2]},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			warm := mustWarmStream(t, cfg)
+			stream := mustSlotStream(t, cfg)
 			cold := mustScheduler(t, cfg)
-			if _, err := warm.Schedule(base); err != nil {
+			if _, err := stream.Schedule(base); err != nil {
 				t.Fatal(err)
 			}
 			reqs := append(append([]Request(nil), base[:2]...), tc.first, tc.second)
 			reqs = append(reqs, base[3:]...)
 			kept := append([]Request(nil), base...)
 			kept[2] = tc.first
-			for k, want := range []struct {
-				reqs         []Request
-				hits, misses int
-			}{{reqs, tc.hits, tc.misses}, {kept, len(kept), 0}} {
-				got, err := warm.Schedule(want.reqs)
+			for k, slot := range [][]Request{reqs, kept} {
+				got, err := stream.Schedule(slot)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cd, err := cold.Schedule(want.reqs)
+				cd, err := cold.Schedule(slot)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if got.PlanCacheHits != want.hits || got.PlanCacheMisses != want.misses {
-					t.Fatalf("slot %d: hits=%d misses=%d, want %d/%d", k, got.PlanCacheHits, got.PlanCacheMisses, want.hits, want.misses)
 				}
 				if !bytes.Equal(got.Canonical(), cd.Canonical()) || !reflect.DeepEqual(got.PerDevice, cd.PerDevice) {
-					t.Fatalf("slot %d diverged from cold:\nwarm (eligible %d):\n%s\ncold (eligible %d):\n%s",
+					t.Fatalf("slot %d diverged from cold:\nstream (eligible %d):\n%s\ncold (eligible %d):\n%s",
 						k, got.Eligible, got.Canonical(), cd.Eligible, cd.Canonical())
 				}
 			}

@@ -65,8 +65,9 @@ func BenchmarkScheduleExactVsGreedy(b *testing.B) {
 
 // BenchmarkPoolScaling measures the sharded engine across worker counts
 // at the two ISSUE workloads: 1k devices in 8 VCs and 10k devices in 32
-// VCs. The recorded results live in BENCH_scheduler.json; speedups only
-// materialise where GOMAXPROCS offers real cores.
+// VCs. The results recorded when the pool was added are quoted in
+// CHANGES.md (PR 2); speedups only materialise where GOMAXPROCS offers
+// real cores.
 func BenchmarkPoolScaling(b *testing.B) {
 	server, err := edge.NewServer(100)
 	if err != nil {
@@ -200,13 +201,11 @@ func BenchmarkScheduleTracing(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalSlots measures the steady-state cross-slot cost
-// of the incremental engine (DESIGN.md §11) against a cold pool at
+// BenchmarkIncrementalSlots measures a pool's steady-state slot at
 // several churn rates: each iteration is one slot whose batch differs
-// from the previous slot's in churn% of the devices. Workers=1 so the
-// figure isolates the incremental machinery from pool parallelism (the
-// CI container is single-core anyway). Recorded results live in
-// BENCH_incremental.json.
+// from the previous slot's in churn% of the devices, solved cold in the
+// scratch the slot before it grew. Workers=1 so the figure isolates
+// the per-slot solve from pool parallelism.
 func BenchmarkIncrementalSlots(b *testing.B) {
 	server, err := edge.NewServer(100)
 	if err != nil {
@@ -221,36 +220,25 @@ func BenchmarkIncrementalSlots(b *testing.B) {
 	} {
 		base := makeVCSet(b, wl.nVC, wl.perVC, 7)
 		for _, churnPct := range []int{0, 5, 20, 100} {
-			for _, mode := range []struct {
-				name    string
-				disable bool
-			}{
-				{"incremental", false},
-				{"cold", true},
-			} {
-				name := fmt.Sprintf("%s/churn=%d%%/%s", wl.name, churnPct, mode.name)
-				b.Run(name, func(b *testing.B) {
-					pool, err := NewPool(Config{Server: server, Lambda: 1, DisableIncremental: mode.disable},
-						PoolConfig{Workers: 1})
-					if err != nil {
-						b.Fatal(err)
-					}
-					vcs := cloneVCSet(base)
-					// Prime slot 0 outside the timer: the first slot is
-					// always cold, steady state is what the benchmark
-					// prices.
+			b.Run(fmt.Sprintf("%s/churn=%d%%", wl.name, churnPct), func(b *testing.B) {
+				pool, err := NewPool(Config{Server: server, Lambda: 1}, PoolConfig{Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				vcs := cloneVCSet(base)
+				// Prime slot 0 outside the timer: it grows the scratch,
+				// steady state is what the benchmark prices.
+				if _, err := pool.Decide(vcs); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					churnVCSet(vcs, churnPct, i)
 					if _, err := pool.Decide(vcs); err != nil {
 						b.Fatal(err)
 					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						churnVCSet(vcs, churnPct, i)
-						if _, err := pool.Decide(vcs); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -297,7 +285,7 @@ func churnVCSet(vcs []VC, churnPct, it int) {
 // greedy/skip shortcuts (DESIGN.md §12) and latency tracks the budget
 // instead of the instance. degraded/op reports how often the sweep
 // actually degraded (0 = the budget was generous, 1 = every call).
-// The recorded results live in BENCH_resilience.json.
+// The results recorded with anytime mode are quoted in CHANGES.md (PR 5).
 func BenchmarkScheduleDeadline(b *testing.B) {
 	server, err := edge.NewServer(60)
 	if err != nil {

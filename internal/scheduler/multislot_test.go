@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -192,9 +191,10 @@ func advanceChurn(rng *stats.RNG, cur, base []Request, churn float64, next *int)
 
 // TestChurnSequenceDifferential is the cross-slot extension of the
 // 210-instance corpus: multi-slot sessions with randomized
-// join/leave/drain churn, driven through a warm one-worker stream, a
-// four-worker pooled engine, and the cold reference (Schedule on a bare
-// Scheduler), byte-compared via Decision.Canonical every slot.
+// join/leave/drain churn, driven through a one-worker slot stream, a
+// four-worker pool — both solving each slot in the scratch the last one
+// left — and the fresh reference (Schedule on a bare Scheduler),
+// byte-compared via Decision.Canonical every slot.
 func TestChurnSequenceDifferential(t *testing.T) {
 	server, err := edge.NewServer(8)
 	if err != nil {
@@ -205,7 +205,7 @@ func TestChurnSequenceDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("churn=%v", churn), func(t *testing.T) {
 			rng := stats.NewRNG(int64(churn*1000) + 5)
 			cfg := Config{Server: server, Lambda: 1.5}
-			warm := mustWarmStream(t, cfg)
+			stream := mustSlotStream(t, cfg)
 			cold := mustScheduler(t, cfg)
 			pool, err := NewPool(cfg, PoolConfig{Workers: 4})
 			if err != nil {
@@ -213,56 +213,41 @@ func TestChurnSequenceDifferential(t *testing.T) {
 			}
 			cur := append([]Request(nil), base[:40]...)
 			next := 0
-			sawHit := false
 			for slot := 0; slot < 14; slot++ {
 				if slot > 0 {
 					cur = advanceChurn(rng, cur, base, churn, &next)
 				}
 				reqs := append([]Request(nil), cur...)
 				SortRequests(reqs)
-				wd, err := warm.Schedule(reqs)
+				wd, err := stream.Schedule(reqs)
 				if err != nil {
-					t.Fatalf("slot %d: warm: %v", slot, err)
+					t.Fatalf("slot %d: stream: %v", slot, err)
 				}
 				cd, err := cold.Schedule(reqs)
 				if err != nil {
 					t.Fatalf("slot %d: cold: %v", slot, err)
 				}
-				if !bytes.Equal(wd.Canonical(), cd.Canonical()) {
-					t.Fatalf("slot %d: warm diverged from cold:\nwarm:\n%s\ncold:\n%s",
-						slot, wd.Canonical(), cd.Canonical())
+				if !bytes.Equal(wd.Canonical(), cd.Canonical()) || wd.Phase1Nodes != cd.Phase1Nodes {
+					t.Fatalf("slot %d: stream diverged from cold (%d vs %d Phase-1 nodes):\nstream:\n%s\ncold:\n%s",
+						slot, wd.Phase1Nodes, cd.Phase1Nodes, wd.Canonical(), cd.Canonical())
 				}
 				pr, err := pool.Decide([]VC{{ID: "vc", Requests: reqs}})
 				if err != nil {
 					t.Fatalf("slot %d: pool: %v", slot, err)
 				}
 				if !bytes.Equal(pr.VCs[0].Decision.Canonical(), cd.Canonical()) {
-					t.Fatalf("slot %d: pooled warm diverged from cold", slot)
+					t.Fatalf("slot %d: pool diverged from cold", slot)
 				}
-				if wd.PlanCacheHits > 0 {
-					sawHit = true
-				}
-				if churn == 0 && slot > 0 && !allHit(wd, len(reqs)) {
-					t.Fatalf("slot %d: identical request set not served from the caches: hits=%d misses=%d phase1_cached=%t",
-						slot, wd.PlanCacheHits, wd.PlanCacheMisses, wd.Phase1Cached)
-				}
-			}
-			if churn < 1 && !sawHit {
-				t.Fatal("low-churn session never hit the plan cache")
 			}
 		})
 	}
 }
 
-// allHit reports whether a stream decided an n-request slot entirely
-// from its caches: every plan a hit and the Phase-1 problem memoised.
-func allHit(d Decision, n int) bool {
-	return d.PlanCacheHits == n && d.PlanCacheMisses == 0 && d.Phase1Cached
-}
-
-// TestUnchangedSlotHitsAndCounters pins the per-call cache counters
-// through a join/leave/drain sequence and checks that an unchanged slot
-// is decided from the caches alone, byte-identical to cold.
+// TestUnchangedSlotHitsAndCounters drives one slot stream through an
+// unchanged slot, a mutated result, one drained battery and ten devices
+// leaving: every slot, solved in the scratch the one before it left,
+// must equal the cold decision byte for byte, and a returned decision
+// must share no storage with the stream.
 func TestUnchangedSlotHitsAndCounters(t *testing.T) {
 	server, err := edge.NewServer(5)
 	if err != nil {
@@ -271,117 +256,42 @@ func TestUnchangedSlotHitsAndCounters(t *testing.T) {
 	reqs := makeCluster(t, 30, 77)
 	SortRequests(reqs)
 	cfg := Config{Server: server, Lambda: 2}
-	warm := mustWarmStream(t, cfg)
+	stream := mustSlotStream(t, cfg)
 	cold := mustScheduler(t, cfg)
-
-	d1, err := warm.Schedule(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1.Phase1Cached || d1.PlanCacheHits != 0 || d1.PlanCacheMisses != len(reqs) {
-		t.Fatalf("cold-start slot: %+v", d1)
-	}
-	d2, err := warm.Schedule(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !allHit(d2, len(reqs)) {
-		t.Fatalf("identical slot not all-hit: hits=%d misses=%d phase1_cached=%t",
-			d2.PlanCacheHits, d2.PlanCacheMisses, d2.Phase1Cached)
-	}
-	cd, err := cold.Schedule(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, d := range map[string]Decision{"first": d1, "all-hit": d2} {
-		if !bytes.Equal(d.Canonical(), cd.Canonical()) {
+	same := func(name string, reqs []Request) Decision {
+		t.Helper()
+		d, err := stream.Schedule(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cd, err := cold.Schedule(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(d.Canonical(), cd.Canonical()) || !reflect.DeepEqual(d.PerDevice, cd.PerDevice) ||
+			d.Phase1Nodes != cd.Phase1Nodes {
 			t.Fatalf("%s decision diverged from cold", name)
 		}
+		return d
 	}
-	// A returned decision must not alias cached state.
+
+	same("first", reqs)
+	d2 := same("unchanged", reqs)
+	// A returned decision must not alias the stream's scratch.
 	d2.X[0] = !d2.X[0]
 	d2.PerDevice[0].Reason = "forged"
-	d2b, err := warm.Schedule(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !allHit(d2b, len(reqs)) || !bytes.Equal(d2b.Canonical(), cd.Canonical()) ||
-		!reflect.DeepEqual(d2b.PerDevice, cd.PerDevice) {
-		t.Fatal("mutating a returned decision corrupted the stream's caches")
-	}
+	same("after a mutated result", reqs)
 
-	// One drained battery: exactly one miss.
 	churned := append([]Request(nil), reqs...)
 	churned[3].EnergyFrac *= 0.5
-	d3, err := warm.Schedule(churned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3.PlanCacheHits != len(reqs)-1 || d3.PlanCacheMisses != 1 {
-		t.Fatalf("one-device churn: hits=%d misses=%d", d3.PlanCacheHits, d3.PlanCacheMisses)
-	}
-	cd3, err := cold.Schedule(churned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(d3.Canonical(), cd3.Canonical()) {
-		t.Fatal("churned decision diverged from cold")
-	}
-
-	// Ten devices leave: their cached plans are evicted.
-	left := append([]Request(nil), churned[:20]...)
-	d4, err := warm.Schedule(left)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d4.PlanCacheHits != 20 || d4.PlanCacheEvictions != 10 {
-		t.Fatalf("leave slot: hits=%d evictions=%d", d4.PlanCacheHits, d4.PlanCacheEvictions)
-	}
-
-	cs := warm.pool.CacheStats()
-	// d2 and d2b hit the full set, d3 all but one, d4 20.
-	wantHits := uint64(2*len(reqs) + len(reqs) - 1 + 20)
-	if cs.Hits != wantHits || cs.Misses != uint64(len(reqs)+1) || cs.Evictions != 10 {
-		t.Fatalf("lifetime stats: %+v (want hits=%d)", cs, wantHits)
-	}
-	if cs.HitRate() <= 0.5 {
-		t.Fatalf("hit rate %v implausibly low", cs.HitRate())
-	}
+	same("one drained battery", churned)
+	same("ten devices left", churned[:20])
 }
 
-// TestConfigGuardResetsState checks the config-fingerprint guard: a
-// state warmed under one configuration and consulted by a differently
-// configured scheduler must drop every cache and produce the second
-// config's cold decision.
-func TestConfigGuardResetsState(t *testing.T) {
-	reqs := makeCluster(t, 20, 88)
-	SortRequests(reqs)
-	a := mustWarmStream(t, Config{Lambda: 1})
-	if _, err := a.Schedule(reqs); err != nil {
-		t.Fatal(err)
-	}
-	b := mustScheduler(t, Config{Lambda: 3})
-	var dec Decision
-	if err := b.scheduleWith(context.Background(), reqs, a.state(), nil, &dec); err != nil {
-		t.Fatal(err)
-	}
-	if dec.PlanCacheHits != 0 || dec.Phase1Cached {
-		t.Fatalf("stale caches survived a config change: %+v", dec)
-	}
-	cold, err := b.Schedule(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dec.Canonical(), cold.Canonical()) {
-		t.Fatal("decision under reset state diverged from cold")
-	}
-}
+// customModel is an anxiety model the repo does not ship.
+type customModel struct{}
 
-// weirdModel is an anxiety model the fingerprint encoder does not know;
-// requests carrying it must be uncacheable but still correctly handled.
-type weirdModel struct{}
-
-func (weirdModel) Anxiety(e float64) float64 {
+func (customModel) Anxiety(e float64) float64 {
 	if e < 0 {
 		return 1
 	}
@@ -391,146 +301,52 @@ func (weirdModel) Anxiety(e float64) float64 {
 	return 1 - e
 }
 
-// TestUncacheableRequests covers the fingerprinting escape hatches: a
-// request with an unknown anxiety model is never cached (but the rest
-// of the cluster still is), and a pool configured with an unknown model
-// keeps no stream and runs fully cold.
-func TestUncacheableRequests(t *testing.T) {
-	reqs := makeCluster(t, 16, 91)
+// TestColdPoolKeepsNoStream pins that every pool solves cold, whatever
+// its configuration: Config.DisableIncremental, kept so configurations
+// that set it still compile, changes nothing, and a population model or
+// a per-request model the repo does not ship decides like Schedule on
+// every tick, Phase-1 search included.
+func TestColdPoolKeepsNoStream(t *testing.T) {
+	reqs := makeCluster(t, 24, 55)
 	rm, err := anxiety.NewRescaled(anxiety.NewCanonical(), 0.35)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs[2].Anxiety = weirdModel{}
+	reqs[2].Anxiety = customModel{}
 	reqs[5].Anxiety = rm
 	SortRequests(reqs)
-	warm := mustWarmStream(t, Config{Lambda: 2})
-	cold := mustScheduler(t, Config{Lambda: 2})
-	for slot := 0; slot < 3; slot++ {
-		wd, err := warm.Schedule(reqs)
+	for _, cfg := range []Config{
+		{Lambda: 1},
+		{Lambda: 1, DisableIncremental: true},
+		{Lambda: 1, Anxiety: customModel{}},
+	} {
+		stream := mustSlotStream(t, cfg)
+		want, err := mustScheduler(t, cfg).Schedule(reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cd, err := cold.Schedule(reqs)
-		if err != nil {
-			t.Fatal(err)
+		for tick := 0; tick < 3; tick++ {
+			d, err := stream.Schedule(reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(d.Canonical(), want.Canonical()) || d.Phase1Nodes != want.Phase1Nodes {
+				t.Fatalf("%+v tick %d: %d Phase-1 nodes, Schedule %d; decisions equal %t", cfg, tick,
+					d.Phase1Nodes, want.Phase1Nodes, bytes.Equal(d.Canonical(), want.Canonical()))
+			}
 		}
-		if !bytes.Equal(wd.Canonical(), cd.Canonical()) {
-			t.Fatalf("slot %d: diverged from cold", slot)
-		}
-		if slot > 0 && (wd.PlanCacheHits != len(reqs)-1 || wd.PlanCacheMisses != 1) {
-			t.Fatalf("slot %d: hits=%d misses=%d; want %d/1",
-				slot, wd.PlanCacheHits, wd.PlanCacheMisses, len(reqs)-1)
-		}
-	}
-
-	s := mustWarmStream(t, Config{Lambda: 1, Anxiety: weirdModel{}})
-	if s.state() != nil {
-		t.Fatal("unfingerprintable config must disable incremental state")
-	}
-	if _, err := s.Schedule(reqs); err != nil {
-		t.Fatal(err)
-	}
-	d, err := s.Schedule(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Phase1Cached || d.PlanCacheHits != 0 {
-		t.Fatalf("cold pool reported cache activity: %+v", d)
-	}
-}
-
-// TestPoolStateKeyContinuity checks that a caller whose VC ID changes
-// every tick (the daemon labels ticks "slot-N") still gets cache
-// continuity through VC.StateKey — and that without a StateKey the
-// changing ID starts a fresh stream each tick.
-func TestPoolStateKeyContinuity(t *testing.T) {
-	reqs := makeCluster(t, 24, 55)
-	SortRequests(reqs)
-	pool, err := NewPool(Config{Lambda: 1}, PoolConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mustScheduler(t, Config{Lambda: 1}).Schedule(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tick := 0; tick < 3; tick++ {
-		vc := VC{ID: fmt.Sprintf("slot-%d", tick), StateKey: "edge", Requests: reqs}
-		pr, err := pool.Decide([]VC{vc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec := pr.VCs[0].Decision
-		if !bytes.Equal(dec.Canonical(), want.Canonical()) {
-			t.Fatalf("tick %d diverged", tick)
-		}
-		if tick > 0 && !allHit(dec, len(reqs)) {
-			t.Fatalf("tick %d: StateKey continuity broken: hits=%d misses=%d phase1_cached=%t",
-				tick, dec.PlanCacheHits, dec.PlanCacheMisses, dec.Phase1Cached)
-		}
-	}
-	cs := pool.CacheStats()
-	if cs.Hits == 0 {
-		t.Fatalf("pool stats recorded no hits: %+v", cs)
-	}
-
-	fresh, err := NewPool(Config{Lambda: 1}, PoolConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tick := 0; tick < 2; tick++ {
-		pr, err := fresh.Decide([]VC{{ID: fmt.Sprintf("slot-%d", tick), Requests: reqs}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := pr.VCs[0].Decision; d.PlanCacheHits != 0 || d.Phase1Cached {
-			t.Fatalf("tick %d: distinct IDs without StateKey must not share state", tick)
-		}
-	}
-}
-
-// TestColdPoolKeepsNoStream pins Config.DisableIncremental, the one
-// switch left and read by Pool only: the pool creates no stream, so an
-// unchanged slot is solved again, nothing is counted and nothing is
-// exported — the cold engine BenchmarkIncrementalSlots prices the
-// streams against.
-func TestColdPoolKeepsNoStream(t *testing.T) {
-	reqs := makeCluster(t, 24, 55)
-	SortRequests(reqs)
-	cfg := Config{Lambda: 1, DisableIncremental: true}
-	cold := mustWarmStream(t, cfg)
-	want, err := mustScheduler(t, cfg).Schedule(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tick := 0; tick < 3; tick++ {
-		d, err := cold.Schedule(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(d.Canonical(), want.Canonical()) {
-			t.Fatalf("tick %d diverged from Schedule", tick)
-		}
-		if d.Phase1Cached || d.PlanCacheHits != 0 || d.PlanCacheMisses != 0 || d.Phase1Nodes != want.Phase1Nodes {
-			t.Fatalf("tick %d: a cold pool used cross-slot state: %+v", tick, d)
-		}
-	}
-	if cold.state() != nil || len(cold.pool.states) != 0 || cold.pool.CacheStats() != (CacheStats{}) {
-		t.Fatalf("cold pool holds a stream: %d states, stats %+v", len(cold.pool.states), cold.pool.CacheStats())
 	}
 }
 
 // FuzzIncrementalSchedule fuzzes multi-slot churn sessions: whatever
-// the churn rate, session length and capacity, the warm one-worker
-// stream and the three-worker pooled engine must match the cold
-// reference byte for byte on every slot. Some slots come in reverse
-// order, some name a device twice (the copy changed or not, anywhere in
-// the batch), and some are first sent with one request broken, which
-// every engine must refuse with the cold path's error before the slot is
-// sent again as it should be — so plans built in their cache entries,
-// failed batches and the slab-built copies of a duplicated device all
-// meet the cold solve.
+// the churn rate, session length and capacity, the one-worker slot
+// stream and the three-worker pool must match the fresh reference byte
+// for byte on every slot. Some slots come in reverse order, some name a
+// device twice (the copy changed or not, anywhere in the batch), and
+// some are first sent with one request broken, which every engine must
+// refuse with the cold path's error before the slot is sent again as it
+// should be — so a slab that grows, shrinks or was left half-built by a
+// failed batch always meets the fresh solve.
 func FuzzIncrementalSchedule(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(4), uint8(1))
 	f.Add(int64(9), uint8(30), uint8(6), uint8(0))
@@ -550,10 +366,10 @@ func FuzzIncrementalSchedule(f *testing.F) {
 			}
 			cfg.Server = server
 		}
-		warm := mustWarmStream(t, cfg)
+		stream := mustSlotStream(t, cfg)
 		cold := mustScheduler(t, cfg)
 		wideCfg := cfg
-		wideCfg.CompactChunk = 2 // compact the misses in parallel
+		wideCfg.CompactChunk = 2 // compact in parallel
 		pool, err := NewPool(wideCfg, PoolConfig{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -604,25 +420,25 @@ func FuzzIncrementalSchedule(f *testing.F) {
 					broken[k].Chunks = chunks
 				}
 				_, cerr := cold.Schedule(broken)
-				_, werr := warm.Schedule(broken)
+				_, werr := stream.Schedule(broken)
 				_, perr := decide(broken)
 				if cerr == nil || werr == nil || perr == nil {
-					t.Fatalf("slot %d: a broken batch was accepted: cold %v, warm %v, pool %v", slot, cerr, werr, perr)
+					t.Fatalf("slot %d: a broken batch was accepted: cold %v, stream %v, pool %v", slot, cerr, werr, perr)
 				}
 				if !strings.HasSuffix(werr.Error(), cerr.Error()) || perr.Error() != werr.Error() {
-					t.Fatalf("slot %d: errors differ:\ncold %v\nwarm %v\npool %v", slot, cerr, werr, perr)
+					t.Fatalf("slot %d: errors differ:\ncold %v\nstream %v\npool %v", slot, cerr, werr, perr)
 				}
 			}
-			wd, err := warm.Schedule(reqs)
+			wd, err := stream.Schedule(reqs)
 			if err != nil {
-				t.Fatalf("slot %d: warm: %v", slot, err)
+				t.Fatalf("slot %d: stream: %v", slot, err)
 			}
 			cd, err := cold.Schedule(reqs)
 			if err != nil {
 				t.Fatalf("slot %d: cold: %v", slot, err)
 			}
 			if !bytes.Equal(wd.Canonical(), cd.Canonical()) || !reflect.DeepEqual(wd.PerDevice, cd.PerDevice) {
-				t.Fatalf("slot %d: warm diverged:\nwarm:\n%s\ncold:\n%s",
+				t.Fatalf("slot %d: stream diverged:\nstream:\n%s\ncold:\n%s",
 					slot, wd.Canonical(), cd.Canonical())
 			}
 			pd, err := decide(reqs)
@@ -630,7 +446,7 @@ func FuzzIncrementalSchedule(f *testing.F) {
 				t.Fatalf("slot %d: pool: %v", slot, err)
 			}
 			if !bytes.Equal(pd.Canonical(), cd.Canonical()) || !reflect.DeepEqual(pd.PerDevice, wd.PerDevice) {
-				t.Fatalf("slot %d: pooled warm diverged from cold", slot)
+				t.Fatalf("slot %d: pool diverged from cold", slot)
 			}
 		}
 	})

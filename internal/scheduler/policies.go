@@ -49,11 +49,11 @@ func (NoTransform) Schedule(reqs []Request) (Decision, error) {
 // capacities are exhausted, honouring eligibility. Verdicts carry the
 // same ineligible/capacity reason codes as the LPVS path, with
 // ReasonAdmitted marking greedy admission.
-func (s *Scheduler) capacityFilter(reqs []Request, plans []*plan, order []int) Decision {
+func (s *Scheduler) capacityFilter(reqs []Request, plans []plan, order []int) Decision {
 	d := Decision{batch: reqs, X: make([]bool, len(plans))}
 	usedG, usedH := 0.0, 0.0
 	for _, idx := range order {
-		p := plans[idx]
+		p := &plans[idx]
 		if !p.eligible {
 			continue
 		}
@@ -193,13 +193,8 @@ func (p *JointKnapsackPolicy) Schedule(reqs []Request) (Decision, error) {
 		return Decision{}, err
 	}
 	d := Decision{batch: reqs, X: make([]bool, len(plans))}
-	var sc planScratch
-	for i, pl := range plans {
-		if pl.eligible {
-			sc.eligible = append(sc.eligible, placed{p: pl, i: i})
-		}
-	}
-	d.Eligible = len(sc.eligible)
+	sc := planScratch{slab: plans}
+	d.Eligible = len(sc.placeEligible())
 	if d.Eligible > 0 {
 		sol := s.jointKnapsack(&sc)
 		d.Phase1Value = sol.Value

@@ -30,26 +30,12 @@ import (
 // scheduling domain (a Twitch channel's viewers in the paper).
 type VC struct {
 	// ID identifies the cluster; IDs must be unique within one Decide
-	// call and define the deterministic output order.
+	// call and define the deterministic output order. It also keys the
+	// cluster's VCStat row, so a caller that wants one row across ticks
+	// keeps the ID stable.
 	ID string
-	// StateKey names the incremental scheduling stream this cluster
-	// continues across ticks (DESIGN.md §11); empty means ID. Callers
-	// whose ID changes every tick for labelling reasons (the daemon's
-	// per-slot "slot-N" audit tag) set a stable StateKey so the cross-
-	// slot caches still connect consecutive slots. The key only selects
-	// which cache is consulted — decisions are byte-identical whatever
-	// it is set to.
-	StateKey string
 	// Requests is the cluster's information-gathering output.
 	Requests []Request
-}
-
-// stateKey is the effective incremental-stream name.
-func (vc *VC) stateKey() string {
-	if vc.StateKey != "" {
-		return vc.StateKey
-	}
-	return vc.ID
 }
 
 // VCDecision is one cluster's outcome within a pool tick.
@@ -99,45 +85,40 @@ type PoolConfig struct {
 }
 
 // Pool schedules many virtual clusters per tick across a bounded worker
-// set, and is the only owner of cross-slot scheduling state: its
-// Scheduler is a value, the per-VC incremental streams live here. It is
-// safe for concurrent use: every Decide call allocates its own job
-// state, the ILP solvers are reentrant (see internal/ilp), and each
-// stream sits behind its own lock so workers solving different VCs
-// never contend. With Config.DisableIncremental the pool keeps no
-// stream and every tick is a cold solve.
+// set. Every VC is solved cold, exactly as Schedule solves it; what the
+// pool keeps between ticks is working memory, not decisions — at most
+// one planScratch per worker, on a free list, so a slot reuses the
+// slabs an earlier one grew — and per-VC telemetry. It is safe for
+// concurrent use: every Decide call allocates its own job state, the
+// ILP solvers are reentrant (see internal/ilp), and a scratch belongs to
+// one solve at a time.
 type Pool struct {
 	sched   *Scheduler
 	workers int
 
-	// states holds one incremental scheduling stream per VC state key
-	// (nil map entries never occur; the whole map stays empty when
-	// incremental mode is off). mu guards the map and vcstats — each
-	// stream has its own internal lock.
-	mu     sync.Mutex
-	states map[string]*slotState
-	// vcstats accumulates per-stream health telemetry (DESIGN.md §13).
-	// Pure observation: nothing here feeds back into scheduling, so
-	// decisions stay byte-identical with or without readers.
+	// mu guards free and vcstats.
+	mu sync.Mutex
+	// free is the scratch no solve holds, most recently returned last:
+	// a solve takes the last one (or a new one when none is free) and
+	// gives it back, so a one-VC caller reuses a single scratch, and the
+	// pool keeps at most workers of them however many VC IDs it sees.
+	free []*planScratch
+	// vcstats is the per-VC health telemetry (DESIGN.md §13). Pure
+	// observation: nothing here feeds back into scheduling, so decisions
+	// stay byte-identical with or without readers.
 	vcstats map[string]*VCStat
 }
 
-// VCStat is the accumulated health of one scheduling stream (VC state
-// key) across ticks — the per-VC rows behind the daemon's /v1/fleet
-// endpoint and the `lpvsctl top` dashboard.
+// VCStat is the accumulated health of one VC ID across ticks — the
+// per-VC rows behind the daemon's /v1/fleet endpoint and the `lpvsctl
+// top` dashboard.
 type VCStat struct {
-	// Key is the stream's state key (VC.StateKey, or the VC ID when
-	// unset).
+	// Key is the VC ID.
 	Key string `json:"key"`
 	// Ticks counts solved ticks; DegradedTicks those that hit the
 	// scheduling deadline.
 	Ticks         uint64 `json:"ticks"`
 	DegradedTicks uint64 `json:"degraded_ticks"`
-	// CacheHits/CacheMisses/CacheEvictions sum the incremental
-	// plan-cache traffic of this stream's decisions.
-	CacheHits      uint64 `json:"cache_hits"`
-	CacheMisses    uint64 `json:"cache_misses"`
-	CacheEvictions uint64 `json:"cache_evictions"`
 	// WallSecondsTotal accumulates solve wall time; LastWallSeconds is
 	// the most recent tick's.
 	WallSecondsTotal float64 `json:"wall_seconds_total"`
@@ -147,14 +128,6 @@ type VCStat struct {
 	LastRequests int `json:"last_requests"`
 	LastEligible int `json:"last_eligible"`
 	LastSelected int `json:"last_selected"`
-}
-
-// CacheHitRate is the stream's lifetime plan-cache hit fraction.
-func (s VCStat) CacheHitRate() float64 {
-	if s.CacheHits+s.CacheMisses == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
 }
 
 // NewPool builds the sharded engine. The scheduler config is validated
@@ -176,62 +149,32 @@ func NewPool(cfg Config, pc PoolConfig) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pool{
-		sched:   s,
-		workers: workers,
-		states:  make(map[string]*slotState),
-		vcstats: make(map[string]*VCStat),
-	}, nil
+	return &Pool{sched: s, workers: workers, vcstats: make(map[string]*VCStat)}, nil
 }
 
-// stateFor returns the incremental stream under a state key, creating
-// it on first sight; nil when the pool keeps none — DisableIncremental,
-// or a config newState cannot fingerprint.
-func (p *Pool) stateFor(key string) *slotState {
+// takeScratch hands a solve the most recently returned scratch, or a
+// new one when every kept scratch is in use.
+func (p *Pool) takeScratch() *planScratch {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st, ok := p.states[key]
-	if !ok {
-		if st = p.sched.newState(); st == nil {
-			return nil
-		}
-		p.states[key] = st
+	n := len(p.free)
+	if n == 0 {
+		return new(planScratch)
 	}
-	return st
+	sc := p.free[n-1]
+	p.free = p.free[:n-1]
+	return sc
 }
 
-// CacheStats reports the lifetime plan-cache traffic of a pool's
-// scheduling streams.
-type CacheStats struct {
-	// Hits and Misses count per-request plan-cache outcomes.
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	// Evictions counts cached plans dropped because their device left
-	// the stream.
-	Evictions uint64 `json:"evictions"`
-}
-
-// HitRate is Hits/(Hits+Misses), or 0 before any lookup.
-func (c CacheStats) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
-}
-
-// CacheStats sums the plan-cache counters of every stream's VCStat (all
-// zero when incremental mode is off).
-func (p *Pool) CacheStats() CacheStats {
+// putScratch returns a solve's scratch to the free list, or drops it
+// when the list already holds one per worker (concurrent Decide calls
+// can have more in flight).
+func (p *Pool) putScratch(sc *planScratch) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var out CacheStats
-	for _, st := range p.vcstats {
-		out.Hits += st.CacheHits
-		out.Misses += st.CacheMisses
-		out.Evictions += st.CacheEvictions
+	if len(p.free) < p.workers {
+		p.free = append(p.free, sc)
 	}
-	return out
 }
 
 // Scheduler exposes the pool's underlying per-VC scheduler (e.g. for
@@ -266,9 +209,9 @@ func (p *Pool) DecideCtx(ctx context.Context, vcs []VC) (*PoolResult, error) {
 // reused where their capacity allows, with lengths set exactly — so a
 // caller that is done with one tick's result before it asks for the
 // next (the daemon) allocates nothing per device. res owns all of its
-// memory: nothing in it aliases a stream's scratch, and
-// it stays valid until the caller passes it in again. It must not be
-// shared between concurrent calls. On error res is unspecified.
+// memory: nothing in it aliases the pool's scratch, and it stays valid
+// until the caller passes it in again. It must not be shared between
+// concurrent calls. On error res is unspecified.
 //
 // When ctx carries an active span, each VC's solve opens a "vc" child
 // (with the compact / phase1 / phase2 stage spans nested under it).
@@ -353,14 +296,16 @@ func DecideSerial(s *Scheduler, vcs []VC) (*PoolResult, error) {
 	return res, nil
 }
 
-// solveVC decides one cluster into out, reusing out.Decision's storage.
+// solveVC decides one cluster into out, reusing out.Decision's storage,
+// in a scratch it takes from the free list and gives back.
 func (p *Pool) solveVC(ctx context.Context, vc *VC, worker int, out *VCDecision) error {
 	vcCtx, sp := span.Child(ctx, "vc")
 	sp.SetStr("vc", vc.ID)
 	sp.SetInt("worker", worker)
 	start := time.Now()
-	st := p.stateFor(vc.stateKey())
-	err := p.sched.scheduleWith(vcCtx, vc.Requests, st, nil, &out.Decision)
+	sc := p.takeScratch()
+	err := p.sched.scheduleWith(vcCtx, vc.Requests, sc, nil, &out.Decision)
+	p.putScratch(sc)
 	sp.End()
 	if err != nil {
 		return err
@@ -371,24 +316,20 @@ func (p *Pool) solveVC(ctx context.Context, vc *VC, worker int, out *VCDecision)
 	return nil
 }
 
-// recordVC folds one solved tick into the stream's health accumulator.
+// recordVC folds one solved tick into the VC's health accumulator.
 // Observation only — it runs after the decision is final.
 func (p *Pool) recordVC(vc *VC, dec *Decision, wall float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	key := vc.stateKey()
-	st, ok := p.vcstats[key]
+	st, ok := p.vcstats[vc.ID]
 	if !ok {
-		st = &VCStat{Key: key}
-		p.vcstats[key] = st
+		st = &VCStat{Key: vc.ID}
+		p.vcstats[vc.ID] = st
 	}
 	st.Ticks++
 	if dec.Degraded.Any() {
 		st.DegradedTicks++
 	}
-	st.CacheHits += uint64(dec.PlanCacheHits)
-	st.CacheMisses += uint64(dec.PlanCacheMisses)
-	st.CacheEvictions += uint64(dec.PlanCacheEvictions)
 	st.WallSecondsTotal += wall
 	st.LastWallSeconds = wall
 	st.LastRequests = len(vc.Requests)
@@ -396,8 +337,7 @@ func (p *Pool) recordVC(vc *VC, dec *Decision, wall float64) {
 	st.LastSelected = dec.Selected
 }
 
-// VCStats snapshots every scheduling stream's accumulated health,
-// sorted by state key. The returned slice is a copy; mutating it does
+// VCStats snapshots every VC's accumulated health, sorted by VC ID. The returned slice is a copy; mutating it does
 // not touch the pool.
 func (p *Pool) VCStats() []VCStat {
 	p.mu.Lock()

@@ -2,9 +2,11 @@ package scheduler
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -90,15 +92,12 @@ func randomInstance(rng *stats.RNG, base []Request) ([]VC, Config) {
 // TestPoolVsSerialDifferential is the core equivalence harness: across
 // 210 randomized instances (sizes, capacities, lambdas), the pooled
 // engine's merged output must be byte-identical to the serial reference
-// loop — same selections, same counters, same objective bits. The
-// serial reference is cold, so the corpus also pins
-// incremental-vs-cold equivalence; each instance is decided twice
-// through the pool so the second tick exercises the warm caches (every
-// plan a hit, Phase-1 memoised, on an unchanged instance), then once more with
-// one device per VC dimmed, which changes its saving and so the Phase-1
-// problem. Wherever the pool ran Phase-1 (not Phase1Cached) it must
-// also have searched exactly the serial reference's nodes: a stream's
-// solve is the cold one.
+// loop — same selections, same counters, same objective bits. Each
+// instance is decided twice through the pool, so the second tick runs
+// in the scratch the first one grew, then once more with one device per
+// VC dimmed, which changes its saving and so the Phase-1 problem. Every
+// tick must also have searched exactly the serial reference's Phase-1
+// nodes: a pool's solve is the cold one.
 func TestPoolVsSerialDifferential(t *testing.T) {
 	base := makeCluster(t, 64, 999)
 	rng := stats.NewRNG(20260805)
@@ -122,16 +121,16 @@ func TestPoolVsSerialDifferential(t *testing.T) {
 			t.Fatalf("instance %d: pool and serial decisions diverged:\npool:\n%s\nserial:\n%s",
 				inst, pr.Canonical(), sr.Canonical())
 		}
-		warm, err := pool.Decide(vcs)
+		again, err := pool.Decide(vcs)
 		if err != nil {
-			t.Fatalf("instance %d: warm pool tick: %v", inst, err)
+			t.Fatalf("instance %d: second pool tick: %v", inst, err)
 		}
-		if !bytes.Equal(warm.Canonical(), sr.Canonical()) {
-			t.Fatalf("instance %d: warm pool tick diverged from cold serial:\nwarm:\n%s\nserial:\n%s",
-				inst, warm.Canonical(), sr.Canonical())
+		if !bytes.Equal(again.Canonical(), sr.Canonical()) {
+			t.Fatalf("instance %d: second pool tick diverged from cold serial:\npool:\n%s\nserial:\n%s",
+				inst, again.Canonical(), sr.Canonical())
 		}
 		sameSearch(t, inst, "first", pr, sr)
-		sameSearch(t, inst, "warm", warm, sr)
+		sameSearch(t, inst, "second", again, sr)
 
 		dimmed := make([]VC, len(vcs))
 		for v, vc := range vcs {
@@ -193,13 +192,13 @@ func TestPoolVsSerialDifferential(t *testing.T) {
 	}
 }
 
-// sameSearch fails when a VC the pool solved afresh searched a
-// different number of Phase-1 nodes than the serial reference did.
+// sameSearch fails when a VC the pool solved searched a different
+// number of Phase-1 nodes than the serial reference did.
 func sameSearch(t *testing.T, inst int, tick string, pool, serial *PoolResult) {
 	t.Helper()
 	for i := range pool.VCs {
 		p, s := pool.VCs[i].Decision, serial.VCs[i].Decision
-		if !p.Phase1Cached && p.Phase1Nodes != s.Phase1Nodes {
+		if p.Phase1Nodes != s.Phase1Nodes {
 			t.Fatalf("instance %d, %s tick, %s: pool searched %d Phase-1 nodes, serial %d",
 				inst, tick, pool.VCs[i].VC, p.Phase1Nodes, s.Phase1Nodes)
 		}
@@ -266,12 +265,9 @@ func phase1MatchesBruteForce(t *testing.T, name string, reqs []Request, streams 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sc planScratch
-	for i, p := range plans {
-		if p.eligible {
-			sc.eligible = append(sc.eligible, placed{p: p, i: i})
-			sc.values = append(sc.values, p.saving)
-		}
+	sc := planScratch{slab: plans}
+	for _, e := range sc.placeEligible() {
+		sc.values = append(sc.values, e.p.saving)
 	}
 	eligible := sc.eligible
 	if len(eligible) == 0 {
@@ -575,9 +571,8 @@ func TestPoolTimingFields(t *testing.T) {
 	}
 }
 
-// TestPoolVCStats checks the per-stream health accumulator: one row
-// per state key, tick counts and funnel snapshots matching the
-// decisions, and cache traffic consistent with CacheStats.
+// TestPoolVCStats checks the per-VC health accumulator: one row per VC
+// ID, tick counts and funnel snapshots matching the decisions.
 func TestPoolVCStats(t *testing.T) {
 	vcs := makeVCSet(t, 3, 25, 7)
 	pool, err := NewPool(Config{Lambda: 1}, PoolConfig{Workers: 2})
@@ -596,7 +591,6 @@ func TestPoolVCStats(t *testing.T) {
 	if len(stats) != len(vcs) {
 		t.Fatalf("VCStats rows = %d, want %d", len(stats), len(vcs))
 	}
-	var hits, misses uint64
 	for i, st := range stats {
 		if i > 0 && stats[i-1].Key >= st.Key {
 			t.Fatalf("VCStats not key-ordered: %q before %q", stats[i-1].Key, st.Key)
@@ -622,35 +616,71 @@ func TestPoolVCStats(t *testing.T) {
 		if st.LastRequests != 25 {
 			t.Fatalf("stream %s requests = %d", st.Key, st.LastRequests)
 		}
-		// Unchanged inputs: every tick after the first hits every plan.
-		if st.CacheHits != (ticks-1)*25 || st.CacheMisses != 25 {
-			t.Fatalf("stream %s cache hits/misses = %d/%d, want %d/25", st.Key, st.CacheHits, st.CacheMisses, (ticks-1)*25)
-		}
-		hits += st.CacheHits
-		misses += st.CacheMisses
 	}
-	cs := pool.CacheStats()
-	if hits != cs.Hits || misses != cs.Misses {
-		t.Fatalf("VCStats cache sums (%d/%d) != CacheStats (%d/%d)", hits, misses, cs.Hits, cs.Misses)
-	}
-	// A distinct StateKey with a per-tick ID lands in one stream.
-	vc := VC{ID: "slot-9", StateKey: "edge", Requests: vcs[0].Requests}
-	if _, err := pool.Decide([]VC{vc}); err != nil {
+	// A new VC ID gets its own row, leaving the others as they were.
+	if _, err := pool.Decide([]VC{{ID: "edge", Requests: vcs[0].Requests}}); err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, st := range pool.VCStats() {
+	rows := pool.VCStats()
+	if len(rows) != len(vcs)+1 {
+		t.Fatalf("VCStats rows after a new ID = %d, want %d", len(rows), len(vcs)+1)
+	}
+	for _, st := range rows {
+		want := uint64(ticks)
 		if st.Key == "edge" {
-			found = true
-			if st.Ticks != 1 {
-				t.Fatalf("edge stream ticks = %d", st.Ticks)
+			want = 1
+		}
+		if st.Ticks != want {
+			t.Fatalf("row %s ticks = %d, want %d", st.Key, st.Ticks, want)
+		}
+	}
+}
+
+// TestConcurrentDecideIntoMatchesSerial has two goroutines decide
+// different VC sets on one Pool at once, each into its own kept result,
+// for several ticks: the free list must never hand one scratch to two
+// solves (the race run checks that), and each result must equal
+// DecideSerial byte for byte.
+func TestConcurrentDecideIntoMatchesSerial(t *testing.T) {
+	server, err := edge.NewServer(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Server: server, Lambda: 1.5, CompactChunk: 8}
+	pool, err := NewPool(cfg, PoolConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := mustScheduler(t, cfg)
+	sets := [][]VC{makeVCSet(t, 3, 40, 11), makeVCSet(t, 2, 60, 12)}
+	var wg sync.WaitGroup
+	for g, vcs := range sets {
+		wg.Add(1)
+		go func(g int, vcs []VC) {
+			defer wg.Done()
+			var res PoolResult
+			for tick := 0; tick < 6; tick++ {
+				for v := range vcs {
+					reqs := append([]Request(nil), vcs[v].Requests...)
+					k := (tick * 7) % len(reqs)
+					reqs[k].EnergyFrac = 1 - 0.9*reqs[k].EnergyFrac
+					vcs[v].Requests = reqs
+				}
+				if err := pool.DecideInto(context.Background(), vcs, &res); err != nil {
+					t.Error(err)
+					return
+				}
+				want, err := DecideSerial(serial, vcs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(res.Canonical(), want.Canonical()) {
+					t.Errorf("goroutine %d tick %d: DecideInto diverged from DecideSerial", g, tick)
+					return
+				}
 			}
-		}
-		if st.Key == "slot-9" {
-			t.Fatal("per-tick VC ID leaked into stream stats")
-		}
+		}(g, vcs)
 	}
-	if !found {
-		t.Fatal("state-keyed stream missing from VCStats")
-	}
+	wg.Wait()
 }

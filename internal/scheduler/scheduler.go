@@ -24,18 +24,17 @@
 // and lambda stays an O(1) policy knob.
 //
 // A Scheduler solves one cluster cold, as a pure function; a Pool
-// (pool.go) solves many per tick and owns what carries over between
-// slots. A result belongs to whoever holds it. Pool.Decide and
-// DecideCtx hand out a fresh PoolResult that no later call touches;
-// Pool.DecideInto — the one engine under both — decides into a result
-// its caller keeps, overwriting it and reusing its slices, which is how
-// the daemon's tick allocates nothing per device. Either way a
-// Decision's X and PerDevice are its own: nothing is ever lent from a
-// stream's scratch.
+// (pool.go) solves many per tick, cold too, into working memory it
+// reuses from slot to slot. A result belongs to whoever holds it.
+// Pool.Decide and DecideCtx hand out a fresh PoolResult that no later
+// call touches; Pool.DecideInto — the one engine under both — decides
+// into a result its caller keeps, overwriting it and reusing its
+// slices, which is how the daemon's tick allocates nothing per device.
+// Either way a Decision's X and PerDevice are its own: nothing is ever
+// lent from a pool's scratch.
 package scheduler
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -286,20 +285,10 @@ type Decision struct {
 	CompactSeconds float64
 	Phase1Seconds  float64
 	Phase2Seconds  float64
-	// PlanCacheHits / PlanCacheMisses / PlanCacheEvictions report this
-	// call's incremental plan-cache outcomes (all zero on the cold
-	// path). Like the timing fields they are excluded from Canonical():
-	// cache behaviour never changes the decision, only its cost.
-	PlanCacheHits      int
-	PlanCacheMisses    int
-	PlanCacheEvictions int
 	// Phase1Nodes is the branch-and-bound node count behind this
-	// decision (0 for the greedy fallback and for cached Phase-1
-	// solves).
+	// decision (0 for the greedy fallback). Like the timing fields it is
+	// excluded from Canonical().
 	Phase1Nodes int
-	// Phase1Cached reports that Phase-1 was skipped because the knapsack
-	// problem was byte-identical to the previous slot's.
-	Phase1Cached bool
 	// Degraded records the anytime-mode shortcuts this decision was
 	// produced under (zero value: none). Unlike the fields above it IS
 	// part of Canonical() — a degraded decision has different bytes by
@@ -341,12 +330,9 @@ type Config struct {
 	// at a time; clusters at or below one chunk are compacted serially.
 	// Zero means DefaultCompactChunk.
 	CompactChunk int
-	// DisableIncremental is read by Pool only; a bare Scheduler keeps no
-	// state either way. Set, the pool creates no cross-slot stream — plan
-	// cache, window intern table and Phase-1 problem memo (DESIGN.md
-	// §11) — and solves every slot cold. Decisions are byte-identical
-	// either way; the cold pool is what the differential tests and
-	// BenchmarkIncrementalSlots compare the streams against.
+	// DisableIncremental does nothing. It switched off the cross-slot
+	// plan cache, which is gone (DESIGN.md §9): every slot is solved
+	// cold. It stays so that configurations that set it still compile.
 	DisableIncremental bool
 }
 
@@ -362,12 +348,11 @@ const DefaultExactThreshold = 220
 // Scheduler is the LPVS request scheduler: a configuration and the
 // algorithm, nothing else. Every Schedule call solves its batch cold, as
 // a pure function of (configuration, request batch), and no field is
-// written after New, so any number of goroutines may share one. What
-// carries over from slot to slot — the incremental layer of DESIGN.md
-// §11 — lives in a Pool's streams, and gamma learning with the caller.
+// written after New, so any number of goroutines may share one. Nothing
+// about a decision carries over from slot to slot; gamma learning lives
+// with the caller.
 type Scheduler struct {
-	cfg    Config
-	cfgSig []byte // decision-relevant config fingerprint (nil: not fingerprintable)
+	cfg Config
 }
 
 // New validates the configuration and builds a scheduler.
@@ -405,7 +390,7 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.CompactChunk < 0 {
 		return nil, fmt.Errorf("scheduler: negative compact chunk")
 	}
-	return &Scheduler{cfg: cfg, cfgSig: configSig(cfg)}, nil
+	return &Scheduler{cfg: cfg}, nil
 }
 
 // Config returns the scheduler's effective configuration — the caller's
@@ -417,8 +402,7 @@ func (s *Scheduler) Config() Config { return s.cfg }
 // costs, the objective value under both decisions, and the eligibility
 // flag from constraint (11) — the handful of scalars information
 // compacting (paper section V) reduces a device to. It holds no
-// per-chunk data and is stored by value: a stream's plans inside their
-// cache entries, everything else in a per-call slab.
+// per-chunk data and is stored by value, in the call's slab.
 type plan struct {
 	req      *Request
 	g, h     float64 // compute and storage costs
@@ -440,22 +424,17 @@ type placed struct {
 
 // planScratch is the working memory of one scheduling call: everything
 // a call needs that is sized by the batch and dead when it returns. A
-// slotState owns one and reuses it across slots (guarded by its mu); a
-// cold solve uses a fresh one per call, so either way a call
-// makes O(1) allocations however many devices it schedules. Nothing in
-// it outlives the call: no cache entry points into the slab, the
-// solvers copy nothing out of the knapsack rows, and a Decision carries
-// its own X and PerDevice.
+// Pool keeps one per worker and reuses it from slot to slot; a bare
+// Scheduler uses a fresh one per call, so either way a call makes O(1)
+// allocations however many devices it schedules. Nothing in it outlives
+// the call: the solvers copy nothing out of the knapsack rows, and a
+// Decision carries its own X and PerDevice.
 type planScratch struct {
-	slab     []plan   // plans no cache entry holds: every plan of a cold solve
-	plans    []*plan  // plans[i] serves reqs[i]: a slab slot or a cache entry's plan
-	misses   []int    // ascending request indices the plan cache could not serve
+	slab     []plan   // slab[i] is the plan of reqs[i]
 	eligible []placed // the plans passing constraint (11), in batch order
 
-	// The per-call window memo, by slice identity: every window validate
-	// checked, with its interned ID once a stream's windowID has set one
-	// (0 until then; IDs start at 1).
-	windows map[chunkRef]uint64
+	// The chunk windows validate checked this call, by slice identity.
+	windows map[chunkRef]struct{}
 
 	// Phase-1: the knapsack over eligible (values, the two capacity rows
 	// and the Problem that points at them).
@@ -470,6 +449,24 @@ type planScratch struct {
 	candIn, curOut  []bool
 	gain            []float64
 	swapIn, swapOut []bool
+}
+
+// chunkRef identifies a chunk-window slice by backing-array identity.
+// Every device in a virtual cluster shares one chunk slice, so
+// validate checks a window once per distinct slice, not once per
+// request. Sound within a call because request storage is read-only
+// while the scheduler runs.
+type chunkRef struct {
+	ptr *video.Chunk
+	n   int
+}
+
+// refOf identifies a chunk window by slice identity.
+func refOf(chunks []video.Chunk) chunkRef {
+	if len(chunks) == 0 {
+		return chunkRef{}
+	}
+	return chunkRef{ptr: &chunks[0], n: len(chunks)}
 }
 
 // grown returns s with length n, reallocating only when its capacity is
@@ -588,18 +585,15 @@ func (s *Scheduler) compact(r *Request, p *plan) {
 	p.end0, p.end1 = end0, end1
 }
 
-// validate checks a batch before anything is built or cached — each
-// request's fields, then its chunk window — and returns the first
-// failure in batch order, the error a serial build would stop at. A
-// distinct window is checked once per call, by slice identity, and
-// entered in sc.windows, the memo a stream's windowID then interns into:
-// a stream's viewers share one chunk slice, so a 10,000-viewer tick
-// checks 30 chunks, not 300,000. A stream's cached requests are checked
-// too — a handful of comparisons each — so a batch that fails leaves the
-// stream exactly as it was.
+// validate checks a batch before anything is built — each request's
+// fields, then its chunk window — and returns the first failure in
+// batch order, the error a serial build would stop at. A distinct
+// window is checked once per call, by slice identity: a channel's
+// viewers share one chunk slice, so a 10,000-viewer tick checks 30
+// chunks, not 300,000.
 func (sc *planScratch) validate(reqs []Request) error {
 	if sc.windows == nil {
-		sc.windows = make(map[chunkRef]uint64)
+		sc.windows = make(map[chunkRef]struct{})
 	}
 	clear(sc.windows)
 	var last chunkRef
@@ -613,62 +607,41 @@ func (sc *planScratch) validate(reqs []Request) error {
 			if c, err := video.ValidateChunks(r.Chunks); err != nil {
 				return chunkError(r, c, err)
 			}
-			sc.windows[ref] = 0
+			sc.windows[ref] = struct{}{}
 		}
 		last = ref
 	}
 	return nil
 }
 
-// slabPlans points plans at a fresh slab of n, one slot per request: the
-// layout of a solve without a stream.
-func (sc *planScratch) slabPlans(n int) {
-	sc.slab = make([]plan, n)
-	sc.plans = make([]*plan, n)
-	for i := range sc.plans {
-		sc.plans[i] = &sc.slab[i]
-	}
-}
-
 // buildPlans runs information gathering + compacting for all requests
-// on the stateless path (baseline policies, tests).
-func (s *Scheduler) buildPlans(reqs []Request) ([]*plan, error) {
+// into a fresh slab (baseline policies, tests).
+func (s *Scheduler) buildPlans(reqs []Request) ([]plan, error) {
 	var sc planScratch
 	if err := sc.validate(reqs); err != nil {
 		return nil, err
 	}
-	sc.slabPlans(len(reqs))
-	s.buildPlansInto(reqs, nil, &sc)
-	return sc.plans, nil
+	s.buildPlansInto(reqs, &sc)
+	return sc.slab, nil
 }
 
-// buildPlansInto compacts the requests of a validated batch at the given
-// ascending indices (nil means all of them), each into the plan
-// sc.plans[i] points at, fanning large clusters out across
-// CompactWorkers goroutines. The incremental path uses it to rebuild
-// only plan-cache misses, in their cache entries. No two requests share
-// a target, so parallel workers write disjoint plans and the parallel
-// path is bit-identical to the serial one: each plan is a pure function
-// of its request.
-func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, sc *planScratch) {
+// buildPlansInto compacts every request of a validated batch into
+// sc.slab, resized to len(reqs) plans, fanning large clusters out
+// across CompactWorkers goroutines. Request i is compacted into
+// sc.slab[i] and nothing else, so parallel workers write disjoint plans
+// and the parallel path is bit-identical to the serial one: each plan
+// is a pure function of its request.
+func (s *Scheduler) buildPlansInto(reqs []Request, sc *planScratch) {
 	n := len(reqs)
-	if idxs != nil {
-		n = len(idxs)
-	}
-	build := func(j int) {
-		i := j
-		if idxs != nil {
-			i = idxs[j]
-		}
-		s.compact(&reqs[i], sc.plans[i])
-	}
+	sc.slab = grown(sc.slab, n)
+	build := func(i int) { s.compact(&reqs[i], &sc.slab[i]) }
 	chunk := s.cfg.CompactChunk
 	if chunk <= 0 {
 		chunk = DefaultCompactChunk
 	}
 	if s.cfg.CompactWorkers <= 1 || n <= chunk {
-		for j := 0; j < n; j++ {
-			build(j)
+		for i := 0; i < n; i++ {
+			build(i)
 		}
 		return
 	}
@@ -688,13 +661,26 @@ func (s *Scheduler) buildPlansInto(reqs []Request, idxs []int, sc *planScratch) 
 				if lo >= n {
 					return
 				}
-				for j := lo; j < min(lo+chunk, n); j++ {
-					build(j)
+				for i := lo; i < min(lo+chunk, n); i++ {
+					build(i)
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// placeEligible fills sc.eligible with the slab's plans passing
+// constraint (11), in batch order, and returns it.
+func (sc *planScratch) placeEligible() []placed {
+	eligible := grown(sc.eligible, len(sc.slab))[:0]
+	for i := range sc.slab {
+		if p := &sc.slab[i]; p.eligible {
+			eligible = append(eligible, placed{p: p, i: i})
+		}
+	}
+	sc.eligible = eligible
+	return eligible
 }
 
 // Schedule makes the slot decision for one virtual cluster, cold: two
@@ -739,7 +725,8 @@ func (s *Scheduler) ScheduleDegraded(reqs []Request, deg Degradation) (Decision,
 // decision of its own, with the ID-keyed maps.
 func (s *Scheduler) scheduleCold(ctx context.Context, reqs []Request, forced *Degradation) (Decision, error) {
 	var dec Decision
-	if err := s.scheduleWith(ctx, reqs, nil, forced, &dec); err != nil {
+	var sc planScratch
+	if err := s.scheduleWith(ctx, reqs, &sc, forced, &dec); err != nil {
 		return Decision{}, err
 	}
 	return withMaps(dec, nil)
@@ -764,18 +751,18 @@ func withMaps(d Decision, err error) (Decision, error) {
 	return d, nil
 }
 
-// scheduleWith is the scheduling engine, parameterised by the cross-slot
-// state to use — a Pool stream's, or nil for the cold solve every public
-// Scheduler method makes — and by an optional forced Degradation (audit
-// replay of a degraded tick; implies st == nil and disables live
-// deadline checks).
+// scheduleWith is the scheduling engine: a cold solve of reqs in the
+// working memory sc — a pool worker's, reused slot to slot, or a fresh
+// one — with an optional forced Degradation (audit replay of a degraded
+// tick; disables live deadline checks). Whatever sc held from an
+// earlier call is overwritten before it is read.
 //
 // The decision is written into dec, positional only, and owns its X and
 // PerDevice: what capacity dec brought for them is reused — every
 // element up to len(reqs) overwritten, the length set exactly — and
-// anything else dec held is gone. Nothing in it aliases the stream's
-// scratch. On error dec is unspecified.
-func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotState, forced *Degradation, dec *Decision) error {
+// anything else dec held is gone. Nothing in it aliases sc. On error
+// dec is unspecified.
+func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, sc *planScratch, forced *Degradation, dec *Decision) error {
 	if len(reqs) == 0 {
 		*dec = Decision{}
 		return nil
@@ -785,38 +772,14 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 		// Replay mode: degradations come from the record, never the clock.
 		hasDeadline = false
 	}
-	// The per-call scratch: the stream's own (reused slot to slot, guarded
-	// by its mu) or, on a cold solve, a fresh one.
-	var cold planScratch
-	sc := &cold
-	if st != nil {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		// Config-fingerprint guard: a state consulted by a differently
-		// configured scheduler drops every cache first (DESIGN.md §11).
-		if !bytes.Equal(st.cfgSig, s.cfgSig) {
-			st.reset(s.cfgSig)
-		}
-		sc = &st.scratch
-	}
 	if err := sc.validate(reqs); err != nil {
 		return err
 	}
-	hits := 0
-	if st != nil {
-		hits = st.begin(reqs)
-	} else {
-		cold.slabPlans(len(reqs))
-	}
-	plans, misses := sc.plans, sc.misses
 
 	_, csp := span.Child(ctx, "compact")
 	compactStart := time.Now()
-	if st == nil {
-		s.buildPlansInto(reqs, nil, sc)
-	} else if len(misses) > 0 {
-		s.buildPlansInto(reqs, misses, sc)
-	}
+	s.buildPlansInto(reqs, sc)
+	plans := sc.slab
 	compactSec := time.Since(compactStart).Seconds()
 	csp.SetInt("devices", len(reqs))
 	csp.End()
@@ -824,23 +787,9 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 	x, per := grown(dec.X, len(reqs)), dec.PerDevice
 	clear(x)
 	*dec = Decision{batch: reqs, X: x, CompactSeconds: compactSec}
-	if st != nil {
-		dec.PlanCacheHits = hits
-		dec.PlanCacheMisses = len(misses)
-		dec.PlanCacheEvictions = st.sweep()
-	}
-	eligible := grown(sc.eligible, len(plans))[:0]
-	for i, p := range plans {
-		if p.eligible {
-			eligible = append(eligible, placed{p: p, i: i})
-		}
-	}
-	sc.eligible = eligible
+	eligible := sc.placeEligible()
 	dec.Eligible = len(eligible)
 	if len(eligible) == 0 {
-		if st != nil {
-			st.probValid = false
-		}
 		dec.Objective = totalObjective(plans, dec.X)
 		dec.PerDevice = s.verdicts(per, plans, dec.X, nil, nil)
 		return nil
@@ -853,12 +802,11 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 		p1deadline = deadline
 	}
 	forceGreedy := forced != nil && forced.Phase1Greedy
-	picks, phase1Val, optimal, p1 := s.phase1(sc, st, p1deadline, forceGreedy)
+	picks, phase1Val, optimal, p1 := s.phase1(sc, p1deadline, forceGreedy)
 	dec.Phase1Seconds = time.Since(phase1Start).Seconds()
 	dec.Phase1Value = phase1Val
 	dec.OptimalPhase1 = optimal
 	dec.Phase1Nodes = p1.nodes
-	dec.Phase1Cached = p1.cached
 	dec.Degraded.Phase1Greedy = p1.degraded
 	for k, on := range picks {
 		if on {
@@ -903,10 +851,10 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, st *slotSt
 // trajectory the decision implies. swapIn/swapOut are the Phase-2 swap
 // events by batch position (nil when Phase-2 did not run). The result
 // is dst's storage when that is large enough, every element rewritten.
-func (s *Scheduler) verdicts(dst []Verdict, plans []*plan, x, swapIn, swapOut []bool) []Verdict {
+func (s *Scheduler) verdicts(dst []Verdict, plans []plan, x, swapIn, swapOut []bool) []Verdict {
 	out := grown(dst, len(plans))
-	for i, p := range plans {
-		v := &out[i]
+	for i := range plans {
+		p, v := &plans[i], &out[i]
 		*v = Verdict{
 			Selected:      x[i],
 			Eligible:      p.eligible,
@@ -938,24 +886,18 @@ func (s *Scheduler) verdicts(dst []Verdict, plans []*plan, x, swapIn, swapOut []
 // phase1Info reports how the Phase-1 solve went, for observability
 // only (none of it feeds the decision bytes).
 type phase1Info struct {
-	nodes    int  // branch-and-bound nodes (0: greedy or cached)
-	cached   bool // problem byte-identical to previous slot; solve skipped
+	nodes    int  // branch-and-bound nodes (0: greedy)
 	degraded bool // deadline expired: greedy returned instead of the search result
 }
 
 // phase1 solves the energy-only selection (14) as a 0/1 knapsack over
-// sc.eligible and returns the picks indexed like it. st (nil on the
-// cold path; locked by the caller otherwise) supplies the incremental
-// shortcut: reuse of the previous slot's solution when the knapsack
-// problem is byte-identical.
+// sc.eligible and returns the picks indexed like it.
 //
 // A non-zero deadline puts the branch-and-bound in anytime mode: on
 // expiry the always-feasible greedy solution is adopted and the result
 // is flagged degraded. forceGreedy reproduces that outcome
-// unconditionally (audit replay of a degraded decision). Degraded
-// solutions never enter the problem cache — a later unpressured slot
-// with the same problem must re-solve exactly.
-func (s *Scheduler) phase1(sc *planScratch, st *slotState, deadline time.Time, forceGreedy bool) (picks []bool, value float64, optimal bool, info phase1Info) {
+// unconditionally (audit replay of a degraded decision).
+func (s *Scheduler) phase1(sc *planScratch, deadline time.Time, forceGreedy bool) (picks []bool, value float64, optimal bool, info phase1Info) {
 	eligible := sc.eligible
 	sc.values = grown(sc.values, len(eligible))
 	for k, e := range eligible {
@@ -963,33 +905,23 @@ func (s *Scheduler) phase1(sc *planScratch, st *slotState, deadline time.Time, f
 	}
 
 	var sol ilp.Solution
-	if !forceGreedy && st != nil && st.probLookup(eligible, sc.values) {
-		sol = st.prevSol
-		info.cached = true
-	} else {
-		prob := s.knapsack(sc)
-		switch {
-		case forceGreedy:
-			sol = ilp.Greedy(prob)
-			sol.Degraded = true
-		case len(eligible) <= s.cfg.ExactThreshold:
-			var err error
-			sol, err = ilp.BranchBound(prob, ilp.BBConfig{MaxNodes: s.cfg.MaxNodes, Deadline: deadline})
-			if err != nil {
-				// The problem was validated during plan building; a solver
-				// error here indicates a programming bug.
-				panic(fmt.Sprintf("scheduler: phase-1 solver: %v", err))
-			}
-		default:
-			sol = ilp.Greedy(prob)
+	prob := s.knapsack(sc)
+	switch {
+	case forceGreedy:
+		sol = ilp.Greedy(prob)
+		sol.Degraded = true
+	case len(eligible) <= s.cfg.ExactThreshold:
+		var err error
+		sol, err = ilp.BranchBound(prob, ilp.BBConfig{MaxNodes: s.cfg.MaxNodes, Deadline: deadline})
+		if err != nil {
+			// The problem was validated during plan building; a solver
+			// error here indicates a programming bug.
+			panic(fmt.Sprintf("scheduler: phase-1 solver: %v", err))
 		}
-		if st != nil && !sol.Degraded {
-			st.probStore(eligible, sc.values, sol)
-		}
-		info.nodes = sol.Nodes
-		info.degraded = sol.Degraded
+	default:
+		sol = ilp.Greedy(prob)
 	}
-	return sol.X, sol.Value, sol.Optimal, info
+	return sol.X, sol.Value, sol.Optimal, phase1Info{nodes: sol.Nodes, degraded: sol.Degraded}
 }
 
 // knapsack frames sc.values over sc.eligible as a 0/1 knapsack under
@@ -1150,13 +1082,13 @@ func minLiveGain(gain []float64, swappedOut []bool) (floor float64, ok bool) {
 
 // totalObjective sums the compacted objective (13) over all devices
 // under the decision x (indexed like plans).
-func totalObjective(plans []*plan, x []bool) float64 {
+func totalObjective(plans []plan, x []bool) float64 {
 	sum := 0.0
-	for i, p := range plans {
+	for i := range plans {
 		if x[i] {
-			sum += p.obj1
+			sum += plans[i].obj1
 		} else {
-			sum += p.obj0
+			sum += plans[i].obj0
 		}
 	}
 	return sum

@@ -66,38 +66,29 @@ func mustScheduler(tb testing.TB, cfg Config) *Scheduler {
 	return s
 }
 
-// warmStream is the warm arm of the incremental differentials: one
-// cross-slot stream driven the way the daemon drives its own — a
-// one-worker Pool, one VC, a fixed StateKey. The cold arm is Schedule on
-// a bare Scheduler.
-type warmStream struct{ pool *Pool }
+// slotStream is the reuse arm of the multi-slot differentials: slots
+// driven the way the daemon drives its own — a one-worker Pool, one VC
+// under a fixed ID — so every slot is solved in the scratch the slot
+// before it left behind. The fresh arm is Schedule on a bare Scheduler.
+type slotStream struct{ pool *Pool }
 
-const warmStreamKey = "stream"
-
-func mustWarmStream(tb testing.TB, cfg Config) *warmStream {
+func mustSlotStream(tb testing.TB, cfg Config) *slotStream {
 	tb.Helper()
 	pool, err := NewPool(cfg, PoolConfig{Workers: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &warmStream{pool: pool}
+	return &slotStream{pool: pool}
 }
 
 // Schedule decides the stream's next slot. The decision is positional:
 // a pool result carries no ID-keyed maps.
-func (w *warmStream) Schedule(reqs []Request) (Decision, error) {
-	pr, err := w.pool.Decide([]VC{{ID: "vc", StateKey: warmStreamKey, Requests: reqs}})
+func (w *slotStream) Schedule(reqs []Request) (Decision, error) {
+	pr, err := w.pool.Decide([]VC{{ID: "vc", Requests: reqs}})
 	if err != nil {
 		return Decision{}, err
 	}
 	return pr.Decision(), nil
-}
-
-// state is the stream's slotState (nil before the first slot of a pool
-// that keeps none).
-func (w *warmStream) state() *slotState {
-	st := w.pool.stateFor(warmStreamKey)
-	return st
 }
 
 func TestNewValidation(t *testing.T) {
@@ -411,11 +402,6 @@ func TestScheduleIsPure(t *testing.T) {
 	if !bytes.Equal(second.Canonical(), want) {
 		t.Fatalf("same batch, different bytes:\nfirst:\n%s\nsecond:\n%s", want, second.Canonical())
 	}
-	for name, d := range map[string]Decision{"first": first, "second": second} {
-		if d.Phase1Cached || d.PlanCacheHits != 0 || d.PlanCacheMisses != 0 {
-			t.Fatalf("%s call used cross-slot state: %+v", name, d)
-		}
-	}
 	if first.Phase1Nodes == 0 || second.Phase1Nodes != first.Phase1Nodes {
 		t.Fatalf("second call searched %d Phase-1 nodes, the first %d: not the same cold solve",
 			second.Phase1Nodes, first.Phase1Nodes)
@@ -424,8 +410,8 @@ func TestScheduleIsPure(t *testing.T) {
 	typ := reflect.TypeOf(*s)
 	for i := 0; i < typ.NumField(); i++ {
 		switch f := typ.Field(i); f.Type {
-		case reflect.TypeOf((*slotState)(nil)), reflect.TypeOf(slotState{}), reflect.TypeOf(sync.Mutex{}):
-			t.Fatalf("Scheduler.%s is a %v: cross-slot state belongs to Pool", f.Name, f.Type)
+		case reflect.TypeOf((*planScratch)(nil)), reflect.TypeOf(planScratch{}), reflect.TypeOf(sync.Mutex{}):
+			t.Fatalf("Scheduler.%s is a %v: reused scratch belongs to Pool", f.Name, f.Type)
 		}
 	}
 
@@ -440,8 +426,8 @@ func TestScheduleIsPure(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if !bytes.Equal(d.Canonical(), want) || d.Phase1Cached || d.Phase1Nodes != first.Phase1Nodes {
-					t.Errorf("concurrent call diverged: phase1_cached=%v nodes=%d", d.Phase1Cached, d.Phase1Nodes)
+				if !bytes.Equal(d.Canonical(), want) || d.Phase1Nodes != first.Phase1Nodes {
+					t.Errorf("concurrent call diverged: nodes=%d", d.Phase1Nodes)
 				}
 			}
 		}()

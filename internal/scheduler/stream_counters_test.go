@@ -14,36 +14,21 @@ import (
 	"lpvs/internal/edge"
 )
 
-// streamCountersGolden holds what one incremental stream reported, tick
-// by tick, at commit 62a2d8f — the last build whose stream kept every
-// request's fingerprint twice (a per-call arena and a replay key) and
-// built every miss into a per-call slab. Each line is one tick of
-// streamTicks: its plan-cache hits, misses and evictions, the Phase-1
-// shortcut taken, and the SHA-256 of the decision's canonical bytes (or
-// the error a failing tick returned). The recorded build also wrote a
-// replayed column and a phase1_warm column, false on every row; both are
-// dropped before comparing. Its replayed rows (03, 04, 12) were all-hit
-// with Phase-1 cached, which is what a stream reports for them now.
-// RECORD_PARENT_GOLDEN=1 rewrites it from the build under test — only
-// meaningful from a checkout of the commit being pinned, with this file
-// copied in.
+// streamCountersGolden holds what one scheduling stream reported, tick
+// by tick, at commit 62a2d8f, when a pool still kept a cross-slot plan
+// cache and Phase-1 memo per stream. Each line is one tick of
+// streamTicks: its plan-cache hits, misses and evictions, whether the
+// whole decision was replayed, whether Phase-1 was served from the memo
+// (phase1_cached) or seeded (phase1_warm), the Phase-1 node count, and
+// the SHA-256 of the decision's canonical bytes (or the error a failing
+// tick returned). Every slot is now solved cold, so only the node count
+// and the canonical hash are compared; the cache columns are dropped.
+// A phase1_cached row recorded 0 nodes because nothing was searched; it
+// must now read the cold search's count, which the test takes from
+// DecideSerial. RECORD_PARENT_GOLDEN=1 rewrites the file from the build
+// under test — only meaningful from a checkout of the commit being
+// pinned, with this file copied in.
 const streamCountersGolden = "stream_counters_parent.golden"
-
-// listedRows are the only ticks allowed to differ from the golden, and
-// only in their plan-cache counters, each rewritten from the first
-// string to the second; the decision bytes must still match.
-//   - 06-duplicate-again, a batch naming a device twice sent again
-//     unchanged: the recorded build replayed it whole, counting every
-//     position a hit. A stream now solves it from its plan cache, and the
-//     device's second copy is built in the slab.
-//   - 08-duplicate-changed-first, a device named twice with its changed
-//     copy first: the recorded build kept the last copy, so the unchanged
-//     second copy hit. A stream now keeps the first copy, which misses,
-//     and builds the second in the slab.
-var listedRows = map[string][2]string{
-	"06-duplicate-again":         {" hits=41 misses=0 ", " hits=40 misses=1 "},
-	"08-duplicate-changed-first": {" hits=40 misses=1 ", " hits=39 misses=2 "},
-}
 
 // oneSearchRows are the ticks whose Phase-1 solve the recorded build
 // ran twice: a search seeded with the previous slot's picks that did
@@ -58,7 +43,7 @@ var oneSearchRows = map[string]bool{
 type streamTick struct {
 	name    string
 	reqs    []Request
-	cfg     *Config // decided by a scheduler with this config on the stream's state
+	cfg     *Config // decided by a scheduler with this config, in the pool's scratch
 	expired bool    // decided under an already expired deadline
 }
 
@@ -80,13 +65,12 @@ func streamTicks(t *testing.T, cfg Config) []streamTick {
 		r[5].Gamma = 0.65 - r[5].Gamma
 		r[23].EnergyFrac = 1 - 0.9*r[23].EnergyFrac
 	})
-	// Device 11 twice: the first copy as cached, the second changed.
+	// Device 11 twice: the first copy as the last slot sent it, the second changed.
 	dup := churned[11]
 	dup.EnergyFrac = 0.02
 	twice := append(append(append([]Request(nil), churned[:12]...), dup), churned[12:]...)
 	resolved := with(churned, func(r []Request) { r[11].EnergyFrac *= 0.8 })
-	// Device 11 twice again, the changed copy first; then that copy alone,
-	// which hits because a stream keeps a device's first copy.
+	// Device 11 twice again, the changed copy first; then that copy alone.
 	first := resolved[11]
 	first.EnergyFrac = 0.03
 	firstTwice := append(append(append([]Request(nil), resolved[:11]...), first), resolved[11:]...)
@@ -122,23 +106,31 @@ func streamTicks(t *testing.T, cfg Config) []streamTick {
 	}
 }
 
-// streamRows decides ticks on one stream of pool and renders a row per
-// tick.
-func streamRows(t *testing.T, pool *Pool, ticks []streamTick) []string {
-	rows := make([]string, 0, len(ticks))
+// streamRows decides ticks on one VC of pool and renders a row per
+// tick: its Phase-1 node count and canonical hash. serialNodes maps
+// each tick decided without a deadline to the node count DecideSerial
+// searches on it.
+func streamRows(t *testing.T, pool *Pool, ticks []streamTick, cfg Config) (rows []string, serialNodes map[string]int) {
+	serialNodes = make(map[string]int, len(ticks))
 	for _, tk := range ticks {
 		ctx, cancel := context.Background(), context.CancelFunc(func() {})
 		if tk.expired {
 			ctx, cancel = context.WithDeadline(ctx, time.Now().Add(-time.Second))
 		}
+		tickCfg := cfg
+		if tk.cfg != nil {
+			tickCfg = *tk.cfg
+		}
+		vcs := []VC{{ID: "vc", Requests: tk.reqs}}
 		var dec Decision
 		var err error
 		if tk.cfg != nil {
-			st := pool.stateFor(warmStreamKey)
-			err = mustScheduler(t, *tk.cfg).scheduleWith(ctx, tk.reqs, st, nil, &dec)
+			sc := pool.takeScratch()
+			err = mustScheduler(t, tickCfg).scheduleWith(ctx, tk.reqs, sc, nil, &dec)
+			pool.putScratch(sc)
 		} else {
 			var res *PoolResult
-			if res, err = pool.DecideCtx(ctx, []VC{{ID: "vc", StateKey: warmStreamKey, Requests: tk.reqs}}); err == nil {
+			if res, err = pool.DecideCtx(ctx, vcs); err == nil {
 				dec = res.Decision()
 			}
 		}
@@ -150,24 +142,75 @@ func streamRows(t *testing.T, pool *Pool, ticks []streamTick) []string {
 		if tk.expired && !dec.Degraded.Any() {
 			t.Fatalf("%s: an expired deadline left the decision undegraded", tk.name)
 		}
-		rows = append(rows, fmt.Sprintf("%s hits=%d misses=%d evictions=%d phase1_cached=%t phase1_nodes=%d canonical=%s",
-			tk.name, dec.PlanCacheHits, dec.PlanCacheMisses, dec.PlanCacheEvictions,
-			dec.Phase1Cached, dec.Phase1Nodes, canonicalSum(dec.Canonical())))
+		if !tk.expired {
+			ref, err := DecideSerial(mustScheduler(t, tickCfg), vcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serialNodes[tk.name] = ref.Decision().Phase1Nodes
+		}
+		rows = append(rows, fmt.Sprintf("%s phase1_nodes=%d canonical=%s",
+			tk.name, dec.Phase1Nodes, canonicalSum(dec.Canonical())))
 	}
-	return rows
+	return rows, serialNodes
 }
 
-// TestStreamCountersParentPinned holds a stream's per-tick cache
-// counters and decisions to the recorded parent through every corner
-// the stream's memory layout touches, on a one-worker stream and on a
-// three-worker one whose misses are compacted in parallel.
+// goldenRow reads one golden row back in the form streamRows renders:
+// error rows as they are, decided rows as their name, node count and
+// canonical hash — the count DecideSerial searches when the recorded
+// build served Phase-1 from its memo, the cold search's 155 on the
+// oneSearchRows.
+func goldenRow(t *testing.T, row string, serialNodes map[string]int) string {
+	if !strings.Contains(row, " canonical=") {
+		return row
+	}
+	fields := strings.Fields(row)
+	name := fields[0]
+	var nodes, canonical string
+	cached := false
+	for _, f := range fields[1:] {
+		key, val, _ := strings.Cut(f, "=")
+		switch key {
+		case "phase1_nodes":
+			nodes = val
+		case "canonical":
+			canonical = val
+		case "phase1_cached":
+			cached = val == "true"
+		}
+	}
+	switch {
+	case cached:
+		if nodes != "0" {
+			t.Fatalf("%s: a phase1_cached golden row reads %s nodes", name, nodes)
+		}
+		n, ok := serialNodes[name]
+		if !ok {
+			t.Fatalf("%s: no serial decision to take the node count from", name)
+		}
+		nodes = fmt.Sprint(n)
+	case oneSearchRows[name]:
+		if nodes != "268" {
+			t.Fatalf("%s: golden row does not read 268 nodes: %s", name, row)
+		}
+		nodes = "155"
+	}
+	return fmt.Sprintf("%s phase1_nodes=%s canonical=%s", name, nodes, canonical)
+}
+
+// TestStreamCountersParentPinned holds a pool's decisions, tick by
+// tick, to the recorded parent through every corner a reused scratch
+// meets — a batch that grows, shrinks, names a device twice, fails
+// half-way, is reordered, degrades, or is decided under another
+// configuration — on a one-worker pool and on a three-worker one that
+// compacts in parallel.
 func TestStreamCountersParentPinned(t *testing.T) {
 	server, err := edge.NewServer(12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Server: server, Lambda: 1.5}
-	got := streamRows(t, mustWarmStream(t, cfg).pool, streamTicks(t, cfg))
+	got, serialNodes := streamRows(t, mustSlotStream(t, cfg).pool, streamTicks(t, cfg), cfg)
 
 	wideCfg := cfg
 	wideCfg.CompactChunk = 4
@@ -175,7 +218,8 @@ func TestStreamCountersParentPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, row := range streamRows(t, wide, streamTicks(t, wideCfg)) {
+	wideRows, _ := streamRows(t, wide, streamTicks(t, wideCfg), wideCfg)
+	for i, row := range wideRows {
 		if row != got[i] {
 			t.Errorf("parallel compaction changed a tick:\n one worker    %s\n three workers %s", got[i], row)
 		}
@@ -195,29 +239,7 @@ func TestStreamCountersParentPinned(t *testing.T) {
 	var want []string
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		row := sc.Text()
-		if strings.Contains(row, " canonical=") {
-			for _, col := range []string{" replayed=true ", " replayed=false ", " phase1_warm=false "} {
-				row = strings.Replace(row, col, " ", 1)
-			}
-			if strings.Contains(row, " replayed=") || strings.Contains(row, " phase1_warm=") {
-				t.Fatalf("golden row with an unexpected column value: %s", row)
-			}
-			name, _, _ := strings.Cut(row, " ")
-			if diff, ok := listedRows[name]; ok {
-				if !strings.Contains(row, diff[0]) {
-					t.Fatalf("%s: golden row does not read%s: %s", name, diff[0], row)
-				}
-				row = strings.Replace(row, diff[0], diff[1], 1)
-			}
-			if oneSearchRows[name] {
-				if !strings.Contains(row, " phase1_nodes=268 ") {
-					t.Fatalf("%s: golden row does not read 268 nodes: %s", name, row)
-				}
-				row = strings.Replace(row, " phase1_nodes=268 ", " phase1_nodes=155 ", 1)
-			}
-		}
-		want = append(want, row)
+		want = append(want, goldenRow(t, sc.Text(), serialNodes))
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)

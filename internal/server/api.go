@@ -64,17 +64,17 @@ type TickStats struct {
 	// overhead figure under a multi-worker pool).
 	CPUSec      float64 `json:"cpu_sec"`
 	DurationSec float64 `json:"duration_sec"`
-	// Incremental-scheduling breakdown (DESIGN.md §11): how many device
-	// plans the cross-slot cache supplied vs rebuilt this tick, how many
-	// stale entries were evicted, and the Phase-1 search size.
-	CacheHits      int `json:"cache_hits"`
-	CacheMisses    int `json:"cache_misses"`
-	CacheEvictions int `json:"cache_evictions"`
-	Phase1Nodes    int `json:"phase1_nodes"`
-	// Replayed is always false: no tick is replayed whole. The field
-	// stays only because the benchmark harness (bench/lpvs-loadgen,
-	// result.go) reads it; it goes once that reader does.
-	Replayed bool `json:"replayed"`
+	// Phase1Nodes is the Phase-1 branch-and-bound search size.
+	Phase1Nodes int `json:"phase1_nodes"`
+	// CacheHits, CacheMisses and CacheEvictions are always 0, and
+	// Replayed always false: no tick is served from a cross-slot cache
+	// or replayed whole (DESIGN.md §9). The fields stay only because the
+	// benchmark harness (bench/lpvs-loadgen, result.go) reads them; they
+	// go once that reader does.
+	CacheHits      int  `json:"cache_hits"`
+	CacheMisses    int  `json:"cache_misses"`
+	CacheEvictions int  `json:"cache_evictions"`
+	Replayed       bool `json:"replayed"`
 	// Degraded reports that the scheduling deadline expired and the tick
 	// fell back to the anytime shortcuts (DESIGN.md §12);
 	// DegradedReason says which ("deadline:phase1-greedy",
@@ -191,12 +191,6 @@ type StatusResponse struct {
 	// LastTick is the scheduler breakdown of the most recent tick; nil
 	// until the first tick has run.
 	LastTick *TickStats `json:"last_tick,omitempty"`
-	// The PlanCache* counters aggregate the incremental streams'
-	// plan-cache traffic since daemon start (DESIGN.md §11).
-	PlanCacheHits      uint64  `json:"plan_cache_hits"`
-	PlanCacheMisses    uint64  `json:"plan_cache_misses"`
-	PlanCacheEvictions uint64  `json:"plan_cache_evictions"`
-	PlanCacheHitRate   float64 `json:"plan_cache_hit_rate"`
 	// Resilience settings and lifetime counters (DESIGN.md §12):
 	// SchedDeadlineSec is the per-tick scheduling budget (0 =
 	// unbounded); MaxInflight the admission bound (0 = gate disabled);
@@ -291,8 +285,9 @@ type FleetResponse struct {
 	VCLabelBudget int              `json:"vc_label_budget"`
 	SeriesDropped uint64           `json:"series_dropped"`
 	Channels      []ChannelSummary `json:"channels"`
-	// Streams is the scheduler pool's per-stream accumulated health
-	// (one entry per VC state key).
+	// Streams is the scheduler pool's per-VC accumulated health (one
+	// entry per VC ID: "edge" for a standalone daemon's single cluster,
+	// the channel ID for each channel a shard schedules).
 	Streams []scheduler.VCStat `json:"streams"`
 }
 

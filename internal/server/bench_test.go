@@ -97,8 +97,9 @@ func ingestReports(nDev int) []ReportRequest {
 
 // BenchmarkIngest measures POST /v1/report batch throughput for the
 // JSON and binary codecs at fleet scale, plus the pooled steady-state
-// decode in isolation. The codec cases report reports/s (picked up by
-// lpvs-benchjson into BENCH_ingest.json); decode-steady's allocs/op is
+// decode in isolation. The codec cases report reports/s (the figures
+// recorded with the binary codec are quoted in CHANGES.md, PR 9);
+// decode-steady's allocs/op is
 // the zero-alloc contract — the pooled decoder with a warm intern
 // table must stay at 0 allocs (budget ≤2) per decoded batch.
 func BenchmarkIngest(b *testing.B) {
@@ -179,7 +180,7 @@ func BenchmarkIngest(b *testing.B) {
 // telemetry off (budget 0: the zero-overhead path — metrics.vc is nil
 // and no labeled series exist) versus on (budget 64: every per-VC
 // family labeled and the fleet aggregation live). The recorded figures
-// live in BENCH_observability.json; the contract is budget0 within
+// are quoted in CHANGES.md (PR 6); the contract is budget0 within
 // noise of the pre-telemetry tick and budget64 within ~5% of budget0.
 func BenchmarkFleetTick(b *testing.B) {
 	const nDev = 10_000
@@ -281,9 +282,8 @@ func tickServer(tb testing.TB, nDev int, part partition, cfg Config, arrival arr
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if out.stats.Reports != nDev || out.stats.CacheHits != 0 {
-			tb.Fatalf("slot scheduled %d reports with %d plan-cache hits, want %d and a cold cache",
-				out.stats.Reports, out.stats.CacheHits, nDev)
+		if out.stats.Reports != nDev {
+			tb.Fatalf("slot scheduled %d reports, want %d", out.stats.Reports, nDev)
 		}
 	}
 	return s, slot

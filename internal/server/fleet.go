@@ -25,11 +25,10 @@ const DefaultSLOTickLatency = 250 * time.Millisecond
 // when Config.VCLabelBudget is 0, which keeps the tick path free of
 // labeled-series lookups (the "budget 0 = zero overhead" contract).
 type vcMetrics struct {
-	// Per scheduling stream (pool state key).
-	tickDur      *obs.HistogramVec
-	ticks        *obs.CounterVec
-	degraded     *obs.CounterVec
-	cacheHitRate *obs.GaugeVec
+	// Per scheduling stream (pool VC ID).
+	tickDur  *obs.HistogramVec
+	ticks    *obs.CounterVec
+	degraded *obs.CounterVec
 
 	// Per channel (the server-layer VC).
 	devices            *obs.GaugeVec
@@ -49,8 +48,6 @@ func newVCMetrics(reg *obs.Registry) *vcMetrics {
 			"Scheduling ticks solved, by scheduling stream.", "vc"),
 		degraded: reg.CounterVec("lpvs_vc_degraded_ticks_total",
 			"Deadline-degraded ticks, by scheduling stream.", "vc"),
-		cacheHitRate: reg.GaugeVec("lpvs_vc_plan_cache_hit_rate",
-			"Lifetime plan-cache hit fraction, by scheduling stream.", "vc"),
 
 		devices: reg.GaugeVec("lpvs_vc_devices",
 			"Devices known to the daemon, by channel.", "vc"),
@@ -175,7 +172,6 @@ func (s *Server) fleetTickLocked(byCh fleetFold) {
 		prev := s.prevVC[vs.Key]
 		vm.ticks.With(vs.Key).Add(float64(vs.Ticks - prev.Ticks))
 		vm.degraded.With(vs.Key).Add(float64(vs.DegradedTicks - prev.DegradedTicks))
-		vm.cacheHitRate.With(vs.Key).Set(vs.CacheHitRate())
 		if vs.Ticks > prev.Ticks {
 			vm.tickDur.With(vs.Key).Observe(vs.LastWallSeconds)
 		}

@@ -55,7 +55,7 @@ func benchForensicsServer(b *testing.B, nDev int, mutate func(*Config)) (*Server
 // forensics stack off versus armed (history store live, flight
 // recorder encoding and teeing every tick's audit record into its
 // tail ring — the entire per-tick capture cost). The recorded figures
-// live in BENCH_flight.json; the contract is armed within noise of
+// are quoted in CHANGES.md (PR 8); the contract is armed within noise of
 // off, because capture is observation-only.
 func BenchmarkFlightTick(b *testing.B) {
 	const nDev = 10_000

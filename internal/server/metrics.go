@@ -34,11 +34,7 @@ type serverMetrics struct {
 	eligible   *obs.Gauge
 	selected   *obs.Gauge
 
-	// Incremental-scheduling telemetry (DESIGN.md §11).
-	cacheHits      *obs.Counter
-	cacheMisses    *obs.Counter
-	cacheEvictions *obs.Counter
-	coldNodes      *obs.Gauge
+	coldNodes *obs.Gauge // Phase-1 search size
 
 	// Resilience telemetry (DESIGN.md §12).
 	degraded  *obs.Counter
@@ -103,12 +99,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		selected: reg.Gauge("lpvs_sched_selected",
 			"Devices selected for transforming in the last tick."),
 
-		cacheHits: reg.Counter("lpvs_plan_cache_hits_total",
-			"Device plans served from the cross-slot incremental cache."),
-		cacheMisses: reg.Counter("lpvs_plan_cache_misses_total",
-			"Device plans rebuilt because the report fingerprint changed."),
-		cacheEvictions: reg.Counter("lpvs_plan_cache_evictions_total",
-			"Cached device plans dropped for devices absent from a tick."),
 		coldNodes: reg.Gauge("lpvs_phase1_cold_nodes",
 			"Branch-and-bound nodes of the last tick's Phase-1 solve."),
 
@@ -307,9 +297,6 @@ func (s *Server) observeTick(stats TickStats, gammaMean, sigmaMean float64) {
 	} else {
 		m.phase1Runs.With("false").Inc()
 	}
-	m.cacheHits.Add(float64(stats.CacheHits))
-	m.cacheMisses.Add(float64(stats.CacheMisses))
-	m.cacheEvictions.Add(float64(stats.CacheEvictions))
 	m.coldNodes.Set(float64(stats.Phase1Nodes))
 	if stats.Degraded {
 		m.degraded.Inc()

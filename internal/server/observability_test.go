@@ -195,7 +195,7 @@ func TestTickSpanTreeMatchesCallGraph(t *testing.T) {
 		t.Fatalf("tick children: %+v", roots[0].Children)
 	}
 	vc := roots[0].Children[0]
-	if got := vc.StrAttrs["vc"]; got != "slot-0" {
+	if got := vc.StrAttrs["vc"]; got != "edge" {
 		t.Fatalf("vc attr = %q", got)
 	}
 	var names []string

@@ -750,11 +750,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		last := s.lastTick
 		resp.LastTick = &last
 	}
-	cs := s.pool.CacheStats()
-	resp.PlanCacheHits = cs.Hits
-	resp.PlanCacheMisses = cs.Misses
-	resp.PlanCacheEvictions = cs.Evictions
-	resp.PlanCacheHitRate = cs.HitRate()
 	resp.SchedDeadlineSec = s.cfg.SchedDeadline.Seconds()
 	if s.gate != nil {
 		resp.MaxInflight = cap(s.gate.sem)

@@ -379,13 +379,11 @@ func TestShardTickMatchesStandaloneCanonical(t *testing.T) {
 func TestTickStatsFold(t *testing.T) {
 	elems := []TickStats{
 		{Reports: 5, Eligible: 4, Selected: 2, Swaps: 1, Phase1Optimal: true,
-			CompactSec: 0.25, Phase1Sec: 0.5, Phase2Sec: 0.125, CPUSec: 1,
-			CacheHits: 3, CacheMisses: 2, CacheEvictions: 1, Phase1Nodes: 40},
+			CompactSec: 0.25, Phase1Sec: 0.5, Phase2Sec: 0.125, CPUSec: 1, Phase1Nodes: 40},
 		{Reports: 7, Eligible: 7, Selected: 3, Phase1Optimal: false,
 			CompactSec: 0.5, Phase1Sec: 0.25, Phase2Sec: 0.5, CPUSec: 2,
-			CacheMisses: 7, Phase1Nodes: 9, Degraded: true, DegradedReason: "deadline:phase1-greedy"},
-		{Reports: 1, Eligible: 1, Selected: 1, Phase1Optimal: true,
-			CPUSec: 0.5, CacheHits: 1,
+			Phase1Nodes: 9, Degraded: true, DegradedReason: "deadline:phase1-greedy"},
+		{Reports: 1, Eligible: 1, Selected: 1, Phase1Optimal: true, CPUSec: 0.5,
 			Degraded: true, DegradedReason: "deadline:phase2-skipped"},
 	}
 	fold := func(order ...int) TickStats {

@@ -22,26 +22,20 @@ type partition int
 
 const (
 	// oneVC schedules every pending report as a single cluster — the
-	// paper's formulation (PAPER.md §IV). The VC ID carries the slot
-	// number ("slot-N") for audit records and spans; the stable state
-	// key "edge" links consecutive slots into one incremental stream
-	// (the cross-slot caches would otherwise miss every tick because
-	// the ID changes).
+	// paper's formulation (PAPER.md §IV) — under the fixed VC ID "edge",
+	// so the pool's per-VC stats keep one row across ticks.
 	oneVC partition = iota
 	// perChannel schedules each channel as its own cluster (VC ID =
 	// channel ID) — the unit the consistent-hash shard map distributes.
-	// The stable "ch:<channel>" state key links a channel's consecutive
-	// ticks on one owner; after a reshard the new owner starts the
-	// channel's stream cold.
 	perChannel
 )
 
 // auditLabel names one cluster's audit record: which cluster of which
-// slot it was. The single cluster's ID already is "slot-N"; a channel's
-// record is "slot-N/<channel>".
+// slot it was. The single cluster's record is "slot-N"; a channel's is
+// "slot-N/<channel>".
 func (p partition) auditLabel(slot int, vcID string) string {
 	if p == oneVC {
-		return vcID
+		return fmt.Sprintf("slot-%d", slot)
 	}
 	return fmt.Sprintf("slot-%d/%s", slot, vcID)
 }
@@ -57,7 +51,7 @@ func (p partition) auditLabel(slot int, vcID string) string {
 func (s *Server) partitionLocked(part partition, reqs []scheduler.Request) []scheduler.VC {
 	vcs := s.vcScratch[:0]
 	if part == oneVC {
-		vcs = append(vcs, scheduler.VC{ID: fmt.Sprintf("slot-%d", s.slot), StateKey: "edge", Requests: reqs})
+		vcs = append(vcs, scheduler.VC{ID: "edge", Requests: reqs})
 	} else {
 		if s.chScratch == nil {
 			s.chScratch = map[string][]scheduler.Request{}
@@ -79,7 +73,7 @@ func (s *Server) partitionLocked(part partition, reqs []scheduler.Request) []sch
 				delete(s.chScratch, ch)
 				continue
 			}
-			vcs = append(vcs, scheduler.VC{ID: ch, StateKey: "ch:" + ch, Requests: group})
+			vcs = append(vcs, scheduler.VC{ID: ch, Requests: group})
 		}
 		sort.Slice(vcs, func(a, b int) bool { return vcs[a].ID < vcs[b].ID })
 	}
@@ -263,9 +257,6 @@ func vcTickStats(vc *scheduler.VCDecision, reports int) TickStats {
 		Phase1Sec:      dec.Phase1Seconds,
 		Phase2Sec:      dec.Phase2Seconds,
 		CPUSec:         vc.WallSeconds,
-		CacheHits:      dec.PlanCacheHits,
-		CacheMisses:    dec.PlanCacheMisses,
-		CacheEvictions: dec.PlanCacheEvictions,
 		Phase1Nodes:    dec.Phase1Nodes,
 		Degraded:       dec.Degraded.Any(),
 		DegradedReason: dec.Degraded.Reason(),
@@ -290,9 +281,6 @@ func (t *TickStats) Fold(e TickStats) {
 	t.Phase1Sec += e.Phase1Sec
 	t.Phase2Sec += e.Phase2Sec
 	t.CPUSec += e.CPUSec
-	t.CacheHits += e.CacheHits
-	t.CacheMisses += e.CacheMisses
-	t.CacheEvictions += e.CacheEvictions
 	t.Phase1Nodes += e.Phase1Nodes
 	if e.Degraded {
 		t.Degraded = true

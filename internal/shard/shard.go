@@ -4,7 +4,7 @@
 // The map hashes channel IDs onto a ring of virtual node points
 // (FNV-1a 64-bit, Replicas points per node), so adding or removing one
 // node moves only ~K/N of the keys — every other channel keeps its
-// owner, its incremental scheduling stream, and its learned posteriors.
+// owner and its learned posteriors.
 // Ownership is a pure function of the map spec: two processes that
 // parse the same spec agree on every owner, which the Epoch fingerprint
 // makes checkable over the wire (/v1/shard/* requests carry it; a
@@ -162,7 +162,7 @@ func (m *Map) Spec() Spec {
 func (m *Map) Epoch() string { return m.epoch }
 
 // Moved returns the subset of keys whose owner differs between two
-// maps, in input order — the channels whose incremental state is worth
+// maps, in input order — the channels whose device state is worth
 // handing off on a reshard.
 func Moved(old, next *Map, keys []string) []string {
 	var out []string

@@ -60,9 +60,10 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) { return scheduler.Ne
 
 // NewSchedulerPool builds the sharded engine fanning virtual clusters
 // across a bounded worker set; decisions are bit-identical to a serial
-// per-VC loop at any width. It is the one to use per slot: the pool owns
-// the cross-slot streams (keyed by VirtualCluster.StateKey) that make a
-// slot cost what changed since the previous one.
+// per-VC loop at any width. It is the one to use per slot: every VC is
+// solved cold, but into working memory the pool keeps per worker, so a
+// slot loop reuses what the previous slot grew instead of allocating
+// per device.
 func NewSchedulerPool(cfg SchedulerConfig, pc PoolConfig) (*SchedulerPool, error) {
 	return scheduler.NewPool(cfg, pc)
 }
