@@ -12,7 +12,7 @@ GO ?= go
 # longer shake before a release or after touching a fuzzed surface.
 FUZZTIME ?= 3s
 
-.PHONY: all build test race vet vet-extra fmt check bench-smoke fuzz-smoke cli-smoke ingest-smoke mutants loc
+.PHONY: all build test race vet vet-extra fmt check bench-smoke fuzz-smoke cli-smoke ingest-smoke mutants fma-check loc
 
 all: build
 
@@ -49,7 +49,7 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-check: fmt vet vet-extra build race cli-smoke ingest-smoke bench-smoke fuzz-smoke mutants
+check: fmt vet vet-extra build race cli-smoke ingest-smoke bench-smoke fuzz-smoke mutants fma-check
 
 # ingest-smoke guards what the race run cannot see of the report path
 # (DESIGN.md §16): one pass of the ingest benchmarks, so the zero-alloc
@@ -141,6 +141,34 @@ mutants:
 		if [ "$$verdict" = "$$want" ]; then echo "ok   $$name $$verdict"; \
 		else echo "FAIL $$name $$verdict, want $$want"; bad=1; fi; \
 	done; \
+	exit $$bad
+
+# fma-check holds the determinism contract (DESIGN.md §10) where the
+# compiler may fuse x*y + z into one rounding: arm64, ppc64le, s390x and
+# riscv64 (amd64 never fuses). lpvsd and lpvsctl are cross-built for
+# each, and no function in the decision-path packages below may
+# disassemble to a fused multiply-add. Wrapping a product in an explicit
+# float64(...) is the language's way to forbid the fusion; it leaves
+# amd64 code unchanged. Needs only the toolchain.
+FMA_PKGS = scheduler|anxiety|display|edge|bayes|ilp|transform|video|stats|frame
+fma-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; bad=0; \
+	for arch in arm64 ppc64le s390x riscv64; do \
+		case $$arch in \
+			arm64|riscv64) ops='FMADDD|FMSUBD|FNMADDD|FNMSUBD';; \
+			ppc64le) ops='FMADD|FMSUB|FNMADD|FNMSUB';; \
+			s390x) ops='MADBR|MSDBR';; \
+		esac; \
+		for cmd in lpvsd lpvsctl; do \
+			GOOS=linux GOARCH=$$arch $(GO) build -o "$$tmp/$$cmd" ./cmd/$$cmd || exit 1; \
+			$(GO) tool objdump -s '^lpvs/internal/($(FMA_PKGS))\.' "$$tmp/$$cmd" >"$$tmp/dis" || exit 1; \
+			awk -v ops="^($$ops)\$$" -v bin="$$arch $$cmd" '/^TEXT /{fn=$$2; next} \
+				{for (i = 2; i <= NF; i++) if ($$i ~ ops) {print "fused op: " bin " " fn " " $$1 " " $$i; break}}' \
+				"$$tmp/dis" >"$$tmp/hits"; \
+			if [ -s "$$tmp/hits" ]; then cat "$$tmp/hits"; bad=1; fi; \
+		done; \
+	done; \
+	if [ $$bad = 0 ]; then echo "fma-check: no fused multiply-add on the decision path (arm64 ppc64le s390x riscv64)"; fi; \
 	exit $$bad
 
 # loc is the ruler for deletion PRs (ROADMAP item 8): Go lines outside

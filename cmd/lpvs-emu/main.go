@@ -74,7 +74,7 @@ func main() {
 		FlightDir:           *flightD,
 	}
 	ds := lpvs.GenerateSurvey(lpvs.DefaultSurveyConfig())
-	cfg.Device.GiveUpSampler = lpvs.SurveyGiveUpSampler(ds)
+	cfg.GiveUpSampler = lpvs.SurveyGiveUpSampler(ds)
 
 	if *progress {
 		logger, lerr := obs.NewLogger(os.Stderr, "info", "text")

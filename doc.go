@@ -18,12 +18,15 @@
 //
 // # Quick start
 //
-// Run one paired emulation (LPVS vs no-transform) and read the headline
-// metrics:
+// Run one paired emulation (LPVS vs no-transform), with viewers who
+// give up at the battery levels the survey's respondents report, and
+// read the headline metrics:
 //
+//	ds := lpvs.GenerateSurvey(lpvs.DefaultSurveyConfig())
 //	cfg := lpvs.EmulationConfig{
 //		Seed: 1, GroupSize: 80, Slots: 24,
 //		Lambda: 1, ServerStreams: lpvs.UnboundedCapacity,
+//		GiveUpSampler: lpvs.SurveyGiveUpSampler(ds),
 //	}
 //	cmp, err := lpvs.RunComparison(cfg)
 //	if err != nil { ... }

@@ -46,7 +46,7 @@ func runWith(ds *lpvs.SurveyDataset, groupSize, streams int) *lpvs.Comparison {
 		ServerStreams: streams,
 		Genre:         lpvs.GenreGaming,
 	}
-	cfg.Device.GiveUpSampler = lpvs.SurveyGiveUpSampler(ds)
+	cfg.GiveUpSampler = lpvs.SurveyGiveUpSampler(ds)
 	cmp, err := lpvs.RunComparison(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -28,7 +28,7 @@ func main() {
 				ServerStreams: 100,
 				Genre:         lpvs.GenreEsports,
 			}
-			cfg.Device.GiveUpSampler = lpvs.SurveyGiveUpSampler(ds)
+			cfg.GiveUpSampler = lpvs.SurveyGiveUpSampler(ds)
 			cmp, err := lpvs.RunComparison(cfg)
 			if err != nil {
 				log.Fatal(err)

@@ -26,7 +26,7 @@ func main() {
 		ServerStreams: lpvs.UnboundedCapacity,
 		Genre:         lpvs.GenreIRL,
 	}
-	cfg.Device.GiveUpSampler = lpvs.SurveyGiveUpSampler(ds)
+	cfg.GiveUpSampler = lpvs.SurveyGiveUpSampler(ds)
 
 	cmp, err := lpvs.RunComparison(cfg)
 	if err != nil {

@@ -37,7 +37,7 @@ func main() {
 		ServerStreams: lpvs.UnboundedCapacity,
 		Genre:         lpvs.GenreGaming,
 	}
-	cfg.Device.GiveUpSampler = lpvs.SurveyGiveUpSampler(ds)
+	cfg.GiveUpSampler = lpvs.SurveyGiveUpSampler(ds)
 
 	cmp, err := lpvs.RunComparison(cfg)
 	if err != nil {

@@ -150,7 +150,7 @@ func (m *Canonical) Anxiety(energyFrac float64) float64 {
 		return m.AnxietyAtWarning * math.Pow((1-e)/(1-w), m.ConvexPower)
 	}
 	// Concave rise from AnxietyAtWarning at e=w to 1 at e=0.
-	return 1 - (1-m.AnxietyAtWarning)*math.Pow(e/w, m.ConcavePower)
+	return 1 - float64((1-m.AnxietyAtWarning)*math.Pow(e/w, m.ConcavePower))
 }
 
 // Linear is the paper's dashed straight-line reference: anxiety falls

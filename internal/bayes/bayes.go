@@ -51,50 +51,16 @@ type GammaEstimator struct {
 	nObs     int     // number of observations folded in
 }
 
-// Option customises a GammaEstimator.
-type Option func(*GammaEstimator)
-
-// WithPrior overrides the prior mean and standard deviation.
-func WithPrior(mean, sigma float64) Option {
-	return func(e *GammaEstimator) {
-		e.mean = mean
-		e.sigma = sigma
-	}
-}
-
-// WithBounds overrides the physical support of the reduction ratio.
-func WithBounds(lo, hi float64) Option {
-	return func(e *GammaEstimator) {
-		e.lo = lo
-		e.hi = hi
-	}
-}
-
-// WithObservationNoise overrides the observation noise level.
-func WithObservationNoise(sigma float64) Option {
-	return func(e *GammaEstimator) { e.obsSigma = sigma }
-}
-
 // NewGammaEstimator returns an estimator carrying the paper's default
 // prior N(0.31, 12^2) truncated to [0.13, 0.49].
-func NewGammaEstimator(opts ...Option) *GammaEstimator {
-	e := &GammaEstimator{
+func NewGammaEstimator() *GammaEstimator {
+	return &GammaEstimator{
 		mean:     DefaultPriorMean,
 		sigma:    DefaultPriorSigma,
 		obsSigma: DefaultObsSigma,
 		lo:       DefaultGammaL,
 		hi:       DefaultGammaU,
 	}
-	for _, o := range opts {
-		o(e)
-	}
-	if e.sigma <= 0 || e.obsSigma <= 0 {
-		panic("bayes: prior and observation sigma must be positive")
-	}
-	if e.lo >= e.hi {
-		panic("bayes: invalid gamma bounds")
-	}
-	return e
 }
 
 // Observe folds the realised mean reduction ratio of one slot into the
@@ -113,7 +79,7 @@ func (e *GammaEstimator) Observe(obs float64) error {
 	priorPrec := 1 / (e.sigma * e.sigma)
 	obsPrec := 1 / (e.obsSigma * e.obsSigma)
 	post := 1 / (priorPrec + obsPrec)
-	e.mean = post * (e.mean*priorPrec + obs*obsPrec)
+	e.mean = post * (float64(e.mean*priorPrec) + float64(obs*obsPrec))
 	e.sigma = math.Sqrt(post)
 	e.nObs++
 	return nil
@@ -133,9 +99,6 @@ func (e *GammaEstimator) Sigma() float64 { return e.sigma }
 
 // Observations returns the number of updates applied so far.
 func (e *GammaEstimator) Observations() int { return e.nObs }
-
-// Bounds returns the physical support of the ratio.
-func (e *GammaEstimator) Bounds() (lo, hi float64) { return e.lo, e.hi }
 
 // Uncertainty returns the standard deviation of the truncated posterior,
 // a convenient measure of how much more evidence is needed.

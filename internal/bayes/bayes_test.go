@@ -90,51 +90,15 @@ func TestObserveRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestOptions(t *testing.T) {
-	e := NewGammaEstimator(
-		WithPrior(0.5, 2),
-		WithBounds(0.2, 0.8),
-		WithObservationNoise(0.1),
-	)
-	if e.Mean() != 0.5 || e.Sigma() != 2 {
-		t.Fatalf("prior not applied: mean=%v sigma=%v", e.Mean(), e.Sigma())
-	}
-	lo, hi := e.Bounds()
-	if lo != 0.2 || hi != 0.8 {
-		t.Fatalf("bounds not applied: [%v, %v]", lo, hi)
-	}
-}
-
-func TestInvalidConstructionPanics(t *testing.T) {
-	cases := []struct {
-		name string
-		opts []Option
-	}{
-		{"zero sigma", []Option{WithPrior(0.3, 0)}},
-		{"zero obs noise", []Option{WithObservationNoise(0)}},
-		{"inverted bounds", []Option{WithBounds(0.5, 0.1)}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Error("no panic")
-				}
-			}()
-			NewGammaEstimator(c.opts...)
-		})
-	}
-}
-
 func TestConjugateUpdateMatchesClosedForm(t *testing.T) {
-	e := NewGammaEstimator(WithPrior(0.2, 0.3), WithObservationNoise(0.1))
+	e := NewGammaEstimator()
 	if err := e.Observe(0.4); err != nil {
 		t.Fatal(err)
 	}
 	// Closed form: precision-weighted average.
-	pp, op := 1/(0.3*0.3), 1/(0.1*0.1)
+	pp, op := 1/(DefaultPriorSigma*DefaultPriorSigma), 1/(DefaultObsSigma*DefaultObsSigma)
 	wantVar := 1 / (pp + op)
-	wantMean := wantVar * (0.2*pp + 0.4*op)
+	wantMean := wantVar * (DefaultPriorMean*pp + 0.4*op)
 	if math.Abs(e.Mean()-wantMean) > 1e-12 {
 		t.Fatalf("mean = %v, want %v", e.Mean(), wantMean)
 	}

@@ -55,14 +55,6 @@ func (b *Battery) Drain(j float64) float64 {
 // Empty reports whether the battery is exhausted.
 func (b *Battery) Empty() bool { return b.LevelJ <= 1e-9 }
 
-// SecondsAt returns how long the battery lasts at the given power draw.
-func (b *Battery) SecondsAt(powerW float64) float64 {
-	if powerW <= 0 {
-		return 0
-	}
-	return b.LevelJ / powerW
-}
-
 // State is a viewer's watching status.
 type State int
 

@@ -64,16 +64,6 @@ func TestBatteryDrainPanicsOnNegative(t *testing.T) {
 	b.Drain(-1)
 }
 
-func TestSecondsAt(t *testing.T) {
-	b, _ := NewBattery(1000, 0.5)
-	if got := b.SecondsAt(2); got != 250 {
-		t.Fatalf("SecondsAt = %v, want 250", got)
-	}
-	if got := b.SecondsAt(0); got != 0 {
-		t.Fatalf("SecondsAt(0) = %v, want 0", got)
-	}
-}
-
 func TestWatchDrainsBattery(t *testing.T) {
 	d := testDevice(1, 0) // no give-up
 	// 10 kJ at 1 W display + 1 W base = 2 W total; 100 s drains 200 J.

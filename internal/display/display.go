@@ -151,9 +151,9 @@ func resolutionScale(r Resolution) float64 {
 	ref := float64(Res1080p.Pixels())
 	ratio := float64(r.Pixels()) / ref
 	if ratio <= 1 {
-		return 0.9 + 0.1*ratio
+		return 0.9 + float64(0.1*ratio)
 	}
-	return 1 + 0.1*(ratio-1)
+	return 1 + float64(0.1*(ratio-1))
 }
 
 // PlaybackPower returns the display power in watts while the panel shows
@@ -203,10 +203,10 @@ func (s Spec) Panel() (Panel, error) {
 // (so the spec is valid) and has validated c itself.
 func (p Panel) Power(c ContentStats) float64 {
 	if p.typ == LCD {
-		return p.scale * (lcdBacklightMaxW*p.brightness + lcdPanelBaseW)
+		return p.scale * (float64(lcdBacklightMaxW*p.brightness) + lcdPanelBaseW)
 	}
-	emission := oledWeightR*c.MeanR + oledWeightG*c.MeanG + oledWeightB*c.MeanB
-	return p.scale * (oledFullWhiteW*p.brightness*emission + oledDriverW)
+	emission := float64(oledWeightR*c.MeanR) + float64(oledWeightG*c.MeanG) + float64(oledWeightB*c.MeanB)
+	return p.scale * (float64(oledFullWhiteW*p.brightness*emission) + oledDriverW)
 }
 
 // MustPlaybackPower is PlaybackPower for specs and stats already known

@@ -73,7 +73,7 @@ func ComputeCost(res display.Resolution, chunks []video.Chunk, slotSec float64) 
 func StorageCost(chunks []video.Chunk) float64 {
 	bits := 0.0
 	for _, c := range chunks {
-		bits += float64(c.BitrateKbps) * 1000 * c.DurationSec
+		bits += float64(float64(c.BitrateKbps) * 1000 * c.DurationSec)
 	}
 	return bits / 8 / 1e6
 }

@@ -23,13 +23,8 @@ import (
 // identical to an uninterrupted run (modulo wall-clock timings and the
 // restarted SLO windows).
 //
-// res must be the RunResult the partial Run returned. Configurations
-// using the LRU prefetch model refuse to checkpoint: the cache's
-// contents are not captured.
+// res must be the RunResult the partial Run returned.
 func (e *Emulator) Checkpoint(res *RunResult) (*persist.EmuCheckpoint, error) {
-	if e.prefetcher != nil {
-		return nil, fmt.Errorf("emu: LRU prefetch cache contents are not checkpointable")
-	}
 	if res == nil || res.SlotsRun != e.nextSlot {
 		got := -1
 		if res != nil {
@@ -140,13 +135,13 @@ func (e *Emulator) Restore(ck *persist.EmuCheckpoint) error {
 
 // configHash fingerprints the workload-defining configuration: every
 // field that shapes the generated streams, the per-slot decision
-// problems, or the playback physics. Excluded on purpose: Device (the
-// fleet travels inside the checkpoint, making resume independent of
-// the unhashable survey sampler func), Workers (proven
+// problems, or the playback physics. Excluded on purpose: GiveUpSampler
+// (the fleet travels inside the checkpoint, making resume independent
+// of the unhashable sampler func), Workers (proven
 // decision-neutral), SchedDeadline (degraded slots are
 // wall-clock-dependent on any machine), StopAfter (the whole point of
 // a checkpoint is that it differs), and the observation-only knobs
-// (Progress, AuditDir, SLOSlotLatency, Tracer).
+// (Progress, AuditDir, SLOSlotLatency, Tracer, FlightDir).
 func (e *Emulator) configHash() (string, error) {
 	c := e.cfg
 	anx := audit.NewAnxietyRecord(c.Anxiety)
@@ -162,18 +157,13 @@ func (e *Emulator) configHash() (string, error) {
 		Genre               video.Genre
 		Streams             int
 		SlotSec             float64
-		ChunkSec            float64
-		Tolerance           float64
 		Anxiety             audit.AnxietyRecord
 		CacheHitRatio       float64
 		CacheMinPrefix      float64
-		LRUCacheMB          float64
-		PrefetchMBPerSlot   float64
 		DisableSwap         bool
 		FixedGamma          float64
 		UseFrames           bool
 		AutoDimBelow        float64
-		AutoDimFactor       float64
 		PersonalizedAnxiety bool
 		ExactThreshold      int
 	}{
@@ -185,18 +175,13 @@ func (e *Emulator) configHash() (string, error) {
 		Genre:               c.Genre,
 		Streams:             c.Streams,
 		SlotSec:             c.SlotSec,
-		ChunkSec:            c.ChunkSec,
-		Tolerance:           c.Tolerance,
 		Anxiety:             anx,
 		CacheHitRatio:       c.CacheHitRatio,
 		CacheMinPrefix:      c.CacheMinPrefix,
-		LRUCacheMB:          c.LRUCacheMB,
-		PrefetchMBPerSlot:   c.PrefetchMBPerSlot,
 		DisableSwap:         c.DisableSwap,
 		FixedGamma:          c.FixedGamma,
 		UseFrames:           c.UseFrames,
 		AutoDimBelow:        c.AutoDimBelow,
-		AutoDimFactor:       c.AutoDimFactor,
 		PersonalizedAnxiety: c.PersonalizedAnxiety,
 		ExactThreshold:      c.ExactThreshold,
 	}

@@ -5,8 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"lpvs/internal/anxiety"
+	"lpvs/internal/edge"
 	"lpvs/internal/obs/slo"
 	"lpvs/internal/persist"
+	"lpvs/internal/video"
 )
 
 // normalizeResult zeroes the fields a kill-and-resume legitimately
@@ -179,26 +182,6 @@ func TestRestoreRejectsTamperedCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointRefusesLRUModel: the LRU prefetch cache's contents are
-// not captured, so checkpointing under that model must refuse.
-func TestCheckpointRefusesLRUModel(t *testing.T) {
-	cfg := baseConfig()
-	cfg.LRUCacheMB = 64
-	cfg.PrefetchMBPerSlot = 16
-	cfg.StopAfter = 2
-	e, err := New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	partial, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Checkpoint(partial); err == nil {
-		t.Fatal("LRU-model checkpoint must refuse")
-	}
-}
-
 // TestStopAfterValidation: StopAfter outside [0, Slots] is a config
 // error, and a finished emulator refuses to run again.
 func TestStopAfterValidation(t *testing.T) {
@@ -241,4 +224,87 @@ func TestPartialRunSLOWindows(t *testing.T) {
 		t.Fatal("partial run returned no SLO states")
 	}
 	var _ []slo.State = res.SLO
+}
+
+// configHashRules decides, for every Config field, whether the
+// checkpoint hash covers it. A hashed field carries a mutation to
+// another valid value; an excluded one carries the reason configHash's
+// comment gives.
+var configHashRules = map[string]struct {
+	mutate   func(*Config)
+	excluded string
+}{
+	"Seed":          {mutate: func(c *Config) { c.Seed++ }},
+	"GroupSize":     {mutate: func(c *Config) { c.GroupSize++ }},
+	"Slots":         {mutate: func(c *Config) { c.Slots++ }},
+	"Lambda":        {mutate: func(c *Config) { c.Lambda += 0.5 }},
+	"ServerStreams": {mutate: func(c *Config) { c.ServerStreams = 10 }},
+	"Genre":         {mutate: func(c *Config) { c.Genre = video.Music }},
+	"Streams":       {mutate: func(c *Config) { c.Streams = 2 }},
+	"SlotSec":       {mutate: func(c *Config) { c.SlotSec = 600 }},
+	"Anxiety": {mutate: func(c *Config) {
+		c.Anxiety = &anxiety.Canonical{AnxietyAtWarning: 0.6, ConvexPower: 2.2, ConcavePower: 1.6}
+	}},
+	"CacheHitRatio":       {mutate: func(c *Config) { c.CacheHitRatio, c.CacheMinPrefix = 0.9, edge.DefaultCache().MinPrefix }},
+	"CacheMinPrefix":      {mutate: func(c *Config) { c.CacheHitRatio, c.CacheMinPrefix = edge.DefaultCache().HitRatio, 0.5 }},
+	"DisableSwap":         {mutate: func(c *Config) { c.DisableSwap = true }},
+	"FixedGamma":          {mutate: func(c *Config) { c.FixedGamma = 0.3 }},
+	"UseFrames":           {mutate: func(c *Config) { c.UseFrames = true }},
+	"AutoDimBelow":        {mutate: func(c *Config) { c.AutoDimBelow = 0.2 }},
+	"PersonalizedAnxiety": {mutate: func(c *Config) { c.PersonalizedAnxiety = true }},
+	"ExactThreshold":      {mutate: func(c *Config) { c.ExactThreshold = 50 }},
+	"GiveUpSampler":       {excluded: "the fleet travels inside the checkpoint; a func is unhashable"},
+	"Workers":             {excluded: "decisions are bit-identical at any pool width"},
+	"SchedDeadline":       {excluded: "degraded slots depend on the wall clock on any machine"},
+	"StopAfter":           {excluded: "a checkpoint and its resume differ in exactly this"},
+	"Progress":            {excluded: "observation only"},
+	"AuditDir":            {excluded: "observation only"},
+	"SLOSlotLatency":      {excluded: "observation only"},
+	"Tracer":              {excluded: "observation only"},
+	"FlightDir":           {excluded: "observation only"},
+}
+
+// TestConfigHashCoversSettings pins the emulator's settings: every
+// Config field is either hashed into the checkpoint or excluded for a
+// stated reason, and changing any hashed field changes the hash — so a
+// new setting must be decided on, and a resume under a different
+// workload is refused.
+func TestConfigHashCoversSettings(t *testing.T) {
+	hashOf := func(cfg Config) string {
+		t.Helper()
+		e, err := New(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := e.configHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	base := hashOf(baseConfig())
+	ty := reflect.TypeOf(Config{})
+	seen := make(map[string]bool, ty.NumField())
+	for i := 0; i < ty.NumField(); i++ {
+		name := ty.Field(i).Name
+		seen[name] = true
+		rule, ok := configHashRules[name]
+		switch {
+		case !ok:
+			t.Errorf("Config.%s is neither hashed nor excluded: decide whether a checkpoint must match it", name)
+		case rule.mutate == nil && rule.excluded == "":
+			t.Errorf("Config.%s: excluded without a reason", name)
+		case rule.mutate != nil:
+			cfg := baseConfig()
+			rule.mutate(&cfg)
+			if hashOf(cfg) == base {
+				t.Errorf("changing Config.%s leaves the checkpoint hash unchanged", name)
+			}
+		}
+	}
+	for name := range configHashRules {
+		if !seen[name] {
+			t.Errorf("rule for Config.%s, which does not exist", name)
+		}
+	}
 }

@@ -1,7 +1,9 @@
 package emu
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"lpvs/internal/anxiety"
 	"lpvs/internal/scheduler"
@@ -49,6 +51,15 @@ func Compare(cfg Config, policy scheduler.Policy) (*Comparison, error) {
 		return nil, fmt.Errorf("emu: paired runs diverged in fleet size")
 	}
 	return &Comparison{Treated: treated, Baseline: baseline}, nil
+}
+
+// WriteJSON persists a paired comparison, so long emulations can be
+// archived and re-analysed without re-running.
+func (c *Comparison) WriteJSON(w io.Writer) error {
+	if err := json.NewEncoder(w).Encode(c); err != nil {
+		return fmt.Errorf("emu: encode comparison: %w", err)
+	}
+	return nil
 }
 
 // EnergySavingRatio is the treated run's display-energy saving (the

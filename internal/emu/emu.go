@@ -61,24 +61,18 @@ type Config struct {
 	// devices are assigned round-robin. Zero means 1. Streams beyond the
 	// first rotate through the other genres.
 	Streams int
-	// SlotSec and ChunkSec shape the timeline; zero means defaults
-	// (300 s slots of 10 s chunks).
-	SlotSec, ChunkSec float64
-	// Tolerance is the distortion budget granted to transforms, in
-	// [0, 1].
-	Tolerance float64
-	// Device generation; zero value means device.DefaultGenConfig.
-	Device device.GenConfig
+	// SlotSec is the slot length; zero means 300 s. A slot plays
+	// SlotSec/video.DefaultChunkSeconds chunks.
+	SlotSec float64
+	// GiveUpSampler draws each owner's give-up battery fraction; nil
+	// means the device generator's default. The rest of the fleet comes
+	// from device.DefaultGenConfig.
+	GiveUpSampler func(*stats.RNG) float64
 	// Anxiety is the phi model; nil means the canonical curve.
 	Anxiety anxiety.Model
 	// CacheHitRatio / CacheMinPrefix override the probabilistic chunk
 	// cache; zero values mean the default cache.
 	CacheHitRatio, CacheMinPrefix float64
-	// LRUCacheMB and PrefetchMBPerSlot, when both positive, replace the
-	// probabilistic availability model with a real LRU cache filled by a
-	// budgeted CDN-to-edge prefetcher (the paper's content delivery
-	// strategy).
-	LRUCacheMB, PrefetchMBPerSlot float64
 	// DisableSwap turns off Phase-2 in the LPVS scheduler (ablation).
 	DisableSwap bool
 	// SchedDeadline bounds each slot's scheduling wall time; on expiry
@@ -96,13 +90,10 @@ type Config struct {
 	UseFrames bool
 	// AutoDimBelow, when positive, emulates the OS power saver: devices
 	// whose battery drops under this fraction dim their display to
-	// AutoDimFactor of its brightness — without compensation, so the
+	// autoDimFactor of its brightness — without compensation, so the
 	// full luminance loss is perceived. The practical client-side
 	// alternative LPVS competes against.
 	AutoDimBelow float64
-	// AutoDimFactor is the dimmed brightness multiplier in (0, 1];
-	// zero means 0.6 when auto-dim is enabled.
-	AutoDimFactor float64
 	// PersonalizedAnxiety derives a per-device anxiety curve from each
 	// owner's give-up threshold (users worry before they quit), so the
 	// scheduler optimises personal curves instead of the population
@@ -150,6 +141,10 @@ type Config struct {
 	FlightDir string
 }
 
+// autoDimFactor is the OS power saver's dimmed brightness multiplier
+// (Config.AutoDimBelow).
+const autoDimFactor = 0.6
+
 // normalized fills defaults and validates.
 func (c Config) normalized() (Config, error) {
 	if c.GroupSize <= 0 {
@@ -161,22 +156,8 @@ func (c Config) normalized() (Config, error) {
 	if c.SlotSec == 0 {
 		c.SlotSec = scheduler.DefaultSlotSeconds
 	}
-	if c.ChunkSec == 0 {
-		c.ChunkSec = video.DefaultChunkSeconds
-	}
-	if c.SlotSec <= 0 || c.ChunkSec <= 0 || c.ChunkSec > c.SlotSec {
-		return c, fmt.Errorf("emu: bad slot/chunk lengths %v/%v", c.SlotSec, c.ChunkSec)
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = 0.70
-	}
-	if c.Tolerance < 0 || c.Tolerance > 1 {
-		return c, fmt.Errorf("emu: tolerance %v outside [0, 1]", c.Tolerance)
-	}
-	if c.Device.InitMean == 0 && c.Device.InitStd == 0 {
-		sampler := c.Device.GiveUpSampler
-		c.Device = device.DefaultGenConfig()
-		c.Device.GiveUpSampler = sampler
+	if c.SlotSec < video.DefaultChunkSeconds {
+		return c, fmt.Errorf("emu: slot length %v shorter than one %v s chunk", c.SlotSec, video.DefaultChunkSeconds)
 	}
 	if c.Anxiety == nil {
 		c.Anxiety = anxiety.NewCanonical()
@@ -196,18 +177,6 @@ func (c Config) normalized() (Config, error) {
 	}
 	if c.AutoDimBelow < 0 || c.AutoDimBelow > 1 {
 		return c, fmt.Errorf("emu: auto-dim threshold %v outside [0, 1]", c.AutoDimBelow)
-	}
-	if c.AutoDimBelow > 0 && c.AutoDimFactor == 0 {
-		c.AutoDimFactor = 0.6
-	}
-	if c.AutoDimBelow > 0 && (c.AutoDimFactor <= 0 || c.AutoDimFactor > 1) {
-		return c, fmt.Errorf("emu: auto-dim factor %v outside (0, 1]", c.AutoDimFactor)
-	}
-	if (c.LRUCacheMB > 0) != (c.PrefetchMBPerSlot > 0) {
-		return c, fmt.Errorf("emu: LRUCacheMB and PrefetchMBPerSlot must be set together")
-	}
-	if c.LRUCacheMB < 0 || c.PrefetchMBPerSlot < 0 {
-		return c, fmt.Errorf("emu: negative LRU cache parameters")
 	}
 	if c.Workers < 0 {
 		return c, fmt.Errorf("emu: negative worker count %d", c.Workers)
@@ -389,7 +358,6 @@ type Emulator struct {
 	deviceStream []int
 	cache        *edge.Cache
 	cacheRNG     *stats.RNG
-	prefetcher   *edge.Prefetcher            // non-nil when the LRU model is enabled
 	strategies   map[bool]transform.Strategy // key: isOLED
 	// frameCache memoises per-pixel transform results within one slot:
 	// ApplyFrame depends only on the keyframe, the tolerance, and the
@@ -436,12 +404,14 @@ func New(cfg Config, policy scheduler.Policy) (*Emulator, error) {
 	contentRNG := rng.Fork()
 	cacheRNG := rng.Fork()
 
-	devices, err := device.NewFleet(deviceRNG, cfg.GroupSize, cfg.Device)
+	dcfg := device.DefaultGenConfig()
+	dcfg.GiveUpSampler = cfg.GiveUpSampler
+	devices, err := device.NewFleet(deviceRNG, cfg.GroupSize, dcfg)
 	if err != nil {
 		return nil, err
 	}
 
-	chunksPerSlot := int(cfg.SlotSec / cfg.ChunkSec)
+	chunksPerSlot := int(cfg.SlotSec / video.DefaultChunkSeconds)
 	genres := video.AllGenres()
 	streams := make([]*video.Video, cfg.Streams)
 	for s := range streams {
@@ -450,7 +420,6 @@ func New(cfg Config, policy scheduler.Policy) (*Emulator, error) {
 			genre = genres[(int(cfg.Genre)+s)%len(genres)]
 		}
 		vcfg := video.DefaultGenConfig(fmt.Sprintf("stream-%d", s), genre, cfg.Slots*chunksPerSlot)
-		vcfg.ChunkSec = cfg.ChunkSec
 		vcfg.WithKeyframes = cfg.UseFrames
 		streams[s], err = video.Generate(contentRNG.Fork(), vcfg)
 		if err != nil {
@@ -465,17 +434,6 @@ func New(cfg Config, policy scheduler.Policy) (*Emulator, error) {
 	cache, err := edge.NewCache(cfg.CacheHitRatio, cfg.CacheMinPrefix)
 	if err != nil {
 		return nil, err
-	}
-	var prefetcher *edge.Prefetcher
-	if cfg.LRUCacheMB > 0 {
-		lru, err := edge.NewLRUCache(cfg.LRUCacheMB)
-		if err != nil {
-			return nil, err
-		}
-		prefetcher, err = edge.NewPrefetcher(lru, cfg.PrefetchMBPerSlot)
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	estimators := make([]*bayes.GammaEstimator, len(devices))
@@ -493,7 +451,6 @@ func New(cfg Config, policy scheduler.Policy) (*Emulator, error) {
 		deviceStream: deviceStream,
 		cache:        cache,
 		cacheRNG:     cacheRNG,
-		prefetcher:   prefetcher,
 		strategies: map[bool]transform.Strategy{
 			false: transform.Default(display.LCD),
 			true:  transform.Default(display.OLED),
@@ -863,7 +820,7 @@ func (e *Emulator) predictEnergies(reqs []scheduler.Request, dec scheduler.Decis
 
 // slotWindows returns every stream's chunk window for the slot.
 func (e *Emulator) slotWindows(slot int) [][]video.Chunk {
-	chunksPerSlot := int(e.cfg.SlotSec / e.cfg.ChunkSec)
+	chunksPerSlot := int(e.cfg.SlotSec / video.DefaultChunkSeconds)
 	windows := make([][]video.Chunk, len(e.streams))
 	for s, stream := range e.streams {
 		lo := slot * chunksPerSlot
@@ -893,21 +850,6 @@ func (e *Emulator) SnapshotRequests() ([]scheduler.Request, error) {
 func (e *Emulator) gatherRequests(windows [][]video.Chunk) ([]scheduler.Request, []int) {
 	var reqs []scheduler.Request
 	var idx []int
-	// Availability: with the LRU model the prefetcher fills the cache
-	// (the transfer happened during the previous slot) and the cached
-	// prefix is what every viewer of a stream sees; otherwise each
-	// device draws from the probabilistic cache.
-	lruAvail := make([]int, len(windows))
-	if e.prefetcher != nil {
-		e.prefetcher.StartSlot()
-	}
-	for s, window := range windows {
-		lruAvail[s] = -1
-		if e.prefetcher != nil {
-			e.prefetcher.PrefetchWindow(e.streams[s].ID, window)
-			lruAvail[s] = e.prefetcher.AvailablePrefix(e.streams[s].ID, window)
-		}
-	}
 	for i, d := range e.devices {
 		if d.State != device.Watching {
 			continue
@@ -916,10 +858,7 @@ func (e *Emulator) gatherRequests(windows [][]video.Chunk) ([]scheduler.Request,
 		if len(window) == 0 {
 			continue
 		}
-		avail := lruAvail[e.deviceStream[i]]
-		if avail < 0 {
-			avail = e.cache.AvailableChunks(e.cacheRNG, len(window))
-		}
+		avail := e.cache.AvailableChunks(e.cacheRNG, len(window))
 		if avail == 0 {
 			// Nothing prefetched yet: the device still streams (from the
 			// CDN through the edge) but cannot be power-estimated, so it
@@ -964,7 +903,7 @@ func (e *Emulator) frameTransform(streamIdx int, chunk video.Chunk, strat transf
 	if cached, ok := e.frameCache[key]; ok {
 		return cached, nil
 	}
-	fres, err := strat.ApplyFrame(spec, chunk.Keyframe, e.cfg.Tolerance)
+	fres, err := strat.ApplyFrame(spec, chunk.Keyframe, transform.Tolerance)
 	if err != nil {
 		return transform.Result{}, err
 	}
@@ -1020,7 +959,7 @@ func (e *Emulator) playSlot(ctx context.Context, windows [][]video.Chunk, dec sc
 				if e.cfg.UseFrames && chunk.Keyframe != nil {
 					tres, err = e.frameTransform(e.deviceStream[i], chunk, strat, d.Display)
 				} else {
-					tres, err = strat.Apply(d.Display, chunk.Stats, e.cfg.Tolerance)
+					tres, err = strat.Apply(d.Display, chunk.Stats, transform.Tolerance)
 				}
 				if err != nil {
 					panic(fmt.Sprintf("emu: transform: %v", err))
@@ -1037,8 +976,8 @@ func (e *Emulator) playSlot(ctx context.Context, windows [][]video.Chunk, dec sc
 				// OS power saver: uncompensated dimming scales the display
 				// power roughly linearly and costs the full luminance drop
 				// in perceived quality.
-				actualW *= e.cfg.AutoDimFactor
-				quality = stats.Clamp(quality+(1-e.cfg.AutoDimFactor), 0, 1)
+				actualW *= autoDimFactor
+				quality = stats.Clamp(quality+(1-autoDimFactor), 0, 1)
 			}
 			watched := d.Watch(chunk.DurationSec, actualW)
 			res.DisplayEnergyJ += actualW * watched

@@ -44,8 +44,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.GroupSize = 0 },
 		func(c *Config) { c.Slots = 0 },
 		func(c *Config) { c.SlotSec = -5 },
-		func(c *Config) { c.ChunkSec = 400 }, // larger than slot
-		func(c *Config) { c.Tolerance = 1.5 },
+		func(c *Config) { c.SlotSec = 5 }, // shorter than one chunk
 		func(c *Config) { c.FixedGamma = 1 },
 		func(c *Config) { c.FixedGamma = -0.2 },
 	}
@@ -161,7 +160,7 @@ func TestLPVSExtendsLowBatteryTPV(t *testing.T) {
 	cfg.Slots = 48
 	cfg.GroupSize = 60
 	ds := survey.Generate(survey.DefaultConfig())
-	cfg.Device.GiveUpSampler = SurveyGiveUpSampler(ds)
+	cfg.GiveUpSampler = SurveyGiveUpSampler(ds)
 	c := mustCompare(t, cfg, nil)
 	base, treated, gain := c.TPVGain()
 	if c.CohortSize() == 0 {
@@ -312,14 +311,14 @@ func TestGammaLearningImprovesEstimates(t *testing.T) {
 
 func TestDeadClusterStopsScheduling(t *testing.T) {
 	cfg := baseConfig()
-	cfg.Device = device.DefaultGenConfig()
-	cfg.Device.InitMean = 0.03 // nearly dead fleet
-	cfg.Device.InitStd = 0.001
-	cfg.Device.GiveUpSampler = func(*stats.RNG) float64 { return 0 }
+	cfg.GiveUpSampler = func(*stats.RNG) float64 { return 0 }
 	cfg.Slots = 30
 	e, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, d := range e.devices {
+		d.Battery.LevelJ = 0.03 * d.Battery.CapacityJ // nearly dead fleet
 	}
 	res, err := e.Run()
 	if err != nil {
@@ -462,7 +461,7 @@ func TestEnergyForecastDegradesWithPartialWindows(t *testing.T) {
 func TestAutoDimSavesEnergyWithQualityCost(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Slots = 24
-	cfg.Device.GiveUpSampler = func(*stats.RNG) float64 { return 0.01 }
+	cfg.GiveUpSampler = func(*stats.RNG) float64 { return 0.01 }
 	cfg.AutoDimBelow = 0.5 // dim half the fleet from the start
 	e, err := New(cfg, scheduler.NoTransform{})
 	if err != nil {
@@ -484,12 +483,6 @@ func TestAutoDimSavesEnergyWithQualityCost(t *testing.T) {
 	bad.AutoDimBelow = 1.5
 	if _, err := New(bad, nil); err == nil {
 		t.Fatal("bad threshold accepted")
-	}
-	bad = baseConfig()
-	bad.AutoDimBelow = 0.2
-	bad.AutoDimFactor = 2
-	if _, err := New(bad, nil); err == nil {
-		t.Fatal("bad factor accepted")
 	}
 }
 
@@ -571,53 +564,12 @@ func TestPerPixelEngine(t *testing.T) {
 	}
 }
 
-func TestLRUPrefetchModel(t *testing.T) {
-	cfg := baseConfig()
-	cfg.LRUCacheMB = 2000
-	cfg.PrefetchMBPerSlot = 400 // enough for ~4 concurrent windows
-	c := mustCompare(t, cfg, nil)
-	if c.EnergySavingRatio() <= 0 {
-		t.Fatal("LRU-prefetch emulation saved nothing")
-	}
-	// Config validation: the two knobs come together.
-	bad := baseConfig()
-	bad.LRUCacheMB = 100
-	if _, err := New(bad, nil); err == nil {
-		t.Fatal("LRUCacheMB without PrefetchMBPerSlot accepted")
-	}
-	bad = baseConfig()
-	bad.LRUCacheMB = -1
-	bad.PrefetchMBPerSlot = -1
-	if _, err := New(bad, nil); err == nil {
-		t.Fatal("negative LRU knobs accepted")
-	}
-}
-
-func TestLRUStarvedPrefetchScheduleLess(t *testing.T) {
-	// With a tiny prefetch budget the available prefix stays short, so
-	// the scheduler sees fewer chunks but the pipeline still works.
-	cfg := baseConfig()
-	cfg.LRUCacheMB = 2000
-	cfg.PrefetchMBPerSlot = 8 // ~2 chunks per slot across the stream
-	e, err := New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SlotsRun != cfg.Slots {
-		t.Fatal("run aborted")
-	}
-}
-
 func TestSoakAllFeaturesTogether(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
-	// Everything at once: multi-stream VC, LRU prefetch, per-pixel
-	// engine, personalized anxiety, constrained capacity, 90-minute stream.
+	// Everything at once: multi-stream VC, per-pixel engine,
+	// personalized anxiety, constrained capacity, 90-minute stream.
 	cfg := Config{
 		Seed:                42,
 		GroupSize:           100,
@@ -625,8 +577,6 @@ func TestSoakAllFeaturesTogether(t *testing.T) {
 		Lambda:              3,
 		ServerStreams:       40,
 		Streams:             4,
-		LRUCacheMB:          8000,
-		PrefetchMBPerSlot:   3000,
 		UseFrames:           true,
 		PersonalizedAnxiety: true,
 	}

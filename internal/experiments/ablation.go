@@ -45,7 +45,7 @@ func ablationWorkload(seed int64) emu.Config {
 		Lambda:        5,
 		ServerStreams: 40,
 	}
-	cfg.Device.GiveUpSampler = giveUpSampler(seed)
+	cfg.GiveUpSampler = giveUpSampler(seed)
 	return cfg
 }
 
@@ -225,7 +225,7 @@ func AutoDim(seed int64) (AutoDimResult, error) {
 		Lambda:        1,
 		ServerStreams: -1,
 	}
-	base.Device.GiveUpSampler = giveUpSampler(seed)
+	base.GiveUpSampler = giveUpSampler(seed)
 
 	var res AutoDimResult
 	// LPVS.

@@ -66,7 +66,7 @@ func Fig7(cfg EvalConfig) (Fig7Result, error) {
 			ServerStreams: -1,
 			Genre:         cfg.Genre,
 		}
-		ec.Device.GiveUpSampler = sampler
+		ec.GiveUpSampler = sampler
 		c, err := emu.Compare(ec, nil)
 		if err != nil {
 			return Fig7Result{}, err
@@ -144,7 +144,7 @@ func Fig8(cfg EvalConfig) (Fig8Result, error) {
 				ServerStreams: 100,
 				Genre:         cfg.Genre,
 			}
-			ec.Device.GiveUpSampler = sampler
+			ec.GiveUpSampler = sampler
 			c, err := emu.Compare(ec, nil)
 			if err != nil {
 				return Fig8Result{}, err
@@ -228,7 +228,7 @@ func Fig9(cfg EvalConfig) (Fig9Result, error) {
 			ServerStreams: -1,
 			Genre:         cfg.Genre,
 		}
-		ec.Device.GiveUpSampler = sampler
+		ec.GiveUpSampler = sampler
 		c, err := emu.Compare(ec, nil)
 		if err != nil {
 			return Fig9Result{}, err

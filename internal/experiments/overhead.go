@@ -47,7 +47,7 @@ func Overhead(seed int64) (OverheadResult, error) {
 		// time, emulating the paper's CPLEX-class scheduler on the same
 		// cluster (their fit predicts ~55 ms/device).
 		delay := row.Seconds * 100
-		ahead, inline, err := qoe.CompareModes(seed, qoe.DefaultBufferConfig(), v.Chunks, delay)
+		ahead, inline, err := qoe.CompareModes(seed, v.Chunks, delay)
 		if err != nil {
 			return OverheadResult{}, err
 		}

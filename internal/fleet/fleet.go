@@ -27,11 +27,6 @@ type Config struct {
 	Trace *trace.Trace
 	// MaxChannels bounds how many channels are emulated (0 = all).
 	MaxChannels int
-	// MaxGroupSize caps each VC (0 = the paper's 500).
-	MaxGroupSize int
-	// MinGroupSize skips channels whose audience is too small to be
-	// interesting (0 = 10 viewers).
-	MinGroupSize int
 	// MaxSlots caps per-session length in slots (0 = 24, i.e. 2 h).
 	MaxSlots int
 	// Lambda is the scheduler's energy/anxiety balance.
@@ -46,21 +41,20 @@ type Config struct {
 	GiveUpSampler func(*stats.RNG) float64
 }
 
+// Cluster sizes: each VC is capped at the paper's 500 viewers, and a
+// channel whose audience never reaches minGroupSize is skipped as too
+// small to be interesting.
+const (
+	maxGroupSize = 500
+	minGroupSize = 10
+)
+
 func (c Config) normalized() (Config, error) {
 	if c.Trace == nil {
 		return c, fmt.Errorf("fleet: nil trace")
 	}
 	if err := c.Trace.Validate(); err != nil {
 		return c, err
-	}
-	if c.MaxGroupSize == 0 {
-		c.MaxGroupSize = 500
-	}
-	if c.MinGroupSize == 0 {
-		c.MinGroupSize = 10
-	}
-	if c.MaxGroupSize < c.MinGroupSize {
-		return c, fmt.Errorf("fleet: MaxGroupSize %d below MinGroupSize %d", c.MaxGroupSize, c.MinGroupSize)
 	}
 	if c.MaxSlots == 0 {
 		c.MaxSlots = 24
@@ -129,14 +123,14 @@ func Run(cfg Config) (*Result, error) {
 		}
 		// The busiest session represents the channel.
 		s := busiestSession(ch)
-		if peakViewers(s) < cfg.MinGroupSize {
+		if peakViewers(s) < minGroupSize {
 			res.Skipped++
 			continue
 		}
 		jobs = append(jobs, job{channel: ch, session: s, seed: seedRNG.Int63()})
 	}
 	if len(jobs) == 0 {
-		return nil, fmt.Errorf("fleet: no channel reaches %d viewers", cfg.MinGroupSize)
+		return nil, fmt.Errorf("fleet: no channel reaches %d viewers", minGroupSize)
 	}
 
 	results := make([]ClusterResult, len(jobs))
@@ -188,37 +182,10 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// GenreStats aggregates cluster outcomes for one content genre.
-type GenreStats struct {
-	Clusters     int
-	Devices      int
-	EnergySaving float64 // device-weighted
-}
-
-// GenreBreakdown splits the run's results by stream genre: OLED savings
-// track content brightness, so genres behave differently.
-func (r *Result) GenreBreakdown() map[video.Genre]GenreStats {
-	out := make(map[video.Genre]GenreStats)
-	for _, c := range r.Clusters {
-		gs := out[c.Genre]
-		gs.Clusters++
-		gs.Devices += c.GroupSize
-		gs.EnergySaving += c.EnergySaving * float64(c.GroupSize)
-		out[c.Genre] = gs
-	}
-	for g, gs := range out {
-		if gs.Devices > 0 {
-			gs.EnergySaving /= float64(gs.Devices)
-		}
-		out[g] = gs
-	}
-	return out
-}
-
 func runCluster(cfg Config, ch *trace.Channel, s *trace.Session, seed int64) (ClusterResult, error) {
 	group := peakViewers(s)
-	if group > cfg.MaxGroupSize {
-		group = cfg.MaxGroupSize
+	if group > maxGroupSize {
+		group = maxGroupSize
 	}
 	slots := len(s.Samples)
 	if slots > cfg.MaxSlots {
@@ -231,8 +198,8 @@ func runCluster(cfg Config, ch *trace.Channel, s *trace.Session, seed int64) (Cl
 		Lambda:        cfg.Lambda,
 		ServerStreams: cfg.ServerStreams,
 		Genre:         ch.Genre,
+		GiveUpSampler: cfg.GiveUpSampler,
 	}
-	ec.Device.GiveUpSampler = cfg.GiveUpSampler
 	cmp, err := emu.Compare(ec, nil)
 	if err != nil {
 		return ClusterResult{}, fmt.Errorf("fleet: channel %s: %w", ch.ID, err)

@@ -24,9 +24,6 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal("nil trace accepted")
 	}
 	tr := smallTrace(t)
-	if _, err := Run(Config{Trace: tr, MaxGroupSize: 5, MinGroupSize: 50}); err == nil {
-		t.Fatal("inverted group bounds accepted")
-	}
 	if _, err := Run(Config{Trace: tr, MaxSlots: -1}); err == nil {
 		t.Fatal("negative slots accepted")
 	}
@@ -102,35 +99,6 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestGenreBreakdown(t *testing.T) {
-	tr := smallTrace(t)
-	res, err := Run(Config{
-		Trace:         tr,
-		MaxChannels:   6,
-		MaxSlots:      4,
-		ServerStreams: -1,
-		Seed:          3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	breakdown := res.GenreBreakdown()
-	if len(breakdown) == 0 {
-		t.Fatal("empty breakdown")
-	}
-	totalClusters, totalDevices := 0, 0
-	for _, gs := range breakdown {
-		totalClusters += gs.Clusters
-		totalDevices += gs.Devices
-		if gs.EnergySaving <= 0 {
-			t.Fatalf("genre with zero saving: %+v", gs)
-		}
-	}
-	if totalClusters != len(res.Clusters) || totalDevices != res.Devices {
-		t.Fatal("breakdown does not partition the run")
-	}
-}
-
 func TestRunSkipsTinyChannels(t *testing.T) {
 	cfg := trace.DefaultGenConfig()
 	cfg.NumChannels = 8
@@ -142,7 +110,6 @@ func TestRunSkipsTinyChannels(t *testing.T) {
 	}
 	res, err := Run(Config{
 		Trace:         tr,
-		MinGroupSize:  30,
 		MaxSlots:      2,
 		ServerStreams: -1,
 		Seed:          1,
@@ -167,7 +134,7 @@ func TestRunCapsGroupSize(t *testing.T) {
 	}
 	res, err := Run(Config{
 		Trace:         tr,
-		MaxGroupSize:  60,
+		MaxChannels:   1,
 		MaxSlots:      2,
 		ServerStreams: -1,
 		Seed:          1,
@@ -176,8 +143,8 @@ func TestRunCapsGroupSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range res.Clusters {
-		if c.GroupSize > 60 {
-			t.Fatalf("group size %d above the cap", c.GroupSize)
+		if c.GroupSize != maxGroupSize {
+			t.Fatalf("group size %d, want the cap %d", c.GroupSize, maxGroupSize)
 		}
 	}
 }

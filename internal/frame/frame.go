@@ -79,7 +79,7 @@ func (f *Frame) Clone() *Frame {
 
 // Luma returns the Rec. 709 relative luminance of pixel i.
 func (f *Frame) Luma(i int) float64 {
-	return 0.2126*f.R[i] + 0.7152*f.G[i] + 0.0722*f.B[i]
+	return float64(0.2126*f.R[i]) + float64(0.7152*f.G[i]) + float64(0.0722*f.B[i])
 }
 
 // Stats aggregates the frame into the content statistics the display
@@ -108,17 +108,6 @@ func (f *Frame) Stats() display.ContentStats {
 		cs.PeakLuma = cs.MeanLuma
 	}
 	return cs
-}
-
-// LumaHistogram bins the frame's luminance into the given number of
-// equal-width bins over [0, 1] — the input of histogram-based backlight
-// scalers.
-func (f *Frame) LumaHistogram(bins int) *stats.Histogram {
-	h := stats.NewHistogram(0, 1.0000001, bins)
-	for i := range f.R {
-		h.Add(f.Luma(i))
-	}
-	return h
 }
 
 // GenConfig parameterises synthetic keyframe generation.
@@ -170,7 +159,7 @@ func Generate(rng *stats.RNG, cfg GenConfig) (*Frame, error) {
 		lattice[i] = rng.Normal(0, 1)
 	}
 	sample := func(x, y float64) float64 {
-		gx, gy := x*float64(cw-1), y*float64(ch-1)
+		gx, gy := float64(x*float64(cw-1)), float64(y*float64(ch-1))
 		x0, y0 := int(gx), int(gy)
 		x1, y1 := x0+1, y0+1
 		if x1 >= cw {
@@ -180,16 +169,16 @@ func Generate(rng *stats.RNG, cfg GenConfig) (*Frame, error) {
 			y1 = ch - 1
 		}
 		fx, fy := gx-float64(x0), gy-float64(y0)
-		top := lattice[y0*cw+x0]*(1-fx) + lattice[y0*cw+x1]*fx
-		bot := lattice[y1*cw+x0]*(1-fx) + lattice[y1*cw+x1]*fx
-		return top*(1-fy) + bot*fy
+		top := float64(lattice[y0*cw+x0]*(1-fx)) + float64(lattice[y0*cw+x1]*fx)
+		bot := float64(lattice[y1*cw+x0]*(1-fx)) + float64(lattice[y1*cw+x1]*fx)
+		return float64(top*(1-fy)) + float64(bot*fy)
 	}
 
 	for y := 0; y < cfg.H; y++ {
 		for x := 0; x < cfg.W; x++ {
 			i := y*cfg.W + x
-			luma := stats.Clamp(cfg.BaseLuma+cfg.Texture*sample(
-				float64(x)/float64(cfg.W-1), float64(y)/float64(cfg.H-1)), 0.01, 0.98)
+			luma := stats.Clamp(cfg.BaseLuma+float64(cfg.Texture*sample(
+				float64(x)/float64(cfg.W-1), float64(y)/float64(cfg.H-1))), 0.01, 0.98)
 			if rng.Bool(cfg.HighlightP) {
 				luma = stats.Clamp(luma+rng.Uniform(0.3, 0.6), 0, 1)
 			}

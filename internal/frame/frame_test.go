@@ -115,14 +115,6 @@ func TestStatsValid(t *testing.T) {
 	}
 }
 
-func TestLumaHistogram(t *testing.T) {
-	f := genFrame(t, DefaultGenConfig())
-	h := f.LumaHistogram(16)
-	if h.Total() != f.W*f.H {
-		t.Fatalf("histogram total %d, want %d", h.Total(), f.W*f.H)
-	}
-}
-
 func TestScaleBacklightPreservesAppearance(t *testing.T) {
 	f := genFrame(t, DefaultGenConfig())
 	res, err := ScaleBacklight(f, 0.7)

@@ -86,58 +86,3 @@ func (f *Frame) EncodePNG(w io.Writer) error {
 	}
 	return nil
 }
-
-// DecodePNG reads a PNG into a linear-light frame.
-func DecodePNG(r io.Reader) (*Frame, error) {
-	img, err := png.Decode(r)
-	if err != nil {
-		return nil, fmt.Errorf("frame: png decode: %w", err)
-	}
-	return FromImage(img)
-}
-
-// Downsample box-filters the frame to the given grid — how a real
-// pipeline would turn a decoded keyframe into the thumbnail the
-// transform parameter estimation runs on.
-func (f *Frame) Downsample(w, h int) (*Frame, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	if w <= 0 || h <= 0 || w > f.W || h > f.H {
-		return nil, fmt.Errorf("frame: downsample to %dx%d from %dx%d", w, h, f.W, f.H)
-	}
-	out, err := New(w, h)
-	if err != nil {
-		return nil, err
-	}
-	for oy := 0; oy < h; oy++ {
-		y0 := oy * f.H / h
-		y1 := (oy + 1) * f.H / h
-		if y1 <= y0 {
-			y1 = y0 + 1
-		}
-		for ox := 0; ox < w; ox++ {
-			x0 := ox * f.W / w
-			x1 := (ox + 1) * f.W / w
-			if x1 <= x0 {
-				x1 = x0 + 1
-			}
-			var r, g, b float64
-			n := 0
-			for y := y0; y < y1; y++ {
-				for x := x0; x < x1; x++ {
-					i := y*f.W + x
-					r += f.R[i]
-					g += f.G[i]
-					b += f.B[i]
-					n++
-				}
-			}
-			o := oy*w + ox
-			out.R[o] = r / float64(n)
-			out.G[o] = g / float64(n)
-			out.B[o] = b / float64(n)
-		}
-	}
-	return out, nil
-}

@@ -10,26 +10,9 @@ import (
 // session.
 func BenchmarkSimulate(b *testing.B) {
 	cs := chunks(b, 720, 2500)
-	cfg := DefaultBufferConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(stats.NewRNG(int64(i)), cfg, cs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulateABR adds the adaptive-bitrate controller on top.
-func BenchmarkSimulateABR(b *testing.B) {
-	cs := chunks(b, 720, 2500)
-	cfg := DefaultBufferConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a, err := NewABR([]int{1200, 2500, 4500, 6000}, 0.8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := SimulateABR(stats.NewRNG(int64(i)), cfg, a, cs); err != nil {
+		if _, err := Simulate(stats.NewRNG(int64(i)), OneSlotAhead, 0, cs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,39 +39,21 @@ func (m SchedulingMode) String() string {
 	return "inline"
 }
 
-// BufferConfig parameterises the playout-buffer simulation.
-type BufferConfig struct {
-	// StartupBufferSec is the playout threshold before playback begins.
-	StartupBufferSec float64
-	// MaxBufferSec caps the playout buffer (real players keep tens of
-	// seconds, not the whole stream). Zero means 30 s.
-	MaxBufferSec float64
-	// BandwidthMbps is the mean download bandwidth.
-	BandwidthMbps float64
-	// BandwidthJitter is the relative bandwidth variation per chunk
-	// (0 = constant).
-	BandwidthJitter float64
-	// Mode places the scheduler on or off the chunk path.
-	Mode SchedulingMode
-	// SchedDelaySec is the scheduling time charged at each slot boundary
-	// in Inline mode.
-	SchedDelaySec float64
-	// SlotSec is the scheduling period.
-	SlotSec float64
-}
-
-// DefaultBufferConfig is a comfortable mobile connection playing a
-// 2.5 Mbps stream.
-func DefaultBufferConfig() BufferConfig {
-	return BufferConfig{
-		StartupBufferSec: 10,
-		BandwidthMbps:    6,
-		BandwidthJitter:  0.3,
-		Mode:             OneSlotAhead,
-		SchedDelaySec:    0,
-		SlotSec:          300,
-	}
-}
+// The playout-buffer simulation's connection and player: a comfortable
+// mobile link playing a 2.5 Mbps stream.
+const (
+	// startupBufferSec is the playout threshold before playback begins.
+	startupBufferSec = 10.0
+	// maxBufferSec caps the playout buffer (real players keep tens of
+	// seconds, not the whole stream).
+	maxBufferSec = 30.0
+	// bandwidthMbps is the mean download bandwidth.
+	bandwidthMbps = 6.0
+	// bandwidthJitter is the relative bandwidth variation per chunk.
+	bandwidthJitter = 0.3
+	// slotSec is the scheduling period.
+	slotSec = 300.0
+)
 
 // Result summarises a playback session's QoE.
 type Result struct {
@@ -94,31 +76,15 @@ func (r Result) RebufferRatio() float64 {
 	return r.RebufferSec / total
 }
 
-// Simulate plays the chunk sequence through a playout buffer fed at the
-// configured bandwidth, charging scheduler delay per slot according to
-// the mode, and returns the stall profile.
-func Simulate(rng *stats.RNG, cfg BufferConfig, chunks []video.Chunk) (Result, error) {
+// Simulate plays the chunk sequence through a playout buffer, charging
+// schedDelaySec at each slot boundary when mode is Inline, and returns
+// the stall profile.
+func Simulate(rng *stats.RNG, mode SchedulingMode, schedDelaySec float64, chunks []video.Chunk) (Result, error) {
 	if len(chunks) == 0 {
 		return Result{}, fmt.Errorf("qoe: no chunks")
 	}
-	if cfg.BandwidthMbps <= 0 {
-		return Result{}, fmt.Errorf("qoe: bandwidth %v Mbps", cfg.BandwidthMbps)
-	}
-	if cfg.BandwidthJitter < 0 || cfg.BandwidthJitter >= 1 {
-		return Result{}, fmt.Errorf("qoe: jitter %v outside [0, 1)", cfg.BandwidthJitter)
-	}
-	if cfg.SlotSec <= 0 {
-		return Result{}, fmt.Errorf("qoe: slot length %v", cfg.SlotSec)
-	}
-	if cfg.SchedDelaySec < 0 {
+	if schedDelaySec < 0 {
 		return Result{}, fmt.Errorf("qoe: negative scheduling delay")
-	}
-	if cfg.MaxBufferSec == 0 {
-		cfg.MaxBufferSec = 30
-	}
-	if cfg.MaxBufferSec < cfg.StartupBufferSec {
-		return Result{}, fmt.Errorf("qoe: buffer cap %v below startup threshold %v",
-			cfg.MaxBufferSec, cfg.StartupBufferSec)
 	}
 
 	var res Result
@@ -132,39 +98,39 @@ func Simulate(rng *stats.RNG, cfg BufferConfig, chunks []video.Chunk) (Result, e
 		}
 		// Inline scheduling stalls the fetch pipeline at each slot
 		// boundary; one-slot-ahead charges nothing.
-		if cfg.Mode == Inline && chunkOfSlot == 0 && cfg.SchedDelaySec > 0 {
+		if mode == Inline && chunkOfSlot == 0 && schedDelaySec > 0 {
 			if started {
-				if bufferSec >= cfg.SchedDelaySec {
-					bufferSec -= cfg.SchedDelaySec
-					res.PlayedSec += cfg.SchedDelaySec
+				if bufferSec >= schedDelaySec {
+					bufferSec -= schedDelaySec
+					res.PlayedSec += schedDelaySec
 				} else {
 					res.PlayedSec += bufferSec
-					stall := cfg.SchedDelaySec - bufferSec
+					stall := schedDelaySec - bufferSec
 					bufferSec = 0
 					res.RebufferSec += stall
 					res.RebufferEvents++
 				}
 			} else {
-				res.StartupDelaySec += cfg.SchedDelaySec
+				res.StartupDelaySec += schedDelaySec
 			}
 		}
 
 		// A full buffer pauses downloading until there is room; the wait
 		// drains the buffer in real time.
-		if started && bufferSec+c.DurationSec > cfg.MaxBufferSec {
-			wait := bufferSec + c.DurationSec - cfg.MaxBufferSec
+		if started && bufferSec+c.DurationSec > maxBufferSec {
+			wait := bufferSec + c.DurationSec - maxBufferSec
 			bufferSec -= wait
 			res.PlayedSec += wait
 		}
 
 		// Download the chunk.
-		bw := cfg.BandwidthMbps * rng.Uniform(1-cfg.BandwidthJitter, 1+cfg.BandwidthJitter)
+		bw := bandwidthMbps * rng.Uniform(1-bandwidthJitter, 1+bandwidthJitter)
 		downloadSec := float64(c.BitrateKbps) / 1000 * c.DurationSec / bw
 
 		if !started {
 			res.StartupDelaySec += downloadSec
 			bufferSec += c.DurationSec
-			if bufferSec >= cfg.StartupBufferSec {
+			if bufferSec >= startupBufferSec {
 				started = true
 			}
 		} else {
@@ -183,7 +149,7 @@ func Simulate(rng *stats.RNG, cfg BufferConfig, chunks []video.Chunk) (Result, e
 		}
 
 		chunkOfSlot += c.DurationSec
-		if chunkOfSlot >= cfg.SlotSec {
+		if chunkOfSlot >= slotSec {
 			chunkOfSlot = 0
 		}
 	}
@@ -196,18 +162,12 @@ func Simulate(rng *stats.RNG, cfg BufferConfig, chunks []video.Chunk) (Result, e
 // returns the results, quantifying the paper's section VII-D claim that
 // one-slot-ahead scheduling leaves freezing untouched while inline
 // scheduling would stall viewers whenever the decision takes long.
-func CompareModes(seed int64, cfg BufferConfig, chunks []video.Chunk, schedDelaySec float64) (ahead, inline Result, err error) {
-	a := cfg
-	a.Mode = OneSlotAhead
-	a.SchedDelaySec = 0
-	ahead, err = Simulate(stats.NewRNG(seed), a, chunks)
+func CompareModes(seed int64, chunks []video.Chunk, schedDelaySec float64) (ahead, inline Result, err error) {
+	ahead, err = Simulate(stats.NewRNG(seed), OneSlotAhead, 0, chunks)
 	if err != nil {
 		return Result{}, Result{}, err
 	}
-	b := cfg
-	b.Mode = Inline
-	b.SchedDelaySec = schedDelaySec
-	inline, err = Simulate(stats.NewRNG(seed), b, chunks)
+	inline, err = Simulate(stats.NewRNG(seed), Inline, schedDelaySec, chunks)
 	if err != nil {
 		return Result{}, Result{}, err
 	}

@@ -21,28 +21,18 @@ func chunks(tb testing.TB, n, bitrate int) []video.Chunk {
 
 func TestSimulateValidation(t *testing.T) {
 	rng := stats.NewRNG(1)
-	cs := chunks(t, 5, 2500)
-	bad := []BufferConfig{
-		{BandwidthMbps: 0, SlotSec: 300},
-		{BandwidthMbps: 5, BandwidthJitter: 1, SlotSec: 300},
-		{BandwidthMbps: 5, SlotSec: 0},
-		{BandwidthMbps: 5, SlotSec: 300, SchedDelaySec: -1},
+	if _, err := Simulate(rng, Inline, -1, chunks(t, 5, 2500)); err == nil {
+		t.Fatal("negative scheduling delay accepted")
 	}
-	for i, cfg := range bad {
-		if _, err := Simulate(rng, cfg, cs); err == nil {
-			t.Errorf("config %d accepted", i)
-		}
-	}
-	if _, err := Simulate(rng, DefaultBufferConfig(), nil); err == nil {
+	if _, err := Simulate(rng, OneSlotAhead, 0, nil); err == nil {
 		t.Fatal("empty chunk list accepted")
 	}
 }
 
 func TestFastNetworkNeverStalls(t *testing.T) {
-	cfg := DefaultBufferConfig()
-	cfg.BandwidthMbps = 50 // 20x the stream rate
-	cfg.BandwidthJitter = 0.1
-	res, err := Simulate(stats.NewRNG(2), cfg, chunks(t, 120, 2500))
+	// The 6 Mbps link with 30% jitter never drops below the 2.5 Mbps
+	// stream rate.
+	res, err := Simulate(stats.NewRNG(2), OneSlotAhead, 0, chunks(t, 120, 2500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +50,8 @@ func TestFastNetworkNeverStalls(t *testing.T) {
 }
 
 func TestSlowNetworkStalls(t *testing.T) {
-	cfg := DefaultBufferConfig()
-	cfg.BandwidthMbps = 2 // below the 2.5 Mbps stream rate
-	cfg.BandwidthJitter = 0.05
-	res, err := Simulate(stats.NewRNG(3), cfg, chunks(t, 60, 2500))
+	// An 8 Mbps stream over the 6 Mbps link.
+	res, err := Simulate(stats.NewRNG(3), OneSlotAhead, 0, chunks(t, 60, 8000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +65,7 @@ func TestSlowNetworkStalls(t *testing.T) {
 
 func TestOneSlotAheadUnaffectedBySchedulerTime(t *testing.T) {
 	cs := chunks(t, 90, 2500) // 3 slots of 300 s
-	cfg := DefaultBufferConfig()
-	ahead, inline, err := CompareModes(7, cfg, cs, 15)
+	ahead, inline, err := CompareModes(7, cs, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +82,9 @@ func TestOneSlotAheadUnaffectedBySchedulerTime(t *testing.T) {
 
 func TestInlinePenaltyGrowsWithSchedulerTime(t *testing.T) {
 	cs := chunks(t, 90, 2500)
-	cfg := DefaultBufferConfig()
 	var prev float64
 	for _, delay := range []float64{1, 10, 30} {
-		_, inline, err := CompareModes(7, cfg, cs, delay)
+		_, inline, err := CompareModes(7, cs, delay)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,8 +100,7 @@ func TestSmallSchedDelayAbsorbedByBuffer(t *testing.T) {
 	// A sub-second decision (our scheduler at N=5000 takes ~0.06 s) is
 	// fully absorbed by the playout buffer even inline.
 	cs := chunks(t, 90, 2500)
-	cfg := DefaultBufferConfig()
-	_, inline, err := CompareModes(7, cfg, cs, 0.1)
+	_, inline, err := CompareModes(7, cs, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,31 +109,11 @@ func TestSmallSchedDelayAbsorbedByBuffer(t *testing.T) {
 	}
 }
 
-func TestBufferCapRespected(t *testing.T) {
-	cfg := DefaultBufferConfig()
-	cfg.MaxBufferSec = 20
-	cfg.BandwidthMbps = 100
-	res, err := Simulate(stats.NewRNG(4), cfg, chunks(t, 60, 2500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RebufferEvents != 0 {
-		t.Fatal("capped buffer on a fast network should not stall")
-	}
-	// Bad cap: below the startup threshold.
-	cfg.MaxBufferSec = 5
-	if _, err := Simulate(stats.NewRNG(4), cfg, chunks(t, 5, 2500)); err == nil {
-		t.Fatal("cap below startup threshold accepted")
-	}
-}
-
 func TestInlineDelayBeyondBufferStalls(t *testing.T) {
 	// A scheduling decision longer than the whole playout buffer must
 	// stall inline playback at slot boundaries.
 	cs := chunks(t, 90, 2500)
-	cfg := DefaultBufferConfig()
-	cfg.MaxBufferSec = 30
-	_, inline, err := CompareModes(7, cfg, cs, 45)
+	_, inline, err := CompareModes(7, cs, 45)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -554,21 +554,21 @@ func (s *Scheduler) compact(r *Request, p *plan) {
 		// fractions.
 		d := watts * c.DurationSec / r.BatteryCapacityJ
 		b := r.BasePowerW * c.DurationSec / r.BatteryCapacityJ
-		psi1 := gamma*d + b
-		lhs -= float64(k-i-1) * psi1
-		rhs += gamma * d
+		psi1 := float64(gamma*d) + b
+		lhs -= float64(float64(k-i-1) * psi1)
+		rhs += float64(gamma * d)
 		psi0 := d + b
-		p.obj0 += psi0 + lambda*phi.Anxiety(e0)
+		p.obj0 += psi0 + float64(lambda*phi.Anxiety(e0))
 		e0 -= psi0
 		if e0 < 0 {
 			e0 = 0
 		}
-		p.obj1 += psi1 + lambda*phi.Anxiety(e1)
+		p.obj1 += psi1 + float64(lambda*phi.Anxiety(e1))
 		e1 -= psi1
 		if e1 < 0 {
 			e1 = 0
 		}
-		p.saving += (1 - gamma) * d
+		p.saving += float64((1 - gamma) * d)
 		end0 -= psi0
 		end1 -= psi1
 	}

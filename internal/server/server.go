@@ -26,10 +26,6 @@ import (
 	"lpvs/internal/video"
 )
 
-// tolerance is the distortion budget every served transform is granted
-// (the emulator's default too).
-const tolerance = 0.7
-
 // Config parameterises the edge daemon.
 type Config struct {
 	// Stream is the default live stream this edge site serves. Required.
@@ -611,7 +607,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	if st.transform {
 		strat := transform.Default(st.spec.Type)
-		res, err := strat.Apply(st.spec, chunk.Stats, tolerance)
+		res, err := strat.Apply(st.spec, chunk.Stats, transform.Tolerance)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, CodeInternal, err)
 			return

@@ -77,7 +77,7 @@ func TruncNormalVar(mean, stddev, lo, hi float64) float64 {
 		return 0
 	}
 	pa, pb := StdNormalPDF(a), StdNormalPDF(b)
-	first := (a*pa - b*pb) / z
+	first := (float64(a*pa) - float64(b*pb)) / z
 	// Guard the b -> +Inf and a -> -Inf limits where a*pdf(a) -> 0.
 	if math.IsInf(b, 1) {
 		first = a * pa / z
@@ -86,7 +86,7 @@ func TruncNormalVar(mean, stddev, lo, hi float64) float64 {
 		first = -b * pb / z
 	}
 	second := (pa - pb) / z
-	v := stddev * stddev * (1 + first - second*second)
+	v := stddev * stddev * (1 + first - float64(second*second))
 	if v < 0 {
 		return 0
 	}

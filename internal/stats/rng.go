@@ -95,13 +95,13 @@ func (g *RNG) Int63() int64 { return g.r.Int63() }
 
 // Uniform returns a uniform sample in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*g.r.Float64()
+	return lo + float64((hi-lo)*g.r.Float64())
 }
 
 // Normal returns a Gaussian sample with the given mean and standard
 // deviation.
 func (g *RNG) Normal(mean, stddev float64) float64 {
-	return mean + stddev*g.r.NormFloat64()
+	return mean + float64(stddev*g.r.NormFloat64())
 }
 
 // TruncNormal samples a Gaussian with the given mean and standard

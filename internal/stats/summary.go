@@ -87,8 +87,8 @@ func Percentile(xs []float64, p float64) float64 {
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	frac := float64(rank) - float64(lo)
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Clamp limits x to [lo, hi].

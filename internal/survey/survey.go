@@ -183,24 +183,6 @@ func (d *Dataset) LBARate() float64 {
 	return float64(n) / float64(len(d.Respondents))
 }
 
-// MeanChargeThreshold returns the average charge-threshold answer among
-// respondents with the given LBA status — sufferers plug in far earlier
-// than the indifferent minority, the behavioural signature of anxiety.
-func (d *Dataset) MeanChargeThreshold(suffersLBA bool) float64 {
-	sum, n := 0, 0
-	for _, r := range d.Respondents {
-		if r.SuffersLBA != suffersLBA {
-			continue
-		}
-		sum += r.ChargeThreshold
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
-}
-
 // GiveUpRateAt returns the fraction of respondents who abandon video
 // watching at or above the given battery level (percent). The paper
 // reports >20% at level 20 and about 50% at level 10.

@@ -21,6 +21,10 @@ import (
 	"lpvs/internal/stats"
 )
 
+// Tolerance is the distortion budget, in [0, 1], that every transform
+// the daemon serves and the emulator plays is granted.
+const Tolerance = 0.7
+
 // Result describes a transformed chunk: the compensated content
 // statistics, the backlight multiplier (1 for OLED strategies), and the
 // estimated perceptual distortion.
@@ -67,17 +71,6 @@ func Catalogue() []Strategy {
 	}
 }
 
-// ForType returns the catalogue strategies applicable to a display type.
-func ForType(t display.Type) []Strategy {
-	var out []Strategy
-	for _, s := range Catalogue() {
-		if s.Target == t {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Default returns the reproduction's default strategy per display type:
 // the backlight luminance scaler for LCD and constrained color
 // transforming for OLED — the techniques the paper cites for its power
@@ -112,7 +105,7 @@ func (s Strategy) headroom(c display.ContentStats) float64 {
 		return stats.Clamp(1-c.PeakLuma, 0, 1)
 	default:
 		// Emission-weighted brightness: what an OLED panel is spending.
-		emission := (1.5*c.MeanR + 1.0*c.MeanG + 2.0*c.MeanB) / 4.5
+		emission := (float64(1.5*c.MeanR) + float64(1.0*c.MeanG) + float64(2.0*c.MeanB)) / 4.5
 		return stats.Clamp(0.3+emission, 0, 1)
 	}
 }
@@ -123,7 +116,7 @@ func (s Strategy) headroom(c display.ContentStats) float64 {
 // [SavingLo, SavingHi] range of Table I.
 func (s Strategy) PlannedSaving(c display.ContentStats, tolerance float64) float64 {
 	tol := stats.Clamp(tolerance, 0, 1)
-	return s.SavingLo + (s.SavingHi-s.SavingLo)*s.headroom(c)*tol
+	return s.SavingLo + float64((s.SavingHi-s.SavingLo)*s.headroom(c)*tol)
 }
 
 // Apply transforms a chunk's content for the given display spec,

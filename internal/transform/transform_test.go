@@ -54,17 +54,6 @@ func TestAverageBoundsNearPaper(t *testing.T) {
 	}
 }
 
-func TestForTypePartition(t *testing.T) {
-	if len(ForType(display.LCD))+len(ForType(display.OLED)) != len(Catalogue()) {
-		t.Fatal("ForType does not partition the catalogue")
-	}
-	for _, s := range ForType(display.OLED) {
-		if s.Target != display.OLED {
-			t.Fatal("wrong target in ForType result")
-		}
-	}
-}
-
 func TestDefaultStrategies(t *testing.T) {
 	if Default(display.LCD).Target != display.LCD {
 		t.Fatal("LCD default targets wrong type")
@@ -162,22 +151,19 @@ func TestOLEDRealizedNearPlanned(t *testing.T) {
 }
 
 func TestApplyReducesPower(t *testing.T) {
-	for _, ty := range []display.Type{display.LCD, display.OLED} {
-		sp := spec(ty)
-		genre := video.Sports
-		for _, s := range ForType(ty) {
-			for _, c := range corpus(t, genre, 20) {
-				res, err := s.Apply(sp, c, 0.8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				saving, err := RealizedSaving(sp, c, res)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if saving <= 0 {
-					t.Fatalf("%q on %v: no power saved (%v)", s.Name, ty, saving)
-				}
+	for _, s := range Catalogue() {
+		sp := spec(s.Target)
+		for _, c := range corpus(t, video.Sports, 20) {
+			res, err := s.Apply(sp, c, 0.8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			saving, err := RealizedSaving(sp, c, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if saving <= 0 {
+				t.Fatalf("%q on %v: no power saved (%v)", s.Name, s.Target, saving)
 			}
 		}
 	}

@@ -187,7 +187,7 @@ func Generate(rng *stats.RNG, cfg GenConfig) (*Video, error) {
 	for i := range v.Chunks {
 		// AR(1) walk around the genre mean.
 		innov := rng.Normal(0, prof.lumaSpan*0.5)
-		luma = stats.Clamp(prof.meanLuma+cfg.TemporalRho*(luma-prof.meanLuma)+innov, 0.02, 0.95)
+		luma = stats.Clamp(prof.meanLuma+float64(cfg.TemporalRho*(luma-prof.meanLuma))+innov, 0.02, 0.95)
 		c := Chunk{
 			Index:       i,
 			DurationSec: cfg.ChunkSec,
@@ -220,7 +220,7 @@ func contentFromLuma(rng *stats.RNG, prof genreProfile, luma float64) display.Co
 	noise := func() float64 { return rng.Normal(1, 0.05) }
 	c := display.ContentStats{
 		MeanLuma: luma,
-		PeakLuma: stats.Clamp(luma+prof.peakSpread*rng.Uniform(0.5, 1), luma, 1),
+		PeakLuma: stats.Clamp(luma+float64(prof.peakSpread*rng.Uniform(0.5, 1)), luma, 1),
 		MeanR:    stats.Clamp(luma*prof.colorR*noise(), 0, 1),
 		MeanG:    stats.Clamp(luma*prof.colorG*noise(), 0, 1),
 		MeanB:    stats.Clamp(luma*prof.colorB*noise(), 0, 1),
@@ -250,31 +250,4 @@ func ValidateChunks(chunks []Chunk) (int, error) {
 		}
 	}
 	return -1, nil
-}
-
-// PowerRates estimates the power rate of every chunk in the video on the
-// given display.
-func PowerRates(spec display.Spec, v *Video) ([]float64, error) {
-	if err := v.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(v.Chunks))
-	for i, c := range v.Chunks {
-		p, err := display.PlaybackPower(spec, c.Stats)
-		if err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", i, err)
-		}
-		out[i] = p
-	}
-	return out, nil
-}
-
-// ChunkEnergy returns the display energy in joules to play the chunk on
-// the given display.
-func ChunkEnergy(spec display.Spec, c Chunk) (float64, error) {
-	p, err := PowerRate(spec, c)
-	if err != nil {
-		return 0, err
-	}
-	return p * c.DurationSec, nil
 }

@@ -121,17 +121,24 @@ func TestValidateCatchesBadChunks(t *testing.T) {
 	}
 }
 
-func TestPowerRatesPositive(t *testing.T) {
-	v := genVideo(t, Esports, 40)
-	for _, ty := range []display.Type{display.LCD, display.OLED} {
-		rates, err := PowerRates(testSpec(ty), v)
+// powerRates is PowerRate over every chunk of v.
+func powerRates(t *testing.T, spec display.Spec, v *Video) []float64 {
+	t.Helper()
+	out := make([]float64, len(v.Chunks))
+	for i, c := range v.Chunks {
+		p, err := PowerRate(spec, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rates) != 40 {
-			t.Fatalf("%d rates, want 40", len(rates))
-		}
-		for i, r := range rates {
+		out[i] = p
+	}
+	return out
+}
+
+func TestPowerRatesPositive(t *testing.T) {
+	v := genVideo(t, Esports, 40)
+	for _, ty := range []display.Type{display.LCD, display.OLED} {
+		for i, r := range powerRates(t, testSpec(ty), v) {
 			if r <= 0 || r > 3 {
 				t.Fatalf("%v chunk %d: implausible power %v W", ty, i, r)
 			}
@@ -146,28 +153,9 @@ func TestOLEDPowerTracksContent(t *testing.T) {
 	rng := stats.NewRNG(5)
 	dark, _ := Generate(rng, DefaultGenConfig("d", Music, 200))
 	bright, _ := Generate(rng, DefaultGenConfig("b", Sports, 200))
-	rd, err := PowerRates(spec, dark)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := PowerRates(spec, bright)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rd, rb := powerRates(t, spec, dark), powerRates(t, spec, bright)
 	if stats.Mean(rd) >= stats.Mean(rb) {
 		t.Fatalf("dark stream (%v W) not cheaper than bright (%v W) on OLED", stats.Mean(rd), stats.Mean(rb))
-	}
-}
-
-func TestChunkEnergy(t *testing.T) {
-	v := genVideo(t, Gaming, 1)
-	e, err := ChunkEnergy(testSpec(display.LCD), v.Chunks[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := PowerRate(testSpec(display.LCD), v.Chunks[0])
-	if e != p*v.Chunks[0].DurationSec {
-		t.Fatalf("energy %v != power*duration %v", e, p*v.Chunks[0].DurationSec)
 	}
 }
 

@@ -70,7 +70,11 @@ func NewSchedulerPool(cfg SchedulerConfig, pc PoolConfig) (*SchedulerPool, error
 
 // Emulation API.
 type (
-	// EmulationConfig parameterises a virtual-cluster emulation.
+	// EmulationConfig parameterises a virtual-cluster emulation. Chunks
+	// last 10 s, every transform is granted the daemon's 0.7 distortion
+	// tolerance, and the fleet comes from DefaultDeviceConfig;
+	// GiveUpSampler (see SurveyGiveUpSampler) is the one device setting
+	// an emulation chooses.
 	EmulationConfig = emu.Config
 	// RunResult aggregates one emulation run.
 	RunResult = emu.RunResult

@@ -30,7 +30,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		ServerStreams: lpvs.UnboundedCapacity,
 		Genre:         lpvs.GenreGaming,
 	}
-	cfg.Device.GiveUpSampler = lpvs.SurveyGiveUpSampler(ds)
+	cfg.GiveUpSampler = lpvs.SurveyGiveUpSampler(ds)
 	cmp, err := lpvs.RunComparison(cfg)
 	if err != nil {
 		t.Fatal(err)
