@@ -145,11 +145,13 @@ mutants:
 
 # fma-check holds the determinism contract (DESIGN.md §10) where the
 # compiler may fuse x*y + z into one rounding: arm64, ppc64le, s390x and
-# riscv64 (amd64 never fuses). lpvsd and lpvsctl are cross-built for
-# each, and no function in the decision-path packages below may
-# disassemble to a fused multiply-add. Wrapping a product in an explicit
-# float64(...) is the language's way to forbid the fusion; it leaves
-# amd64 code unchanged. Needs only the toolchain.
+# riscv64 (gc does not fuse amd64 code). lpvsd and lpvsctl are
+# cross-built for each, and no function in the decision-path packages
+# below may disassemble to a fused multiply-add. Wrapping a product in an
+# explicit float64(...) is the language's way to forbid the fusion; it
+# leaves amd64 code unchanged. Needs only the toolchain. It checks our
+# code only: on amd64 math.Exp picks an FMA path at run time, so φ still
+# depends on the CPU (DESIGN.md §10).
 FMA_PKGS = scheduler|anxiety|display|edge|bayes|ilp|transform|video|stats|frame
 fma-check:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; bad=0; \

@@ -5,7 +5,9 @@
 // for the same value, so an appender built from them can replace a
 // json.Encoder byte for byte; the fuzz test here holds each to
 // json.Marshal. Integers and booleans need no helper: strconv.AppendInt
-// and strconv.AppendBool already are encoding/json's form.
+// and strconv.AppendBool already are encoding/json's form. Reader
+// (read.go) is the way back: it reads an object in the layout an
+// appender wrote, and declines anything else to json.Unmarshal.
 package appendjson
 
 import (

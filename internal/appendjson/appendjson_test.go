@@ -3,6 +3,7 @@ package appendjson
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -16,6 +17,13 @@ func checkString(t *testing.T, s string) {
 	}
 	if got := String([]byte("x"), s); string(got) != "x"+string(want) {
 		t.Fatalf("String(%q) appended %s, encoding/json writes %s", s, got[1:], want)
+	}
+	// Read back: a string Reader takes verbatim, anything escaped is
+	// declined.
+	verbatim := !strings.ContainsFunc(s, func(r rune) bool { return r < ' ' || r > '~' || strings.ContainsRune(`"\<>&`, r) })
+	r := NewReader(append([]byte(`{"s":`), append(want, '}')...))
+	if back := r.String(`{"s":`); r.End() != verbatim || verbatim && string(back) != s {
+		t.Fatalf("Reader.String(%s) = %q, verbatim=%t", want, back, verbatim)
 	}
 }
 
@@ -33,6 +41,13 @@ func checkFloat(t *testing.T, f float64) {
 		t.Fatalf("Float(%v) appended %q for a value with no JSON form", f, got[1:])
 	case ok && string(got) != "x"+string(want):
 		t.Fatalf("Float(%v) appended %s, encoding/json writes %s", f, got[1:], want)
+	}
+	if !ok {
+		return
+	}
+	r := NewReader(append([]byte(`{"f":`), append(want, '}')...))
+	if back := r.Float(`{"f":`); !r.End() || math.Float64bits(back) != math.Float64bits(f) {
+		t.Fatalf("Reader.Float(%s) = %v, written from %v", want, back, f)
 	}
 }
 
@@ -97,4 +112,78 @@ func FuzzAppendPrimitives(f *testing.F) {
 		checkString(t, s)
 		checkFloat(t, math.Float64frombits(bits))
 	})
+}
+
+// TestReaderNumbers holds the Reader's numbers to json.Unmarshal's: a
+// member it reads decodes there to the same value, and it reads every
+// bare number json.Unmarshal reads into the same type — but not the
+// tokens strconv alone would take, null, or a number with whitespace
+// around it, which the layout never has.
+func TestReaderNumbers(t *testing.T) {
+	for _, tok := range []string{
+		"0", "-0", "7", "-12", "0.5", "-0.0", "1e7", "1E+7", "1e-7", "12.5e-3", "1e+21", "5e-324", "1e400", "1e-400",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808",
+		"", "-", "+1", "01", "-01", "00", ".5", "1.", "1.e3", "1e", "1e+", "0x10", "0x1p4", "1_0",
+		"Inf", "-Inf", "NaN", "infinity", "1.5.2", "1e2e3", "--1", "true", "null", `"1"`, " 1", "1 ", "[1]",
+	} {
+		doc := []byte(`{"v":` + tok + "}")
+		bare := tok != "null" && !strings.ContainsRune(tok, ' ')
+		var wantF struct{ V float64 }
+		errF := json.Unmarshal(doc, &wantF)
+		r := NewReader(doc)
+		f := r.Float(`{"v":`)
+		if read := r.End(); read != (errF == nil && bare) || read && math.Float64bits(f) != math.Float64bits(wantF.V) {
+			t.Errorf("Reader.Float(%q) = %v (read %t), json.Unmarshal %v (%v)", tok, f, read, wantF.V, errF)
+		}
+		var wantN struct{ V int }
+		errN := json.Unmarshal(doc, &wantN)
+		r = NewReader(doc)
+		n := r.Int(`{"v":`)
+		if read := r.End(); read != (errN == nil && bare) || read && n != wantN.V {
+			t.Errorf("Reader.Int(%q) = %v (read %t), json.Unmarshal %v (%v)", tok, n, read, wantN.V, errN)
+		}
+	}
+}
+
+// TestReaderLayout pins what the Reader takes around its values: the
+// exact literals, an optional member by Prefix, true and false only,
+// and nothing after the closing brace but JSON whitespace.
+func TestReaderLayout(t *testing.T) {
+	read := func(doc string) (string, bool, bool) {
+		r := NewReader([]byte(doc))
+		var opt []byte
+		if r.Prefix(`{"o":`) {
+			opt = r.String("")
+			r.Prefix(",")
+		} else {
+			r.Prefix("{")
+		}
+		b := r.Bool(`"b":`)
+		return string(opt), b, r.End()
+	}
+	for _, tc := range []struct {
+		doc  string
+		opt  string
+		b    bool
+		read bool
+	}{
+		{`{"b":true}`, "", true, true},
+		{`{"o":"x","b":false}` + " \t\r\n", "x", false, true},
+		{`{"o":"","b":true}`, "", true, true},
+		{`{"b":True}`, "", false, false},
+		{`{"b":1}`, "", false, false},
+		{`{"b":null}`, "", false, false},
+		{`{"b": true}`, "", false, false},
+		{`{"b":true}x`, "", true, false},
+		{`{"b":true}}`, "", true, false},
+		{"{\"b\":true}\f", "", true, false},
+		{`{"b":true`, "", true, false},
+		{`{"o":"x\"y","b":true}`, "", false, false},
+		{`{"o":"x`, "", false, false},
+	} {
+		opt, b, ok := read(tc.doc)
+		if ok != tc.read || ok && (opt != tc.opt || b != tc.b) {
+			t.Errorf("%q read as (%q, %t, %t), want (%q, %t, %t)", tc.doc, opt, b, ok, tc.opt, tc.b, tc.read)
+		}
+	}
 }

@@ -346,6 +346,10 @@ func (c *Caller) recordOutcome(success bool) {
 	}
 }
 
+// jsonReader is a reply that reads its own append layout, reporting
+// false, with the reply untouched, for any other body.
+type jsonReader interface{ ReadJSON(data []byte) bool }
+
 // decode parses a response: a 200 body into out, everything else into
 // a typed *APIError carrying the v1 envelope's code and retryability
 // (code "unknown" when the body was not an envelope). The 200 body is
@@ -353,7 +357,10 @@ func (c *Caller) recordOutcome(success bool) {
 // is not decoded into: it receives the body's bytes as they arrived,
 // in one Write — how the router relays a shard's answer. Otherwise the
 // body must be exactly one JSON value; the daemon and the router send
-// one value and a newline.
+// one value and a newline. A hot reply (a decision, a chunk, a single
+// report's acknowledgement) is first read in the layout the daemon
+// appends it in (server's ReadJSON methods, DESIGN.md §18), and only a
+// body that reader declines goes through json.Unmarshal.
 func decode(resp *http.Response, out any) error {
 	if resp.StatusCode != http.StatusOK {
 		apiErr := &APIError{
@@ -385,6 +392,9 @@ func decode(resp *http.Response, out any) error {
 		if _, err := w.Write(buf.Bytes()); err != nil {
 			return fmt.Errorf("client: relay body: %w", err)
 		}
+		return nil
+	}
+	if r, ok := out.(jsonReader); ok && r.ReadJSON(buf.Bytes()) {
 		return nil
 	}
 	if err := json.Unmarshal(buf.Bytes(), out); err != nil {

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -203,6 +204,95 @@ func TestCallerAllocsNoLabelPerCall(t *testing.T) {
 	})
 	if through > bare {
 		t.Fatalf("GetJSON allocates %.0f per call, the bare request %.0f", through, bare)
+	}
+}
+
+// hotReply is one body of a reply the daemon append-encodes (DESIGN.md
+// §18), json.Marshal's bytes being the same layout, with the value it
+// was written from.
+type hotReply struct {
+	name string
+	want any
+	body []byte
+}
+
+func hotReplies(t *testing.T) []hotReply {
+	t.Helper()
+	rows := []hotReply{
+		{name: "decision", want: server.DecisionResponse{DeviceID: "dev-001", Slot: 7, Transform: true, Gamma: 0.31}},
+		{name: "chunk", want: server.ChunkResponse{
+			Index: 3, DurationSec: 2, BitrateKbps: 4500, Transformed: true, MeanLuma: 0.25, PeakLuma: 0.9,
+			MeanR: 0.2, MeanG: 0.3, MeanB: 0.1, BrightnessScale: 0.85, PlainPowerW: 1.234,
+		}},
+		{name: "acknowledgement", want: server.ReportResponse{Slot: 7, Accepted: true}},
+	}
+	for i := range rows {
+		body, err := json.Marshal(rows[i].want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i].body = append(body, '\n')
+	}
+	return rows
+}
+
+// TestDecodeReplyAllocs guards the read half of a hot reply: decode
+// reads it in its append layout, so a decision costs one allocation
+// (its DeviceID) and a chunk or an acknowledgement none, where
+// json.Unmarshal cost 5, 4 and 4.
+func TestDecodeReplyAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	bounds := map[string]float64{"decision": 1, "chunk": 0, "acknowledgement": 0}
+	rd := bytes.NewReader(nil)
+	resp := &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(rd)}
+	for _, row := range hotReplies(t) {
+		out := reflect.New(reflect.TypeOf(row.want))
+		allocs := testing.AllocsPerRun(100, func() {
+			rd.Reset(row.body)
+			if err := decode(resp, out.Interface()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := out.Elem().Interface(); got != row.want {
+			t.Fatalf("%s: decoded %+v, want %+v", row.name, got, row.want)
+		}
+		if allocs > bounds[row.name] {
+			t.Errorf("%s: decode allocates %.0f, want at most %.0f", row.name, allocs, bounds[row.name])
+		}
+	}
+}
+
+// TestDecodeReplyFallback holds decode to json.Unmarshal on hot replies
+// the layout reader declines — escaped, reordered, with other numbers
+// or trailing bytes — so it returns exactly json.Unmarshal's value and
+// error.
+func TestDecodeReplyFallback(t *testing.T) {
+	for _, row := range hotReplies(t) {
+		for _, body := range []string{
+			string(row.body),
+			strings.Replace(string(row.body), `"dev-001"`, `"dev\u002d001"`, 1),
+			strings.Replace(string(row.body), `{"`, `{ "`, 1),
+			strings.Replace(string(row.body), `:7,`, `:+7,`, 1),
+			strings.Replace(string(row.body), `:7,`, `:7.0,`, 1),
+			strings.Replace(string(row.body), `0.`, `Inf`, 1),
+			strings.Replace(string(row.body), `true`, `null`, 1),
+			strings.TrimSuffix(string(row.body), "\n") + "x",
+			`{"slot":7}`,
+		} {
+			typ := reflect.TypeOf(row.want)
+			got, want := reflect.New(typ), reflect.New(typ)
+			err := decode(&http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(strings.NewReader(body))}, got.Interface())
+			wantErr := json.Unmarshal([]byte(body), want.Interface())
+			if wantErr != nil && (err == nil || err.Error() != "client: decode: "+wantErr.Error()) ||
+				wantErr == nil && err != nil {
+				t.Errorf("%s %q: decode error %v, json.Unmarshal %v", row.name, body, err, wantErr)
+			}
+			if !testenv.BitEqual(got.Elem().Interface(), want.Elem().Interface()) {
+				t.Errorf("%s %q: decoded %+v, json.Unmarshal %+v", row.name, body, got.Elem(), want.Elem())
+			}
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"math"
 )
 
-// sRGB transfer functions: frames store linear light (power is linear in
+// sRGB transfer function: frames store linear light (power is linear in
 // emitted light), PNG stores gamma-encoded sRGB.
 
 // srgbEncode converts linear light to the sRGB transfer curve.
@@ -18,14 +18,6 @@ func srgbEncode(v float64) float64 {
 		return 12.92 * v
 	}
 	return 1.055*math.Pow(v, 1/2.4) - 0.055
-}
-
-// srgbDecode converts an sRGB value to linear light.
-func srgbDecode(v float64) float64 {
-	if v <= 0.04045 {
-		return v / 12.92
-	}
-	return math.Pow((v+0.055)/1.055, 2.4)
 }
 
 // ToImage renders the frame as an 8-bit sRGB image.
@@ -50,29 +42,6 @@ func (f *Frame) ToImage() (*image.RGBA, error) {
 
 func to8(linear float64) uint8 {
 	return uint8(srgbEncode(linear)*255 + 0.5)
-}
-
-// FromImage decodes an image into a linear-light frame at the image's
-// native resolution.
-func FromImage(img image.Image) (*Frame, error) {
-	if img == nil {
-		return nil, fmt.Errorf("frame: nil image")
-	}
-	b := img.Bounds()
-	f, err := New(b.Dx(), b.Dy())
-	if err != nil {
-		return nil, err
-	}
-	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			r, g, bl, _ := img.At(b.Min.X+x, b.Min.Y+y).RGBA() // 16-bit
-			i := y*f.W + x
-			f.R[i] = srgbDecode(float64(r) / 65535)
-			f.G[i] = srgbDecode(float64(g) / 65535)
-			f.B[i] = srgbDecode(float64(bl) / 65535)
-		}
-	}
-	return f, nil
 }
 
 // EncodePNG writes the frame as a PNG.

@@ -23,7 +23,8 @@ import (
 // that moves them moves the bounds; what they pin is this repository's
 // share. Before the responses were append-encoded and the Caller built
 // its requests on a pre-parsed base URL the four rows read 82, 83, 104
-// and 164.
+// and 164; before both ends read the hot bodies in that layout instead
+// of through json.Unmarshal (DESIGN.md §18), 74, 74, 98 and 148.
 func TestRoundTripAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -72,19 +73,19 @@ func TestRoundTripAllocs(t *testing.T) {
 		bound float64
 		call  func() error
 	}{
-		{"GET /v1/decision", 74, func() error {
+		{"GET /v1/decision", 70, func() error {
 			var out server.DecisionResponse
 			return direct.GetJSON("/v1/decision?device=dev-001", &out)
 		}},
-		{"GET /v1/chunk", 74, func() error {
+		{"GET /v1/chunk", 70, func() error {
 			var out server.ChunkResponse
 			return direct.GetJSON("/v1/chunk?device=dev-001&index=3", &out)
 		}},
-		{"POST /v1/report, one JSON report", 98, func() error {
+		{"POST /v1/report, one JSON report", 89, func() error {
 			var out server.ReportResponse
 			return direct.PostRaw("/v1/report", "application/json", body, &out)
 		}},
-		{"GET /v1/decision through an N=1 router", 148, func() error {
+		{"GET /v1/decision through an N=1 router", 139, func() error {
 			var out server.DecisionResponse
 			return proxied.GetJSON("/v1/decision?device=dev-001", &out)
 		}},

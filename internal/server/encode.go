@@ -18,7 +18,10 @@ import (
 // own appendJSON method, byte for byte what WriteJSON would have sent
 // (FuzzAppendJSON holds the two together; the value writers are
 // internal/appendjson's), and fall back to WriteJSON only for a float
-// with no JSON form, to fail as it fails.
+// with no JSON form, to fail as it fails. Each has a ReadJSON beside
+// it, the decode half a client tries before json.Unmarshal: it takes
+// exactly the layout appendJSON writes and declines anything else
+// (FuzzDecodeReply holds it to json.Unmarshal).
 
 // jsonContentType is the Content-Type value of every JSON body,
 // assigned to the header map as is. cap == len, so a middleware that
@@ -74,6 +77,22 @@ func (r DecisionResponse) appendJSON(dst []byte) ([]byte, bool) {
 	return append(dst, "}\n"...), ok
 }
 
+// ReadJSON reads data into r when it is in appendJSON's layout, and
+// reports whether it was; on false r is untouched and the caller
+// decodes data with json.Unmarshal instead.
+func (r *DecisionResponse) ReadJSON(data []byte) bool {
+	rd := appendjson.NewReader(data)
+	id := rd.String(`{"device_id":`)
+	slot := rd.Int(`,"slot":`)
+	transform := rd.Bool(`,"transform":`)
+	gamma := rd.Float(`,"gamma":`)
+	if !rd.End() {
+		return false
+	}
+	*r = DecisionResponse{DeviceID: string(id), Slot: slot, Transform: transform, Gamma: gamma}
+	return true
+}
+
 func (r ChunkResponse) appendJSON(dst []byte) ([]byte, bool) {
 	ok := true
 	dst = append(dst, `{"index":`...)
@@ -101,12 +120,46 @@ func (r ChunkResponse) appendJSON(dst []byte) ([]byte, bool) {
 	return append(dst, "}\n"...), ok
 }
 
+// ReadJSON is DecisionResponse.ReadJSON for a chunk.
+func (r *ChunkResponse) ReadJSON(data []byte) bool {
+	rd := appendjson.NewReader(data)
+	v := ChunkResponse{
+		Index:           rd.Int(`{"index":`),
+		DurationSec:     rd.Float(`,"duration_sec":`),
+		BitrateKbps:     rd.Int(`,"bitrate_kbps":`),
+		Transformed:     rd.Bool(`,"transformed":`),
+		MeanLuma:        rd.Float(`,"mean_luma":`),
+		PeakLuma:        rd.Float(`,"peak_luma":`),
+		MeanR:           rd.Float(`,"mean_r":`),
+		MeanG:           rd.Float(`,"mean_g":`),
+		MeanB:           rd.Float(`,"mean_b":`),
+		BrightnessScale: rd.Float(`,"brightness_scale":`),
+		PlainPowerW:     rd.Float(`,"plain_power_w":`),
+	}
+	if !rd.End() {
+		return false
+	}
+	*r = v
+	return true
+}
+
 func (r ReportResponse) appendJSON(dst []byte) ([]byte, bool) {
 	dst = append(dst, `{"slot":`...)
 	dst = strconv.AppendInt(dst, int64(r.Slot), 10)
 	dst = append(dst, `,"accepted":`...)
 	dst = strconv.AppendBool(dst, r.Accepted)
 	return append(dst, "}\n"...), true
+}
+
+// ReadJSON is DecisionResponse.ReadJSON for an acknowledgement.
+func (r *ReportResponse) ReadJSON(data []byte) bool {
+	rd := appendjson.NewReader(data)
+	v := ReportResponse{Slot: rd.Int(`{"slot":`), Accepted: rd.Bool(`,"accepted":`)}
+	if !rd.End() {
+		return false
+	}
+	*r = v
+	return true
 }
 
 // queryValue is url.ParseQuery(raw)[key][0] — "" when key is absent —

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"lpvs/internal/appendjson"
 	"lpvs/internal/bufpool"
 )
 
@@ -65,8 +66,8 @@ func ReadReport(contentType string, body io.Reader, maxRecords int, scratch func
 		}
 		return msg, nil
 	}
-	// json.Unmarshal copies every string it decodes, so nothing of the
-	// pooled buffer outlives this call.
+	// Both JSON readers copy every string they keep out of the pooled
+	// buffer, so nothing of it outlives this call.
 	buf := bufpool.Get()
 	defer bufpool.Put(buf)
 	if _, err := buf.ReadFrom(body); err != nil {
@@ -84,10 +85,51 @@ func ReadReport(contentType string, body io.Reader, maxRecords int, scratch func
 		return Message{Batch: true, Reports: reqs, Bytes: int64(len(data))}, nil
 	}
 	reqs := make([]ReportRequest, 1)
-	if err := json.Unmarshal(data, &reqs[0]); err != nil {
-		return Message{}, fmt.Errorf("decode: %w", err)
+	if !reqs[0].readJSON(data) {
+		if err := json.Unmarshal(data, &reqs[0]); err != nil {
+			return Message{}, fmt.Errorf("decode: %w", err)
+		}
 	}
 	return Message{Reports: reqs, Bytes: int64(len(data))}, nil
+}
+
+// readJSON reads data into r when it is laid out as json.Marshal writes
+// a ReportRequest, channel_id present or omitted, and reports whether
+// it was; on false r is untouched and ReadReport falls back to
+// json.Unmarshal (FuzzReadReportJSON holds the two together). The two
+// display types come back as constants, so a known one costs no
+// allocation.
+func (r *ReportRequest) readJSON(data []byte) bool {
+	rd := appendjson.NewReader(data)
+	id := rd.String(`{"device_id":`)
+	var channel []byte
+	if rd.Prefix(`,"channel_id":`) {
+		channel = rd.String("")
+	}
+	display := rd.String(`,"display_type":`)
+	v := ReportRequest{
+		Width:            rd.Int(`,"width":`),
+		Height:           rd.Int(`,"height":`),
+		DiagonalInch:     rd.Float(`,"diagonal_inch":`),
+		Brightness:       rd.Float(`,"brightness":`),
+		EnergyFrac:       rd.Float(`,"energy_frac":`),
+		BatteryCapacityJ: rd.Float(`,"battery_capacity_j":`),
+		BasePowerW:       rd.Float(`,"base_power_w":`),
+	}
+	if !rd.End() {
+		return false
+	}
+	v.DeviceID, v.ChannelID = string(id), string(channel)
+	switch string(display) {
+	case "OLED":
+		v.DisplayType = "OLED"
+	case "LCD":
+		v.DisplayType = "LCD"
+	default:
+		v.DisplayType = string(display)
+	}
+	*r = v
+	return true
 }
 
 // read decodes one binary message from body into the workspace.
