@@ -17,6 +17,7 @@ package anxiety
 import (
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // Levels is the number of battery-level bins used by the extraction
@@ -147,10 +148,48 @@ func (m *Canonical) Anxiety(energyFrac float64) float64 {
 	w := float64(WarningLevel) / Levels
 	if e >= w {
 		// Convex decay from AnxietyAtWarning at e=w to 0 at e=1.
-		return m.AnxietyAtWarning * math.Pow((1-e)/(1-w), m.ConvexPower)
+		return m.AnxietyAtWarning * unitPow((1-e)/(1-w), m.ConvexPower)
 	}
 	// Concave rise from AnxietyAtWarning at e=w to 1 at e=0.
-	return 1 - float64((1-m.AnxietyAtWarning)*math.Pow(e/w, m.ConcavePower))
+	return 1 - float64((1-m.AnxietyAtWarning)*unitPow(e/w, m.ConcavePower))
+}
+
+// unitPow is math.Pow(x, y), bit for bit, without pow's special-case
+// ladder for the inputs φ gives it: for x in [2⁻¹⁰⁰, 1) and a
+// non-integer y in (0, 4) other than ½ it takes the generic steps of
+// $GOROOT/src/math/pow.go itself — split y with Modf, move a fraction
+// above ½ into the integer part, x^yf as Exp(yf·Log(x)), then x^yi
+// multiplied in in the order of pow's square-and-multiply loop. pow
+// runs that loop on Frexp mantissas and scales by the exponents at the
+// end; here every product is a normal float (x^yi ≥ 2⁻⁴⁰⁰), so scaling
+// by a power of two is exact and the products round alike. Any other
+// input, and every input on s390x (whose math.Pow is assembly), goes to
+// math.Pow.
+func unitPow(x, y float64) float64 {
+	if !(x >= 0x1p-100 && x < 1 && y > 0 && y < 4 && y != 0.5) || runtime.GOARCH == "s390x" {
+		return math.Pow(x, y)
+	}
+	yi, yf := math.Modf(y)
+	if yf == 0 {
+		return math.Pow(x, y)
+	}
+	if yf > 0.5 {
+		yf--
+		yi++
+	}
+	a := math.Exp(yf * math.Log(x))
+	switch yi {
+	case 1:
+		return a * x
+	case 2:
+		return a * (x * x)
+	case 3:
+		return (a * x) * (x * x)
+	case 4:
+		xx := x * x
+		return a * (xx * xx)
+	}
+	return a
 }
 
 // Linear is the paper's dashed straight-line reference: anxiety falls

@@ -2,10 +2,12 @@ package anxiety
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
 	"lpvs/internal/survey"
+	"lpvs/internal/testenv"
 )
 
 func extractDefault(t *testing.T) *Curve {
@@ -285,5 +287,80 @@ func TestEmpiricalCloseToCanonical(t *testing.T) {
 	}
 	if worst > 0.15 {
 		t.Fatalf("empirical curve deviates from canonical by %v (max allowed 0.15)", worst)
+	}
+}
+
+// canonicalPow is Canonical.Anxiety as written with math.Pow, the
+// reference unitPow must equal bit for bit.
+func canonicalPow(m *Canonical, energyFrac float64) float64 {
+	e := clamp01(energyFrac)
+	w := float64(WarningLevel) / Levels
+	if e >= w {
+		return m.AnxietyAtWarning * math.Pow((1-e)/(1-w), m.ConvexPower)
+	}
+	return 1 - float64((1-m.AnxietyAtWarning)*math.Pow(e/w, m.ConcavePower))
+}
+
+// TestCanonicalUnitPowDifferential holds φ with unitPow to φ with
+// math.Pow, bit for bit, over seeded energy fractions: uniform on
+// [0, 1], and dense near 0 (down past the 2⁻¹⁰⁰ fast-path floor), near
+// the 20% warning level and near 1. The calibration's two exponents get
+// 10M inputs each, and so does 2.7, whose integer part 3 (a fraction
+// above ½ is carried) is the one product of three factors; 0.3, 1.25
+// and 3.7 cover the integer parts 0, 1 and 4 with 1M each.
+func TestCanonicalUnitPowDifferential(t *testing.T) {
+	scale := 1
+	if testenv.RaceEnabled {
+		scale = 50
+	}
+	w := float64(WarningLevel) / Levels
+	for _, tc := range []struct {
+		y float64
+		n int
+	}{{2.2, 10_000_000}, {1.6, 10_000_000}, {2.7, 10_000_000}, {0.3, 1_000_000}, {1.25, 1_000_000}, {3.7, 1_000_000}} {
+		y, n := tc.y, tc.n/scale
+		m := &Canonical{AnxietyAtWarning: 0.72, ConvexPower: y, ConcavePower: y}
+		rng := rand.New(rand.NewPCG(1, math.Float64bits(y)))
+		mismatches := 0
+		for i := 0; i < n; i++ {
+			u := rng.Float64()
+			var e float64
+			switch i % 5 {
+			case 0:
+				e = u
+			case 1: // near 0, on a log scale down to 2⁻¹¹⁰
+				e = math.Ldexp(1+u, -rng.IntN(110))
+			case 2:
+				e = w + float64(u-0.5)*1e-3
+			case 3:
+				e = 1 - u*1e-3
+			case 4:
+				e = math.Nextafter(w, float64(rng.IntN(2)))
+			}
+			if got, want := m.Anxiety(e), canonicalPow(m, e); math.Float64bits(got) != math.Float64bits(want) {
+				if mismatches++; mismatches <= 5 {
+					t.Errorf("y=%v φ(%v) = %v, with math.Pow %v", y, e, got, want)
+				}
+			}
+		}
+		if mismatches > 0 {
+			t.Errorf("y=%v: %d of %d inputs differ", y, mismatches, n)
+		}
+	}
+}
+
+// TestUnitPowOutsideFastPath: every input the fast path does not take —
+// special values, integers, ½, x outside [2⁻¹⁰⁰, 1), y outside (0, 4) —
+// is math.Pow's answer.
+func TestUnitPowOutsideFastPath(t *testing.T) {
+	xs := []float64{math.NaN(), math.Inf(-1), -0.5, math.Copysign(0, -1), 0, 5e-324, 0x1p-101, 0x1p-100, 0.3, 1, 1.5, math.Inf(1)}
+	ys := []float64{math.NaN(), math.Inf(-1), -2.2, -1, 0, 0.5, 1, 2, 2.2, 3, 4, 4.5, math.Inf(1)}
+	for _, x := range xs {
+		for _, y := range ys {
+			got, want := unitPow(x, y), math.Pow(x, y)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Errorf("unitPow(%v, %v) = %v, math.Pow %v", x, y, got, want)
+			}
+		}
 	}
 }

@@ -6,10 +6,13 @@
 // so both surfaces are configured through one Options API.
 //
 // The Caller is on the hot path of every slot (DESIGN.md §18): it
-// builds each request on the base URL it parsed once, issues it through
-// http.Client.Do, and reads a 200 body whole into a pooled buffer
-// (internal/bufpool) — to json.Unmarshal it, which wants exactly one
-// JSON value, or, for the router, to relay its bytes untouched.
+// builds each request in one allocation on the base URL it parsed once,
+// hands it to the http.RoundTripper itself — the Caller owns retries,
+// the breaker and the budget, and follows no redirect, so http.Client.Do
+// would add only its bookkeeping — and reads a 200 body whole into a
+// pooled buffer (internal/bufpool): to read it in its append layout or
+// json.Unmarshal it, either of which wants exactly one JSON value, or,
+// for the router, to relay its bytes untouched.
 package client
 
 import (

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 
 	"lpvs/internal/bufpool"
 	"lpvs/internal/server"
+	"lpvs/internal/wire"
 )
 
 // This file is the shared transport option set and the Caller it
@@ -23,9 +25,10 @@ import (
 
 // Options is the resolved transport/resilience configuration. Build it
 // by applying Option funcs; the zero value means "no retries, no
-// breaker, no budget, binary reports, http.DefaultClient".
+// breaker, no budget, binary reports, http.DefaultTransport".
 type Options struct {
-	// HTTP is the underlying transport (nil = http.DefaultClient).
+	// HTTP supplies the Transport and the Timeout (nil =
+	// http.DefaultClient); see WithHTTPClient.
 	HTTP *http.Client
 	// Retries and Backoff configure WithRetries.
 	Retries int
@@ -45,8 +48,17 @@ type Options struct {
 // Option customises a Client or a Caller.
 type Option func(*Options)
 
-// WithHTTPClient sets the underlying *http.Client (timeouts,
-// transport); nil keeps http.DefaultClient.
+// WithHTTPClient sets the *http.Client whose Transport (nil:
+// http.DefaultTransport) and Timeout the Caller uses; nil keeps
+// http.DefaultClient. Only those two fields are used: the Caller hands
+// each request to the Transport itself, not through Client.Do, so it
+// follows no redirect (a 3xx is an *APIError like any non-200), keeps
+// no cookie Jar, and sends no Authorization for credentials in the base
+// URL. It talks only to LPVS daemons and routers, which use none of
+// these. A positive Timeout is a deadline on each attempt's context,
+// over the same span as Client.Timeout: until the response body is read.
+// The Transport must keep the http.RoundTripper contract and not modify
+// the request: every GET shares one Header.
 func WithHTTPClient(h *http.Client) Option {
 	return func(o *Options) { o.HTTP = h }
 }
@@ -230,28 +242,55 @@ func plainPath(path string) bool {
 	return true
 }
 
+// reqBlock is one attempt's request in one allocation: the request, its
+// URL and its body reader.
+type reqBlock struct {
+	req  http.Request
+	url  url.URL
+	body bodyReader
+}
+
+// bodyReader is a POST body: the Caller's bytes, read once.
+type bodyReader struct{ bytes.Reader }
+
+func (*bodyReader) Close() error { return nil }
+
+// getHeader is every GET's header: empty, and shared. A RoundTripper
+// must not modify the request it is handed, and http.Transport only
+// reads Header.
+var getHeader = http.Header{}
+
+// The POST Content-Type values the Caller sends, as header value slices
+// shared by every request.
+var (
+	jsonContentType = []string{"application/json"}
+	wireContentType = []string{wire.ContentType}
+)
+
 // newRequest builds the request http.NewRequest(method, base+path,
 // bytes.NewReader(body)) would — same URL, Host, ContentLength and
 // GetBody, so the Transport can still replay a POST onto a fresh
-// connection when a kept-alive one turns out dead — without parsing
-// base again: for a plainPath the URL is a copy of baseURL with the
-// path's two halves appended. Any other path takes http.NewRequest.
+// connection when a kept-alive one turns out dead — in one reqBlock,
+// without parsing base again: for a plainPath the URL is a copy of
+// baseURL with the path's two halves appended. Any other path takes
+// http.NewRequest.
 func (c *Caller) newRequest(rq request) (*http.Request, error) {
-	var req *http.Request
+	blk := new(reqBlock)
+	req := &blk.req
 	if c.baseURL != nil && plainPath(rq.path) {
-		u := *c.baseURL
+		blk.url = *c.baseURL
 		path, query, forced := strings.Cut(rq.path, "?")
-		u.Path += path
-		u.RawQuery = query
-		u.ForceQuery = forced && query == ""
-		req = &http.Request{
+		blk.url.Path += path
+		blk.url.RawQuery = query
+		blk.url.ForceQuery = forced && query == ""
+		*req = http.Request{
 			Method:     rq.method,
-			URL:        &u,
+			URL:        &blk.url,
 			Proto:      "HTTP/1.1",
 			ProtoMajor: 1,
 			ProtoMinor: 1,
-			Header:     make(http.Header),
-			Host:       u.Host,
+			Header:     getHeader,
+			Host:       blk.url.Host,
 		}
 	} else {
 		var err error
@@ -262,18 +301,62 @@ func (c *Caller) newRequest(rq request) (*http.Request, error) {
 	if rq.method != "POST" {
 		return req, nil
 	}
-	req.Header.Set("Content-Type", rq.contentType)
+	var ct []string
+	switch rq.contentType {
+	case jsonContentType[0]:
+		ct = jsonContentType
+	case wireContentType[0]:
+		ct = wireContentType
+	default:
+		ct = []string{rq.contentType}
+	}
+	req.Header = make(http.Header, 1)
+	req.Header["Content-Type"] = ct
 	if len(rq.body) == 0 {
 		req.Body = http.NoBody
 		req.GetBody = func() (io.ReadCloser, error) { return http.NoBody, nil }
 		return req, nil
 	}
 	body := rq.body
+	blk.body.Reset(body)
 	req.ContentLength = int64(len(body))
-	req.Body = io.NopCloser(bytes.NewReader(body))
+	req.Body = &blk.body
 	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 	return req, nil
 }
+
+// send hands req to the client's Transport (http.DefaultTransport when
+// it has none), as http.Client.Do would for a request it does not
+// redirect: the client's Timeout becomes a deadline on the request's
+// context, and a transport error comes back as the *url.Error Do
+// returns. done releases the deadline; call it once the response body
+// is read and closed, so the deadline covers the body as Timeout does.
+func (c *Caller) send(req *http.Request) (resp *http.Response, done func(), err error) {
+	rt := c.http.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	done = noop
+	if c.http.Timeout > 0 {
+		ctx, cancel := context.WithTimeout(req.Context(), c.http.Timeout)
+		req, done = req.WithContext(ctx), cancel
+	}
+	resp, err = rt.RoundTrip(req)
+	if err == nil && resp == nil {
+		err = fmt.Errorf("http: RoundTripper implementation (%T) returned a nil *Response with a nil error", rt)
+	}
+	if err != nil {
+		done()
+		op := req.Method[:1] + strings.ToLower(req.Method[1:])
+		return nil, noop, &url.Error{Op: op, URL: req.URL.Redacted(), Err: err}
+	}
+	if resp.Body == nil {
+		resp.Body = http.NoBody
+	}
+	return resp, done, nil
+}
+
+func noop() {}
 
 // withRetry runs the request, retrying transport failures, 5xx
 // responses and shed (429) requests with exponential backoff when the
@@ -302,11 +385,10 @@ func (c *Caller) withRetry(rq request, out any) error {
 			}
 		}
 		var resp *http.Response
+		done := noop
 		req, err := c.newRequest(rq)
 		if err == nil {
-			// Through Do, as http.Client.Get and Post go: the client's
-			// Timeout, redirect policy and Transport apply unchanged.
-			resp, err = c.http.Do(req)
+			resp, done, err = c.send(req)
 		}
 		if err != nil {
 			lastErr = fmt.Errorf("client: %s %s: %w", rq.method, rq.path, err)
@@ -319,11 +401,13 @@ func (c *Caller) withRetry(rq request, out any) error {
 			}
 			lastErr = decode(resp, out)
 			resp.Body.Close()
+			done()
 			c.recordOutcome(false)
 			continue
 		}
 		err = decode(resp, out)
 		resp.Body.Close()
+		done()
 		// The server answered and was not failing: a 4xx is the
 		// caller's problem, not the edge's health.
 		c.recordOutcome(true)

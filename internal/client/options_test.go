@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -15,6 +16,7 @@ import (
 
 	"lpvs/internal/server"
 	"lpvs/internal/testenv"
+	"lpvs/internal/wire"
 )
 
 // The Caller is the shared transport under both the device Client and
@@ -120,6 +122,73 @@ func TestWithHTTPClientOption(t *testing.T) {
 	}
 }
 
+// TestCallerTimeout holds the Caller to its http.Client's Timeout, which
+// it turns into a deadline on each request: a daemon that stalls before
+// its headers, or after them in the middle of the body, fails the call
+// with a timeout instead of holding it.
+func TestCallerTimeout(t *testing.T) {
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/body" {
+			w.Header().Set("Content-Length", "100")
+			io.WriteString(w, `{"ok":`)
+			w.(http.Flusher).Flush()
+		}
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer ts.Close()
+	defer close(release)
+	c, err := NewCaller(ts.URL, WithHTTPClient(&http.Client{Timeout: 50 * time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/headers", "/body"} {
+		done := make(chan error, 1)
+		go func() {
+			var out struct {
+				OK bool `json:"ok"`
+			}
+			done <- c.GetJSON(path, &out)
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s: error %v, want a deadline exceeded", path, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: the call outlived the client's 50ms Timeout by 5s", path)
+		}
+	}
+}
+
+// TestCallerRedirectIsAnError: the Caller follows no redirect. A 3xx is
+// an answer like any other non-200, an *APIError, and the target is not
+// requested.
+func TestCallerRedirectIsAnError(t *testing.T) {
+	var followed atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/there" {
+			followed.Store(true)
+		}
+		http.Redirect(w, r, "/there", http.StatusFound)
+	}))
+	defer ts.Close()
+	c, err := NewCaller(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr *APIError
+	if err := c.GetJSON("/here", nil); !errors.As(err, &apiErr) || apiErr.Status != http.StatusFound {
+		t.Fatalf("error %v, want an *APIError with status 302", err)
+	}
+	if followed.Load() {
+		t.Fatal("the redirect was followed")
+	}
+}
+
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
@@ -204,6 +273,62 @@ func TestCallerAllocsNoLabelPerCall(t *testing.T) {
 	})
 	if through > bare {
 		t.Fatalf("GetJSON allocates %.0f per call, the bare request %.0f", through, bare)
+	}
+}
+
+// cannedTransport answers every request with the same 200 response and
+// body, allocating nothing itself: what a call through it allocates is
+// the Caller's own.
+type cannedTransport struct {
+	resp http.Response
+	body bytes.Reader
+	data []byte
+}
+
+func newCannedTransport(body string) *cannedTransport {
+	ct := &cannedTransport{data: []byte(body)}
+	ct.resp = http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(&ct.body)}
+	return ct
+}
+
+func (ct *cannedTransport) RoundTrip(*http.Request) (*http.Response, error) {
+	ct.body.Reset(ct.data)
+	return &ct.resp, nil
+}
+
+// TestCallerOwnAllocs pins what the Caller itself allocates per call,
+// over a RoundTripper that allocates nothing, with the 200 body relayed
+// to an io.Writer (decode's share is TestDecodeReplyAllocs'): a GET is
+// its one request block, a POST that block, its Content-Type header map
+// (two) and the GetBody closure. Through http.Client.Do and a request
+// built in parts the same calls cost 6 and 13.
+func TestCallerOwnAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c, err := NewCaller("http://edge.test",
+		WithHTTPClient(&http.Client{Transport: newCannedTransport("{\"slot\":7,\"accepted\":true}\n")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"device_id":"d1"}`)
+	for _, row := range []struct {
+		name  string
+		bound float64
+		call  func() error
+	}{
+		{"GET", 1, func() error { return c.GetJSON("/v1/decision?device=d1", io.Discard) }},
+		{"POST JSON", 4, func() error { return c.PostRaw("/v1/report", "application/json", body, io.Discard) }},
+		{"POST binary", 4, func() error { return c.PostRaw("/v1/report", wire.ContentType, body, io.Discard) }},
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := row.call(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > row.bound {
+			t.Errorf("%s: the Caller allocates %.0f per call, want at most %.0f", row.name, allocs, row.bound)
+		}
 	}
 }
 

@@ -701,13 +701,18 @@ func (r *Record) Encode() ([]byte, error) {
 	return line, nil
 }
 
-// Decode parses one JSONL line into a verified record.
+// Decode parses one JSONL line into a verified record. The line is the
+// record and nothing else: anything but whitespace after it — a second
+// record glued on by a lost newline, a stray brace — fails the line.
 func Decode(line []byte) (*Record, error) {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	var rec Record
 	if err := dec.Decode(&rec); err != nil {
 		return nil, fmt.Errorf("audit: decode: %w", err)
+	}
+	if rest := bytes.TrimLeft(line[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return nil, fmt.Errorf("audit: decode: %d bytes after the record", len(rest))
 	}
 	if err := rec.Verify(); err != nil {
 		return nil, err

@@ -109,6 +109,35 @@ func readGolden(t *testing.T, name string) []byte {
 	return data
 }
 
+// TestDecodeTrailingBytes holds Decode to one record per line: a golden
+// line with whitespace after it decodes, one with anything else after it
+// — a second record glued on by a lost newline, a stray brace — fails
+// instead of decoding as its first record.
+func TestDecodeTrailingBytes(t *testing.T) {
+	for _, name := range []string{"record.golden.jsonl", "record.v2.golden.jsonl"} {
+		line := bytes.TrimSpace(readGolden(t, name))
+		for _, tc := range []struct {
+			tail string
+			ok   bool
+		}{
+			{"", true},
+			{"\n", true},
+			{" \t\r\n ", true},
+			{` {"schema":99} garbage`, false},
+			{"}", false},
+			{" }\n", false},
+			{"\n" + string(line), false},
+			{string(line), false},
+			{"x", false},
+		} {
+			_, err := Decode(append(append([]byte(nil), line...), tc.tail...))
+			if (err == nil) != tc.ok {
+				t.Errorf("%s + %q: error %v, want ok=%v", name, tc.tail, err, tc.ok)
+			}
+		}
+	}
+}
+
 // TestGoldenRecordSchema pins both wire formats against the same
 // fixedInstance. record.v2.golden.jsonl is the writer's golden: any
 // field rename, reorder, or type change in what NewRecord + Encode

@@ -72,10 +72,17 @@ func FuzzAuditDecode(f *testing.F) {
 		f.Fatalf("the escape-and-exponent seed is not a record Decode accepts: %v", err)
 	}
 	f.Add(bytes.TrimSpace(trickyLine))
+	// A valid line with bytes after the record: a second value, and a
+	// stray closing brace.
+	f.Add(append(bytes.TrimSpace(valid), ` {"schema":99} garbage`...))
+	f.Add(append(bytes.TrimSpace(valid), '}'))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		rec, err := Decode(line)
 		if err != nil {
 			return
+		}
+		if _, err := Decode(append(line[:len(line):len(line)], '}')); err == nil {
+			t.Fatal("an accepted line still decodes with a '}' after it")
 		}
 		out := checkEncode(t, "accepted record", rec)
 		if out == nil {

@@ -91,9 +91,8 @@ func (r *Record) Replay() (*ReplayResult, error) {
 		// A degraded tick replays under the recorded shortcuts, not the
 		// wall clock: forcing the same degradation reproduces the logged
 		// bytes however fast the machine is. It does not make them
-		// portable across CPUs: φ's math.Pow goes through math.Exp,
-		// which on amd64 takes an FMA path when the CPU has one
-		// (DESIGN.md §10).
+		// portable across CPUs: φ goes through math.Exp, which on
+		// amd64 takes an FMA path when the CPU has one (DESIGN.md §10).
 		dec, err = s.ScheduleDegraded(reqs, r.Degraded.Degradation())
 	} else {
 		dec, err = s.Schedule(reqs)

@@ -134,6 +134,7 @@ func (b *Bundle) Encode() ([]byte, error) {
 }
 
 // DecodeBundle unwraps and validates a container produced by Encode.
+// The payload is one JSON bundle; anything but whitespace after it fails.
 func DecodeBundle(data []byte) (*Bundle, error) {
 	payload, err := persist.DecodeContainer(data, BundleKind, BundleVersion)
 	if err != nil {
@@ -144,6 +145,9 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 	var b Bundle
 	if err := dec.Decode(&b); err != nil {
 		return nil, fmt.Errorf("flight: decode bundle: %w", err)
+	}
+	if rest := bytes.TrimLeft(payload[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return nil, fmt.Errorf("flight: decode bundle: %d bytes after the bundle", len(rest))
 	}
 	return &b, nil
 }

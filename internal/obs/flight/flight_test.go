@@ -105,6 +105,35 @@ func TestBundleDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestBundleDecodeTrailingBytes holds a bundle's payload to one JSON
+// value: whitespace may follow it, nothing else may, even inside a
+// container whose checksum is good.
+func TestBundleDecodeTrailingBytes(t *testing.T) {
+	payload, err := json.Marshal(&Bundle{Schema: BundleVersion, Trigger: TriggerManual, Reason: "drill"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tail string
+		ok   bool
+	}{
+		{"", true},
+		{" \t\r\n", true},
+		{` {"schema":99} garbage`, false},
+		{"}", false},
+		{"\n" + string(payload), false},
+	} {
+		data := persist.EncodeContainer(BundleKind, BundleVersion, append(append([]byte(nil), payload...), tc.tail...))
+		b, err := DecodeBundle(data)
+		if (err == nil) != tc.ok {
+			t.Errorf("payload + %q: error %v, want ok=%v", tc.tail, err, tc.ok)
+		}
+		if err == nil && b.Reason != "drill" {
+			t.Errorf("payload + %q: decoded %+v", tc.tail, b)
+		}
+	}
+}
+
 func TestManualCaptureWritesBundle(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("x_total", "X.").Add(5)

@@ -208,9 +208,12 @@ func (rt *Router) proxyDeviceGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	path := r.URL.Path
-	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
+	path := r.RequestURI // as it arrived, when it arrived over a socket
+	if !strings.HasPrefix(path, "/") {
+		path = r.URL.Path
+		if r.URL.RawQuery != "" {
+			path += "?" + r.URL.RawQuery
+		}
 	}
 	rt.relay(w, id, path, nil)
 }

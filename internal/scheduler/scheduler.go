@@ -547,7 +547,14 @@ func (s *Scheduler) compact(r *Request, p *plan) {
 	e0, e1 := r.EnergyFrac, r.EnergyFrac
 	// End-of-slot energy projections.
 	end0, end1 := r.EnergyFrac, r.EnergyFrac
+	// φ at e0 and e1, which both start at EnergyFrac: evaluated there
+	// once, for the first chunk's two terms and for p.anx.
+	p.anx = phi.Anxiety(r.EnergyFrac)
+	phi0, phi1 := p.anx, p.anx
 	for i := range r.Chunks {
+		if i > 0 {
+			phi0, phi1 = phi.Anxiety(e0), phi.Anxiety(e1)
+		}
 		c := &r.Chunks[i]
 		watts := panel.Power(c.Stats)
 		// The chunk's display and base (non-display) energy as battery
@@ -558,12 +565,12 @@ func (s *Scheduler) compact(r *Request, p *plan) {
 		lhs -= float64(float64(k-i-1) * psi1)
 		rhs += float64(gamma * d)
 		psi0 := d + b
-		p.obj0 += psi0 + float64(lambda*phi.Anxiety(e0))
+		p.obj0 += psi0 + float64(lambda*phi0)
 		e0 -= psi0
 		if e0 < 0 {
 			e0 = 0
 		}
-		p.obj1 += psi1 + float64(lambda*phi.Anxiety(e1))
+		p.obj1 += psi1 + float64(lambda*phi1)
 		e1 -= psi1
 		if e1 < 0 {
 			e1 = 0
@@ -575,7 +582,6 @@ func (s *Scheduler) compact(r *Request, p *plan) {
 	p.g = edge.ComputeCost(r.Display.Resolution, r.Chunks, s.cfg.SlotSec)
 	p.h = edge.StorageCost(r.Chunks)
 	p.eligible = lhs >= rhs
-	p.anx = phi.Anxiety(r.EnergyFrac)
 	if end0 < 0 {
 		end0 = 0
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -113,30 +114,51 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
+// TestBodyCap413 holds a POST body to MaxBodyBytes whether its length
+// is declared (Content-Length, which net/http's body reader already
+// stops at) or not (chunked, read through http.MaxBytesReader): one
+// byte over is 413 payload_too_large, the cap itself is read as usual.
 func TestBodyCap413(t *testing.T) {
-	s, err := New(Config{Stream: testStream(t), ServerStreams: -1, Lambda: 1, MaxBodyBytes: 512})
+	const maxBody = 512
+	s, err := New(Config{Stream: testStream(t), ServerStreams: -1, Lambda: 1, MaxBodyBytes: maxBody})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	huge := bytes.Repeat([]byte("x"), 4<<10)
-	resp, err := http.Post(ts.URL+"/v1/report", "application/json", bytes.NewReader(huge))
+	report, err := json.Marshal(validReport("dev-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", resp.StatusCode)
-	}
-	if body := decodeEnvelope(t, resp); body.Code != CodePayloadTooLarge {
-		t.Fatalf("code %q", body.Code)
-	}
-	// A normal-sized report still works on the same server.
-	var rep ReportResponse
-	if r := postJSON(t, ts.URL+"/v1/report", validReport("dev-1"), &rep); r.StatusCode != 200 {
-		t.Fatalf("capped server rejected a small report: %d", r.StatusCode)
+	pad := func(n int) []byte { return append(report, bytes.Repeat([]byte(" "), n-len(report))...) }
+	for _, tc := range []struct {
+		name   string
+		body   []byte
+		status int
+	}{
+		{"4 KiB of junk", bytes.Repeat([]byte("x"), 4<<10), http.StatusRequestEntityTooLarge},
+		{"a report one byte over the cap", pad(maxBody + 1), http.StatusRequestEntityTooLarge},
+		{"a report at the cap", pad(maxBody), http.StatusOK},
+	} {
+		for _, known := range []bool{true, false} {
+			var body io.Reader = bytes.NewReader(tc.body)
+			if !known {
+				body = io.MultiReader(body) // a reader of no known length: sent chunked
+			}
+			resp, err := http.Post(ts.URL+"/v1/report", "application/json", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status {
+				t.Errorf("%s, known length %v: status %d, want %d", tc.name, known, resp.StatusCode, tc.status)
+			} else if tc.status != http.StatusOK {
+				if env := decodeEnvelope(t, resp); env.Code != CodePayloadTooLarge {
+					t.Errorf("%s, known length %v: code %q", tc.name, known, env.Code)
+				}
+			}
+			resp.Body.Close()
+		}
 	}
 }
 

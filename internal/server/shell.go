@@ -135,10 +135,14 @@ func (sh Shell) recoverPanics(next http.Handler) http.Handler {
 	})
 }
 
-// capBody bounds the request body; see Shell.MaxBodyBytes.
+// capBody bounds the request body; see Shell.MaxBodyBytes. A body of
+// known length within the cap is left as it is: net/http's body reader
+// already stops at ContentLength.
 func (sh Shell) capBody(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, sh.MaxBodyBytes)
+		if r.ContentLength < 0 || r.ContentLength > sh.MaxBodyBytes {
+			r.Body = http.MaxBytesReader(w, r.Body, sh.MaxBodyBytes)
+		}
 		next.ServeHTTP(w, r)
 	})
 }
