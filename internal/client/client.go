@@ -6,13 +6,16 @@
 // so both surfaces are configured through one Options API.
 //
 // The Caller is on the hot path of every slot (DESIGN.md §18): it
-// builds each request in one allocation on the base URL it parsed once,
-// hands it to the http.RoundTripper itself — the Caller owns retries,
-// the breaker and the budget, and follows no redirect, so http.Client.Do
-// would add only its bookkeeping — and reads a 200 body whole into a
-// pooled buffer (internal/bufpool): to read it in its append layout or
-// json.Unmarshal it, either of which wants exactly one JSON value, or,
-// for the router, to relay its bytes untouched.
+// builds each request in a recycled block on the base URL it parsed
+// once, with one shared, fixed header set — "Accept-Encoding: identity"
+// and no User-Agent — and hands it to the http.RoundTripper itself: the
+// Caller owns retries, the breaker and the budget, and follows no
+// redirect, so http.Client.Do would add only its bookkeeping. A
+// RoundTripper must not keep a request once its response body is
+// closed; a POST's body reader is the request's own and may outlive it. The Caller reads a 200 body whole into a pooled buffer
+// (internal/bufpool): to read it in its append layout or json.Unmarshal
+// it, either of which wants exactly one JSON value, or, for the router,
+// to relay its bytes untouched.
 package client
 
 import (

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"time"
 
 	"lpvs/internal/bufpool"
@@ -57,8 +58,12 @@ type Option func(*Options)
 // URL. It talks only to LPVS daemons and routers, which use none of
 // these. A positive Timeout is a deadline on each attempt's context,
 // over the same span as Client.Timeout: until the response body is read.
-// The Transport must keep the http.RoundTripper contract and not modify
-// the request: every GET shares one Header.
+// Every request carries "Accept-Encoding: identity" and an empty
+// User-Agent, which net/http sends as no User-Agent line. The Transport
+// must keep the http.RoundTripper contract: it must not modify the
+// request, whose Header is shared, nor keep it once the response body is
+// closed, when the Caller recycles it. The request's body is its own and
+// never recycled, so it may be read and closed after that.
 func WithHTTPClient(h *http.Client) Option {
 	return func(o *Options) { o.HTTP = h }
 }
@@ -243,86 +248,134 @@ func plainPath(path string) bool {
 }
 
 // reqBlock is one attempt's request in one allocation: the request, its
-// URL and its body reader.
+// URL and its body's bytes. Blocks are recycled through blocks. getBody
+// is bound once, when the block is made, and serves the block's current
+// bytes afresh.
 type reqBlock struct {
-	req  http.Request
-	url  url.URL
-	body bodyReader
+	req     http.Request
+	url     url.URL
+	data    []byte
+	getBody func() (io.ReadCloser, error)
 }
 
-// bodyReader is a POST body: the Caller's bytes, read once.
-type bodyReader struct{ bytes.Reader }
+// blocks recycles request blocks, as internal/bufpool does buffers. A
+// block goes back only once its response body is read and closed — the
+// point from which the http.RoundTripper contract lets a caller reuse a
+// request — and never after a transport error, when the Transport may
+// still hold the request. The contract does not cover a request's body:
+// the Transport may read and close it after the response, as it does
+// when the server answers a POST without reading it. So a body is never
+// part of a block: each POST reads its bytes through a reader of its own.
+var blocks = sync.Pool{New: func() any {
+	blk := new(reqBlock)
+	blk.getBody = func() (io.ReadCloser, error) {
+		if len(blk.data) == 0 {
+			return http.NoBody, nil
+		}
+		return io.NopCloser(bytes.NewReader(blk.data)), nil
+	}
+	return blk
+}}
 
-func (*bodyReader) Close() error { return nil }
+// release returns blk to blocks with its request zeroed and its body
+// dropped, so the pool pins no context and none of the caller's bytes.
+// A nil blk — a request http.NewRequest built — is not recycled.
+func (blk *reqBlock) release() {
+	if blk == nil {
+		return
+	}
+	*blk = reqBlock{getBody: blk.getBody}
+	blocks.Put(blk)
+}
 
-// getHeader is every GET's header: empty, and shared. A RoundTripper
-// must not modify the request it is handed, and http.Transport only
-// reads Header.
-var getHeader = http.Header{}
-
-// The POST Content-Type values the Caller sends, as header value slices
-// shared by every request.
+// Every request carries the same fixed header set, shared and read-only
+// (a RoundTripper must not modify its request, and http.Transport only
+// reads Header): "Accept-Encoding: identity", so the Transport asks for
+// no gzip and builds no per-request header to say so — nothing in LPVS
+// compresses a body — and an empty User-Agent, which net/http sends as
+// no User-Agent line at all. A POST adds its Content-Type; the two the
+// Caller sends have a header of their own.
 var (
-	jsonContentType = []string{"application/json"}
-	wireContentType = []string{wire.ContentType}
+	getHeader  = fixedHeader()
+	jsonHeader = postHeader("application/json")
+	wireHeader = postHeader(wire.ContentType)
 )
+
+func fixedHeader() http.Header {
+	return http.Header{"Accept-Encoding": {"identity"}, "User-Agent": {""}}
+}
+
+func postHeader(contentType string) http.Header {
+	h := fixedHeader()
+	h["Content-Type"] = []string{contentType}
+	return h
+}
+
+// header is rq's header: a shared one, or a fresh map for a Content-Type
+// the Caller has no header for.
+func (rq request) header() http.Header {
+	if rq.method != "POST" {
+		return getHeader
+	}
+	switch rq.contentType {
+	case "application/json":
+		return jsonHeader
+	case wire.ContentType:
+		return wireHeader
+	}
+	return postHeader(rq.contentType)
+}
 
 // newRequest builds the request http.NewRequest(method, base+path,
 // bytes.NewReader(body)) would — same URL, Host, ContentLength and
 // GetBody, so the Transport can still replay a POST onto a fresh
-// connection when a kept-alive one turns out dead — in one reqBlock,
-// without parsing base again: for a plainPath the URL is a copy of
-// baseURL with the path's two halves appended. Any other path takes
-// http.NewRequest.
-func (c *Caller) newRequest(rq request) (*http.Request, error) {
-	blk := new(reqBlock)
-	req := &blk.req
-	if c.baseURL != nil && plainPath(rq.path) {
-		blk.url = *c.baseURL
-		path, query, forced := strings.Cut(rq.path, "?")
-		blk.url.Path += path
-		blk.url.RawQuery = query
-		blk.url.ForceQuery = forced && query == ""
-		*req = http.Request{
-			Method:     rq.method,
-			URL:        &blk.url,
-			Proto:      "HTTP/1.1",
-			ProtoMajor: 1,
-			ProtoMinor: 1,
-			Header:     getHeader,
-			Host:       blk.url.Host,
+// connection when a kept-alive one turns out dead — in a recycled
+// reqBlock, which it returns for withRetry to release, without parsing
+// base again: for a plainPath the URL is a copy of baseURL with the
+// path's two halves appended. Any other path takes http.NewRequest, and
+// its request has no block. Either way the header is rq.header(), and a
+// POST's body is an io.NopCloser over a bytes.Reader of its own, as
+// http.NewRequest makes it: net/http knows that reader to be in memory
+// and writes the head and the body in one write, where any other reader
+// has the head flushed on its own first.
+func (c *Caller) newRequest(rq request) (*http.Request, *reqBlock, error) {
+	if c.baseURL == nil || !plainPath(rq.path) {
+		var body io.Reader
+		if rq.method == "POST" {
+			body = bytes.NewReader(rq.body)
 		}
-	} else {
-		var err error
-		if req, err = http.NewRequest(rq.method, c.base+rq.path, nil); err != nil {
-			return nil, err
+		req, err := http.NewRequest(rq.method, c.base+rq.path, body)
+		if err != nil {
+			return nil, nil, err
+		}
+		req.Header = rq.header()
+		return req, nil, nil
+	}
+	blk := blocks.Get().(*reqBlock)
+	blk.url = *c.baseURL
+	path, query, forced := strings.Cut(rq.path, "?")
+	blk.url.Path += path
+	blk.url.RawQuery = query
+	blk.url.ForceQuery = forced && query == ""
+	blk.req = http.Request{
+		Method:     rq.method,
+		URL:        &blk.url,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     rq.header(),
+		Host:       blk.url.Host,
+	}
+	if rq.method == "POST" {
+		blk.req.Body = http.NoBody
+		blk.req.GetBody = blk.getBody
+		if len(rq.body) > 0 {
+			blk.data = rq.body
+			blk.req.ContentLength = int64(len(rq.body))
+			blk.req.Body = io.NopCloser(bytes.NewReader(rq.body))
 		}
 	}
-	if rq.method != "POST" {
-		return req, nil
-	}
-	var ct []string
-	switch rq.contentType {
-	case jsonContentType[0]:
-		ct = jsonContentType
-	case wireContentType[0]:
-		ct = wireContentType
-	default:
-		ct = []string{rq.contentType}
-	}
-	req.Header = make(http.Header, 1)
-	req.Header["Content-Type"] = ct
-	if len(rq.body) == 0 {
-		req.Body = http.NoBody
-		req.GetBody = func() (io.ReadCloser, error) { return http.NoBody, nil }
-		return req, nil
-	}
-	body := rq.body
-	blk.body.Reset(body)
-	req.ContentLength = int64(len(body))
-	req.Body = &blk.body
-	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
-	return req, nil
+	return &blk.req, blk, nil
 }
 
 // send hands req to the client's Transport (http.DefaultTransport when
@@ -386,28 +439,28 @@ func (c *Caller) withRetry(rq request, out any) error {
 		}
 		var resp *http.Response
 		done := noop
-		req, err := c.newRequest(rq)
+		req, blk, err := c.newRequest(rq)
 		if err == nil {
 			resp, done, err = c.send(req)
 		}
 		if err != nil {
+			// blk is not released: the Transport may still hold req.
 			lastErr = fmt.Errorf("client: %s %s: %w", rq.method, rq.path, err)
-			c.recordOutcome(false)
-			continue
-		}
-		if retriableStatus(resp.StatusCode) {
-			if ra := retryAfter(resp); ra > 0 {
-				delay = ra
-			}
-			lastErr = decode(resp, out)
-			resp.Body.Close()
-			done()
 			c.recordOutcome(false)
 			continue
 		}
 		err = decode(resp, out)
 		resp.Body.Close()
 		done()
+		blk.release()
+		if retriableStatus(resp.StatusCode) {
+			if ra := retryAfter(resp); ra > 0 {
+				delay = ra
+			}
+			lastErr = err
+			c.recordOutcome(false)
+			continue
+		}
 		// The server answered and was not failing: a 4xx is the
 		// caller's problem, not the edge's health.
 		c.recordOutcome(true)
@@ -464,7 +517,9 @@ func decode(resp *http.Response, out any) error {
 		return apiErr
 	}
 	if out == nil {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+		if _, err := io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20)); err != nil {
+			return fmt.Errorf("client: read body: %w", err)
+		}
 		return nil
 	}
 	buf := bufpool.Get()

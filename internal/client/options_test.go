@@ -1,17 +1,23 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"lpvs/internal/server"
@@ -298,10 +304,14 @@ func (ct *cannedTransport) RoundTrip(*http.Request) (*http.Response, error) {
 
 // TestCallerOwnAllocs pins what the Caller itself allocates per call,
 // over a RoundTripper that allocates nothing, with the 200 body relayed
-// to an io.Writer (decode's share is TestDecodeReplyAllocs'): a GET is
-// its one request block, a POST that block, its Content-Type header map
-// (two) and the GetBody closure. Through http.Client.Do and a request
-// built in parts the same calls cost 6 and 13.
+// to an io.Writer (decode's share is TestDecodeReplyAllocs'): nothing
+// for a GET and a POST's own body reader, 2, for a POST. The request
+// block is recycled, every header is shared and GetBody is bound once
+// per block; the body reader is not part of the block, since the
+// Transport may still read it after the response (TestCallerBlockReuse).
+// A block of its own per request, a header map and a GetBody closure
+// per POST cost 1 and 4; through http.Client.Do and a request built in
+// parts the same calls cost 6 and 13.
 func TestCallerOwnAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -317,9 +327,9 @@ func TestCallerOwnAllocs(t *testing.T) {
 		bound float64
 		call  func() error
 	}{
-		{"GET", 1, func() error { return c.GetJSON("/v1/decision?device=d1", io.Discard) }},
-		{"POST JSON", 4, func() error { return c.PostRaw("/v1/report", "application/json", body, io.Discard) }},
-		{"POST binary", 4, func() error { return c.PostRaw("/v1/report", wire.ContentType, body, io.Discard) }},
+		{"GET", 0, func() error { return c.GetJSON("/v1/decision?device=d1", io.Discard) }},
+		{"POST JSON", 2, func() error { return c.PostRaw("/v1/report", "application/json", body, io.Discard) }},
+		{"POST binary", 2, func() error { return c.PostRaw("/v1/report", wire.ContentType, body, io.Discard) }},
 	} {
 		allocs := testing.AllocsPerRun(200, func() {
 			if err := row.call(); err != nil {
@@ -465,7 +475,7 @@ func TestCallerRequestMatchesNewRequest(t *testing.T) {
 				if rq.method == "POST" {
 					want, wantErr = http.NewRequest(rq.method, base+path, bytes.NewReader(rq.body))
 				}
-				got, err := c.newRequest(rq)
+				got, _, err := c.newRequest(rq)
 				if (err != nil) != (wantErr != nil) {
 					t.Errorf("%s %s%s: error %v, http.NewRequest's %v", rq.method, base, path, err, wantErr)
 					continue
@@ -473,6 +483,8 @@ func TestCallerRequestMatchesNewRequest(t *testing.T) {
 				if err != nil {
 					continue
 				}
+				want.Header.Set("Accept-Encoding", "identity")
+				want.Header.Set("User-Agent", "")
 				if rq.method == "POST" {
 					want.Header.Set("Content-Type", rq.contentType)
 				}
@@ -550,6 +562,316 @@ func TestCaller200Body(t *testing.T) {
 		var raw bytes.Buffer
 		if err := c.PostRaw("/x", "application/json", nil, &raw); err != nil || raw.String() != tc.body {
 			t.Errorf("body %q: relayed %q with error %v", tc.body, raw.String(), err)
+		}
+	}
+}
+
+// TestCallerRequestHead pins the request head the Caller puts on the
+// wire through a stock http.Transport, byte for byte: a raw listener
+// records what arrives. Every request carries "Accept-Encoding:
+// identity" — no gzip asked for — and no User-Agent line; a POST adds
+// its Content-Length and Content-Type, an empty POST included. The
+// last two rows take the paths that build their header apart: a path
+// http.NewRequest parses, and a Content-Type with no shared header.
+func TestCallerRequestHead(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	heads := make(chan string, 1)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serveHeads(conn, heads)
+		}
+	}()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	c, err := NewCaller("http://"+ln.Addr().String(), WithHTTPClient(&http.Client{Transport: tr}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := "Host: " + ln.Addr().String() + "\r\n"
+	for _, row := range []struct {
+		call func() error
+		want string
+	}{
+		{func() error { return c.GetJSON("/v1/decision?device=d1", nil) },
+			"GET /v1/decision?device=d1 HTTP/1.1\r\n" + host +
+				"Accept-Encoding: identity\r\n\r\n"},
+		{func() error { return c.PostRaw("/v1/report", "application/json", []byte(`{"device_id":"d1"}`), nil) },
+			"POST /v1/report HTTP/1.1\r\n" + host + "Content-Length: 18\r\n" +
+				"Accept-Encoding: identity\r\nContent-Type: application/json\r\n\r\n" + `{"device_id":"d1"}`},
+		{func() error { return c.PostRaw("/v1/report", wire.ContentType, []byte("LPVS\x01"), nil) },
+			"POST /v1/report HTTP/1.1\r\n" + host + "Content-Length: 5\r\n" +
+				"Accept-Encoding: identity\r\nContent-Type: application/x-lpvs-report\r\n\r\nLPVS\x01"},
+		{func() error { return c.PostRaw("/v1/tick", "application/json", nil, nil) },
+			"POST /v1/tick HTTP/1.1\r\n" + host + "Content-Length: 0\r\n" +
+				"Accept-Encoding: identity\r\nContent-Type: application/json\r\n\r\n"},
+		{func() error { return c.GetJSON("/v1/decision?device=a%20b", nil) },
+			"GET /v1/decision?device=a%20b HTTP/1.1\r\n" + host +
+				"Accept-Encoding: identity\r\n\r\n"},
+		{func() error { return c.PostRaw("/v1/x", "text/plain", []byte("hi"), nil) },
+			"POST /v1/x HTTP/1.1\r\n" + host + "Content-Length: 2\r\n" +
+				"Accept-Encoding: identity\r\nContent-Type: text/plain\r\n\r\nhi"},
+	} {
+		if err := row.call(); err != nil {
+			t.Fatal(err)
+		}
+		if got := <-heads; got != row.want {
+			t.Errorf("on the wire:\n%q\nwant\n%q", got, row.want)
+		}
+	}
+}
+
+// serveHeads answers every request on conn with an empty 200 and sends
+// its head and body, as they arrived, to heads.
+func serveHeads(conn net.Conn, heads chan<- string) {
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	for {
+		var head strings.Builder
+		length := 0
+		for {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				return
+			}
+			head.WriteString(line)
+			if n, ok := strings.CutPrefix(line, "Content-Length: "); ok {
+				length, _ = strconv.Atoi(strings.TrimSpace(n))
+			}
+			if line == "\r\n" {
+				break
+			}
+		}
+		body := make([]byte, length)
+		if _, err := io.ReadFull(br, body); err != nil {
+			return
+		}
+		heads <- head.String() + string(body)
+		if _, err := io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"); err != nil {
+			return
+		}
+	}
+}
+
+// TestCallerBlockReuse holds the Caller's recycling of request blocks
+// to the http.RoundTripper contract. (a) After a transport error the
+// Transport may keep the request: later calls must not touch it. (b)
+// Eight goroutines share one Caller while the kept-alive connections
+// under them die — every connection's third request fails before a
+// byte is written, which makes http.Transport replay it onto a fresh
+// connection, a POST through GetBody — and every answer must echo the
+// path and body its own request was sent with. Run under the race
+// detector (make race), (b) also checks that no recycled block is
+// written while the Transport still reads it. (b) also holds a POST to
+// one write: were its head flushed on its own, the failing write could
+// be its body's, after which nothing is replayed. (c) The server sheds
+// large POSTs with a 429 before reading their bodies, as the route
+// shell's admission gate does, so the Transport is still writing a body
+// when the Caller has its answer and releases the block; the echoed
+// requests sent meanwhile must be intact, and under the race detector
+// nothing the Transport still reads may be reused.
+func TestCallerBlockReuse(t *testing.T) {
+	t.Run("kept after a transport error", func(t *testing.T) {
+		var kept *http.Request
+		var wantURL string
+		var wantHeader http.Header
+		canned := newCannedTransport("{}\n")
+		c, err := NewCaller("http://edge.test", WithHTTPClient(&http.Client{Transport: roundTripFunc(
+			func(r *http.Request) (*http.Response, error) {
+				if kept == nil {
+					kept, wantURL, wantHeader = r, r.URL.String(), r.Header.Clone()
+					return nil, errors.New("connection reset")
+				}
+				return canned.RoundTrip(r)
+			})}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := []byte(`{"device_id":"kept"}`)
+		if err := c.PostRaw("/v1/report?kept=1", "application/json", body, nil); err == nil {
+			t.Fatal("want the transport error")
+		}
+		for i := 0; i < 10; i++ {
+			if err := c.PostRaw("/v1/x", wire.ContentType, []byte{byte(i)}, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.GetJSON(fmt.Sprintf("/v1/decision?device=d%d", i), io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if kept.Method != "POST" || kept.URL == nil || kept.URL.String() != wantURL ||
+			!reflect.DeepEqual(kept.Header, wantHeader) || kept.Body == nil || kept.GetBody == nil {
+			t.Fatalf("the kept request changed: %s %v %v", kept.Method, kept.URL, kept.Header)
+		}
+		if got, err := io.ReadAll(kept.Body); err != nil || !bytes.Equal(got, body) {
+			t.Errorf("the kept request's body reads %q, %v; want %q", got, err, body)
+		}
+		rc, err := kept.GetBody()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := io.ReadAll(rc); err != nil || !bytes.Equal(got, body) {
+			t.Errorf("the kept request's GetBody replays %q, %v; want %q", got, err, body)
+		}
+	})
+
+	t.Run("replayed onto fresh connections", func(t *testing.T) {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, r.URL.RequestURI()+"\n")
+			io.Copy(w, r.Body)
+		}))
+		defer ts.Close()
+		var dead atomic.Int64
+		tr := &http.Transport{MaxIdleConnsPerHost: 8,
+			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+				conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+				if err != nil {
+					return nil, err
+				}
+				return &dyingConn{Conn: conn, dead: &dead}, nil
+			}}
+		defer tr.CloseIdleConnections()
+		c, err := NewCaller(ts.URL, WithHTTPClient(&http.Client{Transport: tr}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const goroutines, calls = 8, 60
+		errs := make(chan error, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var got bytes.Buffer
+				for i := 0; i < calls; i++ {
+					path := fmt.Sprintf("/echo/%d?i=%d", g, i)
+					var body []byte
+					var err error
+					got.Reset()
+					if i%3 == 0 {
+						err = c.GetJSON(path, &got)
+					} else {
+						body = fmt.Appendf(nil, `{"g":%d,"i":%d,"pad":%q}`, g, i, strings.Repeat("x", i))
+						err = c.PostRaw(path, "application/json", body, &got)
+					}
+					if want := path + "\n" + string(body); err != nil || got.String() != want {
+						errs <- fmt.Errorf("goroutine %d call %d: echoed %q, %v; want %q", g, i, got.String(), err, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		if dead.Load() == 0 {
+			t.Fatal("no connection died: nothing was replayed")
+		}
+		t.Logf("%d requests replayed onto a fresh connection", dead.Load())
+	})
+
+	t.Run("shed before its body is read", func(t *testing.T) {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/shed" {
+				w.WriteHeader(http.StatusTooManyRequests)
+				return
+			}
+			io.WriteString(w, r.URL.RequestURI()+"\n")
+			io.Copy(w, r.Body)
+		}))
+		defer ts.Close()
+		tr := &http.Transport{}
+		defer tr.CloseIdleConnections()
+		c, err := NewCaller(ts.URL, WithHTTPClient(&http.Client{Transport: tr}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Larger than a loopback connection's socket buffers, so the write
+		// of a shed body blocks until the server closes the connection.
+		large := bytes.Repeat([]byte("s"), 16<<20)
+		const goroutines, calls = 4, 12
+		errs := make(chan error, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var got bytes.Buffer
+				for i := 0; i < calls; i++ {
+					if i%4 == 0 {
+						var apiErr *APIError
+						if err := c.PostRaw("/shed", "application/json", large, nil); !errors.As(err, &apiErr) ||
+							apiErr.Status != http.StatusTooManyRequests {
+							errs <- fmt.Errorf("goroutine %d call %d: shed POST returned %v, want a 429", g, i, err)
+							return
+						}
+						continue
+					}
+					path := fmt.Sprintf("/echo/%d?i=%d", g, i)
+					body := fmt.Appendf(nil, `{"g":%d,"i":%d}`, g, i)
+					got.Reset()
+					err := c.PostRaw(path, "application/json", body, &got)
+					if want := path + "\n" + string(body); err != nil || got.String() != want {
+						errs <- fmt.Errorf("goroutine %d call %d: echoed %q, %v; want %q", g, i, got.String(), err, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	})
+}
+
+// dyingConn fails its third write without writing a byte, as a write to
+// a kept-alive connection the server has since closed does, and counts
+// the failures in dead.
+type dyingConn struct {
+	net.Conn
+	writes atomic.Int32
+	dead   *atomic.Int64
+}
+
+func (c *dyingConn) Write(b []byte) (int, error) {
+	if c.writes.Add(1) == 3 {
+		c.Conn.Close()
+		c.dead.Add(1)
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(b)
+}
+
+// TestCallerBodyReadError: a 200 whose body breaks mid-read fails the
+// call whether its bytes are decoded, relayed or discarded (a nil out,
+// as the router's PostJSON to /v1/shard/map passes).
+func TestCallerBodyReadError(t *testing.T) {
+	broken := errors.New("connection reset mid-body")
+	c, err := NewCaller("http://edge.test", WithHTTPClient(&http.Client{Transport: roundTripFunc(
+		func(*http.Request) (*http.Response, error) {
+			body := io.MultiReader(strings.NewReader(`{"ok":`), iotest.ErrReader(broken))
+			return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(body)}, nil
+		})}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []any{nil, &struct {
+		OK bool `json:"ok"`
+	}{}, io.Discard} {
+		if err := c.PostJSON("/v1/shard/map", struct{}{}, out); !errors.Is(err, broken) ||
+			!strings.HasPrefix(err.Error(), "client: read body: ") {
+			t.Errorf("out %T: error %v, want a read body error", out, err)
 		}
 	}
 }

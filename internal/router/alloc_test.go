@@ -19,8 +19,8 @@ import (
 // over a one-connection http.Transport (the load generator's set-up),
 // runtime.MemStats over 2,000 requests. The counts include net/http's
 // own — per GET on go1.24.0, the toolchain the bounds were taken on,
-// about 18 in the server and about 40 in http.Transport, its
-// connection's read and write loops included, against the Caller's 1 —
+// about 18 in the server and about 37 in http.Transport, its
+// connection's read and write loops included, against the Caller's 0 —
 // so a toolchain that moves them moves the bounds; what they pin is
 // this repository's share. Before the responses were append-encoded and
 // the Caller built its requests on a pre-parsed base URL the four rows
@@ -28,7 +28,9 @@ import (
 // layout instead of through json.Unmarshal (DESIGN.md §18), 74, 74, 98
 // and 148; before the Caller built each request in one block and handed
 // it to the Transport itself instead of through http.Client.Do, 69, 69,
-// 88 and 138.
+// 88 and 138; before the Caller recycled its request blocks, sent one
+// fixed header set (no gzip request, no User-Agent) and wrote a POST's
+// head and body in one write, 64, 64, 82 and 127.
 func TestRoundTripAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -77,19 +79,19 @@ func TestRoundTripAllocs(t *testing.T) {
 		bound float64
 		call  func() error
 	}{
-		{"GET /v1/decision", 65, func() error {
+		{"GET /v1/decision", 59, func() error {
 			var out server.DecisionResponse
 			return direct.GetJSON("/v1/decision?device=dev-001", &out)
 		}},
-		{"GET /v1/chunk", 65, func() error {
+		{"GET /v1/chunk", 59, func() error {
 			var out server.ChunkResponse
 			return direct.GetJSON("/v1/chunk?device=dev-001&index=3", &out)
 		}},
-		{"POST /v1/report, one JSON report", 83, func() error {
+		{"POST /v1/report, one JSON report", 72, func() error {
 			var out server.ReportResponse
 			return direct.PostRaw("/v1/report", "application/json", body, &out)
 		}},
-		{"GET /v1/decision through an N=1 router", 128, func() error {
+		{"GET /v1/decision through an N=1 router", 116, func() error {
 			var out server.DecisionResponse
 			return proxied.GetJSON("/v1/decision?device=dev-001", &out)
 		}},
