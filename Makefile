@@ -119,23 +119,26 @@ fuzz-smoke:
 # mutants checks that the tests can see the faults they exist to
 # catch. Each testdata/mutants/*.patch is a one-file unified diff whose
 # header names the package to test ("package: ") and a -run regex
-# ("run: "). The patched file is built in a temporary directory and
-# swapped in with `go test -overlay`, so the tree is never touched. A
-# mutant must be killed (the tests fail); a control-*.patch changes
-# nothing a test can see and must survive, which proves a kill is the
-# tests' doing. The target fails when a mutant survives, a control is
-# killed, or a patch no longer applies.
+# ("run: "); a "race: 1" line runs that test under the race detector,
+# for a fault only the detector sees every run. The patched file is
+# built in a temporary directory and swapped in with `go test
+# -overlay`, so the tree is never touched. A mutant must be killed (the
+# tests fail); a control-*.patch changes nothing a test can see and
+# must survive, which proves a kill is the tests' doing. The target
+# fails when a mutant survives, a control is killed, or a patch no
+# longer applies.
 mutants:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; bad=0; \
 	for p in testdata/mutants/*.patch; do \
 		name="$$(basename "$$p" .patch)"; \
 		pkg="$$(sed -n 's/^package: //p' "$$p")"; run="$$(sed -n 's/^run: //p' "$$p")"; \
+		race=; if [ "$$(sed -n 's/^race: //p' "$$p")" = 1 ]; then race=-race; fi; \
 		file="$$(sed -n 's|^+++ b/||p' "$$p" | cut -f1)"; \
 		if ! patch -s -F0 -r "$$tmp/$$name.rej" -o "$$tmp/$$name.go" "$$file" <"$$p" >/dev/null 2>&1; then \
 			echo "NO-APPLY $$name ($$file)"; bad=1; continue; \
 		fi; \
 		printf '{"Replace":{"%s":"%s"}}\n' "$$PWD/$$file" "$$tmp/$$name.go" >"$$tmp/$$name.json"; \
-		if $(GO) test -count=1 -overlay "$$tmp/$$name.json" -run "$$run" "$$pkg" >/dev/null 2>&1; then \
+		if $(GO) test $$race -count=1 -overlay "$$tmp/$$name.json" -run "$$run" "$$pkg" >/dev/null 2>&1; then \
 			verdict=survived; else verdict=killed; fi; \
 		case "$$name" in control-*) want=survived;; *) want=killed;; esac; \
 		if [ "$$verdict" = "$$want" ]; then echo "ok   $$name $$verdict"; \

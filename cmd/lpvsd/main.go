@@ -165,8 +165,10 @@ func main() {
 	}
 	if !o.manualTick {
 		// A shard's slots are advanced by its router's fan-out when one
-		// is deployed; the local ticker targets the shard endpoint so a
-		// router-less shard (tests, development) still advances.
+		// is deployed, and then the shard runs -manual-tick: the router
+		// must be the only one that ticks it (DESIGN.md §17). The local
+		// ticker targets the shard endpoint so a router-less shard
+		// (tests, development) still advances.
 		opts.tickPath = "/v1/tick"
 		if o.mode == "shard" {
 			opts.tickPath = "/v1/shard/tick"

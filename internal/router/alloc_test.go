@@ -2,9 +2,12 @@ package router
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,7 +33,10 @@ import (
 // it to the Transport itself instead of through http.Client.Do, 69, 69,
 // 88 and 138; before the Caller recycled its request blocks, sent one
 // fixed header set (no gzip request, no User-Agent) and wrote a POST's
-// head and body in one write, 64, 64, 82 and 127.
+// head and body in one write, 64, 64, 82 and 127; before the router
+// answered decision reads from its table instead of relaying each one to
+// the shard, the router row read 115 against an unchanged 58, 58 and 71
+// — and it asserts now that the shard serves none of its reads.
 func TestRoundTripAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -75,26 +81,27 @@ func TestRoundTripAllocs(t *testing.T) {
 	}
 
 	rows := []struct {
-		name  string
-		bound float64
-		call  func() error
+		name    string
+		bound   float64
+		call    func() error
+		noRelay bool // the shard must serve none of the row's requests
 	}{
 		{"GET /v1/decision", 59, func() error {
 			var out server.DecisionResponse
 			return direct.GetJSON("/v1/decision?device=dev-001", &out)
-		}},
+		}, false},
 		{"GET /v1/chunk", 59, func() error {
 			var out server.ChunkResponse
 			return direct.GetJSON("/v1/chunk?device=dev-001&index=3", &out)
-		}},
+		}, false},
 		{"POST /v1/report, one JSON report", 72, func() error {
 			var out server.ReportResponse
 			return direct.PostRaw("/v1/report", "application/json", body, &out)
-		}},
-		{"GET /v1/decision through an N=1 router", 116, func() error {
+		}, false},
+		{"GET /v1/decision through an N=1 router", 60, func() error {
 			var out server.DecisionResponse
 			return proxied.GetJSON("/v1/decision?device=dev-001", &out)
-		}},
+		}, true},
 	}
 	const requests = 2000
 	for _, row := range rows {
@@ -103,6 +110,7 @@ func TestRoundTripAllocs(t *testing.T) {
 				t.Fatalf("%s: %v", row.name, err)
 			}
 		}
+		served := shardDecisionReads(t, shardTS.URL)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < requests; i++ {
@@ -111,6 +119,9 @@ func TestRoundTripAllocs(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
+		if n := shardDecisionReads(t, shardTS.URL) - served; row.noRelay && n != 0 {
+			t.Errorf("%s: the shard served %d decision reads of the row's %d", row.name, n, requests)
+		}
 		allocs := float64(after.Mallocs-before.Mallocs) / requests
 		bytes := float64(after.TotalAlloc-before.TotalAlloc) / requests
 		t.Logf("%-40s %6.1f allocs %7.0f B per round trip", row.name, allocs, bytes)
@@ -118,4 +129,34 @@ func TestRoundTripAllocs(t *testing.T) {
 			t.Errorf("%s allocates %.1f per round trip, want at most %.0f", row.name, allocs, row.bound)
 		}
 	}
+}
+
+// shardDecisionReads is the number of GET /v1/decision requests the
+// daemon at base has served, every status counted, from its
+// lpvs_http_requests_total series.
+func shardDecisionReads(t *testing.T, base string) int {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, line := range strings.Split(string(text), "\n") {
+		sp := strings.LastIndexByte(line, ' ') // the route label holds a space too
+		if sp < 0 || !strings.HasPrefix(line, `lpvs_http_requests_total{route="GET /v1/decision",`) {
+			continue
+		}
+		series, value := line[:sp], line[sp+1:]
+		n, err := strconv.Atoi(value)
+		if err != nil {
+			t.Fatalf("series %s: value %q", series, value)
+		}
+		total += n
+	}
+	return total
 }

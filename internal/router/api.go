@@ -5,8 +5,9 @@
 // decisions deterministically in VC-ID order. Devices keep speaking
 // the exact same public v1 API they speak to a standalone daemon —
 // the router forwards reports to the consistent-hash owner of the
-// device's channel and proxies per-device reads, so a fleet can grow
-// from one process to N without a client change.
+// device's channel, answers decision reads and relays the other
+// per-device calls, so a fleet can grow from one process to N without a
+// client change.
 //
 // The sameness is structural (DESIGN.md §18): the router's HTTP surface
 // is a route table behind the daemon's own route shell (server.Shell),
@@ -15,9 +16,16 @@
 // shapes batch answers with the daemon's server.NewBatchReportResponse.
 // A per-device read or observation is relayed: the owning shard's 200
 // body goes to the device byte for byte, never decoded on the way
-// (forward.go). TestEnvelopeConformance holds the two to equal status,
-// Allow, Content-Type and body bytes on malformed, oversized and
-// misrouted requests and on the 200 answers of the relayed routes.
+// (forward.go). The exception is GET /v1/decision, which the router
+// answers from its decision table when the table holds the answer of
+// the shard the read would be relayed to: the verdict and γ that
+// shard's last tick reply carried, written by the daemon's own appender
+// (server.WriteAppended), kept current by the observations relayed since
+// (tick.go, forward.go). TestRouterDecisionTableMatchesRelay holds the
+// table to the relay's bytes. TestEnvelopeConformance holds router and
+// daemon to equal status, Allow, Content-Type and body bytes on
+// malformed, oversized and misrouted requests and on the 200 answers of
+// the device routes.
 //
 // A report forward — decode, partition by owner, re-frame, POST, merge
 // — works in one reused workspace (forwardSpace) drawn from the daemon's
@@ -104,7 +112,7 @@ type StatusResponse struct {
 	TickShardErrors  uint64        `json:"tick_shard_errors"`
 	ReportsForwarded uint64        `json:"reports_forwarded"`
 	ForwardErrors    uint64        `json:"forward_errors"`
-	ProxiedRequests  uint64        `json:"proxied_requests"`
+	ProxiedRequests  uint64        `json:"proxied_requests"` // relayed calls; table answers are not counted
 	Reshards         uint64        `json:"reshards"`
 	Shards           []ShardStatus `json:"shards"`
 }

@@ -3,6 +3,7 @@ package router
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"slices"
 	"strings"
@@ -16,11 +17,13 @@ import (
 // This file is the router's device-facing data plane. A report message
 // of either codec and arity is partitioned by the consistent-hash owner
 // of each record's channel and forwarded concurrently, re-framed per
-// owner the way it arrived; per-device reads are relayed to the owner
+// owner the way it arrived; per-device calls are relayed to the owner
 // learned from the device's last report, falling back to probing the
 // shards in node-ID order. Responses pass through verbatim — a 200
 // body byte for byte, an error as the same envelope — so a device
-// cannot tell a router from a standalone daemon.
+// cannot tell a router from a standalone daemon. A decision read is
+// answered from the decision table instead whenever the table holds
+// what the relay would fetch.
 
 // shardBatch is one owner's share of a report message: the records
 // routed to it, each record's index in the original message — so
@@ -201,13 +204,50 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, server.NewBatchReportResponse(slot, &msg, rejected))
 }
 
-// proxyDeviceGet relays a per-device GET (decision, chunk, playlist,
-// explain) to the device's shard.
+// handleDecision answers GET /v1/decision from the decision table when
+// the entry there is the answer of the node the read would be relayed
+// to first — the owner of the device's last-reported channel — and
+// relays the read otherwise.
+func (rt *Router) handleDecision(w http.ResponseWriter, r *http.Request) {
+	id, ok := server.DeviceParam(w, r)
+	if !ok {
+		return
+	}
+	rt.mu.Lock()
+	resp, ok := rt.tableDecisionLocked(id)
+	rt.mu.Unlock()
+	if ok {
+		server.WriteAppended(w, resp)
+		return
+	}
+	rt.relayGet(w, r, id)
+}
+
+// tableDecisionLocked is the table's answer to a decision read of id,
+// if it has one. Caller holds rt.mu.
+func (rt *Router) tableDecisionLocked(id string) (server.DecisionResponse, bool) {
+	e := rt.decisions[id]
+	if e == nil || !e.decided {
+		return server.DecisionResponse{}, false
+	}
+	if ch, ok := rt.devices[id]; !ok || rt.m.Owner(ch).ID != e.node {
+		return server.DecisionResponse{}, false
+	}
+	return server.DecisionResponse{DeviceID: id, Slot: e.slot, Transform: e.transform, Gamma: e.gamma}, true
+}
+
+// proxyDeviceGet relays a per-device GET (chunk, playlist, explain) to
+// the device's shard.
 func (rt *Router) proxyDeviceGet(w http.ResponseWriter, r *http.Request) {
 	id, ok := server.DeviceParam(w, r)
 	if !ok {
 		return
 	}
+	rt.relayGet(w, r, id)
+}
+
+// relayGet relays r, a GET about device id, as it arrived.
+func (rt *Router) relayGet(w http.ResponseWriter, r *http.Request, id string) {
 	path := r.RequestURI // as it arrived, when it arrived over a socket
 	if !strings.HasPrefix(path, "/") {
 		path = r.URL.Path
@@ -215,10 +255,11 @@ func (rt *Router) proxyDeviceGet(w http.ResponseWriter, r *http.Request) {
 			path += "?" + r.URL.RawQuery
 		}
 	}
-	rt.relay(w, id, path, nil)
+	rt.relay(w, id, path, nil, relayWriter{w})
 }
 
-// handleObserve relays a reduction observation to the device's shard.
+// handleObserve relays a reduction observation to the device's shard
+// and takes the γ it answers into the decision table.
 func (rt *Router) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req server.ObserveRequest
 	if !server.DecodeJSON(w, r, &req) {
@@ -229,7 +270,27 @@ func (rt *Router) handleObserve(w http.ResponseWriter, r *http.Request) {
 		server.WriteEnvelopeError(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
 		return
 	}
-	rt.relay(w, req.DeviceID, "/v1/observe", body)
+	out := observeWriter{relayWriter: relayWriter{w}}
+	node := rt.relay(w, req.DeviceID, "/v1/observe", body, &out)
+	rt.mu.Lock()
+	rt.noteObserveLocked(req.DeviceID, node, &out)
+	rt.mu.Unlock()
+}
+
+// noteObserveLocked takes an observation's answer into the decision
+// table: the γ of the node that answered it (noteGamma), on an entry
+// started over, undecided, for that node's next tick reply to complete
+// when it was another node's. An observation no node answered 200
+// leaves the device's γ in doubt, and its entry is dropped. Caller holds
+// rt.mu.
+func (rt *Router) noteObserveLocked(id, node string, out *observeWriter) {
+	if node == "" || !out.ok {
+		if e := rt.decisions[id]; e != nil {
+			*e = decision{}
+		}
+		return
+	}
+	rt.entryLocked([]byte(id), node).noteGamma(out.resp.Gamma, out.resp.Observations)
 }
 
 // relayWriter is the out of a relayed call: the Caller writes it the
@@ -241,62 +302,85 @@ func (rw relayWriter) Write(body []byte) (int, error) {
 	return len(body), nil
 }
 
+// observeWriter is a relayWriter that also reads the observation's
+// answer.
+type observeWriter struct {
+	relayWriter
+	resp server.ObserveResponse
+	ok   bool
+}
+
+func (ow *observeWriter) Write(body []byte) (int, error) {
+	ow.ok = json.Unmarshal(body, &ow.resp) == nil
+	return ow.relayWriter.Write(body)
+}
+
 // relay runs one per-device call — a GET of path, or a POST of body to
 // it when body is non-nil — against the owner of the device's
-// last-reported channel, and answers the shard's body or envelope
-// verbatim. Only when that shard does not know the device (or the
-// routing table has no hint) does it walk the remaining nodes in ID
-// order — deterministic, so every router replica probes alike — and
-// only unknown_device moves it on: any other failure is the device's
-// real answer.
-func (rt *Router) relay(w http.ResponseWriter, deviceID, path string, body []byte) {
+// last-reported channel, and answers the shard's envelope verbatim or
+// hands its 200 body to out. Only when that shard does not know the
+// device (or the routing table has no hint) does it walk the remaining
+// nodes in ID order — deterministic, so every router replica probes
+// alike — and only unknown_device moves it on: any other failure is the
+// device's real answer. It returns the ID of the node that answered
+// 200, or "" when none did.
+func (rt *Router) relay(w http.ResponseWriter, deviceID, path string, body []byte, out io.Writer) string {
 	rt.proxies.Add(1)
+	var ownerID string
 	var owner *client.Caller
 	rt.mu.Lock()
 	if ch, ok := rt.devices[deviceID]; ok {
-		owner = rt.callers[rt.m.Owner(ch).ID]
+		ownerID = rt.m.Owner(ch).ID
+		owner = rt.callers[ownerID]
 	}
 	rt.mu.Unlock()
-	var answered bool
-	var unknown error
+	var err error
+	var final bool
 	if owner != nil {
-		if answered, unknown = relayTo(owner, w, path, body); answered {
-			return
+		if final, err = relayTo(owner, path, body, out); final {
+			return answered(w, ownerID, err)
 		}
 	}
-	_, _, callers := rt.snapshot()
-	for _, c := range callers {
+	_, nodes, callers := rt.snapshot()
+	for i, c := range callers {
 		if c == nil || c == owner {
 			continue
 		}
-		if answered, unknown = relayTo(c, w, path, body); answered {
-			return
+		if final, err = relayTo(c, path, body, out); final {
+			return answered(w, nodes[i].ID, err)
 		}
 	}
-	if unknown != nil {
-		writeUpstream(w, unknown)
-		return
+	if err != nil {
+		writeUpstream(w, err) // the last shard's unknown_device
+		return ""
 	}
 	server.WriteEnvelopeError(w, http.StatusNotFound, server.CodeUnknownDevice, "unknown device "+deviceID)
+	return ""
 }
 
-// relayTo issues the call against one shard and answers w with the
-// shard's 200 body or its failure — unless the shard does not know the
-// device: then w is untouched and the shard's unknown_device returned.
-func relayTo(c *client.Caller, w http.ResponseWriter, path string, body []byte) (answered bool, unknown error) {
-	var err error
+// relayTo issues the call against one shard, its 200 body to out. It
+// reports final false, with the shard's error, only when the shard does
+// not know the device; otherwise the shard's answer is the device's.
+func relayTo(c *client.Caller, path string, body []byte, out io.Writer) (final bool, err error) {
 	if body == nil {
-		err = c.GetJSON(path, relayWriter{w})
+		err = c.GetJSON(path, out)
 	} else {
-		err = c.PostRaw(path, "application/json", body, relayWriter{w})
-	}
-	if err == nil {
-		return true, nil
+		err = c.PostRaw(path, "application/json", body, out)
 	}
 	var apiErr *client.APIError
 	if errors.As(err, &apiErr) && apiErr.Code == server.CodeUnknownDevice {
 		return false, err
 	}
-	writeUpstream(w, err)
-	return true, nil
+	return true, err
+}
+
+// answered ends a relay that node answered: node when the answer was a
+// 200, already written to out, and otherwise "" with the failure
+// written as the device's answer.
+func answered(w http.ResponseWriter, node string, err error) string {
+	if err != nil {
+		writeUpstream(w, err)
+		return ""
+	}
+	return node
 }

@@ -40,9 +40,11 @@ type Config struct {
 }
 
 // Router is the federation front door: it owns the shard map, fans
-// ticks out, forwards reports to channel owners, and proxies
-// per-device reads. One Router instance is one process personality —
-// it holds no scheduling state of its own, only routing state.
+// ticks out, forwards reports to channel owners, answers decision reads
+// and relays the other per-device calls. One Router instance is one
+// process personality. It schedules nothing: besides routing state it
+// holds only the decision table, a copy of what its shards' tick
+// replies said about each device (DESIGN.md §17).
 type Router struct {
 	cfg   Config
 	log   *slog.Logger
@@ -76,6 +78,14 @@ type Router struct {
 	callers map[string]*client.Caller // node ID -> forwarding client
 	devices map[string]string         // device ID -> channel (routing hints)
 	slot    int
+
+	// decisions is the decision table (tick.go fills it, forward.go
+	// reads it): device ID -> what a shard last said about the device.
+	// Values are pointers so that a tick updates a known device in place
+	// and only a device seen for the first time allocates its key.
+	decisions map[string]*decision
+	// tickSlots is the slot of each node's last tick reply.
+	tickSlots map[string]int
 }
 
 // New builds a router over cfg.Map. The per-node forwarding clients
@@ -93,13 +103,15 @@ func New(cfg Config) (*Router, error) {
 		log = obs.NopLogger()
 	}
 	rt := &Router{
-		cfg:     cfg,
-		log:     log,
-		reg:     obs.NewRegistry(),
-		start:   time.Now(),
-		m:       cfg.Map,
-		callers: map[string]*client.Caller{},
-		devices: map[string]string{},
+		cfg:       cfg,
+		log:       log,
+		reg:       obs.NewRegistry(),
+		start:     time.Now(),
+		m:         cfg.Map,
+		callers:   map[string]*client.Caller{},
+		devices:   map[string]string{},
+		decisions: map[string]*decision{},
+		tickSlots: map[string]int{},
 	}
 	rt.ready.Store(true)
 	for _, n := range cfg.Map.Nodes() {
@@ -151,7 +163,8 @@ func (rt *Router) registerMetrics() {
 	rt.reg.CounterFunc("lpvs_router_forward_errors_total",
 		"Report forwards that failed.", func() float64 { return float64(rt.forwardErrors.Load()) })
 	rt.reg.CounterFunc("lpvs_router_proxied_total",
-		"Per-device reads proxied to shards.", func() float64 { return float64(rt.proxies.Load()) })
+		"Per-device calls relayed to shards (decision reads answered from the router's table are not).",
+		func() float64 { return float64(rt.proxies.Load()) })
 	rt.reg.CounterFunc("lpvs_router_reshards_total",
 		"Shard-map installs accepted.", func() float64 { return float64(rt.reshards.Load()) })
 	rt.mShardTicks = rt.reg.CounterVec("lpvs_shard_ticks_total",
@@ -215,7 +228,7 @@ func (rt *Router) routes() []server.Route {
 	return []server.Route{
 		{Method: "POST", Path: "/v1/report", Handler: rt.handleReport},
 		{Method: "POST", Path: "/v1/tick", Handler: rt.handleTick},
-		{Method: "GET", Path: "/v1/decision", Handler: rt.proxyDeviceGet},
+		{Method: "GET", Path: "/v1/decision", Handler: rt.handleDecision},
 		{Method: "GET", Path: "/v1/chunk", Handler: rt.proxyDeviceGet},
 		{Method: "GET", Path: "/v1/playlist", Handler: rt.proxyDeviceGet},
 		{Method: "GET", Path: "/v1/explain", Handler: rt.proxyDeviceGet},
@@ -377,6 +390,14 @@ func (rt *Router) handleMapPost(w http.ResponseWriter, r *http.Request) {
 		nextCallers[n.ID] = c
 	}
 
+	// What the decision table holds from a departing member, or from
+	// the process a member's ID named at its old address, is no one's
+	// answer any more.
+	for id, c := range rt.callers {
+		if nextCallers[id] != c {
+			rt.forgetNodeLocked(id)
+		}
+	}
 	moved := rt.movedChannelsLocked(next)
 	rt.m = next
 	rt.callers = nextCallers

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lpvs/internal/client"
+	"lpvs/internal/scheduler"
 	"lpvs/internal/server"
 	"lpvs/internal/shard"
 )
@@ -27,7 +28,10 @@ import (
 // fails keeps its row in the response (OK=false) and marks the tick
 // Degraded; its channels simply keep their previous decisions until
 // the next tick reaches it. Only when every shard fails does the
-// router answer 502 shard_unavailable.
+// router answer 502 shard_unavailable, and only then does its slot
+// stay where it was. The replies go into the decision table before
+// the response is written, so a device that reads its decision after
+// the tick has answered reads this tick's.
 func (rt *Router) handleTick(w http.ResponseWriter, _ *http.Request) {
 	m, nodes, callers := rt.snapshot()
 	start := time.Now()
@@ -45,8 +49,22 @@ func (rt *Router) handleTick(w http.ResponseWriter, _ *http.Request) {
 	wg.Wait()
 
 	rt.mu.Lock()
+	ticked := false
+	for i, n := range nodes {
+		ticked = ticked || results[i] != nil
+		if rt.callers[n.ID] != callers[i] {
+			continue // resharded away during the fan-out; forgotten there
+		}
+		if results[i] == nil {
+			rt.forgetNodeLocked(n.ID)
+			continue
+		}
+		rt.noteTickLocked(n.ID, results[i])
+	}
 	slot := rt.slot
-	rt.slot++
+	if ticked {
+		rt.slot++
+	}
 	rt.mu.Unlock()
 	rt.ticks.Add(1)
 
@@ -91,6 +109,92 @@ func (rt *Router) tickShard(c *client.Caller, n shard.Node, m *shard.Map) (*serv
 		return nil, err
 	}
 	return &resp, nil
+}
+
+// decision is one device's entry in the decision table: what node said
+// about it last, which is what node answers the device's decision read
+// with until its state changes again. Only two things change it between
+// ticks: an observation, which the router relays and so sees, and the
+// node's restart, which the next tick reply's slot gives away. decided
+// is false while only an observation has filled the entry, and after
+// the entry was dropped (node is then "").
+type decision struct {
+	node      string
+	decided   bool
+	slot      int
+	transform bool
+	gamma     float64
+	obs       int // the observations behind gamma
+}
+
+// noteTickLocked takes one node's tick reply into the decision table:
+// every device line of each VC's Canonical, with the γ and observation
+// count the reply lists beside it. A reply whose slot is not the one
+// after the node's last reply's tells of ticks the table never saw — a
+// restarted or restored node's slot went back, a tick whose reply was
+// lost before a retry ran, a tick some other process ran — so what the
+// table holds from that node is dropped first; a reply it cannot read
+// line for line drops it all the same. Caller holds rt.mu.
+func (rt *Router) noteTickLocked(node string, res *server.ShardTickResponse) {
+	if last, ok := rt.tickSlots[node]; ok && res.Slot != last+1 {
+		rt.forgetNodeLocked(node)
+	}
+	rt.tickSlots[node] = res.Slot
+	if len(res.Devices) != len(res.VCs) {
+		rt.forgetNodeLocked(node)
+		return
+	}
+	for i := range res.VCs {
+		vc, devs := &res.VCs[i], &res.Devices[i]
+		n := len(devs.Gamma)
+		read := len(devs.Observations) == n && scheduler.ReadCanonical(vc.Canonical, vc.Degraded, n,
+			func(k int, id []byte, x bool) {
+				e := rt.entryLocked(id, node)
+				e.decided, e.slot, e.transform = true, res.Slot, x
+				e.noteGamma(devs.Gamma[k], devs.Observations[k])
+			})
+		if !read {
+			rt.forgetNodeLocked(node)
+			return
+		}
+	}
+}
+
+// entryLocked returns device id's table entry as node's: a new one, or
+// the device's started over when it was another node's. Caller holds
+// rt.mu.
+func (rt *Router) entryLocked(id []byte, node string) *decision {
+	e := rt.decisions[string(id)]
+	if e == nil {
+		e = new(decision)
+		rt.decisions[string(id)] = e
+	}
+	if e.node != node {
+		*e = decision{node: node}
+	}
+	return e
+}
+
+// noteGamma takes a γ from e's node when it rests on at least as many
+// observations as e's, so a tick reply and an observation that cross on
+// the way converge on the later posterior.
+func (e *decision) noteGamma(gamma float64, obs int) {
+	if obs >= e.obs {
+		e.gamma, e.obs = gamma, obs
+	}
+}
+
+// forgetNodeLocked drops every table entry node decided and the slot of
+// its last tick reply: its decision reads go to the relay until its
+// next tick reply. The entries keep their keys, so a device the node
+// decides again allocates nothing. Caller holds rt.mu.
+func (rt *Router) forgetNodeLocked(node string) {
+	for _, e := range rt.decisions {
+		if e.node == node {
+			*e = decision{}
+		}
+	}
+	delete(rt.tickSlots, node)
 }
 
 // MergeTicks merges per-shard tick results into one deterministic

@@ -452,6 +452,38 @@ func ParseCanonicalHeader(canonical string) (h CanonicalHeader, rest string, ok 
 	return h, rest, err == nil && n == 6
 }
 
+// ReadCanonical reads canon, the Canonical encoding of a decision over n
+// devices (degraded as the decision was), back into the devices' IDs
+// and verdicts in line order, calling fn with each line's index. It
+// reports false unless canon holds exactly n device lines after its
+// header — a device ID holding a newline shifts them, and then fn is
+// not called — each one "<id>=<verdict>".
+func ReadCanonical(canon []byte, degraded bool, n int, fn func(k int, id []byte, x bool)) bool {
+	header := 1
+	if degraded {
+		header = 2
+	}
+	if bytes.Count(canon, newline) != header+n {
+		return false
+	}
+	lines := canon
+	for ; header > 0; header-- {
+		_, lines, _ = bytes.Cut(lines, newline)
+	}
+	for k := 0; k < n; k++ {
+		var line []byte
+		line, lines, _ = bytes.Cut(lines, newline)
+		eq := bytes.LastIndexByte(line, '=')
+		if eq < 0 {
+			return false
+		}
+		fn(k, line[:eq], string(line[eq+1:]) == "true")
+	}
+	return true
+}
+
+var newline = []byte{'\n'}
+
 // Canonical concatenates every VC decision's canonical form in VC-ID
 // order — the byte string the differential tests and the benchmark
 // equivalence check compare across engines.

@@ -294,8 +294,10 @@ func phase1MatchesBruteForce(t *testing.T, name string, reqs []Request, streams 
 
 // TestParseCanonicalHeaderRoundTrip: the header Canonical writes parses
 // back to the decision's own fields, floats bit for bit, with the rest
-// of the encoding handed over untouched — for plain and degraded
-// decisions alike.
+// of the encoding handed over untouched, and ReadCanonical reads the
+// device lines back to the batch's IDs in ID order and their verdicts —
+// for plain and degraded decisions alike. A device ID holding a newline
+// is refused.
 func TestParseCanonicalHeaderRoundTrip(t *testing.T) {
 	base := makeCluster(t, 64, 995)
 	rng := stats.NewRNG(5)
@@ -319,7 +321,30 @@ func TestParseCanonicalHeaderRoundTrip(t *testing.T) {
 			if !strings.HasSuffix(canonical, "\n"+rest) || strings.Count(canonical, "\n") != strings.Count(rest, "\n")+1 {
 				t.Fatalf("instance %d: rest is not the encoding minus its header line:\n%s", inst, canonical)
 			}
+			lines := 0
+			ok = ReadCanonical(dec.Canonical(), dec.Degraded.Any(), len(vc.Requests), func(k int, id []byte, x bool) {
+				i := k
+				if order := dec.IDOrder(); order != nil {
+					i = order[k]
+				}
+				if lines++; string(id) != vc.Requests[i].DeviceID || x != dec.X[i] {
+					t.Fatalf("instance %d: line %d reads %s=%t, want %s=%t", inst, k, id, x, vc.Requests[i].DeviceID, dec.X[i])
+				}
+			})
+			if !ok || lines != len(vc.Requests) {
+				t.Fatalf("instance %d: ReadCanonical ok=%t after %d of %d lines:\n%s", inst, ok, lines, len(vc.Requests), canonical)
+			}
 		}
+	}
+	s := mustScheduler(t, Config{Lambda: 1})
+	reqs := append([]Request(nil), base[:4]...)
+	reqs[1].DeviceID = "a\nb=true"
+	dec, err := s.Schedule(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ReadCanonical(dec.Canonical(), false, len(reqs), func(int, []byte, bool) { t.Fatal("a line read from a shifted encoding") }) {
+		t.Error("an encoding with a newline in a device ID was read")
 	}
 	for _, bad := range []string{"", "selected=1", "garbage\n", "selected=1 eligible=2 swaps=0 optimal=maybe phase1=0 objective=0\n"} {
 		if _, _, ok := ParseCanonicalHeader(bad); ok {

@@ -361,7 +361,11 @@ type ShardVCDecision struct {
 
 // ShardTickResponse summarises one shard's federated tick: the flat
 // counters aggregate across the shard's channel VCs; VCs carries the
-// per-channel decisions in VC-ID order.
+// per-channel decisions in VC-ID order, and Devices, parallel to VCs,
+// what the shard would answer each of their devices' decision read
+// with besides the verdict. The router fills its decision table from
+// the two (DESIGN.md §17) and never passes Devices on: its /v1/tick
+// embeds ShardVCDecision only.
 type ShardTickResponse struct {
 	Node     string            `json:"node,omitempty"`
 	Slot     int               `json:"slot"`
@@ -372,7 +376,16 @@ type ShardTickResponse struct {
 	Swaps    int               `json:"swaps"`
 	Degraded bool              `json:"degraded"`
 	VCs      []ShardVCDecision `json:"vcs"`
+	Devices  []ShardVCDevices  `json:"devices"`
 	Sched    TickStats         `json:"sched"`
+}
+
+// ShardVCDevices is one channel VC's devices as the shard published
+// them, in the line order of the VC's Canonical: each device's γ
+// estimate and the number of observations behind it.
+type ShardVCDevices struct {
+	Gamma        []float64 `json:"gamma"`
+	Observations []int     `json:"observations"`
 }
 
 // ShardMapResponse is the shard-map epoch exchange body (GET and POST

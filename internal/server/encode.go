@@ -48,9 +48,11 @@ func WriteBody(w http.ResponseWriter, code int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// writeAppended answers 200 with v's appendJSON encoding, or through
-// WriteJSON when v holds a NaN or an infinity.
-func writeAppended[T interface {
+// WriteAppended answers 200 with v's appendJSON encoding, or through
+// WriteJSON when v holds a NaN or an infinity. It is exported for the
+// router, which answers a decision read from its table with the bytes
+// the shard would have sent.
+func WriteAppended[T interface {
 	appendJSON(dst []byte) ([]byte, bool)
 }](w http.ResponseWriter, v T) {
 	buf := bufpool.Get()

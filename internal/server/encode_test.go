@@ -17,7 +17,7 @@ import (
 // the appender must produce json.Encoder's bytes, trailing newline
 // included, or report "fall back" — which it must for a value the
 // encoder refuses (NaN, an infinity) and may for no other, whatever
-// its strings hold — and either way writeAppended must leave in the
+// its strings hold — and either way WriteAppended must leave in the
 // response what WriteJSON alone would have. It also holds the reader
 // to the writer: ReadJSON reads every appended body back to v, float
 // bits included, unless a string in it was escaped.
@@ -40,11 +40,11 @@ func checkAppendJSON[T interface {
 		t.Fatalf("%T: fell back on %+v, which encoding/json encodes", v, v)
 	}
 	fast, ref := httptest.NewRecorder(), httptest.NewRecorder()
-	writeAppended(fast, v)
+	WriteAppended(fast, v)
 	WriteJSON(ref, http.StatusOK, v)
 	if fast.Code != ref.Code || !reflect.DeepEqual(fast.Header(), ref.Header()) ||
 		!bytes.Equal(fast.Body.Bytes(), ref.Body.Bytes()) {
-		t.Fatalf("%T: writeAppended answered %d %v %q, WriteJSON %d %v %q", v,
+		t.Fatalf("%T: WriteAppended answered %d %v %q, WriteJSON %d %v %q", v,
 			fast.Code, fast.Header(), fast.Body.Bytes(), ref.Code, ref.Header(), ref.Body.Bytes())
 	}
 	if !ok {

@@ -164,7 +164,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	case aerr != nil:
 		aerr.write(w)
 	default:
-		writeAppended(w, ReportResponse{Slot: slot, Accepted: true})
+		WriteAppended(w, ReportResponse{Slot: slot, Accepted: true})
 	}
 }
 

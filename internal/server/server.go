@@ -554,7 +554,7 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeUnknownDevice, fmt.Errorf("unknown device %q", id))
 		return
 	}
-	writeAppended(w, DecisionResponse{
+	WriteAppended(w, DecisionResponse{
 		DeviceID:  id,
 		Slot:      st.slot,
 		Transform: st.transform,
@@ -627,7 +627,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		resp.MeanG = res.Stats.MeanG
 		resp.MeanB = res.Stats.MeanB
 	}
-	writeAppended(w, resp)
+	WriteAppended(w, resp)
 }
 
 func (s *Server) handlePlaylist(w http.ResponseWriter, r *http.Request) {

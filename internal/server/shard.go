@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"lpvs/internal/scheduler"
 	"lpvs/internal/shard"
 )
 
@@ -88,6 +89,7 @@ func (s *Server) handleShardTick(w http.ResponseWriter, r *http.Request) {
 		Swaps:    st.Swaps,
 		Degraded: st.Degraded,
 		VCs:      make([]ShardVCDecision, len(out.decided)),
+		Devices:  make([]ShardVCDevices, len(out.decided)),
 		Sched:    st,
 	}
 	if s.shardMap != nil {
@@ -106,8 +108,27 @@ func (s *Server) handleShardTick(w http.ResponseWriter, r *http.Request) {
 			WallSec:   vc.WallSeconds,
 			Canonical: dec.Canonical(),
 		}
+		resp.Devices[i] = s.vcDevicesLocked(out.vcs[i].Requests, dec)
 	}
 	WriteJSON(w, http.StatusOK, resp)
+}
+
+// vcDevicesLocked reads each device of a decided VC's batch in the line
+// order of dec.Canonical: its γ and observation count as a decision read
+// would answer them now. Caller holds s.mu; every scheduled device is
+// known.
+func (s *Server) vcDevicesLocked(batch []scheduler.Request, dec *scheduler.Decision) ShardVCDevices {
+	d := ShardVCDevices{Gamma: make([]float64, len(batch)), Observations: make([]int, len(batch))}
+	order := dec.IDOrder()
+	for k := range batch {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
+		est := s.devices[batch[i].DeviceID].estimator
+		d.Gamma[k], d.Observations[k] = est.Gamma(), est.Observations()
+	}
+	return d
 }
 
 // handleShardMapGet reports the installed shard map and its epoch.
