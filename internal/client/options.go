@@ -495,8 +495,9 @@ type jsonReader interface{ ReadJSON(data []byte) bool }
 // in one Write — how the router relays a shard's answer. Otherwise the
 // body must be exactly one JSON value; the daemon and the router send
 // one value and a newline. A hot reply (a decision, a chunk, a single
-// report's acknowledgement) is first read in the layout the daemon
-// appends it in (server's ReadJSON methods, DESIGN.md §18), and only a
+// report's acknowledgement, a shard's or a router's tick reply) is
+// first read in the layout the daemon and the router append it in (the
+// ReadJSON methods of server and router, DESIGN.md §18), and only a
 // body that reader declines goes through json.Unmarshal.
 func decode(resp *http.Response, out any) error {
 	if resp.StatusCode != http.StatusOK {

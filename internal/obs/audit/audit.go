@@ -532,7 +532,9 @@ func (r *Record) SchedulerRequests() ([]scheduler.Request, error) {
 // high-water mark from one Build to the next, so a caller that logs
 // every tick (the daemon, the emulator) allocates per record only what
 // the record does not share with the last one — the canonical decision
-// string, the config hash and one table entry per distinct window.
+// string (its text is appended into the builder's own buffer first, so
+// the string is its one copy), the config hash and one table entry per
+// distinct window.
 //
 // The price is a lifetime rule: the *Record Build returns and the line
 // Encode returns alias that storage and are valid only until the next
@@ -547,7 +549,10 @@ type Builder struct {
 	// the per-request Window pointers point into it.
 	windowOf []int
 	table    windowTable
-	line     []byte
+	// canon is the decision's canonical text, appended in place before
+	// the record takes its one string copy.
+	canon []byte
+	line  []byte
 }
 
 // grown returns s resized to n elements, reallocating only when its
@@ -568,13 +573,14 @@ func grown[T any](s []T, n int) []T {
 // the returned record, which is valid until the next Build.
 func (b *Builder) Build(slot int, vcID string, cfg scheduler.Config, reqs []scheduler.Request, dec scheduler.Decision) *Record {
 	rec := &b.rec
+	b.canon = dec.AppendCanonical(b.canon[:0])
 	*rec = Record{
 		Schema:            SchemaVersion,
 		Slot:              slot,
 		VC:                vcID,
 		Config:            NewConfigRecord(cfg),
 		Requests:          grown(rec.Requests, len(reqs)),
-		DecisionCanonical: string(dec.Canonical()),
+		DecisionCanonical: string(b.canon),
 		Verdicts:          grown(rec.Verdicts, len(dec.PerDevice)),
 	}
 	rec.ConfigHash = rec.Config.Hash()

@@ -160,3 +160,92 @@ func shardDecisionReads(t *testing.T, base string) int {
 	}
 	return total
 }
+
+// TestFederatedTickAllocs guards what one federated tick costs, every
+// process counted: a router and two shards on loopback listeners,
+// three channels of 40 devices each, the tick POSTed by a client.Caller
+// into a fresh TickResponse as the load generator does, and
+// runtime.MemStats read around the tick alone (the slot's reports go in
+// before it). Most of the count is the shards' scheduling, which this
+// test does not pin; what it pins is the exchange around it: the
+// shard's reply appended from its tick outcome, read by the router
+// into storage it reuses, merged and appended again, and read by the
+// client in that layout (DESIGN.md §17, §18). On go1.24.0 amd64, the
+// toolchain the bounds were taken on, a tick costs about 292
+// allocations and 22.5 KiB; before the two tick bodies were written and
+// read in their own layout it cost 404 and 39.5 KiB.
+func TestFederatedTickAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	oneConn := func() *http.Client {
+		tr := &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1, IdleConnTimeout: time.Minute}
+		t.Cleanup(tr.CloseIdleConnections)
+		return &http.Client{Transport: tr}
+	}
+	// Node IDs a and b split the three channels 2:1 (ch on b).
+	_, ts1 := newShard(t, "a", server.Config{})
+	_, ts2 := newShard(t, "b", server.Config{})
+	m, err := shard.New([]shard.Node{{ID: "a", Addr: ts1.URL}, {ID: "b", Addr: ts2.URL}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(Config{Map: m, DefaultChannel: "ch",
+		ClientOptions: []client.Option{client.WithHTTPClient(oneConn())}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routerTS := httptest.NewServer(rt.Handler())
+	defer routerTS.Close()
+	c, err := client.NewCaller(routerTS.URL, client.WithHTTPClient(oneConn()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	channels := []string{"ch", "music", "news"}
+	owners := map[string]bool{}
+	var batch []server.ReportRequest
+	for i := 0; i < 120; i++ {
+		ch := channels[i%len(channels)]
+		owners[m.Owner(ch).ID] = true
+		batch = append(batch, report(i, ch))
+	}
+	if len(owners) != 2 {
+		t.Fatalf("the channels land on %d of the 2 shards", len(owners))
+	}
+	body, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const warm, ticks = 5, 20
+	var allocs, bytes uint64
+	for i := 0; i < warm+ticks; i++ {
+		if err := c.PostRaw("/v1/report", "application/json", body, nil); err != nil {
+			t.Fatal(err)
+		}
+		var out TickResponse
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.PostRaw("/v1/tick", "application/json", nil, &out)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.ShardErrors != 0 || len(out.VCs) != len(channels) || out.Reports != len(batch) {
+			t.Fatalf("tick %d: %d shard errors, %d VCs, %d reports", i, out.ShardErrors, len(out.VCs), out.Reports)
+		}
+		if i >= warm {
+			allocs += after.Mallocs - before.Mallocs
+			bytes += after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	perTick, kb := float64(allocs)/ticks, float64(bytes)/ticks/1024
+	t.Logf("federated tick: %.0f allocs %.1f KiB", perTick, kb)
+	const allocBound, kbBound = 320, 28
+	if perTick > allocBound {
+		t.Errorf("a federated tick allocates %.0f times, want at most %d", perTick, allocBound)
+	}
+	if kb > kbBound {
+		t.Errorf("a federated tick allocates %.1f KiB, want at most %d", kb, kbBound)
+	}
+}

@@ -72,6 +72,8 @@ type Router struct {
 	// forwardFree recycles report-forward workspaces (see forwardSpace)
 	// through the daemon's free-list type, cap included.
 	forwardFree server.FreeList[forwardSpace]
+	// tickFree recycles tick storage (see tickSpace) the same way.
+	tickFree server.FreeList[tickSpace]
 
 	mu      sync.Mutex
 	m       *shard.Map

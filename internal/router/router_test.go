@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,6 +23,7 @@ import (
 	"lpvs/internal/server"
 	"lpvs/internal/shard"
 	"lpvs/internal/stats"
+	"lpvs/internal/testenv"
 	"lpvs/internal/video"
 	"lpvs/internal/wire"
 )
@@ -333,6 +335,20 @@ func TestMergeTicksPure(t *testing.T) {
 	b2, _ := json.Marshal(m2)
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("merged JSON not byte-identical")
+	}
+
+	// The router merges into storage an earlier tick left: the result is
+	// MergeTicks', and a merge without a VC still leaves VCs nil.
+	var reused TickResponse
+	mergeTicks(&reused, 1, "old", nodes, []*server.ShardTickResponse{results[1], results[0]}, errs)
+	mergeTicks(&reused, 7, "ep", nodes, results, errs)
+	if !testenv.BitEqual(reused, m1) {
+		t.Fatalf("merged over an earlier merge:\n%+v\nMergeTicks:\n%+v", reused, m1)
+	}
+	empty := []*server.ShardTickResponse{{Node: "a", Slot: 5}, {Node: "b", Slot: 5}}
+	mergeTicks(&reused, 8, "ep", nodes, empty, errs)
+	if want := MergeTicks(8, "ep", nodes, empty, errs); reused.VCs != nil || !testenv.BitEqual(reused, want) {
+		t.Fatalf("an empty merge over an earlier one:\n%+v\nMergeTicks:\n%+v", reused, want)
 	}
 }
 
@@ -858,4 +874,68 @@ func TestRouterFleetMerge(t *testing.T) {
 			t.Fatalf("stream key %q not node-prefixed", vs.Key)
 		}
 	}
+}
+
+// Concurrent router ticks each work in their own tick storage: every
+// merged reply, read while other ticks fill and merge theirs, is
+// encoding/json's bytes for the value it decodes to, in VC-ID order,
+// with a readable canonical text per VC. Run with -race this is the
+// check that no two ticks share a tickSpace.
+func TestRouterConcurrentTicks(t *testing.T) {
+	_, ts1 := newShard(t, "n1", server.Config{})
+	_, ts2 := newShard(t, "n2", server.Config{})
+	_, routerTS := newRouter(t, map[string]string{"n1": ts1.URL, "n2": ts2.URL})
+	channels := []string{"", "music", "news"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				batch := make([]server.ReportRequest, 0, 12)
+				for i := 0; i < 12; i++ {
+					batch = append(batch, report(100*g+i, channels[(i+round)%3]))
+				}
+				body, err := json.Marshal(batch)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.Post(routerTS.URL+"/v1/report", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				resp, err = http.Post(routerTS.URL+"/v1/tick", "application/json", nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				reply, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("tick: %d %v", resp.StatusCode, err)
+					return
+				}
+				var tick TickResponse
+				if err := json.Unmarshal(reply, &tick); err != nil {
+					t.Errorf("tick reply %q: %v", reply, err)
+					return
+				}
+				var want bytes.Buffer
+				if err := json.NewEncoder(&want).Encode(tick); err != nil || !bytes.Equal(reply, want.Bytes()) {
+					t.Errorf("tick reply\n%s\nis not encoding/json's\n%s", reply, want.Bytes())
+					return
+				}
+				for i, vc := range tick.VCs {
+					if _, _, ok := scheduler.ParseCanonicalHeader(string(vc.Canonical)); !ok || i > 0 && tick.VCs[i-1].VC >= vc.VC {
+						t.Errorf("VC %d of %+v", i, tick.VCs)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

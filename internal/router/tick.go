@@ -1,9 +1,11 @@
 package router
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,15 +37,20 @@ import (
 func (rt *Router) handleTick(w http.ResponseWriter, _ *http.Request) {
 	m, nodes, callers := rt.snapshot()
 	start := time.Now()
+	ts := rt.tickFree.Get()
+	if ts == nil {
+		ts = new(tickSpace)
+	}
+	// Back only once the response is written: its VCs alias the replies.
+	defer rt.tickFree.Put(ts)
+	ts.arm(len(nodes))
 
-	results := make([]*server.ShardTickResponse, len(nodes))
-	errs := make([]error, len(nodes))
 	var wg sync.WaitGroup
 	for i := range nodes {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = rt.tickShard(callers[i], nodes[i], m)
+			ts.results[i], ts.errs[i] = rt.tickShard(callers[i], nodes[i], m, &ts.replies[i])
 		}(i)
 	}
 	wg.Wait()
@@ -51,15 +58,15 @@ func (rt *Router) handleTick(w http.ResponseWriter, _ *http.Request) {
 	rt.mu.Lock()
 	ticked := false
 	for i, n := range nodes {
-		ticked = ticked || results[i] != nil
+		ticked = ticked || ts.results[i] != nil
 		if rt.callers[n.ID] != callers[i] {
 			continue // resharded away during the fan-out; forgotten there
 		}
-		if results[i] == nil {
+		if ts.results[i] == nil {
 			rt.forgetNodeLocked(n.ID)
 			continue
 		}
-		rt.noteTickLocked(n.ID, results[i])
+		rt.noteTickLocked(n.ID, ts.results[i])
 	}
 	slot := rt.slot
 	if ticked {
@@ -68,7 +75,8 @@ func (rt *Router) handleTick(w http.ResponseWriter, _ *http.Request) {
 	rt.mu.Unlock()
 	rt.ticks.Add(1)
 
-	merged := MergeTicks(slot, m.Epoch(), nodes, results, errs)
+	merged := &ts.merged
+	mergeTicks(merged, slot, m.Epoch(), nodes, ts.results, ts.errs)
 	merged.Sched.DurationSec = time.Since(start).Seconds()
 	if merged.ShardErrors == len(nodes) {
 		server.WriteEnvelopeError(w, http.StatusBadGateway, server.CodeShardUnavailable,
@@ -79,26 +87,72 @@ func (rt *Router) handleTick(w http.ResponseWriter, _ *http.Request) {
 		"shard_errors", merged.ShardErrors, "vcs", len(merged.VCs),
 		"reports", merged.Reports, "selected", merged.Selected,
 		"duration_ms", merged.Sched.DurationSec*1000)
-	server.WriteJSON(w, http.StatusOK, merged)
+	server.WriteAppended(w, *merged)
 }
 
-// tickShard runs one shard's leg of the fan-out. On a 409
-// shard_epoch_mismatch the router pushes its own map and retries the
-// tick once — the normal convergence path right after a reshard when
-// a shard missed the push.
-func (rt *Router) tickShard(c *client.Caller, n shard.Node, m *shard.Map) (*server.ShardTickResponse, error) {
+// tickSpace is the storage of one router tick, reused tick to tick
+// through rt.tickFree, so two ticks running at once never share one:
+// each node's reply as read (its canonical bytes and γ and observation
+// arrays included), the per-node results and errors, and the merged
+// reply, whose VCs alias the replies' canonical bytes.
+type tickSpace struct {
+	replies []shardReply
+	results []*server.ShardTickResponse
+	errs    []error
+	merged  TickResponse
+}
+
+// arm sizes the space for a fan-out to n nodes. A reply keeps what it
+// holds; shardReply.reset re-arms it for its node's call.
+func (ts *tickSpace) arm(n int) {
+	if len(ts.replies) < n {
+		ts.replies = append(ts.replies, make([]shardReply, n-len(ts.replies))...)
+	}
+	ts.results = append(ts.results[:0], make([]*server.ShardTickResponse, n)...)
+	ts.errs = append(ts.errs[:0], make([]error, n)...)
+}
+
+// shardReply is what one shard's tick reply is read into. A reply in
+// the shard's own layout is read by ShardTickResponse.ReadJSON into the
+// storage the last reply left behind; any other layout goes through
+// UnmarshalJSON, into a fresh value, since json.Unmarshal would decode
+// into a reused element's stale fields and keep those the body lacks.
+type shardReply struct{ server.ShardTickResponse }
+
+// reset empties r for its next call and keeps its storage, the node
+// and epoch strings included, which ReadJSON takes over when the reply
+// spells them.
+func (r *shardReply) reset() {
+	r.ShardTickResponse = server.ShardTickResponse{Node: r.Node, Epoch: r.Epoch,
+		VCs: r.VCs[:0], Devices: r.Devices[:0]}
+}
+
+func (r *shardReply) UnmarshalJSON(data []byte) error {
+	var v server.ShardTickResponse
+	if err := json.Unmarshal(data, &v); err != nil {
+		return err
+	}
+	r.ShardTickResponse = v
+	return nil
+}
+
+// tickShard runs one shard's leg of the fan-out, reading the reply into
+// reply. On a 409 shard_epoch_mismatch the router pushes its own map
+// and retries the tick once — the normal convergence path right after a
+// reshard when a shard missed the push.
+func (rt *Router) tickShard(c *client.Caller, n shard.Node, m *shard.Map, reply *shardReply) (*server.ShardTickResponse, error) {
 	req := server.ShardTickRequest{Node: n.ID, Epoch: m.Epoch()}
 	callStart := time.Now()
 	rt.tickShardCalls.Add(1)
 	rt.mShardTicks.With(n.ID).Inc()
 
-	var resp server.ShardTickResponse
-	err := c.PostJSON("/v1/shard/tick", req, &resp)
+	reply.reset()
+	err := c.PostJSON("/v1/shard/tick", req, reply)
 	var apiErr *client.APIError
 	if errors.As(err, &apiErr) && apiErr.Code == server.CodeEpochMismatch {
 		if perr := c.PostJSON("/v1/shard/map", m.Spec(), nil); perr == nil {
-			resp = server.ShardTickResponse{}
-			err = c.PostJSON("/v1/shard/tick", req, &resp)
+			reply.reset()
+			err = c.PostJSON("/v1/shard/tick", req, reply)
 		}
 	}
 	rt.mShardTickDur.With(n.ID).Observe(time.Since(callStart).Seconds())
@@ -108,7 +162,7 @@ func (rt *Router) tickShard(c *client.Caller, n shard.Node, m *shard.Map) (*serv
 		rt.log.Warn("shard tick failed", "node", n.ID, "err", err)
 		return nil, err
 	}
-	return &resp, nil
+	return &reply.ShardTickResponse, nil
 }
 
 // decision is one device's entry in the decision table: what node said
@@ -207,10 +261,23 @@ func (rt *Router) forgetNodeLocked(node string) {
 // order. nodes, results and errs are parallel slices; a nil result
 // with its error represents a failed shard.
 func MergeTicks(slot int, epoch string, nodes []shard.Node, results []*server.ShardTickResponse, errs []error) TickResponse {
-	merged := TickResponse{
+	var merged TickResponse
+	mergeTicks(&merged, slot, epoch, nodes, results, errs)
+	return merged
+}
+
+// mergeTicks is MergeTicks into merged, whose Shards and VCs storage it
+// reuses. A merge without a VC leaves VCs nil, as MergeTicks always
+// has, so the reply says null there.
+func mergeTicks(merged *TickResponse, slot int, epoch string, nodes []shard.Node, results []*server.ShardTickResponse, errs []error) {
+	shards, vcs := merged.Shards, merged.VCs[:0]
+	if shards == nil || cap(shards) < len(nodes) {
+		shards = make([]ShardTickSummary, len(nodes))
+	}
+	*merged = TickResponse{
 		Slot:   slot,
 		Epoch:  epoch,
-		Shards: make([]ShardTickSummary, len(nodes)),
+		Shards: shards[:len(nodes)],
 		Sched:  server.NewTickStats(slot),
 	}
 	for i, n := range nodes {
@@ -244,15 +311,17 @@ func MergeTicks(slot int, epoch string, nodes []shard.Node, results []*server.Sh
 		merged.Swaps += res.Swaps
 		merged.Degraded = merged.Degraded || res.Degraded
 		for _, vc := range res.VCs {
-			merged.VCs = append(merged.VCs, VCDecision{Node: n.ID, ShardVCDecision: vc})
+			vcs = append(vcs, VCDecision{Node: n.ID, ShardVCDecision: vc})
 		}
 		merged.Sched.Fold(res.Sched)
 	}
-	sort.Slice(merged.VCs, func(a, b int) bool {
-		if merged.VCs[a].VC != merged.VCs[b].VC {
-			return merged.VCs[a].VC < merged.VCs[b].VC
+	slices.SortFunc(vcs, func(a, b VCDecision) int {
+		if a.VC != b.VC {
+			return strings.Compare(a.VC, b.VC)
 		}
-		return merged.VCs[a].Node < merged.VCs[b].Node
+		return strings.Compare(a.Node, b.Node)
 	})
-	return merged
+	if len(vcs) > 0 {
+		merged.VCs = vcs
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -372,37 +373,56 @@ func orderVCs(vcs []VC) ([]VC, error) {
 // from different engines (pool vs serial, different worker counts) can
 // be compared byte for byte. It reads the positional view, so it is
 // valid as long as the batch the decision was made for.
-func (d Decision) Canonical() []byte {
+func (d Decision) Canonical() []byte { return d.AppendCanonical(nil) }
+
+// AppendCanonical appends Canonical's encoding to dst and returns the
+// extended slice, so a caller that encodes every tick (the audit log,
+// a shard's tick reply) can keep one buffer. The header's floats are
+// fmt's %.17g, which is strconv's 'g' at precision 17, NaN and the
+// infinities included.
+func (d Decision) AppendCanonical(dst []byte) []byte {
 	size := 192 // the header and degradation lines
 	for i := range d.X {
 		size += len(d.batch[i].DeviceID) + len("=false\n")
 	}
-	var b bytes.Buffer
-	b.Grow(size)
-	fmt.Fprintf(&b, "selected=%d eligible=%d swaps=%d optimal=%t phase1=%.17g objective=%.17g\n",
-		d.Selected, d.Eligible, d.Swaps, d.OptimalPhase1, d.Phase1Value, d.Objective)
+	dst = slices.Grow(dst, size)
+	dst = append(dst, "selected="...)
+	dst = strconv.AppendInt(dst, int64(d.Selected), 10)
+	dst = append(dst, " eligible="...)
+	dst = strconv.AppendInt(dst, int64(d.Eligible), 10)
+	dst = append(dst, " swaps="...)
+	dst = strconv.AppendInt(dst, int64(d.Swaps), 10)
+	dst = append(dst, " optimal="...)
+	dst = strconv.AppendBool(dst, d.OptimalPhase1)
+	dst = append(dst, " phase1="...)
+	dst = strconv.AppendFloat(dst, d.Phase1Value, 'g', 17, 64)
+	dst = append(dst, " objective="...)
+	dst = strconv.AppendFloat(dst, d.Objective, 'g', 17, 64)
+	dst = append(dst, '\n')
 	// Appended only for degraded decisions so the historical encoding —
 	// and every audit record written before anytime mode existed — is
 	// byte-preserved.
 	if d.Degraded.Any() {
-		fmt.Fprintf(&b, "degraded=phase1:%t phase2:%t\n", d.Degraded.Phase1Greedy, d.Degraded.Phase2Skipped)
+		dst = append(dst, "degraded=phase1:"...)
+		dst = strconv.AppendBool(dst, d.Degraded.Phase1Greedy)
+		dst = append(dst, " phase2:"...)
+		dst = strconv.AppendBool(dst, d.Degraded.Phase2Skipped)
+		dst = append(dst, '\n')
 	}
-	// Written piecewise: a Fprintf("%s=%t") here boxes one string per
-	// device, which the audit path pays on every tick.
 	order := d.IDOrder()
 	for k := range d.X {
 		i := k
 		if order != nil {
 			i = order[k]
 		}
-		b.WriteString(d.batch[i].DeviceID)
+		dst = append(dst, d.batch[i].DeviceID...)
 		if d.X[i] {
-			b.WriteString("=true\n")
+			dst = append(dst, "=true\n"...)
 		} else {
-			b.WriteString("=false\n")
+			dst = append(dst, "=false\n"...)
 		}
 	}
-	return b.Bytes()
+	return dst
 }
 
 // IDOrder returns the batch positions in ascending device-ID order —
@@ -457,7 +477,9 @@ func ParseCanonicalHeader(canonical string) (h CanonicalHeader, rest string, ok 
 // and verdicts in line order, calling fn with each line's index. It
 // reports false unless canon holds exactly n device lines after its
 // header — a device ID holding a newline shifts them, and then fn is
-// not called — each one "<id>=<verdict>".
+// not called — each one "<id>=<verdict>", the verdict true or false.
+// A line it cannot read stops it there, fn having been called for the
+// lines before.
 func ReadCanonical(canon []byte, degraded bool, n int, fn func(k int, id []byte, x bool)) bool {
 	header := 1
 	if degraded {
@@ -477,7 +499,11 @@ func ReadCanonical(canon []byte, degraded bool, n int, fn func(k int, id []byte,
 		if eq < 0 {
 			return false
 		}
-		fn(k, line[:eq], string(line[eq+1:]) == "true")
+		x := string(line[eq+1:]) == "true"
+		if !x && string(line[eq+1:]) != "false" {
+			return false
+		}
+		fn(k, line[:eq], x)
 	}
 	return true
 }
@@ -488,10 +514,12 @@ var newline = []byte{'\n'}
 // order — the byte string the differential tests and the benchmark
 // equivalence check compare across engines.
 func (r *PoolResult) Canonical() []byte {
-	var b bytes.Buffer
+	var b []byte
 	for i := range r.VCs {
-		fmt.Fprintf(&b, "vc %s\n", r.VCs[i].VC)
-		b.Write(r.VCs[i].Decision.Canonical())
+		b = append(b, "vc "...)
+		b = append(b, r.VCs[i].VC...)
+		b = append(b, '\n')
+		b = r.VCs[i].Decision.AppendCanonical(b)
 	}
-	return b.Bytes()
+	return b
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -346,10 +347,103 @@ func TestParseCanonicalHeaderRoundTrip(t *testing.T) {
 	if ReadCanonical(dec.Canonical(), false, len(reqs), func(int, []byte, bool) { t.Fatal("a line read from a shifted encoding") }) {
 		t.Error("an encoding with a newline in a device ID was read")
 	}
+	// A verdict is true or false; any other token refuses the encoding
+	// rather than reading as false.
+	okReqs := base[:2]
+	okDec, err := s.Schedule(okReqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := okDec.Canonical()
+	for _, verdict := range []string{"", "TRUE", "False", "1", "true ", "falsey", "t"} {
+		bad := bytes.Replace(good, []byte("="+strconv.FormatBool(okDec.X[len(okReqs)-1])+"\n"), []byte("="+verdict+"\n"), 1)
+		if bytes.Equal(bad, good) {
+			t.Fatalf("no verdict to corrupt in:\n%s", good)
+		}
+		if ReadCanonical(bad, false, len(okReqs), func(int, []byte, bool) {}) {
+			t.Errorf("verdict token %q was read:\n%s", verdict, bad)
+		}
+	}
+	if !ReadCanonical(good, false, len(okReqs), func(int, []byte, bool) {}) {
+		t.Errorf("the uncorrupted encoding was refused:\n%s", good)
+	}
 	for _, bad := range []string{"", "selected=1", "garbage\n", "selected=1 eligible=2 swaps=0 optimal=maybe phase1=0 objective=0\n"} {
 		if _, _, ok := ParseCanonicalHeader(bad); ok {
 			t.Errorf("%q parsed as a canonical header", bad)
 		}
+	}
+}
+
+// fmtCanonical is Decision.Canonical as it was written with fmt, kept as
+// the reference AppendCanonical is held to.
+func fmtCanonical(d Decision) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "selected=%d eligible=%d swaps=%d optimal=%t phase1=%.17g objective=%.17g\n",
+		d.Selected, d.Eligible, d.Swaps, d.OptimalPhase1, d.Phase1Value, d.Objective)
+	if d.Degraded.Any() {
+		fmt.Fprintf(&b, "degraded=phase1:%t phase2:%t\n", d.Degraded.Phase1Greedy, d.Degraded.Phase2Skipped)
+	}
+	order := d.IDOrder()
+	for k := range d.X {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
+		fmt.Fprintf(&b, "%s=%t\n", d.batch[i].DeviceID, d.X[i])
+	}
+	return b.Bytes()
+}
+
+// TestAppendCanonicalMatchesFmt holds AppendCanonical to the fmt
+// encoding it replaced: scheduled decisions, plain and degraded, over
+// sorted and unsorted batches (a non-nil IDOrder), and hand-built ones
+// whose header holds every float fmt's %.17g has a special form for. It
+// also holds PoolResult.Canonical to its fmt form, and appending to a
+// non-empty buffer to leaving the prefix alone.
+func TestAppendCanonicalMatchesFmt(t *testing.T) {
+	base := makeCluster(t, 24, 41)
+	s := mustScheduler(t, Config{Lambda: 1})
+	var decs []Decision
+	for inst := 0; inst < 8; inst++ {
+		reqs := append([]Request(nil), base[:4+inst*2]...)
+		if inst%2 == 1 {
+			reqs[0], reqs[len(reqs)-1] = reqs[len(reqs)-1], reqs[0]
+		}
+		dec, err := s.Schedule(reqs)
+		if inst%4 >= 2 {
+			dec, err = s.ScheduleDegraded(reqs, Degradation{Phase1Greedy: inst%4 == 2, Phase2Skipped: true})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inst%2 == 1 && dec.IDOrder() == nil {
+			t.Fatalf("instance %d: the unsorted batch is in ID order", inst)
+		}
+		decs = append(decs, dec)
+	}
+	for i, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e21, 1e-7, 0.1, math.MaxFloat64, 5e-324, 123456789012345678} {
+		d := decs[i%len(decs)]
+		d.Phase1Value, d.Objective = x, -x
+		d.Selected, d.Eligible, d.Swaps, d.OptimalPhase1 = -i, i*1000, i%3, i%2 == 0
+		decs = append(decs, d)
+	}
+	for i, d := range decs {
+		want := fmtCanonical(d)
+		if got := d.Canonical(); !bytes.Equal(got, want) {
+			t.Fatalf("decision %d: Canonical\n%s\nfmt\n%s", i, got, want)
+		}
+		if got := d.AppendCanonical([]byte("prefix\n")); string(got) != "prefix\n"+string(want) {
+			t.Fatalf("decision %d: AppendCanonical after a prefix\n%s", i, got)
+		}
+	}
+	res := PoolResult{VCs: []VCDecision{{VC: "a", Decision: decs[0]}, {VC: "b c", Decision: decs[3]}}}
+	var want bytes.Buffer
+	for _, vc := range res.VCs {
+		fmt.Fprintf(&want, "vc %s\n", vc.VC)
+		want.Write(fmtCanonical(vc.Decision))
+	}
+	if got := res.Canonical(); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("PoolResult.Canonical\n%s\nfmt\n%s", got, want.Bytes())
 	}
 }
 

@@ -365,7 +365,11 @@ type ShardVCDecision struct {
 // what the shard would answer each of their devices' decision read
 // with besides the verdict. The router fills its decision table from
 // the two (DESIGN.md §17) and never passes Devices on: its /v1/tick
-// embeds ShardVCDecision only.
+// embeds ShardVCDecision only. The shard appends this body straight
+// from its tick outcome, and the router reads it back through ReadJSON
+// into storage it reuses tick to tick (encode.go, DESIGN.md §18); the
+// bytes are encoding/json's for this type, so a shard and a router of
+// different builds still read each other.
 type ShardTickResponse struct {
 	Node     string            `json:"node,omitempty"`
 	Slot     int               `json:"slot"`

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"net/http"
 	"net/url"
@@ -12,16 +13,20 @@ import (
 )
 
 // This file is the response path (DESIGN.md §18). WriteJSON is the one
-// JSON writer of every route. The three bodies that are nearly all of
-// a slot's traffic — a decision, a chunk, a single report's
-// acknowledgement — are instead appended into a pooled buffer by their
-// own appendJSON method, byte for byte what WriteJSON would have sent
-// (FuzzAppendJSON holds the two together; the value writers are
-// internal/appendjson's), and fall back to WriteJSON only for a float
-// with no JSON form, to fail as it fails. Each has a ReadJSON beside
-// it, the decode half a client tries before json.Unmarshal: it takes
-// exactly the layout appendJSON writes and declines anything else
-// (FuzzDecodeReply holds it to json.Unmarshal).
+// JSON writer of every route. The bodies that are nearly all of a
+// slot's traffic — a decision, a chunk, a single report's
+// acknowledgement, a shard's tick reply and the router's merged tick
+// (internal/router) — are instead appended into a pooled buffer by
+// their own AppendJSON method, byte for byte what WriteJSON would have
+// sent (FuzzAppendJSON and FuzzAppendTick hold them together; the value
+// writers are internal/appendjson's), and fall back to WriteJSON only
+// for a float with no JSON form, to fail as it fails. Each has a
+// ReadJSON beside it, the decode half a client tries before
+// json.Unmarshal: it takes exactly the layout AppendJSON writes and
+// declines anything else (FuzzDecodeReply and FuzzDecodeTick hold it to
+// json.Unmarshal). A shard does not build its tick reply as a value:
+// handleShardTick appends it from the tick outcome through the same
+// member writers (shard.go).
 
 // jsonContentType is the Content-Type value of every JSON body,
 // assigned to the header map as is. cap == len, so a middleware that
@@ -48,16 +53,16 @@ func WriteBody(w http.ResponseWriter, code int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// WriteAppended answers 200 with v's appendJSON encoding, or through
+// WriteAppended answers 200 with v's AppendJSON encoding, or through
 // WriteJSON when v holds a NaN or an infinity. It is exported for the
 // router, which answers a decision read from its table with the bytes
-// the shard would have sent.
+// the shard would have sent, and writes its merged tick.
 func WriteAppended[T interface {
-	appendJSON(dst []byte) ([]byte, bool)
+	AppendJSON(dst []byte) ([]byte, bool)
 }](w http.ResponseWriter, v T) {
 	buf := bufpool.Get()
 	defer bufpool.Put(buf)
-	body, ok := v.appendJSON(buf.AvailableBuffer())
+	body, ok := v.AppendJSON(buf.AvailableBuffer())
 	if !ok {
 		WriteJSON(w, http.StatusOK, v)
 		return
@@ -66,7 +71,9 @@ func WriteAppended[T interface {
 	WriteBody(w, http.StatusOK, buf.Bytes())
 }
 
-func (r DecisionResponse) appendJSON(dst []byte) ([]byte, bool) {
+// AppendJSON appends r as json.Encoder writes it, trailing newline
+// included; ok is false when a float has no JSON form.
+func (r DecisionResponse) AppendJSON(dst []byte) ([]byte, bool) {
 	ok := true
 	dst = append(dst, `{"device_id":`...)
 	dst = appendjson.String(dst, r.DeviceID)
@@ -79,7 +86,7 @@ func (r DecisionResponse) appendJSON(dst []byte) ([]byte, bool) {
 	return append(dst, "}\n"...), ok
 }
 
-// ReadJSON reads data into r when it is in appendJSON's layout, and
+// ReadJSON reads data into r when it is in AppendJSON's layout, and
 // reports whether it was; on false r is untouched and the caller
 // decodes data with json.Unmarshal instead.
 func (r *DecisionResponse) ReadJSON(data []byte) bool {
@@ -95,7 +102,8 @@ func (r *DecisionResponse) ReadJSON(data []byte) bool {
 	return true
 }
 
-func (r ChunkResponse) appendJSON(dst []byte) ([]byte, bool) {
+// AppendJSON is DecisionResponse.AppendJSON for a chunk.
+func (r ChunkResponse) AppendJSON(dst []byte) ([]byte, bool) {
 	ok := true
 	dst = append(dst, `{"index":`...)
 	dst = strconv.AppendInt(dst, int64(r.Index), 10)
@@ -145,7 +153,8 @@ func (r *ChunkResponse) ReadJSON(data []byte) bool {
 	return true
 }
 
-func (r ReportResponse) appendJSON(dst []byte) ([]byte, bool) {
+// AppendJSON is DecisionResponse.AppendJSON for an acknowledgement.
+func (r ReportResponse) AppendJSON(dst []byte) ([]byte, bool) {
 	dst = append(dst, `{"slot":`...)
 	dst = strconv.AppendInt(dst, int64(r.Slot), 10)
 	dst = append(dst, `,"accepted":`...)
@@ -193,4 +202,267 @@ func DeviceParam(w http.ResponseWriter, r *http.Request) (string, bool) {
 		return "", false
 	}
 	return id, true
+}
+
+// AppendObject appends st as encoding/json writes it, as a member of a
+// bigger body (no newline): the shard's tick reply and the router's
+// merged one. A NaN or an infinity clears *ok.
+func (st *TickStats) AppendObject(dst []byte, ok *bool) []byte {
+	dst = append(dst, `{"slot":`...)
+	dst = strconv.AppendInt(dst, int64(st.Slot), 10)
+	dst = append(dst, `,"reports":`...)
+	dst = strconv.AppendInt(dst, int64(st.Reports), 10)
+	dst = append(dst, `,"eligible":`...)
+	dst = strconv.AppendInt(dst, int64(st.Eligible), 10)
+	dst = append(dst, `,"selected":`...)
+	dst = strconv.AppendInt(dst, int64(st.Selected), 10)
+	dst = append(dst, `,"swaps":`...)
+	dst = strconv.AppendInt(dst, int64(st.Swaps), 10)
+	dst = append(dst, `,"phase1_optimal":`...)
+	dst = strconv.AppendBool(dst, st.Phase1Optimal)
+	dst = append(dst, `,"compact_sec":`...)
+	dst = appendjson.Float(dst, st.CompactSec, ok)
+	dst = append(dst, `,"phase1_sec":`...)
+	dst = appendjson.Float(dst, st.Phase1Sec, ok)
+	dst = append(dst, `,"phase2_sec":`...)
+	dst = appendjson.Float(dst, st.Phase2Sec, ok)
+	dst = append(dst, `,"cpu_sec":`...)
+	dst = appendjson.Float(dst, st.CPUSec, ok)
+	dst = append(dst, `,"duration_sec":`...)
+	dst = appendjson.Float(dst, st.DurationSec, ok)
+	dst = append(dst, `,"phase1_nodes":`...)
+	dst = strconv.AppendInt(dst, int64(st.Phase1Nodes), 10)
+	dst = append(dst, `,"cache_hits":`...)
+	dst = strconv.AppendInt(dst, int64(st.CacheHits), 10)
+	dst = append(dst, `,"cache_misses":`...)
+	dst = strconv.AppendInt(dst, int64(st.CacheMisses), 10)
+	dst = append(dst, `,"cache_evictions":`...)
+	dst = strconv.AppendInt(dst, int64(st.CacheEvictions), 10)
+	dst = append(dst, `,"replayed":`...)
+	dst = strconv.AppendBool(dst, st.Replayed)
+	dst = append(dst, `,"degraded":`...)
+	dst = strconv.AppendBool(dst, st.Degraded)
+	if st.DegradedReason != "" {
+		dst = append(dst, `,"degraded_reason":`...)
+		dst = appendjson.String(dst, st.DegradedReason)
+	}
+	return append(dst, '}')
+}
+
+// ReadObject reads an object in AppendObject's layout into st, whole.
+// A miss fails rd and leaves st partly read; a caller reads into a
+// value it commits only when the whole body was read.
+func (st *TickStats) ReadObject(rd *appendjson.Reader) {
+	*st = TickStats{
+		Slot:           rd.Int(`{"slot":`),
+		Reports:        rd.Int(`,"reports":`),
+		Eligible:       rd.Int(`,"eligible":`),
+		Selected:       rd.Int(`,"selected":`),
+		Swaps:          rd.Int(`,"swaps":`),
+		Phase1Optimal:  rd.Bool(`,"phase1_optimal":`),
+		CompactSec:     rd.Float(`,"compact_sec":`),
+		Phase1Sec:      rd.Float(`,"phase1_sec":`),
+		Phase2Sec:      rd.Float(`,"phase2_sec":`),
+		CPUSec:         rd.Float(`,"cpu_sec":`),
+		DurationSec:    rd.Float(`,"duration_sec":`),
+		Phase1Nodes:    rd.Int(`,"phase1_nodes":`),
+		CacheHits:      rd.Int(`,"cache_hits":`),
+		CacheMisses:    rd.Int(`,"cache_misses":`),
+		CacheEvictions: rd.Int(`,"cache_evictions":`),
+		Replayed:       rd.Bool(`,"replayed":`),
+		Degraded:       rd.Bool(`,"degraded":`),
+	}
+	if rd.Prefix(`,"degraded_reason":`) {
+		st.DegradedReason = string(rd.String(""))
+	}
+	rd.Expect("}")
+}
+
+// AppendMembers appends v's members as encoding/json writes them,
+// without the braces around them, so the router can write its node in
+// front (VCDecision). A NaN or an infinity clears *ok.
+func (v *ShardVCDecision) AppendMembers(dst []byte, ok *bool) []byte {
+	dst = append(dst, `"vc":`...)
+	dst = appendjson.String(dst, v.VC)
+	dst = append(dst, `,"reports":`...)
+	dst = strconv.AppendInt(dst, int64(v.Reports), 10)
+	dst = append(dst, `,"eligible":`...)
+	dst = strconv.AppendInt(dst, int64(v.Eligible), 10)
+	dst = append(dst, `,"selected":`...)
+	dst = strconv.AppendInt(dst, int64(v.Selected), 10)
+	dst = append(dst, `,"swaps":`...)
+	dst = strconv.AppendInt(dst, int64(v.Swaps), 10)
+	dst = append(dst, `,"degraded":`...)
+	dst = strconv.AppendBool(dst, v.Degraded)
+	dst = append(dst, `,"wall_sec":`...)
+	dst = appendjson.Float(dst, v.WallSec, ok)
+	dst = append(dst, `,"canonical":`...)
+	if v.Canonical == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '"')
+	dst = base64.StdEncoding.AppendEncode(dst, v.Canonical)
+	return append(dst, '"')
+}
+
+// ReadMembers reads AppendMembers' layout into v, whole, as
+// TickStats.ReadObject reads. The canonical bytes are decoded into
+// v.Canonical's storage, and v.VC is kept when it spells the ID read,
+// so a v that held the same VC before takes the new one without
+// allocating.
+func (v *ShardVCDecision) ReadMembers(rd *appendjson.Reader) {
+	*v = ShardVCDecision{
+		VC:        appendjson.KeepString(v.VC, rd.String(`"vc":`)),
+		Reports:   rd.Int(`,"reports":`),
+		Eligible:  rd.Int(`,"eligible":`),
+		Selected:  rd.Int(`,"selected":`),
+		Swaps:     rd.Int(`,"swaps":`),
+		Degraded:  rd.Bool(`,"degraded":`),
+		WallSec:   rd.Float(`,"wall_sec":`),
+		Canonical: rd.Bytes(`,"canonical":`, v.Canonical),
+	}
+}
+
+// appendHead appends a shard tick reply's members before its vcs,
+// opening brace included: what handleShardTick writes from a tick
+// outcome and AppendJSON from a reply value alike.
+func (r *ShardTickResponse) appendHead(dst []byte) []byte {
+	dst = append(dst, '{')
+	if r.Node != "" {
+		dst = append(dst, `"node":`...)
+		dst = appendjson.String(dst, r.Node)
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `"slot":`...)
+	dst = strconv.AppendInt(dst, int64(r.Slot), 10)
+	if r.Epoch != "" {
+		dst = append(dst, `,"epoch":`...)
+		dst = appendjson.String(dst, r.Epoch)
+	}
+	dst = append(dst, `,"reports":`...)
+	dst = strconv.AppendInt(dst, int64(r.Reports), 10)
+	dst = append(dst, `,"eligible":`...)
+	dst = strconv.AppendInt(dst, int64(r.Eligible), 10)
+	dst = append(dst, `,"selected":`...)
+	dst = strconv.AppendInt(dst, int64(r.Selected), 10)
+	dst = append(dst, `,"swaps":`...)
+	dst = strconv.AppendInt(dst, int64(r.Swaps), 10)
+	dst = append(dst, `,"degraded":`...)
+	return strconv.AppendBool(dst, r.Degraded)
+}
+
+// AppendJSON is DecisionResponse.AppendJSON for a shard's tick reply.
+// The shard itself writes this layout from its tick outcome without
+// building r (appendShardTickLocked, through the same member writers);
+// this is the layout's value form, which FuzzAppendTick holds to
+// json.Encoder and ReadJSON reads back.
+func (r ShardTickResponse) AppendJSON(dst []byte) ([]byte, bool) {
+	ok := true
+	dst = append(r.appendHead(dst), `,"vcs":`...)
+	if r.VCs == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range r.VCs {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(r.VCs[i].AppendMembers(append(dst, '{'), &ok), '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"devices":`...)
+	if r.Devices == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range r.Devices {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			d := &r.Devices[i]
+			dst = appendFloats(append(dst, `{"gamma":`...), d.Gamma, &ok)
+			dst = appendInts(append(dst, `,"observations":`...), d.Observations)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = r.Sched.AppendObject(append(dst, `,"sched":`...), &ok)
+	return append(dst, "}\n"...), ok
+}
+
+// appendFloats appends xs as encoding/json writes a []float64.
+func appendFloats(dst []byte, xs []float64, ok *bool) []byte {
+	if xs == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendjson.Float(dst, x, ok)
+	}
+	return append(dst, ']')
+}
+
+// appendInts appends ns as encoding/json writes an []int.
+func appendInts(dst []byte, ns []int) []byte {
+	if ns == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, n := range ns {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(n), 10)
+	}
+	return append(dst, ']')
+}
+
+// ReadJSON is DecisionResponse.ReadJSON for a shard's tick reply, and
+// reuses storage: what r's VCs and Devices hold beyond their length,
+// and in each element there its canonical bytes and its γ and
+// observation arrays. The router reads every tick's reply from a node
+// into one value whose slices it truncates to length 0 first, so a
+// reply no bigger than the last allocates nothing but its strings.
+func (r *ShardTickResponse) ReadJSON(data []byte) bool {
+	rd := appendjson.NewReader(data)
+	var v ShardTickResponse
+	rd.Expect("{")
+	if rd.Prefix(`"node":`) {
+		v.Node = appendjson.KeepString(r.Node, rd.String(""))
+		rd.Expect(",")
+	}
+	v.Slot = rd.Int(`"slot":`)
+	if rd.Prefix(`,"epoch":`) {
+		v.Epoch = appendjson.KeepString(r.Epoch, rd.String(""))
+	}
+	v.Reports = rd.Int(`,"reports":`)
+	v.Eligible = rd.Int(`,"eligible":`)
+	v.Selected = rd.Int(`,"selected":`)
+	v.Swaps = rd.Int(`,"swaps":`)
+	v.Degraded = rd.Bool(`,"degraded":`)
+	v.VCs = appendjson.Array(&rd, `,"vcs":`, r.VCs[len(r.VCs):], func(sep string, vc *ShardVCDecision) {
+		rd.Expect(sep)
+		rd.Expect("{")
+		vc.ReadMembers(&rd)
+		rd.Expect("}")
+	})
+	v.Devices = appendjson.Array(&rd, `,"devices":`, r.Devices[len(r.Devices):], func(sep string, d *ShardVCDevices) {
+		rd.Expect(sep)
+		*d = ShardVCDevices{
+			Gamma:        appendjson.Array(&rd, `{"gamma":`, d.Gamma, func(sep string, x *float64) { *x = rd.Float(sep) }),
+			Observations: appendjson.Array(&rd, `,"observations":`, d.Observations, func(sep string, n *int) { *n = rd.Int(sep) }),
+		}
+		rd.Expect("}")
+	})
+	rd.Expect(`,"sched":`)
+	v.Sched.ReadObject(&rd)
+	if !rd.End() {
+		return false
+	}
+	*r = v
+	return true
 }

@@ -8,6 +8,9 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"lpvs/internal/testenv"
@@ -22,7 +25,7 @@ import (
 // to the writer: ReadJSON reads every appended body back to v, float
 // bits included, unless a string in it was escaped.
 func checkAppendJSON[T interface {
-	appendJSON(dst []byte) ([]byte, bool)
+	AppendJSON(dst []byte) ([]byte, bool)
 }, P interface {
 	*T
 	ReadJSON(data []byte) bool
@@ -30,7 +33,7 @@ func checkAppendJSON[T interface {
 	t.Helper()
 	var want bytes.Buffer
 	err := json.NewEncoder(&want).Encode(v)
-	got, ok := v.appendJSON(nil)
+	got, ok := v.AppendJSON(nil)
 	switch {
 	case ok && err != nil:
 		t.Fatalf("%T: appended %q for a value encoding/json refuses (%v)", v, got, err)
@@ -85,7 +88,7 @@ func checkReadJSON[T any, P interface {
 
 // FuzzDecodeReply is the differential of the three hot replies'
 // readers against json.Unmarshal over mutated bodies. The seeds are
-// appendJSON's own bodies and near misses of them: numbers strconv
+// AppendJSON's own bodies and near misses of them: numbers strconv
 // takes and JSON does not, bytes after the closing brace, escaped or
 // non-ASCII strings, and other layouts of the same members.
 func FuzzDecodeReply(f *testing.F) {
@@ -200,5 +203,120 @@ func TestQueryValueMatchesParseQuery(t *testing.T) {
 				t.Errorf("queryValue(%q, %q) = %q, url.ParseQuery files %q", raw, key, got, want)
 			}
 		}
+	}
+}
+
+// tickSample builds a shard tick reply from fuzz inputs: nvc VCs and
+// their device arrays, the strings in every string member, x and y in
+// every float, and nil or empty slices where shape says so — every
+// form encoding/json has for the reply, omitted members included.
+func tickSample(node, epoch, reason string, n int, flag bool, x, y float64, canon []byte, shape uint8) ShardTickResponse {
+	r := ShardTickResponse{Node: node, Slot: n, Epoch: epoch, Reports: 2 * n, Eligible: -n, Selected: n / 3,
+		Swaps: n % 7, Degraded: flag, Sched: TickStats{Slot: n, Reports: n, Phase1Optimal: flag,
+			CompactSec: x, Phase1Sec: y, Phase2Sec: x * y, CPUSec: -x, DurationSec: y / 3, Phase1Nodes: n * 5,
+			CacheMisses: n, Replayed: !flag, Degraded: flag, DegradedReason: reason}}
+	nvc := int(shape % 4)
+	if shape&4 == 0 {
+		r.VCs, r.Devices = []ShardVCDecision{}, []ShardVCDevices{}
+	}
+	for i := 0; i < nvc; i++ {
+		vc := ShardVCDecision{VC: node + strconv.Itoa(i), Reports: n + i, Eligible: i, Selected: -i, Swaps: n,
+			Degraded: flag, WallSec: x + float64(i), Canonical: canon}
+		if i == 1 {
+			vc.Canonical = nil
+		}
+		r.VCs = append(r.VCs, vc)
+		d := ShardVCDevices{}
+		if shape&8 == 0 || i > 0 {
+			d.Gamma, d.Observations = []float64{}, []int{}
+		}
+		for k := 0; k < i+int(shape>>4); k++ {
+			d.Gamma = append(d.Gamma, x*float64(k)-y)
+			d.Observations = append(d.Observations, n+k)
+		}
+		r.Devices = append(r.Devices, d)
+	}
+	return r
+}
+
+// FuzzAppendTick is FuzzAppendJSON for the shard's tick reply: the
+// appender against json.Encoder, WriteAppended against WriteJSON
+// (a NaN or an infinity must fall back), and ReadJSON reading the
+// appended body back.
+func FuzzAppendTick(f *testing.F) {
+	for _, x := range []float64{0, math.Copysign(0, -1), 0.31, 1e-7, 1e21, 5e-324, math.NaN(), math.Inf(-1)} {
+		f.Add("n1", "e0f3", "", 3, true, x, 0.5, []byte("selected=1\nd=true\n"), uint8(0x13))
+		f.Add("", "", "deadline:phase2-skipped", -1, false, 0.25, x, []byte{}, uint8(0x2e))
+	}
+	for _, s := range []string{`n"1`, "n\\1", "<n>&", "n ", "n\xff", "dév", "n\x01"} {
+		f.Add(s, s, s, 7, true, 1.5, 2.5, []byte(s), uint8(0x21))
+	}
+	f.Fuzz(func(t *testing.T, node, epoch, reason string, n int, flag bool, x, y float64, canon []byte, shape uint8) {
+		checkAppendJSON(t, tickSample(node, epoch, reason, n, flag, x, y, canon, shape))
+	})
+}
+
+// FuzzDecodeTick is FuzzDecodeReply for the shard's tick reply. The
+// receiver holds a reply already, and storage beyond its slices'
+// lengths that the reader reuses: a body read must still equal
+// json.Unmarshal's into a zero value, and a body declined must leave
+// the reply as it was.
+func FuzzDecodeTick(f *testing.F) {
+	body := func(r ShardTickResponse) string {
+		b, _ := r.AppendJSON(nil)
+		return string(b)
+	}
+	good := body(tickSample("n1", "e0f3", "deadline:phase1-greedy", 4, true, 0.5, 1e-7, []byte("a=true\n"), 0x23))
+	for _, s := range []string{
+		good,
+		body(tickSample("", "", "", 0, false, 0, 0, nil, 0)),
+		body(tickSample("n2", "", "", 1, false, 2, 3, []byte{}, 0x1c)),
+		strings.TrimSuffix(good, "\n"),
+		// After the closing brace.
+		good + "x", strings.TrimSuffix(good, "\n") + "}", good + "{}", good + "\x00",
+		// Arrays and base64.
+		strings.Replace(good, `"gamma":[`, `"gamma":[,`, 1),
+		strings.Replace(good, `],"observations"`, `,],"observations"`, 1),
+		strings.Replace(good, `"gamma":[`, `"gamma":[ `, 1),
+		strings.Replace(good, `"observations":[`, `"observations":[1.5,`, 1),
+		strings.Replace(good, `"observations":[`, `"observations":[+1,`, 1),
+		strings.Replace(good, `"canonical":"`, `"canonical":"!`, 1),
+		strings.Replace(good, `"canonical":"`, `"canonical":"YQ`, 1),
+		strings.Replace(good, `"canonical":"`, `"canonical":"Y`, 1),
+		strings.Replace(good, `"canonical":"`, `"canonical":"\n`, 1),
+		strings.Replace(good, `"vcs":[`, `"vcs":null,"x":[`, 1),
+		strings.Replace(good, `"devices":[`, `"devices":[null,`, 1),
+		// Members.
+		strings.Replace(good, `"node":"n1",`, ``, 1),
+		strings.Replace(good, `,"epoch":"e0f3"`, ``, 1),
+		strings.Replace(good, `,"degraded_reason":"deadline:phase1-greedy"`, `,"degraded_reason":""`, 1),
+		strings.Replace(good, `"slot":4,`, `"slot":4,"slot":5,`, 1),
+		strings.Replace(good, `"node":"n1"`, `"node":"n\"1"`, 1),
+		strings.Replace(good, `{"slot":4,"reports":4`, `{"slot":4,"reports":4,"extra":1`, 1),
+		`{}`, `null`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		was := tickSample("old", "epoch", "why", 9, true, 1, 2, []byte("old\n"), 0x12)
+		spare := tickSample("spare", "", "", 3, false, 4, 5, []byte("spare\n"), 0x33)
+		was.VCs = append(slices.Clip(was.VCs), spare.VCs...)[:len(was.VCs)]
+		was.Devices = append(slices.Clip(was.Devices), spare.Devices...)[:len(was.Devices)]
+		checkReadJSON(t, data, was)
+		checkReadJSON(t, data, ShardTickResponse{})
+	})
+}
+
+// TestShardTickFallbackIsWriteJSONs: handleShardTick answers a reply
+// holding a float with no JSON form by writing the header alone, which
+// must be what WriteJSON answers for it.
+func TestShardTickFallbackIsWriteJSONs(t *testing.T) {
+	bad := tickSample("n1", "e", "", 1, false, math.NaN(), 1, []byte("x"), 0x11)
+	fast, ref := httptest.NewRecorder(), httptest.NewRecorder()
+	WriteBody(fast, http.StatusOK, nil)
+	WriteJSON(ref, http.StatusOK, bad)
+	if fast.Code != ref.Code || !reflect.DeepEqual(fast.Header(), ref.Header()) || !bytes.Equal(fast.Body.Bytes(), ref.Body.Bytes()) {
+		t.Fatalf("fallback answered %d %v %q, WriteJSON %d %v %q",
+			fast.Code, fast.Header(), fast.Body.Bytes(), ref.Code, ref.Header(), ref.Body.Bytes())
 	}
 }

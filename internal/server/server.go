@@ -238,6 +238,9 @@ type Server struct {
 	devices   map[string]*deviceState
 	lastTick  TickStats
 	tickSeen  bool
+	// canonScratch holds the canonical text of the VC a shard tick
+	// reply is encoding (appendShardTickLocked), reused VC to VC.
+	canonScratch []byte
 	// shardMap is the installed federation map (nil outside shard
 	// deployments); see Config.ShardMap.
 	shardMap *shard.Map

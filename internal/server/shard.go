@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 
+	"lpvs/internal/appendjson"
+	"lpvs/internal/bayes"
+	"lpvs/internal/bufpool"
 	"lpvs/internal/scheduler"
 	"lpvs/internal/shard"
 )
@@ -50,7 +54,8 @@ func (s *Server) verifyShardAddressLocked(node, epoch string) *apiError {
 // handleShardTick runs one federated scheduling tick: the shared
 // pipeline over one VC per channel (tick.go). The response carries each
 // VC's decision with its canonical bytes, in VC-ID order — the router's
-// merge input.
+// merge input — and is appended from the tick outcome into a pooled
+// buffer (DESIGN.md §18) under s.mu, which the outcome needs.
 func (s *Server) handleShardTick(w http.ResponseWriter, r *http.Request) {
 	body, aerr := readBody(r)
 	if aerr != nil {
@@ -79,56 +84,83 @@ func (s *Server) handleShardTick(w http.ResponseWriter, r *http.Request) {
 	s.shardTicks.Add(1)
 	s.shardVCsDecided.Add(uint64(len(out.decided)))
 
-	st := out.stats
-	resp := ShardTickResponse{
-		Node:     s.cfg.NodeID,
-		Slot:     st.Slot,
-		Reports:  st.Reports,
-		Eligible: st.Eligible,
-		Selected: st.Selected,
-		Swaps:    st.Swaps,
-		Degraded: st.Degraded,
-		VCs:      make([]ShardVCDecision, len(out.decided)),
-		Devices:  make([]ShardVCDevices, len(out.decided)),
-		Sched:    st,
+	buf := bufpool.Get()
+	defer bufpool.Put(buf)
+	reply, ok := s.appendShardTickLocked(buf.AvailableBuffer(), &out)
+	if !ok {
+		// A NaN or an infinity: encoding/json refuses the whole reply
+		// and WriteJSON sends the header with no body, which is what
+		// this sends.
+		WriteBody(w, http.StatusOK, nil)
+		return
 	}
-	if s.shardMap != nil {
-		resp.Epoch = s.shardMap.Epoch()
-	}
-	for i := range out.decided {
-		vc := &out.decided[i]
-		dec := &vc.Decision
-		resp.VCs[i] = ShardVCDecision{
-			VC:        vc.VC,
-			Reports:   len(out.vcs[i].Requests),
-			Eligible:  dec.Eligible,
-			Selected:  dec.Selected,
-			Swaps:     dec.Swaps,
-			Degraded:  dec.Degraded.Any(),
-			WallSec:   vc.WallSeconds,
-			Canonical: dec.Canonical(),
-		}
-		resp.Devices[i] = s.vcDevicesLocked(out.vcs[i].Requests, dec)
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	buf.Write(reply)
+	WriteBody(w, http.StatusOK, buf.Bytes())
 }
 
-// vcDevicesLocked reads each device of a decided VC's batch in the line
-// order of dec.Canonical: its γ and observation count as a decision read
-// would answer them now. Caller holds s.mu; every scheduled device is
-// known.
-func (s *Server) vcDevicesLocked(batch []scheduler.Request, dec *scheduler.Decision) ShardVCDevices {
-	d := ShardVCDevices{Gamma: make([]float64, len(batch)), Observations: make([]int, len(batch))}
-	order := dec.IDOrder()
-	for k := range batch {
-		i := k
-		if order != nil {
-			i = order[k]
-		}
-		est := s.devices[batch[i].DeviceID].estimator
-		d.Gamma[k], d.Observations[k] = est.Gamma(), est.Observations()
+// appendShardTickLocked appends the ShardTickResponse of a tick outcome
+// straight from the outcome, in ShardTickResponse.AppendJSON's layout
+// and so encoding/json's bytes. Each VC's canonical text is appended
+// into s.canonScratch and base64-encoded from there; each device's γ
+// and observation count are read from its estimator in the line order
+// of that text. ok is false when a float has no JSON form. Caller holds
+// s.mu; every scheduled device is known.
+func (s *Server) appendShardTickLocked(dst []byte, out *tickOutcome) ([]byte, bool) {
+	ok := true
+	st := &out.stats
+	head := ShardTickResponse{Node: s.cfg.NodeID, Slot: st.Slot, Reports: st.Reports,
+		Eligible: st.Eligible, Selected: st.Selected, Swaps: st.Swaps, Degraded: st.Degraded}
+	if s.shardMap != nil {
+		head.Epoch = s.shardMap.Epoch()
 	}
-	return d
+	dst = append(head.appendHead(dst), `,"vcs":[`...)
+	for i := range out.decided {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		vc := &out.decided[i]
+		dec := &vc.Decision
+		s.canonScratch = dec.AppendCanonical(s.canonScratch[:0])
+		v := ShardVCDecision{VC: vc.VC, Reports: len(out.vcs[i].Requests), Eligible: dec.Eligible,
+			Selected: dec.Selected, Swaps: dec.Swaps, Degraded: dec.Degraded.Any(),
+			WallSec: vc.WallSeconds, Canonical: s.canonScratch}
+		dst = append(v.AppendMembers(append(dst, '{'), &ok), '}')
+	}
+	dst = append(dst, `],"devices":[`...)
+	for i := range out.decided {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		batch := out.vcs[i].Requests
+		order := out.decided[i].Decision.IDOrder()
+		dst = append(dst, `{"gamma":[`...)
+		for k := range batch {
+			if k > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendjson.Float(dst, s.lineEstimatorLocked(batch, order, k).Gamma(), &ok)
+		}
+		dst = append(dst, `],"observations":[`...)
+		for k := range batch {
+			if k > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, int64(s.lineEstimatorLocked(batch, order, k).Observations()), 10)
+		}
+		dst = append(dst, "]}"...)
+	}
+	dst = st.AppendObject(append(dst, `],"sched":`...), &ok)
+	return append(dst, "}\n"...), ok
+}
+
+// lineEstimatorLocked is the estimator of the device on the k-th line
+// of a decision's canonical text over batch, whose IDOrder is order.
+// Caller holds s.mu.
+func (s *Server) lineEstimatorLocked(batch []scheduler.Request, order []int, k int) *bayes.GammaEstimator {
+	if order != nil {
+		k = order[k]
+	}
+	return s.devices[batch[k].DeviceID].estimator
 }
 
 // handleShardMapGet reports the installed shard map and its epoch.

@@ -2,16 +2,21 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"lpvs/internal/obs/audit"
+	"lpvs/internal/scheduler"
 	"lpvs/internal/shard"
 	"lpvs/internal/stats"
 	"lpvs/internal/video"
@@ -423,4 +428,145 @@ func TestTickStatsFold(t *testing.T) {
 			t.Fatalf("order %v:\n got %+v\nwant %+v", order, got, ref)
 		}
 	}
+}
+
+// checkShardReplyDevices holds a tick reply's device arrays to the
+// shard's own state: the k-th γ and observation count of a VC are those
+// of the device on the k-th line of the VC's canonical text.
+func checkShardReplyDevices(t *testing.T, s *Server, tick *ShardTickResponse) {
+	t.Helper()
+	if len(tick.Devices) != len(tick.VCs) {
+		t.Fatalf("%d device arrays for %d VCs", len(tick.Devices), len(tick.VCs))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, vc := range tick.VCs {
+		d := tick.Devices[i]
+		ok := len(d.Observations) == len(d.Gamma) && scheduler.ReadCanonical(vc.Canonical, vc.Degraded, len(d.Gamma),
+			func(k int, id []byte, _ bool) {
+				est := s.devices[string(id)].estimator
+				if d.Gamma[k] != est.Gamma() || d.Observations[k] != est.Observations() {
+					t.Errorf("VC %s line %d (%s): reply γ=%v n=%d, device γ=%v n=%d", vc.VC, k, id,
+						d.Gamma[k], d.Observations[k], est.Gamma(), est.Observations())
+				}
+			})
+		if !ok {
+			t.Fatalf("VC %s: %d devices do not read against its canonical text\n%s", vc.VC, len(d.Gamma), vc.Canonical)
+		}
+	}
+}
+
+// observeSpread gives the i-th of ids i%4 observations, so the devices
+// of a VC hold distinct (γ, observations) pairs.
+func observeSpread(t *testing.T, url string, ids []string) {
+	t.Helper()
+	for i, id := range ids {
+		for j := 0; j < i%4; j++ {
+			if resp := postJSON(t, url+"/v1/observe", ObserveRequest{DeviceID: id, Reduction: 0.1 + 0.05*float64(i+j)}, nil); resp.StatusCode != 200 {
+				t.Fatalf("observe %s: status %d", id, resp.StatusCode)
+			}
+		}
+	}
+}
+
+// TestShardTickReplyLayout: the reply handleShardTick appends from the
+// tick outcome is encoding/json's bytes for the value it decodes to —
+// node, epoch and, under a deadline, the degraded reason included — and
+// its device arrays are the shard's devices in canonical line order.
+func TestShardTickReplyLayout(t *testing.T) {
+	for _, deadline := range []time.Duration{0, time.Nanosecond} {
+		s, ts := shardTestServer(t, Config{ShardMode: true, NodeID: "n1", SchedDeadline: deadline,
+			ExtraStreams: []*video.Video{extraStream(t, "music")}})
+		s.InstallShardMap(testShardMap(t, "n1"))
+		var ids []string
+		for i := 0; i < 9; i++ {
+			rep := validReport("dev-" + strconv.Itoa(i))
+			rep.EnergyFrac = 0.1 + 0.09*float64(i)
+			if i%3 == 0 {
+				rep.ChannelID = "music"
+			}
+			ids = append(ids, rep.DeviceID)
+			postJSON(t, ts.URL+"/v1/report", rep, nil)
+		}
+		postJSON(t, ts.URL+"/v1/shard/tick", nil, nil)
+		observeSpread(t, ts.URL, ids)
+		for i, id := range ids {
+			rep := validReport(id)
+			if i%3 == 0 {
+				rep.ChannelID = "music"
+			}
+			postJSON(t, ts.URL+"/v1/report", rep, nil)
+		}
+		resp, err := http.Post(ts.URL+"/v1/shard/tick", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("shard tick: %d %v", resp.StatusCode, err)
+		}
+		var tick ShardTickResponse
+		if err := json.Unmarshal(body, &tick); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(tick); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Fatalf("deadline %v: the reply\n%s\nis not encoding/json's\n%s", deadline, body, want.Bytes())
+		}
+		if tick.Node != "n1" || tick.Epoch == "" || len(tick.VCs) != 2 || (deadline > 0) != (tick.Sched.DegradedReason != "") {
+			t.Fatalf("deadline %v: reply %+v", deadline, tick)
+		}
+		checkShardReplyDevices(t, s, &tick)
+	}
+}
+
+// TestShardReplyDeviceOrder: a VC whose batch is not in device-ID order
+// (a non-nil IDOrder; the daemon sorts its own, so this is built by
+// hand) still lists γ and observation counts in canonical line order.
+func TestShardReplyDeviceOrder(t *testing.T) {
+	s, ts := shardTestServer(t, Config{ShardMode: true, NodeID: "n1"})
+	var ids []string
+	for i := 0; i < 8; i++ {
+		id := "dev-" + strconv.Itoa(i)
+		ids = append(ids, id)
+		postJSON(t, ts.URL+"/v1/report", validReport(id), nil)
+	}
+	postJSON(t, ts.URL+"/v1/shard/tick", nil, nil)
+	observeSpread(t, ts.URL, ids)
+	for _, id := range ids {
+		postJSON(t, ts.URL+"/v1/report", validReport(id), nil)
+	}
+
+	sched, err := scheduler.New(scheduler.Config{Lambda: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	batch := slices.Clone(s.pending)
+	slices.Reverse(batch)
+	dec, err := sched.Schedule(batch)
+	if err != nil {
+		s.mu.Unlock()
+		t.Fatal(err)
+	}
+	if dec.IDOrder() == nil {
+		s.mu.Unlock()
+		t.Fatal("the reversed batch is in ID order")
+	}
+	out := tickOutcome{stats: NewTickStats(0), vcs: []scheduler.VC{{ID: "ch", Requests: batch}},
+		decided: []scheduler.VCDecision{{VC: "ch", Decision: dec}}}
+	body, ok := s.appendShardTickLocked(nil, &out)
+	s.mu.Unlock()
+	if !ok {
+		t.Fatal("the reply fell back")
+	}
+	var tick ShardTickResponse
+	if err := json.Unmarshal(body, &tick); err != nil {
+		t.Fatal(err)
+	}
+	checkShardReplyDevices(t, s, &tick)
 }

@@ -5,23 +5,48 @@ import (
 	"reflect"
 )
 
-// BitEqual reports whether a and b, two values of one flat struct
-// type, agree field by field, float fields by math.Float64bits — where
-// reflect.DeepEqual would hold -0 equal to 0.
+// BitEqual reports whether a and b, two values of one type, agree
+// field by field and element by element at any depth, floats by
+// math.Float64bits — where reflect.DeepEqual would hold -0 equal to 0 —
+// and slices in nil-ness too, as reflect.DeepEqual does. Pointers are
+// followed.
 func BitEqual(a, b any) bool {
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
-	if va.Type() != vb.Type() {
-		return false
-	}
-	for i := range va.NumField() {
-		fa, fb := va.Field(i), vb.Field(i)
-		if fa.Kind() == reflect.Float64 {
-			if math.Float64bits(fa.Float()) != math.Float64bits(fb.Float()) {
+	return va.Type() == vb.Type() && bitEqual(va, vb)
+}
+
+func bitEqual(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if !bitEqual(a.Field(i), b.Field(i)) {
 				return false
 			}
-		} else if !fa.Equal(fb) {
+		}
+		return true
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() {
 			return false
 		}
+		fallthrough
+	case reflect.Array:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := range a.Len() {
+			if !bitEqual(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return bitEqual(a.Elem(), b.Elem())
+	default:
+		return a.Equal(b)
 	}
-	return true
 }
