@@ -47,8 +47,10 @@ const hexDigits = "0123456789abcdef"
 // and the backslash get a backslash, \b \f \n \r \t their short forms,
 // any other control byte and <, > and & a \u00XX, an invalid UTF-8 byte
 // becomes \ufffd, and U+2028 / U+2029 are escaped. Everything else —
-// DEL and valid multi-byte runes included — is copied through.
-func String(dst []byte, s string) []byte {
+// DEL and valid multi-byte runes included — is copied through. s may
+// be bytes, which are appended as the string they spell, so text kept
+// in a reused buffer needs no string copy to be written.
+func String[S ~string | ~[]byte](dst []byte, s S) []byte {
 	dst = append(dst, '"')
 	start := 0 // s[start:i] is the pending run that needs no escaping
 	for i := 0; i < len(s); {
@@ -79,7 +81,9 @@ func String(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		// A rune is at most UTFMax bytes, so for bytes the conversion is
+		// of at most four and copies nothing to the heap.
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		switch {
 		case r == utf8.RuneError && size == 1:
 			dst = append(dst, s[start:i]...)

@@ -18,6 +18,9 @@ func checkString(t *testing.T, s string) {
 	if got := String([]byte("x"), s); string(got) != "x"+string(want) {
 		t.Fatalf("String(%q) appended %s, encoding/json writes %s", s, got[1:], want)
 	}
+	if got := String([]byte("x"), []byte(s)); string(got) != "x"+string(want) {
+		t.Fatalf("String of bytes %q appended %s, encoding/json writes %s", s, got[1:], want)
+	}
 	// Read back: a string Reader takes verbatim, anything escaped is
 	// declined.
 	verbatim := !strings.ContainsFunc(s, func(r rune) bool { return r < ' ' || r > '~' || strings.ContainsRune(`"\<>&`, r) })

@@ -208,7 +208,7 @@ func TestIncrementalAuditLogMatchesCold(t *testing.T) {
 		t.Fatalf("one worker logged %d records, four %d", len(narrow), len(wide))
 	}
 	for i := range narrow {
-		if narrow[i].DecisionCanonical != wide[i].DecisionCanonical {
+		if string(narrow[i].DecisionCanonical) != string(wide[i].DecisionCanonical) {
 			t.Fatalf("slot %d decisions diverged:\none worker: %s\nfour: %s",
 				i, narrow[i].DecisionCanonical, wide[i].DecisionCanonical)
 		}

@@ -2,8 +2,7 @@ package ilp
 
 import (
 	"math"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 )
 
@@ -61,19 +60,24 @@ const boundTol = 1e-9
 // nodes, so the per-node overhead is a mask-and-branch.
 const deadlineCheckMask = 0x3FF
 
-// bbScratch is the per-call search state of BranchBound and Greedy,
-// recycled through a sync.Pool so hot schedulers (one Phase-1 solve per
-// virtual cluster per slot) do not re-allocate it every call. Only
-// state that never escapes into a Solution lives here; incumbent X
-// vectors are still allocated per call.
-type bbScratch struct {
+// Solver is the working memory of Greedy and BranchBound: the
+// branching and bound orders, the per-constraint capacity left, the
+// search's current assignment and its greedy incumbent, and the X of
+// the Solution it returns. A caller that solves every slot keeps one
+// (the scheduler: one per pool worker) and reuses it, so a warm solve
+// allocates nothing; every slice is resized to the problem and
+// overwritten before it is read. The price is a lifetime rule: a
+// Solution's X is the Solver's and valid until its next solve. The
+// zero value is ready; a Solver is not safe for concurrent use.
+type Solver struct {
 	// Shared by Greedy and BranchBound (grow).
 	order     []int // branching order: decreasing value density
 	density   []float64
 	remaining []float64
+	x         []bool // the returned Solution.X
 
 	// BranchBound only (growSearch). Every index order is sorted once
-	// per call, so a bound evaluation is a linear scan that skips the
+	// per solve, so a bound evaluation is a linear scan that skips the
 	// items the current branch has already decided (pos[item] < k).
 	pos         []int   // pos[item] = its index in the branching order
 	consOrder   [][]int // per constraint: decreasing value/weight (Dantzig bound)
@@ -82,42 +86,50 @@ type bbScratch struct {
 	suffix      []float64
 	cur         []bool
 	greedyX     []bool
-}
 
-var bbScratchPool = sync.Pool{New: func() any { return new(bbScratch) }}
+	// The search in progress; p is cleared when it returns.
+	p                 *Problem
+	best              float64
+	nodes, maxNodes   int
+	deadline          time.Time
+	hasDeadline       bool
+	hitLimit, expired bool
+}
 
 // grow resizes the slices both solvers use for an n-item, m-constraint
 // problem.
-func (sc *bbScratch) grow(n, m int) {
-	if cap(sc.order) < n {
-		sc.order = make([]int, n)
-		sc.density = make([]float64, n)
+func (s *Solver) grow(n, m int) {
+	if cap(s.order) < n {
+		s.order = make([]int, n)
+		s.density = make([]float64, n)
+		s.x = make([]bool, n)
 	}
-	sc.order = sc.order[:n]
-	sc.density = sc.density[:n]
-	if cap(sc.remaining) < m {
-		sc.remaining = make([]float64, m)
+	s.order = s.order[:n]
+	s.density = s.density[:n]
+	s.x = s.x[:n]
+	if cap(s.remaining) < m {
+		s.remaining = make([]float64, m)
 	}
-	sc.remaining = sc.remaining[:m]
+	s.remaining = s.remaining[:m]
 }
 
 // growSearch resizes the slices only the branch-and-bound search uses;
 // Greedy never calls it, so it pays for none of the bound orders.
-func (sc *bbScratch) growSearch(n, m int) {
-	if cap(sc.pos) < n {
-		sc.pos = make([]int, n)
-		sc.valueOrder = make([]int, n)
-		sc.cur = make([]bool, n)
-		sc.greedyX = make([]bool, n)
-		sc.suffix = make([]float64, n+1)
+func (s *Solver) growSearch(n, m int) {
+	if cap(s.pos) < n {
+		s.pos = make([]int, n)
+		s.valueOrder = make([]int, n)
+		s.cur = make([]bool, n)
+		s.greedyX = make([]bool, n)
+		s.suffix = make([]float64, n+1)
 	}
-	sc.pos = sc.pos[:n]
-	sc.valueOrder = sc.valueOrder[:n]
-	sc.cur = sc.cur[:n]
-	sc.greedyX = sc.greedyX[:n]
-	sc.suffix = sc.suffix[:n+1]
-	sc.consOrder = growOrders(sc.consOrder, n, m)
-	sc.weightOrder = growOrders(sc.weightOrder, n, m)
+	s.pos = s.pos[:n]
+	s.valueOrder = s.valueOrder[:n]
+	s.cur = s.cur[:n]
+	s.greedyX = s.greedyX[:n]
+	s.suffix = s.suffix[:n+1]
+	s.consOrder = growOrders(s.consOrder, n, m)
+	s.weightOrder = growOrders(s.weightOrder, n, m)
 }
 
 // growOrders resizes a per-constraint family of index orders to m rows
@@ -136,20 +148,24 @@ func growOrders(orders [][]int, n, m int) [][]int {
 	return orders
 }
 
+// BranchBound solves the 0/1 problem exactly (up to the node limit) on
+// a Solver of its own, so the Solution's X is the caller's for good.
+// It is reentrant: it only reads the Problem and shares no state with
+// any other call, so concurrent solves — including of the same Problem
+// value — are safe; reentrancy_test.go pins it under the race detector.
+func BranchBound(p *Problem, cfg BBConfig) (Solution, error) {
+	return new(Solver).BranchBound(p, cfg)
+}
+
 // BranchBound solves the 0/1 problem exactly (up to the node limit) by
 // depth-first branch and bound. Items are explored in value-density
 // order; the upper bound at each node is the tightest of the suffix
 // sum, the per-constraint fractional (Dantzig) knapsack bounds and the
 // cardinality bound (see cardinalityBound), each of which is a valid
 // relaxation of the multi-constraint problem. The greedy solution
-// primes the incumbent so pruning is effective immediately.
-//
-// BranchBound is reentrant: it only reads the Problem, and all search
-// state is per call (recycled through an internal sync.Pool, never
-// shared between live calls), so concurrent solves — including of the
-// same Problem value — are safe. The scheduler's worker pool relies on
-// this; reentrancy_test.go pins it under the race detector.
-func BranchBound(p *Problem, cfg BBConfig) (Solution, error) {
+// primes the incumbent so pruning is effective immediately. The
+// Solution's X is valid until s solves again.
+func (s *Solver) BranchBound(p *Problem, cfg BBConfig) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
 	}
@@ -158,156 +174,160 @@ func BranchBound(p *Problem, cfg BBConfig) (Solution, error) {
 		maxNodes = DefaultMaxNodes
 	}
 	n := p.N()
-
-	sc := bbScratchPool.Get().(*bbScratch)
-	defer bbScratchPool.Put(sc)
-	sc.grow(n, len(p.Constraints))
-	sc.growSearch(n, len(p.Constraints))
+	s.grow(n, len(p.Constraints))
+	s.growSearch(n, len(p.Constraints))
 
 	// Density order: value per unit of normalised weight across
 	// constraints. Items that fit nowhere sort last.
-	order := sc.order
-	densityOrderInto(p, order, sc.density)
+	order := s.order
+	densityOrderInto(p, order, s.density)
 	for k, item := range order {
-		sc.pos[item] = k
+		s.pos[item] = k
 	}
-	sc.sortBoundOrders(p)
+	s.sortBoundOrders(p)
 
 	// Greedy incumbent, computed over the shared density order with the
 	// exact admission rule of Greedy().
-	greedyX := sc.greedyX
-	greedyValue := greedyInto(p, order, sc.remaining, greedyX)
-
-	remaining := sc.remaining
-	cur := sc.cur
-	bestX := make([]bool, n)
+	greedyValue := greedyInto(p, order, s.remaining, s.greedyX)
 
 	// suffix[k] = total value of items order[k:] — a cheap extra bound
 	// component.
-	suffix := sc.suffix
+	suffix := s.suffix
 	suffix[n] = 0
 	for k := n - 1; k >= 0; k-- {
 		suffix[k] = suffix[k+1] + p.Values[order[k]]
 	}
 
-	hasDeadline := !cfg.Deadline.IsZero()
-
-	// degrade abandons the search for the deterministic greedy solution —
-	// the anytime fallback. bestX is recycled as the result buffer.
-	degrade := func(nodes int) (Solution, error) {
-		copy(bestX, greedyX)
-		return Solution{X: bestX, Value: greedyValue, Optimal: false, Nodes: nodes, Degraded: true}, nil
+	// One depth-first search from the greedy incumbent. s.x holds the
+	// incumbent assignment (meaningless once expired: the greedy
+	// solution replaces it).
+	copy(s.x, s.greedyX)
+	s.p, s.best = p, greedyValue
+	s.nodes, s.maxNodes = 0, maxNodes
+	s.deadline, s.hasDeadline = cfg.Deadline, !cfg.Deadline.IsZero()
+	s.hitLimit, s.expired = false, false
+	defer func() { s.p = nil }()
+	// An expired deadline abandons the search for the deterministic
+	// greedy solution — the anytime fallback.
+	if s.hasDeadline && !time.Now().Before(cfg.Deadline) {
+		return Solution{X: s.x, Value: greedyValue, Nodes: 0, Degraded: true}, nil
 	}
-	if hasDeadline && !time.Now().Before(cfg.Deadline) {
-		return degrade(0)
-	}
-
-	// One depth-first search from the greedy incumbent. bestX holds the
-	// incumbent assignment (meaningless once expired: degrade replaces
-	// it).
-	copy(bestX, greedyX)
-	best := greedyValue
 	for j, c := range p.Constraints {
-		remaining[j] = c.Capacity
+		s.remaining[j] = c.Capacity
 	}
-	clear(cur)
-	nodes := 0
-	hitLimit, expired := false, false
-	var dfs func(k int, value float64)
-	dfs = func(k int, value float64) {
-		if hitLimit || expired {
-			return
-		}
-		nodes++
-		if nodes > maxNodes {
-			hitLimit = true
-			return
-		}
-		if hasDeadline && nodes&deadlineCheckMask == 0 && time.Now().After(cfg.Deadline) {
-			expired = true
-			return
-		}
-		if value > best {
-			best = value
-			copy(bestX, cur)
-		}
-		if k == n {
-			return
-		}
-		// Bound: the integer optimum of the subtree cannot exceed the
-		// fractional knapsack optimum of any one constraint over the
-		// remaining items, nor the best values of as many items as
-		// can still fit. The cardinality term is evaluated only when
-		// the cheaper ones fail to prune; the node is cut exactly when
-		// the minimum of all three is within boundTol of the incumbent.
-		ub := value + suffix[k]
-		for j := range p.Constraints {
-			b := value + sc.fractionalBound(p, j, k)
-			if b < ub {
-				ub = b
-			}
-		}
-		if ub <= best+boundTol || value+sc.cardinalityBound(p, k) <= best+boundTol {
-			return
-		}
+	clear(s.cur)
+	s.dfs(0, 0)
+	if s.expired {
+		copy(s.x, s.greedyX)
+		return Solution{X: s.x, Value: greedyValue, Nodes: s.nodes, Degraded: true}, nil
+	}
+	return Solution{X: s.x, Value: s.best, Optimal: !s.hitLimit, Nodes: s.nodes}, nil
+}
 
-		item := order[k]
-		// Branch 1: take the item if it fits.
-		fits := true
+// dfs explores the subtree below branching position k, the items
+// before it decided as s.cur holds them, for a selection worth value.
+func (s *Solver) dfs(k int, value float64) {
+	if s.hitLimit || s.expired {
+		return
+	}
+	s.nodes++
+	if s.nodes > s.maxNodes {
+		s.hitLimit = true
+		return
+	}
+	if s.hasDeadline && s.nodes&deadlineCheckMask == 0 && time.Now().After(s.deadline) {
+		s.expired = true
+		return
+	}
+	if value > s.best {
+		s.best = value
+		copy(s.x, s.cur)
+	}
+	if k == len(s.order) {
+		return
+	}
+	p := s.p
+	// Bound: the integer optimum of the subtree cannot exceed the
+	// fractional knapsack optimum of any one constraint over the
+	// remaining items, nor the best values of as many items as can
+	// still fit. The cardinality term is evaluated only when the
+	// cheaper ones fail to prune; the node is cut exactly when the
+	// minimum of all three is within boundTol of the incumbent.
+	ub := value + s.suffix[k]
+	for j := range p.Constraints {
+		b := value + s.fractionalBound(p, j, k)
+		if b < ub {
+			ub = b
+		}
+	}
+	if ub <= s.best+boundTol || value+s.cardinalityBound(p, k) <= s.best+boundTol {
+		return
+	}
+
+	item := s.order[k]
+	// Branch 1: take the item if it fits.
+	fits := true
+	for j, c := range p.Constraints {
+		if c.Weights[item] > s.remaining[j]+boundTol {
+			fits = false
+			break
+		}
+	}
+	if fits {
 		for j, c := range p.Constraints {
-			if c.Weights[item] > remaining[j]+boundTol {
-				fits = false
-				break
-			}
+			s.remaining[j] -= c.Weights[item]
 		}
-		if fits {
-			for j, c := range p.Constraints {
-				remaining[j] -= c.Weights[item]
-			}
-			cur[item] = true
-			dfs(k+1, value+p.Values[item])
-			cur[item] = false
-			for j, c := range p.Constraints {
-				remaining[j] += c.Weights[item]
-			}
+		s.cur[item] = true
+		s.dfs(k+1, value+p.Values[item])
+		s.cur[item] = false
+		for j, c := range p.Constraints {
+			s.remaining[j] += c.Weights[item]
 		}
-		// Branch 2: skip the item.
-		dfs(k+1, value)
 	}
-	dfs(0, 0)
-	if expired {
-		return degrade(nodes)
-	}
-	return Solution{X: bestX, Value: best, Optimal: !hitLimit, Nodes: nodes}, nil
+	// Branch 2: skip the item.
+	s.dfs(k+1, value)
 }
 
 // sortBoundOrders fills the index orders the bounds scan; order must
 // already hold the branching order.
-func (sc *bbScratch) sortBoundOrders(p *Problem) {
+func (s *Solver) sortBoundOrders(p *Problem) {
 	for j, c := range p.Constraints {
-		idx := sc.consOrder[j]
+		idx := s.consOrder[j]
 		for i := range idx {
 			idx[i] = i
 		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			ia, ib := idx[a], idx[b]
+		slices.SortStableFunc(idx, func(ia, ib int) int {
 			wa, wb := c.Weights[ia], c.Weights[ib]
 			// Zero-weight items are free under this constraint: first.
 			if wa == 0 || wb == 0 {
-				return wa == 0 && wb != 0
+				return before(wa == 0 && wb != 0)
 			}
-			return p.Values[ia]*wb > p.Values[ib]*wa
+			return before(p.Values[ia]*wb > p.Values[ib]*wa)
 		})
-		byWeight := sc.weightOrder[j]
+		byWeight := s.weightOrder[j]
 		for i := range byWeight {
 			byWeight[i] = i
 		}
-		sort.SliceStable(byWeight, func(a, b int) bool { return c.Weights[byWeight[a]] < c.Weights[byWeight[b]] })
+		slices.SortStableFunc(byWeight, func(a, b int) int { return before(c.Weights[a] < c.Weights[b]) })
 	}
 	// Stable over the branching order, so equal values keep it.
-	byValue := sc.valueOrder
-	copy(byValue, sc.order)
-	sort.SliceStable(byValue, func(a, b int) bool { return p.Values[byValue[a]] > p.Values[byValue[b]] })
+	byValue := s.valueOrder
+	copy(byValue, s.order)
+	slices.SortStableFunc(byValue, func(a, b int) int { return before(p.Values[a] > p.Values[b]) })
+}
+
+// before is a stable sort's comparison for a strict "a sorts before b".
+// slices.SortStableFunc only ever asks whether the result is below
+// zero, in the same sequence as sort.SliceStable asks its less
+// function (both are one generated merge sort), so sorting with it
+// reproduces sort.SliceStable's order exactly — ties, and products
+// whose rounding makes them intransitive, included — without
+// sort.SliceStable's reflection and allocations.
+func before(first bool) int {
+	if first {
+		return -1
+	}
+	return 0
 }
 
 // fractionalBound computes the Dantzig bound for constraint j over the
@@ -316,12 +336,12 @@ func (sc *bbScratch) sortBoundOrders(p *Problem) {
 // fractionally. Items with zero weight in the constraint are free under
 // it and contribute fully. The result is the LP optimum of the single-
 // constraint relaxation, hence a valid upper bound for the subtree.
-func (sc *bbScratch) fractionalBound(p *Problem, j, k int) float64 {
+func (s *Solver) fractionalBound(p *Problem, j, k int) float64 {
 	c := p.Constraints[j]
 	bound := 0.0
-	remaining := sc.remaining[j]
-	for _, idx := range sc.consOrder[j] {
-		if sc.pos[idx] < k {
+	remaining := s.remaining[j]
+	for _, idx := range s.consOrder[j] {
+		if s.pos[idx] < k {
 			continue // already decided on this branch
 		}
 		w := c.Weights[idx]
@@ -356,16 +376,16 @@ func (sc *bbScratch) fractionalBound(p *Problem, j, k int) float64 {
 // is already optimal and the search enumerates ties until the node
 // cap. Phase-1 rows are exactly that shape — the storage row has one
 // weight per VC, the compute row one per display resolution.
-func (sc *bbScratch) cardinalityBound(p *Problem, k int) float64 {
-	m := len(sc.order) - k
+func (s *Solver) cardinalityBound(p *Problem, k int) float64 {
+	m := len(s.order) - k
 	for j, c := range p.Constraints {
-		remaining := sc.remaining[j]
+		remaining := s.remaining[j]
 		fit := 0
-		for _, idx := range sc.weightOrder[j] {
+		for _, idx := range s.weightOrder[j] {
 			if fit == m {
 				break // this constraint cannot lower the count further
 			}
-			if sc.pos[idx] < k {
+			if s.pos[idx] < k {
 				continue
 			}
 			if w := c.Weights[idx]; w > 0 {
@@ -379,11 +399,11 @@ func (sc *bbScratch) cardinalityBound(p *Problem, k int) float64 {
 		m = fit
 	}
 	bound := 0.0
-	for _, idx := range sc.valueOrder {
+	for _, idx := range s.valueOrder {
 		if m == 0 {
 			break
 		}
-		if sc.pos[idx] < k {
+		if s.pos[idx] < k {
 			continue
 		}
 		bound += p.Values[idx]
@@ -419,7 +439,7 @@ func densityOrderInto(p *Problem, order []int, density []float64) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return density[order[a]] > density[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return before(density[a] > density[b]) })
 }
 
 // greedyInto runs the greedy admission scan over a precomputed density
@@ -455,20 +475,20 @@ func greedyInto(p *Problem, order []int, remaining []float64, x []bool) float64 
 	return value
 }
 
+// Greedy builds a feasible solution in O(n log n) on a Solver of its
+// own, so the Solution's X is the caller's for good. Like BranchBound
+// it is reentrant.
+func Greedy(p *Problem) Solution { return new(Solver).Greedy(p) }
+
 // Greedy builds a feasible solution in O(n log n): scan items in density
 // order, taking each one that fits. It is the paper-agnostic baseline
 // for the ablation study and the first incumbent of branch and bound.
-// Like BranchBound it is reentrant: read-only on the Problem, all
-// mutable state per call.
-func Greedy(p *Problem) Solution {
-	n := p.N()
-	sc := bbScratchPool.Get().(*bbScratch)
-	defer bbScratchPool.Put(sc)
-	sc.grow(n, len(p.Constraints))
-	densityOrderInto(p, sc.order, sc.density)
-	x := make([]bool, n)
-	value := greedyInto(p, sc.order, sc.remaining, x)
-	return Solution{X: x, Value: value, Optimal: false}
+// The Solution's X is valid until s solves again.
+func (s *Solver) Greedy(p *Problem) Solution {
+	s.grow(p.N(), len(p.Constraints))
+	densityOrderInto(p, s.order, s.density)
+	value := greedyInto(p, s.order, s.remaining, s.x)
+	return Solution{X: s.x, Value: value, Optimal: false}
 }
 
 // BruteForce enumerates all assignments; usable only for tests with

@@ -35,6 +35,7 @@ import (
 	"sync"
 
 	"lpvs/internal/anxiety"
+	"lpvs/internal/appendjson"
 	"lpvs/internal/display"
 	"lpvs/internal/edge"
 	"lpvs/internal/scheduler"
@@ -92,7 +93,7 @@ type Record struct {
 	Requests []RequestRecord `json:"requests"`
 	// DecisionCanonical is the logged decision in the scheduler's
 	// canonical byte encoding (Decision.Canonical) — the replay target.
-	DecisionCanonical string `json:"decision_canonical"`
+	DecisionCanonical CanonicalText `json:"decision_canonical"`
 	// Degraded records the anytime-mode shortcuts the tick took under a
 	// scheduling deadline (DESIGN.md §12), absent on a full solve. The
 	// degraded paths are pure functions of (config, requests,
@@ -106,6 +107,30 @@ type Record struct {
 	// Spans summarises the tick's stage timings (from the span tracer
 	// or the decision's timing fields). Informational.
 	Spans []StageSpan `json:"spans,omitempty"`
+}
+
+// CanonicalText is a decision's canonical text (Decision.Canonical)
+// held as bytes, so a Builder's record carries the text in the
+// builder's own reused buffer instead of a string copy of it. In JSON
+// it is the string the text spells, byte for byte what a string field
+// wrote before it, not encoding/json's base64 of a []byte.
+type CanonicalText []byte
+
+// MarshalJSON writes the text as a JSON string.
+func (c CanonicalText) MarshalJSON() ([]byte, error) { return appendjson.String(nil, c), nil }
+
+// UnmarshalJSON reads a JSON string (or null, which leaves c as it is)
+// into c's storage.
+func (c *CanonicalText) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	var s string
+	if err := json.Unmarshal(data, &s); err != nil {
+		return err
+	}
+	*c = append((*c)[:0], s...)
+	return nil
 }
 
 // DegradedRecord mirrors scheduler.Degradation: which anytime-mode
@@ -298,9 +323,10 @@ type ChunkRecord struct {
 	MeanB       float64 `json:"mean_b"`
 }
 
-// newChunkRecords captures one chunk window.
-func newChunkRecords(chunks []video.Chunk) []ChunkRecord {
-	out := make([]ChunkRecord, len(chunks))
+// chunkRecordsInto captures one chunk window in dst's storage when it
+// is large enough.
+func chunkRecordsInto(dst []ChunkRecord, chunks []video.Chunk) []ChunkRecord {
+	out := grown(dst, len(chunks))
 	for i := range chunks {
 		c := &chunks[i]
 		out[i] = ChunkRecord{
@@ -349,14 +375,17 @@ type windowRef struct {
 // viewer after the first is one map lookup. Requests built with private
 // slices (the emulator's) fall back to content equality, found through a
 // content hash, so they still collapse to one entry per distinct window.
+// An entry's records are written into the storage the entry at the same
+// position held before the last reset, so a table that sees the same
+// windows tick after tick allocates nothing.
 type windowTable struct {
 	windows [][]ChunkRecord
 	byRef   map[windowRef]int
 	byHash  map[uint64]int
 }
 
-// reset empties the table, keeping its maps and its entry list's
-// backing array.
+// reset empties the table, keeping its maps, its entry list's backing
+// array and each entry's records.
 func (t *windowTable) reset() {
 	clear(t.byRef)
 	clear(t.byHash)
@@ -384,7 +413,11 @@ func (t *windowTable) intern(chunks []video.Chunk) int {
 		// later one its content dedupe: it is logged again, never wrongly
 		// merged.
 		i = len(t.windows)
-		t.windows = append(t.windows, newChunkRecords(chunks))
+		var recs []ChunkRecord
+		if i < cap(t.windows) {
+			recs = t.windows[:i+1][i]
+		}
+		t.windows = append(t.windows, chunkRecordsInto(recs, chunks))
 		if !ok {
 			t.byHash[h] = i
 		}
@@ -528,13 +561,12 @@ func (r *Record) SchedulerRequests() ([]scheduler.Request, error) {
 
 // Builder builds and encodes audit records in storage it owns and
 // reuses: the request and verdict slices, the per-request window
-// indexes, the window table and the encoded line stay at their
-// high-water mark from one Build to the next, so a caller that logs
-// every tick (the daemon, the emulator) allocates per record only what
-// the record does not share with the last one — the canonical decision
-// string (its text is appended into the builder's own buffer first, so
-// the string is its one copy), the config hash and one table entry per
-// distinct window.
+// indexes, the window table and its entries' records, the canonical
+// decision text and the encoded line stay at their high-water mark from
+// one Build to the next, and the config hash is recomputed only when the
+// config changes, so a caller that logs every tick (the daemon, the
+// emulator) allocates nothing per record once the builder has seen the
+// tick's shape.
 //
 // The price is a lifetime rule: the *Record Build returns and the line
 // Encode returns alias that storage and are valid only until the next
@@ -549,10 +581,14 @@ type Builder struct {
 	// the per-request Window pointers point into it.
 	windowOf []int
 	table    windowTable
-	// canon is the decision's canonical text, appended in place before
-	// the record takes its one string copy.
+	// canon is the decision's canonical text, which the record's
+	// DecisionCanonical is.
 	canon []byte
 	line  []byte
+	// cfgJSON is the canonical JSON of the config last hashed, cfgHash
+	// its hash; cfgNext is where the next config's JSON is compared from.
+	cfgJSON, cfgNext []byte
+	cfgHash          string
 }
 
 // grown returns s resized to n elements, reallocating only when its
@@ -580,10 +616,10 @@ func (b *Builder) Build(slot int, vcID string, cfg scheduler.Config, reqs []sche
 		VC:                vcID,
 		Config:            NewConfigRecord(cfg),
 		Requests:          grown(rec.Requests, len(reqs)),
-		DecisionCanonical: string(b.canon),
+		DecisionCanonical: b.canon,
 		Verdicts:          grown(rec.Verdicts, len(dec.PerDevice)),
 	}
-	rec.ConfigHash = rec.Config.Hash()
+	rec.ConfigHash = b.configHash(&rec.Config)
 	if dec.Degraded.Any() {
 		b.degraded = DegradedRecord{
 			Phase1Greedy:  dec.Degraded.Phase1Greedy,
@@ -618,6 +654,19 @@ func (b *Builder) Build(slot int, vcID string, cfg scheduler.Config, reqs []sche
 	}
 	rec.Spans = b.spans[:]
 	return rec
+}
+
+// configHash is c.Hash(), recomputed only when c's canonical JSON is
+// not the JSON last hashed: the same bytes hash the same, and a config
+// that differs in any field, -0 against 0 included, differs in them.
+func (b *Builder) configHash(c *ConfigRecord) string {
+	ok := true
+	b.cfgNext = c.appendJSON(b.cfgNext[:0], &ok)
+	if !ok || b.cfgHash == "" || !bytes.Equal(b.cfgNext, b.cfgJSON) {
+		b.cfgHash = c.Hash()
+		b.cfgJSON, b.cfgNext = b.cfgNext, b.cfgJSON
+	}
+	return b.cfgHash
 }
 
 // Encode renders the record of the last Build — with whatever the

@@ -177,7 +177,7 @@ func TestGoldenRecordSchema(t *testing.T) {
 		if !res.Match {
 			t.Fatalf("%s does not replay:\n%s", name, res.Diff())
 		}
-		if res.Got != rec.DecisionCanonical {
+		if res.Got != string(rec.DecisionCanonical) {
 			t.Fatalf("%s replays to a different decision than the fixed instance:\n%s\nvs\n%s",
 				name, res.Got, rec.DecisionCanonical)
 		}
@@ -344,7 +344,7 @@ func TestConfigHashDetectsTampering(t *testing.T) {
 
 func TestReplayFlagsForgedDecision(t *testing.T) {
 	rec := goldenRecord(t)
-	rec.DecisionCanonical = strings.Replace(rec.DecisionCanonical, "=true", "=false", 1)
+	rec.DecisionCanonical = CanonicalText(strings.Replace(string(rec.DecisionCanonical), "=true", "=false", 1))
 	res, err := rec.Replay()
 	if err != nil {
 		t.Fatal(err)
@@ -486,7 +486,7 @@ func TestLogOpenAppendRead(t *testing.T) {
 	if recs[0].Schema != 1 || recs[1].Schema != 2 || recs[2].Schema != 2 {
 		t.Fatalf("schemas %d %d %d, want 1 2 2", recs[0].Schema, recs[1].Schema, recs[2].Schema)
 	}
-	if recs[0].DecisionCanonical != recs[1].DecisionCanonical {
+	if string(recs[0].DecisionCanonical) != string(recs[1].DecisionCanonical) {
 		t.Fatal("the two layouts of the fixed instance disagree on its decision")
 	}
 	diverged, err := ReplayAll(recs, nil)

@@ -198,7 +198,7 @@ func boolField(dst []byte, key string, v bool) []byte {
 	return strconv.AppendBool(append(dst, key...), v)
 }
 
-func stringField(dst []byte, key, v string) []byte {
+func stringField[S ~string | ~[]byte](dst []byte, key string, v S) []byte {
 	return appendjson.String(append(dst, key...), v)
 }
 

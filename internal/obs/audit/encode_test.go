@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"lpvs/internal/anxiety"
+	"lpvs/internal/edge"
 	"lpvs/internal/scheduler"
 	"lpvs/internal/video"
 )
@@ -70,7 +71,8 @@ func fullRecord() *Record {
 }
 
 // leaves collects every settable scalar reachable from v, through
-// structs, slices and non-nil pointers.
+// structs, slices and non-nil pointers. A CanonicalText is one scalar:
+// it is written as a string.
 func leaves(v reflect.Value, out *[]reflect.Value) {
 	switch v.Kind() {
 	case reflect.Struct:
@@ -78,6 +80,10 @@ func leaves(v reflect.Value, out *[]reflect.Value) {
 			leaves(v.Field(i), out)
 		}
 	case reflect.Slice:
+		if v.Type() == reflect.TypeOf(CanonicalText(nil)) {
+			*out = append(*out, v)
+			return
+		}
 		for i := 0; i < v.Len(); i++ {
 			leaves(v.Index(i), out)
 		}
@@ -117,6 +123,13 @@ func TestAppendJSONMatchesEncoderFieldByField(t *testing.T) {
 				f.SetString(s)
 				checkEncode(t, what(s), rec)
 			}
+		case reflect.Slice: // a CanonicalText
+			for _, s := range []string{"", "a\"b\\c<d>&e\n\t\x01\x7f\xff\xe2\x80\xa8\xc3\xa9"} {
+				f.SetBytes([]byte(s))
+				checkEncode(t, what(s), rec)
+			}
+			f.SetBytes(nil)
+			checkEncode(t, what(nil), rec)
 		case reflect.Int, reflect.Int64:
 			for _, n := range []int64{0, -7, math.MaxInt64} {
 				f.SetInt(n)
@@ -253,12 +266,25 @@ func TestBuilderReuseMatchesNewRecord(t *testing.T) {
 	unsorted[2], unsorted[3] = unsorted[3], unsorted[2]
 	withAnxiety := batch(6, winA)
 	withAnxiety[1].Anxiety, withAnxiety[4].Anxiety = personal, anxiety.NewCanonical()
+	// Schedulers under other configs: the builder rehashes a config only
+	// when its JSON changes, -0 against 0 included.
+	other := func(cfg scheduler.Config) *scheduler.Scheduler {
+		o, err := scheduler.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	bounded := other(scheduler.Config{SlotSec: 30, Lambda: 2, Server: &edge.Server{ComputeCapacity: 9, StorageCapacityMB: 900}})
+	noLambda := other(scheduler.Config{SlotSec: 30})
+	negZeroLambda := other(scheduler.Config{SlotSec: 30, Lambda: math.Copysign(0, -1)})
 
 	type step struct {
 		name     string
 		reqs     []scheduler.Request
 		degraded scheduler.Degradation
 		before   func()
+		sched    *scheduler.Scheduler // nil: s
 	}
 	steps := []step{
 		{name: "small", reqs: batch(5, winA, winB)},
@@ -276,6 +302,10 @@ func TestBuilderReuseMatchesNewRecord(t *testing.T) {
 		{name: "full solve again", reqs: batch(8, winA, winB)},
 		{name: "empty", reqs: nil},
 		{name: "after empty", reqs: batch(2, winB)},
+		{name: "config changed", reqs: batch(8, winA, winB), sched: bounded},
+		{name: "config back", reqs: batch(8, winA, winB)},
+		{name: "lambda 0", reqs: batch(3, winA), sched: noLambda},
+		{name: "lambda -0", reqs: batch(3, winA), sched: negZeroLambda},
 	}
 	var b Builder
 	var kept *Record
@@ -283,11 +313,15 @@ func TestBuilderReuseMatchesNewRecord(t *testing.T) {
 		if st.before != nil {
 			st.before()
 		}
+		sched := s
+		if st.sched != nil {
+			sched = st.sched
+		}
 		var dec scheduler.Decision
 		if st.degraded.Any() {
-			dec, err = s.ScheduleDegraded(st.reqs, st.degraded)
+			dec, err = sched.ScheduleDegraded(st.reqs, st.degraded)
 		} else {
-			dec, err = s.Schedule(st.reqs)
+			dec, err = sched.Schedule(st.reqs)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", st.name, err)
@@ -296,8 +330,8 @@ func TestBuilderReuseMatchesNewRecord(t *testing.T) {
 			r.Seed, r.UnixSec, r.TraceID = 7, 1754400000.25+float64(slot), fmt.Sprintf("%016x", slot)
 			return r
 		}
-		want := checkEncode(t, st.name, stamp(NewRecord(slot, "vc", s.Config(), st.reqs, dec)))
-		rec := stamp(b.Build(slot, "vc", s.Config(), st.reqs, dec))
+		want := checkEncode(t, st.name, stamp(NewRecord(slot, "vc", sched.Config(), st.reqs, dec)))
+		rec := stamp(b.Build(slot, "vc", sched.Config(), st.reqs, dec))
 		got, err := b.Encode()
 		if err != nil {
 			t.Fatalf("%s: %v", st.name, err)

@@ -120,7 +120,7 @@ func seedRecord() *Record {
 		VC:                "vc",
 		Config:            cfg,
 		Requests:          []RequestRecord{},
-		DecisionCanonical: "selected=0 eligible=0 swaps=0 optimal=false phase1=0 objective=0\n",
+		DecisionCanonical: CanonicalText("selected=0 eligible=0 swaps=0 optimal=false phase1=0 objective=0\n"),
 		Verdicts:          []VerdictRecord{},
 	}
 	rec.ConfigHash = cfg.Hash()

@@ -75,7 +75,7 @@ func readNodeCappedFixture(t *testing.T) *Record {
 // mismatch — Replay is strict — but the diff says why, and only then.
 func TestReplayExplainsNodeCappedRecord(t *testing.T) {
 	rec := readNodeCappedFixture(t)
-	if !strings.Contains(rec.DecisionCanonical, " optimal=false ") || rec.Degraded != nil || rec.Config.MaxNodes != 20 {
+	if !strings.Contains(string(rec.DecisionCanonical), " optimal=false ") || rec.Degraded != nil || rec.Config.MaxNodes != 20 {
 		t.Fatalf("fixture is not a node-capped, non-degraded record: max_nodes %d, degraded %v\n%s",
 			rec.Config.MaxNodes, rec.Degraded, rec.DecisionCanonical)
 	}
@@ -86,7 +86,7 @@ func TestReplayExplainsNodeCappedRecord(t *testing.T) {
 	if res.Match {
 		t.Fatal("a record logged optimal=false matched a replay that proves optimality")
 	}
-	if want := strings.Replace(rec.DecisionCanonical, " optimal=false ", " optimal=true ", 1); res.Got != want {
+	if want := strings.Replace(string(rec.DecisionCanonical), " optimal=false ", " optimal=true ", 1); res.Got != want {
 		t.Fatalf("replay moved more than the optimality flag:\n--- logged ---\n%s--- replayed ---\n%s", rec.DecisionCanonical, res.Got)
 	}
 	if diff := res.Diff(); strings.Count(diff, nodeCappedHint+"\n") != 1 {

@@ -101,7 +101,7 @@ func (r *Record) Replay() (*ReplayResult, error) {
 		return nil, fmt.Errorf("audit: replay: schedule: %w", err)
 	}
 	res := &ReplayResult{
-		Want: r.DecisionCanonical,
+		Want: string(r.DecisionCanonical),
 		Got:  string(dec.Canonical()),
 	}
 	// The logged verdicts and the replayed batch are both walked in

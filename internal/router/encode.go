@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the router's member of the daemon's append-encoder
-// family (DESIGN.md §18): the merged tick reply, appended into a pooled
-// buffer by server.WriteAppended with encoding/json's bytes, and read
+// family (DESIGN.md §18): the merged tick reply, appended into the
+// tick's tickSpace with encoding/json's bytes, and read
 // back by a client.Caller in that layout before json.Unmarshal. The
 // shard's tick stats and per-VC decisions are written and read by the
 // daemon's own member writers (server.TickStats.AppendObject,

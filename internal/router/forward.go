@@ -44,14 +44,16 @@ type shardBatch struct {
 // forwardSpace is the workspace of one report forward, held from decode
 // to the written response and then returned to rt.forwardFree
 // (DESIGN.md §18): the binary decode scratch, whose intern table
-// converges on the fleet's IDs as a daemon's does; the per-owner
+// converges on the fleet's IDs as a daemon's does; the record a single
+// JSON report is read into; the per-owner
 // batches, whose reqs, idx and body keep their capacity; and the merged
 // rejection rows. Everything in it is overwritten by the next request
 // that draws it, so nothing that outlives the handler may point into it
 // — the response is written, and so copied, before it goes back.
 type forwardSpace struct {
 	wire     *wire.Scratch
-	batches  []*shardBatch // every batch this workspace has used; a forward takes a prefix
+	one      [1]server.ReportRequest // a single JSON report, as read
+	batches  []*shardBatch           // every batch this workspace has used; a forward takes a prefix
 	rejected []server.BatchReportResult
 }
 
@@ -127,7 +129,7 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 		ws = &forwardSpace{wire: wire.NewScratch()}
 	}
 	defer rt.forwardFree.Put(ws)
-	msg, ok := server.DecodeReport(w, r, server.DefaultMaxBatchRecords, func() *wire.Scratch { return ws.wire })
+	msg, ok := server.DecodeReport(w, r, server.DefaultMaxBatchRecords, func() *wire.Scratch { return ws.wire }, &ws.one)
 	if !ok {
 		return
 	}

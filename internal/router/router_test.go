@@ -239,7 +239,7 @@ func TestRouterN1DifferentialAgainstStandalone(t *testing.T) {
 		t.Fatalf("audit records %d/%d, want %d each", len(plainRecs), len(shardRecs), rounds)
 	}
 	for i := range plainRecs {
-		if plainRecs[i].DecisionCanonical != shardRecs[i].DecisionCanonical {
+		if string(plainRecs[i].DecisionCanonical) != string(shardRecs[i].DecisionCanonical) {
 			t.Fatalf("slot %d canonical decisions diverge between standalone and federated runs", i)
 		}
 		// Both logs replay: the federated deployment keeps the

@@ -87,19 +87,26 @@ func (rt *Router) handleTick(w http.ResponseWriter, _ *http.Request) {
 		"shard_errors", merged.ShardErrors, "vcs", len(merged.VCs),
 		"reports", merged.Reports, "selected", merged.Selected,
 		"duration_ms", merged.Sched.DurationSec*1000)
-	server.WriteAppended(w, *merged)
+	body, ok := merged.AppendJSON(ts.body[:0])
+	ts.body = body
+	if !ok {
+		server.WriteJSON(w, http.StatusOK, *merged)
+		return
+	}
+	server.WriteBody(w, http.StatusOK, body)
 }
 
 // tickSpace is the storage of one router tick, reused tick to tick
 // through rt.tickFree, so two ticks running at once never share one:
 // each node's reply as read (its canonical bytes and γ and observation
-// arrays included), the per-node results and errors, and the merged
-// reply, whose VCs alias the replies' canonical bytes.
+// arrays included), the per-node results and errors, the merged reply,
+// whose VCs alias the replies' canonical bytes, and its encoded body.
 type tickSpace struct {
 	replies []shardReply
 	results []*server.ShardTickResponse
 	errs    []error
 	merged  TickResponse
+	body    []byte
 }
 
 // arm sizes the space for a fan-out to n nodes. A reply keeps what it

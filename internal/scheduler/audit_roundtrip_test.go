@@ -51,7 +51,7 @@ func TestAuditRoundTripDifferentialCorpus(t *testing.T) {
 		t.Fatalf("wrote %d records, read back %d", len(want), len(recs))
 	}
 	for i, rec := range recs {
-		if rec.DecisionCanonical != want[i] {
+		if string(rec.DecisionCanonical) != want[i] {
 			t.Fatalf("record %d: JSONL round trip changed the canonical decision", i)
 		}
 		res, err := rec.Replay()

@@ -225,9 +225,9 @@ func (s *Scheduler) jointKnapsack(sc *planScratch) ilp.Solution {
 	}
 	prob := s.knapsack(sc)
 	if len(sc.eligible) > s.cfg.ExactThreshold {
-		return ilp.Greedy(prob)
+		return sc.solver.Greedy(prob)
 	}
-	sol, err := ilp.BranchBound(prob, ilp.BBConfig{MaxNodes: s.cfg.MaxNodes})
+	sol, err := sc.solver.BranchBound(prob, ilp.BBConfig{MaxNodes: s.cfg.MaxNodes})
 	if err != nil {
 		panic(fmt.Sprintf("scheduler: joint solver: %v", err))
 	}

@@ -90,9 +90,9 @@ type PoolConfig struct {
 // pool keeps between ticks is working memory, not decisions — at most
 // one planScratch per worker, on a free list, so a slot reuses the
 // slabs an earlier one grew — and per-VC telemetry. It is safe for
-// concurrent use: every Decide call allocates its own job state, the
-// ILP solvers are reentrant (see internal/ilp), and a scratch belongs to
-// one solve at a time.
+// concurrent use: every Decide call allocates its own job state, and a
+// scratch — its Phase-1 ilp.Solver included — belongs to one solve at a
+// time.
 type Pool struct {
 	sched   *Scheduler
 	workers int

@@ -427,7 +427,8 @@ type placed struct {
 // Pool keeps one per worker and reuses it from slot to slot; a bare
 // Scheduler uses a fresh one per call, so either way a call makes O(1)
 // allocations however many devices it schedules. Nothing in it outlives
-// the call: the solvers copy nothing out of the knapsack rows, and a
+// the call: the solver copies nothing out of the knapsack rows, its
+// Solution.X is copied into the Decision's X before the next solve, and a
 // Decision carries its own X and PerDevice.
 type planScratch struct {
 	slab     []plan   // slab[i] is the plan of reqs[i]
@@ -437,10 +438,12 @@ type planScratch struct {
 	windows map[chunkRef]struct{}
 
 	// Phase-1: the knapsack over eligible (values, the two capacity rows
-	// and the Problem that points at them).
+	// and the Problem that points at them) and the Solver that solves it,
+	// whose search scratch and Solution.X outlive the call like the rest.
 	values, gRow, hRow []float64
 	cons               [2]ilp.Constraint
 	prob               ilp.Problem
+	solver             ilp.Solver
 
 	// Phase-2: the two swap populations, their positional swapped flags,
 	// what swapping each insider out adds to the objective, and the swap
@@ -897,7 +900,8 @@ type phase1Info struct {
 }
 
 // phase1 solves the energy-only selection (14) as a 0/1 knapsack over
-// sc.eligible and returns the picks indexed like it.
+// sc.eligible and returns the picks indexed like it, in sc.solver's
+// storage: valid until its next solve.
 //
 // A non-zero deadline puts the branch-and-bound in anytime mode: on
 // expiry the always-feasible greedy solution is adopted and the result
@@ -914,18 +918,18 @@ func (s *Scheduler) phase1(sc *planScratch, deadline time.Time, forceGreedy bool
 	prob := s.knapsack(sc)
 	switch {
 	case forceGreedy:
-		sol = ilp.Greedy(prob)
+		sol = sc.solver.Greedy(prob)
 		sol.Degraded = true
 	case len(eligible) <= s.cfg.ExactThreshold:
 		var err error
-		sol, err = ilp.BranchBound(prob, ilp.BBConfig{MaxNodes: s.cfg.MaxNodes, Deadline: deadline})
+		sol, err = sc.solver.BranchBound(prob, ilp.BBConfig{MaxNodes: s.cfg.MaxNodes, Deadline: deadline})
 		if err != nil {
 			// The problem was validated during plan building; a solver
 			// error here indicates a programming bug.
 			panic(fmt.Sprintf("scheduler: phase-1 solver: %v", err))
 		}
 	default:
-		sol = ilp.Greedy(prob)
+		sol = sc.solver.Greedy(prob)
 	}
 	return sol.X, sol.Value, sol.Optimal, phase1Info{nodes: sol.Nodes, degraded: sol.Degraded}
 }

@@ -34,12 +34,15 @@ func decodeError(err error) *apiError {
 	}
 }
 
-// readBody drains a capped request body.
+// readBody drains a capped request body and closes it: net/http then
+// knows the body is spent, where an open one is drained again after the
+// handler answers, through an io.CopyN that allocates.
 func readBody(r *http.Request) ([]byte, *apiError) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		return nil, decodeError(fmt.Errorf("read body: %w", err))
 	}
+	_ = r.Body.Close() // read to EOF: nothing is left to fail
 	return body, nil
 }
 
@@ -61,13 +64,16 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // DecodeReport reads a POST /v1/report body in either codec
-// (wire.ReadReport, which documents maxRecords and scratch). On failure
-// it answers the envelope and returns false.
-func DecodeReport(w http.ResponseWriter, r *http.Request, maxRecords int, scratch func() *wire.Scratch) (wire.Message, bool) {
-	msg, err := wire.ReadReport(r.Header.Get("Content-Type"), r.Body, maxRecords, scratch)
+// (wire.ReadReport, which documents maxRecords, scratch and one). On
+// failure it answers the envelope and returns false.
+func DecodeReport(w http.ResponseWriter, r *http.Request, maxRecords int, scratch func() *wire.Scratch, one *[1]wire.ReportRequest) (wire.Message, bool) {
+	msg, err := wire.ReadReport(r.Header.Get("Content-Type"), r.Body, maxRecords, scratch, one)
 	if err != nil {
 		decodeError(err).write(w)
 		return msg, false
 	}
+	// Both readers read to EOF (the binary one checks for trailing
+	// bytes), so the body is spent: closed, as readBody closes it.
+	_ = r.Body.Close()
 	return msg, true
 }

@@ -16,17 +16,19 @@ import (
 // JSON writer of every route. The bodies that are nearly all of a
 // slot's traffic — a decision, a chunk, a single report's
 // acknowledgement, a shard's tick reply and the router's merged tick
-// (internal/router) — are instead appended into a pooled buffer by
-// their own AppendJSON method, byte for byte what WriteJSON would have
-// sent (FuzzAppendJSON and FuzzAppendTick hold them together; the value
-// writers are internal/appendjson's), and fall back to WriteJSON only
-// for a float with no JSON form, to fail as it fails. Each has a
-// ReadJSON beside it, the decode half a client tries before
-// json.Unmarshal: it takes exactly the layout AppendJSON writes and
-// declines anything else (FuzzDecodeReply and FuzzDecodeTick hold it to
-// json.Unmarshal). A shard does not build its tick reply as a value:
-// handleShardTick appends it from the tick outcome through the same
-// member writers (shard.go).
+// (internal/router) — are instead appended by their own AppendJSON
+// method, the small ones into a pooled buffer and the two tick bodies,
+// which grow with the fleet, into storage their owner keeps (the
+// Server's shardReply, the router's tickSpace), byte for byte what
+// WriteJSON would have sent (FuzzAppendJSON and FuzzAppendTick hold
+// them together; the value writers are internal/appendjson's), and
+// fall back to WriteJSON only for a float with no JSON form, to fail as
+// it fails. Each has a ReadJSON beside it, the decode half a client
+// tries before json.Unmarshal: it takes exactly the layout AppendJSON
+// writes and declines anything else (FuzzDecodeReply and FuzzDecodeTick
+// hold it to json.Unmarshal). A shard does not build its tick reply as
+// a value: handleShardTick appends it from the tick outcome through the
+// same member writers (shard.go).
 
 // jsonContentType is the Content-Type value of every JSON body,
 // assigned to the header map as is. cap == len, so a middleware that

@@ -289,7 +289,7 @@ func TestForensicsDecisionNeutral(t *testing.T) {
 		t.Fatalf("audit lengths %d / %d, want %d", len(recsA), len(recsB), slots)
 	}
 	for i := range recsA {
-		if recsA[i].DecisionCanonical != recsB[i].DecisionCanonical {
+		if string(recsA[i].DecisionCanonical) != string(recsB[i].DecisionCanonical) {
 			t.Fatalf("slot %d: forensics changed the decision", recsA[i].Slot)
 		}
 	}

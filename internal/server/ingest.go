@@ -123,10 +123,11 @@ func (s *Server) maxBatchRecords() int {
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var sc *ingestScratch
+	var one [1]wire.ReportRequest
 	msg, ok := DecodeReport(w, r, s.maxBatchRecords(), func() *wire.Scratch {
 		sc = s.getScratch()
 		return sc.wire
-	})
+	}, &one)
 	var rejected []BatchReportResult
 	if sc != nil {
 		defer s.ingestFree.Put(sc)

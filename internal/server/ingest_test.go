@@ -224,7 +224,7 @@ func TestJSONBinaryDifferential(t *testing.T) {
 		if !reflect.DeepEqual(recsJSON[i].Requests, recsWire[i].Requests) {
 			t.Fatalf("slot %d: audit requests diverge between codecs", i)
 		}
-		if recsJSON[i].DecisionCanonical != recsWire[i].DecisionCanonical {
+		if string(recsJSON[i].DecisionCanonical) != string(recsWire[i].DecisionCanonical) {
 			t.Fatalf("slot %d: DecisionCanonical diverges:\njson: %s\nwire: %s",
 				i, recsJSON[i].DecisionCanonical, recsWire[i].DecisionCanonical)
 		}

@@ -217,7 +217,7 @@ func TestArrivalOrderIsNotAnInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return recs[0].DecisionCanonical, line
+		return string(recs[0].DecisionCanonical), line
 	}
 	wantCanonical, wantLine := auditLine(t, func(url string) {
 		mustReport(t, postWire(t, url, encodeBatch(t, fleet), nil))

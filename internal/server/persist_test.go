@@ -147,7 +147,7 @@ func TestKillAndRestartDifferential(t *testing.T) {
 				if a.Slot != b.Slot {
 					t.Fatalf("record %d: slots %d vs %d", i, a.Slot, b.Slot)
 				}
-				if a.DecisionCanonical != b.DecisionCanonical {
+				if string(a.DecisionCanonical) != string(b.DecisionCanonical) {
 					t.Fatalf("slot %d: killed-and-restarted decision diverged from uninterrupted run", a.Slot)
 				}
 			}
@@ -205,7 +205,7 @@ func TestKillWithPendingReports(t *testing.T) {
 		t.Fatalf("audit lengths %d / %d", len(recsA), len(recsB))
 	}
 	lastA, lastB := recsA[len(recsA)-1], recsB[len(recsB)-1]
-	if lastA.DecisionCanonical != lastB.DecisionCanonical {
+	if string(lastA.DecisionCanonical) != string(lastB.DecisionCanonical) {
 		t.Fatal("tick fed from restored pending reports diverged")
 	}
 }

@@ -239,8 +239,11 @@ type Server struct {
 	lastTick  TickStats
 	tickSeen  bool
 	// canonScratch holds the canonical text of the VC a shard tick
-	// reply is encoding (appendShardTickLocked), reused VC to VC.
-	canonScratch []byte
+	// reply is encoding (appendShardTickLocked), reused VC to VC, and
+	// shardReply the reply itself, reused tick to tick: the reply grows
+	// with the fleet, and a pooled buffer the small bodies share would
+	// regrow to it every tick.
+	canonScratch, shardReply []byte
 	// shardMap is the installed federation map (nil outside shard
 	// deployments); see Config.ShardMap.
 	shardMap *shard.Map

@@ -9,7 +9,6 @@ import (
 
 	"lpvs/internal/appendjson"
 	"lpvs/internal/bayes"
-	"lpvs/internal/bufpool"
 	"lpvs/internal/scheduler"
 	"lpvs/internal/shard"
 )
@@ -54,8 +53,9 @@ func (s *Server) verifyShardAddressLocked(node, epoch string) *apiError {
 // handleShardTick runs one federated scheduling tick: the shared
 // pipeline over one VC per channel (tick.go). The response carries each
 // VC's decision with its canonical bytes, in VC-ID order — the router's
-// merge input — and is appended from the tick outcome into a pooled
-// buffer (DESIGN.md §18) under s.mu, which the outcome needs.
+// merge input — and is appended from the tick outcome into
+// s.shardReply (DESIGN.md §18) and written under s.mu, which the
+// outcome and that storage need.
 func (s *Server) handleShardTick(w http.ResponseWriter, r *http.Request) {
 	body, aerr := readBody(r)
 	if aerr != nil {
@@ -84,9 +84,8 @@ func (s *Server) handleShardTick(w http.ResponseWriter, r *http.Request) {
 	s.shardTicks.Add(1)
 	s.shardVCsDecided.Add(uint64(len(out.decided)))
 
-	buf := bufpool.Get()
-	defer bufpool.Put(buf)
-	reply, ok := s.appendShardTickLocked(buf.AvailableBuffer(), &out)
+	reply, ok := s.appendShardTickLocked(s.shardReply[:0], &out)
+	s.shardReply = reply
 	if !ok {
 		// A NaN or an infinity: encoding/json refuses the whole reply
 		// and WriteJSON sends the header with no body, which is what
@@ -94,8 +93,7 @@ func (s *Server) handleShardTick(w http.ResponseWriter, r *http.Request) {
 		WriteBody(w, http.StatusOK, nil)
 		return
 	}
-	buf.Write(reply)
-	WriteBody(w, http.StatusOK, buf.Bytes())
+	WriteBody(w, http.StatusOK, reply)
 }
 
 // appendShardTickLocked appends the ShardTickResponse of a tick outcome

@@ -333,11 +333,11 @@ func TestShardTickMatchesStandaloneCanonical(t *testing.T) {
 	plain := readRecord(standaloneDir)
 	sharded := readRecord(shardDir)
 
-	if plain.DecisionCanonical != sharded.DecisionCanonical {
+	if string(plain.DecisionCanonical) != string(sharded.DecisionCanonical) {
 		t.Fatalf("canonical decisions differ:\nstandalone: %q\nshard:      %q",
 			plain.DecisionCanonical, sharded.DecisionCanonical)
 	}
-	if string(tick.VCs[0].Canonical) != sharded.DecisionCanonical {
+	if string(tick.VCs[0].Canonical) != string(sharded.DecisionCanonical) {
 		t.Fatal("shard tick response canonical differs from its own audit record")
 	}
 	if sharded.VC != "slot-0/ch" {

@@ -96,7 +96,7 @@ func TestSnapshotBytesParentPinned(t *testing.T) {
 	if len(recsA) != warmup+1 || len(recsB) != 1 {
 		t.Fatalf("audit lengths %d / %d, want %d / 1", len(recsA), len(recsB), warmup+1)
 	}
-	if recsA[warmup].DecisionCanonical != recsB[0].DecisionCanonical {
+	if string(recsA[warmup].DecisionCanonical) != string(recsB[0].DecisionCanonical) {
 		t.Fatal("the restored daemon's tick diverged from the uninterrupted daemon's")
 	}
 }

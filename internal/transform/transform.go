@@ -51,47 +51,48 @@ type Strategy struct {
 	qualityCost float64
 }
 
+// catalogue is the Table I strategy review, in the paper's order.
+var catalogue = [...]Strategy{
+	// LCD strategies.
+	{Name: "quality-adapted backlight scaling", Target: display.LCD, SavingLo: 0.27, SavingHi: 0.42, qualityCost: 0.25},
+	{Name: "dynamic backlight scaling", Target: display.LCD, SavingLo: 0.15, SavingHi: 0.49, qualityCost: 0.30},
+	{Name: "dynamic backlight luminance scaling", Target: display.LCD, SavingLo: 0.20, SavingHi: 0.80, qualityCost: 0.45},
+	{Name: "brightness & contrast scaling", Target: display.LCD, SavingLo: 0.10, SavingHi: 0.50, qualityCost: 0.35},
+	{Name: "luminance dimming & compensation", Target: display.LCD, SavingLo: 0.20, SavingHi: 0.38, qualityCost: 0.22},
+	// OLED strategies.
+	{Name: "color and shape transforming", Target: display.OLED, SavingLo: 0.25, SavingHi: 0.66, qualityCost: 0.30},
+	{Name: "color transforming and darkening", Target: display.OLED, SavingLo: 0.15, SavingHi: 0.60, qualityCost: 0.35},
+	{Name: "color transforming with constraints", Target: display.OLED, SavingLo: 0.20, SavingHi: 0.64, qualityCost: 0.28},
+	{Name: "pixel disabling & resolution scaling", Target: display.OLED, SavingLo: 0.08, SavingHi: 0.26, qualityCost: 0.40},
+	{Name: "image pixel scaling", Target: display.OLED, SavingLo: 0.38, SavingHi: 0.42, qualityCost: 0.30},
+	{Name: "redundant subpixel shutoff", Target: display.OLED, SavingLo: 0.05, SavingHi: 0.21, qualityCost: 0.15},
+}
+
 // Catalogue returns the Table I strategy review. The slice is freshly
 // allocated; callers may reorder it.
-func Catalogue() []Strategy {
-	return []Strategy{
-		// LCD strategies.
-		{Name: "quality-adapted backlight scaling", Target: display.LCD, SavingLo: 0.27, SavingHi: 0.42, qualityCost: 0.25},
-		{Name: "dynamic backlight scaling", Target: display.LCD, SavingLo: 0.15, SavingHi: 0.49, qualityCost: 0.30},
-		{Name: "dynamic backlight luminance scaling", Target: display.LCD, SavingLo: 0.20, SavingHi: 0.80, qualityCost: 0.45},
-		{Name: "brightness & contrast scaling", Target: display.LCD, SavingLo: 0.10, SavingHi: 0.50, qualityCost: 0.35},
-		{Name: "luminance dimming & compensation", Target: display.LCD, SavingLo: 0.20, SavingHi: 0.38, qualityCost: 0.22},
-		// OLED strategies.
-		{Name: "color and shape transforming", Target: display.OLED, SavingLo: 0.25, SavingHi: 0.66, qualityCost: 0.30},
-		{Name: "color transforming and darkening", Target: display.OLED, SavingLo: 0.15, SavingHi: 0.60, qualityCost: 0.35},
-		{Name: "color transforming with constraints", Target: display.OLED, SavingLo: 0.20, SavingHi: 0.64, qualityCost: 0.28},
-		{Name: "pixel disabling & resolution scaling", Target: display.OLED, SavingLo: 0.08, SavingHi: 0.26, qualityCost: 0.40},
-		{Name: "image pixel scaling", Target: display.OLED, SavingLo: 0.38, SavingHi: 0.42, qualityCost: 0.30},
-		{Name: "redundant subpixel shutoff", Target: display.OLED, SavingLo: 0.05, SavingHi: 0.21, qualityCost: 0.15},
-	}
-}
+func Catalogue() []Strategy { return append([]Strategy(nil), catalogue[:]...) }
 
 // Default returns the reproduction's default strategy per display type:
 // the backlight luminance scaler for LCD and constrained color
 // transforming for OLED — the techniques the paper cites for its power
-// estimation ([20] and [17]/[12]).
+// estimation ([20] and [17]/[12]). It copies one entry and builds no
+// catalogue: a transformed chunk read calls it.
 func Default(t display.Type) Strategy {
 	if t == display.LCD {
-		return Catalogue()[2] // dynamic backlight luminance scaling
+		return catalogue[2] // dynamic backlight luminance scaling
 	}
-	return Catalogue()[7] // color transforming with constraints
+	return catalogue[7] // color transforming with constraints
 }
 
 // AverageBounds returns the catalogue-wide mean of the published saving
 // bounds; the paper reports 13%-49% and seeds the Bayesian gamma prior
 // with the midpoint.
 func AverageBounds() (lo, hi float64) {
-	cat := Catalogue()
-	for _, s := range cat {
+	for _, s := range catalogue {
 		lo += s.SavingLo
 		hi += s.SavingHi
 	}
-	n := float64(len(cat))
+	n := float64(len(catalogue))
 	return lo / n, hi / n
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"lpvs/internal/display"
 	"lpvs/internal/stats"
+	"lpvs/internal/testenv"
 	"lpvs/internal/video"
 )
 
@@ -227,5 +228,29 @@ func TestRealizedSavingBounds(t *testing.T) {
 	}
 	if got < 0 || got > 1 {
 		t.Fatalf("realized saving %v outside [0, 1]", got)
+	}
+}
+
+// TestDefaultAllocs pins the per-type defaults to their Table I entries
+// — Catalogue()[2] for LCD, [7] for OLED — and holds Default to what a
+// transformed chunk read can afford: no allocation. It built the whole
+// 11-entry catalogue (576 B) to copy one entry out of it.
+func TestDefaultAllocs(t *testing.T) {
+	cat := Catalogue()
+	if got := Default(display.LCD); got != cat[2] {
+		t.Fatalf("Default(LCD) = %+v, want Catalogue()[2] %+v", got, cat[2])
+	}
+	if got := Default(display.OLED); got != cat[7] {
+		t.Fatalf("Default(OLED) = %+v, want Catalogue()[7] %+v", got, cat[7])
+	}
+	if testenv.RaceEnabled {
+		return
+	}
+	var lcd, oled Strategy
+	if allocs := testing.AllocsPerRun(100, func() { lcd, oled = Default(display.LCD), Default(display.OLED) }); allocs != 0 {
+		t.Fatalf("Default allocates %.0f times, want 0", allocs)
+	}
+	if lcd != cat[2] || oled != cat[7] {
+		t.Fatalf("Default moved under repetition: %+v, %+v", lcd, oled)
 	}
 }

@@ -105,7 +105,7 @@ func FuzzReadReportJSON(f *testing.F) {
 		}
 		var want ReportRequest
 		wantErr := json.Unmarshal(data, &want)
-		msg, err := ReadReport("application/json", bytes.NewReader(data), 1, nil)
+		msg, err := ReadReport("application/json", bytes.NewReader(data), 1, nil, nil)
 		switch {
 		case wantErr != nil && (err == nil || err.Error() != "decode: "+wantErr.Error() ||
 			!reflect.DeepEqual(errors.Unwrap(err), wantErr)):

@@ -19,7 +19,8 @@ type Message struct {
 	Binary, Batch bool
 	// Reports holds exactly one record unless Batch. On the binary path
 	// it aliases the Scratch ReadReport drew and stays valid until that
-	// scratch is read into again.
+	// scratch is read into again; a single JSON report is the one record
+	// of the storage its caller passed.
 	Reports []ReportRequest
 	// Bytes is the body size consumed.
 	Bytes int64
@@ -57,8 +58,10 @@ func NewScratch() *Scratch { return &Scratch{dec: NewDecoder(nil)} }
 // step that failed ("binary report: ", "read body: ", "decode: ",
 // "decode batch: ") and wraps its cause, so errors.Is finds the
 // package sentinels and errors.As a transport error such as
-// *http.MaxBytesError.
-func ReadReport(contentType string, body io.Reader, maxRecords int, scratch func() *Scratch) (Message, error) {
+// *http.MaxBytesError. A single JSON report is read into one, which the
+// caller keeps (a handler: on its stack), so the message's one-record
+// slice is not an allocation of its own; nil means fresh storage.
+func ReadReport(contentType string, body io.Reader, maxRecords int, scratch func() *Scratch, one *[1]ReportRequest) (Message, error) {
 	if contentType == ContentType {
 		msg, err := scratch().read(body, maxRecords)
 		if err != nil {
@@ -84,13 +87,19 @@ func ReadReport(contentType string, body io.Reader, maxRecords int, scratch func
 		}
 		return Message{Batch: true, Reports: reqs, Bytes: int64(len(data))}, nil
 	}
-	reqs := make([]ReportRequest, 1)
-	if !reqs[0].readJSON(data) {
-		if err := json.Unmarshal(data, &reqs[0]); err != nil {
+	if one == nil {
+		one = new([1]ReportRequest)
+	}
+	if !one[0].readJSON(data) {
+		// Into a value of its own: one handed to encoding/json would
+		// escape to the heap on every call, the layout reader's included.
+		var v ReportRequest
+		if err := json.Unmarshal(data, &v); err != nil {
 			return Message{}, fmt.Errorf("decode: %w", err)
 		}
+		one[0] = v
 	}
-	return Message{Reports: reqs, Bytes: int64(len(data))}, nil
+	return Message{Reports: one[:], Bytes: int64(len(data))}, nil
 }
 
 // readJSON reads data into r when it is laid out as json.Marshal writes
