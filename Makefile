@@ -54,15 +54,15 @@ check: fmt vet vet-extra build race cli-smoke ingest-smoke bench-smoke fuzz-smok
 # ingest-smoke guards what the race run cannot see of the report path
 # (DESIGN.md §16): one pass of the ingest benchmarks, so the zero-alloc
 # decode path cannot bitrot, and the slot path's allocation and memory
-# guards — testing.AllocsPerRun tests (a warm ilp.Solver and
-# transform.Default among them), the socket-level
+# guards — testing.AllocsPerRun tests (a warm ilp.Solver,
+# transform.Default and bufpool.FreeList among them), the socket-level
 # TestRoundTripAllocs (DESIGN.md §18) and what a pool retains between
 # slots (TestStreamResidentBytes, TestPoolScratchBoundedAcrossVCIDs,
 # DESIGN.md §9), which skip themselves under the `race` target's
 # detector.
 ingest-smoke:
 	$(GO) test -count=1 ./internal/server/ -run '^$$' -bench BenchmarkIngest -benchtime 1x -benchmem >/dev/null
-	$(GO) test -count=1 -run 'Allocs|ResidentBytes|ScratchBounded' ./internal/ilp/ ./internal/transform/ ./internal/scheduler/ ./internal/server/ ./internal/obs/ ./internal/obs/span/ ./internal/obs/audit/ ./internal/client/ ./internal/router/
+	$(GO) test -count=1 -run 'Allocs|ResidentBytes|ScratchBounded' ./internal/bufpool/ ./internal/ilp/ ./internal/transform/ ./internal/scheduler/ ./internal/server/ ./internal/obs/ ./internal/obs/span/ ./internal/obs/audit/ ./internal/client/ ./internal/router/
 
 # cli-smoke drives the operator CLIs end to end — lpvs-emu and lpvsctl,
 # built once each — over two real emulator sessions:

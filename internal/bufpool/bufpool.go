@@ -1,9 +1,11 @@
-// Package bufpool is the one pool of byte buffers behind the hot
-// request path (DESIGN.md §18): the daemon's append-encoded response
-// bodies, the JSON report body wire.ReadReport drains, and the response
-// body a client.Caller reads before decoding or relaying it. A buffer
-// is held for one request and returned before the call that took it
-// returns, so nothing outside may keep a slice of its bytes.
+// Package bufpool owns storage reuse. Get and Put are the one pool of
+// byte buffers behind the hot request path (DESIGN.md §18): the
+// daemon's append-encoded response bodies, the JSON report body
+// wire.ReadReport drains, and the response body a client.Caller reads
+// before decoding or relaying it. A buffer is held for one request and
+// returned before the call that took it returns, so nothing outside may
+// keep a slice of its bytes. FreeList is the one bounded free list of
+// larger workspaces (DESIGN.md §9, §16).
 package bufpool
 
 import (

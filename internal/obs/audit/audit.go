@@ -218,10 +218,11 @@ func (a AnxietyRecord) Model() (anxiety.Model, error) {
 	}
 }
 
-// ConfigRecord is the decision-relevant scheduler configuration.
-// CompactWorkers/CompactChunk are deliberately absent: the parallel
-// compacting fan-out is proven decision-neutral, so replay always runs
-// serially.
+// ConfigRecord is the decision-relevant scheduler configuration, which
+// is all of scheduler.Config but the no-op DisableIncremental. How a
+// decision was computed is not recorded: a pool's parallel compacting
+// fan-out is its worker count, proven decision-neutral, and replay
+// compacts serially.
 type ConfigRecord struct {
 	SlotSec           float64       `json:"slot_sec"`
 	Lambda            float64       `json:"lambda"`

@@ -28,9 +28,10 @@
 // the device routes.
 //
 // A report forward — decode, partition by owner, re-frame, POST, merge
-// — works in one reused workspace (forwardSpace) drawn from the daemon's
-// own free-list type (server.FreeList), so a warm router allocates
-// nothing per forwarded record. The workspace goes back when the
+// — works in one reused workspace (forwardSpace) drawn from a bounded
+// free list (bufpool.FreeList, as the daemon's ingest scratch is), so a
+// warm router allocates nothing per forwarded record. The workspace
+// goes back when the
 // handler returns: after every POST has finished with its body and
 // after the response, which reads the merged rows, is written.
 // TestForwardFramesIdentical holds every frame a shard receives to the

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lpvs/internal/bufpool"
 	"lpvs/internal/client"
 	"lpvs/internal/obs"
 	"lpvs/internal/obs/slo"
@@ -70,10 +71,10 @@ type Router struct {
 	mShardTickDur *obs.HistogramVec
 
 	// forwardFree recycles report-forward workspaces (see forwardSpace)
-	// through the daemon's free-list type, cap included.
-	forwardFree server.FreeList[forwardSpace]
-	// tickFree recycles tick storage (see tickSpace) the same way.
-	tickFree server.FreeList[tickSpace]
+	// and tickFree tick storage (see tickSpace), each bounded as the
+	// daemon's ingest list is (bufpool.RequestWorkspaces).
+	forwardFree *bufpool.FreeList[forwardSpace]
+	tickFree    *bufpool.FreeList[tickSpace]
 
 	mu      sync.Mutex
 	m       *shard.Map
@@ -114,6 +115,9 @@ func New(cfg Config) (*Router, error) {
 		devices:   map[string]string{},
 		decisions: map[string]*decision{},
 		tickSlots: map[string]int{},
+
+		forwardFree: bufpool.NewFreeList[forwardSpace](bufpool.RequestWorkspaces),
+		tickFree:    bufpool.NewFreeList[tickSpace](bufpool.RequestWorkspaces),
 	}
 	rt.ready.Store(true)
 	for _, n := range cfg.Map.Nodes() {

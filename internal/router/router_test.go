@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"lpvs/internal/bayes"
 	"lpvs/internal/client"
@@ -938,4 +939,42 @@ func TestRouterConcurrentTicks(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestTickBodyOwnStorage pins where the router writes a merged tick
+// reply: appended into its tickSpace's body, which the next tick of the
+// same size appends into again — not into a pooled buffer that goes
+// back after each request — and the body written is those bytes. The
+// handler is called directly, so its deferred Put has run when it
+// returns, and ticks run one at a time: the free list's top is the
+// space the last tick used.
+func TestTickBodyOwnStorage(t *testing.T) {
+	_, shardTS := newShard(t, "a", server.Config{})
+	rt, routerTS := newRouter(t, map[string]string{"a": shardTS.URL})
+	var held []byte
+	for tick := 0; tick < 2; tick++ {
+		for i := 0; i < 8; i++ {
+			postJSON(t, routerTS.URL+"/v1/report", report(i, "ch"), nil)
+		}
+		rec := httptest.NewRecorder()
+		rt.handleTick(rec, httptest.NewRequest(http.MethodPost, "/v1/tick", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("tick %d: %d %s", tick, rec.Code, rec.Body.Bytes())
+		}
+		ts := rt.tickFree.Get()
+		if ts == nil {
+			t.Fatalf("tick %d: the tick's space was not put back", tick)
+		}
+		reply := ts.body
+		rt.tickFree.Put(ts)
+		if len(reply) == 0 || !bytes.Equal(rec.Body.Bytes(), reply) {
+			t.Fatalf("tick %d: the reply written (%d B) is not the tick space's body (%d B)", tick, rec.Body.Len(), len(reply))
+		}
+		if tick > 0 && len(reply) <= cap(held) && unsafe.SliceData(reply) != unsafe.SliceData(held) {
+			t.Fatalf("tick %d: a %d B reply was appended into new storage, not the %d B the tick before left",
+				tick, len(reply), cap(held))
+		}
+		t.Logf("tick %d: %d B, cap %d", tick, len(reply), cap(reply))
+		held = reply
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -25,11 +26,13 @@ func scheduleAllocs(t *testing.T, s *Scheduler, reqs []Request) float64 {
 }
 
 // TestColdScheduleAllocsDoNotScaleWithDevices guards the cold solve
-// (Schedule, ScheduleDegraded, audit replay): plans are built
-// into one slab per call and the outcome into two slices, so doubling
-// the cluster adds only the bucket arrays of the two ID-keyed maps
-// Schedule builds at the boundary (16 more allocations from 2,000 to
-// 4,000 devices), nothing per device.
+// (Schedule, ScheduleDegraded, audit replay): plans are built into one
+// slab per call and the outcome into two slices, so doubling the
+// cluster adds only the bucket arrays of the ID-keyed map Schedule
+// builds at the boundary, nothing per device. The pool arm guards the
+// intra-VC fan-out the same way: a four-worker pool compacts a VC of
+// 2,000 or 4,000 devices across four goroutines, which must cost a
+// fixed number of allocations, not one per device or per chunk.
 func TestColdScheduleAllocsDoNotScaleWithDevices(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -38,15 +41,36 @@ func TestColdScheduleAllocsDoNotScaleWithDevices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := Config{Server: server, Lambda: 1.5}
 	big := makeBigCluster(t, 4000, 77)
-	for _, workers := range []int{1, 4} {
-		s := mustScheduler(t, Config{Server: server, Lambda: 1.5, CompactWorkers: workers})
-		small := scheduleAllocs(t, s, big[:2000])
-		large := scheduleAllocs(t, s, big)
-		t.Logf("workers=%d: %.0f allocs at 2,000, %.0f at 4,000", workers, small, large)
-		if large-small >= 40 || large >= 100 {
-			t.Fatalf("workers=%d: cold Schedule allocates %.0f at 2,000 devices and %.0f at 4,000: still scales with devices",
-				workers, small, large)
+	s := mustScheduler(t, cfg)
+	pool, err := NewPool(cfg, PoolConfig{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Schedule reads 33 and 40 on go1.24, the pool 14 at both: it builds
+	// no map, so its bounds are tighter.
+	for _, arm := range []struct {
+		name               string
+		maxSlope, maxLarge float64
+		allocs             func(reqs []Request) float64
+	}{
+		{"Schedule", 40, 100, func(reqs []Request) float64 { return scheduleAllocs(t, s, reqs) }},
+		{"4-worker Pool.Decide", 4, 32, func(reqs []Request) float64 {
+			vcs := []VC{{ID: "vc", Requests: reqs}}
+			return testing.AllocsPerRun(5, func() {
+				if _, err := pool.Decide(vcs); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}},
+	} {
+		small := arm.allocs(big[:2000])
+		large := arm.allocs(big)
+		t.Logf("%s: %.0f allocs at 2,000, %.0f at 4,000", arm.name, small, large)
+		if large-small >= arm.maxSlope || large >= arm.maxLarge {
+			t.Fatalf("%s allocates %.0f at 2,000 devices and %.0f at 4,000: still scales with devices",
+				arm.name, small, large)
 		}
 	}
 }
@@ -55,7 +79,8 @@ func TestColdScheduleAllocsDoNotScaleWithDevices(t *testing.T) {
 // the one edge-10k-cold runs every slot: every known device reports
 // changed content, and every plan is rebuilt into the slab the slot
 // before it grew. What is left is the decision's two slices and the
-// pool's per-tick bookkeeping.
+// pool's per-tick bookkeeping, 8 allocations on go1.24; a pool whose
+// free list kept no scratch would rebuild it every slot, 27.
 func TestChurnedSlotAllocsNoPerDeviceObjects(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -89,8 +114,8 @@ func TestChurnedSlotAllocsNoPerDeviceObjects(t *testing.T) {
 		}
 	})
 	t.Logf("churned slot: %.0f allocs", allocs)
-	if allocs >= 40 {
-		t.Fatalf("a fully churned slot over %d known devices allocates %.0f objects: per-device allocations are back", n, allocs)
+	if allocs >= 16 {
+		t.Fatalf("a fully churned slot over %d known devices allocates %.0f objects: per-device allocations or a per-slot scratch are back", n, allocs)
 	}
 }
 
@@ -245,56 +270,80 @@ func TestPoolScratchBoundedAcrossVCIDs(t *testing.T) {
 }
 
 // TestReusedSlabNeverCorruptsCache drives one slot stream through a
-// first slot, a half-changed slot, an unchanged slot and a slot with
-// one device changed, each solved in the slab and rows the slot before
-// it left: a plan, eligibility entry or swap flag that survived from
-// the previous slot instead of being rebuilt would show. Every slot
-// must equal the cold serial decision byte for byte, Phase-1 search
-// included.
+// first slot, a half-changed slot, an unchanged slot, a slot with one
+// device changed, a grown, a shrunk, a reordered slot and one naming a
+// device twice, each solved in the slab and rows the slot before it
+// left: a plan, eligibility entry or swap flag that survived from the
+// previous slot instead of being rebuilt would show. It runs on a
+// one-worker pool over 48 devices (serial compaction) and on a
+// three-worker pool over 150 (parallel compaction, three chunks, down
+// to two when the stream shrinks). Every slot must equal the cold
+// serial decision byte for byte, Phase-1 search included.
 func TestReusedSlabNeverCorruptsCache(t *testing.T) {
 	server, err := edge.NewServer(6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Server: server, Lambda: 1.5}
-	stream := mustSlotStream(t, cfg)
 	cold := mustScheduler(t, cfg)
-
-	slotA := makeCluster(t, 48, 4242)
-	SortRequests(slotA)
-	slotB := append([]Request(nil), slotA...)
-	for i := 0; i < len(slotB); i += 2 {
-		slotB[i].EnergyFrac = 1 - 0.9*slotB[i].EnergyFrac
-		slotB[i].Gamma = 0.6 - slotB[i].Gamma
-	}
-	slotC := append([]Request(nil), slotB...)
-	slotD := append([]Request(nil), slotC...)
-	slotD[1].EnergyFrac = 1 - 0.9*slotD[1].EnergyFrac
-
-	for _, slot := range []struct {
-		name string
-		reqs []Request
-	}{
-		{"A first", slotA},
-		{"B half-changed", slotB},
-		{"C unchanged", slotC},
-		{"D one changed", slotD},
-	} {
-		got, err := stream.Schedule(slot.reqs)
+	for _, arm := range []struct{ n, workers int }{{48, 1}, {150, 3}} {
+		pool, err := NewPool(cfg, PoolConfig{Workers: arm.workers})
 		if err != nil {
-			t.Fatalf("%s: %v", slot.name, err)
+			t.Fatal(err)
 		}
-		want, err := DecideSerial(cold, []VC{{ID: "vc", Requests: slot.reqs}})
-		if err != nil {
-			t.Fatalf("%s: cold: %v", slot.name, err)
+		n := arm.n
+		fleet := makeCluster(t, n+n/3, 4242)
+		SortRequests(fleet)
+		slotA := fleet[:n:n]
+		slotB := append([]Request(nil), slotA...)
+		for i := 0; i < len(slotB); i += 2 {
+			slotB[i].EnergyFrac = 1 - 0.9*slotB[i].EnergyFrac
+			slotB[i].Gamma = 0.6 - slotB[i].Gamma
 		}
-		ref := want.VCs[0].Decision
-		if !bytes.Equal(got.Canonical(), ref.Canonical()) || !reflect.DeepEqual(got.PerDevice, ref.PerDevice) {
-			t.Fatalf("%s: stream decision diverged from cold DecideSerial:\nstream:\n%s\ncold:\n%s",
-				slot.name, got.Canonical(), ref.Canonical())
-		}
-		if got.Phase1Nodes != ref.Phase1Nodes {
-			t.Fatalf("%s: stream searched %d Phase-1 nodes, cold %d", slot.name, got.Phase1Nodes, ref.Phase1Nodes)
+		slotC := append([]Request(nil), slotB...)
+		slotD := append([]Request(nil), slotC...)
+		slotD[1].EnergyFrac = 1 - 0.9*slotD[1].EnergyFrac
+		grown := append(append([]Request(nil), slotD...), fleet[n:]...)
+		shrunk := append([]Request(nil), grown[:n/2]...)
+		reordered := append([]Request(nil), shrunk...)
+		slices.Reverse(reordered)
+		twice := append([]Request(nil), shrunk...)
+		dup := twice[3]
+		dup.EnergyFrac = 0.02
+		twice = slices.Insert(twice, 5, dup)
+
+		for _, slot := range []struct {
+			name string
+			reqs []Request
+		}{
+			{"A first", slotA},
+			{"B half-changed", slotB},
+			{"C unchanged", slotC},
+			{"D one changed", slotD},
+			{"E grown", grown},
+			{"F shrunk", shrunk},
+			{"G reordered", reordered},
+			{"H device twice", twice},
+		} {
+			name := fmt.Sprintf("%d devices, %d workers, %s", n, arm.workers, slot.name)
+			res, err := pool.Decide([]VC{{ID: "vc", Requests: slot.reqs}})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got := res.Decision()
+			want, err := DecideSerial(cold, []VC{{ID: "vc", Requests: slot.reqs}})
+			if err != nil {
+				t.Fatalf("%s: cold: %v", name, err)
+			}
+			ref := want.VCs[0].Decision
+			if !bytes.Equal(got.Canonical(), ref.Canonical()) || !reflect.DeepEqual(got.PerDevice, ref.PerDevice) ||
+				!reflect.DeepEqual(got.X, ref.X) {
+				t.Fatalf("%s: stream decision diverged from cold DecideSerial:\nstream:\n%s\ncold:\n%s",
+					name, got.Canonical(), ref.Canonical())
+			}
+			if got.Phase1Nodes != ref.Phase1Nodes {
+				t.Fatalf("%s: stream searched %d Phase-1 nodes, cold %d", name, got.Phase1Nodes, ref.Phase1Nodes)
+			}
 		}
 	}
 }

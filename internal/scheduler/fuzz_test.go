@@ -84,11 +84,12 @@ func FuzzPoolDecide(f *testing.F) {
 					reqs = in.Requests
 				}
 			}
-			// The pool path builds no maps; its positional view must say
-			// what the serial reference's maps say, device by device.
+			// The pool path builds no map; its positional view must say
+			// what the serial reference's says, position by position, and
+			// what that reference's map says for each device.
 			ref := serial.VCs[v].Decision
-			if vcd.Decision.Transform != nil || vcd.Decision.Verdicts != nil {
-				t.Fatalf("vc %s: the pool path built the ID-keyed maps", vcd.VC)
+			if vcd.Decision.Transform != nil {
+				t.Fatalf("vc %s: the pool path built the ID-keyed map", vcd.VC)
 			}
 			if len(vcd.Decision.X) != len(reqs) || len(vcd.Decision.PerDevice) != len(reqs) {
 				t.Fatalf("vc %s: positional view covers %d/%d of %d requests",
@@ -96,9 +97,10 @@ func FuzzPoolDecide(f *testing.F) {
 			}
 			for i := range reqs {
 				id := reqs[i].DeviceID
-				if vcd.Decision.X[i] != ref.Transform[id] || vcd.Decision.PerDevice[i] != ref.Verdicts[id] {
-					t.Fatalf("vc %s device %s: pool position %d says %v %+v, serial maps say %v %+v", vcd.VC, id, i,
-						vcd.Decision.X[i], vcd.Decision.PerDevice[i], ref.Transform[id], ref.Verdicts[id])
+				if vcd.Decision.X[i] != ref.X[i] || vcd.Decision.X[i] != ref.Transform[id] ||
+					vcd.Decision.PerDevice[i] != ref.PerDevice[i] {
+					t.Fatalf("vc %s device %s: pool position %d says %v %+v, serial says %v %+v (map %v)", vcd.VC, id, i,
+						vcd.Decision.X[i], vcd.Decision.PerDevice[i], ref.X[i], ref.PerDevice[i], ref.Transform[id])
 				}
 			}
 			plans, err := pool.Scheduler().buildPlans(reqs)

@@ -346,12 +346,16 @@ func TestColdPoolKeepsNoStream(t *testing.T) {
 // some are first sent with one request broken, which every engine must
 // refuse with the cold path's error before the slot is sent again as it
 // should be — so a slab that grows, shrinks or was left half-built by a
-// failed batch always meets the fresh solve.
+// failed batch always meets the fresh solve. A session with bit 2 of
+// streams set starts from 72 devices instead of 10, past the 64-device
+// compaction chunk, so the pool compacts in parallel into the scratch
+// the slot before left, and churn may take it back under one chunk.
 func FuzzIncrementalSchedule(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(4), uint8(1))
 	f.Add(int64(9), uint8(30), uint8(6), uint8(0))
 	f.Add(int64(-3), uint8(100), uint8(5), uint8(2))
 	f.Add(int64(77), uint8(5), uint8(3), uint8(1))
+	f.Add(int64(5), uint8(60), uint8(5), uint8(5))
 
 	f.Fuzz(func(t *testing.T, seed int64, churnPct, slots, streams uint8) {
 		base := fuzzBaseCluster(t)
@@ -368,9 +372,7 @@ func FuzzIncrementalSchedule(f *testing.F) {
 		}
 		stream := mustSlotStream(t, cfg)
 		cold := mustScheduler(t, cfg)
-		wideCfg := cfg
-		wideCfg.CompactChunk = 2 // compact in parallel
-		pool, err := NewPool(wideCfg, PoolConfig{Workers: 3})
+		pool, err := NewPool(cfg, PoolConfig{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +383,11 @@ func FuzzIncrementalSchedule(f *testing.F) {
 			}
 			return pr.Decision(), nil
 		}
-		cur := make([]Request, 10)
+		n := 10
+		if streams&4 != 0 {
+			n = 72
+		}
+		cur := make([]Request, n)
 		for i := range cur {
 			r := base[rng.Intn(len(base))]
 			r.DeviceID = deviceID(i)

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lpvs/internal/bufpool"
 	"lpvs/internal/obs/span"
 )
 
@@ -86,24 +87,25 @@ type PoolConfig struct {
 }
 
 // Pool schedules many virtual clusters per tick across a bounded worker
-// set. Every VC is solved cold, exactly as Schedule solves it; what the
-// pool keeps between ticks is working memory, not decisions — at most
-// one planScratch per worker, on a free list, so a slot reuses the
-// slabs an earlier one grew — and per-VC telemetry. It is safe for
-// concurrent use: every Decide call allocates its own job state, and a
-// scratch — its Phase-1 ilp.Solver included — belongs to one solve at a
-// time.
+// set, and compacts a VC of more than one chunk across the same number
+// of goroutines. Every VC is solved cold, exactly as Schedule solves
+// it; what the pool keeps between ticks is working memory, not
+// decisions — at most one planScratch per worker, on a free list, so a
+// slot reuses the slabs an earlier one grew — and per-VC telemetry. It
+// is safe for concurrent use: every Decide call allocates its own job
+// state, and a scratch — its Phase-1 ilp.Solver included — belongs to
+// one solve at a time.
 type Pool struct {
 	sched   *Scheduler
 	workers int
 
-	// mu guards free and vcstats.
+	// free holds the scratch no solve holds, the warmest on top, so a
+	// one-VC caller reuses a single scratch, and the pool keeps at most
+	// workers of them however many VC IDs it sees.
+	free *bufpool.FreeList[planScratch]
+
+	// mu guards vcstats.
 	mu sync.Mutex
-	// free is the scratch no solve holds, most recently returned last:
-	// a solve takes the last one (or a new one when none is free) and
-	// gives it back, so a one-VC caller reuses a single scratch, and the
-	// pool keeps at most workers of them however many VC IDs it sees.
-	free []*planScratch
 	// vcstats is the per-VC health telemetry (DESIGN.md §13). Pure
 	// observation: nothing here feeds back into scheduling, so decisions
 	// stay byte-identical with or without readers.
@@ -132,9 +134,7 @@ type VCStat struct {
 }
 
 // NewPool builds the sharded engine. The scheduler config is validated
-// exactly as in New; if it does not pin CompactWorkers, the intra-VC
-// compacting fan-out defaults to the pool width so a single huge VC
-// still uses every worker.
+// exactly as in New.
 func NewPool(cfg Config, pc PoolConfig) (*Pool, error) {
 	workers := pc.Workers
 	if workers == 0 {
@@ -143,39 +143,12 @@ func NewPool(cfg Config, pc PoolConfig) (*Pool, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("scheduler: pool workers %d", pc.Workers)
 	}
-	if cfg.CompactWorkers == 0 {
-		cfg.CompactWorkers = workers
-	}
 	s, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Pool{sched: s, workers: workers, vcstats: make(map[string]*VCStat)}, nil
-}
-
-// takeScratch hands a solve the most recently returned scratch, or a
-// new one when every kept scratch is in use.
-func (p *Pool) takeScratch() *planScratch {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.free)
-	if n == 0 {
-		return new(planScratch)
-	}
-	sc := p.free[n-1]
-	p.free = p.free[:n-1]
-	return sc
-}
-
-// putScratch returns a solve's scratch to the free list, or drops it
-// when the list already holds one per worker (concurrent Decide calls
-// can have more in flight).
-func (p *Pool) putScratch(sc *planScratch) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.free) < p.workers {
-		p.free = append(p.free, sc)
-	}
+	return &Pool{sched: s, workers: workers, free: bufpool.NewFreeList[planScratch](workers),
+		vcstats: make(map[string]*VCStat)}, nil
 }
 
 // Scheduler exposes the pool's underlying per-VC scheduler (e.g. for
@@ -298,15 +271,20 @@ func DecideSerial(s *Scheduler, vcs []VC) (*PoolResult, error) {
 }
 
 // solveVC decides one cluster into out, reusing out.Decision's storage,
-// in a scratch it takes from the free list and gives back.
+// in a scratch it takes from the free list (or builds, when every kept
+// one is in use) and gives back; concurrent Decide calls can have more
+// than workers in flight, and the list drops the surplus.
 func (p *Pool) solveVC(ctx context.Context, vc *VC, worker int, out *VCDecision) error {
 	vcCtx, sp := span.Child(ctx, "vc")
 	sp.SetStr("vc", vc.ID)
 	sp.SetInt("worker", worker)
 	start := time.Now()
-	sc := p.takeScratch()
-	err := p.sched.scheduleWith(vcCtx, vc.Requests, sc, nil, &out.Decision)
-	p.putScratch(sc)
+	sc := p.free.Get()
+	if sc == nil {
+		sc = new(planScratch)
+	}
+	err := p.sched.scheduleWith(vcCtx, vc.Requests, sc, p.workers, nil, &out.Decision)
+	p.free.Put(sc)
 	sp.End()
 	if err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -535,40 +536,58 @@ func TestPoolSameSeedDeterministicProperty(t *testing.T) {
 }
 
 // TestParallelCompactingMatchesSerial pins the intra-VC fan-out: a
-// scheduler with many compacting workers and a tiny chunk size must
-// produce bit-identical plans and decisions to the serial compactor.
+// pool of many workers compacts one VC of three chunks in parallel, and
+// its plans and decision must be bit-identical to DecideSerial's serial
+// compactor — the plans and verdicts position by position, the decision
+// byte for byte.
 func TestParallelCompactingMatchesSerial(t *testing.T) {
 	server, err := edge.NewServer(20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reqs := makeCluster(t, 150, 321)
-	serial := mustScheduler(t, Config{Server: server, Lambda: 2})
-	parallel := mustScheduler(t, Config{Server: server, Lambda: 2, CompactWorkers: 8, CompactChunk: 7})
-	ds, err := serial.Schedule(reqs)
+	if len(reqs) <= 2*compactChunk {
+		t.Fatalf("%d devices do not span three compaction chunks", len(reqs))
+	}
+	cfg := Config{Server: server, Lambda: 2}
+	pool, err := NewPool(cfg, PoolConfig{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := parallel.Schedule(reqs)
+	serial := mustScheduler(t, cfg)
+	vcs := []VC{{ID: "vc", Requests: reqs}}
+	dp, err := pool.Decide(vcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(ds.Canonical(), dp.Canonical()) {
+	ds, err := DecideSerial(serial, vcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ds.Canonical(), dp.Canonical()) || !slices.Equal(ds.Decision().PerDevice, dp.Decision().PerDevice) {
 		t.Fatalf("parallel compacting changed the decision:\nserial:\n%s\nparallel:\n%s",
 			ds.Canonical(), dp.Canonical())
 	}
-	// Error reporting is deterministic too: the lowest-index invalid
-	// request wins regardless of which goroutine saw it first.
-	bad := makeCluster(t, 40, 322)
-	bad[3].Gamma = 0
-	bad[17].Gamma = 0
-	_, errS := serial.Schedule(bad)
-	_, errP := parallel.Schedule(bad)
-	if errS == nil || errP == nil {
-		t.Fatal("invalid cluster accepted")
+	var sc planScratch
+	if err := sc.validate(reqs); err != nil {
+		t.Fatal(err)
 	}
-	if errS.Error() != errP.Error() {
-		t.Fatalf("error selection differs: serial %q vs parallel %q", errS, errP)
+	serial.buildPlansInto(reqs, &sc, 8)
+	want, err := serial.buildPlans(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sc.slab, want) {
+		t.Fatal("parallel compacting built different plans from the serial compactor")
+	}
+	// Error reporting is deterministic too: the lowest-index invalid
+	// request wins.
+	bad := []VC{{ID: "vc", Requests: append([]Request(nil), reqs...)}}
+	bad[0].Requests[3].Gamma, bad[0].Requests[100].Gamma = 0, 0
+	_, errP := pool.Decide(bad)
+	_, errS := DecideSerial(serial, bad)
+	if errS == nil || errP == nil || errS.Error() != errP.Error() {
+		t.Fatalf("error selection differs: serial %v vs parallel %v", errS, errP)
 	}
 }
 
@@ -757,21 +776,21 @@ func TestPoolVCStats(t *testing.T) {
 
 // TestConcurrentDecideIntoMatchesSerial has two goroutines decide
 // different VC sets on one Pool at once, each into its own kept result,
-// for several ticks: the free list must never hand one scratch to two
-// solves (the race run checks that), and each result must equal
-// DecideSerial byte for byte.
+// for several ticks, the larger VCs compacted in parallel: the free
+// list must never hand one scratch to two solves (the race run checks
+// that), and each result must equal DecideSerial byte for byte.
 func TestConcurrentDecideIntoMatchesSerial(t *testing.T) {
 	server, err := edge.NewServer(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Server: server, Lambda: 1.5, CompactChunk: 8}
+	cfg := Config{Server: server, Lambda: 1.5}
 	pool, err := NewPool(cfg, PoolConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	serial := mustScheduler(t, cfg)
-	sets := [][]VC{makeVCSet(t, 3, 40, 11), makeVCSet(t, 2, 60, 12)}
+	sets := [][]VC{makeVCSet(t, 3, 40, 11), makeVCSet(t, 2, 2*compactChunk+10, 12)}
 	var wg sync.WaitGroup
 	for g, vcs := range sets {
 		wg.Add(1)

@@ -50,7 +50,7 @@ func canonicalFromMaps(d Decision) []byte {
 }
 
 // viewsAgree checks a boundary decision's two views against each other:
-// both cover the batch, every position says what the maps say for its
+// both cover the batch, every position says what the map says for its
 // device (a device the batch names twice is held to its last position),
 // and the counters match the vector.
 func viewsAgree(t *testing.T, name string, reqs []Request, d Decision) {
@@ -62,8 +62,8 @@ func viewsAgree(t *testing.T, name string, reqs []Request, d Decision) {
 	for i := range reqs {
 		last[reqs[i].DeviceID] = i
 	}
-	if len(d.Transform) != len(last) || len(d.Verdicts) != len(last) {
-		t.Fatalf("%s: maps hold %d/%d devices, batch names %d", name, len(d.Transform), len(d.Verdicts), len(last))
+	if len(d.Transform) != len(last) {
+		t.Fatalf("%s: map holds %d devices, batch names %d", name, len(d.Transform), len(last))
 	}
 	selected, eligible := 0, 0
 	for i := range reqs {
@@ -82,9 +82,6 @@ func viewsAgree(t *testing.T, name string, reqs []Request, d Decision) {
 		}
 		if on, ok := d.Transform[id]; !ok || on != d.X[i] {
 			t.Fatalf("%s: %s: Transform says %v (present %v), position %d says %v", name, id, on, ok, i, d.X[i])
-		}
-		if v, ok := d.Verdicts[id]; !ok || v != d.PerDevice[i] {
-			t.Fatalf("%s: %s: Verdicts says %+v (present %v), position %d says %+v", name, id, v, ok, i, d.PerDevice[i])
 		}
 	}
 	if selected != d.Selected || eligible != d.Eligible {
@@ -166,7 +163,7 @@ func mustGreedyBattery(t *testing.T, cfg Config) Policy {
 // (the daemon's batch is the values of a map keyed by device ID). The
 // decision is positional, so both copies are scheduled, counted and
 // printed — Canonical lists them side by side in batch order, where the
-// map-keyed encoding printed the ID once — and the ID-keyed maps keep
+// map-keyed encoding printed the ID once — and the ID-keyed map keeps
 // the last copy's entry — from the cold path and from a slot stream
 // reusing the slab of a slot without the duplicate alike.
 func TestDuplicateDeviceBatchPrintsEveryPosition(t *testing.T) {
@@ -187,8 +184,8 @@ func TestDuplicateDeviceBatchPrintsEveryPosition(t *testing.T) {
 	if _, err := stream.Schedule(base); err != nil { // grows the slab
 		t.Fatal(err)
 	}
-	// A stream's result is positional only; the library boundary's maps
-	// are built over it the way Schedule builds them.
+	// A stream's result is positional only; the library boundary's map
+	// is built over it the way Schedule builds it.
 	d, err = withMaps(stream.Schedule(reqs))
 	if err != nil {
 		t.Fatal(err)
@@ -203,9 +200,9 @@ func duplicateBatchPinned(t *testing.T, reqs []Request, dupID string, d Decision
 		t.Fatalf("selected=%d eligible=%d over %d positions and %d map entries, want 4/4 over 5 and 4",
 			d.Selected, d.Eligible, len(d.X), len(d.Transform))
 	}
-	if d.Transform[dupID] || d.Verdicts[dupID].Reason != ReasonIneligible {
-		t.Fatalf("maps should keep the last copy of %s (ineligible), have %v %+v",
-			dupID, d.Transform[dupID], d.Verdicts[dupID])
+	if on, ok := d.Transform[dupID]; !ok || on || d.PerDevice[2].Reason != ReasonIneligible {
+		t.Fatalf("the map should keep the last copy of %s (position 2, ineligible), has %v; position 2 says %+v",
+			dupID, on, d.PerDevice[2])
 	}
 	if d.IDOrder() != nil {
 		t.Fatal("adjacent copies of one ID are in ID order; IDOrder sorted anyway")
@@ -338,8 +335,7 @@ func TestDecideIntoReusedResultMatchesFresh(t *testing.T) {
 					t.Fatalf("instance %d %s vc %s: positional view differs from a fresh result's:\n%v %+v\n%v %+v",
 						inst, step.name, ordered[i].ID, got.X, got.PerDevice, ref.X, ref.PerDevice)
 				}
-				if got.Phase1Nodes != ref.Phase1Nodes || got.Degraded != ref.Degraded ||
-					got.Transform != nil || got.Verdicts != nil {
+				if got.Phase1Nodes != ref.Phase1Nodes || got.Degraded != ref.Degraded || got.Transform != nil {
 					t.Fatalf("instance %d %s vc %s: nodes=%d degraded=%+v maps=%v, fresh has %d %+v",
 						inst, step.name, ordered[i].ID, got.Phase1Nodes, got.Degraded,
 						got.Transform != nil, ref.Phase1Nodes, ref.Degraded)
@@ -462,12 +458,8 @@ func TestBuildPlansChunkErrors(t *testing.T) {
 			name     string
 			schedule func([]Request) error
 		}{
-			{"cold, serial compact", func(reqs []Request) error {
+			{"cold", func(reqs []Request) error {
 				_, err := mustScheduler(t, Config{Lambda: 1}).Schedule(reqs)
-				return err
-			}},
-			{"cold, parallel compact", func(reqs []Request) error {
-				_, err := mustScheduler(t, Config{Lambda: 1, CompactWorkers: 3, CompactChunk: 2}).Schedule(reqs)
 				return err
 			}},
 			{"pool stream", func(reqs []Request) error {

@@ -244,16 +244,12 @@ func (d Degradation) Reason() string {
 // daemon reuses its request slice tick to tick, and is done with a
 // decision before the next tick starts).
 type Decision struct {
-	// Transform maps device ID to x_n and Verdicts device ID to the
-	// per-device explanation: X and PerDevice keyed by ID, for callers
-	// that hold IDs rather than positions. They are built only at the
-	// library boundary — Schedule, ScheduleCtx, ScheduleDegraded,
-	// DecideSerial and the baseline policies; Pool.Decide leaves them
-	// nil, because building two maps per tick costs more than the rest
-	// of the tick's bookkeeping together. A device ID the batch names
-	// twice keeps its last position's entry.
+	// Transform maps device ID to x_n: X keyed by ID, for callers that
+	// hold IDs rather than positions. It is built only at the library
+	// boundary — Schedule, ScheduleCtx, ScheduleDegraded, DecideSerial
+	// and the baseline policies; Pool.Decide leaves it nil. A device ID
+	// the batch names twice keeps its last position's entry.
 	Transform map[string]bool
-	Verdicts  map[string]Verdict
 	// X[i] is x_n of the batch's i-th request; PerDevice[i] is that
 	// device's verdict (PerDevice[i].Selected == X[i]). Verdicts are
 	// excluded from Canonical(), which predates them; the audit log
@@ -298,7 +294,10 @@ type Decision struct {
 	Degraded Degradation
 }
 
-// Config parameterises the scheduler.
+// Config parameterises the scheduler: what a decision depends on, and
+// nothing about how it is computed. A Pool compacts a large cluster
+// across as many goroutines as it has workers; a Scheduler's own solves
+// compact serially. Both give the same bytes.
 type Config struct {
 	// SlotSec is the scheduling period.
 	SlotSec float64
@@ -320,26 +319,17 @@ type Config struct {
 	DisableSwap bool
 	// MaxSwapPasses bounds Phase-2 sweeps. Zero means the default (2).
 	MaxSwapPasses int
-	// CompactWorkers bounds the goroutines used for the per-device
-	// information-compacting step (constraint (11) / objective (13)
-	// precomputation). Each device's plan depends only on its own
-	// request, so the fan-out is embarrassingly parallel and bit-for-bit
-	// deterministic. Zero or one means serial.
-	CompactWorkers int
-	// CompactChunk is how many devices one compacting goroutine claims
-	// at a time; clusters at or below one chunk are compacted serially.
-	// Zero means DefaultCompactChunk.
-	CompactChunk int
 	// DisableIncremental does nothing. It switched off the cross-slot
 	// plan cache, which is gone (DESIGN.md §9): every slot is solved
 	// cold. It stays so that configurations that set it still compile.
 	DisableIncremental bool
 }
 
-// DefaultCompactChunk balances fan-out overhead against load balance:
-// chunks of this many devices keep goroutine bookkeeping far below the
-// per-device plan cost while still splitting paper-scale clusters.
-const DefaultCompactChunk = 64
+// compactChunk is how many devices one compacting goroutine claims at
+// a time; a cluster of at most one chunk is compacted serially. Chunks
+// this size keep goroutine bookkeeping far below the per-device plan
+// cost while still splitting paper-scale clusters.
+const compactChunk = 64
 
 // DefaultExactThreshold keeps exact Phase-1 for clusters up to this many
 // devices.
@@ -380,15 +370,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	if cfg.MaxSwapPasses < 0 {
 		return nil, fmt.Errorf("scheduler: negative swap passes")
-	}
-	if cfg.CompactWorkers < 0 {
-		return nil, fmt.Errorf("scheduler: negative compact workers")
-	}
-	if cfg.CompactChunk == 0 {
-		cfg.CompactChunk = DefaultCompactChunk
-	}
-	if cfg.CompactChunk < 0 {
-		return nil, fmt.Errorf("scheduler: negative compact chunk")
 	}
 	return &Scheduler{cfg: cfg}, nil
 }
@@ -630,25 +611,21 @@ func (s *Scheduler) buildPlans(reqs []Request) ([]plan, error) {
 	if err := sc.validate(reqs); err != nil {
 		return nil, err
 	}
-	s.buildPlansInto(reqs, &sc)
+	s.buildPlansInto(reqs, &sc, 1)
 	return sc.slab, nil
 }
 
 // buildPlansInto compacts every request of a validated batch into
-// sc.slab, resized to len(reqs) plans, fanning large clusters out
-// across CompactWorkers goroutines. Request i is compacted into
-// sc.slab[i] and nothing else, so parallel workers write disjoint plans
-// and the parallel path is bit-identical to the serial one: each plan
-// is a pure function of its request.
-func (s *Scheduler) buildPlansInto(reqs []Request, sc *planScratch) {
+// sc.slab, resized to len(reqs) plans, fanning a cluster of more than
+// one chunk out across up to workers goroutines. Request i is compacted
+// into sc.slab[i] and nothing else, so parallel workers write disjoint
+// plans and the parallel path is bit-identical to the serial one: each
+// plan is a pure function of its request.
+func (s *Scheduler) buildPlansInto(reqs []Request, sc *planScratch, workers int) {
 	n := len(reqs)
 	sc.slab = grown(sc.slab, n)
 	build := func(i int) { s.compact(&reqs[i], &sc.slab[i]) }
-	chunk := s.cfg.CompactChunk
-	if chunk <= 0 {
-		chunk = DefaultCompactChunk
-	}
-	if s.cfg.CompactWorkers <= 1 || n <= chunk {
+	if workers <= 1 || n <= compactChunk {
 		for i := 0; i < n; i++ {
 			build(i)
 		}
@@ -656,21 +633,18 @@ func (s *Scheduler) buildPlansInto(reqs []Request, sc *planScratch) {
 	}
 
 	var next atomic.Int64
-	workers := s.cfg.CompactWorkers
-	if max := (n + chunk - 1) / chunk; workers > max {
-		workers = max
-	}
+	workers = min(workers, (n+compactChunk-1)/compactChunk)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				lo := int(next.Add(int64(chunk))) - chunk
+				lo := int(next.Add(compactChunk)) - compactChunk
 				if lo >= n {
 					return
 				}
-				for i := lo; i < min(lo+chunk, n); i++ {
+				for i := lo; i < min(lo+compactChunk, n); i++ {
 					build(i)
 				}
 			}
@@ -730,48 +704,45 @@ func (s *Scheduler) ScheduleDegraded(reqs []Request, deg Degradation) (Decision,
 	return s.scheduleCold(context.Background(), reqs, &deg)
 }
 
-// scheduleCold is the library boundary's solve: stateless, into a
-// decision of its own, with the ID-keyed maps.
+// scheduleCold is the library boundary's solve: stateless and serial,
+// into a decision of its own, with the ID-keyed map.
 func (s *Scheduler) scheduleCold(ctx context.Context, reqs []Request, forced *Degradation) (Decision, error) {
 	var dec Decision
 	var sc planScratch
-	if err := s.scheduleWith(ctx, reqs, &sc, forced, &dec); err != nil {
+	if err := s.scheduleWith(ctx, reqs, &sc, 1, forced, &dec); err != nil {
 		return Decision{}, err
 	}
 	return withMaps(dec, nil)
 }
 
-// withMaps is the one place Decision.Transform and Decision.Verdicts
-// are built: the library boundary wraps its positional result in it.
-// The maps exist because callers outside the daemon's tick (the
-// harness's reference check, the examples, tests) hold device IDs, not
-// batch positions.
+// withMaps is the one place Decision.Transform is built: the library
+// boundary wraps its positional result in it. The map exists because
+// callers outside the daemon's tick (the harness's reference check, the
+// examples, tests) hold device IDs, not batch positions.
 func withMaps(d Decision, err error) (Decision, error) {
 	if err != nil {
 		return d, err
 	}
 	d.Transform = make(map[string]bool, len(d.X))
-	d.Verdicts = make(map[string]Verdict, len(d.X))
 	for i := range d.X {
-		id := d.batch[i].DeviceID
-		d.Transform[id] = d.X[i]
-		d.Verdicts[id] = d.PerDevice[i]
+		d.Transform[d.batch[i].DeviceID] = d.X[i]
 	}
 	return d, nil
 }
 
 // scheduleWith is the scheduling engine: a cold solve of reqs in the
 // working memory sc — a pool worker's, reused slot to slot, or a fresh
-// one — with an optional forced Degradation (audit replay of a degraded
-// tick; disables live deadline checks). Whatever sc held from an
-// earlier call is overwritten before it is read.
+// one — compacting across up to workers goroutines, with an optional
+// forced Degradation (audit replay of a degraded tick; disables live
+// deadline checks). Whatever sc held from an earlier call is
+// overwritten before it is read.
 //
 // The decision is written into dec, positional only, and owns its X and
 // PerDevice: what capacity dec brought for them is reused — every
 // element up to len(reqs) overwritten, the length set exactly — and
 // anything else dec held is gone. Nothing in it aliases sc. On error
 // dec is unspecified.
-func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, sc *planScratch, forced *Degradation, dec *Decision) error {
+func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, sc *planScratch, workers int, forced *Degradation, dec *Decision) error {
 	if len(reqs) == 0 {
 		*dec = Decision{}
 		return nil
@@ -787,7 +758,7 @@ func (s *Scheduler) scheduleWith(ctx context.Context, reqs []Request, sc *planSc
 
 	_, csp := span.Child(ctx, "compact")
 	compactStart := time.Now()
-	s.buildPlansInto(reqs, sc)
+	s.buildPlansInto(reqs, sc, workers)
 	plans := sc.slab
 	compactSec := time.Since(compactStart).Seconds()
 	csp.SetInt("devices", len(reqs))

@@ -43,7 +43,7 @@ var oneSearchRows = map[string]bool{
 type streamTick struct {
 	name    string
 	reqs    []Request
-	cfg     *Config // decided by a scheduler with this config, in the pool's scratch
+	cfg     *Config // decided by a scheduler with this config, in a scratch from the pool's free list
 	expired bool    // decided under an already expired deadline
 }
 
@@ -125,9 +125,12 @@ func streamRows(t *testing.T, pool *Pool, ticks []streamTick, cfg Config) (rows 
 		var dec Decision
 		var err error
 		if tk.cfg != nil {
-			sc := pool.takeScratch()
-			err = mustScheduler(t, tickCfg).scheduleWith(ctx, tk.reqs, sc, nil, &dec)
-			pool.putScratch(sc)
+			sc := pool.free.Get()
+			if sc == nil {
+				t.Fatalf("%s: the pool's free list kept no scratch from the ticks before", tk.name)
+			}
+			err = mustScheduler(t, tickCfg).scheduleWith(ctx, tk.reqs, sc, pool.workers, nil, &dec)
+			pool.free.Put(sc)
 		} else {
 			var res *PoolResult
 			if res, err = pool.DecideCtx(ctx, vcs); err == nil {
@@ -202,8 +205,10 @@ func goldenRow(t *testing.T, row string, serialNodes map[string]int) string {
 // tick, to the recorded parent through every corner a reused scratch
 // meets — a batch that grows, shrinks, names a device twice, fails
 // half-way, is reordered, degrades, or is decided under another
-// configuration — on a one-worker pool and on a three-worker one that
-// compacts in parallel.
+// configuration — on a one-worker pool and on a three-worker one. The
+// 40-device VC is one compaction chunk, compacted serially by both;
+// TestParallelCompactingMatchesSerial covers a VC compacted in
+// parallel.
 func TestStreamCountersParentPinned(t *testing.T) {
 	server, err := edge.NewServer(12)
 	if err != nil {
@@ -212,16 +217,14 @@ func TestStreamCountersParentPinned(t *testing.T) {
 	cfg := Config{Server: server, Lambda: 1.5}
 	got, serialNodes := streamRows(t, mustSlotStream(t, cfg).pool, streamTicks(t, cfg), cfg)
 
-	wideCfg := cfg
-	wideCfg.CompactChunk = 4
-	wide, err := NewPool(wideCfg, PoolConfig{Workers: 3})
+	wide, err := NewPool(cfg, PoolConfig{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wideRows, _ := streamRows(t, wide, streamTicks(t, wideCfg), wideCfg)
+	wideRows, _ := streamRows(t, wide, streamTicks(t, cfg), cfg)
 	for i, row := range wideRows {
 		if row != got[i] {
-			t.Errorf("parallel compaction changed a tick:\n one worker    %s\n three workers %s", got[i], row)
+			t.Errorf("a three-worker pool changed a tick:\n one worker    %s\n three workers %s", got[i], row)
 		}
 	}
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"sync"
 	"time"
 
 	"lpvs/internal/wire"
@@ -32,48 +31,6 @@ const DefaultMaxBatchRecords = 100_000
 type ingestScratch struct {
 	wire    *wire.Scratch
 	results []BatchReportResult
-}
-
-// ingestFreeCap bounds a FreeList: enough workspaces for the handful of
-// binary batches a process decodes at once. A burst beyond it allocates
-// fresh workspaces and drops them to the GC on return.
-const ingestFreeCap = 8
-
-// FreeList is the bounded LIFO of reusable request workspaces behind
-// /v1/report: the daemon's decode scratch and the router's forward
-// workspace (internal/router) are both kept in one. A plain bounded
-// list rather than a sync.Pool: a workspace survives garbage
-// collections, so its intern table and slices are grown once, and a Put
-// is always met by the next Get — a sync.Pool may drop either, which
-// made the daemon's hit-rate telemetry unpinnable under the race
-// detector. The zero value is an empty list, safe for concurrent use.
-type FreeList[T any] struct {
-	mu   sync.Mutex
-	free []*T
-}
-
-// Get checks out the workspace put back last — the warmest — or
-// returns nil when the list is empty and the caller must build one.
-func (f *FreeList[T]) Get() *T {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := len(f.free)
-	if n == 0 {
-		return nil
-	}
-	v := f.free[n-1]
-	f.free[n-1] = nil
-	f.free = f.free[:n-1]
-	return v
-}
-
-// Put returns a workspace; one over the cap is left to the collector.
-func (f *FreeList[T]) Put(v *T) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.free) < ingestFreeCap {
-		f.free = append(f.free, v)
-	}
 }
 
 // getScratch checks a decode workspace out of the ingest free list,

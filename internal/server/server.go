@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"lpvs/internal/bayes"
+	"lpvs/internal/bufpool"
 	"lpvs/internal/display"
 	"lpvs/internal/edge"
 	"lpvs/internal/obs"
@@ -168,7 +169,7 @@ type Server struct {
 	// scratch (decoder + record slices) across requests; the counters
 	// are atomics because ingest happens outside s.mu while /v1/status
 	// and /metrics read them. Byte/record totals are uint64 end to end.
-	ingestFree        FreeList[ingestScratch]
+	ingestFree        *bufpool.FreeList[ingestScratch]
 	ingestPoolGets    atomic.Uint64
 	ingestPoolMisses  atomic.Uint64
 	ingestBytesJSON   atomic.Uint64
@@ -318,6 +319,8 @@ func New(cfg Config) (*Server, error) {
 		prevVC:    make(map[string]scheduler.VCStat),
 		maxBody:   cfg.MaxBodyBytes,
 		shardMap:  cfg.ShardMap,
+
+		ingestFree: bufpool.NewFreeList[ingestScratch](bufpool.RequestWorkspaces),
 	}
 	if s.maxBody == 0 {
 		s.maxBody = DefaultMaxBodyBytes

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"lpvs/internal/obs/audit"
 	"lpvs/internal/scheduler"
@@ -569,4 +570,35 @@ func TestShardReplyDeviceOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkShardReplyDevices(t, s, &tick)
+}
+
+// TestShardReplyOwnStorage pins where a shard's tick reply is written:
+// appended into the server's own s.shardReply, which the next tick of
+// the same size appends into again — not into a pooled buffer that goes
+// back after each request — and the body on the wire is those bytes.
+func TestShardReplyOwnStorage(t *testing.T) {
+	s, ts := shardTestServer(t, Config{ShardMode: true, NodeID: "n1"})
+	var held []byte
+	for tick := 0; tick < 2; tick++ {
+		for i := 0; i < 8; i++ {
+			postJSON(t, ts.URL+"/v1/report", validReport("dev-"+strconv.Itoa(i)), nil)
+		}
+		resp := postJSON(t, ts.URL+"/v1/shard/tick", nil, nil)
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("tick %d: %d %v", tick, resp.StatusCode, err)
+		}
+		s.mu.Lock()
+		reply := s.shardReply
+		s.mu.Unlock()
+		if len(reply) == 0 || !bytes.Equal(body, reply) {
+			t.Fatalf("tick %d: the reply on the wire (%d B) is not the server's shardReply (%d B)", tick, len(body), len(reply))
+		}
+		if tick > 0 && len(reply) <= cap(held) && unsafe.SliceData(reply) != unsafe.SliceData(held) {
+			t.Fatalf("tick %d: a %d B reply was appended into new storage, not the %d B the tick before left",
+				tick, len(reply), cap(held))
+		}
+		t.Logf("tick %d: %d B, cap %d", tick, len(reply), cap(reply))
+		held = reply
+	}
 }
