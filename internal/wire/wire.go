@@ -50,6 +50,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"lpvs/internal/display"
 )
@@ -191,28 +192,31 @@ func appendRecord(dst []byte, r *ReportRequest) []byte {
 }
 
 // AppendSingle frames one report as a KindSingle message, appending to
-// dst (pass a reused buffer for an allocation-free steady state).
+// dst. The frame's exact size is reserved before its first byte, so a
+// fresh dst costs one allocation and a reused one with room none.
 func AppendSingle(dst []byte, r *ReportRequest) ([]byte, error) {
 	if err := encodable(r); err != nil {
 		return dst, err
 	}
+	dst = slices.Grow(dst, headerBytes+4+recordSize(r))
 	dst = appendHeader(dst, KindSingle)
 	return appendRecord(dst, r), nil
 }
 
 // AppendBatch frames a report batch as a KindBatch message, appending
-// to dst. An unencodable report fails the whole batch before any
-// bytes are appended beyond dst's original length.
+// to dst, with the frame's exact size reserved first as AppendSingle
+// does. An unencodable report fails the whole batch before any bytes
+// are appended beyond dst's original length.
 func AppendBatch(dst []byte, reqs []ReportRequest) ([]byte, error) {
 	if len(reqs) > MaxCount {
 		return dst, fmt.Errorf("%w: %d records exceed the %d frame cap", ErrCorrupt, len(reqs), MaxCount)
 	}
-	base := len(dst)
 	for i := range reqs {
 		if err := encodable(&reqs[i]); err != nil {
-			return dst[:base], fmt.Errorf("record %d: %w", i, err)
+			return dst, fmt.Errorf("record %d: %w", i, err)
 		}
 	}
+	dst = slices.Grow(dst, EncodedBatchSize(reqs))
 	dst = appendHeader(dst, KindBatch)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(reqs)))
 	for i := range reqs {
@@ -221,8 +225,8 @@ func AppendBatch(dst []byte, reqs []ReportRequest) ([]byte, error) {
 	return dst, nil
 }
 
-// EncodedBatchSize returns the exact framed size of a batch, for
-// sizing reusable buffers.
+// EncodedBatchSize returns the exact framed size of a batch: the
+// length AppendBatch appends, and so the capacity it reserves.
 func EncodedBatchSize(reqs []ReportRequest) int {
 	n := headerBytes + 4
 	for i := range reqs {

@@ -3,9 +3,12 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+
+	"lpvs/internal/testenv"
 )
 
 func sampleReports() []ReportRequest {
@@ -25,6 +28,91 @@ func sampleReports() []ReportRequest {
 			Width: 2400, Height: 1080, DiagonalInch: 6.7, Brightness: 1,
 			EnergyFrac: 0.99, BatteryCapacityJ: 64_800, BasePowerW: 0.31,
 		},
+	}
+}
+
+// fleetReports returns n distinct reports, the shape of a fleet's slot:
+// both display types over eight channels. At 10,000 records the frame
+// is 720,010 bytes, which append alone would leave in an 884,736-byte
+// array.
+func fleetReports(n int) []ReportRequest {
+	reqs := make([]ReportRequest, n)
+	for i := range reqs {
+		r := sampleReports()[i%3]
+		r.DeviceID = fmt.Sprintf("dev-%05d", i)
+		r.ChannelID = fmt.Sprintf("ch-%03d", i%8)
+		r.EnergyFrac = 0.05 + 0.9*float64(i)/float64(n)
+		reqs[i] = r
+	}
+	return reqs
+}
+
+// TestAppendFrameAllocs holds both encoders to one allocation per
+// fresh frame: each reserves the frame's exact size before its first
+// byte, so a fresh dst is allocated once, with less than one 8 KiB page
+// of slack however large the frame, and a reused dst with room is not
+// allocated at all.
+func TestAppendFrameAllocs(t *testing.T) {
+	reqs := fleetReports(10_000)
+	frame, err := AppendBatch(nil, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) != EncodedBatchSize(reqs) {
+		t.Fatalf("encoded %d bytes, EncodedBatchSize says %d", len(frame), EncodedBatchSize(reqs))
+	}
+	if slack := cap(frame) - len(frame); slack >= 8<<10 {
+		t.Fatalf("a %d-byte frame has a capacity of %d: %d bytes of growth slack", len(frame), cap(frame), slack)
+	}
+	single, err := AppendSingle(nil, &reqs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, tc := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"AppendBatch(nil, 10,000 records)", 1, func() { frame, _ = AppendBatch(nil, reqs) }},
+		{"AppendSingle(nil)", 1, func() { single, _ = AppendSingle(nil, &reqs[1]) }},
+		{"AppendBatch into a reused dst", 0, func() { frame, _ = AppendBatch(frame[:0], reqs) }},
+		{"AppendSingle into a reused dst", 0, func() { single, _ = AppendSingle(single[:0], &reqs[1]) }},
+	} {
+		if got := testing.AllocsPerRun(10, tc.f); got != tc.want {
+			t.Errorf("%s allocates %.0f, want %.0f", tc.name, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkAppendBatch frames a 10,000-record batch into a fresh dst
+// (one allocation of the exact frame) and into a reused one (none).
+func BenchmarkAppendBatch(b *testing.B) {
+	reqs := fleetReports(10_000)
+	for _, bc := range []struct {
+		name   string
+		reused bool
+	}{{"fresh", false}, {"reused", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var dst []byte
+			if bc.reused {
+				dst, _ = AppendBatch(nil, reqs)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(EncodedBatchSize(reqs)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !bc.reused {
+					dst = nil
+				}
+				var err error
+				if dst, err = AppendBatch(dst[:0], reqs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
