@@ -14,7 +14,6 @@ import (
 	"lpvs/internal/obs/history"
 	"lpvs/internal/obs/runtimecollector"
 	"lpvs/internal/obs/slo"
-	"lpvs/internal/scheduler"
 	"lpvs/internal/server"
 	"lpvs/internal/stats"
 	"lpvs/internal/video"
@@ -100,7 +99,7 @@ func TestRenderFramePinned(t *testing.T) {
 		VCLabelBudget: 64,
 		Channels: []server.ChannelSummary{{Channel: "live", Devices: 3, PendingReports: 1,
 			Admitted: 3, Eligible: 2, Selected: 2, TransformedChunks: 60, GammaMean: 0.31, GammaDrift: 0.002}},
-		Streams: []scheduler.VCStat{{Key: "edge", Ticks: 7, DegradedTicks: 1,
+		Streams: []server.StreamStat{{Key: "edge", Ticks: 7, DegradedTicks: 1,
 			LastWallSeconds: 0.00125, LastRequests: 3}},
 	}
 	var out bytes.Buffer

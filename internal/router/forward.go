@@ -139,7 +139,7 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(sb *shardBatch) {
 			defer wg.Done()
-			rt.forwards.Add(uint64(len(sb.reqs)))
+			rt.mForwards.Add(float64(len(sb.reqs)))
 			if sb.c == nil {
 				sb.err = errors.New("no forwarding client for node " + sb.node)
 				return
@@ -165,7 +165,7 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 
 	if !msg.Batch {
 		if sb := batches[0]; sb.err != nil {
-			rt.forwardErrors.Add(1)
+			rt.mForwardErrors.Inc()
 			writeUpstream(w, sb.err)
 		} else {
 			server.WriteJSON(w, http.StatusOK, sb.single)
@@ -175,7 +175,7 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 	rejected := ws.rejected[:0]
 	for _, sb := range batches {
 		if sb.err != nil {
-			rt.forwardErrors.Add(uint64(len(sb.reqs)))
+			rt.mForwardErrors.Add(float64(len(sb.reqs)))
 			for j := range sb.reqs {
 				rejected = append(rejected, server.BatchReportResult{
 					Index:    sb.idx[j],
@@ -327,7 +327,7 @@ func (ow *observeWriter) Write(body []byte) (int, error) {
 // device's real answer. It returns the ID of the node that answered
 // 200, or "" when none did.
 func (rt *Router) relay(w http.ResponseWriter, deviceID, path string, body []byte, out io.Writer) string {
-	rt.proxies.Add(1)
+	rt.mProxies.Inc()
 	var ownerID string
 	var owner *client.Caller
 	rt.mu.Lock()

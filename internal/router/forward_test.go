@@ -334,7 +334,7 @@ func TestForwardFaultRowsAfterReuse(t *testing.T) {
 	held := send(second) // a few KB: the handler has returned and its workspace is free
 	check("third batch, served before the second's answer is read", third, send(third))
 	check("second batch, read after the third was served", second, held)
-	if got := rt.forwardErrors.Load(); got == 0 {
+	if got := rt.mForwardErrors.Value(); got == 0 {
 		t.Fatal("no forward error counted with a shard down")
 	}
 }

@@ -55,15 +55,18 @@ type Router struct {
 	start time.Time
 	ready atomic.Bool
 
-	// Lifetime counters (status + SLO sources; atomics so SLO
-	// evaluation never touches mu).
-	ticks           atomic.Uint64
+	// Lifetime counters. /v1/status and the SLO sources read them with
+	// lock-free loads, so SLO evaluation never touches mu. Each count is
+	// its registry family's handle, except tickShardCalls and
+	// tickShardErrors: they total the per-node families below, so the
+	// SLO reads one number instead of summing series.
 	tickShardCalls  atomic.Uint64
 	tickShardErrors atomic.Uint64
-	forwards        atomic.Uint64
-	forwardErrors   atomic.Uint64
-	proxies         atomic.Uint64
-	reshards        atomic.Uint64
+	mTicks          *obs.Counter
+	mForwards       *obs.Counter
+	mForwardErrors  *obs.Counter
+	mProxies        *obs.Counter
+	mReshards       *obs.Counter
 
 	// Per-node labeled series.
 	mShardTicks   *obs.CounterVec
@@ -143,7 +146,7 @@ func New(cfg Config) (*Router, error) {
 			Description: "Report forwards to shard owners must succeed.",
 			Target:      0.99,
 			Source: func() (float64, float64) {
-				return float64(rt.forwardErrors.Load()), float64(rt.forwards.Load())
+				return rt.mForwardErrors.Value(), rt.mForwards.Value()
 			},
 		},
 	)
@@ -162,17 +165,16 @@ func (rt *Router) registerMetrics() {
 			defer rt.mu.Unlock()
 			return float64(len(rt.m.Nodes()))
 		})
-	rt.reg.CounterFunc("lpvs_router_ticks_total",
-		"Federated ticks fanned out by this router.", func() float64 { return float64(rt.ticks.Load()) })
-	rt.reg.CounterFunc("lpvs_router_reports_forwarded_total",
-		"Device reports forwarded to shard owners.", func() float64 { return float64(rt.forwards.Load()) })
-	rt.reg.CounterFunc("lpvs_router_forward_errors_total",
-		"Report forwards that failed.", func() float64 { return float64(rt.forwardErrors.Load()) })
-	rt.reg.CounterFunc("lpvs_router_proxied_total",
-		"Per-device calls relayed to shards (decision reads answered from the router's table are not).",
-		func() float64 { return float64(rt.proxies.Load()) })
-	rt.reg.CounterFunc("lpvs_router_reshards_total",
-		"Shard-map installs accepted.", func() float64 { return float64(rt.reshards.Load()) })
+	rt.mTicks = rt.reg.Counter("lpvs_router_ticks_total",
+		"Federated ticks fanned out by this router.")
+	rt.mForwards = rt.reg.Counter("lpvs_router_reports_forwarded_total",
+		"Device reports forwarded to shard owners.")
+	rt.mForwardErrors = rt.reg.Counter("lpvs_router_forward_errors_total",
+		"Report forwards that failed.")
+	rt.mProxies = rt.reg.Counter("lpvs_router_proxied_total",
+		"Per-device calls relayed to shards (decision reads answered from the router's table are not).")
+	rt.mReshards = rt.reg.Counter("lpvs_router_reshards_total",
+		"Shard-map installs accepted.")
 	rt.mShardTicks = rt.reg.CounterVec("lpvs_shard_ticks_total",
 		"Shard tick calls, by node.", "node")
 	rt.mShardErrors = rt.reg.CounterVec("lpvs_shard_tick_errors_total",
@@ -296,12 +298,12 @@ func (rt *Router) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		KnownDevices:     known,
 		StartUnixSec:     float64(rt.start.UnixNano()) / 1e9,
 		UptimeMS:         time.Since(rt.start).Milliseconds(),
-		Ticks:            rt.ticks.Load(),
+		Ticks:            uint64(rt.mTicks.Value()),
 		TickShardErrors:  rt.tickShardErrors.Load(),
-		ReportsForwarded: rt.forwards.Load(),
-		ForwardErrors:    rt.forwardErrors.Load(),
-		ProxiedRequests:  rt.proxies.Load(),
-		Reshards:         rt.reshards.Load(),
+		ReportsForwarded: uint64(rt.mForwards.Value()),
+		ForwardErrors:    uint64(rt.mForwardErrors.Value()),
+		ProxiedRequests:  uint64(rt.mProxies.Value()),
+		Reshards:         uint64(rt.mReshards.Value()),
 		Shards:           shards,
 	})
 }
@@ -407,7 +409,7 @@ func (rt *Router) handleMapPost(w http.ResponseWriter, r *http.Request) {
 	moved := rt.movedChannelsLocked(next)
 	rt.m = next
 	rt.callers = nextCallers
-	rt.reshards.Add(1)
+	rt.mReshards.Inc()
 
 	// Push the new map to every member so their epoch guards accept
 	// the next tick without a mismatch round-trip. Push failures are

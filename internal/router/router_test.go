@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -422,12 +423,17 @@ func TestRouterKillOneShard(t *testing.T) {
 
 // Router /v1/status never conflates router and shard state: flat
 // fields are this process only, shard truth lives in the shards
-// sub-objects, and an unreachable shard is reported unreachable.
+// sub-objects, and an unreachable shard is reported unreachable. Its
+// lifetime counts are the registry's: after a tick, forwards that
+// succeed and fail, relayed reads and a reshard, every one equals its
+// family's sample in /metrics.
 func TestRouterStatusHonest(t *testing.T) {
-	_, ts1 := newShard(t, "n1", server.Config{})
+	// Under these node IDs the hash ring gives "ch" to the live member
+	// and "music" and "news" to the dead one.
+	_, ts1 := newShard(t, "n2", server.Config{})
 	ts2 := httptest.NewServer(http.NotFoundHandler())
 	ts2.Close() // dead member
-	_, routerTS := newRouter(t, map[string]string{"n1": ts1.URL, "n2": ts2.URL})
+	rt, routerTS := newRouter(t, map[string]string{"n2": ts1.URL, "n3": ts2.URL})
 
 	// Drive one shard tick directly so the shard's slot advances ahead
 	// of the router's (slot skew must be visible, not papered over).
@@ -450,12 +456,90 @@ func TestRouterStatusHonest(t *testing.T) {
 	for _, sh := range st.Shards {
 		byNode[sh.Node] = sh
 	}
-	if !byNode["n1"].OK || byNode["n1"].Status == nil || byNode["n1"].Status.Slot != 1 {
-		t.Fatalf("live shard row %+v", byNode["n1"])
+	if !byNode["n2"].OK || byNode["n2"].Status == nil || byNode["n2"].Status.Slot != 1 {
+		t.Fatalf("live shard row %+v", byNode["n2"])
 	}
-	if byNode["n2"].OK || byNode["n2"].Error == "" || byNode["n2"].Status != nil {
-		t.Fatalf("dead shard row claims state: %+v", byNode["n2"])
+	if byNode["n3"].OK || byNode["n3"].Error == "" || byNode["n3"].Status != nil {
+		t.Fatalf("dead shard row claims state: %+v", byNode["n3"])
 	}
+
+	// Three reports to the live member and one to the dead one, two
+	// relayed reads, a tick that reaches one of two members, and a
+	// reshard onto the live member alone.
+	owned := map[string]string{}
+	for _, ch := range []string{"ch", "music", "news"} {
+		owned[rt.Map().Owner(ch).ID] = ch
+	}
+	if owned["n2"] == "" || owned["n3"] == "" {
+		t.Fatalf("channel owners %v: the test needs a channel on each member", owned)
+	}
+	live := []server.ReportRequest{report(0, owned["n2"]), report(1, owned["n2"]), report(2, owned["n2"])}
+	if resp := postJSON(t, routerTS.URL+"/v1/report", live, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("live batch: status %d", resp.StatusCode)
+	}
+	if resp := postJSON(t, routerTS.URL+"/v1/report", report(3, owned["n3"]), nil); resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("report to the dead member: status %d, want 502", resp.StatusCode)
+	}
+	for _, path := range []string{"/v1/chunk?index=0&device=", "/v1/explain?device="} {
+		getJSON(t, routerTS.URL+path+live[0].DeviceID, nil)
+	}
+	postJSON(t, routerTS.URL+"/v1/tick", nil, nil)
+	next, err := shard.New([]shard.Node{{ID: "n2", Addr: ts1.URL}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := postJSON(t, routerTS.URL+"/v1/shard/map", next.Spec(), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reshard: status %d", resp.StatusCode)
+	}
+
+	if resp := getJSON(t, routerTS.URL+"/v1/status", &st); resp.StatusCode != 200 {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	text := scrapeText(t, routerTS.URL)
+	for _, c := range []struct {
+		family string
+		status uint64
+		want   uint64
+	}{
+		{"lpvs_router_ticks_total", st.Ticks, 1},
+		{"lpvs_shard_tick_errors_total", st.TickShardErrors, 1},
+		{"lpvs_router_reports_forwarded_total", st.ReportsForwarded, 4},
+		{"lpvs_router_forward_errors_total", st.ForwardErrors, 1},
+		{"lpvs_router_proxied_total", st.ProxiedRequests, 2},
+		{"lpvs_router_reshards_total", st.Reshards, 1},
+	} {
+		if got := familySum(text, c.family); got != float64(c.status) || c.status != c.want {
+			t.Errorf("%s = %v, /v1/status says %d, want %d", c.family, got, c.status, c.want)
+		}
+	}
+}
+
+// scrapeText returns base's /metrics exposition.
+func scrapeText(tb testing.TB, base string) string {
+	tb.Helper()
+	resp := getJSON(tb, base+"/metrics", nil)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return string(body)
+}
+
+// familySum adds up the samples of one counter or gauge family across
+// its series (a per-node family's total).
+func familySum(text, family string) float64 {
+	sum := 0.0
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(line, family)
+		if !ok || rest == "" || (rest[0] != ' ' && rest[0] != '{') {
+			continue
+		}
+		v, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64)
+		if err == nil {
+			sum += v
+		}
+	}
+	return sum
 }
 
 // Reports partition to their channel owners in every codec, batch

@@ -313,7 +313,7 @@ func TestRouterDecisionTableMatchesRelay(t *testing.T) {
 			}
 			f.check(t, step)
 		}
-		if relayed := f.rt.proxies.Load(); relayed == 0 || relayed >= f.calls {
+		if relayed := uint64(f.rt.mProxies.Value()); relayed == 0 || relayed >= f.calls {
 			t.Fatalf("the router relayed %d of %d reads and observations: the sequence must exercise both the table and the relay",
 				relayed, f.calls)
 		}

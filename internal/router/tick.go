@@ -73,7 +73,7 @@ func (rt *Router) handleTick(w http.ResponseWriter, _ *http.Request) {
 		rt.slot++
 	}
 	rt.mu.Unlock()
-	rt.ticks.Add(1)
+	rt.mTicks.Inc()
 
 	merged := &ts.merged
 	mergeTicks(merged, slot, m.Epoch(), nodes, ts.results, ts.errs)

@@ -32,9 +32,7 @@ import (
 // scheduling domain (a Twitch channel's viewers in the paper).
 type VC struct {
 	// ID identifies the cluster; IDs must be unique within one Decide
-	// call and define the deterministic output order. It also keys the
-	// cluster's VCStat row, so a caller that wants one row across ticks
-	// keeps the ID stable.
+	// call and define the deterministic output order.
 	ID string
 	// Requests is the cluster's information-gathering output.
 	Requests []Request
@@ -91,10 +89,9 @@ type PoolConfig struct {
 // of goroutines. Every VC is solved cold, exactly as Schedule solves
 // it; what the pool keeps between ticks is working memory, not
 // decisions — at most one planScratch per worker, on a free list, so a
-// slot reuses the slabs an earlier one grew — and per-VC telemetry. It
-// is safe for concurrent use: every Decide call allocates its own job
-// state, and a scratch — its Phase-1 ilp.Solver included — belongs to
-// one solve at a time.
+// slot reuses the slabs an earlier one grew. It is safe for concurrent
+// use: every Decide call allocates its own job state, and a scratch —
+// its Phase-1 ilp.Solver included — belongs to one solve at a time.
 type Pool struct {
 	sched   *Scheduler
 	workers int
@@ -103,34 +100,6 @@ type Pool struct {
 	// one-VC caller reuses a single scratch, and the pool keeps at most
 	// workers of them however many VC IDs it sees.
 	free *bufpool.FreeList[planScratch]
-
-	// mu guards vcstats.
-	mu sync.Mutex
-	// vcstats is the per-VC health telemetry (DESIGN.md §13). Pure
-	// observation: nothing here feeds back into scheduling, so decisions
-	// stay byte-identical with or without readers.
-	vcstats map[string]*VCStat
-}
-
-// VCStat is the accumulated health of one VC ID across ticks — the
-// per-VC rows behind the daemon's /v1/fleet endpoint and the `lpvsctl
-// top` dashboard.
-type VCStat struct {
-	// Key is the VC ID.
-	Key string `json:"key"`
-	// Ticks counts solved ticks; DegradedTicks those that hit the
-	// scheduling deadline.
-	Ticks         uint64 `json:"ticks"`
-	DegradedTicks uint64 `json:"degraded_ticks"`
-	// WallSecondsTotal accumulates solve wall time; LastWallSeconds is
-	// the most recent tick's.
-	WallSecondsTotal float64 `json:"wall_seconds_total"`
-	LastWallSeconds  float64 `json:"last_wall_seconds"`
-	// LastRequests/LastEligible/LastSelected snapshot the most recent
-	// tick's funnel.
-	LastRequests int `json:"last_requests"`
-	LastEligible int `json:"last_eligible"`
-	LastSelected int `json:"last_selected"`
 }
 
 // NewPool builds the sharded engine. The scheduler config is validated
@@ -147,8 +116,7 @@ func NewPool(cfg Config, pc PoolConfig) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pool{sched: s, workers: workers, free: bufpool.NewFreeList[planScratch](workers),
-		vcstats: make(map[string]*VCStat)}, nil
+	return &Pool{sched: s, workers: workers, free: bufpool.NewFreeList[planScratch](workers)}, nil
 }
 
 // Scheduler exposes the pool's underlying per-VC scheduler (e.g. for
@@ -291,42 +259,7 @@ func (p *Pool) solveVC(ctx context.Context, vc *VC, worker int, out *VCDecision)
 	}
 	out.VC, out.Worker = vc.ID, worker
 	out.WallSeconds = time.Since(start).Seconds()
-	p.recordVC(vc, &out.Decision, out.WallSeconds)
 	return nil
-}
-
-// recordVC folds one solved tick into the VC's health accumulator.
-// Observation only — it runs after the decision is final.
-func (p *Pool) recordVC(vc *VC, dec *Decision, wall float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st, ok := p.vcstats[vc.ID]
-	if !ok {
-		st = &VCStat{Key: vc.ID}
-		p.vcstats[vc.ID] = st
-	}
-	st.Ticks++
-	if dec.Degraded.Any() {
-		st.DegradedTicks++
-	}
-	st.WallSecondsTotal += wall
-	st.LastWallSeconds = wall
-	st.LastRequests = len(vc.Requests)
-	st.LastEligible = dec.Eligible
-	st.LastSelected = dec.Selected
-}
-
-// VCStats snapshots every VC's accumulated health, sorted by VC ID. The returned slice is a copy; mutating it does
-// not touch the pool.
-func (p *Pool) VCStats() []VCStat {
-	p.mu.Lock()
-	out := make([]VCStat, 0, len(p.vcstats))
-	for _, st := range p.vcstats {
-		out = append(out, *st)
-	}
-	p.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
-	return out
 }
 
 // orderVCs returns the VCs sorted by ID (a copy; the caller's slice is

@@ -709,71 +709,6 @@ func TestPoolTimingFields(t *testing.T) {
 	}
 }
 
-// TestPoolVCStats checks the per-VC health accumulator: one row per VC
-// ID, tick counts and funnel snapshots matching the decisions.
-func TestPoolVCStats(t *testing.T) {
-	vcs := makeVCSet(t, 3, 25, 7)
-	pool, err := NewPool(Config{Lambda: 1}, PoolConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const ticks = 4
-	var last *PoolResult
-	for i := 0; i < ticks; i++ {
-		last, err = pool.Decide(vcs)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats := pool.VCStats()
-	if len(stats) != len(vcs) {
-		t.Fatalf("VCStats rows = %d, want %d", len(stats), len(vcs))
-	}
-	for i, st := range stats {
-		if i > 0 && stats[i-1].Key >= st.Key {
-			t.Fatalf("VCStats not key-ordered: %q before %q", stats[i-1].Key, st.Key)
-		}
-		if st.Ticks != ticks {
-			t.Fatalf("stream %s ticks = %d, want %d", st.Key, st.Ticks, ticks)
-		}
-		if st.WallSecondsTotal < st.LastWallSeconds || st.LastWallSeconds < 0 {
-			t.Fatalf("stream %s wall accounting: %+v", st.Key, st)
-		}
-		var dec *VCDecision
-		for j := range last.VCs {
-			if last.VCs[j].VC == st.Key {
-				dec = &last.VCs[j]
-			}
-		}
-		if dec == nil {
-			t.Fatalf("stream %s has no matching decision", st.Key)
-		}
-		if st.LastSelected != dec.Decision.Selected || st.LastEligible != dec.Decision.Eligible {
-			t.Fatalf("stream %s funnel snapshot %+v != decision %+v", st.Key, st, dec.Decision)
-		}
-		if st.LastRequests != 25 {
-			t.Fatalf("stream %s requests = %d", st.Key, st.LastRequests)
-		}
-	}
-	// A new VC ID gets its own row, leaving the others as they were.
-	if _, err := pool.Decide([]VC{{ID: "edge", Requests: vcs[0].Requests}}); err != nil {
-		t.Fatal(err)
-	}
-	rows := pool.VCStats()
-	if len(rows) != len(vcs)+1 {
-		t.Fatalf("VCStats rows after a new ID = %d, want %d", len(rows), len(vcs)+1)
-	}
-	for _, st := range rows {
-		want := uint64(ticks)
-		if st.Key == "edge" {
-			want = 1
-		}
-		if st.Ticks != want {
-			t.Fatalf("row %s ticks = %d, want %d", st.Key, st.Ticks, want)
-		}
-	}
-}
-
 // TestConcurrentDecideIntoMatchesSerial has two goroutines decide
 // different VC sets on one Pool at once, each into its own kept result,
 // for several ticks, the larger VCs compacted in parallel: the free

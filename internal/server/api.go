@@ -26,7 +26,6 @@ package server
 import (
 	"lpvs/internal/obs/history"
 	"lpvs/internal/obs/slo"
-	"lpvs/internal/scheduler"
 	"lpvs/internal/shard"
 	"lpvs/internal/wire"
 )
@@ -285,10 +284,32 @@ type FleetResponse struct {
 	VCLabelBudget int              `json:"vc_label_budget"`
 	SeriesDropped uint64           `json:"series_dropped"`
 	Channels      []ChannelSummary `json:"channels"`
-	// Streams is the scheduler pool's per-VC accumulated health (one
-	// entry per VC ID: "edge" for a standalone daemon's single cluster,
-	// the channel ID for each channel a shard schedules).
-	Streams []scheduler.VCStat `json:"streams"`
+	// Streams is each scheduling stream's accumulated health, in key
+	// order (one entry per VC ID: "edge" for a standalone daemon's
+	// single cluster, the channel ID for each channel a shard
+	// schedules).
+	Streams []StreamStat `json:"streams"`
+}
+
+// StreamStat is the accumulated health of one scheduling stream (VC
+// ID) across the ticks that decided it — the per-stream rows of
+// /v1/fleet and the `lpvsctl top` dashboard.
+type StreamStat struct {
+	// Key is the VC ID.
+	Key string `json:"key"`
+	// Ticks counts decided ticks; DegradedTicks those that hit the
+	// scheduling deadline.
+	Ticks         uint64 `json:"ticks"`
+	DegradedTicks uint64 `json:"degraded_ticks"`
+	// WallSecondsTotal accumulates solve wall time; LastWallSeconds is
+	// the most recent tick's.
+	WallSecondsTotal float64 `json:"wall_seconds_total"`
+	LastWallSeconds  float64 `json:"last_wall_seconds"`
+	// LastRequests/LastEligible/LastSelected snapshot the most recent
+	// tick's funnel.
+	LastRequests int `json:"last_requests"`
+	LastEligible int `json:"last_eligible"`
+	LastSelected int `json:"last_selected"`
 }
 
 // ChannelSummary is one channel's fleet-health row. Devices and

@@ -2,6 +2,8 @@ package server
 
 import (
 	"net/http"
+	"slices"
+	"strings"
 	"time"
 
 	"lpvs/internal/obs"
@@ -10,12 +12,12 @@ import (
 )
 
 // This file implements the daemon's fleet-health telemetry (DESIGN.md
-// §13): per-VC labeled metric series emitted from the scheduler pool
-// (per scheduling stream) and the server (per channel), the /v1/fleet
-// and /v1/slo endpoints, and the /readyz readiness probe. All of it is
-// pure observation — every value is read after the scheduling decision
-// is final, so the differential and audit-replay byte-identity
-// guarantees are untouched.
+// §13): per-VC rows and labeled metric series, per scheduling stream
+// and per channel, folded from each tick's outcome; the /v1/fleet and
+// /v1/slo endpoints; and the /readyz readiness probe. All of it is pure
+// observation — every value is read after the scheduling decision is
+// final, so the differential and audit-replay byte-identity guarantees
+// are untouched.
 
 // DefaultSLOTickLatency is the per-tick wall-time budget backing the
 // tick-latency objective: ticks slower than this count as bad events.
@@ -165,23 +167,40 @@ func (s *Server) fleetTickLocked(byCh fleetFold) {
 			vm.transformedDevices.With(ch).Add(float64(cs.selected))
 		}
 	}
-	// Per-stream series from the pool's accumulated stream health; the
-	// counters are emitted as deltas against the previous emission so
-	// they stay true counters under any number of streams.
-	for _, vs := range s.pool.VCStats() {
-		prev := s.prevVC[vs.Key]
-		vm.ticks.With(vs.Key).Add(float64(vs.Ticks - prev.Ticks))
-		vm.degraded.With(vs.Key).Add(float64(vs.DegradedTicks - prev.DegradedTicks))
-		if vs.Ticks > prev.Ticks {
-			vm.tickDur.With(vs.Key).Observe(vs.LastWallSeconds)
-		}
-		s.prevVC[vs.Key] = vs
+}
+
+// streamTickLocked folds one decided VC into its stream row and its
+// per-stream series. Called with s.mu held, from the publish loop of a
+// tick whose decisions are final: a tick the scheduler refuses folds
+// nothing.
+func (s *Server) streamTickLocked(vc *scheduler.VCDecision) {
+	st := s.streamStats[vc.VC]
+	if st == nil {
+		st = &StreamStat{Key: vc.VC}
+		s.streamStats[vc.VC] = st
+	}
+	dec := &vc.Decision
+	degraded := 0.0
+	if dec.Degraded.Any() {
+		st.DegradedTicks++
+		degraded = 1
+	}
+	st.Ticks++
+	st.WallSecondsTotal += vc.WallSeconds
+	st.LastWallSeconds = vc.WallSeconds
+	st.LastRequests, st.LastEligible, st.LastSelected = len(dec.X), dec.Eligible, dec.Selected
+	if vm := s.metrics.vc; vm != nil {
+		vm.ticks.With(vc.VC).Inc()
+		vm.degraded.With(vc.VC).Add(degraded)
+		vm.tickDur.With(vc.VC).Observe(vc.WallSeconds)
 	}
 }
 
 // newSLOEngine wires the daemon's three objectives to its lifetime
-// counters. Sources read atomics only, so SLO evaluation never touches
-// s.mu (a stuck tick cannot stall the evaluator that would report it).
+// counters: the registry's tick, degraded and shed counters and the
+// tickSlow and admitted atomics. Every source is a lock-free load, so
+// SLO evaluation never touches s.mu (a stuck tick cannot stall the
+// evaluator that would report it).
 func (s *Server) newSLOEngine() (*slo.Engine, error) {
 	lat := s.cfg.SLOTickLatency
 	if lat <= 0 {
@@ -201,7 +220,7 @@ func (s *Server) newSLOEngine() (*slo.Engine, error) {
 			Description: "Scheduling ticks must finish within " + lat.String() + ".",
 			Target:      0.99,
 			Source: func() (float64, float64) {
-				return float64(s.tickSlow.Load()), float64(s.tickTotal.Load())
+				return float64(s.tickSlow.Load()), s.metrics.ticks.Value()
 			},
 		},
 		slo.Objective{
@@ -209,7 +228,7 @@ func (s *Server) newSLOEngine() (*slo.Engine, error) {
 			Description: "Ticks must not degrade to the anytime deadline shortcuts.",
 			Target:      0.99,
 			Source: func() (float64, float64) {
-				return float64(s.degraded.Load()), float64(s.tickTotal.Load())
+				return s.metrics.degraded.Value(), s.metrics.ticks.Value()
 			},
 		},
 		slo.Objective{
@@ -217,7 +236,7 @@ func (s *Server) newSLOEngine() (*slo.Engine, error) {
 			Description: "Heavy requests must be admitted, not shed with 429.",
 			Target:      0.99,
 			Source: func() (float64, float64) {
-				shed := float64(s.shed.Load())
+				shed := s.metrics.shed.Value()
 				return shed, shed + float64(s.admitted.Load())
 			},
 		},
@@ -241,8 +260,12 @@ func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
 		VCLabelBudget: s.cfg.VCLabelBudget,
 		SeriesDropped: s.metrics.reg.DroppedSeries(),
 		Channels:      make([]ChannelSummary, 0, len(s.fleet)),
-		Streams:       s.pool.VCStats(),
+		Streams:       make([]StreamStat, 0, len(s.streamStats)),
 	}
+	for _, st := range s.streamStats {
+		resp.Streams = append(resp.Streams, *st)
+	}
+	slices.SortFunc(resp.Streams, func(a, b StreamStat) int { return strings.Compare(a.Key, b.Key) })
 	// Device and pending-report counts come from the live tables so the
 	// fleet view is current between ticks; the rest is per-last-tick.
 	devices := map[string]int{}
@@ -276,15 +299,6 @@ func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
 			})
 		}
 	}
-	sortChannels(resp.Channels)
+	slices.SortFunc(resp.Channels, func(a, b ChannelSummary) int { return strings.Compare(a.Channel, b.Channel) })
 	WriteJSON(w, http.StatusOK, resp)
-}
-
-// sortChannels orders fleet rows by channel ID for a stable wire form.
-func sortChannels(chs []ChannelSummary) {
-	for i := 1; i < len(chs); i++ {
-		for j := i; j > 0 && chs[j].Channel < chs[j-1].Channel; j-- {
-			chs[j], chs[j-1] = chs[j-1], chs[j]
-		}
-	}
 }

@@ -69,6 +69,48 @@ func metricValue(tb testing.TB, text, series string) float64 {
 	return 0
 }
 
+// statusCount is one lifetime count /v1/status reports, with the
+// /metrics sample of the family that keeps it.
+type statusCount struct {
+	series string
+	status float64
+}
+
+func statusCounters(st *StatusResponse) []statusCount {
+	return []statusCount{
+		{"lpvs_shed_total", float64(st.ShedRequests)},
+		{"lpvs_sched_degraded_total", float64(st.DegradedTicks)},
+		{"lpvs_snapshot_writes_total", float64(st.SnapshotWrites)},
+		{"lpvs_snapshot_errors_total", float64(st.SnapshotErrors)},
+		{"lpvs_snapshot_last_success_unix_seconds", float64(st.SnapshotLastUnixSec)},
+		{"lpvs_snapshot_size_bytes", float64(st.SnapshotLastBytes)},
+		{`lpvs_ingest_bytes_total{codec="json"}`, float64(st.IngestBytesJSON)},
+		{`lpvs_ingest_bytes_total{codec="binary"}`, float64(st.IngestBytesBinary)},
+		{`lpvs_ingest_records_total{codec="json"}`, float64(st.IngestRecordsJSON)},
+		{`lpvs_ingest_records_total{codec="binary"}`, float64(st.IngestRecordsBinary)},
+		{"lpvs_ingest_pool_gets_total", float64(st.IngestPoolGets)},
+		{"lpvs_ingest_pool_misses_total", float64(st.IngestPoolMisses)},
+		{"lpvs_shard_ticks_total", float64(st.ShardTicks)},
+		{"lpvs_shard_vcs_decided_total", float64(st.ShardVCsDecided)},
+	}
+}
+
+// checkStatusMatchesMetrics reads /v1/status and then /metrics, with
+// nothing running in between, and fails unless every status count
+// equals its family's sample. It returns the status it read.
+func checkStatusMatchesMetrics(tb testing.TB, url string) StatusResponse {
+	tb.Helper()
+	var st StatusResponse
+	getJSON(tb, url+"/v1/status", &st)
+	text := scrape(tb, url)
+	for _, c := range statusCounters(&st) {
+		if got := metricValue(tb, text, c.series); got != c.status {
+			tb.Errorf("%s = %v, /v1/status says %v", c.series, got, c.status)
+		}
+	}
+	return st
+}
+
 func reportOn(id, channel string) ReportRequest {
 	r := validReport(id)
 	r.ChannelID = channel
@@ -138,6 +180,81 @@ func TestFleetEndpointMatchesRegistry(t *testing.T) {
 	}
 	if got := metricValue(t, text, "lpvs_series_dropped_total"); got != float64(fleet.SeriesDropped) {
 		t.Errorf("lpvs_series_dropped_total = %v, fleet says %d", got, fleet.SeriesDropped)
+	}
+}
+
+// TestFleetStreamStats: a shard tick folds one stream row per channel
+// it decided, from that VC's decision. Three channels tick four times,
+// then a tick in which only a fourth channel reports adds a row and
+// leaves the others as they were: rows in key order, ticks 4/4/4/1,
+// each row's funnel that of the VC's last decision, and the per-stream
+// series equal to the rows.
+func TestFleetStreamStats(t *testing.T) {
+	_, ts := shardTestServer(t, Config{
+		ShardMode:     true,
+		NodeID:        "n1",
+		VCLabelBudget: 64,
+		ExtraStreams: []*video.Video{
+			extraStream(t, "music"), extraStream(t, "news"), extraStream(t, "talk"),
+		},
+	})
+	last := map[string]ShardVCDecision{}
+	tick := func(audience map[string]int) {
+		t.Helper()
+		for ch, n := range audience {
+			for i := 0; i < n; i++ {
+				rep := reportOn(fmt.Sprintf("%s-%d", ch, i), ch)
+				rep.EnergyFrac = 0.2 + 0.1*float64(i)
+				if resp := postJSON(t, ts.URL+"/v1/report", rep, nil); resp.StatusCode != 200 {
+					t.Fatalf("report: %d", resp.StatusCode)
+				}
+			}
+		}
+		var out ShardTickResponse
+		if resp := postJSON(t, ts.URL+"/v1/shard/tick", ShardTickRequest{Node: "n1"}, &out); resp.StatusCode != 200 {
+			t.Fatalf("shard tick: %d", resp.StatusCode)
+		}
+		for _, vc := range out.VCs {
+			last[vc.VC] = vc
+		}
+	}
+	for i := 0; i < 4; i++ {
+		tick(map[string]int{"ch": 3, "music": 5, "news": 7})
+	}
+	tick(map[string]int{"talk": 2})
+
+	var fleet FleetResponse
+	if resp := getJSON(t, ts.URL+"/v1/fleet", &fleet); resp.StatusCode != 200 {
+		t.Fatalf("fleet: %d", resp.StatusCode)
+	}
+	keys := []string{"ch", "music", "news", "talk"}
+	ticks := []uint64{4, 4, 4, 1}
+	if len(fleet.Streams) != len(keys) {
+		t.Fatalf("streams = %+v, want one per channel", fleet.Streams)
+	}
+	text := scrape(t, ts.URL)
+	for i, st := range fleet.Streams {
+		if st.Key != keys[i] || st.Ticks != ticks[i] || st.DegradedTicks != 0 {
+			t.Fatalf("stream %d = %+v, want key %s with %d ticks", i, st, keys[i], ticks[i])
+		}
+		dec := last[st.Key]
+		if st.LastRequests != dec.Reports || st.LastEligible != dec.Eligible || st.LastSelected != dec.Selected {
+			t.Fatalf("stream %s funnel %+v != its last decision %+v", st.Key, st, dec)
+		}
+		if st.LastWallSeconds != dec.WallSec || st.WallSecondsTotal < st.LastWallSeconds || st.LastWallSeconds < 0 {
+			t.Fatalf("stream %s wall accounting %+v, last decision %v s", st.Key, st, dec.WallSec)
+		}
+		label := fmt.Sprintf("{vc=%q}", st.Key)
+		for series, want := range map[string]float64{
+			"lpvs_vc_ticks_total" + label:          float64(st.Ticks),
+			"lpvs_vc_degraded_ticks_total" + label: float64(st.DegradedTicks),
+			"lpvs_vc_tick_seconds_count" + label:   float64(st.Ticks),
+			"lpvs_vc_tick_seconds_sum" + label:     st.WallSecondsTotal,
+		} {
+			if got := metricValue(t, text, series); got != want {
+				t.Errorf("%s = %v, stream row says %v", series, got, want)
+			}
+		}
 	}
 }
 

@@ -46,8 +46,8 @@ func (s *Server) newFlightRecorder() error {
 
 // flightMeta captures the daemon's durable-state health for bundle
 // metadata: which restore path boot took and how snapshotting is
-// doing. Reads only atomics and boot-time strings, so it is safe from
-// any capture site.
+// doing. Reads only registry counters and boot-time strings, so it is
+// safe from any capture site.
 func (s *Server) flightMeta() map[string]string {
 	m := map[string]string{}
 	if s.restorePath != "" {
@@ -56,9 +56,10 @@ func (s *Server) flightMeta() map[string]string {
 	}
 	if path := s.SnapshotPath(); path != "" {
 		m["snapshot_path"] = path
-		m["snapshot_writes"] = strconv.FormatUint(s.snapWrites.Load(), 10)
-		m["snapshot_errors"] = strconv.FormatUint(s.snapErrors.Load(), 10)
-		m["snapshot_last_unix_sec"] = strconv.FormatInt(s.snapLastUnix.Load(), 10)
+		sm := s.metrics
+		m["snapshot_writes"] = strconv.FormatUint(uint64(sm.snapWrites.Value()), 10)
+		m["snapshot_errors"] = strconv.FormatUint(uint64(sm.snapErrors.Value()), 10)
+		m["snapshot_last_unix_sec"] = strconv.FormatInt(int64(sm.snapLastUnix.Value()), 10)
 	}
 	return m
 }

@@ -37,28 +37,25 @@ type ingestScratch struct {
 // counting gets and misses for the lpvs_ingest_pool_* hit-rate
 // telemetry.
 func (s *Server) getScratch() *ingestScratch {
-	s.ingestPoolGets.Add(1)
+	s.metrics.ingestPoolGets.Inc()
 	sc := s.ingestFree.Get()
 	if sc == nil {
-		s.ingestPoolMisses.Add(1)
+		s.metrics.ingestPoolMisses.Inc()
 		sc = &ingestScratch{wire: wire.NewScratch()}
 	}
 	return sc
 }
 
-// noteIngest records one decoded report message in the codec-split
-// counters (metric families and the uint64 status mirrors).
+// noteIngest records one decoded report message in its codec's
+// lpvs_ingest_* series.
 func (s *Server) noteIngest(msg *wire.Message, decodeSec float64) {
-	codec, bytes, records := "json", &s.ingestBytesJSON, &s.ingestRecordsJSON
+	c := &s.metrics.ingestJSON
 	if msg.Binary {
-		codec, bytes, records = "binary", &s.ingestBytesWire, &s.ingestRecordsWire
+		c = &s.metrics.ingestWire
 	}
-	bytes.Add(uint64(msg.Bytes))
-	records.Add(uint64(len(msg.Reports)))
-	m := s.metrics
-	m.ingestBytes.With(codec).Add(float64(msg.Bytes))
-	m.ingestRecords.With(codec).Add(float64(len(msg.Reports)))
-	m.ingestDecode.With(codec).Observe(decodeSec)
+	c.bytes.Add(float64(msg.Bytes))
+	c.records.Add(float64(len(msg.Reports)))
+	c.decode.Observe(decodeSec)
 }
 
 // maxBatchRecords resolves the configured per-batch record cap

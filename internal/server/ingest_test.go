@@ -357,8 +357,8 @@ func TestMixedCodecIngestRace(t *testing.T) {
 
 // TestIngestMetricsConformance is the conformance-golden entry for the
 // lpvs_ingest_* families: names, HELP/TYPE lines and the codec label
-// split are pinned against the text exposition, and the uint64 status
-// mirrors must agree with the counters.
+// split are pinned against the text exposition, and the ingest fields
+// of /v1/status must equal the families' samples.
 func TestIngestMetricsConformance(t *testing.T) {
 	_, ts := testServer(t, -1)
 	single := validReport("dev-json")
@@ -414,6 +414,7 @@ func TestIngestMetricsConformance(t *testing.T) {
 	if st.IngestPoolHitRate != 0.5 {
 		t.Fatalf("pool hit rate %v", st.IngestPoolHitRate)
 	}
+	checkStatusMatchesMetrics(t, ts.URL)
 }
 
 // TestJSONDefaultUntouched pins the compatibility contract: absent the

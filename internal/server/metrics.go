@@ -7,11 +7,11 @@ import (
 )
 
 // serverMetrics holds the daemon's typed metric handles, registered on
-// one obs.Registry. The legacy hand-rolled lpvs_* names from the first
-// daemon iteration are preserved verbatim (lpvs_slot, lpvs_devices,
-// lpvs_pending_reports, lpvs_last_selected, lpvs_gamma_mean and the
-// *_total counters) so existing scrapers keep working; everything else
-// is new.
+// one obs.Registry. Every lifetime count the daemon keeps is one of
+// these handles: /v1/status, the SLO sources and the flight recorder's
+// metadata read it with Value(), a lock-free atomic load, so no count
+// is kept twice. Gauges that mirror state guarded by s.mu (slot, device
+// count, pending reports, gamma mean) are scrape-time functions.
 type serverMetrics struct {
 	reg  *obs.Registry
 	http *obs.HTTPMetrics
@@ -41,17 +41,25 @@ type serverMetrics struct {
 	shed      *obs.Counter
 	shedRoute *obs.CounterVec
 
-	// Durable-state telemetry (DESIGN.md §14); the lpvs_snapshot_*
-	// counter/gauge funcs read the server's atomics directly.
-	snapRestore *obs.CounterVec
-	panics      *obs.Counter
+	// Durable-state telemetry (DESIGN.md §14), written by SaveSnapshot
+	// from a background loop.
+	snapRestore   *obs.CounterVec
+	snapWrites    *obs.Counter
+	snapErrors    *obs.Counter
+	snapLastUnix  *obs.Gauge
+	snapLastBytes *obs.Gauge
+	panics        *obs.Counter
 
-	// Report-ingest telemetry (DESIGN.md §16), split by codec
-	// ("json" | "binary"); the pool counters are CounterFuncs over the
-	// server's atomics.
-	ingestBytes   *obs.CounterVec
-	ingestRecords *obs.CounterVec
-	ingestDecode  *obs.HistogramVec
+	// Report-ingest telemetry (DESIGN.md §16): each codec's series of
+	// the lpvs_ingest_* families, resolved once here, and the decode
+	// free list's checkouts.
+	ingestJSON, ingestWire           ingestCodec
+	ingestPoolGets, ingestPoolMisses *obs.Counter
+
+	// Shard-federation telemetry (DESIGN.md §17), registered in every
+	// personality (zero outside shard mode), so dashboards need no
+	// per-mode metric discovery.
+	shardTicks, shardVCsDecided *obs.Counter
 
 	// Per-VC fleet telemetry (DESIGN.md §13); nil when
 	// Config.VCLabelBudget is 0.
@@ -61,6 +69,12 @@ type serverMetrics struct {
 	gammaSigmaMean  *obs.Gauge
 	gammaDrift      *obs.Gauge
 	gammaSigmaDrift *obs.Gauge
+}
+
+// ingestCodec is one codec's ingest series.
+type ingestCodec struct {
+	bytes, records *obs.Counter
+	decode         *obs.Histogram
 }
 
 // newServerMetrics registers every daemon metric on a fresh registry.
@@ -113,13 +127,24 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 		snapRestore: reg.CounterVec("lpvs_snapshot_restore_total",
 			"Boot-time durable-state recoveries, by path taken (snapshot, audit, cold).", "path"),
+		snapWrites: reg.Counter("lpvs_snapshot_writes_total",
+			"Durable-state snapshots written successfully."),
+		snapErrors: reg.Counter("lpvs_snapshot_errors_total",
+			"Snapshot writes that failed."),
+		snapLastUnix: reg.Gauge("lpvs_snapshot_last_success_unix_seconds",
+			"Wall-clock time of the last successful snapshot write (0 = none yet)."),
+		snapLastBytes: reg.Gauge("lpvs_snapshot_size_bytes",
+			"Size of the last successfully written snapshot."),
 
-		ingestBytes: reg.CounterVec("lpvs_ingest_bytes_total",
-			"Report request-body bytes ingested on POST /v1/report, by codec.", "codec"),
-		ingestRecords: reg.CounterVec("lpvs_ingest_records_total",
-			"Device report records decoded on POST /v1/report, by codec.", "codec"),
-		ingestDecode: reg.HistogramVec("lpvs_ingest_decode_seconds",
-			"Report request-body decode time, by codec.", obs.ExpBuckets(1e-6, 4, 12), "codec"),
+		ingestPoolGets: reg.Counter("lpvs_ingest_pool_gets_total",
+			"Decode-scratch checkouts from the ingest pool."),
+		ingestPoolMisses: reg.Counter("lpvs_ingest_pool_misses_total",
+			"Decode-scratch checkouts that had to allocate a fresh workspace."),
+
+		shardTicks: reg.Counter("lpvs_shard_ticks_total",
+			"Federated shard ticks served on POST /v1/shard/tick."),
+		shardVCsDecided: reg.Counter("lpvs_shard_vcs_decided_total",
+			"Channel VCs decided across federated shard ticks."),
 
 		gammaSigmaMean: reg.Gauge("lpvs_gamma_sigma_mean",
 			"Mean posterior standard deviation of the per-device gamma estimators at the last tick."),
@@ -128,6 +153,17 @@ func newServerMetrics(s *Server) *serverMetrics {
 		gammaSigmaDrift: reg.Gauge("lpvs_gamma_sigma_drift",
 			"Absolute change of the mean posterior sigma between the last two ticks."),
 	}
+
+	ingestBytes := reg.CounterVec("lpvs_ingest_bytes_total",
+		"Report request-body bytes ingested on POST /v1/report, by codec.", "codec")
+	ingestRecords := reg.CounterVec("lpvs_ingest_records_total",
+		"Device report records decoded on POST /v1/report, by codec.", "codec")
+	ingestDecode := reg.HistogramVec("lpvs_ingest_decode_seconds",
+		"Report request-body decode time, by codec.", obs.ExpBuckets(1e-6, 4, 12), "codec")
+	codec := func(name string) ingestCodec {
+		return ingestCodec{ingestBytes.With(name), ingestRecords.With(name), ingestDecode.With(name)}
+	}
+	m.ingestJSON, m.ingestWire = codec("json"), codec("binary")
 
 	if s.cfg.VCLabelBudget != 0 {
 		m.vc = newVCMetrics(reg)
@@ -195,19 +231,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			}
 			return float64(n)
 		})
-	// Ingest-pool telemetry (DESIGN.md §16): atomic-backed so a scrape
-	// never contends with the report hot path.
-	reg.CounterFunc("lpvs_ingest_pool_gets_total",
-		"Decode-scratch checkouts from the ingest pool.", func() float64 {
-			return float64(s.ingestPoolGets.Load())
-		})
-	reg.CounterFunc("lpvs_ingest_pool_misses_total",
-		"Decode-scratch checkouts that had to allocate a fresh workspace.", func() float64 {
-			return float64(s.ingestPoolMisses.Load())
-		})
-	// Shard-federation telemetry (DESIGN.md §17): atomic-backed and
-	// registered in every personality (zero outside shard mode), so
-	// dashboards need no per-mode metric discovery.
 	reg.GaugeFunc("lpvs_shard_mode",
 		"1 when the node-to-node /v1/shard/* surface is enabled.", func() float64 {
 			if s.cfg.ShardMode {
@@ -215,39 +238,13 @@ func newServerMetrics(s *Server) *serverMetrics {
 			}
 			return 0
 		})
-	reg.CounterFunc("lpvs_shard_ticks_total",
-		"Federated shard ticks served on POST /v1/shard/tick.", func() float64 {
-			return float64(s.shardTicks.Load())
-		})
-	reg.CounterFunc("lpvs_shard_vcs_decided_total",
-		"Channel VCs decided across federated shard ticks.", func() float64 {
-			return float64(s.shardVCsDecided.Load())
-		})
-	// Durable-state telemetry (DESIGN.md §14): all atomic-backed, so
-	// scrapes never contend with the background snapshot loop.
-	reg.CounterFunc("lpvs_snapshot_writes_total",
-		"Durable-state snapshots written successfully.", func() float64 {
-			return float64(s.snapWrites.Load())
-		})
-	reg.CounterFunc("lpvs_snapshot_errors_total",
-		"Snapshot writes that failed.", func() float64 {
-			return float64(s.snapErrors.Load())
-		})
-	reg.GaugeFunc("lpvs_snapshot_last_success_unix_seconds",
-		"Wall-clock time of the last successful snapshot write (0 = none yet).", func() float64 {
-			return float64(s.snapLastUnix.Load())
-		})
-	reg.GaugeFunc("lpvs_snapshot_size_bytes",
-		"Size of the last successfully written snapshot.", func() float64 {
-			return float64(s.snapLastBytes.Load())
-		})
 	reg.GaugeFunc("lpvs_snapshot_age_seconds",
 		"Seconds since the last successful snapshot write (0 = none yet).", func() float64 {
-			last := s.snapLastUnix.Load()
+			last := m.snapLastUnix.Value()
 			if last == 0 {
 				return 0
 			}
-			age := time.Since(time.Unix(last, 0)).Seconds()
+			age := time.Since(time.Unix(int64(last), 0)).Seconds()
 			if age < 0 {
 				return 0
 			}
@@ -301,9 +298,8 @@ func (s *Server) observeTick(stats TickStats, gammaMean, sigmaMean float64) {
 	if stats.Degraded {
 		m.degraded.Inc()
 	}
-	// SLO sources (fleet.go): lifetime tick counters, kept as atomics so
-	// burn-rate evaluation reads them without s.mu.
-	s.tickTotal.Add(1)
+	// The tick-latency SLO's bad events (fleet.go), counted after
+	// m.ticks so a source never reads more bad ticks than ticks.
 	if stats.DurationSec > s.sloLatency.Seconds() {
 		s.tickSlow.Add(1)
 	}

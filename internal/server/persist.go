@@ -52,14 +52,15 @@ func (s *Server) SaveSnapshot() error {
 	if err == nil {
 		err = persist.WriteFileAtomic(path, data)
 	}
+	m := s.metrics
 	if err != nil {
-		s.snapErrors.Add(1)
+		m.snapErrors.Inc()
 		s.log.Error("snapshot write failed", "path", path, "err", err)
 		return err
 	}
-	s.snapWrites.Add(1)
-	s.snapLastUnix.Store(time.Now().Unix())
-	s.snapLastBytes.Store(int64(len(data)))
+	m.snapWrites.Inc()
+	m.snapLastUnix.Set(float64(time.Now().Unix()))
+	m.snapLastBytes.Set(float64(len(data)))
 	s.log.Debug("snapshot written",
 		"path", path, "bytes", len(data), "slot", snap.Slot,
 		"devices", len(snap.Devices), "pending", len(snap.Pending))

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"lpvs/internal/obs/audit"
 	"lpvs/internal/persist"
@@ -381,10 +382,21 @@ func TestCorruptSnapshotFallsBackToCold(t *testing.T) {
 }
 
 // TestSnapshotStatusAndMetrics: SaveSnapshot is visible in /v1/status
-// and the lpvs_snapshot_* metric families.
+// and the lpvs_snapshot_* metric families, and every lifetime count
+// /v1/status reports is its family's sample in /metrics. The daemon
+// drives one of each event: a standalone tick, a JSON and a binary
+// report, a snapshot write, a shard tick and a shed request. Under the
+// 1 ns deadline both ticks degrade, so the degraded (2) and shed (1)
+// counts differ, and a status field that read the other's counter
+// would show.
 func TestSnapshotStatusAndMetrics(t *testing.T) {
 	snapDir := t.TempDir()
-	s, ts := persistServer(t, func(c *Config) { c.SnapshotDir = snapDir })
+	s, ts := persistServer(t, func(c *Config) {
+		c.SnapshotDir = snapDir
+		c.ShardMode, c.NodeID = true, "n1"
+		c.SchedDeadline = time.Nanosecond
+		c.MaxInflight = 1
+	})
 	defer s.Close()
 	defer ts.Close()
 	driveSlots(t, ts.URL, 5, 0, 1)
@@ -416,6 +428,28 @@ func TestSnapshotStatusAndMetrics(t *testing.T) {
 	}
 	if v := metricValue(t, text, "lpvs_snapshot_last_success_unix_seconds"); v <= 0 {
 		t.Fatalf("lpvs_snapshot_last_success_unix_seconds = %v", v)
+	}
+
+	wireReport := scriptReport(0, 1)
+	if resp := postWire(t, ts.URL, encodeBatch(t, []ReportRequest{wireReport}), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("binary report: status %d", resp.StatusCode)
+	}
+	if resp := postJSON(t, ts.URL+"/v1/shard/tick", ShardTickRequest{Node: "n1"}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("shard tick: status %d", resp.StatusCode)
+	}
+	if !s.gate.tryAcquire() {
+		t.Fatal("could not fill the gate")
+	}
+	resp := postJSON(t, ts.URL+"/v1/report", scriptReport(1, 1), nil)
+	s.gate.release()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("report through a full gate: status %d, want 429", resp.StatusCode)
+	}
+
+	st = checkStatusMatchesMetrics(t, ts.URL)
+	if st.ShedRequests != 1 || st.DegradedTicks != 2 || st.ShardTicks != 1 || st.ShardVCsDecided != 1 ||
+		st.IngestRecordsJSON != 5 || st.IngestRecordsBinary != 1 || st.IngestPoolGets == 0 {
+		t.Fatalf("status counts %+v, want 1 shed, 2 degraded, 1 shard tick of 1 VC, 5 JSON and 1 binary record", st)
 	}
 }
 

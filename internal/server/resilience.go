@@ -59,7 +59,6 @@ func (g *gate) inflight() int { return len(g.sem) }
 func (s *Server) admit(next http.Handler, routePath string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !s.gate.tryAcquire() {
-			s.shed.Add(1)
 			s.metrics.shed.Inc()
 			s.metrics.shedRoute.With(routePath).Inc()
 			if s.flight != nil {

@@ -157,52 +157,29 @@ type Server struct {
 	started time.Time
 
 	// Resilience state (DESIGN.md §12). gate is nil when admission
-	// control is disabled; shed/degraded are lifetime counters mirrored
-	// in /v1/status (atomics: shedding happens outside s.mu).
+	// control is disabled.
 	gate     *gate
 	maxBody  int64
 	maxBatch int
-	shed     atomic.Uint64
-	degraded atomic.Uint64
 
-	// Report-ingest state (DESIGN.md §16). The free list recycles decode
-	// scratch (decoder + record slices) across requests; the counters
-	// are atomics because ingest happens outside s.mu while /v1/status
-	// and /metrics read them. Byte/record totals are uint64 end to end.
-	ingestFree        *bufpool.FreeList[ingestScratch]
-	ingestPoolGets    atomic.Uint64
-	ingestPoolMisses  atomic.Uint64
-	ingestBytesJSON   atomic.Uint64
-	ingestBytesWire   atomic.Uint64
-	ingestRecordsJSON atomic.Uint64
-	ingestRecordsWire atomic.Uint64
+	// Report-ingest state (DESIGN.md §16): the free list recycles decode
+	// scratch (decoder + record slices) across requests.
+	ingestFree *bufpool.FreeList[ingestScratch]
 
-	// Fleet-health state (DESIGN.md §13). The SLO sources read only the
-	// atomics, so burn-rate evaluation never waits on s.mu; ready backs
-	// the /readyz probe.
+	// Fleet-health state (DESIGN.md §13). The lifetime counters live in
+	// the registry (s.metrics), which /v1/status and the SLO sources
+	// read lock-free; tickSlow and admitted are the two SLO inputs no
+	// metric family carries. ready backs the /readyz probe.
 	slo        *slo.Engine
 	sloLatency time.Duration
 	ready      atomic.Bool
-	tickTotal  atomic.Uint64
 	tickSlow   atomic.Uint64
 	admitted   atomic.Uint64
 
-	// Durable state (DESIGN.md §14). restorePath/restoreDetail record
-	// which recovery path boot took and are written once in New; the
-	// counters are atomics because SaveSnapshot runs from a background
-	// loop while /v1/status and /metrics read them.
+	// Durable state (DESIGN.md §14): which recovery path boot took,
+	// written once in New.
 	restorePath   string
 	restoreDetail string
-	snapWrites    atomic.Uint64
-	snapErrors    atomic.Uint64
-	snapLastUnix  atomic.Int64
-	snapLastBytes atomic.Int64
-
-	// Shard-federation state (DESIGN.md §17). shardMap is guarded by
-	// mu (POST /v1/shard/map replaces it); the counters are atomics
-	// mirrored in /metrics.
-	shardTicks      atomic.Uint64
-	shardVCsDecided atomic.Uint64
 
 	// Forensics (DESIGN.md §15): the metric-history ring behind
 	// /v1/history and the black-box flight recorder. Both are nil when
@@ -248,10 +225,10 @@ type Server struct {
 	// shardMap is the installed federation map (nil outside shard
 	// deployments); see Config.ShardMap.
 	shardMap *shard.Map
-	// fleet accumulates per-channel health; prevVC holds the last pool
-	// stream snapshot per state key so stream counters emit as deltas.
-	fleet  map[string]*channelStat
-	prevVC map[string]scheduler.VCStat
+	// fleet accumulates per-channel health and streamStats each
+	// scheduling stream's, keyed by VC ID; both are /v1/fleet's rows.
+	fleet       map[string]*channelStat
+	streamStats map[string]*StreamStat
 	// prevGammaMean/prevSigmaMean hold the cluster telemetry of the
 	// previous tick, from which the drift gauges are derived.
 	prevGammaMean, prevSigmaMean float64
@@ -306,19 +283,19 @@ func New(cfg Config) (*Server, error) {
 		logger = obs.NopLogger()
 	}
 	s := &Server{
-		cfg:       cfg,
-		pool:      pool,
-		edgeSrv:   edgeSrv,
-		chunksPer: chunksPer,
-		streams:   streams,
-		log:       logger,
-		tracer:    span.NewTracer(span.Config{Sample: cfg.TraceSample}),
-		started:   time.Now(),
-		devices:   make(map[string]*deviceState),
-		fleet:     make(map[string]*channelStat),
-		prevVC:    make(map[string]scheduler.VCStat),
-		maxBody:   cfg.MaxBodyBytes,
-		shardMap:  cfg.ShardMap,
+		cfg:         cfg,
+		pool:        pool,
+		edgeSrv:     edgeSrv,
+		chunksPer:   chunksPer,
+		streams:     streams,
+		log:         logger,
+		tracer:      span.NewTracer(span.Config{Sample: cfg.TraceSample}),
+		started:     time.Now(),
+		devices:     make(map[string]*deviceState),
+		fleet:       make(map[string]*channelStat),
+		streamStats: make(map[string]*StreamStat),
+		maxBody:     cfg.MaxBodyBytes,
+		shardMap:    cfg.ShardMap,
 
 		ingestFree: bufpool.NewFreeList[ingestScratch](bufpool.RequestWorkspaces),
 	}
@@ -759,18 +736,19 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	if s.gate != nil {
 		resp.MaxInflight = cap(s.gate.sem)
 	}
-	resp.DegradedTicks = s.degraded.Load()
-	resp.ShedRequests = s.shed.Load()
+	m := s.metrics
+	resp.DegradedTicks = uint64(m.degraded.Value())
+	resp.ShedRequests = uint64(m.shed.Value())
 	if path := s.SnapshotPath(); path != "" {
 		resp.SnapshotPath = path
 		resp.SnapshotIntervalSec = s.cfg.SnapshotInterval.Seconds()
 	}
 	resp.RestorePath = s.restorePath
 	resp.RestoreDetail = s.restoreDetail
-	resp.SnapshotWrites = s.snapWrites.Load()
-	resp.SnapshotErrors = s.snapErrors.Load()
-	resp.SnapshotLastUnixSec = s.snapLastUnix.Load()
-	resp.SnapshotLastBytes = s.snapLastBytes.Load()
+	resp.SnapshotWrites = uint64(m.snapWrites.Value())
+	resp.SnapshotErrors = uint64(m.snapErrors.Value())
+	resp.SnapshotLastUnixSec = int64(m.snapLastUnix.Value())
+	resp.SnapshotLastBytes = int64(m.snapLastBytes.Value())
 	if s.history != nil {
 		resp.HistoryWindowSec = s.history.Window().Seconds()
 		resp.HistoryIntervalSec = s.history.Interval().Seconds()
@@ -781,12 +759,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		resp.FlightBundles = s.flight.BundlesWritten()
 		_, resp.FlightLastUnixSec = s.flight.LastBundle()
 	}
-	resp.IngestBytesJSON = s.ingestBytesJSON.Load()
-	resp.IngestBytesBinary = s.ingestBytesWire.Load()
-	resp.IngestRecordsJSON = s.ingestRecordsJSON.Load()
-	resp.IngestRecordsBinary = s.ingestRecordsWire.Load()
-	resp.IngestPoolGets = s.ingestPoolGets.Load()
-	resp.IngestPoolMisses = s.ingestPoolMisses.Load()
+	resp.IngestBytesJSON = uint64(m.ingestJSON.bytes.Value())
+	resp.IngestBytesBinary = uint64(m.ingestWire.bytes.Value())
+	resp.IngestRecordsJSON = uint64(m.ingestJSON.records.Value())
+	resp.IngestRecordsBinary = uint64(m.ingestWire.records.Value())
+	resp.IngestPoolGets = uint64(m.ingestPoolGets.Value())
+	resp.IngestPoolMisses = uint64(m.ingestPoolMisses.Value())
 	if gets := resp.IngestPoolGets; gets > 0 {
 		resp.IngestPoolHitRate = 1 - float64(resp.IngestPoolMisses)/float64(gets)
 	}
@@ -796,7 +774,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	if s.shardMap != nil {
 		resp.ShardEpoch = s.shardMap.Epoch()
 	}
-	resp.ShardTicks = s.shardTicks.Load()
-	resp.ShardVCsDecided = s.shardVCsDecided.Load()
+	resp.ShardTicks = uint64(m.shardTicks.Value())
+	resp.ShardVCsDecided = uint64(m.shardVCsDecided.Value())
 	WriteJSON(w, http.StatusOK, resp)
 }

@@ -81,8 +81,8 @@ func (s *Server) handleShardTick(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
-	s.shardTicks.Add(1)
-	s.shardVCsDecided.Add(uint64(len(out.decided)))
+	s.metrics.shardTicks.Inc()
+	s.metrics.shardVCsDecided.Add(float64(len(out.decided)))
 
 	reply, ok := s.appendShardTickLocked(s.shardReply[:0], &out)
 	s.shardReply = reply

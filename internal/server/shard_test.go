@@ -173,8 +173,8 @@ func TestShardTickPerChannelVCs(t *testing.T) {
 	if st.ShardTicks != 1 || st.ShardVCsDecided != 2 {
 		t.Fatalf("shard counters ticks=%d vcs=%d", st.ShardTicks, st.ShardVCsDecided)
 	}
-	if s.shardTicks.Load() != 1 {
-		t.Fatalf("internal counter %d", s.shardTicks.Load())
+	if v := s.metrics.shardTicks.Value(); v != 1 {
+		t.Fatalf("internal counter %v", v)
 	}
 }
 

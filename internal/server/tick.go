@@ -23,7 +23,7 @@ type partition int
 const (
 	// oneVC schedules every pending report as a single cluster — the
 	// paper's formulation (PAPER.md §IV) — under the fixed VC ID "edge",
-	// so the pool's per-VC stats keep one row across ticks.
+	// so its stream row (fleet.go) stays one row across ticks.
 	oneVC partition = iota
 	// perChannel schedules each channel as its own cluster (VC ID =
 	// channel ID) — the unit the consistent-hash shard map distributes.
@@ -145,9 +145,10 @@ func (s *Server) runTickLocked(ctx context.Context, part partition) (tickOutcome
 	// Publish: decisions are positional (dec.X[k] and dec.PerDevice[k]
 	// belong to vcs[i].Requests[k]), so one pass over the batch with one
 	// device lookup each sets the transform bit and the verdict and feeds
-	// the per-channel fleet fold.
+	// the per-channel fleet fold; each VC also folds into its stream row.
 	fold := fleetFold{}
 	for i := range pres.VCs {
+		s.streamTickLocked(&pres.VCs[i])
 		dec := &pres.VCs[i].Decision
 		batch := vcs[i].Requests
 		for k := range batch {
@@ -166,9 +167,6 @@ func (s *Server) runTickLocked(ctx context.Context, part partition) (tickOutcome
 		}
 	}
 	stats.DurationSec = time.Since(start).Seconds()
-	if stats.Degraded {
-		s.degraded.Add(1)
-	}
 	s.lastTick = stats
 	// One walk over the devices feeds the cluster-wide Bayesian gauges
 	// and the per-channel gamma means.
