@@ -326,6 +326,20 @@ func (rq request) header() http.Header {
 	return postHeader(rq.contentType)
 }
 
+// chunkedAbove is the body length above which a POST goes out chunked:
+// net/http's default Transport write buffer. A body with a
+// Content-Length is copied through an io.LimitedReader, and what does
+// not fit the buffer reaches net.TCPConn.ReadFrom, whose io.Copy
+// allocates a copy buffer of up to 32 KiB for every request. A chunked
+// body's *bytes.Reader hands the Transport the whole body in one Write,
+// which bufio passes to the connection without a copy buffer. A
+// constant, not a knob (DESIGN.md §18).
+const chunkedAbove = 4 << 10
+
+// chunked is the TransferEncoding of a POST longer than chunkedAbove,
+// shared and read-only like the headers.
+var chunked = []string{"chunked"}
+
 // newRequest builds the request http.NewRequest(method, base+path,
 // bytes.NewReader(body)) would — same URL, Host, ContentLength and
 // GetBody, so the Transport can still replay a POST onto a fresh
@@ -337,7 +351,9 @@ func (rq request) header() http.Header {
 // POST's body is an io.NopCloser over a bytes.Reader of its own, as
 // http.NewRequest makes it: net/http knows that reader to be in memory
 // and writes the head and the body in one write, where any other reader
-// has the head flushed on its own first.
+// has the head flushed on its own first. The one difference from
+// http.NewRequest: a POST whose body is longer than chunkedAbove has
+// an unknown length, so it goes out chunked.
 func (c *Caller) newRequest(rq request) (*http.Request, *reqBlock, error) {
 	if c.baseURL == nil || !plainPath(rq.path) {
 		var body io.Reader
@@ -349,6 +365,9 @@ func (c *Caller) newRequest(rq request) (*http.Request, *reqBlock, error) {
 			return nil, nil, err
 		}
 		req.Header = rq.header()
+		if len(rq.body) > chunkedAbove {
+			req.ContentLength, req.TransferEncoding = -1, chunked
+		}
 		return req, nil, nil
 	}
 	blk := blocks.Get().(*reqBlock)
@@ -373,6 +392,9 @@ func (c *Caller) newRequest(rq request) (*http.Request, *reqBlock, error) {
 			blk.data = rq.body
 			blk.req.ContentLength = int64(len(rq.body))
 			blk.req.Body = io.NopCloser(bytes.NewReader(rq.body))
+			if len(rq.body) > chunkedAbove {
+				blk.req.ContentLength, blk.req.TransferEncoding = -1, chunked
+			}
 		}
 	}
 	return &blk.req, blk, nil

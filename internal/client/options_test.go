@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -342,6 +343,74 @@ func TestCallerOwnAllocs(t *testing.T) {
 	}
 }
 
+// TestCallerLargePostAllocs pins what a binary batch POST larger than
+// chunkedAbove costs per round trip, both ends of a stock http.Transport
+// and an httptest server that reads the body counted: such a body goes
+// out chunked, so the Transport hands the whole of it to its write
+// buffer's Write, and no 32 KiB copy buffer is allocated per request as
+// net.TCPConn.ReadFrom does for a body sent with a Content-Length
+// (DESIGN.md §18). A POST of chunkedAbove bytes or fewer keeps its
+// Content-Length.
+func TestCallerLargePostAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var length atomic.Int64
+	var te atomic.Value
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		length.Store(r.ContentLength)
+		te.Store(strings.Join(r.TransferEncoding, ","))
+		io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+	}))
+	defer ts.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	c, err := NewCaller(ts.URL, WithHTTPClient(&http.Client{Transport: tr}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		size         int
+		wantLength   int64
+		wantEncoding string
+	}{
+		{0, 0, ""},
+		{chunkedAbove, chunkedAbove, ""},
+		{chunkedAbove + 1, -1, "chunked"},
+	} {
+		if err := c.PostRaw("/v1/report", wire.ContentType, make([]byte, row.size), nil); err != nil {
+			t.Fatal(err)
+		}
+		if got, enc := length.Load(), te.Load(); got != row.wantLength || enc != row.wantEncoding {
+			t.Errorf("a %d-byte POST arrives with length %d, transfer encoding %q; want %d, %q",
+				row.size, got, enc, row.wantLength, row.wantEncoding)
+		}
+	}
+
+	body := make([]byte, 64<<10)
+	const requests, bound = 200, 16 << 10
+	for i := 0; i < 20; i++ { // connection, pools
+		if err := c.PostRaw("/v1/report", wire.ContentType, body, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		if err := c.PostRaw("/v1/report", wire.ContentType, body, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perTrip := float64(after.TotalAlloc-before.TotalAlloc) / requests
+	t.Logf("a 64 KiB POST allocates %.1f objects, %.0f B per round trip",
+		float64(after.Mallocs-before.Mallocs)/requests, perTrip)
+	if perTrip >= bound {
+		t.Errorf("a 64 KiB POST allocates %.0f B per round trip, want under %d", perTrip, bound)
+	}
+}
+
 // hotReply is one body of a reply the daemon append-encodes (DESIGN.md
 // §18), json.Marshal's bytes being the same layout, with the value it
 // was written from.
@@ -438,6 +507,9 @@ func TestDecodeReplyFallback(t *testing.T) {
 // a POST when a kept-alive connection turns out dead. Rows the fast
 // path refuses (an escape, a fragment, a byte EscapedPath would rewrite,
 // a base that is more than scheme://host/prefix) must agree as well.
+// The one intended difference: a POST whose body is longer than
+// chunkedAbove has ContentLength -1 and goes out chunked, on either
+// path, where http.NewRequest gives it its length.
 func TestCallerRequestMatchesNewRequest(t *testing.T) {
 	if !plainPath("/v1/chunk?device=d1&index=3") || plainPath("/v1/a!b") {
 		t.Fatal("plainPath sends the hot paths through http.NewRequest, or nothing: the table below compares nothing")
@@ -452,6 +524,7 @@ func TestCallerRequestMatchesNewRequest(t *testing.T) {
 		}
 		return string(b)
 	}
+	large := bytes.Repeat([]byte("b"), chunkedAbove+1)
 	for _, base := range []string{
 		"http://edge.test:8080", "http://edge.test/prefix", "http://edge.test/prefix/",
 		"http://edge.test:", "http://user:pw@edge.test", "http://[::1]:8080",
@@ -470,10 +543,14 @@ func TestCallerRequestMatchesNewRequest(t *testing.T) {
 				{method: "GET", path: path},
 				{method: "POST", path: path, contentType: "application/json", body: []byte(`{"a":1}`)},
 				{method: "POST", path: path, contentType: "application/x-lpvs-report"},
+				{method: "POST", path: path, contentType: "application/x-lpvs-report", body: large},
 			} {
 				want, wantErr := http.NewRequest(rq.method, base+path, nil)
 				if rq.method == "POST" {
 					want, wantErr = http.NewRequest(rq.method, base+path, bytes.NewReader(rq.body))
+				}
+				if wantErr == nil && len(rq.body) > chunkedAbove {
+					want.ContentLength, want.TransferEncoding = -1, []string{"chunked"}
 				}
 				got, _, err := c.newRequest(rq)
 				if (err != nil) != (wantErr != nil) {
@@ -490,12 +567,13 @@ func TestCallerRequestMatchesNewRequest(t *testing.T) {
 				}
 				if got.Method != want.Method || got.URL.String() != want.URL.String() ||
 					got.URL.RequestURI() != want.URL.RequestURI() || got.Host != want.Host ||
-					got.ContentLength != want.ContentLength || !reflect.DeepEqual(got.Header, want.Header) ||
+					got.ContentLength != want.ContentLength || !reflect.DeepEqual(got.TransferEncoding, want.TransferEncoding) ||
+					!reflect.DeepEqual(got.Header, want.Header) ||
 					got.Proto != want.Proto || got.ProtoMajor != want.ProtoMajor || got.ProtoMinor != want.ProtoMinor {
-					t.Errorf("%s %s%s: built\n %s %q host %q length %d %v, http.NewRequest\n %s %q host %q length %d %v",
+					t.Errorf("%s %s%s: built\n %s %q host %q length %d %v %v, http.NewRequest\n %s %q host %q length %d %v %v",
 						rq.method, base, path,
-						got.Method, got.URL, got.Host, got.ContentLength, got.Header,
-						want.Method, want.URL, want.Host, want.ContentLength, want.Header)
+						got.Method, got.URL, got.Host, got.ContentLength, got.TransferEncoding, got.Header,
+						want.Method, want.URL, want.Host, want.ContentLength, want.TransferEncoding, want.Header)
 				}
 				if (got.Body == http.NoBody) != (want.Body == http.NoBody) || read(got.Body) != read(want.Body) {
 					t.Errorf("%s %s%s: body differs from http.NewRequest's", rq.method, base, path)
@@ -570,9 +648,13 @@ func TestCaller200Body(t *testing.T) {
 // wire through a stock http.Transport, byte for byte: a raw listener
 // records what arrives. Every request carries "Accept-Encoding:
 // identity" — no gzip asked for — and no User-Agent line; a POST adds
-// its Content-Length and Content-Type, an empty POST included. The
-// last two rows take the paths that build their header apart: a path
+// its Content-Length and Content-Type, an empty POST included. Two
+// rows take the paths that build their header apart: a path
 // http.NewRequest parses, and a Content-Type with no shared header.
+// The last two rows are POSTs longer than chunkedAbove, on each path:
+// "Transfer-Encoding: chunked" takes the place of the Content-Length,
+// and the body arrives as one chunk — the Transport wrote it in one
+// Write, with no copy buffer between.
 func TestCallerRequestHead(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -596,6 +678,7 @@ func TestCallerRequestHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	host := "Host: " + ln.Addr().String() + "\r\n"
+	large := strings.Repeat("x", chunkedAbove+1)
 	for _, row := range []struct {
 		call func() error
 		want string
@@ -618,6 +701,14 @@ func TestCallerRequestHead(t *testing.T) {
 		{func() error { return c.PostRaw("/v1/x", "text/plain", []byte("hi"), nil) },
 			"POST /v1/x HTTP/1.1\r\n" + host + "Content-Length: 2\r\n" +
 				"Accept-Encoding: identity\r\nContent-Type: text/plain\r\n\r\nhi"},
+		{func() error { return c.PostRaw("/v1/report", wire.ContentType, []byte(large), nil) },
+			"POST /v1/report HTTP/1.1\r\n" + host + "Transfer-Encoding: chunked\r\n" +
+				"Accept-Encoding: identity\r\nContent-Type: application/x-lpvs-report\r\n\r\n" +
+				"1001\r\n" + large + "\r\n0\r\n\r\n"},
+		{func() error { return c.PostRaw("/v1/a%20b", "application/json", []byte(large), nil) },
+			"POST /v1/a%20b HTTP/1.1\r\n" + host + "Transfer-Encoding: chunked\r\n" +
+				"Accept-Encoding: identity\r\nContent-Type: application/json\r\n\r\n" +
+				"1001\r\n" + large + "\r\n0\r\n\r\n"},
 	} {
 		if err := row.call(); err != nil {
 			t.Fatal(err)
@@ -629,13 +720,14 @@ func TestCallerRequestHead(t *testing.T) {
 }
 
 // serveHeads answers every request on conn with an empty 200 and sends
-// its head and body, as they arrived, to heads.
+// its head and body, as they arrived, to heads: a chunked body with its
+// framing.
 func serveHeads(conn net.Conn, heads chan<- string) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	for {
 		var head strings.Builder
-		length := 0
+		length, chunked := 0, false
 		for {
 			line, err := br.ReadString('\n')
 			if err != nil {
@@ -645,17 +737,50 @@ func serveHeads(conn net.Conn, heads chan<- string) {
 			if n, ok := strings.CutPrefix(line, "Content-Length: "); ok {
 				length, _ = strconv.Atoi(strings.TrimSpace(n))
 			}
+			chunked = chunked || line == "Transfer-Encoding: chunked\r\n"
 			if line == "\r\n" {
 				break
 			}
 		}
-		body := make([]byte, length)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return
+		if chunked {
+			if !readChunks(br, &head) {
+				return
+			}
+			heads <- head.String()
+		} else {
+			body := make([]byte, length)
+			if _, err := io.ReadFull(br, body); err != nil {
+				return
+			}
+			heads <- head.String() + string(body)
 		}
-		heads <- head.String() + string(body)
 		if _, err := io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"); err != nil {
 			return
+		}
+	}
+}
+
+// readChunks copies a chunked body from br to w as it arrived, size
+// lines, data and an empty trailer included, and reports whether the
+// body ended well-formed.
+func readChunks(br *bufio.Reader, w *strings.Builder) bool {
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			return false
+		}
+		w.WriteString(line)
+		size, err := strconv.ParseInt(strings.TrimSuffix(line, "\r\n"), 16, 32)
+		if err != nil {
+			return false
+		}
+		data := make([]byte, size+2)
+		if _, err := io.ReadFull(br, data); err != nil || !bytes.HasSuffix(data, []byte("\r\n")) {
+			return false
+		}
+		w.Write(data)
+		if size == 0 {
+			return true
 		}
 	}
 }

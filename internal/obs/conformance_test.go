@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -116,6 +117,56 @@ func TestSeriesBudgetCapsCardinality(t *testing.T) {
 	cv.With("a").Inc()
 	if strings.Contains(text, `vc="c"`) {
 		t.Fatal("unexpected")
+	}
+}
+
+// TestSeriesBudgetCountsEachLabelSetOnce: a label set the budget
+// refused, written again, reuses its detached series and counts no
+// further drop — a per-channel family over budget is written every tick
+// — while the family's memory of refused sets is bounded by maxRefused
+// and a set the budget later admits is stored and exposed.
+func TestSeriesBudgetCountsEachLabelSetOnce(t *testing.T) {
+	reg := NewRegistry()
+	reg.SetSeriesBudget(2)
+	cv := reg.CounterVec("vc_ticks_total", "help", "vc")
+	cv.With("a").Inc()
+	cv.With("b").Inc()
+	for tick := 0; tick < 3; tick++ {
+		cv.With("c").Inc()
+		if got := reg.DroppedSeries(); got != 1 {
+			t.Fatalf("tick %d: dropped = %d, want 1 (one per refused label set)", tick, got)
+		}
+	}
+	if cv.With("c").s != cv.With("c").s {
+		t.Error("a refused label set gets a new detached series on every write")
+	}
+	cv.With("d").Inc()
+	if got := reg.DroppedSeries(); got != 2 {
+		t.Fatalf("dropped = %d after a second refused label set, want 2", got)
+	}
+	// Fill the family's memory of refused sets; one beyond it counts on
+	// every write.
+	for i := 2; i < maxRefused; i++ {
+		cv.With("x" + strconv.Itoa(i)).Inc()
+	}
+	want := uint64(maxRefused)
+	cv.With("beyond").Inc()
+	cv.With("beyond").Inc()
+	if got := reg.DroppedSeries(); got != want+2 {
+		t.Fatalf("dropped = %d with the refused memory full, want %d", got, want+2)
+	}
+	if f := reg.families["vc_ticks_total"]; len(f.refused) != maxRefused {
+		t.Fatalf("the family remembers %d refused label sets, want %d", len(f.refused), maxRefused)
+	}
+	reg.SetSeriesBudget(0)
+	cv.With("c").Inc()
+	var b strings.Builder
+	_ = reg.WriteText(&b)
+	if !strings.Contains(b.String(), `vc_ticks_total{vc="c"} 1`) {
+		t.Fatalf("a refused label set the budget now admits is not exposed:\n%s", b.String())
+	}
+	if got := reg.DroppedSeries(); got != want+2 {
+		t.Fatalf("dropped = %d after the budget was lifted, want %d", got, want+2)
 	}
 }
 

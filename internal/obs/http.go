@@ -98,9 +98,9 @@ func (h *instrumented) series(code int) routeSeries {
 	if code >= 400 {
 		rs.errors = h.m.errors.With(h.route)
 	}
-	// A series the cardinality budget refused is not kept: resolving it
-	// again on every request is what counts each refused write in
-	// DroppedSeries.
+	// A series the cardinality budget refused is not kept: resolved again
+	// on the next request, it is stored and exposed once the budget
+	// admits it. The registry counts its label set in DroppedSeries once.
 	if rs.requests.s.detached || rs.latency.s.detached || (rs.errors != nil && rs.errors.s.detached) {
 		return rs
 	}

@@ -143,7 +143,8 @@ func TestInstrumentDebugLogLine(t *testing.T) {
 // handles did not make resolution eager: a route that has served nothing
 // has no series, a status code gets its lpvs_http_requests_total series
 // the first time it is served, and a series the cardinality budget
-// refuses is still counted as dropped on every request.
+// refuses stays unexposed on every request and is counted as dropped
+// once per label set.
 func TestInstrumentSeriesAppearOnFirstUse(t *testing.T) {
 	reg := NewRegistry()
 	m := NewHTTPMetrics(reg, nil)
@@ -181,15 +182,20 @@ func TestInstrumentSeriesAppearOnFirstUse(t *testing.T) {
 	}
 
 	// The budget is full (two code series): a third code is refused on
-	// every request, not just the first.
+	// every request and counted once, a fourth counted again.
 	reg.SetSeriesBudget(2)
 	code = http.StatusTeapot
 	serve()
 	serve()
-	if got := reg.DroppedSeries(); got != 2 {
-		t.Errorf("DroppedSeries = %d after two refused requests, want 2", got)
+	if got := reg.DroppedSeries(); got != 1 {
+		t.Errorf("DroppedSeries = %d after two refused requests with one code, want 1", got)
 	}
-	if strings.Contains(text(), `code="418"`) {
-		t.Errorf("refused series was exposed:\n%s", text())
+	code = http.StatusGatewayTimeout
+	serve()
+	if got := reg.DroppedSeries(); got != 2 {
+		t.Errorf("DroppedSeries = %d after a second refused code, want 2", got)
+	}
+	if out := text(); strings.Contains(out, `code="418"`) || strings.Contains(out, `code="504"`) {
+		t.Errorf("refused series was exposed:\n%s", out)
 	}
 }

@@ -42,7 +42,8 @@ type Registry struct {
 	families map[string]*family
 
 	// seriesBudget caps the labelled series each family may hold; 0
-	// means unlimited. dropped counts writes refused by the budget.
+	// means unlimited. dropped counts the labelled series the budget
+	// refused (lpvs_series_dropped_total): each refused label set once.
 	seriesBudget atomic.Int64
 	dropped      atomic.Uint64
 }
@@ -55,9 +56,13 @@ func NewRegistry() *Registry {
 // SetSeriesBudget caps the number of labelled series any one family may
 // create (its cardinality budget). Zero or negative removes the cap.
 // Label values seen after a family is full are not stored: the write
-// lands in a detached throwaway series and DroppedSeries is
-// incremented, so a misbehaving label source can inflate a counter but
-// never the scrape size or the registry's memory.
+// lands in a detached series that is never scraped, and DroppedSeries
+// counts the label set once. A family remembers up to maxRefused
+// refused label sets, so a refused set written every tick reuses its
+// detached series and counts no further drop; a label set beyond that
+// memory counts on every write. So a misbehaving label source can
+// inflate a counter but never the scrape size, and the registry's
+// memory by at most maxRefused series a family.
 func (r *Registry) SetSeriesBudget(n int) {
 	if n < 0 {
 		n = 0
@@ -65,9 +70,9 @@ func (r *Registry) SetSeriesBudget(n int) {
 	r.seriesBudget.Store(int64(n))
 }
 
-// DroppedSeries reports how many metric writes were refused a new
-// series by the cardinality budget. Expose it as
-// lpvs_series_dropped_total so overflow is visible, not silent.
+// DroppedSeries reports how many labelled series the cardinality
+// budget refused. Expose it as lpvs_series_dropped_total so overflow is
+// visible, not silent.
 func (r *Registry) DroppedSeries() uint64 { return r.dropped.Load() }
 
 // family is one named metric with all its labelled series.
@@ -79,9 +84,10 @@ type family struct {
 	labels  []string  // label names; empty for plain metrics
 	buckets []float64 // histogram upper bounds (without +Inf)
 
-	mu     sync.Mutex
-	series map[string]*series // key: label values joined by 0xff
-	fn     func() float64     // evaluated at scrape time (counterFunc/gaugeFunc)
+	mu      sync.Mutex
+	series  map[string]*series // key: label values joined by 0xff
+	refused map[string]*series // detached series of label sets the budget refused, same keys
+	fn      func() float64     // evaluated at scrape time (counterFunc/gaugeFunc)
 }
 
 // series is one (metric, label-values) time series. Values are stored
@@ -156,6 +162,12 @@ func equalStrings(a, b []string) bool {
 
 const labelSep = "\xff"
 
+// maxRefused caps the refused label sets a family remembers, so that
+// each counts one drop however often it is written. A constant, not a
+// knob: the label sources in LPVS (routes, status codes, channels) are
+// bounded by configuration, well below it.
+const maxRefused = 256
+
 // getSeries returns the series for the label values, creating it on
 // first use.
 func (f *family) getSeries(labelVals []string) *series {
@@ -166,25 +178,41 @@ func (f *family) getSeries(labelVals []string) *series {
 	key := strings.Join(labelVals, labelSep)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s, ok := f.series[key]
-	if !ok {
-		s = &series{labelVals: append([]string(nil), labelVals...)}
-		if f.typ == TypeHistogram {
-			s.bucketCounts = make([]atomic.Uint64, len(f.buckets))
-		}
-		// Cardinality budget: a full family refuses new labelled series.
-		// The caller still gets a working handle — writes just land in a
-		// detached series that is never scraped — and the refusal is
-		// counted so overflow shows up as lpvs_series_dropped_total
-		// instead of an unbounded exposition.
-		if budget := f.reg.seriesBudget.Load(); budget > 0 && len(f.labels) > 0 &&
-			int64(len(f.series)) >= budget {
-			f.reg.dropped.Add(1)
-			s.detached = true
+	if s, ok := f.series[key]; ok {
+		return s
+	}
+	// Cardinality budget: a full family refuses new labelled series.
+	// The caller still gets a working handle — writes just land in a
+	// detached series that is never scraped — and the refusal is
+	// counted so overflow shows up as lpvs_series_dropped_total
+	// instead of an unbounded exposition. A label set already refused
+	// gets its detached series back, uncounted, while the family is
+	// still full; once the budget admits it, it is stored like any new
+	// one.
+	budget := f.reg.seriesBudget.Load()
+	full := budget > 0 && len(f.labels) > 0 && int64(len(f.series)) >= budget
+	if s, ok := f.refused[key]; ok {
+		if full {
 			return s
 		}
-		f.series[key] = s
+		delete(f.refused, key)
 	}
+	s := &series{labelVals: append([]string(nil), labelVals...)}
+	if f.typ == TypeHistogram {
+		s.bucketCounts = make([]atomic.Uint64, len(f.buckets))
+	}
+	if full {
+		f.reg.dropped.Add(1)
+		s.detached = true
+		if len(f.refused) < maxRefused {
+			if f.refused == nil {
+				f.refused = make(map[string]*series)
+			}
+			f.refused[key] = s
+		}
+		return s
+	}
+	f.series[key] = s
 	return s
 }
 

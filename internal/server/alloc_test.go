@@ -264,7 +264,9 @@ func TestAuditedTickAllocsBytesPerDevice(t *testing.T) {
 // two ticks have grown it, partitioning 1,600 devices into 8 channels
 // allocates the eight state-key strings and sort.Slice's swapper —
 // under a kilobyte, where eight groups grown by append were 360 B per
-// device.
+// device. The count is process-wide, so it is the least of five warm
+// partitions of the same batch: another goroutine's allocation can only
+// add to one reading.
 func TestShardTickPartitionAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -279,18 +281,23 @@ func TestShardTickPartitionAllocs(t *testing.T) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	batch := s.scheduled // the last tick's batch, device-sorted
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	vcs := s.partitionLocked(perChannel, batch)
-	runtime.ReadMemStats(&m1)
-	n := 0
-	for _, vc := range vcs {
-		n += len(vc.Requests)
+	var got uint64
+	for run := 0; run < 5; run++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		vcs := s.partitionLocked(perChannel, batch)
+		runtime.ReadMemStats(&m1)
+		n := 0
+		for _, vc := range vcs {
+			n += len(vc.Requests)
+		}
+		if len(vcs) != 8 || n != 1600 {
+			t.Fatalf("partition made %d VCs of %d requests, want 8 of 1,600", len(vcs), n)
+		}
+		if b := m1.TotalAlloc - m0.TotalAlloc; run == 0 || b < got {
+			got = b
+		}
 	}
-	if len(vcs) != 8 || n != 1600 {
-		t.Fatalf("partition made %d VCs of %d requests, want 8 of 1,600", len(vcs), n)
-	}
-	got := m1.TotalAlloc - m0.TotalAlloc
 	t.Logf("warm per-channel partition: %d B", got)
 	if got > 1024 {
 		t.Fatalf("a warm per-channel partition of 1,600 devices allocates %d B, want at most 1 KiB (nothing per request)", got)

@@ -516,6 +516,41 @@ func TestVCLabelBudgetCapsAndCounts(t *testing.T) {
 	}
 }
 
+// TestVCLabelBudgetDropsCountOnce: the second channel's per-channel
+// series, refused by a budget of 1 and written again every tick, count
+// as dropped once — series_dropped reads the same after ticks 2, 3 and
+// 4, where it once grew by the refused series' number every tick. One
+// /v1/fleet read before the first tick lets the route's own refused
+// series count before the first reading. Tick 2 is the first with no
+// reports, which the daemon counts under
+// lpvs_sched_phase1_runs_total{optimal="false"}: one more label set
+// refused, so the readings start after it.
+func TestVCLabelBudgetDropsCountOnce(t *testing.T) {
+	_, ts := fleetServer(t, 1)
+	for _, rep := range []ReportRequest{validReport("d0"), reportOn("m0", "music")} {
+		if resp := postJSON(t, ts.URL+"/v1/report", rep, nil); resp.StatusCode != 200 {
+			t.Fatalf("report: %d", resp.StatusCode)
+		}
+	}
+	var fleet FleetResponse
+	if resp := getJSON(t, ts.URL+"/v1/fleet", &fleet); resp.StatusCode != 200 {
+		t.Fatalf("fleet: %d", resp.StatusCode)
+	}
+	var dropped []uint64
+	for tick := 1; tick <= 4; tick++ {
+		if resp := postJSON(t, ts.URL+"/v1/tick", struct{}{}, nil); resp.StatusCode != 200 {
+			t.Fatalf("tick %d: %d", tick, resp.StatusCode)
+		}
+		if resp := getJSON(t, ts.URL+"/v1/fleet", &fleet); resp.StatusCode != 200 {
+			t.Fatalf("fleet: %d", resp.StatusCode)
+		}
+		dropped = append(dropped, fleet.SeriesDropped)
+	}
+	if dropped[1] == 0 || dropped[2] != dropped[1] || dropped[3] != dropped[1] {
+		t.Fatalf("series_dropped after ticks 1-4 = %v, want one positive count from tick 2 on", dropped)
+	}
+}
+
 // TestConcurrentFleetScrape hammers reports, ticks, chunk fetches, and
 // every telemetry endpoint concurrently — the -race proof that per-VC
 // series emission from the tick path and scrapes are safe together.
