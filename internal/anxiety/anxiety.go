@@ -249,13 +249,3 @@ func Reduction(base, treated float64) float64 {
 	}
 	return (base - treated) / base
 }
-
-// Total sums a model's anxiety over a set of device energy fractions —
-// the population anxiety the LPVS objective penalises.
-func Total(m Model, energyFracs []float64) float64 {
-	sum := 0.0
-	for _, e := range energyFracs {
-		sum += m.Anxiety(e)
-	}
-	return sum
-}

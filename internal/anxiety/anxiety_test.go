@@ -218,14 +218,6 @@ func TestReduction(t *testing.T) {
 	}
 }
 
-func TestTotal(t *testing.T) {
-	var m Linear
-	got := Total(m, []float64{0, 0.5, 1})
-	if math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("Total = %v, want 1.5", got)
-	}
-}
-
 func TestRescaledShiftsWarning(t *testing.T) {
 	base := NewCanonical()
 	// An early worrier: personal warning at 40% battery.

@@ -2,7 +2,6 @@ package anxiety
 
 import (
 	"fmt"
-	"math"
 )
 
 // FitCanonical finds the Canonical parameters best matching an arbitrary
@@ -71,18 +70,4 @@ func shrink(center, lo, hi float64) (float64, float64) {
 		nh = hi
 	}
 	return nl, nh
-}
-
-// RMSE reports the root-mean-square difference between two anxiety
-// models over the battery range — the fit-quality metric for
-// FitCanonical.
-func RMSE(a, b Model) float64 {
-	sum := 0.0
-	const samples = 99
-	for i := 1; i <= samples; i++ {
-		e := float64(i) / 100
-		d := a.Anxiety(e) - b.Anxiety(e)
-		sum += d * d
-	}
-	return math.Sqrt(sum / samples)
 }

@@ -1,10 +1,24 @@
 package anxiety
 
 import (
+	"math"
 	"testing"
 
 	"lpvs/internal/survey"
 )
+
+// rmse is the root-mean-square difference between two anxiety models
+// over the battery range: the fit-quality measure of FitCanonical.
+func rmse(a, b Model) float64 {
+	sum := 0.0
+	const samples = 99
+	for i := 1; i <= samples; i++ {
+		e := float64(i) / 100
+		d := a.Anxiety(e) - b.Anxiety(e)
+		sum += d * d
+	}
+	return math.Sqrt(sum / samples)
+}
 
 func TestFitCanonicalRecoversItself(t *testing.T) {
 	truth := &Canonical{AnxietyAtWarning: 0.65, ConvexPower: 1.8, ConcavePower: 2.2}
@@ -12,8 +26,8 @@ func TestFitCanonicalRecoversItself(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rmse := RMSE(truth, got); rmse > 0.01 {
-		t.Fatalf("self-fit RMSE %v", rmse)
+	if e := rmse(truth, got); e > 0.01 {
+		t.Fatalf("self-fit RMSE %v", e)
 	}
 }
 
@@ -27,11 +41,11 @@ func TestFitCanonicalOnEmpiricalCurve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rmse := RMSE(curve, fit); rmse > 0.05 {
-		t.Fatalf("empirical fit RMSE %v", rmse)
+	if e := rmse(curve, fit); e > 0.05 {
+		t.Fatalf("empirical fit RMSE %v", e)
 	}
 	// The fit must beat the default calibration on the empirical data.
-	if RMSE(curve, fit) > RMSE(curve, NewCanonical())+1e-9 {
+	if rmse(curve, fit) > rmse(curve, NewCanonical())+1e-9 {
 		t.Fatal("fit worse than the default calibration")
 	}
 }
@@ -56,7 +70,7 @@ func TestFitCanonicalNil(t *testing.T) {
 
 func TestRMSEZeroForIdentical(t *testing.T) {
 	m := NewCanonical()
-	if got := RMSE(m, m); got != 0 {
+	if got := rmse(m, m); got != 0 {
 		t.Fatalf("self RMSE %v", got)
 	}
 }

@@ -48,10 +48,6 @@ type Client struct {
 	wireBuf  []byte
 }
 
-// SetChannel switches which of the edge's streams subsequent reports
-// subscribe to (empty = the site's default stream).
-func (c *Client) SetChannel(id string) { c.channel = id }
-
 // New builds a client for the device against the daemon at baseURL.
 // Pass nil for the default HTTP client (WithHTTPClient also sets it;
 // the explicit parameter wins when non-nil).
@@ -72,7 +68,7 @@ func New(baseURL string, dev *device.Device, httpClient *http.Client, opts ...Op
 	if httpClient != nil {
 		o.HTTP = httpClient
 	}
-	return &Client{call: newCaller(baseURL, o), dev: dev, jsonOnly: o.JSONReports}, nil
+	return &Client{call: newCaller(baseURL, o), dev: dev}, nil
 }
 
 // Device returns the client's device.
@@ -101,8 +97,7 @@ func (c *Client) ReportRequest() server.ReportRequest {
 }
 
 // Report sends the device's slot report, binary-framed unless the
-// client has negotiated down to JSON (see WithJSONReports and
-// sendWire).
+// client has negotiated down to JSON (see sendWire).
 func (c *Client) Report() (server.ReportResponse, error) {
 	var resp server.ReportResponse
 	req := c.ReportRequest()
@@ -131,10 +126,10 @@ func (c *Client) ReportBatch(reqs []server.ReportRequest) (server.BatchReportRes
 
 // sendWire posts one report message in the binary framing that frame
 // appends to the reused buffer. It reports false when the message must
-// go out as JSON instead: the client is JSON-only, the codec cannot
-// frame the message (no downgrade), or the daemon turned out not to
-// speak the codec (wireFallback) — which flips the client to JSON for
-// good.
+// go out as JSON instead: the client has negotiated down already, the
+// codec cannot frame the message (no downgrade), or the daemon turned
+// out not to speak the codec (wireFallback) — which flips the client to
+// JSON for good.
 func (c *Client) sendWire(frame func(dst []byte) ([]byte, error), out any) (sent bool, err error) {
 	if c.jsonOnly {
 		return false, nil
@@ -183,23 +178,6 @@ func (c *Client) Chunk(index int) (server.ChunkResponse, error) {
 	var resp server.ChunkResponse
 	err := c.call.GetJSON("/v1/chunk?device="+url.QueryEscape(c.dev.ID)+"&index="+strconv.Itoa(index), &resp)
 	return resp, err
-}
-
-// Playlist fetches the manifest of the device's current slot.
-func (c *Client) Playlist() (server.PlaylistResponse, error) {
-	var resp server.PlaylistResponse
-	err := c.call.GetJSON("/v1/playlist?device="+url.QueryEscape(c.dev.ID), &resp)
-	return resp, err
-}
-
-// PlayCurrentSlot fetches the slot manifest and plays every chunk in it
-// — the full player loop without the caller knowing the slot geometry.
-func (c *Client) PlayCurrentSlot() (SlotResult, error) {
-	pl, err := c.Playlist()
-	if err != nil {
-		return SlotResult{}, err
-	}
-	return c.PlaySlot(pl.Chunks)
 }
 
 // Observe reports the realised mean power reduction of the played slot.

@@ -197,14 +197,14 @@ func TestPlaylistAndPlayCurrentSlot(t *testing.T) {
 	}
 	tick(t, ts)
 
-	pl, err := c.Playlist()
-	if err != nil {
+	var pl server.PlaylistResponse
+	if err := c.call.GetJSON("/v1/playlist?device="+c.dev.ID, &pl); err != nil {
 		t.Fatal(err)
 	}
 	if pl.Chunks != 30 {
 		t.Fatalf("playlist chunks = %d", pl.Chunks)
 	}
-	res, err := c.PlayCurrentSlot()
+	res, err := c.PlaySlot(pl.Chunks)
 	if err != nil {
 		t.Fatal(err)
 	}

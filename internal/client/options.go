@@ -26,7 +26,7 @@ import (
 
 // Options is the resolved transport/resilience configuration. Build it
 // by applying Option funcs; the zero value means "no retries, no
-// breaker, no budget, binary reports, http.DefaultTransport".
+// breaker, no budget, http.DefaultTransport".
 type Options struct {
 	// HTTP supplies the Transport and the Timeout (nil =
 	// http.DefaultClient); see WithHTTPClient.
@@ -42,8 +42,6 @@ type Options struct {
 	// budget).
 	BudgetMax   float64
 	BudgetRatio float64
-	// JSONReports forces the JSON report codec (WithJSONReports).
-	JSONReports bool
 }
 
 // Option customises a Client or a Caller.
@@ -120,13 +118,6 @@ func WithRetryBudget(max, ratio float64) Option {
 		o.BudgetMax = max
 		o.BudgetRatio = ratio
 	}
-}
-
-// WithJSONReports forces reports onto the JSON codec, skipping the
-// binary default and its negotiation round-trip (for old daemons known
-// in advance, or debugging with readable bodies).
-func WithJSONReports() Option {
-	return func(o *Options) { o.JSONReports = true }
 }
 
 // Caller is a resilient HTTP caller bound to one base URL: retries

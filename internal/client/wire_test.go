@@ -123,14 +123,14 @@ func TestNoFallbackOnValidation400(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetChannel("no-such-channel")
+	c.channel = "no-such-channel"
 	if _, err := c.Report(); err == nil {
 		t.Fatal("unknown channel accepted")
 	}
 	if c.jsonOnly {
 		t.Fatal("validation 400 flipped the client to JSON")
 	}
-	c.SetChannel("")
+	c.channel = ""
 	if resp, err := c.Report(); err != nil || !resp.Accepted {
 		t.Fatalf("report after fixing channel: %+v, %v", resp, err)
 	}
@@ -157,29 +157,5 @@ func TestBinaryDefaultAgainstRealDaemon(t *testing.T) {
 	}
 	if len(batch.Results) != 0 {
 		t.Fatalf("binary batch returned %d results, want rejections only", len(batch.Results))
-	}
-}
-
-// TestWithJSONReports pins the opt-out: a JSON-forced client never
-// attempts the binary leg.
-func TestWithJSONReports(t *testing.T) {
-	var binary atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Content-Type") == wire.ContentType {
-			binary.Add(1)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(server.ReportResponse{Slot: 1, Accepted: true})
-	}))
-	t.Cleanup(ts.Close)
-	c, err := New(ts.URL, testDevice(t, "dev-json", 0.6), nil, WithJSONReports())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Report(); err != nil {
-		t.Fatal(err)
-	}
-	if binary.Load() != 0 {
-		t.Fatalf("JSON-forced client sent %d binary requests", binary.Load())
 	}
 }

@@ -235,12 +235,15 @@ func TestNewFleetEnergyGaussian(t *testing.T) {
 	for i, d := range fleet {
 		fracs[i] = d.EnergyFrac()
 	}
-	s := stats.Summarize(fracs)
-	if math.Abs(s.Mean-0.5) > 0.05 {
-		t.Fatalf("mean initial energy %v, want about 0.5", s.Mean)
+	mean, ss := stats.Mean(fracs), 0.0
+	for _, f := range fracs {
+		ss += (f - mean) * (f - mean)
 	}
-	if s.Std < 0.1 || s.Std > 0.3 {
-		t.Fatalf("energy spread %v, want Gaussian-like around 0.2", s.Std)
+	if math.Abs(mean-0.5) > 0.05 {
+		t.Fatalf("mean initial energy %v, want about 0.5", mean)
+	}
+	if std := math.Sqrt(ss / float64(len(fracs)-1)); std < 0.1 || std > 0.3 {
+		t.Fatalf("energy spread %v, want Gaussian-like around 0.2", std)
 	}
 }
 

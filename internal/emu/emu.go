@@ -347,8 +347,11 @@ type Emulator struct {
 	cfg    Config
 	policy scheduler.Policy
 	// pool is the LPVS engine, built when New is given no policy; policy
-	// is then its Scheduler, kept for the name.
-	pool *scheduler.Pool
+	// is then its Scheduler, kept for the name. poolRes is the result it
+	// decides into (DESIGN.md §9): a slot reads its decision only while
+	// it runs, so the next slot's decide may overwrite it.
+	pool    *scheduler.Pool
+	poolRes scheduler.PoolResult
 
 	devices    []*device.Device
 	estimators []*bayes.GammaEstimator
@@ -781,8 +784,8 @@ func (e *Emulator) decide(ctx context.Context, reqs []scheduler.Request) (dec sc
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.SchedDeadline)
 		defer cancel()
 	}
-	pres, err := e.pool.DecideCtx(ctx, []scheduler.VC{{ID: "vc", Requests: reqs}})
-	if err != nil {
+	pres := &e.poolRes
+	if err := e.pool.DecideInto(ctx, []scheduler.VC{{ID: "vc", Requests: reqs}}, pres); err != nil {
 		return scheduler.Decision{}, 0, 0, err
 	}
 	return pres.Decision(), pres.WallSeconds, pres.CPUSeconds, nil

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -556,8 +557,8 @@ func TestReplayMatchesWarmDecisions(t *testing.T) {
 			// Partial churn: dev-b's battery moved.
 			reqs[1].EnergyFrac = 0.22
 		}
-		res, err := pool.Decide([]scheduler.VC{{ID: "vc", Requests: reqs}})
-		if err != nil {
+		var res scheduler.PoolResult
+		if err := pool.DecideInto(context.Background(), []scheduler.VC{{ID: "vc", Requests: reqs}}, &res); err != nil {
 			t.Fatal(err)
 		}
 		dec := res.Decision()

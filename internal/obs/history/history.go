@@ -208,9 +208,6 @@ func (s *Store) Window() time.Duration { return s.cfg.Window }
 // Interval reports the configured sampling cadence.
 func (s *Store) Interval() time.Duration { return s.cfg.Interval }
 
-// MaxSeries reports how many series the byte budget admits.
-func (s *Store) MaxSeries() int { return s.maxSer }
-
 // Samples reports how many Sample passes have run.
 func (s *Store) Samples() uint64 {
 	s.mu.Lock()

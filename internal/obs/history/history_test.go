@@ -174,8 +174,8 @@ func TestMemoryBudgetDropAccounting(t *testing.T) {
 		Window:   time.Duration(capacity-1) * time.Second,
 		Interval: time.Second,
 	})
-	if s.MaxSeries() != 1 {
-		t.Fatalf("MaxSeries = %d, want 1", s.MaxSeries())
+	if s.maxSer != 1 {
+		t.Fatalf("the byte budget admits %d series, want 1", s.maxSer)
 	}
 	for i := 0; i < 5; i++ {
 		vec.With("a").Set(1)

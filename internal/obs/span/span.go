@@ -31,9 +31,7 @@ package span
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"sync"
@@ -258,18 +256,6 @@ func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.drops
-}
-
-// WriteJSONL exports every buffered span, one JSON object per line, in
-// commit order.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, d := range t.Snapshot() {
-		if err := enc.Encode(d); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Node is one span with its children resolved — the tree view of a

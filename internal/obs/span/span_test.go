@@ -1,9 +1,7 @@
 package span
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"runtime"
 	"strings"
 	"sync"
@@ -269,32 +267,6 @@ func TestDoubleEndCommitsOnce(t *testing.T) {
 	sp.End()
 	if got := len(tr.Snapshot()); got != 1 {
 		t.Fatalf("double End committed %d spans", got)
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	tr := NewTracer(Config{Sample: 1, Seed: 5})
-	ctx, root := tr.Start(context.Background(), "tick")
-	_, c := Child(ctx, "vc")
-	c.SetStr("vc", "slot-0")
-	c.End()
-	root.End()
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d JSONL lines, want 2", len(lines))
-	}
-	for _, line := range lines {
-		var d Data
-		if err := json.Unmarshal([]byte(line), &d); err != nil {
-			t.Fatalf("line %q: %v", line, err)
-		}
-		if d.TraceID != root.TraceID() || d.SpanID == "" {
-			t.Fatalf("bad span data: %+v", d)
-		}
 	}
 }
 

@@ -67,15 +67,6 @@ type Result struct {
 	PlayedSec float64
 }
 
-// RebufferRatio is stall time over wall time, the classic QoE headline.
-func (r Result) RebufferRatio() float64 {
-	total := r.PlayedSec + r.RebufferSec
-	if total <= 0 {
-		return 0
-	}
-	return r.RebufferSec / total
-}
-
 // Simulate plays the chunk sequence through a playout buffer, charging
 // schedDelaySec at each slot boundary when mode is Inline, and returns
 // the stall profile.

@@ -105,9 +105,12 @@ func FuzzAppendTick(f *testing.F) {
 // ReadJSON, else json.Unmarshal — into storage an earlier reply left,
 // and must come out as json.Unmarshal into a zero value.
 func FuzzDecodeTick(f *testing.F) {
-	body := func(v interface{ AppendJSON([]byte) ([]byte, bool) }) string {
-		b, _ := v.AppendJSON(nil)
-		return string(b)
+	body := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(b) + "\n"
 	}
 	good := body(mergedSample("live", 4, true, 0.5, 1e-7, []byte("a=true\n"), 0x6d))
 	shardBody := body(server.ShardTickResponse{Node: "n1", Slot: 3, Epoch: "e", VCs: []server.ShardVCDecision{

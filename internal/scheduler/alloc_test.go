@@ -56,10 +56,10 @@ func TestColdScheduleAllocsDoNotScaleWithDevices(t *testing.T) {
 		allocs             func(reqs []Request) float64
 	}{
 		{"Schedule", 40, 100, func(reqs []Request) float64 { return scheduleAllocs(t, s, reqs) }},
-		{"4-worker Pool.Decide", 4, 32, func(reqs []Request) float64 {
+		{"4-worker Pool.DecideInto", 4, 32, func(reqs []Request) float64 {
 			vcs := []VC{{ID: "vc", Requests: reqs}}
 			return testing.AllocsPerRun(5, func() {
-				if _, err := pool.Decide(vcs); err != nil {
+				if _, err := decideFresh(pool, vcs); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -120,7 +120,8 @@ func TestChurnedSlotAllocsNoPerDeviceObjects(t *testing.T) {
 }
 
 // TestPoolDecideAllocsBytesPerDevice guards the daemon's path in bytes:
-// a pool's fully churned Decide call allocates its result —
+// a pool's fully churned DecideInto into a fresh result allocates that
+// result —
 // one []bool and one []Verdict element per device — and nothing else
 // that grows with the cluster: no ID-keyed map, no per-call Phase-1 or
 // Phase-2 slice (planScratch owns them). The slope between 2,000 and
@@ -147,7 +148,7 @@ func TestPoolDecideAllocsBytesPerDevice(t *testing.T) {
 			t.Fatal(err)
 		}
 		decide := func(reqs []Request) {
-			res, err := pool.Decide([]VC{{ID: "vc", Requests: reqs}})
+			res, err := decideFresh(pool, []VC{{ID: "vc", Requests: reqs}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +176,7 @@ func TestPoolDecideAllocsBytesPerDevice(t *testing.T) {
 	element := float64(unsafe.Sizeof(Verdict{}) + unsafe.Sizeof(false))
 	t.Logf("%.0f B at 2,000 devices, %.0f B at 8,000: %.1f B per device (one result element is %.0f B)", small, large, slope, element)
 	if slope > element+4 {
-		t.Fatalf("a steady-state Pool.Decide call grows by %.1f B per device, want at most the %.0f B of its result", slope, element)
+		t.Fatalf("a steady-state Pool.DecideInto call grows by %.1f B per device, want at most the %.0f B of its result", slope, element)
 	}
 }
 
@@ -326,7 +327,7 @@ func TestReusedSlabNeverCorruptsCache(t *testing.T) {
 			{"H device twice", twice},
 		} {
 			name := fmt.Sprintf("%d devices, %d workers, %s", n, arm.workers, slot.name)
-			res, err := pool.Decide([]VC{{ID: "vc", Requests: slot.reqs}})
+			res, err := decideFresh(pool, []VC{{ID: "vc", Requests: slot.reqs}})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -8,6 +8,7 @@ package scheduler_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"lpvs/internal/obs/audit"
@@ -76,8 +77,8 @@ func TestAuditRecordFromPoolDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pool.Decide(vcs)
-	if err != nil {
+	var res scheduler.PoolResult
+	if err := pool.DecideInto(context.Background(), vcs, &res); err != nil {
 		t.Fatal(err)
 	}
 	byID := map[string][]scheduler.Request{}

@@ -88,7 +88,7 @@ func BenchmarkPoolScaling(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("%s/workers=%d", wl.name, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := pool.Decide(vcs); err != nil {
+					if _, err := decideFresh(pool, vcs); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -113,7 +113,7 @@ func TestPoolScalingWorkloadEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := pool.Decide(vcs)
+	pr, err := decideFresh(pool, vcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,8 @@ func BenchmarkPhase2Swap(b *testing.B) {
 }
 
 // BenchmarkScheduleTracing measures what span tracing costs the hot
-// scheduling path. "untraced" is the PR-2 baseline call; "sampling-off"
-// carries a context whose tracer is disabled (the production default),
+// scheduling path. "untraced" decides under a context with no span;
+// "sampling-off" carries one whose tracer is disabled (the production default),
 // which must cost nothing measurable; "sampled" traces every call and
 // prices the full instrumentation.
 func BenchmarkScheduleTracing(b *testing.B) {
@@ -178,7 +178,8 @@ func BenchmarkScheduleTracing(b *testing.B) {
 		{"sampled", 1, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			s := mustScheduler(b, Config{Server: server, Lambda: 1})
+			pool := mustPool(b, Config{Server: server, Lambda: 1})
+			vcs := []VC{{ID: "vc", Requests: reqs}}
 			ctx := context.Background()
 			if mode.ctx {
 				tr := span.NewTracer(span.Config{Sample: mode.sample, Seed: 1})
@@ -186,14 +187,10 @@ func BenchmarkScheduleTracing(b *testing.B) {
 				ctx, sp = tr.Start(ctx, "bench")
 				defer sp.End()
 			}
+			var res PoolResult
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if mode.ctx {
-					_, err = s.ScheduleCtx(ctx, reqs)
-				} else {
-					_, err = s.Schedule(reqs)
-				}
-				if err != nil {
+				if err := pool.DecideInto(ctx, vcs, &res); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -228,13 +225,13 @@ func BenchmarkIncrementalSlots(b *testing.B) {
 				vcs := cloneVCSet(base)
 				// Prime slot 0 outside the timer: it grows the scratch,
 				// steady state is what the benchmark prices.
-				if _, err := pool.Decide(vcs); err != nil {
+				if _, err := decideFresh(pool, vcs); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					churnVCSet(vcs, churnPct, i)
-					if _, err := pool.Decide(vcs); err != nil {
+					if _, err := decideFresh(pool, vcs); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -303,7 +300,9 @@ func BenchmarkScheduleDeadline(b *testing.B) {
 		{"100us", 100 * time.Microsecond},
 	} {
 		b.Run("deadline="+bc.name, func(b *testing.B) {
-			s := mustScheduler(b, Config{Server: server, Lambda: 1})
+			pool := mustPool(b, Config{Server: server, Lambda: 1})
+			vcs := []VC{{ID: "vc", Requests: reqs}}
+			var res PoolResult
 			degraded := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -312,12 +311,12 @@ func BenchmarkScheduleDeadline(b *testing.B) {
 				if bc.budget > 0 {
 					ctx, cancel = context.WithTimeout(ctx, bc.budget)
 				}
-				dec, err := s.ScheduleCtx(ctx, reqs)
+				err := pool.DecideInto(ctx, vcs, &res)
 				cancel()
 				if err != nil {
 					b.Fatal(err)
 				}
-				if dec.Degraded.Any() {
+				if res.Decision().Degraded.Any() {
 					degraded++
 				}
 			}

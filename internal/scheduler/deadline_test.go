@@ -25,14 +25,14 @@ func TestGenerousDeadlineByteIdentical(t *testing.T) {
 	for inst := 0; inst < instances; inst++ {
 		vcs, cfg := randomInstance(rng, base)
 		plain := mustScheduler(t, cfg)
-		bounded := mustScheduler(t, cfg)
+		bounded := mustPool(t, cfg)
 		for _, vc := range vcs {
 			want, err := plain.Schedule(vc.Requests)
 			if err != nil {
 				t.Fatalf("instance %d vc %s: %v", inst, vc.ID, err)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
-			got, err := bounded.ScheduleCtx(ctx, vc.Requests)
+			got, err := decideUnder(ctx, bounded, vc.Requests)
 			cancel()
 			if err != nil {
 				t.Fatalf("instance %d vc %s: %v", inst, vc.ID, err)
@@ -58,10 +58,11 @@ func TestExpiredDeadlineFeasibleAndReplayable(t *testing.T) {
 	rng := stats.NewRNG(20260807)
 	for inst := 0; inst < 60; inst++ {
 		vcs, cfg := randomInstance(rng, base)
-		s := mustScheduler(t, cfg)
+		pool := mustPool(t, cfg)
+		s := pool.Scheduler()
 		for _, vc := range vcs {
 			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-			dec, err := s.ScheduleCtx(ctx, vc.Requests)
+			dec, err := decideUnder(ctx, pool, vc.Requests)
 			cancel()
 			if err != nil {
 				t.Fatalf("instance %d vc %s: %v", inst, vc.ID, err)
@@ -87,6 +88,26 @@ func TestExpiredDeadlineFeasibleAndReplayable(t *testing.T) {
 	}
 }
 
+// mustPool builds a one-worker pool of cfg.
+func mustPool(tb testing.TB, cfg Config) *Pool {
+	tb.Helper()
+	pool, err := NewPool(cfg, PoolConfig{Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pool
+}
+
+// decideUnder decides reqs as one cluster under ctx — its deadline, its
+// span — into a fresh result: the engine's deadline-aware way in.
+func decideUnder(ctx context.Context, pool *Pool, reqs []Request) (Decision, error) {
+	var res PoolResult
+	if err := pool.DecideInto(ctx, []VC{{ID: "vc", Requests: reqs}}, &res); err != nil {
+		return Decision{}, err
+	}
+	return res.Decision(), nil
+}
+
 // assertFeasible checks the decision selects only eligible devices and
 // fits the configured edge capacity.
 func assertFeasible(t *testing.T, s *Scheduler, reqs []Request, dec Decision) {
@@ -96,8 +117,8 @@ func assertFeasible(t *testing.T, s *Scheduler, reqs []Request, dec Decision) {
 		t.Fatal(err)
 	}
 	usedG, usedH := 0.0, 0.0
-	for _, p := range plans {
-		if !dec.Transform[p.req.DeviceID] {
+	for i, p := range plans {
+		if !dec.X[i] {
 			continue
 		}
 		if !p.eligible {
@@ -171,12 +192,13 @@ func TestTinyDeadlineLargeInstanceAnytime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustScheduler(t, Config{Lambda: 1, Server: server})
+	pool := mustPool(t, Config{Lambda: 1, Server: server})
+	s := pool.Scheduler()
 
 	const budget = time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	start := time.Now()
-	dec, err := s.ScheduleCtx(ctx, reqs)
+	dec, err := decideUnder(ctx, pool, reqs)
 	elapsed := time.Since(start)
 	cancel()
 	if err != nil {

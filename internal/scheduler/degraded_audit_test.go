@@ -26,17 +26,20 @@ func TestAuditRoundTripDegradedRecords(t *testing.T) {
 	degraded := 0
 	for inst := 0; inst < 40; inst++ {
 		vcs, cfg := scheduler.RandomInstanceForTest(rng, base)
-		s, err := scheduler.New(cfg)
+		pool, err := scheduler.NewPool(cfg, scheduler.PoolConfig{Workers: 1})
 		if err != nil {
 			t.Fatalf("instance %d: %v", inst, err)
 		}
+		s := pool.Scheduler()
+		var res scheduler.PoolResult
 		for _, vc := range vcs {
 			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Minute))
-			dec, err := s.ScheduleCtx(ctx, vc.Requests)
+			err := pool.DecideInto(ctx, []scheduler.VC{vc}, &res)
 			cancel()
 			if err != nil {
 				t.Fatalf("instance %d vc %s: %v", inst, vc.ID, err)
 			}
+			dec := res.Decision()
 			if dec.Degraded.Any() {
 				degraded++
 			}

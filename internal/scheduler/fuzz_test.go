@@ -65,7 +65,7 @@ func FuzzPoolDecide(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := pool.Decide(vcs)
+		res, err := decideFresh(pool, vcs)
 		if err != nil {
 			t.Fatalf("pool rejected generated input: %v", err)
 		}

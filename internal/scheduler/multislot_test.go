@@ -231,7 +231,7 @@ func TestChurnSequenceDifferential(t *testing.T) {
 					t.Fatalf("slot %d: stream diverged from cold (%d vs %d Phase-1 nodes):\nstream:\n%s\ncold:\n%s",
 						slot, wd.Phase1Nodes, cd.Phase1Nodes, wd.Canonical(), cd.Canonical())
 				}
-				pr, err := pool.Decide([]VC{{ID: "vc", Requests: reqs}})
+				pr, err := decideFresh(pool, []VC{{ID: "vc", Requests: reqs}})
 				if err != nil {
 					t.Fatalf("slot %d: pool: %v", slot, err)
 				}
@@ -377,7 +377,7 @@ func FuzzIncrementalSchedule(f *testing.F) {
 			t.Fatal(err)
 		}
 		decide := func(reqs []Request) (Decision, error) {
-			pr, err := pool.Decide([]VC{{ID: "vc", Requests: reqs}})
+			pr, err := decideFresh(pool, []VC{{ID: "vc", Requests: reqs}})
 			if err != nil {
 				return Decision{}, err
 			}

@@ -31,8 +31,8 @@ import (
 // VC is one virtual cluster's slot input: the audience of one edge
 // scheduling domain (a Twitch channel's viewers in the paper).
 type VC struct {
-	// ID identifies the cluster; IDs must be unique within one Decide
-	// call and define the deterministic output order.
+	// ID identifies the cluster; IDs must be unique within one
+	// DecideInto call and define the deterministic output order.
 	ID string
 	// Requests is the cluster's information-gathering output.
 	Requests []Request
@@ -90,8 +90,9 @@ type PoolConfig struct {
 // it; what the pool keeps between ticks is working memory, not
 // decisions — at most one planScratch per worker, on a free list, so a
 // slot reuses the slabs an earlier one grew. It is safe for concurrent
-// use: every Decide call allocates its own job state, and a scratch —
-// its Phase-1 ilp.Solver included — belongs to one solve at a time.
+// use: every DecideInto call allocates its own job state, and a
+// scratch — its Phase-1 ilp.Solver included — belongs to one solve at
+// a time.
 type Pool struct {
 	sched   *Scheduler
 	workers int
@@ -126,40 +127,40 @@ func (p *Pool) Scheduler() *Scheduler { return p.sched }
 // Workers reports the configured fan-out.
 func (p *Pool) Workers() int { return p.workers }
 
-// Decide schedules every VC for one slot and merges the outcomes.
-// Decisions are byte-identical to DecideSerial on the same input: each
-// VC is solved independently by the same deterministic Schedule, and
-// the merge orders by VC ID regardless of which worker finished first.
-// The result is the caller's for good: no later call touches it.
-func (p *Pool) Decide(vcs []VC) (*PoolResult, error) {
-	return p.DecideCtx(context.Background(), vcs)
-}
-
-// DecideCtx is Decide with span tracing and deadline awareness (see
-// DecideInto, which it runs over a fresh result).
-func (p *Pool) DecideCtx(ctx context.Context, vcs []VC) (*PoolResult, error) {
-	res := new(PoolResult)
-	if err := p.DecideInto(ctx, vcs, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// DecideInto is the pool's one engine: it decides the slot into res, a
-// result the caller keeps from tick to tick. Whatever res held is
-// overwritten — its VCs slice and every decision's X and PerDevice are
-// reused where their capacity allows, with lengths set exactly — so a
-// caller that is done with one tick's result before it asks for the
-// next (the daemon) allocates nothing per device. res owns all of its
-// memory: nothing in it aliases the pool's scratch, and it stays valid
-// until the caller passes it in again. It must not be shared between
-// concurrent calls. On error res is unspecified.
+// DecideInto schedules every VC for one slot and merges the outcomes
+// into res. Decisions are byte-identical to DecideSerial on the same
+// input: each VC is solved independently by the same deterministic
+// solve as Schedule, and the merge orders by VC ID regardless of which
+// worker finished first.
 //
-// When ctx carries an active span, each VC's solve opens a "vc" child
-// (with the compact / phase1 / phase2 stage spans nested under it).
-// Workers create children of the same parent concurrently — the tracer
-// is built for that — and decisions are identical with tracing on or
-// off.
+// res is a result the caller keeps; a fresh one is a zero PoolResult
+// passed in once. Whatever res held is overwritten — its VCs slice and
+// every decision's X and PerDevice are reused where their capacity
+// allows, with lengths set exactly — so a caller that is done with one
+// tick's result before it asks for the next (the daemon, the emulator)
+// allocates nothing per device. res owns all of its memory: nothing in
+// it aliases the pool's scratch, and it stays valid until the caller
+// passes it in again. It must not be shared between concurrent calls.
+// On error res is unspecified.
+//
+// Tracing: when ctx carries an active span (internal/obs/span), each
+// VC's solve opens a "vc" child, with the compact / phase1 / phase2
+// stage spans nested under it, whose durations match the Decision's
+// timing fields. Workers create children of the same parent
+// concurrently — the tracer is built for that — and decisions are
+// identical with tracing on or off.
+//
+// Deadline: when ctx carries a deadline, the call runs in anytime mode
+// (DESIGN.md §12): the Phase-1 branch-and-bound is wall-clock-bounded
+// and falls back to the deterministic greedy solution on expiry, and an
+// already-expired deadline skips the Phase-2 swap pass. The resulting
+// decision is always feasible and capacity-respecting; the shortcuts
+// taken are recorded in Decision.Degraded so audit replay
+// (Scheduler.ScheduleDegraded) can apply exactly the same ones. A ctx
+// without a deadline, or one generous enough that no stage expires,
+// yields bytes identical to Schedule. Context cancellation is
+// deliberately ignored: a half-honoured cancel would produce
+// timing-dependent decisions.
 func (p *Pool) DecideInto(ctx context.Context, vcs []VC, res *PoolResult) error {
 	ordered, err := orderVCs(vcs)
 	if err != nil {
@@ -240,8 +241,8 @@ func DecideSerial(s *Scheduler, vcs []VC) (*PoolResult, error) {
 
 // solveVC decides one cluster into out, reusing out.Decision's storage,
 // in a scratch it takes from the free list (or builds, when every kept
-// one is in use) and gives back; concurrent Decide calls can have more
-// than workers in flight, and the list drops the surplus.
+// one is in use) and gives back; concurrent DecideInto calls can have
+// more than workers in flight, and the list drops the surplus.
 func (p *Pool) solveVC(ctx context.Context, vc *VC, worker int, out *VCDecision) error {
 	vcCtx, sp := span.Child(ctx, "vc")
 	sp.SetStr("vc", vc.ID)

@@ -19,6 +19,16 @@ import (
 	"lpvs/internal/video"
 )
 
+// decideFresh decides one slot into a fresh result — a zero
+// PoolResult passed in once.
+func decideFresh(pool *Pool, vcs []VC) (*PoolResult, error) {
+	res := new(PoolResult)
+	if err := pool.DecideInto(context.Background(), vcs, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // makeVCSet builds nVC virtual clusters of perVC devices each. Devices
 // within a VC share one generated stream (the paper's model: a VC is
 // one channel's audience) but differ in display, battery state and
@@ -111,7 +121,7 @@ func TestPoolVsSerialDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		serial := mustScheduler(t, cfg)
-		pr, err := pool.Decide(vcs)
+		pr, err := decideFresh(pool, vcs)
 		if err != nil {
 			t.Fatalf("instance %d: pool: %v", inst, err)
 		}
@@ -123,7 +133,7 @@ func TestPoolVsSerialDifferential(t *testing.T) {
 			t.Fatalf("instance %d: pool and serial decisions diverged:\npool:\n%s\nserial:\n%s",
 				inst, pr.Canonical(), sr.Canonical())
 		}
-		again, err := pool.Decide(vcs)
+		again, err := decideFresh(pool, vcs)
 		if err != nil {
 			t.Fatalf("instance %d: second pool tick: %v", inst, err)
 		}
@@ -140,7 +150,7 @@ func TestPoolVsSerialDifferential(t *testing.T) {
 			reqs[0].Display.Brightness *= 0.8
 			dimmed[v] = VC{ID: vc.ID, Requests: reqs}
 		}
-		dr, err := pool.Decide(dimmed)
+		dr, err := decideFresh(pool, dimmed)
 		if err != nil {
 			t.Fatalf("instance %d: dimmed pool tick: %v", inst, err)
 		}
@@ -178,7 +188,7 @@ func TestPoolVsSerialDifferential(t *testing.T) {
 				reqs[k].Gamma = 0.65 - reqs[k].Gamma
 				reqs[(k+18)%len(reqs)].EnergyFrac = 1 - 0.9*reqs[(k+18)%len(reqs)].EnergyFrac
 			}
-			pr, err := pool.Decide(vcs)
+			pr, err := decideFresh(pool, vcs)
 			if err != nil {
 				t.Fatalf("set %d tick %d: pool: %v", set, tick, err)
 			}
@@ -460,7 +470,7 @@ func TestPoolCapacityAndEligibilityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := pool.Decide(vcs)
+		res, err := decideFresh(pool, vcs)
 		if err != nil {
 			return false
 		}
@@ -513,7 +523,7 @@ func TestPoolSameSeedDeterministicProperty(t *testing.T) {
 			if err != nil {
 				return nil
 			}
-			res, err := pool.Decide(vcs)
+			res, err := decideFresh(pool, vcs)
 			if err != nil {
 				return nil
 			}
@@ -556,7 +566,7 @@ func TestParallelCompactingMatchesSerial(t *testing.T) {
 	}
 	serial := mustScheduler(t, cfg)
 	vcs := []VC{{ID: "vc", Requests: reqs}}
-	dp, err := pool.Decide(vcs)
+	dp, err := decideFresh(pool, vcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +594,7 @@ func TestParallelCompactingMatchesSerial(t *testing.T) {
 	// request wins.
 	bad := []VC{{ID: "vc", Requests: append([]Request(nil), reqs...)}}
 	bad[0].Requests[3].Gamma, bad[0].Requests[100].Gamma = 0, 0
-	_, errP := pool.Decide(bad)
+	_, errP := decideFresh(pool, bad)
 	_, errS := DecideSerial(serial, bad)
 	if errS == nil || errP == nil || errS.Error() != errP.Error() {
 		t.Fatalf("error selection differs: serial %v vs parallel %v", errS, errP)
@@ -647,10 +657,10 @@ func TestPoolValidation(t *testing.T) {
 	if pool.Workers() != 2 || pool.Scheduler() == nil {
 		t.Fatalf("pool accessors wrong: workers=%d", pool.Workers())
 	}
-	if _, err := pool.Decide([]VC{{ID: "a"}, {ID: "a"}}); err == nil {
+	if _, err := decideFresh(pool, []VC{{ID: "a"}, {ID: "a"}}); err == nil {
 		t.Fatal("duplicate VC IDs accepted")
 	}
-	empty, err := pool.Decide(nil)
+	empty, err := decideFresh(pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +675,7 @@ func TestPoolValidation(t *testing.T) {
 		{ID: "z-ok", Requests: makeCluster(t, 2, 8)},
 		{ID: "a-bad", Requests: bad},
 	}
-	_, err = pool.Decide(vcs)
+	_, err = decideFresh(pool, vcs)
 	if err == nil {
 		t.Fatal("invalid VC accepted")
 	}
@@ -684,7 +694,7 @@ func TestPoolTimingFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pool.Decide(vcs)
+	res, err := decideFresh(pool, vcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,7 +723,9 @@ func TestPoolTimingFields(t *testing.T) {
 // different VC sets on one Pool at once, each into its own kept result,
 // for several ticks, the larger VCs compacted in parallel: the free
 // list must never hand one scratch to two solves (the race run checks
-// that), and each result must equal DecideSerial byte for byte.
+// that), and each result must equal DecideSerial byte for byte — and
+// still equal it once the other goroutine's later solves are done,
+// since a result aliases none of the pool's scratch.
 func TestConcurrentDecideIntoMatchesSerial(t *testing.T) {
 	server, err := edge.NewServer(8)
 	if err != nil {
@@ -726,12 +738,14 @@ func TestConcurrentDecideIntoMatchesSerial(t *testing.T) {
 	}
 	serial := mustScheduler(t, cfg)
 	sets := [][]VC{makeVCSet(t, 3, 40, 11), makeVCSet(t, 2, 2*compactChunk+10, 12)}
+	results := make([]PoolResult, len(sets))
+	wants := make([][]byte, len(sets))
 	var wg sync.WaitGroup
 	for g, vcs := range sets {
 		wg.Add(1)
 		go func(g int, vcs []VC) {
 			defer wg.Done()
-			var res PoolResult
+			res := &results[g]
 			for tick := 0; tick < 6; tick++ {
 				for v := range vcs {
 					reqs := append([]Request(nil), vcs[v].Requests...)
@@ -739,7 +753,7 @@ func TestConcurrentDecideIntoMatchesSerial(t *testing.T) {
 					reqs[k].EnergyFrac = 1 - 0.9*reqs[k].EnergyFrac
 					vcs[v].Requests = reqs
 				}
-				if err := pool.DecideInto(context.Background(), vcs, &res); err != nil {
+				if err := pool.DecideInto(context.Background(), vcs, res); err != nil {
 					t.Error(err)
 					return
 				}
@@ -748,7 +762,7 @@ func TestConcurrentDecideIntoMatchesSerial(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if !bytes.Equal(res.Canonical(), want.Canonical()) {
+				if wants[g] = want.Canonical(); !bytes.Equal(res.Canonical(), wants[g]) {
 					t.Errorf("goroutine %d tick %d: DecideInto diverged from DecideSerial", g, tick)
 					return
 				}
@@ -756,4 +770,9 @@ func TestConcurrentDecideIntoMatchesSerial(t *testing.T) {
 		}(g, vcs)
 	}
 	wg.Wait()
+	for g := range results {
+		if got := results[g].Canonical(); !t.Failed() && !bytes.Equal(got, wants[g]) {
+			t.Fatalf("goroutine %d: its last result changed under the other goroutine's later solves", g)
+		}
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -214,63 +213,6 @@ func duplicateBatchPinned(t *testing.T, reqs []Request, dupID string, d Decision
 	}
 }
 
-// TestPoolDecisionOutlivesNextDecide pins the lifetime of a pool
-// result. The decision owns its X and PerDevice — the pool's scratch
-// is never handed out — so a result is unchanged by
-// any number of later Decide calls on the same pool, concurrent ones
-// included (run under -race), as long as its batch is left alone, which
-// is where Canonical reads device IDs.
-func TestPoolDecisionOutlivesNextDecide(t *testing.T) {
-	server, err := edge.NewServer(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewPool(Config{Server: server, Lambda: 1.5}, PoolConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := makeCluster(t, 48, 31)
-	SortRequests(first)
-	res, err := pool.Decide([]VC{{ID: "vc", Requests: first}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := res.VCs[0].Decision
-	x := append([]bool(nil), kept.X...)
-	per := append([]Verdict(nil), kept.PerDevice...)
-	canonical := kept.Canonical()
-
-	// Same pool, later slots: unchanged, churned, and a different
-	// population, some of them concurrently.
-	churned := append([]Request(nil), first...)
-	for i := range churned {
-		churned[i].EnergyFrac = 1 - 0.9*churned[i].EnergyFrac
-	}
-	other := makeCluster(t, 30, 32)
-	SortRequests(other)
-	var wg sync.WaitGroup
-	for _, reqs := range [][]Request{first, churned, other, churned, first} {
-		wg.Add(1)
-		go func(reqs []Request) {
-			defer wg.Done()
-			if _, err := pool.Decide([]VC{{ID: "vc", Requests: reqs}}); err != nil {
-				t.Error(err)
-			}
-		}(reqs)
-	}
-	wg.Wait()
-
-	for i := range x {
-		if kept.X[i] != x[i] || kept.PerDevice[i] != per[i] {
-			t.Fatalf("position %d of a kept result changed under later Decide calls: %v %+v, was %v %+v",
-				i, kept.X[i], kept.PerDevice[i], x[i], per[i])
-		}
-	}
-	if !bytes.Equal(kept.Canonical(), canonical) {
-		t.Fatal("a kept result's canonical bytes changed under later Decide calls")
-	}
-}
-
 // TestDecideIntoReusedResultMatchesFresh is the decide-into
 // differential: ONE PoolResult is decided into across the whole
 // 210-instance pool-vs-serial corpus — instances of one to four VCs of
@@ -315,8 +257,8 @@ func TestDecideIntoReusedResultMatchesFresh(t *testing.T) {
 			if err := into.DecideInto(step.ctx, step.vcs, &kept); err != nil {
 				t.Fatalf("instance %d %s: into: %v", inst, step.name, err)
 			}
-			want, err := fresh.DecideCtx(step.ctx, step.vcs)
-			if err != nil {
+			var want PoolResult
+			if err := fresh.DecideInto(step.ctx, step.vcs, &want); err != nil {
 				t.Fatalf("instance %d %s: fresh: %v", inst, step.name, err)
 			}
 			if !bytes.Equal(kept.Canonical(), want.Canonical()) {

@@ -31,9 +31,35 @@ type relationCluster struct {
 	compute, storage float64
 }
 
-func randomRelationCluster(rng *stats.RNG, base []Request, inst int) relationCluster {
+// relationDraws is what randomRelationCluster draws from: a *stats.RNG
+// in TestScheduleRelations, the fuzz input in FuzzScheduleRelations.
+type relationDraws interface {
+	Intn(n int) int
+	Uniform(lo, hi float64) float64
+}
+
+// byteDraws draws from fuzz input, one byte a draw, and draws zeros
+// once the input runs out. Uniform bytes draw randomRelationCluster's
+// own distribution, up to the rounding of Uniform to 256 steps.
+type byteDraws []byte
+
+func (b *byteDraws) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	x := (*b)[0]
+	*b = (*b)[1:]
+	return int(x)
+}
+
+func (b *byteDraws) Intn(n int) int { return b.next() % n }
+
+func (b *byteDraws) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*float64(b.next())/256 }
+
+// randomRelationCluster draws a cluster of 4 to maxDevices devices.
+func randomRelationCluster(rng relationDraws, base []Request, inst, maxDevices int) relationCluster {
 	resolutions := []display.Resolution{display.Res480p, display.Res720p, display.Res1080p, display.Res1440p}
-	n := 4 + rng.Intn(57)
+	n := 4 + rng.Intn(maxDevices-3)
 	reqs := make([]Request, n)
 	c := relationCluster{reqs: reqs, lambda: rng.Uniform(0.1, 5)}
 	for i := range reqs {
@@ -73,6 +99,69 @@ func anxietyTerm(t *testing.T, cfg Config, reqs []Request, x []bool) float64 {
 	return totalObjective(with, x) - totalObjective(without, x)
 }
 
+// scheduleOrFatal is one cold two-phase solve of reqs under cfg.
+func scheduleOrFatal(t *testing.T, cfg Config, reqs []Request) Decision {
+	t.Helper()
+	d, err := mustScheduler(t, cfg).Schedule(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// checkSwapNotAbove: Phase-2 never ends above Phase-1's objective,
+// which is the objective of the same solve with DisableSwap.
+func checkSwapNotAbove(t *testing.T, where string, cfg Config, reqs []Request, d Decision) {
+	t.Helper()
+	cfg.DisableSwap = true
+	if p1 := scheduleOrFatal(t, cfg, reqs); d.Objective > p1.Objective+relationTol {
+		t.Errorf("%s: Phase-2 ends at objective %.17g, above Phase-1's %.17g", where, d.Objective, p1.Objective)
+	}
+}
+
+// checkPhase1Step: Phase1Value is non-decreasing from prev to d, a
+// solve under a capacity no smaller in C and in S, when both are
+// OptimalPhase1 (a larger server only adds feasible sets). It reports
+// whether the two were both proven optima.
+func checkPhase1Step(t *testing.T, where string, prev, d Decision) bool {
+	t.Helper()
+	if !prev.OptimalPhase1 || !d.OptimalPhase1 {
+		return false
+	}
+	if d.Phase1Value < prev.Phase1Value-relationTol {
+		t.Errorf("%s: Phase1Value falls from %.17g to %.17g", where, prev.Phase1Value, d.Phase1Value)
+	}
+	return true
+}
+
+// checkPermuted: perm, a permutation of the sorted batch want was
+// decided for under cfg, decides the same — identical Canonical bytes
+// but for the objective's last bits, which sums in batch order (the
+// reason SortRequests exists). It holds only while no two devices tie:
+// between two identical devices the solve picks by batch order.
+func checkPermuted(t *testing.T, where string, cfg Config, perm []Request, want Decision) {
+	t.Helper()
+	got := scheduleOrFatal(t, cfg, perm)
+	if math.Abs(got.Objective-want.Objective) <= relationTol {
+		got.Objective = want.Objective
+	}
+	if !bytes.Equal(got.Canonical(), want.Canonical()) {
+		t.Errorf("%s: a permuted batch decides\n%s\nthe batch in order\n%s", where, got.Canonical(), want.Canonical())
+	}
+}
+
+// checkSortedBack: perm, a permutation of the sorted batch want was
+// decided for under cfg, decides byte for byte the same once
+// SortRequests has put it back in order, which it does to perm.
+func checkSortedBack(t *testing.T, where string, cfg Config, perm []Request, want Decision) {
+	t.Helper()
+	SortRequests(perm)
+	if got := scheduleOrFatal(t, cfg, perm); !bytes.Equal(got.Canonical(), want.Canonical()) {
+		t.Errorf("%s: a permuted batch put back in order decides\n%s\nthe batch in order\n%s",
+			where, got.Canonical(), want.Canonical())
+	}
+}
+
 // TestScheduleRelations checks relations between decisions that hold
 // whatever the exact figures, so they survive any re-pin of the
 // goldens. Over random clusters of mixed resolutions and window
@@ -104,20 +193,12 @@ func TestScheduleRelations(t *testing.T) {
 	const instances = 24
 	var optimalSteps, lambdaSteps, heuristicRises int
 	for inst := 0; inst < instances; inst++ {
-		c := randomRelationCluster(rng, base, inst)
-		decide := func(cfg Config) Decision {
-			t.Helper()
-			d, err := mustScheduler(t, cfg).Schedule(c.reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		}
+		c := randomRelationCluster(rng, base, inst, 60)
 		sweep := func(name string, server func(step float64) *edge.Server) {
 			var prev, prevJoint Decision
 			for k, step := range capacitySteps {
 				cfg := Config{Lambda: c.lambda, Server: server(step)}
-				d := decide(cfg)
+				d := scheduleOrFatal(t, cfg, c.reqs)
 				joint, err := NewJointKnapsackPolicy(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -126,17 +207,9 @@ func TestScheduleRelations(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.DisableSwap = true
-				if p1 := decide(cfg); d.Objective > p1.Objective+relationTol {
-					t.Errorf("instance %d, %s at %.2f: Phase-2 ends at objective %.17g, above Phase-1's %.17g",
-						inst, name, step, d.Objective, p1.Objective)
-				}
-				if k > 0 && prev.OptimalPhase1 && d.OptimalPhase1 {
+				checkSwapNotAbove(t, fmt.Sprintf("instance %d, %s at %.2f", inst, name, step), cfg, c.reqs, d)
+				if k > 0 && checkPhase1Step(t, fmt.Sprintf("instance %d, %s %.2f -> %.2f", inst, name, capacitySteps[k-1], step), prev, d) {
 					optimalSteps++
-					if d.Phase1Value < prev.Phase1Value-relationTol {
-						t.Errorf("instance %d, %s %.2f -> %.2f: Phase1Value falls from %.17g to %.17g",
-							inst, name, capacitySteps[k-1], step, prev.Phase1Value, d.Phase1Value)
-					}
 				}
 				if k > 0 && prevJoint.OptimalPhase1 && j.OptimalPhase1 && j.Objective > prevJoint.Objective+relationTol {
 					t.Errorf("instance %d, %s %.2f -> %.2f: the joint solve's Objective rises from %.17g to %.17g",
@@ -160,29 +233,13 @@ func TestScheduleRelations(t *testing.T) {
 		})
 
 		cfg := Config{Lambda: c.lambda, Server: &edge.Server{ComputeCapacity: fixedC, StorageCapacityMB: fixedS}}
-		want := decide(cfg)
 		perm := make([]Request, len(c.reqs))
 		for i, j := range rng.Perm(len(c.reqs)) {
 			perm[i] = c.reqs[j]
 		}
-		got, err := mustScheduler(t, cfg).Schedule(perm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Objective-want.Objective) <= relationTol {
-			got.Objective = want.Objective
-		}
-		if !bytes.Equal(got.Canonical(), want.Canonical()) {
-			t.Errorf("instance %d: a permuted batch decides\n%s\nthe batch in order\n%s", inst, got.Canonical(), want.Canonical())
-		}
-		SortRequests(perm)
-		if got, err = mustScheduler(t, cfg).Schedule(perm); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Canonical(), want.Canonical()) {
-			t.Errorf("instance %d: a permuted batch put back in order decides\n%s\nthe batch in order\n%s",
-				inst, got.Canonical(), want.Canonical())
-		}
+		want := scheduleOrFatal(t, cfg, c.reqs)
+		checkPermuted(t, fmt.Sprintf("instance %d", inst), cfg, perm, want)
+		checkSortedBack(t, fmt.Sprintf("instance %d", inst), cfg, perm, want)
 
 		prevA, prevOptimal := math.Inf(1), false
 		for k, lambda := range lambdas {
@@ -211,4 +268,46 @@ func TestScheduleRelations(t *testing.T) {
 	if optimalSteps == 0 || lambdaSteps == 0 {
 		t.Fatal("no step between two proven optima: the optimality relations compared nothing")
 	}
+}
+
+// FuzzScheduleRelations holds the two-phase solve to TestScheduleRelations'
+// relations on clusters decoded from the fuzz input: a cluster of 4 to
+// 16 devices drawn by randomRelationCluster, capacities C and S of 0 to
+// 120% of its total costs, a step up in each, and a permutation. Under
+// (C, S) Phase-2 must not end above the same solve with DisableSwap;
+// Phase1Value must not fall from (C, S) to the larger C or the larger
+// S when both solves are proven optima; and the permuted batch must
+// decide byte for byte the same once SortRequests has put it back in
+// order. Before that sort it may not: byte draws make identical
+// devices, which the solve tells apart by batch order, so
+// checkPermuted's relation is TestScheduleRelations' alone. The seeds
+// are uniform bytes, which decode to the generator's own distribution.
+func FuzzScheduleRelations(f *testing.F) {
+	rng := stats.NewRNG(20261019)
+	for seed := 0; seed < 8; seed++ {
+		data := make([]byte, 96)
+		for i := range data {
+			data[i] = byte(rng.Intn(256))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		draws := byteDraws(data)
+		c := randomRelationCluster(&draws, fuzzBaseCluster(t), 0, 16)
+		at := func(cf, sf float64) Config {
+			return Config{Lambda: c.lambda, Server: &edge.Server{ComputeCapacity: cf * c.compute, StorageCapacityMB: sf * c.storage}}
+		}
+		cf, sf := draws.Uniform(0, 1.2), draws.Uniform(0, 1.2)
+		cfg := at(cf, sf)
+		d := scheduleOrFatal(t, cfg, c.reqs)
+		checkSwapNotAbove(t, "at (C, S)", cfg, c.reqs, d)
+		checkPhase1Step(t, "C step", d, scheduleOrFatal(t, at(cf+draws.Uniform(0, 0.5), sf), c.reqs))
+		checkPhase1Step(t, "S step", d, scheduleOrFatal(t, at(cf, sf+draws.Uniform(0, 0.5)), c.reqs))
+		perm := append([]Request(nil), c.reqs...)
+		for i := len(perm) - 1; i > 0; i-- {
+			j := draws.Intn(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		checkSortedBack(t, "permuted", cfg, perm, d)
+	})
 }

@@ -25,13 +25,12 @@
 //
 // A Scheduler solves one cluster cold, as a pure function; a Pool
 // (pool.go) solves many per tick, cold too, into working memory it
-// reuses from slot to slot. A result belongs to whoever holds it.
-// Pool.Decide and DecideCtx hand out a fresh PoolResult that no later
-// call touches; Pool.DecideInto — the one engine under both — decides
-// into a result its caller keeps, overwriting it and reusing its
-// slices, which is how the daemon's tick allocates nothing per device.
-// Either way a Decision's X and PerDevice are its own: nothing is ever
-// lent from a pool's scratch.
+// reuses from slot to slot. A result belongs to whoever holds it:
+// Pool.DecideInto decides into a PoolResult its caller keeps,
+// overwriting it and reusing its slices, which is how the daemon's tick
+// allocates nothing per device, and the result stays valid until its
+// holder passes it in again. A Decision's X and PerDevice are its own:
+// nothing is ever lent from a pool's scratch.
 package scheduler
 
 import (
@@ -246,8 +245,8 @@ func (d Degradation) Reason() string {
 type Decision struct {
 	// Transform maps device ID to x_n: X keyed by ID, for callers that
 	// hold IDs rather than positions. It is built only at the library
-	// boundary — Schedule, ScheduleCtx, ScheduleDegraded, DecideSerial
-	// and the baseline policies; Pool.Decide leaves it nil. A device ID
+	// boundary — Schedule, ScheduleDegraded, DecideSerial and the
+	// baseline policies; Pool.DecideInto leaves it nil. A device ID
 	// the batch names twice keeps its last position's entry.
 	Transform map[string]bool
 	// X[i] is x_n of the batch's i-th request; PerDevice[i] is that
@@ -668,30 +667,10 @@ func (sc *planScratch) placeEligible() []placed {
 
 // Schedule makes the slot decision for one virtual cluster, cold: two
 // calls with the same batch do the same work and return the same bytes.
+// It runs with no deadline and no span; Pool.DecideInto is the way in
+// for both.
 func (s *Scheduler) Schedule(reqs []Request) (Decision, error) {
-	return s.ScheduleCtx(context.Background(), reqs)
-}
-
-// ScheduleCtx is Schedule with span tracing and deadline awareness.
-//
-// Tracing: when ctx carries an active span (internal/obs/span), each
-// stage — information compacting, the Phase-1 knapsack, Phase-2
-// swapping — opens a child span whose duration matches the Decision's
-// timing fields. With no active span the only cost is three context
-// lookups; decisions are identical either way.
-//
-// Deadline: when ctx carries a deadline, the call runs in anytime mode
-// (DESIGN.md §12): the Phase-1 branch-and-bound is wall-clock-bounded
-// and falls back to the deterministic greedy solution on expiry, and an
-// already-expired deadline skips the Phase-2 swap pass. The resulting
-// decision is always feasible and capacity-respecting; the shortcuts
-// taken are recorded in Decision.Degraded so audit replay can apply
-// exactly the same ones. A ctx without a deadline (or one generous
-// enough that no stage expires) yields bytes identical to Schedule.
-// Context *cancellation* is deliberately ignored: a half-honoured
-// cancel would produce timing-dependent decisions.
-func (s *Scheduler) ScheduleCtx(ctx context.Context, reqs []Request) (Decision, error) {
-	return s.scheduleCold(ctx, reqs, nil)
+	return s.scheduleCold(reqs, nil)
 }
 
 // ScheduleDegraded is Schedule with the given degradations forced,
@@ -701,15 +680,15 @@ func (s *Scheduler) ScheduleCtx(ctx context.Context, reqs []Request) (Decision, 
 // deterministically — the degraded paths themselves are pure functions
 // of (config, requests, degradation).
 func (s *Scheduler) ScheduleDegraded(reqs []Request, deg Degradation) (Decision, error) {
-	return s.scheduleCold(context.Background(), reqs, &deg)
+	return s.scheduleCold(reqs, &deg)
 }
 
 // scheduleCold is the library boundary's solve: stateless and serial,
 // into a decision of its own, with the ID-keyed map.
-func (s *Scheduler) scheduleCold(ctx context.Context, reqs []Request, forced *Degradation) (Decision, error) {
+func (s *Scheduler) scheduleCold(reqs []Request, forced *Degradation) (Decision, error) {
 	var dec Decision
 	var sc planScratch
-	if err := s.scheduleWith(ctx, reqs, &sc, 1, forced, &dec); err != nil {
+	if err := s.scheduleWith(context.Background(), reqs, &sc, 1, forced, &dec); err != nil {
 		return Decision{}, err
 	}
 	return withMaps(dec, nil)

@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"reflect"
 	"sort"
@@ -84,7 +83,7 @@ func mustSlotStream(tb testing.TB, cfg Config) *slotStream {
 // Schedule decides the stream's next slot. The decision is positional:
 // a pool result carries no ID-keyed maps.
 func (w *slotStream) Schedule(reqs []Request) (Decision, error) {
-	pr, err := w.pool.Decide([]VC{{ID: "vc", Requests: reqs}})
+	pr, err := decideFresh(w.pool, []VC{{ID: "vc", Requests: reqs}})
 	if err != nil {
 		return Decision{}, err
 	}
@@ -394,7 +393,7 @@ func TestScheduleIsPure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.ScheduleCtx(context.Background(), reqs)
+	second, err := s.Schedule(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

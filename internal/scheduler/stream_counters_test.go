@@ -132,8 +132,8 @@ func streamRows(t *testing.T, pool *Pool, ticks []streamTick, cfg Config) (rows 
 			err = mustScheduler(t, tickCfg).scheduleWith(ctx, tk.reqs, sc, pool.workers, nil, &dec)
 			pool.free.Put(sc)
 		} else {
-			var res *PoolResult
-			if res, err = pool.DecideCtx(ctx, vcs); err == nil {
+			var res PoolResult
+			if err = pool.DecideInto(ctx, vcs, &res); err == nil {
 				dec = res.Decision()
 			}
 		}

@@ -14,21 +14,23 @@ import (
 
 // This file is the response path (DESIGN.md §18). WriteJSON is the one
 // JSON writer of every route. The bodies that are nearly all of a
-// slot's traffic — a decision, a chunk, a single report's
-// acknowledgement, a shard's tick reply and the router's merged tick
-// (internal/router) — are instead appended by their own AppendJSON
-// method, the small ones into a pooled buffer and the two tick bodies,
-// which grow with the fleet, into storage their owner keeps (the
-// Server's shardReply, the router's tickSpace), byte for byte what
-// WriteJSON would have sent (FuzzAppendJSON and FuzzAppendTick hold
-// them together; the value writers are internal/appendjson's), and
-// fall back to WriteJSON only for a float with no JSON form, to fail as
-// it fails. Each has a ReadJSON beside it, the decode half a client
-// tries before json.Unmarshal: it takes exactly the layout AppendJSON
-// writes and declines anything else (FuzzDecodeReply and FuzzDecodeTick
-// hold it to json.Unmarshal). A shard does not build its tick reply as
-// a value: handleShardTick appends it from the tick outcome through the
-// same member writers (shard.go).
+// slot's traffic are appended instead, byte for byte what WriteJSON
+// would have sent, through internal/appendjson's value writers:
+//   - a decision, a chunk, a single report's acknowledgement and the
+//     router's merged tick (internal/router) by their own AppendJSON
+//     method, the small ones into a pooled buffer and the merged tick,
+//     which grows with the fleet, into the router's tickSpace
+//     (FuzzAppendJSON and the router's FuzzAppendTick hold them to
+//     json.Encoder);
+//   - a shard's tick reply by its one writer, appendShardTickLocked
+//     (shard.go), from the tick outcome into the Server's shardReply
+//     (TestShardTickReplyLayout holds it to json.Encoder).
+//
+// Each falls back to WriteJSON's answer only for a float with no JSON
+// form, to fail as it fails. Each reply has a ReadJSON beside it, the
+// decode half a client tries before json.Unmarshal: it takes exactly
+// the layout its writer writes and declines anything else
+// (FuzzDecodeReply and FuzzDecodeTick hold it to json.Unmarshal).
 
 // jsonContentType is the Content-Type value of every JSON body,
 // assigned to the header map as is. cap == len, so a middleware that
@@ -326,8 +328,7 @@ func (v *ShardVCDecision) ReadMembers(rd *appendjson.Reader) {
 }
 
 // appendHead appends a shard tick reply's members before its vcs,
-// opening brace included: what handleShardTick writes from a tick
-// outcome and AppendJSON from a reply value alike.
+// opening brace included, for appendShardTickLocked.
 func (r *ShardTickResponse) appendHead(dst []byte) []byte {
 	dst = append(dst, '{')
 	if r.Node != "" {
@@ -351,76 +352,6 @@ func (r *ShardTickResponse) appendHead(dst []byte) []byte {
 	dst = strconv.AppendInt(dst, int64(r.Swaps), 10)
 	dst = append(dst, `,"degraded":`...)
 	return strconv.AppendBool(dst, r.Degraded)
-}
-
-// AppendJSON is DecisionResponse.AppendJSON for a shard's tick reply.
-// The shard itself writes this layout from its tick outcome without
-// building r (appendShardTickLocked, through the same member writers);
-// this is the layout's value form, which FuzzAppendTick holds to
-// json.Encoder and ReadJSON reads back.
-func (r ShardTickResponse) AppendJSON(dst []byte) ([]byte, bool) {
-	ok := true
-	dst = append(r.appendHead(dst), `,"vcs":`...)
-	if r.VCs == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range r.VCs {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(r.VCs[i].AppendMembers(append(dst, '{'), &ok), '}')
-		}
-		dst = append(dst, ']')
-	}
-	dst = append(dst, `,"devices":`...)
-	if r.Devices == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range r.Devices {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			d := &r.Devices[i]
-			dst = appendFloats(append(dst, `{"gamma":`...), d.Gamma, &ok)
-			dst = appendInts(append(dst, `,"observations":`...), d.Observations)
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
-	dst = r.Sched.AppendObject(append(dst, `,"sched":`...), &ok)
-	return append(dst, "}\n"...), ok
-}
-
-// appendFloats appends xs as encoding/json writes a []float64.
-func appendFloats(dst []byte, xs []float64, ok *bool) []byte {
-	if xs == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '[')
-	for i, x := range xs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendjson.Float(dst, x, ok)
-	}
-	return append(dst, ']')
-}
-
-// appendInts appends ns as encoding/json writes an []int.
-func appendInts(dst []byte, ns []int) []byte {
-	if ns == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '[')
-	for i, n := range ns {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendInt(dst, int64(n), 10)
-	}
-	return append(dst, ']')
 }
 
 // ReadJSON is DecisionResponse.ReadJSON for a shard's tick reply, and

@@ -239,10 +239,13 @@ func tickSample(node, epoch, reason string, n int, flag bool, x, y float64, cano
 	return r
 }
 
-// FuzzAppendTick is FuzzAppendJSON for the shard's tick reply: the
-// appender against json.Encoder, WriteAppended against WriteJSON
-// (a NaN or an infinity must fall back), and ReadJSON reading the
-// appended body back.
+// FuzzAppendTick holds a shard tick reply's head and reader to
+// encoding/json. appendHead — the members appendShardTickLocked writes
+// before the vcs — must write json.Encoder's bytes for them, and
+// ReadJSON must read json.Marshal's body of the reply back to the
+// value, float bits included, unless a string in it was escaped.
+// TestShardTickReplyLayout holds the whole reply the shard writes to
+// json.Encoder.
 func FuzzAppendTick(f *testing.F) {
 	for _, x := range []float64{0, math.Copysign(0, -1), 0.31, 1e-7, 1e21, 5e-324, math.NaN(), math.Inf(-1)} {
 		f.Add("n1", "e0f3", "", 3, true, x, 0.5, []byte("selected=1\nd=true\n"), uint8(0x13))
@@ -252,7 +255,29 @@ func FuzzAppendTick(f *testing.F) {
 		f.Add(s, s, s, 7, true, 1.5, 2.5, []byte(s), uint8(0x21))
 	}
 	f.Fuzz(func(t *testing.T, node, epoch, reason string, n int, flag bool, x, y float64, canon []byte, shape uint8) {
-		checkAppendJSON(t, tickSample(node, epoch, reason, n, flag, x, y, canon, shape))
+		r := tickSample(node, epoch, reason, n, flag, x, y, canon, shape)
+		head := ShardTickResponse{Node: r.Node, Slot: r.Slot, Epoch: r.Epoch, Reports: r.Reports,
+			Eligible: r.Eligible, Selected: r.Selected, Swaps: r.Swaps, Degraded: r.Degraded}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(head); err != nil {
+			t.Fatal(err)
+		}
+		if got := append(head.appendHead(nil), `,"vcs":`...); !bytes.HasPrefix(want.Bytes(), got) {
+			t.Fatalf("appendHead wrote %q, encoding/json %q", got, want.Bytes())
+		}
+		body, err := json.Marshal(r)
+		if err != nil {
+			return // a NaN or an infinity: TestShardTickFallbackIsWriteJSONs
+		}
+		body = append(body, '\n')
+		escaped := bytes.ContainsRune(body, '\\') || bytes.ContainsFunc(body, func(r rune) bool { return r > '~' })
+		var back ShardTickResponse
+		switch read := back.ReadJSON(body); {
+		case read == escaped:
+			t.Fatalf("ReadJSON(%q) = %t", body, read)
+		case read && !testenv.BitEqual(back, r):
+			t.Fatalf("ReadJSON(%q) read %+v, marshalled from %+v", body, back, r)
+		}
 	})
 }
 
@@ -263,8 +288,11 @@ func FuzzAppendTick(f *testing.F) {
 // the reply as it was.
 func FuzzDecodeTick(f *testing.F) {
 	body := func(r ShardTickResponse) string {
-		b, _ := r.AppendJSON(nil)
-		return string(b)
+		b, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(b) + "\n"
 	}
 	good := body(tickSample("n1", "e0f3", "deadline:phase1-greedy", 4, true, 0.5, 1e-7, []byte("a=true\n"), 0x23))
 	for _, s := range []string{

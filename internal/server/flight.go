@@ -67,9 +67,6 @@ func (s *Server) flightMeta() map[string]string {
 // History exposes the metric-history store (nil when disabled).
 func (s *Server) History() *history.Store { return s.history }
 
-// Flight exposes the flight recorder (nil when disabled).
-func (s *Server) Flight() *flight.Recorder { return s.flight }
-
 // handleHistory serves GET /v1/history range queries:
 //
 //	?series=lpvs_ticks_total,lpvs_go_   comma-separated name prefixes

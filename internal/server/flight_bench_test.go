@@ -112,7 +112,7 @@ func BenchmarkFlightBundleWrite(b *testing.B) {
 	var bundleBytes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		path, err := s.Flight().Capture("bench")
+		path, err := s.flight.Capture("bench")
 		if err != nil {
 			b.Fatal(err)
 		}

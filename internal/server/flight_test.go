@@ -178,7 +178,7 @@ func TestKillAndInspect(t *testing.T) {
 	ts := httptest.NewServer(inj.Middleware(s.Handler()))
 	defer ts.Close()
 
-	flightDir := s.Flight().Dir()
+	flightDir := s.flight.Dir()
 	for slot := 0; slot < 2; slot++ {
 		driveSlots(t, ts.URL, 6, slot, slot+1)
 		s.History().Sample()
@@ -186,7 +186,7 @@ func TestKillAndInspect(t *testing.T) {
 			t.Fatalf("slo eval %d: status %d", slot, resp.StatusCode)
 		}
 	}
-	if got := s.Flight().BundlesWritten(); got == 0 {
+	if got := s.flight.BundlesWritten(); got == 0 {
 		t.Fatal("SLO alarm under chaos wrote no bundle")
 	}
 
@@ -295,7 +295,7 @@ func TestForensicsDecisionNeutral(t *testing.T) {
 	}
 	// The byte-exact tee: the bundle's audit tail and the log file hold
 	// the same bytes.
-	paths, err := flight.ListBundles(sB.Flight().Dir())
+	paths, err := flight.ListBundles(sB.flight.Dir())
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("ListBundles: %v (%d)", err, len(paths))
 	}
@@ -329,7 +329,7 @@ func TestPanicTriggerCapturesBundle(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panic handler status %d", rec.Code)
 	}
-	paths, err := flight.ListBundles(s.Flight().Dir())
+	paths, err := flight.ListBundles(s.flight.Dir())
 	if err != nil || len(paths) != 1 {
 		t.Fatalf("bundles after panic: %v (%d)", err, len(paths))
 	}
@@ -362,7 +362,7 @@ func TestShedTriggerCapturesBundle(t *testing.T) {
 			t.Fatalf("shed %d: status %d, want 429", i, resp.StatusCode)
 		}
 	}
-	paths, err := flight.ListBundles(s.Flight().Dir())
+	paths, err := flight.ListBundles(s.flight.Dir())
 	if err != nil || len(paths) != 1 {
 		t.Fatalf("bundles after shed burst: %v (%d)", err, len(paths))
 	}

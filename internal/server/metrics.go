@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strconv"
 	"time"
 
 	"lpvs/internal/obs"
@@ -289,10 +290,9 @@ func (s *Server) observeTick(stats TickStats, gammaMean, sigmaMean float64) {
 	m.eligible.Set(float64(stats.Eligible))
 	m.selected.Set(float64(stats.Selected))
 	m.swapsTotal.Add(float64(stats.Swaps))
-	if stats.Phase1Optimal {
-		m.phase1Runs.With("true").Inc()
-	} else {
-		m.phase1Runs.With("false").Inc()
+	// A tick with no eligible device ran no Phase-1 solve.
+	if stats.Eligible > 0 {
+		m.phase1Runs.With(strconv.FormatBool(stats.Phase1Optimal)).Inc()
 	}
 	m.coldNodes.Set(float64(stats.Phase1Nodes))
 	if stats.Degraded {

@@ -96,9 +96,9 @@ func (s *Server) handleShardTick(w http.ResponseWriter, r *http.Request) {
 	WriteBody(w, http.StatusOK, reply)
 }
 
-// appendShardTickLocked appends the ShardTickResponse of a tick outcome
-// straight from the outcome, in ShardTickResponse.AppendJSON's layout
-// and so encoding/json's bytes. Each VC's canonical text is appended
+// appendShardTickLocked is the one writer of a shard's tick reply: it
+// appends the ShardTickResponse of a tick outcome straight from the
+// outcome, in encoding/json's bytes for that type. Each VC's canonical text is appended
 // into s.canonScratch and base64-encoded from there; each device's γ
 // and observation count are read from its estimator in the line order
 // of that text. ok is false when a float has no JSON form. Caller holds

@@ -431,6 +431,57 @@ func TestTickStatsFold(t *testing.T) {
 	}
 }
 
+// TestPhase1RunsCountOnlySolves: lpvs_sched_phase1_runs_total counts a
+// tick only when a Phase-1 solve ran. Report-less ticks count nothing,
+// and a shard tick where one channel has only a device too drained to
+// be eligible counts one optimal="true" run: the idle channel folds as
+// proven and leaves the other channel's proof standing.
+func TestPhase1RunsCountOnlySolves(t *testing.T) {
+	const optimal, unproven = `lpvs_sched_phase1_runs_total{optimal="true"}`, `lpvs_sched_phase1_runs_total{optimal="false"}`
+	count := func(text, series string) float64 {
+		if !strings.Contains(text, "\n"+series+" ") {
+			return 0
+		}
+		return metricValue(t, text, series)
+	}
+
+	_, idle := shardTestServer(t, Config{})
+	for tick := 0; tick < 2; tick++ {
+		if resp := postJSON(t, idle.URL+"/v1/tick", struct{}{}, nil); resp.StatusCode != 200 {
+			t.Fatalf("tick %d: %d", tick, resp.StatusCode)
+		}
+	}
+	if text := scrape(t, idle.URL); count(text, optimal) != 0 || count(text, unproven) != 0 {
+		t.Fatalf("two report-less ticks counted Phase-1 runs: true %v, false %v",
+			count(text, optimal), count(text, unproven))
+	}
+
+	s, ts := shardTestServer(t, Config{ShardMode: true, NodeID: "n1",
+		ExtraStreams: []*video.Video{extraStream(t, "music")}})
+	s.InstallShardMap(testShardMap(t, "n1"))
+	drained := reportOn("dev-drained", "music")
+	drained.EnergyFrac = 0.0005
+	for _, rep := range []ReportRequest{validReport("dev-a"), validReport("dev-b"), drained} {
+		if resp := postJSON(t, ts.URL+"/v1/report", rep, nil); resp.StatusCode != 200 {
+			t.Fatalf("report %s: %d", rep.DeviceID, resp.StatusCode)
+		}
+	}
+	var tick ShardTickResponse
+	if resp := postJSON(t, ts.URL+"/v1/shard/tick", ShardTickRequest{Node: "n1"}, &tick); resp.StatusCode != 200 {
+		t.Fatalf("shard tick: %d", resp.StatusCode)
+	}
+	if len(tick.VCs) != 2 || tick.VCs[0].Eligible == 0 || tick.VCs[1].Eligible != 0 {
+		t.Fatalf("want one channel with eligible devices and one without: %+v", tick.VCs)
+	}
+	if !tick.Sched.Phase1Optimal {
+		t.Fatalf("the idle channel marked the tick unproven: %+v", tick.Sched)
+	}
+	if text := scrape(t, ts.URL); count(text, optimal) != 1 || count(text, unproven) != 0 {
+		t.Fatalf("one solved shard tick counted true %v, false %v, want 1 and 0",
+			count(text, optimal), count(text, unproven))
+	}
+}
+
 // checkShardReplyDevices holds a tick reply's device arrays to the
 // shard's own state: the k-th γ and observation count of a VC are those
 // of the device on the k-th line of the VC's canonical text.

@@ -41,7 +41,7 @@ func (p partition) auditLabel(slot int, vcID string) string {
 }
 
 // partitionLocked groups the device-sorted batch into the tick's VCs,
-// in VC-ID order — the order Pool.DecideCtx answers in, so VCs and
+// in VC-ID order — the order Pool.DecideInto answers in, so VCs and
 // decisions pair up by index. Each group inherits the canonical device
 // order the scheduler's tie-breaks need. Either partition works in
 // server-owned scratch (the VC list, and per channel the group's
@@ -242,7 +242,9 @@ func NewTickStats(slot int) TickStats {
 
 // vcTickStats is one decided cluster as an element of the fold. CPUSec
 // is the cluster's solve time on its worker, so the fold sums to the
-// pool's CPU-seconds.
+// pool's CPU-seconds. A cluster with no eligible device ran no Phase-1
+// solve and folds as Phase1Optimal, the fold's identity, so an idle
+// channel leaves the other channels' proof standing.
 func vcTickStats(vc *scheduler.VCDecision, reports int) TickStats {
 	dec := &vc.Decision
 	return TickStats{
@@ -250,7 +252,7 @@ func vcTickStats(vc *scheduler.VCDecision, reports int) TickStats {
 		Eligible:       dec.Eligible,
 		Selected:       dec.Selected,
 		Swaps:          dec.Swaps,
-		Phase1Optimal:  dec.OptimalPhase1,
+		Phase1Optimal:  dec.OptimalPhase1 || dec.Eligible == 0,
 		CompactSec:     dec.CompactSeconds,
 		Phase1Sec:      dec.Phase1Seconds,
 		Phase2Sec:      dec.Phase2Seconds,

@@ -12,7 +12,6 @@ import (
 type Histogram struct {
 	Lo, Hi float64
 	Counts []int
-	total  int
 }
 
 // NewHistogram creates a histogram with bins equal-width bins spanning
@@ -31,7 +30,6 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 func (h *Histogram) Add(x float64) {
 	idx := h.binOf(x)
 	h.Counts[idx]++
-	h.total++
 }
 
 func (h *Histogram) binOf(x float64) int {
@@ -46,9 +44,6 @@ func (h *Histogram) binOf(x float64) int {
 	return idx
 }
 
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
-
 // BinWidth returns the width of each bin.
 func (h *Histogram) BinWidth() float64 {
 	return (h.Hi - h.Lo) / float64(len(h.Counts))
@@ -57,30 +52,6 @@ func (h *Histogram) BinWidth() float64 {
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*h.BinWidth()
-}
-
-// Fractions returns the normalised bin frequencies. All zeros when the
-// histogram is empty.
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.total)
-	}
-	return out
-}
-
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
 }
 
 // Render draws a textual bar chart of the histogram, width characters

@@ -179,29 +179,6 @@ func TestTruncNormalVarNonNegativeAndBounded(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("bad summary: %+v", s)
-	}
-	if math.Abs(s.Mean-2.5) > 1e-12 {
-		t.Fatalf("mean = %v, want 2.5", s.Mean)
-	}
-	if math.Abs(s.Median-2.5) > 1e-12 {
-		t.Fatalf("median = %v, want 2.5", s.Median)
-	}
-	wantStd := math.Sqrt((2.25 + 0.25 + 0.25 + 2.25) / 3)
-	if math.Abs(s.Std-wantStd) > 1e-12 {
-		t.Fatalf("std = %v, want %v", s.Std, wantStd)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if s := Summarize(nil); s != (Summary{}) {
-		t.Fatalf("Summarize(nil) = %+v, want zero", s)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40, 50}
 	cases := []struct{ p, want float64 }{
@@ -249,50 +226,10 @@ func TestFitLineNoisy(t *testing.T) {
 	}
 }
 
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ysUp := []float64{2, 4, 6, 8, 10}
-	ysDown := []float64{5, 4, 3, 2, 1}
-	if got := Pearson(xs, ysUp); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("perfect positive correlation = %v", got)
-	}
-	if got := Pearson(xs, ysDown); math.Abs(got+1) > 1e-12 {
-		t.Fatalf("perfect negative correlation = %v", got)
-	}
-	if got := Pearson(xs, []float64{3, 3, 3, 3, 3}); got != 0 {
-		t.Fatalf("constant sample correlation = %v", got)
-	}
-	if got := Pearson(nil, nil); got != 0 {
-		t.Fatalf("empty correlation = %v", got)
-	}
-	// Independent noise has near-zero correlation.
-	g := NewRNG(21)
-	a := make([]float64, 3000)
-	b := make([]float64, 3000)
-	for i := range a {
-		a[i], b[i] = g.Float64(), g.Float64()
-	}
-	if got := Pearson(a, b); math.Abs(got) > 0.05 {
-		t.Fatalf("independent-noise correlation = %v", got)
-	}
-}
-
-func TestPearsonPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Pearson([]float64{1}, []float64{1, 2})
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	for _, v := range []float64{0.5, 1, 3, 9.9, -4, 15} {
 		h.Add(v)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d, want 6", h.Total())
 	}
 	// -4 clamps to first bin, 15 clamps to last.
 	if h.Counts[0] != 3 { // 0.5, 1, -4
@@ -301,9 +238,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Counts[4] != 2 { // 9.9, 15
 		t.Fatalf("last bin = %d, want 2", h.Counts[4])
 	}
-	fr := h.Fractions()
-	if math.Abs(Sum(fr)-1) > 1e-12 {
-		t.Fatalf("fractions sum to %v", Sum(fr))
+	if h.Counts[1]+h.Counts[2]+h.Counts[3] != 1 { // 3: no observation dropped
+		t.Fatalf("middle bins = %v, want one observation", h.Counts[1:4])
 	}
 }
 

@@ -5,46 +5,6 @@ import (
 	"sort"
 )
 
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64 // sample standard deviation (n-1 denominator)
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes descriptive statistics over xs. An empty sample
-// yields the zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	s.Median = Percentile(xs, 50)
-	return s
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty sample.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -55,15 +15,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
 }
 
 // Percentile returns the p-th percentile (0..100) of xs using linear
@@ -100,30 +51,6 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Pearson returns the linear correlation coefficient of two equal-length
-// samples, in [-1, 1]. It panics on mismatched lengths and returns 0
-// when either sample is constant.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic("stats: Pearson length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, syy, sxy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		syy += dy * dy
-		sxy += dx * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }
 
 // LinearFit is the least-squares line y = Slope*x + Intercept together

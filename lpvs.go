@@ -239,7 +239,8 @@ type (
 	EdgeDaemon = server.Server
 	// DeviceClient is the device side of the edge protocol.
 	DeviceClient = client.Client
-	// ClientOption customises a DeviceClient (retries, breaker, codec).
+	// ClientOption customises a DeviceClient's transport (HTTP client,
+	// retries, breaker, retry budget).
 	ClientOption = client.Option
 	// ClientFleet batches the per-slot report step of many co-located
 	// device clients into one round-trip.
@@ -252,11 +253,6 @@ type (
 	// {code,message,retryable} envelope.
 	APIError = client.APIError
 )
-
-// WithJSONReports forces a device client's reports onto the JSON codec
-// instead of the binary default (DESIGN.md §16) — for old daemons known
-// in advance, or debugging with readable bodies.
-func WithJSONReports() ClientOption { return client.WithJSONReports() }
 
 // WithHTTPClient substitutes the underlying *http.Client.
 func WithHTTPClient(h *http.Client) ClientOption { return client.WithHTTPClient(h) }
@@ -286,8 +282,8 @@ func NewEdgeDaemon(cfg EdgeDaemonConfig) (*EdgeDaemon, error) { return server.Ne
 
 // NewDeviceClient connects a device to an edge daemon. Pass nil for the
 // default HTTP client. Reports go out in the compact binary wire format
-// by default, downgrading to JSON automatically against daemons that do
-// not speak it; see WithJSONReports to force JSON up front.
+// by default, downgrading to JSON for good against a daemon that does
+// not speak it (DESIGN.md §16).
 func NewDeviceClient(baseURL string, dev *Device, httpClient *http.Client, opts ...ClientOption) (*DeviceClient, error) {
 	return client.New(baseURL, dev, httpClient, opts...)
 }
