@@ -91,9 +91,6 @@ func (e *GammaEstimator) Gamma() float64 {
 	return stats.TruncNormalMean(e.mean, e.sigma, e.lo, e.hi)
 }
 
-// Mean returns the untruncated posterior mean.
-func (e *GammaEstimator) Mean() float64 { return e.mean }
-
 // Sigma returns the posterior standard deviation.
 func (e *GammaEstimator) Sigma() float64 { return e.sigma }
 

@@ -99,8 +99,8 @@ func TestConjugateUpdateMatchesClosedForm(t *testing.T) {
 	pp, op := 1/(DefaultPriorSigma*DefaultPriorSigma), 1/(DefaultObsSigma*DefaultObsSigma)
 	wantVar := 1 / (pp + op)
 	wantMean := wantVar * (DefaultPriorMean*pp + 0.4*op)
-	if math.Abs(e.Mean()-wantMean) > 1e-12 {
-		t.Fatalf("mean = %v, want %v", e.Mean(), wantMean)
+	if math.Abs(e.mean-wantMean) > 1e-12 {
+		t.Fatalf("mean = %v, want %v", e.mean, wantMean)
 	}
 	if math.Abs(e.Sigma()-math.Sqrt(wantVar)) > 1e-12 {
 		t.Fatalf("sigma = %v, want %v", e.Sigma(), math.Sqrt(wantVar))
@@ -134,7 +134,7 @@ func TestSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := e.Snapshot()
-	if snap.Gamma != e.Gamma() || snap.Mean != e.Mean() || snap.Sigma != e.Sigma() {
+	if snap.Gamma != e.Gamma() || snap.Mean != e.mean || snap.Sigma != e.Sigma() {
 		t.Fatalf("snapshot %+v disagrees with accessors", snap)
 	}
 	if snap.Observations != 1 {

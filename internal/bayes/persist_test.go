@@ -23,7 +23,7 @@ func TestFromSnapshotRoundTrip(t *testing.T) {
 	if r.Snapshot() != snap {
 		t.Fatalf("restored snapshot %+v != original %+v", r.Snapshot(), snap)
 	}
-	if r.Gamma() != e.Gamma() || r.Mean() != e.Mean() || r.Sigma() != e.Sigma() {
+	if r.Gamma() != e.Gamma() || r.mean != e.mean || r.Sigma() != e.Sigma() {
 		t.Fatal("restored estimator diverged immediately")
 	}
 	// Lockstep updates must stay bit-identical: the restore is exact,
@@ -35,7 +35,7 @@ func TestFromSnapshotRoundTrip(t *testing.T) {
 		if err := r.Observe(obs); err != nil {
 			t.Fatal(err)
 		}
-		if r.Mean() != e.Mean() || r.Sigma() != e.Sigma() || r.Gamma() != e.Gamma() {
+		if r.mean != e.mean || r.Sigma() != e.Sigma() || r.Gamma() != e.Gamma() {
 			t.Fatalf("lockstep divergence after observing %v", obs)
 		}
 	}

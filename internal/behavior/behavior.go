@@ -49,9 +49,6 @@ type LogConfig struct {
 	// StrandedRate is the probability the user could not charge at
 	// their threshold and plugged in far below it.
 	StrandedRate float64
-	// Thresholds draws each user's hidden anxiety threshold; nil means
-	// the Fig. 2-calibrated survey distribution.
-	Thresholds func(*stats.RNG) int
 }
 
 // DefaultLogConfig mirrors the survey population with a month of
@@ -90,14 +87,10 @@ func Generate(cfg LogConfig) (*Log, error) {
 	if cfg.StrandedRate < 0 || cfg.StrandedRate >= 1 {
 		return nil, fmt.Errorf("behavior: stranded rate %v outside [0, 1)", cfg.StrandedRate)
 	}
-	thresholds := cfg.Thresholds
-	if thresholds == nil {
-		thresholds = surveyLikeThreshold
-	}
 	rng := stats.NewRNG(cfg.Seed)
 	log := &Log{TrueThresholds: make([]int, cfg.Users)}
 	for u := 0; u < cfg.Users; u++ {
-		truth := clampLevel(thresholds(rng))
+		truth := clampLevel(surveyLikeThreshold(rng))
 		log.TrueThresholds[u] = truth
 		n := cfg.EventsPerUser + rng.Intn(cfg.EventsPerUser/2+1) - cfg.EventsPerUser/4
 		if n < 3 {

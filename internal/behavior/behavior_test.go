@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"lpvs/internal/anxiety"
-	"lpvs/internal/stats"
 )
 
 func defaultLog(tb testing.TB) *Log {
@@ -168,27 +167,5 @@ func TestThresholdErrorEdgeCases(t *testing.T) {
 	log := &Log{TrueThresholds: []int{20}}
 	if ThresholdError(log, []int{-1}) != 0 {
 		t.Fatal("all-skipped estimates")
-	}
-}
-
-func TestCustomThresholdDistribution(t *testing.T) {
-	cfg := DefaultLogConfig()
-	cfg.Users = 50
-	cfg.Thresholds = func(*stats.RNG) int { return 30 }
-	log, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, th := range log.TrueThresholds {
-		if th != 30 {
-			t.Fatalf("threshold %d, want 30", th)
-		}
-	}
-	_, estimates, err := Estimate(log, EstimateConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mae := ThresholdError(log, estimates); mae > 5 {
-		t.Fatalf("MAE %v for a point-mass population", mae)
 	}
 }

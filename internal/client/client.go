@@ -74,13 +74,8 @@ func New(baseURL string, dev *device.Device, httpClient *http.Client, opts ...Op
 // Device returns the client's device.
 func (c *Client) Device() *device.Device { return c.dev }
 
-// Caller exposes the client's underlying transport, so fleet-level
-// helpers can ride the same retry/breaker/budget machinery for
-// requests that are not tied to this device.
-func (c *Client) Caller() *Caller { return c.call }
-
-// ReportRequest builds the device's slot report in wire form — what
-// Report sends, exposed so batching callers (Fleet) can aggregate.
+// ReportRequest builds the device's slot report in wire form, for a
+// batch (ReportBatch, Fleet.Report) to carry.
 func (c *Client) ReportRequest() server.ReportRequest {
 	return server.ReportRequest{
 		DeviceID:         c.dev.ID,
@@ -94,18 +89,6 @@ func (c *Client) ReportRequest() server.ReportRequest {
 		BatteryCapacityJ: c.dev.Battery.CapacityJ,
 		BasePowerW:       c.dev.BasePowerW,
 	}
-}
-
-// Report sends the device's slot report, binary-framed unless the
-// client has negotiated down to JSON (see sendWire).
-func (c *Client) Report() (server.ReportResponse, error) {
-	var resp server.ReportResponse
-	req := c.ReportRequest()
-	sent, err := c.sendWire(func(dst []byte) ([]byte, error) { return wire.AppendSingle(dst, &req) }, &resp)
-	if !sent {
-		err = c.call.PostJSON("/v1/report", req, &resp)
-	}
-	return resp, err
 }
 
 // ReportBatch posts many reports as one body — one round-trip for a

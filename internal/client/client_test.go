@@ -46,6 +46,12 @@ func testDevice(tb testing.TB, id string, energy float64) *device.Device {
 	}
 }
 
+// report sends c's device report the way a device reports: as a batch,
+// here of one.
+func report(c *Client) (server.BatchReportResponse, error) {
+	return c.ReportBatch([]server.ReportRequest{c.ReportRequest()})
+}
+
 func tick(tb testing.TB, ts *httptest.Server) server.TickResponse {
 	tb.Helper()
 	resp, err := http.Post(ts.URL+"/v1/tick", "application/json", strings.NewReader("{}"))
@@ -79,11 +85,11 @@ func TestReportAndDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.Report()
+	rep, err := report(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Accepted {
+	if rep.Accepted != 1 {
 		t.Fatal("report rejected")
 	}
 	tick(t, ts)
@@ -103,7 +109,7 @@ func TestPlaySlotDrainsBatteryAndObserves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Report(); err != nil {
+	if _, err := report(c); err != nil {
 		t.Fatal(err)
 	}
 	tick(t, ts)
@@ -146,7 +152,7 @@ func TestPlaySlotUnselected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Report(); err != nil {
+	if _, err := report(c); err != nil {
 		t.Fatal(err)
 	}
 	tick(t, ts)
@@ -169,7 +175,7 @@ func TestPlaySlotStopsOnGiveUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Report(); err != nil {
+	if _, err := report(c); err != nil {
 		t.Fatal(err)
 	}
 	tick(t, ts)
@@ -192,7 +198,7 @@ func TestPlaylistAndPlayCurrentSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Report(); err != nil {
+	if _, err := report(c); err != nil {
 		t.Fatal(err)
 	}
 	tick(t, ts)
@@ -240,11 +246,11 @@ func TestRetryRecoversFromFlakyEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.Report()
+	rep, err := report(c)
 	if err != nil {
 		t.Fatalf("retrying client failed: %v", err)
 	}
-	if !rep.Accepted {
+	if rep.Accepted != 1 {
 		t.Fatal("report rejected")
 	}
 	if fails != 0 {
@@ -262,7 +268,7 @@ func TestNoRetryFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Report(); err == nil {
+	if _, err := report(c); err == nil {
 		t.Fatal("503 swallowed without retries")
 	}
 }
@@ -279,7 +285,7 @@ func TestRetryDoesNotRetry4xx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Report(); err == nil {
+	if _, err := report(c); err == nil {
 		t.Fatal("400 swallowed")
 	}
 	if calls != 1 {
@@ -310,7 +316,7 @@ func TestMultiDeviceSession(t *testing.T) {
 			if c.Device().State != device.Watching {
 				continue
 			}
-			if _, err := c.Report(); err != nil {
+			if _, err := report(c); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -46,7 +46,7 @@ func TestRetrySurvivesChaoticEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := c.Report(); err != nil {
+		if _, err := report(c); err != nil {
 			t.Fatalf("report %d through chaos failed: %v", i, err)
 		}
 	}
@@ -65,7 +65,7 @@ func TestPartialFailureSurfacesAsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Report(); err == nil {
+	if _, err := report(c); err == nil {
 		t.Fatal("truncated response body accepted as success")
 	}
 }
@@ -85,7 +85,7 @@ func TestRetrySurvivesChaoticTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := c.Report(); err != nil {
+		if _, err := report(c); err != nil {
 			t.Fatalf("report %d through transport chaos failed: %v", i, err)
 		}
 	}
@@ -129,7 +129,7 @@ func TestRetryAfterHonored(t *testing.T) {
 			w.Write([]byte(`{"error":{"code":"overloaded","message":"shed","retryable":true}}`))
 			return
 		}
-		w.Write([]byte(`{"device_id":"dev-1","slot":0,"accepted":true}`))
+		w.Write([]byte(`{"slot":0,"accepted":1}`))
 	}))
 	defer srv.Close()
 
@@ -139,7 +139,7 @@ func TestRetryAfterHonored(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := c.Report(); err != nil {
+	if _, err := report(c); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 900*time.Millisecond {
@@ -161,7 +161,7 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 			w.Write([]byte(`{"error":{"code":"internal","message":"down","retryable":true}}`))
 			return
 		}
-		w.Write([]byte(`{"device_id":"dev-1","slot":0,"accepted":true}`))
+		w.Write([]byte(`{"slot":0,"accepted":1}`))
 	}))
 	defer srv.Close()
 
@@ -172,23 +172,23 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 	}
 	// Two consecutive failures trip the breaker.
 	for i := 0; i < 2; i++ {
-		if _, err := c.Report(); err == nil {
+		if _, err := report(c); err == nil {
 			t.Fatalf("report %d against a down edge succeeded", i)
 		}
 	}
 	// Open: the call fails fast with ErrCircuitOpen, never reaching the
 	// (now healthy) server.
 	healthy.Store(true)
-	if _, err := c.Report(); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := report(c); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("open breaker returned %v, want ErrCircuitOpen", err)
 	}
 	// After the cooldown one probe is admitted; its success closes the
 	// circuit and normal traffic resumes.
 	time.Sleep(60 * time.Millisecond)
-	if _, err := c.Report(); err != nil {
+	if _, err := report(c); err != nil {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
-	if _, err := c.Report(); err != nil {
+	if _, err := report(c); err != nil {
 		t.Fatalf("closed breaker rejected traffic: %v", err)
 	}
 }
@@ -204,15 +204,15 @@ func TestCircuitBreakerReopensOnFailedProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Report(); err == nil {
+	if _, err := report(c); err == nil {
 		t.Fatal("down edge accepted")
 	}
 	time.Sleep(40 * time.Millisecond)
-	if _, err := c.Report(); errors.Is(err, ErrCircuitOpen) {
+	if _, err := report(c); errors.Is(err, ErrCircuitOpen) {
 		t.Fatal("probe not admitted after cooldown")
 	}
 	// The probe failed: the circuit is open again immediately.
-	if _, err := c.Report(); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := report(c); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("breaker not re-opened after failed probe: %v", err)
 	}
 }
@@ -232,7 +232,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Report()
+	_, err = report(c)
 	if err == nil {
 		t.Fatal("down edge accepted")
 	}
@@ -243,7 +243,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	}
 	// The second call has no retry tokens left at all.
 	calls.Store(0)
-	if _, err := c.Report(); err == nil {
+	if _, err := report(c); err == nil {
 		t.Fatal("down edge accepted")
 	}
 	if got := calls.Load(); got != 1 {

@@ -25,9 +25,8 @@ func oldDaemon(tb testing.TB) (*httptest.Server, *atomic.Int64, *atomic.Int64) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		var req server.ReportRequest
 		var reqs []server.ReportRequest
-		if json.Unmarshal(body, &req) != nil && json.Unmarshal(body, &reqs) != nil {
+		if json.Unmarshal(body, &reqs) != nil {
 			binary.Add(1)
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusBadRequest)
@@ -39,11 +38,7 @@ func oldDaemon(tb testing.TB) (*httptest.Server, *atomic.Int64, *atomic.Int64) {
 		}
 		jsonOK.Add(1)
 		w.Header().Set("Content-Type", "application/json")
-		if len(reqs) > 0 {
-			json.NewEncoder(w).Encode(server.BatchReportResponse{Slot: 1, Accepted: len(reqs)})
-			return
-		}
-		json.NewEncoder(w).Encode(server.ReportResponse{Slot: 1, Accepted: true})
+		json.NewEncoder(w).Encode(server.BatchReportResponse{Slot: 1, Accepted: len(reqs)})
 	}))
 	tb.Cleanup(ts.Close)
 	return ts, &binary, &jsonOK
@@ -61,11 +56,11 @@ func TestWireFallbackOldDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		resp, err := c.Report()
+		resp, err := report(c)
 		if err != nil {
 			t.Fatalf("report %d: %v", i, err)
 		}
-		if !resp.Accepted {
+		if resp.Accepted != 1 {
 			t.Fatalf("report %d not accepted", i)
 		}
 	}
@@ -97,7 +92,7 @@ func TestWireFallbackOn415(t *testing.T) {
 			return
 		}
 		jsonOK.Add(1)
-		json.NewEncoder(w).Encode(server.ReportResponse{Slot: 1, Accepted: true})
+		json.NewEncoder(w).Encode(server.BatchReportResponse{Slot: 1, Accepted: 1})
 	}))
 	t.Cleanup(ts.Close)
 	c, err := New(ts.URL, testDevice(t, "dev-skew", 0.6), nil)
@@ -105,7 +100,7 @@ func TestWireFallbackOn415(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := c.Report(); err != nil {
+		if _, err := report(c); err != nil {
 			t.Fatalf("report %d: %v", i, err)
 		}
 	}
@@ -115,24 +110,47 @@ func TestWireFallbackOn415(t *testing.T) {
 }
 
 // TestNoFallbackOnValidation400 pins the negative space: an envelope
-// validation rejection (unknown channel) is the caller's bug, not a
-// codec mismatch, and must NOT flip the client to JSON.
+// validation rejection (a 400 that is not a decode failure) is the
+// caller's bug, not a codec mismatch, and must NOT flip the client to
+// JSON. The daemon answers a batch's rejected records in a 200, so a
+// stub in front of it answers the first report with the daemon's
+// unknown-channel 400 and forwards the rest.
 func TestNoFallbackOnValidation400(t *testing.T) {
-	ts := edgeServer(t, -1)
+	edge := edgeServer(t, -1)
+	var rejected atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !rejected.Swap(true) {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusBadRequest)
+			json.NewEncoder(w).Encode(server.ErrorResponse{Error: server.ErrorBody{
+				Code:    server.CodeBadRequest,
+				Message: `unknown channel "no-such-channel"`,
+			}})
+			return
+		}
+		resp, err := forward(edge.URL, r)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+		w.WriteHeader(resp.StatusCode)
+		_, _ = io.Copy(w, resp.Body)
+	}))
+	t.Cleanup(ts.Close)
 	c, err := New(ts.URL, testDevice(t, "dev-val", 0.6), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.channel = "no-such-channel"
-	if _, err := c.Report(); err == nil {
+	if _, err := report(c); err == nil {
 		t.Fatal("unknown channel accepted")
 	}
 	if c.jsonOnly {
 		t.Fatal("validation 400 flipped the client to JSON")
 	}
-	c.channel = ""
-	if resp, err := c.Report(); err != nil || !resp.Accepted {
-		t.Fatalf("report after fixing channel: %+v, %v", resp, err)
+	if resp, err := report(c); err != nil || resp.Accepted != 1 {
+		t.Fatalf("report after the rejection: %+v, %v", resp, err)
 	}
 }
 
@@ -144,8 +162,8 @@ func TestBinaryDefaultAgainstRealDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Report()
-	if err != nil || !resp.Accepted {
+	resp, err := report(c)
+	if err != nil || resp.Accepted != 1 {
 		t.Fatalf("binary report: %+v, %v", resp, err)
 	}
 	if c.jsonOnly {

@@ -141,7 +141,7 @@ func (e *Emulator) Restore(ck *persist.EmuCheckpoint) error {
 // decision-neutral), SchedDeadline (degraded slots are
 // wall-clock-dependent on any machine), StopAfter (the whole point of
 // a checkpoint is that it differs), and the observation-only knobs
-// (Progress, AuditDir, SLOSlotLatency, Tracer, FlightDir).
+// (Progress, AuditDir, SLOSlotLatency, FlightDir).
 func (e *Emulator) configHash() (string, error) {
 	c := e.cfg
 	anx := audit.NewAnxietyRecord(c.Anxiety)

@@ -260,7 +260,6 @@ var configHashRules = map[string]struct {
 	"Progress":            {excluded: "observation only"},
 	"AuditDir":            {excluded: "observation only"},
 	"SLOSlotLatency":      {excluded: "observation only"},
-	"Tracer":              {excluded: "observation only"},
 	"FlightDir":           {excluded: "observation only"},
 }
 

@@ -35,7 +35,6 @@ import (
 	"lpvs/internal/obs/flight"
 	"lpvs/internal/obs/history"
 	"lpvs/internal/obs/slo"
-	"lpvs/internal/obs/span"
 	"lpvs/internal/scheduler"
 	"lpvs/internal/stats"
 	"lpvs/internal/transform"
@@ -128,16 +127,13 @@ type Config struct {
 	// clock advancing SlotSec per slot, so campaign reports state SLO
 	// compliance with the same burn-rate code that pages on the daemon.
 	SLOSlotLatency time.Duration
-	// Tracer, when non-nil, traces each slot as a span tree: slot →
-	// gather / schedule (→ vc → compact / phase1 / phase2) / play /
-	// bayes-update. Decisions are identical with tracing on or off.
-	Tracer *span.Tracer
 	// FlightDir, when non-empty, arms a flight recorder on the run's
 	// synthetic-clock SLO engine: every alarm firing freezes an
-	// incident bundle (per-slot metric history, the span ring, recent
-	// audit records) into FlightDir — the same bundle format lpvsd
-	// writes, inspectable with `lpvsctl flight`. Pure observation: excluded
-	// from the checkpoint config hash, decisions identical either way.
+	// incident bundle (per-slot metric history and recent audit
+	// records; the emulator traces nothing, so no spans) into
+	// FlightDir — the same bundle format lpvsd writes, inspectable with
+	// `lpvsctl flight`. Pure observation: excluded from the checkpoint
+	// config hash, decisions identical either way.
 	FlightDir string
 }
 
@@ -593,7 +589,6 @@ func (e *Emulator) Run() (*RunResult, error) {
 			Dir:       e.cfg.FlightDir,
 			Triggers:  flight.Triggers{SLOAlarm: true, Manual: true},
 			History:   flightHist,
-			Tracer:    e.cfg.Tracer,
 			SLOStates: sloEng.Snapshot,
 			Binary:    "lpvs-emu",
 			Now:       func() time.Time { return sloClock },
@@ -610,25 +605,15 @@ func (e *Emulator) Run() (*RunResult, error) {
 	for slot := startSlot; slot < endSlot; slot++ {
 		windows := e.slotWindows(slot)
 
-		slotCtx, slotSp := e.cfg.Tracer.Start(context.Background(), "slot")
-		slotSp.SetInt("slot", slot)
-		_, gsp := span.Child(slotCtx, "gather")
 		reqs, reqIdx := e.gatherRequests(windows)
-		gsp.SetInt("requests", len(reqs))
-		gsp.End()
 		var decision scheduler.Decision
 		schedSec, schedCPUSec := 0.0, 0.0
 		if len(reqs) > 0 {
-			schedCtx, ssp := span.Child(slotCtx, "schedule")
 			var err error
-			decision, schedSec, schedCPUSec, err = e.decide(schedCtx, reqs)
+			decision, schedSec, schedCPUSec, err = e.decide(reqs)
 			if err != nil {
-				ssp.End()
-				slotSp.End()
 				return nil, fmt.Errorf("emu: slot %d: %w", slot, err)
 			}
-			ssp.SetInt("selected", decision.Selected)
-			ssp.End()
 			res.SchedSeconds += schedSec
 			res.SchedCPUSeconds += schedCPUSec
 			// The flight tail mirrors the audit log: without -audit-dir
@@ -640,18 +625,15 @@ func (e *Emulator) Run() (*RunResult, error) {
 				rec := auditRec.Build(slot, "vc", e.pool.Scheduler().Config(), reqs, decision)
 				rec.Seed = e.cfg.Seed
 				rec.UnixSec = float64(time.Now().UnixNano()) / 1e9
-				rec.TraceID = slotSp.TraceID()
 				// Encode once; the audit log and the flight recorder's
 				// tail ring get the same bytes, so bundles replay
 				// byte-identically against the log. Both take them
 				// before the next slot's Build reuses the line.
 				line, err := auditRec.Encode()
 				if err != nil {
-					slotSp.End()
 					return nil, fmt.Errorf("emu: slot %d: audit: %w", slot, err)
 				}
 				if err := auditLog.AppendLine(line); err != nil {
-					slotSp.End()
 					return nil, fmt.Errorf("emu: slot %d: audit: %w", slot, err)
 				}
 				if flightRec != nil {
@@ -663,7 +645,7 @@ func (e *Emulator) Run() (*RunResult, error) {
 
 		predicted := e.predictEnergies(reqs, decision)
 		playStart := time.Now()
-		e.playSlot(slotCtx, windows, decision, reqIdx, res)
+		e.playSlot(windows, decision, reqIdx, res)
 		playSec := time.Since(playStart).Seconds()
 		for k, i := range reqIdx {
 			d := e.devices[i]
@@ -736,9 +718,6 @@ func (e *Emulator) Run() (*RunResult, error) {
 			flightHist.Sample()
 		}
 		sloEng.Evaluate()
-		slotSp.SetInt("watching", stat.Watching)
-		slotSp.SetInt("selected", stat.Selected)
-		slotSp.End()
 		if e.cfg.Progress != nil {
 			e.cfg.Progress(e.policy.Name(), stat)
 		}
@@ -767,7 +746,7 @@ func (e *Emulator) Run() (*RunResult, error) {
 // decide obtains one slot's decision, from the engine (under
 // Config.SchedDeadline, when set) or from the baseline policy, with the
 // scheduling wall time and the CPU-sum across pool workers.
-func (e *Emulator) decide(ctx context.Context, reqs []scheduler.Request) (dec scheduler.Decision, wallSec, cpuSec float64, err error) {
+func (e *Emulator) decide(reqs []scheduler.Request) (dec scheduler.Decision, wallSec, cpuSec float64, err error) {
 	if e.pool == nil {
 		start := time.Now()
 		dec, err = e.policy.Schedule(reqs)
@@ -779,6 +758,7 @@ func (e *Emulator) decide(ctx context.Context, reqs []scheduler.Request) (dec sc
 		}
 		return dec, wallSec, wallSec, err
 	}
+	ctx := context.Background()
 	if e.cfg.SchedDeadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.SchedDeadline)
@@ -917,8 +897,7 @@ func (e *Emulator) frameTransform(streamIdx int, chunk video.Chunk, strat transf
 	return fres.Result, nil
 }
 
-func (e *Emulator) playSlot(ctx context.Context, windows [][]video.Chunk, dec scheduler.Decision, reqIdx []int, res *RunResult) {
-	_, psp := span.Child(ctx, "play")
+func (e *Emulator) playSlot(windows [][]video.Chunk, dec scheduler.Decision, reqIdx []int, res *RunResult) {
 	// The memo is per slot: chunk indexes repeat across slots only for
 	// different content windows.
 	e.frameCache = nil
@@ -929,16 +908,6 @@ func (e *Emulator) playSlot(ctx context.Context, windows [][]video.Chunk, dec sc
 			res.EverServed[i] = true
 		}
 	}
-	// Realised reductions are collected during playback and applied to
-	// the estimators in one batch afterwards (the Fig. 6 "Bayesian
-	// updating" stage); nothing inside the playback loop reads them, so
-	// the deferral changes no behaviour and gives the update its own
-	// span.
-	type observation struct {
-		device int
-		mean   float64
-	}
-	var observations []observation
 	for _, i := range reqIdx {
 		d := e.devices[i]
 		window := windows[e.deviceStream[i]]
@@ -995,18 +964,12 @@ func (e *Emulator) playSlot(ctx context.Context, windows [][]video.Chunk, dec sc
 			}
 		}
 		if len(savings) > 0 && e.cfg.FixedGamma == 0 {
-			observations = append(observations, observation{device: i, mean: stats.Mean(savings)})
+			// Observation Delta_n (the Fig. 6 "Bayesian updating"
+			// stage): the slot's mean realised reduction. A degenerate
+			// observation (0 or 1) carries no information and is
+			// deliberately skipped — the conjugate update assumes a
+			// valid ratio.
+			_ = e.estimators[i].Observe(stats.Mean(savings))
 		}
 	}
-	psp.End()
-	_, bsp := span.Child(ctx, "bayes-update")
-	for _, o := range observations {
-		// Observation Delta_n: the slot's mean realised reduction. A
-		// degenerate observation (0 or 1) carries no information and
-		// is deliberately skipped — the conjugate update assumes a
-		// valid ratio.
-		_ = e.estimators[o.device].Observe(o.mean)
-	}
-	bsp.SetInt("observations", len(observations))
-	bsp.End()
 }

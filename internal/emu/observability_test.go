@@ -8,7 +8,6 @@ import (
 
 	"lpvs/internal/obs/audit"
 	"lpvs/internal/obs/slo"
-	"lpvs/internal/obs/span"
 	"lpvs/internal/scheduler"
 )
 
@@ -111,65 +110,6 @@ func TestBaselinePolicyWritesNoAudit(t *testing.T) {
 	if len(data) != 0 {
 		t.Fatalf("baseline wrote %d audit bytes:\n%s", len(data), data)
 	}
-}
-
-// TestEmulatorSpanTreeMatchesSlotPipeline asserts one emulated slot
-// traces as slot -> gather/schedule/play/bayes-update with the
-// scheduler stages nested under schedule -> vc.
-func TestEmulatorSpanTreeMatchesSlotPipeline(t *testing.T) {
-	tr := span.NewTracer(span.Config{Sample: 1, Seed: 9})
-	cfg := baseConfig()
-	cfg.GroupSize = 6
-	cfg.Slots = 1
-	cfg.Tracer = tr
-	e, err := New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	spans := tr.Snapshot()
-	var trace string
-	for _, d := range spans {
-		if d.Name == "slot" {
-			trace = d.TraceID
-		}
-	}
-	if trace == "" {
-		t.Fatalf("no slot span among %d spans", len(spans))
-	}
-	roots := span.Tree(spans, trace)
-	if len(roots) != 1 || roots[0].Name != "slot" {
-		t.Fatalf("slot trace roots: %+v", roots)
-	}
-	byName := map[string]*span.Node{}
-	for _, c := range roots[0].Children {
-		byName[c.Name] = c
-	}
-	for _, want := range []string{"gather", "schedule", "play", "bayes-update"} {
-		if byName[want] == nil {
-			t.Fatalf("slot span missing %q child (have %v)", want, names(roots[0].Children))
-		}
-	}
-	// The engine is a pool at any width, so the stages hang off the
-	// schedule span's one "vc" child, as they do under a daemon's tick.
-	vcs := byName["schedule"].Children
-	if len(vcs) != 1 || vcs[0].Name != "vc" {
-		t.Fatalf("schedule children = %v, want [vc]", names(vcs))
-	}
-	stages := names(vcs[0].Children)
-	if len(stages) != 3 || stages[0] != "compact" || stages[1] != "phase1" || stages[2] != "phase2" {
-		t.Fatalf("vc stages = %v, want [compact phase1 phase2]", stages)
-	}
-}
-
-func names(nodes []*span.Node) []string {
-	out := make([]string, len(nodes))
-	for i, n := range nodes {
-		out[i] = n.Name
-	}
-	return out
 }
 
 // TestIncrementalAuditLogMatchesCold runs the identical session through

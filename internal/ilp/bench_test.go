@@ -33,7 +33,7 @@ func BenchmarkBranchBound(b *testing.B) {
 			nodes := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sol, err := BranchBound(tc.p, BBConfig{MaxNodes: 50_000})
+				sol, err := new(Solver).BranchBound(tc.p, BBConfig{MaxNodes: 50_000})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -50,7 +50,7 @@ func BenchmarkGreedy(b *testing.B) {
 			p := benchProblem(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Greedy(p)
+				new(Solver).Greedy(p)
 			}
 		})
 	}

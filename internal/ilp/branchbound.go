@@ -68,7 +68,9 @@ const deadlineCheckMask = 0x3FF
 // allocates nothing; every slice is resized to the problem and
 // overwritten before it is read. The price is a lifetime rule: a
 // Solution's X is the Solver's and valid until its next solve. The
-// zero value is ready; a Solver is not safe for concurrent use.
+// zero value is ready; a Solver is not safe for concurrent use, but a
+// solve only reads its Problem, so solvers may solve the same Problem
+// value at once (reentrancy_test.go pins it under the race detector).
 type Solver struct {
 	// Shared by Greedy and BranchBound (grow).
 	order     []int // branching order: decreasing value density
@@ -146,15 +148,6 @@ func growOrders(orders [][]int, n, m int) [][]int {
 		orders[j] = orders[j][:n]
 	}
 	return orders
-}
-
-// BranchBound solves the 0/1 problem exactly (up to the node limit) on
-// a Solver of its own, so the Solution's X is the caller's for good.
-// It is reentrant: it only reads the Problem and shares no state with
-// any other call, so concurrent solves — including of the same Problem
-// value — are safe; reentrancy_test.go pins it under the race detector.
-func BranchBound(p *Problem, cfg BBConfig) (Solution, error) {
-	return new(Solver).BranchBound(p, cfg)
 }
 
 // BranchBound solves the 0/1 problem exactly (up to the node limit) by
@@ -474,11 +467,6 @@ func greedyInto(p *Problem, order []int, remaining []float64, x []bool) float64 
 	}
 	return value
 }
-
-// Greedy builds a feasible solution in O(n log n) on a Solver of its
-// own, so the Solution's X is the caller's for good. Like BranchBound
-// it is reentrant.
-func Greedy(p *Problem) Solution { return new(Solver).Greedy(p) }
 
 // Greedy builds a feasible solution in O(n log n): scan items in density
 // order, taking each one that fits. It is the paper-agnostic baseline

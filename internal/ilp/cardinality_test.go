@@ -40,11 +40,11 @@ func phase1Shaped(rng *stats.RNG, n int, classes []float64) *Problem {
 func TestBranchBoundTiedWeightsProvesAtRoot(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		p := phase1Shaped(stats.NewRNG(seed), 200, resolutionWeights[2:3])
-		sol, err := BranchBound(p, BBConfig{})
+		sol, err := new(Solver).BranchBound(p, BBConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := Greedy(p)
+		g := new(Solver).Greedy(p)
 		if !sol.Optimal || sol.Nodes > 8 {
 			t.Fatalf("seed %d: optimal=%t after %d nodes, want a proof within 8", seed, sol.Optimal, sol.Nodes)
 		}
@@ -84,7 +84,7 @@ func TestBranchBoundFourClassNodeCeilings(t *testing.T) {
 	}
 	for _, tc := range cases {
 		p := phase1Shaped(stats.NewRNG(tc.seed), 200, resolutionWeights)
-		sol, err := BranchBound(p, BBConfig{})
+		sol, err := new(Solver).BranchBound(p, BBConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ func TestBranchBoundExpiredDeadlineIsGreedy(t *testing.T) {
 	past := time.Now().Add(-time.Hour)
 	for i := 0; i < 60; i++ {
 		p := randomProblem(rng, 2+rng.Intn(40), 1+rng.Intn(2))
-		sol, err := BranchBound(p, BBConfig{Deadline: past})
+		sol, err := new(Solver).BranchBound(p, BBConfig{Deadline: past})
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
@@ -28,7 +28,7 @@ func TestBranchBoundExpiredDeadlineIsGreedy(t *testing.T) {
 		if !p.Feasible(sol.X) {
 			t.Fatalf("instance %d: degraded solution infeasible", i)
 		}
-		g := Greedy(p)
+		g := new(Solver).Greedy(p)
 		if sol.Value != g.Value {
 			t.Fatalf("instance %d: degraded value %v != greedy %v", i, sol.Value, g.Value)
 		}
@@ -37,7 +37,7 @@ func TestBranchBoundExpiredDeadlineIsGreedy(t *testing.T) {
 				t.Fatalf("instance %d: degraded assignment differs from greedy at item %d", i, j)
 			}
 		}
-		again, err := BranchBound(p, BBConfig{Deadline: past})
+		again, err := new(Solver).BranchBound(p, BBConfig{Deadline: past})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,11 +56,11 @@ func TestBranchBoundGenerousDeadlineUnchanged(t *testing.T) {
 	rng := stats.NewRNG(11)
 	for i := 0; i < 60; i++ {
 		p := randomProblem(rng, 2+rng.Intn(30), 1+rng.Intn(2))
-		plain, err := BranchBound(p, BBConfig{})
+		plain, err := new(Solver).BranchBound(p, BBConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bounded, err := BranchBound(p, BBConfig{Deadline: time.Now().Add(time.Hour)})
+		bounded, err := new(Solver).BranchBound(p, BBConfig{Deadline: time.Now().Add(time.Hour)})
 		if err != nil {
 			t.Fatal(err)
 		}

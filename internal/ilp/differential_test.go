@@ -186,7 +186,7 @@ func TestBranchBoundParentPinned(t *testing.T) {
 	if os.Getenv("RECORD_PARENT_GOLDEN") != "" {
 		var b strings.Builder
 		for _, inst := range family {
-			sol, err := BranchBound(inst.p, BBConfig{})
+			sol, err := new(Solver).BranchBound(inst.p, BBConfig{})
 			if err != nil {
 				t.Fatalf("%s: %v", inst.name, err)
 			}
@@ -206,7 +206,7 @@ func TestBranchBoundParentPinned(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: not in the golden", inst.name)
 		}
-		sol, err := BranchBound(inst.p, BBConfig{})
+		sol, err := new(Solver).BranchBound(inst.p, BBConfig{})
 		if err != nil {
 			t.Fatalf("%s: %v", inst.name, err)
 		}

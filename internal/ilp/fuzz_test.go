@@ -55,7 +55,7 @@ func FuzzBranchBound(f *testing.F) {
 	f.Add([]byte{}) // one free zero-value item; the shaped seeds are in testdata/fuzz
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzProblem(data)
-		got, err := BranchBound(p, BBConfig{})
+		got, err := new(Solver).BranchBound(p, BBConfig{})
 		if err != nil {
 			t.Fatalf("generated problem rejected: %v", err)
 		}

@@ -93,7 +93,7 @@ func TestBranchBoundMatchesBruteForce(t *testing.T) {
 
 func checkAgainstBruteForce(t *testing.T, name string, p *Problem) {
 	t.Helper()
-	got, err := BranchBound(p, BBConfig{})
+	got, err := new(Solver).BranchBound(p, BBConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestBranchBoundZeroCapacity(t *testing.T) {
 		Values:      []float64{5, 3},
 		Constraints: []Constraint{{Weights: []float64{1, 1}, Capacity: 0}},
 	}
-	sol, err := BranchBound(p, BBConfig{})
+	sol, err := new(Solver).BranchBound(p, BBConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestBranchBoundFreeItems(t *testing.T) {
 		Values:      []float64{5, 3, 2},
 		Constraints: []Constraint{{Weights: []float64{0, 4, 4}, Capacity: 4}},
 	}
-	sol, err := BranchBound(p, BBConfig{})
+	sol, err := new(Solver).BranchBound(p, BBConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestBranchBoundFreeItems(t *testing.T) {
 func TestBranchBoundNodeLimit(t *testing.T) {
 	rng := stats.NewRNG(11)
 	p := randomProblem(rng, 60, 2)
-	sol, err := BranchBound(p, BBConfig{MaxNodes: 10})
+	sol, err := new(Solver).BranchBound(p, BBConfig{MaxNodes: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestGreedyFeasibleAndDecent(t *testing.T) {
 	rng := stats.NewRNG(13)
 	for trial := 0; trial < 30; trial++ {
 		p := randomProblem(rng, 14, 2)
-		g := Greedy(p)
+		g := new(Solver).Greedy(p)
 		if !p.Feasible(g.X) {
 			t.Fatalf("trial %d: greedy infeasible", trial)
 		}
@@ -190,14 +190,14 @@ func TestGreedyMatchesBranchBoundIncumbent(t *testing.T) {
 	rng := stats.NewRNG(5)
 	for trial := 0; trial < 20; trial++ {
 		p := randomProblem(rng, 10, 2)
-		g := Greedy(p)
+		g := new(Solver).Greedy(p)
 		// A branch-and-bound run with a zero node budget... isn't
 		// expressible (0 means default), so instead check the greedy
 		// value is never above the exact optimum and is feasible.
 		if !p.Feasible(g.X) {
 			t.Fatalf("trial %d: greedy infeasible", trial)
 		}
-		exact, err := BranchBound(p, BBConfig{})
+		exact, err := new(Solver).BranchBound(p, BBConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,14 +220,14 @@ func TestBranchBoundLargeInstanceRuns(t *testing.T) {
 	}
 	rng := stats.NewRNG(17)
 	p := randomProblem(rng, 300, 2)
-	sol, err := BranchBound(p, BBConfig{MaxNodes: 50_000})
+	sol, err := new(Solver).BranchBound(p, BBConfig{MaxNodes: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !p.Feasible(sol.X) {
 		t.Fatal("infeasible")
 	}
-	g := Greedy(p)
+	g := new(Solver).Greedy(p)
 	if sol.Value < g.Value-1e-9 {
 		t.Fatalf("BB (%v) worse than its own warm start (%v)", sol.Value, g.Value)
 	}
@@ -237,11 +237,11 @@ func TestBBNeverWorseThanGreedyProperty(t *testing.T) {
 	f := func(seed int64, n, m uint8) bool {
 		rng := stats.NewRNG(seed)
 		p := randomProblem(rng, int(n%20)+1, int(m%3)+1)
-		bb, err := BranchBound(p, BBConfig{MaxNodes: 5000})
+		bb, err := new(Solver).BranchBound(p, BBConfig{MaxNodes: 5000})
 		if err != nil {
 			return false
 		}
-		g := Greedy(p)
+		g := new(Solver).Greedy(p)
 		return bb.Value >= g.Value-1e-9 && p.Feasible(bb.X) && p.Feasible(g.X)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -19,11 +19,11 @@ func TestSolversReentrant(t *testing.T) {
 			{Weights: []float64{1, 4, 2, 3, 1, 2, 3, 1, 2, 1, 1, 1}, Capacity: 8},
 		},
 	}
-	ref, err := BranchBound(p, BBConfig{})
+	ref, err := new(Solver).BranchBound(p, BBConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refGreedy := Greedy(p)
+	refGreedy := new(Solver).Greedy(p)
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -33,7 +33,7 @@ func TestSolversReentrant(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for iter := 0; iter < 50; iter++ {
-				sol, err := BranchBound(p, BBConfig{})
+				sol, err := new(Solver).BranchBound(p, BBConfig{})
 				if err != nil {
 					errs[g] = err
 					return
@@ -43,7 +43,7 @@ func TestSolversReentrant(t *testing.T) {
 						g, sol.Value, sol.Optimal, ref.Value)
 					return
 				}
-				gr := Greedy(p)
+				gr := new(Solver).Greedy(p)
 				if math.Abs(gr.Value-refGreedy.Value) > 1e-12 {
 					t.Errorf("goroutine %d: greedy value %v, want %v", g, gr.Value, refGreedy.Value)
 					return

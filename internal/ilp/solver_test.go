@@ -35,7 +35,7 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 			p = randomProblem(rng, n, trial%4-1)
 		}
 		if trial%3 == 0 {
-			want := Greedy(p)
+			want := new(Solver).Greedy(p)
 			if got := s.Greedy(p); !sameSolution(got, want) {
 				t.Fatalf("trial %d (n=%d): reused Greedy %+v, fresh %+v", trial, p.N(), got, want)
 			}
@@ -45,7 +45,7 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 		if trial%7 == 0 {
 			cfg.Deadline = time.Unix(1, 0) // long expired: the greedy fallback
 		}
-		want, err := BranchBound(p, cfg)
+		want, err := new(Solver).BranchBound(p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,8 +61,7 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 
 // TestSolverAllocs pins what a warm Solver costs: nothing. A Phase-1
 // solve each slot on a pool worker's Solver allocates no search scratch
-// and no X, where the package-level solvers, a fresh Solver each, pay
-// for both.
+// and no X, where a fresh Solver each solve pays for both.
 func TestSolverAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -264,12 +264,6 @@ func (h *Histogram) Observe(v float64) {
 	h.s.addSum(v)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.s.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return h.s.sum() }
-
 // Counter registers (or returns) an unlabelled counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	f := r.register(name, help, TypeCounter, nil, nil)

@@ -71,11 +71,11 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, text)
 		}
 	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d", h.Count())
+	if h.s.count.Load() != 7 {
+		t.Fatalf("count = %d", h.s.count.Load())
 	}
-	if math.Abs(h.Sum()-9.85) > 1e-9 {
-		t.Fatalf("sum = %v", h.Sum())
+	if math.Abs(h.s.sum()-9.85) > 1e-9 {
+		t.Fatalf("sum = %v", h.s.sum())
 	}
 }
 
@@ -94,8 +94,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if h.Count() != workers*perWorker {
-		t.Fatalf("count = %d, want %d", h.Count(), workers*perWorker)
+	if h.s.count.Load() != workers*perWorker {
+		t.Fatalf("count = %d, want %d", h.s.count.Load(), workers*perWorker)
 	}
 }
 

@@ -7,15 +7,15 @@
 //
 // Design constraints, in order:
 //
-//   - Zero overhead when tracing is off. A Tracer with Sample <= 0
+//   - Zero overhead when tracing is off. A Tracer with a sample rate <= 0
 //     never takes a lock, never draws randomness, and returns nil
 //     spans; every (*Span) method is nil-safe, so instrumented code
 //     needs no branches. The scheduler hot path is guarded by a
 //     benchmark; its untraced-vs-sampling-off figures are quoted in
 //     CHANGES.md (PR 3).
-//   - Determinism. Trace and span IDs come from a seedable RNG, so a
-//     traced run is reproducible end to end given the seed; only the
-//     wall-clock timestamps differ between runs.
+//   - Determinism. Trace and span IDs come from a fixed-seed RNG, so
+//     a traced run is reproducible end to end; only the wall-clock
+//     timestamps differ between runs.
 //   - Boundedness. Finished spans land in a fixed-capacity ring
 //     buffer; a long-running daemon keeps the most recent spans and
 //     never grows without bound. The ring is made when the first span
@@ -41,29 +41,15 @@ import (
 // ctxKey carries the active span through a context.
 type ctxKey struct{}
 
-// Config parameterises a Tracer.
-type Config struct {
-	// Sample is the probability that Start begins a recorded trace.
-	// <= 0 disables tracing entirely (the zero-overhead path); >= 1
-	// records every trace.
-	Sample float64
-	// Capacity bounds the finished-span ring buffer. Zero means
-	// DefaultCapacity.
-	Capacity int
-	// Seed seeds the trace/span ID stream. Zero means 1, so the zero
-	// config is usable and deterministic.
-	Seed int64
-}
-
-// DefaultCapacity is the default ring-buffer size: enough for several
+// ringCapacity is the finished-span ring's size: enough for several
 // thousand ticks of the five-span tick tree.
-const DefaultCapacity = 16384
+const ringCapacity = 16384
 
 // Tracer creates spans and collects the finished ones. Safe for
 // concurrent use. A nil *Tracer is valid and never samples.
 type Tracer struct {
 	sample   float64
-	capacity int // ring size, fixed at construction
+	capacity int // ring size: ringCapacity, which tests lower before the first span
 
 	mu    sync.Mutex
 	rng   *rand.Rand // nil when sample <= 0: nothing ever draws from it
@@ -73,21 +59,17 @@ type Tracer struct {
 	drops uint64
 }
 
-// NewTracer builds a tracer from the config.
-func NewTracer(cfg Config) *Tracer {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	t := &Tracer{sample: cfg.Sample, capacity: cfg.Capacity}
-	if cfg.Sample > 0 {
+// NewTracer builds a tracer that begins a recorded trace with
+// probability sample: <= 0 disables tracing entirely (the zero-overhead
+// path); >= 1 records every trace. Trace and span IDs come from a
+// stream seeded with 1.
+func NewTracer(sample float64) *Tracer {
+	t := &Tracer{sample: sample, capacity: ringCapacity}
+	if sample > 0 {
 		// Only a sampled Start and the children below it draw IDs, and
 		// only their End writes the ring: a disabled tracer is this
 		// struct and nothing else.
-		t.rng = rand.New(rand.NewSource(seed))
+		t.rng = rand.New(rand.NewSource(1))
 	}
 	return t
 }

@@ -12,7 +12,7 @@ import (
 
 func TestDisabledTracerIsInert(t *testing.T) {
 	ctx := context.Background()
-	for _, tr := range []*Tracer{nil, NewTracer(Config{Sample: 0})} {
+	for _, tr := range []*Tracer{nil, NewTracer(0)} {
 		got, sp := tr.Start(ctx, "tick")
 		if sp != nil {
 			t.Fatal("disabled tracer returned a span")
@@ -43,7 +43,7 @@ func TestDisabledTracerIsInert(t *testing.T) {
 }
 
 func TestTreeMatchesCallGraph(t *testing.T) {
-	tr := NewTracer(Config{Sample: 1, Seed: 7})
+	tr := NewTracer(1)
 	ctx, root := tr.Start(context.Background(), "tick")
 	root.SetInt("slot", 3)
 	vcCtx, vc := Child(ctx, "vc")
@@ -83,7 +83,7 @@ func TestTreeMatchesCallGraph(t *testing.T) {
 }
 
 func TestConcurrentChildrenOfOneParent(t *testing.T) {
-	tr := NewTracer(Config{Sample: 1})
+	tr := NewTracer(1)
 	ctx, root := tr.Start(context.Background(), "tick")
 	var wg sync.WaitGroup
 	const workers = 8
@@ -113,7 +113,7 @@ func TestConcurrentChildrenOfOneParent(t *testing.T) {
 
 func TestSeededIDsAreDeterministic(t *testing.T) {
 	run := func() []string {
-		tr := NewTracer(Config{Sample: 1, Seed: 42})
+		tr := NewTracer(1)
 		var out []string
 		for i := 0; i < 3; i++ {
 			ctx, root := tr.Start(context.Background(), "tick")
@@ -134,7 +134,7 @@ func TestSeededIDsAreDeterministic(t *testing.T) {
 }
 
 func TestSamplingSkipsTraces(t *testing.T) {
-	tr := NewTracer(Config{Sample: 0.5, Seed: 3})
+	tr := NewTracer(0.5)
 	sampled := 0
 	const n = 200
 	for i := 0; i < n; i++ {
@@ -153,7 +153,8 @@ func TestSamplingSkipsTraces(t *testing.T) {
 }
 
 func TestRingWrapKeepsNewest(t *testing.T) {
-	tr := NewTracer(Config{Sample: 1, Capacity: 4})
+	tr := NewTracer(1)
+	tr.capacity = 4
 	var last string
 	for i := 0; i < 10; i++ {
 		_, sp := tr.Start(context.Background(), "s")
@@ -195,7 +196,7 @@ func TestIdleTracerAllocs(t *testing.T) {
 	for attempt := 0; attempt < 5; attempt++ {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		tr = NewTracer(Config{})
+		tr = NewTracer(0)
 		for i := 0; i < 1000; i++ {
 			_, sp := tr.Start(ctx, "tick")
 			sp.SetInt("slot", i)
@@ -229,7 +230,8 @@ func TestRingMadeAtFirstSpanWrapsAlike(t *testing.T) {
 		{"long-idle", 1000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := NewTracer(Config{Sample: 1, Capacity: 3})
+			tr := NewTracer(1)
+			tr.capacity = 3
 			for i := 0; i < tc.idle; i++ {
 				if snap := tr.Snapshot(); len(snap) != 0 || tr.Dropped() != 0 {
 					t.Fatalf("idle read %d: %d spans, %d dropped, want none", i, len(snap), tr.Dropped())
@@ -261,7 +263,7 @@ func TestRingMadeAtFirstSpanWrapsAlike(t *testing.T) {
 }
 
 func TestDoubleEndCommitsOnce(t *testing.T) {
-	tr := NewTracer(Config{Sample: 1})
+	tr := NewTracer(1)
 	_, sp := tr.Start(context.Background(), "s")
 	sp.End()
 	sp.End()

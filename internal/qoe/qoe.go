@@ -31,14 +31,6 @@ const (
 	Inline
 )
 
-// String implements fmt.Stringer.
-func (m SchedulingMode) String() string {
-	if m == OneSlotAhead {
-		return "one-slot-ahead"
-	}
-	return "inline"
-}
-
 // The playout-buffer simulation's connection and player: a comfortable
 // mobile link playing a 2.5 Mbps stream.
 const (

@@ -121,9 +121,3 @@ func TestInlineDelayBeyondBufferStalls(t *testing.T) {
 		t.Fatalf("45 s inline decisions did not stall a 30 s buffer: %+v", inline)
 	}
 }
-
-func TestModeString(t *testing.T) {
-	if OneSlotAhead.String() != "one-slot-ahead" || Inline.String() != "inline" {
-		t.Fatal("mode stringer")
-	}
-}

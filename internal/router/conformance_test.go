@@ -23,7 +23,8 @@ import (
 // an error the whole envelope (code, message, retryable), for a 200 the
 // whole document down to its trailing newline. want pins the status
 // and envelope code as well, so the pair cannot agree on a wrong
-// answer.
+// answer. A single report's acknowledgement is also held to a
+// standalone daemon's.
 func TestEnvelopeConformance(t *testing.T) {
 	const maxBody = 1 << 20
 	_, shardTS := newShard(t, "n1", server.Config{MaxBodyBytes: maxBody})
@@ -189,6 +190,30 @@ func TestEnvelopeConformance(t *testing.T) {
 		}
 		if (daemon.status == http.StatusMethodNotAllowed) != (daemon.allow != "") {
 			t.Errorf("%s: status %d with Allow %q", p.name, daemon.status, daemon.allow)
+		}
+	}
+
+	// A single report's acknowledgement is a standalone daemon's, byte
+	// for byte, in either codec: the router writes it with the daemon's
+	// own writer, server.WriteAppended. The standalone daemon ticks once,
+	// as the router's shard has, so both acknowledge the same slot.
+	def, extras := testStreams(t)
+	plain, err := server.New(server.Config{Stream: def, ExtraStreams: extras, ServerStreams: -1, Lambda: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	plainTS := httptest.NewServer(plain.Handler())
+	defer plainTS.Close()
+	if resp := postJSON(t, plainTS.URL+"/v1/tick", nil, nil); resp.StatusCode != 200 {
+		t.Fatalf("standalone tick status %d", resp.StatusCode)
+	}
+	for _, p := range []probe{
+		{"accepted report, JSON single", "POST", "/v1/report", jsonCT, marshal(good), 200, ""},
+		{"accepted report, binary single", "POST", "/v1/report", wire.ContentType, single, 200, ""},
+	} {
+		if standalone, router := exchange(plainTS.URL, p), exchange(routerTS.URL, p); standalone != router || standalone.status != p.wantStatus {
+			t.Errorf("%s:\n standalone %+v\n router     %+v", p.name, standalone, router)
 		}
 	}
 

@@ -168,7 +168,7 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 			rt.mForwardErrors.Inc()
 			writeUpstream(w, sb.err)
 		} else {
-			server.WriteJSON(w, http.StatusOK, sb.single)
+			server.WriteAppended(w, sb.single)
 		}
 		return
 	}

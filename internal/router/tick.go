@@ -90,7 +90,8 @@ func (rt *Router) handleTick(w http.ResponseWriter, _ *http.Request) {
 	body, ok := merged.AppendJSON(ts.body[:0])
 	ts.body = body
 	if !ok {
-		server.WriteJSON(w, http.StatusOK, *merged)
+		// A NaN or an infinity: the header alone, as server.WriteAppended.
+		server.WriteBody(w, http.StatusOK, nil)
 		return
 	}
 	server.WriteBody(w, http.StatusOK, body)

@@ -121,7 +121,7 @@ func TestPoolScalingWorkloadEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(pr.Canonical()) != string(sr.Canonical()) {
+	if string(canonical(pr)) != string(canonical(sr)) {
 		t.Fatal("8-worker pool diverged from serial baseline on the benchmark workload")
 	}
 }
@@ -182,7 +182,7 @@ func BenchmarkScheduleTracing(b *testing.B) {
 			vcs := []VC{{ID: "vc", Requests: reqs}}
 			ctx := context.Background()
 			if mode.ctx {
-				tr := span.NewTracer(span.Config{Sample: mode.sample, Seed: 1})
+				tr := span.NewTracer(mode.sample)
 				var sp *span.Span
 				ctx, sp = tr.Start(ctx, "bench")
 				defer sp.End()

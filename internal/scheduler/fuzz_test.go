@@ -73,9 +73,9 @@ func FuzzPoolDecide(f *testing.F) {
 		if err != nil {
 			t.Fatalf("serial rejected generated input: %v", err)
 		}
-		if !bytes.Equal(res.Canonical(), serial.Canonical()) {
+		if !bytes.Equal(canonical(res), canonical(serial)) {
 			t.Fatalf("pool and serial decisions diverged:\npool:\n%s\nserial:\n%s",
-				res.Canonical(), serial.Canonical())
+				canonical(res), canonical(serial))
 		}
 		for v, vcd := range res.VCs {
 			var reqs []Request

@@ -421,17 +421,3 @@ func ReadCanonical(canon []byte, degraded bool, n int, fn func(k int, id []byte,
 }
 
 var newline = []byte{'\n'}
-
-// Canonical concatenates every VC decision's canonical form in VC-ID
-// order — the byte string the differential tests and the benchmark
-// equivalence check compare across engines.
-func (r *PoolResult) Canonical() []byte {
-	var b []byte
-	for i := range r.VCs {
-		b = append(b, "vc "...)
-		b = append(b, r.VCs[i].VC...)
-		b = append(b, '\n')
-		b = r.VCs[i].Decision.AppendCanonical(b)
-	}
-	return b
-}

@@ -261,9 +261,9 @@ func TestDecideIntoReusedResultMatchesFresh(t *testing.T) {
 			if err := fresh.DecideInto(step.ctx, step.vcs, &want); err != nil {
 				t.Fatalf("instance %d %s: fresh: %v", inst, step.name, err)
 			}
-			if !bytes.Equal(kept.Canonical(), want.Canonical()) {
+			if !bytes.Equal(canonical(&kept), canonical(&want)) {
 				t.Fatalf("instance %d %s: reused result diverged from a fresh one:\nreused:\n%s\nfresh:\n%s",
-					inst, step.name, kept.Canonical(), want.Canonical())
+					inst, step.name, canonical(&kept), canonical(&want))
 			}
 			if len(kept.VCs) != len(step.vcs) || kept.Workers != want.Workers {
 				t.Fatalf("instance %d %s: %d VCs at %d workers, want %d at %d",

@@ -57,10 +57,11 @@ func WriteBody(w http.ResponseWriter, code int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// WriteAppended answers 200 with v's AppendJSON encoding, or through
-// WriteJSON when v holds a NaN or an infinity. It is exported for the
-// router, which answers a decision read from its table with the bytes
-// the shard would have sent, and writes its merged tick.
+// WriteAppended answers 200 with v's AppendJSON encoding. When v holds
+// a NaN or an infinity, encoding/json refuses the whole value and
+// WriteJSON sends the header with no body, which is what this sends.
+// It is exported for the router, which answers a report and a decision
+// read from its table with the bytes the daemon would have sent.
 func WriteAppended[T interface {
 	AppendJSON(dst []byte) ([]byte, bool)
 }](w http.ResponseWriter, v T) {
@@ -68,7 +69,7 @@ func WriteAppended[T interface {
 	defer bufpool.Put(buf)
 	body, ok := v.AppendJSON(buf.AvailableBuffer())
 	if !ok {
-		WriteJSON(w, http.StatusOK, v)
+		WriteBody(w, http.StatusOK, nil)
 		return
 	}
 	buf.Write(body) // in place unless body outgrew the buffer, which then grows for next time

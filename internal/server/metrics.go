@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"lpvs/internal/obs"
+	"lpvs/internal/scheduler"
 )
 
 // serverMetrics holds the daemon's typed metric handles, registered on
@@ -34,6 +35,12 @@ type serverMetrics struct {
 	tickSize   *obs.Histogram // reports per tick
 	eligible   *obs.Gauge
 	selected   *obs.Gauge
+
+	// phase1Solves[1] and [0] are phase1Runs' optimal="true" and
+	// "false" series, each resolved at its first solve, so a series
+	// shows only once a solve counts in it and a solve allocates
+	// nothing. Guarded by s.mu.
+	phase1Solves [2]*obs.Counter
 
 	coldNodes *obs.Gauge // Phase-1 search size
 
@@ -275,6 +282,23 @@ func (s *Server) gammaStatsLocked(fold fleetFold) (gammaMean, sigmaMean float64)
 	return gammaMean / float64(n), sigmaMean / float64(n)
 }
 
+// observeSolve counts one decided cluster's Phase-1 solve, labelled by
+// whether branch and bound proved it optimal (a greedy fallback did
+// not). Called with s.mu held, from the tick's per-VC publish pass.
+func (m *serverMetrics) observeSolve(dec *scheduler.Decision) {
+	// A cluster with no eligible device ran no Phase-1 solve.
+	if dec.Eligible > 0 {
+		i := 0
+		if dec.OptimalPhase1 {
+			i = 1
+		}
+		if m.phase1Solves[i] == nil {
+			m.phase1Solves[i] = m.phase1Runs.With(strconv.FormatBool(dec.OptimalPhase1))
+		}
+		m.phase1Solves[i].Inc()
+	}
+}
+
 // observeTick records one tick's scheduler breakdown and refreshes the
 // Bayesian drift gauges from the tick's gammaStatsLocked walk. Called
 // with s.mu held (the gauges themselves are lock-free).
@@ -290,10 +314,6 @@ func (s *Server) observeTick(stats TickStats, gammaMean, sigmaMean float64) {
 	m.eligible.Set(float64(stats.Eligible))
 	m.selected.Set(float64(stats.Selected))
 	m.swapsTotal.Add(float64(stats.Swaps))
-	// A tick with no eligible device ran no Phase-1 solve.
-	if stats.Eligible > 0 {
-		m.phase1Runs.With(strconv.FormatBool(stats.Phase1Optimal)).Inc()
-	}
 	m.coldNodes.Set(float64(stats.Phase1Nodes))
 	if stats.Degraded {
 		m.degraded.Inc()

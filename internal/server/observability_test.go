@@ -177,7 +177,7 @@ func TestTickAuditLogReplays(t *testing.T) {
 func TestTickSpanTreeMatchesCallGraph(t *testing.T) {
 	s, ts, _ := obsServer(t, -1)
 	reportAndTick(t, ts, 2)
-	spans := s.Tracer().Snapshot()
+	spans := s.tracer.Snapshot()
 	var tickTrace string
 	for _, d := range spans {
 		if d.Name == "tick" {
@@ -215,7 +215,7 @@ func TestTickSpanTreeMatchesCallGraph(t *testing.T) {
 
 	// Observation round-trip.
 	postJSON(t, ts.URL+"/v1/observe", ObserveRequest{DeviceID: "exp-00", Reduction: 0.4}, nil)
-	spans = s.Tracer().Snapshot()
+	spans = s.tracer.Snapshot()
 	var obsTrace string
 	for _, d := range spans {
 		if d.Name == "observe" {

@@ -289,7 +289,7 @@ func New(cfg Config) (*Server, error) {
 		chunksPer:   chunksPer,
 		streams:     streams,
 		log:         logger,
-		tracer:      span.NewTracer(span.Config{Sample: cfg.TraceSample}),
+		tracer:      span.NewTracer(cfg.TraceSample),
 		started:     time.Now(),
 		devices:     make(map[string]*deviceState),
 		fleet:       make(map[string]*channelStat),
@@ -356,9 +356,6 @@ func New(cfg Config) (*Server, error) {
 	s.ready.Store(true)
 	return s, nil
 }
-
-// Tracer exposes the daemon's span tracer (for export and tests).
-func (s *Server) Tracer() *span.Tracer { return s.tracer }
 
 // Close releases the daemon's file resources (the audit log).
 func (s *Server) Close() error {

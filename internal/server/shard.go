@@ -87,9 +87,7 @@ func (s *Server) handleShardTick(w http.ResponseWriter, r *http.Request) {
 	reply, ok := s.appendShardTickLocked(s.shardReply[:0], &out)
 	s.shardReply = reply
 	if !ok {
-		// A NaN or an infinity: encoding/json refuses the whole reply
-		// and WriteJSON sends the header with no body, which is what
-		// this sends.
+		// A NaN or an infinity: the header alone, as WriteAppended.
 		WriteBody(w, http.StatusOK, nil)
 		return
 	}
@@ -204,12 +202,4 @@ func (s *Server) InstallShardMap(m *shard.Map) {
 	s.mu.Lock()
 	s.shardMap = m
 	s.mu.Unlock()
-}
-
-// ShardMap returns the installed federation map (nil outside shard
-// deployments).
-func (s *Server) ShardMap() *shard.Map {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shardMap
 }

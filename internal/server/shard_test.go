@@ -274,8 +274,8 @@ func TestShardMapExchange(t *testing.T) {
 	if got.Epoch != installed.Epoch {
 		t.Fatalf("epoch changed between install and read")
 	}
-	if s.ShardMap() == nil || s.ShardMap().Epoch() != got.Epoch {
-		t.Fatal("installed map not visible via accessor")
+	if m := installedMap(s); m == nil || m.Epoch() != got.Epoch {
+		t.Fatal("installed map not visible in the daemon")
 	}
 
 	// A malformed spec is refused without clobbering the installed map.
@@ -283,9 +283,16 @@ func TestShardMapExchange(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty spec status %d, want 400", resp.StatusCode)
 	}
-	if s.ShardMap() == nil || s.ShardMap().Epoch() != got.Epoch {
+	if m := installedMap(s); m == nil || m.Epoch() != got.Epoch {
 		t.Fatal("bad spec clobbered the installed map")
 	}
+}
+
+// installedMap reads the federation map s has installed, under its lock.
+func installedMap(s *Server) *shard.Map {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.shardMap
 }
 
 // The N=1 differential at the server layer: a single-channel shard
@@ -364,7 +371,7 @@ func TestShardTickMatchesStandaloneCanonical(t *testing.T) {
 		t.Fatal("standalone audit record has no trace ID")
 	}
 	var tickTrace, tickNode string
-	for _, d := range shardSrv.Tracer().Snapshot() {
+	for _, d := range shardSrv.tracer.Snapshot() {
 		if d.Name == "tick" {
 			tickTrace, tickNode = d.TraceID, d.StrAttrs["node"]
 		}
@@ -431,11 +438,12 @@ func TestTickStatsFold(t *testing.T) {
 	}
 }
 
-// TestPhase1RunsCountOnlySolves: lpvs_sched_phase1_runs_total counts a
-// tick only when a Phase-1 solve ran. Report-less ticks count nothing,
-// and a shard tick where one channel has only a device too drained to
-// be eligible counts one optimal="true" run: the idle channel folds as
-// proven and leaves the other channel's proof standing.
+// TestPhase1RunsCountOnlySolves: lpvs_sched_phase1_runs_total counts
+// one run per Phase-1 solve, that is per cluster with an eligible
+// device. Report-less ticks count nothing; a shard tick where one
+// channel has only a device too drained to be eligible counts one
+// optimal="true" run, and its idle channel leaves the tick's proof
+// standing; a shard tick solving two channels counts two.
 func TestPhase1RunsCountOnlySolves(t *testing.T) {
 	const optimal, unproven = `lpvs_sched_phase1_runs_total{optimal="true"}`, `lpvs_sched_phase1_runs_total{optimal="false"}`
 	count := func(text, series string) float64 {
@@ -478,6 +486,27 @@ func TestPhase1RunsCountOnlySolves(t *testing.T) {
 	}
 	if text := scrape(t, ts.URL); count(text, optimal) != 1 || count(text, unproven) != 0 {
 		t.Fatalf("one solved shard tick counted true %v, false %v, want 1 and 0",
+			count(text, optimal), count(text, unproven))
+	}
+
+	// A run is one cluster's solve, not one tick: a shard tick with
+	// eligible devices on two channels counts two.
+	s, ts = shardTestServer(t, Config{ShardMode: true, NodeID: "n1",
+		ExtraStreams: []*video.Video{extraStream(t, "music")}})
+	s.InstallShardMap(testShardMap(t, "n1"))
+	for _, rep := range []ReportRequest{validReport("dev-a"), reportOn("dev-m", "music")} {
+		if resp := postJSON(t, ts.URL+"/v1/report", rep, nil); resp.StatusCode != 200 {
+			t.Fatalf("report %s: %d", rep.DeviceID, resp.StatusCode)
+		}
+	}
+	if resp := postJSON(t, ts.URL+"/v1/shard/tick", ShardTickRequest{Node: "n1"}, &tick); resp.StatusCode != 200 {
+		t.Fatalf("shard tick: %d", resp.StatusCode)
+	}
+	if len(tick.VCs) != 2 || tick.VCs[0].Eligible == 0 || tick.VCs[1].Eligible == 0 {
+		t.Fatalf("want eligible devices on both channels: %+v", tick.VCs)
+	}
+	if text := scrape(t, ts.URL); count(text, optimal) != 2 || count(text, unproven) != 0 {
+		t.Fatalf("a shard tick solving two channels counted true %v, false %v, want 2 and 0",
 			count(text, optimal), count(text, unproven))
 	}
 }

@@ -150,6 +150,7 @@ func (s *Server) runTickLocked(ctx context.Context, part partition) (tickOutcome
 	for i := range pres.VCs {
 		s.streamTickLocked(&pres.VCs[i])
 		dec := &pres.VCs[i].Decision
+		s.metrics.observeSolve(dec)
 		batch := vcs[i].Requests
 		for k := range batch {
 			st, ok := s.devices[batch[k].DeviceID]

@@ -141,12 +141,6 @@ func (m *Map) Nodes() []Node {
 	return out
 }
 
-// Contains reports whether the map has a node with the given ID.
-func (m *Map) Contains(id string) bool {
-	i := sort.Search(len(m.nodes), func(i int) bool { return m.nodes[i].ID >= id })
-	return i < len(m.nodes) && m.nodes[i].ID == id
-}
-
 // Replicas returns the virtual points per node.
 func (m *Map) Replicas() int { return m.replicas }
 

@@ -209,8 +209,8 @@ func TestParseFile(t *testing.T) {
 	if m.Replicas() != 64 {
 		t.Fatalf("replicas = %d, want 64", m.Replicas())
 	}
-	if !m.Contains("a") || !m.Contains("b") || m.Contains("c") {
-		t.Fatal("Contains answers wrong")
+	if nodes := m.Nodes(); nodes[0].ID != "a" || nodes[1].ID != "b" {
+		t.Fatalf("nodes = %+v, want a and b", nodes)
 	}
 	if _, err := ParseFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")

@@ -20,7 +20,6 @@ func drainMixed(g *RNG) {
 	g.Bool(0.5)
 	g.Categorical([]float64{1, 2, 3})
 	g.Perm(6)
-	g.Shuffle(5, func(i, j int) {})
 }
 
 // TestRNGStateRestore: a stream rebuilt from State must continue

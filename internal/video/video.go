@@ -129,15 +129,6 @@ func (v *Video) Validate() error {
 	return nil
 }
 
-// DurationSec returns the total duration of the video's chunks.
-func (v *Video) DurationSec() float64 {
-	sum := 0.0
-	for _, c := range v.Chunks {
-		sum += c.DurationSec
-	}
-	return sum
-}
-
 // GenConfig parameterises synthetic video generation.
 type GenConfig struct {
 	ID          string

@@ -95,13 +95,6 @@ func TestGenreBrightnessOrdering(t *testing.T) {
 	}
 }
 
-func TestDurationSec(t *testing.T) {
-	v := genVideo(t, Gaming, 30)
-	if got := v.DurationSec(); got != 30*DefaultChunkSeconds {
-		t.Fatalf("duration = %v, want %v", got, 30*DefaultChunkSeconds)
-	}
-}
-
 func TestValidateCatchesBadChunks(t *testing.T) {
 	v := genVideo(t, Gaming, 5)
 	v.Chunks[2].Index = 7

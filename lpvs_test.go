@@ -144,7 +144,11 @@ func TestFacadeEdgeService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Report(); err != nil {
+	clients, err := lpvs.NewClientFleet(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clients.Report(); err != nil {
 		t.Fatal(err)
 	}
 }
