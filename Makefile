@@ -180,13 +180,14 @@ fma-check:
 
 # loc is the ruler for deletion PRs (ROADMAP item 8): Go lines outside
 # _test.go that are neither blank nor a // comment, per top-level
-# directory ("." is the root package) and in total. Quote it before and
-# after in CHANGES.md.
+# directory ("." is the root package) and in total. testdata directories
+# are pruned, as the go tool ignores them. Quote it before and after in
+# CHANGES.md.
 loc:
 	@total=0; \
-	for d in . $$(find . -mindepth 2 -name '*.go' | cut -d/ -f2 | sort -u); do \
+	for d in . $$(find . -type d -name testdata -prune -o -name '*.go' -print | awk -F/ 'NF > 2 {print $$2}' | sort -u); do \
 		depth=""; [ "$$d" = . ] && depth="-maxdepth 1"; \
-		n=$$(find ./$$d $$depth -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'); \
+		n=$$(find ./$$d $$depth -type d -name testdata -prune -o -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'); \
 		printf '%-10s %7d\n' "$$d" "$$n"; total=$$((total + n)); \
 	done; \
 	printf '%-10s %7d\n' total "$$total"

@@ -51,9 +51,7 @@ func main() {
 	}
 	// Batched reporting: the whole fleet's slot reports ride one
 	// POST /v1/report round-trip instead of one per device, framed in
-	// the compact binary wire format (DESIGN.md §16) — the clients
-	// negotiate it automatically and fall back to JSON against daemons
-	// that predate the codec.
+	// the compact binary wire format (DESIGN.md §16).
 	group, err := lpvs.NewClientFleet(clients...)
 	if err != nil {
 		log.Fatal(err)

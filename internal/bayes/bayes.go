@@ -108,13 +108,9 @@ func (e *GammaEstimator) Uncertainty() float64 {
 // every persistent parameter — sufficient to rebuild the estimator
 // bit-for-bit via FromSnapshot (durable state, DESIGN.md §14).
 type Snapshot struct {
-	// Gamma is the scheduler-facing truncated posterior expectation.
-	Gamma float64
 	// Mean and Sigma are the untruncated posterior parameters.
 	Mean  float64
 	Sigma float64
-	// Uncertainty is the truncated posterior standard deviation.
-	Uncertainty float64
 	// Observations counts the conjugate updates folded in so far.
 	Observations int
 	// ObsSigma is the observation noise level the updates use.
@@ -126,10 +122,8 @@ type Snapshot struct {
 // Snapshot captures the estimator's current posterior state.
 func (e *GammaEstimator) Snapshot() Snapshot {
 	return Snapshot{
-		Gamma:        e.Gamma(),
 		Mean:         e.mean,
 		Sigma:        e.sigma,
-		Uncertainty:  e.Uncertainty(),
 		Observations: e.nObs,
 		ObsSigma:     e.obsSigma,
 		Lo:           e.lo,
@@ -140,8 +134,7 @@ func (e *GammaEstimator) Snapshot() Snapshot {
 // FromSnapshot rebuilds an estimator from a captured posterior — the
 // restore half of the durable-state path (DESIGN.md §14). The five
 // persistent parameters (Mean, Sigma, ObsSigma, Lo, Hi) plus the
-// observation count determine the estimator exactly; the derived
-// Gamma and Uncertainty fields are ignored and recomputed on demand.
+// observation count determine the estimator exactly.
 // Snapshots that could not have come from a valid estimator are
 // rejected so a corrupted restore fails closed instead of poisoning
 // future decisions.

@@ -134,13 +134,10 @@ func TestSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := e.Snapshot()
-	if snap.Gamma != e.Gamma() || snap.Mean != e.mean || snap.Sigma != e.Sigma() {
+	if snap.Mean != e.mean || snap.Sigma != e.Sigma() {
 		t.Fatalf("snapshot %+v disagrees with accessors", snap)
 	}
 	if snap.Observations != 1 {
 		t.Fatalf("observations = %d, want 1", snap.Observations)
-	}
-	if snap.Uncertainty != e.Uncertainty() {
-		t.Fatalf("uncertainty %v != %v", snap.Uncertainty, e.Uncertainty())
 	}
 }

@@ -19,12 +19,10 @@
 package client
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 
 	"lpvs/internal/device"
 	"lpvs/internal/display"
@@ -39,13 +37,9 @@ type Client struct {
 	dev     *device.Device
 	channel string // stream the device watches; empty = the default
 
-	// Codec negotiation (DESIGN.md §16): reports go out in the binary
-	// wire format by default; a daemon that does not speak it (415, or
-	// an old daemon's JSON-decode 400 on the binary body) flips the
-	// client to JSON for good. wireBuf is the reused encode buffer, so
-	// a steady-state reporter allocates no per-slot body.
-	jsonOnly bool
-	wireBuf  []byte
+	// wireBuf is the reused binary batch buffer (DESIGN.md §16), so a
+	// steady-state reporter allocates no per-slot body.
+	wireBuf []byte
 }
 
 // New builds a client for the device against the daemon at baseURL.
@@ -91,62 +85,22 @@ func (c *Client) ReportRequest() server.ReportRequest {
 	}
 }
 
-// ReportBatch posts many reports as one body — one round-trip for a
-// whole co-located fleet instead of one per device — binary-framed
-// unless the client has negotiated down to JSON. The reports need not
-// belong to this client's device; the call just rides its transport,
-// retry and breaker machinery. Per-item failures do not error the call
-// — inspect the response's Results (rejections only on the binary
-// codec).
+// ReportBatch posts many reports as one binary batch — one round-trip
+// for a whole co-located fleet instead of one per device. The reports
+// need not belong to this client's device; the call just rides its
+// transport, retry and breaker machinery. Per-item failures do not
+// error the call — inspect the response's Results, which lists the
+// rejections. A batch the codec cannot frame fails before it is sent,
+// and a refused body (a 400 or 415) comes back as an *APIError.
 func (c *Client) ReportBatch(reqs []server.ReportRequest) (server.BatchReportResponse, error) {
 	var resp server.BatchReportResponse
-	sent, err := c.sendWire(func(dst []byte) ([]byte, error) { return wire.AppendBatch(dst, reqs) }, &resp)
-	if !sent {
-		err = c.call.PostJSON("/v1/report", reqs, &resp)
-	}
-	return resp, err
-}
-
-// sendWire posts one report message in the binary framing that frame
-// appends to the reused buffer. It reports false when the message must
-// go out as JSON instead: the client has negotiated down already, the
-// codec cannot frame the message (no downgrade), or the daemon turned
-// out not to speak the codec (wireFallback) — which flips the client to
-// JSON for good.
-func (c *Client) sendWire(frame func(dst []byte) ([]byte, error), out any) (sent bool, err error) {
-	if c.jsonOnly {
-		return false, nil
-	}
-	buf, err := frame(c.wireBuf[:0])
+	buf, err := wire.AppendBatch(c.wireBuf[:0], reqs)
 	if err != nil {
-		return false, nil
+		return resp, fmt.Errorf("client: frame report batch: %w", err)
 	}
 	c.wireBuf = buf
-	err = c.call.PostRaw("/v1/report", wire.ContentType, buf, out)
-	if wireFallback(err) {
-		c.jsonOnly = true
-		return false, nil
-	}
-	return true, err
-}
-
-// wireFallback reports whether a binary report's failure means the
-// daemon does not speak the codec: a 415 (version skew on a daemon
-// that knows the Content-Type), or the JSON-decode 400 an old daemon
-// produces when it tries to parse the binary body as JSON. Envelope
-// validation 400s (bad display, unknown channel) are NOT fallbacks —
-// resending them as JSON would fail identically.
-func wireFallback(err error) bool {
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) {
-		return false
-	}
-	if apiErr.Status == http.StatusUnsupportedMediaType {
-		return true
-	}
-	return apiErr.Status == http.StatusBadRequest &&
-		apiErr.Code == server.CodeBadRequest &&
-		strings.HasPrefix(apiErr.Message, "decode")
+	err = c.call.PostRaw("/v1/report", wire.ContentType, buf, &resp)
+	return resp, err
 }
 
 // Decision fetches the device's current transform decision.

@@ -293,9 +293,10 @@ func TestRetryDoesNotRetry4xx(t *testing.T) {
 	}
 }
 
+// forward relays r to the daemon at base as it arrived.
 func forward(base string, r *http.Request) (*http.Response, error) {
 	if r.Method == http.MethodPost {
-		return http.Post(base+r.URL.RequestURI(), "application/json", r.Body)
+		return http.Post(base+r.URL.RequestURI(), r.Header.Get("Content-Type"), r.Body)
 	}
 	return http.Get(base + r.URL.RequestURI())
 }

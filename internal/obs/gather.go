@@ -8,7 +8,6 @@ import "sort"
 // instead of re-parsing the text format.
 type FamilySnapshot struct {
 	Name    string
-	Help    string
 	Type    string    // TypeCounter, TypeGauge, or TypeHistogram
 	Labels  []string  // label names; empty for plain metrics
 	Buckets []float64 // histogram upper bounds (without +Inf)
@@ -27,7 +26,6 @@ type SeriesSnapshot struct {
 	// Histogram-only fields.
 	BucketCounts []uint64
 	Count        uint64
-	Sum          float64
 }
 
 // Gather snapshots every family in the registry, sorted by family name
@@ -57,7 +55,6 @@ func (r *Registry) Gather() []FamilySnapshot {
 func (f *family) snapshot() FamilySnapshot {
 	fs := FamilySnapshot{
 		Name:    f.name,
-		Help:    f.help,
 		Type:    f.typ,
 		Labels:  f.labels,
 		Buckets: f.buckets,
@@ -94,7 +91,6 @@ func (f *family) snapshot() FamilySnapshot {
 				ss.BucketCounts[i] = cum
 			}
 			ss.Count = s.count.Load()
-			ss.Sum = s.sum()
 		} else {
 			ss.Value = s.value()
 		}

@@ -15,6 +15,7 @@ import (
 	"lpvs/internal/server"
 	"lpvs/internal/shard"
 	"lpvs/internal/testenv"
+	"lpvs/internal/wire"
 )
 
 // TestRoundTripAllocs guards what one hot request costs at the socket,
@@ -223,7 +224,7 @@ func TestFederatedTickAllocs(t *testing.T) {
 	if len(owners) != 2 {
 		t.Fatalf("the channels land on %d of the 2 shards", len(owners))
 	}
-	body, err := json.Marshal(batch)
+	body, err := wire.AppendBatch(nil, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestFederatedTickAllocs(t *testing.T) {
 	const warm, ticks = 5, 20
 	var allocs, bytes uint64
 	for i := 0; i < warm+ticks; i++ {
-		if err := c.PostRaw("/v1/report", "application/json", body, nil); err != nil {
+		if err := c.PostRaw("/v1/report", wire.ContentType, body, nil); err != nil {
 			t.Fatal(err)
 		}
 		var out TickResponse

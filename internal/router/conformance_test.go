@@ -23,16 +23,16 @@ import (
 // an error the whole envelope (code, message, retryable), for a 200 the
 // whole document down to its trailing newline. want pins the status
 // and envelope code as well, so the pair cannot agree on a wrong
-// answer. A single report's acknowledgement is also held to a
-// standalone daemon's.
+// answer. A report's acknowledgement is also held to a standalone
+// daemon's.
 func TestEnvelopeConformance(t *testing.T) {
-	const maxBody = 1 << 20
-	_, shardTS := newShard(t, "n1", server.Config{MaxBodyBytes: maxBody})
+	const maxBody = server.DefaultMaxBodyBytes
+	_, shardTS := newShard(t, "n1", server.Config{})
 	m, err := shard.New([]shard.Node{{ID: "n1", Addr: shardTS.URL}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(Config{Map: m, DefaultChannel: "ch", MaxBodyBytes: maxBody})
+	rt, err := New(Config{Map: m, DefaultChannel: "ch"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestEnvelopeConformance(t *testing.T) {
 	// The scheduled fleet the 200 rows read: reported through the router,
 	// so it knows their owner, and ticked once, so each has a verdict.
 	fleet := []server.ReportRequest{report(1, ""), report(8, ""), report(9, "")}
-	if resp := postJSON(t, routerTS.URL+"/v1/report", fleet, nil); resp.StatusCode != 200 {
+	if resp := postBatch(t, routerTS.URL+"/v1/report", fleet, nil); resp.StatusCode != 200 {
 		t.Fatalf("fleet report status %d", resp.StatusCode)
 	}
 	if resp := postJSON(t, routerTS.URL+"/v1/tick", nil, nil); resp.StatusCode != 200 {
@@ -56,11 +56,12 @@ func TestEnvelopeConformance(t *testing.T) {
 		return buf
 	}
 	good := report(1, "")
-	single, err := wire.AppendSingle(nil, &good)
+	one, err := wire.AppendBatch(nil, []server.ReportRequest{good})
 	if err != nil {
 		t.Fatal(err)
 	}
-	skewed := bytes.Clone(single)
+	kindOne := append(append(bytes.Clone(one[:5]), 1), one[10:]...) // the batch header's kind set to 1, no count
+	skewed := bytes.Clone(one)
 	skewed[4] = 9
 	overCap := binary.LittleEndian.AppendUint32([]byte{'L', 'P', 'W', 'R', wire.Version, wire.KindBatch},
 		server.DefaultMaxBatchRecords+1)
@@ -73,16 +74,20 @@ func TestEnvelopeConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := make([]server.ReportRequest, maxBody/64)
-	for i := range big {
-		big[i] = report(i, "")
-	}
-	bigWire, err := wire.AppendBatch(nil, big)
+	// Over the byte cap within the record cap: records with long IDs,
+	// all alike, since the read stops at the cap before any is kept.
+	long := report(0, "")
+	long.DeviceID = strings.Repeat("d", wire.MaxStringBytes)
+	longRec, err := wire.AppendBatch(nil, []server.ReportRequest{long})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bigWire) <= maxBody {
-		t.Fatalf("oversized binary body is only %d bytes", len(bigWire))
+	longRec = longRec[10:]
+	n := maxBody/len(longRec) + 1
+	bigWire := binary.LittleEndian.AppendUint32([]byte{'L', 'P', 'W', 'R', wire.Version, wire.KindBatch}, uint32(n))
+	bigWire = append(bigWire, bytes.Repeat(longRec, n)...)
+	if n > server.DefaultMaxBatchRecords {
+		t.Fatalf("oversized binary body needs %d records, over the record cap", n)
 	}
 	spaces := bytes.Repeat([]byte(" "), maxBody+1)
 
@@ -96,28 +101,25 @@ func TestEnvelopeConformance(t *testing.T) {
 		jsonCT = "application/json"
 		bad    = server.CodeBadRequest
 	)
-	jsonBatchProbe := probe{"unknown display type, JSON batch", "POST", "/v1/report", jsonCT,
-		marshal([]server.ReportRequest{report(6, ""), plasma, report(7, "news")}), 200, ""}
 	binBatchProbe := probe{"unknown channel, binary batch", "POST", "/v1/report", wire.ContentType, wireBatch, 200, ""}
 	probes := []probe{
 		{"binary version skew", "POST", "/v1/report", wire.ContentType, skewed, 415, server.CodeUnsupportedMedia},
-		{"binary bad magic", "POST", "/v1/report", wire.ContentType, append([]byte("XXXX"), single[4:]...), 400, bad},
-		{"binary truncated record", "POST", "/v1/report", wire.ContentType, single[:len(single)-2], 400, bad},
-		{"binary trailing bytes", "POST", "/v1/report", wire.ContentType, append(bytes.Clone(single), 0), 400, bad},
+		{"binary bad magic", "POST", "/v1/report", wire.ContentType, append([]byte("XXXX"), one[4:]...), 400, bad},
+		{"binary truncated record", "POST", "/v1/report", wire.ContentType, one[:len(one)-2], 400, bad},
+		{"binary trailing bytes", "POST", "/v1/report", wire.ContentType, append(bytes.Clone(one), 0), 400, bad},
 		{"binary empty body", "POST", "/v1/report", wire.ContentType, nil, 400, bad},
+		{"binary kind-1 frame", "POST", "/v1/report", wire.ContentType, kindOne, 400, bad},
 		{"binary header declares cap+1 records", "POST", "/v1/report", wire.ContentType, overCap, 413, server.CodeBatchTooLarge},
 		{"binary body over the byte cap", "POST", "/v1/report", wire.ContentType, bigWire, 413, server.CodePayloadTooLarge},
-		{"JSON batch of cap+1 records", "POST", "/v1/report", jsonCT,
-			[]byte("[" + strings.Repeat("{},", server.DefaultMaxBatchRecords) + "{}]"), 413, server.CodeBatchTooLarge},
+		{"JSON array", "POST", "/v1/report", jsonCT, marshal([]server.ReportRequest{good}), 400, bad},
 		{"JSON syntax error, single", "POST", "/v1/report", jsonCT, []byte(`{"device_id":`), 400, bad},
 		{"JSON syntax error, array", "POST", "/v1/report", jsonCT, []byte(`[{"device_id":`), 400, bad},
 		{"JSON empty body", "POST", "/v1/report", jsonCT, nil, 400, bad},
 		{"JSON body over the byte cap", "POST", "/v1/report", jsonCT, spaces, 413, server.CodePayloadTooLarge},
 		{"unknown display type, single", "POST", "/v1/report", jsonCT, marshal(plasma), 400, bad},
-		jsonBatchProbe,
 		binBatchProbe,
 		{"accepted report, JSON single", "POST", "/v1/report", jsonCT, marshal(good), 200, ""},
-		{"accepted report, binary single", "POST", "/v1/report", wire.ContentType, single, 200, ""},
+		{"accepted report, binary batch of one", "POST", "/v1/report", wire.ContentType, one, 200, ""},
 		{"observe body over the byte cap", "POST", "/v1/observe", jsonCT, spaces, 413, server.CodePayloadTooLarge},
 		{"observe syntax error", "POST", "/v1/observe", jsonCT, []byte(`{"device_id":`), 400, bad},
 		{"observe empty body", "POST", "/v1/observe", jsonCT, nil, 400, bad},
@@ -193,10 +195,11 @@ func TestEnvelopeConformance(t *testing.T) {
 		}
 	}
 
-	// A single report's acknowledgement is a standalone daemon's, byte
-	// for byte, in either codec: the router writes it with the daemon's
-	// own writer, server.WriteAppended. The standalone daemon ticks once,
-	// as the router's shard has, so both acknowledge the same slot.
+	// A report's acknowledgement is a standalone daemon's, byte for byte,
+	// in either framing: the router writes a JSON report's with the
+	// daemon's own writer, server.WriteAppended, and shapes a batch's with
+	// server.NewBatchReportResponse. The standalone daemon ticks once, as
+	// the router's shard has, so both acknowledge the same slot.
 	def, extras := testStreams(t)
 	plain, err := server.New(server.Config{Stream: def, ExtraStreams: extras, ServerStreams: -1, Lambda: 1})
 	if err != nil {
@@ -210,23 +213,16 @@ func TestEnvelopeConformance(t *testing.T) {
 	}
 	for _, p := range []probe{
 		{"accepted report, JSON single", "POST", "/v1/report", jsonCT, marshal(good), 200, ""},
-		{"accepted report, binary single", "POST", "/v1/report", wire.ContentType, single, 200, ""},
+		{"accepted report, binary batch of one", "POST", "/v1/report", wire.ContentType, one, 200, ""},
 	} {
 		if standalone, router := exchange(plainTS.URL, p), exchange(routerTS.URL, p); standalone != router || standalone.status != p.wantStatus {
 			t.Errorf("%s:\n standalone %+v\n router     %+v", p.name, standalone, router)
 		}
 	}
 
-	// The batch rows above keep the caller's codec convention: a JSON
-	// batch answers one positional row per record, a binary batch its
-	// rejections only, each under the record's original index.
-	var jsonBatch, binBatch server.BatchReportResponse
-	if err := json.Unmarshal([]byte(exchange(routerTS.URL, jsonBatchProbe).body), &jsonBatch); err != nil {
-		t.Fatal(err)
-	}
-	if len(jsonBatch.Results) != 3 || jsonBatch.Results[1].Error == nil || jsonBatch.Results[1].DeviceID != plasma.DeviceID {
-		t.Errorf("JSON batch rows %+v, want 3 positional with row 1 rejected", jsonBatch.Results)
-	}
+	// A batch answers its rejections only, each under the record's
+	// original index.
+	var binBatch server.BatchReportResponse
 	if err := json.Unmarshal([]byte(exchange(routerTS.URL, binBatchProbe).body), &binBatch); err != nil {
 		t.Fatal(err)
 	}

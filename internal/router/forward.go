@@ -15,9 +15,9 @@ import (
 )
 
 // This file is the router's device-facing data plane. A report message
-// of either codec and arity is partitioned by the consistent-hash owner
-// of each record's channel and forwarded concurrently, re-framed per
-// owner the way it arrived; per-device calls are relayed to the owner
+// of either framing is partitioned by the consistent-hash owner of each
+// record's channel and forwarded concurrently, re-framed per owner the
+// way it arrived; per-device calls are relayed to the owner
 // learned from the device's last report, falling back to probing the
 // shards in node-ID order. Responses pass through verbatim — a 200
 // body byte for byte, an error as the same envelope — so a device
@@ -36,23 +36,23 @@ type shardBatch struct {
 	idx  []int
 	body []byte
 
-	single server.ReportResponse      // the answer to a single report
-	batch  server.BatchReportResponse // the answer to a batch
+	single server.ReportResponse      // the answer to a JSON report
+	batch  server.BatchReportResponse // the answer to a binary batch
 	err    error
 }
 
 // forwardSpace is the workspace of one report forward, held from decode
 // to the written response and then returned to rt.forwardFree
 // (DESIGN.md §18): the binary decode scratch, whose intern table
-// converges on the fleet's IDs as a daemon's does; the record a single
-// JSON report is read into; the per-owner
+// converges on the fleet's IDs as a daemon's does; the record a JSON
+// report is read into; the per-owner
 // batches, whose reqs, idx and body keep their capacity; and the merged
 // rejection rows. Everything in it is overwritten by the next request
 // that draws it, so nothing that outlives the handler may point into it
 // — the response is written, and so copied, before it goes back.
 type forwardSpace struct {
 	wire     *wire.Scratch
-	one      [1]server.ReportRequest // a single JSON report, as read
+	one      [1]server.ReportRequest // a JSON report, as read
 	batches  []*shardBatch           // every batch this workspace has used; a forward takes a prefix
 	rejected []server.BatchReportResult
 }
@@ -110,15 +110,15 @@ func (rt *Router) partition(ws *forwardSpace, reports []server.ReportRequest) ([
 	return batches, rt.slot
 }
 
-// handleReport forwards a report message of either codec and arity:
-// decode (the daemon's reader, cap and error envelopes), partition by
-// owner, forward each share concurrently re-framed in the caller's
-// codec and arity, then answer what a standalone daemon would have. A
-// single report has one owner, whose answer — error envelope included —
-// is relayed. A batch merges the owners' per-record outcomes under the
-// original indices; records whose shard failed are reported rejected
-// with shard_unavailable, so the batch contract stays "every record
-// accounted for" even when part of the fleet is down.
+// handleReport forwards a report message of either framing: decode
+// (the daemon's reader, cap and error envelopes), partition by owner,
+// forward each share concurrently re-framed as it arrived, then answer
+// what a standalone daemon would have. A JSON report has one owner,
+// whose answer — error envelope included — is relayed. A binary batch
+// merges the owners' rejections under the original indices; records
+// whose shard failed are reported rejected with shard_unavailable, so
+// the batch contract stays "every record accounted for" even when part
+// of the fleet is down.
 //
 // The whole path works in one forwardSpace. It goes back only when the
 // handler returns: after wg.Wait(), so no forward still reads a body,
@@ -145,7 +145,7 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			var out any = &sb.single
-			if msg.Batch {
+			if msg.Binary {
 				out = &sb.batch
 			}
 			var contentType string
@@ -163,7 +163,7 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	if !msg.Batch {
+	if !msg.Binary {
 		if sb := batches[0]; sb.err != nil {
 			rt.mForwardErrors.Inc()
 			writeUpstream(w, sb.err)
@@ -185,25 +185,15 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		// A shard answers a JSON batch with one positional row per record
-		// and a binary one with its rejections only, addressed by Index.
-		for j, row := range sb.batch.Results {
-			if row.Error == nil {
-				continue
-			}
-			if msg.Binary {
-				j = row.Index
-			}
-			row.Index = sb.idx[j]
+		// A shard answers with its rejections only, addressed by Index.
+		for _, row := range sb.batch.Results {
+			row.Index = sb.idx[row.Index]
 			rejected = append(rejected, row)
 		}
 	}
 	slices.SortFunc(rejected, func(a, b server.BatchReportResult) int { return a.Index - b.Index })
 	ws.rejected = rejected
-	if len(rejected) == 0 {
-		rejected = nil // a binary batch without rejections answers "results":null
-	}
-	server.WriteJSON(w, http.StatusOK, server.NewBatchReportResponse(slot, &msg, rejected))
+	server.WriteJSON(w, http.StatusOK, server.NewBatchReportResponse(slot, len(msg.Reports), rejected))
 }
 
 // handleDecision answers GET /v1/decision from the decision table when

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -52,9 +51,9 @@ func (l *frameLog) wrap(node string, h http.Handler) http.Handler {
 
 // forwardMsg is one device-facing report message of the differential.
 type forwardMsg struct {
-	name          string
-	binary, batch bool
-	body          []byte
+	name   string
+	binary bool // a binary batch, or else one JSON report
+	body   []byte
 	// reports is what the body decodes to; nil for a body the router
 	// must refuse before forwarding anything.
 	reports []server.ReportRequest
@@ -67,27 +66,23 @@ func (m *forwardMsg) contentType() string {
 	return "application/json"
 }
 
-// newForwardMsg frames reports in the given codec and arity.
-func newForwardMsg(tb testing.TB, name string, binary, batch bool, reports []server.ReportRequest) forwardMsg {
+// newForwardMsg frames reports in the given framing.
+func newForwardMsg(tb testing.TB, name string, binary bool, reports []server.ReportRequest) forwardMsg {
 	tb.Helper()
-	m := forwardMsg{name: name, binary: binary, batch: batch, reports: reports}
-	m.body = frameBody(tb, binary, batch, reports)
+	m := forwardMsg{name: name, binary: binary, reports: reports}
+	m.body = frameBody(tb, binary, reports)
 	return m
 }
 
 // frameBody is the reference framing: the package encoders from nil.
-func frameBody(tb testing.TB, binary, batch bool, reports []server.ReportRequest) []byte {
+// Without binary it frames reports[0] alone.
+func frameBody(tb testing.TB, binary bool, reports []server.ReportRequest) []byte {
 	tb.Helper()
 	var body []byte
 	var err error
-	switch {
-	case binary && batch:
+	if binary {
 		body, err = wire.AppendBatch(nil, reports)
-	case binary:
-		body, err = wire.AppendSingle(nil, &reports[0])
-	case batch:
-		body, err = json.Marshal(reports)
-	default:
+	} else {
 		body, err = json.Marshal(&reports[0])
 	}
 	if err != nil {
@@ -111,7 +106,7 @@ func wantFrames(tb testing.TB, m *shard.Map, msg *forwardMsg) []frame {
 	}
 	var out []frame
 	for node, share := range byNode {
-		out = append(out, frame{node, msg.contentType(), string(frameBody(tb, msg.binary, msg.batch, share))})
+		out = append(out, frame{node, msg.contentType(), string(frameBody(tb, msg.binary, share))})
 	}
 	return out
 }
@@ -128,8 +123,8 @@ func (m *forwardMsg) post(base string) (int, []byte, error) {
 }
 
 // forwardSequence is ordered to expose stale workspace state: each
-// message is smaller than, or of another codec or arity than, the one
-// whose records, indices, bodies and rejection rows it inherits.
+// message is smaller than, or of another framing than, the one whose
+// records, indices, bodies and rejection rows it inherits.
 func forwardSequence(tb testing.TB) []forwardMsg {
 	tb.Helper()
 	channels := []string{"", "music", "news"}
@@ -142,28 +137,23 @@ func forwardSequence(tb testing.TB) []forwardMsg {
 		mixed[i] = report(2000+i, channels[i%3]) // every run one record long
 	}
 	noChannel := []server.ReportRequest{report(3000, "music"), report(3001, ""), report(3002, ""), report(3003, "news")}
-	flawed := make([]server.ReportRequest, 7)
-	for i := range flawed {
-		flawed[i] = report(4000+i, channels[i%3])
-	}
-	flawed[2].DisplayType = "PLASMA"                                       // no wire encoding
-	flawed[5].DeviceID = "dev-" + strings.Repeat("x", wire.MaxStringBytes) // over the codec's string cap
+	plasma := report(4000, "news")
+	plasma.DisplayType = "PLASMA" // refused by the shard, no wire encoding
 	stray := []server.ReportRequest{report(5000, "news"), report(5001, "no-such-channel"), report(5002, ""), report(5003, "music")}
 
 	seq := []forwardMsg{
-		newForwardMsg(tb, "binary batch of 1,600", true, true, big),
-		newForwardMsg(tb, "binary batch of 3", true, true, []server.ReportRequest{report(100, "news"), report(101, ""), report(102, "music")}),
-		newForwardMsg(tb, "JSON batch", false, true, mixed),
-		newForwardMsg(tb, "JSON single", false, false, []server.ReportRequest{report(500, "music")}),
-		newForwardMsg(tb, "binary single", true, false, []server.ReportRequest{report(600, "")}),
-		newForwardMsg(tb, "binary batch with empty channel_id", true, true, noChannel),
-		newForwardMsg(tb, "JSON batch with an unencodable and an over-cap record", false, true, flawed),
-		newForwardMsg(tb, "binary batch with a rejected record", true, true, stray),
+		newForwardMsg(tb, "binary batch of 1,600", true, big),
+		newForwardMsg(tb, "binary batch of 3", true, []server.ReportRequest{report(100, "news"), report(101, ""), report(102, "music")}),
+		newForwardMsg(tb, "binary batch of one-record runs", true, mixed),
+		newForwardMsg(tb, "JSON single", false, []server.ReportRequest{report(500, "music")}),
+		newForwardMsg(tb, "binary batch with empty channel_id", true, noChannel),
+		newForwardMsg(tb, "JSON single the shard refuses", false, []server.ReportRequest{plasma}),
+		newForwardMsg(tb, "binary batch with a rejected record", true, stray),
 	}
 	// A binary batch cut mid-record: the decode fails with the scratch
 	// half written, and nothing may be forwarded.
 	cut := seq[1].body[:len(seq[1].body)-5]
-	seq = append(seq, forwardMsg{name: "truncated binary batch", binary: true, batch: true, body: cut})
+	seq = append(seq, forwardMsg{name: "truncated binary batch", binary: true, body: cut})
 	return seq
 }
 
@@ -296,7 +286,7 @@ func TestForwardFaultRowsAfterReuse(t *testing.T) {
 		return out
 	}
 	send := func(reports []server.ReportRequest) *http.Response {
-		resp, err := http.Post(routerTS.URL+"/v1/report", wire.ContentType, bytes.NewReader(frameBody(t, true, true, reports)))
+		resp, err := http.Post(routerTS.URL+"/v1/report", wire.ContentType, bytes.NewReader(frameBody(t, true, reports)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +367,7 @@ func forwardFixture(tb testing.TB, n int) (post func()) {
 	for i := range reports {
 		reports[i] = report(i, channels[(i*8/n)%3])
 	}
-	body := frameBody(tb, true, true, reports)
+	body := frameBody(tb, true, reports)
 	rd := bytes.NewReader(body)
 	return func() {
 		rd.Reset(body)

@@ -33,9 +33,6 @@ type Config struct {
 	// breaker, retry budget, HTTP client) — the same option set the
 	// public edge client accepts.
 	ClientOptions []client.Option
-	// MaxBodyBytes caps POST bodies (0 = server.DefaultMaxBodyBytes,
-	// negative = unbounded), mirroring the edge daemon's guardrail.
-	MaxBodyBytes int64
 	// Logger receives operational logs; nil discards them.
 	Logger *slog.Logger
 }
@@ -100,9 +97,6 @@ type Router struct {
 func New(cfg Config) (*Router, error) {
 	if cfg.Map == nil {
 		return nil, fmt.Errorf("router: nil shard map")
-	}
-	if cfg.MaxBodyBytes == 0 {
-		cfg.MaxBodyBytes = server.DefaultMaxBodyBytes
 	}
 	log := cfg.Logger
 	if log == nil {
@@ -221,12 +215,11 @@ func (rt *Router) snapshot() (*shard.Map, []shard.Node, []*client.Caller) {
 // and the envelope 404/413/500 are the daemon's by construction.
 func (rt *Router) Handler() http.Handler {
 	sh := server.Shell{
-		Metrics:      rt.httpM,
-		Log:          rt.log,
-		MaxBodyBytes: rt.cfg.MaxBodyBytes,
-		Ready:        &rt.ready,
-		Registry:     rt.reg,
-		SLO:          rt.slo,
+		Metrics:  rt.httpM,
+		Log:      rt.log,
+		Ready:    &rt.ready,
+		Registry: rt.reg,
+		SLO:      rt.slo,
 	}
 	return sh.Handler(rt.routes())
 }

@@ -106,7 +106,22 @@ func postJSON(tb testing.TB, url string, body any, out any) *http.Response {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+	return postBody(tb, url, "application/json", buf, out)
+}
+
+// postBatch posts reports as one binary batch.
+func postBatch(tb testing.TB, url string, reports []server.ReportRequest, out any) *http.Response {
+	tb.Helper()
+	buf, err := wire.AppendBatch(nil, reports)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return postBody(tb, url, wire.ContentType, buf, out)
+}
+
+func postBody(tb testing.TB, url, contentType string, buf []byte, out any) *http.Response {
+	tb.Helper()
+	resp, err := http.Post(url, contentType, bytes.NewReader(buf))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -214,10 +229,10 @@ func TestRouterN1DifferentialAgainstStandalone(t *testing.T) {
 			batch = append(batch, r)
 		}
 		var plainResp, fedResp server.BatchReportResponse
-		if resp := postJSON(t, plainTS.URL+"/v1/report", batch, &plainResp); resp.StatusCode != 200 {
+		if resp := postBatch(t, plainTS.URL+"/v1/report", batch, &plainResp); resp.StatusCode != 200 {
 			t.Fatalf("round %d standalone batch status %d", round, resp.StatusCode)
 		}
-		if resp := postJSON(t, routerTS.URL+"/v1/report", batch, &fedResp); resp.StatusCode != 200 {
+		if resp := postBatch(t, routerTS.URL+"/v1/report", batch, &fedResp); resp.StatusCode != 200 {
 			t.Fatalf("round %d federated batch status %d", round, resp.StatusCode)
 		}
 		if plainResp.Accepted != corpus || fedResp.Accepted != corpus {
@@ -280,7 +295,7 @@ func TestRouterTickMergeDeterministicConcurrent(t *testing.T) {
 			batch = append(batch, report(i, channels[i%3]))
 		}
 		var br server.BatchReportResponse
-		if resp := postJSON(t, routerTS.URL+"/v1/report", batch, &br); resp.StatusCode != 200 || br.Accepted != 30 {
+		if resp := postBatch(t, routerTS.URL+"/v1/report", batch, &br); resp.StatusCode != 200 || br.Accepted != 30 {
 			t.Fatalf("round %d batch accepted %d", round, br.Accepted)
 		}
 		var tick TickResponse
@@ -365,7 +380,7 @@ func TestRouterKillOneShard(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		batch = append(batch, report(i, []string{"", "music", "news"}[i%3]))
 	}
-	postJSON(t, routerTS.URL+"/v1/report", batch, nil)
+	postBatch(t, routerTS.URL+"/v1/report", batch, nil)
 
 	// With both shards up the tick is clean: degradation below is the
 	// kill's doing, not the deployment's.
@@ -376,7 +391,7 @@ func TestRouterKillOneShard(t *testing.T) {
 	if healthy.ShardErrors != 0 || healthy.Degraded {
 		t.Fatalf("healthy two-shard tick reports errors: %+v", healthy.Shards)
 	}
-	postJSON(t, routerTS.URL+"/v1/report", batch, nil)
+	postBatch(t, routerTS.URL+"/v1/report", batch, nil)
 
 	ts2.Close()
 	deadNode := "n2"
@@ -474,7 +489,7 @@ func TestRouterStatusHonest(t *testing.T) {
 		t.Fatalf("channel owners %v: the test needs a channel on each member", owned)
 	}
 	live := []server.ReportRequest{report(0, owned["n2"]), report(1, owned["n2"]), report(2, owned["n2"])}
-	if resp := postJSON(t, routerTS.URL+"/v1/report", live, nil); resp.StatusCode != http.StatusOK {
+	if resp := postBatch(t, routerTS.URL+"/v1/report", live, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("live batch: status %d", resp.StatusCode)
 	}
 	if resp := postJSON(t, routerTS.URL+"/v1/report", report(3, owned["n3"]), nil); resp.StatusCode != http.StatusBadGateway {
@@ -542,7 +557,7 @@ func familySum(text, family string) float64 {
 	return sum
 }
 
-// Reports partition to their channel owners in every codec, batch
+// Reports partition to their channel owners in either framing, batch
 // results keep caller-visible indices, and per-device reads proxy to
 // the right shard afterwards.
 func TestRouterReportPartitionAndProxy(t *testing.T) {
@@ -570,28 +585,22 @@ func TestRouterReportPartitionAndProxy(t *testing.T) {
 		t.Fatalf("owner %s has %d devices after single forward", owner, ownSt.Devices)
 	}
 
-	// JSON batch with one bad record: index remapping must surface the
+	// Binary batch with one bad record: index remapping must surface the
 	// rejection under its original position.
 	batch := make([]server.ReportRequest, 0, 9)
 	for i := 0; i < 9; i++ {
 		batch = append(batch, report(i, []string{"", "music", "news"}[i%3]))
 	}
-	batch[4].DisplayType = "PLASMA" // rejected by the shard
+	batch[4].Brightness = 7 // rejected by the shard
 	var br server.BatchReportResponse
-	if resp := postJSON(t, routerTS.URL+"/v1/report", batch, &br); resp.StatusCode != 200 {
+	if resp := postBatch(t, routerTS.URL+"/v1/report", batch, &br); resp.StatusCode != 200 {
 		t.Fatalf("batch status %d", resp.StatusCode)
 	}
 	if br.Accepted != 8 || br.Rejected != 1 {
 		t.Fatalf("batch accepted %d rejected %d", br.Accepted, br.Rejected)
 	}
-	// JSON batch results are positional, like a standalone daemon's.
-	if len(br.Results) != 9 {
-		t.Fatalf("JSON batch results %d rows, want 9 positional", len(br.Results))
-	}
-	for i, res := range br.Results {
-		if res.Accepted != (i != 4) || res.DeviceID != batch[i].DeviceID {
-			t.Fatalf("result %d not remapped to original position: %+v", i, res)
-		}
+	if len(br.Results) != 1 || br.Results[0].Index != 4 || br.Results[0].DeviceID != batch[4].DeviceID || br.Results[0].Accepted {
+		t.Fatalf("batch results %+v, want the one rejection under index 4", br.Results)
 	}
 
 	// Binary wire batch through the router.
@@ -610,10 +619,9 @@ func TestRouterReportPartitionAndProxy(t *testing.T) {
 		t.Fatalf("wire batch accepted %d (err %v)", wbr.Accepted, err)
 	}
 
-	// Binary single report: it reaches the owner, and the router answers
-	// the daemon's ReportResponse bytes.
-	wsingle := report(600, "music")
-	wbuf, err := wire.AppendSingle(nil, &wsingle)
+	// A binary batch of one report: it reaches the owner, and the router
+	// answers the daemon's bytes.
+	wbuf, err := wire.AppendBatch(nil, []server.ReportRequest{report(600, "music")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +633,7 @@ func TestRouterReportPartitionAndProxy(t *testing.T) {
 		defer resp.Body.Close()
 		body, _ := io.ReadAll(resp.Body)
 		if resp.StatusCode != 200 {
-			t.Fatalf("binary single via %s: status %d: %s", name, resp.StatusCode, body)
+			t.Fatalf("binary batch of one via %s: status %d: %s", name, resp.StatusCode, body)
 		}
 		return string(body)
 	}
@@ -634,10 +642,10 @@ func TestRouterReportPartitionAndProxy(t *testing.T) {
 	viaRouter := postRaw("router", routerTS.URL)
 	getJSON(t, ownerTS.URL+"/v1/status", &ownSt)
 	if ownSt.Devices != before+1 {
-		t.Fatalf("owner %s went from %d to %d devices on the binary single forward", owner, before, ownSt.Devices)
+		t.Fatalf("owner %s went from %d to %d devices on the binary batch-of-one forward", owner, before, ownSt.Devices)
 	}
 	if direct := postRaw("owner", ownerTS.URL); viaRouter != direct {
-		t.Fatalf("binary single: router answered %q, the owner itself %q", viaRouter, direct)
+		t.Fatalf("binary batch of one: router answered %q, the owner itself %q", viaRouter, direct)
 	}
 
 	// Tick, then proxy per-device reads and an observation.
@@ -739,7 +747,7 @@ func TestRouterReshard(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			batch = append(batch, report(i, channels[i%3]))
 		}
-		postJSON(t, routerTS.URL+"/v1/report", batch, nil)
+		postBatch(t, routerTS.URL+"/v1/report", batch, nil)
 		if resp := postJSON(t, routerTS.URL+"/v1/tick", nil, nil); resp.StatusCode != 200 {
 			t.Fatalf("warmup tick %d failed", round)
 		}
@@ -792,7 +800,7 @@ func TestRouterReshard(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		batch = append(batch, report(i, channels[i%3]))
 	}
-	postJSON(t, routerTS.URL+"/v1/report", batch, nil)
+	postBatch(t, routerTS.URL+"/v1/report", batch, nil)
 	var tick TickResponse
 	if resp := postJSON(t, routerTS.URL+"/v1/tick", nil, &tick); resp.StatusCode != 200 {
 		t.Fatalf("post-reshard tick status %d", resp.StatusCode)
@@ -940,7 +948,7 @@ func TestRouterFleetMerge(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		batch = append(batch, report(i, []string{"", "music", "news"}[i%3]))
 	}
-	postJSON(t, routerTS.URL+"/v1/report", batch, nil)
+	postBatch(t, routerTS.URL+"/v1/report", batch, nil)
 	postJSON(t, routerTS.URL+"/v1/tick", nil, nil)
 
 	var fl server.FleetResponse
@@ -981,12 +989,12 @@ func TestRouterConcurrentTicks(t *testing.T) {
 				for i := 0; i < 12; i++ {
 					batch = append(batch, report(100*g+i, channels[(i+round)%3]))
 				}
-				body, err := json.Marshal(batch)
+				body, err := wire.AppendBatch(nil, batch)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				resp, err := http.Post(routerTS.URL+"/v1/report", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(routerTS.URL+"/v1/report", wire.ContentType, bytes.NewReader(body))
 				if err != nil {
 					t.Error(err)
 					return

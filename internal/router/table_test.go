@@ -59,7 +59,7 @@ func TestRouterSlotAfterAllFailedTick(t *testing.T) {
 	_, routerTS := newRouter(t, map[string]string{"n1": shardTS.URL})
 	batch := []server.ReportRequest{report(1, ""), report(2, "music")}
 
-	postJSON(t, routerTS.URL+"/v1/report", batch, nil)
+	postBatch(t, routerTS.URL+"/v1/report", batch, nil)
 	if resp := postJSON(t, routerTS.URL+"/v1/tick", nil, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first tick status %d", resp.StatusCode)
 	}
@@ -70,8 +70,8 @@ func TestRouterSlotAfterAllFailedTick(t *testing.T) {
 	fault.refuse.Store(false)
 
 	var viaRouter, direct server.BatchReportResponse
-	postJSON(t, routerTS.URL+"/v1/report", batch, &viaRouter)
-	postJSON(t, shardTS.URL+"/v1/report", batch, &direct)
+	postBatch(t, routerTS.URL+"/v1/report", batch, &viaRouter)
+	postBatch(t, shardTS.URL+"/v1/report", batch, &direct)
 	if viaRouter.Slot != direct.Slot || direct.Slot != 1 {
 		t.Fatalf("after a tick every shard failed the router answers slot %d, the shard %d; want 1 from both",
 			viaRouter.Slot, direct.Slot)
@@ -143,29 +143,39 @@ func post(t *testing.T, url, contentType string, body []byte) bool {
 	return true
 }
 
-// reportMessage frames the devices' reports on the given channels in
-// one message of the given codec and an arity rng picks for one report.
-func reportMessage(t *testing.T, rng *rand.Rand, ids, channels []string, binary bool) (contentType string, body []byte) {
+// reportMsg is one POST /v1/report body and its Content-Type.
+type reportMsg struct {
+	contentType string
+	body        []byte
+}
+
+// reportMessages frames the devices' reports on the given channels as
+// one binary batch, or as one JSON report per device.
+func reportMessages(t *testing.T, rng *rand.Rand, ids, channels []string, binary bool) []reportMsg {
 	t.Helper()
 	reqs := make([]server.ReportRequest, len(ids))
 	for i, id := range ids {
 		reqs[i] = report(rng.Intn(90), channels[i])
 		reqs[i].DeviceID = id
 	}
-	batch := len(ids) > 1 || rng.Intn(2) == 0
 	if binary {
-		return wire.ContentType, frameBody(t, true, batch, reqs)
+		return []reportMsg{{wire.ContentType, frameBody(t, true, reqs)}}
 	}
-	return "application/json", frameBody(t, false, batch, reqs)
+	msgs := make([]reportMsg, len(reqs))
+	for i := range reqs {
+		msgs[i] = reportMsg{"application/json", frameBody(t, false, reqs[i:i+1])}
+	}
+	return msgs
 }
 
 // report sends the devices' reports on the given channels through the
-// router, in one message of the given codec.
+// router in the given framing.
 func (f *tableFixture) report(t *testing.T, rng *rand.Rand, ids, channels []string, binary bool) {
 	t.Helper()
-	ct, body := reportMessage(t, rng, ids, channels, binary)
-	if !post(t, f.routerURL+"/v1/report", ct, body) {
-		t.FailNow()
+	for _, m := range reportMessages(t, rng, ids, channels, binary) {
+		if !post(t, f.routerURL+"/v1/report", m.contentType, m.body) {
+			t.FailNow()
+		}
 	}
 	f.reported(ids, channels)
 }
@@ -269,7 +279,7 @@ func (f *tableFixture) ownedChannel(node string) (string, bool) {
 
 // TestRouterDecisionTableMatchesRelay is the table's equality gate:
 // after every operation of a seeded random sequence — reports in both
-// codecs, channel switches across owners, ticks, observations through
+// framings, channel switches across owners, ticks, observations through
 // the router, a reshard, a shard losing its tick reply, a tick run on a
 // shard past the router — every device's
 // decision read through the router equals the relay's answer in status,
@@ -330,13 +340,9 @@ func TestRouterDecisionTableMatchesRelay(t *testing.T) {
 		f.tick(t)
 
 		const ticks = 8
-		type message struct {
-			contentType string
-			body        []byte
-		}
-		reports := make([]message, ticks)
+		reports := make([][]reportMsg, ticks)
 		for i := range reports {
-			reports[i].contentType, reports[i].body = reportMessage(t, rng, tableIDs, channels, i%2 == 0)
+			reports[i] = reportMessages(t, rng, tableIDs, channels, i%2 == 0)
 		}
 		// The observers keep going until the ticks are done, so some of
 		// their answers cross a tick reply on the way to the router.
@@ -347,9 +353,13 @@ func TestRouterDecisionTableMatchesRelay(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer ticking.Store(false)
-			for _, m := range reports {
-				if !post(t, f.routerURL+"/v1/report", m.contentType, m.body) ||
-					!post(t, f.routerURL+"/v1/tick", "application/json", nil) {
+			for _, msgs := range reports {
+				for _, m := range msgs {
+					if !post(t, f.routerURL+"/v1/report", m.contentType, m.body) {
+						return
+					}
+				}
+				if !post(t, f.routerURL+"/v1/tick", "application/json", nil) {
 					return
 				}
 			}

@@ -46,10 +46,6 @@ type VCDecision struct {
 	Decision Decision
 	// WallSeconds is the wall time this VC's solve took on its worker.
 	WallSeconds float64
-	// Worker is the index of the pool worker that solved this VC
-	// (always 0 on the serial path). Informational only: assignment is
-	// racy by design, the decision itself is not.
-	Worker int
 }
 
 // PoolResult is the merged outcome of one pool tick. Whoever holds it
@@ -65,8 +61,6 @@ type PoolResult struct {
 	// CPUSeconds sums the per-VC solve times across workers; the ratio
 	// CPUSeconds/WallSeconds approximates the achieved parallelism.
 	CPUSeconds float64
-	// Workers is the fan-out the tick ran with.
-	Workers int
 }
 
 // Decision reports the single-VC decision of a one-cluster tick —
@@ -167,7 +161,7 @@ func (p *Pool) DecideInto(ctx context.Context, vcs []VC, res *PoolResult) error 
 		return err
 	}
 	start := time.Now()
-	*res = PoolResult{VCs: grown(res.VCs, len(ordered)), Workers: p.workers}
+	*res = PoolResult{VCs: grown(res.VCs, len(ordered))}
 	if len(ordered) == 0 {
 		return nil
 	}
@@ -224,7 +218,7 @@ func DecideSerial(s *Scheduler, vcs []VC) (*PoolResult, error) {
 		return nil, err
 	}
 	start := time.Now()
-	res := &PoolResult{VCs: make([]VCDecision, len(ordered)), Workers: 1}
+	res := &PoolResult{VCs: make([]VCDecision, len(ordered))}
 	for i := range ordered {
 		vcStart := time.Now()
 		dec, err := s.Schedule(ordered[i].Requests)
@@ -258,7 +252,7 @@ func (p *Pool) solveVC(ctx context.Context, vc *VC, worker int, out *VCDecision)
 	if err != nil {
 		return err
 	}
-	out.VC, out.Worker = vc.ID, worker
+	out.VC = vc.ID
 	out.WallSeconds = time.Since(start).Seconds()
 	return nil
 }

@@ -265,9 +265,8 @@ func TestDecideIntoReusedResultMatchesFresh(t *testing.T) {
 				t.Fatalf("instance %d %s: reused result diverged from a fresh one:\nreused:\n%s\nfresh:\n%s",
 					inst, step.name, canonical(&kept), canonical(&want))
 			}
-			if len(kept.VCs) != len(step.vcs) || kept.Workers != want.Workers {
-				t.Fatalf("instance %d %s: %d VCs at %d workers, want %d at %d",
-					inst, step.name, len(kept.VCs), kept.Workers, len(step.vcs), want.Workers)
+			if len(kept.VCs) != len(step.vcs) {
+				t.Fatalf("instance %d %s: %d VCs, want %d", inst, step.name, len(kept.VCs), len(step.vcs))
 			}
 			ordered, _ := orderVCs(step.vcs)
 			for i := range kept.VCs {

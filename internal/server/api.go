@@ -3,9 +3,9 @@
 // tick, and serves per-device transform decisions and chunk metadata —
 // the deployable counterpart of the paper's Fig. 6 pipeline.
 //
-// API (JSON by default; POST /v1/report also negotiates the binary
-// report codec via Content-Type: application/x-lpvs-report — see
-// internal/wire and DESIGN.md §16):
+// API (JSON; POST /v1/report takes one JSON report, or a binary batch
+// under Content-Type: application/x-lpvs-report — see internal/wire and
+// DESIGN.md §16):
 //
 //	POST /v1/report    device status + stream request for the next slot
 //	POST /v1/tick      advance the slot: run the scheduler on reports
@@ -342,9 +342,8 @@ type ReadyResponse struct {
 }
 
 // BatchReportResponse summarises one batch report: how many items were
-// staged for the next tick and each item's outcome, in input order.
-// Binary batches (Content-Type: application/x-lpvs-report) list only
-// the rejected items in Results — at 10k+ devices the all-accepted
+// staged for the next tick and which were rejected. Results lists only
+// the rejected items, in input order — at 10k+ devices an all-accepted
 // per-item echo would dominate the response; Index says which input
 // record each entry refers to.
 type BatchReportResponse struct {
@@ -421,11 +420,11 @@ type ShardMapResponse struct {
 	Nodes    []shard.Node `json:"nodes"`
 }
 
-// BatchReportResult is one batch item's outcome. Error is nil for
-// accepted items and carries the same envelope body a single-report
-// rejection would have returned. Index is the item's position in the
-// submitted batch (meaningful for binary batches, whose Results list
-// only rejections; JSON batches echo every item in input order).
+// BatchReportResult is one rejected batch item: Error carries the same
+// envelope body a JSON report's rejection would have returned, and Index
+// is the item's position in the submitted batch. Accepted is always
+// false; it stays in the row so a rejection reads the same to every
+// client that parses it.
 type BatchReportResult struct {
 	Index    int        `json:"index,omitempty"`
 	DeviceID string     `json:"device_id"`

@@ -15,9 +15,9 @@ import (
 // helpers, so a malformed request earns the same answer from either.
 
 // decodeError classifies a body-decode failure: a tripped body cap and
-// an over-long batch are 413s, binary version skew a 415 (the client's
-// cue to fall back to JSON), anything else — framing corruption, JSON
-// syntax, a failed read — a 400 carrying the decoder's text.
+// an over-long batch are 413s, binary version skew a 415, anything else
+// — framing corruption, an unknown frame kind, JSON syntax, a JSON
+// array, a failed read — a 400 carrying the decoder's text.
 func decodeError(err error) *apiError {
 	var tooBig *http.MaxBytesError
 	var tooMany *wire.BatchTooLargeError
@@ -63,7 +63,7 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// DecodeReport reads a POST /v1/report body in either codec
+// DecodeReport reads a POST /v1/report body in either framing
 // (wire.ReadReport, which documents maxRecords, scratch and one). On
 // failure it answers the envelope and returns false.
 func DecodeReport(w http.ResponseWriter, r *http.Request, maxRecords int, scratch func() *wire.Scratch, one *[1]wire.ReportRequest) (wire.Message, bool) {

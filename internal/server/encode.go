@@ -16,7 +16,7 @@ import (
 // JSON writer of every route. The bodies that are nearly all of a
 // slot's traffic are appended instead, byte for byte what WriteJSON
 // would have sent, through internal/appendjson's value writers:
-//   - a decision, a chunk, a single report's acknowledgement and the
+//   - a decision, a chunk, a JSON report's acknowledgement and the
 //     router's merged tick (internal/router) by their own AppendJSON
 //     method, the small ones into a pooled buffer and the merged tick,
 //     which grows with the fleet, into the router's tickSpace

@@ -30,8 +30,8 @@ const (
 	// daemon's per-batch cap — a byte cap alone would let a compact
 	// binary batch smuggle unbounded records under it.
 	CodeBatchTooLarge = "batch_too_large"
-	// CodeUnsupportedMedia: the Content-Type negotiated a codec version
-	// this daemon does not speak; clients fall back to JSON.
+	// CodeUnsupportedMedia: a binary report's frame version is one this
+	// daemon does not speak.
 	CodeUnsupportedMedia = "unsupported_media"
 	// CodeMethodNotAllowed: the route exists but not for this method;
 	// the Allow header lists the supported ones.

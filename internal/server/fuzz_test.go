@@ -22,6 +22,7 @@ func FuzzReportHandler(f *testing.F) {
 	f.Add([]byte(`{"device_id":"x","display_type":"LCD"}`))
 	f.Add([]byte(`{"device_id":"x","display_type":"OLED","width":-5}`))
 	f.Add([]byte(`{broken`))
+	f.Add(append(append([]byte("["), good...), ']')) // a JSON array
 	f.Add([]byte(``))
 
 	srv, err := New(Config{Stream: testStream(f), ServerStreams: -1, Lambda: 1})
@@ -48,22 +49,18 @@ func FuzzReportHandler(f *testing.F) {
 // a panic or a 5xx. The decoder streams straight off the request body,
 // so this also exercises truncation mid-record.
 func FuzzWireReportHandler(f *testing.F) {
-	single, err := wire.AppendSingle(nil, &ReportRequest{
-		DeviceID: "dev-1", DisplayType: "OLED", Width: 1920, Height: 1080,
-		DiagonalInch: 6, Brightness: 0.6, EnergyFrac: 0.5,
-		BatteryCapacityJ: 50_000, BasePowerW: 0.4,
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
 	batch, err := wire.AppendBatch(nil, []ReportRequest{validReport("dev-a"), validReport("dev-b")})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(single)
+	one, err := wire.AppendBatch(nil, []ReportRequest{validReport("dev-1")})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(batch)
-	f.Add(single[:len(single)-3]) // truncated tail
-	f.Add(batch[:10])             // header only
+	f.Add(append(append(one[:5:5], 1), one[10:]...)) // a kind-1 frame
+	f.Add(batch[:len(batch)-3])                      // truncated tail
+	f.Add(batch[:10])                                // header only
 	f.Add([]byte("LPWR"))
 	f.Add([]byte(`{"device_id":"x"}`)) // JSON under the binary content type
 	f.Add([]byte(``))

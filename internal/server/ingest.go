@@ -8,10 +8,11 @@ import (
 )
 
 // This file is the report-ingest path (DESIGN.md §16): POST /v1/report
-// in both codecs. wire.ReadReport owns the negotiation and the decode;
-// a binary body streams record by record — never buffered whole — into
-// pooled scratch, so the steady-state cost per report is the scheduler
-// hand-off, not the parser.
+// in both framings, a binary batch or one JSON report. wire.ReadReport
+// owns the choice of framing and the decode; a binary body streams
+// record by record — never buffered whole — into pooled scratch, so the
+// steady-state cost per report is the scheduler hand-off, not the
+// parser.
 //
 // Pooling lifecycle and aliasing rules: an ingestScratch (wire.Scratch
 // + result slice) is checked out per binary request and returned when
@@ -67,13 +68,13 @@ func (s *Server) maxBatchRecords() int {
 	return s.maxBatch
 }
 
-// handleReport accepts one device report or a batch — a fleet's
-// round-trips per slot cut from N to 1 — in either codec. The body is
-// decoded off the network first, then every record is staged under one
-// lock acquisition: valid reports are accepted even when siblings
-// fail. A single report answers its own outcome; a batch answers 200
-// with per-item outcomes (NewBatchReportResponse). Responses are JSON
-// in both codecs.
+// handleReport accepts one JSON device report or a binary batch — a
+// fleet's round-trips per slot cut from N to 1. The body is decoded off
+// the network first, then every record is staged under one lock
+// acquisition: valid reports are accepted even when siblings fail. A
+// JSON report answers its own outcome; a batch answers 200 with its
+// rejections (NewBatchReportResponse). Responses are JSON in both
+// framings.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var sc *ingestScratch
@@ -92,11 +93,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	s.noteIngest(&msg, time.Since(start).Seconds())
 
-	var aerr *apiError // the last record's outcome: a single report's answer
+	var aerr *apiError // the last record's outcome: a JSON report's answer
 	s.mu.Lock()
 	slot := s.slot
 	for i := range msg.Reports {
-		if aerr = s.acceptReportLocked(msg.Reports[i]); aerr != nil && msg.Batch {
+		if aerr = s.acceptReportLocked(msg.Reports[i]); aerr != nil && msg.Binary {
 			rejected = append(rejected, BatchReportResult{
 				Index:    i,
 				DeviceID: msg.Reports[i].DeviceID,
@@ -106,16 +107,9 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	switch {
-	case msg.Batch:
-		if sc != nil {
-			sc.results = rejected
-		}
-		if len(rejected) == 0 {
-			// A reused scratch's empty rows would answer "results":[]
-			// where a fresh one — and a router — answer null.
-			rejected = nil
-		}
-		WriteJSON(w, http.StatusOK, NewBatchReportResponse(slot, &msg, rejected))
+	case msg.Binary:
+		sc.results = rejected // the binary read drew sc; its rows keep their capacity
+		WriteJSON(w, http.StatusOK, NewBatchReportResponse(slot, len(msg.Reports), rejected))
 	case aerr != nil:
 		aerr.write(w)
 	default:
@@ -123,30 +117,16 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// NewBatchReportResponse shapes a batch's outcome for the codec it
-// arrived in. rejected lists the refused records in ascending Index
-// order, each in the rejected-only form: Index, DeviceID, Error. A
-// binary batch answers exactly those rows — an all-accepted 10k-device
-// batch answers with three integers instead of 10k echo objects — and a
-// JSON batch one positional row per record.
-func NewBatchReportResponse(slot int, msg *wire.Message, rejected []BatchReportResult) BatchReportResponse {
-	resp := BatchReportResponse{
-		Slot:     slot,
-		Accepted: len(msg.Reports) - len(rejected),
-		Rejected: len(rejected),
-		Results:  rejected,
-	}
-	if msg.Binary {
-		return resp
-	}
-	resp.Results = make([]BatchReportResult, len(msg.Reports))
-	for i := range msg.Reports {
-		resp.Results[i] = BatchReportResult{DeviceID: msg.Reports[i].DeviceID, Accepted: true}
-	}
-	for _, row := range rejected {
-		i := row.Index
-		row.Index = 0 // positional rows carry no index
-		resp.Results[i] = row
+// NewBatchReportResponse shapes the outcome of a batch of records.
+// rejected lists the refused records in ascending Index order, each as
+// Index, DeviceID, Error; it is the answer's only rows, so an
+// all-accepted 10k-device batch answers with three integers instead of
+// 10k echo objects. No rejections answer "results":null, whether
+// rejected is nil or a reused empty slice.
+func NewBatchReportResponse(slot, records int, rejected []BatchReportResult) BatchReportResponse {
+	resp := BatchReportResponse{Slot: slot, Accepted: records - len(rejected), Rejected: len(rejected)}
+	if len(rejected) > 0 {
+		resp.Results = rejected
 	}
 	return resp
 }

@@ -43,18 +43,24 @@ func encodeBatch(tb testing.TB, reqs []ReportRequest) []byte {
 	return buf
 }
 
+// TestWireReportSingle holds one device's binary report to a batch of
+// one record, answered as a batch; a kind-1 frame of the same record is
+// refused with a 400 and stages nothing.
 func TestWireReportSingle(t *testing.T) {
 	s, ts := testServer(t, -1)
-	req := validReport("dev-wire")
-	buf, err := wire.AppendSingle(nil, &req)
-	if err != nil {
-		t.Fatal(err)
+	kindOne := encodeBatch(t, []ReportRequest{validReport("dev-kind1")})
+	kindOne = append(append(kindOne[:5:5], 1), kindOne[10:]...)
+	if got := postWire(t, ts.URL, kindOne, nil); got.StatusCode != http.StatusBadRequest {
+		t.Fatalf("kind-1 frame: status %d, want 400", got.StatusCode)
 	}
-	var resp ReportResponse
-	if got := postWire(t, ts.URL, buf, &resp); got.StatusCode != 200 {
+	if _, staged := pendingReport(s, "dev-kind1"); staged {
+		t.Fatal("a refused kind-1 frame was staged")
+	}
+	var resp BatchReportResponse
+	if got := postWire(t, ts.URL, encodeBatch(t, []ReportRequest{validReport("dev-wire")}), &resp); got.StatusCode != 200 {
 		t.Fatalf("status %d", got.StatusCode)
 	}
-	if !resp.Accepted {
+	if resp.Accepted != 1 || resp.Rejected != 0 || resp.Results != nil {
 		t.Fatalf("report not accepted: %+v", resp)
 	}
 	if _, staged := pendingReport(s, "dev-wire"); !staged {
@@ -88,8 +94,7 @@ func TestWireReportBatchRejectedOnlyResults(t *testing.T) {
 
 func TestWireVersionSkew415(t *testing.T) {
 	_, ts := testServer(t, -1)
-	req := validReport("dev-v")
-	buf, _ := wire.AppendSingle(nil, &req)
+	buf := encodeBatch(t, []ReportRequest{validReport("dev-v")})
 	buf[4]++ // future format version
 	resp := postWire(t, ts.URL, buf, nil)
 	if resp.StatusCode != http.StatusUnsupportedMediaType {
@@ -106,8 +111,7 @@ func TestWireVersionSkew415(t *testing.T) {
 
 func TestWireCorruptBody400(t *testing.T) {
 	_, ts := testServer(t, -1)
-	req := validReport("dev-c")
-	buf, _ := wire.AppendSingle(nil, &req)
+	buf := encodeBatch(t, []ReportRequest{validReport("dev-c")})
 	for name, body := range map[string][]byte{
 		"truncated":   buf[:len(buf)-2],
 		"bad magic":   append([]byte("XXXX"), buf[4:]...),
@@ -122,8 +126,8 @@ func TestWireCorruptBody400(t *testing.T) {
 	}
 }
 
-// TestBatchRecordCap pins the typed 413 on over-long batches in both
-// codecs; the binary refusal must come from the header alone.
+// TestBatchRecordCap pins the typed 413 on over-long batches, from the
+// header alone.
 func TestBatchRecordCap(t *testing.T) {
 	s, err := New(Config{Stream: testStream(t), ServerStreams: -1, Lambda: 1, MaxBatchRecords: 3})
 	if err != nil {
@@ -136,24 +140,20 @@ func TestBatchRecordCap(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = validReport(deviceName(i))
 	}
-	checkRefused := func(resp *http.Response, codec string) {
-		t.Helper()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s: status %d, want 413", codec, resp.StatusCode)
-		}
-		var env ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-			t.Fatal(err)
-		}
-		if env.Error.Code != CodeBatchTooLarge {
-			t.Fatalf("%s: code %q, want %q", codec, env.Error.Code, CodeBatchTooLarge)
-		}
-		if env.Error.Retryable {
-			t.Fatalf("%s: batch_too_large marked retryable", codec)
-		}
+	resp := postWire(t, ts.URL, encodeBatch(t, reqs), nil)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
 	}
-	checkRefused(postJSON(t, ts.URL+"/v1/report", reqs, nil), "json")
-	checkRefused(postWire(t, ts.URL, encodeBatch(t, reqs), nil), "binary")
+	var env ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Error.Code != CodeBatchTooLarge {
+		t.Fatalf("code %q, want %q", env.Error.Code, CodeBatchTooLarge)
+	}
+	if env.Error.Retryable {
+		t.Fatal("batch_too_large marked retryable")
+	}
 
 	// At the cap: accepted.
 	var ok BatchReportResponse
@@ -167,10 +167,10 @@ func TestBatchRecordCap(t *testing.T) {
 	}
 }
 
-// TestJSONBinaryDifferential is the perf-PR correctness gate: the same
-// fleet reported once via JSON and once via the binary codec must
-// produce byte-identical audit requests and DecisionCanonical bytes,
-// and both logs must replay.
+// TestJSONBinaryDifferential is the codec's correctness gate: the same
+// fleet reported once as JSON reports, one per device, and once as a
+// binary batch must produce byte-identical audit requests and
+// DecisionCanonical bytes, and both logs must replay.
 func TestJSONBinaryDifferential(t *testing.T) {
 	newAudited := func(dir string) (*Server, *httptest.Server) {
 		s, err := New(Config{Stream: testStream(t), ServerStreams: 3, Lambda: 1, AuditDir: dir})
@@ -197,8 +197,10 @@ func TestJSONBinaryDifferential(t *testing.T) {
 				reqs[i].DisplayType = "LCD"
 			}
 		}
-		if resp := postJSON(t, tsJSON.URL+"/v1/report", reqs, nil); resp.StatusCode != 200 {
-			t.Fatalf("json batch status %d", resp.StatusCode)
+		for _, r := range reqs {
+			if resp := postJSON(t, tsJSON.URL+"/v1/report", r, nil); resp.StatusCode != 200 {
+				t.Fatalf("json report status %d", resp.StatusCode)
+			}
 		}
 		if resp := postWire(t, tsWire.URL, encodeBatch(t, reqs), nil); resp.StatusCode != 200 {
 			t.Fatalf("wire batch status %d", resp.StatusCode)
@@ -426,8 +428,7 @@ func TestJSONDefaultUntouched(t *testing.T) {
 		t.Fatalf("plain JSON report: status %d %+v", got.StatusCode, resp)
 	}
 	// Binary bytes under a JSON Content-Type are a 400, not a crash.
-	req := validReport("dev-j2")
-	raw, _ := wire.AppendSingle(nil, &req)
+	raw := encodeBatch(t, []ReportRequest{validReport("dev-j2")})
 	httpResp, err := http.Post(ts.URL+"/v1/report", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)

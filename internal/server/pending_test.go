@@ -9,7 +9,6 @@ import (
 
 	"lpvs/internal/stats"
 	"lpvs/internal/video"
-	"lpvs/internal/wire"
 )
 
 // This file tests the pending table (server.go: Server.pending, stage):
@@ -70,18 +69,17 @@ func pendingCount(t *testing.T, url string) int {
 
 // TestLastReportInSlotWins: a device that reports twice inside a slot
 // holds one entry of the batch, and the tick schedules its second
-// report — whichever codec and framing brought the two, a batch naming
-// the device twice included.
+// report — whichever framing brought the two, a batch naming the device
+// twice included. A JSON array is refused whole and stages nothing.
 func TestLastReportInSlotWins(t *testing.T) {
 	first, second := validReport("dev-a"), validReport("dev-a")
 	first.EnergyFrac, second.EnergyFrac = 0.91, 0.23
-	other := validReport("dev-b")
-	single := func(t *testing.T, r ReportRequest) []byte {
-		buf, err := wire.AppendSingle(nil, &r)
-		if err != nil {
-			t.Fatal(err)
+	other, stray := validReport("dev-b"), validReport("dev-c")
+	refused := func(t *testing.T, resp *http.Response) {
+		t.Helper()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("JSON array: status %d, want 400", resp.StatusCode)
 		}
-		return buf
 	}
 	for _, tc := range []struct {
 		name string
@@ -93,15 +91,18 @@ func TestLastReportInSlotWins(t *testing.T) {
 			}
 		}},
 		{"json-batch", func(t *testing.T, url string) {
-			mustReport(t, postJSON(t, url+"/v1/report", []ReportRequest{first, other}, nil))
-			mustReport(t, postJSON(t, url+"/v1/report", []ReportRequest{second}, nil))
+			refused(t, postJSON(t, url+"/v1/report", []ReportRequest{stray, other}, nil))
+			for _, r := range []ReportRequest{first, other, second} {
+				mustReport(t, postJSON(t, url+"/v1/report", r, nil))
+			}
 		}},
 		{"json-batch-naming-it-twice", func(t *testing.T, url string) {
-			mustReport(t, postJSON(t, url+"/v1/report", []ReportRequest{first, other, second}, nil))
+			refused(t, postJSON(t, url+"/v1/report", []ReportRequest{first, stray, second}, nil))
+			mustReport(t, postWire(t, url, encodeBatch(t, []ReportRequest{first, other, second}), nil))
 		}},
 		{"binary-single", func(t *testing.T, url string) {
 			for _, r := range []ReportRequest{first, other, second} {
-				mustReport(t, postWire(t, url, single(t, r), nil))
+				mustReport(t, postWire(t, url, encodeBatch(t, []ReportRequest{r}), nil))
 			}
 		}},
 		{"binary-batch", func(t *testing.T, url string) {
@@ -172,7 +173,7 @@ func TestFailedTickKeepsReportsPending(t *testing.T) {
 	for i := range again {
 		again[i].EnergyFrac /= 2
 	}
-	mustReport(t, postJSON(t, url+"/v1/report", again, nil))
+	mustReport(t, postWire(t, url, encodeBatch(t, again), nil))
 	if got := pendingCount(t, url); got != len(fleet) {
 		t.Fatalf("%d pending reports after every device re-reported, want %d (overwritten, not appended)", got, len(fleet))
 	}
@@ -197,8 +198,8 @@ func TestFailedTickKeepsReportsPending(t *testing.T) {
 
 // TestArrivalOrderIsNotAnInput: the batch is scheduled in DeviceID
 // order whatever order the reports arrived in — one sorted batch, one
-// shuffled batch, shuffled single reports of both codecs with a second
-// report per device — so the canonical decision bytes and the audit
+// shuffled batch, shuffled JSON reports and one-record binary batches
+// with a second report per device — so the canonical decision bytes and the audit
 // line (but for its timestamp and stage timings) are the same.
 func TestArrivalOrderIsNotAnInput(t *testing.T) {
 	fleet := fleetReports(60)
@@ -238,7 +239,7 @@ func TestArrivalOrderIsNotAnInput(t *testing.T) {
 					mustReport(t, postWire(t, url, encodeBatch(t, []ReportRequest{r}), nil))
 				}
 			}
-			mustReport(t, postJSON(t, url+"/v1/report", shuffled(fleet, 13), nil))
+			mustReport(t, postWire(t, url, encodeBatch(t, shuffled(fleet, 13)), nil))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -280,7 +281,7 @@ func TestScheduledBatchSurvivesIngest(t *testing.T) {
 			for i := range next {
 				next[i].EnergyFrac = 0.99
 			}
-			mustReport(t, postJSON(t, url+"/v1/report", next, nil))
+			mustReport(t, postWire(t, url, encodeBatch(t, next), nil))
 		}
 		s.mu.Lock()
 		if len(s.scheduled) != len(fleet) || len(s.pending) != len(fleet) {
@@ -325,8 +326,8 @@ func TestFleetCountsPendingPerChannel(t *testing.T) {
 		}
 		return got
 	}
-	mustReport(t, postJSON(t, ts.URL+"/v1/report", fleet, nil))
-	mustReport(t, postJSON(t, ts.URL+"/v1/report", fleet[:4], nil)) // re-reports
+	mustReport(t, postWire(t, ts.URL, encodeBatch(t, fleet), nil))
+	mustReport(t, postWire(t, ts.URL, encodeBatch(t, fleet[:4]), nil)) // re-reports
 	if got := pendingByChannel(); got[music.ID] != 3 || got["ch"] != 6 {
 		t.Fatalf("pending per channel %v, want music 3 and ch 6", got)
 	}

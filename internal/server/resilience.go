@@ -12,14 +12,15 @@ import (
 // still see a saturated daemon. Panic recovery, body caps and the
 // envelope 405s are the route shell's (shell.go).
 
-// Admission defaults; Config overrides both.
+// Admission limits.
 const (
 	// DefaultMaxInflight bounds concurrently admitted heavy requests
-	// (report/tick/observe). Far above the worker count: the gate exists
-	// to shed a flood, not to queue-shape normal traffic.
+	// (report/tick/observe) unless Config.MaxInflight overrides it. Far
+	// above the worker count: the gate exists to shed a flood, not to
+	// queue-shape normal traffic.
 	DefaultMaxInflight = 256
-	// DefaultMaxBodyBytes caps one POST body. Sized for a 10k-device
-	// batch report with headroom.
+	// DefaultMaxBodyBytes caps one POST body, on the daemon and the
+	// router alike. Sized for a 10k-device batch report with headroom.
 	DefaultMaxBodyBytes = 16 << 20
 	// retryAfterSeconds is the client back-off hint on a shed request.
 	retryAfterSeconds = 1

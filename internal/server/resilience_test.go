@@ -114,13 +114,14 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestBodyCap413 holds a POST body to MaxBodyBytes whether its length
-// is declared (Content-Length, which net/http's body reader already
-// stops at) or not (chunked, read through http.MaxBytesReader): one
-// byte over is 413 payload_too_large, the cap itself is read as usual.
+// TestBodyCap413 holds a POST body to DefaultMaxBodyBytes whether its
+// length is declared (Content-Length, which net/http's body reader
+// already stops at) or not (chunked, read through http.MaxBytesReader):
+// one byte over is 413 payload_too_large, the cap itself is read as
+// usual.
 func TestBodyCap413(t *testing.T) {
-	const maxBody = 512
-	s, err := New(Config{Stream: testStream(t), ServerStreams: -1, Lambda: 1, MaxBodyBytes: maxBody})
+	const maxBody = DefaultMaxBodyBytes
+	s, err := New(Config{Stream: testStream(t), ServerStreams: -1, Lambda: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestBodyCap413(t *testing.T) {
 		body   []byte
 		status int
 	}{
-		{"4 KiB of junk", bytes.Repeat([]byte("x"), 4<<10), http.StatusRequestEntityTooLarge},
+		{"junk one byte over the cap", bytes.Repeat([]byte("x"), maxBody+1), http.StatusRequestEntityTooLarge},
 		{"a report one byte over the cap", pad(maxBody + 1), http.StatusRequestEntityTooLarge},
 		{"a report at the cap", pad(maxBody), http.StatusOK},
 	} {
@@ -170,24 +171,21 @@ func TestBatchReport(t *testing.T) {
 	bad.Brightness = 7 // invalid
 
 	var out BatchReportResponse
-	resp := postJSON(t, ts.URL+"/v1/report", []ReportRequest{good1, bad, good2}, &out)
+	resp := postWire(t, ts.URL, encodeBatch(t, []ReportRequest{good1, bad, good2}), &out)
 	if resp.StatusCode != 200 {
 		t.Fatalf("batch status %d", resp.StatusCode)
 	}
 	if out.Accepted != 2 || out.Rejected != 1 {
 		t.Fatalf("accepted/rejected = %d/%d, want 2/1", out.Accepted, out.Rejected)
 	}
-	if len(out.Results) != 3 {
-		t.Fatalf("results length %d", len(out.Results))
+	if len(out.Results) != 1 {
+		t.Fatalf("results length %d, want the one rejection", len(out.Results))
 	}
-	if out.Results[0].Error != nil || out.Results[2].Error != nil {
-		t.Fatalf("valid reports carried errors: %+v", out.Results)
+	if row := out.Results[0]; row.Error == nil || row.Error.Code != CodeBadRequest {
+		t.Fatalf("invalid report error = %+v", row.Error)
 	}
-	if out.Results[1].Error == nil || out.Results[1].Error.Code != CodeBadRequest {
-		t.Fatalf("invalid report error = %+v", out.Results[1].Error)
-	}
-	if out.Results[1].DeviceID != "dev-3" || out.Results[1].Accepted {
-		t.Fatalf("rejected item misattributed: %+v", out.Results[1])
+	if row := out.Results[0]; row.Index != 1 || row.DeviceID != "dev-3" || row.Accepted {
+		t.Fatalf("rejected item misattributed: %+v", row)
 	}
 
 	// The accepted members are schedulable; the rejected one left no
@@ -206,7 +204,7 @@ func TestBatchReport(t *testing.T) {
 
 	// An empty batch is a valid no-op.
 	var empty BatchReportResponse
-	if r := postJSON(t, ts.URL+"/v1/report", []ReportRequest{}, &empty); r.StatusCode != 200 {
+	if r := postWire(t, ts.URL, encodeBatch(t, nil), &empty); r.StatusCode != 200 {
 		t.Fatalf("empty batch status %d", r.StatusCode)
 	}
 	if empty.Accepted != 0 || empty.Rejected != 0 {

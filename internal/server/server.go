@@ -66,12 +66,9 @@ type Config struct {
 	// Retry-After. Zero means DefaultMaxInflight; negative disables the
 	// gate.
 	MaxInflight int
-	// MaxBodyBytes caps one POST body (413 beyond). Zero means
-	// DefaultMaxBodyBytes.
-	MaxBodyBytes int64
-	// MaxBatchRecords caps records per batch report in both codecs
-	// (typed 413 beyond — the byte cap alone would let a compact binary
-	// batch smuggle unbounded records under it). Zero means
+	// MaxBatchRecords caps records per binary batch report (typed 413
+	// beyond — the byte cap alone would let a compact binary batch
+	// smuggle unbounded records under it). Zero means
 	// DefaultMaxBatchRecords; negative disables the cap.
 	MaxBatchRecords int
 	// VCLabelBudget enables the per-VC labeled metric series (lpvs_vc_*,
@@ -159,7 +156,6 @@ type Server struct {
 	// Resilience state (DESIGN.md §12). gate is nil when admission
 	// control is disabled.
 	gate     *gate
-	maxBody  int64
 	maxBatch int
 
 	// Report-ingest state (DESIGN.md §16): the free list recycles decode
@@ -294,13 +290,9 @@ func New(cfg Config) (*Server, error) {
 		devices:     make(map[string]*deviceState),
 		fleet:       make(map[string]*channelStat),
 		streamStats: make(map[string]*StreamStat),
-		maxBody:     cfg.MaxBodyBytes,
 		shardMap:    cfg.ShardMap,
 
 		ingestFree: bufpool.NewFreeList[ingestScratch](bufpool.RequestWorkspaces),
-	}
-	if s.maxBody == 0 {
-		s.maxBody = DefaultMaxBodyBytes
 	}
 	s.maxBatch = cfg.MaxBatchRecords
 	if s.maxBatch == 0 {
@@ -404,17 +396,16 @@ func (s *Server) routes() []Route {
 	}
 }
 
-// shell is the daemon's route shell: its HTTP metrics, logger and body
-// cap, the probes' sources, the admission gate when enabled, and the
+// shell is the daemon's route shell: its HTTP metrics and logger, the
+// probes' sources, the admission gate when enabled, and the
 // panic counter and flight-recorder trigger behind OnPanic.
 func (s *Server) shell() Shell {
 	sh := Shell{
-		Metrics:      s.metrics.http,
-		Log:          s.log,
-		MaxBodyBytes: s.maxBody,
-		Ready:        &s.ready,
-		Registry:     s.metrics.reg,
-		SLO:          s.slo,
+		Metrics:  s.metrics.http,
+		Log:      s.log,
+		Ready:    &s.ready,
+		Registry: s.metrics.reg,
+		SLO:      s.slo,
 		OnPanic: func(path string, rec any) {
 			s.metrics.panics.Inc()
 			if s.flight != nil {

@@ -36,10 +36,6 @@ type Shell struct {
 	Metrics *obs.HTTPMetrics
 	// Log receives the stack of a recovered handler panic.
 	Log *slog.Logger
-	// MaxBodyBytes caps every POST body (zero or negative: uncapped); a
-	// read past it fails with *http.MaxBytesError, which the decode
-	// helpers (readBody, DecodeReport) answer with 413.
-	MaxBodyBytes int64
 	// Admit wraps the Gated routes; nil leaves them ungated.
 	Admit func(next http.Handler, path string) http.Handler
 	// OnPanic, when set, is told of each recovered panic.
@@ -64,8 +60,8 @@ func (sh Shell) Handler(routes []Route) http.Handler {
 	allow := map[string][]string{}
 	for _, rt := range append(routes, sh.probes()...) {
 		var h http.Handler = rt.Handler
-		if rt.Method == "POST" && sh.MaxBodyBytes > 0 {
-			h = sh.capBody(h)
+		if rt.Method == "POST" {
+			h = capBody(h)
 		}
 		if rt.Gated && sh.Admit != nil {
 			h = sh.Admit(h, rt.Path)
@@ -135,13 +131,15 @@ func (sh Shell) recoverPanics(next http.Handler) http.Handler {
 	})
 }
 
-// capBody bounds the request body; see Shell.MaxBodyBytes. A body of
-// known length within the cap is left as it is: net/http's body reader
-// already stops at ContentLength.
-func (sh Shell) capBody(next http.Handler) http.Handler {
+// capBody bounds a POST body to DefaultMaxBodyBytes: a read past it
+// fails with *http.MaxBytesError, which the decode helpers (readBody,
+// DecodeReport) answer with 413. A body of known length within the cap
+// is left as it is: net/http's body reader already stops at
+// ContentLength.
+func capBody(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.ContentLength < 0 || r.ContentLength > sh.MaxBodyBytes {
-			r.Body = http.MaxBytesReader(w, r.Body, sh.MaxBodyBytes)
+		if r.ContentLength < 0 || r.ContentLength > DefaultMaxBodyBytes {
+			r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
 		}
 		next.ServeHTTP(w, r)
 	})

@@ -35,8 +35,7 @@ type Decoder struct {
 	hdr     [headerBytes + 4]byte
 	intern  map[string]string
 
-	kind  byte
-	count int // records declared (single: 1)
+	count int // records declared
 	next  int // records decoded so far
 	began bool
 	read  int64 // total bytes consumed
@@ -58,7 +57,6 @@ func NewDecoder(r io.Reader) *Decoder {
 // scratch buffer survive — that is the point of reuse.
 func (d *Decoder) Reset(r io.Reader) {
 	d.r = r
-	d.kind = 0
 	d.count = 0
 	d.next = 0
 	d.began = false
@@ -92,14 +90,14 @@ func (d *Decoder) readFull(buf []byte, what string) error {
 }
 
 // Begin reads and validates the message header, returning the kind
-// and the record count (1 for KindSingle). Callers then invoke Next
+// (always KindBatch) and the record count. Callers then invoke Next
 // exactly count times and Finish once.
 func (d *Decoder) Begin() (kind byte, count int, err error) {
 	if d.err != nil {
 		return 0, 0, d.err
 	}
 	if d.began {
-		return d.kind, d.count, nil
+		return KindBatch, d.count, nil
 	}
 	hdr := d.hdr[:headerBytes]
 	if err := d.readFull(hdr, "header"); err != nil {
@@ -111,25 +109,20 @@ func (d *Decoder) Begin() (kind byte, count int, err error) {
 	if v := hdr[len(magic)]; v != Version {
 		return 0, 0, d.fail(fmt.Errorf("%w: version %d, want %d", ErrVersion, v, Version))
 	}
-	d.kind = hdr[len(magic)+1]
-	switch d.kind {
-	case KindSingle:
-		d.count = 1
-	case KindBatch:
-		cnt := d.hdr[headerBytes : headerBytes+4]
-		if err := d.readFull(cnt, "record count"); err != nil {
-			return 0, 0, err
-		}
-		n := binary.LittleEndian.Uint32(cnt)
-		if n > MaxCount {
-			return 0, 0, d.fail(fmt.Errorf("%w: record count %d exceeds the %d frame cap", ErrCorrupt, n, MaxCount))
-		}
-		d.count = int(n)
-	default:
-		return 0, 0, d.fail(fmt.Errorf("%w: kind 0x%02x", ErrKind, d.kind))
+	if kind := hdr[len(magic)+1]; kind != KindBatch {
+		return 0, 0, d.fail(fmt.Errorf("%w: kind 0x%02x", ErrKind, kind))
 	}
+	cnt := d.hdr[headerBytes : headerBytes+4]
+	if err := d.readFull(cnt, "record count"); err != nil {
+		return 0, 0, err
+	}
+	n := binary.LittleEndian.Uint32(cnt)
+	if n > MaxCount {
+		return 0, 0, d.fail(fmt.Errorf("%w: record count %d exceeds the %d frame cap", ErrCorrupt, n, MaxCount))
+	}
+	d.count = int(n)
 	d.began = true
-	return d.kind, d.count, nil
+	return KindBatch, d.count, nil
 }
 
 // Next decodes the next record into out, overwriting every field.
@@ -248,8 +241,8 @@ func (d *Decoder) Finish() error {
 	}
 }
 
-// DecodeBatch decodes a fully buffered message of either kind (tests,
-// tools; servers stream through ReadReport instead).
+// DecodeBatch decodes a fully buffered batch message (tests, tools;
+// servers stream through ReadReport instead).
 func DecodeBatch(data []byte) ([]ReportRequest, error) {
 	msg, err := NewScratch().read(bytes.NewReader(data), MaxCount)
 	return msg.Reports, err

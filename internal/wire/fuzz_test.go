@@ -16,14 +16,6 @@ import (
 // (canonical framing) or fails with one of the package sentinels.
 // Panics, silent truncation, and non-canonical accepts are all bugs.
 func FuzzDecodeBatch(f *testing.F) {
-	single, err := AppendSingle(nil, &ReportRequest{
-		DeviceID: "dev-0001", DisplayType: "OLED",
-		Width: 1920, Height: 1080, DiagonalInch: 6, Brightness: 0.6,
-		EnergyFrac: 0.42, BatteryCapacityJ: 50_000, BasePowerW: 0.4,
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
 	batch, err := AppendBatch(nil, sampleReports())
 	if err != nil {
 		f.Fatal(err)
@@ -32,7 +24,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(single)
+	f.Add(kindOneFrame(f, sampleReports()[0]))
 	f.Add(batch)
 	f.Add(empty)
 	f.Add(batch[:len(batch)-3])                   // truncated tail
@@ -48,15 +40,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			}
 			return
 		}
-		var again []byte
-		if len(data) >= headerBytes && data[len(magic)+1] == KindSingle {
-			if len(reqs) != 1 {
-				t.Fatalf("single frame decoded %d records", len(reqs))
-			}
-			again, err = AppendSingle(nil, &reqs[0])
-		} else {
-			again, err = AppendBatch(nil, reqs)
-		}
+		again, err := AppendBatch(nil, reqs)
 		if err != nil {
 			t.Fatalf("accepted input did not re-encode: %v", err)
 		}
@@ -66,11 +50,11 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
-// FuzzReadReportJSON is the differential of ReadReport's single JSON
-// report against the json.Unmarshal it reads with alone: the same
-// report, float bits included, or the same error behind the "decode: "
-// prefix. A body the layout reader declines must leave its receiver as
-// it was. Batches, which only json.Unmarshal reads, are skipped.
+// FuzzReadReportJSON is the differential of ReadReport's JSON report
+// against the json.Unmarshal it reads with alone: the same report,
+// float bits included, or the same error behind the "decode: " prefix —
+// a JSON array among them. A body the layout reader declines must leave
+// its receiver as it was.
 func FuzzReadReportJSON(f *testing.F) {
 	for _, r := range sampleReports() {
 		body, err := json.Marshal(r)
@@ -96,13 +80,12 @@ func FuzzReadReportJSON(f *testing.F) {
 		`{"device_id":"d","channel_id":null,"display_type":"LCD","width":1,"height":1,"diagonal_inch":1,"brightness":1,"energy_frac":1,"battery_capacity_j":1,"base_power_w":1}`,
 		`{"Device_ID":"d","display_type":"LCD","width":1,"height":1,"diagonal_inch":1,"brightness":1,"energy_frac":1,"battery_capacity_j":1,"base_power_w":1}`,
 		`{"device_id": "d"}`, `{}`, ` {}`, `null`, ``, `{"device_id":"d`,
+		`[{"device_id":"d","display_type":"LCD","width":1,"height":1,"diagonal_inch":1,"brightness":1,"energy_frac":1,"battery_capacity_j":1,"base_power_w":1}]`,
+		` []`,
 	} {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
-			return
-		}
 		var want ReportRequest
 		wantErr := json.Unmarshal(data, &want)
 		msg, err := ReadReport("application/json", bytes.NewReader(data), 1, nil, nil)

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,24 +9,23 @@ import (
 	"lpvs/internal/bufpool"
 )
 
-// Message is one decoded POST /v1/report body. Binary (the codec) and
-// Batch (the arity: a JSON array or a KindBatch frame, even of one
-// record) are the caller's choices, and whatever answers or forwards
-// the message keeps both: they select the response shape and the
-// framing of a re-encoded copy (AppendFrame).
+// Message is one decoded POST /v1/report body. Binary is the caller's
+// choice of framing — a binary batch, or else one JSON report — and
+// whatever answers or forwards the message keeps it: it selects the
+// response shape and the framing of a re-encoded copy (AppendFrame).
 type Message struct {
-	Binary, Batch bool
-	// Reports holds exactly one record unless Batch. On the binary path
+	Binary bool
+	// Reports holds exactly one record unless Binary. On the binary path
 	// it aliases the Scratch ReadReport drew and stays valid until that
-	// scratch is read into again; a single JSON report is the one record
-	// of the storage its caller passed.
+	// scratch is read into again; a JSON report is the one record of the
+	// storage its caller passed.
 	Reports []ReportRequest
 	// Bytes is the body size consumed.
 	Bytes int64
 }
 
-// BatchTooLargeError refuses a batch that declares (binary header) or
-// carries (JSON array) more records than the reader's cap.
+// BatchTooLargeError refuses a batch whose header declares more records
+// than the reader's cap.
 type BatchTooLargeError struct{ Count, Cap int }
 
 func (e *BatchTooLargeError) Error() string {
@@ -48,19 +46,19 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{dec: NewDecoder(nil)} }
 
 // ReadReport is the one reader of a POST /v1/report body. The exact
-// Content-Type ContentType selects the binary framing, streamed record
-// by record off body into the workspace scratch supplies (called only
-// on that path, so JSON traffic never touches a caller's pool); every
-// other Content-Type means JSON, the compatible default, where a
-// leading '[' marks a batch. A batch over maxRecords fails with a
-// *BatchTooLargeError — on the binary path from the 10-byte header,
-// before any record is read. Every other failure is prefixed with the
-// step that failed ("binary report: ", "read body: ", "decode: ",
-// "decode batch: ") and wraps its cause, so errors.Is finds the
-// package sentinels and errors.As a transport error such as
-// *http.MaxBytesError. A single JSON report is read into one, which the
-// caller keeps (a handler: on its stack), so the message's one-record
-// slice is not an allocation of its own; nil means fresh storage.
+// Content-Type ContentType selects the binary batch, streamed record by
+// record off body into the workspace scratch supplies (called only on
+// that path, so JSON traffic never touches a caller's pool); every
+// other Content-Type means one JSON report, and a body that is not one
+// (a JSON array among them) fails to decode. A batch over maxRecords
+// fails with a *BatchTooLargeError from the 10-byte header, before any
+// record is read. Every other failure is prefixed with the step that
+// failed ("binary report: ", "read body: ", "decode: ") and wraps its
+// cause, so errors.Is finds the package sentinels and errors.As a
+// transport error such as *http.MaxBytesError. A JSON report is read
+// into one, which the caller keeps (a handler: on its stack), so the
+// message's one-record slice is not an allocation of its own; nil means
+// fresh storage.
 func ReadReport(contentType string, body io.Reader, maxRecords int, scratch func() *Scratch, one *[1]ReportRequest) (Message, error) {
 	if contentType == ContentType {
 		msg, err := scratch().read(body, maxRecords)
@@ -77,16 +75,6 @@ func ReadReport(contentType string, body io.Reader, maxRecords int, scratch func
 		return Message{}, fmt.Errorf("read body: %w", err)
 	}
 	data := buf.Bytes()
-	if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
-		var reqs []ReportRequest
-		if err := json.Unmarshal(trimmed, &reqs); err != nil {
-			return Message{}, fmt.Errorf("decode batch: %w", err)
-		}
-		if len(reqs) > maxRecords {
-			return Message{}, &BatchTooLargeError{Count: len(reqs), Cap: maxRecords}
-		}
-		return Message{Batch: true, Reports: reqs, Bytes: int64(len(data))}, nil
-	}
 	if one == nil {
 		one = new([1]ReportRequest)
 	}
@@ -146,7 +134,7 @@ func (sc *Scratch) read(body io.Reader, maxRecords int) (Message, error) {
 	d := sc.dec
 	d.Reset(body)
 	defer d.Reset(nil) // keep the buffers and intern table, drop the body
-	kind, count, err := d.Begin()
+	_, count, err := d.Begin()
 	if err != nil {
 		return Message{}, err
 	}
@@ -165,28 +153,20 @@ func (sc *Scratch) read(body io.Reader, maxRecords int) (Message, error) {
 	if err := d.Finish(); err != nil {
 		return Message{}, err
 	}
-	return Message{Binary: true, Batch: kind == KindBatch, Reports: reqs, Bytes: d.BytesRead()}, nil
+	return Message{Binary: true, Reports: reqs, Bytes: d.BytesRead()}, nil
 }
 
-// AppendFrame frames reports in m's codec and arity — how a router
-// forwards its share of m — appending to dst (pass a reused buffer: the
-// binary framings then allocate nothing), and returns the body with the
-// Content-Type to send it under. Without Batch it frames reports[0]
-// alone. The JSON framings are encoding/json's bytes, marshalled and
-// then copied behind dst. On error dst comes back unextended.
+// AppendFrame frames reports in m's framing — how a router forwards its
+// share of m — appending to dst (pass a reused buffer: the binary batch
+// then allocates nothing), and returns the body with the Content-Type
+// to send it under. Without Binary it frames reports[0] alone, as
+// encoding/json's bytes, marshalled and then copied behind dst. On
+// error dst comes back unextended.
 func (m *Message) AppendFrame(dst []byte, reports []ReportRequest) (body []byte, contentType string, err error) {
-	var js []byte
-	switch {
-	case m.Binary && m.Batch:
+	if m.Binary {
 		body, err = AppendBatch(dst, reports)
 		return body, ContentType, err
-	case m.Binary:
-		body, err = AppendSingle(dst, &reports[0])
-		return body, ContentType, err
-	case m.Batch:
-		js, err = json.Marshal(reports)
-	default:
-		js, err = json.Marshal(&reports[0])
 	}
+	js, err := json.Marshal(&reports[0])
 	return append(dst, js...), "application/json", err
 }

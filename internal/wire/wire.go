@@ -1,14 +1,14 @@
 // Package wire owns the device slot report — the paper's "information
 // gathering" message, the payload of POST /v1/report — in both of its
-// encodings, and the one reader that turns a request body in either
-// into reports (ReadReport; DESIGN.md §18). The edge daemon and the
-// router both ingest through it, so codec negotiation, the JSON
-// single/batch sniff, the record cap and every decode error are
-// decided here once.
+// framings, and the one reader that turns a request body into reports
+// (ReadReport; DESIGN.md §18). The edge daemon and the router both
+// ingest through it, so the choice of framing, the record cap and every
+// decode error are decided here once.
 //
-// JSON is the compatible default encoding (ReportRequest's tags). The
-// binary codec (DESIGN.md §16) is a versioned, length-prefixed format
-// negotiated via Content-Type: application/x-lpvs-report; it exists
+// A body is one of two framings, chosen by its Content-Type: a binary
+// batch under application/x-lpvs-report (ContentType), or one JSON
+// report under any other (ReportRequest's tags). The binary codec
+// (DESIGN.md §16) is a versioned, length-prefixed format; it exists
 // because at large fleets the JSON decode of the report hot path
 // dominates the per-request cost, ahead of scheduling itself.
 //
@@ -17,9 +17,9 @@
 //	offset  size  field
 //	0       4     magic "LPWR"
 //	4       1     format version (1)
-//	5       1     kind: 1 = single report, 2 = batch
-//	[batch] 4     u32 record count
-//	then, per record (single carries exactly one, with no count):
+//	5       1     kind: 2 = batch (any other kind is refused, ErrKind)
+//	6       4     u32 record count
+//	then, per record:
 //	        4     u32 record length L
 //	        L     record payload (layout below)
 //
@@ -55,7 +55,7 @@ import (
 	"lpvs/internal/display"
 )
 
-// ContentType negotiates the binary codec on POST /v1/report.
+// ContentType selects the binary batch framing on POST /v1/report.
 const ContentType = "application/x-lpvs-report"
 
 // Framing constants.
@@ -63,9 +63,8 @@ const (
 	magic   = "LPWR"
 	Version = 1
 
-	// KindSingle frames one report; KindBatch a counted sequence.
-	KindSingle byte = 1
-	KindBatch  byte = 2
+	// KindBatch frames a counted sequence of reports, the one kind.
+	KindBatch byte = 2
 
 	// MaxStringBytes bounds one string field (device or channel ID);
 	// longer IDs cannot be framed and are rejected on decode.
@@ -95,9 +94,8 @@ var (
 )
 
 // ReportRequest is a device's slot report (information gathering).
-// It is the payload of POST /v1/report in both codecs: the JSON tags
-// define the compatible default encoding, AppendSingle/AppendBatch the
-// binary one.
+// It is the payload of POST /v1/report in both framings: the JSON tags
+// define a single report's, AppendBatch the binary batch's.
 type ReportRequest struct {
 	DeviceID string `json:"device_id"`
 	// ChannelID selects which of the site's streams the device watches;
@@ -164,9 +162,9 @@ func recordSize(r *ReportRequest) int {
 }
 
 // appendHeader frames the magic, version and kind.
-func appendHeader(dst []byte, kind byte) []byte {
+func appendHeader(dst []byte) []byte {
 	dst = append(dst, magic...)
-	return append(dst, Version, kind)
+	return append(dst, Version, KindBatch)
 }
 
 // appendRecord frames one length-prefixed record payload.
@@ -191,22 +189,11 @@ func appendRecord(dst []byte, r *ReportRequest) []byte {
 	return dst
 }
 
-// AppendSingle frames one report as a KindSingle message, appending to
-// dst. The frame's exact size is reserved before its first byte, so a
-// fresh dst costs one allocation and a reused one with room none.
-func AppendSingle(dst []byte, r *ReportRequest) ([]byte, error) {
-	if err := encodable(r); err != nil {
-		return dst, err
-	}
-	dst = slices.Grow(dst, headerBytes+4+recordSize(r))
-	dst = appendHeader(dst, KindSingle)
-	return appendRecord(dst, r), nil
-}
-
 // AppendBatch frames a report batch as a KindBatch message, appending
-// to dst, with the frame's exact size reserved first as AppendSingle
-// does. An unencodable report fails the whole batch before any bytes
-// are appended beyond dst's original length.
+// to dst. The frame's exact size is reserved before its first byte, so
+// a fresh dst costs one allocation and a reused one with room none. An
+// unencodable report fails the whole batch before any bytes are
+// appended beyond dst's original length.
 func AppendBatch(dst []byte, reqs []ReportRequest) ([]byte, error) {
 	if len(reqs) > MaxCount {
 		return dst, fmt.Errorf("%w: %d records exceed the %d frame cap", ErrCorrupt, len(reqs), MaxCount)
@@ -217,7 +204,7 @@ func AppendBatch(dst []byte, reqs []ReportRequest) ([]byte, error) {
 		}
 	}
 	dst = slices.Grow(dst, EncodedBatchSize(reqs))
-	dst = appendHeader(dst, KindBatch)
+	dst = appendHeader(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(reqs)))
 	for i := range reqs {
 		dst = appendRecord(dst, &reqs[i])

@@ -47,9 +47,9 @@ func fleetReports(n int) []ReportRequest {
 	return reqs
 }
 
-// TestAppendFrameAllocs holds both encoders to one allocation per
-// fresh frame: each reserves the frame's exact size before its first
-// byte, so a fresh dst is allocated once, with less than one 8 KiB page
+// TestAppendFrameAllocs holds the encoder to one allocation per fresh
+// frame: it reserves the frame's exact size before its first byte, so
+// a fresh dst is allocated once, with less than one 8 KiB page
 // of slack however large the frame, and a reused dst with room is not
 // allocated at all.
 func TestAppendFrameAllocs(t *testing.T) {
@@ -64,10 +64,6 @@ func TestAppendFrameAllocs(t *testing.T) {
 	if slack := cap(frame) - len(frame); slack >= 8<<10 {
 		t.Fatalf("a %d-byte frame has a capacity of %d: %d bytes of growth slack", len(frame), cap(frame), slack)
 	}
-	single, err := AppendSingle(nil, &reqs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
@@ -77,9 +73,7 @@ func TestAppendFrameAllocs(t *testing.T) {
 		f    func()
 	}{
 		{"AppendBatch(nil, 10,000 records)", 1, func() { frame, _ = AppendBatch(nil, reqs) }},
-		{"AppendSingle(nil)", 1, func() { single, _ = AppendSingle(nil, &reqs[1]) }},
 		{"AppendBatch into a reused dst", 0, func() { frame, _ = AppendBatch(frame[:0], reqs) }},
-		{"AppendSingle into a reused dst", 0, func() { single, _ = AppendSingle(single[:0], &reqs[1]) }},
 	} {
 		if got := testing.AllocsPerRun(10, tc.f); got != tc.want {
 			t.Errorf("%s allocates %.0f, want %.0f", tc.name, got, tc.want)
@@ -147,21 +141,6 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSingleRoundTrip(t *testing.T) {
-	req := sampleReports()[0]
-	buf, err := AppendSingle(nil, &req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBatch(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != req {
-		t.Fatalf("single round trip: %+v", got)
-	}
-}
-
 func TestEmptyBatch(t *testing.T) {
 	buf, err := AppendBatch(nil, nil)
 	if err != nil {
@@ -179,12 +158,12 @@ func TestEmptyBatch(t *testing.T) {
 func TestEncodeRefusals(t *testing.T) {
 	bad := sampleReports()[0]
 	bad.DisplayType = "EINK"
-	if _, err := AppendSingle(nil, &bad); !errors.Is(err, ErrCorrupt) {
+	if _, err := AppendBatch(nil, []ReportRequest{bad}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unknown display type encoded: %v", err)
 	}
 	long := sampleReports()[0]
 	long.DeviceID = strings.Repeat("x", MaxStringBytes+1)
-	if _, err := AppendSingle(nil, &long); !errors.Is(err, ErrCorrupt) {
+	if _, err := AppendBatch(nil, []ReportRequest{long}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("oversized device ID encoded: %v", err)
 	}
 	// A bad record inside a batch leaves dst untouched.
@@ -233,6 +212,18 @@ func TestDecodeFailClosed(t *testing.T) {
 	}
 }
 
+// kindOneFrame frames r as a kind-1 message: the batch header's kind
+// byte set to 1 and no record count, then the one record.
+func kindOneFrame(tb testing.TB, r ReportRequest) []byte {
+	tb.Helper()
+	batch, err := AppendBatch(nil, []ReportRequest{r})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frame := append(batch[:headerBytes-1:headerBytes-1], 1)
+	return append(frame, batch[headerBytes+4:]...)
+}
+
 func isWireError(err error) bool {
 	for _, s := range []error{ErrTruncated, ErrBadMagic, ErrVersion, ErrKind, ErrCorrupt} {
 		if errors.Is(err, s) {
@@ -253,6 +244,9 @@ func TestDecodeRejectsVersionAndKindSkew(t *testing.T) {
 	k[5] = 9
 	if _, err := DecodeBatch(k); !errors.Is(err, ErrKind) {
 		t.Fatalf("unknown kind accepted: %v", err)
+	}
+	if _, err := DecodeBatch(kindOneFrame(t, sampleReports()[0])); !errors.Is(err, ErrKind) {
+		t.Fatalf("kind-1 frame accepted: %v", err)
 	}
 	m := append([]byte(nil), buf...)
 	m[0] = 'X'

@@ -281,9 +281,8 @@ func NewCaller(baseURL string, opts ...ClientOption) (*Caller, error) {
 func NewEdgeDaemon(cfg EdgeDaemonConfig) (*EdgeDaemon, error) { return server.New(cfg) }
 
 // NewDeviceClient connects a device to an edge daemon. Pass nil for the
-// default HTTP client. Reports go out in the compact binary wire format
-// by default, downgrading to JSON for good against a daemon that does
-// not speak it (DESIGN.md §16).
+// default HTTP client. Reports go out as batches in the compact binary
+// wire format (DESIGN.md §16).
 func NewDeviceClient(baseURL string, dev *Device, httpClient *http.Client, opts ...ClientOption) (*DeviceClient, error) {
 	return client.New(baseURL, dev, httpClient, opts...)
 }
