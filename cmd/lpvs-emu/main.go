@@ -22,8 +22,6 @@ import (
 
 	"lpvs"
 	"lpvs/internal/obs"
-	"lpvs/internal/obs/slo"
-	"lpvs/internal/persist"
 )
 
 func main() {
@@ -45,11 +43,6 @@ func main() {
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "scheduling pool fan-out for the lpvs policy (1 = serial)")
 		auditDir = flag.String("audit-dir", "", "append per-slot decision audit records to DIR/audit.jsonl (lpvs policy only; replayable with lpvsctl audit replay)")
 		deadline = flag.Duration("sched-deadline", 0, "per-slot scheduling wall-clock budget; expired slots degrade to the anytime shortcuts (lpvs policy only; 0 = unbounded)")
-		stopN    = flag.Int("stop-after", 0, "run only the first N slots and checkpoint (requires -checkpoint; lpvs policy only)")
-		ckptPath = flag.String("checkpoint", "", "write the partial run's checkpoint to this file (requires -stop-after)")
-		resume   = flag.String("resume", "", "resume a checkpointed run from this file and finish it (lpvs policy only)")
-		sloLat   = flag.Duration("slo-slot-latency", 0, "slot scheduling wall-time budget behind the slot-latency SLO (0 = 250ms)")
-		flightD  = flag.String("flight-dir", "", "arm a flight recorder: write incident bundles on synthetic-clock SLO alarms to DIR (inspect with lpvsctl flight)")
 	)
 	flag.Parse()
 
@@ -70,8 +63,6 @@ func main() {
 		Workers:             *workers,
 		AuditDir:            *auditDir,
 		SchedDeadline:       *deadline,
-		SLOSlotLatency:      *sloLat,
-		FlightDir:           *flightD,
 	}
 	ds := lpvs.GenerateSurvey(lpvs.DefaultSurveyConfig())
 	cfg.GiveUpSampler = lpvs.SurveyGiveUpSampler(ds)
@@ -89,13 +80,6 @@ func main() {
 				"mean_energy", st.MeanEnergyFrac, "mean_anxiety", st.MeanAnxiety,
 				"sched_ms", st.SchedSec*1000)
 		}
-	}
-
-	if *stopN > 0 || *ckptPath != "" || *resume != "" {
-		if err := runCheckpointMode(cfg, *policy, *stopN, *ckptPath, *resume); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	var cmp *lpvs.Comparison
@@ -126,13 +110,6 @@ func main() {
 	if *deadline > 0 {
 		fmt.Printf("degraded slots:     %d of %d (deadline %v)\n",
 			cmp.Treated.DegradedSlots, cmp.Treated.SlotsRun, *deadline)
-	}
-	printSLO(cmp.Treated.SLO)
-	if cmp.Treated.SLOAlarms > 0 {
-		fmt.Printf("slo alarms fired:   %d\n", cmp.Treated.SLOAlarms)
-	}
-	if cmp.Treated.FlightBundles > 0 {
-		fmt.Printf("flight bundles:     %d\n", cmp.Treated.FlightBundles)
 	}
 
 	if *timeline {
@@ -174,76 +151,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("comparison written to %s\n", *jsonOut)
-	}
-}
-
-// runCheckpointMode handles the durable-state flags (DESIGN.md §14):
-// -stop-after N -checkpoint FILE freezes a partial treated run;
-// -resume FILE finishes it in a fresh process. A resumed run prints
-// single-run stats (no paired baseline: the comparison would have to
-// re-run the baseline from slot zero, defeating the point of resuming).
-func runCheckpointMode(cfg lpvs.EmulationConfig, policy string, stopAfter int, ckptPath, resumePath string) error {
-	if policy != "lpvs" {
-		return fmt.Errorf("checkpoint/resume supports only the lpvs policy, got %q", policy)
-	}
-	if resumePath != "" && (stopAfter > 0 || ckptPath != "") {
-		return fmt.Errorf("-resume cannot be combined with -stop-after or -checkpoint")
-	}
-	if resumePath == "" && (stopAfter <= 0 || ckptPath == "") {
-		return fmt.Errorf("-stop-after and -checkpoint must be used together")
-	}
-	cfg.StopAfter = stopAfter
-	em, err := lpvs.NewEmulator(cfg, nil)
-	if err != nil {
-		return err
-	}
-	if resumePath != "" {
-		ck, err := persist.LoadEmuCheckpoint(resumePath)
-		if err != nil {
-			return err
-		}
-		if err := em.Restore(ck); err != nil {
-			return err
-		}
-	}
-	res, err := em.Run()
-	if err != nil {
-		return err
-	}
-	if ckptPath != "" {
-		ck, err := em.Checkpoint(res)
-		if err != nil {
-			return err
-		}
-		if err := ck.WriteFile(ckptPath); err != nil {
-			return err
-		}
-		fmt.Printf("checkpoint written to %s (%d slots run, next slot %d)\n",
-			ckptPath, res.SlotsRun, ck.NextSlot)
-		return nil
-	}
-	fmt.Printf("policy:             %s (resumed)\n", res.Policy)
-	fmt.Printf("cluster:            %d devices, %d slots (%.0f min)\n",
-		len(res.FinalState), res.SlotsRun, float64(res.SlotsRun)*5)
-	fmt.Printf("energy saving:      %.2f%%\n", 100*res.EnergySavingRatio())
-	fmt.Printf("mean anxiety:       %.4f\n", res.MeanAnxiety())
-	fmt.Printf("scheduler time:     %.3f s over %d slots\n", res.SchedSeconds, res.SlotsRun)
-	printSLO(res.SLO)
-	if res.FlightBundles > 0 {
-		fmt.Printf("flight bundles:     %d\n", res.FlightBundles)
-	}
-	return nil
-}
-
-// printSLO prints one verdict line per SLO objective of a treated run.
-func printSLO(states []slo.State) {
-	for _, st := range states {
-		verdict := "ok"
-		if st.Alarming {
-			verdict = "ALARM"
-		}
-		fmt.Printf("slo %-16s %s  bad %.0f/%.0f  budget left %.0f%%\n",
-			st.Name+":", verdict, st.BadEvents, st.TotalEvents, 100*st.BudgetRemaining)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 var auditTestdata = filepath.Join("..", "..", "internal", "obs", "audit", "testdata")
 
 func TestReplayCommand(t *testing.T) {
-	dir, _ := writeSession(t)
+	dir := writeSession(t)
 	// Both the directory and the file path spell the same log.
 	if err := auditReplay([]string{dir}, io.Discard, io.Discard); err != nil {
 		t.Fatalf("replay dir: %v", err)
@@ -46,7 +46,7 @@ func TestOldLogStaysReplayable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	session, _ := writeSession(t)
+	session := writeSession(t)
 	newLog, err := os.ReadFile(filepath.Join(session, audit.FileName))
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestOldLogStaysReplayable(t *testing.T) {
 }
 
 func TestReplayCommandFlagsDivergence(t *testing.T) {
-	dir, _ := writeSession(t)
+	dir := writeSession(t)
 	path := filepath.Join(dir, audit.FileName)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -107,7 +107,7 @@ func TestReplayCommandErrors(t *testing.T) {
 }
 
 func TestExplainCommand(t *testing.T) {
-	dir, _ := writeSession(t)
+	dir := writeSession(t)
 	recs, err := audit.ReadFile(filepath.Join(dir, audit.FileName))
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 package main
 
 // The flight commands inspect flight-recorder incident bundles (the
-// versioned .flight files written by `lpvsd -flight-dir` or
-// `lpvs-emu -flight-dir`; see internal/obs/flight and DESIGN.md §15):
+// versioned .flight files written by `lpvsd -flight-dir`; see
+// internal/obs/flight and DESIGN.md §15):
 //
 //	flight list   one line per bundle
 //	flight show   dump one bundle: trigger, SLO states, metric history,

@@ -5,47 +5,39 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"lpvs/internal/emu"
 	"lpvs/internal/video"
 )
 
-// writeSession runs a short emulator session with the audit log and the
-// flight recorder armed — a 1ns slot-latency budget makes the SLO alarm
-// fire, so at least one bundle lands — and returns both directories.
-func writeSession(tb testing.TB) (auditDir, flightDir string) {
+// writeSession runs a short emulator session with the audit log on and
+// returns the log's directory.
+func writeSession(tb testing.TB) string {
 	tb.Helper()
-	auditDir, flightDir = tb.TempDir(), tb.TempDir()
+	dir := tb.TempDir()
 	e, err := emu.New(emu.Config{
-		Seed:           21,
-		GroupSize:      8,
-		Slots:          4,
-		Lambda:         1,
-		ServerStreams:  3,
-		Genre:          video.Gaming,
-		AuditDir:       auditDir,
-		FlightDir:      flightDir,
-		SLOSlotLatency: time.Nanosecond,
+		Seed:          21,
+		GroupSize:     8,
+		Slots:         4,
+		Lambda:        1,
+		ServerStreams: 3,
+		Genre:         video.Gaming,
+		AuditDir:      dir,
 	}, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res, err := e.Run()
-	if err != nil {
+	if _, err := e.Run(); err != nil {
 		tb.Fatal(err)
 	}
-	if res.FlightBundles == 0 {
-		tb.Fatal("emulator run wrote no flight bundles")
-	}
-	return auditDir, flightDir
+	return dir
 }
 
 // TestRunDispatch drives the two-level dispatcher through main's own
 // entry point: exit status, where the usage text goes, and the error
 // prefix of a failing command.
 func TestRunDispatch(t *testing.T) {
-	auditDir, _ := writeSession(t)
+	auditDir := writeSession(t)
 	missing := filepath.Join(t.TempDir(), "missing.jsonl")
 	for _, tc := range []struct {
 		name       string

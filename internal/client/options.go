@@ -515,11 +515,10 @@ type jsonReader interface{ ReadJSON(data []byte) bool }
 func decode(resp *http.Response, out any) error {
 	if resp.StatusCode != http.StatusOK {
 		apiErr := &APIError{
-			Status:     resp.StatusCode,
-			Code:       "unknown",
-			Message:    fmt.Sprintf("status %d", resp.StatusCode),
-			Retryable:  retriableStatus(resp.StatusCode),
-			RetryAfter: retryAfter(resp),
+			Status:    resp.StatusCode,
+			Code:      "unknown",
+			Message:   fmt.Sprintf("status %d", resp.StatusCode),
+			Retryable: retriableStatus(resp.StatusCode),
 		}
 		var env server.ErrorResponse
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))

@@ -29,8 +29,6 @@ type APIError struct {
 	// Retryable echoes the envelope's verdict: whether repeating the
 	// identical request can ever succeed.
 	Retryable bool
-	// RetryAfter is the server's back-off hint (zero when absent).
-	RetryAfter time.Duration
 }
 
 func (e *APIError) Error() string {

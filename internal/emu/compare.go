@@ -32,14 +32,9 @@ func Compare(cfg Config, policy scheduler.Policy) (*Comparison, error) {
 		return nil, err
 	}
 	// The baseline is a counterfactual, not the system under
-	// observation: it must not write audit records (it cannot — only
-	// the LPVS scheduler carries the replayable record surface) and it
-	// must not arm the flight recorder, whose deterministic synthetic-
-	// clock filenames would otherwise overwrite the treated run's
-	// bundles.
-	baseCfg := cfg
-	baseCfg.FlightDir = ""
-	baseEmu, err := New(baseCfg, scheduler.NoTransform{})
+	// observation: it writes no audit records (only the LPVS scheduler
+	// carries the replayable record surface).
+	baseEmu, err := New(cfg, scheduler.NoTransform{})
 	if err != nil {
 		return nil, err
 	}

@@ -30,11 +30,7 @@ import (
 	"lpvs/internal/device"
 	"lpvs/internal/display"
 	"lpvs/internal/edge"
-	"lpvs/internal/obs"
 	"lpvs/internal/obs/audit"
-	"lpvs/internal/obs/flight"
-	"lpvs/internal/obs/history"
-	"lpvs/internal/obs/slo"
 	"lpvs/internal/scheduler"
 	"lpvs/internal/stats"
 	"lpvs/internal/transform"
@@ -116,25 +112,6 @@ type Config struct {
 	// Records are only written when the LPVS engine decides; baselines
 	// are not auditable.
 	AuditDir string
-	// StopAfter, when positive, ends the run after that many total
-	// slots — before stream finalisation — so the caller can
-	// Checkpoint() the emulator and resume it in a later process
-	// (durable state, DESIGN.md §14). Zero runs all Slots.
-	StopAfter int
-	// SLOSlotLatency is the scheduling wall-time budget per slot behind
-	// the emulator's slot-latency SLO (slower slots count as bad
-	// events); zero means 250ms. The SLO engine runs on a synthetic
-	// clock advancing SlotSec per slot, so campaign reports state SLO
-	// compliance with the same burn-rate code that pages on the daemon.
-	SLOSlotLatency time.Duration
-	// FlightDir, when non-empty, arms a flight recorder on the run's
-	// synthetic-clock SLO engine: every alarm firing freezes an
-	// incident bundle (per-slot metric history and recent audit
-	// records; the emulator traces nothing, so no spans) into
-	// FlightDir — the same bundle format lpvsd writes, inspectable with
-	// `lpvsctl flight`. Pure observation: excluded from the checkpoint
-	// config hash, decisions identical either way.
-	FlightDir string
 }
 
 // autoDimFactor is the OS power saver's dimmed brightness multiplier
@@ -179,9 +156,6 @@ func (c Config) normalized() (Config, error) {
 	}
 	if c.SchedDeadline < 0 {
 		return c, fmt.Errorf("emu: negative scheduling deadline %v", c.SchedDeadline)
-	}
-	if c.StopAfter < 0 || c.StopAfter > c.Slots {
-		return c, fmt.Errorf("emu: stop-after %d outside [0, %d]", c.StopAfter, c.Slots)
 	}
 	return c, nil
 }
@@ -235,15 +209,6 @@ type RunResult struct {
 	// (Eqs. (3), (5), (12)) against the emulated ground truth.
 	PredErrSum     float64
 	PredErrSamples int
-	// SLO holds the final burn-rate states of the run's scheduling
-	// objectives, evaluated once per slot on a synthetic clock that
-	// advances SlotSec per slot; SLOAlarms counts alarm firings across
-	// the run (DESIGN.md §13).
-	SLO       []slo.State
-	SLOAlarms int
-	// FlightBundles counts incident bundles the run's flight recorder
-	// wrote (Config.FlightDir; 0 when disarmed).
-	FlightBundles int
 }
 
 // SlotStat is one slot's aggregate snapshot, taken after playback.
@@ -363,12 +328,6 @@ type Emulator struct {
 	// display type — not on the individual device — so one transform per
 	// (stream, chunk, type) serves the whole cluster.
 	frameCache map[frameKey]transform.Result
-
-	// Durable-state cursor (DESIGN.md §14): nextSlot is the first slot
-	// the next Run call executes; resume carries the accumulated partial
-	// result installed by Restore.
-	nextSlot int
-	resume   *RunResult
 }
 
 // frameKey identifies a memoised per-pixel transform.
@@ -482,35 +441,18 @@ func SchedulerConfig(cfg Config) (scheduler.Config, error) {
 	}, nil
 }
 
-// Run executes the emulation — all Slots, or only up to
-// Config.StopAfter, or the remaining slots after a Restore — and
-// returns the aggregated result.
+// Run executes the emulation over all Slots and returns the aggregated
+// result. An Emulator runs once: Run ends every device's stream.
 func (e *Emulator) Run() (*RunResult, error) {
-	startSlot := e.nextSlot
-	endSlot := e.cfg.Slots
-	if e.cfg.StopAfter > 0 && e.cfg.StopAfter < endSlot {
-		endSlot = e.cfg.StopAfter
+	res := &RunResult{
+		Policy:          e.policy.Name(),
+		TPVMin:          make([]float64, len(e.devices)),
+		LowBatteryStart: make([]bool, len(e.devices)),
+		EverServed:      make([]bool, len(e.devices)),
+		FinalState:      make([]device.State, len(e.devices)),
 	}
-	if startSlot >= endSlot {
-		return nil, fmt.Errorf("emu: nothing to run (at slot %d, end %d)", startSlot, endSlot)
-	}
-	var res *RunResult
-	if e.resume != nil {
-		// Continuing a restored run: the accumulators carry on exactly
-		// where the checkpointed process left them.
-		res = e.resume
-		e.resume = nil
-	} else {
-		res = &RunResult{
-			Policy:          e.policy.Name(),
-			TPVMin:          make([]float64, len(e.devices)),
-			LowBatteryStart: make([]bool, len(e.devices)),
-			EverServed:      make([]bool, len(e.devices)),
-			FinalState:      make([]device.State, len(e.devices)),
-		}
-		for i, d := range e.devices {
-			res.LowBatteryStart[i] = d.LowBattery()
-		}
+	for i, d := range e.devices {
+		res.LowBatteryStart[i] = d.LowBattery()
 	}
 	// One builder for the run: every slot's record and line reuse its
 	// storage, the path the daemon's tick takes.
@@ -524,85 +466,7 @@ func (e *Emulator) Run() (*RunResult, error) {
 		}
 		defer auditLog.Close()
 	}
-	// SLO evaluation on a synthetic clock: one reading per slot, the
-	// clock advancing SlotSec each time. Pure observation over already-
-	// final slot stats — it cannot influence a decision.
-	sloLatency := e.cfg.SLOSlotLatency
-	if sloLatency <= 0 {
-		sloLatency = 250 * time.Millisecond
-	}
-	var sloSlow, sloDegraded, sloTotal float64
-	slotDur := time.Duration(e.cfg.SlotSec * float64(time.Second))
-	// On a resumed run the SLO windows restart at the checkpoint slot —
-	// burn-rate state is observation, not decision input, and is not
-	// persisted (DESIGN.md §14).
-	sloClock := time.Unix(0, 0).Add(time.Duration(startSlot) * slotDur)
-	// flightRec is assigned after the engine exists; the transition
-	// hook only fires from Evaluate inside the slot loop, by which time
-	// it is set.
-	var flightRec *flight.Recorder
-	sloEng, err := slo.NewEngine(slo.Config{
-		FastWindow: 2 * slotDur,
-		SlowWindow: 10 * slotDur,
-		Now:        func() time.Time { return sloClock },
-		OnTransition: func(st slo.State) {
-			if st.Alarming {
-				res.SLOAlarms++
-				if flightRec != nil {
-					flightRec.OnSLOTransition(st)
-				}
-			}
-		},
-	},
-		slo.Objective{
-			Name:        "slot-latency",
-			Description: "Slot scheduling must finish within " + sloLatency.String() + ".",
-			Target:      0.99,
-			Source:      func() (float64, float64) { return sloSlow, sloTotal },
-		},
-		slo.Objective{
-			Name:        "degraded-slots",
-			Description: "Slots must not degrade to the anytime deadline shortcuts.",
-			Target:      0.99,
-			Source:      func() (float64, float64) { return sloDegraded, sloTotal },
-		},
-	)
-	if err != nil {
-		return nil, fmt.Errorf("emu: slo engine: %w", err)
-	}
-
-	// Flight recorder on the synthetic clock (DESIGN.md §15): a small
-	// live registry mirrors the shared metric vocabulary per slot, a
-	// history store samples it on the slot clock, and SLO alarms freeze
-	// the same bundle format lpvsd writes.
-	var flightHist *history.Store
-	var flightLive *liveMetrics
-	if e.cfg.FlightDir != "" {
-		reg := obs.NewRegistry()
-		flightLive = newLiveMetrics(reg)
-		flightHist = history.New(reg, history.Config{
-			Window:   10 * slotDur,
-			Interval: slotDur,
-			Now:      func() time.Time { return sloClock },
-		})
-		flightRec, err = flight.New(flight.Config{
-			Dir:       e.cfg.FlightDir,
-			Triggers:  flight.Triggers{SLOAlarm: true, Manual: true},
-			History:   flightHist,
-			SLOStates: sloEng.Snapshot,
-			Binary:    "lpvs-emu",
-			Now:       func() time.Time { return sloClock },
-			// The synthetic clock advances SlotSec per slot, so the
-			// default 30s cooldown would suppress nothing; keep it off
-			// and let every alarm firing produce its bundle.
-			Cooldown: -1,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("emu: flight recorder: %w", err)
-		}
-	}
-
-	for slot := startSlot; slot < endSlot; slot++ {
+	for slot := 0; slot < e.cfg.Slots; slot++ {
 		windows := e.slotWindows(slot)
 
 		reqs, reqIdx := e.gatherRequests(windows)
@@ -616,28 +480,18 @@ func (e *Emulator) Run() (*RunResult, error) {
 			}
 			res.SchedSeconds += schedSec
 			res.SchedCPUSeconds += schedCPUSec
-			// The flight tail mirrors the audit log: without -audit-dir
-			// there is nothing to tee and the slot never pays for
-			// encoding a record nobody persists. Only the engine's
-			// decisions carry the full config/verdict surface the audit
-			// log replays.
+			// Only the engine's decisions carry the full config/verdict
+			// surface the audit log replays.
 			if auditLog != nil && e.pool != nil {
 				rec := auditRec.Build(slot, "vc", e.pool.Scheduler().Config(), reqs, decision)
 				rec.Seed = e.cfg.Seed
 				rec.UnixSec = float64(time.Now().UnixNano()) / 1e9
-				// Encode once; the audit log and the flight recorder's
-				// tail ring get the same bytes, so bundles replay
-				// byte-identically against the log. Both take them
-				// before the next slot's Build reuses the line.
 				line, err := auditRec.Encode()
 				if err != nil {
 					return nil, fmt.Errorf("emu: slot %d: audit: %w", slot, err)
 				}
 				if err := auditLog.AppendLine(line); err != nil {
 					return nil, fmt.Errorf("emu: slot %d: audit: %w", slot, err)
-				}
-				if flightRec != nil {
-					flightRec.NoteAudit(line)
 				}
 			}
 		}
@@ -702,39 +556,11 @@ func (e *Emulator) Run() (*RunResult, error) {
 		}
 		res.Timeline = append(res.Timeline, stat)
 		res.SlotsRun++
-		sloTotal++
-		if stat.SchedSec > sloLatency.Seconds() {
-			sloSlow++
-		}
-		if stat.Degraded {
-			sloDegraded++
-		}
-		sloClock = time.Unix(0, 0).Add(time.Duration(slot+1) * slotDur)
-		// Sample history on the advanced clock before evaluating, so a
-		// bundle captured by this Evaluate covers the slot that
-		// triggered the alarm.
-		if flightHist != nil {
-			flightLive.observe(e, stat)
-			flightHist.Sample()
-		}
-		sloEng.Evaluate()
 		if e.cfg.Progress != nil {
 			e.cfg.Progress(e.policy.Name(), stat)
 		}
 	}
 
-	res.SLO = sloEng.Snapshot()
-	if flightRec != nil {
-		res.FlightBundles = int(flightRec.BundlesWritten())
-	}
-	e.nextSlot = endSlot
-
-	if endSlot < e.cfg.Slots {
-		// Partial run (Config.StopAfter): stream finalisation and the
-		// final per-device fills wait for the resuming process; the
-		// caller checkpoints the emulator now (Checkpoint).
-		return res, nil
-	}
 	for i, d := range e.devices {
 		d.FinishStream()
 		res.FinalState[i] = d.State

@@ -70,52 +70,6 @@ func (r *RunResult) FillRegistry(reg *obs.Registry) {
 	}
 }
 
-// liveMetrics mirrors a small slice of the shared metric vocabulary
-// into a live registry slot by slot, so an armed flight recorder's
-// history store (Config.FlightDir) has real counters, gauges, and
-// histograms to sample on the synthetic clock — the same series names
-// an operator would query on a live lpvsd.
-type liveMetrics struct {
-	ticks    *obs.Counter
-	degraded *obs.Counter
-	devices  *obs.Gauge
-	watching *obs.Gauge
-	selected *obs.Gauge
-	anxiety  *obs.Gauge
-	energy   *obs.Gauge
-	gamma    *obs.Gauge
-	tickDur  *obs.Histogram
-}
-
-func newLiveMetrics(reg *obs.Registry) *liveMetrics {
-	return &liveMetrics{
-		ticks:    reg.Counter("lpvs_ticks_total", "Scheduling ticks run."),
-		degraded: reg.Counter("lpvs_sched_degraded_total", "Slots degraded to the anytime deadline shortcuts."),
-		devices:  reg.Gauge("lpvs_devices", "Devices in the virtual cluster."),
-		watching: reg.Gauge("lpvs_emu_watching", "Devices watching at the end of the slot."),
-		selected: reg.Gauge("lpvs_sched_selected", "Devices selected for transforming in the last slot."),
-		anxiety:  reg.Gauge("lpvs_anxiety_mean", "Mean anxiety degree across the cluster after the slot."),
-		energy:   reg.Gauge("lpvs_energy_frac_mean", "Mean battery fraction across the cluster after the slot."),
-		gamma:    reg.Gauge("lpvs_gamma_mean", "Mean truncated-posterior gamma estimate across devices."),
-		tickDur: reg.Histogram("lpvs_tick_duration_seconds",
-			"Wall time of one scheduling tick (information compacting + Phase-1 + Phase-2).", obs.DefBuckets()),
-	}
-}
-
-func (m *liveMetrics) observe(e *Emulator, st SlotStat) {
-	m.ticks.Inc()
-	if st.Degraded {
-		m.degraded.Inc()
-	}
-	m.devices.Set(float64(len(e.devices)))
-	m.watching.Set(float64(st.Watching))
-	m.selected.Set(float64(st.Selected))
-	m.anxiety.Set(st.MeanAnxiety)
-	m.energy.Set(st.MeanEnergyFrac)
-	m.gamma.Set(st.MeanGamma)
-	m.tickDur.Observe(st.SchedSec)
-}
-
 // WriteMetrics dumps the run summary in the Prometheus text exposition
 // format — the shared observability vocabulary for emulation campaigns.
 func (r *RunResult) WriteMetrics(w io.Writer) error {

@@ -24,19 +24,14 @@ func TestForensicsExpositionConformanceGolden(t *testing.T) {
 	src.Gauge("lpvs_devices", "Devices.").Set(7)
 	src.Histogram("lpvs_tick_duration_seconds", "Tick wall time.", obs.DefBuckets()).Observe(0.05)
 
-	now := time.Unix(100, 0)
-	hist := history.New(src, history.Config{
-		Window:   time.Minute,
-		Interval: time.Second,
-		Now:      func() time.Time { return now },
-	})
+	hist := history.New(src, history.Config{Window: time.Minute, Interval: time.Second})
 	hist.Sample()
 
+	now := time.Unix(100, 0)
 	rec, err := New(Config{
-		Dir:      t.TempDir(),
-		Triggers: AllTriggers(),
-		History:  hist,
-		Now:      func() time.Time { return now },
+		Dir:     t.TempDir(),
+		History: hist,
+		Now:     func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,8 +11,7 @@
 //   - panic:      a request handler panicked and was recovered
 //   - shed-burst: admission control shed DefaultShedBurst requests
 //     within DefaultShedWindow
-//   - manual:     POST /v1/incident, or lpvs-emu/test code asking
-//     directly
+//   - manual:     POST /v1/incident
 //
 // Automatic triggers share a cooldown so an alarm flapping every
 // evaluation cannot fill the disk; suppressed captures are counted.
@@ -64,32 +63,22 @@ const (
 	TriggerManual = "manual"
 )
 
-// The recorder's fixed bounds, and the default Cooldown.
+// The recorder's fixed bounds.
 const (
 	// DefaultAuditTail is how many recent audit lines a bundle carries.
 	DefaultAuditTail = 64
 	// DefaultMaxBundles is how many bundle files Dir retains; the
 	// oldest are deleted.
 	DefaultMaxBundles = 16
-	DefaultCooldown   = 30 * time.Second
+	// DefaultCooldown suppresses automatic captures (slo/panic/shed)
+	// that follow a previous automatic capture too closely. Manual
+	// captures are never suppressed.
+	DefaultCooldown = 30 * time.Second
 	// DefaultShedBurst sheds within DefaultShedWindow trip the
 	// shed-burst trigger.
 	DefaultShedBurst  = 32
 	DefaultShedWindow = 10 * time.Second
 )
-
-// Triggers selects which events capture a bundle.
-type Triggers struct {
-	SLOAlarm  bool
-	Panic     bool
-	ShedBurst bool
-	Manual    bool
-}
-
-// AllTriggers enables everything.
-func AllTriggers() Triggers {
-	return Triggers{SLOAlarm: true, Panic: true, ShedBurst: true, Manual: true}
-}
 
 // Bundle is the forensic payload carried inside the persist container.
 // Audit records are kept as raw JSONL lines so replay compares the
@@ -100,7 +89,8 @@ type Bundle struct {
 	Trigger        string  `json:"trigger"`
 	Reason         string  `json:"reason,omitempty"`
 
-	// Identity: which binary, which build, which effective config.
+	// Identity: which binary (always lpvsd; the field stays so older
+	// bundles decode), which build, which effective config.
 	Binary     string `json:"binary,omitempty"`
 	Version    string `json:"version,omitempty"`
 	GoVersion  string `json:"go_version,omitempty"`
@@ -180,13 +170,11 @@ func ListBundles(dir string) ([]string, error) {
 }
 
 // Config parameterizes a Recorder. Only Dir is required; nil sources
-// simply leave the matching bundle section empty.
+// simply leave the matching bundle section empty. Every trigger is
+// armed, and every bundle carries goroutine and heap profiles.
 type Config struct {
 	// Dir receives the bundle files (created if missing).
 	Dir string
-	// Triggers selects the capture events (zero value = nothing; use
-	// AllTriggers for everything).
-	Triggers Triggers
 
 	// History, Tracer, and SLOStates supply the bundle sections; each
 	// is read only at capture time.
@@ -197,22 +185,11 @@ type Config struct {
 	Meta func() map[string]string
 
 	// Identity stamped into every bundle.
-	Binary     string
 	Version    string
 	ConfigHash string
 
-	// Cooldown suppresses automatic captures (slo/panic/shed) that
-	// follow a previous automatic capture too closely (default 30s;
-	// negative = none). Manual captures are never suppressed.
-	Cooldown time.Duration
-
-	// Profiles includes goroutine + heap profiles in bundles (the
-	// daemon wants them; the emulator leaves them off to keep scenario
-	// bundles small).
-	Profiles bool
-
-	// Now supplies the capture clock (default time.Now); the emulator
-	// injects its synthetic slot clock.
+	// Now supplies the capture clock (default time.Now); tests inject
+	// a fake one.
 	Now func() time.Time
 
 	Logger *slog.Logger
@@ -249,9 +226,6 @@ func New(cfg Config) (*Recorder, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("flight: %w", err)
 	}
-	if cfg.Cooldown == 0 {
-		cfg.Cooldown = DefaultCooldown
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -282,7 +256,7 @@ func (r *Recorder) NoteAudit(line []byte) {
 // OnSLOTransition is the slo.Config.OnTransition hook: entering alarm
 // captures a bundle; clearing does not.
 func (r *Recorder) OnSLOTransition(st slo.State) {
-	if !r.cfg.Triggers.SLOAlarm || !st.Alarming {
+	if !st.Alarming {
 		return
 	}
 	reason := fmt.Sprintf("slo %s alarm", st.Name)
@@ -295,18 +269,12 @@ func (r *Recorder) OnSLOTransition(st slo.State) {
 
 // OnPanic is the recovered-panic hook.
 func (r *Recorder) OnPanic(detail string) {
-	if !r.cfg.Triggers.Panic {
-		return
-	}
 	r.capture(TriggerPanic, "recovered panic: "+detail, true)
 }
 
 // OnShed records one shed request; a burst of DefaultShedBurst sheds
 // inside DefaultShedWindow captures a bundle.
 func (r *Recorder) OnShed() {
-	if !r.cfg.Triggers.ShedBurst {
-		return
-	}
 	now := r.cfg.Now()
 	r.mu.Lock()
 	cutoff := now.Add(-DefaultShedWindow)
@@ -329,11 +297,8 @@ func (r *Recorder) OnShed() {
 }
 
 // Capture writes a manual bundle (never suppressed by cooldown) and
-// returns its path. It fails if the manual trigger is not armed.
+// returns its path.
 func (r *Recorder) Capture(reason string) (string, error) {
-	if !r.cfg.Triggers.Manual {
-		return "", fmt.Errorf("flight: manual trigger not armed")
-	}
 	return r.capture(TriggerManual, reason, false)
 }
 
@@ -341,7 +306,7 @@ func (r *Recorder) capture(trigger, reason string, auto bool) (string, error) {
 	now := r.cfg.Now()
 
 	r.mu.Lock()
-	if auto && r.cfg.Cooldown > 0 && r.autoSet && now.Sub(r.lastAuto) < r.cfg.Cooldown {
+	if auto && r.autoSet && now.Sub(r.lastAuto) < DefaultCooldown {
 		r.suppress++
 		r.mu.Unlock()
 		return "", nil
@@ -363,7 +328,7 @@ func (r *Recorder) capture(trigger, reason string, auto bool) (string, error) {
 		WrittenUnixSec: float64(now.UnixNano()) / 1e9,
 		Trigger:        trigger,
 		Reason:         reason,
-		Binary:         r.cfg.Binary,
+		Binary:         "lpvsd",
 		Version:        r.cfg.Version,
 		GoVersion:      runtime.Version(),
 		ConfigHash:     r.cfg.ConfigHash,
@@ -382,15 +347,13 @@ func (r *Recorder) capture(trigger, reason string, auto bool) (string, error) {
 		b.Spans = r.cfg.Tracer.Snapshot()
 		b.SpansDropped = r.cfg.Tracer.Dropped()
 	}
-	if r.cfg.Profiles {
-		var goroutines bytes.Buffer
-		if err := pprof.Lookup("goroutine").WriteTo(&goroutines, 1); err == nil {
-			b.GoroutineProfile = goroutines.String()
-		}
-		var heap bytes.Buffer
-		if err := pprof.WriteHeapProfile(&heap); err == nil {
-			b.HeapProfile = heap.Bytes()
-		}
+	var goroutines bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&goroutines, 1); err == nil {
+		b.GoroutineProfile = goroutines.String()
+	}
+	var heap bytes.Buffer
+	if err := pprof.WriteHeapProfile(&heap); err == nil {
+		b.HeapProfile = heap.Bytes()
 	}
 
 	data, err := b.Encode()

@@ -111,8 +111,7 @@ func seriesKey(name string, labels map[string]string) string {
 }
 
 // Config parameterizes a Store. The zero value gets the defaults
-// above; Now is injectable for the emulator's synthetic clock and for
-// tests.
+// above.
 type Config struct {
 	// Window is how far back Query can reach; older points are
 	// overwritten in place.
@@ -120,8 +119,6 @@ type Config struct {
 	// Interval is the expected sampling cadence; with Window it sizes
 	// each ring (Window/Interval + 1 points).
 	Interval time.Duration
-	// Now supplies the sample clock (default time.Now).
-	Now func() time.Time
 }
 
 // Store samples a registry into per-series rings. Safe for concurrent
@@ -131,6 +128,9 @@ type Store struct {
 	cfg      Config
 	capacity int // points per ring
 	maxSer   int // series budget derived from DefaultMaxBytes
+	// now is the sample clock: time.Now, or a fake one in this
+	// package's tests.
+	now func() time.Time
 
 	mu      sync.Mutex
 	rings   map[string]*ring
@@ -173,17 +173,13 @@ func (rg *ring) points(sinceMS int64) []Point {
 }
 
 // New builds a Store over reg. It does not sample by itself: the
-// daemon's sampling loop calls Sample every Interval, and the emulator
-// drives Sample from its synthetic slot clock.
+// daemon's sampling loop calls Sample every Interval.
 func New(reg *obs.Registry, cfg Config) *Store {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	capacity := int(cfg.Window/cfg.Interval) + 1
 	if capacity < 2 {
@@ -198,6 +194,7 @@ func New(reg *obs.Registry, cfg Config) *Store {
 		cfg:      cfg,
 		capacity: capacity,
 		maxSer:   maxSer,
+		now:      time.Now,
 		rings:    make(map[string]*ring),
 	}
 }
@@ -235,7 +232,7 @@ func (s *Store) memoryBytes() int {
 // scrape-time funcs (including this store's own self-metrics) never
 // deadlock against the store lock.
 func (s *Store) Sample() {
-	now := s.cfg.Now()
+	now := s.now()
 	fams := s.reg.Gather()
 
 	s.mu.Lock()

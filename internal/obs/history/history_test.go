@@ -29,8 +29,9 @@ func (c *fakeClock) advance(d time.Duration) {
 }
 
 func newStore(reg *obs.Registry, clk *fakeClock, cfg Config) *Store {
-	cfg.Now = clk.now
-	return New(reg, cfg)
+	s := New(reg, cfg)
+	s.now = clk.now
+	return s
 }
 
 func TestCounterDeltasAndGaugePoints(t *testing.T) {

@@ -18,10 +18,8 @@
 // proves the burn is sustained, the fast window proves it is still
 // happening (so alarms clear promptly after recovery).
 //
-// Time is injected (Config.Now), so the same engine evaluates a live
-// daemon on a ticker and an emulated run on a synthetic slot clock —
-// scenario campaigns report SLO compliance with the very code that
-// would have paged.
+// Time is injected (Config.Now), so tests drive the windows with a
+// fake clock.
 package slo
 
 import (
@@ -59,15 +57,18 @@ type Objective struct {
 // period.
 const Burn = 10
 
+// The two burn-rate windows, sized for an edge daemon whose ticks
+// arrive every few seconds in tests and every slot in production.
+const (
+	fastWindow = time.Minute
+	slowWindow = 5 * time.Minute
+)
+
 // Config parameterises an Engine. The zero value gives the defaults
 // noted per field.
 type Config struct {
-	// FastWindow and SlowWindow are the two burn-rate windows; defaults
-	// 1m and 5m — sized for an edge daemon whose ticks arrive every few
-	// seconds in tests and every slot in production.
-	FastWindow, SlowWindow time.Duration
-	// Now injects the clock; nil means time.Now. Synthetic clocks make
-	// evaluation fully deterministic (the emulator's slot clock).
+	// Now injects the clock; nil means time.Now. A fake clock makes
+	// evaluation fully deterministic.
 	Now func() time.Time
 	// Logger receives warn-level lines on alarm transitions; nil
 	// discards them.
@@ -150,15 +151,6 @@ type Engine struct {
 
 // NewEngine validates the objectives and builds an engine.
 func NewEngine(cfg Config, objs ...Objective) (*Engine, error) {
-	if cfg.FastWindow <= 0 {
-		cfg.FastWindow = time.Minute
-	}
-	if cfg.SlowWindow <= 0 {
-		cfg.SlowWindow = 5 * time.Minute
-	}
-	if cfg.FastWindow > cfg.SlowWindow {
-		return nil, fmt.Errorf("slo: fast window %v longer than slow window %v", cfg.FastWindow, cfg.SlowWindow)
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -257,7 +249,7 @@ func (e *Engine) evaluateLocked(os *objectiveState, now time.Time, fired *[]Stat
 	// Prune everything strictly older than the slow window, but always
 	// keep one sample at or beyond the horizon so window deltas have a
 	// baseline.
-	horizon := now.Add(-e.cfg.SlowWindow)
+	horizon := now.Add(-slowWindow)
 	cut := 0
 	for cut < len(os.ring)-1 && !os.ring[cut+1].t.After(horizon) {
 		cut++
@@ -282,7 +274,7 @@ func (e *Engine) evaluateLocked(os *objectiveState, now time.Time, fired *[]Stat
 	for _, w := range []struct {
 		name string
 		dur  time.Duration
-	}{{"fast", e.cfg.FastWindow}, {"slow", e.cfg.SlowWindow}} {
+	}{{"fast", fastWindow}, {"slow", slowWindow}} {
 		ws := windowState(os.ring, now, w.name, w.dur, budget)
 		st.Windows = append(st.Windows, ws)
 		if !ws.Breaching {

@@ -38,9 +38,7 @@ func TestBurnRateAlarmsAndClears(t *testing.T) {
 	ctr := &fakeCounters{}
 	var transitions []string
 	e := newEngine(t, Config{
-		FastWindow: time.Minute,
-		SlowWindow: 5 * time.Minute,
-		Now:        clock.now,
+		Now: clock.now,
 		OnTransition: func(st State) {
 			dir := "clear"
 			if st.Alarming {
@@ -215,17 +213,15 @@ func TestValidation(t *testing.T) {
 	src := func() (float64, float64) { return 0, 0 }
 	cases := []struct {
 		name string
-		cfg  Config
 		objs []Objective
 	}{
-		{"bad target", Config{}, []Objective{{Name: "a", Target: 1, Source: src}}},
-		{"no name", Config{}, []Objective{{Target: 0.9, Source: src}}},
-		{"no source", Config{}, []Objective{{Name: "a", Target: 0.9}}},
-		{"dup name", Config{}, []Objective{{Name: "a", Target: 0.9, Source: src}, {Name: "a", Target: 0.9, Source: src}}},
-		{"windows inverted", Config{FastWindow: time.Hour, SlowWindow: time.Minute}, []Objective{{Name: "a", Target: 0.9, Source: src}}},
+		{"bad target", []Objective{{Name: "a", Target: 1, Source: src}}},
+		{"no name", []Objective{{Target: 0.9, Source: src}}},
+		{"no source", []Objective{{Name: "a", Target: 0.9}}},
+		{"dup name", []Objective{{Name: "a", Target: 0.9, Source: src}, {Name: "a", Target: 0.9, Source: src}}},
 	}
 	for _, c := range cases {
-		if _, err := NewEngine(c.cfg, c.objs...); err == nil {
+		if _, err := NewEngine(Config{}, c.objs...); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
 	}

@@ -1,8 +1,8 @@
 // Package persist implements the LPVS durable-state container
 // (DESIGN.md §14): a versioned, length-prefixed, SHA-256-checksummed
-// binary envelope plus the snapshot payloads built on it — the
-// daemon's warm-restart state (Snapshot) and the emulator's mid-run
-// checkpoint (EmuCheckpoint).
+// binary envelope plus the one payload built on it, the daemon's
+// warm-restart state (Snapshot). The flight recorder's incident
+// bundles (internal/obs/flight) travel in the same envelope.
 //
 // Decoding fails closed: a truncated, tampered, version-skewed, or
 // trailing-garbage file yields a typed error and nothing else, so a

@@ -348,7 +348,7 @@ func TestContainerAdversarial(t *testing.T) {
 		}
 	})
 	t.Run("kind-mismatch", func(t *testing.T) {
-		data := EncodeContainer(EmuKind, StateVersion, []byte("p"))
+		data := EncodeContainer("other-kind", StateVersion, []byte("p"))
 		if _, err := DecodeContainer(data, StateKind, StateVersion); !errors.Is(err, ErrKind) {
 			t.Fatalf("want ErrKind, got %v", err)
 		}
@@ -394,45 +394,6 @@ func TestSnapshotDecodeAdversarial(t *testing.T) {
 		mut[i] ^= 0x10
 		if _, err := DecodeSnapshot(mut); err == nil {
 			t.Fatalf("flipping byte %d decoded successfully", i)
-		}
-	}
-}
-
-// TestEmuCheckpointRoundTrip covers the emulator payload.
-func TestEmuCheckpointRoundTrip(t *testing.T) {
-	ck := &EmuCheckpoint{
-		ConfigHash: "deadbeef",
-		NextSlot:   4,
-		CacheRNG:   RNGState{Seed: 42, Draws: 12345},
-		Result:     []byte(`{"SlotsRun":4}`),
-	}
-	for i := 0; i < 40; i++ {
-		ck.Devices = append(ck.Devices, EmuDevice{
-			ID:         fmt.Sprintf("dev-%03d", i),
-			Display:    testSpec(i),
-			CapacityJ:  40000,
-			LevelJ:     1000 * float64(i),
-			BasePowerW: 1.1,
-			GiveUpFrac: 0.05,
-			State:      i % 4,
-			WatchedSec: 60 * float64(i),
-			Estimator:  testEstimator(i),
-		})
-	}
-	data := ck.Encode()
-	back, err := DecodeEmuCheckpoint(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, ck) {
-		t.Fatal("checkpoint changed in round trip")
-	}
-	if !bytes.Equal(back.Encode(), data) {
-		t.Fatal("encode→decode→encode changed bytes")
-	}
-	for n := 0; n < len(data); n += 11 {
-		if _, err := DecodeEmuCheckpoint(data[:n]); err == nil {
-			t.Fatalf("truncation to %d bytes decoded successfully", n)
 		}
 	}
 }

@@ -25,15 +25,12 @@ func (s *Server) newFlightRecorder() error {
 	}
 	rec, err := flight.New(flight.Config{
 		Dir:        s.cfg.FlightDir,
-		Triggers:   flight.AllTriggers(),
 		History:    s.history,
 		Tracer:     s.tracer,
 		SLOStates:  func() []slo.State { return s.slo.Snapshot() },
 		Meta:       s.flightMeta,
-		Binary:     "lpvsd",
 		Version:    version,
 		ConfigHash: audit.NewConfigRecord(s.pool.Scheduler().Config()).Hash(),
-		Profiles:   true,
 		Logger:     s.log,
 	})
 	if err != nil {

@@ -17,64 +17,12 @@ import (
 // log-normal, categorical) so that callers never reach for package-level
 // randomness.
 type RNG struct {
-	r    *rand.Rand
-	src  *countingSource
-	seed int64
-}
-
-// countingSource wraps the stdlib generator and counts how many values
-// it has handed out, so a stream's exact position can be captured as
-// (seed, draws) and rebuilt later (durable-state checkpoints,
-// DESIGN.md §14). Both methods advance the underlying generator by
-// exactly one step — the stdlib's Int63 is Uint64 masked to 63 bits —
-// so the count is source-steps, independent of which method ran.
-type countingSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-func (c *countingSource) Int63() int64 {
-	c.n++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.n++
-	return c.src.Uint64()
-}
-
-func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.n = 0
+	r *rand.Rand
 }
 
 // NewRNG returns a deterministic stream seeded with seed.
 func NewRNG(seed int64) *RNG {
-	// rand.NewSource's generator has implemented Source64 since Go 1.8;
-	// the assertion keeps draw sequences identical to rand.New(source).
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &RNG{r: rand.New(src), src: src, seed: seed}
-}
-
-// State captures the stream's exact position: the stream is the pure
-// function of its seed advanced by draws source steps. The pair
-// round-trips through RestoreRNG.
-func (g *RNG) State() (seed int64, draws uint64) {
-	return g.seed, g.src.n
-}
-
-// RestoreRNG rebuilds the stream NewRNG(seed) would hold after exactly
-// draws source values were consumed: every RNG method consumes whole
-// source steps (rand.Rand buffers state only for Read, which RNG does
-// not expose), so the restored stream continues bit-for-bit from where
-// State was taken.
-func RestoreRNG(seed int64, draws uint64) *RNG {
-	g := NewRNG(seed)
-	for i := uint64(0); i < draws; i++ {
-		g.src.src.Uint64()
-	}
-	g.src.n = draws
-	return g
+	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
 // Fork derives an independent child stream from the current state. It is

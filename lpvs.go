@@ -82,14 +82,7 @@ type (
 	SlotStat = emu.SlotStat
 	// Comparison pairs a treated run with its no-transform baseline.
 	Comparison = emu.Comparison
-	// Emulator drives one virtual cluster under one policy.
-	Emulator = emu.Emulator
 )
-
-// NewEmulator builds an emulator; a nil policy means the LPVS scheduler.
-func NewEmulator(cfg EmulationConfig, policy Policy) (*Emulator, error) {
-	return emu.New(cfg, policy)
-}
 
 // RunComparison runs LPVS and the no-transform baseline on the identical
 // workload and returns the paired metrics.
