@@ -13,9 +13,10 @@ package main
 // reproducible bit for bit from its own record.
 //
 // recover is the offline arm of the DESIGN.md §14 recovery ladder: it
-// replays every record for integrity (skip with -no-verify), then
-// synthesizes an approximate snapshot — last-known gamma per device as
-// a concentrated posterior — that lpvsd can warm-boot from.
+// folds the log a record at a time into an approximate snapshot —
+// last-known gamma per device as a concentrated posterior — that lpvsd
+// can warm-boot from, replaying each record for integrity as it goes
+// (skip with -no-verify) and writing nothing if one diverges.
 
 import (
 	"flag"
@@ -28,19 +29,27 @@ import (
 	"lpvs/internal/persist"
 )
 
-// readLog reads the one audit log a command names: the JSONL file
-// itself or the audit directory containing it. An empty log is an error.
-func readLog(cmd string, fs *flag.FlagSet) (path string, recs []*audit.Record, err error) {
+// logPath resolves the one audit log a command names: the JSONL file
+// itself or the audit directory containing it.
+func logPath(cmd string, fs *flag.FlagSet) (string, error) {
 	if fs.NArg() != 1 {
-		return "", nil, fmt.Errorf("%s: want exactly one audit log path, got %d", cmd, fs.NArg())
+		return "", fmt.Errorf("%s: want exactly one audit log path, got %d", cmd, fs.NArg())
 	}
-	path = fs.Arg(0)
+	path := fs.Arg(0)
 	info, err := os.Stat(path)
 	if err != nil {
-		return "", nil, err
+		return "", err
 	}
 	if info.IsDir() {
 		path = filepath.Join(path, audit.FileName)
+	}
+	return path, nil
+}
+
+// readLog reads the log logPath names, whole. An empty log is an error.
+func readLog(cmd string, fs *flag.FlagSet) (path string, recs []*audit.Record, err error) {
+	if path, err = logPath(cmd, fs); err != nil {
+		return "", nil, err
 	}
 	if recs, err = audit.ReadFile(path); err == nil && len(recs) == 0 {
 		err = fmt.Errorf("%s: %s holds no records", cmd, path)
@@ -87,23 +96,29 @@ func auditRecover(args []string, stdout, stderr io.Writer) error {
 	if *out == "" {
 		return fmt.Errorf("recover: -out is required")
 	}
-	_, recs, err := readLog("recover", fs)
+	path, err := logPath("recover", fs)
 	if err != nil {
 		return err
 	}
-	if !*noVerify {
-		_, err := audit.ReplayAll(recs, func(i int, res *audit.ReplayResult) error {
-			if !res.Match {
-				return fmt.Errorf("record %d (slot %d, vc %s) diverged on replay; refusing to recover from a tampered log\n%s",
-					i, recs[i].Slot, recs[i].VC, res.Diff())
-			}
+	// The log is folded a record at a time, each one replayed as it is
+	// read: nothing here holds more than one record.
+	records := 0
+	snap, err := persist.RecoverFromAudit(path, func(rec *audit.Record) error {
+		i := records
+		records++
+		if *noVerify {
 			return nil
-		})
-		if err != nil {
-			return err
 		}
-	}
-	snap, err := persist.RecoverFromAudit(recs)
+		res, err := rec.Replay()
+		if err != nil {
+			return fmt.Errorf("record %d (slot %d, vc %s): %w", i, rec.Slot, rec.VC, err)
+		}
+		if !res.Match {
+			return fmt.Errorf("record %d (slot %d, vc %s) diverged on replay; refusing to recover from a tampered log\n%s",
+				i, rec.Slot, rec.VC, res.Diff())
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
@@ -111,7 +126,7 @@ func auditRecover(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "recovered %d devices at slot %d from %d records into %s\n",
-		len(snap.Devices), snap.Slot, len(recs), *out)
+		len(snap.Devices), snap.Slot, records, *out)
 	return nil
 }
 

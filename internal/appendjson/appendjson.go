@@ -51,7 +51,14 @@ const hexDigits = "0123456789abcdef"
 // be bytes, which are appended as the string they spell, so text kept
 // in a reused buffer needs no string copy to be written.
 func String[S ~string | ~[]byte](dst []byte, s S) []byte {
-	dst = append(dst, '"')
+	return append(Escape(append(dst, '"'), s), '"')
+}
+
+// Escape appends what String writes between the quotes. A string
+// escapes the same in pieces as whole when no piece starts with a UTF-8
+// continuation byte, so a writer can stream a long one through a small
+// buffer.
+func Escape[S ~string | ~[]byte](dst []byte, s S) []byte {
 	start := 0 // s[start:i] is the pending run that needs no escaping
 	for i := 0; i < len(s); {
 		c := s[i]
@@ -98,6 +105,5 @@ func String[S ~string | ~[]byte](dst []byte, s S) []byte {
 		i += size
 		start = i
 	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
+	return append(dst, s[start:]...)
 }

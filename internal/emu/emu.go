@@ -454,8 +454,9 @@ func (e *Emulator) Run() (*RunResult, error) {
 	for i, d := range e.devices {
 		res.LowBatteryStart[i] = d.LowBattery()
 	}
-	// One builder for the run: every slot's record and line reuse its
-	// storage, the path the daemon's tick takes.
+	// One builder for the run: every slot's record reuses its storage
+	// and streams to the log through its one buffer, the path the
+	// daemon's tick takes.
 	var auditRec audit.Builder
 	var auditLog *audit.Log
 	if e.cfg.AuditDir != "" {
@@ -486,11 +487,7 @@ func (e *Emulator) Run() (*RunResult, error) {
 				rec := auditRec.Build(slot, "vc", e.pool.Scheduler().Config(), reqs, decision)
 				rec.Seed = e.cfg.Seed
 				rec.UnixSec = float64(time.Now().UnixNano()) / 1e9
-				line, err := auditRec.Encode()
-				if err != nil {
-					return nil, fmt.Errorf("emu: slot %d: audit: %w", slot, err)
-				}
-				if err := auditLog.AppendLine(line); err != nil {
+				if err := auditLog.Append(&auditRec, nil); err != nil {
 					return nil, fmt.Errorf("emu: slot %d: audit: %w", slot, err)
 				}
 			}

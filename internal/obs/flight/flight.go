@@ -238,10 +238,12 @@ func New(cfg Config) (*Recorder, error) {
 // Dir reports where bundles are written.
 func (r *Recorder) Dir() string { return r.cfg.Dir }
 
-// NoteAudit retains a copy of one encoded audit line (with or without
-// the trailing newline) in the bounded tail ring.
+// NoteAudit keeps one encoded audit line (with or without the trailing
+// newline) in the bounded tail ring. The line is handed over: the
+// caller builds it for the ring (the daemon tees the stream it writes
+// to the log into it) and never touches it again.
 func (r *Recorder) NoteAudit(line []byte) {
-	cp := bytes.TrimRight(append([]byte(nil), line...), "\n")
+	cp := bytes.TrimRight(line, "\n")
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.tailN < len(r.auditTail) {

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -10,21 +9,24 @@ import (
 	"lpvs/internal/obs/audit"
 )
 
-// RecoverFromAudit rebuilds a daemon snapshot from a decision audit
-// log — the fallback recovery path when the snapshot file is missing
-// or corrupt (DESIGN.md §14). The log records every decision but not
-// the Bayesian updates between them, so the recovery is approximate by
-// construction: each device's estimator is rebuilt as a posterior
-// concentrated (sigma = DefaultObsSigma) at the last gamma the
-// scheduler planned with, which preserves the learned point estimate
-// while discarding the exact uncertainty. Pending reports are not in
-// the log and come back empty; they regenerate within one slot. Callers decide how much of the log to
-// verify first (audit.Record.Replay) — this function only transforms
-// records it is handed.
-func RecoverFromAudit(recs []*audit.Record) (*Snapshot, error) {
-	if len(recs) == 0 {
-		return nil, errors.New("persist: audit log holds no records")
-	}
+// RecoverFromAudit rebuilds a daemon snapshot from the decision audit
+// log at path — the fallback recovery path when the snapshot file is
+// missing or corrupt (DESIGN.md §14). The log records every decision
+// but not the Bayesian updates between them, so the recovery is
+// approximate by construction: each device's estimator is rebuilt as a
+// posterior concentrated (sigma = DefaultObsSigma) at the last gamma
+// the scheduler planned with, which preserves the learned point
+// estimate while discarding the exact uncertainty. Pending reports are
+// not in the log and come back empty; they regenerate within one slot.
+//
+// The log is folded one record at a time (audit.EachFile), so recovery
+// holds one record and one entry per device, never the log, which at
+// 10,000 devices is over a gigabyte of JSON a day. visit, when not nil,
+// sees each record first, in log order: callers verify there what they
+// want verified (audit.Record.Replay) and keep what they want kept, and
+// its error stops the recovery. A log with no record is an error, and a
+// file that cannot be opened fails with os.Open's error as it is.
+func RecoverFromAudit(path string, visit func(*audit.Record) error) (*Snapshot, error) {
 	type devInfo struct {
 		slot      int
 		gamma     float64
@@ -32,11 +34,14 @@ func RecoverFromAudit(recs []*audit.Record) (*Snapshot, error) {
 		transform bool
 	}
 	devs := make(map[string]*devInfo)
-	maxSlot := 0
-	for _, rec := range recs {
-		if rec == nil {
-			return nil, errors.New("persist: nil audit record")
+	maxSlot, records := 0, 0
+	err := audit.EachFile(path, func(rec *audit.Record) error {
+		if visit != nil {
+			if err := visit(rec); err != nil {
+				return err
+			}
 		}
+		records++
 		if rec.Slot > maxSlot {
 			maxSlot = rec.Slot
 		}
@@ -44,7 +49,7 @@ func RecoverFromAudit(recs []*audit.Record) (*Snapshot, error) {
 		// request's chunk window (table or inline) before handing it back.
 		reqs, err := rec.SchedulerRequests()
 		if err != nil {
-			return nil, fmt.Errorf("persist: audit slot %d: %w", rec.Slot, err)
+			return fmt.Errorf("persist: audit slot %d: %w", rec.Slot, err)
 		}
 		for i := range reqs {
 			req := &reqs[i]
@@ -62,6 +67,13 @@ func RecoverFromAudit(recs []*audit.Record) (*Snapshot, error) {
 				di.transform = v.Selected
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if records == 0 {
+		return nil, fmt.Errorf("persist: audit log %s holds no records", path)
 	}
 	snap := &Snapshot{Slot: maxSlot + 1}
 	ids := make([]string, 0, len(devs))

@@ -5,6 +5,9 @@ package persist_test
 // in-package test would cycle.
 
 import (
+	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -48,10 +51,27 @@ func auditedRun(t *testing.T, dir string) []*audit.Record {
 // record, every device carries its last-logged gamma as a concentrated
 // posterior, and the result encodes/decodes cleanly.
 func TestRecoverFromAudit(t *testing.T) {
-	recs := auditedRun(t, t.TempDir())
-	snap, err := persist.RecoverFromAudit(recs)
+	dir := t.TempDir()
+	recs := auditedRun(t, dir)
+	path := filepath.Join(dir, audit.FileName)
+	seen := 0
+	snap, err := persist.RecoverFromAudit(path, func(rec *audit.Record) error {
+		if rec.Slot != recs[seen].Slot {
+			t.Fatalf("record %d visited is slot %d, want %d", seen, rec.Slot, recs[seen].Slot)
+		}
+		seen++
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if seen != len(recs) {
+		t.Fatalf("visited %d records of %d", seen, len(recs))
+	}
+	// visit's error stops the fold and is the recovery's.
+	stop := errors.New("refused")
+	if _, err := persist.RecoverFromAudit(path, func(*audit.Record) error { return stop }); err != stop {
+		t.Fatalf("a visit that refuses: error %v, want %v", err, stop)
 	}
 	last := recs[len(recs)-1]
 	if snap.Slot != last.Slot+1 {
@@ -98,12 +118,20 @@ func TestRecoverFromAudit(t *testing.T) {
 }
 
 // TestRecoverFromAuditEmpty: no records is an error, not an empty
-// snapshot (an empty snapshot would look like a successful recovery).
+// snapshot (an empty snapshot would look like a successful recovery),
+// and so is no log.
 func TestRecoverFromAuditEmpty(t *testing.T) {
-	if _, err := persist.RecoverFromAudit(nil); err == nil {
-		t.Fatal("empty record set recovered")
+	dir := t.TempDir()
+	for name, data := range map[string]string{"empty": "", "blank lines": "\n \n\n"} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := persist.RecoverFromAudit(path, nil); err == nil {
+			t.Fatalf("%s log recovered", name)
+		}
 	}
-	if _, err := persist.RecoverFromAudit([]*audit.Record{nil}); err == nil {
-		t.Fatal("nil record recovered")
+	if _, err := persist.RecoverFromAudit(filepath.Join(dir, "missing"), nil); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing log: error %v, want fs.ErrNotExist", err)
 	}
 }

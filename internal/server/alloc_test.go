@@ -7,11 +7,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"lpvs/internal/obs"
+	"lpvs/internal/obs/audit"
 	"lpvs/internal/testenv"
 	"lpvs/internal/video"
 	"lpvs/internal/wire"
@@ -256,6 +260,30 @@ func TestAuditedTickAllocsBytesPerDevice(t *testing.T) {
 	t.Logf("%.0f B at 2,000 devices, %.0f B at 8,000: %.1f B per device", small, large, slope)
 	if slope > 4 {
 		t.Fatalf("an audited slot grows by %.1f B per device, want at most 4 (the record is the builder's)", slope)
+	}
+}
+
+// TestAuditLineResidentBytes bounds the audit line storage the daemon
+// keeps between ticks: after an audited 2,000-device tick its
+// audit.Builder holds at most 64 KiB of it, the one buffer the line
+// streamed through, while the line itself, about 1 MB, went to the log
+// in pieces. It kept the whole line, 1.1 MB, while the line was encoded
+// in one piece and handed to one write.
+func TestAuditLineResidentBytes(t *testing.T) {
+	dir := t.TempDir()
+	s, slot := tickServer(t, 2000, oneVC, Config{AuditDir: dir}, arrivalSorted)
+	slot()
+	info, err := os.Stat(filepath.Join(dir, audit.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := reflect.ValueOf(&s.auditRec).Elem().FieldByName("line")
+	if !line.IsValid() {
+		t.Fatal("audit.Builder has no line field to measure")
+	}
+	t.Logf("a %d-byte line, %d bytes of line storage kept", info.Size(), line.Cap())
+	if info.Size() < 512<<10 || line.Cap() > 64<<10 {
+		t.Fatalf("a %d-byte line left %d bytes of line storage in the builder, want at most 64 KiB", info.Size(), line.Cap())
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
-	"slices"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -232,9 +233,13 @@ func TestTickSpanTreeMatchesCallGraph(t *testing.T) {
 }
 
 // TestAuditEncodeFailureIsLoggedNotWritten: a record the encoder
-// refuses — a NaN where JSON has no form for it — is logged as "audit
-// encode failed" and skipped; the log gains no line from it, and the
-// reused builder encodes the next tick's record as if nothing happened.
+// refuses — a NaN or an infinity where JSON has no form for it — is
+// logged as "audit encode failed" and skipped, whichever of the
+// record's float fields holds it: the log gains no byte from it, the
+// flight recorder's tail no line, and the reused builder encodes the
+// next tick's record as if nothing happened. The line streams through
+// a fixed buffer, so this holds only because the record is checked
+// whole before its first piece leaves.
 func TestAuditEncodeFailureIsLoggedNotWritten(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger, err := obs.NewLogger(&logBuf, "info", "json")
@@ -242,7 +247,8 @@ func TestAuditEncodeFailureIsLoggedNotWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	s, err := New(Config{Stream: testStream(t), ServerStreams: 3, Lambda: 1, AuditDir: dir, Logger: logger})
+	s, err := New(Config{Stream: testStream(t), ServerStreams: 3, Lambda: 1, AuditDir: dir,
+		FlightDir: t.TempDir(), Logger: logger})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +257,8 @@ func TestAuditEncodeFailureIsLoggedNotWritten(t *testing.T) {
 	defer ts.Close()
 	reportAndTick(t, ts, 3)
 
-	// No report can carry a NaN past validation, so run a real tick and
-	// hand its audit step the decision again with one verdict poisoned.
+	// No report can carry a NaN past validation, so run a real tick,
+	// build its record again and poison one float of it at a time.
 	for i := 0; i < 3; i++ {
 		postJSON(t, ts.URL+"/v1/report", validReport(fmt.Sprintf("exp-%02d", i)), nil)
 	}
@@ -262,13 +268,33 @@ func TestAuditEncodeFailureIsLoggedNotWritten(t *testing.T) {
 		s.mu.Unlock()
 		t.Fatal(err)
 	}
-	dec := out.decided[0].Decision
-	dec.PerDevice = slices.Clone(dec.PerDevice)
-	dec.PerDevice[0].AnxietyAfter = math.NaN()
-	s.auditVCLocked("slot-poisoned", out.vcs[0].Requests, &dec, "")
+	rec := s.auditRec.Build(s.slot, "slot-poisoned", s.pool.Scheduler().Config(), out.vcs[0].Requests, out.decided[0].Decision)
+	rec.UnixSec = 1754400000.5
+	var floats []reflect.Value
+	floatLeaves(reflect.ValueOf(rec).Elem(), &floats)
+	logPath := filepath.Join(dir, audit.FileName)
+	size := func() int64 {
+		info, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	before, tail := size(), s.flight.AuditTailLen()
+	for i, f := range floats {
+		old := f.Float()
+		f.SetFloat([]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i%3])
+		s.appendAuditLocked(rec.VC)
+		f.SetFloat(old)
+		if n := strings.Count(logBuf.String(), `"msg":"audit encode failed"`); n != i+1 || size() != before || s.flight.AuditTailLen() != tail {
+			s.mu.Unlock()
+			t.Fatalf("float %d of %d poisoned: %d audit-encode-failed lines, log %d -> %d bytes, flight tail %d -> %d",
+				i, len(floats), n, before, size(), tail, s.flight.AuditTailLen())
+		}
+	}
 	s.mu.Unlock()
-	if !strings.Contains(logBuf.String(), `"msg":"audit encode failed"`) || !strings.Contains(logBuf.String(), `"vc":"slot-poisoned"`) {
-		t.Fatalf("no audit-encode-failed line for the poisoned record in:\n%s", logBuf.String())
+	if len(floats) < 100 || !strings.Contains(logBuf.String(), `"vc":"slot-poisoned"`) {
+		t.Fatalf("poisoned %d floats of the record, want all of them (100+), each logged under its vc", len(floats))
 	}
 
 	reportAndTick(t, ts, 3)
@@ -281,5 +307,26 @@ func TestAuditEncodeFailureIsLoggedNotWritten(t *testing.T) {
 	}
 	if diverged, err := audit.ReplayAll(recs, nil); err != nil || diverged != 0 {
 		t.Fatalf("%d records diverged on replay (err %v)", diverged, err)
+	}
+}
+
+// floatLeaves collects every float64 reachable from v through structs,
+// slices and non-nil pointers.
+func floatLeaves(v reflect.Value, out *[]reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			floatLeaves(v.Field(i), out)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			floatLeaves(v.Index(i), out)
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			floatLeaves(v.Elem(), out)
+		}
+	case reflect.Float64:
+		*out = append(*out, v)
 	}
 }

@@ -144,19 +144,19 @@ func (s *Server) loadDurableState() {
 }
 
 // recoverFromAudit rebuilds an approximate snapshot from the decision
-// audit log. Before trusting the log it replays the most recent record
-// and requires a byte-identical decision — the cheap boot-time slice
-// of the full `lpvsctl audit replay` verification.
+// audit log, folded a record at a time. Before trusting the log it
+// replays the most recent record, the one record the fold keeps, and
+// requires a byte-identical decision — the cheap boot-time slice of the
+// full `lpvsctl audit replay` verification.
 func (s *Server) recoverFromAudit() (*persist.Snapshot, error) {
-	logPath := filepath.Join(s.cfg.AuditDir, audit.FileName)
-	recs, err := audit.ReadFile(logPath)
+	var last *audit.Record
+	snap, err := persist.RecoverFromAudit(filepath.Join(s.cfg.AuditDir, audit.FileName), func(rec *audit.Record) error {
+		last = rec
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("audit log %s holds no records", logPath)
-	}
-	last := recs[len(recs)-1]
 	res, err := last.Replay()
 	if err != nil {
 		return nil, fmt.Errorf("replay slot %d: %w", last.Slot, err)
@@ -164,7 +164,7 @@ func (s *Server) recoverFromAudit() (*persist.Snapshot, error) {
 	if !res.Match {
 		return nil, fmt.Errorf("slot %d replay diverged, refusing audit recovery:\n%s", last.Slot, res.Diff())
 	}
-	return persist.RecoverFromAudit(recs)
+	return snap, nil
 }
 
 // applySnapshot rebuilds the daemon's mutable state from a decoded

@@ -200,18 +200,21 @@ type Server struct {
 	// vcScratch is the tick's VC list, reused across ticks (the pool
 	// copies it before ordering); chScratch holds a shard tick's
 	// per-channel groups, each truncated and refilled every tick,
-	// auditRec the storage of the audit record and its encoded line
-	// (audit.Builder: valid until the next cluster is audited), and
+	// auditRec the storage of the audit record and the buffer its line
+	// streams through (audit.Builder: valid until the next cluster is
+	// audited), auditLineLen the length of the last line teed to the
+	// flight recorder, and
 	// tickRes the scheduler's result, decided into again by the next
 	// tick (scheduler.Pool.DecideInto): valid from one tick's decide
 	// until the next one's.
-	vcScratch []scheduler.VC
-	chScratch map[string][]scheduler.Request
-	auditRec  audit.Builder
-	tickRes   scheduler.PoolResult
-	devices   map[string]*deviceState
-	lastTick  TickStats
-	tickSeen  bool
+	vcScratch    []scheduler.VC
+	chScratch    map[string][]scheduler.Request
+	auditRec     audit.Builder
+	auditLineLen int
+	tickRes      scheduler.PoolResult
+	devices      map[string]*deviceState
+	lastTick     TickStats
+	tickSeen     bool
 	// canonScratch holds the canonical text of the VC a shard tick
 	// reply is encoding (appendShardTickLocked), reused VC to VC, and
 	// shardReply the reply itself, reused tick to tick: the reply grows

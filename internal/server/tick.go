@@ -2,10 +2,13 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
+	"lpvs/internal/obs/audit"
 	"lpvs/internal/scheduler"
 )
 
@@ -205,33 +208,56 @@ func (s *Server) indexPendingLocked() {
 	}
 }
 
-// auditVCLocked appends one cluster's replayable audit record. The
-// record is encoded once and the same bytes are teed to the audit log
-// and the flight recorder's tail ring, so a bundle's embedded records
-// are byte-exact copies of the logged ones. The tail mirrors the log —
-// a daemon without -audit-dir captures bundles with no audit section,
-// and the tick path never pays for encoding a record nobody persists.
-// Record and line live in s.auditRec's reused storage and are gone at
-// the next cluster's Build: both sinks take their bytes before they
-// return (the file write is synchronous, NoteAudit copies). Caller
-// holds s.mu and has checked s.audit.
+// auditVCLocked appends one cluster's replayable audit record, built in
+// s.auditRec's reused storage and valid until the next cluster's Build.
+// Caller holds s.mu and has checked s.audit.
 func (s *Server) auditVCLocked(label string, reqs []scheduler.Request, dec *scheduler.Decision, traceID string) {
 	rec := s.auditRec.Build(s.slot, label, s.pool.Scheduler().Config(), reqs, *dec)
 	rec.UnixSec = float64(time.Now().UnixNano()) / 1e9
 	rec.TraceID = traceID
-	line, err := s.auditRec.Encode()
-	if err != nil {
+	s.appendAuditLocked(label)
+}
+
+// appendAuditLocked streams the record s.auditRec last built to the
+// audit log through the builder's fixed buffer, so no tick holds its
+// whole line. With the flight recorder armed the same stream is teed
+// into the copy its audit tail keeps, so a bundle's embedded records
+// are byte-exact copies of the logged ones; the tail mirrors the log,
+// so a daemon without -audit-dir captures bundles with no audit section
+// and the tick path never pays for encoding a record nobody persists. A
+// record the encoder refuses writes nothing to either. Caller holds
+// s.mu.
+func (s *Server) appendAuditLocked(label string) {
+	var tail lineCopy
+	var tee io.Writer
+	if s.flight != nil {
+		tail = make(lineCopy, 0, s.auditLineLen)
+		tee = &tail
+	}
+	err := s.audit.Append(&s.auditRec, tee)
+	if errors.Is(err, audit.ErrNoJSONFloat) {
 		s.log.Error("audit encode failed", "slot", s.slot, "vc", label, "err", err)
 		return
 	}
-	if err := s.audit.AppendLine(line); err != nil {
+	if err != nil {
 		// Auditing is an observer: a full disk must not take the
 		// scheduling path down with it.
 		s.log.Error("audit append failed", "slot", s.slot, "vc", label, "err", err)
 	}
 	if s.flight != nil {
-		s.flight.NoteAudit(line)
+		// The last line's length sizes the next copy, which then takes
+		// its line in one allocation.
+		s.auditLineLen = len(tail)
+		s.flight.NoteAudit(tail)
 	}
+}
+
+// lineCopy collects the pieces of one streamed line.
+type lineCopy []byte
+
+func (c *lineCopy) Write(p []byte) (int, error) {
+	*c = append(*c, p...)
+	return len(p), nil
 }
 
 // NewTickStats returns the identity of the TickStats fold for a slot:
